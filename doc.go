@@ -116,7 +116,16 @@
 // Build copies the input rows once into a contiguous flat buffer (the
 // internal vector store): every indexed point is a fixed-stride row of
 // one []float64, and the PM-tree's leaves reference rows of a second
-// store holding the projections. Candidate verification therefore
+// store holding the projections, which the tree owns and orders
+// leaf-major: a leaf's projected points are one consecutive run of
+// rows, leaves follow each other in traversal order, and a leaf's ids,
+// parent distances and pivot distances are parallel arrays. A query
+// therefore filters a leaf in one pass and evaluates the surviving
+// projected distances over contiguous memory with a batched kernel.
+// Build, Load and Compact produce this layout; Insert and Delete move
+// the leaves they touch onto a slower per-row path until the next
+// Compact, and Info().LeafRunFraction reports, per shard, how much of
+// the tree is still on the fast one. Candidate verification likewise
 // streams sequential memory instead of chasing a pointer per point,
 // compares squared distances with early abandonment against the
 // running k-th best, and defers the k square roots to the end of the

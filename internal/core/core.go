@@ -559,6 +559,9 @@ func buildInternal(s *store.Store, cfg Config, ndim int, scale float64) (*Index,
 	if err != nil {
 		return nil, err
 	}
+	// The PM-tree copies the projected rows into a leaf-major buffer of
+	// its own and keeps no reference to this store, which is garbage
+	// once the build returns; the R-tree adopts it.
 	projected, err := proj.ProjectStore(s)
 	if err != nil {
 		return nil, err
@@ -770,10 +773,11 @@ func (ix *Index) Delete(id int32) error {
 // store is repacked (tombstones dropped, rows in storage order —
 // recycled slots keep their position, so this is not id order), the
 // projected-space tree is bulk loaded from scratch — restoring the
-// tight covering radii and rings deletion-era trees lose — and the
-// distance distribution is resampled. Ids are preserved. Compact takes
-// the writer lock and may run concurrently with queries and other
-// mutations.
+// tight covering radii and rings deletion-era trees lose, and the
+// leaf-major row layout mutations wear down (LeafRunFraction back to
+// 1) — and the distance distribution is resampled. Ids are preserved.
+// Compact takes the writer lock and may run concurrently with queries
+// and other mutations.
 func (ix *Index) Compact() error {
 	if ix.metric == metric.Jaccard {
 		return ix.mh.Compact()
@@ -976,6 +980,25 @@ func (ix *Index) Dead() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.data.Len() - ix.data.Live()
+}
+
+// LeafRunFraction returns the share of the PM-tree's leaf entries that
+// sit in leaves whose projected rows are one consecutive run of the
+// tree's buffer — the entries a query scans with the batched distance
+// kernel rather than one row at a time. It is 1 after Build, Load and
+// Compact and decays as Insert and Delete touch leaves. Backends
+// without a PM-tree (R-tree ablation, Jaccard) and an empty tree
+// report 1: nothing there is off the fast path.
+func (ix *Index) LeafRunFraction() float64 {
+	if ix.metric == metric.Jaccard {
+		return 1
+	}
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if ix.tree == nil || ix.tree.Len() == 0 {
+		return 1
+	}
+	return float64(ix.tree.RunEntries()) / float64(ix.tree.Len())
 }
 
 // Compactions returns the number of Compact operations (explicit and

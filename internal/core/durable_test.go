@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	got := e2.Info()
 	// Compactions is a session counter, not persisted state.
 	want.Compactions, got.Compactions = 0, 0
-	if got != want {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered info = %+v, want %+v", got, want)
 	}
 	if e2.IsLive(3) || !e2.IsLive(gid) {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/metric"
+	"repro/internal/pmtree"
 	"repro/internal/store"
 )
 
@@ -168,6 +169,10 @@ func newShard(ix *Index) (*shard, error) {
 // on: store bytes, free list, id map, tree structure, distance sample.
 func cloneIndex(ix *Index) (*Index, error) {
 	var buf bytes.Buffer
+	// Sized once up front: grown from empty, the buffer would re-copy
+	// (and re-clear) the stream at every doubling, which costs more than
+	// writing it.
+	buf.Grow(streamSizeHint(ix))
 	if _, err := ix.WriteTo(&buf); err != nil {
 		return nil, fmt.Errorf("core: cloning shard: %w", err)
 	}
@@ -176,6 +181,34 @@ func cloneIndex(ix *Index) (*Index, error) {
 		return nil, fmt.Errorf("core: cloning shard: %w", err)
 	}
 	return clone, nil
+}
+
+// streamSizeHint returns the size of the stream WriteTo produces for a
+// vector index, to within its small fixed-size fields: the dataset,
+// the projection, the distance sample, the id maps, the codec
+// parameters and the PM-tree's nodes. It is 0 for the Jaccard backend,
+// whose stream has another shape.
+func streamSizeHint(ix *Index) int {
+	if ix.metric == metric.Jaccard {
+		return 0
+	}
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	m, dim := ix.cfg.M, ix.dim
+	size := 256 + 8*(m*dim+len(ix.distCDF)+len(ix.data.Flat())+3*dim) +
+		4*(len(ix.data.FreeList())+len(ix.rowOf))
+	if ix.tree != nil {
+		s := ix.tree.NumPivots()
+		size += 8 * s * m
+		ix.tree.Walk(func(n pmtree.NodeInfo) {
+			entry := 8 * (m + 2 + 2*s) // routing: center, radius, parent distance, rings
+			if n.Leaf {
+				entry = 4 + 8*(m+1+s) // id, point, parent and pivot distances
+			}
+			size += 5 + n.NumEntries*entry
+		})
+	}
+	return size
 }
 
 // BuildEngine constructs a sharded engine over data: row i becomes
@@ -487,6 +520,12 @@ type EngineInfo struct {
 	// Compactions counts Compact operations (explicit and auto)
 	// completed since the engine was built or loaded.
 	Compactions int64
+	// LeafRunFraction is, per shard, the share of PM-tree leaf entries
+	// still laid out as one row run per leaf (Index.LeafRunFraction): 1
+	// after a build, load or compaction, falling as mutations touch
+	// leaves. It is to query speed what Dead is to memory — the decay a
+	// Compact undoes.
+	LeafRunFraction []float64
 }
 
 // Info returns one consistent snapshot of the engine's observable
@@ -503,8 +542,11 @@ func (e *Engine) Info() EngineInfo {
 		Metric:   e.metric,
 		Shards:   len(e.shards),
 		Quantize: pins[0].ix.Quantize(),
+
+		LeafRunFraction: make([]float64, len(pins)),
 	}
-	for _, h := range pins {
+	for s, h := range pins {
+		info.LeafRunFraction[s] = h.ix.LeafRunFraction()
 		info.IDs += h.ix.Len()
 		info.Live += h.ix.LiveLen()
 		info.Dead += h.ix.Dead()

@@ -1,0 +1,162 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"math/rand"
+	"testing"
+)
+
+// halvesAgree fails unless both halves of every shard report the same
+// leaf layout and hold the same tree, and returns the per-shard
+// fraction they agree on.
+func halvesAgree(t *testing.T, tag string, e *Engine) []float64 {
+	t.Helper()
+	out := make([]float64, len(e.shards))
+	for s, sh := range e.shards {
+		a, b := sh.halves[0].ix, sh.halves[1].ix
+		if a.LeafRunFraction() != b.LeafRunFraction() {
+			t.Fatalf("%s: shard %d halves report leaf run fractions %v and %v",
+				tag, s, a.LeafRunFraction(), b.LeafRunFraction())
+		}
+		var ab, bb bytes.Buffer
+		if _, err := a.Tree().WriteTo(&ab); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Tree().WriteTo(&bb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ab.Bytes(), bb.Bytes()) {
+			t.Fatalf("%s: shard %d halves hold different trees", tag, s)
+		}
+		out[s] = a.LeafRunFraction()
+	}
+	return out
+}
+
+// TestLeafLayoutThroughLifecycle follows the leaf-major layout through
+// an engine's life. A built half and its serialization clone start on
+// the same layout (every leaf one row run); mutations wear both halves
+// down in step; a worn index answers — results and statistics — exactly
+// like its own reload, which is the same tree with every leaf back on
+// the batched path; and Compact restores the layout.
+func TestLeafLayoutThroughLifecycle(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		data := randData(900, 12, 21)
+		e, err := BuildEngine(data, Config{Shards: shards, Seed: 5, AutoCompactFraction: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, f := range halvesAgree(t, "built", e) {
+			if f != 1 {
+				t.Fatalf("shards=%d: built shard %d has leaf run fraction %v, want 1", shards, s, f)
+			}
+		}
+		if info := e.Info(); len(info.LeafRunFraction) != shards {
+			t.Fatalf("Info reports %d leaf run fractions for %d shards", len(info.LeafRunFraction), shards)
+		}
+
+		rng := rand.New(rand.NewSource(22))
+		extra := randData(150, 12, 23)
+		for i, p := range extra {
+			if _, err := e.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 0 {
+				victim := int32(rng.Intn(len(data)))
+				if e.IsLive(victim) {
+					if err := e.Delete(victim); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		worn := halvesAgree(t, "churned", e)
+		for s, f := range worn {
+			if f <= 0 || f >= 1 {
+				t.Fatalf("shards=%d: churned shard %d has leaf run fraction %v, want strictly between 0 and 1", shards, s, f)
+			}
+		}
+
+		var stream bytes.Buffer
+		if _, err := e.WriteTo(&stream); err != nil {
+			t.Fatal(err)
+		}
+		reloaded, err := LoadEngine(&stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, f := range halvesAgree(t, "reloaded", reloaded) {
+			if f != 1 {
+				t.Fatalf("shards=%d: reloaded shard %d has leaf run fraction %v, want 1", shards, s, f)
+			}
+		}
+		for qi := 0; qi < 40; qi++ {
+			q := data[rng.Intn(len(data))]
+			if qi%2 == 1 {
+				q = extra[rng.Intn(len(extra))]
+			}
+			var sa, sb QueryStats
+			got, err := e.Search(context.Background(), q, 20, SearchOptions{C: 1.5, Stats: &sa})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := reloaded.Search(context.Background(), q, 20, SearchOptions{C: 1.5, Stats: &sb})
+			if err != nil {
+				t.Fatal(err)
+			}
+			identicalResults(t, "worn leaves vs reloaded runs", got, want)
+			if sa != sb {
+				t.Fatalf("shards=%d query %d: worn leaves did %+v, reloaded runs %+v", shards, qi, sa, sb)
+			}
+		}
+
+		if err := e.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		for s, f := range halvesAgree(t, "compacted", e) {
+			if f != 1 {
+				t.Fatalf("shards=%d: compacted shard %d has leaf run fraction %v, want 1", shards, s, f)
+			}
+		}
+	}
+}
+
+// TestStreamSizeHint keeps cloneIndex's one allocation honest: the hint
+// must cover the stream (or the buffer regrows, copying everything)
+// without overshooting it by more than its fixed slack.
+func TestStreamSizeHint(t *testing.T) {
+	for _, cfg := range []Config{
+		{Seed: 3},
+		{Seed: 3, ExplicitZeroPivots: true, Capacity: 6},
+		{Seed: 3, UseRTree: true},
+	} {
+		ix, err := Build(randData(700, 20, 31), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(tag string) {
+			t.Helper()
+			var buf bytes.Buffer
+			n, err := ix.WriteTo(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hint := int64(streamSizeHint(ix)); hint < n || hint > n+1024 {
+				t.Fatalf("%s %+v: hint %d for a %d-byte stream", tag, cfg, hint, n)
+			}
+		}
+		check("built")
+		for id := int32(0); id < 60; id++ {
+			if err := ix.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, p := range randData(25, 20, 32) {
+			if _, err := ix.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("churned")
+	}
+}

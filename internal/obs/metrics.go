@@ -220,6 +220,7 @@ type family struct {
 	counter    *Counter
 	gauge      *Gauge
 	gaugeFn    func() float64
+	gaugeFnVec *gaugeFuncVec
 	histogram  *Histogram
 	counterVec *CounterVec
 	gaugeVec   *GaugeVec
@@ -284,6 +285,21 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.add(&family{name: name, help: help, typ: "gauge", gaugeFn: fn})
 }
 
+// gaugeFuncVec is a scrape-time gauge family over numbered parts.
+type gaugeFuncVec struct {
+	label string
+	fn    func() []float64
+}
+
+// GaugeFuncVec registers a gauge family collected by calling fn at
+// scrape time: fn returns one value per numbered part of the state it
+// reads (a shard, say), and element i is rendered with the label set
+// to i. One call collects the whole family, so its values come from
+// one snapshot.
+func (r *Registry) GaugeFuncVec(name, help, label string, fn func() []float64) {
+	r.add(&family{name: name, help: help, typ: "gauge", gaugeFnVec: &gaugeFuncVec{label: label, fn: fn}})
+}
+
 // Histogram registers and returns a histogram with the given bucket
 // upper bounds (an +Inf bucket is implicit).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
@@ -318,6 +334,10 @@ func (r *Registry) WriteText(w io.Writer) error {
 			fmt.Fprintf(bw, "%s %d\n", f.name, f.gauge.Value())
 		case f.gaugeFn != nil:
 			fmt.Fprintf(bw, "%s %s\n", f.name, formatFloat(f.gaugeFn()))
+		case f.gaugeFnVec != nil:
+			for i, v := range f.gaugeFnVec.fn() {
+				fmt.Fprintf(bw, "%s{%s=\"%d\"} %s\n", f.name, f.gaugeFnVec.label, i, formatFloat(v))
+			}
 		case f.histogram != nil:
 			writeHistogram(bw, f.name, "", f.histogram)
 		case f.counterVec != nil:

@@ -45,6 +45,36 @@ func TestCounterGaugeRender(t *testing.T) {
 	}
 }
 
+func TestGaugeFuncVecRender(t *testing.T) {
+	reg := NewRegistry()
+	calls := 0
+	reg.GaugeFuncVec("part_fill", "fill per part", "part", func() []float64 {
+		calls++
+		return []float64{1, 0.25, 0}
+	})
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("one scrape collected the family %d times", calls)
+	}
+	samples, err := ParseText(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("own output does not parse: %v\n%s", err, sb.String())
+	}
+	for series, want := range map[string]float64{
+		`part_fill{part="0"}`: 1, `part_fill{part="1"}`: 0.25, `part_fill{part="2"}`: 0,
+	} {
+		if got, ok := samples[series]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", series, got, ok, want)
+		}
+	}
+	if !strings.Contains(sb.String(), "# TYPE part_fill gauge") {
+		t.Errorf("output missing the family header:\n%s", sb.String())
+	}
+}
+
 func TestCounterVecLabels(t *testing.T) {
 	reg := NewRegistry()
 	v := reg.CounterVec("req_total", "requests", "route", "code")

@@ -1,6 +1,10 @@
 package pmtree
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/store"
+)
 
 // Bulk loading. Inserting points one at a time builds a poor tree: the
 // early tree shape is arbitrary, splits scatter near points across
@@ -28,14 +32,43 @@ import "sort"
 // covered points, so bulk-built regions are as tight as the clustering
 // allows. Later Inserts use the normal descend-and-split path.
 //
+// The bisection permutes row indices, not rows, and ends with every
+// leaf's rows adjacent and the leaves in traversal order. packLeaf
+// copies the points out of the source store in exactly that order, so
+// the finished tree's store is leaf-major: a leaf's points are one
+// consecutive run of rows, and a traversal walks the buffer front to
+// back instead of touching a random row per entry. The entry arrays
+// (ids, parent and pivot distances) are carved from tree-wide arenas
+// in the same order. Read reproduces this layout, since the stream
+// carries the points inline per leaf; only Insert and Delete disturb
+// it, leaf by leaf, until the next bulk load.
+//
 // Cost: O(n log n) metric evaluations for the bisection plus
 // O(n·capacity) for leaf packing — comparable to one insertion pass.
 
-// bulkLoad builds the tree over all rows of t.points. ids[row] is
-// stored with each point (nil = row index). Must be called on a fresh
-// tree (count == 0).
-func (t *Tree) bulkLoad(ids []int32) {
-	n := t.points.Len()
+// leafArena is the leaf-major backing of one bulk load: the point
+// buffer and the entry arrays every packed leaf takes its slices from.
+type leafArena struct {
+	flat       []float64
+	ids, rows  []int32
+	parentDist []float64
+	pivotDist  []float64
+}
+
+// bulkLoad builds the tree over all rows of src, which is only read,
+// and leaves t.points a leaf-major copy of them. ids[row] is stored
+// with each point (nil = row index). Must be called on a fresh tree
+// (count == 0).
+func (t *Tree) bulkLoad(src *store.Store, ids []int32) error {
+	n := src.Len()
+	t.points = src // what bisect, minimax and packLeaf read until the copy is complete
+	arena := &leafArena{
+		flat:       make([]float64, 0, n*t.dim),
+		ids:        make([]int32, 0, n),
+		rows:       make([]int32, 0, n),
+		parentDist: make([]float64, 0, n),
+		pivotDist:  make([]float64, 0, n*len(t.pivots)),
+	}
 	rows := make([]int32, n)
 	for i := range rows {
 		rows[i] = int32(i)
@@ -82,9 +115,14 @@ func (t *Tree) bulkLoad(ids []int32) {
 				}
 			}
 		}
-		level = append(level, t.packLeaf(rs, ids, mm))
+		level = append(level, t.packLeaf(rs, ids, mm, arena))
 	}
 	rec(rows, da, db, nil)
+	points, err := store.FromFlat(arena.flat, t.dim)
+	if err != nil {
+		return err
+	}
+	t.points = points
 
 	// Assemble upper levels until the entries fit one root node.
 	for len(level) > t.capacity {
@@ -110,6 +148,7 @@ func (t *Tree) bulkLoad(ids []int32) {
 		t.root = &node{leaf: false, routing: level}
 	}
 	t.count = n
+	return nil
 }
 
 // bisect partitions rs in place around two far-apart pivot rows and
@@ -223,41 +262,42 @@ func (t *Tree) minimax(rs []int32) *minimaxResult {
 
 // packLeaf builds one leaf over a partition and returns its routing
 // entry, routed by the partition's minimax row. mm must be aligned
-// with the current ordering of rs.
-func (t *Tree) packLeaf(rs []int32, ids []int32, mm *minimaxResult) routingEntry {
+// with the current ordering of rs. The leaf's points and entry arrays
+// are appended to the arena, of which the leaf keeps capacity-clipped
+// slices: a later Insert into the leaf reallocates its own arrays
+// instead of growing into the next leaf's.
+func (t *Tree) packLeaf(rs []int32, ids []int32, mm *minimaxResult, a *leafArena) routingEntry {
 	m := len(rs)
 	dm, best, bestRadius := mm.dm, mm.best, mm.radius
 
-	leaf := &node{leaf: true, entries: make([]leafEntry, 0, m)}
 	s := len(t.pivots)
 	hr := newEmptyIntervals(s)
-	// One contiguous pivot-distance block per leaf (entries subslice
-	// it), so leaf scans walk sequential memory instead of chasing one
-	// small allocation per entry.
-	var pdAll []float64
-	if s > 0 {
-		pdAll = make([]float64, m*s)
-	}
+	first := len(a.ids)
 	for i, row := range rs {
 		id := row
 		if ids != nil {
 			id = ids[row]
 		}
-		var pd []float64
-		if s > 0 {
-			pd = pdAll[i*s : (i+1)*s : (i+1)*s]
-			p := t.points.Row(int(row))
-			for k, pv := range t.pivots {
-				pd[k] = t.dist(p, pv)
-			}
-			for k, d := range pd {
-				hr[k].extend(d)
-			}
+		p := t.points.Row(int(row))
+		a.ids = append(a.ids, id)
+		a.rows = append(a.rows, int32(first+i))
+		a.parentDist = append(a.parentDist, dm[best*m+i])
+		a.flat = append(a.flat, p...)
+		for k, pv := range t.pivots {
+			d := t.dist(p, pv)
+			a.pivotDist = append(a.pivotDist, d)
+			hr[k].extend(d)
 		}
-		leaf.entries = append(leaf.entries, leafEntry{
-			row: row, id: id, parentDist: dm[best*m+i], pivotDist: pd,
-		})
 	}
+	end := first + m
+	leaf := &node{
+		leaf:       true,
+		ids:        a.ids[first:end:end],
+		rows:       a.rows[first:end:end],
+		parentDist: a.parentDist[first:end:end],
+		pivotDist:  a.pivotDist[first*s : end*s : end*s],
+	}
+	t.leafChanged(leaf)
 	center := make([]float64, t.dim)
 	copy(center, t.points.Row(int(rs[best])))
 	return routingEntry{center: center, radius: bestRadius, child: leaf, hr: hr}

@@ -313,18 +313,18 @@ func (e *PairEnumerator) leafJoin(n *node, side uint8) *leafJoin {
 	if *cache == nil {
 		*cache = make([]*leafJoin, t.points.Len())
 	}
-	key := n.entries[0].row
+	key := n.rows[0]
 	if lj := (*cache)[key]; lj != nil {
 		return lj
 	}
 	s := len(t.pivots)
-	m := len(n.entries)
+	m := len(n.ids)
 	idx := make([]int, m)
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool {
-		return t.leafPoint(&n.entries[idx[a]])[0] < t.leafPoint(&n.entries[idx[b]])[0]
+		return t.leafPoint(n, idx[a])[0] < t.leafPoint(n, idx[b])[0]
 	})
 	lj := &leafJoin{
 		c0:  make([]float64, m),
@@ -333,11 +333,10 @@ func (e *PairEnumerator) leafJoin(n *node, side uint8) *leafJoin {
 		id:  make([]int32, m),
 	}
 	for i, at := range idx {
-		en := &n.entries[at]
-		lj.c0[i] = t.leafPoint(en)[0]
-		lj.piv = append(lj.piv, en.pivotDist[:s]...)
-		lj.row[i] = en.row
-		lj.id[i] = en.id
+		lj.c0[i] = t.leafPoint(n, at)[0]
+		lj.piv = append(lj.piv, n.pivotDists(at, s)...)
+		lj.row[i] = n.rows[at]
+		lj.id[i] = n.ids[at]
 	}
 	(*cache)[key] = lj
 	return lj
@@ -356,7 +355,7 @@ func (e *PairEnumerator) expandLeafPair(ra, rb pairRegion) {
 	na, nb := ra.n, rb.n
 	// Deletions can leave leaves empty; they contribute no pairs (and
 	// leafJoin keys off the first entry, so they must not reach it).
-	if len(na.entries) == 0 || len(nb.entries) == 0 {
+	if len(na.ids) == 0 || len(nb.ids) == 0 {
 		return
 	}
 	a := e.leafJoin(na, ra.side)

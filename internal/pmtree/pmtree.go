@@ -14,6 +14,19 @@
 // With s = 0 pivots the structure degrades gracefully to a plain
 // M-tree, which the parameter study of Fig. 6(a) exploits.
 //
+// Memory layout is part of the design. The tree owns one contiguous
+// store of its points and a bulk load (Build, BuildFromStore) or Read
+// lays it out leaf-major: each leaf's points are one consecutive run
+// of rows and the leaves follow each other in traversal order. Leaves
+// keep their entries as parallel arrays, so a range query opens a leaf
+// as a batch — all filter lower bounds in one kernel pass, then the
+// survivors' distances over the leaf's contiguous rows (see
+// RangeEnumerator) — and a traversal streams memory front to back.
+// Insert and Delete keep a per-leaf record of whether its rows are
+// still one run; a leaf that lost it pays distances row by row until
+// the next bulk load. RunEntries reports how much of the tree is still
+// on the run layout.
+//
 // The implementation is single-writer: Build, Insert and Delete must
 // not be called concurrently with queries (the index layer above holds
 // a reader/writer lock). Queries themselves are read-only; the
@@ -80,34 +93,63 @@ type routingEntry struct {
 	hr         []Interval // e.HR: one ring per pivot
 }
 
-// leafEntry stores one indexed point as a row reference into the
-// tree's contiguous point store, together with its precomputed
-// distances to the global pivots (the PM-tree leaf's PD array).
-// Referencing a row instead of owning a slice keeps leaf entries small
-// (4 bytes vs a 24-byte slice header) and lets leaf scans walk one flat
-// buffer.
-type leafEntry struct {
-	row        int32 // index into Tree.points
-	id         int32
-	parentDist float64   // distance to the leaf node's routing object
-	pivotDist  []float64 // exact distances to the s pivots
-}
-
+// node is one tree node. A leaf keeps its entries as parallel arrays —
+// entry i is (ids[i], rows[i], parentDist[i], pivotDist[i*s:(i+1)*s]),
+// the PM-tree leaf's id, point, PD and pivot-distance array — rather
+// than as an array of structs: a range query filters a whole leaf in
+// one pass over parentDist and pivotDist (vec.MaxAbsDiffToMany) before
+// it touches a single point. Points live in the tree's contiguous
+// store; referencing a row instead of owning a slice keeps an entry at
+// 16 bytes plus its pivot distances.
 type node struct {
 	leaf    bool
 	routing []routingEntry // when !leaf
-	entries []leafEntry    // when leaf
+
+	ids        []int32   // when leaf
+	rows       []int32   // index into Tree.points
+	parentDist []float64 // distance to the leaf node's routing object
+	pivotDist  []float64 // exact distances to the s pivots, entry-major
+	// run records that the entries' points are one ascending run of
+	// consecutive store rows, rows[i] == rows[0]+i, so a leaf scan can
+	// stream them through a batched kernel instead of resolving a row
+	// per entry. Bulk loading and Read lay every leaf out this way (see
+	// bulkload.go); Insert, Delete and splits re-derive the fact for the
+	// leaves they touch, which usually lose it until the next rebuild.
+	// An empty leaf is a run.
+	run bool
 }
 
 func (n *node) size() int {
 	if n.leaf {
-		return len(n.entries)
+		return len(n.ids)
 	}
 	return len(n.routing)
 }
 
+// pivotDists returns entry i's distances to the s pivots.
+func (n *node) pivotDists(i, s int) []float64 { return n.pivotDist[i*s : (i+1)*s : (i+1)*s] }
+
+// appendEntry adds one leaf entry; pd holds its pivot distances.
+func (n *node) appendEntry(id, row int32, parentDist float64, pd []float64) {
+	n.ids = append(n.ids, id)
+	n.rows = append(n.rows, row)
+	n.parentDist = append(n.parentDist, parentDist)
+	n.pivotDist = append(n.pivotDist, pd...)
+}
+
+// isRun reports whether rows are consecutive ascending store rows.
+func isRun(rows []int32) bool {
+	for i, r := range rows {
+		if r != rows[0]+int32(i) {
+			return false
+		}
+	}
+	return true
+}
+
 // Tree is a PM-tree over m-dimensional float64 points. Indexed points
-// live in one contiguous store; leaf entries reference rows of it.
+// live in one contiguous store owned by the tree; leaf entries
+// reference rows of it.
 type Tree struct {
 	root     *node
 	points   *store.Store
@@ -115,6 +157,9 @@ type Tree struct {
 	capacity int
 	dim      int
 	count    int
+	// runEntries counts the entries of leaves whose rows are one run
+	// (see node.run), maintained by leafChanging/leafChanged.
+	runEntries int
 
 	// distCalcs counts every call to the metric; it feeds the cost-model
 	// validation (Table 2) and the per-query probing statistics. Atomic
@@ -158,7 +203,7 @@ func New(dim int, cfg Config) (*Tree, error) {
 		return nil, fmt.Errorf("pmtree: %w", err)
 	}
 	return &Tree{
-		root:     &node{leaf: true},
+		root:     &node{leaf: true, run: true},
 		points:   pts,
 		capacity: cfg.Capacity,
 		dim:      dim,
@@ -183,9 +228,12 @@ func Build(data [][]float64, ids []int32, cfg Config) (*Tree, error) {
 	return BuildFromStore(s, ids, cfg)
 }
 
-// BuildFromStore constructs a tree directly over the rows of s, which
-// is adopted as the tree's point store without copying. The caller must
-// not append to or mutate s afterwards. ids follows Build's contract.
+// BuildFromStore constructs a tree over the rows of s. The store is
+// only read: the tree gathers the rows into a buffer of its own, laid
+// out leaf by leaf in traversal order, and keeps no reference to s, so
+// several trees can be built over one store and the caller is free to
+// drop or reuse it. ids follows Build's contract (nil: a point's id is
+// its row in s).
 //
 // The tree is bulk loaded (see bulkload.go): metric-local leaves
 // packed by recursive far-pivot bisection, upper levels assembled
@@ -206,16 +254,23 @@ func BuildFromStore(s *store.Store, ids []int32, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.points = s
 	if cfg.NumPivots > 0 {
 		t.pivots = selectPivotsStore(s, cfg.NumPivots, cfg.PivotSeed)
 	}
-	t.bulkLoad(ids)
+	if err := t.bulkLoad(s, ids); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
 // Len returns the number of indexed points.
 func (t *Tree) Len() int { return t.count }
+
+// RunEntries returns how many indexed points sit in leaves whose rows
+// are one consecutive run of the point store — the leaves a range
+// query scans with the batched distance kernel. It equals Len after a
+// bulk load or Read and decays as Insert and Delete touch leaves.
+func (t *Tree) RunEntries() int { return t.runEntries }
 
 // WalkIDs calls fn with every indexed point's id (the deserialization
 // loader uses it to validate leaf ids against the index's id map).
@@ -223,8 +278,8 @@ func (t *Tree) WalkIDs(fn func(id int32)) {
 	var rec func(n *node)
 	rec = func(n *node) {
 		if n.leaf {
-			for i := range n.entries {
-				fn(n.entries[i].id)
+			for _, id := range n.ids {
+				fn(id)
 			}
 			return
 		}
@@ -272,8 +327,24 @@ func (t *Tree) pivotDistances(p []float64) []float64 {
 	return out
 }
 
-// leafPoint resolves a leaf entry's point as a view into the store.
-func (t *Tree) leafPoint(e *leafEntry) []float64 { return t.points.Row(int(e.row)) }
+// leafPoint resolves leaf entry i's point as a view into the store.
+func (t *Tree) leafPoint(n *node, i int) []float64 { return t.points.Row(int(n.rows[i])) }
+
+// leafChanging and leafChanged bracket every change to a leaf's
+// entries: the first takes the leaf out of the run count as it stands,
+// the second re-derives its run fact and counts it back in. A freshly
+// made leaf (run unset) needs only the second.
+func (t *Tree) leafChanging(n *node) {
+	if n.run {
+		t.runEntries -= len(n.ids)
+	}
+}
+
+func (t *Tree) leafChanged(n *node) {
+	if n.run = isRun(n.rows); n.run {
+		t.runEntries += len(n.ids)
+	}
+}
 
 // Insert adds one point with the given id. The point is copied into the
 // tree's store; the caller's slice is not retained.
@@ -312,10 +383,12 @@ func (t *Tree) insert(n *node, parentCenter []float64, p []float64, id int32, pd
 		if parentCenter != nil {
 			parentDist = t.dist(p, parentCenter)
 		}
-		n.entries = append(n.entries, leafEntry{row: row, id: id, parentDist: parentDist, pivotDist: pd})
-		if len(n.entries) > t.capacity {
+		t.leafChanging(n)
+		n.appendEntry(id, row, parentDist, pd)
+		if len(n.ids) > t.capacity {
 			return t.splitLeaf(n)
 		}
+		t.leafChanged(n)
 		return nil, nil
 	}
 
@@ -398,21 +471,27 @@ func (t *Tree) Delete(p []float64, id int32) error {
 
 // removeEntry drops leaf entry i of n and frees its store row.
 func (t *Tree) removeEntry(n *node, i int) {
-	if err := t.points.Delete(int(n.entries[i].row)); err != nil {
+	if err := t.points.Delete(int(n.rows[i])); err != nil {
 		// Unreachable: each row is referenced by exactly one live leaf
 		// entry.
-		panic(fmt.Sprintf("pmtree: freeing row of id %d: %v", n.entries[i].id, err))
+		panic(fmt.Sprintf("pmtree: freeing row of id %d: %v", n.ids[i], err))
 	}
-	last := len(n.entries) - 1
-	n.entries[i] = n.entries[last]
-	n.entries = n.entries[:last]
+	t.leafChanging(n)
+	last, s := len(n.ids)-1, len(t.pivots)
+	n.ids[i] = n.ids[last]
+	n.rows[i] = n.rows[last]
+	n.parentDist[i] = n.parentDist[last]
+	copy(n.pivotDist[i*s:(i+1)*s], n.pivotDist[last*s:])
+	n.ids, n.rows = n.ids[:last], n.rows[:last]
+	n.parentDist, n.pivotDist = n.parentDist[:last], n.pivotDist[:last*s]
+	t.leafChanged(n)
 }
 
 // deleteScan is the unguided fallback: visit every leaf.
 func (t *Tree) deleteScan(n *node, id int32) bool {
 	if n.leaf {
-		for i := range n.entries {
-			if n.entries[i].id == id {
+		for i := range n.ids {
+			if n.ids[i] == id {
 				t.removeEntry(n, i)
 				return true
 			}
@@ -433,8 +512,8 @@ func (t *Tree) deleteScan(n *node, id int32) bool {
 // pruning as before.
 func (t *Tree) deleteIn(n *node, p []float64, pd []float64, id int32) bool {
 	if n.leaf {
-		for i := range n.entries {
-			if n.entries[i].id == id {
+		for i := range n.ids {
+			if n.ids[i] == id {
 				t.removeEntry(n, i)
 				return true
 			}

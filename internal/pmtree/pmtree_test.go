@@ -223,23 +223,23 @@ func TestStructuralInvariants(t *testing.T) {
 	var verify func(n *node, ancestors []*routingEntry)
 	verify = func(n *node, ancestors []*routingEntry) {
 		if n.leaf {
-			for i := range n.entries {
-				e := &n.entries[i]
+			for i, id := range n.ids {
+				pivotDist := n.pivotDists(i, len(tr.pivots))
 				for _, a := range ancestors {
-					if d := vec.L2(tr.leafPoint(e), a.center); d > a.radius+1e-9 {
-						t.Fatalf("point %d outside ancestor ball: %v > %v", e.id, d, a.radius)
+					if d := vec.L2(tr.leafPoint(n, i), a.center); d > a.radius+1e-9 {
+						t.Fatalf("point %d outside ancestor ball: %v > %v", id, d, a.radius)
 					}
-					for k, pd := range e.pivotDist {
+					for k, pd := range pivotDist {
 						if pd < a.hr[k].Min-1e-9 || pd > a.hr[k].Max+1e-9 {
 							t.Fatalf("point %d pivot %d dist %v outside ring [%v,%v]",
-								e.id, k, pd, a.hr[k].Min, a.hr[k].Max)
+								id, k, pd, a.hr[k].Min, a.hr[k].Max)
 						}
 					}
 				}
 				// Stored pivot distances must be exact.
-				for k, pd := range e.pivotDist {
-					if math.Abs(pd-vec.L2(tr.leafPoint(e), tr.pivots[k])) > 1e-9 {
-						t.Fatalf("stale pivot distance for point %d pivot %d", e.id, k)
+				for k, pd := range pivotDist {
+					if math.Abs(pd-vec.L2(tr.leafPoint(n, i), tr.pivots[k])) > 1e-9 {
+						t.Fatalf("stale pivot distance for point %d pivot %d", id, k)
 					}
 				}
 			}

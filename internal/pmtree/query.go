@@ -87,7 +87,7 @@ func ringPrune(qp []float64, hr []Interval, r float64) bool {
 }
 
 // rangeSearchRec is the original depth-first range search, retained
-// verbatim as the reference implementation the streaming enumerator is
+// entry by entry as the reference implementation the streaming enumerator is
 // verified against (TestRangeSearchMatchesRecursiveReference and the
 // core engine's equivalence suite) and as the zero-allocation traversal
 // behind RangeCount. qParentDist is d(q, routing object of n) (0 and
@@ -96,13 +96,12 @@ func ringPrune(qp []float64, hr []Interval, r float64) bool {
 func (t *Tree) rangeSearchRec(n *node, q, parent []float64, qParentDist, r float64, qp []float64, visit func(id int32, d float64)) {
 	t.nodeAccesses.Add(1)
 	if n.leaf {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if parent != nil && math.Abs(qParentDist-e.parentDist) > r {
+		for i := range n.ids {
+			if parent != nil && math.Abs(qParentDist-n.parentDist[i]) > r {
 				continue
 			}
 			skip := false
-			for k, d := range e.pivotDist {
+			for k, d := range n.pivotDists(i, len(qp)) {
 				if math.Abs(qp[k]-d) > r {
 					skip = true
 					break
@@ -111,8 +110,8 @@ func (t *Tree) rangeSearchRec(n *node, q, parent []float64, qParentDist, r float
 			if skip {
 				continue
 			}
-			if d := t.dist(q, t.leafPoint(e)); d <= r {
-				visit(e.id, d)
+			if d := t.dist(q, t.leafPoint(n, i)); d <= r {
+				visit(n.ids[i], d)
 			}
 		}
 		return
@@ -208,11 +207,10 @@ func (t *Tree) KNNSearch(q []float64, k int) ([]Result, error) {
 		n := it.node
 		t.nodeAccesses.Add(1)
 		if n.leaf {
-			for i := range n.entries {
-				e := &n.entries[i]
+			for i := range n.ids {
 				// Pivot lower bound: d(q,o) >= |d(q,p_i) - d(o,p_i)|.
 				lb := 0.0
-				for kidx, pd := range e.pivotDist {
+				for kidx, pd := range n.pivotDists(i, len(qp)) {
 					if b := math.Abs(qp[kidx] - pd); b > lb {
 						lb = b
 					}
@@ -220,9 +218,9 @@ func (t *Tree) KNNSearch(q []float64, k int) ([]Result, error) {
 				if len(out) >= k && lb > out[len(out)-1].Dist {
 					continue
 				}
-				d := t.dist(q, t.leafPoint(e))
+				d := t.dist(q, t.leafPoint(n, i))
 				if len(out) < k || d < out[len(out)-1].Dist {
-					pq.Push(knnItem{isPt: true, id: e.id, bound: d})
+					pq.Push(knnItem{isPt: true, id: n.ids[i], bound: d})
 				}
 			}
 			continue

@@ -64,6 +64,16 @@ import (
 // tests pin this against the retained recursive implementation,
 // distance-computation counts included).
 //
+// An opened leaf is resolved as a batch (scanLeaf): the filter bounds of
+// all its entries in one pass, then the exact distances of the entries
+// the filter let through — one kernel call per stretch of survivors
+// when the leaf's points are one run of store rows, which bulk loading
+// and Read guarantee and mutations break leaf by leaf — then emit or
+// freeze in entry order. The bounds and distances are the values the
+// entry-at-a-time scan computes, bit for bit, and nothing the filter
+// rejected is evaluated, so results, order and counts do not depend on
+// which way a leaf was scanned.
+//
 // The frontier is deliberately NOT a priority queue. A best-first heap
 // (the first implementation, profiling the headline query benchmark)
 // spends an O(log n) sift with cache-missing swaps on every freeze —
@@ -110,8 +120,8 @@ type rangeNodeRef struct {
 
 // RangeEnumerator is a resumable range query over one tree. The zero
 // value is ready for Reset; all internal state (frontier, arena, pivot
-// buffer) is reused across Resets, so a pooled enumerator reaches a
-// zero-allocation steady state.
+// and leaf buffers) is reused across Resets, so a pooled enumerator
+// reaches a zero-allocation steady state.
 //
 // The tree must not be mutated AT ALL between Reset and the last
 // Expand — not concurrently, and not between rounds either: the frozen
@@ -128,6 +138,7 @@ type RangeEnumerator struct {
 	arena  []rangeNodeRef
 	radius float64
 	emit   func(id int32, dist float64) // set for the duration of one Expand
+	lb, d2 []float64                    // scanLeaf's per-leaf bounds and squared distances
 
 	// qdist counts this enumeration's metric evaluations — pivot,
 	// routing-object and leaf-point distances alike — since the last
@@ -297,36 +308,7 @@ func (e *RangeEnumerator) expandNode(n *node, hasParent bool, qpd float64) {
 	radius := e.radius
 	qp := e.qp
 	if n.leaf {
-		for i := range n.entries {
-			en := &n.entries[i]
-			// The frozen bound is the full maximum of the reference's
-			// filter quantities — not short-circuited — so that
-			// "bound ≤ r" reproduces the reference's accept decision
-			// exactly at every future radius with no re-check.
-			lb := 0.0
-			if hasParent {
-				lb = math.Abs(qpd - en.parentDist)
-			}
-			pdv := en.pivotDist
-			if len(pdv) > len(qp) {
-				pdv = pdv[:len(qp)] // never taken; hoists the qp bounds check
-			}
-			for k, pd := range pdv {
-				if b := math.Abs(qp[k] - pd); b > lb {
-					lb = b
-				}
-			}
-			if lb > radius {
-				e.frozen = append(e.frozen, rangeItem{bound: lb, ref: en.row, id: en.id, kind: rkPointLB})
-				continue
-			}
-			d := e.dist(e.q, e.t.leafPoint(en))
-			if d <= radius {
-				e.emit(en.id, d)
-			} else {
-				e.frozen = append(e.frozen, rangeItem{bound: d, ref: en.row, id: en.id, kind: rkPointExact})
-			}
-		}
+		e.scanLeaf(n, hasParent, qpd)
 		return
 	}
 	for i := range n.routing {
@@ -345,6 +327,89 @@ func (e *RangeEnumerator) expandNode(n *node, hasParent bool, qpd float64) {
 			continue
 		}
 		e.expandNode(re.child, true, d)
+	}
+}
+
+// scanLeaf opens a leaf as a batch, in three passes over its entry
+// arrays.
+//
+//  1. Every entry's filter lower bound: |d(q,par) − PD| from the parent
+//     distances, then the pivot terms |d(q,p_i) − PD_i| folded in by
+//     one kernel call over the leaf's pivot-distance rows. The bound is
+//     the full maximum of the reference's filter quantities — not
+//     short-circuited — so that "bound ≤ r" reproduces the reference's
+//     accept decision exactly at every future radius with no re-check.
+//  2. The surviving entries' exact distances. When the leaf's points
+//     are one run of store rows (node.run) each maximal stretch of
+//     survivors is one batched-kernel call over contiguous memory; the
+//     kernel is bit-identical to the single-pair one, and only
+//     survivors are evaluated, so DistComps is what the per-entry scan
+//     would have counted.
+//  3. Emit or freeze, entry by entry in leaf order, which keeps the
+//     emission and frontier order of an entry-at-a-time scan. A leaf
+//     whose run a mutation has broken pays its distances here, one
+//     store row at a time.
+func (e *RangeEnumerator) scanLeaf(n *node, hasParent bool, qpd float64) {
+	m := len(n.ids)
+	if m == 0 {
+		return
+	}
+	if cap(e.lb) < m {
+		e.lb = make([]float64, m)
+		e.d2 = make([]float64, m)
+	}
+	lb, d2 := e.lb[:m], e.d2[:m]
+	radius := e.radius
+
+	if hasParent {
+		for i, pd := range n.parentDist {
+			lb[i] = math.Abs(qpd - pd)
+		}
+	} else {
+		clear(lb)
+	}
+	if s := len(e.qp); s > 0 {
+		vec.MaxAbsDiffToMany(lb, e.qp, n.pivotDist, s)
+	}
+
+	if n.run {
+		dim := e.t.dim
+		first := int(n.rows[0])
+		flat := e.t.points.Flat()[first*dim : (first+m)*dim]
+		evaluated := 0
+		for i := 0; i < m; {
+			if lb[i] > radius {
+				i++
+				continue
+			}
+			j := i + 1
+			for j < m && !(lb[j] > radius) {
+				j++
+			}
+			vec.SquaredL2ToMany(d2[i:j], e.q, flat[i*dim:j*dim], dim)
+			evaluated += j - i
+			i = j
+		}
+		e.pendingDist += int64(evaluated)
+		e.qdist += int64(evaluated)
+	}
+
+	for i, bound := range lb {
+		if bound > radius {
+			e.frozen = append(e.frozen, rangeItem{bound: bound, ref: n.rows[i], id: n.ids[i], kind: rkPointLB})
+			continue
+		}
+		var d float64
+		if n.run {
+			d = math.Sqrt(d2[i])
+		} else {
+			d = e.dist(e.q, e.t.points.Row(int(n.rows[i])))
+		}
+		if d <= radius {
+			e.emit(n.ids[i], d)
+		} else {
+			e.frozen = append(e.frozen, rangeItem{bound: d, ref: n.rows[i], id: n.ids[i], kind: rkPointExact})
+		}
 	}
 }
 

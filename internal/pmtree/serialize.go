@@ -71,18 +71,17 @@ func (t *Tree) encodeNode(w io.Writer, n *node) error {
 		return fmt.Errorf("pmtree: write entry count: %w", err)
 	}
 	if n.leaf {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if err := binary.Write(w, binary.LittleEndian, e.id); err != nil {
+		for i, id := range n.ids {
+			if err := binary.Write(w, binary.LittleEndian, id); err != nil {
 				return fmt.Errorf("pmtree: write id: %w", err)
 			}
-			if err := writeFloats(w, t.leafPoint(e)); err != nil {
+			if err := writeFloats(w, t.leafPoint(n, i)); err != nil {
 				return err
 			}
-			if err := writeFloats(w, []float64{e.parentDist}); err != nil {
+			if err := writeFloats(w, n.parentDist[i:i+1]); err != nil {
 				return err
 			}
-			if err := writeFloats(w, e.pivotDist); err != nil {
+			if err := writeFloats(w, n.pivotDists(i, len(t.pivots))); err != nil {
 				return err
 			}
 		}
@@ -185,10 +184,16 @@ func (t *Tree) decodeNode(r io.Reader, numPivots int) (*node, error) {
 	}
 	n := &node{leaf: flag[0] == 1}
 	if n.leaf {
-		n.entries = make([]leafEntry, cnt)
-		for i := range n.entries {
-			e := &n.entries[i]
-			if err := binary.Read(r, binary.LittleEndian, &e.id); err != nil {
+		// Exact-size arrays for any real leaf; the cap keeps a corrupt
+		// count × pivots product from sizing an allocation no bytes back.
+		hint := min(int(cnt), 1<<12)
+		n.ids = make([]int32, 0, hint)
+		n.rows = make([]int32, 0, hint)
+		n.parentDist = make([]float64, 0, hint)
+		n.pivotDist = make([]float64, 0, min(hint*numPivots, 1<<16))
+		for i := 0; i < int(cnt); i++ {
+			var id int32
+			if err := binary.Read(r, binary.LittleEndian, &id); err != nil {
 				return nil, fmt.Errorf("pmtree: read id: %w", err)
 			}
 			p, err := readFloats(r, t.dim)
@@ -196,28 +201,24 @@ func (t *Tree) decodeNode(r io.Reader, numPivots int) (*node, error) {
 				return nil, err
 			}
 			if !validFinite(p) {
-				return nil, fmt.Errorf("pmtree: corrupt leaf entry %d", e.id)
+				return nil, fmt.Errorf("pmtree: corrupt leaf entry %d", id)
 			}
+			// Rows are appended in traversal order, so every decoded leaf
+			// is one run of the store.
 			row, err := t.points.Append(p)
 			if err != nil {
 				return nil, fmt.Errorf("pmtree: %w", err)
 			}
-			e.row = row
-			pd, err := readFloats(r, 1)
+			pd, err := readFloats(r, 1+numPivots)
 			if err != nil {
 				return nil, err
 			}
-			e.parentDist = pd[0]
-			if numPivots > 0 {
-				e.pivotDist, err = readFloats(r, numPivots)
-				if err != nil {
-					return nil, err
-				}
+			if math.IsNaN(pd[0]) {
+				return nil, fmt.Errorf("pmtree: corrupt leaf entry %d", id)
 			}
-			if math.IsNaN(e.parentDist) {
-				return nil, fmt.Errorf("pmtree: corrupt leaf entry %d", e.id)
-			}
+			n.appendEntry(id, row, pd[0], pd[1:])
 		}
+		t.leafChanged(n)
 		return n, nil
 	}
 	n.routing = make([]routingEntry, cnt)

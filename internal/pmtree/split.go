@@ -19,21 +19,23 @@ import (
 const maxExhaustivePairs = 24
 
 func (t *Tree) splitLeaf(n *node) (*routingEntry, *routingEntry) {
-	entries := n.entries
-	c1, c2 := t.promoteLeaf(entries)
-	p1 := t.leafPoint(&entries[c1])
-	p2 := t.leafPoint(&entries[c2])
+	c1, c2 := t.promoteLeaf(n)
+	p1 := t.leafPoint(n, c1)
+	p2 := t.leafPoint(n, c2)
 
-	var e1, e2 []leafEntry
-	for i, e := range entries {
-		d1 := t.dist(t.leafPoint(&entries[i]), p1)
-		d2 := t.dist(t.leafPoint(&entries[i]), p2)
+	// Each side lists its entries of n; pd[i] is entry i's distance to
+	// the routing object of the side it joined.
+	var e1, e2 []int
+	pd := make([]float64, len(n.ids))
+	for i := range n.ids {
+		d1 := t.dist(t.leafPoint(n, i), p1)
+		d2 := t.dist(t.leafPoint(n, i), p2)
 		if d1 <= d2 {
-			e.parentDist = d1
-			e1 = append(e1, e)
+			pd[i] = d1
+			e1 = append(e1, i)
 		} else {
-			e.parentDist = d2
-			e2 = append(e2, e)
+			pd[i] = d2
+			e2 = append(e2, i)
 		}
 	}
 	// Guard against degenerate partitions (all points identical): move
@@ -49,14 +51,14 @@ func (t *Tree) splitLeaf(n *node) (*routingEntry, *routingEntry) {
 
 	// Routing centers are cloned out of the store so they stay valid (and
 	// do not pin stale buffers) across later store growth.
-	left := t.makeLeafRouting(vec.Clone(p1), e1)
-	right := t.makeLeafRouting(vec.Clone(p2), e2)
+	left := t.makeLeafRouting(vec.Clone(p1), n, e1, pd)
+	right := t.makeLeafRouting(vec.Clone(p2), n, e2, pd)
 	return left, right
 }
 
 // promoteLeaf returns the indices of the two promoted routing objects.
-func (t *Tree) promoteLeaf(entries []leafEntry) (int, int) {
-	n := len(entries)
+func (t *Tree) promoteLeaf(leaf *node) (int, int) {
+	n := len(leaf.ids)
 	type pair struct{ i, j int }
 	var pairs []pair
 	if n*(n-1)/2 <= maxExhaustivePairs*2 {
@@ -79,11 +81,11 @@ func (t *Tree) promoteLeaf(entries []leafEntry) (int, int) {
 	bestCost := math.Inf(1)
 	for _, pr := range pairs {
 		r1, r2 := 0.0, 0.0
-		pi := t.leafPoint(&entries[pr.i])
-		pj := t.leafPoint(&entries[pr.j])
-		for k := range entries {
-			d1 := t.dist(t.leafPoint(&entries[k]), pi)
-			d2 := t.dist(t.leafPoint(&entries[k]), pj)
+		pi := t.leafPoint(leaf, pr.i)
+		pj := t.leafPoint(leaf, pr.j)
+		for k := 0; k < n; k++ {
+			d1 := t.dist(t.leafPoint(leaf, k), pi)
+			d2 := t.dist(t.leafPoint(leaf, k), pj)
 			if d1 <= d2 {
 				if d1 > r1 {
 					r1 = d1
@@ -100,29 +102,27 @@ func (t *Tree) promoteLeaf(entries []leafEntry) (int, int) {
 	return best.i, best.j
 }
 
-// makeLeafRouting wraps a set of leaf entries into a leaf node and
-// builds its routing entry: covering radius from parent distances and
+// makeLeafRouting gathers the listed entries of src into a new leaf
+// node, pd[i] becoming entry i's parent distance, and builds its
+// routing entry: covering radius from the parent distances and
 // hyper-rings from the entries' exact pivot distances.
-func (t *Tree) makeLeafRouting(center []float64, entries []leafEntry) *routingEntry {
+func (t *Tree) makeLeafRouting(center []float64, src *node, entries []int, pd []float64) *routingEntry {
+	s := len(t.pivots)
+	leaf := &node{leaf: true}
 	radius := 0.0
-	hr := make([]Interval, len(t.pivots))
-	for i := range hr {
-		hr[i] = emptyInterval()
-	}
-	for i := range entries {
-		if entries[i].parentDist > radius {
-			radius = entries[i].parentDist
+	hr := newEmptyIntervals(s)
+	for _, i := range entries {
+		pivotDist := src.pivotDists(i, s)
+		leaf.appendEntry(src.ids[i], src.rows[i], pd[i], pivotDist)
+		if pd[i] > radius {
+			radius = pd[i]
 		}
-		for k, d := range entries[i].pivotDist {
+		for k, d := range pivotDist {
 			hr[k].extend(d)
 		}
 	}
-	return &routingEntry{
-		center: center,
-		radius: radius,
-		child:  &node{leaf: true, entries: entries},
-		hr:     hr,
-	}
+	t.leafChanged(leaf)
+	return &routingEntry{center: center, radius: radius, child: leaf, hr: hr}
 }
 
 func (t *Tree) splitInner(n *node) (*routingEntry, *routingEntry) {

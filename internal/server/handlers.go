@@ -404,6 +404,8 @@ type infoResponse struct {
 	Metric      string `json:"metric"`
 	Compactions int64  `json:"compactions"`
 	Draining    bool   `json:"draining"`
+	// LeafRunFraction has one element per shard.
+	LeafRunFraction []float64 `json:"leaf_run_fraction"`
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -419,6 +421,8 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Metric:      info.Metric.String(),
 		Compactions: info.Compactions,
 		Draining:    s.Draining(),
+
+		LeafRunFraction: info.LeafRunFraction,
 	})
 }
 

@@ -233,6 +233,63 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLeafRunFractionObservable pins the layout-decay signal end to
+// end: /v1/info and the per-shard /metrics gauge agree, start at 1,
+// fall as inserts land in bulk-loaded leaves, and return to 1 on
+// compaction.
+func TestLeafRunFractionObservable(t *testing.T) {
+	_, ts, data := newTestServer(t, 2, 0)
+	observe := func() []float64 {
+		t.Helper()
+		status, raw := get(t, ts, "/v1/info")
+		if status != 200 {
+			t.Fatalf("info: %d", status)
+		}
+		var info infoResponse
+		if err := json.Unmarshal(raw, &info); err != nil {
+			t.Fatal(err)
+		}
+		if len(info.LeafRunFraction) != 2 {
+			t.Fatalf("info reports %d leaf run fractions for 2 shards", len(info.LeafRunFraction))
+		}
+		_, raw = get(t, ts, "/metrics")
+		samples, err := obs.ParseText(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for shard, f := range info.LeafRunFraction {
+			series := fmt.Sprintf(`pmlsh_index_leaf_run_fraction{shard="%d"}`, shard)
+			if got, ok := samples[series]; !ok || got != f {
+				t.Fatalf("%s = %v (present %v), /v1/info says %v", series, got, ok, f)
+			}
+		}
+		return info.LeafRunFraction
+	}
+	for shard, f := range observe() {
+		if f != 1 {
+			t.Fatalf("fresh shard %d: leaf run fraction %v, want 1", shard, f)
+		}
+	}
+	for _, p := range data[:20] {
+		if status, _ := post(t, ts, "/v1/insert", `{"p":`+vecJSON(p)+`}`); status != 200 {
+			t.Fatal("insert failed")
+		}
+	}
+	for shard, f := range observe() {
+		if f >= 1 {
+			t.Fatalf("shard %d after inserts: leaf run fraction %v, want < 1", shard, f)
+		}
+	}
+	if status, _ := post(t, ts, "/v1/compact", ``); status != 200 {
+		t.Fatal("compact failed")
+	}
+	for shard, f := range observe() {
+		if f != 1 {
+			t.Fatalf("compacted shard %d: leaf run fraction %v, want 1", shard, f)
+		}
+	}
+}
+
 func TestOversizedBody413(t *testing.T) {
 	_, ts, _ := newTestServer(t, 1, 512)
 	big := `{"q":[` + strings.Repeat("1,", 4000) + `1],"k":5}`

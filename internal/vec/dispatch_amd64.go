@@ -27,6 +27,7 @@ func init() {
 		squaredL2Impl = squaredL2AVX2
 		squaredL2BoundedImpl = squaredL2BoundedAVX2
 		squaredL2ToManyImpl = squaredL2ToManyAVX2
+		maxAbsDiffToManyImpl = maxAbsDiffToManyAVX2
 		screenF32Impl = screenF32AVX2
 		screenI8Impl = screenI8AVX2
 		screenPairF32Impl = screenPairF32AVX2
@@ -70,3 +71,5 @@ func squaredL2AVX2(a, b []float64) float64
 func squaredL2BoundedAVX2(a, b []float64, bound float64) float64
 
 func squaredL2ToManyAVX2(dst []float64, q, flat []float64, dim int)
+
+func maxAbsDiffToManyAVX2(dst []float64, q, flat []float64, dim int)

@@ -271,3 +271,49 @@ tm_store:
 tm_done:
 	VZEROUPPER
 	RET
+
+// func maxAbsDiffToManyAVX2(dst []float64, q, flat []float64, dim int)
+//
+// Per row, the portable kernel's sequential fold with the branch
+// replaced by VMAXSD: its result is the first source when that compares
+// strictly greater and the second source otherwise (NaNs and equal
+// zeros included), so VMAXSD(term, acc) is `if term > acc { acc = term }`
+// on every input. Rows are independent chains, which the out-of-order
+// core overlaps; the pivot rows this serves are a handful of values
+// wide, too short for a lane-parallel fold to pay for its reduction.
+// The caller validates the shapes (len(dst) rows of dim values in flat,
+// len(q) == dim > 0).
+TEXT ·maxAbsDiffToManyAVX2(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), R10
+	MOVQ dst_len+8(FP), R11
+	MOVQ q_base+24(FP), SI
+	MOVQ flat_base+48(FP), DI
+	MOVQ dim+72(FP), CX
+	MOVQ $0x7FFFFFFFFFFFFFFF, AX // |x| clears the sign bit, as math.Abs does
+	MOVQ AX, X15
+	XORQ R9, R9
+
+md_row:
+	CMPQ R9, R11
+	JGE  md_done
+	VMOVSD (R10)(R9*8), X0
+	XORQ AX, AX
+
+md_col:
+	CMPQ AX, CX
+	JGE  md_store
+	VMOVSD (SI)(AX*8), X1
+	VSUBSD (DI)(AX*8), X1, X1
+	VANDPD X15, X1, X1
+	VMAXSD X0, X1, X0 // X1 > X0 ? X1 : X0
+	INCQ AX
+	JMP  md_col
+
+md_store:
+	VMOVSD X0, (R10)(R9*8)
+	LEAQ (DI)(CX*8), DI
+	INCQ R9
+	JMP  md_row
+
+md_done:
+	RET

@@ -130,6 +130,33 @@ func TestAVX2ToManyBitIdentical(t *testing.T) {
 	}
 }
 
+// TestAVX2MaxAbsDiffToManyBitIdentical sweeps every row width from 1
+// through 33 against every batch size from 0 through 17 rows, with
+// seeds on both sides of the row maxima.
+func TestAVX2MaxAbsDiffToManyBitIdentical(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(607))
+	for d := 1; d <= 33; d++ {
+		for rows := 0; rows <= 17; rows++ {
+			q := testVector(rng, d)
+			flat := testVector(rng, rows*d)
+			got := testVector(rng, rows)
+			for r := range got {
+				got[r] = math.Abs(got[r])
+			}
+			want := append([]float64(nil), got...)
+			maxAbsDiffToManyAVX2(got, q, flat, d)
+			maxAbsDiffToManyGeneric(want, q, flat, d)
+			for r := range got {
+				if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
+					t.Fatalf("maxAbsDiffToMany dim=%d rows=%d row=%d: avx2=%v generic=%v",
+						d, rows, r, got[r], want[r])
+				}
+			}
+		}
+	}
+}
+
 // sameBits reports whether two results are bit-identical, treating any
 // two NaNs as equal: NaN payload bits are not pinned by the contract
 // (the Go compiler may commute float operands, which changes which
@@ -163,6 +190,17 @@ func TestAVX2SpecialValues(t *testing.T) {
 		}
 		if g, w := squaredL2AVX2(a, b), squaredL2Generic(a, b); !sameBits(g, w) {
 			t.Fatalf("squaredL2 specials d=%d: avx2=%v generic=%v (a=%v b=%v)", d, g, w, a, b)
+		}
+		// One row, seeded with another special: the fold must ignore NaN
+		// terms, keep a NaN seed, and never prefer an equal zero.
+		for _, seed := range specials {
+			g, w := []float64{seed}, []float64{seed}
+			maxAbsDiffToManyAVX2(g, a, b, d)
+			maxAbsDiffToManyGeneric(w, a, b, d)
+			if !sameBits(g[0], w[0]) {
+				t.Fatalf("maxAbsDiffToMany specials d=%d seed=%v: avx2=%v generic=%v (a=%v b=%v)",
+					d, seed, g[0], w[0], a, b)
+			}
 		}
 		for _, bound := range []float64{1, math.Inf(1), math.NaN()} {
 			g := squaredL2BoundedAVX2(a, b, bound)

@@ -1,5 +1,7 @@
 package vec
 
+import "math"
+
 // Portable reference kernels. These are the semantics every accelerated
 // backend must reproduce bit for bit: four independent accumulators
 // over a stride-4 loop, reduced as ((s0+s1)+s2)+s3, followed by a
@@ -101,5 +103,23 @@ func squaredL2BoundedGeneric(a, b []float64, bound float64) float64 {
 func squaredL2ToManyGeneric(dst []float64, q, flat []float64, dim int) {
 	for r := range dst {
 		dst[r] = squaredL2Generic(q, flat[r*dim:(r+1)*dim:(r+1)*dim])
+	}
+}
+
+// maxAbsDiffToManyGeneric is the portable MaxAbsDiffToMany kernel: per
+// dim-length row of flat, a sequential fold of |q[k] − row[k]| into
+// dst[r] that keeps the accumulator unless the new term compares
+// strictly greater — so a NaN term is ignored and a NaN accumulator
+// sticks, exactly what x86 MAXSD(term, acc) computes, which is how the
+// AVX2 backend stays bit-identical on every input.
+func maxAbsDiffToManyGeneric(dst []float64, q, flat []float64, dim int) {
+	for r := range dst {
+		acc := dst[r]
+		for k, v := range flat[r*dim : (r+1)*dim : (r+1)*dim] {
+			if b := math.Abs(q[k] - v); b > acc {
+				acc = b
+			}
+		}
+		dst[r] = acc
 	}
 }

@@ -3,13 +3,13 @@
 // few aggregate helpers.
 //
 // Points are plain []float64 slices. The hot kernels (Dot, SquaredL2,
-// SquaredL2Bounded, SquaredL2ToMany) dispatch at init to the fastest
-// backend the host supports: hand-written AVX2 assembly on amd64 CPUs
-// that advertise it, and 4-way unrolled scalar Go loops everywhere else
-// (and under -tags noasm). Both backends produce bit-identical results
-// — see kernels_generic.go for the accumulation contract — so the
-// choice of backend is invisible to callers. Backend reports which one
-// is active.
+// SquaredL2Bounded, SquaredL2ToMany, MaxAbsDiffToMany) dispatch at init
+// to the fastest backend the host supports: hand-written AVX2 assembly
+// on amd64 CPUs that advertise it, and 4-way unrolled scalar Go loops
+// everywhere else (and under -tags noasm). Both backends produce
+// bit-identical results — see kernels_generic.go for the accumulation
+// contract — so the choice of backend is invisible to callers. Backend
+// reports which one is active.
 package vec
 
 import (
@@ -29,6 +29,7 @@ var (
 	squaredL2Impl        = squaredL2Generic
 	squaredL2BoundedImpl = squaredL2BoundedGeneric
 	squaredL2ToManyImpl  = squaredL2ToManyGeneric
+	maxAbsDiffToManyImpl = maxAbsDiffToManyGeneric
 	backendName          = "generic"
 )
 
@@ -99,18 +100,33 @@ func SquaredL2ToMany(dst []float64, q, flat []float64, dim int) []float64 {
 	if dim <= 0 || len(q) != dim {
 		panic("vec: dimension mismatch in SquaredL2ToMany")
 	}
-	if len(flat)%dim != 0 {
-		panic("vec: flat length is not a multiple of dim in SquaredL2ToMany")
-	}
-	n := len(flat) / dim
 	if dst == nil {
-		dst = make([]float64, n)
+		dst = make([]float64, len(flat)/dim)
 	}
-	if len(dst) != n {
-		panic("vec: dst length mismatch in SquaredL2ToMany")
+	// One multiply checks both shapes; the leaf scan calls this per
+	// handful of rows, where a division would rival the kernel.
+	if len(flat) != len(dst)*dim {
+		panic("vec: flat must hold one dim-length row per dst value in SquaredL2ToMany")
 	}
 	squaredL2ToManyImpl(dst, q, flat, dim)
 	return dst
+}
+
+// MaxAbsDiffToMany folds, for every dim-length row of the flat buffer,
+// the largest component difference max_k |q[k] − row[k]| — the row's
+// Chebyshev distance to q — into dst: dst[r] becomes the larger of its
+// previous value and that distance. A term replaces the running
+// maximum only when it compares strictly greater, so NaN terms are
+// ignored. The PM-tree leaf filter is this kernel over the entries'
+// pivot-distance rows: by the triangle inequality the result lower
+// bounds every entry's distance to the query. len(q) must equal dim,
+// dim must be positive and flat must hold len(dst) rows; violations
+// panic.
+func MaxAbsDiffToMany(dst []float64, q, flat []float64, dim int) {
+	if dim <= 0 || len(q) != dim || len(flat) != len(dst)*dim {
+		panic("vec: dimension mismatch in MaxAbsDiffToMany")
+	}
+	maxAbsDiffToManyImpl(dst, q, flat, dim)
 }
 
 // InsertBounded inserts x into s — sorted ascending by key — keeping s

@@ -107,6 +107,61 @@ func TestSquaredL2ToManyPanics(t *testing.T) {
 	mustPanic("bad dst", func() { SquaredL2ToMany(make([]float64, 3), []float64{1, 2}, []float64{1, 2, 3, 4}, 2) })
 }
 
+// TestMaxAbsDiffToMany pins the fold's definition on whichever backend
+// is active: dst keeps its seed unless a row's Chebyshev distance to q
+// is strictly greater, and NaN terms are ignored.
+func TestMaxAbsDiffToMany(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, dim := range []int{1, 2, 5, 8} {
+		for n := 0; n <= 17; n++ {
+			q := make([]float64, dim)
+			for i := range q {
+				q[i] = rng.NormFloat64()
+			}
+			flat := make([]float64, n*dim)
+			for i := range flat {
+				flat[i] = rng.NormFloat64()
+			}
+			if n > 2 {
+				flat[dim] = math.NaN() // first term of row 1
+			}
+			dst := make([]float64, n)
+			want := make([]float64, n)
+			for r := range dst {
+				dst[r] = rng.Float64() * 2 // some seeds win, some lose
+				want[r] = dst[r]
+				for k := 0; k < dim; k++ {
+					if b := math.Abs(q[k] - flat[r*dim+k]); b > want[r] {
+						want[r] = b
+					}
+				}
+			}
+			MaxAbsDiffToMany(dst, q, flat, dim)
+			for r := range dst {
+				if math.Float64bits(dst[r]) != math.Float64bits(want[r]) {
+					t.Fatalf("dim=%d n=%d row %d: got %v want %v", dim, n, r, dst[r], want[r])
+				}
+			}
+		}
+	}
+}
+
+func TestMaxAbsDiffToManyPanics(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: expected panic", name)
+			}
+		}()
+		fn()
+	}
+	mustPanic("zero dim", func() { MaxAbsDiffToMany(nil, nil, nil, 0) })
+	mustPanic("bad q", func() { MaxAbsDiffToMany(make([]float64, 1), []float64{1}, []float64{1, 2}, 2) })
+	mustPanic("ragged flat", func() { MaxAbsDiffToMany(make([]float64, 1), []float64{1, 2}, []float64{1, 2, 3}, 2) })
+	mustPanic("bad dst", func() { MaxAbsDiffToMany(make([]float64, 3), []float64{1, 2}, []float64{1, 2, 3, 4}, 2) })
+}
+
 func TestMeanMinMaxRagged(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()

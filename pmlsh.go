@@ -304,6 +304,11 @@ type Info struct {
 	Compactions int64
 	// Metric is the distance metric the index was built with.
 	Metric Metric
+	// LeafRunFraction is, per shard, the share of projected-space tree
+	// entries whose leaf is still one consecutive run of rows — the
+	// layout Build, Load and Compact produce and queries scan fastest.
+	// Inserts and deletes wear it down leaf by leaf; Compact restores 1.
+	LeafRunFraction []float64
 }
 
 // Info returns one consistent snapshot of the index's observable
@@ -323,6 +328,8 @@ func (x *Index) Info() Info {
 		Quantize:    ei.Quantize,
 		Compactions: ei.Compactions,
 		Metric:      ei.Metric,
+
+		LeafRunFraction: ei.LeafRunFraction,
 	}
 }
 

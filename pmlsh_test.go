@@ -200,6 +200,9 @@ func TestFacadeSaveLoadAndInsert(t *testing.T) {
 			t.Fatal("save/load changed query results")
 		}
 	}
+	if f := loaded.Info().LeafRunFraction; len(f) != 1 || f[0] != 1 {
+		t.Errorf("loaded index reports leaf run fractions %v, want [1]", f)
+	}
 	id, err := loaded.Insert(ds.Points[0])
 	if err != nil {
 		t.Fatal(err)
@@ -209,6 +212,9 @@ func TestFacadeSaveLoadAndInsert(t *testing.T) {
 	}
 	if loaded.Len() != 601 {
 		t.Errorf("Len after insert = %d", loaded.Len())
+	}
+	if f := loaded.Info().LeafRunFraction; f[0] >= 1 {
+		t.Errorf("an insert into a loaded tree left the leaf run fraction at %v", f[0])
 	}
 }
 
