@@ -129,7 +129,10 @@
 // streams sequential memory instead of chasing a pointer per point,
 // compares squared distances with early abandonment against the
 // running k-th best, and defers the k square roots to the end of the
-// query. The PM-tree itself is bulk loaded — metric-local leaves
+// query. It takes candidates four at a time: one kernel call reduces
+// four rows side by side, so their dependency chains and cache misses
+// overlap, and the results are folded into the top-k in candidate
+// order — the answer is that of verifying them one by one. The PM-tree itself is bulk loaded — metric-local leaves
 // packed by recursive bisection, upper levels assembled bottom-up with
 // exact radii and rings — which tightens the pruning bounds every
 // query path depends on.
@@ -204,8 +207,9 @@
 //
 // # Distance kernels and quantized screening
 //
-// The hot distance kernels (exact, early-abandoning, one-against-many
-// and dot product) dispatch to AVX2 assembly on amd64 CPUs that
+// The hot distance kernels (exact, early-abandoning, early-abandoning
+// over four gathered rows at once, one-against-many and dot product)
+// dispatch to AVX2 assembly on amd64 CPUs that
 // support it, selected once at startup; the portable Go fallbacks are
 // bit-identical — same accumulation order, no FMA contraction — so
 // results do not depend on the backend. Build with -tags noasm to

@@ -141,9 +141,11 @@ func (ix *Index) SearchPairs(ctx context.Context, k int, o SearchOptions) ([]Pai
 // capped self-joins at projected radius t·r, r ← c·r, each candidate
 // verified as it streams off the enumerator.
 func (ix *Index) searchPairsSerial(ctx context.Context, s *cpParams, filter func(int32) bool, st *CPStats) ([]Pair, error) {
-	top := make([]Pair, 0, s.k) // Dist holds squared distances until return
-	bound := math.Inf(1)        // current k-th best squared distance
-	seen := make(map[[2]int32]bool, s.budget)
+	// top's Dist holds squared distances until return; bound is the
+	// current k-th best of them.
+	top := make([]Pair, 0, vec.PreallocCap(s.k, s.maxVerified))
+	bound := math.Inf(1)
+	seen := make(map[[2]int32]bool, vec.PreallocCap(s.budget, s.maxPairs))
 	codec := ix.data.Codec() // nil unless Config.Quantize is set
 	r := s.r0
 	var pdc int64
@@ -176,7 +178,7 @@ rounds:
 				continue
 			}
 			st.Verified++
-			// Quantized screen (reject-only, see searchLocked): with the
+			// Quantized screen (reject-only, see verifier.run): with the
 			// top-k full, a pair lower bound above the k-th best distance
 			// skips the exact computation without changing the answer.
 			r1, r2 := int(ix.rowOf[cand.ID1]), int(ix.rowOf[cand.ID2])
@@ -241,9 +243,9 @@ func (ix *Index) searchPairsParallel(ctx context.Context, s *cpParams, filter fu
 	if workers > cpBatchSize {
 		workers = cpBatchSize
 	}
-	top := make([]Pair, 0, s.k)
+	top := make([]Pair, 0, vec.PreallocCap(s.k, s.maxVerified))
 	bound := math.Inf(1)
-	seen := make(map[[2]int32]bool, s.budget)
+	seen := make(map[[2]int32]bool, vec.PreallocCap(s.budget, s.maxPairs))
 	cands := make([]pmtree.PairCandidate, 0, cpBatchSize)
 	d2s := make([]float64, cpBatchSize)
 	scr := make([]bool, cpBatchSize) // scr[i]: cands[i] was screened, d2s[i] is not exact

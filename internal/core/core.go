@@ -178,8 +178,12 @@ type QueryStats struct {
 	Verified int
 	// Screened is the number of verification candidates whose exact
 	// distance computation was skipped because the quantized lower
-	// bound already exceeded the current k-th best distance. Always 0
-	// without Config.Quantize. Screened ≤ Verified.
+	// bound already exceeded the k-th best distance. Candidates are
+	// verified four at a time and the screen judges each against the
+	// k-th best as it stood when its block began, so the count can be
+	// a few short of what a candidate-at-a-time screen would reject —
+	// the answer is the same either way. Always 0 without
+	// Config.Quantize. Screened ≤ Verified.
 	Screened int
 	// ProjectedDistComps is the number of projected-space metric
 	// evaluations inside the PM-tree. The count is exact for the query
@@ -345,6 +349,7 @@ type queryScratch struct {
 	emit   []Result
 	tmp    []Result // radix-sort double buffer for emit
 	emitFn func(id int32, dist float64)
+	blk    verifyBlock // the verifier's gathered block
 }
 
 // getScratch returns a pooled scratch.

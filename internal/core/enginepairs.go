@@ -301,9 +301,11 @@ func (s *cpSharded) newRound(r float64, have int, bound float64) *shardedPairEnu
 // capped joins at projected radius t·r, r ← c·r, each candidate
 // verified with its exact distance across the union of stores.
 func (s *cpSharded) run(ctx context.Context, filter func(int32) bool, st *CPStats) ([]Pair, error) {
-	top := make([]Pair, 0, s.k) // Dist holds squared distances until return
-	bound := math.Inf(1)        // current k-th best squared distance
-	seen := make(map[[2]int32]bool, s.budget)
+	// top's Dist holds squared distances until return; bound is the
+	// current k-th best of them.
+	top := make([]Pair, 0, vec.PreallocCap(s.k, s.maxVerified))
+	bound := math.Inf(1)
+	seen := make(map[[2]int32]bool, vec.PreallocCap(s.budget, s.maxPairs))
 	r := s.r0
 	var pdc int64
 rounds:
@@ -425,7 +427,7 @@ func searchPairsJaccardSharded(ctx context.Context, pins []*half, k int, o Searc
 	set := func(gid int32) []uint64 {
 		return pins[gid%nsh].ix.mh.Set(gid / nsh)
 	}
-	top := make([]Pair, 0, k)
+	top := make([]Pair, 0, vec.PreallocCap(k, len(cands)))
 	for n, cand := range cands {
 		if n%cpBatchSize == 0 {
 			if err := ctxErr(ctx); err != nil {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/metric"
+	"repro/internal/store"
 	"repro/internal/vec"
 )
 
@@ -212,6 +213,10 @@ func (ix *Index) searchLocked(ctx context.Context, q []float64, k int, o SearchO
 		}
 		return nil, nil
 	}
+	// No query returns more than the n live points, and every candidate
+	// is emitted once, so a larger k answers exactly like k = n; clamping
+	// it keeps βn+k inside int and k out of every allocation size.
+	k = min(k, n)
 	needed := int(math.Ceil(params.Beta*float64(n))) + k
 	if o.Budget > 0 {
 		needed = o.Budget
@@ -233,17 +238,12 @@ func (ix *Index) searchLocked(ctx context.Context, q []float64, k int, o SearchO
 	}
 
 	// Verification keeps only the running top-k (squared distances; the
-	// k square roots are deferred to the end). Every admitted candidate
-	// counts toward Verified and the budget, but a candidate that
-	// provably cannot enter the top-k is abandoned partway through its
-	// distance loop (SquaredL2Bounded against the running k-th best).
-	// Filtered-out candidates cost only the filter call: no exact
-	// distance, no budget.
-	filter := o.Filter
-	top := make([]Result, 0, k) // Dist holds squared distances until return
-	bound := math.Inf(1)        // current k-th best squared distance
-	scanned := 0                // candidates streamed by the enumerator, admitted or not
-	codec := ix.data.Codec()    // nil unless Config.Quantize is set
+	// k square roots are deferred to the end) — see verifier.
+	v := verifier{
+		ix: ix, q: q, filter: o.Filter, codec: ix.data.Codec(), blk: &sc.blk,
+		k: k, top: make([]Result, 0, vec.PreallocCap(k, n)), bound: math.Inf(1),
+	}
+	scanned := 0 // candidates streamed by the enumerator, admitted or not
 	for {
 		// Cancellation is checked between rounds: each round is one
 		// tree expansion plus one bounded verification sweep.
@@ -254,40 +254,13 @@ func (ix *Index) searchLocked(ctx context.Context, q []float64, k int, o SearchO
 		sc.emit = sc.emit[:0]
 		en.Expand(params.T*r, sc.emitFn)
 		sc.sortEmit()
-		for _, pr := range sc.emit {
-			scanned++
-			if filter != nil && !filter(pr.ID) {
-				continue
-			}
-			st.Verified++
-			// Quantized screen: once the top-k is full, a lower bound
-			// above the k-th best distance proves the exact distance is
-			// too (reject-only), so the full-precision row need not be
-			// touched. The candidate still counts toward the βn+k budget
-			// — screening changes memory traffic, never the answer.
-			row := int(ix.rowOf[pr.ID])
-			if codec != nil && len(top) == k &&
-				codec.QueryLowerBound(q, row, bound) > bound {
-				st.Screened++
-			} else {
-				d2 := vec.SquaredL2Bounded(q, ix.data.Row(row), bound)
-				if len(top) < k || d2 < bound {
-					top = insertCandidate(top, Result{ID: pr.ID, Dist: d2}, k)
-					if len(top) == k {
-						bound = top[k-1].Dist
-					}
-				}
-			}
-			if st.Verified >= needed {
-				break
-			}
-		}
+		scanned += v.run(sc.emit, needed)
 		// Termination 1 (Alg. 2 line 9): enough admitted candidates.
-		if st.Verified >= needed {
+		if v.verified >= needed {
 			break
 		}
 		// Termination 2 (Alg. 2 line 4): k admitted points within c·r.
-		if cr := c * r; kthWithin(top, k, cr*cr) {
+		if cr := c * r; kthWithin(v.top, k, cr*cr) {
 			break
 		}
 		// Every live point streamed: nothing more to find (with a
@@ -298,6 +271,8 @@ func (ix *Index) searchLocked(ctx context.Context, q []float64, k int, o SearchO
 		}
 		r *= c
 	}
+	top := v.top
+	st.Verified, st.Screened = v.verified, v.screened
 	st.FinalRadius = r
 	st.ProjectedDistComps = en.DistComps()
 	for i := range top {
@@ -307,6 +282,92 @@ func (ix *Index) searchLocked(ctx context.Context, q []float64, k int, o SearchO
 		*o.Stats = st
 	}
 	return top, nil
+}
+
+// verifyWidth is how many admitted candidates the verifier evaluates per
+// kernel call — the number of rows vec.SquaredL2BoundedGather reduces
+// in lockstep.
+const verifyWidth = 4
+
+// verifyBlock holds one gathered block. It lives in the pooled query
+// scratch: the kernel is reached through a dispatch variable, so
+// stack-local buffers would be heap-allocated on every call.
+type verifyBlock struct {
+	ids  [verifyWidth]int32
+	rows [verifyWidth]int32
+	d2   [verifyWidth]float64
+}
+
+// verifier is the one exact-verification loop behind Search,
+// SearchBatch and SearchBall: it streams a round's candidates, in
+// emission order, through filter → budget → quantized screen → exact
+// distance → running top-k. Every admitted candidate counts toward
+// Verified and the budget; filtered-out candidates cost only the
+// filter call.
+//
+// Candidates are verified a block at a time. Up to verifyWidth
+// survivors of the filter and the screen are gathered (the gather
+// stops at the budget, so truncation lands on the same candidate as a
+// one-at-a-time loop), their distances are computed together against
+// the bound as it stood when the block began, and the results are
+// folded into the top-k in emission order against the live bound. The
+// block-start bound can only be looser than the live one, so a lane
+// returns either the exact distance — and the same d2 < bound test
+// decides — or a partial sum above a bound that is already too large,
+// rejected either way: the answer is element for element that of
+// verifying one candidate at a time, while four rows' dependency
+// chains and cache misses overlap.
+type verifier struct {
+	ix     *Index
+	q      []float64 // reduced (internal-space) query
+	filter func(id int32) bool
+	codec  *store.Codec // nil unless Config.Quantize is set
+	blk    *verifyBlock
+	k      int
+	top    []Result // best ≤ k so far; Dist holds squared distances
+	bound  float64  // top[k-1].Dist once top is full, +Inf before
+	// verified and screened are QueryStats.Verified and .Screened.
+	verified, screened int
+}
+
+// run verifies cands in order until they or the budget (a ceiling on
+// v.verified) run out, and returns how many it consumed.
+func (v *verifier) run(cands []Result, budget int) int {
+	flat, blk := v.ix.data.Flat(), v.blk
+	i := 0
+	for i < len(cands) && v.verified < budget {
+		n := 0
+		for ; i < len(cands) && n < verifyWidth && v.verified < budget; i++ {
+			id := cands[i].ID
+			if v.filter != nil && !v.filter(id) {
+				continue
+			}
+			v.verified++
+			row := v.ix.rowOf[id]
+			// Quantized screen: once the top-k is full (a finite bound),
+			// a lower bound above the k-th best distance proves the exact
+			// distance is too (reject-only), so the full-precision row
+			// need not be touched. The candidate still counts toward the
+			// budget — screening changes memory traffic, never the answer.
+			if v.codec != nil && v.bound < math.Inf(1) &&
+				v.codec.QueryLowerBound(v.q, int(row), v.bound) > v.bound {
+				v.screened++
+				continue
+			}
+			blk.ids[n], blk.rows[n] = id, row
+			n++
+		}
+		vec.SquaredL2BoundedGather(blk.d2[:n], v.q, flat, blk.rows[:n], v.bound)
+		for j, d2 := range blk.d2[:n] {
+			if len(v.top) < v.k || d2 < v.bound {
+				v.top = insertCandidate(v.top, Result{ID: blk.ids[j], Dist: d2}, v.k)
+				if len(v.top) == v.k {
+					v.bound = v.top[v.k-1].Dist
+				}
+			}
+		}
+	}
+	return i
 }
 
 // SearchBatch answers many (c,k)-ANN requests under one options value,
@@ -444,30 +505,18 @@ func (ix *Index) SearchBall(ctx context.Context, q []float64, r float64, o Searc
 	sc.emit = sc.emit[:0]
 	en.Expand(params.T*ri, sc.emitFn)
 	sc.sortEmit()
-	// Track the best admitted candidate in squared space with early
-	// abandonment; filtered-out candidates cost no exact distance and
-	// do not count toward the overflow threshold.
-	best := Result{ID: -1, Dist: math.Inf(1)}
-	admitted, screened := 0, 0
-	codec := ix.data.Codec()
-	for _, pr := range sc.emit {
-		if o.Filter != nil && !o.Filter(pr.ID) {
-			continue
-		}
-		admitted++
-		row := int(ix.rowOf[pr.ID])
-		// Screen once a best exists (finite bound): a lower bound above
-		// best.Dist proves the exact distance cannot improve it.
-		if codec != nil && best.ID >= 0 &&
-			codec.QueryLowerBound(q, row, best.Dist) > best.Dist {
-			screened++
-			continue
-		}
-		d2 := vec.SquaredL2Bounded(q, ix.data.Row(row), best.Dist)
-		if d2 < best.Dist {
-			best = Result{ID: pr.ID, Dist: d2}
-		}
+	// The best admitted candidate is a top-1 under the shared verifier,
+	// seeded with a sentinel at +Inf: a candidate becomes the best only
+	// by being strictly closer (a distance that is not below +Inf never
+	// does), and the screen arms once a real best exists. Filtered-out
+	// candidates cost no exact distance and do not count toward the
+	// overflow threshold; there is no budget.
+	v := verifier{
+		ix: ix, q: q, filter: o.Filter, codec: ix.data.Codec(), blk: &sc.blk,
+		k: 1, top: []Result{{ID: -1, Dist: math.Inf(1)}}, bound: math.Inf(1),
 	}
+	v.run(sc.emit, math.MaxInt)
+	best, admitted := &v.top[0], v.verified
 	if best.ID >= 0 {
 		best.Dist = ix.finishDist(best.Dist, qscale)
 	}
@@ -475,7 +524,7 @@ func (ix *Index) SearchBall(ctx context.Context, q []float64, r float64, o Searc
 		*o.Stats = QueryStats{
 			Rounds:             1,
 			Verified:           admitted,
-			Screened:           screened,
+			Screened:           v.screened,
 			ProjectedDistComps: en.DistComps(),
 			FinalRadius:        r,
 		}
@@ -483,9 +532,9 @@ func (ix *Index) SearchBall(ctx context.Context, q []float64, r float64, o Searc
 	switch {
 	case admitted >= betaN+1:
 		// Lemma 5 case 1: candidate overflow guarantees a hit in B(q,cr).
-		return &best, nil
+		return best, nil
 	case best.ID >= 0 && best.Dist <= c*r:
-		return &best, nil
+		return best, nil
 	default:
 		return nil, nil
 	}

@@ -30,6 +30,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"repro/internal/vec"
 )
 
 // Default band layout: 16 bands × 8 rows = 128 hash functions.
@@ -404,7 +406,7 @@ func (x *Index) Search(set []uint64, k int, opt SearchOpt) ([]Neighbor, Stats, e
 	st.Candidates = len(cand)
 	// Deterministic rescore order (bucket iteration order is not).
 	sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
-	top := make([]Neighbor, 0, k)
+	top := make([]Neighbor, 0, vec.PreallocCap(k, len(cand)))
 	for _, id := range cand {
 		if opt.Filter != nil && !opt.Filter(id) {
 			continue
@@ -478,7 +480,7 @@ func (x *Index) SearchPairs(k int, opt SearchOpt) ([]Pair, Stats, error) {
 		}
 		return cand[i][1] < cand[j][1]
 	})
-	top := make([]Pair, 0, k)
+	top := make([]Pair, 0, vec.PreallocCap(k, len(cand)))
 	for _, pr := range cand {
 		if opt.Filter != nil && (!opt.Filter(pr[0]) || !opt.Filter(pr[1])) {
 			continue

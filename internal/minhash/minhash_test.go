@@ -2,6 +2,7 @@ package minhash
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -167,6 +168,19 @@ func TestSearchFilterBudgetThreshold(t *testing.T) {
 	}
 	if st.Verified > 3 {
 		t.Fatalf("budget 3, verified %d", st.Verified)
+	}
+	// A k beyond anything the index holds sizes no allocation: it
+	// answers like k = everything.
+	all, _, err := x.Search(base, len(sets), SearchOpt{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err = x.Search(base, math.MaxInt, SearchOpt{})
+	if err != nil || len(res) != len(all) {
+		t.Fatalf("k=MaxInt: %d neighbors, err %v; want %d", len(res), err, len(all))
+	}
+	if pairs, _, err := x.SearchPairs(1<<40, SearchOpt{}); err != nil || len(pairs) == 0 {
+		t.Fatalf("SearchPairs(k=1<<40): %d pairs, err %v", len(pairs), err)
 	}
 }
 

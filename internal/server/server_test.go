@@ -183,6 +183,31 @@ func TestSearchAnswersMatchEngine(t *testing.T) {
 	}
 }
 
+// TestOversizedKAnswers: k is any positive integer JSON can carry. A
+// k far above the index's size answers with everything there is — 200,
+// never an allocation sized by the request — and the server goes on
+// answering.
+func TestOversizedKAnswers(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		_, ts, data := newTestServer(t, shards, 0)
+		q := vecJSON(data[5])
+		status, body := post(t, ts, "/v1/search", `{"q":`+q+`,"k":1099511627776}`)
+		if status != 200 {
+			t.Fatalf("shards=%d: search status %d: %v", shards, status, body)
+		}
+		if got := len(body["results"].([]any)); got == 0 || got > len(data) {
+			t.Fatalf("shards=%d: %d results from %d points", shards, got, len(data))
+		}
+		status, body = post(t, ts, "/v1/search/batch", `{"qs":[`+q+`],"k":9223372036854775807}`)
+		if status != 200 {
+			t.Fatalf("shards=%d: batch status %d: %v", shards, status, body)
+		}
+		if status, body = post(t, ts, "/v1/search", `{"q":`+q+`,"k":3}`); status != 200 || len(body["results"].([]any)) != 3 {
+			t.Fatalf("shards=%d: follow-up search status %d: %v", shards, status, body)
+		}
+	}
+}
+
 // TestInsertDeleteRoundTrip exercises the mutation surface end to end:
 // insert → searchable, delete → gone, info reflects both.
 func TestInsertDeleteRoundTrip(t *testing.T) {

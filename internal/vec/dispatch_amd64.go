@@ -14,9 +14,35 @@ package vec
 // horizontal reduction associates as ((s0+s1)+s2)+s3 — so full passes
 // are bit-identical and SquaredL2Bounded abandons at the same stride-16
 // block boundaries with the same partial sums (pinned by the
-// equivalence suite in kernels_amd64_test.go). That contract is also
+// equivalence suite in kernels_amd64_test.go). SquaredL2BoundedGather
+// keeps one such accumulator per row and runs four rows side by side, so
+// each row's result is the single-row kernel's. That contract is also
 // why there is no AVX-512 variant: eight-lane accumulation would
 // reassociate the sum and drift results by ulps.
+
+// gatherWidth is how many rows squaredL2BoundedGather4AVX2 reduces in
+// lockstep.
+const gatherWidth = 4
+
+// squaredL2BoundedGatherAVX2 feeds the rows to the four-row assembly
+// kernel; a last group of fewer than four is padded by repeating its
+// final row (the duplicate lanes re-read a row already in cache and
+// their results are dropped).
+func squaredL2BoundedGatherAVX2(dst []float64, q, flat []float64, rows []int32, bound float64) {
+	i := 0
+	for ; i+gatherWidth <= len(rows); i += gatherWidth {
+		squaredL2BoundedGather4AVX2((*[gatherWidth]float64)(dst[i:]), q, flat, (*[gatherWidth]int32)(rows[i:]), bound)
+	}
+	if rest := rows[i:]; len(rest) > 0 {
+		var pad [gatherWidth]int32
+		var out [gatherWidth]float64
+		for j := range pad {
+			pad[j] = rest[min(j, len(rest)-1)]
+		}
+		squaredL2BoundedGather4AVX2(&out, q, flat, &pad, bound)
+		copy(dst[i:], out[:len(rest)])
+	}
+}
 
 // useAVX2 records the init-time probe (read by the equivalence tests).
 var useAVX2 = detectAVX2()
@@ -26,6 +52,7 @@ func init() {
 		dotImpl = dotAVX2
 		squaredL2Impl = squaredL2AVX2
 		squaredL2BoundedImpl = squaredL2BoundedAVX2
+		squaredL2GatherImpl = squaredL2BoundedGatherAVX2
 		squaredL2ToManyImpl = squaredL2ToManyAVX2
 		maxAbsDiffToManyImpl = maxAbsDiffToManyAVX2
 		screenF32Impl = screenF32AVX2
@@ -69,6 +96,9 @@ func dotAVX2(a, b []float64) float64
 func squaredL2AVX2(a, b []float64) float64
 
 func squaredL2BoundedAVX2(a, b []float64, bound float64) float64
+
+//go:noescape
+func squaredL2BoundedGather4AVX2(dst *[gatherWidth]float64, q, flat []float64, rows *[gatherWidth]int32, bound float64)
 
 func squaredL2ToManyAVX2(dst []float64, q, flat []float64, dim int)
 

@@ -21,21 +21,6 @@ func requireAVX2(t *testing.T) {
 	}
 }
 
-// testVector returns a length-n slice whose backing array is offset so
-// the data pointer is 8-byte but not 32-byte aligned half the time,
-// exercising the unaligned loads in the assembly.
-func testVector(rng *rand.Rand, n int) []float64 {
-	off := rng.Intn(4)
-	backing := make([]float64, n+off)
-	v := backing[off : off+n : off+n]
-	for i := range v {
-		// Spread magnitudes so accumulation order matters: any
-		// reassociation in the backend shows up as a bit flip.
-		v[i] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(13)-6))
-	}
-	return v
-}
-
 func equivDims() []int {
 	dims := make([]int, 0, 131)
 	for d := 1; d <= 130; d++ {
@@ -105,6 +90,39 @@ func TestAVX2BoundedBitIdentical(t *testing.T) {
 				if (got > bound) != (want > bound) {
 					t.Fatalf("bounded dim=%d bound=%v: abandon disagreement avx2=%v generic=%v",
 						d, bound, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestAVX2GatherBitIdentical pins the four-row kernel against the
+// portable per-row loop over whole and padded groups, with rows that
+// abandon at different blocks (or not at all) sharing a group, and at
+// the non-positive bounds only the gather entry point lets through.
+func TestAVX2GatherBitIdentical(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(608))
+	for _, d := range equivDims() {
+		const nrows = 6
+		q, flat := testVector(rng, d), testVector(rng, nrows*d)
+		exact := make([]float64, nrows)
+		squaredL2ToManyGeneric(exact, q, flat, d)
+		for n := 0; n <= 9; n++ {
+			rows := make([]int32, n)
+			for j := range rows {
+				rows[j] = int32(rng.Intn(nrows))
+			}
+			pivot := exact[rng.Intn(nrows)]
+			for _, bound := range []float64{math.Inf(1), math.NaN(), pivot, pivot * 0.5, pivot * 1e-3, 0, -1} {
+				got, want := make([]float64, n), make([]float64, n)
+				squaredL2BoundedGatherAVX2(got, q, flat, rows, bound)
+				squaredL2BoundedGatherGeneric(want, q, flat, rows, bound)
+				for j := range got {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("gather dim=%d n=%d bound=%v row %d: avx2=%v generic=%v (exact=%v)",
+							d, n, bound, rows[j], got[j], want[j], exact[rows[j]])
+					}
 				}
 			}
 		}
@@ -208,6 +226,18 @@ func TestAVX2SpecialValues(t *testing.T) {
 			if !sameBits(g, w) {
 				t.Fatalf("bounded specials d=%d bound=%v: avx2=%v generic=%v (a=%v b=%v)",
 					d, bound, g, w, a, b)
+			}
+			// The same row beside a finite one in a gathered group: a
+			// NaN or infinite partial must not disturb its neighbours.
+			flat := append(append([]float64(nil), b...), make([]float64, d)...)
+			gs, ws := make([]float64, 3), make([]float64, 3)
+			squaredL2BoundedGatherAVX2(gs, a, flat, []int32{0, 1, 0}, bound)
+			squaredL2BoundedGatherGeneric(ws, a, flat, []int32{0, 1, 0}, bound)
+			for j := range gs {
+				if !sameBits(gs[j], ws[j]) || !sameBits(gs[0], g) {
+					t.Fatalf("gather specials d=%d bound=%v: avx2=%v generic=%v single=%v (a=%v b=%v)",
+						d, bound, gs, ws, g, a, b)
+				}
 			}
 		}
 	}

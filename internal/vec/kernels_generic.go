@@ -55,13 +55,13 @@ func squaredL2Generic(a, b []float64) float64 {
 	return s
 }
 
-// squaredL2BoundedGeneric is the portable SquaredL2Bounded kernel. The
-// caller guarantees bound > 0. The accumulation pattern mirrors
-// squaredL2Generic exactly (the same four running accumulators over the
-// same element order), so a pass that never abandons returns a
-// bit-identical result; an abandoning pass returns the partial
-// reduction ((s0+s1)+s2)+s3 at the stride-16 block boundary where it
-// first exceeded bound.
+// squaredL2BoundedGeneric is the portable SquaredL2Bounded kernel
+// (SquaredL2Bounded itself only calls it with bound > 0). The
+// accumulation pattern mirrors squaredL2Generic exactly (the same four
+// running accumulators over the same element order), so a pass that
+// never abandons returns a bit-identical result; an abandoning pass
+// returns the partial reduction ((s0+s1)+s2)+s3 at the stride-16 block
+// boundary where it first exceeded bound.
 func squaredL2BoundedGeneric(a, b []float64, bound float64) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
@@ -96,6 +96,17 @@ func squaredL2BoundedGeneric(a, b []float64, bound float64) float64 {
 		s += d * d
 	}
 	return s
+}
+
+// squaredL2BoundedGatherGeneric is the portable SquaredL2BoundedGather
+// kernel: one squaredL2BoundedGeneric pass per listed row, whatever the
+// bound (a non-positive one abandons at the first block boundary).
+func squaredL2BoundedGatherGeneric(dst []float64, q, flat []float64, rows []int32, bound float64) {
+	dim := len(q)
+	for j, r := range rows {
+		off := int(r) * dim
+		dst[j] = squaredL2BoundedGeneric(q, flat[off:off+dim:off+dim], bound)
+	}
 }
 
 // squaredL2ToManyGeneric is the portable SquaredL2ToMany kernel: one

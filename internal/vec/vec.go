@@ -3,10 +3,11 @@
 // few aggregate helpers.
 //
 // Points are plain []float64 slices. The hot kernels (Dot, SquaredL2,
-// SquaredL2Bounded, SquaredL2ToMany, MaxAbsDiffToMany) dispatch at init
-// to the fastest backend the host supports: hand-written AVX2 assembly
-// on amd64 CPUs that advertise it, and 4-way unrolled scalar Go loops
-// everywhere else (and under -tags noasm). Both backends produce
+// SquaredL2Bounded, SquaredL2BoundedGather, SquaredL2ToMany,
+// MaxAbsDiffToMany) dispatch at init to the fastest backend the host
+// supports: hand-written AVX2 assembly on amd64 CPUs that advertise
+// it, and 4-way unrolled scalar Go loops everywhere else (and under
+// -tags noasm). Both backends produce
 // bit-identical results — see kernels_generic.go for the accumulation
 // contract — so the choice of backend is invisible to callers. Backend
 // reports which one is active.
@@ -28,6 +29,7 @@ var (
 	dotImpl              = dotGeneric
 	squaredL2Impl        = squaredL2Generic
 	squaredL2BoundedImpl = squaredL2BoundedGeneric
+	squaredL2GatherImpl  = squaredL2BoundedGatherGeneric
 	squaredL2ToManyImpl  = squaredL2ToManyGeneric
 	maxAbsDiffToManyImpl = maxAbsDiffToManyGeneric
 	backendName          = "generic"
@@ -88,6 +90,34 @@ func SquaredL2Bounded(a, b []float64, bound float64) float64 {
 	return squaredL2BoundedImpl(a, b, bound)
 }
 
+// SquaredL2BoundedGather is SquaredL2Bounded from q to each listed row
+// of the flat buffer (rows of len(q) values laid out back to back, as
+// in a store.Store): dst[j] receives the bounded squared distance to
+// row rows[j], bit for bit what SquaredL2Bounded(q, row, bound) returns
+// for a positive, infinite or NaN bound. Rows are independent, so the
+// accelerated backend reduces four of them in lockstep — four
+// dependency chains and four cache misses in flight instead of one —
+// which is what makes verifying a block of candidates cheaper than
+// verifying them one call at a time. Only +Inf (or NaN) means "no
+// bound": a zero or negative bound abandons at the first stride
+// boundary like any other, where SquaredL2Bounded would compute the
+// full distance — the result is then still the exact distance or a
+// partial sum above the bound. Indices may repeat. It panics when q is
+// empty, dst is shorter than rows, or an index falls outside flat.
+func SquaredL2BoundedGather(dst []float64, q, flat []float64, rows []int32, bound float64) {
+	dim := len(q)
+	if dim == 0 || len(dst) < len(rows) {
+		panic("vec: dimension mismatch in SquaredL2BoundedGather")
+	}
+	limit := len(flat) / dim
+	for _, r := range rows {
+		if r < 0 || int(r) >= limit {
+			panic("vec: row index out of range in SquaredL2BoundedGather")
+		}
+	}
+	squaredL2GatherImpl(dst, q, flat, rows, bound)
+}
+
 // SquaredL2ToMany computes the squared Euclidean distance from q to
 // every dim-length row of the flat buffer (rows laid out back to back,
 // as in a store.Store), writing one distance per row into dst and
@@ -146,6 +176,22 @@ func InsertBounded[T any](s []T, x T, k int, key func(T) float64) []T {
 	copy(s[i+1:], s[i:])
 	s[i] = x
 	return s
+}
+
+// maxPrealloc caps PreallocCap: 64Ki entries is a megabyte of 16-byte
+// results, far above any top-k that is hot, far below what can hurt.
+const maxPrealloc = 1 << 16
+
+// PreallocCap returns the capacity to reserve for a buffer the caller
+// asked to size for want items when at most population can ever
+// arrive: the smaller of the two, capped at a fixed maximum and never
+// negative. Top-k buffers and dedup maps grow on demand past it
+// (InsertBounded appends), so capacity is an optimisation — and a
+// request-supplied k (a k of 1<<40 is valid JSON) must never size an
+// allocation by itself: make with it is a fatal out-of-memory, not a
+// recoverable panic.
+func PreallocCap(want, population int) int {
+	return max(0, min(want, population, maxPrealloc))
 }
 
 // L1 returns the Manhattan distance between a and b.

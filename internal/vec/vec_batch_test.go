@@ -7,6 +7,32 @@ import (
 	"testing"
 )
 
+// mustPanic fails the test unless fn panics.
+func mustPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: expected panic", name)
+		}
+	}()
+	fn()
+}
+
+// testVector returns a length-n slice whose backing array is offset so
+// the data pointer is 8-byte but not 32-byte aligned half the time,
+// exercising the unaligned loads in the assembly.
+func testVector(rng *rand.Rand, n int) []float64 {
+	off := rng.Intn(4)
+	backing := make([]float64, n+off)
+	v := backing[off : off+n : off+n]
+	for i := range v {
+		// Spread magnitudes so accumulation order matters: any
+		// reassociation in the backend shows up as a bit flip.
+		v[i] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(13)-6))
+	}
+	return v
+}
+
 func TestSquaredL2BoundedMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
@@ -64,6 +90,65 @@ func TestSquaredL2BoundedMismatch(t *testing.T) {
 	SquaredL2Bounded([]float64{1}, []float64{1, 2}, 1)
 }
 
+// TestSquaredL2BoundedGatherMatchesBounded sweeps the gather kernel of
+// whichever backend is active against SquaredL2Bounded row by row:
+// every dimension through 70 (sub-stride, stride and tail lengths),
+// lists of 0–9 indices with repeats (whole groups, padded groups and
+// both), bounds that abandon everything, some rows, or nothing. For a
+// positive, infinite or NaN bound the results are bit-identical; at
+// bound 0 — the one deliberate difference, where SquaredL2Bounded
+// computes in full — each result is the exact distance or a partial
+// above 0.
+func TestSquaredL2BoundedGatherMatchesBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for d := 1; d <= 70; d++ {
+		const nrows = 7
+		q, flat := testVector(rng, d), testVector(rng, nrows*d)
+		// Row 5 and 6 are special: a NaN and a +Inf/−Inf component.
+		flat[5*d+rng.Intn(d)] = math.NaN()
+		flat[6*d+rng.Intn(d)] = math.Inf(1 - 2*rng.Intn(2))
+		row := func(r int32) []float64 { return flat[int(r)*d : (int(r)+1)*d] }
+		for n := 0; n <= 9; n++ {
+			rows := make([]int32, n)
+			for j := range rows {
+				rows[j] = int32(rng.Intn(nrows))
+			}
+			pivot := SquaredL2(q, row(int32(rng.Intn(5))))
+			dst := make([]float64, n)
+			for _, bound := range []float64{pivot * 1e-3, pivot * 0.5, pivot * 4, math.Inf(1), math.NaN()} {
+				if bound == 0 {
+					continue
+				}
+				SquaredL2BoundedGather(dst, q, flat, rows, bound)
+				for j, r := range rows {
+					want := SquaredL2Bounded(q, row(r), bound)
+					if math.Float64bits(dst[j]) != math.Float64bits(want) && !(math.IsNaN(dst[j]) && math.IsNaN(want)) {
+						t.Fatalf("d=%d n=%d bound=%v row %d (slot %d): gather=%v bounded=%v",
+							d, n, bound, r, j, dst[j], want)
+					}
+				}
+			}
+			SquaredL2BoundedGather(dst, q, flat, rows, 0)
+			for j, r := range rows {
+				exact := SquaredL2(q, row(r))
+				if math.Float64bits(dst[j]) != math.Float64bits(exact) && !(dst[j] > 0) && !math.IsNaN(exact) {
+					t.Fatalf("d=%d n=%d bound=0 row %d: gather=%v, want exact %v or a partial > 0",
+						d, n, r, dst[j], exact)
+				}
+			}
+		}
+	}
+}
+
+func TestSquaredL2BoundedGatherPanics(t *testing.T) {
+	flat := []float64{1, 2, 3, 4}
+	mustPanic(t, "empty q", func() { SquaredL2BoundedGather(make([]float64, 1), nil, flat, []int32{0}, 1) })
+	mustPanic(t, "short dst", func() { SquaredL2BoundedGather(make([]float64, 1), []float64{1, 2}, flat, []int32{0, 1}, 1) })
+	mustPanic(t, "row past end", func() { SquaredL2BoundedGather(make([]float64, 1), []float64{1, 2}, flat, []int32{2}, 1) })
+	mustPanic(t, "row in ragged tail", func() { SquaredL2BoundedGather(make([]float64, 1), []float64{1, 2, 3}, flat, []int32{1}, 1) })
+	mustPanic(t, "negative row", func() { SquaredL2BoundedGather(make([]float64, 1), []float64{1, 2}, flat, []int32{-1}, 1) })
+}
+
 func TestSquaredL2ToMany(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	const dim, n = 13, 9
@@ -93,18 +178,9 @@ func TestSquaredL2ToMany(t *testing.T) {
 }
 
 func TestSquaredL2ToManyPanics(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("bad dim", func() { SquaredL2ToMany(nil, []float64{1}, []float64{1, 2}, 2) })
-	mustPanic("ragged flat", func() { SquaredL2ToMany(nil, []float64{1, 2}, []float64{1, 2, 3}, 2) })
-	mustPanic("bad dst", func() { SquaredL2ToMany(make([]float64, 3), []float64{1, 2}, []float64{1, 2, 3, 4}, 2) })
+	mustPanic(t, "bad dim", func() { SquaredL2ToMany(nil, []float64{1}, []float64{1, 2}, 2) })
+	mustPanic(t, "ragged flat", func() { SquaredL2ToMany(nil, []float64{1, 2}, []float64{1, 2, 3}, 2) })
+	mustPanic(t, "bad dst", func() { SquaredL2ToMany(make([]float64, 3), []float64{1, 2}, []float64{1, 2, 3, 4}, 2) })
 }
 
 // TestMaxAbsDiffToMany pins the fold's definition on whichever backend
@@ -147,36 +223,18 @@ func TestMaxAbsDiffToMany(t *testing.T) {
 }
 
 func TestMaxAbsDiffToManyPanics(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("zero dim", func() { MaxAbsDiffToMany(nil, nil, nil, 0) })
-	mustPanic("bad q", func() { MaxAbsDiffToMany(make([]float64, 1), []float64{1}, []float64{1, 2}, 2) })
-	mustPanic("ragged flat", func() { MaxAbsDiffToMany(make([]float64, 1), []float64{1, 2}, []float64{1, 2, 3}, 2) })
-	mustPanic("bad dst", func() { MaxAbsDiffToMany(make([]float64, 3), []float64{1, 2}, []float64{1, 2, 3, 4}, 2) })
+	mustPanic(t, "zero dim", func() { MaxAbsDiffToMany(nil, nil, nil, 0) })
+	mustPanic(t, "bad q", func() { MaxAbsDiffToMany(make([]float64, 1), []float64{1}, []float64{1, 2}, 2) })
+	mustPanic(t, "ragged flat", func() { MaxAbsDiffToMany(make([]float64, 1), []float64{1, 2}, []float64{1, 2, 3}, 2) })
+	mustPanic(t, "bad dst", func() { MaxAbsDiffToMany(make([]float64, 3), []float64{1, 2}, []float64{1, 2, 3, 4}, 2) })
 }
 
 func TestMeanMinMaxRagged(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
 	ragged := [][]float64{{1, 2}, {3, 4, 5}}
-	mustPanic("Mean long row", func() { Mean(ragged) })
-	mustPanic("Mean short row", func() { Mean([][]float64{{1, 2}, {3}}) })
-	mustPanic("MinMax long row", func() { MinMax(ragged) })
-	mustPanic("MinMax short row", func() { MinMax([][]float64{{1, 2}, {3}}) })
+	mustPanic(t, "Mean long row", func() { Mean(ragged) })
+	mustPanic(t, "Mean short row", func() { Mean([][]float64{{1, 2}, {3}}) })
+	mustPanic(t, "MinMax long row", func() { MinMax(ragged) })
+	mustPanic(t, "MinMax short row", func() { MinMax([][]float64{{1, 2}, {3}}) })
 
 	// Uniform inputs still work.
 	m := Mean([][]float64{{1, 3}, {3, 5}})
@@ -241,6 +299,58 @@ func BenchmarkDot(b *testing.B) {
 		b.Run(fmt.Sprintf("d%d", dim), func(b *testing.B) {
 			benchPair(b, dim, func(a, c []float64) { Dot(a, c) })
 		})
+	}
+}
+
+// BenchmarkVerifyGather is the verification stage in isolation: one
+// query against every row of a store the size of the benchmark
+// workloads', visited in random order, one
+// SquaredL2Bounded call per candidate against four candidates per
+// SquaredL2BoundedGather call. "tight" abandons most rows within a few
+// strides, as a full top-k does; "nobound" reduces every row to the
+// end, as the first k candidates of a query do.
+func BenchmarkVerifyGather(b *testing.B) {
+	for _, shape := range []struct{ dim, n int }{{128, 20000}, {768, 8000}} {
+		rng := rand.New(rand.NewSource(6))
+		q := make([]float64, shape.dim)
+		for i := range q {
+			q[i] = rng.NormFloat64()
+		}
+		flat := make([]float64, shape.n*shape.dim)
+		for i := range flat {
+			flat[i] = rng.NormFloat64()
+		}
+		rows := make([]int32, shape.n) // every row once, so none is revisited while still cached
+		for i, r := range rng.Perm(shape.n) {
+			rows[i] = int32(r)
+		}
+		dst := make([]float64, len(rows))
+		tight := SquaredL2(q, flat[:shape.dim]) / 4
+		for _, bc := range []struct {
+			name  string
+			bound float64
+		}{{"tight", tight}, {"nobound", math.Inf(1)}} {
+			perCand := func(b *testing.B) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/cand")
+			}
+			b.Run(fmt.Sprintf("d%d/%s/sequential", shape.dim, bc.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for j, r := range rows {
+						off := int(r) * shape.dim
+						dst[j] = SquaredL2Bounded(q, flat[off:off+shape.dim], bc.bound)
+					}
+				}
+				perCand(b)
+			})
+			b.Run(fmt.Sprintf("d%d/%s/gathered", shape.dim, bc.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < len(rows); j += 4 {
+						SquaredL2BoundedGather(dst[j:j+4], q, flat, rows[j:j+4], bc.bound)
+					}
+				}
+				perCand(b)
+			})
+		}
 	}
 }
 
