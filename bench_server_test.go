@@ -4,7 +4,7 @@ package pmlsh
 // through the HTTP serving layer (internal/server) — JSON decode,
 // engine search, JSON encode, metrics middleware — over a loopback
 // connection with keep-alive, next to the in-process benchmarks so the
-// serving overhead is a visible line in the perf trajectory.
+// serving overhead can be read off one run.
 
 import (
 	"bytes"
@@ -106,8 +106,8 @@ func BenchmarkServerSearchDurable(b *testing.B) {
 
 // BenchmarkServerInsertDurable measures the mutation path — where the
 // WAL actually sits — through HTTP: in-memory baseline, fsync on every
-// append, and group commit (everyN=8), making the durability tax and
-// the group-commit recovery of it visible lines in the trajectory.
+// append, and group commit (everyN=8), which shows the durability tax
+// and how much of it group commit recovers.
 func BenchmarkServerInsertDurable(b *testing.B) {
 	w := workload(b)
 	for _, mode := range []struct {

@@ -119,13 +119,15 @@
 // store holding the projections, which the tree owns and orders
 // leaf-major: a leaf's projected points are one consecutive run of
 // rows, leaves follow each other in traversal order, and a leaf's ids,
-// parent distances and pivot distances are parallel arrays. A query
-// therefore filters a leaf in one pass and evaluates the surviving
-// projected distances over contiguous memory with a batched kernel.
-// Build, Load and Compact produce this layout; Insert and Delete move
-// the leaves they touch onto a slower per-row path until the next
-// Compact, and Info().LeafRunFraction reports, per shard, how much of
-// the tree is still on the fast one. Candidate verification likewise
+// parent distances and pivot distances are parallel arrays. A tree
+// traversal therefore filters a leaf in one pass and evaluates the
+// surviving projected distances over contiguous memory with a batched
+// kernel — and a query whose radius the tree cannot prune (see Query
+// engine) runs that kernel once over the whole buffer instead. Build,
+// Load and Compact produce this layout; Insert and Delete move the
+// leaves they touch onto a slower per-row path until the next Compact,
+// and Info().LeafRunFraction reports, per shard, how much of the tree
+// is still on the fast one. Candidate verification likewise
 // streams sequential memory instead of chasing a pointer per point,
 // compares squared distances with early abandonment against the
 // running k-th best, and defers the k square roots to the end of the
@@ -201,9 +203,19 @@
 // call allocates only its k-result output slice (2 allocations
 // total). Both tree backends implement the contract, and answers are
 // element-wise identical to the round-restarting formulation (the
-// equivalence suite pins this); only the work counters shrink. See
-// README.md ("Performance") for the measured trajectory and the
-// BENCH_*.json format it is recorded in.
+// equivalence suite pins this); only the work counters shrink.
+//
+// The PM-tree enumerator resolves a radius in one of two ways. A tree
+// prunes while the query ball meets few leaves; Algorithm 2's first
+// radius is sized to hold βn+k points, and a ball that size meets
+// nearly every leaf. From a switch radius the tree reads off its own
+// geometry (a quarter of its median leaf covering radius — not a
+// setting) the enumerator instead computes every projected row's
+// distance in one pass over the contiguous buffer; the traversal keeps
+// the radii under it (SearchBall and SearchPairs at near-duplicate
+// radii). Answers do not depend on the path; ProjectedDistComps does:
+// a query that scanned reads the projected store's row count. See
+// README.md ("Performance").
 //
 // # Distance kernels and quantized screening
 //

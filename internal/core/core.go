@@ -186,9 +186,11 @@ type QueryStats struct {
 	// Config.Quantize. Screened ≤ Verified.
 	Screened int
 	// ProjectedDistComps is the number of projected-space metric
-	// evaluations inside the PM-tree. The count is exact for the query
-	// it describes — the range enumerator counts its own evaluations —
-	// no matter how many queries run concurrently.
+	// evaluations inside the PM-tree: the distances a traversal pays,
+	// and every row of the tree's projected store, slots freed by Delete
+	// included, once the enumeration scans (a Search at the default
+	// budget does from its first round). The enumerator counts its own
+	// evaluations, so the count is exact however many queries overlap.
 	ProjectedDistComps int64
 	// FinalRadius is the original-space radius r when the query
 	// terminated.
@@ -989,9 +991,10 @@ func (ix *Index) Dead() int {
 
 // LeafRunFraction returns the share of the PM-tree's leaf entries that
 // sit in leaves whose projected rows are one consecutive run of the
-// tree's buffer — the entries a query scans with the batched distance
-// kernel rather than one row at a time. It is 1 after Build, Load and
-// Compact and decays as Insert and Delete touch leaves. Backends
+// tree's buffer — the entries a tree traversal scans with the batched
+// distance kernel rather than one row at a time. It is 1 after Build,
+// Load and Compact and decays as Insert and Delete touch leaves (which
+// only small-radius queries pay for: a Search scans the buffer). Backends
 // without a PM-tree (R-tree ablation, Jaccard) and an empty tree
 // report 1: nothing there is off the fast path.
 func (ix *Index) LeafRunFraction() float64 {

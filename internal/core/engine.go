@@ -523,8 +523,8 @@ type EngineInfo struct {
 	// LeafRunFraction is, per shard, the share of PM-tree leaf entries
 	// still laid out as one row run per leaf (Index.LeafRunFraction): 1
 	// after a build, load or compaction, falling as mutations touch
-	// leaves. It is to query speed what Dead is to memory — the decay a
-	// Compact undoes.
+	// leaves. It is to the speed of small-radius (tree-served) queries
+	// what Dead is to memory — the decay a Compact undoes.
 	LeafRunFraction []float64
 }
 

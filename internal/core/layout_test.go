@@ -39,7 +39,10 @@ func halvesAgree(t *testing.T, tag string, e *Engine) []float64 {
 // the same layout (every leaf one row run); mutations wear both halves
 // down in step; a worn index answers — results and statistics — exactly
 // like its own reload, which is the same tree with every leaf back on
-// the batched path; and Compact restores the layout.
+// the batched path (a reload also drops the store slots Delete freed,
+// which a scanned query counts in ProjectedDistComps, so that one field
+// is compared only when the worn index has none); and Compact restores
+// the layout.
 func TestLeafLayoutThroughLifecycle(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		data := randData(900, 12, 21)
@@ -91,6 +94,10 @@ func TestLeafLayoutThroughLifecycle(t *testing.T) {
 				t.Fatalf("shards=%d: reloaded shard %d has leaf run fraction %v, want 1", shards, s, f)
 			}
 		}
+		deadSlots := 0
+		for _, sh := range e.shards {
+			deadSlots += sh.halves[0].ix.tree.Rows() - sh.halves[0].ix.tree.Len()
+		}
 		for qi := 0; qi < 40; qi++ {
 			q := data[rng.Intn(len(data))]
 			if qi%2 == 1 {
@@ -106,6 +113,9 @@ func TestLeafLayoutThroughLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			identicalResults(t, "worn leaves vs reloaded runs", got, want)
+			if deadSlots > 0 {
+				sa.ProjectedDistComps, sb.ProjectedDistComps = 0, 0
+			}
 			if sa != sb {
 				t.Fatalf("shards=%d query %d: worn leaves did %+v, reloaded runs %+v", shards, qi, sa, sb)
 			}
@@ -158,5 +168,41 @@ func TestStreamSizeHint(t *testing.T) {
 			}
 		}
 		check("churned")
+	}
+}
+
+// TestScanSwitchFollowsRadius pins which way a query resolves its
+// projected radius, as its statistics show it: a Search at the default
+// budget starts at the radius that holds βn+k points, far above the
+// tree's switch radius, and pays exactly one pass over the tree's rows;
+// a SearchBall at a near-duplicate radius stays on the traversal and
+// pays a small part of that.
+func TestScanSwitchFollowsRadius(t *testing.T) {
+	data := clusteredData(4000, 24, 8, 61)
+	ix, err := Build(data, Config{Seed: 62})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := int64(ix.tree.Rows())
+	rng := rand.New(rand.NewSource(63))
+	for qi := 0; qi < 10; qi++ {
+		q := data[rng.Intn(len(data))]
+		var st QueryStats
+		if _, err := ix.Search(context.Background(), q, 10, SearchOptions{Stats: &st}); err != nil {
+			t.Fatal(err)
+		}
+		if st.ProjectedDistComps != rows {
+			t.Fatalf("query %d: Search paid %d projected evaluations, the tree has %d rows", qi, st.ProjectedDistComps, rows)
+		}
+		got, err := ix.SearchBall(context.Background(), q, 1e-3, SearchOptions{Stats: &st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == nil || got.Dist != 0 {
+			t.Fatalf("query %d: SearchBall around a stored point returned %+v", qi, got)
+		}
+		if st.ProjectedDistComps >= rows/4 {
+			t.Fatalf("query %d: near-duplicate SearchBall paid %d projected evaluations over %d rows", qi, st.ProjectedDistComps, rows)
+		}
 	}
 }

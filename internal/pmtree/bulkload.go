@@ -1,6 +1,7 @@
 package pmtree
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/store"
@@ -123,6 +124,7 @@ func (t *Tree) bulkLoad(src *store.Store, ids []int32) error {
 		return err
 	}
 	t.points = points
+	t.rowID = slices.Clone(arena.ids) // packLeaf gave entry i row i
 
 	// Assemble upper levels until the entries fit one root node.
 	for len(level) > t.capacity {
@@ -148,6 +150,7 @@ func (t *Tree) bulkLoad(src *store.Store, ids []int32) error {
 		t.root = &node{leaf: false, routing: level}
 	}
 	t.count = n
+	t.deriveScanRadius()
 	return nil
 }
 

@@ -267,11 +267,12 @@ func leafScanCases(tb testing.TB) []leafScanCase {
 // and the per-row distance path of leaves a mutation has broken — to
 // the entry-at-a-time recursive traversal: over a radius schedule every
 // Expand emits exactly the points the reference newly accepts at that
-// radius, with bit-identical distances, a one-shot Expand emits them in
-// the reference's visit order, and the enumeration pays exactly the
-// reference's metric evaluations. The vec kernels under the scan are
-// whichever backend the build selected, so running the suite with and
-// without -tags noasm covers both.
+// radius, with bit-identical distances, a one-shot Expand emits the
+// reference's points, and the enumeration pays exactly the reference's
+// metric evaluations. The enumerator is held on the traversal
+// (treeOnly): the flat pass has its own suite in scan_test.go. The vec
+// kernels under the scan are whichever backend the build selected, so
+// running the suite with and without -tags noasm covers both.
 func TestLeafScanMatchesRecursiveReference(t *testing.T) {
 	for _, c := range leafScanCases(t) {
 		rng := rand.New(rand.NewSource(int64(len(c.name))))
@@ -283,8 +284,8 @@ func TestLeafScanMatchesRecursiveReference(t *testing.T) {
 			}
 			schedule := []float64{0, 8 + 4*rng.Float64(), 20 + 5*rng.Float64(), 32, 45, 1e6}
 
-			en, err := tr.NewRangeEnumerator(q)
-			if err != nil {
+			en := &RangeEnumerator{treeOnly: true}
+			if err := en.Reset(tr, q); err != nil {
 				t.Fatal(err)
 			}
 			seen := map[int32]bool{}
@@ -310,12 +311,10 @@ func TestLeafScanMatchesRecursiveReference(t *testing.T) {
 					c.name, qi, en.DistComps(), want)
 			}
 
-			// One shot: same points in the same order.
+			// One shot: the same points (order within an Expand is
+			// unspecified).
 			r := schedule[2]
-			var want []Result
-			tr.rangeSearchRec(tr.root, q, nil, 0, r, tr.pivotDistances(q), func(id int32, d float64) {
-				want = append(want, Result{ID: id, Dist: d})
-			})
+			want := refRangeSearch(tr, q, r)
 			var got []Result
 			if err := en.Reset(tr, q); err != nil {
 				t.Fatal(err)
@@ -323,7 +322,8 @@ func TestLeafScanMatchesRecursiveReference(t *testing.T) {
 			en.Expand(r, func(id int32, d float64) {
 				got = append(got, Result{ID: id, Dist: d})
 			})
-			requireSameBits(t, fmt.Sprintf("%s query %d one-shot order", c.name, qi), got, want)
+			sortResults(got)
+			requireSameBits(t, fmt.Sprintf("%s query %d one shot", c.name, qi), got, want)
 		}
 	}
 }
@@ -389,7 +389,7 @@ func TestChurnBreaksAndRebuildRestoresRuns(t *testing.T) {
 	for qi := 0; qi < 20; qi++ {
 		q := live[rng.Intn(len(live))]
 		r := 10 + rng.Float64()*25
-		var a, b RangeEnumerator
+		a, b := RangeEnumerator{treeOnly: true}, RangeEnumerator{treeOnly: true}
 		var got, want []Result
 		a.Reset(tr, q)
 		a.Expand(r, func(id int32, d float64) { got = append(got, Result{id, d}) })

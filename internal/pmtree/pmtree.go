@@ -27,6 +27,12 @@
 // the next bulk load. RunEntries reports how much of the tree is still
 // on the run layout.
 //
+// The same store is what a range enumeration falls back on when the
+// tree cannot prune: from a switch radius derived from the tree's own
+// leaf radii (deriveScanRadius) a RangeEnumerator computes every row's
+// distance in one pass; the traversal serves the radii under it and
+// RangeSearch. Answers are the same either way.
+//
 // The implementation is single-writer: Build, Insert and Delete must
 // not be called concurrently with queries (the index layer above holds
 // a reader/writer lock). Queries themselves are read-only; the
@@ -38,6 +44,7 @@ package pmtree
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/store"
@@ -160,6 +167,14 @@ type Tree struct {
 	// runEntries counts the entries of leaves whose rows are one run
 	// (see node.run), maintained by leafChanging/leafChanged.
 	runEntries int
+	// rowID maps a store row to the id of the point it holds, -1 for a
+	// freed row, so a flat pass over the store (see RangeEnumerator) can
+	// name the points it finds. Maintained by insertRow and removeEntry.
+	rowID []int32
+	// scanRadius is the radius from which a range enumeration scans the
+	// store, scanSizedAt the point count it was derived at.
+	scanRadius  float64
+	scanSizedAt int
 
 	// distCalcs counts every call to the metric; it feeds the cost-model
 	// validation (Table 2) and the per-query probing statistics. Atomic
@@ -272,6 +287,10 @@ func (t *Tree) Len() int { return t.count }
 // bulk load or Read and decays as Insert and Delete touch leaves.
 func (t *Tree) RunEntries() int { return t.runEntries }
 
+// Rows returns the number of rows in the tree's point store, freed ones
+// included: what a range enumeration evaluates once it scans.
+func (t *Tree) Rows() int { return t.points.Len() }
+
 // WalkIDs calls fn with every indexed point's id (the deserialization
 // loader uses it to validate leaf ids against the index's id map).
 func (t *Tree) WalkIDs(fn func(id int32)) {
@@ -330,6 +349,41 @@ func (t *Tree) pivotDistances(p []float64) []float64 {
 // leafPoint resolves leaf entry i's point as a view into the store.
 func (t *Tree) leafPoint(n *node, i int) []float64 { return t.points.Row(int(n.rows[i])) }
 
+// scanRadiusFactor places the switch between the two ways a range
+// enumeration resolves a radius, as a fraction of the median covering
+// radius of the tree's leaves. Below it a query ball meets a few leaves
+// and the traversal evaluates a few percent of the points; above, one
+// pass over the contiguous rows is faster (BenchmarkEnumerate charts
+// both sides, table in the README). The crossover depends on the radius
+// against the leaf size, not on n, so the tree can read it off itself.
+const scanRadiusFactor = 0.25
+
+// deriveScanRadius sets scanRadius from the leaf-level routing entries
+// as they stand: after a bulk load, after Read, and whenever inserts
+// have doubled the tree since (a tree grown from New has no leaves to
+// measure at first). A tree whose root is its only leaf, or whose
+// median leaf covers one repeated point, gets 0: every radius scans.
+func (t *Tree) deriveScanRadius() {
+	var radii []float64
+	var walk func(n *node)
+	walk = func(n *node) {
+		for i := range n.routing {
+			if re := &n.routing[i]; re.child.leaf {
+				radii = append(radii, re.radius)
+			} else {
+				walk(re.child)
+			}
+		}
+	}
+	walk(t.root)
+	t.scanRadius = 0
+	if len(radii) > 0 {
+		sort.Float64s(radii)
+		t.scanRadius = scanRadiusFactor * radii[len(radii)/2]
+	}
+	t.scanSizedAt = t.count
+}
+
 // leafChanging and leafChanged bracket every change to a leaf's
 // entries: the first takes the leaf out of the run count as it stands,
 // the second re-derives its run fact and counts it back in. A freshly
@@ -369,7 +423,15 @@ func (t *Tree) insertRow(row, id int32) error {
 		newRoot := &node{leaf: false, routing: []routingEntry{*left, *right}}
 		t.root = newRoot
 	}
+	if int(row) == len(t.rowID) { // a fresh slot, not a recycled one
+		t.rowID = append(t.rowID, id)
+	} else {
+		t.rowID[row] = id
+	}
 	t.count++
+	if t.count >= 2*t.scanSizedAt {
+		t.deriveScanRadius()
+	}
 	return nil
 }
 
@@ -476,6 +538,7 @@ func (t *Tree) removeEntry(n *node, i int) {
 		// entry.
 		panic(fmt.Sprintf("pmtree: freeing row of id %d: %v", n.ids[i], err))
 	}
+	t.rowID[n.rows[i]] = -1
 	t.leafChanging(n)
 	last, s := len(n.ids)-1, len(t.pivots)
 	n.ids[i] = n.ids[last]

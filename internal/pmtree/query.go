@@ -51,7 +51,7 @@ func (t *Tree) RangeSearch(q []float64, r float64) ([]Result, error) {
 // evaluations and return bit-identical results (pinned by
 // TestRangeSearchMatchesRecursiveReference).
 func (t *Tree) rangeSearchViaEnumerator(q []float64, r float64) []Result {
-	var e RangeEnumerator
+	e := RangeEnumerator{treeOnly: true}
 	// Reset cannot fail: the dimension was validated by the caller.
 	if err := e.Reset(t, q); err != nil {
 		panic(err)

@@ -3,6 +3,7 @@ package pmtree
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/vec"
 )
@@ -74,20 +75,42 @@ import (
 // rejected is evaluated, so results, order and counts do not depend on
 // which way a leaf was scanned.
 //
-// The frontier is deliberately NOT a priority queue. A best-first heap
-// (the first implementation, profiling the headline query benchmark)
-// spends an O(log n) sift with cache-missing swaps on every freeze —
-// and typical leaves freeze several beyond-radius entries per opened
-// leaf, where the old traversal skipped them for free. Expand never
-// needs the minimum: a round resolves every qualifying item whatever
-// the order, and the caller orders the emitted delta itself. So
-// freezing is a plain append and each Expand makes one linear
-// compaction pass over the surviving items — O(1) per freeze, one
-// O(|frontier|) sweep per round, and the few-round radius schedule of
-// Algorithm 2 keeps the sweep count small. Items stay 24 pointer-free
-// bytes (node geometry lives in a side arena indexed by item.ref, the
-// pairs.go layout), and statistics are batched locally and flushed per
-// Expand like the pair enumerator's counters.
+// The frontier is deliberately NOT a priority queue: a best-first heap
+// spends an O(log n) sift with cache-missing swaps on every freeze, and
+// typical leaves freeze several beyond-radius entries per opened leaf.
+// Expand never needs the minimum — a round resolves every qualifying
+// item whatever the order, and the caller orders the emitted delta
+// itself — so freezing is a plain append and each Expand makes one
+// linear compaction pass over the surviving items. Items stay 24
+// pointer-free bytes (node geometry lives in a side arena indexed by
+// item.ref, the pairs.go layout), and statistics are batched locally
+// and flushed per Expand like the pair enumerator's counters.
+//
+// The traversal is one of two ways Expand resolves a radius. Its
+// predicates pay while the query ball meets few leaves; Algorithm 2's
+// first radius is sized to hold βn+k points, a quarter to a third of
+// the data in the projected space, and a ball that size meets nearly
+// every leaf — the traversal then evaluates 94–101% of the points
+// behind tests that reject nothing. From the tree's switch radius up
+// (scanRadiusFactor has the measured crossover) Expand scans instead:
+// one vec.SquaredL2ToMany call over the leaf-major store computes every
+// row's squared distance, the array is kept, and each round selects the
+// live rows whose distance lies in (previous radius, r].
+//
+// Both ways emit the same points with the same bits. The kernel is the
+// one scanLeaf and, through vec.L2, the per-row path use, so
+// sqrt(rowD2[row]) IS the distance the traversal computes for that
+// row, and the select applies the traversal's final d <= r to it. What
+// the traversal adds are filters that, by the triangle inequality,
+// never reject a point within r (in floating point a filter bound
+// within an ulp of a distance that equals r could; the scan has no such
+// case); TestScanMatchesTree pins the equality. It is also why an
+// enumeration can leave the tree mid-query carrying nothing but its
+// previous radius: by the traversal's contract everything within that
+// radius has been emitted and nothing beyond it, so the scan emits
+// exactly (previous, r] and the frontier is dropped. The switch is
+// one-way and a function of (tree, radius) alone, so a replay of the
+// same radii takes the same path.
 
 // Range-item kinds, in lifecycle order. ref indexes the node arena for
 // node kinds and holds the store row for point kinds.
@@ -133,18 +156,25 @@ type rangeNodeRef struct {
 type RangeEnumerator struct {
 	t      *Tree
 	q      []float64
-	qp     []float64 // d(q, pivot_i), computed once per Reset
+	qp     []float64 // d(q, pivot_i); empty until the traversal's first use
 	frozen []rangeItem
 	arena  []rangeNodeRef
 	radius float64
 	emit   func(id int32, dist float64) // set for the duration of one Expand
 	lb, d2 []float64                    // scanLeaf's per-leaf bounds and squared distances
 
-	// qdist counts this enumeration's metric evaluations — pivot,
-	// routing-object and leaf-point distances alike — since the last
-	// Reset. Unlike the tree-wide atomics it is owned by exactly one
-	// query, which is what makes per-query statistics exact when
-	// queries overlap.
+	// scanning: this enumeration has left the tree for the flat pass,
+	// whose result rowD2 keeps — every store row's squared distance.
+	scanning bool
+	rowD2    []float64
+	// treeOnly keeps the enumeration on the traversal at every radius:
+	// RangeSearch (the cost model's range query) and the tests' reference.
+	treeOnly bool
+
+	// qdist counts this enumeration's metric evaluations since the last
+	// Reset: pivot, routing-object and leaf-point distances on the
+	// traversal, every store row (freed slots included) once it scans.
+	// Owned by one query, it stays exact when queries overlap.
 	qdist int64
 
 	// pending* batch the tree's atomic statistics counters (see
@@ -174,30 +204,35 @@ func (e *RangeEnumerator) Reset(t *Tree, q []float64) error {
 	e.q = q
 	e.radius = math.Inf(-1)
 	e.qdist = 0
+	e.qp = e.qp[:0]
+	e.scanning = false
 	e.frozen = e.frozen[:0]
 	e.arena = e.arena[:0]
-	if s := len(t.pivots); cap(e.qp) < s {
-		e.qp = make([]float64, s)
-	} else {
-		e.qp = e.qp[:s]
-	}
-	for i, pv := range t.pivots {
-		e.pendingDist++
-		e.qdist++
-		e.qp[i] = vec.L2(q, pv)
-	}
 	if t.count > 0 {
 		e.arena = append(e.arena, rangeNodeRef{})
 		e.frozen = append(e.frozen, rangeItem{bound: 0, ref: 0, kind: rkNodeReady})
 	}
-	e.flushStats()
 	return nil
 }
 
 // Release drops every reference the enumerator holds (tree, query, node
-// arena contents) while keeping buffer capacity, so a pooled enumerator
-// does not pin a tree that a Compact has since replaced.
+// arena contents), so a pooled enumerator does not pin a tree that a
+// Compact has since replaced. Buffer capacity is kept unless it has
+// outgrown the tree being released (twice its rows, plus slack): a pool
+// never frees, and the buffers reach the largest tree ever queried.
 func (e *RangeEnumerator) Release() {
+	if e.t != nil {
+		bound := 2*e.t.points.Len() + 1024
+		if cap(e.frozen) > bound {
+			e.frozen = nil
+		}
+		if cap(e.arena) > bound {
+			e.arena = nil
+		}
+		if cap(e.rowD2) > bound {
+			e.rowD2 = nil
+		}
+	}
 	e.t = nil
 	e.q = nil
 	e.emit = nil
@@ -212,12 +247,32 @@ func (e *RangeEnumerator) Release() {
 // emit as (id, exact distance). Radii are expected to be
 // nondecreasing; a smaller r is a no-op (everything within it was
 // already emitted). The callback must not call back into the
-// enumerator. Emission order within one Expand is unspecified.
+// enumerator. Emission order within one Expand is unspecified (and
+// differs between the traversal and the flat pass).
 func (e *RangeEnumerator) Expand(r float64, emit func(id int32, dist float64)) {
+	prev := e.radius
 	if r > e.radius {
 		e.radius = r
 	}
+	if e.t.count == 0 {
+		return
+	}
 	e.emit = emit
+	if e.scanning || (!e.treeOnly && e.radius >= e.t.scanRadius) {
+		e.expandScan(prev)
+	} else {
+		e.expandTree()
+	}
+	e.emit = nil
+	e.flushStats()
+}
+
+// expandTree resolves the radius on the traversal.
+func (e *RangeEnumerator) expandTree() {
+	// The s pivot distances, which a query that scans never pays.
+	for _, pv := range e.t.pivots[len(e.qp):] {
+		e.qp = append(e.qp, e.dist(e.q, pv))
+	}
 	// One compaction sweep: resolve items whose bound entered the
 	// radius, keep the rest. Items frozen or re-frozen during the sweep
 	// carry bound > radius by construction, so the sweep keeps them
@@ -251,8 +306,54 @@ func (e *RangeEnumerator) Expand(r float64, emit func(id int32, dist float64)) {
 	// The sweep visited every item — survivors, sweep-time freezes and
 	// re-freezes alike — and compacted the kept ones to the front.
 	e.frozen = e.frozen[:w]
-	e.emit = nil
-	e.flushStats()
+}
+
+// expandScan resolves the radius on the flat pass: the first call pays
+// every store row's squared distance in one kernel call and drops the
+// frontier; every call emits the live rows whose distance lies in
+// (prev, radius], decided on squared distances (squaredCeil).
+func (e *RangeEnumerator) expandScan(prev float64) {
+	t := e.t
+	if !e.scanning {
+		e.scanning = true
+		e.frozen = e.frozen[:0]
+		n := t.points.Len()
+		e.rowD2 = slices.Grow(e.rowD2[:0], n)[:n]
+		vec.SquaredL2ToMany(e.rowD2, e.q, t.points.Flat(), t.dim)
+		e.pendingDist += int64(n)
+		e.qdist += int64(n)
+	}
+	if !(e.radius > prev) {
+		return
+	}
+	lo, hi := squaredCeil(prev), squaredCeil(e.radius)
+	ids := t.rowID[:len(e.rowD2)]
+	for row, d2 := range e.rowD2 {
+		if d2 <= hi && d2 > lo && ids[row] >= 0 {
+			e.emit(ids[row], math.Sqrt(d2))
+		}
+	}
+}
+
+// squaredCeil returns the largest x with sqrt(x) <= r, or -1 when no
+// squared distance qualifies (r negative or NaN). The square root is
+// correctly rounded, hence monotone, so d2 <= squaredCeil(r) exactly
+// when sqrt(d2) <= r; r*r is within a step or two of the answer.
+func squaredCeil(r float64) float64 {
+	if !(r >= 0) {
+		return -1
+	}
+	x := r * r
+	for math.Sqrt(x) > r {
+		x = math.Nextafter(x, 0)
+	}
+	for {
+		up := math.Nextafter(x, math.Inf(1))
+		if up == x || math.Sqrt(up) > r {
+			return x
+		}
+		x = up
+	}
 }
 
 // resolveNode re-runs the reference pruning predicates for a thawed
@@ -421,8 +522,9 @@ func (e *RangeEnumerator) dist(a, b []float64) float64 {
 }
 
 // DistComps returns the number of metric evaluations this enumeration
-// has paid since its Reset. The count is owned by the enumeration — it
-// never includes work from other queries, however many run
+// has paid since its Reset (see qdist; one that scans from its first
+// round reads exactly Tree.Rows). The count is owned by the enumeration
+// — it never includes work from other queries, however many run
 // concurrently — and equals the delta the tree-wide counter would show
 // for this query run in isolation.
 func (e *RangeEnumerator) DistComps() int64 { return e.qdist }

@@ -162,6 +162,7 @@ func Read(r io.Reader) (*Tree, error) {
 	if got != count {
 		return nil, fmt.Errorf("pmtree: header count %d but leaves hold %d points", count, got)
 	}
+	t.deriveScanRadius()
 	return t, nil
 }
 
@@ -209,6 +210,7 @@ func (t *Tree) decodeNode(r io.Reader, numPivots int) (*node, error) {
 			if err != nil {
 				return nil, fmt.Errorf("pmtree: %w", err)
 			}
+			t.rowID = append(t.rowID, id)
 			pd, err := readFloats(r, 1+numPivots)
 			if err != nil {
 				return nil, err

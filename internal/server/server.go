@@ -137,7 +137,7 @@ func New(cfg Config) (*Server, error) {
 		"Compact operations (explicit and automatic) since the engine was opened.",
 		func() float64 { return float64(s.eng.Info().Compactions) })
 	reg.GaugeFuncVec("pmlsh_index_leaf_run_fraction",
-		"Share of a shard's PM-tree leaf entries laid out as one row run per leaf (1 after build or compaction; mutations lower it).",
+		"Share of a shard's PM-tree leaf entries laid out as one row run per leaf (1 after build or compaction; mutations lower it). Prices only small-radius queries: a k-NN search scans the projected rows and does not visit the leaves.",
 		"shard", func() []float64 { return s.eng.Info().LeafRunFraction })
 	reg.GaugeVec("pmlsh_index_metric",
 		"Distance metric of the serving engine (1 on the active label).",

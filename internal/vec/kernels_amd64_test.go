@@ -148,6 +148,42 @@ func TestAVX2ToManyBitIdentical(t *testing.T) {
 	}
 }
 
+// TestAVX2ToManyFourRowGroups sweeps the batch kernel's two loops: every
+// row width's tail length against every split of the rows into groups
+// of four and single-row leftovers, then rows of special values beside
+// finite ones in one group (a NaN or infinite sum must stay in its
+// lane).
+func TestAVX2ToManyFourRowGroups(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(609))
+	check := func(label string, q, flat []float64, d int) {
+		t.Helper()
+		rows := len(flat) / d
+		got, want := make([]float64, rows), make([]float64, rows)
+		squaredL2ToManyAVX2(got, q, flat, d)
+		squaredL2ToManyGeneric(want, q, flat, d)
+		for r := range got {
+			if !sameBits(got[r], want[r]) {
+				t.Fatalf("%s dim=%d rows=%d row=%d: avx2=%v generic=%v", label, d, rows, r, got[r], want[r])
+			}
+		}
+	}
+	for d := 1; d <= 40; d++ {
+		for rows := 0; rows <= 13; rows++ {
+			check("toMany", testVector(rng, d), testVector(rng, rows*d), d)
+		}
+	}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64, 5e-324, math.Copysign(0, -1)}
+	for trial := 0; trial < 300; trial++ {
+		d := 1 + rng.Intn(20)
+		q, flat := testVector(rng, d), testVector(rng, 9*d)
+		for i := 0; i < 4; i++ {
+			flat[rng.Intn(len(flat))] = specials[rng.Intn(len(specials))]
+		}
+		check("toMany specials", q, flat, d)
+	}
+}
+
 // TestAVX2MaxAbsDiffToManyBitIdentical sweeps every row width from 1
 // through 33 against every batch size from 0 through 17 rows, with
 // seeds on both sides of the row maxima.

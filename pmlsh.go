@@ -306,8 +306,10 @@ type Info struct {
 	Metric Metric
 	// LeafRunFraction is, per shard, the share of projected-space tree
 	// entries whose leaf is still one consecutive run of rows — the
-	// layout Build, Load and Compact produce and queries scan fastest.
-	// Inserts and deletes wear it down leaf by leaf; Compact restores 1.
+	// layout Build, Load and Compact produce and a tree traversal scans
+	// fastest. Inserts and deletes wear it down leaf by leaf; Compact
+	// restores 1. It prices only small-radius queries (SearchBall,
+	// SearchPairs): a Search scans the rows and visits no leaf.
 	LeafRunFraction []float64
 }
 
