@@ -68,7 +68,7 @@ func shardedEngine(b *testing.B, data [][]float64, shards int) mixedEngine {
 	}
 	return mixedEngine{
 		knn: func(q []float64, k int) error {
-			_, err := ix.KNN(q, k, 1.5)
+			_, err := ix.Search(context.Background(), q, k, WithRatio(1.5))
 			return err
 		},
 		insert:  ix.Insert,

@@ -168,12 +168,14 @@ func BenchmarkFig10and11Tradeoff(b *testing.B) {
 }
 
 // BenchmarkAblationTreeChoice isolates the PM-tree vs R-tree decision
-// inside the identical Algorithm 2 (PM-LSH vs R-LSH).
+// inside the identical Algorithm 2 (PM-LSH vs R-LSH): the harness's
+// restart loop over pmtree.RangeSearch against the same loop over
+// rtree.RangeSearch, so neither side scans.
 func BenchmarkAblationTreeChoice(b *testing.B) {
 	w := workload(b)
 	for _, name := range []bench.AlgoName{bench.PMLSH, bench.RLSH} {
 		b.Run(string(name), func(b *testing.B) {
-			a, err := bench.BuildAlgo(name, w.Dataset.Points, bench.BuildConfig{Seed: 3})
+			a, err := bench.BuildTreeAblation(name, w.Dataset.Points, bench.BuildConfig{Seed: 3})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -202,7 +204,7 @@ func BenchmarkAblationAlpha(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ix.KNN(w.Queries[i%len(w.Queries)], 20, 1.5); err != nil {
+				if _, err := ix.Search(context.Background(), w.Queries[i%len(w.Queries)], 20, WithRatio(1.5)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -237,7 +239,8 @@ func BenchmarkQueryK50(b *testing.B) {
 	b.ResetTimer()
 	var pdc int64
 	for i := 0; i < b.N; i++ {
-		_, st, err := ix.KNNWithStats(w.Queries[i%len(w.Queries)], 50, 1.5)
+		var st QueryStats
+		_, err := ix.Search(context.Background(), w.Queries[i%len(w.Queries)], 50, WithRatio(1.5), WithStats(&st))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,7 +261,8 @@ func benchQueryK50Quant(b *testing.B, w *bench.Workload, kind QuantKind) {
 	b.ResetTimer()
 	var pdc, scr int64
 	for i := 0; i < b.N; i++ {
-		_, st, err := ix.KNNWithStats(w.Queries[i%len(w.Queries)], 50, 1.5)
+		var st QueryStats
+		_, err := ix.Search(context.Background(), w.Queries[i%len(w.Queries)], 50, WithRatio(1.5), WithStats(&st))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -320,7 +324,8 @@ func BenchmarkQueryK50HighDim(b *testing.B) {
 	b.ResetTimer()
 	var pdc int64
 	for i := 0; i < b.N; i++ {
-		_, st, err := ix.KNNWithStats(w.Queries[i%len(w.Queries)], 50, 1.5)
+		var st QueryStats
+		_, err := ix.Search(context.Background(), w.Queries[i%len(w.Queries)], 50, WithRatio(1.5), WithStats(&st))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -439,7 +444,8 @@ func benchQueryK50On(b *testing.B, ix *Index) {
 	b.ResetTimer()
 	var pdc int64
 	for i := 0; i < b.N; i++ {
-		_, st, err := ix.KNNWithStats(w.Queries[i%len(w.Queries)], 50, 1.5)
+		var st QueryStats
+		_, err := ix.Search(context.Background(), w.Queries[i%len(w.Queries)], 50, WithRatio(1.5), WithStats(&st))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -535,7 +541,8 @@ func BenchmarkKNNSerial(b *testing.B) {
 	var pdc int64
 	for i := 0; i < b.N; i++ {
 		for _, q := range w.Queries {
-			_, st, err := ix.KNNWithStats(q, 50, 1.5)
+			var st QueryStats
+			_, err := ix.Search(context.Background(), q, 50, WithRatio(1.5), WithStats(&st))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -597,7 +604,7 @@ func BenchmarkClosestPairs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.ClosestPairs(cpBenchK, cpBenchC); err != nil {
+		if _, err := ix.SearchPairs(context.Background(), cpBenchK, core.SearchOptions{C: cpBenchC}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -610,7 +617,7 @@ func BenchmarkClosestPairsParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.ClosestPairsParallel(cpBenchK, cpBenchC); err != nil {
+		if _, err := ix.SearchPairs(context.Background(), cpBenchK, core.SearchOptions{C: cpBenchC, Parallel: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -676,7 +683,8 @@ func benchQueryK50Metric(b *testing.B, m Metric) {
 	b.ResetTimer()
 	var pdc int64
 	for i := 0; i < b.N; i++ {
-		_, st, err := ix.KNNWithStats(w.Queries[i%len(w.Queries)], 50, 1.5)
+		var st QueryStats
+		_, err := ix.Search(context.Background(), w.Queries[i%len(w.Queries)], 50, WithRatio(1.5), WithStats(&st))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,6 +10,7 @@ package pmlsh
 // and ratio <= c against exact answers over the live set.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -68,7 +69,7 @@ func checkKNNQuality(t *testing.T, label string, ix *Index, o *churnOracle,
 	}
 	var recallSum float64
 	for qi, q := range queries {
-		got, err := ix.KNN(q, k, c)
+		got, err := ix.Search(context.Background(), q, k, WithRatio(c))
 		if err != nil {
 			t.Fatalf("%s query %d: %v", label, qi, err)
 		}
@@ -114,7 +115,7 @@ func checkCPQuality(t *testing.T, label string, ix *Index, o *churnOracle, k int
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ix.ClosestPairs(k, c)
+	got, err := ix.SearchPairs(context.Background(), k, WithRatio(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,6 @@ func TestChurnDelete40Acceptance(t *testing.T) {
 	}{
 		{"pmtree", Config{Seed: 101}},
 		{"pmtree-autocompact-off", Config{Seed: 101, AutoCompactFraction: -1}},
-		{"rtree", Config{Seed: 101, UseRTree: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := testData(t, 1200)
@@ -168,17 +168,13 @@ func TestChurnDelete40Acceptance(t *testing.T) {
 			}
 			queries := ds.Queries(25, 103)
 			checkKNNQuality(t, tc.name, ix, o, queries, k, c, 0.8)
-			if !tc.cfg.UseRTree {
-				checkCPQuality(t, tc.name, ix, o, 12, c)
-			}
+			checkCPQuality(t, tc.name, ix, o, 12, c)
 			// Compaction must preserve the gates.
 			if err := ix.Compact(); err != nil {
 				t.Fatal(err)
 			}
 			checkKNNQuality(t, tc.name+"/compacted", ix, o, queries, k, c, 0.8)
-			if !tc.cfg.UseRTree {
-				checkCPQuality(t, tc.name+"/compacted", ix, o, 12, c)
-			}
+			checkCPQuality(t, tc.name+"/compacted", ix, o, 12, c)
 		})
 	}
 }
@@ -201,7 +197,6 @@ func TestChurnRandomInterleavings(t *testing.T) {
 		{"delete-heavy", 700, 500, 0.75, 6, Config{Seed: 112}, 113},
 		{"insert-heavy", 400, 500, 0.25, 8, Config{Seed: 114}, 115},
 		{"delete-heavy-no-autocompact", 700, 400, 0.75, 6, Config{Seed: 116, AutoCompactFraction: -1}, 117},
-		{"rtree-balanced", 500, 300, 0.5, 6, Config{Seed: 118, UseRTree: true}, 119},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -229,9 +224,7 @@ func TestChurnRandomInterleavings(t *testing.T) {
 					queries[i] = q
 				}
 				checkKNNQuality(t, tc.name+"/"+label, ix, o, queries, tc.k, c, 0.8)
-				if !tc.cfg.UseRTree {
-					checkCPQuality(t, tc.name+"/"+label, ix, o, 6, c)
-				}
+				checkCPQuality(t, tc.name+"/"+label, ix, o, 6, c)
 			}
 			every := tc.ops / 4
 			for op := 1; op <= tc.ops; op++ {

@@ -427,7 +427,7 @@ func runChurn(args []string) error {
 		for qi := 0; qi < *queries; qi++ {
 			q := live[liveIDs[rng.Intn(len(liveIDs))]]
 			start := time.Now()
-			got, err := ix.KNN(q, kk, *c)
+			got, err := ix.Search(context.Background(), q, kk, pmlsh.WithRatio(*c))
 			elapsed += time.Since(start)
 			if err != nil {
 				return err

@@ -57,16 +57,9 @@
 // truth stays at the unfiltered level. The predicate must be fast,
 // side-effect free and safe for concurrent use; it only sees live ids.
 //
-// Migration from the fixed-signature methods (all still supported,
-// element-wise identical):
-//
-//	index.KNN(q, k, c)               -> index.Search(ctx, q, k, WithRatio(c))
-//	index.KNNWithStats(q, k, c)      -> index.Search(ctx, q, k, WithRatio(c), WithStats(&st))
-//	index.KNNBatch(qs, k, c)         -> index.SearchBatch(ctx, qs, k, WithRatio(c))
-//	index.BallCover(q, r, c)         -> index.SearchBall(ctx, q, r, WithRatio(c))
-//	index.ClosestPairs(k, c)         -> index.SearchPairs(ctx, k, WithRatio(c))
-//	index.ClosestPairsWithStats(k,c) -> index.SearchPairs(ctx, k, WithRatio(c), WithPairStats(&st))
-//	index.ClosestPairsParallel(k, c) -> index.SearchPairs(ctx, k, WithRatio(c), WithParallelVerify())
+// The fixed-signature methods this API replaced (KNN, BallCover,
+// ClosestPairs and their variants) are gone; CHANGES.md (PR 18) maps
+// each to its Search* call.
 //
 // # Metrics
 //
@@ -108,7 +101,7 @@
 // SearchPairs is rejected for inner product (a closest "pair" has no
 // meaning when similarity is query-relative). Serialized non-L2
 // indexes carry a metric tag (PLS6 envelope); L2 keeps the exact
-// earlier byte format and v1–v5 streams load as L2. See the README's
+// earlier byte format (PLS4, PLS5 when sharded). See the README's
 // Metrics section for the reduction table and b × r tuning guidance.
 //
 // # Storage layout
@@ -145,18 +138,17 @@
 // (c,k)-ANN to (c,k)-approximate closest-pair search: find k pairs of
 // indexed points such that, with constant probability, the i-th
 // returned distance is within factor c of the exact i-th closest pair
-// distance. ClosestPairs runs a dual-branch self-join traversal over
+// distance. SearchPairs runs a dual-branch self-join traversal over
 // the PM-tree in projected space, enumerating candidate pairs in
 // increasing projected distance, verifying them with exact distances
 // in the contiguous store, and terminating on the confidence-interval
 // radius condition:
 //
-//	pairs, err := index.ClosestPairs(10, 1.5) // 10 closest pairs, ratio 1.5
+//	pairs, err := index.SearchPairs(ctx, 10, WithRatio(1.5)) // 10 closest pairs
 //
-// ClosestPairsParallel fans pair verification across a GOMAXPROCS
+// WithParallelVerify fans pair verification across a GOMAXPROCS
 // worker pool. De-duplicating a corpus is the canonical use — the
-// near-copies are exactly the closest pairs (see examples/dedup). The
-// R-tree ablation (Config.UseRTree) does not support the self-join.
+// near-copies are exactly the closest pairs (see examples/dedup).
 //
 // # Mutation lifecycle
 //
@@ -199,11 +191,11 @@
 // entered the enlarged radius. No round re-descends from the root or
 // re-materializes previously seen candidates — each projected point
 // (and each routing-object distance) is visited once per query, not
-// once per round. Per-query state is pooled, so a steady-state KNN
-// call allocates only its k-result output slice (2 allocations
-// total). Both tree backends implement the contract, and answers are
-// element-wise identical to the round-restarting formulation (the
-// equivalence suite pins this); only the work counters shrink.
+// once per round. Per-query state is pooled, so a steady-state Search
+// call allocates only its k-result output slice and option closures.
+// Answers are element-wise identical to the round-restarting
+// formulation (the equivalence suite pins this); only the work
+// counters shrink.
 //
 // The PM-tree enumerator resolves a radius in one of two ways. A tree
 // prunes while the query ball meets few leaves; Algorithm 2's first
@@ -245,10 +237,10 @@
 // # Queries, shards and snapshot isolation
 //
 // Every method is safe for concurrent use, and reads are snapshot
-// isolated: queries — Search, SearchBatch, SearchPairs, SearchBall and
-// the legacy shims — pin an atomically published snapshot of each
-// shard and answer from it, so they never wait on a mutation, never
-// wait on each other, and never observe a mutation half-applied. A
+// isolated: queries — Search, SearchBatch, SearchPairs, SearchBall —
+// pin an atomically published snapshot of each shard and answer from
+// it, so they never wait on a mutation, never wait on each other, and
+// never observe a mutation half-applied. A
 // point whose Delete completed before the query began can never appear
 // in its results. Insert, Delete and Compact apply to a standby
 // replica and swap it in with one atomic store; mutations to the same

@@ -5,6 +5,7 @@ package pmlsh
 // dimension-mismatch errors across every query entry point.
 
 import (
+	"context"
 	"testing"
 )
 
@@ -20,7 +21,7 @@ func edgeIndex(t *testing.T, n int) (*Index, [][]float64) {
 
 func TestEdgeKExceedsN(t *testing.T) {
 	ix, pts := edgeIndex(t, 7)
-	res, err := ix.KNN(pts[0], 50, 1.5)
+	res, err := ix.Search(context.Background(), pts[0], 50, WithRatio(1.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestEdgeKExceedsN(t *testing.T) {
 		t.Errorf("k > n: got %d results, want all 7", len(res))
 	}
 	// Closest pairs clamp k to n(n-1)/2.
-	pairs, err := ix.ClosestPairs(1000, 1.5)
+	pairs, err := ix.SearchPairs(context.Background(), 1000, WithRatio(1.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,36 +40,36 @@ func TestEdgeKExceedsN(t *testing.T) {
 
 func TestEdgeKZeroOrNegative(t *testing.T) {
 	ix, pts := edgeIndex(t, 50)
-	if _, err := ix.KNN(pts[0], 0, 1.5); err == nil {
+	if _, err := ix.Search(context.Background(), pts[0], 0, WithRatio(1.5)); err == nil {
 		t.Error("KNN k=0 should fail")
 	}
-	if _, err := ix.KNN(pts[0], -1, 1.5); err == nil {
+	if _, err := ix.Search(context.Background(), pts[0], -1, WithRatio(1.5)); err == nil {
 		t.Error("KNN k<0 should fail")
 	}
-	if _, _, err := ix.KNNWithStats(pts[0], 0, 1.5); err == nil {
-		t.Error("KNNWithStats k=0 should fail")
+	if _, err := ix.Search(context.Background(), pts[0], 0, WithRatio(1.5), WithStats(new(QueryStats))); err == nil {
+		t.Error("Search with stats, k=0 should fail")
 	}
-	if _, err := ix.ClosestPairs(0, 1.5); err == nil {
+	if _, err := ix.SearchPairs(context.Background(), 0, WithRatio(1.5)); err == nil {
 		t.Error("ClosestPairs k=0 should fail")
 	}
-	if _, err := ix.ClosestPairsParallel(-2, 1.5); err == nil {
+	if _, err := ix.SearchPairs(context.Background(), -2, WithRatio(1.5), WithParallelVerify()); err == nil {
 		t.Error("ClosestPairsParallel k<0 should fail")
 	}
 }
 
 func TestEdgeEmptyBatch(t *testing.T) {
 	ix, pts := edgeIndex(t, 50)
-	out, err := ix.KNNBatch(nil, 3, 1.5)
+	out, err := ix.SearchBatch(context.Background(), nil, 3, WithRatio(1.5))
 	if err != nil || out != nil {
 		t.Errorf("nil batch: out=%v err=%v", out, err)
 	}
-	out, err = ix.KNNBatch([][]float64{}, 3, 1.5)
+	out, err = ix.SearchBatch(context.Background(), [][]float64{}, 3, WithRatio(1.5))
 	if err != nil || out != nil {
 		t.Errorf("empty batch: out=%v err=%v", out, err)
 	}
 	// A batch error carries the failing query's index.
 	bad := [][]float64{pts[0], {1, 2}}
-	if _, err := ix.KNNBatch(bad, 3, 1.5); err == nil {
+	if _, err := ix.SearchBatch(context.Background(), bad, 3, WithRatio(1.5)); err == nil {
 		t.Error("batch with a mismatched query should fail")
 	}
 }
@@ -82,7 +83,7 @@ func TestEdgeDuplicatePoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A query on the duplicated point sees zero-distance results.
-	res, err := ix.KNN(base[3], 3, 1.5)
+	res, err := ix.Search(context.Background(), base[3], 3, WithRatio(1.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestEdgeDuplicatePoints(t *testing.T) {
 		t.Errorf("duplicate query results: %+v", res)
 	}
 	// The closest pairs are the zero-distance duplicate pairs.
-	pairs, err := ix.ClosestPairs(4, 1.5)
+	pairs, err := ix.SearchPairs(context.Background(), 4, WithRatio(1.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +108,15 @@ func TestEdgeDuplicatePoints(t *testing.T) {
 
 func TestEdgeQueryEqualsIndexedPoint(t *testing.T) {
 	ix, pts := edgeIndex(t, 200)
-	res, st, err := ix.KNNWithStats(pts[42], 1, 1.5)
+	var st QueryStats
+	res, err := ix.Search(context.Background(), pts[42], 1, WithRatio(1.5), WithStats(&st))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 1 || res[0].ID != 42 || res[0].Dist != 0 {
 		t.Errorf("self query: %+v (stats %+v)", res, st)
 	}
-	hit, err := ix.BallCover(pts[42], 0.5, 2.0)
+	hit, err := ix.SearchBall(context.Background(), pts[42], 0.5, WithRatio(2.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,66 +128,55 @@ func TestEdgeQueryEqualsIndexedPoint(t *testing.T) {
 func TestEdgeDimensionMismatch(t *testing.T) {
 	ix, _ := edgeIndex(t, 50)
 	short := []float64{1, 2, 3}
-	if _, err := ix.KNN(short, 3, 1.5); err == nil {
+	if _, err := ix.Search(context.Background(), short, 3, WithRatio(1.5)); err == nil {
 		t.Error("KNN dim mismatch should fail")
 	}
-	if _, err := ix.BallCover(short, 1, 2.0); err == nil {
+	if _, err := ix.SearchBall(context.Background(), short, 1, WithRatio(2.0)); err == nil {
 		t.Error("BallCover dim mismatch should fail")
 	}
 	if _, err := ix.Insert(short); err == nil {
 		t.Error("Insert dim mismatch should fail")
 	}
-	if _, err := ix.KNNBatch([][]float64{short}, 3, 1.5); err == nil {
+	if _, err := ix.SearchBatch(context.Background(), [][]float64{short}, 3, WithRatio(1.5)); err == nil {
 		t.Error("KNNBatch dim mismatch should fail")
 	}
 }
 
 func TestEdgeBallCoverErrors(t *testing.T) {
 	ix, pts := edgeIndex(t, 50)
-	if _, err := ix.BallCover(pts[0], 0, 2.0); err == nil {
+	if _, err := ix.SearchBall(context.Background(), pts[0], 0, WithRatio(2.0)); err == nil {
 		t.Error("zero radius should fail")
 	}
-	if _, err := ix.BallCover(pts[0], -1, 2.0); err == nil {
+	if _, err := ix.SearchBall(context.Background(), pts[0], -1, WithRatio(2.0)); err == nil {
 		t.Error("negative radius should fail")
 	}
-	if _, err := ix.BallCover(pts[0], 1, 0.9); err == nil {
+	if _, err := ix.SearchBall(context.Background(), pts[0], 1, WithRatio(0.9)); err == nil {
 		t.Error("c <= 1 should fail")
 	}
 }
 
 func TestEdgeClosestPairsSurface(t *testing.T) {
-	// R-tree ablation has no self-join traversal.
 	ds := testData(t, 80)
-	rix, err := Build(ds.Points, Config{Seed: 1, UseRTree: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rix.ClosestPairs(3, 1.5); err == nil {
-		t.Error("R-tree ClosestPairs should fail")
-	}
-	if _, err := rix.ClosestPairsParallel(3, 1.5); err == nil {
-		t.Error("R-tree ClosestPairsParallel should fail")
-	}
 
 	// Single-point index has no pairs.
 	one, err := Build(ds.Points[:1], Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := one.ClosestPairs(5, 1.5)
+	pairs, err := one.SearchPairs(context.Background(), 5, WithRatio(1.5))
 	if err != nil || len(pairs) != 0 {
 		t.Errorf("single point: pairs=%v err=%v", pairs, err)
 	}
 
 	// c <= 1 is rejected; c <= 0 selects the default.
 	ix, _ := Build(ds.Points, Config{Seed: 1})
-	if _, err := ix.ClosestPairs(3, 1.01); err != nil {
+	if _, err := ix.SearchPairs(context.Background(), 3, WithRatio(1.01)); err != nil {
 		t.Errorf("c=1.01 should work: %v", err)
 	}
-	if _, err := ix.ClosestPairs(3, 0.5); err == nil {
+	if _, err := ix.SearchPairs(context.Background(), 3, WithRatio(0.5)); err == nil {
 		t.Error("0 < c <= 1 should fail")
 	}
-	if res, err := ix.ClosestPairs(3, 0); err != nil || len(res) != 3 {
+	if res, err := ix.SearchPairs(context.Background(), 3, WithRatio(0)); err != nil || len(res) != 3 {
 		t.Errorf("c=0 (default): res=%v err=%v", res, err)
 	}
 }

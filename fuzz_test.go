@@ -11,6 +11,7 @@ package pmlsh
 // Run with: go test -fuzz=FuzzMutateQuery -fuzztime=10s .
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -80,7 +81,7 @@ func FuzzMutateQuery(f *testing.F) {
 			case 3: // query
 				q := fuzzVec(b, -pc)
 				k := 1 + int(b)%6
-				res, err := ix.KNN(q, k, 1.5)
+				res, err := ix.Search(context.Background(), q, k, WithRatio(1.5))
 				if err != nil {
 					t.Fatalf("pc %d: knn: %v", pc, err)
 				}

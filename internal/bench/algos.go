@@ -4,6 +4,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -78,13 +79,9 @@ func BuildAlgo(name AlgoName, data [][]float64, cfg BuildConfig) (Algorithm, err
 		if err != nil {
 			return nil, err
 		}
-		return &pmlshAdapter{ix: ix, c: cfg.C, name: string(PMLSH)}, nil
+		return &pmlshAdapter{ix: ix, c: cfg.C}, nil
 	case RLSH:
-		ix, err := core.Build(data, core.Config{Seed: cfg.Seed, UseRTree: true})
-		if err != nil {
-			return nil, err
-		}
-		return &pmlshAdapter{ix: ix, c: cfg.C, name: string(RLSH)}, nil
+		return BuildTreeAblation(RLSH, data, cfg)
 	case SRS:
 		ix, err := srs.Build(data, srs.Config{Seed: cfg.Seed})
 		if err != nil {
@@ -129,23 +126,21 @@ func BuildAlgo(name AlgoName, data [][]float64, cfg BuildConfig) (Algorithm, err
 	}
 }
 
-// BuildAlgoForDataset is BuildAlgo for a generated dataset: PM-LSH and
-// R-LSH build directly over the dataset's contiguous store
+// BuildAlgoForDataset is BuildAlgo for a generated dataset: PM-LSH
+// builds directly over the dataset's contiguous store
 // (core.BuildFromStore), skipping the per-row copy BuildAlgo's
 // [][]float64 path pays. The harness never mutates datasets or inserts
 // into the built indexes, which is what sharing the store requires.
 func BuildAlgoForDataset(name AlgoName, ds *dataset.Dataset, cfg BuildConfig) (Algorithm, error) {
-	switch name {
-	case PMLSH, RLSH:
-		cfg.fill()
-		ix, err := core.BuildFromStore(ds.Store, core.Config{Seed: cfg.Seed, UseRTree: name == RLSH})
-		if err != nil {
-			return nil, err
-		}
-		return &pmlshAdapter{ix: ix, c: cfg.C, name: string(name)}, nil
-	default:
+	if name != PMLSH {
 		return BuildAlgo(name, ds.Points, cfg)
 	}
+	cfg.fill()
+	ix, err := core.BuildFromStore(ds.Store, core.Config{Seed: cfg.Seed})
+	if err != nil {
+		return nil, err
+	}
+	return &pmlshAdapter{ix: ix, c: cfg.C}, nil
 }
 
 // BuildAll constructs the requested algorithms (nil = all six).
@@ -181,14 +176,13 @@ func BuildAllForDataset(names []AlgoName, ds *dataset.Dataset, cfg BuildConfig) 
 }
 
 type pmlshAdapter struct {
-	ix   *core.Index
-	c    float64
-	name string
+	ix *core.Index
+	c  float64
 }
 
-func (a *pmlshAdapter) Name() string { return a.name }
+func (a *pmlshAdapter) Name() string { return string(PMLSH) }
 func (a *pmlshAdapter) KNN(q []float64, k int) ([]metrics.Neighbor, error) {
-	res, err := a.ix.KNN(q, k, a.c)
+	res, err := a.ix.Search(context.Background(), q, k, core.SearchOptions{C: a.c})
 	return convertCore(res), err
 }
 

@@ -116,6 +116,56 @@ func TestOverviewShape(t *testing.T) {
 	}
 }
 
+// TestRLSHVariant pins the tree-choice ablation: Algorithm 2 over
+// pmtree.RangeSearch and over rtree.RangeSearch shares the projection
+// and the radii, so both trees hand it the same candidate sets and the
+// answers coincide id for id; R-LSH's recall then sits inside the gate
+// TestOverviewShape holds PM-LSH to.
+func TestRLSHVariant(t *testing.T) {
+	w := smallWorkload(t, 1500)
+	pm, err := BuildTreeAblation(PMLSH, w.Dataset.Points, BuildConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := BuildAlgo(RLSH, w.Dataset.Points, BuildConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pm.Name() != string(PMLSH) || rt.Name() != string(RLSH) {
+		t.Fatalf("names %q / %q", pm.Name(), rt.Name())
+	}
+	for _, k := range []int{1, 10, 20} {
+		for qi, q := range w.Queries {
+			a, err := pm.KNN(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := rt.KNN(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(a) != k || len(b) != k {
+				t.Fatalf("k=%d query %d: result sizes %d/%d", k, qi, len(a), len(b))
+			}
+			for i := range a {
+				if a[i].ID != b[i].ID {
+					t.Fatalf("k=%d query %d pos %d: PM-tree %d vs R-tree %d", k, qi, i, a[i].ID, b[i].ID)
+				}
+			}
+		}
+	}
+	row, err := Evaluate(rt, w, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.Recall < 0.75 || row.Ratio < 1-1e-9 {
+		t.Errorf("R-LSH recall %v ratio %v outside the harness gate", row.Recall, row.Ratio)
+	}
+	if _, err := BuildTreeAblation(SRS, w.Dataset.Points, BuildConfig{}); err == nil {
+		t.Error("a tree ablation over SRS should fail")
+	}
+}
+
 func TestVaryKMonotoneSetup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

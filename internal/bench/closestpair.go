@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -104,12 +105,7 @@ func ClosestPairStudy(w *CPWorkload, k int, c float64, seed int64) ([]CPRow, err
 	var out []CPRow
 	for _, par := range []bool{false, true} {
 		start := time.Now()
-		var pairs []core.Pair
-		if par {
-			pairs, err = ix.ClosestPairsParallel(k, c)
-		} else {
-			pairs, err = ix.ClosestPairs(k, c)
-		}
+		pairs, err := ix.SearchPairs(context.Background(), k, core.SearchOptions{C: c, Parallel: par})
 		if err != nil {
 			return nil, err
 		}
@@ -169,7 +165,7 @@ func cpRatio(got []core.Pair, exact []lscan.PairResult) float64 {
 func NaiveDedupBallCover(ix *core.Index, pts [][]float64, r, c float64) (int, error) {
 	hits := 0
 	for _, p := range pts {
-		h, err := ix.BallCover(p, r, c)
+		h, err := ix.SearchBall(context.Background(), p, r, core.SearchOptions{C: c})
 		if err != nil {
 			return hits, err
 		}

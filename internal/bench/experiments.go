@@ -147,9 +147,8 @@ func Tradeoff(w *Workload, k int, cs []float64, probes []int, fractions []float6
 		if err != nil {
 			return nil, err
 		}
-		ad := a.(*pmlshAdapter)
 		for _, c := range cs {
-			ad.SetC(c)
+			a.(interface{ SetC(float64) }).SetC(c)
 			row, err := Evaluate(a, w, k)
 			if err != nil {
 				return nil, err
@@ -241,7 +240,7 @@ func ParamSweep(w *Workload, k int, svals, mvals []int, cfg BuildConfig) ([]Swee
 		if err != nil {
 			return err
 		}
-		a := &pmlshAdapter{ix: ix, c: cfg.C, name: string(PMLSH)}
+		a := &pmlshAdapter{ix: ix, c: cfg.C}
 		row, err := Evaluate(a, w, k)
 		if err != nil {
 			return err

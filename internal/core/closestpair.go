@@ -69,31 +69,6 @@ type CPStats struct {
 	ProjectedDistComps int64
 }
 
-// ClosestPairs answers a (c,k)-closest-pair query: it returns up to k
-// pairs of distinct indexed points such that, with constant probability,
-// the i-th returned distance is within factor c of the exact i-th
-// closest pair distance. Results are sorted by distance; each unordered
-// pair appears at most once. c <= 0 selects DefaultC. k is clamped to
-// the number of distinct pairs; an index with fewer than two points
-// returns an empty result.
-//
-// The index must have been built over a PM-tree (the default); the
-// R-tree ablation does not support the self-join traversal.
-//
-// ClosestPairs is a shim over SearchPairs and answers element-wise
-// identically to it.
-func (ix *Index) ClosestPairs(k int, c float64) ([]Pair, error) {
-	return ix.SearchPairs(context.Background(), k, SearchOptions{C: c})
-}
-
-// ClosestPairsWithStats is ClosestPairs plus work statistics — a shim
-// over SearchPairs with SearchOptions.PairStats set.
-func (ix *Index) ClosestPairsWithStats(k int, c float64) ([]Pair, CPStats, error) {
-	var st CPStats
-	res, err := ix.SearchPairs(context.Background(), k, SearchOptions{C: c, PairStats: &st})
-	return res, st, err
-}
-
 // SearchPairs answers one (c,k)-closest-pair request under the unified
 // options surface: up to k admitted pairs of distinct indexed points
 // such that, with constant probability, the i-th returned distance is
@@ -218,21 +193,10 @@ rounds:
 	return top, nil
 }
 
-// cpBatchSize is how many candidate pairs ClosestPairsParallel pulls
+// cpBatchSize is how many candidate pairs searchPairsParallel pulls
 // from the (serial) enumerator before fanning their verification across
 // the worker pool.
 const cpBatchSize = 256
-
-// ClosestPairsParallel is ClosestPairs with candidate verification
-// fanned across a GOMAXPROCS worker pool (mirroring KNNBatch) — a shim
-// over SearchPairs with SearchOptions.Parallel set. The termination
-// conditions are checked per verification batch instead of per pair,
-// so it may examine slightly more candidates than ClosestPairs — the
-// result carries the same (c,k) guarantee and is, rank by rank, at
-// least as close.
-func (ix *Index) ClosestPairsParallel(k int, c float64) ([]Pair, error) {
-	return ix.SearchPairs(context.Background(), k, SearchOptions{C: c, Parallel: true})
-}
 
 // searchPairsParallel is the parallel engine behind SearchPairs: the
 // projected-space enumeration stays serial, but each batch of admitted
@@ -409,9 +373,6 @@ func (s *cpParams) settled(top []Pair, bound, r float64, scanned, verified int) 
 func (ix *Index) cpSetup(k int, o SearchOptions) (*cpParams, error) {
 	if ix.metric == metric.InnerProduct {
 		return nil, fmt.Errorf("core: closest-pair queries are not defined for the inner-product metric (pair \"distance\" would mix both norms)")
-	}
-	if ix.tree == nil {
-		return nil, fmt.Errorf("core: ClosestPairs requires the PM-tree index (not the R-tree ablation)")
 	}
 	if k <= 0 {
 		return nil, fmt.Errorf("core: k must be positive, got %d", k)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -62,7 +63,8 @@ func TestClosestPairsVsBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := ix.ClosestPairsWithStats(k, c)
+	var st CPStats
+	got, err := ix.SearchPairs(context.Background(), k, SearchOptions{C: c, PairStats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,15 +91,19 @@ func TestClosestPairsParallelVsBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ix.ClosestPairsParallel(k, c)
+	var st CPStats
+	got, err := ix.SearchPairs(context.Background(), k, SearchOptions{C: c, Parallel: true, PairStats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPairs(t, got, exact, k, c)
+	if st.Verified == 0 || st.ProjectedDistComps == 0 || st.Rounds == 0 {
+		t.Errorf("parallel stats not filled: %+v", st)
+	}
 
 	// The parallel variant must be at least as good as the serial one,
 	// rank by rank (it verifies a superset of candidates).
-	serial, err := ix.ClosestPairs(k, c)
+	serial, err := ix.SearchPairs(context.Background(), k, SearchOptions{C: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +135,7 @@ func TestClosestPairsFindsPlantedDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ix.ClosestPairs(planted, 1.5)
+	got, err := ix.SearchPairs(context.Background(), planted, SearchOptions{C: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,27 +159,14 @@ func TestClosestPairsEdgeCases(t *testing.T) {
 
 	t.Run("k<=0", func(t *testing.T) {
 		ix, _ := Build(ds.Points, Config{Seed: 1})
-		if _, err := ix.ClosestPairs(0, 1.5); err == nil {
+		if _, err := ix.SearchPairs(context.Background(), 0, SearchOptions{C: 1.5}); err == nil {
 			t.Error("k=0 should fail")
 		}
-		if _, err := ix.ClosestPairs(-3, 1.5); err == nil {
+		if _, err := ix.SearchPairs(context.Background(), -3, SearchOptions{C: 1.5}); err == nil {
 			t.Error("negative k should fail")
 		}
-		if _, err := ix.ClosestPairsParallel(0, 1.5); err == nil {
+		if _, err := ix.SearchPairs(context.Background(), 0, SearchOptions{C: 1.5, Parallel: true}); err == nil {
 			t.Error("parallel k=0 should fail")
-		}
-	})
-
-	t.Run("rtree", func(t *testing.T) {
-		ix, err := Build(ds.Points, Config{Seed: 1, UseRTree: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ix.ClosestPairs(5, 1.5); err == nil {
-			t.Error("R-tree index should reject ClosestPairs")
-		}
-		if _, err := ix.ClosestPairsParallel(5, 1.5); err == nil {
-			t.Error("R-tree index should reject ClosestPairsParallel")
 		}
 	})
 
@@ -182,11 +175,11 @@ func TestClosestPairsEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ix.ClosestPairs(5, 1.5)
+		res, err := ix.SearchPairs(context.Background(), 5, SearchOptions{C: 1.5})
 		if err != nil || len(res) != 0 {
 			t.Errorf("single-point index: res=%v err=%v", res, err)
 		}
-		res, err = ix.ClosestPairsParallel(5, 1.5)
+		res, err = ix.SearchPairs(context.Background(), 5, SearchOptions{C: 1.5, Parallel: true})
 		if err != nil || len(res) != 0 {
 			t.Errorf("single-point parallel: res=%v err=%v", res, err)
 		}
@@ -197,7 +190,7 @@ func TestClosestPairsEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ix.ClosestPairs(100, 1.5)
+		res, err := ix.SearchPairs(context.Background(), 100, SearchOptions{C: 1.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +201,7 @@ func TestClosestPairsEdgeCases(t *testing.T) {
 
 	t.Run("default c", func(t *testing.T) {
 		ix, _ := Build(ds.Points[:50], Config{Seed: 1})
-		res, err := ix.ClosestPairs(3, 0)
+		res, err := ix.SearchPairs(context.Background(), 3, SearchOptions{C: 0})
 		if err != nil || len(res) != 3 {
 			t.Errorf("default-c closest pairs: res=%v err=%v", res, err)
 		}
@@ -230,7 +223,7 @@ func TestClosestPairsAfterInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ix.ClosestPairs(1, 1.5)
+	got, err := ix.SearchPairs(context.Background(), 1, SearchOptions{C: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -26,7 +25,6 @@ import (
 	"repro/internal/metric"
 	"repro/internal/minhash"
 	"repro/internal/pmtree"
-	"repro/internal/rtree"
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/vec"
@@ -86,10 +84,6 @@ type Config struct {
 	// RMinShrink scales the F-quantile radius down, implementing the
 	// paper's "choose an r_min slightly smaller than r" (0 = 0.9).
 	RMinShrink float64
-	// UseRTree replaces the PM-tree with an R-tree over the projected
-	// points — the paper's R-LSH ablation ("we index the points in the
-	// projected space with an R-tree instead of a PM-tree").
-	UseRTree bool
 	// Beta overrides the derived candidate fraction β (0 = derive from
 	// the confidence interval; see DeriveParams for the calibration).
 	Beta float64
@@ -206,74 +200,10 @@ type Params struct {
 	Beta   float64 // 2·α2, the candidate-fraction bound
 }
 
-// projectedIndex abstracts the metric index over the projected space so
-// the PM-tree (PM-LSH proper) and the R-tree (the R-LSH ablation) are
-// interchangeable inside Algorithm 2.
-type projectedIndex interface {
-	// resetEnum binds the backend's resumable range enumerator slot in
-	// sc to the projected query q and returns it, ready for Expand
-	// calls at nondecreasing radii. The returned enumerator streams
-	// each indexed point at most once per query (see
-	// pmtree.RangeEnumerator); it is only valid until sc is returned
-	// to the pool.
-	resetEnum(sc *queryScratch, q []float64) (rangeEnum, error)
-	// Insert adds one projected point.
-	Insert(p []float64, id int32) error
-	// Delete removes the projected point with the given id; p steers the
-	// search to the covering subtrees.
-	Delete(p []float64, id int32) error
-	// DistanceComputations returns the cumulative metric-evaluation
-	// counter.
-	DistanceComputations() int64
-}
-
-// rangeEnum is the streaming surface of one running range-expansion
-// query: Expand(r) emits, through the callback, every indexed point
-// whose projected distance entered the (growing) radius since the
-// previous Expand, as (id, projected distance). DistComps reports the
-// metric evaluations this enumeration alone has paid since its Reset —
-// the per-query counter behind exact QueryStats.ProjectedDistComps.
-type rangeEnum interface {
-	Expand(r float64, emit func(id int32, dist float64))
-	DistComps() int64
-}
-
-// pmAdapter wraps the PM-tree as a projectedIndex.
-type pmAdapter struct{ t *pmtree.Tree }
-
-func (a pmAdapter) resetEnum(sc *queryScratch, q []float64) (rangeEnum, error) {
-	if err := sc.pmEnum.Reset(a.t, q); err != nil {
-		return nil, err
-	}
-	return &sc.pmEnum, nil
-}
-
-func (a pmAdapter) Insert(p []float64, id int32) error { return a.t.Insert(p, id) }
-
-func (a pmAdapter) Delete(p []float64, id int32) error { return a.t.Delete(p, id) }
-
-func (a pmAdapter) DistanceComputations() int64 { return a.t.DistanceComputations() }
-
-// rtAdapter wraps the R-tree as a projectedIndex.
-type rtAdapter struct{ t *rtree.Tree }
-
-func (a rtAdapter) resetEnum(sc *queryScratch, q []float64) (rangeEnum, error) {
-	if err := sc.rtEnum.Reset(a.t, q); err != nil {
-		return nil, err
-	}
-	return &sc.rtEnum, nil
-}
-
-func (a rtAdapter) Insert(p []float64, id int32) error { return a.t.Insert(p, id) }
-
-func (a rtAdapter) Delete(p []float64, id int32) error { return a.t.Delete(p, id) }
-
-func (a rtAdapter) DistanceComputations() int64 { return a.t.DistanceComputations() }
-
 // Index is a PM-LSH index over a mutable dataset.
 //
-// Every public method is safe for concurrent use: queries (KNN,
-// KNNBatch, BallCover, ClosestPairs) share a reader lock and run
+// Every public method is safe for concurrent use: queries (Search,
+// SearchBatch, SearchBall, SearchPairs) share a reader lock and run
 // concurrently with each other, while Insert, Delete and Compact take
 // the writer side and serialize against readers and one another. A
 // query therefore always observes a consistent index state and never
@@ -287,8 +217,7 @@ type Index struct {
 	cfg  Config
 	data *store.Store // internal-space points, one contiguous buffer
 	proj *lsh.Projection
-	pidx projectedIndex
-	tree *pmtree.Tree // nil when UseRTree is set
+	tree *pmtree.Tree // over the projected points; nil under Jaccard
 
 	// dim is the dimensionality of the internal (reduced) space the
 	// store, projection and tree operate in; ndim is the native
@@ -339,15 +268,13 @@ type Index struct {
 func (ix *Index) point(id int32) []float64 { return ix.data.Row(int(ix.rowOf[id])) }
 
 // queryScratch holds one query's reusable state: the projected query
-// buffer, the per-backend resumable range enumerators (only the one
-// matching the index's backend is ever bound), the current round's emit
+// buffer, the resumable range enumerator, the current round's emit
 // buffer and the emit callback bound to it. Everything is reused across
 // queries; no per-point marks are needed because the enumerator streams
 // each point at most once per query.
 type queryScratch struct {
 	qp     []float64
 	pmEnum pmtree.RangeEnumerator
-	rtEnum rtree.RangeEnumerator
 	emit   []Result
 	tmp    []Result // radix-sort double buffer for emit
 	emitFn func(id int32, dist float64)
@@ -366,7 +293,7 @@ func (ix *Index) getScratch() *queryScratch {
 	return s
 }
 
-// putScratch releases the enumerators' tree/query references (so a
+// putScratch releases the enumerator's tree/query references (so a
 // pooled scratch never pins a tree a Compact has replaced) and returns
 // the scratch to the pool. Buffer capacity is kept — except when it
 // has outgrown the index: emit/tmp reach the candidate volume of the
@@ -378,7 +305,6 @@ func (ix *Index) getScratch() *queryScratch {
 // never be needed again until the index regrows — shed it.
 func (ix *Index) putScratch(s *queryScratch) {
 	s.pmEnum.Release()
-	s.rtEnum.Release()
 	bound := 2*ix.data.Live() + 1024
 	if cap(s.emit) > bound {
 		s.emit = nil
@@ -568,30 +494,18 @@ func buildInternal(s *store.Store, cfg Config, ndim int, scale float64) (*Index,
 	}
 	// The PM-tree copies the projected rows into a leaf-major buffer of
 	// its own and keeps no reference to this store, which is garbage
-	// once the build returns; the R-tree adopts it.
+	// once the build returns.
 	projected, err := proj.ProjectStore(s)
 	if err != nil {
 		return nil, err
 	}
-	var pidx projectedIndex
-	var tree *pmtree.Tree
-	if cfg.UseRTree {
-		rt, err := rtree.BuildFromStore(projected, nil, rtree.Config{Capacity: cfg.Capacity})
-		if err != nil {
-			return nil, err
-		}
-		pidx = rtAdapter{rt}
-	} else {
-		var err error
-		tree, err = pmtree.BuildFromStore(projected, nil, pmtree.Config{
-			Capacity:  cfg.Capacity,
-			NumPivots: cfg.NumPivots,
-			PivotSeed: cfg.Seed + 1,
-		})
-		if err != nil {
-			return nil, err
-		}
-		pidx = pmAdapter{tree}
+	tree, err := pmtree.BuildFromStore(projected, nil, pmtree.Config{
+		Capacity:  cfg.Capacity,
+		NumPivots: cfg.NumPivots,
+		PivotSeed: cfg.Seed + 1,
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	chi := stats.ChiSquared{K: cfg.M}
@@ -622,7 +536,6 @@ func buildInternal(s *store.Store, cfg Config, ndim int, scale float64) (*Index,
 		cfg:      cfg,
 		data:     s,
 		proj:     proj,
-		pidx:     pidx,
 		tree:     tree,
 		dim:      dim,
 		ndim:     ndim,
@@ -660,7 +573,7 @@ func (ix *Index) Insert(p []float64) (int32, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	id := int32(len(ix.rowOf))
-	if err := ix.pidx.Insert(ix.proj.Project(p), id); err != nil {
+	if err := ix.tree.Insert(ix.proj.Project(p), id); err != nil {
 		return 0, err
 	}
 	row, err := ix.data.Append(p)
@@ -763,7 +676,7 @@ func (ix *Index) Delete(id int32) error {
 		return fmt.Errorf("core: id %d is already deleted", id)
 	}
 	p := ix.data.Row(int(row))
-	if err := ix.pidx.Delete(ix.proj.Project(p), id); err != nil {
+	if err := ix.tree.Delete(ix.proj.Project(p), id); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	if err := ix.data.Delete(int(row)); err != nil {
@@ -833,51 +746,27 @@ func (ix *Index) compactLocked() error {
 		rowOf[id] = int32(j)
 	}
 
+	var tr *pmtree.Tree
 	if live == 0 {
 		// Nothing left: reset to an empty tree. A pivot-less PM-tree (a
 		// plain M-tree) is the only option without data to pick pivots
 		// from; the next Compact with live points re-selects them.
-		if ix.cfg.UseRTree {
-			rt, err := rtree.New(ix.cfg.M, rtree.Config{Capacity: ix.cfg.Capacity})
-			if err != nil {
-				return err
-			}
-			ix.pidx, ix.tree = rtAdapter{rt}, nil
-		} else {
-			tr, err := pmtree.New(ix.cfg.M, pmtree.Config{Capacity: ix.cfg.Capacity})
-			if err != nil {
-				return err
-			}
-			ix.pidx, ix.tree = pmAdapter{tr}, tr
-		}
-		ix.data, ix.rowOf = fresh, rowOf
-		ix.sampleDistanceDistribution()
-		ix.compactions++
-		return nil
-	}
-
-	projected, err := ix.proj.ProjectStore(fresh)
-	if err != nil {
-		return err
-	}
-	if ix.cfg.UseRTree {
-		rt, err := rtree.BuildFromStore(projected, ids, rtree.Config{Capacity: ix.cfg.Capacity})
-		if err != nil {
+		tr, err = pmtree.New(ix.cfg.M, pmtree.Config{Capacity: ix.cfg.Capacity})
+	} else {
+		var projected *store.Store
+		if projected, err = ix.proj.ProjectStore(fresh); err != nil {
 			return err
 		}
-		ix.pidx, ix.tree = rtAdapter{rt}, nil
-	} else {
-		tr, err := pmtree.BuildFromStore(projected, ids, pmtree.Config{
+		tr, err = pmtree.BuildFromStore(projected, ids, pmtree.Config{
 			Capacity:  ix.cfg.Capacity,
 			NumPivots: ix.cfg.NumPivots,
 			PivotSeed: ix.cfg.Seed + 1,
 		})
-		if err != nil {
-			return err
-		}
-		ix.pidx, ix.tree = pmAdapter{tr}, tr
 	}
-	ix.data, ix.rowOf = fresh, rowOf
+	if err != nil {
+		return err
+	}
+	ix.tree, ix.data, ix.rowOf = tr, fresh, rowOf
 	ix.sampleDistanceDistribution()
 	ix.compactions++
 	return nil
@@ -994,16 +883,16 @@ func (ix *Index) Dead() int {
 // tree's buffer — the entries a tree traversal scans with the batched
 // distance kernel rather than one row at a time. It is 1 after Build,
 // Load and Compact and decays as Insert and Delete touch leaves (which
-// only small-radius queries pay for: a Search scans the buffer). Backends
-// without a PM-tree (R-tree ablation, Jaccard) and an empty tree
-// report 1: nothing there is off the fast path.
+// only small-radius queries pay for: a Search scans the buffer). The
+// Jaccard backend (no PM-tree) and an empty tree report 1: nothing
+// there is off the fast path.
 func (ix *Index) LeafRunFraction() float64 {
 	if ix.metric == metric.Jaccard {
 		return 1
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if ix.tree == nil || ix.tree.Len() == 0 {
+	if ix.tree.Len() == 0 {
 		return 1
 	}
 	return float64(ix.tree.RunEntries()) / float64(ix.tree.Len())
@@ -1049,8 +938,8 @@ func (ix *Index) M() int { return ix.cfg.M }
 // T returns the confidence-interval multiplier t.
 func (ix *Index) T() float64 { return ix.t }
 
-// Tree exposes the underlying PM-tree (for the cost model and tests).
-// It returns nil when the index was built with UseRTree. Compact
+// Tree exposes the underlying PM-tree (for the cost model and tests);
+// nil under the Jaccard metric, whose backend has none. Compact
 // replaces the tree, so hold the result only while no mutations run.
 func (ix *Index) Tree() *pmtree.Tree {
 	ix.mu.RLock()
@@ -1060,22 +949,6 @@ func (ix *Index) Tree() *pmtree.Tree {
 
 // Project maps a point into the projected space.
 func (ix *Index) Project(q []float64) []float64 { return ix.proj.Project(q) }
-
-// KNN answers a (c,k)-ANN query with the paper's default ratio when
-// c <= 0 (DefaultC). Results are sorted by distance. It is a shim over
-// Search and answers element-wise identically to it.
-func (ix *Index) KNN(q []float64, k int, c float64) ([]Result, error) {
-	return ix.Search(context.Background(), q, k, SearchOptions{C: c})
-}
-
-// KNNWithStats is KNN plus per-query work statistics — a shim over
-// Search with SearchOptions.Stats set. Every field, ProjectedDistComps
-// included, is exact for this query.
-func (ix *Index) KNNWithStats(q []float64, k int, c float64) ([]Result, QueryStats, error) {
-	var st QueryStats
-	res, err := ix.Search(context.Background(), q, k, SearchOptions{C: c, Stats: &st})
-	return res, st, err
-}
 
 // projectInto projects q into the scratch's reusable buffer.
 func (ix *Index) projectInto(sc *queryScratch, q []float64) []float64 {
@@ -1207,13 +1080,6 @@ func (sc *queryScratch) sortEmit() {
 	}
 }
 
-// KNNBatch answers many (c,k)-ANN queries concurrently — a shim over
-// SearchBatch; out[i] holds the neighbors of qs[i], identical to KNN
-// per query.
-func (ix *Index) KNNBatch(qs [][]float64, k int, c float64) ([][]Result, error) {
-	return ix.SearchBatch(context.Background(), qs, k, SearchOptions{C: c})
-}
-
 // smallestPositiveDistance returns the smallest non-zero sampled
 // distance (fallback for datasets dominated by duplicates).
 func (ix *Index) smallestPositiveDistance() float64 {
@@ -1236,17 +1102,4 @@ func insertCandidate(cand []Result, r Result, k int) []Result {
 // (cand and radius in the same units — squared distances here).
 func kthWithin(cand []Result, k int, radius float64) bool {
 	return len(cand) >= k && cand[k-1].Dist <= radius
-}
-
-// BallCover is Algorithm 1: the (r,c)-BC query. It returns the nearest
-// candidate within B(q, c·r), or nil when the query proves (with the
-// scheme's constant probability) that B(q, r) is empty. It is a shim
-// over SearchBall and answers identically to it — except that, unlike
-// the options surface (where c <= 0 selects DefaultC), BallCover keeps
-// its original contract and rejects non-positive ratios.
-func (ix *Index) BallCover(q []float64, r, c float64) (*Result, error) {
-	if c <= 0 {
-		return nil, fmt.Errorf("core: approximation ratio c must exceed 1, got %v", c)
-	}
-	return ix.SearchBall(context.Background(), q, r, SearchOptions{C: c})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -116,10 +117,10 @@ func TestDeriveParams(t *testing.T) {
 func TestKNNValidation(t *testing.T) {
 	data := randData(50, 6, 3)
 	ix, _ := Build(data, Config{})
-	if _, err := ix.KNN([]float64{1}, 5, 1.5); err == nil {
+	if _, err := ix.Search(context.Background(), []float64{1}, 5, SearchOptions{C: 1.5}); err == nil {
 		t.Error("dim mismatch should fail")
 	}
-	if _, err := ix.KNN(data[0], 0, 1.5); err == nil {
+	if _, err := ix.Search(context.Background(), data[0], 0, SearchOptions{C: 1.5}); err == nil {
 		t.Error("k=0 should fail")
 	}
 }
@@ -128,7 +129,7 @@ func TestKNNFindsSelf(t *testing.T) {
 	data := randData(500, 16, 4)
 	ix, _ := Build(data, Config{Seed: 9})
 	for i := 0; i < 20; i++ {
-		res, err := ix.KNN(data[i*7], 1, 1.5)
+		res, err := ix.Search(context.Background(), data[i*7], 1, SearchOptions{C: 1.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +184,7 @@ func TestKNNQualityOnClusteredData(t *testing.T) {
 		for j := range q {
 			q[j] += rng.NormFloat64() * 0.5
 		}
-		got, err := ix.KNN(q, k, 1.5)
+		got, err := ix.Search(context.Background(), q, k, SearchOptions{C: 1.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +234,7 @@ func TestKNNResultsSortedUnique(t *testing.T) {
 		for j := range q {
 			q[j] = rng.NormFloat64() * 10
 		}
-		res, err := ix.KNN(q, 20, 1.5)
+		res, err := ix.Search(context.Background(), q, 20, SearchOptions{C: 1.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +258,8 @@ func TestKNNStats(t *testing.T) {
 	data := randData(1500, 16, 9)
 	ix, _ := Build(data, Config{Seed: 4})
 	q := randData(1, 16, 99)[0]
-	res, st, err := ix.KNNWithStats(q, 10, 1.5)
+	var st QueryStats
+	res, err := ix.Search(context.Background(), q, 10, SearchOptions{C: 1.5, Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +289,8 @@ func TestKNNSublinearProbing(t *testing.T) {
 	ix, _ := Build(data, Config{Seed: 5})
 	params, _ := ix.DeriveParams(1.5)
 	q := randData(1, 20, 100)[0]
-	_, st, err := ix.KNNWithStats(q, 5, 1.5)
+	var st QueryStats
+	_, err := ix.Search(context.Background(), q, 5, SearchOptions{C: 1.5, Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +304,7 @@ func TestKNNSublinearProbing(t *testing.T) {
 func TestKNNMoreThanDataset(t *testing.T) {
 	data := randData(20, 8, 11)
 	ix, _ := Build(data, Config{Seed: 1})
-	res, err := ix.KNN(data[0], 50, 1.5)
+	res, err := ix.Search(context.Background(), data[0], 50, SearchOptions{C: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,16 +322,16 @@ func TestBallCover(t *testing.T) {
 	q := vec.Clone(data[17])
 
 	// Radius validation.
-	if _, err := ix.BallCover(q, 0, 2); err == nil {
+	if _, err := ix.SearchBall(context.Background(), q, 0, SearchOptions{C: 2}); err == nil {
 		t.Error("r=0 should fail")
 	}
-	if _, err := ix.BallCover([]float64{1}, 1, 2); err == nil {
+	if _, err := ix.SearchBall(context.Background(), []float64{1}, 1, SearchOptions{C: 2}); err == nil {
 		t.Error("dim mismatch should fail")
 	}
 
 	// A ball centred on a data point with any radius must return it (or
 	// something at most c·r away).
-	res, err := ix.BallCover(q, 1.0, 2)
+	res, err := ix.SearchBall(context.Background(), q, 1.0, SearchOptions{C: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +347,7 @@ func TestBallCover(t *testing.T) {
 	for i := range far {
 		far[i] = 1e6
 	}
-	res, err = ix.BallCover(far, 1e-6, 2)
+	res, err = ix.SearchBall(context.Background(), far, 1e-6, SearchOptions{C: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,8 +361,8 @@ func TestDeterministicBuilds(t *testing.T) {
 	ix1, _ := Build(data, Config{Seed: 42})
 	ix2, _ := Build(data, Config{Seed: 42})
 	q := randData(1, 10, 7)[0]
-	r1, _ := ix1.KNN(q, 5, 1.5)
-	r2, _ := ix2.KNN(q, 5, 1.5)
+	r1, _ := ix1.Search(context.Background(), q, 5, SearchOptions{C: 1.5})
+	r2, _ := ix2.Search(context.Background(), q, 5, SearchOptions{C: 1.5})
 	if len(r1) != len(r2) {
 		t.Fatal("different result counts")
 	}
@@ -376,47 +379,6 @@ func TestProjectRoundTrip(t *testing.T) {
 	p := ix.Project(data[0])
 	if len(p) != ix.M() {
 		t.Errorf("projection length %d, want %d", len(p), ix.M())
-	}
-}
-
-func TestRLSHVariant(t *testing.T) {
-	// The R-LSH ablation: same Algorithm 2 over an R-tree. It must
-	// return results of comparable quality (the paper's Table 4 shows
-	// R-LSH slightly behind PM-LSH on time but similar accuracy).
-	data := clusteredData(1500, 20, 8, 15)
-	rlsh, err := Build(data, Config{Seed: 3, UseRTree: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rlsh.Tree() != nil {
-		t.Error("R-LSH index should have no PM-tree")
-	}
-	pmlsh, _ := Build(data, Config{Seed: 3})
-	rng := rand.New(rand.NewSource(16))
-	const k = 10
-	for qi := 0; qi < 10; qi++ {
-		q := vec.Clone(data[rng.Intn(len(data))])
-		for j := range q {
-			q[j] += rng.NormFloat64() * 0.3
-		}
-		a, err := rlsh.KNN(q, k, 1.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := pmlsh.KNN(q, k, 1.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != k || len(b) != k {
-			t.Fatalf("result sizes %d/%d", len(a), len(b))
-		}
-		// Same projections, same radii ⇒ identical candidate sets up to
-		// tree traversal order; the returned top-k must coincide.
-		for i := range a {
-			if a[i].ID != b[i].ID {
-				t.Fatalf("query %d pos %d: R-LSH %d vs PM-LSH %d", qi, i, a[i].ID, b[i].ID)
-			}
-		}
 	}
 }
 
@@ -440,7 +402,7 @@ func TestInsert(t *testing.T) {
 	}
 	// Every inserted point must be findable as its own NN.
 	for i := 400; i < 500; i += 10 {
-		res, err := ix.KNN(data[i], 1, 1.5)
+		res, err := ix.Search(context.Background(), data[i], 1, SearchOptions{C: 1.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,11 +436,11 @@ func TestInsertEquivalentQuality(t *testing.T) {
 		for j := range q {
 			q[j] += rng.NormFloat64() * 0.3
 		}
-		a, err := batch.KNN(q, k, 1.5)
+		a, err := batch.Search(context.Background(), q, k, SearchOptions{C: 1.5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := incr.KNN(q, k, 1.5)
+		b, err := incr.Search(context.Background(), q, k, SearchOptions{C: 1.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,7 +475,7 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 	sequential := make([][]Result, len(queries))
 	for i, q := range queries {
-		res, err := ix.KNN(q, 5, 1.5)
+		res, err := ix.Search(context.Background(), q, 5, SearchOptions{C: 1.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -526,7 +488,7 @@ func TestConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			parallel[i], errs[i] = ix.KNN(queries[i], 5, 1.5)
+			parallel[i], errs[i] = ix.Search(context.Background(), queries[i], 5, SearchOptions{C: 1.5})
 		}(i)
 	}
 	wg.Wait()
@@ -560,7 +522,7 @@ func TestDuplicateHeavyDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ix.KNN([]float64{1, 1, 1, 1}, 5, 1.5)
+	res, err := ix.Search(context.Background(), []float64{1, 1, 1, 1}, 5, SearchOptions{C: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}

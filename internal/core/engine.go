@@ -197,17 +197,15 @@ func streamSizeHint(ix *Index) int {
 	m, dim := ix.cfg.M, ix.dim
 	size := 256 + 8*(m*dim+len(ix.distCDF)+len(ix.data.Flat())+3*dim) +
 		4*(len(ix.data.FreeList())+len(ix.rowOf))
-	if ix.tree != nil {
-		s := ix.tree.NumPivots()
-		size += 8 * s * m
-		ix.tree.Walk(func(n pmtree.NodeInfo) {
-			entry := 8 * (m + 2 + 2*s) // routing: center, radius, parent distance, rings
-			if n.Leaf {
-				entry = 4 + 8*(m+1+s) // id, point, parent and pivot distances
-			}
-			size += 5 + n.NumEntries*entry
-		})
-	}
+	s := ix.tree.NumPivots()
+	size += 8 * s * m
+	ix.tree.Walk(func(n pmtree.NodeInfo) {
+		entry := 8 * (m + 2 + 2*s) // routing: center, radius, parent distance, rings
+		if n.Leaf {
+			entry = 4 + 8*(m+1+s) // id, point, parent and pivot distances
+		}
+		size += 5 + n.NumEntries*entry
+	})
 	return size
 }
 

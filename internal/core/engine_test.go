@@ -215,7 +215,7 @@ func TestEngineShardedBallCover(t *testing.T) {
 	}
 	for i := 0; i < 40; i++ {
 		q := data[i*37%len(data)]
-		res, err := e.BallCover(q, 1.0, 2)
+		res, err := e.SearchBall(context.Background(), q, 1.0, SearchOptions{C: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -511,8 +511,8 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := e.SearchPairs(ctx, 0, SearchOptions{}); err == nil {
 		t.Fatal("k=0 pairs should fail")
 	}
-	if _, err := e.BallCover(data[0], 1, 0); err == nil {
-		t.Fatal("c=0 ball cover should fail")
+	if _, err := e.SearchBall(ctx, data[0], 1, SearchOptions{C: 0.5}); err == nil {
+		t.Fatal("c=0.5 ball cover should fail")
 	}
 	// Batch error at N>1 returns nil results (satellite contract).
 	qs := [][]float64{data[0], bad, data[1]}

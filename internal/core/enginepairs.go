@@ -87,11 +87,6 @@ func (e *Engine) cpSetupSharded(k int, o SearchOptions, pins []*half) (*cpSharde
 	if e.metric == metric.InnerProduct {
 		return nil, fmt.Errorf("core: closest-pair queries are not defined for the inner-product metric (pair \"distance\" would mix both norms)")
 	}
-	for _, h := range pins {
-		if h.ix.tree == nil {
-			return nil, fmt.Errorf("core: ClosestPairs requires the PM-tree index (not the R-tree ablation)")
-		}
-	}
 	if k <= 0 {
 		return nil, fmt.Errorf("core: k must be positive, got %d", k)
 	}

@@ -242,13 +242,3 @@ func (e *Engine) SearchBall(ctx context.Context, q []float64, r float64, o Searc
 	}
 	return best, nil
 }
-
-// BallCover is the fixed-signature (r,c)-BC shim (see
-// Index.BallCover): identical to SearchBall except that non-positive
-// ratios are rejected instead of defaulted.
-func (e *Engine) BallCover(q []float64, r, c float64) (*Result, error) {
-	if c <= 0 {
-		return nil, fmt.Errorf("core: approximation ratio c must exceed 1, got %v", c)
-	}
-	return e.SearchBall(context.Background(), q, r, SearchOptions{C: c})
-}

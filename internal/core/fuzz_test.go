@@ -1,50 +1,79 @@
 package core
 
 // Native fuzz target for index deserialization: corrupt or truncated
-// v1–v6 streams must produce an error, never a panic or an
-// unbounded allocation. The seed corpus (testdata/fuzz/FuzzLoad plus
-// the f.Add seeds below) contains genuine v1–v5 streams — including a
-// churned v3 with tombstones and retired ids, a quantized v4 with a
-// codec section, and sharded PLS5 containers — and
-// truncated/bit-flipped variants the fuzzer mutates further.
+// streams must produce an error, never a panic or an unbounded
+// allocation. The seed corpus (testdata/fuzz/FuzzLoad, and the same
+// set built in-process by fuzzStreams) holds one genuine stream per
+// layout that can still occur — PLS4 plain, churned mid-free-list and
+// i8-quantized, a sharded PLS5 container, PLS6 envelopes for cosine,
+// inner product and Jaccard — plus the inputs Load must refuse: one
+// stream per retired magic (testdata keeps real PLS1–PLS3 bytes from
+// the releases that wrote them) and one with the R-tree flag set. The
+// fuzzer mutates all of them, and their truncations and bit flips,
+// further.
 //
 // Run with: go test -fuzz=FuzzLoad -fuzztime=10s ./internal/core
+// After a layout change: go test -run TestFuzzLoadCorpus -update-fuzz-corpus ./internal/core
 
 import (
 	"bytes"
 	"context"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/metric"
 	"repro/internal/store"
 )
 
-// fuzzStreams builds one small index per format version (plus a
-// churned v3) and returns their encodings.
-func fuzzStreams(tb testing.TB) [][]byte {
+var updateFuzzCorpus = flag.Bool("update-fuzz-corpus", false,
+	"rewrite testdata/fuzz/FuzzLoad from fuzzStreams")
+
+// treeFlagOff is where a PLS4 stream keeps its tree flag: after the
+// magic and the fixed-size config block.
+const treeFlagOff = 4 + 3*4 + 8 + 8 + 4 + 2*8 + 8
+
+type fuzzStream struct {
+	name string
+	data []byte
+	// reject marks a stream Load must refuse. retired marks the ones it
+	// refuses at the magic, whatever follows, so the in-process bytes
+	// and the on-disk seed (genuine PLS1–PLS3 bytes) need not agree.
+	reject, retired bool
+}
+
+// fuzzStreams builds one small index per layout that can still occur
+// and returns their encodings, followed by the must-reject streams.
+func fuzzStreams(tb testing.TB) []fuzzStream {
 	data := clusteredData(16, 3, 2, 7)
-	ix, err := Build(data, Config{M: 3, NumPivots: 2, Seed: 7, DistSampleSize: 16})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var out [][]byte
-	for version := 1; version <= 4; version++ {
-		var buf bytes.Buffer
-		if err := ix.encode(&buf, version); err != nil {
+	base := Config{M: 3, NumPivots: 2, Seed: 7, DistSampleSize: 16}
+	var out []fuzzStream
+	add := func(name string, w io.WriterTo, err error) []byte {
+		tb.Helper()
+		if err != nil {
 			tb.Fatal(err)
 		}
-		out = append(out, buf.Bytes())
+		var buf bytes.Buffer
+		if _, err := w.WriteTo(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, fuzzStream{name: name, data: buf.Bytes()})
+		return buf.Bytes()
 	}
-	quantized, err := Build(data, Config{M: 3, NumPivots: 2, Seed: 7, DistSampleSize: 16, Quantize: store.QuantI8})
-	if err != nil {
-		tb.Fatal(err)
+	with := func(mod func(*Config)) Config {
+		cfg := base
+		mod(&cfg)
+		return cfg
 	}
-	var qbuf bytes.Buffer
-	if _, err := quantized.WriteTo(&qbuf); err != nil {
-		tb.Fatal(err)
-	}
-	out = append(out, qbuf.Bytes())
-	churned, err := Build(data, Config{M: 3, NumPivots: 2, Seed: 7, DistSampleSize: 16, AutoCompactFraction: -1})
+
+	plainIx, err := Build(data, base)
+	plain := add("pls4-plain", plainIx, err)
+	// Tombstones with the free list half drained: three deletes, one
+	// insert that recycles the last freed slot.
+	churned, err := Build(data, with(func(c *Config) { c.AutoCompactFraction = -1 }))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -53,71 +82,82 @@ func fuzzStreams(tb testing.TB) [][]byte {
 			tb.Fatal(err)
 		}
 	}
-	if _, err := churned.Insert(data[2]); err != nil {
-		tb.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := churned.WriteTo(&buf); err != nil {
-		tb.Fatal(err)
-	}
-	out = append(out, buf.Bytes())
+	_, err = churned.Insert(data[2])
+	add("pls4-churned", churned, err)
+	quantized, err := Build(data, with(func(c *Config) { c.Quantize = store.QuantI8 }))
+	add("pls4-i8", quantized, err)
 	// Sharded PLS5 containers: shard boundaries, per-shard length
-	// prefixes and the inner-stream framing are all attack surface.
-	for _, shards := range []int{2, 3} {
-		eng, err := BuildEngine(data, Config{M: 3, NumPivots: 2, Seed: 7, DistSampleSize: 16, Shards: shards})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if err := eng.Delete(3); err != nil {
-			tb.Fatal(err)
-		}
-		var ebuf bytes.Buffer
-		if _, err := eng.WriteTo(&ebuf); err != nil {
-			tb.Fatal(err)
-		}
-		out = append(out, ebuf.Bytes())
+	// prefixes and the inner-stream framing are all attack surface —
+	// over bare PLS4 shards and over PLS6 ones.
+	eng, err := BuildEngine(data, with(func(c *Config) { c.Shards = 2 }))
+	if err == nil {
+		err = eng.Delete(3)
 	}
+	add("pls5-2shards", eng, err)
+	ceng, err := BuildEngine(data, with(func(c *Config) { c.Shards = 2; c.Metric = metric.Cosine }))
+	add("pls5-2shards-cosine", ceng, err)
 	// PLS6 metric-tagged envelopes: the metric byte, the MIP scale
-	// field, and the MinHash PMH1 stream are new attack surface.
-	for _, mk := range []metric.Kind{metric.Cosine, metric.InnerProduct} {
-		mix, err := Build(data, Config{M: 3, NumPivots: 2, Seed: 7, DistSampleSize: 16, Metric: mk})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		var mbuf bytes.Buffer
-		if _, err := mix.WriteTo(&mbuf); err != nil {
-			tb.Fatal(err)
-		}
-		out = append(out, mbuf.Bytes())
-	}
+	// field, and the MinHash PMH1 stream.
+	cos, err := Build(data, with(func(c *Config) { c.Metric = metric.Cosine }))
+	add("pls6-cosine", cos, err)
+	mip, err := Build(data, with(func(c *Config) { c.Metric = metric.InnerProduct }))
+	add("pls6-ip", mip, err)
 	sets := make([][]uint64, 12)
 	for i := range sets {
 		sets[i] = []uint64{uint64(i), uint64(i + 1), uint64(2*i + 7), 1 << 20}
 	}
-	six, err := BuildSets(sets, Config{Metric: metric.Jaccard, Seed: 7, MinHashBands: 4, MinHashRows: 2})
-	if err != nil {
-		tb.Fatal(err)
+	jac, err := BuildSets(sets, Config{Metric: metric.Jaccard, Seed: 7, MinHashBands: 4, MinHashRows: 2})
+	add("pls6-jaccard", jac, err)
+
+	// Must-reject: the retired magics and the R-tree flag.
+	for _, v := range []byte{'1', '2', '3'} {
+		s := append([]byte(nil), plain...)
+		s[3] = v
+		out = append(out, fuzzStream{name: fmt.Sprintf("v%c-valid", v), data: s, reject: true, retired: true})
 	}
-	var sbuf bytes.Buffer
-	if _, err := six.WriteTo(&sbuf); err != nil {
-		tb.Fatal(err)
-	}
-	out = append(out, sbuf.Bytes())
-	// A PLS5 container whose shards are PLS6 cosine streams.
-	ceng, err := BuildEngine(data, Config{M: 3, NumPivots: 2, Seed: 7, DistSampleSize: 16, Shards: 2, Metric: metric.Cosine})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var cbuf bytes.Buffer
-	if _, err := ceng.WriteTo(&cbuf); err != nil {
-		tb.Fatal(err)
-	}
-	out = append(out, cbuf.Bytes())
+	flagged := append([]byte(nil), plain...)
+	flagged[treeFlagOff] = 1
+	out = append(out, fuzzStream{name: "pls4-rtree-flag", data: flagged, reject: true})
 	return out
 }
 
+// TestFuzzLoadCorpus keeps the checked-in seed corpus equal to what the
+// code writes today, so the fuzzer always starts from streams that can
+// occur, and pins the must-reject seeds as rejected.
+func TestFuzzLoadCorpus(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzLoad")
+	streams := fuzzStreams(t)
+	for _, s := range streams {
+		path := filepath.Join(dir, s.name)
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s.data)
+		if *updateFuzzCorpus && !s.retired {
+			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.retired && string(got) != want {
+			t.Errorf("%s is stale; regenerate with -update-fuzz-corpus", path)
+		}
+		if _, err := LoadEngine(bytes.NewReader(s.data)); (err != nil) != s.reject {
+			t.Errorf("%s: LoadEngine error %v, must reject: %v", s.name, err, s.reject)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(streams) {
+		t.Errorf("%s holds %d seeds, fuzzStreams builds %d", dir, len(entries), len(streams))
+	}
+}
+
 func FuzzLoad(f *testing.F) {
-	for _, s := range fuzzStreams(f) {
+	for _, fs := range fuzzStreams(f) {
+		s := fs.data
 		f.Add(s)
 		f.Add(s[:len(s)/2]) // truncated body
 		f.Add(s[:11])       // truncated header
@@ -135,11 +175,14 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte{'P', 'L', 'S', '6', 0, 'P', 'L'}) // l2 never uses the envelope
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		// LoadEngine accepts every on-disk shape — bare PLS1–PLS4
-		// streams, sharded PLS5 containers and PLS6 envelopes alike.
+		// LoadEngine accepts every on-disk shape — bare PLS4 streams,
+		// sharded PLS5 containers and PLS6 envelopes alike.
 		eng, err := LoadEngine(bytes.NewReader(stream))
 		if err != nil {
 			return
+		}
+		if len(stream) >= 4 && stream[0] == 'P' && stream[1] == 'L' && stream[2] == 'S' && stream[3] >= '1' && stream[3] <= '3' {
+			t.Fatalf("retired format %q loaded", stream[:4])
 		}
 		// A stream that loads must yield a queryable engine. The zero
 		// vector has no direction, so the reduced metrics get a query

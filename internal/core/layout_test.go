@@ -139,7 +139,6 @@ func TestStreamSizeHint(t *testing.T) {
 	for _, cfg := range []Config{
 		{Seed: 3},
 		{Seed: 3, ExplicitZeroPivots: true, Capacity: 6},
-		{Seed: 3, UseRTree: true},
 	} {
 		ix, err := Build(randData(700, 20, 31), cfg)
 		if err != nil {

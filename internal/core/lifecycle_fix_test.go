@@ -42,7 +42,7 @@ func TestPutScratchShedsOversizedBuffers(t *testing.T) {
 	}
 
 	// A query after shedding still works (buffers regrow on demand).
-	if _, err := ix.KNN(data[0], 5, 1.5); err != nil {
+	if _, err := ix.Search(context.Background(), data[0], 5, SearchOptions{C: 1.5}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestDeleteLifecycle(t *testing.T) {
 	// No query path may surface a dead id.
 	for trial := 0; trial < 10; trial++ {
 		q := data[rng.Intn(len(data))]
-		res, err := ix.KNN(q, 20, 1.5)
+		res, err := ix.Search(context.Background(), q, 20, SearchOptions{C: 1.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func TestDeleteLifecycle(t *testing.T) {
 			}
 		}
 	}
-	pairs, err := ix.ClosestPairs(15, 1.5)
+	pairs, err := ix.SearchPairs(context.Background(), 15, SearchOptions{C: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestDeleteLifecycle(t *testing.T) {
 			t.Fatalf("ClosestPairs returned deleted id: %+v", p)
 		}
 	}
-	if nb, err := ix.BallCover(data[0], 100, 1.5); err != nil {
+	if nb, err := ix.SearchBall(context.Background(), data[0], 100, SearchOptions{C: 1.5}); err != nil {
 		t.Fatal(err)
 	} else if nb != nil && dead[nb.ID] {
 		t.Fatalf("BallCover returned deleted id %d", nb.ID)
@@ -90,57 +91,54 @@ func TestDeleteLifecycle(t *testing.T) {
 	}
 }
 
-// Compact preserves ids and exact answers over the live set, and works
-// for both tree variants.
+// Compact preserves ids and exact answers over the live set.
 func TestCompactPreservesAnswers(t *testing.T) {
-	for _, useRTree := range []bool{false, true} {
-		data := clusteredData(400, 8, 4, 93)
-		ix, err := Build(data, Config{Seed: 94, UseRTree: useRTree, AutoCompactFraction: -1})
-		if err != nil {
+	data := clusteredData(400, 8, 4, 93)
+	ix, err := Build(data, Config{Seed: 94, AutoCompactFraction: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(95))
+	for _, id := range rng.Perm(400)[:160] {
+		if err := ix.Delete(int32(id)); err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(95))
-		for _, id := range rng.Perm(400)[:160] {
-			if err := ix.Delete(int32(id)); err != nil {
-				t.Fatal(err)
-			}
+	}
+	before := map[int32]bool{}
+	q := data[7]
+	res, err := ix.Search(context.Background(), q, 10, SearchOptions{C: 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		before[r.ID] = true
+	}
+	if err := ix.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if ix.Len() != 400 || ix.LiveLen() != 240 {
+		t.Fatalf("post-compact: Len=%d LiveLen=%d", ix.Len(), ix.LiveLen())
+	}
+	if got := ix.data.Len(); got != 240 {
+		t.Fatalf("compacted store holds %d slots, want 240", got)
+	}
+	res, err = ix.Search(context.Background(), q, 10, SearchOptions{C: 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		// Ids survive compaction and still resolve to the same
+		// vectors (exact distance check).
+		if want := vec.L2(q, data[r.ID]); want != r.Dist {
+			t.Fatalf("id %d: dist %v, vector says %v", r.ID, r.Dist, want)
 		}
-		before := map[int32]bool{}
-		q := data[7]
-		res, err := ix.KNN(q, 10, 1.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range res {
-			before[r.ID] = true
-		}
-		if err := ix.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		if ix.Len() != 400 || ix.LiveLen() != 240 {
-			t.Fatalf("useRTree=%v post-compact: Len=%d LiveLen=%d", useRTree, ix.Len(), ix.LiveLen())
-		}
-		if got := ix.data.Len(); got != 240 {
-			t.Fatalf("useRTree=%v: compacted store holds %d slots, want 240", useRTree, got)
-		}
-		res, err = ix.KNN(q, 10, 1.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range res {
-			// Ids survive compaction and still resolve to the same
-			// vectors (exact distance check).
-			if want := vec.L2(q, data[r.ID]); want != r.Dist {
-				t.Fatalf("useRTree=%v id %d: dist %v, vector says %v", useRTree, r.ID, r.Dist, want)
-			}
-		}
-		// Mutations keep working after compaction.
-		if id, err := ix.Insert(data[1]); err != nil || id != 400 {
-			t.Fatalf("useRTree=%v insert after compact: id=%d err=%v", useRTree, id, err)
-		}
-		if err := ix.Delete(400); err != nil {
-			t.Fatalf("useRTree=%v delete after compact: %v", useRTree, err)
-		}
+	}
+	// Mutations keep working after compaction.
+	if id, err := ix.Insert(data[1]); err != nil || id != 400 {
+		t.Fatalf("insert after compact: id=%d err=%v", id, err)
+	}
+	if err := ix.Delete(400); err != nil {
+		t.Fatalf("delete after compact: %v", err)
 	}
 }
 
@@ -188,10 +186,10 @@ func TestDeleteAllThenRebuild(t *testing.T) {
 	if ix.LiveLen() != 0 {
 		t.Fatalf("LiveLen=%d after deleting all", ix.LiveLen())
 	}
-	if res, err := ix.KNN(data[0], 5, 1.5); err != nil || len(res) != 0 {
+	if res, err := ix.Search(context.Background(), data[0], 5, SearchOptions{C: 1.5}); err != nil || len(res) != 0 {
 		t.Fatalf("KNN over empty live set: res=%v err=%v", res, err)
 	}
-	if pairs, err := ix.ClosestPairs(3, 1.5); err != nil || len(pairs) != 0 {
+	if pairs, err := ix.SearchPairs(context.Background(), 3, SearchOptions{C: 1.5}); err != nil || len(pairs) != 0 {
 		t.Fatalf("ClosestPairs over empty live set: %v %v", pairs, err)
 	}
 	if err := ix.Compact(); err != nil {
@@ -206,7 +204,7 @@ func TestDeleteAllThenRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := ix.KNN(data[3], 5, 1.5)
+	res, err := ix.Search(context.Background(), data[3], 5, SearchOptions{C: 1.5})
 	if err != nil || len(res) != 5 {
 		t.Fatalf("refill query: %d results err=%v", len(res), err)
 	}

@@ -20,14 +20,11 @@ import (
 // SearchPairs take a context plus a SearchOptions value carrying the
 // per-query tuning the paper parameterizes per query (the ratio c and
 // the α1 that derive T and β of Eq. 10), a result filter, a
-// verification-budget override and a stats sink. The legacy
-// fixed-signature methods (KNN, KNNWithStats, KNNBatch, BallCover,
-// ClosestPairs, ClosestPairsWithStats, ClosestPairsParallel) are thin
-// shims over these entry points and answer element-wise identically.
+// verification-budget override and a stats sink.
 
 // SearchOptions carries one query's request parameters. The zero value
-// reproduces the legacy defaults: ratio DefaultC, build-time α1, no
-// filter, the derived βn+k verification budget, no statistics.
+// selects the defaults: ratio DefaultC, build-time α1, no filter, the
+// derived βn+k verification budget, no statistics.
 type SearchOptions struct {
 	// C is the approximation ratio; <= 0 selects DefaultC. Values in
 	// (0, 1] are rejected.
@@ -70,7 +67,7 @@ type SearchOptions struct {
 
 // ctxErr reports the context's cancellation state. A nil context is
 // tolerated (never cancels) purely as defense in depth — every
-// internal caller, the legacy shims included, passes a real context.
+// internal caller passes a real context.
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil
@@ -231,9 +228,8 @@ func (ix *Index) searchLocked(ctx context.Context, q []float64, k int, o SearchO
 
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	qp := ix.projectInto(sc, q)
-	en, err := ix.pidx.resetEnum(sc, qp)
-	if err != nil {
+	en := &sc.pmEnum
+	if err := en.Reset(ix.tree, ix.projectInto(sc, q)); err != nil {
 		return nil, err
 	}
 
@@ -497,9 +493,8 @@ func (ix *Index) SearchBall(ctx context.Context, q []float64, r float64, o Searc
 	// distances with it — is unchanged.
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	qp := ix.projectInto(sc, q)
-	en, err := ix.pidx.resetEnum(sc, qp)
-	if err != nil {
+	en := &sc.pmEnum
+	if err := en.Reset(ix.tree, ix.projectInto(sc, q)); err != nil {
 		return nil, err
 	}
 	sc.emit = sc.emit[:0]

@@ -14,151 +14,9 @@ import (
 )
 
 // This file tests the unified request API at the engine level: the
-// legacy fixed-signature methods must be exact shims over the
-// options-driven Search entry points, the per-query options (filter,
-// budget, α1) must behave as documented, cancellation must stop work,
-// and per-query statistics must stay exact under concurrency.
-
-// TestLegacyShimsMatchSearch pins the shim contract: across random
-// configurations (both backends, churned indexes), KNN / KNNWithStats /
-// KNNBatch / BallCover answer element-wise identically to Search /
-// SearchBatch / SearchBall with matching options, statistics included.
-func TestLegacyShimsMatchSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(541))
-	for trial := 0; trial < 12; trial++ {
-		ix, data := randomStreamIndex(t, rng)
-		ctx := context.Background()
-		for qi := 0; qi < 6; qi++ {
-			q := data[rng.Intn(len(data))]
-			k := []int{1, 5, 20}[qi%3]
-			c := []float64{1.2, 1.5, 2.0}[qi%3]
-
-			want, wantSt, err := ix.KNNWithStats(q, k, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var gotSt QueryStats
-			got, err := ix.Search(ctx, q, k, SearchOptions{C: c, Stats: &gotSt})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("trial %d q%d: Search returned %d results, KNNWithStats %d",
-					trial, qi, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d q%d: result %d = %+v, want %+v", trial, qi, i, got[i], want[i])
-				}
-			}
-			if gotSt != wantSt {
-				t.Fatalf("trial %d q%d: stats %+v, want %+v", trial, qi, gotSt, wantSt)
-			}
-
-			r := 0.1 + rng.Float64()*8
-			wantBC, err := ix.BallCover(q, r, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotBC, err := ix.SearchBall(ctx, q, r, SearchOptions{C: c})
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch {
-			case (gotBC == nil) != (wantBC == nil):
-				t.Fatalf("trial %d q%d: SearchBall %v, BallCover %v", trial, qi, gotBC, wantBC)
-			case gotBC != nil && *gotBC != *wantBC:
-				t.Fatalf("trial %d q%d: SearchBall %+v, BallCover %+v", trial, qi, *gotBC, *wantBC)
-			}
-		}
-
-		batch := make([][]float64, 8)
-		for i := range batch {
-			batch[i] = data[rng.Intn(len(data))]
-		}
-		want, err := ix.KNNBatch(batch, 5, 1.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ix.SearchBatch(ctx, batch, 5, SearchOptions{C: 1.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if len(got[i]) != len(want[i]) {
-				t.Fatalf("trial %d: batch query %d lengths differ", trial, i)
-			}
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("trial %d: batch query %d result %d differs", trial, i, j)
-				}
-			}
-		}
-	}
-}
-
-// TestClosestPairShimsMatchSearchPairs pins the pair-query shims:
-// ClosestPairs / ClosestPairsWithStats / ClosestPairsParallel equal
-// SearchPairs with matching options, statistics included — and the
-// parallel engine now reports statistics too.
-func TestClosestPairShimsMatchSearchPairs(t *testing.T) {
-	rng := rand.New(rand.NewSource(542))
-	for trial := 0; trial < 8; trial++ {
-		ix, _ := randomStreamIndex(t, rng)
-		if ix.tree == nil { // R-tree ablation: both must error identically
-			_, err1 := ix.ClosestPairs(3, 1.5)
-			_, err2 := ix.SearchPairs(context.Background(), 3, SearchOptions{C: 1.5})
-			if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
-				t.Fatalf("trial %d: R-tree errors diverge: %v vs %v", trial, err1, err2)
-			}
-			continue
-		}
-		k := 1 + rng.Intn(8)
-		c := []float64{1.3, 1.5, 2.0}[trial%3]
-		want, wantSt, err := ix.ClosestPairsWithStats(k, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var gotSt CPStats
-		got, err := ix.SearchPairs(context.Background(), k, SearchOptions{C: c, PairStats: &gotSt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d pairs vs %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: pair %d = %+v, want %+v", trial, i, got[i], want[i])
-			}
-		}
-		if gotSt != wantSt {
-			t.Fatalf("trial %d: stats %+v, want %+v", trial, gotSt, wantSt)
-		}
-
-		wantPar, err := ix.ClosestPairsParallel(k, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var parSt CPStats
-		gotPar, err := ix.SearchPairs(context.Background(), k,
-			SearchOptions{C: c, Parallel: true, PairStats: &parSt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gotPar) != len(wantPar) {
-			t.Fatalf("trial %d: parallel %d pairs vs %d", trial, len(gotPar), len(wantPar))
-		}
-		for i := range gotPar {
-			if gotPar[i] != wantPar[i] {
-				t.Fatalf("trial %d: parallel pair %d = %+v, want %+v", trial, i, gotPar[i], wantPar[i])
-			}
-		}
-		if len(gotPar) > 0 && (parSt.Verified == 0 || parSt.ProjectedDistComps == 0 || parSt.Rounds == 0) {
-			t.Fatalf("trial %d: parallel stats not filled: %+v", trial, parSt)
-		}
-	}
-}
+// per-query options (filter, budget, α1) must behave as documented,
+// cancellation must stop work, and per-query statistics must stay
+// exact under concurrency.
 
 // filteredBruteKNN is the filtered exact oracle: the k nearest live
 // admitted points.
@@ -365,13 +223,11 @@ func TestSearchCancellation(t *testing.T) {
 	if _, err := ix.SearchBall(ctx, q, 1, SearchOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SearchBall under canceled ctx: %v", err)
 	}
-	if ix.tree != nil {
-		if _, err := ix.SearchPairs(ctx, 5, SearchOptions{}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("SearchPairs under canceled ctx: %v", err)
-		}
-		if _, err := ix.SearchPairs(ctx, 5, SearchOptions{Parallel: true}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallel SearchPairs under canceled ctx: %v", err)
-		}
+	if _, err := ix.SearchPairs(ctx, 5, SearchOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SearchPairs under canceled ctx: %v", err)
+	}
+	if _, err := ix.SearchPairs(ctx, 5, SearchOptions{Parallel: true}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("parallel SearchPairs under canceled ctx: %v", err)
 	}
 
 	// The index answers normally afterwards (pooled scratch not wedged).
@@ -464,20 +320,23 @@ func TestSearchAlpha1Option(t *testing.T) {
 	}
 }
 
-// TestBallCoverRejectsNonPositiveRatio pins the legacy contract: the
-// BallCover shim still errors on c <= 0, even though the options
-// surface (SearchBall) defaults a non-positive ratio to DefaultC.
-func TestBallCoverRejectsNonPositiveRatio(t *testing.T) {
+// TestSearchBallDefaultsNonPositiveRatio: the options surface treats a
+// non-positive ratio as unset and falls back to DefaultC.
+func TestSearchBallDefaultsNonPositiveRatio(t *testing.T) {
 	rng := rand.New(rand.NewSource(551))
 	ix, data := randomStreamIndex(t, rng)
-	if _, err := ix.BallCover(data[0], 1, 0); err == nil {
-		t.Fatal("BallCover with c = 0 should error")
-	}
-	if _, err := ix.BallCover(data[0], 1, -1.5); err == nil {
-		t.Fatal("BallCover with negative c should error")
-	}
-	if res, err := ix.SearchBall(context.Background(), data[0], 1, SearchOptions{C: 0}); err != nil {
-		t.Fatalf("SearchBall with C = 0 must default, got %v (res %v)", err, res)
+	for _, c := range []float64{0, -1.5} {
+		want, err := ix.SearchBall(context.Background(), data[0], 1, SearchOptions{C: DefaultC})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ix.SearchBall(context.Background(), data[0], 1, SearchOptions{C: c})
+		if err != nil {
+			t.Fatalf("SearchBall with C = %v must default, got %v", c, err)
+		}
+		if (got == nil) != (want == nil) || (got != nil && *got != *want) {
+			t.Fatalf("SearchBall with C = %v answered %v, DefaultC answers %v", c, got, want)
+		}
 	}
 }
 

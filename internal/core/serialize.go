@@ -11,7 +11,6 @@ import (
 	"repro/internal/metric"
 	"repro/internal/minhash"
 	"repro/internal/pmtree"
-	"repro/internal/rtree"
 	"repro/internal/stats"
 	"repro/internal/store"
 )
@@ -21,29 +20,34 @@ import (
 //	magic "PLS4"
 //	config: m u32 | pivots u32 | capacity u32 | alpha1 f64 | seed i64 |
 //	        sampleSize u32 | rminShrink f64 | beta f64 |
-//	        autoCompact f64 (v3) | useRTree u8
-//	dim u32 | slots u32 | nextID u32 (v3)
+//	        autoCompact f64 | tree flag u8 (always 0)
+//	dim u32 | slots u32 | nextID u32
 //	projection rows (m × dim f64)
 //	distCDF length u32 + values
 //	data (slots × dim f64, the store's flat buffer verbatim —
 //	tombstoned rows keep their last values)
-//	free list (v3): u32 count + count × i32 slots, in push order
-//	rowOf (v3): nextID × i32 (id → slot, -1 = deleted)
-//	quantize (v4): kind u8; then for i8: off + scale (dim × f64 each);
+//	free list: u32 count + count × i32 slots, in push order
+//	rowOf: nextID × i32 (id → slot, -1 = deleted)
+//	quantize: kind u8; then for i8: off + scale (dim × f64 each);
 //	for f32 and i8: slack (dim × f64)
-//	PM-tree stream (absent when useRTree: the R-tree is rebuilt from
-//	the stored projections on load, which is cheap relative to I/O)
+//	PM-tree stream
 //
-// Version 3 adds the mutation-lifecycle state: the tombstone free list
-// and the id → row indirection, so an index saved mid-churn loads with
-// the same live set, the same retired ids, and the same slot-recycling
-// order for future Inserts. Version 4 adds the quantized-screening
-// codec: only the per-dimension parameters travel — the codes are
-// re-derived deterministically from the stored rows on load
-// (store.RestoreCodec), reproducing bit-identical screen bounds at a
-// cost of 8·dim·3 bytes instead of a full code matrix. Versions 1–3
-// still load (with Quantize = none). A loaded index answers queries
+// The free list and the id → row indirection carry the
+// mutation-lifecycle state, so an index saved mid-churn loads with the
+// same live set, the same retired ids, and the same slot-recycling
+// order for future Inserts. Of the quantized-screening codec only the
+// per-dimension parameters travel — the codes are re-derived
+// deterministically from the stored rows on load (store.RestoreCodec),
+// reproducing bit-identical screen bounds at a cost of 8·dim·3 bytes
+// instead of a full code matrix. A loaded index answers queries
 // identically to the saved one.
+//
+// The tree flag once selected an R-tree over the projections (flag 1,
+// no tree stream); that backend is no longer served, the byte stays so
+// PLS4 streams keep their layout, and Load rejects any non-zero value.
+// PLS1–PLS3, the layouts before churn state and the codec, are retired:
+// nothing has written them since PLS4 and Load names the version in its
+// error.
 
 // Version 6 ("PLS6") is the metric-tagged container for non-L2
 // indexes:
@@ -56,12 +60,9 @@ import (
 //	"PMH1" stream (internal/minhash) for Jaccard.
 //
 // L2 indexes keep writing the bare PLS4 stream, byte-identical to
-// every earlier release; v1–v5 streams load as L2. An unknown metric
-// tag is a hard error, never a panic.
+// every earlier release; PLS4 and PLS5 streams load as L2. An unknown
+// metric tag is a hard error, never a panic.
 var plsMagic = [4]byte{'P', 'L', 'S', '4'}
-var plsMagicV3 = [4]byte{'P', 'L', 'S', '3'}
-var plsMagicV2 = [4]byte{'P', 'L', 'S', '2'}
-var plsMagicV1 = [4]byte{'P', 'L', 'S', '1'}
 var pls6Magic = [4]byte{'P', 'L', 'S', '6'}
 
 // WriteTo serializes the index. It implements io.WriterTo. It takes
@@ -75,7 +76,7 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	defer ix.mu.RUnlock()
 	bw := bufio.NewWriterSize(w, 1<<20)
 	cw := &countingWriter{w: bw}
-	if err := ix.encode(cw, 4); err != nil {
+	if err := ix.encode(cw); err != nil {
 		return cw.n, err
 	}
 	if err := bw.Flush(); err != nil {
@@ -106,7 +107,7 @@ func (ix *Index) writeToPLS6(w io.Writer) (int64, error) {
 			}
 		}
 		ix.mu.RLock()
-		err := ix.encode(cw, 4)
+		err := ix.encode(cw)
 		ix.mu.RUnlock()
 		if err != nil {
 			return cw.n, err
@@ -118,34 +119,12 @@ func (ix *Index) writeToPLS6(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// encode writes the stream at the given format version. WriteTo always
-// writes the current version; the legacy layouts exist so back-compat
-// tests (and fuzz corpora) exercise Load against genuine v1/v2 bytes.
-// Legacy versions cannot represent churn state.
-func (ix *Index) encode(w io.Writer, version int) error {
-	magic := plsMagic
-	switch version {
-	case 1:
-		magic = plsMagicV1
-	case 2:
-		magic = plsMagicV2
-	case 3:
-		magic = plsMagicV3
-	}
-	if version < 3 && (ix.data.Live() != ix.data.Len() || len(ix.rowOf) != ix.data.Len()) {
-		return fmt.Errorf("core: format v%d cannot represent tombstones or retired ids", version)
-	}
-	if version < 4 && ix.data.Quantize() != store.QuantNone {
-		return fmt.Errorf("core: format v%d cannot represent a quantized codec", version)
-	}
-	if _, err := w.Write(magic[:]); err != nil {
+// encode writes the PLS4 stream.
+func (ix *Index) encode(w io.Writer) error {
+	if _, err := w.Write(plsMagic[:]); err != nil {
 		return fmt.Errorf("core: write magic: %w", err)
 	}
 	cfg := ix.cfg
-	useRTree := byte(0)
-	if cfg.UseRTree {
-		useRTree = 1
-	}
 	ints := []uint32{uint32(cfg.M), uint32(cfg.NumPivots), uint32(cfg.Capacity)}
 	if err := binary.Write(w, binary.LittleEndian, ints); err != nil {
 		return fmt.Errorf("core: write config ints: %w", err)
@@ -162,21 +141,17 @@ func (ix *Index) encode(w io.Writer, version int) error {
 	if err := binary.Write(w, binary.LittleEndian, []float64{cfg.RMinShrink, cfg.Beta}); err != nil {
 		return fmt.Errorf("core: write float config: %w", err)
 	}
-	if version >= 3 {
-		if err := binary.Write(w, binary.LittleEndian, cfg.AutoCompactFraction); err != nil {
-			return fmt.Errorf("core: write auto-compact fraction: %w", err)
-		}
+	if err := binary.Write(w, binary.LittleEndian, cfg.AutoCompactFraction); err != nil {
+		return fmt.Errorf("core: write auto-compact fraction: %w", err)
 	}
-	if _, err := w.Write([]byte{useRTree}); err != nil {
+	if _, err := w.Write([]byte{0}); err != nil {
 		return fmt.Errorf("core: write tree flag: %w", err)
 	}
 	if err := binary.Write(w, binary.LittleEndian, []uint32{uint32(ix.dim), uint32(ix.data.Len())}); err != nil {
 		return fmt.Errorf("core: write shape: %w", err)
 	}
-	if version >= 3 {
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(ix.rowOf))); err != nil {
-			return fmt.Errorf("core: write id space: %w", err)
-		}
+	if err := binary.Write(w, binary.LittleEndian, uint32(len(ix.rowOf))); err != nil {
+		return fmt.Errorf("core: write id space: %w", err)
 	}
 	for i := 0; i < ix.cfg.M; i++ {
 		if err := binary.Write(w, binary.LittleEndian, ix.proj.Row(i)); err != nil {
@@ -195,46 +170,40 @@ func (ix *Index) encode(w io.Writer, version int) error {
 	if err := writeFloat64s(w, ix.data.Flat()); err != nil {
 		return fmt.Errorf("core: write data: %w", err)
 	}
-	if version >= 3 {
-		free := ix.data.FreeList()
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(free))); err != nil {
-			return fmt.Errorf("core: write free-list length: %w", err)
-		}
-		if len(free) > 0 {
-			if err := binary.Write(w, binary.LittleEndian, free); err != nil {
-				return fmt.Errorf("core: write free list: %w", err)
-			}
-		}
-		if len(ix.rowOf) > 0 {
-			if err := binary.Write(w, binary.LittleEndian, ix.rowOf); err != nil {
-				return fmt.Errorf("core: write row map: %w", err)
-			}
+	free := ix.data.FreeList()
+	if err := binary.Write(w, binary.LittleEndian, uint32(len(free))); err != nil {
+		return fmt.Errorf("core: write free-list length: %w", err)
+	}
+	if len(free) > 0 {
+		if err := binary.Write(w, binary.LittleEndian, free); err != nil {
+			return fmt.Errorf("core: write free list: %w", err)
 		}
 	}
-	if version >= 4 {
-		kind := ix.data.Quantize()
-		if _, err := w.Write([]byte{byte(kind)}); err != nil {
-			return fmt.Errorf("core: write quantize kind: %w", err)
-		}
-		if c := ix.data.Codec(); c != nil {
-			off, scale, slack := c.Params()
-			if kind == store.QuantI8 {
-				if err := writeFloat64s(w, off); err != nil {
-					return fmt.Errorf("core: write codec offsets: %w", err)
-				}
-				if err := writeFloat64s(w, scale); err != nil {
-					return fmt.Errorf("core: write codec scales: %w", err)
-				}
-			}
-			if err := writeFloat64s(w, slack); err != nil {
-				return fmt.Errorf("core: write codec slack: %w", err)
-			}
+	if len(ix.rowOf) > 0 {
+		if err := binary.Write(w, binary.LittleEndian, ix.rowOf); err != nil {
+			return fmt.Errorf("core: write row map: %w", err)
 		}
 	}
-	if !cfg.UseRTree {
-		if _, err := ix.tree.WriteTo(w); err != nil {
-			return fmt.Errorf("core: write tree: %w", err)
+	kind := ix.data.Quantize()
+	if _, err := w.Write([]byte{byte(kind)}); err != nil {
+		return fmt.Errorf("core: write quantize kind: %w", err)
+	}
+	if c := ix.data.Codec(); c != nil {
+		off, scale, slack := c.Params()
+		if kind == store.QuantI8 {
+			if err := writeFloat64s(w, off); err != nil {
+				return fmt.Errorf("core: write codec offsets: %w", err)
+			}
+			if err := writeFloat64s(w, scale); err != nil {
+				return fmt.Errorf("core: write codec scales: %w", err)
+			}
 		}
+		if err := writeFloat64s(w, slack); err != nil {
+			return fmt.Errorf("core: write codec slack: %w", err)
+		}
+	}
+	if _, err := ix.tree.WriteTo(w); err != nil {
+		return fmt.Errorf("core: write tree: %w", err)
 	}
 	return nil
 }
@@ -251,20 +220,15 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("core: read magic: %w", err)
 	}
-	version := 4
 	switch magic {
 	case plsMagic:
-	case plsMagicV3:
-		version = 3
-	case plsMagicV2:
-		version = 2
-	case plsMagicV1:
-		version = 1
 	case pls6Magic:
 		if inner {
 			return nil, fmt.Errorf("core: nested PLS6 envelope")
 		}
 		return loadPLS6(br)
+	case [4]byte{'P', 'L', 'S', '1'}, [4]byte{'P', 'L', 'S', '2'}, [4]byte{'P', 'L', 'S', '3'}:
+		return nil, fmt.Errorf("core: snapshot format %s is retired (nothing has written it since PLS4); rebuild the index from its data", magic[:])
 	default:
 		return nil, fmt.Errorf("core: bad magic %q", magic)
 	}
@@ -291,42 +255,32 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 		return nil, fmt.Errorf("core: read float config: %w", err)
 	}
 	cfg.RMinShrink, cfg.Beta = fl[0], fl[1]
-	if version >= 3 {
-		if err := binary.Read(br, binary.LittleEndian, &cfg.AutoCompactFraction); err != nil {
-			return nil, fmt.Errorf("core: read auto-compact fraction: %w", err)
-		}
-		if math.IsNaN(cfg.AutoCompactFraction) || cfg.AutoCompactFraction > 1 {
-			return nil, fmt.Errorf("core: corrupt auto-compact fraction %v", cfg.AutoCompactFraction)
-		}
-	} else {
-		cfg.AutoCompactFraction = DefaultAutoCompactFraction
+	if err := binary.Read(br, binary.LittleEndian, &cfg.AutoCompactFraction); err != nil {
+		return nil, fmt.Errorf("core: read auto-compact fraction: %w", err)
 	}
-	var treeFlag [1]byte
-	if _, err := io.ReadFull(br, treeFlag[:]); err != nil {
+	if math.IsNaN(cfg.AutoCompactFraction) || cfg.AutoCompactFraction > 1 {
+		return nil, fmt.Errorf("core: corrupt auto-compact fraction %v", cfg.AutoCompactFraction)
+	}
+	treeFlag, err := br.ReadByte()
+	if err != nil {
 		return nil, fmt.Errorf("core: read tree flag: %w", err)
 	}
-	cfg.UseRTree = treeFlag[0] == 1
+	switch treeFlag {
+	case 0:
+	case 1:
+		return nil, fmt.Errorf("core: snapshot of an R-tree index (tree flag 1): that backend is no longer served; rebuild the index from its data")
+	default:
+		return nil, fmt.Errorf("core: corrupt tree flag %d", treeFlag)
+	}
 
-	shape := make([]uint32, 2)
+	shape := make([]uint32, 3)
 	if err := binary.Read(br, binary.LittleEndian, shape); err != nil {
 		return nil, fmt.Errorf("core: read shape: %w", err)
 	}
-	dim, n := int(shape[0]), int(shape[1])
-	idSpace := n
-	if version >= 3 {
-		var ids uint32
-		if err := binary.Read(br, binary.LittleEndian, &ids); err != nil {
-			return nil, fmt.Errorf("core: read id space: %w", err)
-		}
-		idSpace = int(ids)
-	}
-	// v3 streams may hold zero slots (an index compacted after deleting
-	// every point); earlier versions always hold at least one row.
-	minN := 1
-	if version >= 3 {
-		minN = 0
-	}
-	if cfg.M < 1 || dim < 1 || n < minN || cfg.Alpha1 <= 0 || cfg.Alpha1 >= 1 {
+	// A stream may hold zero slots (an index compacted after deleting
+	// every point).
+	dim, n, idSpace := int(shape[0]), int(shape[1]), int(shape[2])
+	if cfg.M < 1 || dim < 1 || cfg.Alpha1 <= 0 || cfg.Alpha1 >= 1 {
 		return nil, fmt.Errorf("core: corrupt header (m=%d dim=%d n=%d α1=%v)", cfg.M, dim, n, cfg.Alpha1)
 	}
 	// Plausibility bounds before header fields size allocations: a
@@ -376,159 +330,106 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	// Churn state: free list (tombstones) and the id → row map. Legacy
-	// streams predate mutations, so their map is the identity.
+	// Churn state: free list (tombstones) and the id → row map.
 	rowOf := make([]int32, idSpace)
-	if version >= 3 {
-		var freeLen uint32
-		if err := binary.Read(br, binary.LittleEndian, &freeLen); err != nil {
-			return nil, fmt.Errorf("core: read free-list length: %w", err)
-		}
-		if int(freeLen) > n {
-			return nil, fmt.Errorf("core: free list of %d slots exceeds %d rows", freeLen, n)
-		}
-		if freeLen > 0 {
-			free := make([]int32, freeLen)
-			if err := binary.Read(br, binary.LittleEndian, free); err != nil {
-				return nil, fmt.Errorf("core: read free list: %w", err)
-			}
-			// RestoreFreeList rejects out-of-range and duplicate slots.
-			if err := data.RestoreFreeList(free); err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-		}
-		if idSpace > 0 {
-			if err := binary.Read(br, binary.LittleEndian, rowOf); err != nil {
-				return nil, fmt.Errorf("core: read row map: %w", err)
-			}
-		}
-		// The map must be a bijection between live ids and live rows:
-		// every mapped row in range, live, and mapped only once; the
-		// mapped count then pins down full coverage.
-		rowSeen := make([]bool, n)
-		mapped := 0
-		for id, row := range rowOf {
-			if row < 0 {
-				continue
-			}
-			if int(row) >= n || !data.IsLive(int(row)) {
-				return nil, fmt.Errorf("core: id %d maps to invalid row %d", id, row)
-			}
-			if rowSeen[row] {
-				return nil, fmt.Errorf("core: row %d mapped by more than one id", row)
-			}
-			rowSeen[row] = true
-			mapped++
-		}
-		if mapped != data.Live() {
-			return nil, fmt.Errorf("core: row map covers %d rows, store has %d live", mapped, data.Live())
-		}
-	} else {
-		for i := range rowOf {
-			rowOf[i] = int32(i)
-		}
+	var freeLen uint32
+	if err := binary.Read(br, binary.LittleEndian, &freeLen); err != nil {
+		return nil, fmt.Errorf("core: read free-list length: %w", err)
 	}
-	live := data.Live()
-
-	// Quantized-screening codec (v4): re-derive the codes from the rows
-	// just loaded under the persisted per-dimension parameters.
-	// RestoreCodec validates the kind and parameter shapes.
-	if version >= 4 {
-		var qb [1]byte
-		if _, err := io.ReadFull(br, qb[:]); err != nil {
-			return nil, fmt.Errorf("core: read quantize kind: %w", err)
+	if int(freeLen) > n {
+		return nil, fmt.Errorf("core: free list of %d slots exceeds %d rows", freeLen, n)
+	}
+	if freeLen > 0 {
+		free := make([]int32, freeLen)
+		if err := binary.Read(br, binary.LittleEndian, free); err != nil {
+			return nil, fmt.Errorf("core: read free list: %w", err)
 		}
-		kind := store.QuantKind(qb[0])
-		var off, scale, slack []float64
-		switch kind {
-		case store.QuantNone:
-		case store.QuantF32, store.QuantI8:
-			if kind == store.QuantI8 {
-				if off, err = readFloat64s(br, dim); err != nil {
-					return nil, fmt.Errorf("core: read codec offsets: %w", err)
-				}
-				if scale, err = readFloat64s(br, dim); err != nil {
-					return nil, fmt.Errorf("core: read codec scales: %w", err)
-				}
-			}
-			if slack, err = readFloat64s(br, dim); err != nil {
-				return nil, fmt.Errorf("core: read codec slack: %w", err)
-			}
-		default:
-			return nil, fmt.Errorf("core: unknown quantize kind %d", kind)
-		}
-		if err := data.RestoreCodec(kind, off, scale, slack); err != nil {
+		// RestoreFreeList rejects out-of-range and duplicate slots.
+		if err := data.RestoreFreeList(free); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		cfg.Quantize = kind
+	}
+	if idSpace > 0 {
+		if err := binary.Read(br, binary.LittleEndian, rowOf); err != nil {
+			return nil, fmt.Errorf("core: read row map: %w", err)
+		}
+	}
+	// The map must be a bijection between live ids and live rows: every
+	// mapped row in range, live, and mapped only once; the mapped count
+	// then pins down full coverage.
+	rowSeen := make([]bool, n)
+	mapped := 0
+	for id, row := range rowOf {
+		if row < 0 {
+			continue
+		}
+		if int(row) >= n || !data.IsLive(int(row)) {
+			return nil, fmt.Errorf("core: id %d maps to invalid row %d", id, row)
+		}
+		if rowSeen[row] {
+			return nil, fmt.Errorf("core: row %d mapped by more than one id", row)
+		}
+		rowSeen[row] = true
+		mapped++
+	}
+	live := data.Live()
+	if mapped != live {
+		return nil, fmt.Errorf("core: row map covers %d rows, store has %d live", mapped, live)
 	}
 
-	// identityMap: the common no-churn layout (every legacy stream, and
-	// any v3 stream saved before its first Delete).
-	identityMap := live == n && idSpace == n
-	for i := 0; identityMap && i < n; i++ {
-		identityMap = rowOf[i] == int32(i)
+	// Quantized-screening codec: re-derive the codes from the rows just
+	// loaded under the persisted per-dimension parameters. RestoreCodec
+	// validates the kind and parameter shapes.
+	qb, err := br.ReadByte()
+	if err != nil {
+		return nil, fmt.Errorf("core: read quantize kind: %w", err)
 	}
+	kind := store.QuantKind(qb)
+	var off, scale, slack []float64
+	switch kind {
+	case store.QuantNone:
+	case store.QuantF32, store.QuantI8:
+		if kind == store.QuantI8 {
+			if off, err = readFloat64s(br, dim); err != nil {
+				return nil, fmt.Errorf("core: read codec offsets: %w", err)
+			}
+			if scale, err = readFloat64s(br, dim); err != nil {
+				return nil, fmt.Errorf("core: read codec scales: %w", err)
+			}
+		}
+		if slack, err = readFloat64s(br, dim); err != nil {
+			return nil, fmt.Errorf("core: read codec slack: %w", err)
+		}
+	default:
+		return nil, fmt.Errorf("core: unknown quantize kind %d", kind)
+	}
+	if err := data.RestoreCodec(kind, off, scale, slack); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	cfg.Quantize = kind
 
-	var pidx projectedIndex
-	var tree *pmtree.Tree
-	if cfg.UseRTree {
-		if identityMap && n > 0 {
-			// Bulk path: one projection pass, store adopted wholesale —
-			// byte-for-byte the pre-churn load (Project and ProjectStore
-			// share ProjectTo, so geometry is identical either way).
-			projected, err := proj.ProjectStore(data)
-			if err != nil {
-				return nil, fmt.Errorf("core: rebuild R-tree: %w", err)
-			}
-			rt, err := rtree.BuildFromStore(projected, nil, rtree.Config{Capacity: cfg.Capacity})
-			if err != nil {
-				return nil, fmt.Errorf("core: rebuild R-tree: %w", err)
-			}
-			pidx = rtAdapter{rt}
-		} else {
-			// Churned stream: re-project the live rows one by one,
-			// inserting in id order (the order the saved index grew in).
-			rt, err := rtree.New(cfg.M, rtree.Config{Capacity: cfg.Capacity})
-			if err != nil {
-				return nil, fmt.Errorf("core: rebuild R-tree: %w", err)
-			}
-			for id, row := range rowOf {
-				if row < 0 {
-					continue
-				}
-				if err := rt.Insert(proj.Project(data.Row(int(row))), int32(id)); err != nil {
-					return nil, fmt.Errorf("core: rebuild R-tree: %w", err)
-				}
-			}
-			pidx = rtAdapter{rt}
+	tree, err := pmtree.Read(br)
+	if err != nil {
+		return nil, fmt.Errorf("core: read tree: %w", err)
+	}
+	if tree.Len() != live || tree.Dim() != cfg.M {
+		return nil, fmt.Errorf("core: tree shape %d×%d does not match index %d×%d",
+			tree.Len(), tree.Dim(), live, cfg.M)
+	}
+	// The tree's leaf ids must be exactly the live ids, each once — a
+	// corrupt stream mapping a leaf to a retired or out-of-range id would
+	// otherwise panic at query time instead of erroring here.
+	idSeen := make([]bool, idSpace)
+	badID := false
+	tree.WalkIDs(func(id int32) {
+		if id < 0 || int(id) >= idSpace || rowOf[id] < 0 || idSeen[id] {
+			badID = true
+			return
 		}
-	} else {
-		tree, err = pmtree.Read(br)
-		if err != nil {
-			return nil, fmt.Errorf("core: read tree: %w", err)
-		}
-		if tree.Len() != live || tree.Dim() != cfg.M {
-			return nil, fmt.Errorf("core: tree shape %d×%d does not match index %d×%d",
-				tree.Len(), tree.Dim(), live, cfg.M)
-		}
-		// The tree's leaf ids must be exactly the live ids, each once —
-		// a corrupt stream mapping a leaf to a retired or out-of-range
-		// id would otherwise panic at query time instead of erroring
-		// here.
-		idSeen := make([]bool, idSpace)
-		badID := false
-		tree.WalkIDs(func(id int32) {
-			if id < 0 || int(id) >= idSpace || rowOf[id] < 0 || idSeen[id] {
-				badID = true
-				return
-			}
-			idSeen[id] = true
-		})
-		if badID {
-			return nil, fmt.Errorf("core: tree leaf ids do not match the live id set")
-		}
-		pidx = pmAdapter{tree}
+		idSeen[id] = true
+	})
+	if badID {
+		return nil, fmt.Errorf("core: tree leaf ids do not match the live id set")
 	}
 
 	chi := stats.ChiSquared{K: cfg.M}
@@ -545,7 +446,6 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 		cfg:     cfg,
 		data:    data,
 		proj:    proj,
-		pidx:    pidx,
 		tree:    tree,
 		dim:     dim,
 		ndim:    dim, // loadPLS6 adjusts for reduced metrics

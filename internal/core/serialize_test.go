@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/pmtree"
@@ -41,11 +43,11 @@ func TestIndexSerializeRoundTrip(t *testing.T) {
 		for j := range q {
 			q[j] = rng.NormFloat64() * 15
 		}
-		a, err := orig.KNN(q, 8, 1.5)
+		a, err := orig.Search(context.Background(), q, 8, SearchOptions{C: 1.5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := loaded.KNN(q, 8, 1.5)
+		b, err := loaded.Search(context.Background(), q, 8, SearchOptions{C: 1.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,29 +68,6 @@ func TestIndexSerializeRoundTrip(t *testing.T) {
 	}
 	if id != 800 {
 		t.Errorf("insert after load assigned id %d", id)
-	}
-}
-
-func TestIndexSerializeRTreeVariant(t *testing.T) {
-	data := clusteredData(400, 12, 4, 61)
-	orig, _ := Build(data, Config{Seed: 21, UseRTree: true})
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Tree() != nil {
-		t.Error("R-LSH load should have no PM-tree")
-	}
-	a, _ := orig.KNN(data[3], 5, 1.5)
-	b, _ := loaded.KNN(data[3], 5, 1.5)
-	for i := range a {
-		if a[i].ID != b[i].ID {
-			t.Fatal("R-LSH round trip changed results")
-		}
 	}
 }
 
@@ -128,74 +107,32 @@ func TestLoadRejectsCorruptStreams(t *testing.T) {
 	if _, err := Load(bytes.NewReader(raw[:len(raw)/3])); err == nil {
 		t.Error("truncated stream accepted")
 	}
-}
 
-// Streams written before the mutation-lifecycle layout carry the
-// "PLS1"/"PLS2" magics and no churn state; Load must accept them and
-// answer identically (with an identity id map).
-func TestLoadAcceptsLegacyVersions(t *testing.T) {
-	data := clusteredData(400, 12, 4, 61)
-	orig, err := Build(data, Config{Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, version := range []int{1, 2, 3} {
-		var buf bytes.Buffer
-		if err := orig.encode(&buf, version); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Load(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("v%d stream rejected: %v", version, err)
-		}
-		if loaded.Len() != orig.Len() || loaded.LiveLen() != orig.LiveLen() {
-			t.Fatalf("v%d shape mismatch", version)
-		}
-		q := make([]float64, 12)
-		a, err := orig.KNN(q, 5, 1.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := loaded.KNN(q, 5, 1.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			if a[i] != c[i] {
-				t.Fatalf("v%d-loaded index diverged at result %d", version, i)
-			}
+	// The retired layouts are refused by name, not as an unknown magic.
+	for _, v := range []byte{'1', '2', '3'} {
+		bad := append([]byte(nil), raw...)
+		bad[3] = v
+		_, err := Load(bytes.NewReader(bad))
+		if err == nil || !strings.Contains(err.Error(), "PLS"+string(v)) || strings.Contains(err.Error(), "bad magic") {
+			t.Errorf("PLS%c stream: got %v, want an error naming the retired version", v, err)
 		}
 	}
-}
 
-// Legacy formats cannot represent churn state; the legacy encoder must
-// refuse rather than drop tombstones silently.
-func TestLegacyEncodeRejectsChurnState(t *testing.T) {
-	data := clusteredData(100, 8, 3, 64)
-	ix, err := Build(data, Config{Seed: 24, AutoCompactFraction: -1})
-	if err != nil {
-		t.Fatal(err)
+	// The tree flag (treeFlagOff, fuzz_test.go): 0 is the only value
+	// ever served. 1 once meant an R-tree index, the rest are corruption
+	// that used to load as a PM-tree index.
+	if raw[treeFlagOff] != 0 {
+		t.Fatalf("tree flag byte is %d, want 0", raw[treeFlagOff])
 	}
-	if err := ix.Delete(5); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ix.encode(&buf, 2); err == nil {
-		t.Fatal("v2 encode of a tombstoned index should fail")
-	}
-}
-
-// Pre-quantization formats cannot represent the codec; the legacy
-// encoder must refuse rather than silently drop it.
-func TestLegacyEncodeRejectsQuantized(t *testing.T) {
-	data := clusteredData(100, 8, 3, 640)
-	ix, err := Build(data, Config{Seed: 29, Quantize: store.QuantI8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ix.encode(&buf, 3); err == nil {
-		t.Fatal("v3 encode of a quantized index should fail")
+	for _, flag := range []byte{1, 2, 255} {
+		bad := append([]byte(nil), raw...)
+		bad[treeFlagOff] = flag
+		_, err := Load(bytes.NewReader(bad))
+		if err == nil {
+			t.Errorf("tree flag %d accepted", flag)
+		} else if flag == 1 && !strings.Contains(err.Error(), "R-tree") {
+			t.Errorf("tree flag 1: error %q does not say R-tree snapshots are no longer served", err)
+		}
 	}
 }
 
@@ -266,11 +203,12 @@ func TestSerializeQuantizedRoundTrip(t *testing.T) {
 				for j := range q {
 					q[j] = rng.NormFloat64() * 20
 				}
-				ra, err := ix.KNN(q, 8, 1.5)
+				ra, err := ix.Search(context.Background(), q, 8, SearchOptions{C: 1.5})
 				if err != nil {
 					t.Fatal(err)
 				}
-				rb, st, err := loaded.KNNWithStats(q, 8, 1.5)
+				var st QueryStats
+				rb, err := loaded.Search(context.Background(), q, 8, SearchOptions{C: 1.5, Stats: &st})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -296,123 +234,119 @@ func TestSerializeQuantizedRoundTrip(t *testing.T) {
 // dead, and — because the free list is persisted in order — recycles
 // storage slots for post-load Inserts exactly like the saved index.
 func TestSerializeRoundTripDeleteHeavy(t *testing.T) {
-	for _, useRTree := range []bool{false, true} {
-		data := clusteredData(600, 12, 5, 65)
-		ix, err := Build(data, Config{Seed: 25, UseRTree: useRTree, AutoCompactFraction: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(66))
-		// Interleaved churn: delete 40%, re-insert a handful.
-		for _, id := range rng.Perm(600)[:240] {
-			if err := ix.Delete(int32(id)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 40; i++ {
-			if _, err := ix.Insert(data[rng.Intn(len(data))]); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		compare := func(label string, a, b *Index) {
-			t.Helper()
-			if a.Len() != b.Len() || a.LiveLen() != b.LiveLen() {
-				t.Fatalf("%s: shape %d/%d vs %d/%d", label, a.Len(), a.LiveLen(), b.Len(), b.LiveLen())
-			}
-			qrng := rand.New(rand.NewSource(67))
-			for trial := 0; trial < 10; trial++ {
-				q := make([]float64, 12)
-				for j := range q {
-					q[j] = qrng.NormFloat64() * 12
-				}
-				ra, err := a.KNN(q, 9, 1.5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rb, err := b.KNN(q, 9, 1.5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(ra) != len(rb) {
-					t.Fatalf("%s trial %d: %d vs %d results", label, trial, len(ra), len(rb))
-				}
-				for i := range ra {
-					if ra[i] != rb[i] {
-						t.Fatalf("%s trial %d rank %d: %+v vs %+v", label, trial, i, ra[i], rb[i])
-					}
-				}
-			}
-			if !useRTree {
-				pa, err := a.ClosestPairs(6, 1.5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pb, err := b.ClosestPairs(6, 1.5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(pa) != len(pb) {
-					t.Fatalf("%s: pair counts %d vs %d", label, len(pa), len(pb))
-				}
-				for i := range pa {
-					if pa[i] != pb[i] {
-						t.Fatalf("%s pair %d: %+v vs %+v", label, i, pa[i], pb[i])
-					}
-				}
-			}
-			// Deleted ids stay rejected after the round trip.
-			var deadID int32 = -1
-			for id, row := range a.rowOf {
-				if row < 0 {
-					deadID = int32(id)
-					break
-				}
-			}
-			if deadID >= 0 {
-				if err := b.Delete(deadID); err == nil {
-					t.Fatalf("%s: loaded index re-deleted retired id %d", label, deadID)
-				}
-			}
-			// Post-load inserts assign the same ids and recycle the same
-			// storage slots.
-			pa, err := a.Insert(data[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			pb, err := b.Insert(data[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pa != pb || a.rowOf[pa] != b.rowOf[pb] {
-				t.Fatalf("%s: post-load insert diverged: id %d row %d vs id %d row %d",
-					label, pa, a.rowOf[pa], pb, b.rowOf[pb])
-			}
-		}
-
-		var buf bytes.Buffer
-		if _, err := ix.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Load(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compare("pre-compact", ix, loaded)
-
-		if err := ix.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		buf.Reset()
-		if _, err := ix.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err = Load(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compare("post-compact", ix, loaded)
+	data := clusteredData(600, 12, 5, 65)
+	ix, err := Build(data, Config{Seed: 25, AutoCompactFraction: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	rng := rand.New(rand.NewSource(66))
+	// Interleaved churn: delete 40%, re-insert a handful.
+	for _, id := range rng.Perm(600)[:240] {
+		if err := ix.Delete(int32(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := ix.Insert(data[rng.Intn(len(data))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	compare := func(label string, a, b *Index) {
+		t.Helper()
+		if a.Len() != b.Len() || a.LiveLen() != b.LiveLen() {
+			t.Fatalf("%s: shape %d/%d vs %d/%d", label, a.Len(), a.LiveLen(), b.Len(), b.LiveLen())
+		}
+		qrng := rand.New(rand.NewSource(67))
+		for trial := 0; trial < 10; trial++ {
+			q := make([]float64, 12)
+			for j := range q {
+				q[j] = qrng.NormFloat64() * 12
+			}
+			ra, err := a.Search(context.Background(), q, 9, SearchOptions{C: 1.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, err := b.Search(context.Background(), q, 9, SearchOptions{C: 1.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ra) != len(rb) {
+				t.Fatalf("%s trial %d: %d vs %d results", label, trial, len(ra), len(rb))
+			}
+			for i := range ra {
+				if ra[i] != rb[i] {
+					t.Fatalf("%s trial %d rank %d: %+v vs %+v", label, trial, i, ra[i], rb[i])
+				}
+			}
+		}
+		pa, err := a.SearchPairs(context.Background(), 6, SearchOptions{C: 1.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := b.SearchPairs(context.Background(), 6, SearchOptions{C: 1.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pa) != len(pb) {
+			t.Fatalf("%s: pair counts %d vs %d", label, len(pa), len(pb))
+		}
+		for i := range pa {
+			if pa[i] != pb[i] {
+				t.Fatalf("%s pair %d: %+v vs %+v", label, i, pa[i], pb[i])
+			}
+		}
+		// Deleted ids stay rejected after the round trip.
+		var deadID int32 = -1
+		for id, row := range a.rowOf {
+			if row < 0 {
+				deadID = int32(id)
+				break
+			}
+		}
+		if deadID >= 0 {
+			if err := b.Delete(deadID); err == nil {
+				t.Fatalf("%s: loaded index re-deleted retired id %d", label, deadID)
+			}
+		}
+		// Post-load inserts assign the same ids and recycle the same
+		// storage slots.
+		ia, err := a.Insert(data[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ib, err := b.Insert(data[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ia != ib || a.rowOf[ia] != b.rowOf[ib] {
+			t.Fatalf("%s: post-load insert diverged: id %d row %d vs id %d row %d",
+				label, ia, a.rowOf[ia], ib, b.rowOf[ib])
+		}
+	}
+
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compare("pre-compact", ix, loaded)
+
+	if err := ix.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err = Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compare("post-compact", ix, loaded)
 }
 
 // A stream whose PM-tree leaf ids disagree with the id map (retired,
@@ -439,7 +373,7 @@ func TestLoadRejectsTreeIDMismatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix.tree, ix.pidx = tr, pmAdapter{tr}
+		ix.tree = tr
 		var buf bytes.Buffer
 		if _, err := ix.WriteTo(&buf); err != nil {
 			t.Fatal(err)
@@ -499,11 +433,11 @@ func TestBuildFromStoreEquivalent(t *testing.T) {
 		for j := range q {
 			q[j] = rng.NormFloat64() * 10
 		}
-		ra, err := a.KNN(q, 6, 1.5)
+		ra, err := a.Search(context.Background(), q, 6, SearchOptions{C: 1.5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := b.KNN(q, 6, 1.5)
+		rb, err := b.Search(context.Background(), q, 6, SearchOptions{C: 1.5})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,36 +17,21 @@ import (
 // RangeSearch from the root every round and deduplicated re-returned
 // candidates with per-query marks. The reference below is that code,
 // retained verbatim (marks as a map); its RangeSearch goes through the
-// trees' public API, which the tree packages pin bit-identical to
-// their retained recursive traversals.
+// PM-tree's public API, which pmtree pins bit-identical to its
+// retained recursive traversal.
 
 // refRangeSearch materializes one full range query through the
-// backend's public RangeSearch, as the restart loop did.
+// PM-tree's public RangeSearch, as the restart loop did.
 func refRangeSearch(ix *Index, q []float64, r float64) ([]Result, error) {
-	switch a := ix.pidx.(type) {
-	case pmAdapter:
-		res, err := a.t.RangeSearch(q, r)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]Result, len(res))
-		for i, x := range res {
-			out[i] = Result{ID: x.ID, Dist: x.Dist}
-		}
-		return out, nil
-	case rtAdapter:
-		res, err := a.t.RangeSearch(q, r)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]Result, len(res))
-		for i, x := range res {
-			out[i] = Result{ID: x.ID, Dist: x.Dist}
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("unknown projected index %T", ix.pidx)
+	res, err := ix.tree.RangeSearch(q, r)
+	if err != nil {
+		return nil, err
 	}
+	out := make([]Result, len(res))
+	for i, x := range res {
+		out[i] = Result{ID: x.ID, Dist: x.Dist}
+	}
+	return out, nil
 }
 
 // refKNNWithStats is the restart-loop KNNWithStats.
@@ -76,7 +62,7 @@ func refKNNWithStats(ix *Index, q []float64, k int, c float64) ([]Result, QueryS
 
 	qp := ix.proj.Project(q)
 	seen := make(map[int32]bool)
-	distStart := ix.pidx.DistanceComputations()
+	distStart := ix.tree.DistanceComputations()
 	top := make([]Result, 0, k)
 	bound := math.Inf(1)
 	for {
@@ -114,7 +100,7 @@ func refKNNWithStats(ix *Index, q []float64, k int, c float64) ([]Result, QueryS
 		r *= c
 	}
 	st.FinalRadius = r
-	st.ProjectedDistComps = ix.pidx.DistanceComputations() - distStart
+	st.ProjectedDistComps = ix.tree.DistanceComputations() - distStart
 	for i := range top {
 		top[i].Dist = math.Sqrt(top[i].Dist)
 	}
@@ -161,8 +147,8 @@ func refBallCover(ix *Index, q []float64, r, c float64) (*Result, error) {
 }
 
 // randomStreamIndex builds an index under a randomized configuration —
-// projected dimensionality, pivots (including the plain-M-tree s=0 and
-// R-tree ablations), node capacity, candidate fraction — over random
+// projected dimensionality, pivots (including the plain M-tree, s=0),
+// node capacity, candidate fraction — over random
 // clustered data, churned through the public mutation API half the
 // time. Returns the index and live query sources.
 func randomStreamIndex(tb testing.TB, rng *rand.Rand) (*Index, [][]float64) {
@@ -193,7 +179,6 @@ func randomStreamIndex(tb testing.TB, rng *rand.Rand) (*Index, [][]float64) {
 		Capacity:            []int{0, 8, 32}[rng.Intn(3)],
 		Seed:                rng.Int63(),
 		DistSampleSize:      2000,
-		UseRTree:            rng.Intn(3) == 0,
 		AutoCompactFraction: -1,
 	}
 	if rng.Intn(2) == 0 {
@@ -226,11 +211,10 @@ func randomStreamIndex(tb testing.TB, rng *rand.Rand) (*Index, [][]float64) {
 }
 
 // TestStreamingMatchesRestartLoopReference is the randomized
-// equivalence suite: across projected dimensionalities, pivot counts,
-// both tree backends and churned indexes, the streaming engine's
-// answers — ids, distances, and the per-query statistics the radius
-// schedule exposes — are element-wise identical to the restart-loop
-// reference.
+// equivalence suite: across projected dimensionalities, pivot counts
+// and churned indexes, the streaming engine's answers — ids, distances,
+// and the per-query statistics the radius schedule exposes — are
+// element-wise identical to the restart-loop reference.
 func TestStreamingMatchesRestartLoopReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 25; trial++ {
@@ -243,7 +227,8 @@ func TestStreamingMatchesRestartLoopReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotSt, err := ix.KNNWithStats(q, k, c)
+			var gotSt QueryStats
+			got, err := ix.Search(context.Background(), q, k, SearchOptions{C: c, Stats: &gotSt})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,7 +264,7 @@ func TestBallCoverMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ix.BallCover(q, r, c)
+			got, err := ix.SearchBall(context.Background(), q, r, SearchOptions{C: c})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,7 +305,8 @@ func TestProjectedDistCompsStrictlyDecrease(t *testing.T) {
 	multiRound := 0
 	for qi := 0; qi < 40 && multiRound < 5; qi++ {
 		q := data[rng.Intn(len(data))]
-		got, gotSt, err := ix.KNNWithStats(q, 10, 1.5)
+		var gotSt QueryStats
+		got, err := ix.Search(context.Background(), q, 10, SearchOptions{C: 1.5, Stats: &gotSt})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +344,7 @@ func TestConcurrentQueriesOverPooledScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	ix, data := randomStreamIndex(t, rng)
 	q0 := data[0]
-	want, _, err := ix.KNNWithStats(q0, 10, 1.5)
+	want, err := ix.Search(context.Background(), q0, 10, SearchOptions{C: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +361,7 @@ func TestConcurrentQueriesOverPooledScratch(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				switch (g + i) % 3 {
 				case 0:
-					got, _, err := ix.KNNWithStats(q0, 10, 1.5)
+					got, err := ix.Search(context.Background(), q0, 10, SearchOptions{C: 1.5})
 					if err == nil {
 						for j := range got {
 							if got[j] != want[j] {
@@ -385,11 +371,11 @@ func TestConcurrentQueriesOverPooledScratch(t *testing.T) {
 					}
 					errs[g] = err
 				case 1:
-					if _, err := ix.KNNBatch(batch, 5, 1.5); err != nil {
+					if _, err := ix.SearchBatch(context.Background(), batch, 5, SearchOptions{C: 1.5}); err != nil {
 						errs[g] = err
 					}
 				case 2:
-					if _, err := ix.BallCover(q0, 1.0, 1.5); err != nil {
+					if _, err := ix.SearchBall(context.Background(), q0, 1.0, SearchOptions{C: 1.5}); err != nil {
 						errs[g] = err
 					}
 				}

@@ -188,31 +188,6 @@ func Build(data [][]float64, ids []int32, cfg Config) (*Tree, error) {
 	return t, nil
 }
 
-// BuildFromStore constructs a tree directly over the rows of s, which
-// is adopted as the tree's point store without copying. The caller must
-// not append to or mutate s afterwards. ids follows Build's contract.
-func BuildFromStore(s *store.Store, ids []int32, cfg Config) (*Tree, error) {
-	if s.Len() == 0 {
-		return nil, fmt.Errorf("rtree: BuildFromStore requires at least one point")
-	}
-	if ids != nil && len(ids) != s.Len() {
-		return nil, fmt.Errorf("rtree: got %d ids for %d points", len(ids), s.Len())
-	}
-	t, err := New(s.Dim(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	t.points = s
-	for i := 0; i < s.Len(); i++ {
-		id := int32(i)
-		if ids != nil {
-			id = ids[i]
-		}
-		t.insertRow(int32(i), id)
-	}
-	return t, nil
-}
-
 // leafPoint resolves a leaf entry's point as a view into the store.
 func (t *Tree) leafPoint(e *entry) []float64 { return t.points.Row(int(e.row)) }
 
@@ -257,17 +232,12 @@ func (t *Tree) Insert(p []float64, id int32) error {
 	if err != nil {
 		return fmt.Errorf("rtree: %w", err)
 	}
-	t.insertRow(row, id)
-	return nil
-}
-
-// insertRow inserts the point already stored at the given row.
-func (t *Tree) insertRow(row, id int32) {
 	left, right := t.insert(t.root, t.points.Row(int(row)), id, row)
 	if right != nil {
 		t.root = &node{leaf: false, entries: []entry{*left, *right}}
 	}
 	t.count++
+	return nil
 }
 
 func (t *Tree) insert(n *node, p []float64, id, row int32) (*entry, *entry) {
@@ -301,55 +271,6 @@ func (t *Tree) insert(n *node, p []float64, id, row int32) (*entry, *entry) {
 		return t.split(n)
 	}
 	return nil, nil
-}
-
-// Delete removes the point with the given id. p must be the point's
-// coordinates: only subtrees whose MBR contains p can hold it (MBRs
-// only ever grow, and grew by exactly these coordinates at insert, so
-// the containment test is float-exact). The leaf entry is removed
-// physically and its store row freed for reuse; MBRs are not shrunk —
-// they stay conservative, so query bounds remain valid, just looser.
-func (t *Tree) Delete(p []float64, id int32) error {
-	if len(p) != t.dim {
-		return fmt.Errorf("rtree: point has dimension %d, tree expects %d", len(p), t.dim)
-	}
-	if !t.deleteIn(t.root, p, id) {
-		return fmt.Errorf("rtree: id %d not found", id)
-	}
-	t.count--
-	return nil
-}
-
-// deleteIn searches every subtree whose MBR contains p for the leaf
-// entry with the given id and removes it. Empty leaves are left in
-// place; queries iterate zero entries.
-func (t *Tree) deleteIn(n *node, p []float64, id int32) bool {
-	if n.leaf {
-		for i := range n.entries {
-			if n.entries[i].id != id {
-				continue
-			}
-			if err := t.points.Delete(int(n.entries[i].row)); err != nil {
-				// Unreachable: each row backs exactly one live entry.
-				panic(fmt.Sprintf("rtree: freeing row of id %d: %v", id, err))
-			}
-			last := len(n.entries) - 1
-			n.entries[i] = n.entries[last]
-			n.entries = n.entries[:last]
-			return true
-		}
-		return false
-	}
-	for i := range n.entries {
-		e := &n.entries[i]
-		if !e.rect.Contains(p) {
-			continue
-		}
-		if t.deleteIn(e.child, p, id) {
-			return true
-		}
-	}
-	return false
 }
 
 // split performs Guttman's quadratic split on an overflowing node.
@@ -443,10 +364,7 @@ type Result struct {
 }
 
 // RangeSearch returns all points within Euclidean distance r of q,
-// sorted by distance. It runs on the resumable range enumerator (one
-// Expand to the full radius); callers that enlarge the radius round
-// after round should hold a RangeEnumerator and call Expand per round
-// instead.
+// sorted by distance.
 func (t *Tree) RangeSearch(q []float64, r float64) ([]Result, error) {
 	if len(q) != t.dim {
 		return nil, fmt.Errorf("rtree: query has dimension %d, tree expects %d", len(q), t.dim)
@@ -457,15 +375,8 @@ func (t *Tree) RangeSearch(q []float64, r float64) ([]Result, error) {
 	if t.count == 0 {
 		return nil, nil
 	}
-	var e RangeEnumerator
-	// Reset cannot fail: the dimension was validated above.
-	if err := e.Reset(t, q); err != nil {
-		panic(err)
-	}
 	var out []Result
-	e.Expand(r, func(id int32, d float64) {
-		out = append(out, Result{ID: id, Dist: d})
-	})
+	t.rangeSearchRec(t.root, q, r*r, &out)
 	sortResults(out)
 	return out, nil
 }
@@ -480,10 +391,7 @@ func sortResults(out []Result) {
 	})
 }
 
-// rangeSearchRec is the original depth-first range search, retained
-// verbatim as the reference implementation the streaming enumerator is
-// verified against (TestRangeSearchMatchesRecursiveReference and the
-// core engine's equivalence suite).
+// rangeSearchRec is the depth-first range search behind RangeSearch.
 func (t *Tree) rangeSearchRec(n *node, q []float64, r2 float64, out *[]Result) {
 	t.nodeAccesses.Add(1)
 	if n.leaf {
@@ -498,8 +406,10 @@ func (t *Tree) rangeSearchRec(n *node, q []float64, r2 float64, out *[]Result) {
 	}
 	for i := range n.entries {
 		e := &n.entries[i]
-		// See the matching comment in RangeEnumerator.expandNode: the
-		// cost model charges every entry of an accessed node.
+		// An inner-entry MBR test costs the same order of work as a
+		// point distance in the m-dimensional projected space; the
+		// node-based cost model (paper Eq. 9) charges every entry of an
+		// accessed node, so the counter does too.
 		t.distCalcs.Add(1)
 		if e.rect.MinDistSq(q) <= r2 {
 			t.rangeSearchRec(e.child, q, r2, out)

@@ -126,7 +126,6 @@ func testVectorMetric(t *testing.T, m Metric) {
 	}{
 		{"pmtree-1shard", Config{Seed: 5, Metric: m}, 0.8},
 		{"pmtree-4shards", Config{Seed: 5, Metric: m, Shards: 4}, 0.8},
-		{"rtree-1shard", Config{Seed: 5, Metric: m, UseRTree: true}, 0.8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ix, err := Build(ds.Points, tc.cfg)

@@ -17,6 +17,7 @@ package pmlsh
 // time").
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -134,7 +135,7 @@ func TestConcurrentMutationAndReads(t *testing.T) {
 				}
 				pre := log.snapshot()
 				if rep%2 == 0 {
-					res, err := ix.KNN(qs[(g+rep)%len(qs)], 10, 1.5)
+					res, err := ix.Search(context.Background(), qs[(g+rep)%len(qs)], 10, WithRatio(1.5))
 					if err != nil {
 						errCh <- err
 						return
@@ -147,7 +148,7 @@ func TestConcurrentMutationAndReads(t *testing.T) {
 					}
 					continue
 				}
-				batch, err := ix.KNNBatch(qs, 10, 1.5)
+				batch, err := ix.SearchBatch(context.Background(), qs, 10, WithRatio(1.5))
 				if err != nil {
 					errCh <- err
 					return
@@ -176,7 +177,7 @@ func TestConcurrentMutationAndReads(t *testing.T) {
 		t.Fatalf("LiveLen=%d, want %d", ix.LiveLen(), wantLive)
 	}
 	final := log.snapshot()
-	res, err := ix.KNN(qs[0], 20, 1.5)
+	res, err := ix.Search(context.Background(), qs[0], 20, WithRatio(1.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestConcurrentCompactAndClosestPairs(t *testing.T) {
 				default:
 				}
 				pre := log.snapshot()
-				pairs, err := ix.ClosestPairs(8, 1.5)
+				pairs, err := ix.SearchPairs(context.Background(), 8, WithRatio(1.5))
 				if err != nil {
 					errCh <- err
 					return

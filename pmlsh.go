@@ -1,7 +1,6 @@
 package pmlsh
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/core"
@@ -110,10 +109,6 @@ type Config struct {
 	Alpha1 float64
 	// Seed makes builds deterministic.
 	Seed int64
-	// UseRTree swaps the PM-tree for an R-tree over the projections —
-	// the paper's R-LSH ablation. Slower on range-query workloads
-	// (Table 2) but otherwise equivalent.
-	UseRTree bool
 	// AutoCompactFraction is the deleted share of the vector store at
 	// which a Delete triggers an automatic Compact (0 = 0.3; negative
 	// disables auto-compaction; values above 1 are rejected; the
@@ -158,8 +153,7 @@ type Config struct {
 // Index is a PM-LSH index over a mutable dataset. Queries go through
 // the unified request API — Search, SearchBatch, SearchPairs,
 // SearchBall — which takes a context plus per-query functional options
-// (ratio, confidence width, result filter, budget, statistics sink);
-// the fixed-signature legacy methods are shims over it.
+// (ratio, confidence width, result filter, budget, statistics sink).
 //
 // Every method is safe for concurrent use, and reads are snapshot
 // isolated: a query pins an atomically published snapshot of each
@@ -213,7 +207,6 @@ func coreConfig(cfg Config) core.Config {
 		Capacity:            cfg.Capacity,
 		Alpha1:              cfg.Alpha1,
 		Seed:                cfg.Seed,
-		UseRTree:            cfg.UseRTree,
 		AutoCompactFraction: cfg.AutoCompactFraction,
 		Quantize:            cfg.Quantize,
 		Shards:              cfg.Shards,
@@ -333,102 +326,6 @@ func (x *Index) Info() Info {
 
 		LeafRunFraction: ei.LeafRunFraction,
 	}
-}
-
-// KNN answers a (c,k)-ANN query: it returns up to k points whose i-th
-// member is, with constant probability, within c²·||q,o*_i|| of the
-// query (o*_i the exact i-th NN). Results are sorted by distance.
-// c must exceed 1; c <= 0 selects the default 1.5.
-//
-// KNN is a shim over Search — Search(ctx, q, k, WithRatio(c)) — and
-// answers element-wise identically to it. (The shims bypass the
-// option-closure layer and pass the folded options value straight to
-// the engine, keeping the legacy hot path allocation-free.)
-func (x *Index) KNN(q []float64, k int, c float64) ([]Neighbor, error) {
-	res, err := x.ix.Search(context.Background(), q, k, core.SearchOptions{C: c})
-	return convert(res), err
-}
-
-// KNNWithStats is KNN plus per-query work statistics — a shim over
-// Search with WithStats. Every field is exact for this query,
-// ProjectedDistComps included, no matter how many queries run
-// concurrently.
-func (x *Index) KNNWithStats(q []float64, k int, c float64) ([]Neighbor, QueryStats, error) {
-	var st QueryStats
-	res, err := x.ix.Search(context.Background(), q, k, core.SearchOptions{C: c, Stats: &st})
-	return convert(res), st, err
-}
-
-// KNNBatch answers many (c,k)-ANN queries concurrently, fanning them
-// across a worker pool of up to GOMAXPROCS goroutines — a shim over
-// SearchBatch. out[i] holds the neighbors of qs[i], in the same order
-// KNN would return them; results are identical to calling KNN per
-// query, only the scheduling differs.
-func (x *Index) KNNBatch(qs [][]float64, k int, c float64) ([][]Neighbor, error) {
-	res, err := x.ix.SearchBatch(context.Background(), qs, k, core.SearchOptions{C: c})
-	if res == nil {
-		return nil, err
-	}
-	out := make([][]Neighbor, len(res))
-	for i, r := range res {
-		out[i] = convert(r)
-	}
-	return out, err
-}
-
-// ClosestPairs answers a (c,k)-closest-pair query: it returns up to k
-// pairs of distinct indexed points such that, with constant
-// probability, the i-th returned distance is within factor c of the
-// exact i-th closest pair distance. Results are sorted by distance and
-// each unordered pair appears at most once. c must exceed 1; c <= 0
-// selects the default 1.5. k is clamped to the number of distinct
-// pairs, and an index with fewer than two points returns no pairs.
-//
-// The query runs a dual-branch self-join over the PM-tree in projected
-// space, so it requires the default PM-tree index; an index built with
-// UseRTree returns an error.
-//
-// ClosestPairs is a shim over SearchPairs and answers element-wise
-// identically to it.
-func (x *Index) ClosestPairs(k int, c float64) ([]Pair, error) {
-	res, err := x.ix.SearchPairs(context.Background(), k, core.SearchOptions{C: c})
-	return convertPairs(res), err
-}
-
-// ClosestPairsWithStats is ClosestPairs plus per-query work
-// statistics — a shim over SearchPairs with WithPairStats. Every
-// field, ProjectedDistComps included, is exact for this query.
-func (x *Index) ClosestPairsWithStats(k int, c float64) ([]Pair, CPStats, error) {
-	var st CPStats
-	res, err := x.ix.SearchPairs(context.Background(), k, core.SearchOptions{C: c, PairStats: &st})
-	return convertPairs(res), st, err
-}
-
-// ClosestPairsParallel is ClosestPairs with candidate verification
-// fanned across a worker pool of up to GOMAXPROCS goroutines
-// (mirroring KNNBatch) — a shim over SearchPairs with
-// WithParallelVerify. Termination is checked per verification batch
-// instead of per pair, so it may examine slightly more candidates than
-// ClosestPairs — the result carries the same (c,k) guarantee and is,
-// rank by rank, at least as close.
-func (x *Index) ClosestPairsParallel(k int, c float64) ([]Pair, error) {
-	res, err := x.ix.SearchPairs(context.Background(), k, core.SearchOptions{C: c, Parallel: true})
-	return convertPairs(res), err
-}
-
-// BallCover answers an (r,c)-ball-cover query (Definition 3): if some
-// point lies within r of q it returns, with constant probability, a
-// point within c·r; if no point lies within c·r it returns nil.
-// BallCover is a shim over SearchBall and answers identically to it —
-// except that, unlike the options surface (where a non-positive ratio
-// selects the default), BallCover keeps its original contract and
-// rejects c <= 1.
-func (x *Index) BallCover(q []float64, r, c float64) (*Neighbor, error) {
-	res, err := x.ix.BallCover(q, r, c)
-	if err != nil || res == nil {
-		return nil, err
-	}
-	return &Neighbor{ID: res.ID, Dist: res.Dist}, nil
 }
 
 // DeriveParams exposes the confidence-interval constants used for a

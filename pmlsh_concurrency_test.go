@@ -2,6 +2,7 @@ package pmlsh
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 )
@@ -15,7 +16,7 @@ func TestKNNBatchMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := ds.Queries(40, 32)
-	batch, err := ix.KNNBatch(qs, 10, 1.5)
+	batch, err := ix.SearchBatch(context.Background(), qs, 10, WithRatio(1.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func TestKNNBatchMatchesSerial(t *testing.T) {
 		t.Fatalf("batch returned %d result sets for %d queries", len(batch), len(qs))
 	}
 	for i, q := range qs {
-		serial, err := ix.KNN(q, 10, 1.5)
+		serial, err := ix.Search(context.Background(), q, 10, WithRatio(1.5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,21 +45,21 @@ func TestKNNBatchEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := ix.KNNBatch(nil, 5, 1.5); err != nil || res != nil {
+	if res, err := ix.SearchBatch(context.Background(), nil, 5, WithRatio(1.5)); err != nil || res != nil {
 		t.Fatalf("empty batch: %v %v", res, err)
 	}
 	// A bad query surfaces as an error naming its index, and the batch
 	// returns no results at all — never a partially filled slice.
 	qs := ds.Queries(3, 34)
 	qs[1] = []float64{1, 2, 3} // wrong dimensionality
-	res, err := ix.KNNBatch(qs, 5, 1.5)
+	res, err := ix.SearchBatch(context.Background(), qs, 5, WithRatio(1.5))
 	if err == nil {
 		t.Fatal("bad query should produce an error")
 	}
 	if res != nil {
 		t.Fatalf("failed batch should return nil results, got %v", res)
 	}
-	if _, err := ix.KNNBatch(ds.Queries(2, 35), 0, 1.5); err == nil {
+	if _, err := ix.SearchBatch(context.Background(), ds.Queries(2, 35), 0, WithRatio(1.5)); err == nil {
 		t.Fatal("k=0 should fail")
 	}
 }
@@ -73,7 +74,7 @@ func TestConcurrentBatchAndSingleQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := ds.Queries(16, 38)
-	want, err := ix.KNNBatch(qs, 5, 1.5)
+	want, err := ix.SearchBatch(context.Background(), qs, 5, WithRatio(1.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestConcurrentBatchAndSingleQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for rep := 0; rep < 3; rep++ {
-				got, err := ix.KNNBatch(qs, 5, 1.5)
+				got, err := ix.SearchBatch(context.Background(), qs, 5, WithRatio(1.5))
 				if err != nil {
 					errCh <- err
 					return
@@ -106,7 +107,7 @@ func TestConcurrentBatchAndSingleQueries(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 8; rep++ {
 				qi := (g*7 + rep) % len(qs)
-				got, err := ix.KNN(qs[qi], 5, 1.5)
+				got, err := ix.Search(context.Background(), qs[qi], 5, WithRatio(1.5))
 				if err != nil {
 					errCh <- err
 					return
@@ -128,52 +129,47 @@ func TestConcurrentBatchAndSingleQueries(t *testing.T) {
 }
 
 // A store-backed index must round-trip through WriteTo/Load and answer
-// every query identically, for both the PM-tree and R-tree variants and
-// across KNN, KNNBatch and BallCover.
+// every query identically, across Search, SearchBatch and SearchBall.
 func TestStoreBackedRoundTrip(t *testing.T) {
 	ds := testData(t, 800)
-	for _, cfg := range []Config{
-		{Seed: 41},
-		{Seed: 41, UseRTree: true},
-	} {
-		ix, err := Build(ds.Points, cfg)
-		if err != nil {
-			t.Fatal(err)
+	cfg := Config{Seed: 41}
+	ix, err := Build(ds.Points, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := ds.Queries(20, 42)
+	a, err := ix.SearchBatch(context.Background(), qs, 7, WithRatio(1.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := loaded.SearchBatch(context.Background(), qs, 7, WithRatio(1.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			t.Fatalf("cfg %+v query %d: %d vs %d results", cfg, i, len(a[i]), len(b[i]))
 		}
-		var buf bytes.Buffer
-		if _, err := ix.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Load(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs := ds.Queries(20, 42)
-		a, err := ix.KNNBatch(qs, 7, 1.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := loaded.KNNBatch(qs, 7, 1.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			if len(a[i]) != len(b[i]) {
-				t.Fatalf("cfg %+v query %d: %d vs %d results", cfg, i, len(a[i]), len(b[i]))
-			}
-			for j := range a[i] {
-				if a[i][j] != b[i][j] {
-					t.Fatalf("cfg %+v query %d result %d: %+v vs %+v", cfg, i, j, a[i][j], b[i][j])
-				}
+		for j := range a[i] {
+			if a[i][j] != b[i][j] {
+				t.Fatalf("cfg %+v query %d result %d: %+v vs %+v", cfg, i, j, a[i][j], b[i][j])
 			}
 		}
-		nb1, err1 := ix.BallCover(qs[0], 1.0, 2)
-		nb2, err2 := loaded.BallCover(qs[0], 1.0, 2)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if (nb1 == nil) != (nb2 == nil) || (nb1 != nil && *nb1 != *nb2) {
-			t.Fatalf("cfg %+v: BallCover diverged: %+v vs %+v", cfg, nb1, nb2)
-		}
+	}
+	nb1, err1 := ix.SearchBall(context.Background(), qs[0], 1.0, WithRatio(2))
+	nb2, err2 := loaded.SearchBall(context.Background(), qs[0], 1.0, WithRatio(2))
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if (nb1 == nil) != (nb2 == nil) || (nb1 != nil && *nb1 != *nb2) {
+		t.Fatalf("cfg %+v: BallCover diverged: %+v vs %+v", cfg, nb1, nb2)
 	}
 }

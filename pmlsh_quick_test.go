@@ -8,6 +8,7 @@ package pmlsh
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -28,7 +29,7 @@ func quickData(rng *rand.Rand, n, dim int) [][]float64 {
 }
 
 func TestQuickSerializationRoundTrip(t *testing.T) {
-	f := func(seed int64, mSel, pivSel uint8, useRTree bool) bool {
+	f := func(seed int64, mSel, pivSel uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		piv := int(pivSel % 7)
 		cfg := Config{
@@ -36,7 +37,6 @@ func TestQuickSerializationRoundTrip(t *testing.T) {
 			NumPivots:  piv,
 			ZeroPivots: piv == 0,
 			Seed:       seed,
-			UseRTree:   useRTree,
 		}
 		data := quickData(rng, 150, 12)
 		ix, err := Build(data, cfg)
@@ -79,11 +79,11 @@ func TestQuickSerializationRoundTrip(t *testing.T) {
 				q[j] = rng.NormFloat64()
 			}
 			k := 1 + rng.Intn(8)
-			a, err := ix.KNN(q, k, 1.5)
+			a, err := ix.Search(context.Background(), q, k, WithRatio(1.5))
 			if err != nil {
 				return false
 			}
-			b, err := loaded.KNN(q, k, 1.5)
+			b, err := loaded.Search(context.Background(), q, k, WithRatio(1.5))
 			if err != nil {
 				return false
 			}
@@ -98,24 +98,22 @@ func TestQuickSerializationRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		// Closest pairs survive the round trip too (PM-tree only).
-		if !useRTree {
-			pa, err := ix.ClosestPairs(5, 1.5)
-			if err != nil {
+		// Closest pairs survive the round trip too.
+		pa, err := ix.SearchPairs(context.Background(), 5, WithRatio(1.5))
+		if err != nil {
+			return false
+		}
+		pb, err := loaded.SearchPairs(context.Background(), 5, WithRatio(1.5))
+		if err != nil {
+			return false
+		}
+		if len(pa) != len(pb) {
+			return false
+		}
+		for i := range pa {
+			if pa[i] != pb[i] {
+				t.Logf("pair %d: %+v vs %+v", i, pa[i], pb[i])
 				return false
-			}
-			pb, err := loaded.ClosestPairs(5, 1.5)
-			if err != nil {
-				return false
-			}
-			if len(pa) != len(pb) {
-				return false
-			}
-			for i := range pa {
-				if pa[i] != pb[i] {
-					t.Logf("pair %d: %+v vs %+v", i, pa[i], pb[i])
-					return false
-				}
 			}
 		}
 		return true
@@ -152,7 +150,7 @@ func TestQuickInsertKeepsGuarantee(t *testing.T) {
 		const k, c = 5, 1.5
 		for qi := 0; qi < 4; qi++ {
 			q := data[rng.Intn(len(data))]
-			got, err := ix.KNN(q, k, c)
+			got, err := ix.Search(context.Background(), q, k, WithRatio(c))
 			if err != nil || len(got) != k {
 				return false
 			}

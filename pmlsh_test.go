@@ -2,6 +2,7 @@ package pmlsh
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -32,7 +33,7 @@ func TestBuildAndQuery(t *testing.T) {
 	if ix.Len() != 1000 || ix.Dim() != 32 || ix.M() != 15 {
 		t.Errorf("accessors: %d %d %d", ix.Len(), ix.Dim(), ix.M())
 	}
-	res, err := ix.KNN(ds.Points[7], 5, 1.5)
+	res, err := ix.Search(context.Background(), ds.Points[7], 5, WithRatio(1.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestDefaultC(t *testing.T) {
 	ds := testData(t, 300)
 	ix, _ := Build(ds.Points, Config{Seed: 2})
 	// c <= 0 selects the default.
-	res, err := ix.KNN(ds.Points[0], 3, 0)
+	res, err := ix.Search(context.Background(), ds.Points[0], 3, WithRatio(0))
 	if err != nil || len(res) != 3 {
 		t.Errorf("default-c query: %v %v", res, err)
 	}
@@ -68,7 +69,8 @@ func TestDefaultC(t *testing.T) {
 func TestKNNWithStats(t *testing.T) {
 	ds := testData(t, 800)
 	ix, _ := Build(ds.Points, Config{Seed: 3})
-	res, st, err := ix.KNNWithStats(ds.Queries(1, 4)[0], 10, 1.5)
+	var st QueryStats
+	res, err := ix.Search(context.Background(), ds.Queries(1, 4)[0], 10, WithRatio(1.5), WithStats(&st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +82,7 @@ func TestKNNWithStats(t *testing.T) {
 func TestBallCover(t *testing.T) {
 	ds := testData(t, 500)
 	ix, _ := Build(ds.Points, Config{Seed: 4})
-	nb, err := ix.BallCover(ds.Points[3], 0.5, 2)
+	nb, err := ix.SearchBall(context.Background(), ds.Points[3], 0.5, WithRatio(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestBallCover(t *testing.T) {
 	for i := range far {
 		far[i] = 1e6
 	}
-	nb, err = ix.BallCover(far, 1e-3, 2)
+	nb, err = ix.SearchBall(context.Background(), far, 1e-3, WithRatio(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +114,10 @@ func TestDeriveParams(t *testing.T) {
 	}
 }
 
-func TestZeroPivotsAndRTreeVariants(t *testing.T) {
+func TestConfigVariants(t *testing.T) {
 	ds := testData(t, 600)
 	for _, cfg := range []Config{
 		{Seed: 6, ZeroPivots: true},
-		{Seed: 6, UseRTree: true},
 		{Seed: 6, NumPivots: 8},
 		{Seed: 6, M: 10, Alpha1: 0.2},
 	} {
@@ -124,7 +125,7 @@ func TestZeroPivotsAndRTreeVariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cfg %+v: %v", cfg, err)
 		}
-		res, err := ix.KNN(ds.Points[11], 3, 1.5)
+		res, err := ix.Search(context.Background(), ds.Points[11], 3, WithRatio(1.5))
 		if err != nil || len(res) != 3 {
 			t.Fatalf("cfg %+v: %v %v", cfg, res, err)
 		}
@@ -149,7 +150,7 @@ func TestEndToEndQuality(t *testing.T) {
 	}
 	var recallSum, ratioSum float64
 	for qi, q := range queries {
-		res, err := ix.KNN(q, 10, 1.5)
+		res, err := ix.Search(context.Background(), q, 10, WithRatio(1.5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,8 +194,8 @@ func TestFacadeSaveLoadAndInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ds.Queries(1, 12)[0]
-	a, _ := ix.KNN(q, 5, 1.5)
-	b, _ := loaded.KNN(q, 5, 1.5)
+	a, _ := ix.Search(context.Background(), q, 5, WithRatio(1.5))
+	b, _ := loaded.Search(context.Background(), q, 5, WithRatio(1.5))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("save/load changed query results")
@@ -225,7 +226,7 @@ func TestReportedDistancesExact(t *testing.T) {
 	ix, _ := Build(ds.Points, Config{Seed: 9})
 	rng := rand.New(rand.NewSource(10))
 	q := vec.Clone(ds.Points[rng.Intn(400)])
-	res, _ := ix.KNN(q, 8, 1.5)
+	res, _ := ix.Search(context.Background(), q, 8, WithRatio(1.5))
 	for _, r := range res {
 		want := vec.L2(q, ds.Points[r.ID])
 		if math.Abs(r.Dist-want) > 1e-9 {
@@ -249,7 +250,8 @@ func TestClosestPairsAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, st, err := ix.ClosestPairsWithStats(k, c)
+	var st CPStats
+	pairs, err := ix.SearchPairs(context.Background(), k, WithRatio(c), WithPairStats(&st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +269,7 @@ func TestClosestPairsAPI(t *testing.T) {
 			t.Errorf("pair %d: %v exceeds c x exact %v", i, p.Dist, exact[i].Dist)
 		}
 	}
-	par, err := ix.ClosestPairsParallel(k, c)
+	par, err := ix.SearchPairs(context.Background(), k, WithRatio(c), WithParallelVerify())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +282,7 @@ func TestClosestPairsAPI(t *testing.T) {
 		}
 	}
 	// The plain variant matches the stats variant.
-	plain, err := ix.ClosestPairs(k, c)
+	plain, err := ix.SearchPairs(context.Background(), k, WithRatio(c))
 	if err != nil || len(plain) != k {
 		t.Fatalf("plain variant: %v %v", plain, err)
 	}

@@ -7,6 +7,7 @@ package pmlsh
 // deterministic (fixed seeds throughout).
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -111,7 +112,7 @@ func TestRecallAndRatioRegression(t *testing.T) {
 					var recallSum, ratioSum float64
 					for qi, q := range tcase.queries {
 						truth := truths[qi]
-						resRaw, err := ix.KNN(q, tcase.k, tcase.c)
+						resRaw, err := ix.Search(context.Background(), q, tcase.k, WithRatio(tcase.c))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -171,9 +172,9 @@ func TestClosestPairsQualityRegression(t *testing.T) {
 	for _, par := range []bool{false, true} {
 		var pairs []Pair
 		if par {
-			pairs, err = ix.ClosestPairsParallel(k, c)
+			pairs, err = ix.SearchPairs(context.Background(), k, WithRatio(c), WithParallelVerify())
 		} else {
-			pairs, err = ix.ClosestPairs(k, c)
+			pairs, err = ix.SearchPairs(context.Background(), k, WithRatio(c))
 		}
 		if err != nil {
 			t.Fatal(err)

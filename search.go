@@ -9,14 +9,10 @@ import (
 // This file is the unified per-query request API. One options-driven
 // entry point per query family — Search (point ANN), SearchBatch
 // (many point queries under one lock), SearchPairs (closest pairs),
-// SearchBall (ball cover) — replaces the fixed-signature method pairs:
-// every per-query knob the paper parameterizes per query (the ratio c,
-// the confidence-interval width α1 behind Eq. 10's T and β), plus
-// result filtering, verification budgets and statistics sinks, travels
-// as a functional option. The legacy methods (KNN, KNNWithStats,
-// KNNBatch, BallCover, ClosestPairs, ClosestPairsWithStats,
-// ClosestPairsParallel) survive as thin shims over these entry points
-// and answer element-wise identically.
+// SearchBall (ball cover): every per-query knob the paper
+// parameterizes per query (the ratio c, the confidence-interval width
+// α1 behind Eq. 10's T and β), plus result filtering, verification
+// budgets and statistics sinks, travels as a functional option.
 
 // SearchOption configures one query request. Options are evaluated in
 // order; a later option overrides an earlier one for the same knob.
@@ -113,7 +109,7 @@ func searchOptions(opts []SearchOption) core.SearchOptions {
 // Search answers one (c,k)-ANN request: up to k admitted points whose
 // i-th member is, with constant probability, within c²·||q,o*_i|| of
 // the query (o*_i the exact i-th admitted nearest neighbor). Results
-// are sorted by distance. The zero-option call is KNN at the default
+// are sorted by distance. The zero-option call uses the default
 // ratio:
 //
 //	res, err := index.Search(ctx, q, 10)                    // c = 1.5
@@ -163,8 +159,7 @@ func (x *Index) SearchBatch(ctx context.Context, qs [][]float64, k int, opts ...
 // verification work items.
 //
 // The query runs a dual-branch self-join over the PM-tree in projected
-// space, so it requires the default PM-tree index; an index built with
-// UseRTree returns an error.
+// space.
 func (x *Index) SearchPairs(ctx context.Context, k int, opts ...SearchOption) ([]Pair, error) {
 	res, err := x.ix.SearchPairs(ctx, k, searchOptions(opts))
 	return convertPairs(res), err

@@ -1,8 +1,6 @@
 package pmlsh
 
-// Tests for the public request API: the legacy shims must answer
-// element-wise identically to Search* with matching options across
-// backends and churned indexes, filtered search must agree with a
+// Tests for the public request API: filtered search must agree with a
 // filtered brute-force oracle, cancellation must return ctx.Err()
 // promptly and leave the index usable, nil results must stay nil
 // through the public conversion layer, and a mutation hammer must hold
@@ -22,9 +20,9 @@ import (
 	"repro/internal/vec"
 )
 
-// randomChurnedIndex builds a public index under a random config (both
-// backends), optionally churned through Delete/Insert. Returns the
-// index and a live-id -> vector oracle.
+// randomChurnedIndex builds a public index under a random config,
+// optionally churned through Delete/Insert. Returns the index and a
+// live-id -> vector oracle.
 func randomChurnedIndex(t *testing.T, rng *rand.Rand) (*Index, map[int32][]float64) {
 	t.Helper()
 	n := 200 + rng.Intn(300)
@@ -39,7 +37,6 @@ func randomChurnedIndex(t *testing.T, rng *rand.Rand) (*Index, map[int32][]float
 	cfg := Config{
 		M:                   []int{8, 15}[rng.Intn(2)],
 		Seed:                rng.Int63(),
-		UseRTree:            rng.Intn(3) == 0,
 		AutoCompactFraction: -1,
 	}
 	ix, err := Build(data, cfg)
@@ -70,123 +67,6 @@ func randomChurnedIndex(t *testing.T, rng *rand.Rand) (*Index, map[int32][]float
 		}
 	}
 	return ix, live
-}
-
-// TestPublicShimsMatchSearch is the public randomized equivalence
-// suite: legacy methods vs Search* with matching options, both
-// backends, churned indexes, statistics included.
-func TestPublicShimsMatchSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(771))
-	ctx := context.Background()
-	for trial := 0; trial < 10; trial++ {
-		ix, live := randomChurnedIndex(t, rng)
-		livePts := make([][]float64, 0, len(live))
-		for _, p := range live {
-			livePts = append(livePts, p)
-		}
-		for qi := 0; qi < 5; qi++ {
-			q := livePts[rng.Intn(len(livePts))]
-			k := []int{1, 5, 15}[qi%3]
-			c := []float64{1.3, 1.5, 2.0}[qi%3]
-
-			want, wantSt, err := ix.KNNWithStats(q, k, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var gotSt QueryStats
-			got, err := ix.Search(ctx, q, k, WithRatio(c), WithStats(&gotSt))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: Search %d results, KNN %d", trial, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d: result %d = %+v, want %+v", trial, i, got[i], want[i])
-				}
-			}
-			if gotSt != wantSt {
-				t.Fatalf("trial %d: stats %+v, want %+v", trial, gotSt, wantSt)
-			}
-
-			r := 0.2 + rng.Float64()*5
-			wantBC, err := ix.BallCover(q, r, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotBC, err := ix.SearchBall(ctx, q, r, WithRatio(c))
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch {
-			case (gotBC == nil) != (wantBC == nil):
-				t.Fatalf("trial %d: SearchBall %v, BallCover %v", trial, gotBC, wantBC)
-			case gotBC != nil && *gotBC != *wantBC:
-				t.Fatalf("trial %d: SearchBall %+v, BallCover %+v", trial, *gotBC, *wantBC)
-			}
-		}
-
-		qs := [][]float64{
-			livePts[rng.Intn(len(livePts))],
-			livePts[rng.Intn(len(livePts))],
-			livePts[rng.Intn(len(livePts))],
-		}
-		want, err := ix.KNNBatch(qs, 5, 1.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ix.SearchBatch(ctx, qs, 5, WithRatio(1.5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("trial %d: batch result (%d,%d) differs", trial, i, j)
-				}
-			}
-		}
-
-		// Pair queries on the PM-tree backend only.
-		if _, err := ix.SearchPairs(ctx, 1); err != nil {
-			continue // R-tree ablation
-		}
-		wantP, wantPSt, err := ix.ClosestPairsWithStats(5, 1.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var gotPSt CPStats
-		gotP, err := ix.SearchPairs(ctx, 5, WithRatio(1.5), WithPairStats(&gotPSt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gotP) != len(wantP) || gotPSt != wantPSt {
-			t.Fatalf("trial %d: pairs %d/%d, stats %+v vs %+v",
-				trial, len(gotP), len(wantP), gotPSt, wantPSt)
-		}
-		for i := range gotP {
-			if gotP[i] != wantP[i] {
-				t.Fatalf("trial %d: pair %d = %+v, want %+v", trial, i, gotP[i], wantP[i])
-			}
-		}
-		wantPar, err := ix.ClosestPairsParallel(5, 1.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotPar, err := ix.SearchPairs(ctx, 5, WithRatio(1.5), WithParallelVerify())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gotPar) != len(wantPar) {
-			t.Fatalf("trial %d: parallel pairs %d vs %d", trial, len(gotPar), len(wantPar))
-		}
-		for i := range gotPar {
-			if gotPar[i] != wantPar[i] {
-				t.Fatalf("trial %d: parallel pair %d differs", trial, i)
-			}
-		}
-	}
 }
 
 // TestPublicFilteredSearch checks WithFilter at ~50% selectivity

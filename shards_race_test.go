@@ -89,7 +89,7 @@ func TestShardedConcurrentMutationAndReads(t *testing.T) {
 				pre := log.snapshot()
 				switch rep % 4 {
 				case 0:
-					res, err := ix.KNN(qs[(g+rep)%len(qs)], 10, 1.5)
+					res, err := ix.Search(context.Background(), qs[(g+rep)%len(qs)], 10, WithRatio(1.5))
 					if err != nil {
 						errCh <- err
 						return
@@ -101,7 +101,7 @@ func TestShardedConcurrentMutationAndReads(t *testing.T) {
 						}
 					}
 				case 1:
-					batch, err := ix.KNNBatch(qs, 10, 1.5)
+					batch, err := ix.SearchBatch(context.Background(), qs, 10, WithRatio(1.5))
 					if err != nil {
 						errCh <- err
 						return
@@ -158,7 +158,7 @@ func TestShardedConcurrentMutationAndReads(t *testing.T) {
 		t.Fatalf("LiveLen=%d, want %d", ix.LiveLen(), wantLive)
 	}
 	final := log.snapshot()
-	res, err := ix.KNN(qs[0], 20, 1.5)
+	res, err := ix.Search(context.Background(), qs[0], 20, WithRatio(1.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestShardedConcurrentCompactAndClosestPairs(t *testing.T) {
 				default:
 				}
 				pre := log.snapshot()
-				pairs, err := ix.ClosestPairs(8, 1.5)
+				pairs, err := ix.SearchPairs(context.Background(), 8, WithRatio(1.5))
 				if err != nil {
 					errCh <- err
 					return
@@ -289,7 +289,7 @@ func TestShardedConcurrentSerializeAndMutate(t *testing.T) {
 				t.Errorf("snapshot live count %d outside churn window", n)
 				return
 			}
-			if _, err := loaded.KNN(q, 5, 1.5); err != nil {
+			if _, err := loaded.Search(context.Background(), q, 5, WithRatio(1.5)); err != nil {
 				errCh <- err
 				return
 			}
