@@ -597,30 +597,28 @@ func cpWorkload(b *testing.B) (*bench.CPWorkload, *core.Index) {
 }
 
 // BenchmarkClosestPairs measures one (c,k)-closest-pair query over the
-// reference dedup workload: the dual-branch self-join traversal with
-// confidence-interval termination.
+// reference dedup workload at both ends of the one driver: shards=1 is
+// the bare index (one self-join, the quantile read in place), shards=3
+// the engine's merge of three self-joins and three bipartite joins.
 func BenchmarkClosestPairs(b *testing.B) {
-	_, ix := cpWorkload(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ix.SearchPairs(context.Background(), cpBenchK, core.SearchOptions{C: cpBenchC}); err != nil {
-			b.Fatal(err)
+	w, ix := cpWorkload(b)
+	run := func(b *testing.B, searchPairs func(context.Context, int, core.SearchOptions) ([]core.Pair, error)) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := searchPairs(context.Background(), cpBenchK, core.SearchOptions{C: cpBenchC}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
-}
-
-// BenchmarkClosestPairsParallel is the same query with pair
-// verification fanned across the worker pool.
-func BenchmarkClosestPairsParallel(b *testing.B) {
-	_, ix := cpWorkload(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ix.SearchPairs(context.Background(), cpBenchK, core.SearchOptions{C: cpBenchC, Parallel: true}); err != nil {
+	b.Run("shards=1", func(b *testing.B) { run(b, ix.SearchPairs) })
+	b.Run("shards=3", func(b *testing.B) {
+		e, err := core.BuildEngine(w.Points, core.Config{Seed: 54, Shards: 3})
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		run(b, e.SearchPairs)
+	})
 }
 
 // BenchmarkNaiveDedupBallCover is the pre-subsystem baseline on the

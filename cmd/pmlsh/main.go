@@ -182,7 +182,6 @@ func runCP(args []string) error {
 	indexPath := fs.String("index", "", "index file")
 	k := fs.Int("k", 10, "number of closest pairs")
 	c := fs.Float64("c", 1.5, "approximation ratio")
-	par := fs.Bool("par", false, "fan pair verification across a GOMAXPROCS worker pool")
 	timeout := fs.Duration("timeout", 0, "per-query deadline (0 = none)")
 	fs.Parse(args)
 	if *indexPath == "" {
@@ -194,25 +193,16 @@ func runCP(args []string) error {
 	}
 	ctx, cancel := queryCtx(*timeout)
 	defer cancel()
-	opts := []pmlsh.SearchOption{pmlsh.WithRatio(*c)}
-	if *par {
-		opts = append(opts, pmlsh.WithParallelVerify())
-	}
 	var st pmlsh.CPStats
-	opts = append(opts, pmlsh.WithPairStats(&st))
 	start := time.Now()
-	pairs, err := ix.SearchPairs(ctx, *k, opts...)
+	pairs, err := ix.SearchPairs(ctx, *k, pmlsh.WithRatio(*c), pmlsh.WithPairStats(&st))
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
 	printPairs(pairs)
-	mode := "serial"
-	if *par {
-		mode = fmt.Sprintf("parallel (%d workers)", runtime.GOMAXPROCS(0))
-	}
-	fmt.Printf("%s: enumerated=%d verified=%d projected-dist-comps=%d, wall time %v\n",
-		mode, st.Enumerated, st.Verified, st.ProjectedDistComps, elapsed.Round(time.Microsecond))
+	fmt.Printf("enumerated=%d verified=%d projected-dist-comps=%d, wall time %v\n",
+		st.Enumerated, st.Verified, st.ProjectedDistComps, elapsed.Round(time.Microsecond))
 	return nil
 }
 

@@ -38,7 +38,6 @@
 //	WithStats(&st)        per-query work statistics (Search, SearchBall)
 //	WithBatchStats(sts)   per-query statistics for SearchBatch
 //	WithPairStats(&st)    statistics for SearchPairs
-//	WithParallelVerify()  parallel pair verification (SearchPairs)
 //
 // Cancellation: every entry point honors its context. Search checks
 // between range-expansion rounds, SearchBatch additionally between
@@ -146,9 +145,11 @@
 //
 //	pairs, err := index.SearchPairs(ctx, 10, WithRatio(1.5)) // 10 closest pairs
 //
-// WithParallelVerify fans pair verification across a GOMAXPROCS
-// worker pool. De-duplicating a corpus is the canonical use — the
-// near-copies are exactly the closest pairs (see examples/dedup).
+// One driver serves every shard count: a sharded index merges its
+// shards' self-joins and cross-shard joins into one candidate stream,
+// and an unsharded one is the same loop over a single self-join.
+// De-duplicating a corpus is the canonical use — the near-copies are
+// exactly the closest pairs (see examples/dedup).
 //
 // # Mutation lifecycle
 //

@@ -52,8 +52,8 @@ func TestEdgeKZeroOrNegative(t *testing.T) {
 	if _, err := ix.SearchPairs(context.Background(), 0, WithRatio(1.5)); err == nil {
 		t.Error("ClosestPairs k=0 should fail")
 	}
-	if _, err := ix.SearchPairs(context.Background(), -2, WithRatio(1.5), WithParallelVerify()); err == nil {
-		t.Error("ClosestPairsParallel k<0 should fail")
+	if _, err := ix.SearchPairs(context.Background(), -2, WithRatio(1.5)); err == nil {
+		t.Error("ClosestPairs k<0 should fail")
 	}
 }
 

@@ -91,38 +91,29 @@ type CPRow struct {
 }
 
 // ClosestPairStudy builds a PM-LSH index over the workload and measures
-// the serial and parallel closest-pair engines against exact brute
-// force.
-func ClosestPairStudy(w *CPWorkload, k int, c float64, seed int64) ([]CPRow, error) {
+// the closest-pair query against exact brute force.
+func ClosestPairStudy(w *CPWorkload, k int, c float64, seed int64) (CPRow, error) {
 	ix, err := core.Build(w.Points, core.Config{Seed: seed})
 	if err != nil {
-		return nil, err
+		return CPRow{}, err
 	}
 	exact, err := lscan.ClosestPairs(w.Points, k)
 	if err != nil {
-		return nil, err
+		return CPRow{}, err
 	}
-	var out []CPRow
-	for _, par := range []bool{false, true} {
-		start := time.Now()
-		pairs, err := ix.SearchPairs(context.Background(), k, core.SearchOptions{C: c, Parallel: par})
-		if err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		name := "ClosestPairs"
-		if par {
-			name = "ClosestPairsParallel"
-		}
-		out = append(out, CPRow{
-			Algo:   name,
-			K:      k,
-			C:      c,
-			TimeMS: float64(elapsed.Nanoseconds()) / 1e6,
-			Ratio:  cpRatio(pairs, exact),
-		})
+	start := time.Now()
+	pairs, err := ix.SearchPairs(context.Background(), k, core.SearchOptions{C: c})
+	if err != nil {
+		return CPRow{}, err
 	}
-	return out, nil
+	elapsed := time.Since(start)
+	return CPRow{
+		Algo:   "ClosestPairs",
+		K:      k,
+		C:      c,
+		TimeMS: float64(elapsed.Nanoseconds()) / 1e6,
+		Ratio:  cpRatio(pairs, exact),
+	}, nil
 }
 
 // cpRatio is the overall-ratio analog for pair results. A rank whose

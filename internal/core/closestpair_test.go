@@ -79,41 +79,6 @@ func TestClosestPairsVsBruteForce(t *testing.T) {
 	}
 }
 
-func TestClosestPairsParallelVsBruteForce(t *testing.T) {
-	ds := cpDataset(t, 700, 37)
-	ix, err := Build(ds.Points, Config{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = 15
-	const c = 1.5
-	exact, err := lscan.ClosestPairs(ds.Points, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st CPStats
-	got, err := ix.SearchPairs(context.Background(), k, SearchOptions{C: c, Parallel: true, PairStats: &st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPairs(t, got, exact, k, c)
-	if st.Verified == 0 || st.ProjectedDistComps == 0 || st.Rounds == 0 {
-		t.Errorf("parallel stats not filled: %+v", st)
-	}
-
-	// The parallel variant must be at least as good as the serial one,
-	// rank by rank (it verifies a superset of candidates).
-	serial, err := ix.SearchPairs(context.Background(), k, SearchOptions{C: c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if got[i].Dist > serial[i].Dist+1e-9 {
-			t.Errorf("rank %d: parallel %v worse than serial %v", i, got[i].Dist, serial[i].Dist)
-		}
-	}
-}
-
 func TestClosestPairsFindsPlantedDuplicates(t *testing.T) {
 	// Plant near-copies; the closest pairs must be exactly those.
 	ds := cpDataset(t, 600, 41)
@@ -165,9 +130,6 @@ func TestClosestPairsEdgeCases(t *testing.T) {
 		if _, err := ix.SearchPairs(context.Background(), -3, SearchOptions{C: 1.5}); err == nil {
 			t.Error("negative k should fail")
 		}
-		if _, err := ix.SearchPairs(context.Background(), 0, SearchOptions{C: 1.5, Parallel: true}); err == nil {
-			t.Error("parallel k=0 should fail")
-		}
 	})
 
 	t.Run("single point", func(t *testing.T) {
@@ -178,10 +140,6 @@ func TestClosestPairsEdgeCases(t *testing.T) {
 		res, err := ix.SearchPairs(context.Background(), 5, SearchOptions{C: 1.5})
 		if err != nil || len(res) != 0 {
 			t.Errorf("single-point index: res=%v err=%v", res, err)
-		}
-		res, err = ix.SearchPairs(context.Background(), 5, SearchOptions{C: 1.5, Parallel: true})
-		if err != nil || len(res) != 0 {
-			t.Errorf("single-point parallel: res=%v err=%v", res, err)
 		}
 	})
 

@@ -803,9 +803,10 @@ func (ix *Index) sampleDistanceDistribution() {
 	ix.distCDF = out
 }
 
-// distQuantile returns the empirical F⁻¹(p).
-func (ix *Index) distQuantile(p float64) float64 {
-	if len(ix.distCDF) == 0 {
+// distQuantile returns the empirical F⁻¹(p) of a sorted distance
+// sample (an Index's distCDF, or several shards' merged).
+func distQuantile(cdf []float64, p float64) float64 {
+	if len(cdf) == 0 {
 		return 1
 	}
 	if p < 0 {
@@ -814,8 +815,8 @@ func (ix *Index) distQuantile(p float64) float64 {
 	if p > 1 {
 		p = 1
 	}
-	i := int(p * float64(len(ix.distCDF)-1))
-	return ix.distCDF[i]
+	i := int(p * float64(len(cdf)-1))
+	return cdf[i]
 }
 
 // DeriveParams computes t, α2 and β for a given approximation ratio c
@@ -1080,10 +1081,10 @@ func (sc *queryScratch) sortEmit() {
 	}
 }
 
-// smallestPositiveDistance returns the smallest non-zero sampled
-// distance (fallback for datasets dominated by duplicates).
-func (ix *Index) smallestPositiveDistance() float64 {
-	for _, d := range ix.distCDF {
+// smallestPositiveDistance returns the smallest non-zero distance of a
+// sorted sample (fallback for datasets dominated by duplicates).
+func smallestPositiveDistance(cdf []float64) float64 {
+	for _, d := range cdf {
 		if d > 0 {
 			return d
 		}

@@ -12,51 +12,61 @@ import (
 	"repro/internal/vec"
 )
 
-// Sharded closest-pair search. Every pair of live points either lives
-// inside one shard or straddles two, so the N-shard pair stream is the
-// merge of N self-joins (one per shard's PM-tree) and N(N-1)/2
-// bipartite joins (one per shard pair — all shards share one
-// projection seed, hence one projected space, which is what makes the
-// cross-tree distances meaningful). The merged enumerator yields
-// global-id candidates in nondecreasing projected distance, and the
-// driver on top is the same radius-capped verify loop as the 1-shard
-// engine: same seen-set dedup, same βn+k budget over the union's n,
-// same confidence-interval termination. Quantized screening is
-// skipped at N > 1 (it is reject-only, so answers are unchanged;
-// CPStats.Screened stays 0), and o.Parallel falls back to the serial
-// verifier — the per-shard enumerators already spread the tree work.
+// The closest-pair driver, for any shard count N ≥ 1. Every pair of
+// live points either lives inside one partition or straddles two, so
+// the pair stream is the merge of N self-joins (one per partition's
+// PM-tree) and N(N-1)/2 bipartite joins (one per partition pair — all
+// shards share one projection seed, hence one projected space, which is
+// what makes the cross-tree distances meaningful). The merged
+// enumerator yields global-id candidates in nondecreasing projected
+// distance; at N = 1 it is the one self-join and a global id is the
+// index's own id. On top sits the one radius-capped verify loop (run):
+// seen-set dedup, the βn+k budget over the union's n, the
+// confidence-interval termination. The reject-only quantized screen
+// applies whenever both ids of a pair sit in one partition's store —
+// always at N = 1 — because a codec bounds distances between its own
+// rows only; a cross-partition pair goes straight to the exact
+// distance, so answers never depend on the shard count's screening.
+//
+// There is no parallel verification: on the reference dedup workload a
+// query verifies 60 pairs (CPStats{Rounds:1 Enumerated:60 Verified:60
+// ProjectedDistComps:32395}) — about 0.2% of its 12 ms — and the worker
+// pool that fanned them out (removed in PR 19) measured no different
+// from this loop.
 
 // SearchPairs answers one (c,k)-closest-pair request (see
-// Index.SearchPairs). With one shard it is the bare Index query; with
-// N > 1 pairs within and across shards are enumerated by the merged
-// traversal above.
+// Index.SearchPairs) over the pinned snapshots of every shard.
 func (e *Engine) SearchPairs(ctx context.Context, k int, o SearchOptions) ([]Pair, error) {
-	if len(e.shards) == 1 {
-		h := e.shards[0].pin()
-		defer h.unpin()
-		return h.ix.SearchPairs(ctx, k, o)
-	}
-	if e.metric == metric.Jaccard {
-		pins := e.pinAll()
-		defer unpinAll(pins)
-		return searchPairsJaccardSharded(ctx, pins, k, o)
-	}
 	pins := e.pinAll()
 	defer unpinAll(pins)
-	s, err := e.cpSetupSharded(k, o, pins)
+	parts := make([]*Index, len(pins))
+	for i, h := range pins {
+		parts[i] = h.ix
+	}
+	return searchPairs(ctx, parts, k, o)
+}
+
+// searchPairs runs one closest-pair request over parts — the
+// partitions of one collection, global id = local·N + partition. The
+// caller guarantees the vector partitions are not mutated meanwhile (a
+// bare Index holds its reader lock, the Engine pins snapshots: the
+// direct-field reads below are safe because a pinned half is never
+// mutated and the pin's atomic load orders them after the half's last
+// publication); the MinHash backend takes its own lock per call.
+func searchPairs(ctx context.Context, parts []*Index, k int, o SearchOptions) ([]Pair, error) {
+	if parts[0].metric == metric.Jaccard {
+		return searchPairsJaccardSharded(ctx, parts, k, o)
+	}
+	s, ok, err := cpSetupSharded(parts, k, o)
 	if err != nil {
 		return nil, err
 	}
 	var st CPStats
-	if s == nil { // trivially empty: fewer than two live points
-		if o.PairStats != nil {
-			*o.PairStats = st
+	var res []Pair
+	if ok { // otherwise trivially empty: fewer than two admitted points
+		if res, err = s.run(ctx, o.Filter, &st); err != nil {
+			return nil, err
 		}
-		return nil, nil
-	}
-	res, err := s.run(ctx, o.Filter, &st)
-	if err != nil {
-		return nil, err
 	}
 	if o.PairStats != nil {
 		*o.PairStats = st
@@ -64,31 +74,29 @@ func (e *Engine) SearchPairs(ctx context.Context, k int, o SearchOptions) ([]Pai
 	return res, nil
 }
 
-// cpSharded bundles one sharded closest-pair query's derived
-// constants and pinned snapshots (the direct-field reads below are
-// safe: a pinned half is never mutated, and the pin's atomic load
-// orders them after the half's last publication).
+// cpSharded bundles one closest-pair query's derived constants and the
+// partitions it runs over.
 type cpSharded struct {
-	pins        []*half
+	parts       []*Index
 	nsh         int32
 	k           int
 	c           float64
-	t           float64
-	budget      int
-	maxPairs    int
-	maxVerified int
-	r0          float64
+	t           float64 // projected-radius multiplier from DeriveParams
+	budget      int     // βn + k unique-verification cap
+	maxPairs    int     // distinct pairs in the collection
+	maxVerified int     // distinct admitted pairs (== maxPairs without a filter)
+	r0          float64 // initial original-space radius
 }
 
-// cpSetupSharded mirrors cpSetup over the union of the pinned shards.
-// A nil setup with nil error means the query trivially returns no
-// pairs.
-func (e *Engine) cpSetupSharded(k int, o SearchOptions, pins []*half) (*cpSharded, error) {
-	if e.metric == metric.InnerProduct {
-		return nil, fmt.Errorf("core: closest-pair queries are not defined for the inner-product metric (pair \"distance\" would mix both norms)")
+// cpSetupSharded validates a closest-pair request and derives its
+// constants over the union of the partitions. ok == false with a nil
+// error means the query trivially returns no pairs.
+func cpSetupSharded(parts []*Index, k int, o SearchOptions) (s cpSharded, ok bool, err error) {
+	if parts[0].metric == metric.InnerProduct {
+		return s, false, fmt.Errorf("core: closest-pair queries are not defined for the inner-product metric (pair \"distance\" would mix both norms)")
 	}
 	if k <= 0 {
-		return nil, fmt.Errorf("core: k must be positive, got %d", k)
+		return s, false, fmt.Errorf("core: k must be positive, got %d", k)
 	}
 	c := o.C
 	if c <= 0 {
@@ -96,31 +104,39 @@ func (e *Engine) cpSetupSharded(k int, o SearchOptions, pins []*half) (*cpSharde
 	}
 	// The derived constants depend only on build-time configuration,
 	// which every shard shares.
-	params, err := pins[0].ix.deriveParamsOpt(c, o.Alpha1)
+	params, err := parts[0].deriveParamsOpt(c, o.Alpha1)
 	if err != nil {
-		return nil, err
+		return s, false, err
 	}
 	n := 0
-	for _, h := range pins {
-		n += h.ix.data.Live()
+	for _, ix := range parts {
+		n += ix.data.Live()
 	}
 	if n < 2 {
-		return nil, nil
+		return s, false, nil
 	}
-	nsh := int32(len(pins))
+	nsh := int32(len(parts))
 	maxPairs := n * (n - 1) / 2
+	// With a filter, count the admitted live population up front (one
+	// predicate call per live id — negligible next to a self-join). The
+	// admitted pair count clamps k, bounds the verification the query
+	// can ever do, and lets the driver stop the moment the last
+	// admitted pair has been verified. Note the worst case stays
+	// quadratic in enumeration when the admitted pairs are the farthest
+	// in the collection — the distance-ordered self-join must pass every
+	// closer pair first; WithBudget or a context deadline bounds that.
 	maxVerified := maxPairs
 	if o.Filter != nil {
 		admitted := 0
-		for s, h := range pins {
-			for local, row := range h.ix.rowOf {
-				if row >= 0 && o.Filter(int32(local)*nsh+int32(s)) {
+		for p, ix := range parts {
+			for local, row := range ix.rowOf {
+				if row >= 0 && o.Filter(int32(local)*nsh+int32(p)) {
 					admitted++
 				}
 			}
 		}
 		if admitted < 2 {
-			return nil, nil
+			return s, false, nil
 		}
 		maxVerified = admitted * (admitted - 1) / 2
 	}
@@ -131,32 +147,37 @@ func (e *Engine) cpSetupSharded(k int, o SearchOptions, pins []*half) (*cpSharde
 	if o.Budget > 0 {
 		budget = o.Budget
 	}
-	// r0 from the merged empirical distance distribution: each shard's
-	// sample describes its own partition, and pair distances within and
-	// across partitions are drawn from the same global F, so the
-	// concatenated sample estimates it over the union (see cpSetup for
-	// why the first radius errs one c-step high).
-	cdf := make([]float64, 0, len(pins)*len(pins[0].ix.distCDF))
-	for _, h := range pins {
-		cdf = append(cdf, h.ix.distCDF...)
-	}
-	sort.Float64s(cdf)
-	p := float64(budget) / float64(maxPairs)
-	if p > 1 {
-		p = 1
-	}
-	r0 := cdf[int(p*float64(len(cdf)-1))] * c
-	if r0 <= 0 {
-		r0 = 1e-9
-		for _, d := range cdf {
-			if d > 0 {
-				r0 = d
-				break
-			}
+
+	// r0: the radius at which the empirical pair-distance distribution F
+	// predicts about budget pairs among the n(n-1)/2 total, then one
+	// c-step up. distCDF is a uniform sample of pair distances, so its
+	// quantiles estimate F⁻¹ directly — but budget/maxPairs is an
+	// extreme quantile (~10⁻⁵), where the estimate is a low-rank order
+	// statistic with noise on the order of the value itself. Unlike the
+	// KNN engine, whose rounds are cheap, a failed round here re-runs
+	// the whole self-join, so the first radius errs one enlargement
+	// step high rather than shrinking (the approximation analysis holds
+	// for any radius sequence; a wider first round only admits more
+	// candidates).
+	//
+	// One partition's sorted sample is read in place. Several are
+	// concatenated: each describes its own partition, and pair distances
+	// within and across partitions are drawn from the same global F, so
+	// the merged sample estimates it over the union.
+	cdf := parts[0].distCDF
+	if len(parts) > 1 {
+		cdf = make([]float64, 0, len(parts)*len(cdf))
+		for _, ix := range parts {
+			cdf = append(cdf, ix.distCDF...)
 		}
+		sort.Float64s(cdf)
 	}
-	return &cpSharded{
-		pins:        pins,
+	r0 := distQuantile(cdf, float64(budget)/float64(maxPairs)) * c
+	if r0 <= 0 {
+		r0 = smallestPositiveDistance(cdf)
+	}
+	return cpSharded{
+		parts:       parts,
 		nsh:         nsh,
 		k:           k,
 		c:           c,
@@ -165,20 +186,33 @@ func (e *Engine) cpSetupSharded(k int, o SearchOptions, pins []*half) (*cpSharde
 		maxPairs:    maxPairs,
 		maxVerified: maxVerified,
 		r0:          r0,
-	}, nil
+	}, true, nil
 }
 
-// point resolves a live global id to its vector.
-func (s *cpSharded) point(gid int32) []float64 {
-	ix := s.pins[gid%s.nsh].ix
-	return ix.data.Row(int(ix.rowOf[gid/s.nsh]))
+// locate resolves a live global id to its partition and store row.
+func (s cpSharded) locate(gid int32) (*Index, int) {
+	ix := s.parts[gid%s.nsh]
+	return ix, int(ix.rowOf[gid/s.nsh])
 }
 
-func (s *cpSharded) projCutoff(bound float64) float64 {
+// projCutoff maps the k-th best squared original distance to the
+// projected cutoff of the confidence-interval condition: pairs at
+// original distance <= r_k/c project within t·r_k/c w.h.p., so nothing
+// beyond that cutoff can break the (c,k) guarantee.
+func (s cpSharded) projCutoff(bound float64) float64 {
 	return s.t * math.Sqrt(bound) / s.c
 }
 
-func (s *cpSharded) settled(top []Pair, bound, r float64, scanned, verified int) bool {
+// settled reports whether the query can stop after a round at radius r:
+// the k-th best distance lies within c·r (the CI condition — a closer
+// unseen pair would have been enumerated w.h.p.), every distinct pair
+// has been enumerated (scanned counts distinct pairs consumed from the
+// join, admitted or not), or every admitted pair has been verified
+// (maxVerified — with a filter, the admitted population is counted up
+// front, so a restrictive filter ends the query as soon as its last
+// admitted pair is verified instead of grinding through the whole
+// O(n²) join).
+func (s cpSharded) settled(top []Pair, bound, r float64, scanned, verified int) bool {
 	if len(top) == s.k && math.Sqrt(bound) <= s.c*r {
 		return true
 	}
@@ -216,9 +250,20 @@ func (p *pairSource) advance() {
 // iteration anywhere upstream.
 type shardedPairEnum struct {
 	srcs []pairSource
+	// taken is the source whose head the last Next handed out (-1:
+	// none). It is pulled again at the start of the following Next, not
+	// at once: the pull then sees any cutoff the driver set while
+	// verifying that head, and a query that stops on that head never
+	// pays for a candidate it will not read. With one source the merge
+	// is therefore exactly that source's own Next sequence.
+	taken int
 }
 
 func (m *shardedPairEnum) Next() (Pair, bool) {
+	if m.taken >= 0 {
+		m.srcs[m.taken].advance()
+		m.taken = -1
+	}
 	best := -1
 	for i := range m.srcs {
 		s := &m.srcs[i]
@@ -232,9 +277,8 @@ func (m *shardedPairEnum) Next() (Pair, bool) {
 	if best < 0 {
 		return Pair{}, false
 	}
-	out := m.srcs[best].head
-	m.srcs[best].advance()
-	return out, true
+	m.taken = best
+	return m.srcs[best].head, true
 }
 
 func pairLess(a, b Pair) bool {
@@ -247,10 +291,9 @@ func pairLess(a, b Pair) bool {
 	return a.J < b.J
 }
 
-// SetCutoff forwards to every sub-enumerator (heads already pulled may
-// exceed the new cutoff; the driver's bound check disposes of them,
-// exactly as it does for the candidate a 1-shard enumerator has
-// already returned when its cutoff shrinks).
+// SetCutoff forwards to every sub-enumerator (the other sources' heads,
+// pulled under an earlier cutoff, may exceed the new one; the driver's
+// bound check disposes of them).
 func (m *shardedPairEnum) SetCutoff(c float64) {
 	for i := range m.srcs {
 		m.srcs[i].en.SetCutoff(c)
@@ -267,18 +310,17 @@ func (m *shardedPairEnum) DistComps() int64 {
 	return total
 }
 
-// newRound starts one capped merged enumeration at original-space
-// radius r.
-func (s *cpSharded) newRound(r float64, have int, bound float64) *shardedPairEnum {
-	m := &shardedPairEnum{}
-	for a := range s.pins {
-		ta := s.pins[a].ix.tree
-		if s.pins[a].ix.data.Live() >= 2 {
-			m.srcs = append(m.srcs, pairSource{en: ta.NewPairEnumerator(), sa: int32(a), sb: int32(a), nsh: s.nsh})
+// newRound restarts m as one capped merged enumeration at
+// original-space radius r.
+func (s cpSharded) newRound(m *shardedPairEnum, r float64, have int, bound float64) {
+	m.srcs = m.srcs[:0]
+	for a, ia := range s.parts {
+		if ia.data.Live() >= 2 {
+			m.srcs = append(m.srcs, pairSource{en: ia.tree.NewPairEnumerator(), sa: int32(a), sb: int32(a), nsh: s.nsh})
 		}
-		for b := a + 1; b < len(s.pins); b++ {
-			if s.pins[a].ix.data.Live() >= 1 && s.pins[b].ix.data.Live() >= 1 {
-				m.srcs = append(m.srcs, pairSource{en: ta.NewBipartitePairEnumerator(s.pins[b].ix.tree), sa: int32(a), sb: int32(b), nsh: s.nsh})
+		for b := a + 1; b < len(s.parts); b++ {
+			if ib := s.parts[b]; ia.data.Live() >= 1 && ib.data.Live() >= 1 {
+				m.srcs = append(m.srcs, pairSource{en: ia.tree.NewBipartitePairEnumerator(ib.tree), sa: int32(a), sb: int32(b), nsh: s.nsh})
 			}
 		}
 	}
@@ -289,13 +331,17 @@ func (s *cpSharded) newRound(r float64, have int, bound float64) *shardedPairEnu
 	for i := range m.srcs {
 		m.srcs[i].advance()
 	}
-	return m
+	m.taken = -1
 }
 
-// run is searchPairsSerial over the merged enumerator: rounds of
-// capped joins at projected radius t·r, r ← c·r, each candidate
-// verified with its exact distance across the union of stores.
-func (s *cpSharded) run(ctx context.Context, filter func(int32) bool, st *CPStats) ([]Pair, error) {
+// cpCheckEvery is how many candidates the pair loops consume between
+// cancellation checks.
+const cpCheckEvery = 256
+
+// run is the one closest-pair round loop: rounds of capped joins at
+// projected radius t·r, r ← c·r, each candidate verified with its
+// exact distance as it streams off the merged enumerator.
+func (s cpSharded) run(ctx context.Context, filter func(int32) bool, st *CPStats) ([]Pair, error) {
 	// top's Dist holds squared distances until return; bound is the
 	// current k-th best of them.
 	top := make([]Pair, 0, vec.PreallocCap(s.k, s.maxVerified))
@@ -303,15 +349,18 @@ func (s *cpSharded) run(ctx context.Context, filter func(int32) bool, st *CPStat
 	seen := make(map[[2]int32]bool, vec.PreallocCap(s.budget, s.maxPairs))
 	r := s.r0
 	var pdc int64
+	var en shardedPairEnum
 rounds:
 	for {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
 		st.Rounds++
-		en := s.newRound(r, len(top), bound)
+		s.newRound(&en, r, len(top), bound)
 		for {
-			if st.Enumerated%cpBatchSize == 0 {
+			// Cancellation between verification work items, amortized
+			// over a batch of enumerator pulls.
+			if st.Enumerated%cpCheckEvery == 0 {
 				if err := ctxErr(ctx); err != nil {
 					return nil, err
 				}
@@ -330,18 +379,33 @@ rounds:
 				continue
 			}
 			st.Verified++
-			d2 := vec.SquaredL2Bounded(s.point(cand.I), s.point(cand.J), bound)
-			if len(top) < s.k || d2 < bound {
-				top = insertPair(top, Pair{I: cand.I, J: cand.J, Dist: d2}, s.k)
-				if len(top) == s.k {
-					bound = top[s.k-1].Dist
-					en.SetCutoff(s.projCutoff(bound))
+			// Quantized screen (reject-only, see verifier.run): with the
+			// top-k full, a pair lower bound above the k-th best distance
+			// skips the exact computation without changing the answer. A
+			// codec bounds only pairs of its own store's rows.
+			ia, r1 := s.locate(cand.I)
+			ib, r2 := s.locate(cand.J)
+			if codec := ia.data.Codec(); ia == ib && codec != nil && len(top) == s.k &&
+				codec.PairLowerBound(r1, r2, bound) > bound {
+				st.Screened++
+			} else {
+				d2 := vec.SquaredL2Bounded(ia.data.Row(r1), ib.data.Row(r2), bound)
+				if len(top) < s.k || d2 < bound {
+					top = insertPair(top, Pair{I: cand.I, J: cand.J, Dist: d2}, s.k)
+					if len(top) == s.k {
+						bound = top[s.k-1].Dist
+						en.SetCutoff(s.projCutoff(bound))
+					}
 				}
 			}
+			// Termination 2: enough unique admitted pairs verified.
 			if st.Verified >= s.budget && len(top) == s.k {
 				pdc += en.DistComps()
 				break rounds
 			}
+			// Every admitted pair verified: nothing left the filter
+			// would let through (without a filter this coincides with
+			// the enumerator running dry).
 			if st.Verified >= s.maxVerified {
 				break
 			}
@@ -353,62 +417,69 @@ rounds:
 		r *= s.c
 	}
 	st.ProjectedDistComps = pdc
-	finishPairs(top, s.pins[0].ix.metric)
+	finishPairs(top, s.parts[0].metric)
 	return top, nil
 }
 
-// searchPairsJaccardSharded answers a closest-pair request over N > 1
-// MinHash shards. Every shard shares one minhash seed (BuildSetsEngine
-// guarantees it), so all shards' band b buckets live in one hash
-// space: two sets — same shard or not — land in the same merged
-// bucket exactly when their band-b signatures agree. The join
-// therefore merges each band's buckets across shards, generates each
+// searchPairsJaccardSharded answers a closest-pair request over N ≥ 1
+// MinHash partitions. Every shard shares one minhash seed
+// (BuildSetsEngine guarantees it), so all shards' band b buckets live
+// in one hash space: two sets — same shard or not — land in the same
+// merged bucket exactly when their band-b signatures agree. The join
+// therefore gathers each band's buckets across shards, generates each
 // unordered candidate pair once, rescores it with the exact Jaccard
-// of the stored token sets, and keeps the top k by (distance, I, J) —
-// the same candidate population a single-shard index over the union
-// would surface.
-func searchPairsJaccardSharded(ctx context.Context, pins []*half, k int, o SearchOptions) ([]Pair, error) {
+// of the stored token sets, drops pairs below the similarity
+// threshold, and keeps the top k by (distance, I, J) — the same
+// candidate population a single index over the union would surface.
+func searchPairsJaccardSharded(ctx context.Context, parts []*Index, k int, o SearchOptions) ([]Pair, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	if k <= 0 {
 		return nil, fmt.Errorf("core: k must be positive, got %d", k)
 	}
-	nsh := int32(len(pins))
-	mh0 := pins[0].ix.mh
+	nsh := int32(len(parts))
+	mh0 := parts[0].mh
 	bands := mh0.Bands()
 	threshold := mh0.Threshold()
 	st := CPStats{Rounds: 1}
 	seen := make(map[[2]int32]struct{})
 	cands := make([][2]int32, 0, 256)
+	var group []int32 // one merged bucket's global ids, reused
 	for b := 0; b < bands; b++ {
-		// Merge band b's buckets across shards: key → global ids.
-		merged := make(map[uint64][]int32)
-		for s, h := range pins {
-			h.ix.mh.ForEachBucket(b, func(key uint64, ids []int32) {
-				for _, local := range ids {
-					merged[key] = append(merged[key], local*nsh+int32(s))
+		for s, ix := range parts {
+			ix.mh.ForEachBucket(b, func(key uint64, ids []int32) {
+				// A key's merged bucket is built once, by the lowest
+				// shard that holds the key.
+				for _, lower := range parts[:s] {
+					if len(lower.mh.Bucket(b, key)) > 0 {
+						return
+					}
+				}
+				group = group[:0]
+				for o := s; o < len(parts); o++ {
+					if o > s {
+						ids = parts[o].mh.Bucket(b, key)
+					}
+					for _, local := range ids {
+						group = append(group, local*nsh+int32(o))
+					}
+				}
+				for i := 0; i < len(group); i++ {
+					for j := i + 1; j < len(group); j++ {
+						a, c := group[i], group[j]
+						if c < a {
+							a, c = c, a
+						}
+						pr := [2]int32{a, c}
+						if _, ok := seen[pr]; ok {
+							continue
+						}
+						seen[pr] = struct{}{}
+						cands = append(cands, pr)
+					}
 				}
 			})
-		}
-		for _, ids := range merged {
-			if len(ids) < 2 {
-				continue
-			}
-			for i := 0; i < len(ids); i++ {
-				for j := i + 1; j < len(ids); j++ {
-					a, c := ids[i], ids[j]
-					if c < a {
-						a, c = c, a
-					}
-					key := [2]int32{a, c}
-					if _, ok := seen[key]; ok {
-						continue
-					}
-					seen[key] = struct{}{}
-					cands = append(cands, key)
-				}
-			}
 		}
 	}
 	st.Enumerated = len(cands)
@@ -420,11 +491,11 @@ func searchPairsJaccardSharded(ctx context.Context, pins []*half, k int, o Searc
 		return cands[i][1] < cands[j][1]
 	})
 	set := func(gid int32) []uint64 {
-		return pins[gid%nsh].ix.mh.Set(gid / nsh)
+		return parts[gid%nsh].mh.Set(gid / nsh)
 	}
 	top := make([]Pair, 0, vec.PreallocCap(k, len(cands)))
 	for n, cand := range cands {
-		if n%cpBatchSize == 0 {
+		if n%cpCheckEvery == 0 {
 			if err := ctxErr(ctx); err != nil {
 				return nil, err
 			}
@@ -435,8 +506,14 @@ func searchPairsJaccardSharded(ctx context.Context, pins []*half, k int, o Searc
 		if o.Budget > 0 && st.Verified >= o.Budget {
 			break
 		}
+		a, b := set(cand[0]), set(cand[1])
+		if a == nil || b == nil {
+			// Deleted since its bucket was read: only a bare Index under
+			// concurrent mutation gets here, a pinned snapshot never changes.
+			continue
+		}
 		st.Verified++
-		sim := minhash.Jaccard(set(cand[0]), set(cand[1]))
+		sim := minhash.Jaccard(a, b)
 		if sim < threshold {
 			continue
 		}

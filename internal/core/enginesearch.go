@@ -2,10 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Engine queries. With one shard every entry point pins the snapshot
@@ -144,52 +141,15 @@ func (e *Engine) SearchBatch(ctx context.Context, qs [][]float64, k int, o Searc
 		defer h.unpin()
 		return h.ix.SearchBatch(ctx, qs, k, o)
 	}
-	if len(qs) == 0 {
-		return nil, nil
-	}
-	if o.BatchStats != nil && len(o.BatchStats) < len(qs) {
-		return nil, fmt.Errorf("core: BatchStats has %d entries for %d queries", len(o.BatchStats), len(qs))
-	}
 	pins := e.pinAll()
 	defer unpinAll(pins)
-	out := make([][]Result, len(qs))
-	errs := make([]error, len(qs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if ctxErr(ctx) != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(qs) {
-					return
-				}
-				res, st, err := e.fanSearch(ctx, qs[i], k, o, pins, false)
-				out[i], errs[i] = res, err
-				if o.BatchStats != nil {
-					o.BatchStats[i] = st
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: batch query %d: %w", i, err)
+	return searchBatch(ctx, len(qs), o.BatchStats, func(i int, st *QueryStats) ([]Result, error) {
+		res, merged, err := e.fanSearch(ctx, qs[i], k, o, pins, false)
+		if st != nil {
+			*st = merged
 		}
-	}
-	return out, nil
+		return res, err
+	})
 }
 
 // SearchBall answers one (r,c)-ball-cover request (see

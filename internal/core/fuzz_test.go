@@ -13,7 +13,7 @@ package core
 // further.
 //
 // Run with: go test -fuzz=FuzzLoad -fuzztime=10s ./internal/core
-// After a layout change: go test -run TestFuzzLoadCorpus -update-fuzz-corpus ./internal/core
+// After a layout change: go test ./internal/core -run TestFuzzLoadCorpus -update-fuzz-corpus
 
 import (
 	"bytes"

@@ -147,51 +147,3 @@ func (ix *Index) searchBallJaccard(ctx context.Context, q []float64, r float64, 
 	}
 	return &Result{ID: nb[0].ID, Dist: nb[0].Dist}, nil
 }
-
-// searchBatchJaccard is SearchBatch for the Jaccard backend (serial:
-// a MinHash lookup is bucket probes plus a few rescores, so the
-// per-query fan-out machinery of the vector engine would cost more
-// than it saves; the sharded Engine still fans shards out).
-func (ix *Index) searchBatchJaccard(ctx context.Context, qs [][]float64, k int, o SearchOptions) ([][]Result, error) {
-	if o.BatchStats != nil && len(o.BatchStats) != len(qs) {
-		return nil, fmt.Errorf("core: BatchStats length %d does not match %d queries", len(o.BatchStats), len(qs))
-	}
-	out := make([][]Result, len(qs))
-	for i, q := range qs {
-		oi := o
-		oi.Stats = nil
-		if o.BatchStats != nil {
-			oi.Stats = &o.BatchStats[i]
-		}
-		res, err := ix.searchJaccard(ctx, q, k, oi)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
-}
-
-// searchPairsJaccard is SearchPairs for the Jaccard backend: distinct
-// pairs surfaced by band-bucket co-occupancy, rescored exactly, each
-// unordered pair once, sorted by (distance, I, J).
-func (ix *Index) searchPairsJaccard(ctx context.Context, k int, o SearchOptions) ([]Pair, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("core: k must be positive, got %d", k)
-	}
-	ps, st, err := ix.mh.SearchPairs(k, minhashOpt(o))
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if o.PairStats != nil {
-		*o.PairStats = CPStats{Rounds: 1, Enumerated: st.Candidates, Verified: st.Verified}
-	}
-	out := make([]Pair, len(ps))
-	for i, p := range ps {
-		out[i] = Pair{I: p.I, J: p.J, Dist: p.Dist}
-	}
-	return out, nil
-}

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/metric"
+	"repro/internal/minhash"
 	"repro/internal/wal"
 )
 
@@ -468,6 +469,126 @@ func TestCosineDurableReplay(t *testing.T) {
 	for i := range want {
 		if want[i] != have[i] {
 			t.Fatalf("rank %d: recovered %+v, original %+v", i, have[i], want[i])
+		}
+	}
+}
+
+// TestJaccardSearchPairsVsOracle is the engine-level home of what the
+// minhash package's SearchPairs tests checked before the band join
+// moved here for every shard count (PR 19): shape and exactness of the
+// reported pairs against planted near-duplicates, the (dist, I, J)
+// order, the threshold cut, the filter on both ids, the budget stop,
+// and a k far beyond anything the index holds.
+func TestJaccardSearchPairsVsOracle(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(17))
+	const n, vocab = 120, 4000
+	sets := make([][]uint64, 0, n)
+	for i := 0; i < n; i++ {
+		s := make([]uint64, 50)
+		for j := range s {
+			s[j] = uint64(rng.Intn(vocab))
+		}
+		sets = append(sets, s)
+	}
+	// Plant 10 near-duplicate pairs with one to four of the 50 tokens
+	// replaced (similarity ≈ 0.96 down to 0.85, on both sides of the
+	// 0.9 threshold below).
+	var plants [][2]int32
+	for p := 0; p < 10; p++ {
+		src := rng.Intn(n)
+		dup := append([]uint64(nil), sets[src]...)
+		for i := 0; i <= p%4; i++ {
+			dup[rng.Intn(len(dup))] = uint64(rng.Intn(vocab))
+		}
+		sets = append(sets, dup)
+		plants = append(plants, [2]int32{int32(src), int32(len(sets) - 1)})
+	}
+	canon := make([][]uint64, len(sets))
+	for i, s := range sets {
+		var err error
+		if canon[i], err = minhash.Canonicalize(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, shards := range []int{1, 3} {
+		e, err := BuildSetsEngine(sets, Config{Metric: metric.Jaccard, Seed: 5, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st CPStats
+		pairs, err := e.SearchPairs(ctx, 2*len(plants), SearchOptions{PairStats: &st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Rounds != 1 || st.Enumerated < len(pairs) || st.Verified != st.Enumerated {
+			t.Fatalf("shards=%d: implausible stats %+v for %d pairs", shards, st, len(pairs))
+		}
+		seen := make(map[[2]int32]bool)
+		for i, p := range pairs {
+			if p.I >= p.J {
+				t.Fatalf("shards=%d: pair %d not ordered: (%d,%d)", shards, i, p.I, p.J)
+			}
+			key := [2]int32{p.I, p.J}
+			if seen[key] {
+				t.Fatalf("shards=%d: pair (%d,%d) reported twice", shards, p.I, p.J)
+			}
+			seen[key] = true
+			if i > 0 && pairLess(p, pairs[i-1]) {
+				t.Fatalf("shards=%d: pairs %d and %d out of (dist, I, J) order", shards, i-1, i)
+			}
+			if want := 1 - minhash.Jaccard(canon[p.I], canon[p.J]); p.Dist != want {
+				t.Fatalf("shards=%d: pair dist %v, exact says %v", shards, p.Dist, want)
+			}
+		}
+		hit := 0
+		for _, pl := range plants {
+			if seen[pl] {
+				hit++
+			}
+		}
+		if hit < len(plants)-1 {
+			t.Fatalf("shards=%d: found only %d/%d planted pairs", shards, hit, len(plants))
+		}
+
+		// Filter: a pair is admitted only when both ids are.
+		even, err := e.SearchPairs(ctx, 2*len(plants), SearchOptions{Filter: evenIDs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range even {
+			if p.I%2 != 0 || p.J%2 != 0 {
+				t.Fatalf("shards=%d: filter leaked pair (%d,%d)", shards, p.I, p.J)
+			}
+		}
+		// Budget caps exact rescores.
+		if _, err := e.SearchPairs(ctx, 5, SearchOptions{Budget: 3, PairStats: &st}); err != nil {
+			t.Fatal(err)
+		}
+		if st.Verified != 3 || st.Enumerated <= 3 {
+			t.Fatalf("shards=%d: budget 3 left stats %+v", shards, st)
+		}
+		// A k beyond anything the index holds sizes no allocation: it
+		// answers like k = every candidate pair.
+		all, err := e.SearchPairs(ctx, 1<<40, SearchOptions{})
+		if err != nil || len(all) < len(pairs) {
+			t.Fatalf("shards=%d: SearchPairs(k=1<<40): %d pairs, err %v", shards, len(all), err)
+		}
+
+		// Threshold: pairs below the similarity floor are cut after the
+		// rescore.
+		th, err := BuildSetsEngine(sets, Config{Metric: metric.Jaccard, Seed: 5, Shards: shards, MinHashThreshold: 0.9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut, err := th.SearchPairs(ctx, 1<<40, SearchOptions{})
+		if err != nil || len(cut) == 0 || len(cut) >= len(all) {
+			t.Fatalf("shards=%d: threshold 0.9 kept %d of %d pairs, err %v", shards, len(cut), len(all), err)
+		}
+		for _, p := range cut {
+			if p.Dist > 0.1+1e-12 {
+				t.Fatalf("shards=%d: threshold 0.9 leaked distance %v", shards, p.Dist)
+			}
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // distances) to the same index without it — the screen is reject-only,
 // so it may only skip exact computations whose outcome is already
 // decided. These tests drive the four screened paths (Search,
-// SearchBall, SearchPairs serial and parallel) across both codecs,
+// SearchBall, SearchPairs) across both codecs,
 // fresh and churned indexes.
 
 // buildTwin builds the same index twice, with and without quantization.
@@ -214,22 +214,6 @@ func TestQuantizedPairsIdentity(t *testing.T) {
 				}
 				if k >= 10 && stQ.Screened == 0 {
 					t.Fatalf("k=%d: pair screen never fired", k)
-				}
-
-				// Parallel verification must match its own plain twin
-				// (parallel batching differs from serial by contract).
-				var stQP CPStats
-				ppar, err := plain.SearchPairs(ctx, k, SearchOptions{Parallel: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				qpar, err := quant.SearchPairs(ctx, k, SearchOptions{Parallel: true, PairStats: &stQP})
-				if err != nil {
-					t.Fatal(err)
-				}
-				samePairs(t, "parallel", ppar, qpar)
-				if stQP.Screened > stQP.Verified {
-					t.Fatalf("parallel Screened=%d > Verified=%d", stQP.Screened, stQP.Verified)
 				}
 			}
 		})

@@ -56,13 +56,6 @@ type SearchOptions struct {
 	BatchStats []QueryStats
 	// PairStats, when non-nil, receives SearchPairs statistics.
 	PairStats *CPStats
-	// Parallel fans SearchPairs candidate verification across a
-	// GOMAXPROCS worker pool. Termination is checked per verification
-	// batch instead of per pair, so slightly more candidates may be
-	// examined; the result carries the same (c,k) guarantee and is,
-	// rank by rank, at least as close. Ignored by the other entry
-	// points (Search parallelism comes from SearchBatch).
-	Parallel bool
 }
 
 // ctxErr reports the context's cancellation state. A nil context is
@@ -107,9 +100,6 @@ func (ix *Index) deriveParamsOpt(c, alpha1 float64) (Params, error) {
 // distance. Cancellation is checked between range-expansion rounds, so
 // a canceled request stops doing tree work and returns ctx.Err().
 func (ix *Index) Search(ctx context.Context, q []float64, k int, o SearchOptions) ([]Result, error) {
-	if ix.metric == metric.Jaccard {
-		return ix.searchJaccard(ctx, q, k, o)
-	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.searchLocked(ctx, q, k, o)
@@ -183,7 +173,14 @@ func (ix *Index) finishDist(d2, qscale float64) float64 {
 // against mutations. All statistics, ProjectedDistComps included, are
 // exact per query: the enumerator counts its own metric evaluations,
 // so overlapping queries never pollute each other's counters.
+//
+// It is also where a point query dispatches on the metric — Search and
+// every SearchBatch worker come through here — so the Jaccard backend
+// (which has no use for mu) needs no batch loop of its own.
 func (ix *Index) searchLocked(ctx context.Context, q []float64, k int, o SearchOptions) ([]Result, error) {
+	if ix.metric == metric.Jaccard {
+		return ix.searchJaccard(ctx, q, k, o)
+	}
 	var st QueryStats
 	if len(q) != ix.ndim {
 		return nil, fmt.Errorf("core: query has dimension %d, index expects %d", len(q), ix.ndim)
@@ -221,9 +218,9 @@ func (ix *Index) searchLocked(ctx context.Context, q []float64, k int, o SearchO
 
 	// r_min: the radius at which F predicts βn + k points, shrunk a bit
 	// (Section 4.5, "Selecting the Radius r of a Range Query").
-	r := ix.distQuantile(float64(needed)/float64(n)) * ix.cfg.RMinShrink
+	r := distQuantile(ix.distCDF, float64(needed)/float64(n)) * ix.cfg.RMinShrink
 	if r <= 0 {
-		r = ix.smallestPositiveDistance()
+		r = smallestPositiveDistance(ix.distCDF)
 	}
 
 	sc := ix.getScratch()
@@ -367,8 +364,8 @@ func (v *verifier) run(cands []Result, budget int) int {
 }
 
 // SearchBatch answers many (c,k)-ANN requests under one options value,
-// fanning them across a bounded worker pool (GOMAXPROCS workers, each
-// reusing the per-query scratch pool); out[i] holds the neighbors of
+// fanning them across a bounded worker pool (searchBatch; each worker
+// reuses the per-query scratch pool); out[i] holds the neighbors of
 // qs[i], identical to Search per query — only the scheduling differs.
 // The batch holds the reader lock once (the workers run lock-free
 // inside it), so every query observes the same index state; mutations
@@ -384,25 +381,35 @@ func (v *verifier) run(cands []Result, budget int) int {
 // qs[i]); o.Stats is ignored (entries for unclaimed queries on an
 // aborted batch are left zero).
 func (ix *Index) SearchBatch(ctx context.Context, qs [][]float64, k int, o SearchOptions) ([][]Result, error) {
-	if len(qs) == 0 {
-		return nil, nil
-	}
-	if o.BatchStats != nil && len(o.BatchStats) < len(qs) {
-		return nil, fmt.Errorf("core: BatchStats has %d entries for %d queries", len(o.BatchStats), len(qs))
-	}
-	if ix.metric == metric.Jaccard {
-		return ix.searchBatchJaccard(ctx, qs, k, o)
-	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	out := make([][]Result, len(qs))
-	errs := make([]error, len(qs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(qs) {
-		workers = len(qs)
+	return searchBatch(ctx, len(qs), o.BatchStats, func(i int, st *QueryStats) ([]Result, error) {
+		oi := o
+		oi.Stats = st
+		return ix.searchLocked(ctx, qs[i], k, oi)
+	})
+}
+
+// searchBatch is the one batch claim loop (Index.SearchBatch, and
+// Engine.SearchBatch when it fans each query over several shards): up
+// to GOMAXPROCS workers claim query indexes 0…n-1 with one atomic add
+// each, checking ctx between items, and run one(i, st) — st is
+// &stats[i], or nil when the caller asked for no statistics. stats may
+// be longer than the batch. Any error yields a nil result slice:
+// ctx.Err() when the context ended, else the lowest-index query error
+// wrapped as "core: batch query i: …".
+func searchBatch(ctx context.Context, n int, stats []QueryStats, one func(i int, st *QueryStats) ([]Result, error)) ([][]Result, error) {
+	if n == 0 {
+		return nil, nil
 	}
+	if stats != nil && len(stats) < n {
+		return nil, fmt.Errorf("core: BatchStats has %d entries for %d queries", len(stats), n)
+	}
+	out := make([][]Result, n)
+	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	workers := min(runtime.GOMAXPROCS(0), n)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
@@ -412,15 +419,14 @@ func (ix *Index) SearchBatch(ctx context.Context, qs [][]float64, k int, o Searc
 					return
 				}
 				i := int(next.Add(1)) - 1
-				if i >= len(qs) {
+				if i >= n {
 					return
 				}
-				oi := o
-				oi.Stats = nil
-				if o.BatchStats != nil {
-					oi.Stats = &o.BatchStats[i]
+				var st *QueryStats
+				if stats != nil {
+					st = &stats[i]
 				}
-				out[i], errs[i] = ix.searchLocked(ctx, qs[i], k, oi)
+				out[i], errs[i] = one(i, st)
 			}
 		}()
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/metric"
 	"repro/internal/vec"
 )
 
@@ -226,9 +227,6 @@ func TestSearchCancellation(t *testing.T) {
 	if _, err := ix.SearchPairs(ctx, 5, SearchOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SearchPairs under canceled ctx: %v", err)
 	}
-	if _, err := ix.SearchPairs(ctx, 5, SearchOptions{Parallel: true}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("parallel SearchPairs under canceled ctx: %v", err)
-	}
 
 	// The index answers normally afterwards (pooled scratch not wedged).
 	if _, err := ix.Search(context.Background(), q, 5, SearchOptions{}); err != nil {
@@ -348,6 +346,70 @@ func TestBatchStatsValidation(t *testing.T) {
 	st := make([]QueryStats, 2)
 	if _, err := ix.SearchBatch(context.Background(), qs, 5, SearchOptions{BatchStats: st}); err == nil {
 		t.Fatal("short BatchStats slice should be rejected")
+	}
+}
+
+// TestSearchBatchContract: every backend and shard count answers a
+// batch through the one claim loop (searchBatch), so all four agree on
+// its contract — a BatchStats slice longer than the batch is accepted
+// and filled for the batch's prefix, a failing query yields a nil
+// result slice and "core: batch query i: …", a cancelled context
+// yields ctx.Err(). (Before PR 19 a 1-shard Jaccard batch rejected the
+// over-long slice and returned the query error unwrapped.)
+func TestSearchBatchContract(t *testing.T) {
+	ds := cpDataset(t, 300, 83)
+	sets := metricTestSets(20, 4, 24, 83)
+	var setQs [][]float64
+	for _, s := range sets[:5] {
+		setQs = append(setQs, tokensAsFloats(s))
+	}
+	for _, shards := range []int{1, 3} {
+		l2, err := BuildEngine(ds.Points, Config{Seed: 3, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jac, err := BuildSetsEngine(sets, Config{Seed: 3, Metric: metric.Jaccard, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			e    *Engine
+			qs   [][]float64
+			bad  []float64 // a query the backend rejects
+		}{
+			{"l2", l2, ds.Points[:5], []float64{1, 2, 3}},
+			{"jaccard", jac, setQs, []float64{1.5}},
+		} {
+			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
+				ctx := context.Background()
+				stats := make([]QueryStats, len(tc.qs)+3)
+				res, err := tc.e.SearchBatch(ctx, tc.qs, 3, SearchOptions{BatchStats: stats})
+				if err != nil || len(res) != len(tc.qs) {
+					t.Fatalf("over-long BatchStats: %d results, err %v", len(res), err)
+				}
+				for i, st := range stats {
+					if filled := st.Rounds > 0; filled != (i < len(tc.qs)) {
+						t.Errorf("BatchStats[%d] = %+v for a batch of %d", i, st, len(tc.qs))
+					}
+				}
+
+				qs := append([][]float64(nil), tc.qs...)
+				qs[2] = tc.bad
+				_, solo := tc.e.Search(ctx, tc.bad, 3, SearchOptions{})
+				res, err = tc.e.SearchBatch(ctx, qs, 3, SearchOptions{})
+				if res != nil || solo == nil || err == nil || err.Error() != "core: batch query 2: "+solo.Error() {
+					t.Errorf("invalid query 2: results %v, err %v; want nil and the wrapped %v", res, err, solo)
+				}
+
+				cctx, cancel := context.WithCancel(ctx)
+				cancel()
+				res, err = tc.e.SearchBatch(cctx, tc.qs, 3, SearchOptions{})
+				if res != nil || !errors.Is(err, context.Canceled) {
+					t.Errorf("cancelled batch: results %v, err %v", res, err)
+				}
+			})
+		}
 	}
 }
 

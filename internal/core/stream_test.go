@@ -55,9 +55,9 @@ func refKNNWithStats(ix *Index, q []float64, k int, c float64) ([]Result, QueryS
 		return nil, st, nil
 	}
 	needed := int(math.Ceil(params.Beta*float64(n))) + k
-	r := ix.distQuantile(float64(needed)/float64(n)) * ix.cfg.RMinShrink
+	r := distQuantile(ix.distCDF, float64(needed)/float64(n)) * ix.cfg.RMinShrink
 	if r <= 0 {
-		r = ix.smallestPositiveDistance()
+		r = smallestPositiveDistance(ix.distCDF)
 	}
 
 	qp := ix.proj.Project(q)

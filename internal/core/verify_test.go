@@ -35,9 +35,9 @@ func seqSearch(ix *Index, q []float64, k int, o SearchOptions) ([]Result, QueryS
 	if o.Budget > 0 {
 		needed = o.Budget
 	}
-	r := ix.distQuantile(float64(needed)/float64(n)) * ix.cfg.RMinShrink
+	r := distQuantile(ix.distCDF, float64(needed)/float64(n)) * ix.cfg.RMinShrink
 	if r <= 0 {
-		r = ix.smallestPositiveDistance()
+		r = smallestPositiveDistance(ix.distCDF)
 	}
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
@@ -318,11 +318,9 @@ func TestOversizedKIsClamped(t *testing.T) {
 			if err != nil || len(batch) != 2 || len(batch[1]) != len(data) {
 				t.Fatalf("%s: SearchBatch: %d answers, err %v", label, len(batch), err)
 			}
-			for _, parallel := range []bool{false, true} {
-				pairs, err := eng.SearchPairs(ctx, k, SearchOptions{Parallel: parallel, Budget: 500})
-				if err != nil || len(pairs) == 0 || len(pairs) > len(data)*(len(data)-1)/2 {
-					t.Fatalf("%s: SearchPairs(parallel=%v): %d pairs, err %v", label, parallel, len(pairs), err)
-				}
+			pairs, err := eng.SearchPairs(ctx, k, SearchOptions{Budget: 500})
+			if err != nil || len(pairs) == 0 || len(pairs) > len(data)*(len(data)-1)/2 {
+				t.Fatalf("%s: SearchPairs: %d pairs, err %v", label, len(pairs), err)
 			}
 		}
 	}

@@ -79,16 +79,10 @@ type Neighbor struct {
 	Dist float64
 }
 
-// Pair is one closest-pair result (I < J by construction).
-type Pair struct {
-	I, J int32
-	Dist float64
-}
-
 // Stats counts the work of one query.
 type Stats struct {
-	// Candidates is the number of distinct ids (or pairs) surfaced by
-	// band-bucket collisions before rescoring.
+	// Candidates is the number of distinct ids surfaced by band-bucket
+	// collisions before rescoring.
 	Candidates int
 	// Verified is the number of exact Jaccard rescores performed.
 	Verified int
@@ -96,7 +90,7 @@ type Stats struct {
 
 // SearchOpt carries the per-query knobs shared with the vector engine.
 type SearchOpt struct {
-	// Filter restricts results to admitted ids (both ids of a pair).
+	// Filter restricts results to admitted ids.
 	Filter func(id int32) bool
 	// Budget caps exact rescores; 0 means rescore every candidate.
 	Budget int
@@ -364,6 +358,15 @@ func (x *Index) Set(id int32) []uint64 {
 	return x.sets[id]
 }
 
+// Bucket returns the live ids whose band hashed to key, nil when there
+// are none. Like Set, the slice is the index's own storage: read it
+// only while no mutation can run.
+func (x *Index) Bucket(band int, key uint64) []int32 {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	return x.buckets[band][key]
+}
+
 // ForEachBucket calls fn once per non-empty bucket of the given band
 // with the bucket key and the live ids in it. The callback must not
 // mutate the index; ids is only valid during the call.
@@ -441,81 +444,5 @@ func insertNeighbor(top *[]Neighbor, k int, n Neighbor) {
 	}
 	copy(t[pos+1:], t[pos:])
 	t[pos] = n
-	*top = t
-}
-
-// SearchPairs returns up to k closest (most similar) distinct live
-// pairs, each unordered pair once, sorted by (distance, I, J). Pairs
-// are surfaced by band-bucket co-occupancy and rescored exactly.
-func (x *Index) SearchPairs(k int, opt SearchOpt) ([]Pair, Stats, error) {
-	var st Stats
-	if k < 1 {
-		return nil, st, fmt.Errorf("minhash: k must be >= 1 (got %d)", k)
-	}
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	seen := make(map[[2]int32]struct{})
-	var cand [][2]int32
-	for b := range x.buckets {
-		for _, ids := range x.buckets[b] {
-			for i := 0; i < len(ids); i++ {
-				for j := i + 1; j < len(ids); j++ {
-					a, c := ids[i], ids[j]
-					if a > c {
-						a, c = c, a
-					}
-					key := [2]int32{a, c}
-					if _, ok := seen[key]; !ok {
-						seen[key] = struct{}{}
-						cand = append(cand, key)
-					}
-				}
-			}
-		}
-	}
-	st.Candidates = len(cand)
-	sort.Slice(cand, func(i, j int) bool {
-		if cand[i][0] != cand[j][0] {
-			return cand[i][0] < cand[j][0]
-		}
-		return cand[i][1] < cand[j][1]
-	})
-	top := make([]Pair, 0, vec.PreallocCap(k, len(cand)))
-	for _, pr := range cand {
-		if opt.Filter != nil && (!opt.Filter(pr[0]) || !opt.Filter(pr[1])) {
-			continue
-		}
-		if opt.Budget > 0 && st.Verified >= opt.Budget {
-			break
-		}
-		st.Verified++
-		sim := Jaccard(x.sets[pr[0]], x.sets[pr[1]])
-		if sim < x.cfg.Threshold {
-			continue
-		}
-		insertPair(&top, k, Pair{I: pr[0], J: pr[1], Dist: 1 - sim})
-	}
-	return top, st, nil
-}
-
-// insertPair keeps top as the k best pairs ordered by (distance, I, J).
-func insertPair(top *[]Pair, k int, p Pair) {
-	t := *top
-	pos := sort.Search(len(t), func(i int) bool {
-		if t[i].Dist != p.Dist {
-			return t[i].Dist > p.Dist
-		}
-		if t[i].I != p.I {
-			return t[i].I > p.I
-		}
-		return t[i].J > p.J
-	})
-	if len(t) < k {
-		t = append(t, Pair{})
-	} else if pos >= len(t) {
-		return
-	}
-	copy(t[pos+1:], t[pos:])
-	t[pos] = p
 	*top = t
 }

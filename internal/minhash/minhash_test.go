@@ -179,65 +179,6 @@ func TestSearchFilterBudgetThreshold(t *testing.T) {
 	if err != nil || len(res) != len(all) {
 		t.Fatalf("k=MaxInt: %d neighbors, err %v; want %d", len(res), err, len(all))
 	}
-	if pairs, _, err := x.SearchPairs(1<<40, SearchOpt{}); err != nil || len(pairs) == 0 {
-		t.Fatalf("SearchPairs(k=1<<40): %d pairs, err %v", len(pairs), err)
-	}
-}
-
-func TestSearchPairsVsOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	const n, vocab = 120, 4000
-	sets := make([][]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		sets = append(sets, randSet(rng, 50, vocab))
-	}
-	// Plant 10 near-duplicate pairs.
-	type planted struct{ i, j int32 }
-	var plants []planted
-	for p := 0; p < 10; p++ {
-		src := rng.Intn(n)
-		dup := mutate(rng, sets[src], 0.06, vocab)
-		sets = append(sets, dup)
-		plants = append(plants, planted{int32(src), int32(len(sets) - 1)})
-	}
-	x, err := Build(sets, Config{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs, _, err := x.SearchPairs(2*len(plants), SearchOpt{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[[2]int32]bool)
-	for i, p := range pairs {
-		if p.I >= p.J {
-			t.Fatalf("pair %d not ordered: (%d,%d)", i, p.I, p.J)
-		}
-		key := [2]int32{p.I, p.J}
-		if seen[key] {
-			t.Fatalf("pair (%d,%d) reported twice", p.I, p.J)
-		}
-		seen[key] = true
-		if i > 0 && pairs[i].Dist < pairs[i-1].Dist {
-			t.Fatal("pairs unsorted")
-		}
-		if want := 1 - Jaccard(x.Set(p.I), x.Set(p.J)); p.Dist != want {
-			t.Fatalf("pair dist %v, exact says %v", p.Dist, want)
-		}
-	}
-	hit := 0
-	for _, pl := range plants {
-		a, b := pl.i, pl.j
-		if a > b {
-			a, b = b, a
-		}
-		if seen[[2]int32{a, b}] {
-			hit++
-		}
-	}
-	if hit < len(plants)-1 {
-		t.Fatalf("found only %d/%d planted pairs", hit, len(plants))
-	}
 }
 
 func TestLifecycle(t *testing.T) {

@@ -87,12 +87,11 @@ func ringPrune(qp []float64, hr []Interval, r float64) bool {
 }
 
 // rangeSearchRec is the original depth-first range search, retained
-// entry by entry as the reference implementation the streaming enumerator is
-// verified against (TestRangeSearchMatchesRecursiveReference and the
-// core engine's equivalence suite) and as the zero-allocation traversal
-// behind RangeCount. qParentDist is d(q, routing object of n) (0 and
-// unused at the root, where parent == nil). visit is called once per
-// qualifying point, in traversal order.
+// entry by entry as the reference implementation the streaming
+// enumerator is verified against (TestRangeSearchMatchesRecursiveReference
+// and the core engine's equivalence suite). qParentDist is d(q, routing
+// object of n) (0 and unused at the root, where parent == nil). visit
+// is called once per qualifying point, in traversal order.
 func (t *Tree) rangeSearchRec(n *node, q, parent []float64, qParentDist, r float64, qp []float64, visit func(id int32, d float64)) {
 	t.nodeAccesses.Add(1)
 	if n.leaf {
@@ -130,27 +129,6 @@ func (t *Tree) rangeSearchRec(n *node, q, parent []float64, qParentDist, r float
 		}
 		t.rangeSearchRec(e.child, q, e.center, d, r, qp, visit)
 	}
-}
-
-// RangeCount returns only the number of points within r of q. It is a
-// counting traversal over rangeSearchRec: no result slice is
-// materialized (the only allocation is the s pivot distances — the
-// counting visitor does not escape), pinned equal to
-// len(RangeSearch(q, r)) by TestRangeCountMatchesRangeSearch.
-func (t *Tree) RangeCount(q []float64, r float64) (int, error) {
-	if len(q) != t.dim {
-		return 0, fmt.Errorf("pmtree: query has dimension %d, tree expects %d", len(q), t.dim)
-	}
-	if r < 0 {
-		return 0, fmt.Errorf("pmtree: negative radius %v", r)
-	}
-	if t.count == 0 {
-		return 0, nil
-	}
-	qp := t.pivotDistances(q)
-	count := 0
-	t.rangeSearchRec(t.root, q, nil, 0, r, qp, func(int32, float64) { count++ })
-	return count, nil
 }
 
 // knnItem is a priority-queue element for best-first kNN: either a node

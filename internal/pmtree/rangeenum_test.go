@@ -238,61 +238,6 @@ func TestRangeEnumeratorValidation(t *testing.T) {
 	}
 }
 
-// TestRangeCountMatchesRangeSearch pins the counting traversal to
-// len(RangeSearch(...)) across randomized trees, queries and radii.
-func TestRangeCountMatchesRangeSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(74))
-	for trial := 0; trial < 25; trial++ {
-		tr, live := randomTree(t, rng)
-		for qi := 0; qi < 8; qi++ {
-			q := live[rng.Intn(len(live))]
-			r := [...]float64{0, rng.Float64() * 3, rng.Float64() * 15, 1e6}[qi%4]
-			res, err := tr.RangeSearch(q, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cnt, err := tr.RangeCount(q, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cnt != len(res) {
-				t.Fatalf("trial %d: RangeCount = %d, len(RangeSearch) = %d", trial, cnt, len(res))
-			}
-		}
-	}
-	// Error paths mirror RangeSearch.
-	tr, _ := randomTree(t, rng)
-	if _, err := tr.RangeCount([]float64{1}, 1); err == nil {
-		t.Fatal("RangeCount accepted a dimension mismatch")
-	}
-	if _, err := tr.RangeCount(make([]float64, tr.Dim()), -1); err == nil {
-		t.Fatal("RangeCount accepted a negative radius")
-	}
-}
-
-// TestRangeCountAllocations pins the "no result materialization" claim:
-// beyond the s pivot distances, a RangeCount allocates nothing.
-func TestRangeCountAllocations(t *testing.T) {
-	rng := rand.New(rand.NewSource(75))
-	data := make([][]float64, 500)
-	for i := range data {
-		data[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-	}
-	tr, err := Build(data, nil, Config{NumPivots: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := data[0]
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := tr.RangeCount(q, 2.5); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 1 { // the pivot-distance slice
-		t.Fatalf("RangeCount allocated %.1f times per call, want <= 1", allocs)
-	}
-}
-
 // TestKNNSearchAllocations pins the de-boxed kNN frontier: the
 // container/heap implementation boxed every pushed item into an
 // interface{} (one allocation per surviving candidate — hundreds per

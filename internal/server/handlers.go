@@ -240,8 +240,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 type pairsRequest struct {
-	K        int  `json:"k"`
-	Parallel bool `json:"parallel,omitempty"`
+	K int `json:"k"`
 	queryOptions
 }
 
@@ -263,7 +262,6 @@ func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 	o := req.core()
-	o.Parallel = req.Parallel
 	var st core.CPStats
 	o.PairStats = &st
 	pairs, err := s.eng.SearchPairs(ctx, req.K, o)

@@ -269,18 +269,6 @@ func TestClosestPairsAPI(t *testing.T) {
 			t.Errorf("pair %d: %v exceeds c x exact %v", i, p.Dist, exact[i].Dist)
 		}
 	}
-	par, err := ix.SearchPairs(context.Background(), k, WithRatio(c), WithParallelVerify())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != k {
-		t.Fatalf("parallel returned %d pairs", len(par))
-	}
-	for i := range par {
-		if par[i].Dist > pairs[i].Dist+1e-9 {
-			t.Errorf("rank %d: parallel %v worse than serial %v", i, par[i].Dist, pairs[i].Dist)
-		}
-	}
 	// The plain variant matches the stats variant.
 	plain, err := ix.SearchPairs(context.Background(), k, WithRatio(c))
 	if err != nil || len(plain) != k {

@@ -169,23 +169,16 @@ func TestClosestPairsQualityRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []bool{false, true} {
-		var pairs []Pair
-		if par {
-			pairs, err = ix.SearchPairs(context.Background(), k, WithRatio(c), WithParallelVerify())
-		} else {
-			pairs, err = ix.SearchPairs(context.Background(), k, WithRatio(c))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pairs) != k {
-			t.Fatalf("par=%v: got %d pairs, want %d", par, len(pairs), k)
-		}
-		for i, p := range pairs {
-			if p.Dist > c*exact[i].Dist+1e-9 {
-				t.Errorf("par=%v rank %d: %v exceeds c×exact %v", par, i, p.Dist, exact[i].Dist)
-			}
+	pairs, err := ix.SearchPairs(context.Background(), k, WithRatio(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pairs) != k {
+		t.Fatalf("got %d pairs, want %d", len(pairs), k)
+	}
+	for i, p := range pairs {
+		if p.Dist > c*exact[i].Dist+1e-9 {
+			t.Errorf("rank %d: %v exceeds c×exact %v", i, p.Dist, exact[i].Dist)
 		}
 	}
 }

@@ -48,8 +48,8 @@ func WithAlpha1(alpha1 float64) SearchOption {
 // short. For SearchPairs a pair is admitted only when both ids are.
 //
 // The predicate must be fast, side-effect free and safe for concurrent
-// use — SearchBatch and SearchPairs with WithParallelVerify call it
-// from multiple goroutines. It only ever sees live ids.
+// use — SearchBatch calls it from multiple goroutines. It only ever
+// sees live ids.
 func WithFilter(admit func(id int32) bool) SearchOption {
 	return func(o *core.SearchOptions) { o.Filter = admit }
 }
@@ -82,19 +82,9 @@ func WithBatchStats(st []QueryStats) SearchOption {
 }
 
 // WithPairStats directs SearchPairs to fill *st with the query's work
-// statistics (exact per query, including under WithParallelVerify).
+// statistics (exact per query).
 func WithPairStats(st *CPStats) SearchOption {
 	return func(o *core.SearchOptions) { o.PairStats = st }
-}
-
-// WithParallelVerify fans SearchPairs candidate verification across a
-// worker pool of up to GOMAXPROCS goroutines. Termination is checked
-// per verification batch instead of per pair, so slightly more
-// candidates may be examined; the result carries the same (c,k)
-// guarantee and is, rank by rank, at least as close. Ignored by the
-// other entry points (point-query parallelism comes from SearchBatch).
-func WithParallelVerify() SearchOption {
-	return func(o *core.SearchOptions) { o.Parallel = true }
 }
 
 // searchOptions folds a SearchOption list into the core options value.
