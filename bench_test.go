@@ -596,12 +596,56 @@ func cpWorkload(b *testing.B) (*bench.CPWorkload, *core.Index) {
 	return cpe.w, cpe.ix
 }
 
+// cpTailPercents are the shares of the PM-tree's rows the tail=
+// sub-benchmarks put in its tail: none, a little, and up to the 30% at
+// which an index with the default configuration compacts itself.
+var cpTailPercents = []int{0, 5, 20, 30}
+
+// cpTails caches cpTailIndex's indexes (benchmarks run one at a time).
+var cpTails = map[int]*core.Index{}
+
+// cpTailIndex returns an index over the closest-pair workload with pct
+// percent of the tree's rows in its tail: built over the other rows,
+// then the held-out ones (a seeded sample, planted copies included)
+// inserted with auto-compaction off. The point set is the workload's at
+// every pct, so the queries find the same points and only the work to
+// find them differs — the traversal-with-tail path SearchBall and
+// SearchPairs take between two compactions.
+func cpTailIndex(b *testing.B, pct int) *core.Index {
+	b.Helper()
+	w, ix := cpWorkload(b)
+	if pct == 0 {
+		return ix
+	}
+	if tail := cpTails[pct]; tail != nil {
+		return tail
+	}
+	order := rand.New(rand.NewSource(55)).Perm(len(w.Points))
+	held := len(w.Points) * pct / 100
+	base := make([][]float64, 0, len(w.Points)-held)
+	for _, i := range order[held:] {
+		base = append(base, w.Points[i])
+	}
+	tail, err := core.Build(base, core.Config{Seed: 54, AutoCompactFraction: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, i := range order[:held] {
+		if _, err := tail.Insert(w.Points[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cpTails[pct] = tail
+	return tail
+}
+
 // BenchmarkClosestPairs measures one (c,k)-closest-pair query over the
 // reference dedup workload at both ends of the one driver: shards=1 is
-// the bare index (one self-join, the quantile read in place), shards=3
-// the engine's merge of three self-joins and three bipartite joins.
+// the bare index (one self-join, the quantile read in place) with none
+// to 30% of the tree's rows in its tail (see cpTailIndex), shards=3 the
+// engine's merge of three self-joins and three bipartite joins.
 func BenchmarkClosestPairs(b *testing.B) {
-	w, ix := cpWorkload(b)
+	w, _ := cpWorkload(b)
 	run := func(b *testing.B, searchPairs func(context.Context, int, core.SearchOptions) ([]core.Pair, error)) {
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -611,7 +655,9 @@ func BenchmarkClosestPairs(b *testing.B) {
 			}
 		}
 	}
-	b.Run("shards=1", func(b *testing.B) { run(b, ix.SearchPairs) })
+	for _, pct := range cpTailPercents {
+		b.Run(fmt.Sprintf("shards=1/tail=%d%%", pct), func(b *testing.B) { run(b, cpTailIndex(b, pct).SearchPairs) })
+	}
 	b.Run("shards=3", func(b *testing.B) {
 		e, err := core.BuildEngine(w.Points, core.Config{Seed: 54, Shards: 3})
 		if err != nil {
@@ -625,15 +671,20 @@ func BenchmarkClosestPairs(b *testing.B) {
 // same workload: one BallCover probe per corpus point (n independent
 // probes, each re-projecting the point and re-traversing the tree).
 // One iteration covers the whole corpus, so ns/op compares directly
-// with one ClosestPairs call above.
+// with one ClosestPairs call above, at the same tail shares.
 func BenchmarkNaiveDedupBallCover(b *testing.B) {
-	w, ix := cpWorkload(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.NaiveDedupBallCover(ix, w.Points, w.DupRadius, cpBenchC); err != nil {
-			b.Fatal(err)
-		}
+	w, _ := cpWorkload(b)
+	for _, pct := range cpTailPercents {
+		b.Run(fmt.Sprintf("tail=%d%%", pct), func(b *testing.B) {
+			ix := cpTailIndex(b, pct)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := bench.NaiveDedupBallCover(ix, w.Points, w.DupRadius, cpBenchC); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -115,11 +115,13 @@
 // traversal therefore filters a leaf in one pass and evaluates the
 // surviving projected distances over contiguous memory with a batched
 // kernel — and a query whose radius the tree cannot prune (see Query
-// engine) runs that kernel once over the whole buffer instead. Build,
-// Load and Compact produce this layout; Insert and Delete move the
-// leaves they touch onto a slower per-row path until the next Compact,
-// and Info().LeafRunFraction reports, per shard, how much of the tree
-// is still on the fast one. Candidate verification likewise
+// engine) runs that kernel once over the whole buffer instead. Build
+// and Compact produce this layout and nothing disturbs it in between:
+// the tree's structure is frozen once bulk loaded, Insert appends the
+// projected point to a tail of rows behind the leaves' (covered by the
+// flat pass as they are, brute-forced by a traversal), Delete marks a
+// row dead where it lies, and Info().TailFraction reports, per shard,
+// how much of the tree's store is tail. Candidate verification likewise
 // streams sequential memory instead of chasing a pointer per point,
 // compares squared distances with early abandonment against the
 // running k-th best, and defers the k square roots to the end of the
@@ -165,21 +167,25 @@
 //
 // Ids are stable: they are never reused and never remapped, not by
 // Delete and not by Compact, so an id a caller holds refers to the
-// same point for the index's lifetime. Delete removes the point's
-// entry from the projected-space tree physically (covering radii stay
-// conservative) and tombstones its row in the vector store; the slot
-// is recycled by a later Insert, so sustained churn does not grow
-// memory. Queries never return a deleted point.
+// same point for the index's lifetime. Delete marks the point's row
+// in the projected-space tree dead (the tree's regions keep covering
+// it, so they stay valid) and tombstones its row in the vector store;
+// that slot is recycled by a later Insert, whose projection joins the
+// tree's tail. Queries never return a deleted point. A point with a
+// NaN or infinite component, or a norm beyond float64, is refused by
+// Build, Insert and every query with an ordinary error.
 //
-// Deletions leave the tree's covering regions looser than a fresh
-// build would make them, so query cost creeps up under heavy churn.
-// Compact — called explicitly, or automatically once the tombstoned
-// share of the store reaches Config.AutoCompactFraction (default 0.3;
-// negative disables; the AutoCompactAlways sentinel compacts on every
-// tombstone) — rebuilds via the bulk loader over exactly the live
-// set, restoring fresh-build query cost. Serialization (WriteTo/Load)
-// persists the full lifecycle state: tombstones, retired ids and the
-// slot-recycling order; streams from earlier versions still load.
+// Dead rows and a growing tail are what small-radius queries pay for
+// under churn (a Search scans the rows either way). Compact — called
+// explicitly, or automatically once the tombstoned share of the store
+// (on Delete) or the tail's share of the tree's rows (on Insert)
+// reaches Config.AutoCompactFraction (default 0.3; negative disables;
+// the AutoCompactAlways sentinel compacts on every tombstone) —
+// rebuilds via the bulk loader over exactly the live set, restoring
+// fresh-build query cost; the mutation that triggers it waits for the
+// rebuild. Serialization (WriteTo/Load) persists the full lifecycle
+// state: tombstones, retired ids, the slot-recycling order, the tree's
+// dead marks and its tail; streams from earlier versions still load.
 //
 // # Query engine
 //

@@ -6,7 +6,9 @@ package pmlsh
 // is checked id-by-id: only live ids, exact distances against the
 // oracle's vector (which catches storage-row recycling mixups, not
 // just liveness), sorted output, and Len/LiveLen bookkeeping after
-// every op. Seed corpus under testdata/fuzz/FuzzMutateQuery.
+// every op. The highest program bytes carry a vector too large to
+// project, which Insert and Search must turn away with an error and no
+// effect. Seed corpus under testdata/fuzz/FuzzMutateQuery.
 //
 // Run with: go test -fuzz=FuzzMutateQuery -fuzztime=10s .
 
@@ -21,12 +23,20 @@ import (
 
 const fuzzDim = 4
 
-// fuzzVec derives a deterministic small vector from one program byte.
+// fuzzHuge is the first program byte whose vector is ±1e308 in every
+// component: finite floats whose projection overflows.
+const fuzzHuge = 250
+
+// fuzzVec derives a deterministic small vector from one program byte
+// (see fuzzHuge for the large ones).
 func fuzzVec(b byte, salt int) []float64 {
 	rng := rand.New(rand.NewSource(int64(b)*1315423911 + int64(salt)))
 	p := make([]float64, fuzzDim)
 	for j := range p {
 		p[j] = rng.NormFloat64() * 3
+		if b >= fuzzHuge {
+			p[j] = math.Copysign(1e308, p[j])
+		}
 	}
 	return p
 }
@@ -37,6 +47,7 @@ func FuzzMutateQuery(f *testing.F) {
 	f.Add([]byte{3, 3, 3})
 	f.Add([]byte{2, 2, 2, 2, 2, 2, 2, 2, 4, 3})
 	f.Add([]byte{0, 2, 0, 2, 4, 0, 3, 1, 2, 3, 4, 3, 255, 128, 7})
+	f.Add([]byte{0, 250, 1, 253, 3, 251, 4, 253, 0}) // 1e308 inserts and queries between ordinary ops
 
 	f.Fuzz(func(t *testing.T, program []byte) {
 		if len(program) > 96 {
@@ -60,6 +71,12 @@ func FuzzMutateQuery(f *testing.F) {
 			case 0, 1: // insert
 				p := fuzzVec(b, pc)
 				id, err := ix.Insert(p)
+				if b >= fuzzHuge {
+					if err == nil {
+						t.Fatalf("pc %d: insert of %v accepted", pc, p)
+					}
+					break
+				}
 				if err != nil {
 					t.Fatalf("pc %d: insert: %v", pc, err)
 				}
@@ -82,6 +99,12 @@ func FuzzMutateQuery(f *testing.F) {
 				q := fuzzVec(b, -pc)
 				k := 1 + int(b)%6
 				res, err := ix.Search(context.Background(), q, k, WithRatio(1.5))
+				if b >= fuzzHuge {
+					if err == nil {
+						t.Fatalf("pc %d: query %v answered", pc, q)
+					}
+					break
+				}
 				if err != nil {
 					t.Fatalf("pc %d: knn: %v", pc, err)
 				}

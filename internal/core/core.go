@@ -44,8 +44,8 @@ const (
 	DefaultC          = 1.5 // approximation ratio
 	DefaultRMinShrink = 0.9 // "an r_min slightly smaller than r"
 
-	// DefaultAutoCompactFraction is the tombstone share at which Delete
-	// triggers an automatic Compact.
+	// DefaultAutoCompactFraction is the tombstone share at which Delete,
+	// and the tail share at which Insert, triggers an automatic Compact.
 	DefaultAutoCompactFraction = 0.3
 
 	// AutoCompactAlways is a sentinel for Config.AutoCompactFraction
@@ -87,11 +87,15 @@ type Config struct {
 	// Beta overrides the derived candidate fraction β (0 = derive from
 	// the confidence interval; see DeriveParams for the calibration).
 	Beta float64
-	// AutoCompactFraction is the tombstone share of the vector store at
-	// which Delete triggers an automatic Compact. 0 means
-	// DefaultAutoCompactFraction; negative disables auto-compaction;
-	// AutoCompactAlways compacts on any tombstone; values above 1 are
-	// rejected (the fraction can never exceed 1).
+	// AutoCompactFraction is the share at which the index compacts
+	// itself: Delete triggers a Compact when the tombstones reach that
+	// share of the vector store's rows, Insert when the projected-space
+	// tree's tail reaches that share of the tree's rows (TailFraction).
+	// 0 means DefaultAutoCompactFraction; negative disables
+	// auto-compaction; AutoCompactAlways compacts on any tombstone and
+	// leaves the tail at DefaultAutoCompactFraction (a rebuild per insert
+	// is never wanted); values above 1 are rejected (neither share can
+	// exceed 1).
 	AutoCompactFraction float64
 	// Quantize attaches a scalar-quantized sidecar codec to the vector
 	// store (store.QuantF32 or store.QuantI8) and screens verification
@@ -181,8 +185,8 @@ type QueryStats struct {
 	Screened int
 	// ProjectedDistComps is the number of projected-space metric
 	// evaluations inside the PM-tree: the distances a traversal pays,
-	// and every row of the tree's projected store, slots freed by Delete
-	// included, once the enumeration scans (a Search at the default
+	// and every row of the tree's projected store, rows Delete has marked
+	// dead included, once the enumeration scans (a Search at the default
 	// budget does from its first round). The enumerator counts its own
 	// evaluations, so the count is exact however many queries overlap.
 	ProjectedDistComps int64
@@ -419,13 +423,17 @@ func augmentRow(row []float64, scale float64) []float64 {
 }
 
 // reducePoint maps one native-metric row into the index's internal
-// space (see reduceRows). Under InnerProduct, rows whose norm exceeds
+// space (see reduceRows). Every metric refuses a row without a finite
+// norm (finiteNorm). Under InnerProduct, rows whose norm exceeds
 // the build-time scale S are rejected — the augmented coordinate
 // would be imaginary — so callers must rebuild to admit longer
 // vectors (a tiny relative tolerance absorbs float rounding).
 func (ix *Index) reducePoint(p []float64) ([]float64, error) {
 	switch ix.metric {
 	case metric.L2:
+		if !finiteNorm(p) {
+			return nil, fmt.Errorf("core: point has a NaN or infinite component, or a norm beyond float64")
+		}
 		return p, nil
 	case metric.Cosine:
 		return normalizeRow(p)
@@ -464,6 +472,11 @@ func buildInternal(s *store.Store, cfg Config, ndim int, scale float64) (*Index,
 	if s.Live() != s.Len() {
 		return nil, fmt.Errorf("core: BuildFromStore requires a tombstone-free store (%d of %d rows dead)",
 			s.Len()-s.Live(), s.Len())
+	}
+	for row, n := 0, s.Len(); row < n; row++ {
+		if !finiteNorm(s.Row(row)) {
+			return nil, fmt.Errorf("core: row %d has a NaN or infinite component, or a norm beyond float64", row)
+		}
 	}
 	cfg.fillDefaults()
 	if cfg.NumPivots < 0 {
@@ -550,10 +563,44 @@ func buildInternal(s *store.Store, cfg Config, ndim int, scale float64) (*Index,
 	return ix, nil
 }
 
+// finiteNorm reports whether p's Euclidean norm is a finite number: no
+// component is NaN or ±Inf and their squares do not overflow. A vector
+// without one is at distance NaN or +Inf from everything. (The squared
+// norm through the dot kernel: every query pays this.)
+func finiteNorm(p []float64) bool {
+	n2 := vec.Dot(p, p)
+	return !math.IsInf(n2, 0) && !math.IsNaN(n2)
+}
+
+// prepare is the one validation step between a caller's point and the
+// index: dimension, the metric's reduction (which refuses a vector
+// without a finite norm), and a finite projection. It returns the point
+// in the internal space and its projection; nothing has changed when it
+// fails, so Insert runs it first, and the engine runs it before a
+// write-ahead log sees the point.
+func (ix *Index) prepare(p []float64) (reduced, projected []float64, err error) {
+	if len(p) != ix.ndim {
+		return nil, nil, fmt.Errorf("core: point has dimension %d, index expects %d", len(p), ix.ndim)
+	}
+	if reduced, err = ix.reducePoint(p); err != nil {
+		return nil, nil, err
+	}
+	if projected = ix.proj.Project(reduced); !finite(projected) {
+		return nil, nil, fmt.Errorf("core: point overflows the projection")
+	}
+	return reduced, projected, nil
+}
+
 // Insert adds one point to the index and returns its assigned id — the
 // next value of a monotone counter, never a reused one. Insert may run
 // concurrently with queries and other mutations; it takes the index's
 // writer lock.
+//
+// The projected point joins the tree's tail (see pmtree): no node is
+// touched, every query covers it from now on, and when the tail reaches
+// Config.AutoCompactFraction of the tree's rows the index compacts
+// itself before returning — the one insert in very many that pays a
+// bulk load.
 //
 // The empirical distance distribution used for r_min selection is
 // refreshed incrementally: a few distances from the new point to random
@@ -563,17 +610,14 @@ func (ix *Index) Insert(p []float64) (int32, error) {
 	if ix.metric == metric.Jaccard {
 		return ix.insertJaccard(p)
 	}
-	if len(p) != ix.ndim {
-		return 0, fmt.Errorf("core: point has dimension %d, index expects %d", len(p), ix.ndim)
-	}
-	p, err := ix.reducePoint(p)
+	p, projected, err := ix.prepare(p)
 	if err != nil {
 		return 0, err
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	id := int32(len(ix.rowOf))
-	if err := ix.tree.Insert(ix.proj.Project(p), id); err != nil {
+	if err := ix.tree.Insert(projected, id); err != nil {
 		return 0, err
 	}
 	row, err := ix.data.Append(p)
@@ -581,6 +625,15 @@ func (ix *Index) Insert(p []float64) (int32, error) {
 		return 0, fmt.Errorf("core: %w", err)
 	}
 	ix.rowOf = append(ix.rowOf, row)
+
+	if f := ix.cfg.AutoCompactFraction; f > 0 {
+		if f == AutoCompactAlways {
+			f = DefaultAutoCompactFraction
+		}
+		if ix.tailFraction() >= f {
+			return id, ix.compactLocked()
+		}
+	}
 
 	// Reservoir-style refresh of the distance sample (live rows only;
 	// the bounded rejection loop gives up quietly on tombstone-heavy
@@ -675,8 +728,7 @@ func (ix *Index) Delete(id int32) error {
 	if row < 0 {
 		return fmt.Errorf("core: id %d is already deleted", id)
 	}
-	p := ix.data.Row(int(row))
-	if err := ix.tree.Delete(ix.proj.Project(p), id); err != nil {
+	if err := ix.tree.Delete(id); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	if err := ix.data.Delete(int(row)); err != nil {
@@ -692,10 +744,12 @@ func (ix *Index) Delete(id int32) error {
 // Compact rebuilds the index over its live points: the contiguous
 // store is repacked (tombstones dropped, rows in storage order —
 // recycled slots keep their position, so this is not id order), the
-// projected-space tree is bulk loaded from scratch — restoring the
-// tight covering radii and rings deletion-era trees lose, and the
-// leaf-major row layout mutations wear down (LeafRunFraction back to
-// 1) — and the distance distribution is resampled. Ids are preserved.
+// projected-space tree is bulk loaded from scratch — the only way its
+// structure ever changes: the tail of points inserted since the last
+// load moves under leaves (TailFraction back to 0), rows marked dead
+// are left out, and covering radii and rings are exact for the points
+// now live — and the distance distribution is resampled. Ids are
+// preserved.
 // Compact takes the writer lock and may run concurrently with queries
 // and other mutations.
 func (ix *Index) Compact() error {
@@ -829,7 +883,7 @@ func (ix *Index) DeriveParams(c float64) (Params, error) {
 	if ix.metric == metric.Jaccard {
 		return Params{}, fmt.Errorf("core: the jaccard backend has no χ² confidence parameters")
 	}
-	if c <= 1 {
+	if !(c > 1) { // NaN included
 		return Params{}, fmt.Errorf("core: approximation ratio c must exceed 1, got %v", c)
 	}
 	alpha2 := ix.chi.CDF(ix.kappa * ix.t * ix.t / (c * c))
@@ -879,24 +933,28 @@ func (ix *Index) Dead() int {
 	return ix.data.Len() - ix.data.Live()
 }
 
-// LeafRunFraction returns the share of the PM-tree's leaf entries that
-// sit in leaves whose projected rows are one consecutive run of the
-// tree's buffer — the entries a tree traversal scans with the batched
-// distance kernel rather than one row at a time. It is 1 after Build,
-// Load and Compact and decays as Insert and Delete touch leaves (which
-// only small-radius queries pay for: a Search scans the buffer). The
-// Jaccard backend (no PM-tree) and an empty tree report 1: nothing
-// there is off the fast path.
-func (ix *Index) LeafRunFraction() float64 {
+// TailFraction returns the share of the PM-tree's projected rows that
+// sit in its tail: points inserted since the tree was last bulk loaded,
+// which a traversal brute-forces (only small-radius queries pay for it:
+// a Search scans the rows anyway). It is 0 after Build and Compact, a
+// loaded index has the fraction it was saved with, and Insert compacts
+// when it reaches Config.AutoCompactFraction. The Jaccard backend (no
+// PM-tree) and an empty tree report 0.
+func (ix *Index) TailFraction() float64 {
 	if ix.metric == metric.Jaccard {
-		return 1
+		return 0
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if ix.tree.Len() == 0 {
-		return 1
+	return ix.tailFraction()
+}
+
+// tailFraction is TailFraction with mu already held.
+func (ix *Index) tailFraction() float64 {
+	if rows := ix.tree.Rows(); rows > 0 {
+		return float64(ix.tree.Tail()) / float64(rows)
 	}
-	return float64(ix.tree.RunEntries()) / float64(ix.tree.Len())
+	return 0
 }
 
 // Compactions returns the number of Compact operations (explicit and
@@ -951,15 +1009,20 @@ func (ix *Index) Tree() *pmtree.Tree {
 // Project maps a point into the projected space.
 func (ix *Index) Project(q []float64) []float64 { return ix.proj.Project(q) }
 
-// projectInto projects q into the scratch's reusable buffer.
-func (ix *Index) projectInto(sc *queryScratch, q []float64) []float64 {
+// startEnum projects a reduced query into the scratch's reusable buffer
+// and binds the scratch's range enumerator to it. No radius means
+// anything when the projection overflows.
+func (ix *Index) startEnum(sc *queryScratch, q []float64) (*pmtree.RangeEnumerator, error) {
 	if cap(sc.qp) < ix.cfg.M {
 		sc.qp = make([]float64, ix.cfg.M)
 	} else {
 		sc.qp = sc.qp[:ix.cfg.M]
 	}
 	ix.proj.ProjectTo(sc.qp, q)
-	return sc.qp
+	if !finite(sc.qp) {
+		return nil, fmt.Errorf("core: query overflows the projection")
+	}
+	return &sc.pmEnum, sc.pmEnum.Reset(ix.tree, sc.qp)
 }
 
 // sortResultsByDistID orders candidates by (projected distance, id) —

@@ -182,12 +182,14 @@ func (e *Engine) applyLogged(op wal.Op) error {
 }
 
 // insert is the durable Insert path: validate, predict the id the
-// in-memory apply will assign, log, then apply.
+// in-memory apply will assign, log, then apply. Validation is
+// everything the apply could reject the point for, so no record that
+// cannot be replayed ever reaches the log.
 func (d *durable) insert(e *Engine, p []float64) (int32, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if e.metric.Vector() && len(p) != e.dim {
-		return 0, fmt.Errorf("core: point has dimension %d, index expects %d", len(p), e.dim)
+	if err := e.checkInsert(p); err != nil {
+		return 0, err
 	}
 	// The id Insert will assign is fully determined here: d.mu is the
 	// only mutation path, so rr and the target shard's length are
@@ -233,8 +235,9 @@ func (d *durable) delete(e *Engine, gid int32) error {
 }
 
 // compact is the durable Compact path. Only explicit compactions are
-// logged — the auto-compactions Delete can trigger replay
-// deterministically from the Delete records themselves.
+// logged — the auto-compactions Insert and Delete can trigger replay
+// deterministically from those records themselves: a checkpoint carries
+// each shard's tombstones and tail exactly.
 func (d *durable) compact(e *Engine) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/metric"
+	"repro/internal/minhash"
 	"repro/internal/pmtree"
 	"repro/internal/store"
 )
@@ -206,6 +207,7 @@ func streamSizeHint(ix *Index) int {
 		}
 		size += 5 + n.NumEntries*entry
 	})
+	size += 4 + ix.tree.Tail()*(4+8*m) // tail: length, then id and point per row
 	return size
 }
 
@@ -373,13 +375,30 @@ func (e *Engine) Insert(p []float64) (int32, error) {
 	return e.insertMem(p)
 }
 
+// checkInsert reports the error the shard that receives p would reject
+// it with (see Index.prepare), before anything is claimed or logged.
+// Which shard that is does not matter: metric, dimension, inner-product
+// scale and projection are build-time state every shard shares and no
+// mutation changes, which is also why shard 0 can be read without a pin.
+func (e *Engine) checkInsert(p []float64) error {
+	if e.metric == metric.Jaccard {
+		set, err := tokensOf(p)
+		if err == nil {
+			_, err = minhash.Canonicalize(set)
+		}
+		return err
+	}
+	_, _, err := e.shards[0].halves[0].ix.prepare(p)
+	return err
+}
+
 // insertMem is the in-memory insert: the non-durable path, and what
-// both live durable inserts and WAL replay apply.
+// both live durable inserts and WAL replay apply. A point the shard
+// would reject is turned away first, so a round-robin slot is claimed
+// only by an insert that is then applied.
 func (e *Engine) insertMem(p []float64) (int32, error) {
-	// Jaccard "points" are variable-length token sets (e.dim is 0);
-	// the shard's Insert validates them.
-	if e.metric.Vector() && len(p) != e.dim {
-		return 0, fmt.Errorf("core: point has dimension %d, index expects %d", len(p), e.dim)
+	if err := e.checkInsert(p); err != nil {
+		return 0, err
 	}
 	n := len(e.shards)
 	s := int((e.rr.Add(1) - 1) % int64(n))
@@ -401,7 +420,7 @@ func (e *Engine) insertMem(p []float64) (int32, error) {
 // Delete removes the point with the given global id (same contract as
 // Index.Delete, auto-compaction included — a shard whose tombstone
 // share crosses Config.AutoCompactFraction compacts itself without
-// blocking readers).
+// blocking readers, as one whose tail share does on Insert).
 func (e *Engine) Delete(gid int32) error {
 	if e.dur != nil {
 		return e.dur.delete(e, gid)
@@ -518,12 +537,13 @@ type EngineInfo struct {
 	// Compactions counts Compact operations (explicit and auto)
 	// completed since the engine was built or loaded.
 	Compactions int64
-	// LeafRunFraction is, per shard, the share of PM-tree leaf entries
-	// still laid out as one row run per leaf (Index.LeafRunFraction): 1
-	// after a build, load or compaction, falling as mutations touch
-	// leaves. It is to the speed of small-radius (tree-served) queries
-	// what Dead is to memory — the decay a Compact undoes.
-	LeafRunFraction []float64
+	// TailFraction is, per shard, the share of the PM-tree's rows
+	// inserted since its last bulk load (Index.TailFraction): 0 after a
+	// build or compaction, rising with every insert until it reaches
+	// Config.AutoCompactFraction and the shard compacts itself. It is to
+	// the speed of small-radius (tree-served) queries what Dead is to
+	// memory — the decay a Compact undoes.
+	TailFraction []float64
 }
 
 // Info returns one consistent snapshot of the engine's observable
@@ -541,10 +561,10 @@ func (e *Engine) Info() EngineInfo {
 		Shards:   len(e.shards),
 		Quantize: pins[0].ix.Quantize(),
 
-		LeafRunFraction: make([]float64, len(pins)),
+		TailFraction: make([]float64, len(pins)),
 	}
 	for s, h := range pins {
-		info.LeafRunFraction[s] = h.ix.LeafRunFraction()
+		info.TailFraction[s] = h.ix.TailFraction()
 		info.IDs += h.ix.Len()
 		info.Live += h.ix.LiveLen()
 		info.Dead += h.ix.Dead()

@@ -4,13 +4,16 @@ package core
 // streams must produce an error, never a panic or an unbounded
 // allocation. The seed corpus (testdata/fuzz/FuzzLoad, and the same
 // set built in-process by fuzzStreams) holds one genuine stream per
-// layout that can still occur — PLS4 plain, churned mid-free-list and
-// i8-quantized, a sharded PLS5 container, PLS6 envelopes for cosine,
-// inner product and Jaccard — plus the inputs Load must refuse: one
-// stream per retired magic (testdata keeps real PLS1–PLS3 bytes from
-// the releases that wrote them) and one with the R-tree flag set. The
-// fuzzer mutates all of them, and their truncations and bit flips,
-// further.
+// layout that can still occur — PLS4 plain, churned mid-free-list
+// (dead marks and a tail in its PMT3 tree) and i8-quantized, sharded
+// PLS5 containers, one of them churned, PLS6 envelopes for cosine, inner
+// product and Jaccard — the churned PLS4 stream of the release before
+// the tree was frozen (a PMT2 tree grown by inserts, which nothing
+// writes any more and Load keeps reading), plus the inputs Load must
+// refuse: one stream per retired magic (testdata keeps real PLS1–PLS3
+// bytes from the releases that wrote them) and one with the R-tree flag
+// set. The fuzzer mutates all of them, and their truncations and bit
+// flips, further.
 //
 // Run with: go test -fuzz=FuzzLoad -fuzztime=10s ./internal/core
 // After a layout change: go test ./internal/core -run TestFuzzLoadCorpus -update-fuzz-corpus
@@ -23,6 +26,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/metric"
@@ -42,7 +47,30 @@ type fuzzStream struct {
 	// reject marks a stream Load must refuse. retired marks the ones it
 	// refuses at the magic, whatever follows, so the in-process bytes
 	// and the on-disk seed (genuine PLS1–PLS3 bytes) need not agree.
-	reject, retired bool
+	// legacy marks a stream nothing writes any more and Load still
+	// accepts: the on-disk seed is its only source.
+	reject, retired, legacy bool
+}
+
+// fuzzSeedDir is the checked-in FuzzLoad corpus.
+var fuzzSeedDir = filepath.Join("testdata", "fuzz", "FuzzLoad")
+
+// readFuzzSeed returns the bytes of one checked-in seed.
+func readFuzzSeed(tb testing.TB, name string) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile(filepath.Join(fuzzSeedDir, name))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+	if body, ok = strings.CutSuffix(body, ")\n"); !ok {
+		tb.Fatalf("%s is not a one-value []byte seed", name)
+	}
+	data, err := strconv.Unquote(body)
+	if err != nil {
+		tb.Fatalf("%s: %v", name, err)
+	}
+	return []byte(data)
 }
 
 // fuzzStreams builds one small index per layout that can still occur
@@ -72,7 +100,8 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 	plainIx, err := Build(data, base)
 	plain := add("pls4-plain", plainIx, err)
 	// Tombstones with the free list half drained: three deletes, one
-	// insert that recycles the last freed slot.
+	// insert that recycles the last freed slot — and, in the tree, three
+	// dead leaf entries and a one-row tail.
 	churned, err := Build(data, with(func(c *Config) { c.AutoCompactFraction = -1 }))
 	if err != nil {
 		tb.Fatal(err)
@@ -83,7 +112,13 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 		}
 	}
 	_, err = churned.Insert(data[2])
-	add("pls4-churned", churned, err)
+	add("pls4-churned-tail", churned, err)
+	// The same index as the release before the frozen tree wrote it.
+	legacy := readFuzzSeed(tb, "pls4-churned")
+	if !bytes.Contains(legacy, []byte("PMT2")) {
+		tb.Fatal("the pls4-churned seed no longer carries a PMT2 tree")
+	}
+	out = append(out, fuzzStream{name: "pls4-churned", data: legacy, legacy: true})
 	quantized, err := Build(data, with(func(c *Config) { c.Quantize = store.QuantI8 }))
 	add("pls4-i8", quantized, err)
 	// Sharded PLS5 containers: shard boundaries, per-shard length
@@ -94,6 +129,15 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 		err = eng.Delete(3)
 	}
 	add("pls5-2shards", eng, err)
+	// Each shard with a tail, one of them with a dead row in it.
+	teng, err := BuildEngine(data, with(func(c *Config) { c.Shards = 2; c.AutoCompactFraction = -1 }))
+	for i := 0; i < 3 && err == nil; i++ {
+		_, err = teng.Insert(data[i])
+	}
+	if err == nil {
+		err = teng.Delete(16)
+	}
+	add("pls5-2shards-tail", teng, err)
 	ceng, err := BuildEngine(data, with(func(c *Config) { c.Shards = 2; c.Metric = metric.Cosine }))
 	add("pls5-2shards-cosine", ceng, err)
 	// PLS6 metric-tagged envelopes: the metric byte, the MIP scale
@@ -125,12 +169,12 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 // code writes today, so the fuzzer always starts from streams that can
 // occur, and pins the must-reject seeds as rejected.
 func TestFuzzLoadCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzLoad")
+	dir := fuzzSeedDir
 	streams := fuzzStreams(t)
 	for _, s := range streams {
 		path := filepath.Join(dir, s.name)
 		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s.data)
-		if *updateFuzzCorpus && !s.retired {
+		if *updateFuzzCorpus && !s.retired && !s.legacy {
 			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
 				t.Fatal(err)
 			}

@@ -8,16 +8,16 @@ import (
 )
 
 // halvesAgree fails unless both halves of every shard report the same
-// leaf layout and hold the same tree, and returns the per-shard
+// tail fraction and hold the same tree, and returns the per-shard
 // fraction they agree on.
 func halvesAgree(t *testing.T, tag string, e *Engine) []float64 {
 	t.Helper()
 	out := make([]float64, len(e.shards))
 	for s, sh := range e.shards {
 		a, b := sh.halves[0].ix, sh.halves[1].ix
-		if a.LeafRunFraction() != b.LeafRunFraction() {
-			t.Fatalf("%s: shard %d halves report leaf run fractions %v and %v",
-				tag, s, a.LeafRunFraction(), b.LeafRunFraction())
+		if a.TailFraction() != b.TailFraction() {
+			t.Fatalf("%s: shard %d halves report tail fractions %v and %v",
+				tag, s, a.TailFraction(), b.TailFraction())
 		}
 		var ab, bb bytes.Buffer
 		if _, err := a.Tree().WriteTo(&ab); err != nil {
@@ -29,20 +29,18 @@ func halvesAgree(t *testing.T, tag string, e *Engine) []float64 {
 		if !bytes.Equal(ab.Bytes(), bb.Bytes()) {
 			t.Fatalf("%s: shard %d halves hold different trees", tag, s)
 		}
-		out[s] = a.LeafRunFraction()
+		out[s] = a.TailFraction()
 	}
 	return out
 }
 
-// TestLeafLayoutThroughLifecycle follows the leaf-major layout through
-// an engine's life. A built half and its serialization clone start on
-// the same layout (every leaf one row run); mutations wear both halves
-// down in step; a worn index answers — results and statistics — exactly
-// like its own reload, which is the same tree with every leaf back on
-// the batched path (a reload also drops the store slots Delete freed,
-// which a scanned query counts in ProjectedDistComps, so that one field
-// is compared only when the worn index has none); and Compact restores
-// the layout.
+// TestLeafLayoutThroughLifecycle follows the tree's two parts — the
+// rows under leaves, fixed at the bulk load, and the tail — through an
+// engine's life. A built half and its serialization clone start with
+// no tail; mutations grow both halves' tails in step; a churned engine
+// and its reload hold the same trees, tail and dead marks included, and
+// answer alike — results and every statistic; and Compact folds the
+// tail in.
 func TestLeafLayoutThroughLifecycle(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		data := randData(900, 12, 21)
@@ -51,12 +49,12 @@ func TestLeafLayoutThroughLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for s, f := range halvesAgree(t, "built", e) {
-			if f != 1 {
-				t.Fatalf("shards=%d: built shard %d has leaf run fraction %v, want 1", shards, s, f)
+			if f != 0 {
+				t.Fatalf("shards=%d: built shard %d has tail fraction %v, want 0", shards, s, f)
 			}
 		}
-		if info := e.Info(); len(info.LeafRunFraction) != shards {
-			t.Fatalf("Info reports %d leaf run fractions for %d shards", len(info.LeafRunFraction), shards)
+		if info := e.Info(); len(info.TailFraction) != shards {
+			t.Fatalf("Info reports %d tail fractions for %d shards", len(info.TailFraction), shards)
 		}
 
 		rng := rand.New(rand.NewSource(22))
@@ -74,10 +72,12 @@ func TestLeafLayoutThroughLifecycle(t *testing.T) {
 				}
 			}
 		}
+		// Inserts go round the shards: 150/shards land in each tail, behind
+		// the 900/shards rows it was built over.
 		worn := halvesAgree(t, "churned", e)
 		for s, f := range worn {
-			if f <= 0 || f >= 1 {
-				t.Fatalf("shards=%d: churned shard %d has leaf run fraction %v, want strictly between 0 and 1", shards, s, f)
+			if want := float64(150/shards) / float64(1050/shards); f != want {
+				t.Fatalf("shards=%d: churned shard %d has tail fraction %v, want %v", shards, s, f, want)
 			}
 		}
 
@@ -90,13 +90,19 @@ func TestLeafLayoutThroughLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for s, f := range halvesAgree(t, "reloaded", reloaded) {
-			if f != 1 {
-				t.Fatalf("shards=%d: reloaded shard %d has leaf run fraction %v, want 1", shards, s, f)
+			if f != worn[s] {
+				t.Fatalf("shards=%d: reloaded shard %d has tail fraction %v, saved with %v", shards, s, f, worn[s])
 			}
 		}
-		deadSlots := 0
-		for _, sh := range e.shards {
-			deadSlots += sh.halves[0].ix.tree.Rows() - sh.halves[0].ix.tree.Len()
+		var again bytes.Buffer
+		if _, err := reloaded.WriteTo(&again); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.WriteTo(&stream); err != nil { // LoadEngine drained it
+			t.Fatal(err)
+		}
+		if !bytes.Equal(stream.Bytes(), again.Bytes()) {
+			t.Fatalf("shards=%d: a churned engine and its reload serialize differently", shards)
 		}
 		for qi := 0; qi < 40; qi++ {
 			q := data[rng.Intn(len(data))]
@@ -112,12 +118,9 @@ func TestLeafLayoutThroughLifecycle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			identicalResults(t, "worn leaves vs reloaded runs", got, want)
-			if deadSlots > 0 {
-				sa.ProjectedDistComps, sb.ProjectedDistComps = 0, 0
-			}
+			identicalResults(t, "churned vs reloaded", got, want)
 			if sa != sb {
-				t.Fatalf("shards=%d query %d: worn leaves did %+v, reloaded runs %+v", shards, qi, sa, sb)
+				t.Fatalf("shards=%d query %d: the churned engine did %+v, its reload %+v", shards, qi, sa, sb)
 			}
 		}
 
@@ -125,8 +128,8 @@ func TestLeafLayoutThroughLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for s, f := range halvesAgree(t, "compacted", e) {
-			if f != 1 {
-				t.Fatalf("shards=%d: compacted shard %d has leaf run fraction %v, want 1", shards, s, f)
+			if f != 0 {
+				t.Fatalf("shards=%d: compacted shard %d has tail fraction %v, want 0", shards, s, f)
 			}
 		}
 	}

@@ -108,10 +108,14 @@ func (ix *Index) Search(ctx context.Context, q []float64, k int, o SearchOptions
 // reduceQuery maps a native-metric query into the internal L2 space
 // (see package metric). The returned scale is what finishDist needs
 // to convert internal squared distances back to the native metric:
-// ‖q‖·S under InnerProduct, unused otherwise.
+// ‖q‖·S under InnerProduct, unused otherwise. Every metric refuses a
+// query without a finite norm (finiteNorm).
 func (ix *Index) reduceQuery(q []float64) ([]float64, float64, error) {
 	switch ix.metric {
 	case metric.L2:
+		if !finiteNorm(q) {
+			return nil, 0, fmt.Errorf("core: query has a NaN or infinite component, or a norm beyond float64")
+		}
 		return q, 0, nil
 	case metric.Cosine:
 		qi, err := normalizeRow(q)
@@ -225,8 +229,8 @@ func (ix *Index) searchLocked(ctx context.Context, q []float64, k int, o SearchO
 
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	en := &sc.pmEnum
-	if err := en.Reset(ix.tree, ix.projectInto(sc, q)); err != nil {
+	en, err := ix.startEnum(sc, q)
+	if err != nil {
 		return nil, err
 	}
 
@@ -262,7 +266,11 @@ func (ix *Index) searchLocked(ctx context.Context, q []float64, k int, o SearchO
 		if scanned >= n {
 			break
 		}
-		r *= c
+		// Validated inputs end on one of the tests above long before the
+		// radius overflows; whatever slips past them must not spin here.
+		if r *= c; math.IsInf(r, 1) {
+			break
+		}
 	}
 	top := v.top
 	st.Verified, st.Screened = v.verified, v.screened
@@ -499,8 +507,8 @@ func (ix *Index) SearchBall(ctx context.Context, q []float64, r float64, o Searc
 	// distances with it — is unchanged.
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	en := &sc.pmEnum
-	if err := en.Reset(ix.tree, ix.projectInto(sc, q)); err != nil {
+	en, err := ix.startEnum(sc, q)
+	if err != nil {
 		return nil, err
 	}
 	sc.emit = sc.emit[:0]

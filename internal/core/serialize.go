@@ -302,6 +302,9 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 		if err := binary.Read(br, binary.LittleEndian, row); err != nil {
 			return nil, fmt.Errorf("core: read projection row %d: %w", i, err)
 		}
+		if !finite(row) { // every projected query would be NaN
+			return nil, fmt.Errorf("core: projection row %d is not finite", i)
+		}
 		rows[i] = row
 	}
 	proj, err := lsh.ProjectionFromRows(rows)
@@ -416,9 +419,10 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 		return nil, fmt.Errorf("core: tree shape %d×%d does not match index %d×%d",
 			tree.Len(), tree.Dim(), live, cfg.M)
 	}
-	// The tree's leaf ids must be exactly the live ids, each once — a
-	// corrupt stream mapping a leaf to a retired or out-of-range id would
-	// otherwise panic at query time instead of erroring here.
+	// The tree's ids — its live leaf entries and tail rows — must be
+	// exactly the live ids, each once — a corrupt stream mapping a row to
+	// a retired or out-of-range id would otherwise panic at query time
+	// instead of erroring here.
 	idSeen := make([]bool, idSpace)
 	badID := false
 	tree.WalkIDs(func(id int32) {

@@ -351,9 +351,11 @@ func TestSerializeRoundTripDeleteHeavy(t *testing.T) {
 
 // A stream whose PM-tree leaf ids disagree with the id map (retired,
 // out-of-range or duplicated ids) must be rejected at load time — not
-// blow up on the first query that touches the bad entry.
+// blow up on the first query that touches the bad entry. (A negative id
+// never gets this far: no tree can be built with one, and pmtree.Read
+// refuses it in a stream.)
 func TestLoadRejectsTreeIDMismatch(t *testing.T) {
-	for _, corrupt := range []int32{705, -4, 3} { // out of range, negative, duplicate of a live id
+	for _, corrupt := range []int32{705, 3} { // out of range, duplicate of a live id
 		data := clusteredData(100, 6, 3, 68)
 		ix, err := Build(data, Config{Seed: 26})
 		if err != nil {

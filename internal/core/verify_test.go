@@ -41,8 +41,8 @@ func seqSearch(ix *Index, q []float64, k int, o SearchOptions) ([]Result, QueryS
 	}
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	en := &sc.pmEnum
-	if err := en.Reset(ix.tree, ix.projectInto(sc, q)); err != nil {
+	en, err := ix.startEnum(sc, q)
+	if err != nil {
 		return nil, st, err
 	}
 	top := make([]Result, 0, k)
@@ -111,8 +111,8 @@ func seqSearchBall(ix *Index, q []float64, r float64, o SearchOptions) (*Result,
 	}
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	en := &sc.pmEnum
-	if err := en.Reset(ix.tree, ix.projectInto(sc, q)); err != nil {
+	en, err := ix.startEnum(sc, q)
+	if err != nil {
 		return nil, QueryStats{}, err
 	}
 	sc.emit = sc.emit[:0]

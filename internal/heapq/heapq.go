@@ -40,15 +40,6 @@ func (h *Heap[T]) Release() {
 	h.items = h.items[:0]
 }
 
-// Grow ensures capacity for at least n queued items.
-func (h *Heap[T]) Grow(n int) {
-	if cap(h.items) < n {
-		items := make([]T, len(h.items), n)
-		copy(items, h.items)
-		h.items = items
-	}
-}
-
 // Min returns the smallest item without removing it. It panics on an
 // empty heap (callers check Len first, like indexing a slice).
 func (h *Heap[T]) Min() T { return h.items[0] }

@@ -70,10 +70,6 @@ func (a ptrItem) Less(b ptrItem) bool { return a.key < b.key }
 
 func TestResetAndReleaseKeepCapacity(t *testing.T) {
 	var h Heap[ptrItem]
-	h.Grow(32)
-	if cap(h.items) < 32 {
-		t.Fatalf("Grow(32) left cap %d", cap(h.items))
-	}
 	x := 7
 	for i := 0; i < 10; i++ {
 		h.Push(ptrItem{key: i, p: &x})
@@ -99,7 +95,6 @@ func TestResetAndReleaseKeepCapacity(t *testing.T) {
 
 func TestPushPopDoNotAllocateSteadyState(t *testing.T) {
 	var h Heap[intItem]
-	h.Grow(64)
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 50; i++ {
 			h.Push(intItem(50 - i))

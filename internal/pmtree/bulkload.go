@@ -1,20 +1,20 @@
 package pmtree
 
 import (
-	"slices"
 	"sort"
 
 	"repro/internal/store"
 )
 
-// Bulk loading. Inserting points one at a time builds a poor tree: the
-// early tree shape is arbitrary, splits scatter near points across
-// nodes, and leaves end up half-full with covering radii an order of
-// magnitude above the local point spacing — which cripples every
-// query's ball/ring pruning, most of all the closest-pair self-join
-// (whose cost is driven by the number of leaf PAIRS with overlapping
-// regions). Bulk loading instead clusters the points top-down and
-// assembles the tree bottom-up:
+// Bulk loading, the one way a tree's structure comes to be. The M-tree
+// way — descend, insert, split on overflow — builds a poor tree: the
+// early shape is arbitrary, splits scatter near points across nodes,
+// and leaves end up half-full with covering radii an order of magnitude
+// above the local point spacing, which cripples every query's ball/ring
+// pruning, most of all the closest-pair self-join (whose cost is driven
+// by the number of leaf PAIRS with overlapping regions). Bulk loading
+// instead clusters the points top-down and assembles the tree
+// bottom-up:
 //
 //  1. the point set is recursively bisected: two far-apart pivot rows
 //     are chosen (a double scan: the row farthest from an arbitrary
@@ -30,8 +30,7 @@ import (
 //     close — and the group's minimax center routes the parent.
 //
 // Radii, parent distances and hyper-rings are computed exactly from the
-// covered points, so bulk-built regions are as tight as the clustering
-// allows. Later Inserts use the normal descend-and-split path.
+// covered points, so the regions are as tight as the clustering allows.
 //
 // The bisection permutes row indices, not rows, and ends with every
 // leaf's rows adjacent and the leaves in traversal order. packLeaf
@@ -39,10 +38,11 @@ import (
 // the finished tree's store is leaf-major: a leaf's points are one
 // consecutive run of rows, and a traversal walks the buffer front to
 // back instead of touching a random row per entry. The entry arrays
-// (ids, parent and pivot distances) are carved from tree-wide arenas
-// in the same order. Read reproduces this layout, since the stream
-// carries the points inline per leaf; only Insert and Delete disturb
-// it, leaf by leaf, until the next bulk load.
+// (parent and pivot distances) are carved from tree-wide arenas in the
+// same order, and the ids are the tree's row → id array itself. Read
+// reproduces this layout, since the stream carries the points inline
+// per leaf, and nothing disturbs it afterwards: Insert appends behind
+// the last leaf's rows and Delete only marks a row.
 //
 // Cost: O(n log n) metric evaluations for the bisection plus
 // O(n·capacity) for leaf packing — comparable to one insertion pass.
@@ -51,7 +51,7 @@ import (
 // buffer and the entry arrays every packed leaf takes its slices from.
 type leafArena struct {
 	flat       []float64
-	ids, rows  []int32
+	ids        []int32 // becomes Tree.rowID: leaf entry i of the load sits in row i
 	parentDist []float64
 	pivotDist  []float64
 }
@@ -66,7 +66,6 @@ func (t *Tree) bulkLoad(src *store.Store, ids []int32) error {
 	arena := &leafArena{
 		flat:       make([]float64, 0, n*t.dim),
 		ids:        make([]int32, 0, n),
-		rows:       make([]int32, 0, n),
 		parentDist: make([]float64, 0, n),
 		pivotDist:  make([]float64, 0, n*len(t.pivots)),
 	}
@@ -124,7 +123,8 @@ func (t *Tree) bulkLoad(src *store.Store, ids []int32) error {
 		return err
 	}
 	t.points = points
-	t.rowID = slices.Clone(arena.ids) // packLeaf gave entry i row i
+	t.rowID = arena.ids
+	t.frozen = n
 
 	// Assemble upper levels until the entries fit one root node.
 	for len(level) > t.capacity {
@@ -266,9 +266,7 @@ func (t *Tree) minimax(rs []int32) *minimaxResult {
 // packLeaf builds one leaf over a partition and returns its routing
 // entry, routed by the partition's minimax row. mm must be aligned
 // with the current ordering of rs. The leaf's points and entry arrays
-// are appended to the arena, of which the leaf keeps capacity-clipped
-// slices: a later Insert into the leaf reallocates its own arrays
-// instead of growing into the next leaf's.
+// are appended to the arena, of which the leaf keeps slices.
 func (t *Tree) packLeaf(rs []int32, ids []int32, mm *minimaxResult, a *leafArena) routingEntry {
 	m := len(rs)
 	dm, best, bestRadius := mm.dm, mm.best, mm.radius
@@ -283,7 +281,6 @@ func (t *Tree) packLeaf(rs []int32, ids []int32, mm *minimaxResult, a *leafArena
 		}
 		p := t.points.Row(int(row))
 		a.ids = append(a.ids, id)
-		a.rows = append(a.rows, int32(first+i))
 		a.parentDist = append(a.parentDist, dm[best*m+i])
 		a.flat = append(a.flat, p...)
 		for k, pv := range t.pivots {
@@ -295,12 +292,10 @@ func (t *Tree) packLeaf(rs []int32, ids []int32, mm *minimaxResult, a *leafArena
 	end := first + m
 	leaf := &node{
 		leaf:       true,
-		ids:        a.ids[first:end:end],
-		rows:       a.rows[first:end:end],
-		parentDist: a.parentDist[first:end:end],
-		pivotDist:  a.pivotDist[first*s : end*s : end*s],
+		first:      int32(first),
+		parentDist: a.parentDist[first:end],
+		pivotDist:  a.pivotDist[first*s : end*s],
 	}
-	t.leafChanged(leaf)
 	center := make([]float64, t.dim)
 	copy(center, t.points.Row(int(rs[best])))
 	return routingEntry{center: center, radius: bestRadius, child: leaf, hr: hr}

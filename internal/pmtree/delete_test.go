@@ -6,8 +6,9 @@ import (
 )
 
 // Deleting points must remove them from every query path while leaving
-// the survivors' answers exact (range and kNN against brute force over
-// the survivors), for both bulk-loaded and insertion-grown trees.
+// the survivors' answers exact (range against brute force over the
+// survivors), for a bulk-loaded tree — dead leaf entries — and for one
+// grown from New by Insert alone, which is all tail.
 func TestDeleteRemovesFromQueries(t *testing.T) {
 	data := randData(400, 6, 71)
 	for _, grow := range []bool{false, true} {
@@ -18,8 +19,6 @@ func TestDeleteRemovesFromQueries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Pivotless insertion-grown tree (New has no data to pick
-			// pivots from) exercises the s=0 delete path.
 			for i, p := range data {
 				if err := tr.Insert(p, int32(i)); err != nil {
 					t.Fatal(err)
@@ -39,7 +38,7 @@ func TestDeleteRemovesFromQueries(t *testing.T) {
 		}
 		// Delete a random 40%.
 		for _, id := range rng.Perm(len(data))[:160] {
-			if err := tr.Delete(data[id], int32(id)); err != nil {
+			if err := tr.Delete(int32(id)); err != nil {
 				t.Fatalf("grow=%v delete %d: %v", grow, id, err)
 			}
 			delete(alive, int32(id))
@@ -69,17 +68,6 @@ func TestDeleteRemovesFromQueries(t *testing.T) {
 			if !sameResults(got, want) {
 				t.Fatalf("grow=%v trial %d: range diverged from survivor brute force", grow, trial)
 			}
-			kGot, err := tr.KNNSearch(q, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			kWant := bruteKNN(survivors, q, 7)
-			for i := range kWant {
-				kWant[i].ID = ids[kWant[i].ID]
-			}
-			if !sameResults(kGot, kWant) {
-				t.Fatalf("grow=%v trial %d: kNN diverged from survivor brute force", grow, trial)
-			}
 		}
 	}
 }
@@ -90,52 +78,67 @@ func TestDeleteErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Delete([]float64{1, 2}, 0); err == nil {
-		t.Fatal("dimension mismatch accepted")
+	if err := tr.Delete(-1); err == nil {
+		t.Fatal("negative id accepted")
 	}
-	if err := tr.Delete(data[0], 999); err == nil {
+	if err := tr.Delete(999); err == nil {
 		t.Fatal("unknown id accepted")
 	}
-	if err := tr.Delete(data[0], 0); err != nil {
+	if err := tr.Delete(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Delete(data[0], 0); err == nil {
+	if err := tr.Delete(0); err == nil {
 		t.Fatal("double delete accepted")
+	}
+	if err := tr.Insert(data[0], -1); err == nil {
+		t.Fatal("negative id inserted")
+	}
+	// An id inserted after the first Delete is deletable too.
+	if err := tr.Insert(data[0], 2000); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Delete(2000); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != 49 {
+		t.Fatalf("Len %d, want 49", tr.Len())
 	}
 }
 
-// Delete frees the store row, a later Insert recycles it, and the pair
-// enumerator never emits deleted points — including from leaves
-// emptied entirely.
-func TestDeleteRecyclesRowsAndPairEnumeration(t *testing.T) {
+// Delete marks rows dead without freeing them, Insert appends behind
+// them, and the pair enumerator pairs exactly the live points — none
+// from a leaf whose entries are all dead, all of the tail's.
+func TestDeleteInsertPairEnumeration(t *testing.T) {
 	data := randData(120, 5, 76)
 	tr, err := Build(data, nil, Config{NumPivots: 2, PivotSeed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slots := tr.points.Len()
+	slots := tr.Rows()
 	rng := rand.New(rand.NewSource(78))
 	dead := map[int32]bool{}
 	// Empty out a whole leaf's worth of nearby points plus a random set.
 	for _, id := range rng.Perm(len(data))[:70] {
-		if err := tr.Delete(data[id], int32(id)); err != nil {
+		if err := tr.Delete(int32(id)); err != nil {
 			t.Fatal(err)
 		}
 		dead[int32(id)] = true
 	}
-	if tr.points.Live() != tr.Len() {
-		t.Fatalf("store live %d != tree len %d", tr.points.Live(), tr.Len())
+	if tr.Rows() != slots || tr.Tail() != 0 || tr.Len() != 50 {
+		t.Fatalf("after 70 deletes: %d rows (%d in the tail) for %d points, want %d rows, no tail, 50 points",
+			tr.Rows(), tr.Tail(), tr.Len(), slots)
 	}
-	// Re-insert new points: rows must be recycled, not grown.
 	for i := 0; i < 30; i++ {
 		if err := tr.Insert(data[i], int32(1000+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if tr.points.Len() != slots {
-		t.Fatalf("store grew to %d slots, want recycled %d", tr.points.Len(), slots)
+	if tr.Rows() != slots+30 || tr.Tail() != 30 || tr.Len() != 80 {
+		t.Fatalf("after 30 inserts: %d rows (%d in the tail) for %d points, want %d rows, 30 in the tail, 80 points",
+			tr.Rows(), tr.Tail(), tr.Len(), slots+30)
 	}
 	en := tr.NewPairEnumerator()
+	pairs := 0
 	for {
 		cand, ok := en.Next()
 		if !ok {
@@ -144,5 +147,9 @@ func TestDeleteRecyclesRowsAndPairEnumeration(t *testing.T) {
 		if dead[cand.ID1] || dead[cand.ID2] {
 			t.Fatalf("enumerator emitted deleted id: %+v", cand)
 		}
+		pairs++
+	}
+	if pairs != 80*79/2 {
+		t.Fatalf("enumerated %d pairs of 80 live points, want %d", pairs, 80*79/2)
 	}
 }

@@ -11,22 +11,22 @@ import (
 	"repro/internal/store"
 )
 
-// leafLayout is what checkLayout observed: how many leaves and entries
-// the tree has, and how many of them are on the one-run layout.
+// leafLayout is what checkLayout observed: how many leaves the tree
+// has, how many of them hold no live entry, and how many of the leaves'
+// entries are dead.
 type leafLayout struct {
-	leaves, runLeaves, emptyLeaves int
-	entries, runEntries            int
-	leafMajor                      bool // run leaves follow each other in traversal order with no gap
+	leaves, deadLeaves int
+	entries, dead      int
 }
 
 // checkLayout walks every leaf and fails on a broken representation
-// invariant: parallel arrays out of step, a run flag that disagrees
-// with the rows, or a tree-wide run count that disagrees with the
-// leaves.
+// invariant: entry arrays out of step, leaves that do not tile the
+// frozen rows in traversal order, or a live count that disagrees with
+// the rows.
 func checkLayout(tb testing.TB, tr *Tree) leafLayout {
 	tb.Helper()
 	s := len(tr.pivots)
-	lay := leafLayout{leafMajor: true}
+	var lay leafLayout
 	next := int32(0)
 	var walk func(n *node)
 	walk = func(n *node) {
@@ -36,45 +36,56 @@ func checkLayout(tb testing.TB, tr *Tree) leafLayout {
 			}
 			return
 		}
-		m := len(n.ids)
-		if len(n.rows) != m || len(n.parentDist) != m || len(n.pivotDist) != m*s {
-			tb.Fatalf("leaf arrays out of step: %d ids, %d rows, %d parent distances, %d pivot distances (s=%d)",
-				m, len(n.rows), len(n.parentDist), len(n.pivotDist), s)
+		m := n.size()
+		if len(n.pivotDist) != m*s {
+			tb.Fatalf("leaf arrays out of step: %d parent distances, %d pivot distances (s=%d)", m, len(n.pivotDist), s)
 		}
-		if n.run != isRun(n.rows) {
-			tb.Fatalf("leaf run flag %v disagrees with rows %v", n.run, n.rows)
+		if n.first != next {
+			tb.Fatalf("leaf starts at row %d, the leaf before it ended at %d", n.first, next)
 		}
+		next += int32(m)
 		lay.leaves++
 		lay.entries += m
-		if m == 0 {
-			lay.emptyLeaves++
-		}
-		if n.run {
-			lay.runLeaves++
-			lay.runEntries += m
-			if m > 0 {
-				if n.rows[0] != next {
-					lay.leafMajor = false
-				}
-				next = n.rows[0] + int32(m)
+		dead := 0
+		for _, id := range tr.leafIDs(n) {
+			if id < 0 {
+				dead++
 			}
-		} else {
-			lay.leafMajor = false
+		}
+		lay.dead += dead
+		if dead == m {
+			lay.deadLeaves++
 		}
 	}
 	walk(tr.root)
-	if lay.entries != tr.Len() || lay.runEntries != tr.RunEntries() {
-		tb.Fatalf("tree reports %d entries, %d in run leaves; leaves hold %d and %d",
-			tr.Len(), tr.RunEntries(), lay.entries, lay.runEntries)
+	live := 0
+	tr.WalkIDs(func(int32) { live++ })
+	if int(next) != tr.frozen || len(tr.rowID) != tr.Rows() || tr.Tail() != tr.Rows()-tr.frozen || live != tr.Len() {
+		tb.Fatalf("leaves cover %d rows of %d frozen; %d ids for %d rows (%d in the tail); %d live ids for Len %d",
+			next, tr.frozen, len(tr.rowID), tr.Rows(), tr.Tail(), live, tr.Len())
 	}
 	return lay
 }
 
-func requireLeafMajor(tb testing.TB, label string, tr *Tree) {
+// requireSameTree fails unless b holds what a holds, physically: the
+// same rows in the same order with the same ids and dead marks, the
+// same tail, the same leaves over them.
+func requireSameTree(tb testing.TB, label string, a, b *Tree) {
 	tb.Helper()
-	lay := checkLayout(tb, tr)
-	if !lay.leafMajor || lay.runLeaves != lay.leaves || tr.RunEntries() != tr.Len() {
-		tb.Fatalf("%s: layout %+v is not leaf-major", label, lay)
+	if a.frozen != b.frozen || a.count != b.count || a.scanRadius != b.scanRadius ||
+		!slices.Equal(a.rowID, b.rowID) || !slices.Equal(a.points.Flat(), b.points.Flat()) {
+		tb.Fatalf("%s: %d/%d frozen rows, %d/%d live points, switch radius %v/%v, or the rows differ",
+			label, a.frozen, b.frozen, a.count, b.count, a.scanRadius, b.scanRadius)
+	}
+	var wa, wb bytes.Buffer
+	if _, err := a.WriteTo(&wa); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := b.WriteTo(&wb); err != nil {
+		tb.Fatal(err)
+	}
+	if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
+		tb.Fatalf("%s: the two trees serialize differently", label)
 	}
 }
 
@@ -92,9 +103,10 @@ func roundTrip(tb testing.TB, tr *Tree) *Tree {
 }
 
 // TestBulkLoadIsLeafMajor pins the layout contract of the two ways a
-// tree comes into being whole: after a bulk load and after Read every
-// leaf is one row run, the runs tile the store in traversal order, and
-// the two trees are the same tree (same stream) over the same layout.
+// tree comes into being: after a bulk load and after Read every leaf is
+// one row run, the runs tile the store in traversal order with no tail
+// behind them, and the two trees are the same tree (same stream) over
+// the same layout.
 func TestBulkLoadIsLeafMajor(t *testing.T) {
 	for _, cfg := range []Config{
 		{NumPivots: 5, Capacity: 16, PivotSeed: 3},
@@ -108,12 +120,12 @@ func TestBulkLoadIsLeafMajor(t *testing.T) {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("n=%d cfg=%+v", n, cfg)
-			requireLeafMajor(t, label+" built", tr)
-			loaded := roundTrip(t, tr)
-			requireLeafMajor(t, label+" loaded", loaded)
-			if !slices.Equal(tr.points.Flat(), loaded.points.Flat()) {
-				t.Fatalf("%s: built and loaded trees lay their rows out differently", label)
+			if lay := checkLayout(t, tr); tr.Tail() != 0 || lay.dead != 0 || lay.entries != n {
+				t.Fatalf("%s: built tree has layout %+v and %d tail rows", label, lay, tr.Tail())
 			}
+			loaded := roundTrip(t, tr)
+			checkLayout(t, loaded)
+			requireSameTree(t, label, tr, loaded)
 		}
 	}
 }
@@ -145,7 +157,7 @@ func TestBuildFromStoreLeavesSourceAlone(t *testing.T) {
 		for i := range n.routing {
 			walk(n.routing[i].child)
 		}
-		for i, id := range n.ids {
+		for i, id := range first.leafIDs(n) {
 			if !slices.Equal(first.leafPoint(n, i), data[id]) {
 				t.Fatalf("id %d does not name the caller's row %d", id, id)
 			}
@@ -174,7 +186,7 @@ type leafScanCase struct {
 
 // leafScanCases builds the sweep: pivot counts 0 and 5 by capacities 4
 // and 16, each as built, with every point stored three times, churned
-// by inserts and deletes (run leaves and broken leaves side by side),
+// by inserts and deletes (a tail, dead rows in it and in the leaves),
 // and with whole leaves emptied by Delete.
 func leafScanCases(tb testing.TB) []leafScanCase {
 	tb.Helper()
@@ -213,7 +225,7 @@ func leafScanCases(tb testing.TB) []leafScanCase {
 				if data[victim] == nil {
 					continue
 				}
-				if err := churned.Delete(data[victim], int32(victim)); err != nil {
+				if err := churned.Delete(int32(victim)); err != nil {
 					tb.Fatal(err)
 				}
 				data[victim] = nil
@@ -224,9 +236,9 @@ func leafScanCases(tb testing.TB) []leafScanCase {
 					live = append(live, p)
 				}
 			}
-			lay := checkLayout(tb, churned)
-			if lay.runLeaves == 0 || lay.runLeaves == lay.leaves {
-				tb.Fatalf("%s: churn left %d of %d leaves as runs; the sweep needs both kinds", name, lay.runLeaves, lay.leaves)
+			if lay := checkLayout(tb, churned); lay.dead == 0 || churned.Tail() != 60 || churned.Rows()-churned.Len() == lay.dead {
+				tb.Fatalf("%s: churn left %d dead leaf entries, %d tail rows and %d dead rows overall; the sweep needs dead rows in both parts",
+					name, lay.dead, churned.Tail(), churned.Rows()-churned.Len())
 			}
 			cases = append(cases, leafScanCase{name + "/churned", churned, live})
 
@@ -239,7 +251,7 @@ func leafScanCases(tb testing.TB) []leafScanCase {
 				}
 				if n.leaf && *k > 0 {
 					*k--
-					for _, id := range n.ids {
+					for _, id := range emptied.leafIDs(n) {
 						gone[id] = true
 					}
 				}
@@ -250,12 +262,12 @@ func leafScanCases(tb testing.TB) []leafScanCase {
 			for id, p := range base {
 				if !gone[int32(id)] {
 					live = append(live, p)
-				} else if err := emptied.Delete(p, int32(id)); err != nil {
+				} else if err := emptied.Delete(int32(id)); err != nil {
 					tb.Fatal(err)
 				}
 			}
-			if lay := checkLayout(tb, emptied); lay.emptyLeaves != 3 {
-				tb.Fatalf("%s: %d empty leaves, want 3", name, lay.emptyLeaves)
+			if lay := checkLayout(tb, emptied); lay.deadLeaves != 3 {
+				tb.Fatalf("%s: %d leaves with every entry dead, want 3", name, lay.deadLeaves)
 			}
 			cases = append(cases, leafScanCase{name + "/emptied", emptied, live})
 		}
@@ -264,8 +276,8 @@ func leafScanCases(tb testing.TB) []leafScanCase {
 }
 
 // TestLeafScanMatchesRecursiveReference pins the batched leaf scan —
-// and the per-row distance path of leaves a mutation has broken — to
-// the entry-at-a-time recursive traversal: over a radius schedule every
+// dead entries skipped, the tail resolved in one kernel call — to the
+// entry-at-a-time recursive traversal: over a radius schedule every
 // Expand emits exactly the points the reference newly accepts at that
 // radius, with bit-identical distances, a one-shot Expand emits the
 // reference's points, and the enumeration pays exactly the reference's
@@ -340,19 +352,19 @@ func requireSameBits(tb testing.TB, label string, got, want []Result) {
 	}
 }
 
-// TestChurnBreaksAndRebuildRestoresRuns follows the run fact through a
-// tree's life: mutations break it leaf by leaf (the count stays exact),
-// a broken tree answers exactly like its own round trip — the same
-// tree with every leaf back on one run — and a bulk load over the live
-// points restores the layout.
-func TestChurnBreaksAndRebuildRestoresRuns(t *testing.T) {
+// TestChurnGrowsTailAndRebuildFoldsIt follows a tree through churn: no
+// mutation touches a node — leaves keep tiling the frozen rows, every
+// insert lands in the tail, every delete is a mark — the churned tree's
+// round trip is the same tree, physically, and answers like it, and a
+// bulk load over the live points has no tail and no dead row.
+func TestChurnGrowsTailAndRebuildFoldsIt(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	data := randData(800, 6, 5)
 	tr, err := Build(data, nil, Config{NumPivots: 5, PivotSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := tr.RunEntries()
+	built := roundTrip(t, tr)
 	for step := 0; step < 300; step++ {
 		if step%2 == 0 {
 			p := randData(1, 6, rng.Int63())[0]
@@ -365,19 +377,24 @@ func TestChurnBreaksAndRebuildRestoresRuns(t *testing.T) {
 			for data[victim] == nil {
 				victim = rng.Intn(len(data))
 			}
-			if err := tr.Delete(data[victim], int32(victim)); err != nil {
+			if err := tr.Delete(int32(victim)); err != nil {
 				t.Fatal(err)
 			}
 			data[victim] = nil
 		}
 		checkLayout(t, tr)
 	}
-	if tr.RunEntries() >= prev {
-		t.Fatalf("300 mutations left %d of %d entries in run leaves (was %d)", tr.RunEntries(), tr.Len(), prev)
+	if tr.Tail() != 150 || tr.Rows() != 950 || tr.Len() != 800 || tr.scanRadius != built.scanRadius {
+		t.Fatalf("150 inserts and 150 deletes left %d tail rows of %d for %d points, switch radius %v (built: %v)",
+			tr.Tail(), tr.Rows(), tr.Len(), tr.scanRadius, built.scanRadius)
+	}
+	if !slices.Equal(tr.points.Flat()[:800*6], built.points.Flat()) {
+		t.Fatal("churn moved the rows the leaves cover")
 	}
 
 	reloaded := roundTrip(t, tr)
-	requireLeafMajor(t, "reloaded", reloaded)
+	checkLayout(t, reloaded)
+	requireSameTree(t, "churned tree and its round trip", tr, reloaded)
 	var ids []int32
 	var live [][]float64
 	for id, p := range data {
@@ -395,9 +412,9 @@ func TestChurnBreaksAndRebuildRestoresRuns(t *testing.T) {
 		a.Expand(r, func(id int32, d float64) { got = append(got, Result{id, d}) })
 		b.Reset(reloaded, q)
 		b.Expand(r, func(id int32, d float64) { want = append(want, Result{id, d}) })
-		requireSameBits(t, "broken leaves vs the same tree on runs", got, want)
+		requireSameBits(t, "churned tree vs its round trip", got, want)
 		if a.DistComps() != b.DistComps() {
-			t.Fatalf("broken leaves paid %d metric evaluations, runs %d", a.DistComps(), b.DistComps())
+			t.Fatalf("the churned tree paid %d metric evaluations, its round trip %d", a.DistComps(), b.DistComps())
 		}
 	}
 
@@ -405,5 +422,7 @@ func TestChurnBreaksAndRebuildRestoresRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireLeafMajor(t, "rebuilt", rebuilt)
+	if lay := checkLayout(t, rebuilt); rebuilt.Tail() != 0 || lay.dead != 0 || rebuilt.Rows() != 800 {
+		t.Fatalf("rebuilt tree has layout %+v, %d rows, %d in the tail", lay, rebuilt.Rows(), rebuilt.Tail())
+	}
 }

@@ -43,6 +43,11 @@ import (
 // zero-bound node pairs bypass the heap entirely (see stack); and each
 // leaf pair is joined by a plane sweep over cached first-coordinate-
 // sorted entry layouts (see leafJoin) instead of an O(capacity²) scan.
+//
+// The dual traversal pairs the points the leaves cover. A tree's tail —
+// the rows inserted since its bulk load — is one more part joined
+// against them, by one range query per tail row on the first Next (see
+// seedTail).
 type PairEnumerator struct {
 	t      *Tree
 	t2     *Tree // nil for a self-join; the second tree of a bipartite join
@@ -50,10 +55,12 @@ type PairEnumerator struct {
 	nodes  []nodePairArena // side arena for queued node pairs
 	cutoff float64
 	done   bool
+	seeded bool            // seedTail has run
+	rq     RangeEnumerator // seedTail's range queries
 
 	// joins caches each leaf's sweep-ready layout (entries sorted by
 	// first coordinate, pivot distances gathered alongside), keyed by
-	// the leaf's first entry row (stable and unique per leaf). A leaf
+	// the leaf's first row (unique per non-empty leaf). A leaf
 	// participates in many leaf pairs over one enumeration, so the sort
 	// is paid once per leaf, not once per pair — and the lookup must be
 	// an array index, not a map probe, at tens of thousands of pair
@@ -178,12 +185,13 @@ func (e *PairEnumerator) flushStats() {
 
 // NewPairEnumerator starts a pair enumeration over the tree. The
 // enumerator reads the tree without modifying it (beyond the shared
-// statistics counters) but must not be used concurrently with Insert,
-// like every query; concurrent enumerations and range/kNN queries are
-// fine. A tree with fewer than two points enumerates nothing.
+// statistics counters) but must not be used concurrently with Insert
+// or Delete, like every query; concurrent enumerations and range
+// queries are fine. A tree with fewer than two points enumerates
+// nothing.
 func (t *Tree) NewPairEnumerator() *PairEnumerator {
-	e := &PairEnumerator{t: t, cutoff: math.Inf(1)}
-	if t.count >= 2 {
+	e := &PairEnumerator{t: t, cutoff: math.Inf(1), done: t.count < 2}
+	if !e.done {
 		root := pairRegion{n: t.root, radius: math.Inf(1)}
 		e.expand(root, root)
 	}
@@ -199,10 +207,11 @@ func (t *Tree) NewPairEnumerator() *PairEnumerator {
 // fall back to the routing-ball bound alone). The candidate's ID1 is
 // the receiver's id and ID2 the other tree's id; the two id spaces are
 // independent. Statistics (DistComps, the tree-wide counters) accrue to
-// the receiver. Either tree being empty enumerates nothing.
+// the receiver, except that a tail row's range query counts on the
+// tree it searches. Either tree being empty enumerates nothing.
 func (t *Tree) NewBipartitePairEnumerator(other *Tree) *PairEnumerator {
-	e := &PairEnumerator{t: t, t2: other, cutoff: math.Inf(1)}
-	if t.count >= 1 && other.count >= 1 {
+	e := &PairEnumerator{t: t, t2: other, cutoff: math.Inf(1), done: t.count < 1 || other.count < 1}
+	if !e.done {
 		ra := pairRegion{n: t.root, radius: math.Inf(1), side: 0}
 		rb := pairRegion{n: other.root, radius: math.Inf(1), side: 1}
 		e.expand(ra, rb)
@@ -235,6 +244,10 @@ func (e *PairEnumerator) SetCutoff(cutoff float64) {
 func (e *PairEnumerator) Next() (PairCandidate, bool) {
 	if e.done {
 		return PairCandidate{}, false
+	}
+	if !e.seeded {
+		e.seeded = true
+		e.seedTail()
 	}
 	for {
 		// Zero-bound node pairs sort before everything; drain them LIFO
@@ -311,18 +324,21 @@ func (e *PairEnumerator) leafJoin(n *node, side uint8) *leafJoin {
 		cache = &e.joins2
 	}
 	if *cache == nil {
-		*cache = make([]*leafJoin, t.points.Len())
+		*cache = make([]*leafJoin, t.frozen)
 	}
-	key := n.rows[0]
+	key := n.first
 	if lj := (*cache)[key]; lj != nil {
 		return lj
 	}
 	s := len(t.pivots)
-	m := len(n.ids)
-	idx := make([]int, m)
-	for i := range idx {
-		idx[i] = i
+	ids := t.leafIDs(n)
+	idx := make([]int, 0, len(ids))
+	for i, id := range ids {
+		if id >= 0 { // entries Delete marked dead pair with nothing
+			idx = append(idx, i)
+		}
 	}
+	m := len(idx)
 	sort.Slice(idx, func(a, b int) bool {
 		return t.leafPoint(n, idx[a])[0] < t.leafPoint(n, idx[b])[0]
 	})
@@ -335,8 +351,8 @@ func (e *PairEnumerator) leafJoin(n *node, side uint8) *leafJoin {
 	for i, at := range idx {
 		lj.c0[i] = t.leafPoint(n, at)[0]
 		lj.piv = append(lj.piv, n.pivotDists(at, s)...)
-		lj.row[i] = n.rows[at]
-		lj.id[i] = n.ids[at]
+		lj.row[i] = n.first + int32(at)
+		lj.id[i] = ids[at]
 	}
 	(*cache)[key] = lj
 	return lj
@@ -353,9 +369,11 @@ func (e *PairEnumerator) leafJoin(n *node, side uint8) *leafJoin {
 // distance.
 func (e *PairEnumerator) expandLeafPair(ra, rb pairRegion) {
 	na, nb := ra.n, rb.n
-	// Deletions can leave leaves empty; they contribute no pairs (and
-	// leafJoin keys off the first entry, so they must not reach it).
-	if len(na.ids) == 0 || len(nb.ids) == 0 {
+	// A leaf without entries (the root of a tree that is all tail, or
+	// one read from a stream written when Delete emptied leaves)
+	// contributes no pairs, and leafJoin keys off the first row, so it
+	// must not reach it.
+	if na.size() == 0 || nb.size() == 0 {
 		return
 	}
 	a := e.leafJoin(na, ra.side)
@@ -421,6 +439,58 @@ func (e *PairEnumerator) expandLeafPair(ra, rb pairRegion) {
 	}
 	e.pendingDist += exact
 	e.qdist += exact
+}
+
+// seedTail queues every pair within the cutoff that involves a tail
+// row, as entry pairs at their exact distances: the distances are the
+// kernel's, bit for bit what expandLeafPair computes for the same two
+// points once a bulk load has moved them under leaves. The cutoff can
+// only shrink afterwards, and Next never pops past it.
+func (e *PairEnumerator) seedTail() {
+	e.joinTail(e.t, e.t2)
+	if e.t2 != nil {
+		e.joinTail(e.t2, e.t)
+	}
+}
+
+// joinTail runs one range query at the cutoff per live tail row of
+// from. In a self-join (in == nil) it covers from's leaves and the tail
+// rows behind the querying one, which pairs every two tail rows once.
+// In a bipartite join the receiver's tail rows search all of the other
+// tree, and the other tree's tail rows the receiver's leaves alone —
+// its tail has met them already.
+func (e *PairEnumerator) joinTail(from, in *Tree) {
+	self := in == nil
+	if self {
+		in = from
+	}
+	e.rq.treeOnly = true
+	var id int32 // the querying row's
+	emit := func(other int32, d float64) {
+		id1, id2 := id, other
+		if from == e.t2 || (self && id2 < id1) {
+			id1, id2 = id2, id1
+		}
+		e.pq.Push(pairItem{bound: d, kind: kindExactPair, id1: id1, id2: id2})
+	}
+	for row := from.frozen; row < from.points.Len(); row++ {
+		if id = from.rowID[row]; id < 0 {
+			continue
+		}
+		// Reset cannot fail: both trees index points of one dimension.
+		if err := e.rq.Reset(in, from.points.Row(row)); err != nil {
+			panic(err)
+		}
+		switch {
+		case self:
+			e.rq.tailFrom = row + 1
+		case from == e.t2:
+			e.rq.tailFrom = in.points.Len()
+		}
+		e.rq.Expand(e.cutoff, emit)
+		e.qdist += e.rq.DistComps()
+	}
+	e.rq.Release()
 }
 
 func regionOf(r *routingEntry, side uint8) pairRegion {

@@ -177,7 +177,7 @@ func TestBipartitePairEnumeratorSmallAndEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := empty.Delete(ep[0], 0); err != nil {
+	if err := empty.Delete(0); err != nil {
 		t.Fatal(err)
 	}
 	if got := collectPairs(ta.NewBipartitePairEnumerator(empty)); len(got) != 0 {
@@ -208,11 +208,11 @@ func TestBipartitePairEnumeratorAfterDeletes(t *testing.T) {
 		liveB[int32(i)] = true
 	}
 	for i := 0; i < 20; i++ {
-		if err := ta.Delete(da[i*2], int32(i*2)); err != nil {
+		if err := ta.Delete(int32(i * 2)); err != nil {
 			t.Fatal(err)
 		}
 		delete(liveA, int32(i*2))
-		if err := tb.Delete(db[i*3%60], int32(i*3%60)); err != nil {
+		if err := tb.Delete(int32(i * 3 % 60)); err != nil {
 			t.Fatal(err)
 		}
 		delete(liveB, int32(i*3%60))

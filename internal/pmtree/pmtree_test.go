@@ -40,23 +40,6 @@ func bruteRange(data [][]float64, q []float64, r float64) []Result {
 	return out
 }
 
-func bruteKNN(data [][]float64, q []float64, k int) []Result {
-	out := make([]Result, 0, len(data))
-	for i, p := range data {
-		out = append(out, Result{ID: int32(i), Dist: vec.L2(q, p)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
 func sameResults(a, b []Result) bool {
 	if len(a) != len(b) {
 		return false
@@ -110,10 +93,6 @@ func TestEmptyTreeQueries(t *testing.T) {
 	if err != nil || res != nil {
 		t.Errorf("empty range: %v %v", res, err)
 	}
-	res, err = tr.KNNSearch([]float64{0, 0, 0}, 3)
-	if err != nil || res != nil {
-		t.Errorf("empty knn: %v %v", res, err)
-	}
 }
 
 func TestQueryValidation(t *testing.T) {
@@ -124,12 +103,6 @@ func TestQueryValidation(t *testing.T) {
 	}
 	if _, err := tr.RangeSearch(data[0], -1); err == nil {
 		t.Error("negative radius should fail")
-	}
-	if _, err := tr.KNNSearch([]float64{1}, 1); err == nil {
-		t.Error("dim mismatch should fail")
-	}
-	if _, err := tr.KNNSearch(data[0], 0); err == nil {
-		t.Error("k=0 should fail")
 	}
 }
 
@@ -154,37 +127,6 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 			want := bruteRange(data, q, r)
 			if !sameResults(got, want) {
 				t.Fatalf("s=%d trial=%d: range mismatch: got %d, want %d", s, trial, len(got), len(want))
-			}
-		}
-	}
-}
-
-func TestKNNMatchesBruteForce(t *testing.T) {
-	for _, s := range []int{0, 5} {
-		data := randData(400, 6, 21)
-		tr, err := Build(data, nil, Config{NumPivots: s, PivotSeed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(3))
-		for trial := 0; trial < 20; trial++ {
-			q := make([]float64, 6)
-			for j := range q {
-				q[j] = rng.NormFloat64() * 10
-			}
-			k := 1 + rng.Intn(30)
-			got, err := tr.KNNSearch(q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := bruteKNN(data, q, k)
-			if len(got) != len(want) {
-				t.Fatalf("s=%d k=%d: got %d results, want %d", s, k, len(got), len(want))
-			}
-			for i := range got {
-				if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
-					t.Fatalf("s=%d k=%d pos=%d: dist %v vs %v", s, k, i, got[i].Dist, want[i].Dist)
-				}
 			}
 		}
 	}
@@ -223,7 +165,7 @@ func TestStructuralInvariants(t *testing.T) {
 	var verify func(n *node, ancestors []*routingEntry)
 	verify = func(n *node, ancestors []*routingEntry) {
 		if n.leaf {
-			for i, id := range n.ids {
+			for i, id := range tr.leafIDs(n) {
 				pivotDist := n.pivotDists(i, len(tr.pivots))
 				for _, a := range ancestors {
 					if d := vec.L2(tr.leafPoint(n, i), a.center); d > a.radius+1e-9 {
@@ -290,7 +232,7 @@ func TestCustomIDs(t *testing.T) {
 		ids[i] = int32(1000 + i)
 	}
 	tr, _ := Build(data, ids, Config{NumPivots: 2})
-	res, _ := tr.KNNSearch(data[7], 1)
+	res, _ := tr.RangeSearch(data[7], 0)
 	if len(res) != 1 || res[0].ID != 1007 {
 		t.Errorf("got %v, want ID 1007", res)
 	}
@@ -368,23 +310,6 @@ func TestRangeZeroRadius(t *testing.T) {
 	}
 	if len(res) != 1 || res[0].ID != 42 {
 		t.Errorf("zero-radius search = %v", res)
-	}
-}
-
-func TestKNNMoreThanN(t *testing.T) {
-	data := randData(10, 3, 2)
-	tr, _ := Build(data, nil, Config{NumPivots: 1})
-	res, err := tr.KNNSearch(data[0], 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 10 {
-		t.Errorf("got %d results, want all 10", len(res))
-	}
-	for i := 1; i < len(res); i++ {
-		if res[i].Dist < res[i-1].Dist {
-			t.Error("kNN results not sorted")
-		}
 	}
 }
 
@@ -495,9 +420,6 @@ func TestIntervalOps(t *testing.T) {
 	iv.extend(5)
 	if iv.Min != 1 || iv.Max != 5 {
 		t.Errorf("extend: %+v", iv)
-	}
-	if !iv.contains(3) || iv.contains(6) || iv.contains(0.5) {
-		t.Error("contains wrong")
 	}
 	other := Interval{Min: -1, Max: 2}
 	iv.union(other)

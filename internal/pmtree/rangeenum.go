@@ -61,19 +61,24 @@ import (
 // re-pruned at the larger radius. Expand(r) hence emits exactly the
 // points RangeSearch(q, r) accepts that earlier rounds did not, and
 // the union over a round sequence reproduces RangeSearch(q, r_final)
-// element for element (rangeSearchViaEnumerator and the equivalence
-// tests pin this against the retained recursive implementation,
-// distance-computation counts included).
+// element for element (RangeSearch and the equivalence tests pin this
+// against the retained recursive implementation, distance-computation
+// counts included).
 //
 // An opened leaf is resolved as a batch (scanLeaf): the filter bounds of
 // all its entries in one pass, then the exact distances of the entries
-// the filter let through — one kernel call per stretch of survivors
-// when the leaf's points are one run of store rows, which bulk loading
-// and Read guarantee and mutations break leaf by leaf — then emit or
-// freeze in entry order. The bounds and distances are the values the
-// entry-at-a-time scan computes, bit for bit, and nothing the filter
-// rejected is evaluated, so results, order and counts do not depend on
-// which way a leaf was scanned.
+// the filter let through — one kernel call per stretch of survivors,
+// a leaf's points being one run of store rows for the life of the tree
+// — then emit or freeze in entry order. The bounds and distances are
+// the values the reference's entry-at-a-time scan computes, bit for
+// bit, and nothing the filter rejected is evaluated, so results and
+// counts are the reference's. Entries Delete has marked dead are
+// skipped before any of it.
+//
+// The tail — rows inserted since the bulk load, which no node covers —
+// is not traversed at all: it is a flat pass in small (see below), one
+// kernel call over its contiguous rows on the first round and a select
+// over the kept distances on every round.
 //
 // The frontier is deliberately NOT a priority queue: a best-first heap
 // spends an O(log n) sift with cache-missing swaps on every freeze, and
@@ -98,7 +103,7 @@ import (
 // live rows whose distance lies in (previous radius, r].
 //
 // Both ways emit the same points with the same bits. The kernel is the
-// one scanLeaf and, through vec.L2, the per-row path use, so
+// one scanLeaf and, through vec.L2, a thawed point item use, so
 // sqrt(rowD2[row]) IS the distance the traversal computes for that
 // row, and the select applies the traversal's final d <= r to it. What
 // the traversal adds are filters that, by the triangle inequality,
@@ -148,11 +153,12 @@ type rangeNodeRef struct {
 //
 // The tree must not be mutated AT ALL between Reset and the last
 // Expand — not concurrently, and not between rounds either: the frozen
-// frontier holds node pointers and store rows, so an interleaved
-// Insert (node splits, row recycling) or Delete silently invalidates
-// them. The index layer holds its reader lock across the whole query,
-// which provides exactly this. Concurrent enumerations are fine. The
-// query slice q is retained until the next Reset or Release.
+// frontier holds store rows and ids, and neither an Insert (a tail row
+// the enumeration has already passed) nor a Delete (an id it still
+// holds) would reach it. The index layer holds its reader lock across
+// the whole query, which provides exactly this. Concurrent enumerations
+// are fine. The query slice q is retained until the next Reset or
+// Release.
 type RangeEnumerator struct {
 	t      *Tree
 	q      []float64
@@ -163,17 +169,24 @@ type RangeEnumerator struct {
 	emit   func(id int32, dist float64) // set for the duration of one Expand
 	lb, d2 []float64                    // scanLeaf's per-leaf bounds and squared distances
 
-	// scanning: this enumeration has left the tree for the flat pass,
-	// whose result rowD2 keeps — every store row's squared distance.
-	scanning bool
-	rowD2    []float64
+	// scanning: this enumeration has left the tree for the flat pass.
+	// rowD2 keeps a flat pass's result, the squared distances of the
+	// store rows from rowD2From on: every row once scanning, the tail
+	// before; empty until the first pass.
+	scanning  bool
+	rowD2     []float64
+	rowD2From int
 	// treeOnly keeps the enumeration on the traversal at every radius:
 	// RangeSearch (the cost model's range query) and the tests' reference.
 	treeOnly bool
+	// tailFrom is the first row of the tail as the traversal sees it.
+	// The pair enumerator raises it after Reset to leave tail rows out.
+	tailFrom int
 
 	// qdist counts this enumeration's metric evaluations since the last
-	// Reset: pivot, routing-object and leaf-point distances on the
-	// traversal, every store row (freed slots included) once it scans.
+	// Reset: pivot, routing-object and leaf-point distances and every
+	// tail row on the traversal, every store row (dead ones included)
+	// once it scans.
 	// Owned by one query, it stays exact when queries overlap.
 	qdist int64
 
@@ -206,6 +219,8 @@ func (e *RangeEnumerator) Reset(t *Tree, q []float64) error {
 	e.qdist = 0
 	e.qp = e.qp[:0]
 	e.scanning = false
+	e.rowD2 = e.rowD2[:0]
+	e.tailFrom = t.frozen
 	e.frozen = e.frozen[:0]
 	e.arena = e.arena[:0]
 	if t.count > 0 {
@@ -261,17 +276,21 @@ func (e *RangeEnumerator) Expand(r float64, emit func(id int32, dist float64)) {
 	if e.scanning || (!e.treeOnly && e.radius >= e.t.scanRadius) {
 		e.expandScan(prev)
 	} else {
-		e.expandTree()
+		e.expandTree(prev)
 	}
 	e.emit = nil
 	e.flushStats()
 }
 
-// expandTree resolves the radius on the traversal.
-func (e *RangeEnumerator) expandTree() {
+// expandTree resolves the radius on the traversal, and on a flat pass
+// over the tail.
+func (e *RangeEnumerator) expandTree(prev float64) {
 	// The s pivot distances, which a query that scans never pays.
 	for _, pv := range e.t.pivots[len(e.qp):] {
 		e.qp = append(e.qp, e.dist(e.q, pv))
+	}
+	if e.tailFrom < e.t.points.Len() {
+		e.flatPass(e.tailFrom, prev)
 	}
 	// One compaction sweep: resolve items whose bound entered the
 	// radius, keep the rest. Items frozen or re-frozen during the sweep
@@ -308,18 +327,26 @@ func (e *RangeEnumerator) expandTree() {
 	e.frozen = e.frozen[:w]
 }
 
-// expandScan resolves the radius on the flat pass: the first call pays
-// every store row's squared distance in one kernel call and drops the
-// frontier; every call emits the live rows whose distance lies in
-// (prev, radius], decided on squared distances (squaredCeil).
+// expandScan resolves the radius on the flat pass over every row; the
+// first call drops the frontier.
 func (e *RangeEnumerator) expandScan(prev float64) {
-	t := e.t
 	if !e.scanning {
 		e.scanning = true
 		e.frozen = e.frozen[:0]
-		n := t.points.Len()
-		e.rowD2 = slices.Grow(e.rowD2[:0], n)[:n]
-		vec.SquaredL2ToMany(e.rowD2, e.q, t.points.Flat(), t.dim)
+	}
+	e.flatPass(0, prev)
+}
+
+// flatPass resolves the radius for the store rows from `from` on: the
+// first call pays their squared distances in one kernel call; every
+// call emits the live ones whose distance lies in (prev, radius],
+// decided on squared distances (squaredCeil).
+func (e *RangeEnumerator) flatPass(from int, prev float64) {
+	t := e.t
+	if len(e.rowD2) == 0 || e.rowD2From != from {
+		n := t.points.Len() - from
+		e.rowD2, e.rowD2From = slices.Grow(e.rowD2[:0], n)[:n], from
+		vec.SquaredL2ToMany(e.rowD2, e.q, t.points.Flat()[from*t.dim:], t.dim)
 		e.pendingDist += int64(n)
 		e.qdist += int64(n)
 	}
@@ -327,10 +354,10 @@ func (e *RangeEnumerator) expandScan(prev float64) {
 		return
 	}
 	lo, hi := squaredCeil(prev), squaredCeil(e.radius)
-	ids := t.rowID[:len(e.rowD2)]
-	for row, d2 := range e.rowD2 {
-		if d2 <= hi && d2 > lo && ids[row] >= 0 {
-			e.emit(ids[row], math.Sqrt(d2))
+	ids := t.rowID[from:]
+	for i, d2 := range e.rowD2 {
+		if d2 <= hi && d2 > lo && ids[i] >= 0 {
+			e.emit(ids[i], math.Sqrt(d2))
 		}
 	}
 }
@@ -440,21 +467,22 @@ func (e *RangeEnumerator) expandNode(n *node, hasParent bool, qpd float64) {
 //     the full maximum of the reference's filter quantities — not
 //     short-circuited — so that "bound ≤ r" reproduces the reference's
 //     accept decision exactly at every future radius with no re-check.
-//  2. The surviving entries' exact distances. When the leaf's points
-//     are one run of store rows (node.run) each maximal stretch of
-//     survivors is one batched-kernel call over contiguous memory; the
-//     kernel is bit-identical to the single-pair one, and only
-//     survivors are evaluated, so DistComps is what the per-entry scan
-//     would have counted.
+//  2. The surviving entries' exact distances. The leaf's points are
+//     one run of store rows, so each maximal stretch of live survivors
+//     is one batched-kernel call over contiguous memory; the kernel is
+//     bit-identical to the single-pair one, and only survivors are
+//     evaluated, so DistComps is what the reference's per-entry scan
+//     counts.
 //  3. Emit or freeze, entry by entry in leaf order, which keeps the
-//     emission and frontier order of an entry-at-a-time scan. A leaf
-//     whose run a mutation has broken pays its distances here, one
-//     store row at a time.
+//     emission and frontier order of an entry-at-a-time scan.
+//
+// A dead entry is neither evaluated nor frozen.
 func (e *RangeEnumerator) scanLeaf(n *node, hasParent bool, qpd float64) {
-	m := len(n.ids)
+	m := n.size()
 	if m == 0 {
 		return
 	}
+	ids := e.t.leafIDs(n)
 	if cap(e.lb) < m {
 		e.lb = make([]float64, m)
 		e.d2 = make([]float64, m)
@@ -473,43 +501,37 @@ func (e *RangeEnumerator) scanLeaf(n *node, hasParent bool, qpd float64) {
 		vec.MaxAbsDiffToMany(lb, e.qp, n.pivotDist, s)
 	}
 
-	if n.run {
-		dim := e.t.dim
-		first := int(n.rows[0])
-		flat := e.t.points.Flat()[first*dim : (first+m)*dim]
-		evaluated := 0
-		for i := 0; i < m; {
-			if lb[i] > radius {
-				i++
-				continue
-			}
-			j := i + 1
-			for j < m && !(lb[j] > radius) {
-				j++
-			}
-			vec.SquaredL2ToMany(d2[i:j], e.q, flat[i*dim:j*dim], dim)
-			evaluated += j - i
-			i = j
-		}
-		e.pendingDist += int64(evaluated)
-		e.qdist += int64(evaluated)
-	}
-
-	for i, bound := range lb {
-		if bound > radius {
-			e.frozen = append(e.frozen, rangeItem{bound: bound, ref: n.rows[i], id: n.ids[i], kind: rkPointLB})
+	dim := e.t.dim
+	first := int(n.first)
+	flat := e.t.points.Flat()[first*dim : (first+m)*dim]
+	evaluated := 0
+	for i := 0; i < m; {
+		if lb[i] > radius || ids[i] < 0 {
+			i++
 			continue
 		}
-		var d float64
-		if n.run {
-			d = math.Sqrt(d2[i])
-		} else {
-			d = e.dist(e.q, e.t.points.Row(int(n.rows[i])))
+		j := i + 1
+		for j < m && !(lb[j] > radius || ids[j] < 0) {
+			j++
 		}
-		if d <= radius {
-			e.emit(n.ids[i], d)
+		vec.SquaredL2ToMany(d2[i:j], e.q, flat[i*dim:j*dim], dim)
+		evaluated += j - i
+		i = j
+	}
+	e.pendingDist += int64(evaluated)
+	e.qdist += int64(evaluated)
+
+	for i, id := range ids {
+		if id < 0 {
+			continue
+		}
+		row := n.first + int32(i)
+		if bound := lb[i]; bound > radius {
+			e.frozen = append(e.frozen, rangeItem{bound: bound, ref: row, id: id, kind: rkPointLB})
+		} else if d := math.Sqrt(d2[i]); d <= radius {
+			e.emit(id, d)
 		} else {
-			e.frozen = append(e.frozen, rangeItem{bound: d, ref: n.rows[i], id: n.ids[i], kind: rkPointExact})
+			e.frozen = append(e.frozen, rangeItem{bound: d, ref: row, id: id, kind: rkPointExact})
 		}
 	}
 }

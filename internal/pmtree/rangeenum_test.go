@@ -13,9 +13,8 @@ func refRangeSearch(t *Tree, q []float64, r float64) []Result {
 	if t.count == 0 {
 		return nil
 	}
-	qp := t.pivotDistances(q)
 	var out []Result
-	t.rangeSearchRec(t.root, q, nil, 0, r, qp, func(id int32, d float64) {
+	t.rangeSearchRef(q, r, func(id int32, d float64) {
 		out = append(out, Result{ID: id, Dist: d})
 	})
 	sortResults(out)
@@ -61,7 +60,7 @@ func randomTree(tb testing.TB, rng *rand.Rand) (*Tree, [][]float64) {
 			if data[victim] == nil {
 				continue
 			}
-			if err := tr.Delete(data[victim], int32(victim)); err != nil {
+			if err := tr.Delete(int32(victim)); err != nil {
 				tb.Fatal(err)
 			}
 			data[victim] = nil
@@ -235,36 +234,5 @@ func TestRangeEnumeratorValidation(t *testing.T) {
 	var e RangeEnumerator
 	if err := e.Reset(tr, []float64{1, 2, 3}); err == nil {
 		t.Fatal("Reset accepted a dimension mismatch")
-	}
-}
-
-// TestKNNSearchAllocations pins the de-boxed kNN frontier: the
-// container/heap implementation boxed every pushed item into an
-// interface{} (one allocation per surviving candidate — hundreds per
-// query); the generic heap leaves only the output slice, the pivot
-// distances and a few frontier growths.
-func TestKNNSearchAllocations(t *testing.T) {
-	rng := rand.New(rand.NewSource(76))
-	data := make([][]float64, 2000)
-	for i := range data {
-		data[i] = []float64{rng.NormFloat64() * 3, rng.NormFloat64() * 3, rng.NormFloat64() * 3}
-	}
-	tr, err := Build(data, nil, Config{NumPivots: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := data[7]
-	// Warm-up, and sanity that results are non-trivial.
-	res, err := tr.KNNSearch(q, 10)
-	if err != nil || len(res) != 10 {
-		t.Fatalf("warm-up KNNSearch: %v (%d results)", err, len(res))
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := tr.KNNSearch(q, 10); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 8 {
-		t.Fatalf("KNNSearch allocated %.1f times per call, want <= 8", allocs)
 	}
 }

@@ -21,8 +21,8 @@ type scanCase struct {
 
 // scanCases builds the sweep: pivot counts 0 and 5 by capacities 4 and
 // 16, each as bulk loaded, worn by 300 interleaved inserts and deletes
-// (freed rows, reused rows, rows still free at the end), grown from New
-// by Insert alone, and holding a few points many times over.
+// (dead rows under the leaves and in the tail), grown from New by Insert
+// alone (all tail), and holding a few points many times over.
 func scanCases(tb testing.TB) []scanCase {
 	tb.Helper()
 	var cases []scanCase
@@ -66,13 +66,14 @@ func scanCases(tb testing.TB) []scanCase {
 				for data[victim] == nil {
 					victim = rng.Intn(len(data))
 				}
-				if err := worn.Delete(data[victim], int32(victim)); err != nil {
+				if err := worn.Delete(int32(victim)); err != nil {
 					tb.Fatal(err)
 				}
 				data[victim] = nil
 			}
-			if worn.Rows() == worn.Len() || worn.Rows() >= len(base)+100 {
-				tb.Fatalf("%s: churn left %d rows for %d points; the sweep needs freed rows and reused ones", name, worn.Rows(), worn.Len())
+			if worn.Tail() != 100 || worn.Rows()-worn.Len() != 200 {
+				tb.Fatalf("%s: churn left %d rows (%d in the tail) for %d points; want 100 tail rows and 200 dead ones",
+					name, worn.Rows(), worn.Tail(), worn.Len())
 			}
 			cases = append(cases, scanCase{name + "/worn", worn, liveOf(data)})
 
@@ -85,11 +86,11 @@ func scanCases(tb testing.TB) []scanCase {
 					tb.Fatal(err)
 				}
 			}
-			// Splits at capacity 4 leave most leaves holding one point, so
-			// that tree's median leaf radius is 0 like the duplicates' below.
-			if grown.scanSizedAt < len(base)/2 || (capacity == 16 && grown.scanRadius <= 0) {
-				tb.Fatalf("%s: a tree grown by Insert alone has switch radius %v, derived at %d points",
-					name, grown.scanRadius, grown.scanSizedAt)
+			// No node covers a point, so there is no leaf radius to measure
+			// and every radius scans, as for the duplicates below.
+			if grown.scanRadius != 0 || grown.Tail() != len(base) {
+				tb.Fatalf("%s: a tree grown by Insert alone has switch radius %v and %d tail rows",
+					name, grown.scanRadius, grown.Tail())
 			}
 			cases = append(cases, scanCase{name + "/grown", grown, liveOf(base)})
 
@@ -116,7 +117,7 @@ func scanCases(tb testing.TB) []scanCase {
 // radius schedule, and wherever in it the enumeration leaves the tree
 // for the flat pass, every Expand emits the set of points the traversal
 // alone emits at that radius — the same ids with bit-identical
-// distances, no freed row, nothing twice.
+// distances, no dead row, nothing twice.
 func TestScanMatchesTree(t *testing.T) {
 	for _, c := range scanCases(t) {
 		tr := c.tr
@@ -218,32 +219,29 @@ func TestSquaredCeil(t *testing.T) {
 	}
 }
 
-// TestScanRadiusFollowsGrowth pins when the switch radius is derived:
-// after a bulk load and a Read (the same value, the stream carries no
-// trace of it), and again once inserts have doubled the tree.
-func TestScanRadiusFollowsGrowth(t *testing.T) {
+// TestScanRadiusSetAtLoad pins when the switch radius is derived: by a
+// bulk load and by Read (the same value, the stream carries no trace of
+// it), from the leaves — which inserts never change, however many.
+func TestScanRadiusSetAtLoad(t *testing.T) {
 	data := randData(500, 6, 12)
 	tr, err := Build(data, nil, Config{NumPivots: 3, PivotSeed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	built := tr.scanRadius
-	if built <= 0 || tr.scanSizedAt != 500 {
-		t.Fatalf("built tree: switch radius %v derived at %d points", built, tr.scanSizedAt)
+	if built <= 0 {
+		t.Fatalf("built tree: switch radius %v", built)
 	}
-	if loaded := roundTrip(t, tr); loaded.scanRadius != built {
-		t.Fatalf("loaded tree has switch radius %v, built %v", loaded.scanRadius, built)
-	}
-	for i, p := range randData(500, 6, 13) {
-		if tr.scanSizedAt != 500 {
-			t.Fatalf("switch radius re-derived at %d points, before the tree doubled", tr.scanSizedAt)
-		}
+	for i, p := range randData(600, 6, 13) {
 		if err := tr.Insert(p, int32(500+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if tr.scanSizedAt != 1000 || tr.scanRadius == built || tr.scanRadius <= 0 {
-		t.Fatalf("doubled tree: switch radius %v derived at %d points (built: %v)", tr.scanRadius, tr.scanSizedAt, built)
+	if tr.scanRadius != built {
+		t.Fatalf("inserts moved the switch radius from %v to %v", built, tr.scanRadius)
+	}
+	if loaded := roundTrip(t, tr); loaded.scanRadius != built {
+		t.Fatalf("loaded tree has switch radius %v, built %v", loaded.scanRadius, built)
 	}
 }
 

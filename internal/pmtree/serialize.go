@@ -13,23 +13,33 @@ import (
 // Binary serialization of the tree structure. The format is
 // little-endian and versioned:
 //
-//	magic "PMT2" | dim u32 | capacity u32 | count u32 | pivots u32
+//	magic "PMT3" | dim u32 | capacity u32 | count u32 | pivots u32
 //	pivot points (pivots × dim f64)
 //	recursive node encoding:
 //	  leaf flag u8 | entry count u32
 //	  leaf entry:    id i32 | point dim×f64 | parentDist f64 | pivotDist s×f64
 //	  routing entry: center dim×f64 | radius f64 | parentDist f64 |
 //	                 hr s×{min,max} f64 | child node
+//	tail: row count u32, then per row: id i32 | point dim×f64
 //
-// Loading a stream reproduces the exact tree (same splits, same
-// counters at zero), so a saved index answers queries identically.
+// count is the number of live points; an id of -1 marks a leaf entry or
+// tail row Delete has marked dead. Loading a stream reproduces the
+// exact tree — the same nodes, the same rows in the same order with the
+// same dead marks, the same tail, counters at zero — so a saved index
+// answers queries identically and its tail stands exactly as far from
+// the next rebuild as the saved one's did.
 //
-// Version 2 admits leaf nodes with zero entries, which deletions can
-// leave behind; the byte layout is otherwise identical to version 1,
-// so Read accepts both magics.
+// Versions 1 and 2 predate the tail and the dead marks: they end with
+// the root node and every entry is live (version 2 admitted leaf nodes
+// with zero entries, which deletions then left behind; the byte layout
+// is otherwise version 1's). Read accepts both — any such tree, however
+// it was grown, is a valid frozen tree with an empty tail.
 
-var pmtMagic = [4]byte{'P', 'M', 'T', '2'}
-var pmtMagicV1 = [4]byte{'P', 'M', 'T', '1'}
+var (
+	pmtMagic   = [4]byte{'P', 'M', 'T', '3'}
+	pmtMagicV2 = [4]byte{'P', 'M', 'T', '2'}
+	pmtMagicV1 = [4]byte{'P', 'M', 'T', '1'}
+)
 
 // WriteTo serializes the tree. It implements io.WriterTo.
 func (t *Tree) WriteTo(w io.Writer) (int64, error) {
@@ -56,7 +66,27 @@ func (t *Tree) encode(w io.Writer) error {
 			return err
 		}
 	}
-	return t.encodeNode(w, t.root)
+	if err := t.encodeNode(w, t.root); err != nil {
+		return err
+	}
+	if err := binary.Write(w, binary.LittleEndian, uint32(t.Tail())); err != nil {
+		return fmt.Errorf("pmtree: write tail length: %w", err)
+	}
+	for row := t.frozen; row < t.points.Len(); row++ {
+		if err := t.encodeRow(w, row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// encodeRow writes one row's id and point: a leaf entry's head, or a
+// tail row.
+func (t *Tree) encodeRow(w io.Writer, row int) error {
+	if err := binary.Write(w, binary.LittleEndian, t.rowID[row]); err != nil {
+		return fmt.Errorf("pmtree: write id: %w", err)
+	}
+	return writeFloats(w, t.points.Row(row))
 }
 
 func (t *Tree) encodeNode(w io.Writer, n *node) error {
@@ -71,11 +101,8 @@ func (t *Tree) encodeNode(w io.Writer, n *node) error {
 		return fmt.Errorf("pmtree: write entry count: %w", err)
 	}
 	if n.leaf {
-		for i, id := range n.ids {
-			if err := binary.Write(w, binary.LittleEndian, id); err != nil {
-				return fmt.Errorf("pmtree: write id: %w", err)
-			}
-			if err := writeFloats(w, t.leafPoint(n, i)); err != nil {
+		for i := range n.parentDist {
+			if err := t.encodeRow(w, int(n.first)+i); err != nil {
 				return err
 			}
 			if err := writeFloats(w, n.parentDist[i:i+1]); err != nil {
@@ -114,8 +141,13 @@ func Read(r io.Reader) (*Tree, error) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("pmtree: read magic: %w", err)
 	}
-	if magic != pmtMagic && magic != pmtMagicV1 {
+	if magic != pmtMagic && magic != pmtMagicV2 && magic != pmtMagicV1 {
 		return nil, fmt.Errorf("pmtree: bad magic %q", magic)
+	}
+	// Only version 3 has dead marks and a tail section.
+	minID := int32(0)
+	if magic == pmtMagic {
+		minID = -1
 	}
 	hdr := make([]uint32, 4)
 	if err := binary.Read(br, binary.LittleEndian, hdr); err != nil {
@@ -147,26 +179,57 @@ func Read(r io.Reader) (*Tree, error) {
 		}
 		t.pivots[i] = p
 	}
-	root, err := t.decodeNode(br, numPivots)
+	root, err := t.decodeNode(br, numPivots, minID)
 	if err != nil {
 		return nil, err
 	}
 	t.root = root
-	// Verify the advertised count against the leaves.
-	got := 0
-	t.Walk(func(info NodeInfo) {
-		if info.Leaf {
-			got += info.NumEntries
+	t.frozen = t.points.Len()
+	if magic == pmtMagic {
+		// The tail length is untrusted like the header count: rows are
+		// appended as their bytes arrive.
+		var tail uint32
+		if err := binary.Read(br, binary.LittleEndian, &tail); err != nil {
+			return nil, fmt.Errorf("pmtree: read tail length: %w", err)
 		}
-	})
+		for i := uint32(0); i < tail; i++ {
+			if _, err := t.decodeRow(br, minID); err != nil {
+				return nil, err
+			}
+		}
+	}
+	// Verify the advertised count against the rows.
+	got := 0
+	t.WalkIDs(func(int32) { got++ })
 	if got != count {
-		return nil, fmt.Errorf("pmtree: header count %d but leaves hold %d points", count, got)
+		return nil, fmt.Errorf("pmtree: header count %d but the stream holds %d live points", count, got)
 	}
 	t.deriveScanRadius()
 	return t, nil
 }
 
-func (t *Tree) decodeNode(r io.Reader, numPivots int) (*node, error) {
+// decodeRow reads one id and point — a leaf entry's head or a tail row
+// — and appends them to the store.
+func (t *Tree) decodeRow(r io.Reader, minID int32) (int32, error) {
+	var id int32
+	if err := binary.Read(r, binary.LittleEndian, &id); err != nil {
+		return 0, fmt.Errorf("pmtree: read id: %w", err)
+	}
+	p, err := readFloats(r, t.dim)
+	if err != nil {
+		return 0, err
+	}
+	if id < minID || !validFinite(p) {
+		return 0, fmt.Errorf("pmtree: corrupt entry %d", id)
+	}
+	if _, err := t.points.Append(p); err != nil {
+		return 0, fmt.Errorf("pmtree: %w", err)
+	}
+	t.rowID = append(t.rowID, id)
+	return id, nil
+}
+
+func (t *Tree) decodeNode(r io.Reader, numPivots int, minID int32) (*node, error) {
 	var flag [1]byte
 	if _, err := io.ReadFull(r, flag[:]); err != nil {
 		return nil, fmt.Errorf("pmtree: read node flag: %w", err)
@@ -178,39 +241,26 @@ func (t *Tree) decodeNode(r io.Reader, numPivots int) (*node, error) {
 	if err := binary.Read(r, binary.LittleEndian, &cnt); err != nil {
 		return nil, fmt.Errorf("pmtree: read entry count: %w", err)
 	}
-	// Leaves may be empty (deletions leave them behind); inner nodes
-	// never are.
+	// Leaves may be empty (a version 2 stream, or the root of a tree that
+	// is all tail); inner nodes never are.
 	if int(cnt) > t.capacity || (cnt == 0 && flag[0] != 1) {
 		return nil, fmt.Errorf("pmtree: corrupt entry count %d (capacity %d)", cnt, t.capacity)
 	}
 	n := &node{leaf: flag[0] == 1}
 	if n.leaf {
-		// Exact-size arrays for any real leaf; the cap keeps a corrupt
-		// count × pivots product from sizing an allocation no bytes back.
+		// Rows are appended in traversal order, so every decoded leaf is one
+		// run of the store. Exact-size arrays for any real leaf; the cap
+		// keeps a corrupt count × pivots product from sizing an allocation
+		// no bytes back.
+		n.first = int32(t.points.Len())
 		hint := min(int(cnt), 1<<12)
-		n.ids = make([]int32, 0, hint)
-		n.rows = make([]int32, 0, hint)
 		n.parentDist = make([]float64, 0, hint)
 		n.pivotDist = make([]float64, 0, min(hint*numPivots, 1<<16))
 		for i := 0; i < int(cnt); i++ {
-			var id int32
-			if err := binary.Read(r, binary.LittleEndian, &id); err != nil {
-				return nil, fmt.Errorf("pmtree: read id: %w", err)
-			}
-			p, err := readFloats(r, t.dim)
+			id, err := t.decodeRow(r, minID)
 			if err != nil {
 				return nil, err
 			}
-			if !validFinite(p) {
-				return nil, fmt.Errorf("pmtree: corrupt leaf entry %d", id)
-			}
-			// Rows are appended in traversal order, so every decoded leaf
-			// is one run of the store.
-			row, err := t.points.Append(p)
-			if err != nil {
-				return nil, fmt.Errorf("pmtree: %w", err)
-			}
-			t.rowID = append(t.rowID, id)
 			pd, err := readFloats(r, 1+numPivots)
 			if err != nil {
 				return nil, err
@@ -218,9 +268,9 @@ func (t *Tree) decodeNode(r io.Reader, numPivots int) (*node, error) {
 			if math.IsNaN(pd[0]) {
 				return nil, fmt.Errorf("pmtree: corrupt leaf entry %d", id)
 			}
-			n.appendEntry(id, row, pd[0], pd[1:])
+			n.parentDist = append(n.parentDist, pd[0])
+			n.pivotDist = append(n.pivotDist, pd[1:]...)
 		}
-		t.leafChanged(n)
 		return n, nil
 	}
 	n.routing = make([]routingEntry, cnt)
@@ -244,7 +294,7 @@ func (t *Tree) decodeNode(r io.Reader, numPivots int) (*node, error) {
 			}
 			e.hr[k] = Interval{Min: mm[0], Max: mm[1]}
 		}
-		child, err := t.decodeNode(r, numPivots)
+		child, err := t.decodeNode(r, numPivots, minID)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package pmtree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -50,16 +51,6 @@ func TestSerializeRoundTrip(t *testing.T) {
 		}
 		if !sameResults(a, b) {
 			t.Fatalf("trial %d: range results differ (%d vs %d)", trial, len(a), len(b))
-		}
-		ka, _ := orig.KNNSearch(q, 7)
-		kb, _ := loaded.KNNSearch(q, 7)
-		if len(ka) != len(kb) {
-			t.Fatalf("kNN result counts differ")
-		}
-		for i := range ka {
-			if ka[i].Dist != kb[i].Dist {
-				t.Fatalf("kNN distances differ at %d", i)
-			}
 		}
 	}
 
@@ -126,5 +117,62 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 	bad2[12]++ // count field low byte
 	if _, err := Read(bytes.NewReader(bad2)); err == nil {
 		t.Error("corrupt count accepted")
+	}
+}
+
+// TestReadIDsAndVersions pins what Read makes of an entry's id and of
+// the two older magics. In a version 3 stream -1 is a dead mark (which
+// the header count must agree with) and anything below is corrupt; a
+// version 1 or 2 stream — the same bytes without the tail section — has
+// no dead marks, and loads as the same tree with an empty tail.
+func TestReadIDsAndVersions(t *testing.T) {
+	data := randData(5, 3, 54)
+	orig, err := Build(data, nil, Config{NumPivots: 2, PivotSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := orig.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	// Five points fit the root, a leaf: its first entry's id follows the
+	// header, the pivots and the node's flag and count.
+	idOff := 4 + 4*4 + 2*3*8 + 1 + 4
+	if got := int32(binary.LittleEndian.Uint32(raw[idOff:])); got != orig.rowID[0] {
+		t.Fatalf("offset %d holds %d, want the first entry's id %d", idOff, got, orig.rowID[0])
+	}
+	withID := func(src []byte, id int32) []byte {
+		out := append([]byte(nil), src...)
+		binary.LittleEndian.PutUint32(out[idOff:], uint32(id))
+		return out
+	}
+	for _, id := range []int32{-1, -4} {
+		if _, err := Read(bytes.NewReader(withID(raw, id))); err == nil {
+			t.Errorf("version 3 stream with id %d and an unchanged count accepted", id)
+		}
+	}
+
+	for _, v := range []byte{'1', '2'} {
+		old := append([]byte(nil), raw[:len(raw)-4]...) // no tail section
+		old[3] = v
+		loaded, err := Read(bytes.NewReader(old))
+		if err != nil {
+			t.Fatalf("version %c stream: %v", v, err)
+		}
+		requireSameTree(t, "version "+string(v)+" stream", orig, loaded)
+		if _, err := Read(bytes.NewReader(withID(old, -1))); err == nil {
+			t.Errorf("version %c stream with id -1 accepted", v)
+		}
+	}
+
+	// A dead mark the count agrees with loads, and stays dead.
+	if err := orig.Delete(orig.rowID[0]); err != nil {
+		t.Fatal(err)
+	}
+	loaded := roundTrip(t, orig)
+	requireSameTree(t, "tree with a dead entry", orig, loaded)
+	if loaded.Len() != 4 || loaded.rowID[0] != -1 {
+		t.Fatalf("loaded tree has %d points and first id %d, want 4 and -1", loaded.Len(), loaded.rowID[0])
 	}
 }

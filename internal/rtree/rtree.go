@@ -99,16 +99,6 @@ func (r Rect) MinDistSq(q []float64) float64 {
 	return s
 }
 
-// Contains reports whether p lies inside the rectangle (inclusive).
-func (r Rect) Contains(p []float64) bool {
-	for i, v := range p {
-		if v < r.Lo[i] || v > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // entry is either an inner entry (child non-nil, rect meaningful) or a
 // leaf entry (child nil, row referencing the tree's point store; its
 // degenerate rect is derived on demand by entryRect).

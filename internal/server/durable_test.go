@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -121,4 +122,72 @@ func containsLine(text, prefix string) bool {
 		start = end + 1
 	}
 	return false
+}
+
+// hugeVec is the valid-JSON body no index can hold: finite floats whose
+// norm and projection overflow.
+func hugeVec(dim int) string {
+	p := make([]float64, dim)
+	for i := range p {
+		p[i] = 1e308
+		if i%2 == 1 {
+			p[i] = -1e308
+		}
+	}
+	return vecJSON(p)
+}
+
+// TestHugeFloatRequestsAnswer400 pins two requests that used to take a
+// shard down: the insert panicked inside the tree (500) and left the
+// shard's standby half with an orphan row, so every later insert to
+// that shard answered 500 too; the search never left its radius loop
+// and held a core until the request timed out. Both are the client's
+// error: 400, at once, with the shard writable afterwards. On the
+// durable server the rejected point also stays out of the log, so the
+// state directory reopens with the acknowledged inserts around it.
+func TestHugeFloatRequestsAnswer400(t *testing.T) {
+	s, ts, eng, dir := newDurableTestServer(t, 0)
+	ok := fmt.Sprintf(`{"p":%s}`, vecJSON(make([]float64, 6)))
+	var ids []int32
+	for round := 0; round < 2; round++ { // once per shard of the round-robin
+		if code, resp := post(t, ts, "/v1/insert", `{"p":`+hugeVec(6)+`}`); code != 400 {
+			t.Fatalf("huge insert: %d %v, want 400", code, resp)
+		}
+		code, resp := post(t, ts, "/v1/insert", ok)
+		if code != 200 {
+			t.Fatalf("ordinary insert after the rejected one: %d %v", code, resp)
+		}
+		ids = append(ids, int32(resp["id"].(float64)))
+	}
+	if ids[0] != 200 || ids[1] != 201 {
+		t.Fatalf("acknowledged ids %v, want [200 201]", ids)
+	}
+	start := time.Now()
+	for _, req := range []struct{ path, body string }{
+		{"/v1/search", `{"q":` + hugeVec(6) + `,"k":3}`},
+		{"/v1/search/batch", `{"qs":[` + hugeVec(6) + `],"k":3}`},
+		{"/v1/ball", `{"q":` + hugeVec(6) + `,"r":1}`},
+	} {
+		code, resp := post(t, ts, req.path, req.body)
+		if msg, _ := resp["error"].(string); code != 400 || !strings.Contains(msg, "norm beyond float64") {
+			t.Fatalf("huge query to %s: %d %v, want 400 naming the norm", req.path, code, resp)
+		}
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("rejecting three huge queries took %v", took)
+	}
+
+	s.Close()
+	ts.Close()
+	if err := eng.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := core.OpenDurable(wal.DirFS(dir), wal.SyncPolicy{})
+	if err != nil {
+		t.Fatalf("reopening after rejected inserts: %v", err)
+	}
+	defer e2.CloseDurable()
+	if !e2.IsLive(200) || !e2.IsLive(201) || e2.Len() != 202 {
+		t.Fatalf("recovered engine: %d ids, 200 live %v, 201 live %v", e2.Len(), e2.IsLive(200), e2.IsLive(201))
+	}
 }

@@ -402,8 +402,8 @@ type infoResponse struct {
 	Metric      string `json:"metric"`
 	Compactions int64  `json:"compactions"`
 	Draining    bool   `json:"draining"`
-	// LeafRunFraction has one element per shard.
-	LeafRunFraction []float64 `json:"leaf_run_fraction"`
+	// TailFraction has one element per shard.
+	TailFraction []float64 `json:"tail_fraction"`
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -420,7 +420,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Compactions: info.Compactions,
 		Draining:    s.Draining(),
 
-		LeafRunFraction: info.LeafRunFraction,
+		TailFraction: info.TailFraction,
 	})
 }
 

@@ -136,9 +136,9 @@ func New(cfg Config) (*Server, error) {
 	reg.GaugeFunc("pmlsh_compactions_total",
 		"Compact operations (explicit and automatic) since the engine was opened.",
 		func() float64 { return float64(s.eng.Info().Compactions) })
-	reg.GaugeFuncVec("pmlsh_index_leaf_run_fraction",
-		"Share of a shard's PM-tree leaf entries laid out as one row run per leaf (1 after build or compaction; mutations lower it). Prices only small-radius queries: a k-NN search scans the projected rows and does not visit the leaves.",
-		"shard", func() []float64 { return s.eng.Info().LeafRunFraction })
+	reg.GaugeFuncVec("pmlsh_index_tail_fraction",
+		"Share of a shard's PM-tree rows inserted since its last bulk load (0 after build or compaction; the shard compacts itself when it reaches the auto-compact fraction). Prices only small-radius queries: a k-NN search scans the projected rows and does not visit the leaves.",
+		"shard", func() []float64 { return s.eng.Info().TailFraction })
 	reg.GaugeVec("pmlsh_index_metric",
 		"Distance metric of the serving engine (1 on the active label).",
 		"metric").With(s.eng.Metric().String()).Set(1)

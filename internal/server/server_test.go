@@ -258,11 +258,11 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLeafRunFractionObservable pins the layout-decay signal end to
-// end: /v1/info and the per-shard /metrics gauge agree, start at 1,
-// fall as inserts land in bulk-loaded leaves, and return to 1 on
-// compaction.
-func TestLeafRunFractionObservable(t *testing.T) {
+// TestTailFractionObservable pins the distance-to-auto-compaction
+// signal end to end: /v1/info and the per-shard /metrics gauge agree,
+// start at 0, rise as inserts land in each shard's tail, and return to
+// 0 on compaction.
+func TestTailFractionObservable(t *testing.T) {
 	_, ts, data := newTestServer(t, 2, 0)
 	observe := func() []float64 {
 		t.Helper()
@@ -274,25 +274,25 @@ func TestLeafRunFractionObservable(t *testing.T) {
 		if err := json.Unmarshal(raw, &info); err != nil {
 			t.Fatal(err)
 		}
-		if len(info.LeafRunFraction) != 2 {
-			t.Fatalf("info reports %d leaf run fractions for 2 shards", len(info.LeafRunFraction))
+		if len(info.TailFraction) != 2 {
+			t.Fatalf("info reports %d tail fractions for 2 shards", len(info.TailFraction))
 		}
 		_, raw = get(t, ts, "/metrics")
 		samples, err := obs.ParseText(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for shard, f := range info.LeafRunFraction {
-			series := fmt.Sprintf(`pmlsh_index_leaf_run_fraction{shard="%d"}`, shard)
+		for shard, f := range info.TailFraction {
+			series := fmt.Sprintf(`pmlsh_index_tail_fraction{shard="%d"}`, shard)
 			if got, ok := samples[series]; !ok || got != f {
 				t.Fatalf("%s = %v (present %v), /v1/info says %v", series, got, ok, f)
 			}
 		}
-		return info.LeafRunFraction
+		return info.TailFraction
 	}
 	for shard, f := range observe() {
-		if f != 1 {
-			t.Fatalf("fresh shard %d: leaf run fraction %v, want 1", shard, f)
+		if f != 0 {
+			t.Fatalf("fresh shard %d: tail fraction %v, want 0", shard, f)
 		}
 	}
 	for _, p := range data[:20] {
@@ -300,17 +300,19 @@ func TestLeafRunFractionObservable(t *testing.T) {
 			t.Fatal("insert failed")
 		}
 	}
+	// Round-robin: ten of the twenty inserts went to each shard.
+	want := 10 / float64(len(data)/2+10)
 	for shard, f := range observe() {
-		if f >= 1 {
-			t.Fatalf("shard %d after inserts: leaf run fraction %v, want < 1", shard, f)
+		if f != want {
+			t.Fatalf("shard %d after inserts: tail fraction %v, want %v", shard, f, want)
 		}
 	}
 	if status, _ := post(t, ts, "/v1/compact", ``); status != 200 {
 		t.Fatal("compact failed")
 	}
 	for shard, f := range observe() {
-		if f != 1 {
-			t.Fatalf("compacted shard %d: leaf run fraction %v, want 1", shard, f)
+		if f != 0 {
+			t.Fatalf("compacted shard %d: tail fraction %v, want 0", shard, f)
 		}
 	}
 }

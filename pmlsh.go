@@ -49,9 +49,10 @@ const (
 func ParseMetric(s string) (Metric, error) { return metric.Parse(s) }
 
 // AutoCompactAlways is a sentinel for Config.AutoCompactFraction that
-// makes every Delete leaving at least one tombstone trigger a Compact.
-// (A literal 0 cannot express this: the zero value selects the 0.3
-// default.) It survives serialization round trips.
+// makes every Delete leaving at least one tombstone trigger a Compact
+// (Insert keeps compacting at the 0.3 default). A literal 0 cannot
+// express this: the zero value selects the 0.3 default. It survives
+// serialization round trips.
 const AutoCompactAlways = core.AutoCompactAlways
 
 // Neighbor is one query result: a point id (the row index passed to
@@ -109,11 +110,14 @@ type Config struct {
 	Alpha1 float64
 	// Seed makes builds deterministic.
 	Seed int64
-	// AutoCompactFraction is the deleted share of the vector store at
-	// which a Delete triggers an automatic Compact (0 = 0.3; negative
-	// disables auto-compaction; values above 1 are rejected; the
-	// AutoCompactAlways sentinel compacts on every tombstone). With
-	// Shards > 1 the fraction applies per shard.
+	// AutoCompactFraction is the share at which the index compacts
+	// itself: a Delete triggers a Compact when the deleted share of the
+	// vector store reaches it, an Insert when the points inserted since
+	// the last compaction reach that share of the projected-space tree's
+	// rows (Info().TailFraction). 0 = 0.3; negative disables
+	// auto-compaction; values above 1 are rejected; the AutoCompactAlways
+	// sentinel compacts on every tombstone. With Shards > 1 the fraction
+	// applies per shard.
 	AutoCompactFraction float64
 	// Shards splits the index into N independent shards with ids
 	// striped across them (0 and 1 both mean a single shard, which is
@@ -218,8 +222,13 @@ func coreConfig(cfg Config) core.Config {
 }
 
 // Insert adds one point to the index and returns its assigned id: the
-// next value of a monotone counter, never a reused one. Insert may run
-// concurrently with queries and other mutations.
+// next value of a monotone counter, never a reused one. A point with a
+// NaN or infinite component, or one so large that its projection
+// overflows, is rejected and changes nothing. When the points inserted
+// since the last compaction reach Config.AutoCompactFraction of the
+// projected-space tree's rows, Insert compacts the index (the shard,
+// with Shards > 1) before returning. Insert may run concurrently with
+// queries and other mutations.
 func (x *Index) Insert(p []float64) (int32, error) { return x.ix.Insert(p) }
 
 // Delete removes the point with the given id. The id is retired
@@ -297,13 +306,15 @@ type Info struct {
 	Compactions int64
 	// Metric is the distance metric the index was built with.
 	Metric Metric
-	// LeafRunFraction is, per shard, the share of projected-space tree
-	// entries whose leaf is still one consecutive run of rows — the
-	// layout Build, Load and Compact produce and a tree traversal scans
-	// fastest. Inserts and deletes wear it down leaf by leaf; Compact
-	// restores 1. It prices only small-radius queries (SearchBall,
+	// TailFraction is, per shard, the share of the projected-space
+	// tree's rows inserted since the tree was last bulk loaded (by Build
+	// or a compaction), which a tree traversal brute-forces. It is 0
+	// after Build and Compact, rises with every Insert, and when it
+	// reaches Config.AutoCompactFraction the shard compacts itself: read
+	// beside Dead, it is how far each shard is from its next automatic
+	// compaction. It prices only small-radius queries (SearchBall,
 	// SearchPairs): a Search scans the rows and visits no leaf.
-	LeafRunFraction []float64
+	TailFraction []float64
 }
 
 // Info returns one consistent snapshot of the index's observable
@@ -324,7 +335,7 @@ func (x *Index) Info() Info {
 		Compactions: ei.Compactions,
 		Metric:      ei.Metric,
 
-		LeafRunFraction: ei.LeafRunFraction,
+		TailFraction: ei.TailFraction,
 	}
 }
 

@@ -201,8 +201,8 @@ func TestFacadeSaveLoadAndInsert(t *testing.T) {
 			t.Fatal("save/load changed query results")
 		}
 	}
-	if f := loaded.Info().LeafRunFraction; len(f) != 1 || f[0] != 1 {
-		t.Errorf("loaded index reports leaf run fractions %v, want [1]", f)
+	if f := loaded.Info().TailFraction; len(f) != 1 || f[0] != 0 {
+		t.Errorf("loaded index reports tail fractions %v, want [0]", f)
 	}
 	id, err := loaded.Insert(ds.Points[0])
 	if err != nil {
@@ -214,8 +214,8 @@ func TestFacadeSaveLoadAndInsert(t *testing.T) {
 	if loaded.Len() != 601 {
 		t.Errorf("Len after insert = %d", loaded.Len())
 	}
-	if f := loaded.Info().LeafRunFraction; f[0] >= 1 {
-		t.Errorf("an insert into a loaded tree left the leaf run fraction at %v", f[0])
+	if f := loaded.Info().TailFraction; f[0] != 1.0/601 {
+		t.Errorf("one insert into a loaded 600-point tree left the tail fraction at %v", f[0])
 	}
 }
 
