@@ -127,9 +127,10 @@
 // running k-th best, and defers the k square roots to the end of the
 // query. It takes candidates four at a time: one kernel call reduces
 // four rows side by side, so their dependency chains and cache misses
-// overlap, and the results are folded into the top-k in candidate
-// order — the answer is that of verifying them one by one. The PM-tree itself is bulk loaded — metric-local leaves
-// packed by recursive bisection, upper levels assembled bottom-up with
+// overlap, and the top-k ranks by (distance, id), so the answer is that
+// of verifying them one by one in any order. The PM-tree itself is bulk
+// loaded — metric-local leaves packed by recursive bisection, upper
+// levels assembled bottom-up with
 // exact radii and rings — which tightens the pruning bounds every
 // query path depends on.
 //
@@ -198,11 +199,13 @@
 // entered the enlarged radius. No round re-descends from the root or
 // re-materializes previously seen candidates — each projected point
 // (and each routing-object distance) is visited once per query, not
-// once per round. Per-query state is pooled, so a steady-state Search
-// call allocates only its k-result output slice and option closures.
+// once per round. Nor is a round's delta sorted: Algorithm 2 verifies a
+// candidate set of at most βn+k points, so the enumerator selects the
+// round's nearest points up to the budget by buckets of projected
+// distance. Per-query state is pooled, so a steady-state Search call
+// allocates only its k-result output slice and option closures.
 // Answers are element-wise identical to the round-restarting
-// formulation (the equivalence suite pins this); only the work
-// counters shrink.
+// formulation (the equivalence suite pins this); only the work shrinks.
 //
 // The PM-tree enumerator resolves a radius in one of two ways. A tree
 // prunes while the query ball meets few leaves; Algorithm 2's first

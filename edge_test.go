@@ -6,6 +6,7 @@ package pmlsh
 
 import (
 	"context"
+	"math"
 	"testing"
 )
 
@@ -144,11 +145,25 @@ func TestEdgeDimensionMismatch(t *testing.T) {
 
 func TestEdgeBallCoverErrors(t *testing.T) {
 	ix, pts := edgeIndex(t, 50)
-	if _, err := ix.SearchBall(context.Background(), pts[0], 0, WithRatio(2.0)); err == nil {
-		t.Error("zero radius should fail")
-	}
-	if _, err := ix.SearchBall(context.Background(), pts[0], -1, WithRatio(2.0)); err == nil {
-		t.Error("negative radius should fail")
+	// A radius is request data: anything but a positive finite number is
+	// an error — never "no point within c·r", which is what a NaN used to
+	// be answered with — under both vector metrics that define a ball,
+	// on one shard and fanned over two.
+	for _, m := range []Metric{MetricL2, MetricCosine} {
+		for _, shards := range []int{1, 2} {
+			sx, err := Build(pts, Config{Seed: 21, Metric: m, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+				if hit, err := sx.SearchBall(context.Background(), pts[0], r); err == nil {
+					t.Errorf("%v, %d shards: radius %v answered %v, want an error", m, shards, r, hit)
+				}
+			}
+			if hit, err := sx.SearchBall(context.Background(), pts[0], 0.5); err != nil || hit == nil {
+				t.Errorf("%v, %d shards: radius 0.5 around an indexed point answered %v, %v", m, shards, hit, err)
+			}
+		}
 	}
 	if _, err := ix.SearchBall(context.Background(), pts[0], 1, WithRatio(0.9)); err == nil {
 		t.Error("c <= 1 should fail")

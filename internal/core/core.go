@@ -14,10 +14,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 
@@ -261,7 +261,7 @@ type Index struct {
 	compactions int64
 
 	// scratch pools the per-query state (projected-query buffer, range
-	// enumerator, per-round emit buffer) so queries from multiple
+	// enumerator, per-round id buffer) so queries from multiple
 	// goroutines never share mutable state and steady-state queries
 	// allocate only their k-result output slice.
 	scratch sync.Pool
@@ -272,16 +272,14 @@ type Index struct {
 func (ix *Index) point(id int32) []float64 { return ix.data.Row(int(ix.rowOf[id])) }
 
 // queryScratch holds one query's reusable state: the projected query
-// buffer, the resumable range enumerator, the current round's emit
-// buffer and the emit callback bound to it. Everything is reused across
-// queries; no per-point marks are needed because the enumerator streams
-// each point at most once per query.
+// buffer, the resumable range enumerator, the current round's selected
+// ids and the verifier's block. Everything is reused across queries; no
+// per-point marks are needed because the enumerator hands out each
+// point at most once per query.
 type queryScratch struct {
 	qp     []float64
 	pmEnum pmtree.RangeEnumerator
-	emit   []Result
-	tmp    []Result // radix-sort double buffer for emit
-	emitFn func(id int32, dist float64)
+	ids    []int32
 	blk    verifyBlock // the verifier's gathered block
 }
 
@@ -290,9 +288,6 @@ func (ix *Index) getScratch() *queryScratch {
 	s, _ := ix.scratch.Get().(*queryScratch)
 	if s == nil {
 		s = &queryScratch{}
-		s.emitFn = func(id int32, dist float64) {
-			s.emit = append(s.emit, Result{ID: id, Dist: dist})
-		}
 	}
 	return s
 }
@@ -300,23 +295,18 @@ func (ix *Index) getScratch() *queryScratch {
 // putScratch releases the enumerator's tree/query references (so a
 // pooled scratch never pins a tree a Compact has replaced) and returns
 // the scratch to the pool. Buffer capacity is kept — except when it
-// has outgrown the index: emit/tmp reach the candidate volume of the
+// has outgrown the index: ids reaches the candidate volume of the
 // largest query ever run through this scratch and the pool never
 // frees, so after one large-n burst every pooled scratch would pin its
-// high-water memory for the life of the process. A query emits each
+// high-water memory for the life of the process. A query is handed each
 // live point at most once, so any capacity beyond the current live
 // count (doubled, plus slack so small indexes keep warm buffers) can
-// never be needed again until the index regrows — shed it.
+// never be needed again until the index regrows — shed it (as the
+// enumerator's Release does with its own buffers).
 func (ix *Index) putScratch(s *queryScratch) {
 	s.pmEnum.Release()
-	bound := 2*ix.data.Live() + 1024
-	if cap(s.emit) > bound {
-		s.emit = nil
-	} else {
-		s.emit = s.emit[:0]
-	}
-	if cap(s.tmp) > bound {
-		s.tmp = nil
+	if cap(s.ids) > 2*ix.data.Live()+1024 {
+		s.ids = nil
 	}
 	ix.scratch.Put(s)
 }
@@ -1025,123 +1015,14 @@ func (ix *Index) startEnum(sc *queryScratch, q []float64) (*pmtree.RangeEnumerat
 	return &sc.pmEnum, sc.pmEnum.Reset(ix.tree, sc.qp)
 }
 
-// sortResultsByDistID orders candidates by (projected distance, id) —
-// the order the restart loop's sorted RangeSearch results induced on
-// its not-yet-seen suffix.
-func sortResultsByDistID(rs []Result) {
-	slices.SortFunc(rs, func(a, b Result) int {
-		switch {
-		case a.Dist < b.Dist:
-			return -1
-		case a.Dist > b.Dist:
-			return 1
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
-}
-
-// radixSortThreshold is the candidate count below which the comparison
-// sort wins (no counting passes over a 1 KiB histogram for a handful
-// of elements).
-const radixSortThreshold = 64
-
-// sortEmit orders the round's streamed candidates in sc.emit by
-// (projected distance, id), equivalently to sortResultsByDistID but in
-// O(n) passes: an LSD radix sort on the IEEE-754 bits of the distance
-// — order-preserving for non-negative floats, and projected distances
-// are square roots, hence never −0 — that skips bytes shared by every
-// key (the exponent bytes of a radius-bounded candidate set mostly
-// are), followed by an id-ordering pass over runs of equal distance
-// (radix stability keeps those runs in emission order). A round emits
-// on the order of βn candidates, where this runs several times faster
-// than the comparison sort and allocation-free against the pooled
-// double buffer.
-func (sc *queryScratch) sortEmit() {
-	rs := sc.emit
-	if len(rs) < radixSortThreshold {
-		sortResultsByDistID(rs)
-		return
+// compareDistID orders results by (distance, id): the order of every
+// answer, and the one rule for two candidates at exactly the same
+// distance — the smaller id comes first, whichever was verified first.
+func compareDistID(a, b Result) int {
+	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+		return c
 	}
-	if cap(sc.tmp) < len(rs) {
-		sc.tmp = make([]Result, len(rs))
-	}
-	src, dst := rs, sc.tmp[:len(rs)]
-	// All eight byte histograms in a single pass over the keys, so
-	// passes whose byte every key shares (the high exponent bytes of a
-	// radius-bounded candidate set) cost nothing beyond their counters.
-	var count [8][256]int32
-	for i := range src {
-		bits := math.Float64bits(src[i].Dist)
-		count[0][byte(bits)]++
-		count[1][byte(bits>>8)]++
-		count[2][byte(bits>>16)]++
-		count[3][byte(bits>>24)]++
-		count[4][byte(bits>>32)]++
-		count[5][byte(bits>>40)]++
-		count[6][byte(bits>>48)]++
-		count[7][byte(bits>>56)]++
-	}
-	first := math.Float64bits(src[0].Dist)
-	for pass := 0; pass < 8; pass++ {
-		shift := pass * 8
-		cnt := &count[pass]
-		if cnt[byte(first>>shift)] == int32(len(src)) {
-			continue // every key shares this byte
-		}
-		next := int32(0)
-		for i := range cnt {
-			c := cnt[i]
-			cnt[i] = next
-			next += c
-		}
-		for i := range src {
-			b := byte(math.Float64bits(src[i].Dist) >> shift)
-			dst[cnt[b]] = src[i]
-			cnt[b]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &rs[0] {
-		copy(rs, src)
-	}
-	// Order runs of equal distance by id. Runs are almost always length
-	// 1 (insertion-sorted when short), but duplicate-heavy data — the
-	// dedup workloads — can project a whole cluster onto one distance,
-	// so long runs fall back to the O(g log g) comparison sort instead
-	// of going quadratic.
-	for start := 0; start < len(rs); {
-		end := start + 1
-		for end < len(rs) && rs[end].Dist == rs[start].Dist {
-			end++
-		}
-		switch run := rs[start:end]; {
-		case len(run) > 32:
-			slices.SortFunc(run, func(a, b Result) int {
-				switch {
-				case a.ID < b.ID:
-					return -1
-				case a.ID > b.ID:
-					return 1
-				}
-				return 0
-			})
-		case len(run) > 1:
-			for i := 1; i < len(run); i++ {
-				v := run[i]
-				j := i - 1
-				for j >= 0 && run[j].ID > v.ID {
-					run[j+1] = run[j]
-					j--
-				}
-				run[j+1] = v
-			}
-		}
-		start = end
-	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // smallestPositiveDistance returns the smallest non-zero distance of a
@@ -1155,11 +1036,19 @@ func smallestPositiveDistance(cdf []float64) float64 {
 	return 1e-9
 }
 
-// insertCandidate keeps cand sorted ascending by distance and capped at
-// k entries (equal distances keep first-inserted order, matching the
-// uncapped sort-then-truncate behavior).
+// insertCandidate keeps cand sorted by compareDistID and capped at k
+// entries; an r that does not make the top k leaves it unchanged.
 func insertCandidate(cand []Result, r Result, k int) []Result {
-	return vec.InsertBounded(cand, r, k, func(r Result) float64 { return r.Dist })
+	i := sort.Search(len(cand), func(j int) bool { return compareDistID(cand[j], r) > 0 })
+	if i >= k {
+		return cand
+	}
+	if len(cand) < k {
+		cand = append(cand, Result{})
+	}
+	copy(cand[i+1:], cand[i:])
+	cand[i] = r
+	return cand
 }
 
 // kthWithin reports whether at least k candidates lie within radius

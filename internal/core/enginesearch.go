@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 )
 
@@ -107,7 +108,7 @@ func (e *Engine) mergeTopK(per [][]Result, k int) []Result {
 	if len(out) == 0 {
 		return nil
 	}
-	sortResultsByDistID(out)
+	slices.SortFunc(out, compareDistID)
 	if len(out) > k {
 		out = out[:k]
 	}

@@ -7,9 +7,11 @@ import (
 	"testing"
 )
 
-// putScratch must shed emit/tmp buffers whose capacity outgrew the
-// index (they would otherwise pin their high-water memory in the pool
-// forever) while keeping right-sized buffers warm.
+// putScratch must shed buffers whose capacity outgrew the index (they
+// would otherwise pin their high-water memory in the pool forever) while
+// keeping right-sized buffers warm: the round's ids here, the
+// enumerator's buffers in its Release (pmtree's
+// TestReleaseShedsOutgrownBuffers).
 func TestPutScratchShedsOversizedBuffers(t *testing.T) {
 	data := clusteredData(200, 8, 4, 17)
 	ix, err := Build(data, Config{Seed: 18})
@@ -19,26 +21,17 @@ func TestPutScratchShedsOversizedBuffers(t *testing.T) {
 	bound := 2*ix.data.Live() + 1024
 
 	s := ix.getScratch()
-	s.emit = make([]Result, 0, bound+1)
-	s.tmp = make([]Result, bound+1)
+	s.ids = make([]int32, 0, bound+1)
 	ix.putScratch(s)
-	if s.emit != nil {
-		t.Fatalf("oversized emit kept: cap %d, bound %d", cap(s.emit), bound)
-	}
-	if s.tmp != nil {
-		t.Fatalf("oversized tmp kept: cap %d, bound %d", cap(s.tmp), bound)
+	if s.ids != nil {
+		t.Fatalf("oversized ids kept: cap %d, bound %d", cap(s.ids), bound)
 	}
 
 	s = ix.getScratch()
-	s.emit = append(s.emit[:0], make([]Result, 64)...)
-	s.tmp = make([]Result, 64)
-	keepEmit, keepTmp := s.emit[:0], s.tmp
+	s.ids = make([]int32, 64)
 	ix.putScratch(s)
-	if cap(s.emit) != cap(keepEmit) || len(s.emit) != 0 {
-		t.Fatalf("right-sized emit not kept: cap %d len %d", cap(s.emit), len(s.emit))
-	}
-	if cap(s.tmp) != cap(keepTmp) {
-		t.Fatalf("right-sized tmp not kept: cap %d", cap(s.tmp))
+	if cap(s.ids) != 64 {
+		t.Fatalf("right-sized ids not kept: cap %d", cap(s.ids))
 	}
 
 	// A query after shedding still works (buffers regrow on demand).

@@ -33,10 +33,10 @@ type SearchOptions struct {
 	// query (0 = the index's Config.Alpha1). Smaller values widen the
 	// projected search radius: higher recall, more work.
 	Alpha1 float64
-	// Filter restricts results to ids it admits. It is pushed into the
-	// verification loop: a filtered-out candidate costs no exact
-	// distance computation, and the verification budget counts only
-	// admitted candidates. The filter must be fast, side-effect free
+	// Filter restricts results to ids it admits. It is applied while a
+	// round's candidates are selected: a filtered-out candidate costs
+	// no exact distance computation, and the verification budget counts
+	// only admitted candidates. The filter must be fast, side-effect free
 	// and safe for concurrent use (SearchBatch calls it from multiple
 	// goroutines); it sees only live ids.
 	Filter func(id int32) bool
@@ -97,8 +97,10 @@ func (ix *Index) deriveParamsOpt(c, alpha1 float64) (Params, error) {
 // Search answers one (c,k)-ANN request: up to k admitted points whose
 // i-th member is, with constant probability, within c²·||q,o*_i|| of
 // the query (o*_i the exact i-th admitted NN). Results are sorted by
-// distance. Cancellation is checked between range-expansion rounds, so
-// a canceled request stops doing tree work and returns ctx.Err().
+// distance; two verified candidates at exactly the same distance rank
+// by id, the smaller first. Cancellation is checked between
+// range-expansion rounds, so a canceled request stops doing tree work
+// and returns ctx.Err().
 func (ix *Index) Search(ctx context.Context, q []float64, k int, o SearchOptions) ([]Result, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -159,18 +161,16 @@ func (ix *Index) finishDist(d2, qscale float64) float64 {
 // candidate budget is exhausted, or every live point has been
 // enumerated.
 //
-// The radius-enlarging loop runs on a resumable range enumerator: the
-// first round expands a best-first frontier over the projected tree to
-// t·r_min, and every later round resumes that frozen frontier at the
-// enlarged radius instead of restarting the range search from the
-// root. Each projected point is therefore visited once per query, not
-// once per round, and only the candidates that newly entered the
-// radius are verified (they are, by construction, exactly the ones the
-// old restart loop's dedup marks would have let through; the rounds'
-// deltas are sorted by projected distance so the verification order —
-// and with it the answer, budget truncation and tie-breaks included —
-// matches the restart loop element for element, which
-// TestStreamingMatchesRestartLoopReference pins).
+// The radius-enlarging loop runs on a resumable range enumerator that
+// hands out each projected point at most once per query: a round is
+// one Nearest call, which raises the projected radius to t·r and
+// selects, from the points that newly entered it, the admitted ones
+// nearest in the projected space up to what is left of the budget —
+// bare ids, nearer buckets first, nothing sorted. That is the set the
+// old restart loop verified (its sorted, deduplicated range results cut
+// at the budget), and the answer depends on the set alone: the top-k
+// ranks by (distance, id) whatever the verification order, which
+// TestStreamingMatchesRestartLoopReference pins.
 //
 // Queries are safe for concurrent use (per-query state is pooled) and
 // may overlap Insert/Delete/Compact — the reader lock serializes them
@@ -237,21 +237,21 @@ func (ix *Index) searchLocked(ctx context.Context, q []float64, k int, o SearchO
 	// Verification keeps only the running top-k (squared distances; the
 	// k square roots are deferred to the end) — see verifier.
 	v := verifier{
-		ix: ix, q: q, filter: o.Filter, codec: ix.data.Codec(), blk: &sc.blk,
+		ix: ix, q: q, codec: ix.data.Codec(), blk: &sc.blk,
 		k: k, top: make([]Result, 0, vec.PreallocCap(k, n)), bound: math.Inf(1),
 	}
-	scanned := 0 // candidates streamed by the enumerator, admitted or not
+	scanned := 0 // points the enumerator has spent, admitted or not
 	for {
 		// Cancellation is checked between rounds: each round is one
-		// tree expansion plus one bounded verification sweep.
+		// selecting expansion plus one bounded verification sweep.
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
 		st.Rounds++
-		sc.emit = sc.emit[:0]
-		en.Expand(params.T*r, sc.emitFn)
-		sc.sortEmit()
-		scanned += v.run(sc.emit, needed)
+		var inRadius int
+		sc.ids, inRadius = en.Nearest(params.T*r, needed-v.verified, o.Filter, sc.ids)
+		scanned += inRadius
+		v.run(sc.ids)
 		// Termination 1 (Alg. 2 line 9): enough admitted candidates.
 		if v.verified >= needed {
 			break
@@ -300,50 +300,41 @@ type verifyBlock struct {
 }
 
 // verifier is the one exact-verification loop behind Search,
-// SearchBatch and SearchBall: it streams a round's candidates, in
-// emission order, through filter → budget → quantized screen → exact
-// distance → running top-k. Every admitted candidate counts toward
-// Verified and the budget; filtered-out candidates cost only the
-// filter call.
+// SearchBatch and SearchBall: it streams a round's selected candidates
+// — already admitted by the filter and cut at the budget — through
+// quantized screen → exact distance → running top-k. Every one of them
+// counts toward Verified.
 //
 // Candidates are verified a block at a time. Up to verifyWidth
-// survivors of the filter and the screen are gathered (the gather
-// stops at the budget, so truncation lands on the same candidate as a
-// one-at-a-time loop), their distances are computed together against
-// the bound as it stood when the block began, and the results are
-// folded into the top-k in emission order against the live bound. The
+// survivors of the screen are gathered, their distances are computed
+// together against the bound as it stood when the block began, and the
+// results are folded into the top-k against the live bound. The
 // block-start bound can only be looser than the live one, so a lane
-// returns either the exact distance — and the same d2 < bound test
-// decides — or a partial sum above a bound that is already too large,
-// rejected either way: the answer is element for element that of
+// returns either the exact distance — and the same comparison with the
+// bound decides — or a partial sum above a bound that is already too
+// large, rejected either way: the answer is element for element that of
 // verifying one candidate at a time, while four rows' dependency
 // chains and cache misses overlap.
 type verifier struct {
-	ix     *Index
-	q      []float64 // reduced (internal-space) query
-	filter func(id int32) bool
-	codec  *store.Codec // nil unless Config.Quantize is set
-	blk    *verifyBlock
-	k      int
-	top    []Result // best ≤ k so far; Dist holds squared distances
-	bound  float64  // top[k-1].Dist once top is full, +Inf before
+	ix    *Index
+	q     []float64    // reduced (internal-space) query
+	codec *store.Codec // nil unless Config.Quantize is set
+	blk   *verifyBlock
+	k     int
+	top   []Result // best ≤ k so far by compareDistID; Dist holds squared distances
+	bound float64  // top[k-1].Dist once top is full, +Inf before
 	// verified and screened are QueryStats.Verified and .Screened.
 	verified, screened int
 }
 
-// run verifies cands in order until they or the budget (a ceiling on
-// v.verified) run out, and returns how many it consumed.
-func (v *verifier) run(cands []Result, budget int) int {
+// run verifies every candidate of ids.
+func (v *verifier) run(ids []int32) {
 	flat, blk := v.ix.data.Flat(), v.blk
-	i := 0
-	for i < len(cands) && v.verified < budget {
+	v.verified += len(ids)
+	for i := 0; i < len(ids); {
 		n := 0
-		for ; i < len(cands) && n < verifyWidth && v.verified < budget; i++ {
-			id := cands[i].ID
-			if v.filter != nil && !v.filter(id) {
-				continue
-			}
-			v.verified++
+		for ; i < len(ids) && n < verifyWidth; i++ {
+			id := ids[i]
 			row := v.ix.rowOf[id]
 			// Quantized screen: once the top-k is full (a finite bound),
 			// a lower bound above the k-th best distance proves the exact
@@ -360,7 +351,8 @@ func (v *verifier) run(cands []Result, budget int) int {
 		}
 		vec.SquaredL2BoundedGather(blk.d2[:n], v.q, flat, blk.rows[:n], v.bound)
 		for j, d2 := range blk.d2[:n] {
-			if len(v.top) < v.k || d2 < v.bound {
+			// At d2 == bound the id decides, inside insertCandidate.
+			if len(v.top) < v.k || d2 <= v.bound {
 				v.top = insertCandidate(v.top, Result{ID: blk.ids[j], Dist: d2}, v.k)
 				if len(v.top) == v.k {
 					v.bound = v.top[v.k-1].Dist
@@ -368,7 +360,6 @@ func (v *verifier) run(cands []Result, budget int) int {
 			}
 		}
 	}
-	return i
 }
 
 // SearchBatch answers many (c,k)-ANN requests under one options value,
@@ -453,9 +444,11 @@ func searchBatch(ctx context.Context, n int, stats []QueryStats, one func(i int,
 // SearchBall answers one (r,c)-ball-cover request (Definition 3,
 // Algorithm 1): if some admitted point lies within r of q it returns,
 // with constant probability, an admitted point within c·r; if no
-// admitted point lies within c·r it returns nil. o.Stats, when
+// admitted point lies within c·r it returns nil. The radius must be a
+// positive finite number: zero, a negative, NaN and ±Inf are refused (a
+// ball that holds every point is a Search with k = 1). o.Stats, when
 // non-nil, receives the query's statistics (Rounds is always 1 — the
-// ball-cover query is a single streamed range expansion).
+// ball-cover query is a single range expansion).
 func (ix *Index) SearchBall(ctx context.Context, q []float64, r float64, o SearchOptions) (*Result, error) {
 	if ix.metric == metric.Jaccard {
 		return ix.searchBallJaccard(ctx, q, r, o)
@@ -466,8 +459,8 @@ func (ix *Index) SearchBall(ctx context.Context, q []float64, r float64, o Searc
 	if len(q) != ix.ndim {
 		return nil, fmt.Errorf("core: query has dimension %d, index expects %d", len(q), ix.ndim)
 	}
-	if r <= 0 {
-		return nil, fmt.Errorf("core: radius must be positive, got %v", r)
+	if !(r > 0) || math.IsInf(r, 1) {
+		return nil, fmt.Errorf("core: radius must be positive and finite, got %v", r)
 	}
 	c := o.C
 	if c <= 0 {
@@ -500,31 +493,25 @@ func (ix *Index) SearchBall(ctx context.Context, q []float64, r float64, o Searc
 		return nil, err
 	}
 
-	// One streamed range expansion to t·r (a single-round query on the
-	// same enumerator machinery as Search); the candidates are sorted
-	// into the order the old materializing RangeSearch returned them
-	// in, so verification — and the tie-breaking of equal best
-	// distances with it — is unchanged.
+	// One selecting expansion to t·r (a single-round query on the same
+	// enumerator machinery as Search), every admitted candidate taken:
+	// filtered-out candidates cost no exact distance and do not count
+	// toward the overflow threshold, and there is no budget.
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
 	en, err := ix.startEnum(sc, q)
 	if err != nil {
 		return nil, err
 	}
-	sc.emit = sc.emit[:0]
-	en.Expand(params.T*ri, sc.emitFn)
-	sc.sortEmit()
+	sc.ids, _ = en.Nearest(params.T*ri, math.MaxInt, o.Filter, sc.ids)
 	// The best admitted candidate is a top-1 under the shared verifier,
-	// seeded with a sentinel at +Inf: a candidate becomes the best only
-	// by being strictly closer (a distance that is not below +Inf never
-	// does), and the screen arms once a real best exists. Filtered-out
-	// candidates cost no exact distance and do not count toward the
-	// overflow threshold; there is no budget.
+	// seeded with a sentinel (+Inf, id −1) that only a strictly closer
+	// candidate displaces; the screen arms once a real best exists.
 	v := verifier{
-		ix: ix, q: q, filter: o.Filter, codec: ix.data.Codec(), blk: &sc.blk,
+		ix: ix, q: q, codec: ix.data.Codec(), blk: &sc.blk,
 		k: 1, top: []Result{{ID: -1, Dist: math.Inf(1)}}, bound: math.Inf(1),
 	}
-	v.run(sc.emit, math.MaxInt)
+	v.run(sc.ids)
 	best, admitted := &v.top[0], v.verified
 	if best.ID >= 0 {
 		best.Dist = ix.finishDist(best.Dist, qscale)

@@ -472,3 +472,33 @@ func TestStatsExactUnderConcurrentBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSearchAllocatesOnlyItsAnswer pins the steady state the pooled
+// scratch exists for: a warmed Search — selecting rounds, block
+// verification, with and without a filter — allocates its k-result
+// slice and nothing else.
+func TestSearchAllocatesOnlyItsAnswer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pool at random")
+	}
+	data := clusteredData(3000, 24, 6, 71)
+	ix, err := Build(data, Config{Seed: 72})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	even := func(id int32) bool { return id%2 == 0 }
+	for _, o := range []SearchOptions{{}, {Filter: even}} {
+		qi := 0
+		search := func() {
+			qi++
+			if _, err := ix.Search(ctx, data[qi%len(data)], 50, o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		search() // sizes the pooled buffers
+		if allocs := testing.AllocsPerRun(200, search); allocs != 1 {
+			t.Fatalf("filter %v: %v allocations per warmed Search, want 1 (the result slice)", o.Filter != nil, allocs)
+		}
+	}
+}

@@ -14,9 +14,10 @@ import (
 // This file pins the block verifier (search.go) to the loop it
 // replaced: one candidate at a time, every distance computed against
 // the live bound, every check made per candidate. The reference below
-// is that loop on the same streaming enumerator, so everything the
+// is that loop on the same selecting enumerator, so everything the
 // radius schedule exposes — ProjectedDistComps included — must agree,
-// not only the answers.
+// not only the answers. Candidates at exactly equal distance rank by id
+// (insertCandidate), here as in the engine.
 
 // seqSearch is searchLocked with sequential verification and the
 // caller's k taken as given (no clamp to the live count).
@@ -51,29 +52,20 @@ func seqSearch(ix *Index, q []float64, k int, o SearchOptions) ([]Result, QueryS
 	codec := ix.data.Codec()
 	for {
 		st.Rounds++
-		sc.emit = sc.emit[:0]
-		en.Expand(params.T*r, sc.emitFn)
-		sc.sortEmit()
-		for _, pr := range sc.emit {
-			scanned++
-			if o.Filter != nil && !o.Filter(pr.ID) {
-				continue
-			}
+		var inRadius int
+		sc.ids, inRadius = en.Nearest(params.T*r, needed-st.Verified, o.Filter, sc.ids)
+		scanned += inRadius
+		for _, id := range sc.ids {
 			st.Verified++
-			row := int(ix.rowOf[pr.ID])
+			row := int(ix.rowOf[id])
 			if codec != nil && len(top) == k && codec.QueryLowerBound(q, row, bound) > bound {
 				st.Screened++
-			} else {
-				d2 := vec.SquaredL2Bounded(q, ix.data.Row(row), bound)
-				if len(top) < k || d2 < bound {
-					top = insertCandidate(top, Result{ID: pr.ID, Dist: d2}, k)
-					if len(top) == k {
-						bound = top[k-1].Dist
-					}
-				}
+				continue
 			}
-			if st.Verified >= needed {
-				break
+			d2 := vec.SquaredL2Bounded(q, ix.data.Row(row), bound)
+			top = insertCandidate(top, Result{ID: id, Dist: d2}, k)
+			if len(top) == k {
+				bound = top[k-1].Dist
 			}
 		}
 		if st.Verified >= needed {
@@ -115,24 +107,20 @@ func seqSearchBall(ix *Index, q []float64, r float64, o SearchOptions) (*Result,
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	sc.emit = sc.emit[:0]
-	en.Expand(params.T*r, sc.emitFn)
-	sc.sortEmit()
+	sc.ids, _ = en.Nearest(params.T*r, math.MaxInt, o.Filter, sc.ids)
 	best := Result{ID: -1, Dist: math.Inf(1)}
 	st := QueryStats{Rounds: 1, FinalRadius: r}
 	codec := ix.data.Codec()
-	for _, pr := range sc.emit {
-		if o.Filter != nil && !o.Filter(pr.ID) {
-			continue
-		}
+	for _, id := range sc.ids {
 		st.Verified++
-		row := int(ix.rowOf[pr.ID])
+		row := int(ix.rowOf[id])
 		if codec != nil && best.ID >= 0 && codec.QueryLowerBound(q, row, best.Dist) > best.Dist {
 			st.Screened++
 			continue
 		}
-		if d2 := vec.SquaredL2Bounded(q, ix.data.Row(row), best.Dist); d2 < best.Dist {
-			best = Result{ID: pr.ID, Dist: d2}
+		cand := Result{ID: id, Dist: vec.SquaredL2Bounded(q, ix.data.Row(row), best.Dist)}
+		if compareDistID(cand, best) < 0 {
+			best = cand
 		}
 	}
 	st.ProjectedDistComps = en.DistComps()

@@ -1,6 +1,7 @@
 package pmtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -29,9 +30,10 @@ import (
 // Expand(r) resolves every frontier item whose bound entered the
 // radius, applying EXACTLY the pruning tests RangeSearch applies — the
 // same predicates, in the same float arithmetic, against the current
-// radius — and streams qualifying leaf entries through a callback;
-// everything still pruned stays frozen, so the next Expand resumes
-// where the last round stopped instead of re-descending from the root.
+// radius — and streams the qualifying leaf entries through a callback
+// (Nearest, the selecting form of the same round, records them instead);
+// everything still pruned stays frozen, so the next round resumes
+// where the last one stopped instead of re-descending from the root.
 // Metric evaluations — query-to-routing-object and query-to-point
 // alike — are paid at most once per query, not once per round.
 //
@@ -83,26 +85,30 @@ import (
 // The frontier is deliberately NOT a priority queue: a best-first heap
 // spends an O(log n) sift with cache-missing swaps on every freeze, and
 // typical leaves freeze several beyond-radius entries per opened leaf.
-// Expand never needs the minimum — a round resolves every qualifying
-// item whatever the order, and the caller orders the emitted delta
-// itself — so freezing is a plain append and each Expand makes one
-// linear compaction pass over the surviving items. Items stay 24
-// pointer-free bytes (node geometry lives in a side arena indexed by
-// item.ref, the pairs.go layout), and statistics are batched locally
-// and flushed per Expand like the pair enumerator's counters.
+// A round never needs the minimum — it resolves every qualifying item
+// whatever the order, and no consumer wants a sorted delta: Expand's
+// callers take the points as they come, and Nearest, which k-NN
+// verification calls for the nearest βn+k, selects them by buckets of
+// distance from the round's record afterwards — so freezing is a plain
+// append and each round makes one linear compaction pass over the
+// surviving items. Items stay 24 pointer-free bytes (node
+// geometry lives in a side arena indexed by item.ref, the pairs.go
+// layout), and statistics are batched locally and flushed per round
+// like the pair enumerator's counters.
 //
-// The traversal is one of two ways Expand resolves a radius. Its
+// The traversal is one of two ways a round resolves a radius. Its
 // predicates pay while the query ball meets few leaves; Algorithm 2's
 // first radius is sized to hold βn+k points, a quarter to a third of
 // the data in the projected space, and a ball that size meets nearly
 // every leaf — the traversal then evaluates 94–101% of the points
 // behind tests that reject nothing. From the tree's switch radius up
-// (scanRadiusFactor has the measured crossover) Expand scans instead:
-// one vec.SquaredL2ToMany call over the leaf-major store computes every
-// row's squared distance, the array is kept, and each round selects the
-// live rows whose distance lies in (previous radius, r].
+// (scanRadiusFactor has the measured crossover) it scans instead: one
+// vec.SquaredL2ToMany call over the leaf-major store computes every
+// row's squared distance, the array is kept, and each round walks it
+// once, taking the live rows whose distance lies in (previous radius,
+// r] exactly as the traversal takes its leaf entries.
 //
-// Both ways emit the same points with the same bits. The kernel is the
+// Both ways find the same points with the same bits. The kernel is the
 // one scanLeaf and, through vec.L2, a thawed point item use, so
 // sqrt(rowD2[row]) IS the distance the traversal computes for that
 // row, and the select applies the traversal's final d <= r to it. What
@@ -166,8 +172,18 @@ type RangeEnumerator struct {
 	frozen []rangeItem
 	arena  []rangeNodeRef
 	radius float64
-	emit   func(id int32, dist float64) // set for the duration of one Expand
-	lb, d2 []float64                    // scanLeaf's per-leaf bounds and squared distances
+	lb, d2 []float64 // scanLeaf's per-leaf bounds and squared distances
+
+	// The round's delta as collect leaves it for Nearest: the admitted
+	// points that entered the radius, and the sizes of their buckets.
+	// admit and emit are set for the duration of one collect.
+	sel      []selEntry
+	hist     [selBuckets + 1]int32
+	admit    func(id int32) bool
+	emit     func(id int32, dist float64)
+	base     float64 // the bucket scale's origin: the previous radius, or 0
+	scale    float64 // buckets per unit of distance
+	inRadius int     // points that entered the radius, admitted or not
 
 	// scanning: this enumeration has left the tree for the flat pass.
 	// rowD2 keeps a flat pass's result, the squared distances of the
@@ -191,7 +207,7 @@ type RangeEnumerator struct {
 	qdist int64
 
 	// pending* batch the tree's atomic statistics counters (see
-	// PairEnumerator); flushed on every Expand return.
+	// PairEnumerator); flushed at the end of every round.
 	pendingDist  int64
 	pendingNodes int64
 }
@@ -247,39 +263,155 @@ func (e *RangeEnumerator) Release() {
 		if cap(e.rowD2) > bound {
 			e.rowD2 = nil
 		}
+		if cap(e.sel) > bound {
+			e.sel = nil
+		}
 	}
 	e.t = nil
 	e.q = nil
-	e.emit = nil
 	e.frozen = e.frozen[:0]
 	clear(e.arena[:cap(e.arena)])
 	e.arena = e.arena[:0]
 }
 
 // Expand raises the enumeration radius to r and streams every indexed
-// point that RangeSearch(q, r) would accept and no earlier Expand has
-// emitted — at most once per query across all Expand calls — through
-// emit as (id, exact distance). Radii are expected to be
+// point that RangeSearch(q, r) would accept and no earlier Expand or
+// Nearest has taken — at most once per query across all calls —
+// through emit as (id, exact distance). Radii are expected to be
 // nondecreasing; a smaller r is a no-op (everything within it was
 // already emitted). The callback must not call back into the
 // enumerator. Emission order within one Expand is unspecified (and
 // differs between the traversal and the flat pass).
 func (e *RangeEnumerator) Expand(r float64, emit func(id int32, dist float64)) {
+	e.collect(r, nil, emit)
+}
+
+// Nearest raises the enumeration radius to r like Expand and, of the
+// points Expand(r) would emit, returns those admit accepts (nil admits
+// all), cut to the limit that come first by (distance, id). They are
+// appended to out[:0] as bare ids: buckets of ascending distance, in no
+// particular order inside one. inRadius counts what Expand(r) would
+// have emitted, admitted or not, and all of it is spent — a later call
+// returns only what a larger radius adds. admit is called once per
+// in-radius point and must not call back into the enumerator.
+//
+// Nothing is sorted but the bucket the cut falls in: a prefix sum over
+// the bucket sizes finds it, the buckets before it are taken whole (a
+// smaller bucket means a strictly smaller distance) and its own entries
+// are ordered by (distance, id) to take exactly the remainder — the
+// sorted delta's first limit entries, ties at the cut included.
+func (e *RangeEnumerator) Nearest(r float64, limit int, admit func(id int32) bool, out []int32) (ids []int32, inRadius int) {
+	e.collect(r, admit, nil)
+	sel := e.sel
+	take := max(0, min(limit, len(sel)))
+	// Bucket sizes to offsets; cut is the bucket holding the first entry
+	// left out and cutAt its offset (no bucket when everything is taken).
+	cut, cutAt, next := int32(len(e.hist)), take, int32(0)
+	for b := range e.hist {
+		n := e.hist[b]
+		if int(next) <= take && take < int(next+n) {
+			cut, cutAt = int32(b), int(next)
+		}
+		e.hist[b] = next
+		next += n
+	}
+	out = slices.Grow(out[:0], len(sel))[:len(sel)]
+	w := 0
+	for _, c := range sel {
+		at := &e.hist[c.bucket]
+		out[*at] = c.id
+		*at++
+		if c.bucket == cut {
+			sel[w] = c
+			w++
+		}
+	}
+	if take > cutAt {
+		slices.SortFunc(sel[:w], func(a, b selEntry) int {
+			if c := cmp.Compare(a.dist, b.dist); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.id, b.id)
+		})
+		for i, c := range sel[:take-cutAt] {
+			out[cutAt+i] = c.id
+		}
+	}
+	return out[:take], e.inRadius
+}
+
+// selBuckets is how many distance classes a round's delta is split
+// into: a k-NN round admits a few thousand points, a handful per bucket
+// to sort at the cut, and the counters stay inside the L1 cache.
+const selBuckets = 1024
+
+// selEntry is one point of the round's delta.
+type selEntry struct {
+	dist   float64
+	id     int32
+	bucket int32
+}
+
+// bucketOf maps a distance of the round to its bucket: linear between
+// the round's two radii, nondecreasing in dist, and total — the first
+// bucket takes anything below the range, the last its top and what the
+// scale cannot place (an infinite distance under a zero scale, a NaN).
+func bucketOf(dist, base, scale float64) int32 {
+	f := (dist - base) * scale
+	if f < 1 {
+		return 0
+	}
+	if f < selBuckets {
+		return int32(f)
+	}
+	return selBuckets
+}
+
+// collect is one round: it raises the enumeration radius to r and hands
+// every point that entered it to emit, in the order found — or, with no
+// emit, leaves the admitted ones in e.sel, each with its bucket, while
+// e.hist sizes the buckets and e.inRadius counts everything that
+// entered, admitted or not.
+func (e *RangeEnumerator) collect(r float64, admit func(id int32) bool, emit func(id int32, dist float64)) {
 	prev := e.radius
 	if r > e.radius {
 		e.radius = r
 	}
-	if e.t.count == 0 {
+	e.sel, e.inRadius = e.sel[:0], 0
+	clear(e.hist[:])
+	if e.t.count == 0 || !(e.radius > prev) {
 		return
 	}
-	e.emit = emit
+	// The round's distances lie in (prev, radius], none below 0. Any
+	// finite scale >= 0 keeps buckets monotone: one that overflows (a
+	// range of a few subnormals) is capped; an infinite radius makes it 0.
+	e.base = max(prev, 0)
+	e.scale = max(0, min(selBuckets/(e.radius-e.base), math.MaxFloat64))
+	e.admit, e.emit = admit, emit
 	if e.scanning || (!e.treeOnly && e.radius >= e.t.scanRadius) {
-		e.expandScan(prev)
+		// The flat pass over every row; the frontier is dropped for good.
+		e.scanning, e.frozen = true, e.frozen[:0]
+		e.flatPass(0, prev)
 	} else {
 		e.expandTree(prev)
 	}
-	e.emit = nil
+	e.admit, e.emit = nil, nil
 	e.flushStats()
+}
+
+// take passes on or records one point found inside the radius.
+func (e *RangeEnumerator) take(id int32, dist float64) {
+	if e.emit != nil {
+		e.emit(id, dist)
+		return
+	}
+	e.inRadius++
+	if e.admit != nil && !e.admit(id) {
+		return
+	}
+	b := bucketOf(dist, e.base, e.scale)
+	e.hist[b]++
+	e.sel = append(e.sel, selEntry{dist: dist, id: id, bucket: b})
 }
 
 // expandTree resolves the radius on the traversal, and on a flat pass
@@ -306,11 +438,11 @@ func (e *RangeEnumerator) expandTree(prev float64) {
 		}
 		switch it.kind {
 		case rkPointExact:
-			e.emit(it.id, it.bound)
+			e.take(it.id, it.bound)
 		case rkPointLB:
 			d := e.dist(e.q, e.t.points.Row(int(it.ref)))
 			if d <= e.radius {
-				e.emit(it.id, d)
+				e.take(it.id, d)
 			} else {
 				e.frozen[w] = rangeItem{bound: d, ref: it.ref, id: it.id, kind: rkPointExact}
 				w++
@@ -327,20 +459,10 @@ func (e *RangeEnumerator) expandTree(prev float64) {
 	e.frozen = e.frozen[:w]
 }
 
-// expandScan resolves the radius on the flat pass over every row; the
-// first call drops the frontier.
-func (e *RangeEnumerator) expandScan(prev float64) {
-	if !e.scanning {
-		e.scanning = true
-		e.frozen = e.frozen[:0]
-	}
-	e.flatPass(0, prev)
-}
-
 // flatPass resolves the radius for the store rows from `from` on: the
 // first call pays their squared distances in one kernel call; every
-// call emits the live ones whose distance lies in (prev, radius],
-// decided on squared distances (squaredCeil).
+// call takes the live ones whose distance lies in (prev, radius],
+// decided on squared distances (squaredCeil): no root for a row left out.
 func (e *RangeEnumerator) flatPass(from int, prev float64) {
 	t := e.t
 	if len(e.rowD2) == 0 || e.rowD2From != from {
@@ -350,14 +472,11 @@ func (e *RangeEnumerator) flatPass(from int, prev float64) {
 		e.pendingDist += int64(n)
 		e.qdist += int64(n)
 	}
-	if !(e.radius > prev) {
-		return
-	}
 	lo, hi := squaredCeil(prev), squaredCeil(e.radius)
-	ids := t.rowID[from:]
+	ids := t.rowID[from:][:len(e.rowD2)]
 	for i, d2 := range e.rowD2 {
-		if d2 <= hi && d2 > lo && ids[i] >= 0 {
-			e.emit(ids[i], math.Sqrt(d2))
+		if id := ids[i]; d2 <= hi && d2 > lo && id >= 0 {
+			e.take(id, math.Sqrt(d2))
 		}
 	}
 }
@@ -529,7 +648,7 @@ func (e *RangeEnumerator) scanLeaf(n *node, hasParent bool, qpd float64) {
 		if bound := lb[i]; bound > radius {
 			e.frozen = append(e.frozen, rangeItem{bound: bound, ref: row, id: id, kind: rkPointLB})
 		} else if d := math.Sqrt(d2[i]); d <= radius {
-			e.emit(id, d)
+			e.take(id, d)
 		} else {
 			e.frozen = append(e.frozen, rangeItem{bound: d, ref: row, id: id, kind: rkPointExact})
 		}

@@ -275,10 +275,47 @@ func enumerateFixture(b *testing.B, n int) (*Tree, [][]float64) {
 // alone and with the switch in place, over n. us/query is the mean over
 // the fixture's queries and eval the share of the tree's points whose
 // distance the enumeration paid.
+//
+// The select sub-benchmarks price a k-NN round's candidate selection at
+// the paper's budget, limit = βn+k (β = 0.281, k = 50): Expand into a
+// buffer, sort it by (distance, id) and keep the first limit, against
+// one Nearest call. At 1x the radius holds fewer points than the budget
+// and every one is taken; at 1.5x it holds twice the budget and the cut
+// falls inside.
 func BenchmarkEnumerate(b *testing.B) {
 	for _, n := range []int{5000, 20000, 100000} {
 		tr, queries := enumerateFixture(b, n)
 		median := tr.scanRadius / scanRadiusFactor
+		limit := int(math.Ceil(0.281*float64(n))) + 50
+		for _, f := range []float64{1, 1.5} {
+			for _, mode := range []string{"sorted", "nearest"} {
+				b.Run(fmt.Sprintf("n=%d/select/r=%gx/%s", n, f, mode), func(b *testing.B) {
+					var e RangeEnumerator
+					var buf []Result
+					var ids []int32
+					emit := func(id int32, d float64) { buf = append(buf, Result{ID: id, Dist: d}) }
+					taken := 0
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := e.Reset(tr, queries[i%len(queries)]); err != nil {
+							b.Fatal(err)
+						}
+						if mode == "sorted" {
+							buf = buf[:0]
+							e.Expand(f*median, emit)
+							sortResults(buf)
+							taken += min(limit, len(buf))
+						} else {
+							ids, _ = e.Nearest(f*median, limit, nil, ids)
+							taken += len(ids)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/query")
+					b.ReportMetric(float64(taken)/float64(b.N)/float64(tr.Len()), "taken")
+					b.ReportMetric(0, "ns/op")
+				})
+			}
+		}
 		for _, f := range []float64{0.1, 0.25, 0.5, 1, 1.5} {
 			for _, mode := range []string{"tree", "switched"} {
 				b.Run(fmt.Sprintf("n=%d/r=%gx/%s", n, f, mode), func(b *testing.B) {
@@ -306,9 +343,10 @@ func BenchmarkEnumerate(b *testing.B) {
 
 // TestReleaseShedsOutgrownBuffers follows a pooled enumerator from a
 // large tree to the small one a Compact leaves in its place: frontier,
-// arena and per-row distances were sized by the large tree, a pool never
-// frees, so releasing the enumerator from the small tree must drop them
-// — while releasing it from the tree that sized them keeps them warm.
+// arena, per-row distances and the round's delta were sized by the large
+// tree, a pool never frees, so releasing the enumerator from the small
+// tree must drop them — while releasing it from the tree that sized them
+// keeps them warm.
 func TestReleaseShedsOutgrownBuffers(t *testing.T) {
 	build := func(n int) *Tree {
 		tr, err := Build(randData(n, 6, int64(n)), nil, Config{NumPivots: 5, PivotSeed: 4})
@@ -322,7 +360,8 @@ func TestReleaseShedsOutgrownBuffers(t *testing.T) {
 	var e RangeEnumerator
 	// Two enumerations, one held on the traversal at a radius that opens
 	// most leaves and freezes most of their points, one scanning, so that
-	// both kinds of buffer reach the tree's size.
+	// both kinds of buffer reach the tree's size; a second round takes
+	// every point, so that the delta does.
 	use := func(tr *Tree) {
 		q := tr.points.Row(0)
 		for _, treeOnly := range []bool{true, false} {
@@ -331,18 +370,19 @@ func TestReleaseShedsOutgrownBuffers(t *testing.T) {
 				t.Fatal(err)
 			}
 			e.Expand(tr.scanRadius/scanRadiusFactor, emit)
+			e.Nearest(math.Inf(1), math.MaxInt, nil, nil)
 			e.Release()
 		}
 	}
 	use(large)
-	if cap(e.frozen) < large.Len()/4 || cap(e.rowD2) < large.Rows() || cap(e.arena) == 0 {
-		t.Fatalf("released from the tree that sized them: frontier %d, arena %d, row distances %d kept for %d rows",
-			cap(e.frozen), cap(e.arena), cap(e.rowD2), large.Rows())
+	if cap(e.frozen) < large.Len()/4 || cap(e.rowD2) < large.Rows() || cap(e.arena) == 0 || cap(e.sel) < large.Len() {
+		t.Fatalf("released from the tree that sized them: frontier %d, arena %d, row distances %d, delta %d kept for %d rows",
+			cap(e.frozen), cap(e.arena), cap(e.rowD2), cap(e.sel), large.Rows())
 	}
 	use(small)
 	bound := 2*small.Rows() + 1024
-	if cap(e.frozen) > bound || cap(e.arena) > bound || cap(e.rowD2) > bound {
-		t.Fatalf("released from a %d-row tree: frontier %d, arena %d, row distances %d still held",
-			small.Rows(), cap(e.frozen), cap(e.arena), cap(e.rowD2))
+	if cap(e.frozen) > bound || cap(e.arena) > bound || cap(e.rowD2) > bound || cap(e.sel) > bound {
+		t.Fatalf("released from a %d-row tree: frontier %d, arena %d, row distances %d, delta %d still held",
+			small.Rows(), cap(e.frozen), cap(e.arena), cap(e.rowD2), cap(e.sel))
 	}
 }

@@ -99,8 +99,8 @@ func searchOptions(opts []SearchOption) core.SearchOptions {
 // Search answers one (c,k)-ANN request: up to k admitted points whose
 // i-th member is, with constant probability, within c²·||q,o*_i|| of
 // the query (o*_i the exact i-th admitted nearest neighbor). Results
-// are sorted by distance. The zero-option call uses the default
-// ratio:
+// are sorted by distance, candidates at exactly the same distance by
+// id. The zero-option call uses the default ratio:
 //
 //	res, err := index.Search(ctx, q, 10)                    // c = 1.5
 //	res, err = index.Search(ctx, q, 10, WithRatio(2),
@@ -158,9 +158,9 @@ func (x *Index) SearchPairs(ctx context.Context, k int, opts ...SearchOption) ([
 // SearchBall answers one (r,c)-ball-cover request (Definition 3): if
 // some admitted point lies within r of q it returns, with constant
 // probability, an admitted point within c·r; if no admitted point lies
-// within c·r it returns nil. WithStats fills per-query statistics
-// (Rounds is always 1 — ball cover is a single streamed range
-// expansion).
+// within c·r it returns nil. r must be positive and finite (NaN and
+// ±Inf are errors). WithStats fills per-query statistics (Rounds is
+// always 1 — ball cover is a single range expansion).
 func (x *Index) SearchBall(ctx context.Context, q []float64, r float64, opts ...SearchOption) (*Neighbor, error) {
 	res, err := x.ix.SearchBall(ctx, q, r, searchOptions(opts))
 	if err != nil || res == nil {
