@@ -25,8 +25,8 @@
 // # Request API
 //
 // Every query goes through one options-driven entry point per query
-// family — Search (point ANN), SearchBatch (many point queries under
-// one lock acquisition), SearchPairs (closest pairs), SearchBall
+// family — Search (point ANN), SearchBatch (many point queries over
+// one state of the index), SearchPairs (closest pairs), SearchBall
 // (ball cover). Each takes a context plus functional options carrying
 // the per-query request parameters:
 //
@@ -170,9 +170,9 @@
 // Delete and not by Compact, so an id a caller holds refers to the
 // same point for the index's lifetime. Delete marks the point's row
 // in the projected-space tree dead (the tree's regions keep covering
-// it, so they stay valid) and tombstones its row in the vector store;
-// that slot is recycled by a later Insert, whose projection joins the
-// tree's tail. Queries never return a deleted point. A point with a
+// it, so they stay valid) and tombstones its row in the vector store.
+// Nothing refills that row: an Insert appends a new one, and its
+// projection joins the tree's tail. Queries never return a deleted point. A point with a
 // NaN or infinite component, or a norm beyond float64, is refused by
 // Build, Insert and every query with an ordinary error.
 //
@@ -185,8 +185,8 @@
 // rebuilds via the bulk loader over exactly the live set, restoring
 // fresh-build query cost; the mutation that triggers it waits for the
 // rebuild. Serialization (WriteTo/Load) persists the full lifecycle
-// state: tombstones, retired ids, the slot-recycling order, the tree's
-// dead marks and its tail; streams from earlier versions still load.
+// state: tombstones, retired ids, the dead rows, the tree's dead marks
+// and its tail; streams from earlier versions still load.
 //
 // # Query engine
 //
@@ -247,19 +247,22 @@
 // # Queries, shards and snapshot isolation
 //
 // Every method is safe for concurrent use, and reads are snapshot
-// isolated: queries — Search, SearchBatch, SearchPairs, SearchBall —
-// pin an atomically published snapshot of each shard and answer from
-// it, so they never wait on a mutation, never wait on each other, and
-// never observe a mutation half-applied. A
-// point whose Delete completed before the query began can never appear
-// in its results. Insert, Delete and Compact apply to a standby
-// replica and swap it in with one atomic store; mutations to the same
-// shard serialize, mutations to different shards run concurrently.
-// The practical consequence is read tail latency: with the former
-// reader/writer lock a query arriving during a Compact waited the
-// whole rebuild out, while here it reads the outgoing snapshot and
-// p99 stays at ordinary query time (see BenchmarkMixedReadP99 — more
-// than an order of magnitude on the reference workload).
+// isolated. Each shard holds one copy of its data and publishes an
+// immutable view of it through an atomic pointer; a query — Search,
+// SearchBatch once for the batch, SearchPairs, SearchBall — loads the
+// views and answers from them, so it never waits on a mutation, never
+// waits on another query, and never observes a mutation half-applied.
+// A point whose Delete completed before the query began can never
+// appear in its results; one deleted while it runs still may. Between
+// two compactions a mutation rewrites nothing a view holds: Insert
+// appends rows past the lengths earlier views carry, Delete stores a
+// delete epoch that only later views honour, and Compact builds fresh
+// arrays and publishes them with one atomic store. Mutations to the
+// same shard serialize (one waits out a compaction of its shard),
+// mutations to different shards run concurrently. The practical
+// consequence is read tail latency: a query arriving during a Compact
+// reads the outgoing view and p99 stays at ordinary query time (see
+// BenchmarkMixedReadP99).
 //
 // Config.Shards picks the partition count. The default (0 or 1) keeps
 // one shard and answers element-wise identically to earlier versions.
@@ -267,12 +270,12 @@
 // on shard g mod N), spreads mutation load, and fans each query out
 // over all shards, merging per-shard answers; quality gates (recall,
 // ratio) hold because every shard runs the full PM-LSH machinery over
-// its slice with its own β·n/N budget. The cost is memory: each shard
-// keeps two full replicas of its slice, so the index holds 2× the
-// dataset regardless of N. Use Shards > 1 when mutation throughput or
-// per-shard compaction pauses matter; a read-only or read-mostly index
-// gains nothing from N > 1 (reads already never block), so leave the
-// default.
+// its slice with its own β·n/N budget. Memory does not depend on N: the
+// index holds the rows once, plus their m-dimensional projections and
+// the tree over them (about 1.2× the rows' bytes at d = 128). Use
+// Shards > 1 when mutation throughput or per-shard compaction pauses
+// matter; a read-only or read-mostly index gains nothing from N > 1
+// (reads already never block), so leave the default.
 //
 // SearchBatch fans a query slice across a worker pool of up to
 // GOMAXPROCS goroutines and returns per-query results in input order —

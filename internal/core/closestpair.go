@@ -76,11 +76,8 @@ type CPStats struct {
 // o.PairStats, when non-nil, receives exact per-query statistics.
 //
 // The index is the one partition of the shard-count-agnostic driver in
-// enginepairs.go; Engine.SearchPairs hands the same driver its pinned
-// shards.
+// enginepairs.go; Engine.SearchPairs hands the same driver its shards.
 func (ix *Index) SearchPairs(ctx context.Context, k int, o SearchOptions) ([]Pair, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	return searchPairs(ctx, []*Index{ix}, k, o)
 }
 

@@ -20,6 +20,8 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/lsh"
 	"repro/internal/metric"
@@ -91,6 +93,9 @@ type Config struct {
 	// itself: Delete triggers a Compact when the tombstones reach that
 	// share of the vector store's rows, Insert when the projected-space
 	// tree's tail reaches that share of the tree's rows (TailFraction).
+	// The dead share counts every row tombstoned since the last Compact —
+	// no insert refills one — so under insert/delete churn it rises
+	// alongside the tail share instead of staying near zero.
 	// 0 means DefaultAutoCompactFraction; negative disables
 	// auto-compaction; AutoCompactAlways compacts on any tombstone and
 	// leaves the tail at DefaultAutoCompactFraction (a rebuild per insert
@@ -206,22 +211,24 @@ type Params struct {
 
 // Index is a PM-LSH index over a mutable dataset.
 //
-// Every public method is safe for concurrent use: queries (Search,
-// SearchBatch, SearchBall, SearchPairs) share a reader lock and run
-// concurrently with each other, while Insert, Delete and Compact take
-// the writer side and serialize against readers and one another. A
-// query therefore always observes a consistent index state and never
-// returns a deleted point.
+// Every public method is safe for concurrent use, and a query never
+// waits. The index publishes one immutable view of itself through an
+// atomic pointer; a query — Search, SearchBatch once for the whole
+// batch, SearchBall, SearchPairs, WriteTo, every getter — loads it and
+// reads nothing else that changes, so it sees one state from start to
+// end and never a half-applied mutation. Insert, Delete, Compact and
+// SetQuantize take turns on a writer mutex and publish the next view
+// with one atomic store. Engine's "Concurrency model" says why that is
+// safe: between two compactions inserts only append, a delete is a
+// delete epoch, and nothing a view holds is rewritten.
 //
 // Ids are stable: Insert assigns them from a monotone counter and they
 // are never reused or remapped — not by Delete, not by Compact. The
 // id → storage-row indirection (rowOf) is what lets Compact repack the
 // contiguous store while every caller-held id stays valid.
 type Index struct {
-	cfg  Config
-	data *store.Store // internal-space points, one contiguous buffer
+	cfg  Config // as built or loaded; nothing writes it afterwards
 	proj *lsh.Projection
-	tree *pmtree.Tree // over the projected points; nil under Jaccard
 
 	// dim is the dimensionality of the internal (reduced) space the
 	// store, projection and tree operate in; ndim is the native
@@ -235,30 +242,28 @@ type Index struct {
 	// built otherwise); mipScale is the InnerProduct reduction's
 	// build-time norm bound S (0 for every other metric); mh is the
 	// MinHash backend and is non-nil exactly when metric is Jaccard —
-	// then every other indexing field above is nil/zero and the public
-	// methods delegate (see jaccard.go).
+	// then every other indexing field is nil/zero and the public methods
+	// delegate (see jaccard.go).
 	metric   metric.Kind
 	mipScale float64
 	mh       *minhash.Index
 
-	// rowOf maps an assigned id to its current row in data (-1 once
-	// deleted). len(rowOf) is the id space: the next Insert gets id
-	// len(rowOf).
-	rowOf []int32
+	t     float64 // sqrt of upper χ²_{α1}(m) quantile
+	chi   stats.ChiSquared
+	kappa float64 // CDF-argument calibration (see DeriveParams)
 
-	t       float64 // sqrt of upper χ²_{α1}(m) quantile
-	chi     stats.ChiSquared
-	kappa   float64   // CDF-argument calibration (see DeriveParams)
-	distCDF []float64 // sorted sample of original-space pairwise distances
+	// view is the published state: what every reader loads, and what the
+	// writer derives the next state from.
+	view atomic.Pointer[view]
 
-	// mu is the index-wide reader/writer lock behind the concurrency
-	// contract above. Internal lower-case variants assume it is held.
-	mu sync.RWMutex
+	// wmu serializes the mutations. data (the internal-space points) and
+	// tree (over their projections) are the writer's, touched only under
+	// it; readers use the view's cuts of them.
+	wmu  sync.Mutex
+	data *store.Store
+	tree *pmtree.Tree
 
-	// compactions counts completed Compact operations (explicit and
-	// auto-triggered). A runtime observability statistic: it is not
-	// serialized and starts at zero on Load.
-	compactions int64
+	onCompact atomic.Pointer[func(time.Duration)] // see Engine.OnCompact
 
 	// scratch pools the per-query state (projected-query buffer, range
 	// enumerator, per-round id buffer) so queries from multiple
@@ -267,9 +272,68 @@ type Index struct {
 	scratch sync.Pool
 }
 
-// point resolves an id to its vector. The caller must hold mu (either
-// side) and the id must be live.
-func (ix *Index) point(id int32) []float64 { return ix.data.Row(int(ix.rowOf[id])) }
+// view is one immutable state of a vector index: everything a query
+// reads that a mutation can change. No slice is ever written below the
+// length it has here; the next view shares the arrays and extends them,
+// or — after Compact — holds fresh ones.
+type view struct {
+	flat     []float64    // the data rows: row r is flat[r*dim:(r+1)*dim]
+	codec    *store.Codec // their quantized sidecar; nil unless Config.Quantize
+	deadRows []int32      // the rows tombstoned since the last Compact
+	// rowOf maps an id to its row in flat; the next Insert gets id
+	// len(rowOf). A deleted id keeps its row until Compact leaves it out
+	// (-1 from then on): whether an id is live is the tree's to say.
+	rowOf []int32
+	// tree is a pmtree.Tree.Snapshot: its epoch is the view's, its Len
+	// the view's live count.
+	tree *pmtree.Tree
+	// distCDF is the sorted sample of original-space pairwise distances
+	// r_min is read from: drawn at Build and Compact, read by Load, frozen
+	// in between — at most the tail's share of the rows post-dates it, and
+	// it only picks Algorithm 2's first radius.
+	distCDF []float64
+	// compactions counts completed Compacts, explicit and automatic, since
+	// Build or Load (it is not serialized).
+	compactions int64
+}
+
+// live is the number of live points.
+func (v *view) live() int { return v.tree.Len() }
+
+// tailFraction is the share of the PM-tree's rows that sit in its tail:
+// points inserted since the last bulk load, which a traversal
+// brute-forces (a Search scans the rows anyway). 0 after Build and
+// Compact; a loaded index has the share it was saved with.
+func (v *view) tailFraction() float64 {
+	if rows := v.tree.Rows(); rows > 0 {
+		return float64(v.tree.Tail()) / float64(rows)
+	}
+	return 0
+}
+
+// deadFraction is the share of the store's rows that are tombstoned:
+// what Delete's auto-compaction watches, as tailFraction is Insert's.
+func (v *view) deadFraction(dim int) float64 {
+	if len(v.flat) > 0 {
+		return float64(len(v.deadRows)) / float64(len(v.flat)/dim)
+	}
+	return 0
+}
+
+// publish makes the writer's store and tree as they stand, with the
+// given id map, distance sample and compaction count, the state queries
+// load from now on. The caller holds wmu or is still building the index.
+func (ix *Index) publish(rowOf []int32, distCDF []float64, compactions int64) {
+	ix.view.Store(&view{
+		flat:        ix.data.Flat(),
+		codec:       ix.data.Codec(),
+		deadRows:    ix.data.DeadRows(),
+		rowOf:       rowOf,
+		tree:        ix.tree.Snapshot(),
+		distCDF:     distCDF,
+		compactions: compactions,
+	})
+}
 
 // queryScratch holds one query's reusable state: the projected query
 // buffer, the resumable range enumerator, the current round's selected
@@ -292,20 +356,17 @@ func (ix *Index) getScratch() *queryScratch {
 	return s
 }
 
-// putScratch releases the enumerator's tree/query references (so a
-// pooled scratch never pins a tree a Compact has replaced) and returns
-// the scratch to the pool. Buffer capacity is kept — except when it
-// has outgrown the index: ids reaches the candidate volume of the
-// largest query ever run through this scratch and the pool never
+// putScratch releases the enumerator's tree/query references (a pooled
+// scratch must not pin a view) and returns the scratch to the pool.
+// Buffer capacity is kept unless it has outgrown the index: a pool never
 // frees, so after one large-n burst every pooled scratch would pin its
-// high-water memory for the life of the process. A query is handed each
-// live point at most once, so any capacity beyond the current live
-// count (doubled, plus slack so small indexes keep warm buffers) can
-// never be needed again until the index regrows — shed it (as the
-// enumerator's Release does with its own buffers).
-func (ix *Index) putScratch(s *queryScratch) {
+// high-water memory for good. A query is handed each live point at most
+// once, so capacity beyond twice the live count it ran over (plus slack
+// to keep small indexes' buffers warm) is shed, as the enumerator's
+// Release sheds its own.
+func (ix *Index) putScratch(s *queryScratch, live int) {
 	s.pmEnum.Release()
-	if cap(s.ids) > 2*ix.data.Live()+1024 {
+	if cap(s.ids) > 2*live+1024 {
 		s.ids = nil
 	}
 	ix.scratch.Put(s)
@@ -544,12 +605,11 @@ func buildInternal(s *store.Store, cfg Config, ndim int, scale float64) (*Index,
 		ndim:     ndim,
 		metric:   cfg.Metric,
 		mipScale: scale,
-		rowOf:    rowOf,
 		t:        t,
 		chi:      chi,
 		kappa:    kappa,
 	}
-	ix.sampleDistanceDistribution()
+	ix.publish(rowOf, sampleDistanceDistribution(s, cfg), 0)
 	return ix, nil
 }
 
@@ -582,20 +642,13 @@ func (ix *Index) prepare(p []float64) (reduced, projected []float64, err error) 
 }
 
 // Insert adds one point to the index and returns its assigned id — the
-// next value of a monotone counter, never a reused one. Insert may run
-// concurrently with queries and other mutations; it takes the index's
-// writer lock.
-//
-// The projected point joins the tree's tail (see pmtree): no node is
-// touched, every query covers it from now on, and when the tail reaches
-// Config.AutoCompactFraction of the tree's rows the index compacts
-// itself before returning — the one insert in very many that pays a
-// bulk load.
-//
-// The empirical distance distribution used for r_min selection is
-// refreshed incrementally: a few distances from the new point to random
-// live points replace random entries of the sample, so the
-// distribution tracks drift without a full resample.
+// next value of a monotone counter, never a reused one. The point's row
+// is appended to the store and its projection to the tree's tail (see
+// pmtree): nothing a running query reads is touched, every query that
+// starts after Insert returns covers the point, and when the tail
+// reaches Config.AutoCompactFraction of the tree's rows the index
+// compacts itself before returning — the one insert in very many that
+// pays a bulk load.
 func (ix *Index) Insert(p []float64) (int32, error) {
 	if ix.metric == metric.Jaccard {
 		return ix.insertJaccard(p)
@@ -604,9 +657,10 @@ func (ix *Index) Insert(p []float64) (int32, error) {
 	if err != nil {
 		return 0, err
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	id := int32(len(ix.rowOf))
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
+	cur := ix.view.Load()
+	id := int32(len(cur.rowOf))
 	if err := ix.tree.Insert(projected, id); err != nil {
 		return 0, err
 	}
@@ -614,65 +668,28 @@ func (ix *Index) Insert(p []float64) (int32, error) {
 	if err != nil {
 		return 0, fmt.Errorf("core: %w", err)
 	}
-	ix.rowOf = append(ix.rowOf, row)
+	// Published before any compaction: should that fail, the index stands
+	// valid, merely uncompacted.
+	ix.publish(append(cur.rowOf, row), cur.distCDF, cur.compactions)
 
 	if f := ix.cfg.AutoCompactFraction; f > 0 {
 		if f == AutoCompactAlways {
 			f = DefaultAutoCompactFraction
 		}
-		if ix.tailFraction() >= f {
+		if float64(ix.tree.Tail())/float64(ix.tree.Rows()) >= f {
 			return id, ix.compactLocked()
-		}
-	}
-
-	// Reservoir-style refresh of the distance sample (live rows only;
-	// the bounded rejection loop gives up quietly on tombstone-heavy
-	// stores — the next Compact resamples from scratch anyway). Each
-	// refreshed slot is removed and the new distance re-inserted at its
-	// rank (one bounded copy), so the sample stays sorted without the
-	// full O(S log S) re-sort a 4-slot refresh never needed.
-	if ix.data.Live() > 1 && len(ix.distCDF) > 0 {
-		rng := rand.New(rand.NewSource(ix.cfg.Seed + int64(id)))
-		const refresh = 4
-		slots := ix.data.Len()
-		for done, tries := 0, 0; done < refresh && tries < 8*refresh; tries++ {
-			other := rng.Intn(slots)
-			if int32(other) == row || !ix.data.IsLive(other) {
-				continue
-			}
-			d := vec.L2(p, ix.data.Row(other))
-			replaceSorted(ix.distCDF, rng.Intn(len(ix.distCDF)), d)
-			done++
 		}
 	}
 	return id, nil
 }
 
-// replaceSorted removes the value at index j of the sorted slice s and
-// inserts d at its rank, shifting only the elements between the two
-// positions. The result is the same sorted multiset a full re-sort
-// after s[j] = d would produce.
-func replaceSorted(s []float64, j int, d float64) {
-	switch i := sort.SearchFloat64s(s, d); {
-	case i <= j:
-		// d ranks at or before the removed slot: shift s[i:j] right.
-		copy(s[i+1:j+1], s[i:j])
-		s[i] = d
-	case i > j+1:
-		// d ranks after the removed slot: shift s[j+1:i] left.
-		copy(s[j:i-1], s[j+1:i])
-		s[i-1] = d
-	default: // i == j+1: d lands exactly where the victim was.
-		s[j] = d
-	}
-}
-
 // SetQuantize installs (kind f32 or i8), refits, or drops (kind none)
-// the quantized screening codec over the current dataset, updating
-// Config.Quantize for future Compacts and saves. Refitting recovers
+// the quantized screening codec over the current dataset, for future
+// Compacts and saves too. Refitting recovers
 // screen selectivity after out-of-range inserts have widened the
-// per-dimension slack. SetQuantize takes the writer lock; queries
-// before and after answer identically — only screening work changes.
+// per-dimension slack. The codec is built aside and published like any
+// mutation; queries before and after answer identically — only
+// screening work changes.
 func (ix *Index) SetQuantize(kind store.QuantKind) error {
 	if ix.metric == metric.Jaccard {
 		return fmt.Errorf("core: the jaccard backend stores sets, not vectors; quantized screening does not apply")
@@ -682,10 +699,11 @@ func (ix *Index) SetQuantize(kind store.QuantKind) error {
 	default:
 		return fmt.Errorf("core: unknown Quantize kind %d", kind)
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.cfg.Quantize = kind
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
 	ix.data.SetQuantize(kind)
+	cur := ix.view.Load()
+	ix.publish(cur.rowOf, cur.distCDF, cur.compactions)
 	return nil
 }
 
@@ -694,37 +712,36 @@ func (ix *Index) Quantize() store.QuantKind {
 	if ix.metric == metric.Jaccard {
 		return store.QuantNone
 	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.data.Quantize()
+	return ix.view.Load().codec.Kind()
 }
 
 // Delete removes the point with the given id. The id stays retired
-// forever — later Inserts get fresh ids — while the point's storage row
-// is tombstoned and recycled. When the tombstoned share of the store
-// reaches Config.AutoCompactFraction the index compacts itself before
-// returning. Delete takes the writer lock and may run concurrently
-// with queries and other mutations.
+// forever — later Inserts get fresh ids — and the point's storage row
+// is tombstoned until the next Compact drops it. A query that loaded
+// its view before Delete returns finishes on the state it began with
+// and may still return the point; none that starts afterwards does.
+// When the tombstoned share of the store reaches
+// Config.AutoCompactFraction the index compacts itself before returning.
 func (ix *Index) Delete(id int32) error {
 	if ix.metric == metric.Jaccard {
 		return ix.mh.Delete(id)
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if id < 0 || int(id) >= len(ix.rowOf) {
-		return fmt.Errorf("core: Delete of unknown id %d (ids assigned so far: %d)", id, len(ix.rowOf))
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
+	cur := ix.view.Load()
+	if id < 0 || int(id) >= len(cur.rowOf) {
+		return fmt.Errorf("core: Delete of unknown id %d (ids assigned so far: %d)", id, len(cur.rowOf))
 	}
-	row := ix.rowOf[id]
-	if row < 0 {
+	if !ix.tree.IsLive(id) {
 		return fmt.Errorf("core: id %d is already deleted", id)
 	}
 	if err := ix.tree.Delete(id); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if err := ix.data.Delete(int(row)); err != nil {
+	if err := ix.data.Delete(int(cur.rowOf[id])); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	ix.rowOf[id] = -1
+	ix.publish(cur.rowOf, cur.distCDF, cur.compactions)
 	if f := ix.cfg.AutoCompactFraction; f > 0 && ix.data.DeadFraction() >= f {
 		return ix.compactLocked()
 	}
@@ -732,63 +749,64 @@ func (ix *Index) Delete(id int32) error {
 }
 
 // Compact rebuilds the index over its live points: the contiguous
-// store is repacked (tombstones dropped, rows in storage order —
-// recycled slots keep their position, so this is not id order), the
-// projected-space tree is bulk loaded from scratch — the only way its
-// structure ever changes: the tail of points inserted since the last
-// load moves under leaves (TailFraction back to 0), rows marked dead
-// are left out, and covering radii and rings are exact for the points
-// now live — and the distance distribution is resampled. Ids are
-// preserved.
-// Compact takes the writer lock and may run concurrently with queries
-// and other mutations.
+// store is repacked (tombstones dropped, rows in id order),
+// the projected-space tree is bulk loaded from scratch — the only way
+// its structure ever changes: the tail of points inserted since the
+// last load moves under leaves (TailFraction back to 0), dead rows are
+// left out, and covering radii and rings are exact for the points now
+// live — and the distance distribution is resampled. Ids are preserved.
+// Everything is built in fresh arrays and published at the end: queries
+// keep answering from the view they hold, other mutations wait.
 func (ix *Index) Compact() error {
 	if ix.metric == metric.Jaccard {
-		return ix.mh.Compact()
+		start := time.Now()
+		err := ix.mh.Compact()
+		if err == nil {
+			ix.compacted(start)
+		}
+		return err
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
 	return ix.compactLocked()
 }
 
-// compactLocked is Compact with mu already held.
+// compacted reports a compaction begun at start to the observer, if any.
+func (ix *Index) compacted(start time.Time) {
+	if fn := ix.onCompact.Load(); fn != nil {
+		(*fn)(time.Since(start))
+	}
+}
+
+// compactLocked is Compact with wmu held, over the published state
+// (which the writer's store and tree stand at). It publishes the
+// compacted one; on error nothing has changed.
 func (ix *Index) compactLocked() error {
-	// idOf inverts rowOf so the repack can walk rows in order.
-	idOf := make([]int32, ix.data.Len())
-	for i := range idOf {
-		idOf[i] = -1
-	}
-	for id, row := range ix.rowOf {
-		if row >= 0 {
-			idOf[row] = int32(id)
-		}
-	}
+	start := time.Now()
+	cur := ix.view.Load()
+	// The live rows, repacked in id order — storage order too, rows being
+	// appended an id with each (a stream written while Insert refilled
+	// dead rows loads in another order, and leaves it here).
 	live := ix.data.Live()
 	fresh, err := store.New(ix.dim)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	ids := make([]int32, 0, live)
-	for row := 0; row < ix.data.Len(); row++ {
-		if idOf[row] < 0 || !ix.data.IsLive(row) {
-			continue
+	rowOf := make([]int32, len(cur.rowOf))
+	for id, row := range cur.rowOf {
+		rowOf[id] = -1
+		if ix.tree.IsLive(int32(id)) {
+			if rowOf[id], err = fresh.Append(ix.data.Row(int(row))); err != nil {
+				return fmt.Errorf("core: %w", err)
+			}
+			ids = append(ids, int32(id))
 		}
-		if _, err := fresh.Append(ix.data.Row(row)); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		ids = append(ids, idOf[row])
 	}
 	// Re-quantizing after the repack refits the codec's affine
 	// parameters to the surviving rows, recovering screen selectivity
 	// that out-of-range inserts (clamped codes, widened slack) erode.
-	fresh.SetQuantize(ix.cfg.Quantize)
-	rowOf := make([]int32, len(ix.rowOf))
-	for i := range rowOf {
-		rowOf[i] = -1
-	}
-	for j, id := range ids {
-		rowOf[id] = int32(j)
-	}
+	fresh.SetQuantize(ix.data.Quantize())
 
 	var tr *pmtree.Tree
 	if live == 0 {
@@ -810,41 +828,36 @@ func (ix *Index) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	ix.tree, ix.data, ix.rowOf = tr, fresh, rowOf
-	ix.sampleDistanceDistribution()
-	ix.compactions++
+	ix.tree, ix.data = tr, fresh
+	ix.publish(rowOf, sampleDistanceDistribution(fresh, ix.cfg), cur.compactions+1)
+	ix.compacted(start)
 	return nil
 }
 
-// sampleDistanceDistribution draws random point pairs and keeps their
-// sorted original-space distances as an empirical F(x) (paper Eq. 4),
-// used to pick r_min such that n·F(r_min) ≈ βn + k. The high HV of
-// real datasets (Table 3) is what justifies using a global F for every
-// query point.
-func (ix *Index) sampleDistanceDistribution() {
-	slots := ix.data.Len()
-	live := ix.data.Live()
-	samples := ix.cfg.DistSampleSize
-	maxPairs := live * (live - 1) / 2
-	if samples > maxPairs {
-		samples = maxPairs
-	}
+// sampleDistanceDistribution draws random pairs of s's rows — a store
+// just built or repacked, every row live — and returns their sorted
+// original-space distances as an empirical F(x) (paper Eq. 4), used to
+// pick r_min such that n·F(r_min) ≈ βn + k. The high HV of real
+// datasets (Table 3) is what justifies using a global F for every query
+// point.
+func sampleDistanceDistribution(s *store.Store, cfg Config) []float64 {
+	n := s.Len()
+	samples := min(cfg.DistSampleSize, n*(n-1)/2)
 	if samples == 0 {
-		ix.distCDF = []float64{1}
-		return
+		return []float64{1}
 	}
-	rng := rand.New(rand.NewSource(ix.cfg.Seed + 2))
+	rng := rand.New(rand.NewSource(cfg.Seed + 2))
 	out := make([]float64, 0, samples)
 	for len(out) < samples {
-		i := rng.Intn(slots)
-		j := rng.Intn(slots)
-		if i == j || !ix.data.IsLive(i) || !ix.data.IsLive(j) {
+		i := rng.Intn(n)
+		j := rng.Intn(n)
+		if i == j {
 			continue
 		}
-		out = append(out, vec.L2(ix.data.Row(i), ix.data.Row(j)))
+		out = append(out, vec.L2(s.Row(i), s.Row(j)))
 	}
 	sort.Float64s(out)
-	ix.distCDF = out
+	return out
 }
 
 // distQuantile returns the empirical F⁻¹(p) of a sorted distance
@@ -897,9 +910,7 @@ func (ix *Index) Len() int {
 	if ix.metric == metric.Jaccard {
 		return ix.mh.Len()
 	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.rowOf)
+	return len(ix.view.Load().rowOf)
 }
 
 // LiveLen returns the number of live (not deleted) points.
@@ -907,55 +918,7 @@ func (ix *Index) LiveLen() int {
 	if ix.metric == metric.Jaccard {
 		return ix.mh.LiveLen()
 	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.data.Live()
-}
-
-// Dead returns the number of tombstoned storage rows awaiting Compact
-// (deleted points whose slots have not yet been recycled or repacked).
-func (ix *Index) Dead() int {
-	if ix.metric == metric.Jaccard {
-		return ix.mh.Dead()
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.data.Len() - ix.data.Live()
-}
-
-// TailFraction returns the share of the PM-tree's projected rows that
-// sit in its tail: points inserted since the tree was last bulk loaded,
-// which a traversal brute-forces (only small-radius queries pay for it:
-// a Search scans the rows anyway). It is 0 after Build and Compact, a
-// loaded index has the fraction it was saved with, and Insert compacts
-// when it reaches Config.AutoCompactFraction. The Jaccard backend (no
-// PM-tree) and an empty tree report 0.
-func (ix *Index) TailFraction() float64 {
-	if ix.metric == metric.Jaccard {
-		return 0
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.tailFraction()
-}
-
-// tailFraction is TailFraction with mu already held.
-func (ix *Index) tailFraction() float64 {
-	if rows := ix.tree.Rows(); rows > 0 {
-		return float64(ix.tree.Tail()) / float64(rows)
-	}
-	return 0
-}
-
-// Compactions returns the number of Compact operations (explicit and
-// auto-triggered) completed since this Index was built or loaded.
-func (ix *Index) Compactions() int64 {
-	if ix.metric == metric.Jaccard {
-		return int64(ix.mh.Compactions())
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.compactions
+	return ix.view.Load().live()
 }
 
 // IsLive reports whether id refers to a live (inserted and not yet
@@ -964,9 +927,7 @@ func (ix *Index) IsLive(id int32) bool {
 	if ix.metric == metric.Jaccard {
 		return ix.mh.IsLive(id)
 	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return id >= 0 && int(id) < len(ix.rowOf) && ix.rowOf[id] >= 0
+	return ix.view.Load().tree.IsLive(id)
 }
 
 // Dim returns the native dimensionality callers index and query with
@@ -987,22 +948,23 @@ func (ix *Index) M() int { return ix.cfg.M }
 // T returns the confidence-interval multiplier t.
 func (ix *Index) T() float64 { return ix.t }
 
-// Tree exposes the underlying PM-tree (for the cost model and tests);
-// nil under the Jaccard metric, whose backend has none. Compact
-// replaces the tree, so hold the result only while no mutations run.
+// Tree exposes the PM-tree of the current view (for the cost model and
+// tests): a read-only snapshot of that moment's points, whatever is
+// inserted, deleted or compacted afterwards. Nil under Jaccard.
 func (ix *Index) Tree() *pmtree.Tree {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.tree
+	if ix.metric == metric.Jaccard {
+		return nil
+	}
+	return ix.view.Load().tree
 }
 
 // Project maps a point into the projected space.
 func (ix *Index) Project(q []float64) []float64 { return ix.proj.Project(q) }
 
 // startEnum projects a reduced query into the scratch's reusable buffer
-// and binds the scratch's range enumerator to it. No radius means
-// anything when the projection overflows.
-func (ix *Index) startEnum(sc *queryScratch, q []float64) (*pmtree.RangeEnumerator, error) {
+// and binds the scratch's range enumerator to it over the view's tree.
+// No radius means anything when the projection overflows.
+func (ix *Index) startEnum(sc *queryScratch, tree *pmtree.Tree, q []float64) (*pmtree.RangeEnumerator, error) {
 	if cap(sc.qp) < ix.cfg.M {
 		sc.qp = make([]float64, ix.cfg.M)
 	} else {
@@ -1012,7 +974,7 @@ func (ix *Index) startEnum(sc *queryScratch, q []float64) (*pmtree.RangeEnumerat
 	if !finite(sc.qp) {
 		return nil, fmt.Errorf("core: query overflows the projection")
 	}
-	return &sc.pmEnum, sc.pmEnum.Reset(ix.tree, sc.qp)
+	return &sc.pmEnum, sc.pmEnum.Reset(tree, sc.qp)
 }
 
 // compareDistID orders results by (distance, id): the order of every

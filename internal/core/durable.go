@@ -15,6 +15,15 @@ import (
 // EnableDurability).
 var ErrNoState = errors.New("core: state directory has no durable state")
 
+// ErrDurability marks a mutation that failed on the durable side: its
+// record could not be appended to (or synced in) the write-ahead log —
+// a full disk, an I/O error, a writer poisoned by an earlier one — or
+// was logged and then could not be applied. The request was sound; the
+// engine could not make it durable, and keeps failing the same way
+// until a checkpoint rotates the log. It wraps the underlying wal
+// error; test with errors.Is.
+var ErrDurability = errors.New("core: durable write failed")
+
 // durable is the engine's write-ahead logging side: a WAL writer plus
 // the mutex that serializes all durable mutations.
 //
@@ -23,7 +32,7 @@ var ErrNoState = errors.New("core: state directory has no durable state")
 // mutation whose call returned success is in the log, and group-commit
 // acknowledgment (Synced) never runs ahead of the in-memory state.
 // One global mutex orders mutations identically in the log and in
-// memory; queries are untouched — they read pinned snapshots and never
+// memory; queries are untouched — they read published views and never
 // see this lock.
 type durable struct {
 	mu     sync.Mutex
@@ -155,11 +164,11 @@ func OpenDurable(fs wal.FS, policy wal.SyncPolicy) (*Engine, error) {
 	return e, nil
 }
 
-// applyLogged applies one replayed record through the same in-memory
-// paths live mutations use. Inserts must reproduce the logged global
-// id exactly — the log and the engine's id assignment are both
+// applyLogged applies one logged record — just written, or replayed —
+// through the in-memory paths. Inserts must produce the logged global id
+// exactly — the log and the engine's id assignment are both
 // deterministic, so a mismatch means the log does not belong to the
-// checkpoint it is being replayed onto.
+// state it is being applied onto.
 func (e *Engine) applyLogged(op wal.Op) error {
 	switch op.Kind {
 	case wal.OpInsert:
@@ -168,7 +177,7 @@ func (e *Engine) applyLogged(op wal.Op) error {
 			return err
 		}
 		if gid != op.ID {
-			return fmt.Errorf("%w: replayed insert produced id %d, log recorded %d", wal.ErrCorrupt, gid, op.ID)
+			return fmt.Errorf("%w: logged insert produced id %d, the log recorded %d", wal.ErrCorrupt, gid, op.ID)
 		}
 		return nil
 	case wal.OpDelete:
@@ -181,10 +190,25 @@ func (e *Engine) applyLogged(op wal.Op) error {
 	return fmt.Errorf("%w: unknown op kind %d", wal.ErrCorrupt, op.Kind)
 }
 
+// commit is the one durable write: op's record goes to the log — and,
+// per the sync policy, to disk — and only then is it applied, through
+// the path a replay of that record will take. The caller holds d.mu and
+// has validated everything the apply could reject the operation for, so
+// no record that cannot be replayed reaches the log; one that is logged
+// and then fails to apply would fail the next replay the same way, and
+// there is nothing to repair here.
+func (d *durable) commit(e *Engine, op wal.Op) error {
+	if err := d.w.Append(op); err != nil {
+		return fmt.Errorf("%w: %w", ErrDurability, err)
+	}
+	if err := e.applyLogged(op); err != nil {
+		return fmt.Errorf("%w: logged but not applied: %w", ErrDurability, err)
+	}
+	return nil
+}
+
 // insert is the durable Insert path: validate, predict the id the
-// in-memory apply will assign, log, then apply. Validation is
-// everything the apply could reject the point for, so no record that
-// cannot be replayed ever reaches the log.
+// in-memory apply will assign (applyLogged checks it did), commit.
 func (d *durable) insert(e *Engine, p []float64) (int32, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -193,25 +217,12 @@ func (d *durable) insert(e *Engine, p []float64) (int32, error) {
 	}
 	// The id Insert will assign is fully determined here: d.mu is the
 	// only mutation path, so rr and the target shard's length are
-	// stable until the apply below.
+	// stable until the apply.
 	n := len(e.shards)
-	t := e.rr.Load()
-	s := int(t % int64(n))
-	h := e.shards[s].pin()
-	local := int32(h.ix.Len())
-	h.unpin()
-	gid := local*int32(n) + int32(s)
-	if err := d.w.Append(wal.Op{Kind: wal.OpInsert, ID: gid, Vec: p}); err != nil {
+	s := int(e.rr.Load() % int64(n))
+	gid := int32(e.shards[s].Len())*int32(n) + int32(s)
+	if err := d.commit(e, wal.Op{Kind: wal.OpInsert, ID: gid, Vec: p}); err != nil {
 		return 0, err
-	}
-	got, err := e.insertMem(p)
-	if err != nil {
-		// The record is already logged; failing to apply it means the
-		// next replay would fail the same way. Nothing to repair here.
-		return 0, fmt.Errorf("core: insert logged but not applied: %w", err)
-	}
-	if got != gid {
-		panic(fmt.Sprintf("core: durable insert predicted id %d, apply assigned %d", gid, got))
 	}
 	return gid, nil
 }
@@ -225,13 +236,7 @@ func (d *durable) delete(e *Engine, gid int32) error {
 		// error without logging anything.
 		return e.deleteMem(gid)
 	}
-	if err := d.w.Append(wal.Op{Kind: wal.OpDelete, ID: gid}); err != nil {
-		return err
-	}
-	if err := e.deleteMem(gid); err != nil {
-		return fmt.Errorf("core: delete logged but not applied: %w", err)
-	}
-	return nil
+	return d.commit(e, wal.Op{Kind: wal.OpDelete, ID: gid})
 }
 
 // compact is the durable Compact path. Only explicit compactions are
@@ -241,13 +246,7 @@ func (d *durable) delete(e *Engine, gid int32) error {
 func (d *durable) compact(e *Engine) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.w.Append(wal.Op{Kind: wal.OpCompact}); err != nil {
-		return err
-	}
-	if err := e.compactMem(); err != nil {
-		return fmt.Errorf("core: compact logged but not applied: %w", err)
-	}
-	return nil
+	return d.commit(e, wal.Op{Kind: wal.OpCompact})
 }
 
 // setQuantize is the durable SetQuantize path.
@@ -259,13 +258,7 @@ func (d *durable) setQuantize(e *Engine, kind store.QuantKind) error {
 	default:
 		return e.setQuantizeMem(kind) // usual validation error, unlogged
 	}
-	if err := d.w.Append(wal.Op{Kind: wal.OpSetQuantize, Quant: uint8(kind)}); err != nil {
-		return err
-	}
-	if err := e.setQuantizeMem(kind); err != nil {
-		return fmt.Errorf("core: set-quantize logged but not applied: %w", err)
-	}
-	return nil
+	return d.commit(e, wal.Op{Kind: wal.OpSetQuantize, Quant: uint8(kind)})
 }
 
 // CheckpointDurable writes the engine's current state as a durable
@@ -273,7 +266,7 @@ func (d *durable) setQuantize(e *Engine, kind store.QuantKind) error {
 // closed, checkpoint-A lands atomically (covering everything logged
 // through A), a fresh segment A+1 opens, and obsolete files — segments
 // ≤ A, checkpoints < A — are removed. Mutations stall for the
-// duration; queries keep answering from pinned snapshots.
+// duration; queries keep answering from the published views.
 //
 // A crash anywhere in the sequence recovers: until checkpoint-A is
 // durable, recovery uses the previous checkpoint and replays segment A

@@ -1,45 +1,55 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/metric"
 	"repro/internal/minhash"
-	"repro/internal/pmtree"
 	"repro/internal/store"
 )
 
 // Engine is the sharded serving form of the index: N independent
 // Index shards, ids striped across them, with snapshot-isolated reads.
-// Queries never take a writer-blocking lock — they pin an atomically
-// published per-shard snapshot, fan out, and merge — so a running
-// Insert, Delete or Compact on one shard never stalls readers, and
-// readers never stall each other.
+// Queries take no lock — they load each shard's published view, fan
+// out, and merge — so a running Insert, Delete or Compact on one shard
+// never stalls readers, and readers never stall each other.
 //
 // # Concurrency model
 //
-// Each shard is a left/right pair of complete Index replicas. An
-// atomic pointer publishes the active half; readers pin it with a
-// reference count (one atomic add in, one out — no lock). A mutation
-// takes the shard's writer mutex, applies itself to the standby half
-// (invisible to readers), publishes that half with one atomic store,
-// waits for the old half's readers to drain, and applies the same
-// mutation again so the halves converge. Every Index mutation is
-// deterministic (seeded sampling, LIFO slot recycling), so the two
-// halves evolve through identical states — which is also what makes a
-// crashed-between-applies state impossible to observe: the flip is the
-// single commit point.
+// A shard is one Index holding one copy of its data, which it publishes
+// as an immutable view (see view) through an atomic pointer.
 //
-// What blocks what: readers never block anyone and are never blocked.
-// Writers to different shards run concurrently. Writers to one shard
-// serialize on its mutex, and a writer waits (bounded by the longest
-// in-flight read of that shard) for draining readers. The memory cost
-// is one full replica per shard — the engine holds 2× the dataset.
+//   - Immutable: a published view — every array cut at the length it
+//     had, the frozen PM-tree nodes, the distance sample, the codec. A
+//     query loads it with one atomic load and reads nothing else.
+//   - Append-only between compactions: data rows, projected rows, the
+//     id → row and row → id maps, quantized codes, the dead-row list. An
+//     insert writes past every earlier view's lengths (a growth
+//     reallocation leaves the old array to the old views); nothing is
+//     recycled or overwritten.
+//   - An epoch: a delete is one atomic store of a delete epoch on the
+//     id. A view published earlier carries an earlier epoch and still
+//     sees the point; views from then on skip it.
+//   - Rebuilt aside: Compact and SetQuantize fill fresh arrays and
+//     publish them; the old ones go with the last query reading them.
+//
+// Publishing is one atomic store, the single commit point: a reader
+// sees a mutation whole or not at all, a SearchBatch answers every
+// query from the views it loaded once, Info reads each shard's figures
+// from one view.
+//
+// What blocks what: readers block no one and are never blocked — a
+// compaction runs under its shard's writer mutex while queries keep
+// answering from the view they hold. Writers to different shards run
+// concurrently; writers to one shard take turns, so a mutation can wait
+// out that shard's compaction (one bulk load). Memory is 1× the dataset
+// plus the projected rows, and whatever old views running queries hold.
+//
+// A Jaccard shard is one minhash.Index behind its own reader/writer
+// lock (see package minhash): a mutation holds the write side for
+// microseconds, Compact builds its tables under the read side.
 //
 // # Ids
 //
@@ -53,7 +63,7 @@ import (
 // inserts receive unique ids that are monotone per shard but may
 // interleave globally out of call order.
 type Engine struct {
-	shards []*shard
+	shards []*Index
 	dim    int
 	// metric is the native metric every shard serves (newEngine rejects
 	// mixed-metric shard sets, so one tag describes the whole engine).
@@ -73,143 +83,6 @@ type Engine struct {
 // per-shard candidate budgets (βn/N + k each) dominate the merged
 // result and the quality/work tradeoff degrades.
 const MaxShards = 256
-
-// half is one replica of a shard: an Index plus the count of readers
-// currently pinned to it.
-type half struct {
-	ix      *Index
-	readers atomic.Int64
-}
-
-// shard is a left/right pair of halves. active publishes the readable
-// one; mu serializes writers.
-type shard struct {
-	mu     sync.Mutex
-	active atomic.Pointer[half]
-	halves [2]*half
-}
-
-// pin returns the shard's active half with its reader count raised.
-// The recheck handles the race with a concurrent flip: a reader that
-// incremented the count of a half that was unpublished in between
-// backs off and retries (the writer only waits on the half it just
-// unpublished, and flips happen after the standby mutation, so a
-// half's pointer identity never refers to two different states).
-func (s *shard) pin() *half {
-	for {
-		h := s.active.Load()
-		h.readers.Add(1)
-		if s.active.Load() == h {
-			return h
-		}
-		h.readers.Add(-1)
-	}
-}
-
-// unpin releases a pinned half.
-func (h *half) unpin() { h.readers.Add(-1) }
-
-// waitDrain spins until no reader holds the half. Writers call it on
-// the standby half (stragglers from the pin recheck only, gone within
-// nanoseconds) and on the just-unpublished half (bounded by the
-// longest in-flight read — new readers can no longer arrive, so the
-// count strictly decreases).
-func waitDrain(h *half) {
-	for spins := 0; h.readers.Load() != 0; spins++ {
-		if spins < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(10 * time.Microsecond)
-		}
-	}
-}
-
-// write applies one deterministic mutation to both halves of the
-// shard: standby first (readers still see the old half), then flip,
-// then the drained old half. An error from the first application
-// leaves both halves untouched and unflipped (Index mutations validate
-// before mutating); an error from the second cannot happen without the
-// halves diverging, which is unrecoverable by construction.
-func (s *shard) write(op func(*Index) error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	act := s.active.Load()
-	stb := s.halves[0]
-	if stb == act {
-		stb = s.halves[1]
-	}
-	waitDrain(stb)
-	if err := op(stb.ix); err != nil {
-		return err
-	}
-	s.active.Store(stb)
-	waitDrain(act)
-	if err := op(act.ix); err != nil {
-		panic("core: shard halves diverged: " + err.Error())
-	}
-	return nil
-}
-
-// newShard wraps an Index into a shard, cloning it for the second
-// half.
-func newShard(ix *Index) (*shard, error) {
-	clone, err := cloneIndex(ix)
-	if err != nil {
-		return nil, err
-	}
-	s := &shard{}
-	s.halves[0] = &half{ix: ix}
-	s.halves[1] = &half{ix: clone}
-	s.active.Store(s.halves[0])
-	return s, nil
-}
-
-// cloneIndex replicates an index through a serialization round trip —
-// the one mechanism already proven (by the serialization suite) to
-// reproduce the full state an Index's deterministic evolution depends
-// on: store bytes, free list, id map, tree structure, distance sample.
-func cloneIndex(ix *Index) (*Index, error) {
-	var buf bytes.Buffer
-	// Sized once up front: grown from empty, the buffer would re-copy
-	// (and re-clear) the stream at every doubling, which costs more than
-	// writing it.
-	buf.Grow(streamSizeHint(ix))
-	if _, err := ix.WriteTo(&buf); err != nil {
-		return nil, fmt.Errorf("core: cloning shard: %w", err)
-	}
-	clone, err := Load(&buf)
-	if err != nil {
-		return nil, fmt.Errorf("core: cloning shard: %w", err)
-	}
-	return clone, nil
-}
-
-// streamSizeHint returns the size of the stream WriteTo produces for a
-// vector index, to within its small fixed-size fields: the dataset,
-// the projection, the distance sample, the id maps, the codec
-// parameters and the PM-tree's nodes. It is 0 for the Jaccard backend,
-// whose stream has another shape.
-func streamSizeHint(ix *Index) int {
-	if ix.metric == metric.Jaccard {
-		return 0
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	m, dim := ix.cfg.M, ix.dim
-	size := 256 + 8*(m*dim+len(ix.distCDF)+len(ix.data.Flat())+3*dim) +
-		4*(len(ix.data.FreeList())+len(ix.rowOf))
-	s := ix.tree.NumPivots()
-	size += 8 * s * m
-	ix.tree.Walk(func(n pmtree.NodeInfo) {
-		entry := 8 * (m + 2 + 2*s) // routing: center, radius, parent distance, rings
-		if n.Leaf {
-			entry = 4 + 8*(m+1+s) // id, point, parent and pivot distances
-		}
-		size += 5 + n.NumEntries*entry
-	})
-	size += 4 + ix.tree.Tail()*(4+8*m) // tail: length, then id and point per row
-	return size
-}
 
 // BuildEngine constructs a sharded engine over data: row i becomes
 // global id i on shard i mod N. cfg.Shards selects the shard count (0
@@ -322,7 +195,7 @@ func BuildSetsEngine(sets [][]uint64, cfg Config) (*Engine, error) {
 // shard s is global id i·N + s).
 func newEngine(inners []*Index) (*Engine, error) {
 	e := &Engine{
-		shards: make([]*shard, len(inners)),
+		shards: inners,
 		dim:    inners[0].Dim(),
 		metric: inners[0].Metric(),
 	}
@@ -343,11 +216,6 @@ func newEngine(inners []*Index) (*Engine, error) {
 				return nil, fmt.Errorf("core: shard %d's minhash layout (bands %d × rows %d, seed %d, threshold %v) differs from shard 0's — shards must share one band space", s, a.Bands(), a.Rows(), a.Seed(), a.Threshold())
 			}
 		}
-		sh, err := newShard(ix)
-		if err != nil {
-			return nil, err
-		}
-		e.shards[s] = sh
 		total += ix.Len()
 	}
 	e.rr.Store(int64(total))
@@ -379,7 +247,7 @@ func (e *Engine) Insert(p []float64) (int32, error) {
 // it with (see Index.prepare), before anything is claimed or logged.
 // Which shard that is does not matter: metric, dimension, inner-product
 // scale and projection are build-time state every shard shares and no
-// mutation changes, which is also why shard 0 can be read without a pin.
+// mutation changes.
 func (e *Engine) checkInsert(p []float64) error {
 	if e.metric == metric.Jaccard {
 		set, err := tokensOf(p)
@@ -388,7 +256,7 @@ func (e *Engine) checkInsert(p []float64) error {
 		}
 		return err
 	}
-	_, _, err := e.shards[0].halves[0].ix.prepare(p)
+	_, _, err := e.shards[0].prepare(p)
 	return err
 }
 
@@ -402,19 +270,11 @@ func (e *Engine) insertMem(p []float64) (int32, error) {
 	}
 	n := len(e.shards)
 	s := int((e.rr.Add(1) - 1) % int64(n))
-	var gid int32
-	err := e.shards[s].write(func(ix *Index) error {
-		local, err := ix.Insert(p)
-		if err != nil {
-			return err
-		}
-		gid = local*int32(n) + int32(s)
-		return nil
-	})
+	local, err := e.shards[s].Insert(p)
 	if err != nil {
 		return 0, err
 	}
-	return gid, nil
+	return local*int32(n) + int32(s), nil
 }
 
 // Delete removes the point with the given global id (same contract as
@@ -434,7 +294,7 @@ func (e *Engine) deleteMem(gid int32) error {
 		return fmt.Errorf("core: Delete of unknown id %d (ids assigned so far: %d)", gid, e.Len())
 	}
 	s, local := e.shardOf(gid)
-	err := e.shards[s].write(func(ix *Index) error { return ix.Delete(local) })
+	err := e.shards[s].Delete(local)
 	if err != nil && len(e.shards) > 1 {
 		// The inner error names the shard-local id; restate it globally.
 		return fmt.Errorf("core: Delete of id %d (shard %d): %w", gid, s, err)
@@ -443,9 +303,9 @@ func (e *Engine) deleteMem(gid int32) error {
 }
 
 // Compact rebuilds every shard over its live points, one shard at a
-// time. Readers keep answering from each shard's published snapshot
-// throughout — the rebuilt replica is swapped in with one atomic
-// store, never blocking a query.
+// time. Readers keep answering from each shard's published view
+// throughout — the rebuilt state is swapped in with one atomic store,
+// never blocking a query.
 func (e *Engine) Compact() error {
 	if e.dur != nil {
 		return e.dur.compact(e)
@@ -455,12 +315,24 @@ func (e *Engine) Compact() error {
 
 // compactMem is the in-memory compact (see insertMem).
 func (e *Engine) compactMem() error {
-	for s, sh := range e.shards {
-		if err := sh.write(func(ix *Index) error { return ix.Compact() }); err != nil {
+	for s, ix := range e.shards {
+		if err := ix.Compact(); err != nil {
 			return fmt.Errorf("core: compacting shard %d: %w", s, err)
 		}
 	}
 	return nil
+}
+
+// OnCompact registers fn to be told how long every completed shard
+// compaction took — explicit or triggered by an Insert or Delete
+// reaching Config.AutoCompactFraction: the time that shard's other
+// mutations waited. fn runs on the compacting goroutine with the
+// shard's writer mutex held, so it must be quick and must not call back
+// into the engine's mutations. A later call replaces the observer.
+func (e *Engine) OnCompact(fn func(time.Duration)) {
+	for _, ix := range e.shards {
+		ix.onCompact.Store(&fn)
+	}
 }
 
 // SetQuantize installs, refits, or drops the screening codec on every
@@ -474,8 +346,8 @@ func (e *Engine) SetQuantize(kind store.QuantKind) error {
 
 // setQuantizeMem is the in-memory codec switch (see insertMem).
 func (e *Engine) setQuantizeMem(kind store.QuantKind) error {
-	for s, sh := range e.shards {
-		if err := sh.write(func(ix *Index) error { return ix.SetQuantize(kind) }); err != nil {
+	for s, ix := range e.shards {
+		if err := ix.SetQuantize(kind); err != nil {
 			return fmt.Errorf("core: shard %d: %w", s, err)
 		}
 	}
@@ -483,20 +355,14 @@ func (e *Engine) setQuantizeMem(kind store.QuantKind) error {
 }
 
 // Quantize reports the screening codec the engine currently maintains.
-func (e *Engine) Quantize() store.QuantKind {
-	h := e.shards[0].pin()
-	defer h.unpin()
-	return h.ix.Quantize()
-}
+func (e *Engine) Quantize() store.QuantKind { return e.shards[0].Quantize() }
 
 // Len returns the size of the global id space: the number of ids ever
 // assigned across all shards.
 func (e *Engine) Len() int {
 	total := 0
-	for _, sh := range e.shards {
-		h := sh.pin()
-		total += h.ix.Len()
-		h.unpin()
+	for _, ix := range e.shards {
+		total += ix.Len()
 	}
 	return total
 }
@@ -504,19 +370,17 @@ func (e *Engine) Len() int {
 // LiveLen returns the number of live points across all shards.
 func (e *Engine) LiveLen() int {
 	total := 0
-	for _, sh := range e.shards {
-		h := sh.pin()
-		total += h.ix.LiveLen()
-		h.unpin()
+	for _, ix := range e.shards {
+		total += ix.LiveLen()
 	}
 	return total
 }
 
 // EngineInfo is one consistent snapshot of the engine's observable
-// state, gathered with every shard pinned at once — the fields are
-// mutually consistent per shard (IDs, Live and Dead for a shard come
-// from the same published snapshot), so invariants like Live ≤ IDs and
-// Dead ≤ IDs − Live hold even while mutations run.
+// state — the fields are mutually consistent per shard (IDs, Live, Dead
+// and both fractions of a shard come from the same published view), so
+// invariants like Live ≤ IDs and Dead ≤ IDs − Live hold even while
+// mutations run.
 type EngineInfo struct {
 	// Dim is the original dimensionality; M the projected one. Both
 	// are 0 for the Jaccard backend (variable-length sets, no
@@ -538,37 +402,52 @@ type EngineInfo struct {
 	// completed since the engine was built or loaded.
 	Compactions int64
 	// TailFraction is, per shard, the share of the PM-tree's rows
-	// inserted since its last bulk load (Index.TailFraction): 0 after a
+	// inserted since its last bulk load (view.tailFraction): 0 after a
 	// build or compaction, rising with every insert until it reaches
 	// Config.AutoCompactFraction and the shard compacts itself. It is to
 	// the speed of small-radius (tree-served) queries what Dead is to
 	// memory — the decay a Compact undoes.
 	TailFraction []float64
+	// DeadFraction is, per shard, the share of the vector store's rows
+	// that are tombstoned (view.deadFraction): 0 after a build or
+	// compaction, rising with every delete until it reaches
+	// Config.AutoCompactFraction and the shard compacts itself. With
+	// TailFraction it says how far each shard is from auto-compaction.
+	DeadFraction []float64
 }
 
 // Info returns one consistent snapshot of the engine's observable
 // state. Unlike ad-hoc sequences of Len/LiveLen/Quantize calls — each
-// of which pins and unpins on its own, so a concurrent mutator can
-// land between them — Info pins every shard once and reads all fields
-// from those snapshots.
+// of which loads the then-current view on its own, so a concurrent
+// mutator can land between them — Info loads every shard's view once
+// and reads all of that shard's fields from it.
 func (e *Engine) Info() EngineInfo {
-	pins := e.pinAll()
-	defer unpinAll(pins)
 	info := EngineInfo{
 		Dim:      e.dim,
-		M:        pins[0].ix.M(),
+		M:        e.M(),
 		Metric:   e.metric,
 		Shards:   len(e.shards),
-		Quantize: pins[0].ix.Quantize(),
+		Quantize: e.Quantize(),
 
-		TailFraction: make([]float64, len(pins)),
+		TailFraction: make([]float64, len(e.shards)),
+		DeadFraction: make([]float64, len(e.shards)),
 	}
-	for s, h := range pins {
-		info.TailFraction[s] = h.ix.TailFraction()
-		info.IDs += h.ix.Len()
-		info.Live += h.ix.LiveLen()
-		info.Dead += h.ix.Dead()
-		info.Compactions += h.ix.Compactions()
+	for s, ix := range e.shards {
+		if e.metric == metric.Jaccard {
+			ids, live, dead, compactions := ix.mh.Counts()
+			info.IDs += ids
+			info.Live += live
+			info.Dead += dead
+			info.Compactions += int64(compactions)
+			continue
+		}
+		v := ix.view.Load()
+		info.TailFraction[s] = v.tailFraction()
+		info.DeadFraction[s] = v.deadFraction(ix.dim)
+		info.IDs += len(v.rowOf)
+		info.Live += v.live()
+		info.Dead += len(v.deadRows)
+		info.Compactions += v.compactions
 	}
 	return info
 }
@@ -579,9 +458,7 @@ func (e *Engine) IsLive(gid int32) bool {
 		return false
 	}
 	s, local := e.shardOf(gid)
-	h := e.shards[s].pin()
-	defer h.unpin()
-	return h.ix.IsLive(local)
+	return e.shards[s].IsLive(local)
 }
 
 // Dim returns the original dimensionality (0 for the Jaccard
@@ -593,32 +470,9 @@ func (e *Engine) Metric() metric.Kind { return e.metric }
 
 // M returns the projected dimensionality. Immutable after build and
 // identical across shards.
-func (e *Engine) M() int { return e.shards[0].halves[0].ix.M() }
+func (e *Engine) M() int { return e.shards[0].M() }
 
 // DeriveParams exposes the confidence-interval constants for a given
 // approximation ratio. The derivation depends only on build-time
 // configuration (m, α1, the κ calibration), which every shard shares.
-func (e *Engine) DeriveParams(c float64) (Params, error) {
-	h := e.shards[0].pin()
-	defer h.unpin()
-	return h.ix.DeriveParams(c)
-}
-
-// pinAll pins every shard's active half. The per-shard snapshots are
-// each internally consistent (a mutation is visible in full or not at
-// all); a query overlapping mutations to several shards may see some
-// shards before and some after — the same per-operation linearization
-// the single RWMutex engine provided for operations on disjoint ids.
-func (e *Engine) pinAll() []*half {
-	pins := make([]*half, len(e.shards))
-	for s, sh := range e.shards {
-		pins[s] = sh.pin()
-	}
-	return pins
-}
-
-func unpinAll(pins []*half) {
-	for _, h := range pins {
-		h.unpin()
-	}
-}
+func (e *Engine) DeriveParams(c float64) (Params, error) { return e.shards[0].DeriveParams(c) }

@@ -35,29 +35,24 @@ import (
 // from this loop.
 
 // SearchPairs answers one (c,k)-closest-pair request (see
-// Index.SearchPairs) over the pinned snapshots of every shard.
+// Index.SearchPairs) over one view of every shard.
 func (e *Engine) SearchPairs(ctx context.Context, k int, o SearchOptions) ([]Pair, error) {
-	pins := e.pinAll()
-	defer unpinAll(pins)
-	parts := make([]*Index, len(pins))
-	for i, h := range pins {
-		parts[i] = h.ix
-	}
-	return searchPairs(ctx, parts, k, o)
+	return searchPairs(ctx, e.shards, k, o)
 }
 
 // searchPairs runs one closest-pair request over parts — the
-// partitions of one collection, global id = local·N + partition. The
-// caller guarantees the vector partitions are not mutated meanwhile (a
-// bare Index holds its reader lock, the Engine pins snapshots: the
-// direct-field reads below are safe because a pinned half is never
-// mutated and the pin's atomic load orders them after the half's last
-// publication); the MinHash backend takes its own lock per call.
+// partitions of one collection, global id = local·N + partition. Each
+// vector partition's view is loaded once, here, and the whole query
+// reads those; the MinHash backend takes its own lock per call.
 func searchPairs(ctx context.Context, parts []*Index, k int, o SearchOptions) ([]Pair, error) {
 	if parts[0].metric == metric.Jaccard {
 		return searchPairsJaccardSharded(ctx, parts, k, o)
 	}
-	s, ok, err := cpSetupSharded(parts, k, o)
+	views := make([]*view, len(parts))
+	for i, ix := range parts {
+		views[i] = ix.view.Load()
+	}
+	s, ok, err := cpSetupSharded(parts[0], views, k, o)
 	if err != nil {
 		return nil, err
 	}
@@ -75,9 +70,11 @@ func searchPairs(ctx context.Context, parts []*Index, k int, o SearchOptions) ([
 }
 
 // cpSharded bundles one closest-pair query's derived constants and the
-// partitions it runs over.
+// partitions' views it runs over.
 type cpSharded struct {
-	parts       []*Index
+	parts       []*view
+	dim         int // of the internal space the parts' rows live in
+	metric      metric.Kind
 	nsh         int32
 	k           int
 	c           float64
@@ -89,10 +86,12 @@ type cpSharded struct {
 }
 
 // cpSetupSharded validates a closest-pair request and derives its
-// constants over the union of the partitions. ok == false with a nil
-// error means the query trivially returns no pairs.
-func cpSetupSharded(parts []*Index, k int, o SearchOptions) (s cpSharded, ok bool, err error) {
-	if parts[0].metric == metric.InnerProduct {
+// constants over the union of the partitions (ix is any one of them:
+// metric, dimensions and the χ² constants are build-time state they
+// share). ok == false with a nil error means the query trivially
+// returns no pairs.
+func cpSetupSharded(ix *Index, parts []*view, k int, o SearchOptions) (s cpSharded, ok bool, err error) {
+	if ix.metric == metric.InnerProduct {
 		return s, false, fmt.Errorf("core: closest-pair queries are not defined for the inner-product metric (pair \"distance\" would mix both norms)")
 	}
 	if k <= 0 {
@@ -104,13 +103,13 @@ func cpSetupSharded(parts []*Index, k int, o SearchOptions) (s cpSharded, ok boo
 	}
 	// The derived constants depend only on build-time configuration,
 	// which every shard shares.
-	params, err := parts[0].deriveParamsOpt(c, o.Alpha1)
+	params, err := ix.deriveParamsOpt(c, o.Alpha1)
 	if err != nil {
 		return s, false, err
 	}
 	n := 0
-	for _, ix := range parts {
-		n += ix.data.Live()
+	for _, v := range parts {
+		n += v.live()
 	}
 	if n < 2 {
 		return s, false, nil
@@ -128,9 +127,9 @@ func cpSetupSharded(parts []*Index, k int, o SearchOptions) (s cpSharded, ok boo
 	maxVerified := maxPairs
 	if o.Filter != nil {
 		admitted := 0
-		for p, ix := range parts {
-			for local, row := range ix.rowOf {
-				if row >= 0 && o.Filter(int32(local)*nsh+int32(p)) {
+		for p, v := range parts {
+			for local := range v.rowOf {
+				if v.tree.IsLive(int32(local)) && o.Filter(int32(local)*nsh+int32(p)) {
 					admitted++
 				}
 			}
@@ -167,8 +166,8 @@ func cpSetupSharded(parts []*Index, k int, o SearchOptions) (s cpSharded, ok boo
 	cdf := parts[0].distCDF
 	if len(parts) > 1 {
 		cdf = make([]float64, 0, len(parts)*len(cdf))
-		for _, ix := range parts {
-			cdf = append(cdf, ix.distCDF...)
+		for _, v := range parts {
+			cdf = append(cdf, v.distCDF...)
 		}
 		sort.Float64s(cdf)
 	}
@@ -178,6 +177,8 @@ func cpSetupSharded(parts []*Index, k int, o SearchOptions) (s cpSharded, ok boo
 	}
 	return cpSharded{
 		parts:       parts,
+		dim:         ix.dim,
+		metric:      ix.metric,
 		nsh:         nsh,
 		k:           k,
 		c:           c,
@@ -190,9 +191,9 @@ func cpSetupSharded(parts []*Index, k int, o SearchOptions) (s cpSharded, ok boo
 }
 
 // locate resolves a live global id to its partition and store row.
-func (s cpSharded) locate(gid int32) (*Index, int) {
-	ix := s.parts[gid%s.nsh]
-	return ix, int(ix.rowOf[gid/s.nsh])
+func (s cpSharded) locate(gid int32) (*view, int) {
+	v := s.parts[gid%s.nsh]
+	return v, int(v.rowOf[gid/s.nsh])
 }
 
 // projCutoff maps the k-th best squared original distance to the
@@ -315,11 +316,11 @@ func (m *shardedPairEnum) DistComps() int64 {
 func (s cpSharded) newRound(m *shardedPairEnum, r float64, have int, bound float64) {
 	m.srcs = m.srcs[:0]
 	for a, ia := range s.parts {
-		if ia.data.Live() >= 2 {
+		if ia.live() >= 2 {
 			m.srcs = append(m.srcs, pairSource{en: ia.tree.NewPairEnumerator(), sa: int32(a), sb: int32(a), nsh: s.nsh})
 		}
 		for b := a + 1; b < len(s.parts); b++ {
-			if ib := s.parts[b]; ia.data.Live() >= 1 && ib.data.Live() >= 1 {
+			if ib := s.parts[b]; ia.live() >= 1 && ib.live() >= 1 {
 				m.srcs = append(m.srcs, pairSource{en: ia.tree.NewBipartitePairEnumerator(ib.tree), sa: int32(a), sb: int32(b), nsh: s.nsh})
 			}
 		}
@@ -385,11 +386,12 @@ rounds:
 			// codec bounds only pairs of its own store's rows.
 			ia, r1 := s.locate(cand.I)
 			ib, r2 := s.locate(cand.J)
-			if codec := ia.data.Codec(); ia == ib && codec != nil && len(top) == s.k &&
-				codec.PairLowerBound(r1, r2, bound) > bound {
+			if ia == ib && ia.codec != nil && len(top) == s.k &&
+				ia.codec.PairLowerBound(r1, r2, bound) > bound {
 				st.Screened++
 			} else {
-				d2 := vec.SquaredL2Bounded(ia.data.Row(r1), ib.data.Row(r2), bound)
+				d := s.dim
+				d2 := vec.SquaredL2Bounded(ia.flat[r1*d:(r1+1)*d], ib.flat[r2*d:(r2+1)*d], bound)
 				if len(top) < s.k || d2 < bound {
 					top = insertPair(top, Pair{I: cand.I, J: cand.J, Dist: d2}, s.k)
 					if len(top) == s.k {
@@ -417,7 +419,7 @@ rounds:
 		r *= s.c
 	}
 	st.ProjectedDistComps = pdc
-	finishPairs(top, s.parts[0].metric)
+	finishPairs(top, s.metric)
 	return top, nil
 }
 
@@ -508,8 +510,8 @@ func searchPairsJaccardSharded(ctx context.Context, parts []*Index, k int, o Sea
 		}
 		a, b := set(cand[0]), set(cand[1])
 		if a == nil || b == nil {
-			// Deleted since its bucket was read: only a bare Index under
-			// concurrent mutation gets here, a pinned snapshot never changes.
+			// Deleted since its bucket was read: the MinHash backend has no
+			// view, each call sees the sets as they then are.
 			continue
 		}
 		st.Verified++

@@ -6,10 +6,10 @@ import (
 	"sync"
 )
 
-// Engine queries. With one shard every entry point pins the snapshot
-// and delegates — answers, statistics and errors are element-wise
-// identical to the bare Index. With N > 1 the query fans out across
-// the pinned per-shard snapshots and merges: each shard answers over
+// Engine queries. With one shard every entry point delegates — answers,
+// statistics and errors are element-wise identical to the bare Index.
+// With N > 1 the query loads every shard's view once, fans out across
+// them and merges: each shard answers over
 // its own candidate budget (β·n_s + k admitted verifications), result
 // ids are translated to global ids, the merged top-k keeps the k
 // smallest by (distance, id), and per-shard statistics are summed
@@ -18,17 +18,13 @@ import (
 // shard's verifications separately.
 
 // Search answers one (c,k)-ANN request (see Index.Search). The call
-// never blocks on mutations: it reads the pinned snapshots while
-// writers work on the standby replicas.
+// never blocks on mutations: it reads the views it loaded while writers
+// prepare the next ones.
 func (e *Engine) Search(ctx context.Context, q []float64, k int, o SearchOptions) ([]Result, error) {
 	if len(e.shards) == 1 {
-		h := e.shards[0].pin()
-		defer h.unpin()
-		return h.ix.Search(ctx, q, k, o)
+		return e.shards[0].Search(ctx, q, k, o)
 	}
-	pins := e.pinAll()
-	defer unpinAll(pins)
-	res, st, err := e.fanSearch(ctx, q, k, o, pins, true)
+	res, st, err := e.fanSearch(ctx, q, k, o, e.views(), true)
 	if err != nil {
 		return nil, err
 	}
@@ -53,13 +49,26 @@ func (e *Engine) shardOptions(o SearchOptions, s int) SearchOptions {
 	return oi
 }
 
-// fanSearch runs one query against every pinned shard — concurrently
+// views loads every shard's current view. Each is internally consistent
+// (a mutation is visible in full or not at all); a query overlapping
+// mutations to several shards may see some shards before and some after
+// — the per-operation linearization operations on disjoint ids get
+// anywhere. Under Jaccard the entries are nil (see searchView).
+func (e *Engine) views() []*view {
+	views := make([]*view, len(e.shards))
+	for s, ix := range e.shards {
+		views[s] = ix.view.Load()
+	}
+	return views
+}
+
+// fanSearch runs one query against every shard's view — concurrently
 // when concurrent is set (single queries), serially otherwise (batch
 // workers already saturate the cores) — and merges the per-shard
 // top-k lists and statistics. Errors surface in shard order, so a
 // request invalid for every shard (bad dimension, k <= 0) reports
 // shard 0's error, which is word-for-word the 1-shard error.
-func (e *Engine) fanSearch(ctx context.Context, q []float64, k int, o SearchOptions, pins []*half, concurrent bool) ([]Result, QueryStats, error) {
+func (e *Engine) fanSearch(ctx context.Context, q []float64, k int, o SearchOptions, views []*view, concurrent bool) ([]Result, QueryStats, error) {
 	n := len(e.shards)
 	per := make([][]Result, n)
 	sts := make([]QueryStats, n)
@@ -67,7 +76,7 @@ func (e *Engine) fanSearch(ctx context.Context, q []float64, k int, o SearchOpti
 	run := func(s int) {
 		oi := e.shardOptions(o, s)
 		oi.Stats = &sts[s]
-		per[s], errs[s] = pins[s].ix.Search(ctx, q, k, oi)
+		per[s], errs[s] = e.shards[s].searchView(ctx, views[s], q, k, oi)
 	}
 	if concurrent {
 		var wg sync.WaitGroup
@@ -134,18 +143,15 @@ func mergeQueryStats(sts []QueryStats) QueryStats {
 // SearchBatch answers many (c,k)-ANN requests (see Index.SearchBatch;
 // the same contract holds: results nil on any error, per-query
 // statistics in o.BatchStats). All queries in the batch observe the
-// same pinned snapshot set. The worker pool parallelizes across
+// same set of views, loaded once. The worker pool parallelizes across
 // queries; each worker fans its query over the shards serially.
 func (e *Engine) SearchBatch(ctx context.Context, qs [][]float64, k int, o SearchOptions) ([][]Result, error) {
 	if len(e.shards) == 1 {
-		h := e.shards[0].pin()
-		defer h.unpin()
-		return h.ix.SearchBatch(ctx, qs, k, o)
+		return e.shards[0].SearchBatch(ctx, qs, k, o)
 	}
-	pins := e.pinAll()
-	defer unpinAll(pins)
+	views := e.views()
 	return searchBatch(ctx, len(qs), o.BatchStats, func(i int, st *QueryStats) ([]Result, error) {
-		res, merged, err := e.fanSearch(ctx, qs[i], k, o, pins, false)
+		res, merged, err := e.fanSearch(ctx, qs[i], k, o, views, false)
 		if st != nil {
 			*st = merged
 		}
@@ -161,12 +167,8 @@ func (e *Engine) SearchBatch(ctx context.Context, qs [][]float64, k int, o Searc
 // returns a point within c·r with the scheme's probability.
 func (e *Engine) SearchBall(ctx context.Context, q []float64, r float64, o SearchOptions) (*Result, error) {
 	if len(e.shards) == 1 {
-		h := e.shards[0].pin()
-		defer h.unpin()
-		return h.ix.SearchBall(ctx, q, r, o)
+		return e.shards[0].SearchBall(ctx, q, r, o)
 	}
-	pins := e.pinAll()
-	defer unpinAll(pins)
 	n := len(e.shards)
 	per := make([]*Result, n)
 	sts := make([]QueryStats, n)
@@ -178,7 +180,7 @@ func (e *Engine) SearchBall(ctx context.Context, q []float64, r float64, o Searc
 			defer wg.Done()
 			oi := e.shardOptions(o, s)
 			oi.Stats = &sts[s]
-			per[s], errs[s] = pins[s].ix.SearchBall(ctx, q, r, oi)
+			per[s], errs[s] = e.shards[s].SearchBall(ctx, q, r, oi)
 		}(s)
 	}
 	wg.Wait()

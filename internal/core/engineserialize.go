@@ -23,16 +23,12 @@ import (
 var pls5Magic = [4]byte{'P', 'L', 'S', '5'}
 
 // WriteTo serializes the engine. The snapshot is consistent per shard
-// (each shard's pinned half is immutable while pinned); like queries,
-// serialization never blocks writers and is never blocked by them.
+// (each shard is written from one view); like queries, serialization
+// never blocks writers and is never blocked by them.
 func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 	if len(e.shards) == 1 {
-		h := e.shards[0].pin()
-		defer h.unpin()
-		return h.ix.WriteTo(w)
+		return e.shards[0].WriteTo(w)
 	}
-	pins := e.pinAll()
-	defer unpinAll(pins)
 	var total int64
 	if n, err := w.Write(pls5Magic[:]); err != nil {
 		return total, fmt.Errorf("core: write engine magic: %w", err)
@@ -44,9 +40,9 @@ func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 	}
 	total += 4
 	var buf bytes.Buffer
-	for s, h := range pins {
+	for s, ix := range e.shards {
 		buf.Reset()
-		if _, err := h.ix.WriteTo(&buf); err != nil {
+		if _, err := ix.WriteTo(&buf); err != nil {
 			return total, fmt.Errorf("core: write shard %d: %w", s, err)
 		}
 		if err := binary.Write(w, binary.LittleEndian, uint64(buf.Len())); err != nil {

@@ -11,8 +11,8 @@ package core
 // the tree was frozen (a PMT2 tree grown by inserts, which nothing
 // writes any more and Load keeps reading), plus the inputs Load must
 // refuse: one stream per retired magic (testdata keeps real PLS1–PLS3
-// bytes from the releases that wrote them) and one with the R-tree flag
-// set. The fuzzer mutates all of them, and their truncations and bit
+// bytes from the releases that wrote them), one with the R-tree flag
+// set, and two whose tree names an id far beyond the id space. The fuzzer mutates all of them, and their truncations and bit
 // flips, further.
 //
 // Run with: go test -fuzz=FuzzLoad -fuzztime=10s ./internal/core
@@ -21,11 +21,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -99,9 +101,9 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 
 	plainIx, err := Build(data, base)
 	plain := add("pls4-plain", plainIx, err)
-	// Tombstones with the free list half drained: three deletes, one
-	// insert that recycles the last freed slot — and, in the tree, three
-	// dead leaf entries and a one-row tail.
+	// Tombstones and growth: three deletes and one insert — three dead
+	// rows in the store and as many dead leaf entries in the tree, one new
+	// row behind each.
 	churned, err := Build(data, with(func(c *Config) { c.AutoCompactFraction = -1 }))
 	if err != nil {
 		tb.Fatal(err)
@@ -112,7 +114,7 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 		}
 	}
 	_, err = churned.Insert(data[2])
-	add("pls4-churned-tail", churned, err)
+	tailed := add("pls4-churned-tail", churned, err)
 	// The same index as the release before the frozen tree wrote it.
 	legacy := readFuzzSeed(tb, "pls4-churned")
 	if !bytes.Contains(legacy, []byte("PMT2")) {
@@ -162,6 +164,24 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 	flagged := append([]byte(nil), plain...)
 	flagged[treeFlagOff] = 1
 	out = append(out, fuzzStream{name: "pls4-rtree-flag", data: flagged, reject: true})
+	// A tree id far beyond the id space, which must be refused and not
+	// sized for (the tree keeps a delete epoch per id): in the entry the
+	// plain stream's last leaf ends with, before the empty tail's length,
+	// and in the tail row the churned stream ends with. 1<<26 rather than
+	// MaxInt32, so that a loader that did allocate fails the test below
+	// instead of the machine.
+	const rowLen = 4 + 3*8 // id, projected point
+	hugeID := func(name string, src []byte, off int) {
+		tb.Helper()
+		if id := binary.LittleEndian.Uint32(src[off:]); id > 16 {
+			tb.Fatalf("%s: offset %d holds %d, not an id", name, off, id)
+		}
+		s := append([]byte(nil), src...)
+		binary.LittleEndian.PutUint32(s[off:], 1<<26)
+		out = append(out, fuzzStream{name: name, data: s, reject: true})
+	}
+	hugeID("pls4-huge-leaf-id", plain, len(plain)-4-(rowLen+(1+2)*8))
+	hugeID("pls4-huge-tail-id", tailed, len(tailed)-rowLen)
 	return out
 }
 
@@ -186,8 +206,16 @@ func TestFuzzLoadCorpus(t *testing.T) {
 		if !s.retired && string(got) != want {
 			t.Errorf("%s is stale; regenerate with -update-fuzz-corpus", path)
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		if _, err := LoadEngine(bytes.NewReader(s.data)); (err != nil) != s.reject {
 			t.Errorf("%s: LoadEngine error %v, must reject: %v", s.name, err, s.reject)
+		}
+		runtime.ReadMemStats(&after)
+		// A megabyte of read buffer per shard; an id or count sizing an
+		// allocation would be hundreds.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+			t.Errorf("%s: loading %d bytes allocated %d", s.name, len(s.data), got)
 		}
 	}
 	entries, err := os.ReadDir(dir)

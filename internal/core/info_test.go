@@ -10,9 +10,10 @@ import (
 // TestInfoConsistentUnderMutator pins the Info contract: every
 // snapshot's fields must be mutually consistent while Insert, Delete
 // and Compact run concurrently. An implementation that read Len,
-// LiveLen and the dead count through separate pin/unpin cycles would
-// let a mutator land between the reads and surface impossible states
-// (Live > IDs, negative Dead); the single-pinAll snapshot cannot.
+// LiveLen and the dead count through separate loads of the shard's view
+// would let a mutator land between the reads and surface impossible
+// states (Live > IDs, negative Dead); reading every figure of a shard
+// from one view cannot.
 func TestInfoConsistentUnderMutator(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		data := randData(400, 8, 7)
@@ -69,6 +70,11 @@ func TestInfoConsistentUnderMutator(t *testing.T) {
 			if info.Dead < 0 || info.Dead > info.IDs-info.Live {
 				t.Fatalf("shards=%d: torn snapshot: Dead=%d IDs=%d Live=%d",
 					shards, info.Dead, info.IDs, info.Live)
+			}
+			for s := range info.TailFraction {
+				if tf, df := info.TailFraction[s], info.DeadFraction[s]; tf < 0 || tf > 1 || df < 0 || df > 1 {
+					t.Fatalf("shards=%d: shard %d reports tail share %v, dead share %v", shards, s, tf, df)
+				}
 			}
 			if info.Dead > 0 {
 				sawDead = true

@@ -42,10 +42,6 @@ func BuildSets(sets [][]uint64, cfg Config) (*Index, error) {
 	return &Index{cfg: cfg, metric: metric.Jaccard, mh: mh}, nil
 }
 
-// MinHash exposes the backing MinHash index (nil unless the metric is
-// Jaccard) for the sharded pair join and serialization.
-func (ix *Index) MinHash() *minhash.Index { return ix.mh }
-
 // tokensOf decodes a float64-bridged token set. Every element must be
 // a non-negative integer at most 2^53 — beyond that float64 cannot
 // carry the token exactly and the bridge would silently corrupt it.

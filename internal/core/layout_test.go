@@ -7,40 +7,22 @@ import (
 	"testing"
 )
 
-// halvesAgree fails unless both halves of every shard report the same
-// tail fraction and hold the same tree, and returns the per-shard
-// fraction they agree on.
-func halvesAgree(t *testing.T, tag string, e *Engine) []float64 {
+// tailFractions returns every shard's tail fraction.
+func tailFractions(t *testing.T, tag string, e *Engine) []float64 {
 	t.Helper()
-	out := make([]float64, len(e.shards))
-	for s, sh := range e.shards {
-		a, b := sh.halves[0].ix, sh.halves[1].ix
-		if a.TailFraction() != b.TailFraction() {
-			t.Fatalf("%s: shard %d halves report tail fractions %v and %v",
-				tag, s, a.TailFraction(), b.TailFraction())
-		}
-		var ab, bb bytes.Buffer
-		if _, err := a.Tree().WriteTo(&ab); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.Tree().WriteTo(&bb); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ab.Bytes(), bb.Bytes()) {
-			t.Fatalf("%s: shard %d halves hold different trees", tag, s)
-		}
-		out[s] = a.TailFraction()
+	out := e.Info().TailFraction
+	if len(out) != len(e.shards) {
+		t.Fatalf("%s: Info reports %d tail fractions for %d shards", tag, len(out), len(e.shards))
 	}
 	return out
 }
 
 // TestLeafLayoutThroughLifecycle follows the tree's two parts — the
 // rows under leaves, fixed at the bulk load, and the tail — through an
-// engine's life. A built half and its serialization clone start with
-// no tail; mutations grow both halves' tails in step; a churned engine
-// and its reload hold the same trees, tail and dead marks included, and
-// answer alike — results and every statistic; and Compact folds the
-// tail in.
+// engine's life. A built shard starts with no tail; inserts grow it; a
+// churned engine and its reload hold the same trees, tail and dead rows
+// included, and answer alike — results and every statistic; and Compact
+// folds the tail in.
 func TestLeafLayoutThroughLifecycle(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		data := randData(900, 12, 21)
@@ -48,7 +30,7 @@ func TestLeafLayoutThroughLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for s, f := range halvesAgree(t, "built", e) {
+		for s, f := range tailFractions(t, "built", e) {
 			if f != 0 {
 				t.Fatalf("shards=%d: built shard %d has tail fraction %v, want 0", shards, s, f)
 			}
@@ -74,7 +56,7 @@ func TestLeafLayoutThroughLifecycle(t *testing.T) {
 		}
 		// Inserts go round the shards: 150/shards land in each tail, behind
 		// the 900/shards rows it was built over.
-		worn := halvesAgree(t, "churned", e)
+		worn := tailFractions(t, "churned", e)
 		for s, f := range worn {
 			if want := float64(150/shards) / float64(1050/shards); f != want {
 				t.Fatalf("shards=%d: churned shard %d has tail fraction %v, want %v", shards, s, f, want)
@@ -89,7 +71,7 @@ func TestLeafLayoutThroughLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for s, f := range halvesAgree(t, "reloaded", reloaded) {
+		for s, f := range tailFractions(t, "reloaded", reloaded) {
 			if f != worn[s] {
 				t.Fatalf("shards=%d: reloaded shard %d has tail fraction %v, saved with %v", shards, s, f, worn[s])
 			}
@@ -127,49 +109,11 @@ func TestLeafLayoutThroughLifecycle(t *testing.T) {
 		if err := e.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		for s, f := range halvesAgree(t, "compacted", e) {
+		for s, f := range tailFractions(t, "compacted", e) {
 			if f != 0 {
 				t.Fatalf("shards=%d: compacted shard %d has tail fraction %v, want 0", shards, s, f)
 			}
 		}
-	}
-}
-
-// TestStreamSizeHint keeps cloneIndex's one allocation honest: the hint
-// must cover the stream (or the buffer regrows, copying everything)
-// without overshooting it by more than its fixed slack.
-func TestStreamSizeHint(t *testing.T) {
-	for _, cfg := range []Config{
-		{Seed: 3},
-		{Seed: 3, ExplicitZeroPivots: true, Capacity: 6},
-	} {
-		ix, err := Build(randData(700, 20, 31), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check := func(tag string) {
-			t.Helper()
-			var buf bytes.Buffer
-			n, err := ix.WriteTo(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if hint := int64(streamSizeHint(ix)); hint < n || hint > n+1024 {
-				t.Fatalf("%s %+v: hint %d for a %d-byte stream", tag, cfg, hint, n)
-			}
-		}
-		check("built")
-		for id := int32(0); id < 60; id++ {
-			if err := ix.Delete(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, p := range randData(25, 20, 32) {
-			if _, err := ix.Insert(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		check("churned")
 	}
 }
 

@@ -22,14 +22,14 @@ func TestPutScratchShedsOversizedBuffers(t *testing.T) {
 
 	s := ix.getScratch()
 	s.ids = make([]int32, 0, bound+1)
-	ix.putScratch(s)
+	ix.putScratch(s, ix.LiveLen())
 	if s.ids != nil {
 		t.Fatalf("oversized ids kept: cap %d, bound %d", cap(s.ids), bound)
 	}
 
 	s = ix.getScratch()
 	s.ids = make([]int32, 64)
-	ix.putScratch(s)
+	ix.putScratch(s, ix.LiveLen())
 	if cap(s.ids) != 64 {
 		t.Fatalf("right-sized ids not kept: cap %d", cap(s.ids))
 	}

@@ -85,9 +85,10 @@ func TestDeleteLifecycle(t *testing.T) {
 	if id != 500 {
 		t.Fatalf("insert after deletes assigned id %d, want 500", id)
 	}
-	// ...but reuse tombstoned storage rather than growing the store.
-	if got := ix.data.Len(); got != 500 {
-		t.Fatalf("store grew to %d slots", got)
+	// ...and a fresh row: no tombstoned row is written over, the 200 stay
+	// dead until a Compact drops them.
+	if got := ix.data.Len(); got != 501 || ix.dead() != 200 {
+		t.Fatalf("store holds %d rows, %d of them dead; want 501 and 200", got, ix.dead())
 	}
 }
 

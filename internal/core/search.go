@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/metric"
-	"repro/internal/store"
 	"repro/internal/vec"
 )
 
@@ -102,9 +101,7 @@ func (ix *Index) deriveParamsOpt(c, alpha1 float64) (Params, error) {
 // range-expansion rounds, so a canceled request stops doing tree work
 // and returns ctx.Err().
 func (ix *Index) Search(ctx context.Context, q []float64, k int, o SearchOptions) ([]Result, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.searchLocked(ctx, q, k, o)
+	return ix.searchView(ctx, ix.view.Load(), q, k, o)
 }
 
 // reduceQuery maps a native-metric query into the internal L2 space
@@ -154,7 +151,8 @@ func (ix *Index) finishDist(d2, qscale float64) float64 {
 	return math.Sqrt(d2)
 }
 
-// searchLocked is Algorithm 2 with mu already held (reader side). It
+// searchView is Algorithm 2 over one view of the index (nil under
+// Jaccard, whose backend keeps its own state). It
 // issues projected range queries range(q′, t·r) with r = r_min,
 // c·r_min, c²·r_min, … and terminates as soon as either k admitted
 // candidates lie within c·r in the original space, the admitted-
@@ -173,15 +171,16 @@ func (ix *Index) finishDist(d2, qscale float64) float64 {
 // TestStreamingMatchesRestartLoopReference pins.
 //
 // Queries are safe for concurrent use (per-query state is pooled) and
-// may overlap Insert/Delete/Compact — the reader lock serializes them
-// against mutations. All statistics, ProjectedDistComps included, are
-// exact per query: the enumerator counts its own metric evaluations,
-// so overlapping queries never pollute each other's counters.
+// may overlap Insert/Delete/Compact — everything below reads v and the
+// index's immutable configuration, nothing a mutation writes. All
+// statistics, ProjectedDistComps included, are exact per query: the
+// enumerator counts its own metric evaluations, so overlapping queries
+// never pollute each other's counters.
 //
 // It is also where a point query dispatches on the metric — Search and
 // every SearchBatch worker come through here — so the Jaccard backend
-// (which has no use for mu) needs no batch loop of its own.
-func (ix *Index) searchLocked(ctx context.Context, q []float64, k int, o SearchOptions) ([]Result, error) {
+// needs no batch loop of its own.
+func (ix *Index) searchView(ctx context.Context, v *view, q []float64, k int, o SearchOptions) ([]Result, error) {
 	if ix.metric == metric.Jaccard {
 		return ix.searchJaccard(ctx, q, k, o)
 	}
@@ -204,7 +203,7 @@ func (ix *Index) searchLocked(ctx context.Context, q []float64, k int, o SearchO
 	if err != nil {
 		return nil, err
 	}
-	n := ix.data.Live()
+	n := v.live()
 	if n == 0 {
 		if o.Stats != nil {
 			*o.Stats = st
@@ -222,22 +221,22 @@ func (ix *Index) searchLocked(ctx context.Context, q []float64, k int, o SearchO
 
 	// r_min: the radius at which F predicts βn + k points, shrunk a bit
 	// (Section 4.5, "Selecting the Radius r of a Range Query").
-	r := distQuantile(ix.distCDF, float64(needed)/float64(n)) * ix.cfg.RMinShrink
+	r := distQuantile(v.distCDF, float64(needed)/float64(n)) * ix.cfg.RMinShrink
 	if r <= 0 {
-		r = smallestPositiveDistance(ix.distCDF)
+		r = smallestPositiveDistance(v.distCDF)
 	}
 
 	sc := ix.getScratch()
-	defer ix.putScratch(sc)
-	en, err := ix.startEnum(sc, q)
+	defer ix.putScratch(sc, n)
+	en, err := ix.startEnum(sc, v.tree, q)
 	if err != nil {
 		return nil, err
 	}
 
 	// Verification keeps only the running top-k (squared distances; the
 	// k square roots are deferred to the end) — see verifier.
-	v := verifier{
-		ix: ix, q: q, codec: ix.data.Codec(), blk: &sc.blk,
+	vf := verifier{
+		view: v, q: q, blk: &sc.blk,
 		k: k, top: make([]Result, 0, vec.PreallocCap(k, n)), bound: math.Inf(1),
 	}
 	scanned := 0 // points the enumerator has spent, admitted or not
@@ -249,15 +248,15 @@ func (ix *Index) searchLocked(ctx context.Context, q []float64, k int, o SearchO
 		}
 		st.Rounds++
 		var inRadius int
-		sc.ids, inRadius = en.Nearest(params.T*r, needed-v.verified, o.Filter, sc.ids)
+		sc.ids, inRadius = en.Nearest(params.T*r, needed-vf.verified, o.Filter, sc.ids)
 		scanned += inRadius
-		v.run(sc.ids)
+		vf.run(sc.ids)
 		// Termination 1 (Alg. 2 line 9): enough admitted candidates.
-		if v.verified >= needed {
+		if vf.verified >= needed {
 			break
 		}
 		// Termination 2 (Alg. 2 line 4): k admitted points within c·r.
-		if cr := c * r; kthWithin(v.top, k, cr*cr) {
+		if cr := c * r; kthWithin(vf.top, k, cr*cr) {
 			break
 		}
 		// Every live point streamed: nothing more to find (with a
@@ -272,8 +271,8 @@ func (ix *Index) searchLocked(ctx context.Context, q []float64, k int, o SearchO
 			break
 		}
 	}
-	top := v.top
-	st.Verified, st.Screened = v.verified, v.screened
+	top := vf.top
+	st.Verified, st.Screened = vf.verified, vf.screened
 	st.FinalRadius = r
 	st.ProjectedDistComps = en.DistComps()
 	for i := range top {
@@ -316,9 +315,8 @@ type verifyBlock struct {
 // verifying one candidate at a time, while four rows' dependency
 // chains and cache misses overlap.
 type verifier struct {
-	ix    *Index
-	q     []float64    // reduced (internal-space) query
-	codec *store.Codec // nil unless Config.Quantize is set
+	view  *view     // rows, id map and (unless nil) the screening codec
+	q     []float64 // reduced (internal-space) query
 	blk   *verifyBlock
 	k     int
 	top   []Result // best ≤ k so far by compareDistID; Dist holds squared distances
@@ -329,20 +327,20 @@ type verifier struct {
 
 // run verifies every candidate of ids.
 func (v *verifier) run(ids []int32) {
-	flat, blk := v.ix.data.Flat(), v.blk
+	flat, rowOf, codec, blk := v.view.flat, v.view.rowOf, v.view.codec, v.blk
 	v.verified += len(ids)
 	for i := 0; i < len(ids); {
 		n := 0
 		for ; i < len(ids) && n < verifyWidth; i++ {
 			id := ids[i]
-			row := v.ix.rowOf[id]
+			row := rowOf[id]
 			// Quantized screen: once the top-k is full (a finite bound),
 			// a lower bound above the k-th best distance proves the exact
 			// distance is too (reject-only), so the full-precision row
 			// need not be touched. The candidate still counts toward the
 			// budget — screening changes memory traffic, never the answer.
-			if v.codec != nil && v.bound < math.Inf(1) &&
-				v.codec.QueryLowerBound(v.q, int(row), v.bound) > v.bound {
+			if codec != nil && v.bound < math.Inf(1) &&
+				codec.QueryLowerBound(v.q, int(row), v.bound) > v.bound {
 				v.screened++
 				continue
 			}
@@ -366,9 +364,10 @@ func (v *verifier) run(ids []int32) {
 // fanning them across a bounded worker pool (searchBatch; each worker
 // reuses the per-query scratch pool); out[i] holds the neighbors of
 // qs[i], identical to Search per query — only the scheduling differs.
-// The batch holds the reader lock once (the workers run lock-free
-// inside it), so every query observes the same index state; mutations
-// wait for the batch to finish.
+// The batch loads the index's view once, so every query observes the
+// same index state, whatever mutations land while it runs. (The Jaccard
+// backend has no view: there each query sees the sets as they are when
+// it reaches them.)
 //
 // Cancellation is checked between work items and between each query's
 // expansion rounds: on cancellation workers stop claiming queries and
@@ -380,12 +379,11 @@ func (v *verifier) run(ids []int32) {
 // qs[i]); o.Stats is ignored (entries for unclaimed queries on an
 // aborted batch are left zero).
 func (ix *Index) SearchBatch(ctx context.Context, qs [][]float64, k int, o SearchOptions) ([][]Result, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+	v := ix.view.Load()
 	return searchBatch(ctx, len(qs), o.BatchStats, func(i int, st *QueryStats) ([]Result, error) {
 		oi := o
 		oi.Stats = st
-		return ix.searchLocked(ctx, qs[i], k, oi)
+		return ix.searchView(ctx, v, qs[i], k, oi)
 	})
 }
 
@@ -482,9 +480,8 @@ func (ix *Index) SearchBall(ctx context.Context, q []float64, r float64, o Searc
 	if ix.metric == metric.Cosine {
 		ri = math.Sqrt(2 * r)
 	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	n := ix.data.Live()
+	v := ix.view.Load()
+	n := v.live()
 	betaN := int(math.Ceil(params.Beta * float64(n)))
 	if o.Budget > 0 {
 		betaN = o.Budget
@@ -498,8 +495,8 @@ func (ix *Index) SearchBall(ctx context.Context, q []float64, r float64, o Searc
 	// filtered-out candidates cost no exact distance and do not count
 	// toward the overflow threshold, and there is no budget.
 	sc := ix.getScratch()
-	defer ix.putScratch(sc)
-	en, err := ix.startEnum(sc, q)
+	defer ix.putScratch(sc, n)
+	en, err := ix.startEnum(sc, v.tree, q)
 	if err != nil {
 		return nil, err
 	}
@@ -507,12 +504,12 @@ func (ix *Index) SearchBall(ctx context.Context, q []float64, r float64, o Searc
 	// The best admitted candidate is a top-1 under the shared verifier,
 	// seeded with a sentinel (+Inf, id −1) that only a strictly closer
 	// candidate displaces; the screen arms once a real best exists.
-	v := verifier{
-		ix: ix, q: q, codec: ix.data.Codec(), blk: &sc.blk,
+	vf := verifier{
+		view: v, q: q, blk: &sc.blk,
 		k: 1, top: []Result{{ID: -1, Dist: math.Inf(1)}}, bound: math.Inf(1),
 	}
-	v.run(sc.ids)
-	best, admitted := &v.top[0], v.verified
+	vf.run(sc.ids)
+	best, admitted := &vf.top[0], vf.verified
 	if best.ID >= 0 {
 		best.Dist = ix.finishDist(best.Dist, qscale)
 	}
@@ -520,7 +517,7 @@ func (ix *Index) SearchBall(ctx context.Context, q []float64, r float64, o Searc
 		*o.Stats = QueryStats{
 			Rounds:             1,
 			Verified:           admitted,
-			Screened:           v.screened,
+			Screened:           vf.screened,
 			ProjectedDistComps: en.DistComps(),
 			FinalRadius:        r,
 		}

@@ -23,8 +23,8 @@ import (
 // admitted points.
 func filteredBruteKNN(ix *Index, q []float64, k int, admit func(int32) bool) []Result {
 	var out []Result
-	for id := int32(0); int(id) < len(ix.rowOf); id++ {
-		if ix.rowOf[id] < 0 || !admit(id) {
+	for id := int32(0); int(id) < ix.Len(); id++ {
+		if !ix.IsLive(id) || !admit(id) {
 			continue
 		}
 		out = append(out, Result{ID: id, Dist: vec.L2(q, ix.point(id))})

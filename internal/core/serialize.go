@@ -25,8 +25,9 @@ import (
 //	projection rows (m × dim f64)
 //	distCDF length u32 + values
 //	data (slots × dim f64, the store's flat buffer verbatim —
-//	tombstoned rows keep their last values)
-//	free list: u32 count + count × i32 slots, in push order
+//	tombstoned rows keep their values)
+//	free list: u32 count + count × i32 slots — the dead rows, in the
+//	order they were deleted
 //	rowOf: nextID × i32 (id → slot, -1 = deleted)
 //	quantize: kind u8; then for i8: off + scale (dim × f64 each);
 //	for f32 and i8: slack (dim × f64)
@@ -34,8 +35,10 @@ import (
 //
 // The free list and the id → row indirection carry the
 // mutation-lifecycle state, so an index saved mid-churn loads with the
-// same live set, the same retired ids, and the same slot-recycling
-// order for future Inserts. Of the quantized-screening codec only the
+// same live set, the same retired ids, and the same dead rows — the
+// field keeps the name it had while Insert refilled them; nothing does
+// any more, and a stream written then loads with its dead rows staying
+// dead. Of the quantized-screening codec only the
 // per-dimension parameters travel — the codes are re-derived
 // deterministically from the stored rows on load (store.RestoreCodec),
 // reproducing bit-identical screen bounds at a cost of 8·dim·3 bytes
@@ -65,18 +68,16 @@ import (
 var plsMagic = [4]byte{'P', 'L', 'S', '4'}
 var pls6Magic = [4]byte{'P', 'L', 'S', '6'}
 
-// WriteTo serializes the index. It implements io.WriterTo. It takes
-// the reader lock, so it may run concurrently with queries; mutations
-// wait for the snapshot to finish.
+// WriteTo serializes the index. It implements io.WriterTo. It writes
+// one view — the state as of the call — and runs beside queries and
+// mutations alike without holding any of them up.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	if ix.metric != metric.L2 {
 		return ix.writeToPLS6(w)
 	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	bw := bufio.NewWriterSize(w, 1<<20)
 	cw := &countingWriter{w: bw}
-	if err := ix.encode(cw); err != nil {
+	if err := ix.encode(cw, ix.view.Load()); err != nil {
 		return cw.n, err
 	}
 	if err := bw.Flush(); err != nil {
@@ -106,10 +107,7 @@ func (ix *Index) writeToPLS6(w io.Writer) (int64, error) {
 				return cw.n, fmt.Errorf("core: write mip scale: %w", err)
 			}
 		}
-		ix.mu.RLock()
-		err := ix.encode(cw)
-		ix.mu.RUnlock()
-		if err != nil {
+		if err := ix.encode(cw, ix.view.Load()); err != nil {
 			return cw.n, err
 		}
 	}
@@ -119,8 +117,8 @@ func (ix *Index) writeToPLS6(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// encode writes the PLS4 stream.
-func (ix *Index) encode(w io.Writer) error {
+// encode writes v as a PLS4 stream.
+func (ix *Index) encode(w io.Writer, v *view) error {
 	if _, err := w.Write(plsMagic[:]); err != nil {
 		return fmt.Errorf("core: write magic: %w", err)
 	}
@@ -147,10 +145,10 @@ func (ix *Index) encode(w io.Writer) error {
 	if _, err := w.Write([]byte{0}); err != nil {
 		return fmt.Errorf("core: write tree flag: %w", err)
 	}
-	if err := binary.Write(w, binary.LittleEndian, []uint32{uint32(ix.dim), uint32(ix.data.Len())}); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, []uint32{uint32(ix.dim), uint32(len(v.flat) / ix.dim)}); err != nil {
 		return fmt.Errorf("core: write shape: %w", err)
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(ix.rowOf))); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, uint32(len(v.rowOf))); err != nil {
 		return fmt.Errorf("core: write id space: %w", err)
 	}
 	for i := 0; i < ix.cfg.M; i++ {
@@ -158,37 +156,45 @@ func (ix *Index) encode(w io.Writer) error {
 			return fmt.Errorf("core: write projection row %d: %w", i, err)
 		}
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(ix.distCDF))); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, uint32(len(v.distCDF))); err != nil {
 		return fmt.Errorf("core: write cdf length: %w", err)
 	}
-	if err := binary.Write(w, binary.LittleEndian, ix.distCDF); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, v.distCDF); err != nil {
 		return fmt.Errorf("core: write cdf: %w", err)
 	}
 	// The store's flat buffer is the wire format; encode it through a
 	// fixed-size chunk buffer (binary.Write would materialize the whole
 	// 8*n*dim-byte encoding at once, doubling memory during save).
-	if err := writeFloat64s(w, ix.data.Flat()); err != nil {
+	if err := writeFloat64s(w, v.flat); err != nil {
 		return fmt.Errorf("core: write data: %w", err)
 	}
-	free := ix.data.FreeList()
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(free))); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, uint32(len(v.deadRows))); err != nil {
 		return fmt.Errorf("core: write free-list length: %w", err)
 	}
-	if len(free) > 0 {
-		if err := binary.Write(w, binary.LittleEndian, free); err != nil {
+	if len(v.deadRows) > 0 {
+		if err := binary.Write(w, binary.LittleEndian, v.deadRows); err != nil {
 			return fmt.Errorf("core: write free list: %w", err)
 		}
 	}
-	if len(ix.rowOf) > 0 {
-		if err := binary.Write(w, binary.LittleEndian, ix.rowOf); err != nil {
+	if len(v.rowOf) > 0 {
+		// A deleted id keeps its row in the view until Compact; the stream
+		// says -1 for it either way.
+		rowOf := make([]int32, len(v.rowOf))
+		for id, row := range v.rowOf {
+			rowOf[id] = -1
+			if v.tree.IsLive(int32(id)) {
+				rowOf[id] = row
+			}
+		}
+		if err := binary.Write(w, binary.LittleEndian, rowOf); err != nil {
 			return fmt.Errorf("core: write row map: %w", err)
 		}
 	}
-	kind := ix.data.Quantize()
+	kind := v.codec.Kind()
 	if _, err := w.Write([]byte{byte(kind)}); err != nil {
 		return fmt.Errorf("core: write quantize kind: %w", err)
 	}
-	if c := ix.data.Codec(); c != nil {
+	if c := v.codec; c != nil {
 		off, scale, slack := c.Params()
 		if kind == store.QuantI8 {
 			if err := writeFloat64s(w, off); err != nil {
@@ -202,7 +208,7 @@ func (ix *Index) encode(w io.Writer) error {
 			return fmt.Errorf("core: write codec slack: %w", err)
 		}
 	}
-	if _, err := ix.tree.WriteTo(w); err != nil {
+	if _, err := v.tree.WriteTo(w); err != nil {
 		return fmt.Errorf("core: write tree: %w", err)
 	}
 	return nil
@@ -347,8 +353,8 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 		if err := binary.Read(br, binary.LittleEndian, free); err != nil {
 			return nil, fmt.Errorf("core: read free list: %w", err)
 		}
-		// RestoreFreeList rejects out-of-range and duplicate slots.
-		if err := data.RestoreFreeList(free); err != nil {
+		// RestoreDeadRows rejects out-of-range and duplicate slots.
+		if err := data.RestoreDeadRows(free); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
@@ -411,7 +417,7 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 	}
 	cfg.Quantize = kind
 
-	tree, err := pmtree.Read(br)
+	tree, err := pmtree.Read(br, idSpace)
 	if err != nil {
 		return nil, fmt.Errorf("core: read tree: %w", err)
 	}
@@ -447,18 +453,17 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 		kappa = xStar * paperC * paperC / (t * t)
 	}
 	ix := &Index{
-		cfg:     cfg,
-		data:    data,
-		proj:    proj,
-		tree:    tree,
-		dim:     dim,
-		ndim:    dim, // loadPLS6 adjusts for reduced metrics
-		rowOf:   rowOf,
-		t:       t,
-		chi:     chi,
-		kappa:   kappa,
-		distCDF: cdf,
+		cfg:   cfg,
+		data:  data,
+		proj:  proj,
+		tree:  tree,
+		dim:   dim,
+		ndim:  dim, // loadPLS6 adjusts for reduced metrics
+		t:     t,
+		chi:   chi,
+		kappa: kappa,
 	}
+	ix.publish(rowOf, cdf, 0)
 	// Sanity: stored data must be finite.
 	for i := 0; i < n; i += 1 + n/64 {
 		if !finite(data.Row(i)) {

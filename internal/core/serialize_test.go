@@ -298,9 +298,9 @@ func TestSerializeRoundTripDeleteHeavy(t *testing.T) {
 		}
 		// Deleted ids stay rejected after the round trip.
 		var deadID int32 = -1
-		for id, row := range a.rowOf {
-			if row < 0 {
-				deadID = int32(id)
+		for id := int32(0); int(id) < a.Len(); id++ {
+			if !a.IsLive(id) {
+				deadID = id
 				break
 			}
 		}
@@ -309,8 +309,8 @@ func TestSerializeRoundTripDeleteHeavy(t *testing.T) {
 				t.Fatalf("%s: loaded index re-deleted retired id %d", label, deadID)
 			}
 		}
-		// Post-load inserts assign the same ids and recycle the same
-		// storage slots.
+		// Post-load inserts assign the same ids and land in the same
+		// storage rows.
 		ia, err := a.Insert(data[0])
 		if err != nil {
 			t.Fatal(err)
@@ -319,9 +319,10 @@ func TestSerializeRoundTripDeleteHeavy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ia != ib || a.rowOf[ia] != b.rowOf[ib] {
+		ra, rb := a.view.Load().rowOf[ia], b.view.Load().rowOf[ib]
+		if ia != ib || ra != rb {
 			t.Fatalf("%s: post-load insert diverged: id %d row %d vs id %d row %d",
-				label, ia, a.rowOf[ia], ib, b.rowOf[ib])
+				label, ia, ra, ib, rb)
 		}
 	}
 
@@ -376,6 +377,7 @@ func TestLoadRejectsTreeIDMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		ix.tree = tr
+		ix.republish()
 		var buf bytes.Buffer
 		if _, err := ix.WriteTo(&buf); err != nil {
 			t.Fatal(err)
@@ -400,10 +402,10 @@ func TestLoadRejectsDuplicateRowMapping(t *testing.T) {
 	if err := ix.Delete(2); err != nil {
 		t.Fatal(err)
 	}
-	// Forge aliasing that preserves the mapped count: id 1 points at id
-	// 0's row, id 39 goes unmapped.
-	ix.rowOf[1] = ix.rowOf[0]
-	ix.rowOf[39] = -1
+	// Forge aliasing that preserves the mapped count: live id 5 points at
+	// id 0's row and its own row goes unmapped.
+	rowOf := ix.view.Load().rowOf
+	rowOf[5] = rowOf[0]
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)

@@ -55,9 +55,9 @@ func refKNNWithStats(ix *Index, q []float64, k int, c float64) ([]Result, QueryS
 		return nil, st, nil
 	}
 	needed := int(math.Ceil(params.Beta*float64(n))) + k
-	r := distQuantile(ix.distCDF, float64(needed)/float64(n)) * ix.cfg.RMinShrink
+	r := distQuantile(ix.view.Load().distCDF, float64(needed)/float64(n)) * ix.cfg.RMinShrink
 	if r <= 0 {
-		r = smallestPositiveDistance(ix.distCDF)
+		r = smallestPositiveDistance(ix.view.Load().distCDF)
 	}
 
 	qp := ix.proj.Project(q)
@@ -391,62 +391,68 @@ func TestConcurrentQueriesOverPooledScratch(t *testing.T) {
 	}
 }
 
-// TestReplaceSorted pins the incremental distance-sample refresh to the
-// remove-and-reinsert semantics a full re-sort would produce.
-func TestReplaceSorted(t *testing.T) {
-	rng := rand.New(rand.NewSource(95))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(50)
-		s := make([]float64, n)
-		for i := range s {
-			s[i] = math.Round(rng.Float64()*20) / 2 // duplicates on purpose
-		}
-		sort.Float64s(s)
-		j := rng.Intn(n)
-		d := math.Round(rng.Float64()*20) / 2
-		want := append([]float64(nil), s...)
-		want[j] = d
-		sort.Float64s(want)
-		replaceSorted(s, j, d)
-		for i := range s {
-			if s[i] != want[i] {
-				t.Fatalf("trial %d: replaceSorted(j=%d, d=%v) = %v, want %v", trial, j, d, s, want)
-			}
-		}
-	}
-}
-
-// TestInsertKeepsDistCDFSorted checks the incremental refresh on the
-// real Insert path: the empirical distribution stays sorted through
-// heavy insertion (a violated invariant would silently corrupt every
-// r_min quantile lookup).
-func TestInsertKeepsDistCDFSorted(t *testing.T) {
-	rng := rand.New(rand.NewSource(96))
-	dim := 6
-	data := make([][]float64, 120)
-	for i := range data {
-		data[i] = make([]float64, dim)
-		for j := range data[i] {
-			data[i][j] = rng.NormFloat64()
-		}
-	}
-	ix, err := Build(data, Config{Seed: 11, DistSampleSize: 500, AutoCompactFraction: -1})
+// TestDistCDFFrozenBetweenCompactions pins where the distance sample
+// comes from: Build and Compact draw it, nothing in between touches it.
+// Inserts leave the very slice in place — no mutation rewrites anything
+// a running query reads — Compact publishes a fresh one, and an index
+// carrying a 30% tail drawn after the sample still starts its queries
+// at a radius within one enlargement round of the compacted index's.
+func TestDistCDFFrozenBetweenCompactions(t *testing.T) {
+	data := clusteredData(1400, 10, 6, 96)
+	ix, err := Build(data[:1000], Config{Seed: 11, DistSampleSize: 2000, AutoCompactFraction: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 300; i++ {
-		p := make([]float64, dim)
-		for j := range p {
-			p[j] = rng.NormFloat64() * 3
-		}
+	before := ix.view.Load().distCDF
+	kept := append([]float64(nil), before...)
+	for _, p := range data[1000:] {
 		if _, err := ix.Insert(p); err != nil {
 			t.Fatal(err)
 		}
-		if i%50 == 0 && !sort.Float64sAreSorted(ix.distCDF) {
-			t.Fatalf("distCDF unsorted after %d inserts", i+1)
+	}
+	after := ix.view.Load().distCDF
+	if &after[0] != &before[0] || len(after) != len(before) {
+		t.Fatal("inserts replaced the distance sample")
+	}
+	for i := range kept {
+		if after[i] != kept[i] {
+			t.Fatalf("inserts rewrote the distance sample at %d: %v, was %v", i, after[i], kept[i])
 		}
 	}
-	if !sort.Float64sAreSorted(ix.distCDF) {
-		t.Fatal("distCDF unsorted after insertion burst")
+	if f := ix.tailFraction(); f < 0.28 {
+		t.Fatalf("tail fraction %v, want about 0.3", f)
+	}
+
+	rng := rand.New(rand.NewSource(97))
+	queries := make([][]float64, 40)
+	for i := range queries {
+		queries[i] = data[rng.Intn(len(data))]
+	}
+	rounds := func() []int {
+		out := make([]int, len(queries))
+		for i, q := range queries {
+			var st QueryStats
+			if _, err := ix.Search(context.Background(), q, 10, SearchOptions{Stats: &st}); err != nil {
+				t.Fatal(err)
+			}
+			out[i] = st.Rounds
+		}
+		return out
+	}
+	tailed := rounds()
+	if err := ix.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := ix.view.Load().distCDF
+	if &fresh[0] == &before[0] {
+		t.Fatal("Compact kept the old distance sample")
+	}
+	if !sort.Float64sAreSorted(fresh) {
+		t.Fatal("the resampled distance sample is not sorted")
+	}
+	for i, want := range rounds() {
+		if d := tailed[i] - want; d < -1 || d > 1 {
+			t.Fatalf("query %d: %d rounds on the 30%%-tail index, %d once compacted", i, tailed[i], want)
+		}
 	}
 }

@@ -25,12 +25,12 @@ func rebuildTree(t *testing.T, ix *Index) {
 		t.Fatal(err)
 	}
 	var ids []int32
-	for id, row := range ix.rowOf {
-		if row >= 0 {
-			if _, err := fresh.Append(ix.data.Row(int(row))); err != nil {
+	for id := int32(0); int(id) < ix.Len(); id++ {
+		if ix.IsLive(id) {
+			if _, err := fresh.Append(ix.point(id)); err != nil {
 				t.Fatal(err)
 			}
-			ids = append(ids, int32(id))
+			ids = append(ids, id)
 		}
 	}
 	projected, err := ix.proj.ProjectStore(fresh)
@@ -43,10 +43,11 @@ func rebuildTree(t *testing.T, ix *Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix.republish()
 }
 
-// rebuiltCopy returns e's serialization clone with every tree of every
-// half rebuilt.
+// rebuiltCopy returns e's serialization clone with every shard's tree
+// rebuilt.
 func rebuiltCopy(t *testing.T, e *Engine) *Engine {
 	t.Helper()
 	var buf bytes.Buffer
@@ -57,12 +58,10 @@ func rebuiltCopy(t *testing.T, e *Engine) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sh := range ref.shards {
-		for _, h := range sh.halves {
-			rebuildTree(t, h.ix)
-			if h.ix.TailFraction() != 0 {
-				t.Fatal("a rebuilt tree has a tail")
-			}
+	for _, ix := range ref.shards {
+		rebuildTree(t, ix)
+		if ix.tailFraction() != 0 {
+			t.Fatal("a rebuilt tree has a tail")
 		}
 	}
 	return ref
@@ -207,11 +206,11 @@ func TestInsertCompactsOnTail(t *testing.T) {
 			if compacts {
 				want++
 			}
-			if got := ix.Compactions(); got != want {
+			if got := ix.compactions(); got != want {
 				t.Fatalf("fraction %v: %d compactions after %d inserts, want %d", tc.fraction, got, i, want)
 			}
-			if compacts && ix.TailFraction() != 0 {
-				t.Fatalf("fraction %v: tail fraction %v right after the compaction", tc.fraction, ix.TailFraction())
+			if compacts && ix.tailFraction() != 0 {
+				t.Fatalf("fraction %v: tail fraction %v right after the compaction", tc.fraction, ix.tailFraction())
 			}
 		}
 		if ix.LiveLen() != 300 {
@@ -230,14 +229,14 @@ func TestInsertCompactsOnTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ix.LiveLen() != 0 || ix.TailFraction() != 0 {
-		t.Fatalf("emptied index: %d live, tail fraction %v", ix.LiveLen(), ix.TailFraction())
+	if ix.LiveLen() != 0 || ix.tailFraction() != 0 {
+		t.Fatalf("emptied index: %d live, tail fraction %v", ix.LiveLen(), ix.tailFraction())
 	}
 	for i := 0; i < 50; i++ {
 		if _, err := ix.Insert(extra[i]); err != nil {
 			t.Fatal(err)
 		}
-		if f := ix.TailFraction(); f >= DefaultAutoCompactFraction {
+		if f := ix.tailFraction(); f >= DefaultAutoCompactFraction {
 			t.Fatalf("tail fraction %v after insert %d", f, i)
 		}
 	}

@@ -36,13 +36,13 @@ func seqSearch(ix *Index, q []float64, k int, o SearchOptions) ([]Result, QueryS
 	if o.Budget > 0 {
 		needed = o.Budget
 	}
-	r := distQuantile(ix.distCDF, float64(needed)/float64(n)) * ix.cfg.RMinShrink
+	r := distQuantile(ix.view.Load().distCDF, float64(needed)/float64(n)) * ix.cfg.RMinShrink
 	if r <= 0 {
-		r = smallestPositiveDistance(ix.distCDF)
+		r = smallestPositiveDistance(ix.view.Load().distCDF)
 	}
 	sc := ix.getScratch()
-	defer ix.putScratch(sc)
-	en, err := ix.startEnum(sc, q)
+	defer ix.putScratch(sc, ix.LiveLen())
+	en, err := ix.startEnum(sc, ix.Tree(), q)
 	if err != nil {
 		return nil, st, err
 	}
@@ -57,7 +57,7 @@ func seqSearch(ix *Index, q []float64, k int, o SearchOptions) ([]Result, QueryS
 		scanned += inRadius
 		for _, id := range sc.ids {
 			st.Verified++
-			row := int(ix.rowOf[id])
+			row := int(ix.view.Load().rowOf[id])
 			if codec != nil && len(top) == k && codec.QueryLowerBound(q, row, bound) > bound {
 				st.Screened++
 				continue
@@ -102,8 +102,8 @@ func seqSearchBall(ix *Index, q []float64, r float64, o SearchOptions) (*Result,
 		betaN = o.Budget
 	}
 	sc := ix.getScratch()
-	defer ix.putScratch(sc)
-	en, err := ix.startEnum(sc, q)
+	defer ix.putScratch(sc, ix.LiveLen())
+	en, err := ix.startEnum(sc, ix.Tree(), q)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
@@ -113,7 +113,7 @@ func seqSearchBall(ix *Index, q []float64, r float64, o SearchOptions) (*Result,
 	codec := ix.data.Codec()
 	for _, id := range sc.ids {
 		st.Verified++
-		row := int(ix.rowOf[id])
+		row := int(ix.view.Load().rowOf[id])
 		if codec != nil && best.ID >= 0 && codec.QueryLowerBound(q, row, best.Dist) > best.Dist {
 			st.Screened++
 			continue

@@ -28,6 +28,7 @@ package minhash
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -97,9 +98,16 @@ type SearchOpt struct {
 }
 
 // Index is a MinHash band-LSH index. All methods are safe for
-// concurrent use.
+// concurrent use: queries share the read side of mu; Insert, Delete and
+// Compact take turns on wmu and hold the write side of mu only for the
+// moment their change lands — an insert or delete is microseconds, and
+// Compact rebuilds its bucket tables under the read side, beside the
+// queries, taking the write side just to swap them in. Bucket slices
+// handed to readers are never edited in place: Insert appends past what
+// a reader holds, Delete installs a shortened copy.
 type Index struct {
-	mu  sync.RWMutex
+	wmu sync.Mutex   // serializes the mutations
+	mu  sync.RWMutex // guards everything below
 	cfg Config
 
 	// sets[id] is the sorted, deduplicated token set (nil = deleted;
@@ -244,13 +252,15 @@ func (x *Index) Insert(set []uint64) (int32, error) {
 	if err != nil {
 		return 0, err
 	}
+	sig := x.signature(s, nil)
+	x.wmu.Lock()
+	defer x.wmu.Unlock()
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if len(x.sets) >= math.MaxInt32 {
 		return 0, fmt.Errorf("minhash: id space exhausted")
 	}
 	id := int32(len(x.sets))
-	sig := x.signature(s, nil)
 	x.sets = append(x.sets, s)
 	x.sigs = append(x.sigs, sig)
 	for b := range x.buckets {
@@ -264,6 +274,8 @@ func (x *Index) Insert(set []uint64) (int32, error) {
 // Delete retires a live id: its set is dropped, its bucket entries
 // removed, and the id is never reused.
 func (x *Index) Delete(id int32) error {
+	x.wmu.Lock()
+	defer x.wmu.Unlock()
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if id < 0 || int(id) >= len(x.sets) || x.sets[id] == nil {
@@ -273,14 +285,13 @@ func (x *Index) Delete(id int32) error {
 	for b := range x.buckets {
 		key := x.bandKey(sig, b)
 		ids := x.buckets[b][key]
-		for i, v := range ids {
-			if v == id {
-				x.buckets[b][key] = append(ids[:i], ids[i+1:]...)
-				break
+		if i := slices.Index(ids, id); i >= 0 {
+			if len(ids) == 1 {
+				delete(x.buckets[b], key)
+			} else {
+				// A copy: readers may hold ids (see Bucket).
+				x.buckets[b][key] = append(slices.Clone(ids[:i]), ids[i+1:]...)
 			}
-		}
-		if len(x.buckets[b][key]) == 0 {
-			delete(x.buckets[b], key)
 		}
 	}
 	x.sets[id] = nil
@@ -292,10 +303,13 @@ func (x *Index) Delete(id int32) error {
 
 // Compact rebuilds the bucket maps over exactly the live sets —
 // reclaiming map capacity left behind by deletes — and clears the
-// dead count. Ids are untouched.
+// dead count. Ids are untouched. No other mutation can run meanwhile
+// (wmu), so the tables are built from the signatures under the read
+// side of mu, which queries share, and only the swap excludes them.
 func (x *Index) Compact() error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
+	x.wmu.Lock()
+	defer x.wmu.Unlock()
+	x.mu.RLock()
 	buckets := make([]map[uint64][]int32, x.cfg.Bands)
 	for b := range buckets {
 		buckets[b] = make(map[uint64][]int32)
@@ -309,6 +323,9 @@ func (x *Index) Compact() error {
 			buckets[b][key] = append(buckets[b][key], int32(id))
 		}
 	}
+	x.mu.RUnlock()
+	x.mu.Lock()
+	defer x.mu.Unlock()
 	x.buckets = buckets
 	x.dead = 0
 	x.compactions++
@@ -321,11 +338,13 @@ func (x *Index) Len() int { x.mu.RLock(); defer x.mu.RUnlock(); return len(x.set
 // LiveLen returns the number of live sets.
 func (x *Index) LiveLen() int { x.mu.RLock(); defer x.mu.RUnlock(); return x.live }
 
-// Dead returns the number of deletes since the last Compact.
-func (x *Index) Dead() int { x.mu.RLock(); defer x.mu.RUnlock(); return x.dead }
-
-// Compactions returns the number of Compact calls.
-func (x *Index) Compactions() int { x.mu.RLock(); defer x.mu.RUnlock(); return x.compactions }
+// Counts returns, as of one moment, Len, LiveLen, the number of deletes
+// since the last Compact and the number of Compact calls.
+func (x *Index) Counts() (ids, live, dead, compactions int) {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	return len(x.sets), x.live, x.dead, x.compactions
+}
 
 // IsLive reports whether id is assigned and not deleted.
 func (x *Index) IsLive(id int32) bool {
@@ -359,8 +378,9 @@ func (x *Index) Set(id int32) []uint64 {
 }
 
 // Bucket returns the live ids whose band hashed to key, nil when there
-// are none. Like Set, the slice is the index's own storage: read it
-// only while no mutation can run.
+// are none. Like Set, the slice is the index's own storage and must not
+// be modified; it stays what it was when returned, whatever is inserted
+// or deleted afterwards.
 func (x *Index) Bucket(band int, key uint64) []int32 {
 	x.mu.RLock()
 	defer x.mu.RUnlock()

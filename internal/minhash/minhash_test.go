@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -209,8 +211,8 @@ func TestLifecycle(t *testing.T) {
 			t.Fatal("double delete succeeded")
 		}
 	}
-	if x.LiveLen() != 15 || x.Dead() != 5 {
-		t.Fatalf("LiveLen=%d Dead=%d", x.LiveLen(), x.Dead())
+	if _, live, dead, _ := x.Counts(); live != 15 || dead != 5 {
+		t.Fatalf("LiveLen=%d Dead=%d", live, dead)
 	}
 	// Deleted ids never come back from search.
 	res, _, err := x.Search(x.Set(ids[6]), 20, SearchOpt{})
@@ -225,9 +227,8 @@ func TestLifecycle(t *testing.T) {
 	if err := x.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if x.Dead() != 0 || x.Compactions() != 1 || x.Len() != 20 || x.LiveLen() != 15 {
-		t.Fatalf("post-compact Dead=%d Compactions=%d Len=%d Live=%d",
-			x.Dead(), x.Compactions(), x.Len(), x.LiveLen())
+	if ids, live, dead, compactions := x.Counts(); dead != 0 || compactions != 1 || ids != 20 || live != 15 {
+		t.Fatalf("post-compact Dead=%d Compactions=%d Len=%d Live=%d", dead, compactions, ids, live)
 	}
 	// Ids keep advancing after compact.
 	id, err := x.Insert(randSet(rng, 30, 500))
@@ -263,7 +264,9 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if y.Len() != x.Len() || y.LiveLen() != x.LiveLen() || y.Dead() != x.Dead() ||
+	_, _, xDead, _ := x.Counts()
+	_, _, yDead, _ := y.Counts()
+	if y.Len() != x.Len() || y.LiveLen() != x.LiveLen() || yDead != xDead ||
 		y.Bands() != x.Bands() || y.Rows() != x.Rows() || y.Seed() != x.Seed() ||
 		y.Threshold() != x.Threshold() {
 		t.Fatal("round trip changed index shape")
@@ -352,4 +355,88 @@ func TestBandProbabilityShape(t *testing.T) {
 	if lo > 0.35 {
 		t.Errorf("mid-similarity collision rate %.2f, want <= 0.35", lo)
 	}
+}
+
+// TestSearchesRunThroughCompaction: a Compact of a few thousand sets
+// rebuilds every band's table beside the queries — under the read side
+// of the lock, writers held off by their own mutex — so searches keep
+// answering while it runs, and since compaction changes no id, every
+// answer is the one the index gave before (and gives after). Run under
+// -race: the table swap is the only moment a query is excluded.
+func TestSearchesRunThroughCompaction(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	x, err := New(Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := make([][]uint64, 40)
+	for i := range base {
+		base[i] = randSet(rng, 40, 5000)
+	}
+	for i := 0; i < 3000; i++ {
+		if _, err := x.Insert(mutate(rng, base[i%len(base)], 0.15, 5000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := int32(0); id < 3000; id += 7 { // something for Compact to reclaim
+		if err := x.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([][]Neighbor, len(base))
+	for i, q := range base {
+		if want[i], _, err = x.Search(q, 10, SearchOpt{}); err != nil {
+			t.Fatal(err)
+		}
+		if len(want[i]) == 0 {
+			t.Fatalf("query %d finds nothing; the test would assert nothing", i)
+		}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var answered [4]int
+	for w := range answered {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; ; i = (i + 1) % len(base) {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				got, _, err := x.Search(base[i], 10, SearchOpt{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(got, want[i]) {
+					t.Errorf("query %d answered %v during compaction, %v before it", i, got, want[i])
+					return
+				}
+				answered[w]++
+			}
+		}()
+	}
+	for round := 0; round < 5; round++ {
+		if err := x.Compact(); err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if _, _, dead, compactions := x.Counts(); compactions != 5 || dead != 0 {
+		t.Fatalf("after 5 compactions: Compactions=%d Dead=%d", compactions, dead)
+	}
+	for i, q := range base {
+		got, _, err := x.Search(q, 10, SearchOpt{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want[i]) {
+			t.Fatalf("query %d answers %v after compaction, %v before", i, got, want[i])
+		}
+	}
+	t.Logf("searches answered while compacting: %v", answered)
 }

@@ -57,12 +57,12 @@ type leafArena struct {
 }
 
 // bulkLoad builds the tree over all rows of src, which is only read,
-// and leaves t.points a leaf-major copy of them. ids[row] is stored
+// and leaves t.flat a leaf-major copy of them. ids[row] is stored
 // with each point (nil = row index). Must be called on a fresh tree
 // (count == 0).
-func (t *Tree) bulkLoad(src *store.Store, ids []int32) error {
+func (t *Tree) bulkLoad(src *store.Store, ids []int32) {
 	n := src.Len()
-	t.points = src // what bisect, minimax and packLeaf read until the copy is complete
+	t.flat = src.Flat() // what bisect, minimax and packLeaf read until the copy is complete
 	arena := &leafArena{
 		flat:       make([]float64, 0, n*t.dim),
 		ids:        make([]int32, 0, n),
@@ -118,13 +118,10 @@ func (t *Tree) bulkLoad(src *store.Store, ids []int32) error {
 		level = append(level, t.packLeaf(rs, ids, mm, arena))
 	}
 	rec(rows, da, db, nil)
-	points, err := store.FromFlat(arena.flat, t.dim)
-	if err != nil {
-		return err
-	}
-	t.points = points
+	t.flat = arena.flat
 	t.rowID = arena.ids
 	t.frozen = n
+	t.resetLiveness()
 
 	// Assemble upper levels until the entries fit one root node.
 	for len(level) > t.capacity {
@@ -151,7 +148,6 @@ func (t *Tree) bulkLoad(src *store.Store, ids []int32) error {
 	}
 	t.count = n
 	t.deriveScanRadius()
-	return nil
 }
 
 // bisect partitions rs in place around two far-apart pivot rows and
@@ -160,25 +156,25 @@ func (t *Tree) bulkLoad(src *store.Store, ids []int32) error {
 // otherwise imbalance beyond 1:3 falls back to a median split so the
 // recursion depth stays logarithmic.
 func (t *Tree) bisect(rs []int32, da, db []float64, relaxed bool) int {
-	p0 := t.points.Row(int(rs[0]))
+	p0 := t.row(int(rs[0]))
 	ai, amax := 0, -1.0
 	for i, r := range rs {
-		if d := t.dist(p0, t.points.Row(int(r))); d > amax {
+		if d := t.dist(p0, t.row(int(r))); d > amax {
 			amax, ai = d, i
 		}
 	}
-	pa := t.points.Row(int(rs[ai]))
+	pa := t.row(int(rs[ai]))
 	bi, bmax := 0, -1.0
 	for i, r := range rs {
-		d := t.dist(pa, t.points.Row(int(r)))
+		d := t.dist(pa, t.row(int(r)))
 		da[i] = d
 		if d > bmax {
 			bmax, bi = d, i
 		}
 	}
-	pb := t.points.Row(int(rs[bi]))
+	pb := t.row(int(rs[bi]))
 	for i, r := range rs {
-		db[i] = t.dist(pb, t.points.Row(int(r)))
+		db[i] = t.dist(pb, t.row(int(r)))
 	}
 
 	// Two-pointer partition: rows nearer pivot a (ties included) left.
@@ -241,9 +237,9 @@ func (t *Tree) minimax(rs []int32) *minimaxResult {
 	m := len(rs)
 	dm := make([]float64, m*m)
 	for i := 0; i < m; i++ {
-		pi := t.points.Row(int(rs[i]))
+		pi := t.row(int(rs[i]))
 		for j := i + 1; j < m; j++ {
-			d := t.dist(pi, t.points.Row(int(rs[j])))
+			d := t.dist(pi, t.row(int(rs[j])))
 			dm[i*m+j] = d
 			dm[j*m+i] = d
 		}
@@ -279,7 +275,7 @@ func (t *Tree) packLeaf(rs []int32, ids []int32, mm *minimaxResult, a *leafArena
 		if ids != nil {
 			id = ids[row]
 		}
-		p := t.points.Row(int(row))
+		p := t.row(int(row))
 		a.ids = append(a.ids, id)
 		a.parentDist = append(a.parentDist, dm[best*m+i])
 		a.flat = append(a.flat, p...)
@@ -297,7 +293,7 @@ func (t *Tree) packLeaf(rs []int32, ids []int32, mm *minimaxResult, a *leafArena
 		pivotDist:  a.pivotDist[first*s : end*s],
 	}
 	center := make([]float64, t.dim)
-	copy(center, t.points.Row(int(rs[best])))
+	copy(center, t.row(int(rs[best])))
 	return routingEntry{center: center, radius: bestRadius, child: leaf, hr: hr}
 }
 

@@ -47,8 +47,8 @@ func checkLayout(tb testing.TB, tr *Tree) leafLayout {
 		lay.leaves++
 		lay.entries += m
 		dead := 0
-		for _, id := range tr.leafIDs(n) {
-			if id < 0 {
+		for i := range tr.leafIDs(n) {
+			if !tr.rowLive(int(n.first) + i) {
 				dead++
 			}
 		}
@@ -67,13 +67,24 @@ func checkLayout(tb testing.TB, tr *Tree) leafLayout {
 	return lay
 }
 
+// liveRowIDs is rowID as a stream records it: -1 where the row is dead.
+func liveRowIDs(tr *Tree) []int32 {
+	out := slices.Clone(tr.rowID)
+	for row := range out {
+		if !tr.rowLive(row) {
+			out[row] = -1
+		}
+	}
+	return out
+}
+
 // requireSameTree fails unless b holds what a holds, physically: the
-// same rows in the same order with the same ids and dead marks, the
+// same rows in the same order with the same live ids and dead rows, the
 // same tail, the same leaves over them.
 func requireSameTree(tb testing.TB, label string, a, b *Tree) {
 	tb.Helper()
 	if a.frozen != b.frozen || a.count != b.count || a.scanRadius != b.scanRadius ||
-		!slices.Equal(a.rowID, b.rowID) || !slices.Equal(a.points.Flat(), b.points.Flat()) {
+		!slices.Equal(liveRowIDs(a), liveRowIDs(b)) || !slices.Equal(a.flat, b.flat) {
 		tb.Fatalf("%s: %d/%d frozen rows, %d/%d live points, switch radius %v/%v, or the rows differ",
 			label, a.frozen, b.frozen, a.count, b.count, a.scanRadius, b.scanRadius)
 	}
@@ -95,7 +106,7 @@ func roundTrip(tb testing.TB, tr *Tree) *Tree {
 	if _, err := tr.WriteTo(&buf); err != nil {
 		tb.Fatal(err)
 	}
-	out, err := Read(&buf)
+	out, err := Read(&buf, testIDLimit)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -149,8 +160,8 @@ func TestBuildFromStoreLeavesSourceAlone(t *testing.T) {
 	if !slices.Equal(src.Flat(), before) {
 		t.Fatal("BuildFromStore reordered the caller's store")
 	}
-	if first.points == src {
-		t.Fatal("the tree kept the caller's store")
+	if &first.flat[0] == &src.Flat()[0] {
+		t.Fatal("the tree kept the caller's buffer")
 	}
 	var walk func(n *node)
 	walk = func(n *node) {
@@ -388,7 +399,7 @@ func TestChurnGrowsTailAndRebuildFoldsIt(t *testing.T) {
 		t.Fatalf("150 inserts and 150 deletes left %d tail rows of %d for %d points, switch radius %v (built: %v)",
 			tr.Tail(), tr.Rows(), tr.Len(), tr.scanRadius, built.scanRadius)
 	}
-	if !slices.Equal(tr.points.Flat()[:800*6], built.points.Flat()) {
+	if !slices.Equal(tr.flat[:800*6], built.flat) {
 		t.Fatal("churn moved the rows the leaves cover")
 	}
 

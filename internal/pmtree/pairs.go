@@ -174,11 +174,11 @@ func (e *PairEnumerator) DistComps() int64 { return e.qdist }
 // flushStats moves the batched counters into the tree's atomics.
 func (e *PairEnumerator) flushStats() {
 	if e.pendingDist > 0 {
-		e.t.distCalcs.Add(e.pendingDist)
+		e.t.stats.distCalcs.Add(e.pendingDist)
 		e.pendingDist = 0
 	}
 	if e.pendingNodes > 0 {
-		e.t.nodeAccesses.Add(e.pendingNodes)
+		e.t.stats.nodeAccesses.Add(e.pendingNodes)
 		e.pendingNodes = 0
 	}
 }
@@ -334,7 +334,7 @@ func (e *PairEnumerator) leafJoin(n *node, side uint8) *leafJoin {
 	ids := t.leafIDs(n)
 	idx := make([]int, 0, len(ids))
 	for i, id := range ids {
-		if id >= 0 { // entries Delete marked dead pair with nothing
+		if id >= 0 && t.live(id) { // dead entries pair with nothing
 			idx = append(idx, i)
 		}
 	}
@@ -404,7 +404,7 @@ func (e *PairEnumerator) expandLeafPair(ra, rb pairRegion) {
 			jstart = lo
 		}
 		pa := a.piv[i*s : (i+1)*s]
-		pt := ta.points.Row(int(a.row[i]))
+		pt := ta.row(int(a.row[i]))
 	probe:
 		for j := jstart; j < len(b.c0) && b.c0[j]-c0 <= cutoff; j++ {
 			if !cross {
@@ -416,7 +416,7 @@ func (e *PairEnumerator) expandLeafPair(ra, rb pairRegion) {
 				}
 			}
 			exact++
-			d2 := vec.SquaredL2(pt, tb.points.Row(int(b.row[j])))
+			d2 := vec.SquaredL2(pt, tb.row(int(b.row[j])))
 			if d2 > cutoff2 {
 				continue
 			}
@@ -473,19 +473,20 @@ func (e *PairEnumerator) joinTail(from, in *Tree) {
 		}
 		e.pq.Push(pairItem{bound: d, kind: kindExactPair, id1: id1, id2: id2})
 	}
-	for row := from.frozen; row < from.points.Len(); row++ {
-		if id = from.rowID[row]; id < 0 {
+	for row := from.frozen; row < from.Rows(); row++ {
+		if !from.rowLive(row) {
 			continue
 		}
+		id = from.rowID[row]
 		// Reset cannot fail: both trees index points of one dimension.
-		if err := e.rq.Reset(in, from.points.Row(row)); err != nil {
+		if err := e.rq.Reset(in, from.row(row)); err != nil {
 			panic(err)
 		}
 		switch {
 		case self:
 			e.rq.tailFrom = row + 1
 		case from == e.t2:
-			e.rq.tailFrom = in.points.Len()
+			e.rq.tailFrom = in.Rows()
 		}
 		e.rq.Expand(e.cutoff, emit)
 		e.qdist += e.rq.DistComps()

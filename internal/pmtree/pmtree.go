@@ -26,25 +26,32 @@
 // Bulk load is the only builder. The structure is frozen once built:
 // no node is ever split, grown or emptied, and every leaf stays one
 // ascending run of rows. Insert appends the point to a tail of rows
-// behind the leaves' in the same store, which no node covers; Delete
-// marks a row dead where it lies. The next bulk load over the live
-// points (the index layer's Compact) folds the tail in and drops the
-// dead. Every query covers both parts: the traversals skip dead leaf
-// entries and brute-force the tail, and the flat pass below reads all
-// rows anyway.
+// behind the leaves' in the same buffer, which no node covers; Delete
+// stamps the point's id with a delete epoch and touches nothing else.
+// The next bulk load over the live points (the index layer's Compact)
+// folds the tail in and drops the dead. Every query covers both parts:
+// the traversals skip dead leaf entries and brute-force the tail, and
+// the flat pass below reads all rows anyway.
 //
-// The same store is what a range enumeration falls back on when the
+// The same rows are what a range enumeration falls back on when the
 // tree cannot prune: from a switch radius derived from the tree's own
 // leaf radii (deriveScanRadius) a RangeEnumerator computes every row's
 // distance in one pass; the traversal serves the radii under it and
 // RangeSearch. Answers are the same either way.
 //
-// The implementation is single-writer: Build, Insert and Delete must
-// not be called concurrently with queries (the index layer above holds
-// a reader/writer lock). Queries themselves are read-only; the
-// tree-wide distance-computation counter is shared (a combined total),
-// while the enumerators additionally keep per-enumeration counts
-// (DistComps) that stay exact under concurrency.
+// # Concurrency: one writer, snapshots for readers
+//
+// Insert and Delete are single-writer, and neither rewrites anything a
+// query reads: the nodes are frozen; the row buffer and the row → id
+// array only grow (a write lands past the lengths an earlier reader
+// holds, a growth reallocation leaves the old array to it); a delete is
+// one atomic store of an epoch. Snapshot captures one moment's lengths
+// and epoch in a Tree value of its own, which any number of goroutines
+// may query while the writer carries on with the original: a point is
+// dead to a snapshot when its delete epoch is at or before the
+// snapshot's. The two statistics counters are shared by a tree and its
+// snapshots (a combined total); the enumerators keep per-enumeration
+// counts (DistComps) that stay exact under concurrency.
 package pmtree
 
 import (
@@ -131,39 +138,47 @@ func (n *node) size() int {
 func (n *node) pivotDists(i, s int) []float64 { return n.pivotDist[i*s : (i+1)*s : (i+1)*s] }
 
 // Tree is a PM-tree over m-dimensional float64 points. Indexed points
-// live in one contiguous store owned by the tree: the rows the leaves
+// live in one contiguous buffer owned by the tree: the rows the leaves
 // cover, in leaf order, then the tail of rows inserted since the bulk
 // load.
 type Tree struct {
 	root     *node
-	points   *store.Store
+	flat     []float64 // the rows, dim values each; append-only
 	pivots   [][]float64
 	capacity int
 	dim      int
 	count    int // live points: leaf entries and tail rows not deleted
 	// frozen is the number of rows the leaves cover, fixed by the bulk
-	// load or Read; rows [frozen, points.Len()) are the tail.
+	// load or Read; rows [frozen, Rows()) are the tail.
 	frozen int
-	// rowID maps a store row to the id of the point it holds, -1 once
-	// deleted. It is the leaves' id array (see node) and what lets a flat
-	// pass over the store (see RangeEnumerator) name the points it finds.
+	// rowID maps a row to the id of the point it holds: the leaves' id
+	// array (see node), and what lets a flat pass name the points it finds.
+	// Append-only; -1 only where Read found a row its stream marked dead.
 	rowID []int32
-	// idRow inverts rowID for Delete: idRow[id] is the id's row, -1 for
-	// none. Built by the first Delete and kept current from then on, so a
-	// tree that is only queried never pays for it.
-	idRow []int32
+	// del holds the delete epoch of every id up to the largest seen: 0
+	// while the point is live, the value epoch took when Delete removed
+	// it, and 1 — dead from the first epoch on — for an id the tree never
+	// held. A growth reallocation copies the entries and leaves the old
+	// array to the snapshots holding it, whose epochs precede later deletes.
+	del []atomic.Uint32
+	// epoch is 1 plus the number of deletes applied (ids are int32: it
+	// cannot wrap). An id is dead here when 0 < del[id] <= epoch.
+	epoch uint32
 	// scanRadius is the radius from which a range enumeration scans the
-	// store.
+	// rows.
 	scanRadius float64
 
-	// distCalcs counts every call to the metric; it feeds the cost-model
-	// validation (Table 2) and the per-query probing statistics. Atomic
-	// so concurrent read-only queries stay race-free (their counts are
-	// combined).
-	distCalcs atomic.Int64
-	// nodeAccesses counts nodes opened during queries (atomic, see
-	// distCalcs).
-	nodeAccesses atomic.Int64
+	// stats is shared with every snapshot, behind a pointer so that
+	// taking one copies no atomic.
+	stats *treeStats
+}
+
+// treeStats are a tree's two counters: distCalcs, every call to the
+// metric (it feeds the cost-model validation, Table 2), and
+// nodeAccesses, the nodes queries opened. Atomic: concurrent queries
+// combine their counts.
+type treeStats struct {
+	distCalcs, nodeAccesses atomic.Int64
 }
 
 // Config controls tree construction.
@@ -193,16 +208,21 @@ func New(dim int, cfg Config) (*Tree, error) {
 	if cfg.NumPivots < 0 {
 		return nil, fmt.Errorf("pmtree: NumPivots must be >= 0, got %d", cfg.NumPivots)
 	}
-	pts, err := store.New(dim)
-	if err != nil {
-		return nil, fmt.Errorf("pmtree: %w", err)
-	}
 	return &Tree{
 		root:     &node{leaf: true},
-		points:   pts,
 		capacity: cfg.Capacity,
 		dim:      dim,
+		epoch:    1,
+		stats:    &treeStats{},
 	}, nil
+}
+
+// Snapshot returns the tree as it stands: a read-only Tree sharing t's
+// nodes, rows and counters, which answers from this moment's points
+// whatever t inserts or deletes afterwards (see the package comment).
+func (t *Tree) Snapshot() *Tree {
+	s := *t
+	return &s
 }
 
 // Build constructs a tree over data. Pivots are selected from the data
@@ -252,9 +272,7 @@ func BuildFromStore(s *store.Store, ids []int32, cfg Config) (*Tree, error) {
 	if cfg.NumPivots > 0 {
 		t.pivots = selectPivotsStore(s, cfg.NumPivots, cfg.PivotSeed)
 	}
-	if err := t.bulkLoad(s, ids); err != nil {
-		return nil, err
-	}
+	t.bulkLoad(s, ids)
 	return t, nil
 }
 
@@ -264,20 +282,63 @@ func (t *Tree) Len() int { return t.count }
 // Rows returns the number of rows in the tree's point store, deleted
 // ones and the tail included: what a range enumeration evaluates once
 // it scans.
-func (t *Tree) Rows() int { return t.points.Len() }
+func (t *Tree) Rows() int { return len(t.flat) / t.dim }
 
 // Tail returns how many of those rows no node covers: the points
 // inserted since the bulk load, deleted ones included, which a
 // traversal brute-forces.
-func (t *Tree) Tail() int { return t.points.Len() - t.frozen }
+func (t *Tree) Tail() int { return t.Rows() - t.frozen }
+
+// row returns row i's point as a view into the buffer.
+func (t *Tree) row(i int) []float64 {
+	off := i * t.dim
+	return t.flat[off : off+t.dim : off+t.dim]
+}
+
+// IsLive reports whether the tree holds a live point with the given id.
+func (t *Tree) IsLive(id int32) bool {
+	return id >= 0 && int(id) < len(t.del) && t.live(id)
+}
+
+// live is IsLive for an id taken from rowID: non-negative ones all have
+// a delete epoch.
+func (t *Tree) live(id int32) bool {
+	d := t.del[id].Load()
+	return d == 0 || d > t.epoch
+}
+
+// rowLive reports whether the row holds a live point.
+func (t *Tree) rowLive(row int) bool {
+	id := t.rowID[row]
+	return id >= 0 && t.live(id)
+}
 
 // WalkIDs calls fn with every indexed point's id (the deserialization
 // loader uses it to validate the tree's ids against the index's id
 // map).
 func (t *Tree) WalkIDs(fn func(id int32)) {
 	for _, id := range t.rowID {
-		if id >= 0 {
+		if id >= 0 && t.live(id) {
 			fn(id)
+		}
+	}
+}
+
+// resetLiveness starts del and epoch over for the ids in rowID, all
+// live, every other id up to the largest marked never held.
+func (t *Tree) resetLiveness() {
+	top := int32(-1)
+	for _, id := range t.rowID {
+		top = max(top, id)
+	}
+	t.del = make([]atomic.Uint32, int(top)+1)
+	t.epoch = 1
+	for i := range t.del {
+		t.del[i].Store(1)
+	}
+	for _, id := range t.rowID {
+		if id >= 0 {
+			t.del[id].Store(0)
 		}
 	}
 }
@@ -293,27 +354,28 @@ func (t *Tree) Pivots() [][]float64 { return t.pivots }
 
 // DistanceComputations returns the number of metric evaluations since
 // the last ResetStats (the bulk load and queries both count).
-func (t *Tree) DistanceComputations() int64 { return t.distCalcs.Load() }
+func (t *Tree) DistanceComputations() int64 { return t.stats.distCalcs.Load() }
 
 // NodeAccesses returns the number of nodes opened by queries since the
 // last ResetStats.
-func (t *Tree) NodeAccesses() int64 { return t.nodeAccesses.Load() }
+func (t *Tree) NodeAccesses() int64 { return t.stats.nodeAccesses.Load() }
 
 // ResetStats zeroes the distance and node-access counters.
-func (t *Tree) ResetStats() { t.distCalcs.Store(0); t.nodeAccesses.Store(0) }
+func (t *Tree) ResetStats() { t.stats.distCalcs.Store(0); t.stats.nodeAccesses.Store(0) }
 
 func (t *Tree) dist(a, b []float64) float64 {
-	t.distCalcs.Add(1)
+	t.stats.distCalcs.Add(1)
 	return vec.L2(a, b)
 }
 
-// leafIDs returns the ids of a leaf's entries, -1 where deleted.
+// leafIDs returns the ids of a leaf's entries (see rowID; live decides
+// which of them still count).
 func (t *Tree) leafIDs(n *node) []int32 {
 	return t.rowID[n.first : int(n.first)+len(n.parentDist)]
 }
 
-// leafPoint resolves leaf entry i's point as a view into the store.
-func (t *Tree) leafPoint(n *node, i int) []float64 { return t.points.Row(int(n.first) + i) }
+// leafPoint resolves leaf entry i's point as a view into the buffer.
+func (t *Tree) leafPoint(n *node, i int) []float64 { return t.row(int(n.first) + i) }
 
 // scanRadiusFactor places the switch between the two ways a range
 // enumeration resolves a radius, as a fraction of the median covering
@@ -348,52 +410,56 @@ func (t *Tree) deriveScanRadius() {
 	}
 }
 
-// Insert adds one point with the given id, which must be non-negative
-// and not indexed already. The point is copied to the end of the tree's
-// store — the tail — and the caller's slice is not retained; no node
-// changes.
+// Insert adds one point with the given id, which must exceed every id
+// the tree has held — ids only grow, and a deleted one is never reused:
+// snapshots still read its delete epoch. The point is copied to the end
+// of the rows, the tail; no node changes.
 func (t *Tree) Insert(p []float64, id int32) error {
 	if id < 0 {
 		return fmt.Errorf("pmtree: negative id %d", id)
 	}
-	row, err := t.points.Append(p)
-	if err != nil {
-		return fmt.Errorf("pmtree: %w", err)
+	if len(p) != t.dim {
+		return fmt.Errorf("pmtree: point has dimension %d, tree expects %d", len(p), t.dim)
 	}
+	if int(id) < len(t.del) {
+		return fmt.Errorf("pmtree: id %d does not exceed every id the tree has held (%d)", id, len(t.del)-1)
+	}
+	t.growDel(int(id) + 1)
+	t.flat = append(t.flat, p...)
 	t.rowID = append(t.rowID, id)
-	if t.idRow != nil {
-		t.setRow(id, row)
-	}
 	t.count++
 	return nil
 }
 
-// setRow records id's row in idRow, growing it to hold the id.
-func (t *Tree) setRow(id, row int32) {
-	for int(id) >= len(t.idRow) {
-		t.idRow = append(t.idRow, -1)
+// growDel extends del to n entries: the last one live (the id being
+// inserted), any it skips marked never held (see Tree.del).
+func (t *Tree) growDel(n int) {
+	old := len(t.del)
+	if n <= cap(t.del) {
+		t.del = t.del[:n]
+	} else {
+		grown := make([]atomic.Uint32, n, max(2*cap(t.del), n, 64))
+		for i := range t.del {
+			grown[i].Store(t.del[i].Load())
+		}
+		t.del = grown
 	}
-	t.idRow[id] = row
+	for i := old; i < n-1; i++ {
+		t.del[i].Store(1)
+	}
 }
 
-// Delete removes the point with the given id by marking its row dead:
-// queries skip it from now on, while the row, a leaf entry's included,
-// stays where it is until the next bulk load leaves it out. Routing
-// radii and rings keep covering it, so every query bound stays valid.
+// Delete removes the point with the given id by stamping it with the
+// next delete epoch: this tree and snapshots taken from now on skip it,
+// earlier snapshots still see it, and its row stays where it is until
+// the next bulk load leaves it out. Routing radii and rings keep
+// covering it, so every query bound stays valid.
 func (t *Tree) Delete(id int32) error {
-	if t.idRow == nil {
-		t.idRow = make([]int32, 0, len(t.rowID))
-		for row, id := range t.rowID {
-			if id >= 0 {
-				t.setRow(id, int32(row))
-			}
-		}
-	}
-	if id < 0 || int(id) >= len(t.idRow) || t.idRow[id] < 0 {
+	if !t.IsLive(id) {
 		return fmt.Errorf("pmtree: id %d not found", id)
 	}
-	t.rowID[t.idRow[id]] = -1
-	t.idRow[id] = -1
+	t.epoch++
+	t.del[id].Store(t.epoch)
 	t.count--
 	return nil
 }

@@ -77,10 +77,10 @@ func (t *Tree) rangeSearchRef(q []float64, r float64, visit func(id int32, d flo
 		qp[i] = t.dist(q, pv)
 	}
 	t.rangeSearchRec(t.root, q, nil, 0, r, qp, visit)
-	for row := t.frozen; row < t.points.Len(); row++ {
+	for row := t.frozen; row < t.Rows(); row++ {
 		// Dead rows are evaluated too, as the enumerator's one kernel call
 		// over the tail evaluates them.
-		if d := t.dist(q, t.points.Row(row)); t.rowID[row] >= 0 && d <= r {
+		if d := t.dist(q, t.row(row)); t.rowLive(row) && d <= r {
 			visit(t.rowID[row], d)
 		}
 	}
@@ -90,10 +90,10 @@ func (t *Tree) rangeSearchRef(q []float64, r float64, visit func(id int32, d flo
 // qParentDist is d(q, routing object of n) (0 and unused at the root,
 // where parent == nil).
 func (t *Tree) rangeSearchRec(n *node, q, parent []float64, qParentDist, r float64, qp []float64, visit func(id int32, d float64)) {
-	t.nodeAccesses.Add(1)
+	t.stats.nodeAccesses.Add(1)
 	if n.leaf {
 		for i, id := range t.leafIDs(n) {
-			if id < 0 {
+			if id < 0 || !t.live(id) {
 				continue
 			}
 			if parent != nil && math.Abs(qParentDist-n.parentDist[i]) > r {

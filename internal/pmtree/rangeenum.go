@@ -159,12 +159,12 @@ type rangeNodeRef struct {
 //
 // The tree must not be mutated AT ALL between Reset and the last
 // Expand — not concurrently, and not between rounds either: the frozen
-// frontier holds store rows and ids, and neither an Insert (a tail row
-// the enumeration has already passed) nor a Delete (an id it still
-// holds) would reach it. The index layer holds its reader lock across
-// the whole query, which provides exactly this. Concurrent enumerations
-// are fine. The query slice q is retained until the next Reset or
-// Release.
+// frontier holds rows and ids, and neither an Insert (a tail row the
+// enumeration has already passed) nor a Delete (an id it still holds)
+// would reach it. A Snapshot is such a tree for as long as anyone holds
+// it, which is what the index layer hands every query. Concurrent
+// enumerations are fine. The query slice q is retained until the next
+// Reset or Release.
 type RangeEnumerator struct {
 	t      *Tree
 	q      []float64
@@ -253,7 +253,7 @@ func (e *RangeEnumerator) Reset(t *Tree, q []float64) error {
 // never frees, and the buffers reach the largest tree ever queried.
 func (e *RangeEnumerator) Release() {
 	if e.t != nil {
-		bound := 2*e.t.points.Len() + 1024
+		bound := 2*e.t.Rows() + 1024
 		if cap(e.frozen) > bound {
 			e.frozen = nil
 		}
@@ -421,7 +421,7 @@ func (e *RangeEnumerator) expandTree(prev float64) {
 	for _, pv := range e.t.pivots[len(e.qp):] {
 		e.qp = append(e.qp, e.dist(e.q, pv))
 	}
-	if e.tailFrom < e.t.points.Len() {
+	if e.tailFrom < e.t.Rows() {
 		e.flatPass(e.tailFrom, prev)
 	}
 	// One compaction sweep: resolve items whose bound entered the
@@ -440,7 +440,7 @@ func (e *RangeEnumerator) expandTree(prev float64) {
 		case rkPointExact:
 			e.take(it.id, it.bound)
 		case rkPointLB:
-			d := e.dist(e.q, e.t.points.Row(int(it.ref)))
+			d := e.dist(e.q, e.t.row(int(it.ref)))
 			if d <= e.radius {
 				e.take(it.id, d)
 			} else {
@@ -466,16 +466,20 @@ func (e *RangeEnumerator) expandTree(prev float64) {
 func (e *RangeEnumerator) flatPass(from int, prev float64) {
 	t := e.t
 	if len(e.rowD2) == 0 || e.rowD2From != from {
-		n := t.points.Len() - from
+		n := t.Rows() - from
 		e.rowD2, e.rowD2From = slices.Grow(e.rowD2[:0], n)[:n], from
-		vec.SquaredL2ToMany(e.rowD2, e.q, t.points.Flat()[from*t.dim:], t.dim)
+		vec.SquaredL2ToMany(e.rowD2, e.q, t.flat[from*t.dim:], t.dim)
 		e.pendingDist += int64(n)
 		e.qdist += int64(n)
 	}
 	lo, hi := squaredCeil(prev), squaredCeil(e.radius)
 	ids := t.rowID[from:][:len(e.rowD2)]
+	// Tree.live by hand, for the few thousand rows a k-NN round finds in
+	// radius: 0 (live) wraps above every epoch. A tree without a dead row
+	// — every read-only workload — skips the load, a cache miss per row.
+	del, epoch, allLive := t.del, t.epoch, t.count == len(t.rowID)
 	for i, d2 := range e.rowD2 {
-		if id := ids[i]; d2 <= hi && d2 > lo && id >= 0 {
+		if id := ids[i]; d2 <= hi && d2 > lo && id >= 0 && (allLive || del[id].Load()-1 >= epoch) {
 			e.take(id, math.Sqrt(d2))
 		}
 	}
@@ -622,15 +626,15 @@ func (e *RangeEnumerator) scanLeaf(n *node, hasParent bool, qpd float64) {
 
 	dim := e.t.dim
 	first := int(n.first)
-	flat := e.t.points.Flat()[first*dim : (first+m)*dim]
+	flat := e.t.flat[first*dim : (first+m)*dim]
 	evaluated := 0
 	for i := 0; i < m; {
-		if lb[i] > radius || ids[i] < 0 {
+		if lb[i] > radius || !e.t.rowLive(first+i) {
 			i++
 			continue
 		}
 		j := i + 1
-		for j < m && !(lb[j] > radius || ids[j] < 0) {
+		for j < m && !(lb[j] > radius || !e.t.rowLive(first+j)) {
 			j++
 		}
 		vec.SquaredL2ToMany(d2[i:j], e.q, flat[i*dim:j*dim], dim)
@@ -641,7 +645,7 @@ func (e *RangeEnumerator) scanLeaf(n *node, hasParent bool, qpd float64) {
 	e.qdist += int64(evaluated)
 
 	for i, id := range ids {
-		if id < 0 {
+		if !e.t.rowLive(first + i) {
 			continue
 		}
 		row := n.first + int32(i)
@@ -673,11 +677,11 @@ func (e *RangeEnumerator) DistComps() int64 { return e.qdist }
 // flushStats moves the batched counters into the tree's atomics.
 func (e *RangeEnumerator) flushStats() {
 	if e.pendingDist > 0 {
-		e.t.distCalcs.Add(e.pendingDist)
+		e.t.stats.distCalcs.Add(e.pendingDist)
 		e.pendingDist = 0
 	}
 	if e.pendingNodes > 0 {
-		e.t.nodeAccesses.Add(e.pendingNodes)
+		e.t.stats.nodeAccesses.Add(e.pendingNodes)
 		e.pendingNodes = 0
 	}
 }

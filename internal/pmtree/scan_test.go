@@ -363,7 +363,7 @@ func TestReleaseShedsOutgrownBuffers(t *testing.T) {
 	// both kinds of buffer reach the tree's size; a second round takes
 	// every point, so that the delta does.
 	use := func(tr *Tree) {
-		q := tr.points.Row(0)
+		q := tr.row(0)
 		for _, treeOnly := range []bool{true, false} {
 			e.treeOnly = treeOnly
 			if err := e.Reset(tr, q); err != nil {

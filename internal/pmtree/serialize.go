@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"repro/internal/store"
 )
 
 // Binary serialization of the tree structure. The format is
@@ -23,7 +21,8 @@ import (
 //	tail: row count u32, then per row: id i32 | point dim×f64
 //
 // count is the number of live points; an id of -1 marks a leaf entry or
-// tail row Delete has marked dead. Loading a stream reproduces the
+// tail row whose point Delete has removed (the stream does not say which
+// id it held). Loading a stream reproduces the
 // exact tree — the same nodes, the same rows in the same order with the
 // same dead marks, the same tail, counters at zero — so a saved index
 // answers queries identically and its tail stands exactly as far from
@@ -72,7 +71,7 @@ func (t *Tree) encode(w io.Writer) error {
 	if err := binary.Write(w, binary.LittleEndian, uint32(t.Tail())); err != nil {
 		return fmt.Errorf("pmtree: write tail length: %w", err)
 	}
-	for row := t.frozen; row < t.points.Len(); row++ {
+	for row := t.frozen; row < t.Rows(); row++ {
 		if err := t.encodeRow(w, row); err != nil {
 			return err
 		}
@@ -80,13 +79,17 @@ func (t *Tree) encode(w io.Writer) error {
 	return nil
 }
 
-// encodeRow writes one row's id and point: a leaf entry's head, or a
-// tail row.
+// encodeRow writes one row's id — -1 for a dead row — and point: a leaf
+// entry's head, or a tail row.
 func (t *Tree) encodeRow(w io.Writer, row int) error {
-	if err := binary.Write(w, binary.LittleEndian, t.rowID[row]); err != nil {
+	id := int32(-1)
+	if t.rowLive(row) {
+		id = t.rowID[row]
+	}
+	if err := binary.Write(w, binary.LittleEndian, id); err != nil {
 		return fmt.Errorf("pmtree: write id: %w", err)
 	}
-	return writeFloats(w, t.points.Row(row))
+	return writeFloats(w, t.row(row))
 }
 
 func (t *Tree) encodeNode(w io.Writer, n *node) error {
@@ -134,8 +137,11 @@ func (t *Tree) encodeNode(w io.Writer, n *node) error {
 	return nil
 }
 
-// Read deserializes a tree previously written with WriteTo.
-func Read(r io.Reader) (*Tree, error) {
+// Read deserializes a tree previously written with WriteTo. Every id in
+// the stream must be below idLimit: the ids size the tree's delete
+// epochs, and an untrusted stream must not size an allocation its
+// caller has not bounded.
+func Read(r io.Reader, idLimit int) (*Tree, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -166,11 +172,7 @@ func Read(r io.Reader) (*Tree, error) {
 	// untrusted, so it must not size an up-front allocation (a corrupt
 	// stream could demand petabytes or overflow count*dim). It is
 	// verified against the decoded leaves below.
-	pts, err := store.New(dim)
-	if err != nil {
-		return nil, fmt.Errorf("pmtree: %w", err)
-	}
-	t := &Tree{dim: dim, capacity: capacity, count: count, points: pts}
+	t := &Tree{dim: dim, capacity: capacity, count: count, stats: &treeStats{}}
 	t.pivots = make([][]float64, numPivots)
 	for i := range t.pivots {
 		p, err := readFloats(br, dim)
@@ -184,7 +186,7 @@ func Read(r io.Reader) (*Tree, error) {
 		return nil, err
 	}
 	t.root = root
-	t.frozen = t.points.Len()
+	t.frozen = t.Rows()
 	if magic == pmtMagic {
 		// The tail length is untrusted like the header count: rows are
 		// appended as their bytes arrive.
@@ -198,7 +200,13 @@ func Read(r io.Reader) (*Tree, error) {
 			}
 		}
 	}
+	for _, id := range t.rowID {
+		if int(id) >= idLimit {
+			return nil, fmt.Errorf("pmtree: id %d beyond the id space of %d", id, idLimit)
+		}
+	}
 	// Verify the advertised count against the rows.
+	t.resetLiveness()
 	got := 0
 	t.WalkIDs(func(int32) { got++ })
 	if got != count {
@@ -222,9 +230,7 @@ func (t *Tree) decodeRow(r io.Reader, minID int32) (int32, error) {
 	if id < minID || !validFinite(p) {
 		return 0, fmt.Errorf("pmtree: corrupt entry %d", id)
 	}
-	if _, err := t.points.Append(p); err != nil {
-		return 0, fmt.Errorf("pmtree: %w", err)
-	}
+	t.flat = append(t.flat, p...)
 	t.rowID = append(t.rowID, id)
 	return id, nil
 }
@@ -252,7 +258,7 @@ func (t *Tree) decodeNode(r io.Reader, numPivots int, minID int32) (*node, error
 		// run of the store. Exact-size arrays for any real leaf; the cap
 		// keeps a corrupt count × pivots product from sizing an allocation
 		// no bytes back.
-		n.first = int32(t.points.Len())
+		n.first = int32(t.Rows())
 		hint := min(int(cnt), 1<<12)
 		n.parentDist = make([]float64, 0, hint)
 		n.pivotDist = make([]float64, 0, min(hint*numPivots, 1<<16))

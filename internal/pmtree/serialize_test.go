@@ -7,6 +7,9 @@ import (
 	"testing"
 )
 
+// testIDLimit is the id bound the tests hand Read: above every id they use.
+const testIDLimit = 1 << 20
+
 func TestSerializeRoundTrip(t *testing.T) {
 	data := randData(700, 8, 51)
 	orig, err := Build(data, nil, Config{NumPivots: 4, Capacity: 8, PivotSeed: 1})
@@ -22,7 +25,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 		t.Errorf("WriteTo reported %d bytes, buffer has %d", n, buf.Len())
 	}
 
-	loaded, err := Read(&buf)
+	loaded, err := Read(&buf, testIDLimit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +83,7 @@ func TestSerializeZeroPivots(t *testing.T) {
 	if _, err := orig.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Read(&buf)
+	loaded, err := Read(&buf, testIDLimit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,21 +104,21 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 	// Bad magic.
 	bad := append([]byte(nil), raw...)
 	bad[0] = 'X'
-	if _, err := Read(bytes.NewReader(bad)); err == nil {
+	if _, err := Read(bytes.NewReader(bad), testIDLimit); err == nil {
 		t.Error("bad magic accepted")
 	}
 	// Truncated stream.
-	if _, err := Read(bytes.NewReader(raw[:len(raw)/2])); err == nil {
+	if _, err := Read(bytes.NewReader(raw[:len(raw)/2]), testIDLimit); err == nil {
 		t.Error("truncated stream accepted")
 	}
 	// Empty stream.
-	if _, err := Read(bytes.NewReader(nil)); err == nil {
+	if _, err := Read(bytes.NewReader(nil), testIDLimit); err == nil {
 		t.Error("empty stream accepted")
 	}
 	// Corrupt header count.
 	bad2 := append([]byte(nil), raw...)
 	bad2[12]++ // count field low byte
-	if _, err := Read(bytes.NewReader(bad2)); err == nil {
+	if _, err := Read(bytes.NewReader(bad2), testIDLimit); err == nil {
 		t.Error("corrupt count accepted")
 	}
 }
@@ -148,20 +151,32 @@ func TestReadIDsAndVersions(t *testing.T) {
 		return out
 	}
 	for _, id := range []int32{-1, -4} {
-		if _, err := Read(bytes.NewReader(withID(raw, id))); err == nil {
+		if _, err := Read(bytes.NewReader(withID(raw, id)), testIDLimit); err == nil {
 			t.Errorf("version 3 stream with id %d and an unchanged count accepted", id)
 		}
+	}
+
+	// The caller's id bound holds for every id: the five ids 0…4 pass a
+	// limit of 5, and a huge one is refused, not sized for.
+	if _, err := Read(bytes.NewReader(raw), 5); err != nil {
+		t.Errorf("ids below the limit refused: %v", err)
+	}
+	if _, err := Read(bytes.NewReader(raw), 4); err == nil {
+		t.Error("an id at the limit accepted")
+	}
+	if _, err := Read(bytes.NewReader(withID(raw, 1<<30)), testIDLimit); err == nil {
+		t.Error("an id beyond the limit accepted")
 	}
 
 	for _, v := range []byte{'1', '2'} {
 		old := append([]byte(nil), raw[:len(raw)-4]...) // no tail section
 		old[3] = v
-		loaded, err := Read(bytes.NewReader(old))
+		loaded, err := Read(bytes.NewReader(old), testIDLimit)
 		if err != nil {
 			t.Fatalf("version %c stream: %v", v, err)
 		}
 		requireSameTree(t, "version "+string(v)+" stream", orig, loaded)
-		if _, err := Read(bytes.NewReader(withID(old, -1))); err == nil {
+		if _, err := Read(bytes.NewReader(withID(old, -1)), testIDLimit); err == nil {
 			t.Errorf("version %c stream with id -1 accepted", v)
 		}
 	}

@@ -139,8 +139,8 @@ func hugeVec(dim int) string {
 
 // TestHugeFloatRequestsAnswer400 pins two requests that used to take a
 // shard down: the insert panicked inside the tree (500) and left the
-// shard's standby half with an orphan row, so every later insert to
-// that shard answered 500 too; the search never left its radius loop
+// shard with an orphan row, so every later insert to that shard
+// answered 500 too; the search never left its radius loop
 // and held a core until the request timed out. Both are the client's
 // error: 400, at once, with the shard writable afterwards. On the
 // durable server the rejected point also stays out of the log, so the
@@ -189,5 +189,80 @@ func TestHugeFloatRequestsAnswer400(t *testing.T) {
 	defer e2.CloseDurable()
 	if !e2.IsLive(200) || !e2.IsLive(201) || e2.Len() != 202 {
 		t.Fatalf("recovered engine: %d ids, 200 live %v, 201 live %v", e2.Len(), e2.IsLive(200), e2.IsLive(201))
+	}
+}
+
+// TestWALFaultAnswers503 pins whose fault a failed log append is: with
+// the next write to the state directory failing, insert, delete and
+// compact answer 503 — not the 400 of a bad request — and keep doing so
+// on the retry (the writer is poisoned); a malformed or wrong-dimension
+// point is still the caller's 400 meanwhile; nothing the log refused was
+// applied; and once a checkpoint has rotated the log the same insert is
+// a 200.
+func TestWALFaultAnswers503(t *testing.T) {
+	point := fmt.Sprintf(`{"p":%s}`, vecJSON(make([]float64, 6)))
+	for _, req := range []struct{ path, body string }{
+		{"/v1/insert", point},
+		{"/v1/delete", `{"id":7}`},
+		{"/v1/compact", ``},
+	} {
+		t.Run(req.path, func(t *testing.T) {
+			eng, err := core.BuildEngine(testData(200, 6, 7), core.Config{Shards: 2, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj := wal.NewInjector()
+			if err := eng.EnableDurability(inj, wal.SyncPolicy{}); err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(Config{Engine: eng, Logger: testLogger()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s.Close)
+			ts := httptest.NewServer(s.Handler())
+			t.Cleanup(ts.Close)
+
+			before := eng.Info()
+			inj.SetFailpoint(1, wal.FailErr)
+			for try := 0; try < 2; try++ {
+				code, resp := post(t, ts, req.path, req.body)
+				if msg, _ := resp["error"].(string); code != 503 || !strings.Contains(msg, "durable write failed") {
+					t.Fatalf("try %d with the log failing: %d %v, want 503 naming the durable write", try, code, resp)
+				}
+			}
+			if !inj.Tripped() {
+				t.Fatal("the failpoint never fired")
+			}
+			if after := eng.Info(); after.IDs != before.IDs || after.Live != before.Live || after.Compactions != before.Compactions {
+				t.Fatalf("a refused mutation was applied: %+v, was %+v", after, before)
+			}
+			// Validation still comes first and is still the caller's.
+			for _, bad := range []string{`{"p":[1,2,3]}`, `{"p":"x"}`, `{"p":` + hugeVec(6) + `}`} {
+				if code, resp := post(t, ts, "/v1/insert", bad); code != 400 {
+					t.Fatalf("insert %s with the log poisoned: %d %v, want 400", bad, code, resp)
+				}
+			}
+			if code, resp := post(t, ts, "/v1/delete", `{"id":100000}`); code != 400 {
+				t.Fatalf("delete of an unknown id with the log poisoned: %d %v, want 400", code, resp)
+			}
+			// The fault clears (the injector's only way to say so is Crash,
+			// which also leaves the open segment's handle stale): a sound
+			// insert now either goes through or meets the same 503 — never 400.
+			inj.Crash()
+			if code, resp := post(t, ts, "/v1/insert", point); code != 200 && code != 503 {
+				t.Fatalf("sound insert after the fault: %d %v, want 200 or 503", code, resp)
+			}
+			if err := eng.CheckpointDurable(); err != nil {
+				t.Fatal(err)
+			}
+			if code, resp := post(t, ts, "/v1/insert", point); code != 200 {
+				t.Fatalf("sound insert after the checkpoint rotated the log: %d %v", code, resp)
+			}
+			code, body := get(t, ts, "/metrics")
+			if code != 200 || !strings.Contains(string(body), `code="503"`) {
+				t.Fatalf("/metrics (%d) does not count the 503s", code)
+			}
+		})
 	}
 }

@@ -146,16 +146,21 @@ func failDecode(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
 }
 
-// failQuery maps an engine error to its status. The engine performs no
-// I/O: every error is either the request's own context expiring
-// (504), the client going away (499), or request validation (400).
-// Nothing here maps to 5xx by design — see the package comment.
+// failQuery maps an engine error to its status: the request's own
+// context expiring (504), the client going away (499), a mutation the
+// write-ahead log could not take (503 — the one error here that is the
+// server's, not the caller's: a full disk or a poisoned log must not
+// read as a bad request, to the client or to pmlsh_http_errors_total),
+// and request validation for everything else (400). Queries perform no
+// I/O and never reach the 503.
 func failQuery(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		writeJSON(w, http.StatusGatewayTimeout, errorJSON{Error: err.Error()})
 	case errors.Is(err, context.Canceled):
 		writeJSON(w, statusClientClosed, errorJSON{Error: err.Error()})
+	case errors.Is(err, core.ErrDurability):
+		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: err.Error()})
 	default:
 		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
 	}
@@ -402,8 +407,9 @@ type infoResponse struct {
 	Metric      string `json:"metric"`
 	Compactions int64  `json:"compactions"`
 	Draining    bool   `json:"draining"`
-	// TailFraction has one element per shard.
+	// TailFraction and DeadFraction have one element per shard.
 	TailFraction []float64 `json:"tail_fraction"`
+	DeadFraction []float64 `json:"dead_fraction"`
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -421,6 +427,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Draining:    s.Draining(),
 
 		TailFraction: info.TailFraction,
+		DeadFraction: info.DeadFraction,
 	})
 }
 

@@ -27,9 +27,13 @@
 // dimension, k < 1, ratio in (0,1], unknown id) are 400; oversized
 // bodies are 413; a request whose own deadline (timeout_ms) expires is
 // 504 with the context error surfaced; a client that disconnects
-// mid-request is logged as 499. The serving paths themselves do not
-// return 5xx — a 500 can only come from a handler panic, which the
-// middleware recovers, logs and counts.
+// mid-request is logged as 499. On a durable engine a mutation whose
+// record the write-ahead log cannot take — disk full, I/O error, a log
+// poisoned by an earlier one — is 503 (core.ErrDurability): the request
+// was sound and may be retried once a checkpoint has rotated the log.
+// The query paths perform no I/O and do not return 5xx; a 500 can only
+// come from a handler panic, which the middleware recovers, logs and
+// counts.
 package server
 
 import (
@@ -136,6 +140,13 @@ func New(cfg Config) (*Server, error) {
 	reg.GaugeFunc("pmlsh_compactions_total",
 		"Compact operations (explicit and automatic) since the engine was opened.",
 		func() float64 { return float64(s.eng.Info().Compactions) })
+	compactHist := reg.Histogram("pmlsh_compact_duration_seconds",
+		"Duration of each shard compaction, explicit or automatic: one bulk load, during which that shard's other mutations wait and its queries do not.",
+		obs.ExpBuckets(0.001, 2, 14))
+	s.eng.OnCompact(func(d time.Duration) { compactHist.Observe(d.Seconds()) })
+	reg.GaugeFuncVec("pmlsh_index_dead_fraction",
+		"Share of a shard's stored rows that are tombstoned (0 after build or compaction; no insert refills a dead row, and the shard compacts itself when the share reaches the auto-compact fraction).",
+		"shard", func() []float64 { return s.eng.Info().DeadFraction })
 	reg.GaugeFuncVec("pmlsh_index_tail_fraction",
 		"Share of a shard's PM-tree rows inserted since its last bulk load (0 after build or compaction; the shard compacts itself when it reaches the auto-compact fraction). Prices only small-radius queries: a k-NN search scans the projected rows and does not visit the leaves.",
 		"shard", func() []float64 { return s.eng.Info().TailFraction })
@@ -270,7 +281,7 @@ func (s *Server) registerWALMetrics(reg *obs.Registry) {
 
 // Checkpoint serializes the engine to path via a temp file + rename,
 // so a crash mid-write never clobbers the previous checkpoint. Like
-// queries, it reads pinned snapshots and does not block mutations.
+// queries, it reads published views and does not block mutations.
 func (s *Server) Checkpoint(path string) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {

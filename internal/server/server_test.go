@@ -259,12 +259,15 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 }
 
 // TestTailFractionObservable pins the distance-to-auto-compaction
-// signal end to end: /v1/info and the per-shard /metrics gauge agree,
-// start at 0, rise as inserts land in each shard's tail, and return to
-// 0 on compaction.
+// signals end to end: /v1/info and the per-shard /metrics gauges agree
+// on the tail share and the dead share, both start at 0, the one rises
+// as inserts land in each shard's tail and the other as deletes
+// tombstone rows (which no insert refills), both return to 0 on
+// compaction, and each shard's compaction is timed into the
+// pmlsh_compact_duration_seconds histogram.
 func TestTailFractionObservable(t *testing.T) {
 	_, ts, data := newTestServer(t, 2, 0)
-	observe := func() []float64 {
+	observe := func(compactions float64) (tail, dead []float64) {
 		t.Helper()
 		status, raw := get(t, ts, "/v1/info")
 		if status != 200 {
@@ -274,45 +277,63 @@ func TestTailFractionObservable(t *testing.T) {
 		if err := json.Unmarshal(raw, &info); err != nil {
 			t.Fatal(err)
 		}
-		if len(info.TailFraction) != 2 {
-			t.Fatalf("info reports %d tail fractions for 2 shards", len(info.TailFraction))
+		if len(info.TailFraction) != 2 || len(info.DeadFraction) != 2 {
+			t.Fatalf("info reports %d tail and %d dead fractions for 2 shards", len(info.TailFraction), len(info.DeadFraction))
 		}
 		_, raw = get(t, ts, "/metrics")
 		samples, err := obs.ParseText(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for shard, f := range info.TailFraction {
-			series := fmt.Sprintf(`pmlsh_index_tail_fraction{shard="%d"}`, shard)
-			if got, ok := samples[series]; !ok || got != f {
-				t.Fatalf("%s = %v (present %v), /v1/info says %v", series, got, ok, f)
+		for shard := range info.TailFraction {
+			for name, f := range map[string]float64{
+				"pmlsh_index_tail_fraction": info.TailFraction[shard],
+				"pmlsh_index_dead_fraction": info.DeadFraction[shard],
+			} {
+				series := fmt.Sprintf(`%s{shard="%d"}`, name, shard)
+				if got, ok := samples[series]; !ok || got != f {
+					t.Fatalf("%s = %v (present %v), /v1/info says %v", series, got, ok, f)
+				}
 			}
 		}
-		return info.TailFraction
+		if got := samples["pmlsh_compact_duration_seconds_count"]; got != compactions {
+			t.Fatalf("pmlsh_compact_duration_seconds_count = %v, want %v", got, compactions)
+		}
+		return info.TailFraction, info.DeadFraction
 	}
-	for shard, f := range observe() {
-		if f != 0 {
-			t.Fatalf("fresh shard %d: tail fraction %v, want 0", shard, f)
+	tail, dead := observe(0)
+	for shard := range tail {
+		if tail[shard] != 0 || dead[shard] != 0 {
+			t.Fatalf("fresh shard %d: tail fraction %v, dead fraction %v, want 0", shard, tail[shard], dead[shard])
 		}
 	}
-	for _, p := range data[:20] {
+	for i, p := range data[:20] {
 		if status, _ := post(t, ts, "/v1/insert", `{"p":`+vecJSON(p)+`}`); status != 200 {
 			t.Fatal("insert failed")
 		}
+		if i < 8 { // ids 0…7: four rows of each shard
+			if status, _ := post(t, ts, "/v1/delete", fmt.Sprintf(`{"id":%d}`, i)); status != 200 {
+				t.Fatal("delete failed")
+			}
+		}
 	}
-	// Round-robin: ten of the twenty inserts went to each shard.
-	want := 10 / float64(len(data)/2+10)
-	for shard, f := range observe() {
-		if f != want {
-			t.Fatalf("shard %d after inserts: tail fraction %v, want %v", shard, f, want)
+	// Round-robin: ten of the twenty inserts went to each shard, each into
+	// a row of its own — the four dead rows stay dead.
+	rows := float64(len(data)/2 + 10)
+	tail, dead = observe(0)
+	for shard := range tail {
+		if tail[shard] != 10/rows || dead[shard] != 4/rows {
+			t.Fatalf("shard %d after churn: tail fraction %v, dead fraction %v, want %v and %v",
+				shard, tail[shard], dead[shard], 10/rows, 4/rows)
 		}
 	}
 	if status, _ := post(t, ts, "/v1/compact", ``); status != 200 {
 		t.Fatal("compact failed")
 	}
-	for shard, f := range observe() {
-		if f != 0 {
-			t.Fatalf("compacted shard %d: tail fraction %v, want 0", shard, f)
+	tail, dead = observe(2) // one timed bulk load per shard
+	for shard := range tail {
+		if tail[shard] != 0 || dead[shard] != 0 {
+			t.Fatalf("compacted shard %d: tail fraction %v, dead fraction %v, want 0", shard, tail[shard], dead[shard])
 		}
 	}
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/vec"
 )
@@ -89,22 +90,36 @@ const pairEps = 1.0 / (1 << 40)
 // plus the per-dimension decode parameters and error slack the
 // screening kernels need. It is owned and kept in sync by the Store
 // (Append encodes the new row; SetQuantize/RestoreCodec build it).
+//
+// A Codec the Store has handed out is never edited: Append installs a
+// successor (appended) that shares the code arrays — the new row's
+// codes land past the slots the old one covers — and takes its own
+// copy of the slack arrays before widening them. A reader screens
+// against the Codec it took for as long as it likes.
 type Codec struct {
 	kind  QuantKind
 	dim   int
 	off   []float64 // QuantI8: per-dim affine offset; decode = off + scale·code
 	scale []float64 // QuantI8: per-dim affine scale
-	slack []float64 // per-dim error bound over every live row
+	slack []float64 // per-dim error bound over every row encoded under it
 	// slack2[j] is the pair-screen slack: 2·slack[j] (two encoded rows
 	// each contribute slack[j] of error), plus scale[j]·pairEps for
 	// QuantI8 (see pairEps).
 	slack2 []float64
 	f32    []float32 // QuantF32 codes, Len()·dim
 	i8     []int8    // QuantI8 codes, Len()·dim
+	// sharedSlack: slack and slack2 are a predecessor's arrays, to be
+	// copied before raiseSlack writes to them.
+	sharedSlack bool
 }
 
-// Kind returns the codec's quantization kind.
-func (c *Codec) Kind() QuantKind { return c.kind }
+// Kind returns the codec's quantization kind: QuantNone for no codec.
+func (c *Codec) Kind() QuantKind {
+	if c == nil {
+		return QuantNone
+	}
+	return c.kind
+}
 
 // Params returns the per-dimension decode offsets and scales (nil for
 // QuantF32) and the error slack. Read-only; the serialization layer
@@ -121,14 +136,21 @@ func (c *Codec) ensureSlots(n int) {
 	want := n * c.dim
 	switch c.kind {
 	case QuantF32:
-		for len(c.f32) < want {
-			c.f32 = append(c.f32, 0)
-		}
+		c.f32 = append(c.f32, make([]float32, max(0, want-len(c.f32)))...)
 	case QuantI8:
-		for len(c.i8) < want {
-			c.i8 = append(c.i8, 0)
-		}
+		c.i8 = append(c.i8, make([]int8, max(0, want-len(c.i8)))...)
 	}
+}
+
+// appended returns the codec that covers one more slot, holding row's
+// codes, and leaves c as it is (see Codec).
+func (c *Codec) appended(row []float64) *Codec {
+	n := *c
+	n.sharedSlack = true
+	slot := (len(c.f32) + len(c.i8)) / c.dim
+	n.ensureSlots(slot + 1)
+	n.encode(slot, row, true)
+	return &n
 }
 
 // encode writes slot's codes from row. When updateSlack is set the
@@ -179,6 +201,10 @@ func (c *Codec) encode(slot int, row []float64, updateSlack bool) {
 func (c *Codec) raiseSlack(j int, e float64) {
 	e *= slackInflate
 	if e > c.slack[j] || math.IsNaN(e) {
+		if c.sharedSlack {
+			c.slack, c.slack2 = slices.Clone(c.slack), slices.Clone(c.slack2)
+			c.sharedSlack = false
+		}
 		c.slack[j] = e
 		c.slack2[j] = c.pairSlack(j, e)
 	}
@@ -229,31 +255,21 @@ func (c *Codec) PairLowerBound(r1, r2 int, bound float64) float64 {
 
 // Quantize returns the kind of the store's codec (QuantNone when no
 // codec is maintained).
-func (s *Store) Quantize() QuantKind {
-	if s.codec == nil {
-		return QuantNone
-	}
-	return s.codec.kind
-}
+func (s *Store) Quantize() QuantKind { return s.codec.Kind() }
 
-// Codec returns the store's quantized sidecar, nil when none is
-// maintained. Safe for concurrent readers under the same discipline as
-// Row (no overlap with Append/Delete).
-func (s *Store) Codec() *Codec {
-	if s.codec == nil || s.codec.kind == QuantNone {
-		return nil
-	}
-	return s.codec
-}
+// Codec returns the store's quantized sidecar as it stands, nil when
+// none is maintained. What it returns never changes (see Codec): it
+// covers the rows appended so far.
+func (s *Store) Codec() *Codec { return s.codec }
 
 // SetQuantize builds (or drops, for QuantNone) the quantized sidecar.
 // For QuantI8 the per-dimension affine parameters are fitted to the
 // min/max range of the rows live NOW — rows appended later are clamped
 // into that range and widen the error slack instead (correct but
 // looser), so callers should quantize after loading the bulk of the
-// data, and Compact rebuilds the codec to refit. Every slot (live or
-// dead) is encoded so slot recycling stays trivial; slack only
-// reflects live rows.
+// data, and Compact rebuilds the codec to refit. Every row (live or
+// dead) is encoded; slack only reflects live rows. The codec is built
+// afresh: one handed out earlier stays what it was.
 func (s *Store) SetQuantize(kind QuantKind) {
 	if kind == QuantNone {
 		s.codec = nil
@@ -359,9 +375,8 @@ func (s *Store) fitAffine(c *Codec) {
 	}
 }
 
-// encodeAll encodes every slot, measuring slack over live rows only
-// (dead slots hold stale values that are never screened; their slots
-// re-encode on recycling).
+// encodeAll encodes every row, measuring slack over live rows only
+// (dead rows are never screened).
 func (s *Store) encodeAll(c *Codec) {
 	n := s.Len()
 	c.ensureSlots(n)

@@ -104,7 +104,7 @@ func TestCodecSoundness(t *testing.T) {
 	}
 }
 
-// TestCodecSoundnessUnderChurn: deletes, recycled appends, and
+// TestCodecSoundnessUnderChurn: deletes, appends, and
 // appends OUTSIDE the fitted i8 range (clamped codes, widened slack)
 // must all keep the bound sound.
 func TestCodecSoundnessUnderChurn(t *testing.T) {
@@ -197,7 +197,7 @@ func TestCodecRestoreRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s2.RestoreFreeList(append([]int32(nil), s.FreeList()...)); err != nil {
+			if err := s2.RestoreDeadRows(append([]int32(nil), s.DeadRows()...)); err != nil {
 				t.Fatal(err)
 			}
 			if err := s2.RestoreCodec(kind,
@@ -303,5 +303,49 @@ func TestCodecAccessors(t *testing.T) {
 	s.SetQuantize(QuantNone)
 	if s.Codec() != nil {
 		t.Fatal("SetQuantize(none) must drop the codec")
+	}
+}
+
+// TestCodecHandedOutIsNeverEdited: what Codec returned before an Append
+// keeps its slack and covers its own slots for good — an Append whose
+// row lies outside the fitted range widens a copy — so a reader may
+// screen against it while the store grows.
+func TestCodecHandedOutIsNeverEdited(t *testing.T) {
+	for _, kind := range []QuantKind{QuantF32, QuantI8} {
+		t.Run(kind.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(805))
+			s := randStore(t, rng, 60, 5, 2)
+			s.SetQuantize(kind)
+			held := s.Codec()
+			_, _, slack := held.Params()
+			slackWas := append([]float64(nil), slack...)
+			bytesWas := held.MemoryBytes()
+			q := []float64{1, -1, 0.5, 0, 2}
+			boundWas := held.QueryLowerBound(q, 17, math.Inf(1))
+
+			if _, err := s.Append([]float64{1e6, -1e6, 3e5, 1e-9, 7e6}); err != nil {
+				t.Fatal(err)
+			}
+			_, _, slack = held.Params()
+			for j := range slack {
+				if slack[j] != slackWas[j] {
+					t.Fatalf("dim %d: the held codec's slack went from %v to %v", j, slackWas[j], slack[j])
+				}
+			}
+			if held.MemoryBytes() != bytesWas || held.QueryLowerBound(q, 17, math.Inf(1)) != boundWas {
+				t.Fatal("the held codec changed under an Append")
+			}
+			now := s.Codec()
+			if now == held || now.MemoryBytes() <= bytesWas {
+				t.Fatal("Append did not install a successor codec covering the new row")
+			}
+			if kind == QuantI8 { // clamped codes: the successor's slack had to widen
+				_, _, wide := now.Params()
+				if !(wide[0] > slackWas[0]) {
+					t.Fatalf("the successor's slack %v did not widen past %v", wide[0], slackWas[0])
+				}
+			}
+			checkCodecSound(t, s, rng, 4)
+		})
 	}
 }

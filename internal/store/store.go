@@ -7,33 +7,32 @@
 // instead of chasing one pointer per point, and batch kernels
 // (vec.SquaredL2ToMany) can stream the buffer directly.
 //
-// Rows are mutable through a slot lifecycle: Append writes a row (new
-// or recycled), Delete tombstones one. A deleted row's slot joins a
-// free list and is reused — overwritten in place — by a later Append,
-// so heavy insert/delete churn does not grow the buffer. Len counts
-// slots (live and dead); Live counts live rows.
+// A store only grows. Append writes a new row behind the last one and
+// never touches an existing row; Delete tombstones a row where it lies
+// and lists it among the dead rows — nothing refills it, the layer
+// above repacks the live rows into a fresh store when the dead share is
+// worth it. Len counts rows (live and dead); Live counts live rows.
 //
-// Row returns a zero-copy view into the backing buffer; because Append
-// may grow (and therefore reallocate) the buffer, or overwrite a
-// recycled slot, callers must not hold views across mutations —
-// long-lived references should store row indices and re-resolve views.
-//
-// A Store is safe for concurrent readers. Append and Delete are
-// single-writer and must not overlap reads; the index layers built on
-// top coordinate this with their own reader/writer lock.
+// So one writer can extend a store beside any number of readers without
+// a lock: what a reader took before an Append — the Flat buffer, the
+// DeadRows list, the Codec — is never rewritten (a write lands past the
+// length it saw, a growth reallocation leaves it the old array, a Codec
+// is replaced, never edited). The Store value itself — its lengths,
+// IsLive's marks — is the writer's: Append, Delete and SetQuantize are
+// single-writer, and readers use what the layer above published.
 package store
 
 import "fmt"
 
 // Store is a dense matrix of n rows × dim columns in one flat buffer,
-// with a tombstone set and a free list for deleted slots, and an
-// optional quantized sidecar (see quantize.go) kept in sync by Append.
+// with the tombstoned rows marked and listed, and an optional quantized
+// sidecar (see quantize.go) kept in sync by Append.
 type Store struct {
-	dim   int
-	buf   []float64 // len(buf) == n*dim at all times
-	dead  []bool    // dead[i] marks slot i tombstoned; nil while no deletes
-	free  []int32   // stack of dead slots, reused LIFO by Append
-	codec *Codec    // quantized sidecar, nil unless SetQuantize/RestoreCodec
+	dim      int
+	buf      []float64 // len(buf) == n*dim at all times
+	dead     []bool    // dead[i] marks row i tombstoned; nil while no deletes
+	deadRows []int32   // the tombstoned rows, in the order Delete took them
+	codec    *Codec    // quantized sidecar, nil unless SetQuantize/RestoreCodec
 }
 
 // New creates an empty store for rows of the given dimensionality.
@@ -76,22 +75,22 @@ func FromFlat(flat []float64, dim int) (*Store, error) {
 	return &Store{dim: dim, buf: flat}, nil
 }
 
-// Len returns the number of slots (live rows plus tombstoned ones).
+// Len returns the number of rows (live plus tombstoned).
 func (s *Store) Len() int { return len(s.buf) / s.dim }
 
 // Live returns the number of live (non-tombstoned) rows.
-func (s *Store) Live() int { return s.Len() - len(s.free) }
+func (s *Store) Live() int { return s.Len() - len(s.deadRows) }
 
-// DeadFraction returns the tombstoned share of all slots (0 when the
+// DeadFraction returns the tombstoned share of all rows (0 when the
 // store is empty).
 func (s *Store) DeadFraction() float64 {
 	if n := s.Len(); n > 0 {
-		return float64(len(s.free)) / float64(n)
+		return float64(len(s.deadRows)) / float64(n)
 	}
 	return 0
 }
 
-// IsLive reports whether slot i holds a live row.
+// IsLive reports whether row i exists and is not tombstoned.
 func (s *Store) IsLive(i int) bool {
 	if i < 0 || i >= s.Len() {
 		return false
@@ -102,79 +101,63 @@ func (s *Store) IsLive(i int) bool {
 // Dim returns the row dimensionality.
 func (s *Store) Dim() int { return s.dim }
 
-// Row returns a zero-copy view of row i. The view is valid until the
-// next Append or Delete; see the package comment.
+// Row returns a zero-copy view of row i. A row's values never change
+// once written; the view stays valid whatever is appended afterwards.
 func (s *Store) Row(i int) []float64 {
 	off := i * s.dim
 	return s.buf[off : off+s.dim : off+s.dim]
 }
 
 // Flat returns the backing buffer (len = Len()*Dim()). Read-only.
-// Tombstoned slots keep their last values.
+// Tombstoned rows keep their values.
 func (s *Store) Flat() []float64 { return s.buf }
 
-// Append stores p as a row and returns its slot index: the most
-// recently deleted slot when the free list is non-empty (the row is
-// overwritten in place), a fresh slot at the end otherwise.
+// Append stores p as a new row behind the last one and returns its
+// index. No existing row is written.
 func (s *Store) Append(p []float64) (int32, error) {
 	if len(p) != s.dim {
 		return 0, fmt.Errorf("store: row has dimension %d, store expects %d", len(p), s.dim)
 	}
-	if n := len(s.free); n > 0 {
-		id := s.free[n-1]
-		s.free = s.free[:n-1]
-		s.dead[id] = false
-		copy(s.Row(int(id)), p)
-		if s.codec != nil {
-			s.codec.encode(int(id), p, true)
-		}
-		return id, nil
-	}
-	id := int32(s.Len())
+	row := int32(s.Len())
 	s.buf = append(s.buf, p...)
 	if s.codec != nil {
-		s.codec.ensureSlots(int(id) + 1)
-		s.codec.encode(int(id), p, true)
+		s.codec = s.codec.appended(p)
 	}
-	return id, nil
+	return row, nil
 }
 
-// Delete tombstones row i and pushes its slot onto the free list. The
-// row's values remain readable (stale) until the slot is recycled.
+// Delete tombstones row i and adds it to the dead rows. The row's
+// values stay readable.
 func (s *Store) Delete(i int) error {
 	if i < 0 || i >= s.Len() {
 		return fmt.Errorf("store: Delete of row %d outside [0,%d)", i, s.Len())
 	}
-	if s.dead == nil {
-		s.dead = make([]bool, s.Len())
-	} else if len(s.dead) < s.Len() {
-		grown := make([]bool, s.Len())
-		copy(grown, s.dead)
-		s.dead = grown
+	if n := s.Len() - len(s.dead); n > 0 {
+		s.dead = append(s.dead, make([]bool, n)...)
 	}
 	if s.dead[i] {
 		return fmt.Errorf("store: row %d already deleted", i)
 	}
 	s.dead[i] = true
-	s.free = append(s.free, int32(i))
+	s.deadRows = append(s.deadRows, int32(i))
 	return nil
 }
 
-// FreeList returns the dead slots in push order (the last element is
-// the next slot Append recycles). Read-only; used by serialization so
-// a loaded store recycles slots in the same order as the saved one.
-func (s *Store) FreeList() []int32 { return s.free }
+// DeadRows returns the tombstoned rows in the order Delete took them.
+// Read-only, and append-only like the rows: a caller keeps a consistent
+// list whatever is deleted afterwards. Serialization writes it so a
+// loaded store has the same rows dead.
+func (s *Store) DeadRows() []int32 { return s.deadRows }
 
-// RestoreFreeList replays a free list onto a store with no deletions
-// yet — the serialization loader's path to reconstruct tombstone state.
-// Slots are deleted in the given order, so subsequent Appends recycle
-// exactly as the saved store would have.
-func (s *Store) RestoreFreeList(free []int32) error {
-	if len(s.free) != 0 {
-		return fmt.Errorf("store: RestoreFreeList on a store with %d deletions", len(s.free))
+// RestoreDeadRows tombstones the given rows of a store with no
+// deletions yet — the serialization loader's path to reconstruct
+// tombstone state. Out-of-range and repeated rows are refused.
+func (s *Store) RestoreDeadRows(rows []int32) error {
+	if len(s.deadRows) != 0 {
+		return fmt.Errorf("store: RestoreDeadRows on a store with %d deletions", len(s.deadRows))
 	}
-	for _, slot := range free {
-		if err := s.Delete(int(slot)); err != nil {
+	for _, row := range rows {
+		if err := s.Delete(int(row)); err != nil {
 			return err
 		}
 	}
@@ -182,9 +165,8 @@ func (s *Store) RestoreFreeList(free []int32) error {
 }
 
 // Rows materializes a [][]float64 of zero-copy row views over every
-// slot, live or dead (for compatibility with APIs that take slices of
-// rows). The views share the backing buffer; do not mutate them, and
-// do not hold the result across Appends or Deletes.
+// row, live or dead (for compatibility with APIs that take slices of
+// rows). The views share the backing buffer; do not mutate them.
 func (s *Store) Rows() [][]float64 {
 	out := make([][]float64, s.Len())
 	for i := range out {

@@ -128,6 +128,10 @@ func TestRows(t *testing.T) {
 	}
 }
 
+// TestDeleteAndReuse: a tombstoned row is listed and skipped, and — the
+// reuse there once was — nothing is ever written over it: every Append
+// lands behind the last row, so what a reader took of the buffer before
+// stays what it was.
 func TestDeleteAndReuse(t *testing.T) {
 	s, _ := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}})
 	if s.Live() != 4 || s.DeadFraction() != 0 {
@@ -152,26 +156,24 @@ func TestDeleteAndReuse(t *testing.T) {
 	if err := s.Delete(-1); err == nil || s.Delete(4) == nil {
 		t.Fatal("out-of-range delete accepted")
 	}
-	// Append recycles the most recently deleted slot first (LIFO).
-	id, err := s.Append([]float64{30, 30})
-	if err != nil {
-		t.Fatal(err)
+	before, dead := s.Flat(), s.DeadRows()
+	for i, want := range []int32{4, 5} {
+		id, err := s.Append([]float64{30 + float64(i), 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != want {
+			t.Fatalf("append %d landed in row %d, want %d", i, id, want)
+		}
 	}
-	if id != 3 {
-		t.Fatalf("recycled slot %d, want 3", id)
+	if s.IsLive(1) || s.IsLive(3) || s.Row(1)[0] != 2 || s.Row(3)[0] != 4 {
+		t.Fatalf("a tombstoned row changed: %v %v", s.Row(1), s.Row(3))
 	}
-	if !s.IsLive(3) || s.Row(3)[0] != 30 {
-		t.Fatalf("recycled row not overwritten: %v", s.Row(3))
+	if len(before) != 8 || before[2] != 2 || before[6] != 4 || len(dead) != 2 || dead[0] != 1 || dead[1] != 3 {
+		t.Fatalf("what a reader held changed: rows %v, dead %v", before, dead)
 	}
-	if id, _ = s.Append([]float64{10, 10}); id != 1 {
-		t.Fatalf("second recycle got slot %d, want 1", id)
-	}
-	// Free list exhausted: appends grow again.
-	if id, _ = s.Append([]float64{5, 5}); id != 4 {
-		t.Fatalf("post-recycle append got slot %d, want 4", id)
-	}
-	if s.Len() != 5 || s.Live() != 5 {
-		t.Fatalf("final shape: len=%d live=%d", s.Len(), s.Live())
+	if s.Len() != 6 || s.Live() != 4 || len(s.DeadRows()) != 2 {
+		t.Fatalf("final shape: len=%d live=%d dead=%v", s.Len(), s.Live(), s.DeadRows())
 	}
 }
 
@@ -182,11 +184,8 @@ func TestIsLiveAfterGrowth(t *testing.T) {
 	if err := s.Delete(0); err != nil {
 		t.Fatal(err)
 	}
-	if id, _ := s.Append([]float64{3}); id != 0 {
-		t.Fatal("expected slot 0 recycled")
-	}
-	if id, _ := s.Append([]float64{4}); id != 2 {
-		t.Fatal("expected growth to slot 2")
+	if id, _ := s.Append([]float64{3}); id != 2 {
+		t.Fatal("expected growth to row 2")
 	}
 	if !s.IsLive(2) {
 		t.Fatal("grown row reads as dead")
@@ -194,35 +193,38 @@ func TestIsLiveAfterGrowth(t *testing.T) {
 	if err := s.Delete(2); err != nil {
 		t.Fatal(err)
 	}
-	if s.IsLive(2) || !s.IsLive(0) || !s.IsLive(1) {
+	if s.IsLive(2) || s.IsLive(0) || !s.IsLive(1) {
 		t.Fatal("liveness wrong after growth + delete")
 	}
 }
 
 func TestRestoreFreeList(t *testing.T) {
 	s, _ := FromRows([][]float64{{1}, {2}, {3}})
-	if err := s.RestoreFreeList([]int32{2, 0}); err != nil {
+	if err := s.RestoreDeadRows([]int32{2, 0}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Live() != 1 || s.IsLive(0) || s.IsLive(2) {
 		t.Fatal("restored tombstones wrong")
 	}
-	// Recycle order must match the restored push order (0 pops first).
-	if id, _ := s.Append([]float64{9}); id != 0 {
-		t.Fatal("restored free list pops in wrong order")
+	// The list comes back in the order it was given, and stays dead.
+	if d := s.DeadRows(); len(d) != 2 || d[0] != 2 || d[1] != 0 {
+		t.Fatalf("restored dead rows %v, want [2 0]", d)
+	}
+	if id, _ := s.Append([]float64{9}); id != 3 {
+		t.Fatal("an append refilled a restored dead row")
 	}
 	// Invalid restores fail: duplicate slot, out of range, non-fresh.
 	s2, _ := FromRows([][]float64{{1}, {2}})
-	if err := s2.RestoreFreeList([]int32{1, 1}); err == nil {
+	if err := s2.RestoreDeadRows([]int32{1, 1}); err == nil {
 		t.Fatal("duplicate slot accepted")
 	}
 	s3, _ := FromRows([][]float64{{1}})
-	if err := s3.RestoreFreeList([]int32{5}); err == nil {
+	if err := s3.RestoreDeadRows([]int32{5}); err == nil {
 		t.Fatal("out-of-range slot accepted")
 	}
 	s4, _ := FromRows([][]float64{{1}, {2}})
 	_ = s4.Delete(0)
-	if err := s4.RestoreFreeList([]int32{1}); err == nil {
+	if err := s4.RestoreDeadRows([]int32{1}); err == nil {
 		t.Fatal("restore onto a mutated store accepted")
 	}
 }

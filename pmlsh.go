@@ -114,17 +114,20 @@ type Config struct {
 	// itself: a Delete triggers a Compact when the deleted share of the
 	// vector store reaches it, an Insert when the points inserted since
 	// the last compaction reach that share of the projected-space tree's
-	// rows (Info().TailFraction). 0 = 0.3; negative disables
+	// rows (Info().TailFraction). The deleted share counts every row
+	// deleted since the last compaction — no Insert refills one — so
+	// under insert/delete churn it rises alongside the inserted share
+	// instead of staying near zero. 0 = 0.3; negative disables
 	// auto-compaction; values above 1 are rejected; the AutoCompactAlways
 	// sentinel compacts on every tombstone. With Shards > 1 the fraction
 	// applies per shard.
 	AutoCompactFraction float64
 	// Shards splits the index into N independent shards with ids
 	// striped across them (0 and 1 both mean a single shard, which is
-	// element-wise identical to earlier single-shard builds). With
-	// N > 1 queries read atomically published per-shard snapshots and
-	// never wait on a mutation — at the cost of one extra full replica
-	// of the dataset per shard (the engine holds 2× the data). See the
+	// element-wise identical to earlier single-shard builds). Queries
+	// never wait on a mutation at any N, and the index holds one copy of
+	// the data at any N; N > 1 lets mutations of different shards run
+	// concurrently and makes each compaction an N-th the size. See the
 	// package documentation for guidance on picking N.
 	Shards int
 	// Quantize attaches a scalar-quantized copy of the dataset (QuantF32
@@ -160,11 +163,12 @@ type Config struct {
 // (ratio, confidence width, result filter, budget, statistics sink).
 //
 // Every method is safe for concurrent use, and reads are snapshot
-// isolated: a query pins an atomically published snapshot of each
-// shard, so queries never wait on Insert, Delete or Compact and never
-// wait on each other. A query always observes a consistent state and
-// never returns a deleted point. Mutations serialize per shard; with
-// Config.Shards > 1, mutations to different shards run concurrently.
+// isolated: a query loads the immutable view each shard has published,
+// so queries never wait on Insert, Delete or Compact and never wait on
+// each other. A query observes one consistent state from start to end
+// and never returns a point deleted before it began. Mutations
+// serialize per shard; with Config.Shards > 1, mutations to different
+// shards run concurrently.
 //
 // Ids are stable: Insert assigns them from a monotone counter and they
 // are never reused or remapped — not by Delete, not by Compact — so an
@@ -232,8 +236,8 @@ func coreConfig(cfg Config) core.Config {
 func (x *Index) Insert(p []float64) (int32, error) { return x.ix.Insert(p) }
 
 // Delete removes the point with the given id. The id is retired
-// forever; the point's storage row is tombstoned and recycled by a
-// later Insert. When the tombstoned share of the store reaches
+// forever; the point's storage row is tombstoned until the next
+// compaction drops it. When the tombstoned share of the store reaches
 // Config.AutoCompactFraction, Delete compacts the index before
 // returning. Deleting an unknown or already-deleted id is an error.
 // Delete may run concurrently with queries and other mutations.
@@ -255,9 +259,9 @@ func (x *Index) Quantize() QuantKind { return x.ix.Quantize() }
 // repacked (dropping tombstones), the projected-space tree is bulk
 // loaded from scratch — restoring the tight covering regions that
 // deletions loosen — and the query-radius distance sample is
-// refreshed. Ids are preserved. Compact rebuilds shard by shard and
-// swaps each rebuilt snapshot in atomically, so queries keep answering
-// throughout; only mutations to the shard being rebuilt wait.
+// redrawn. Ids are preserved. Compact rebuilds shard by shard and
+// publishes each rebuilt shard with one atomic store, so queries keep
+// answering throughout; only mutations to the shard being rebuilt wait.
 func (x *Index) Compact() error { return x.ix.Compact() }
 
 // Len returns the size of the id space: the number of ids ever
@@ -318,8 +322,8 @@ type Info struct {
 }
 
 // Info returns one consistent snapshot of the index's observable
-// state. All fields are read from a single pinned snapshot of every
-// shard, so they are mutually consistent (Live ≤ IDs, Dead ≤ IDs−Live)
+// state. Each shard's figures are read from one published view, so they
+// are mutually consistent (Live ≤ IDs, Dead ≤ IDs−Live)
 // even while mutations run — unlike an ad-hoc sequence of Len /
 // LiveLen / Quantize calls, between which a mutator can land.
 func (x *Index) Info() Info {
@@ -348,10 +352,10 @@ func (x *Index) DeriveParams(c float64) (Params, error) {
 // WriteTo serializes the index (projection, tree structure, dataset
 // with tombstones, id map, distance sample; with Shards > 1 the shard
 // layout too) to w in a little-endian binary format. A loaded index
-// answers queries identically to the saved one, holds the same live
-// set and retired ids, and recycles storage slots in the same order.
-// Like queries, WriteTo reads pinned snapshots — it neither waits on
-// concurrent mutations nor makes them wait. A single-shard index
+// answers queries identically to the saved one and holds the same live
+// set, retired ids and dead rows. Like queries, WriteTo reads published
+// views — it neither waits on concurrent mutations nor makes them
+// wait. A single-shard index
 // writes exactly the pre-sharding stream format.
 func (x *Index) WriteTo(w io.Writer) (int64, error) { return x.ix.WriteTo(w) }
 

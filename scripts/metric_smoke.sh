@@ -53,7 +53,7 @@ done
 
 curl -sf "$base/v1/info" | grep -q '"metric":"cosine"'
 curl -sf "$base/metrics" | grep 'pmlsh_index_metric'
-curl -sf "$base/metrics" | grep -q 'pmlsh_index_metric{metric="cosine"} 1'
+curl -sf "$base/metrics" | grep 'pmlsh_index_metric{metric="cosine"} 1' >/dev/null # not -q: see serve_smoke.sh
 
 echo "== cosine: metric-matched recall oracle ($rate/s for $duration)"
 "$work/pmlshload" -url "$base" -data "$work/data.f64" \

@@ -59,7 +59,9 @@ echo "== load burst ($rate/s for $duration)"
 
 echo "== metrics account for traffic"
 curl -sf "$base/metrics" | grep -E 'pmlsh_http_requests_total\{route="/v1/search"' | head -3
-curl -sf "$base/metrics" | grep -q 'pmlsh_index_live_points'
+# not grep -q: it exits at the match, and curl then fails the pipeline
+# writing the rest of a page longer than one pipe write
+curl -sf "$base/metrics" | grep 'pmlsh_index_live_points' >/dev/null
 
 echo "== graceful drain"
 kill -TERM "$server_pid"

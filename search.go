@@ -8,7 +8,7 @@ import (
 
 // This file is the unified per-query request API. One options-driven
 // entry point per query family — Search (point ANN), SearchBatch
-// (many point queries under one lock), SearchPairs (closest pairs),
+// (many point queries over one state), SearchPairs (closest pairs),
 // SearchBall (ball cover): every per-query knob the paper
 // parameterizes per query (the ratio c, the confidence-interval width
 // α1 behind Eq. 10's T and β), plus result filtering, verification
@@ -118,8 +118,8 @@ func (x *Index) Search(ctx context.Context, q []float64, k int, opts ...SearchOp
 // SearchBatch answers many (c,k)-ANN requests under one options value,
 // fanning them across a worker pool of up to GOMAXPROCS goroutines.
 // out[i] holds the neighbors of qs[i], identical to Search per query —
-// only the scheduling differs. The batch pins one snapshot of every
-// shard up front, so all its queries observe the same index state, and
+// only the scheduling differs. The batch loads every shard's view once
+// up front, so all its queries observe the same index state, and
 // mutations neither wait for the batch nor make it wait. Cancellation
 // is checked between work items and between each query's expansion
 // rounds; a canceled batch returns ctx.Err(). Otherwise the first
