@@ -227,8 +227,8 @@ func BenchmarkIndexBuild(b *testing.B) {
 // BenchmarkQueryK50 is the headline microbenchmark: one (1.5,50)-ANN
 // query at the paper's defaults. Besides the ns/B/allocs triple it
 // reports pdc/op, the mean projected-space distance computations per
-// query (QueryStats.ProjectedDistComps) — the counter the resumable
-// enumerator exists to shrink.
+// query (QueryStats.ProjectedDistComps): the tree's row count for a
+// query that scans.
 func BenchmarkQueryK50(b *testing.B) {
 	w := workload(b)
 	ix, err := Build(w.Dataset.Points, Config{Seed: 5})

@@ -191,33 +191,35 @@
 // # Query engine
 //
 // Algorithm 2 of the paper probes candidates with projected range
-// queries of geometrically growing radius (r ← c·r). The engine runs
-// that loop on a resumable range-expansion frontier: the first round
-// expands a frontier over the projected tree to the initial radius,
-// freezing every subtree and leaf entry whose lower bound exceeds it,
-// and every later round thaws exactly the frontier entries that
-// entered the enlarged radius. No round re-descends from the root or
-// re-materializes previously seen candidates — each projected point
-// (and each routing-object distance) is visited once per query, not
-// once per round. Nor is a round's delta sorted: Algorithm 2 verifies a
-// candidate set of at most βn+k points, so the enumerator selects the
-// round's nearest points up to the budget by buckets of projected
-// distance. Per-query state is pooled, so a steady-state Search call
-// allocates only its k-result output slice and option closures.
-// Answers are element-wise identical to the round-restarting
-// formulation (the equivalence suite pins this); only the work shrinks.
+// queries of geometrically growing radius (r ← c·r). A Search is four
+// steps: project the query; one flat pass that computes every projected
+// row's squared distance over the PM-tree's contiguous buffer and keeps
+// the array, so that a later round is a threshold over it and each
+// projected point is evaluated once per query, not once per round;
+// select — Algorithm 2 verifies a candidate set of at most βn+k points,
+// so the round's nearest points up to the budget are taken by buckets of
+// projected distance and nothing is sorted; verify the selected rows
+// against the original vectors four at a time. Per-query state is
+// pooled, so a steady-state Search call allocates only its k-result
+// output slice and option closures. Answers are element-wise identical
+// to the round-restarting formulation (the equivalence suite pins this);
+// only the work shrinks.
 //
-// The PM-tree enumerator resolves a radius in one of two ways. A tree
-// prunes while the query ball meets few leaves; Algorithm 2's first
-// radius is sized to hold βn+k points, and a ball that size meets
-// nearly every leaf. From a switch radius the tree reads off its own
-// geometry (a quarter of its median leaf covering radius — not a
-// setting) the enumerator instead computes every projected row's
-// distance in one pass over the contiguous buffer; the traversal keeps
-// the radii under it (SearchBall and SearchPairs at near-duplicate
-// radii). Answers do not depend on the path; ProjectedDistComps does:
-// a query that scanned reads the projected store's row count. See
-// README.md ("Performance").
+// The PM-tree itself is walked at most once per query, and by a k-NN
+// query not at all. A tree prunes while the query ball meets few
+// leaves; Algorithm 2's first radius is sized to hold βn+k points, and
+// a ball that size meets nearly every leaf. Only a query whose first
+// radius is under a switch radius the tree reads off its own geometry
+// (a quarter of its median leaf covering radius — not a setting)
+// traverses: SearchBall and SearchPairs at near-duplicate radii. The
+// traversal keeps nothing of what it prunes; a query that needs a
+// second round takes the flat pass from there. "Within r" is defined
+// by the flat pass — sqrt(d²) ≤ r on the kernel's squared distance —
+// and the traversal is an accelerator tested against it, so answers do
+// not depend on the path; ProjectedDistComps does: a query that scanned
+// from its first round reads the projected store's row count, one that
+// traversed first and needed a second round that traversal plus the
+// row count. See README.md ("Performance").
 //
 // # Distance kernels and quantized screening
 //

@@ -31,8 +31,7 @@ const (
 // "the identical Algorithm 2" over two trees: same projection, same
 // radii, hence the same candidate sets, and whatever separates the two
 // is the tree. The serving engine (core.Index.Search) answers the same
-// way from a resumable enumerator that scans where the tree cannot
-// prune; this loop is the evaluation's, not the service's.
+// way from an enumerator that scans where the tree cannot prune; this loop is the evaluation's, not the service's.
 type algorithm2 struct {
 	name   string
 	c      float64

@@ -189,11 +189,16 @@ type QueryStats struct {
 	// Config.Quantize. Screened ≤ Verified.
 	Screened int
 	// ProjectedDistComps is the number of projected-space metric
-	// evaluations inside the PM-tree: the distances a traversal pays,
-	// and every row of the tree's projected store, rows Delete has marked
-	// dead included, once the enumeration scans (a Search at the default
-	// budget does from its first round). The enumerator counts its own
-	// evaluations, so the count is exact however many queries overlap.
+	// evaluations inside the PM-tree: every row of the tree's projected
+	// store, rows Delete has marked dead included, once the enumeration
+	// scans (a Search at the default budget does from its first round),
+	// plus, for a query whose first radius is under the tree's scan
+	// switch, what that round's one traversal paid — pivots, routing
+	// objects, unpruned leaf entries, the tail. A projected point is
+	// "within r" when sqrt(d²) ≤ r on the scan kernel's squared distance;
+	// the traversal is an accelerator tested against that. The enumerator
+	// counts its own evaluations, so the count is exact however many
+	// queries overlap.
 	ProjectedDistComps int64
 	// FinalRadius is the original-space radius r when the query
 	// terminated.
@@ -336,8 +341,9 @@ func (ix *Index) publish(rowOf []int32, distCDF []float64, compactions int64) {
 }
 
 // queryScratch holds one query's reusable state: the projected query
-// buffer, the resumable range enumerator, the current round's selected
-// ids and the verifier's block. Everything is reused across queries; no
+// buffer, the range enumerator (the projected rows' squared distances
+// and the round's delta), the current round's selected ids and the
+// verifier's block. Everything is reused across queries; no
 // per-point marks are needed because the enumerator hands out each
 // point at most once per query.
 type queryScratch struct {

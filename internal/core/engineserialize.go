@@ -18,8 +18,8 @@ import (
 //
 // A 1-shard engine writes a plain single-index stream with no
 // container at all, so Engine serialization at the default shard count
-// is byte-identical to Index.WriteTo, and anything written by earlier
-// versions (PLS1–PLS4) loads as a 1-shard engine.
+// is byte-identical to Index.WriteTo, and a PLS4 stream loads as a
+// 1-shard engine (PLS1–PLS3 are refused by name).
 var pls5Magic = [4]byte{'P', 'L', 'S', '5'}
 
 // WriteTo serializes the engine. The snapshot is consistent per shard

@@ -159,16 +159,20 @@ func (ix *Index) finishDist(d2, qscale float64) float64 {
 // candidate budget is exhausted, or every live point has been
 // enumerated.
 //
-// The radius-enlarging loop runs on a resumable range enumerator that
-// hands out each projected point at most once per query: a round is
-// one Nearest call, which raises the projected radius to t·r and
-// selects, from the points that newly entered it, the admitted ones
-// nearest in the projected space up to what is left of the budget —
-// bare ids, nearer buckets first, nothing sorted. That is the set the
-// old restart loop verified (its sorted, deduplicated range results cut
-// at the budget), and the answer depends on the set alone: the top-k
-// ranks by (distance, id) whatever the verification order, which
-// TestStreamingMatchesRestartLoopReference pins.
+// A query is: project → one flat pass over the projected rows (or, when
+// the first radius is under the tree's scan switch, one traversal) →
+// select βn+k by buckets → verify four at a time. The radius-enlarging
+// loop runs on a range enumerator that hands out each projected point
+// at most once per query and carries only its previous radius between
+// rounds: a round is one Nearest call, which raises the projected
+// radius to t·r and selects, from the points that newly entered it —
+// a threshold over the squared distances the flat pass kept — the
+// admitted ones nearest in the projected space up to what is left of
+// the budget: bare ids, nearer buckets first, nothing sorted. That is
+// the set the old restart loop verified (its sorted, deduplicated range
+// results cut at the budget), and the answer depends on the set alone:
+// the top-k ranks by (distance, id) whatever the verification order,
+// which TestStreamingMatchesRestartLoopReference pins.
 //
 // Queries are safe for concurrent use (per-query state is pooled) and
 // may overlap Insert/Delete/Compact — everything below reads v and the

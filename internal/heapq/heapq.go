@@ -9,8 +9,8 @@
 // structs and compares them with a direct (inlinable) method call; items
 // are designed to be small and pointer-free so sift swaps neither trip
 // GC write barriers nor copy large values (pointer-bearing geometry
-// lives in side arenas indexed by an int32 field, as pmtree's pair and
-// range enumerators do).
+// lives in side arenas indexed by an int32 field, as pmtree's pair
+// enumerator does).
 package heapq
 
 // Ordered is the constraint heap elements satisfy: a strict-weak

@@ -290,12 +290,14 @@ func leafScanCases(tb testing.TB) []leafScanCase {
 // dead entries skipped, the tail resolved in one kernel call — to the
 // entry-at-a-time recursive traversal: over a radius schedule every
 // Expand emits exactly the points the reference newly accepts at that
-// radius, with bit-identical distances, a one-shot Expand emits the
-// reference's points, and the enumeration pays exactly the reference's
-// metric evaluations. The enumerator is held on the traversal
-// (treeOnly): the flat pass has its own suite in scan_test.go. The vec
-// kernels under the scan are whichever backend the build selected, so
-// running the suite with and without -tags noasm covers both.
+// radius, with bit-identical distances, and a one-shot Expand after a
+// fresh Reset emits the reference's points for exactly the reference's
+// metric evaluations, at every radius of the schedule (a later round of
+// one enumeration descends again and pays again). The enumerator is held
+// on the traversal (treeOnly): the flat pass has its own suite in
+// scan_test.go. The vec kernels under the scan are whichever backend the
+// build selected, so running the suite with and without -tags noasm
+// covers both.
 func TestLeafScanMatchesRecursiveReference(t *testing.T) {
 	for _, c := range leafScanCases(t) {
 		rng := rand.New(rand.NewSource(int64(len(c.name))))
@@ -327,26 +329,28 @@ func TestLeafScanMatchesRecursiveReference(t *testing.T) {
 				sortResults(got)
 				requireSameBits(t, fmt.Sprintf("%s query %d radius %v", c.name, qi, r), got, want)
 			}
-			tr.ResetStats()
-			refRangeSearch(tr, q, schedule[len(schedule)-1])
-			if want := tr.DistanceComputations(); en.DistComps() != want {
-				t.Fatalf("%s query %d: enumeration paid %d metric evaluations, reference %d",
-					c.name, qi, en.DistComps(), want)
-			}
 
-			// One shot: the same points (order within an Expand is
-			// unspecified).
-			r := schedule[2]
-			want := refRangeSearch(tr, q, r)
-			var got []Result
-			if err := en.Reset(tr, q); err != nil {
-				t.Fatal(err)
+			// One shot per radius after a fresh Reset: the reference's points
+			// (order within an Expand is unspecified) for the reference's
+			// metric evaluations.
+			for _, r := range schedule {
+				tr.ResetStats()
+				want := refRangeSearch(tr, q, r)
+				paid := tr.DistanceComputations()
+				var got []Result
+				if err := en.Reset(tr, q); err != nil {
+					t.Fatal(err)
+				}
+				en.Expand(r, func(id int32, d float64) {
+					got = append(got, Result{ID: id, Dist: d})
+				})
+				sortResults(got)
+				requireSameBits(t, fmt.Sprintf("%s query %d one shot at %v", c.name, qi, r), got, want)
+				if en.DistComps() != paid {
+					t.Fatalf("%s query %d: one shot at %v paid %d metric evaluations, reference %d",
+						c.name, qi, r, en.DistComps(), paid)
+				}
 			}
-			en.Expand(r, func(id int32, d float64) {
-				got = append(got, Result{ID: id, Dist: d})
-			})
-			sortResults(got)
-			requireSameBits(t, fmt.Sprintf("%s query %d one shot", c.name, qi), got, want)
 		}
 	}
 }

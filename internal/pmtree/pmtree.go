@@ -35,9 +35,10 @@
 //
 // The same rows are what a range enumeration falls back on when the
 // tree cannot prune: from a switch radius derived from the tree's own
-// leaf radii (deriveScanRadius) a RangeEnumerator computes every row's
-// distance in one pass; the traversal serves the radii under it and
-// RangeSearch. Answers are the same either way.
+// leaf radii (deriveScanRadius), and in any round after its first, a
+// RangeEnumerator computes every row's distance in one pass; the
+// traversal serves a first round under it and RangeSearch. Answers are
+// the same either way.
 //
 // # Concurrency: one writer, snapshots for readers
 //

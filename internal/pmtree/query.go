@@ -13,9 +13,9 @@ type Result struct {
 }
 
 // RangeSearch returns every indexed point within distance r of q (the
-// paper's range(q, r)), sorted by (distance, id). It is one expansion
-// of the resumable range enumerator to the full radius, held on the
-// traversal, which applies, in order of increasing cost:
+// paper's range(q, r)), sorted by (distance, id). It is one round of
+// the range enumerator at the full radius, held on the traversal, which
+// applies, in order of increasing cost:
 //
 //  1. the hyper-ring filters (Eq. 5's ∧ terms) — the query's pivot
 //     distances are computed once per query;
@@ -26,7 +26,9 @@ type Result struct {
 // lower bounds, so the two perform the identical metric evaluations and
 // return bit-identical results (TestRangeSearchMatchesRecursiveReference).
 // Callers that enlarge the radius round after round (Algorithm 2)
-// should hold a RangeEnumerator and call Expand per round instead.
+// should hold a RangeEnumerator and call Expand per round instead: it
+// leaves the tree for a flat pass over the rows rather than descend
+// twice.
 func (t *Tree) RangeSearch(q []float64, r float64) ([]Result, error) {
 	if r < 0 {
 		return nil, fmt.Errorf("pmtree: negative radius %v", r)

@@ -117,12 +117,13 @@ func TestRangeSearchMatchesRecursiveReference(t *testing.T) {
 	}
 }
 
-// TestRangeEnumeratorResumes checks the tentpole property: expanding
-// one frozen frontier through a radius ladder emits every point exactly
+// TestRangeEnumeratorResumes checks the enumeration property: expanding
+// one enumerator through a radius ladder emits every point exactly
 // once, each in the round where its distance first enters the radius,
 // with the union matching a from-scratch RangeSearch at the final
-// radius — and pays fewer projected distance computations than
-// restarting the search per rung.
+// radius — and pays fewer projected distance computations (at most one
+// traversal and one pass over the rows) than restarting the search per
+// rung.
 func TestRangeEnumeratorResumes(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for trial := 0; trial < 30; trial++ {
@@ -130,7 +131,7 @@ func TestRangeEnumeratorResumes(t *testing.T) {
 		q := live[rng.Intn(len(live))]
 		// Start the ladder at the ~20th nearest distance so every rung
 		// holds points: the restart loop then demonstrably re-pays for
-		// them round after round while the streaming frontier does not.
+		// them round after round while the enumerator does not.
 		dists := make([]float64, len(live))
 		for i, p := range live {
 			var s float64

@@ -115,9 +115,10 @@ func scanCases(tb testing.TB) []scanCase {
 
 // TestScanMatchesTree is the property the switch rests on: whatever the
 // radius schedule, and wherever in it the enumeration leaves the tree
-// for the flat pass, every Expand emits the set of points the traversal
-// alone emits at that radius — the same ids with bit-identical
-// distances, no dead row, nothing twice.
+// for the flat pass — from the switch radius, or from its second round —
+// every Expand emits the set of points the traversal alone emits at that
+// radius — the same ids with bit-identical distances, no dead row,
+// nothing twice.
 func TestScanMatchesTree(t *testing.T) {
 	for _, c := range scanCases(t) {
 		tr := c.tr
@@ -138,9 +139,10 @@ func TestScanMatchesTree(t *testing.T) {
 			schedule := []float64{0, 5, 20, 1e6}
 			if sr := tr.scanRadius; sr > 0 {
 				schedule = []float64{0, 0.4 * sr, (0.6 + 0.3*rng.Float64()) * sr, sr, 1.5 * sr, 4 * sr, 20 * sr, 1e6}
-				if qi%4 == 2 {
-					schedule = schedule[4:] // scans from its first round
-				}
+				// The first round alone can traverse: start it at 0, at either
+				// radius under the switch, or past it (scans from its first
+				// round).
+				schedule = schedule[[]int{0, 1, 4, 2}[qi%4]:]
 			}
 
 			var sw RangeEnumerator
@@ -153,7 +155,7 @@ func TestScanMatchesTree(t *testing.T) {
 			}
 			seen := map[int32]bool{}
 			treeRounds := 0
-			for _, r := range schedule {
+			for ri, r := range schedule {
 				label := fmt.Sprintf("%s query %d radius %v", c.name, qi, r)
 				var got, want []Result
 				sw.Expand(r, func(id int32, d float64) {
@@ -167,8 +169,8 @@ func TestScanMatchesTree(t *testing.T) {
 				sortResults(got)
 				sortResults(want)
 				requireSameBits(t, label, got, want)
-				if sw.scanning != (r >= tr.scanRadius) {
-					t.Fatalf("%s: scanning %v with switch radius %v", label, sw.scanning, tr.scanRadius)
+				if sw.scanning != (r >= tr.scanRadius || ri > 0) {
+					t.Fatalf("%s: scanning %v in round %d with switch radius %v", label, sw.scanning, ri, tr.scanRadius)
 				}
 				if !sw.scanning {
 					treeRounds++
@@ -190,6 +192,54 @@ func TestScanMatchesTree(t *testing.T) {
 		}
 		if tr.scanRadius > 0 && !crossed {
 			t.Fatalf("%s: no schedule crossed the switch radius mid-enumeration", c.name)
+		}
+	}
+}
+
+// TestEnumerationTraversesAtMostOnce pins what an enumeration carries
+// out of the tree: nothing but its radius. On trees with a tail and dead
+// rows, a first round under the switch radius is a traversal that pays
+// for fewer evaluations than there are rows; the second round, whatever
+// its radius, is the flat pass — exactly Rows evaluations more — and
+// emits exactly what the reference finds in (first radius, second].
+func TestEnumerationTraversesAtMostOnce(t *testing.T) {
+	for _, c := range scanCases(t) {
+		tr := c.tr
+		if tr.scanRadius == 0 {
+			continue // no radius under the switch
+		}
+		rng := rand.New(rand.NewSource(int64(len(c.name))))
+		for qi := 0; qi < 6; qi++ {
+			q := randData(1, tr.Dim(), rng.Int63())[0]
+			r1 := (0.3 + 0.4*rng.Float64()) * tr.scanRadius
+			// Still under the switch, on it, and far past it.
+			r2 := []float64{math.Nextafter(r1, 2*r1), tr.scanRadius, 6 * tr.scanRadius}[qi%3]
+			label := fmt.Sprintf("%s query %d radii %v, %v", c.name, qi, r1, r2)
+
+			var e RangeEnumerator
+			if err := e.Reset(tr, q); err != nil {
+				t.Fatal(err)
+			}
+			var first, second, want []Result
+			e.Expand(r1, func(id int32, d float64) { first = append(first, Result{ID: id, Dist: d}) })
+			paid := e.DistComps()
+			if e.scanning || paid >= int64(tr.Rows()) {
+				t.Fatalf("%s: first round scanning=%v paid %d evaluations over %d rows", label, e.scanning, paid, tr.Rows())
+			}
+			e.Expand(r2, func(id int32, d float64) { second = append(second, Result{ID: id, Dist: d}) })
+			if !e.scanning || e.DistComps() != paid+int64(tr.Rows()) {
+				t.Fatalf("%s: second round scanning=%v paid %d evaluations after %d, over %d rows",
+					label, e.scanning, e.DistComps(), paid, tr.Rows())
+			}
+			sortResults(first)
+			requireSameBits(t, label+", first round", first, refRangeSearch(tr, q, r1))
+			for _, res := range refRangeSearch(tr, q, r2) {
+				if res.Dist > r1 {
+					want = append(want, res)
+				}
+			}
+			sortResults(second)
+			requireSameBits(t, label+", second round", second, want)
 		}
 	}
 }
@@ -342,11 +392,11 @@ func BenchmarkEnumerate(b *testing.B) {
 }
 
 // TestReleaseShedsOutgrownBuffers follows a pooled enumerator from a
-// large tree to the small one a Compact leaves in its place: frontier,
-// arena, per-row distances and the round's delta were sized by the large
-// tree, a pool never frees, so releasing the enumerator from the small
-// tree must drop them — while releasing it from the tree that sized them
-// keeps them warm.
+// large tree to the small one a Compact leaves in its place: per-row
+// distances and the round's delta were sized by the large tree, a pool
+// never frees, so releasing the enumerator from the small tree must drop
+// them — while releasing it from the tree that sized them keeps them
+// warm.
 func TestReleaseShedsOutgrownBuffers(t *testing.T) {
 	build := func(n int) *Tree {
 		tr, err := Build(randData(n, 6, int64(n)), nil, Config{NumPivots: 5, PivotSeed: 4})
@@ -358,10 +408,9 @@ func TestReleaseShedsOutgrownBuffers(t *testing.T) {
 	large, small := build(8000), build(100)
 	emit := func(int32, float64) {}
 	var e RangeEnumerator
-	// Two enumerations, one held on the traversal at a radius that opens
-	// most leaves and freezes most of their points, one scanning, so that
-	// both kinds of buffer reach the tree's size; a second round takes
-	// every point, so that the delta does.
+	// Two enumerations, one held on the traversal, one scanning, so that
+	// the row distances reach the tree's size; a second round takes every
+	// point, so that the delta does.
 	use := func(tr *Tree) {
 		q := tr.row(0)
 		for _, treeOnly := range []bool{true, false} {
@@ -375,14 +424,14 @@ func TestReleaseShedsOutgrownBuffers(t *testing.T) {
 		}
 	}
 	use(large)
-	if cap(e.frozen) < large.Len()/4 || cap(e.rowD2) < large.Rows() || cap(e.arena) == 0 || cap(e.sel) < large.Len() {
-		t.Fatalf("released from the tree that sized them: frontier %d, arena %d, row distances %d, delta %d kept for %d rows",
-			cap(e.frozen), cap(e.arena), cap(e.rowD2), cap(e.sel), large.Rows())
+	if cap(e.rowD2) < large.Rows() || cap(e.sel) < large.Len() {
+		t.Fatalf("released from the tree that sized them: row distances %d, delta %d kept for %d rows",
+			cap(e.rowD2), cap(e.sel), large.Rows())
 	}
 	use(small)
 	bound := 2*small.Rows() + 1024
-	if cap(e.frozen) > bound || cap(e.arena) > bound || cap(e.rowD2) > bound || cap(e.sel) > bound {
-		t.Fatalf("released from a %d-row tree: frontier %d, arena %d, row distances %d, delta %d still held",
-			small.Rows(), cap(e.frozen), cap(e.arena), cap(e.rowD2), cap(e.sel))
+	if cap(e.rowD2) > bound || cap(e.sel) > bound {
+		t.Fatalf("released from a %d-row tree: row distances %d, delta %d still held",
+			small.Rows(), cap(e.rowD2), cap(e.sel))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -40,12 +41,17 @@ func (o queryOptions) core() core.SearchOptions {
 	return core.SearchOptions{C: o.Ratio, Alpha1: o.Alpha1, Budget: o.Budget}
 }
 
+// maxTimeoutMS is the longest deadline a time.Duration holds: a
+// millisecond more and the product wraps negative, a context born
+// expired.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
 // requestContext derives the query context: the inbound request's
 // context (so a disconnecting client cancels engine work) plus the
 // requested deadline.
 func (o queryOptions) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	if o.TimeoutMS < 0 {
-		return nil, nil, fmt.Errorf("timeout_ms must be >= 0, got %d", o.TimeoutMS)
+	if o.TimeoutMS < 0 || o.TimeoutMS > maxTimeoutMS {
+		return nil, nil, fmt.Errorf("timeout_ms must be in [0, %d], got %d", maxTimeoutMS, o.TimeoutMS)
 	}
 	if o.TimeoutMS == 0 {
 		return r.Context(), func() {}, nil

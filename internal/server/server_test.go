@@ -112,6 +112,8 @@ func TestRoutesTableDriven(t *testing.T) {
 				{"search trailing data", "/v1/search", `{"q":` + q + `,"k":5} {"again":true}`, 400, "trailing data"},
 				{"search bad ratio", "/v1/search", `{"q":` + q + `,"k":5,"ratio":0.5}`, 400, "ratio"},
 				{"search negative timeout", "/v1/search", `{"q":` + q + `,"k":5,"timeout_ms":-1}`, 400, "timeout_ms"},
+				{"search longest timeout", "/v1/search", `{"q":` + q + `,"k":5,"timeout_ms":9223372036854}`, 200, ""},
+				{"search timeout overflows", "/v1/search", `{"q":` + q + `,"k":5,"timeout_ms":9223372036855}`, 400, "timeout_ms"},
 				{"batch ok", "/v1/search/batch", `{"qs":[` + q + `,` + q + `],"k":4}`, 200, ""},
 				{"batch wrong dim", "/v1/search/batch", `{"qs":[[1]],"k":4}`, 400, "dimension"},
 				{"batch malformed", "/v1/search/batch", `{"qs":`, 400, "unexpected EOF"},
