@@ -118,8 +118,8 @@ func runBuild(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("built index over %d×%d (%d shard(s)) in %v\n", ix.Len(), ix.Dim(),
-		ix.Shards(), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("built index over %d×%d (%d shard(s)) in %v (gomaxprocs %d)\n", ix.Len(), ix.Dim(),
+		ix.Shards(), time.Since(start).Round(time.Millisecond), runtime.GOMAXPROCS(0))
 	f, err := os.Create(*indexPath)
 	if err != nil {
 		return err

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -119,7 +120,7 @@ func buildOrLoadEngine(log *slog.Logger, dataPath, loadPath string, shards int, 
 		if err != nil {
 			return nil, err
 		}
-		log.Info("index built", "points", eng.Len(), "shards", shards,
+		log.Info("index built", "points", eng.Len(), "shards", shards, "gomaxprocs", runtime.GOMAXPROCS(0),
 			"elapsed", time.Since(start).Round(time.Millisecond).String())
 		return eng, nil
 	case loadPath != "":

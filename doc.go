@@ -130,9 +130,11 @@
 // overlap, and the top-k ranks by (distance, id), so the answer is that
 // of verifying them one by one in any order. The PM-tree itself is bulk
 // loaded — metric-local leaves packed by recursive bisection, upper
-// levels assembled bottom-up with
-// exact radii and rings — which tightens the pruning bounds every
-// query path depends on.
+// levels assembled bottom-up with exact radii and rings — which tightens
+// the pruning bounds every query path depends on. A build (a compaction
+// is one) uses every core — projection in GOMAXPROCS chunks, bisection
+// halves on other goroutines, the F(x) distance sample beside both — and
+// the index is byte-identical at any GOMAXPROCS.
 //
 // # Closest-pair search
 //
@@ -184,9 +186,10 @@
 // the AutoCompactAlways sentinel compacts on every tombstone) —
 // rebuilds via the bulk loader over exactly the live set, restoring
 // fresh-build query cost; the mutation that triggers it waits for the
-// rebuild. Serialization (WriteTo/Load) persists the full lifecycle
-// state: tombstones, retired ids, the dead rows, the tree's dead marks
-// and its tail; streams from earlier versions still load.
+// rebuild, which holds its shard's writer mutex throughout.
+// Serialization (WriteTo/Load) persists the full lifecycle state:
+// tombstones, retired ids, the dead rows, the tree's dead marks and its
+// tail; streams from earlier versions still load.
 //
 // # Query engine
 //

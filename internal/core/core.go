@@ -562,18 +562,7 @@ func buildInternal(s *store.Store, cfg Config, ndim int, scale float64) (*Index,
 	if err != nil {
 		return nil, err
 	}
-	// The PM-tree copies the projected rows into a leaf-major buffer of
-	// its own and keeps no reference to this store, which is garbage
-	// once the build returns.
-	projected, err := proj.ProjectStore(s)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := pmtree.BuildFromStore(projected, nil, pmtree.Config{
-		Capacity:  cfg.Capacity,
-		NumPivots: cfg.NumPivots,
-		PivotSeed: cfg.Seed + 1,
-	})
+	tree, distCDF, err := buildTree(proj, s, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -615,8 +604,39 @@ func buildInternal(s *store.Store, cfg Config, ndim int, scale float64) (*Index,
 		chi:      chi,
 		kappa:    kappa,
 	}
-	ix.publish(rowOf, sampleDistanceDistribution(s, cfg), 0)
+	ix.publish(rowOf, distCDF, 0)
 	return ix, nil
+}
+
+// buildTree is the part of a build that grows with the data, over a
+// store just filled or repacked (every row live; ids as in
+// pmtree.BuildFromStore): the rows are projected and the PM-tree bulk
+// loaded over the projections, both on GOMAXPROCS goroutines, while
+// the F(x) sample, which needs only the store, is drawn beside them on
+// a goroutine of its own.
+func buildTree(proj *lsh.Projection, s *store.Store, ids []int32, cfg Config) (*pmtree.Tree, []float64, error) {
+	if s.Len() == 0 {
+		// Nothing left after a compaction: an empty, pivot-less tree, there
+		// being no data to pick pivots from; the next Compact re-selects them.
+		tree, err := pmtree.New(cfg.M, pmtree.Config{Capacity: cfg.Capacity})
+		return tree, sampleDistanceDistribution(s, cfg), err
+	}
+	sampled := make(chan []float64)
+	go func() { sampled <- sampleDistanceDistribution(s, cfg) }()
+	// The PM-tree copies the projected rows into a leaf-major buffer of
+	// its own and keeps no reference to this store, which is garbage
+	// once the build returns.
+	projected, err := proj.ProjectStore(s)
+	var tree *pmtree.Tree
+	if err == nil {
+		tree, err = pmtree.BuildFromStore(projected, ids, pmtree.Config{
+			Capacity:  cfg.Capacity,
+			NumPivots: cfg.NumPivots,
+			PivotSeed: cfg.Seed + 1,
+		})
+	}
+	// The one return: the sampling goroutine is joined on an error too.
+	return tree, <-sampled, err
 }
 
 // finiteNorm reports whether p's Euclidean norm is a finite number: no
@@ -790,54 +810,44 @@ func (ix *Index) compacted(start time.Time) {
 func (ix *Index) compactLocked() error {
 	start := time.Now()
 	cur := ix.view.Load()
-	// The live rows, repacked in id order — storage order too, rows being
-	// appended an id with each (a stream written while Insert refilled
-	// dead rows loads in another order, and leaves it here).
-	live := ix.data.Live()
-	fresh, err := store.New(ix.dim)
+	flat, ids, rowOf := ix.repack(cur)
+	fresh, err := store.FromFlat(flat, ix.dim)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
-	}
-	ids := make([]int32, 0, live)
-	rowOf := make([]int32, len(cur.rowOf))
-	for id, row := range cur.rowOf {
-		rowOf[id] = -1
-		if ix.tree.IsLive(int32(id)) {
-			if rowOf[id], err = fresh.Append(ix.data.Row(int(row))); err != nil {
-				return fmt.Errorf("core: %w", err)
-			}
-			ids = append(ids, int32(id))
-		}
 	}
 	// Re-quantizing after the repack refits the codec's affine
 	// parameters to the surviving rows, recovering screen selectivity
 	// that out-of-range inserts (clamped codes, widened slack) erode.
 	fresh.SetQuantize(ix.data.Quantize())
 
-	var tr *pmtree.Tree
-	if live == 0 {
-		// Nothing left: reset to an empty tree. A pivot-less PM-tree (a
-		// plain M-tree) is the only option without data to pick pivots
-		// from; the next Compact with live points re-selects them.
-		tr, err = pmtree.New(ix.cfg.M, pmtree.Config{Capacity: ix.cfg.Capacity})
-	} else {
-		var projected *store.Store
-		if projected, err = ix.proj.ProjectStore(fresh); err != nil {
-			return err
-		}
-		tr, err = pmtree.BuildFromStore(projected, ids, pmtree.Config{
-			Capacity:  ix.cfg.Capacity,
-			NumPivots: ix.cfg.NumPivots,
-			PivotSeed: ix.cfg.Seed + 1,
-		})
-	}
+	tr, distCDF, err := buildTree(ix.proj, fresh, ids, ix.cfg)
 	if err != nil {
 		return err
 	}
 	ix.tree, ix.data = tr, fresh
-	ix.publish(rowOf, sampleDistanceDistribution(fresh, ix.cfg), cur.compactions+1)
+	ix.publish(rowOf, distCDF, cur.compactions+1)
 	ix.compacted(start)
 	return nil
+}
+
+// repack copies the live rows, in id order — storage order too, rows
+// being appended an id with each (a stream written while Insert refilled
+// dead rows loads in another order, and leaves it here) — into one
+// buffer sized for them (grown by Append it would be re-copied several
+// times over, with wmu held), with their ids and each id's new row.
+func (ix *Index) repack(cur *view) (flat []float64, ids, rowOf []int32) {
+	flat = make([]float64, 0, ix.data.Live()*ix.dim)
+	ids = make([]int32, 0, ix.data.Live())
+	rowOf = make([]int32, len(cur.rowOf))
+	for id, row := range cur.rowOf {
+		rowOf[id] = -1
+		if ix.tree.IsLive(int32(id)) {
+			rowOf[id] = int32(len(ids))
+			flat = append(flat, ix.data.Row(int(row))...)
+			ids = append(ids, int32(id))
+		}
+	}
+	return flat, ids, rowOf
 }
 
 // sampleDistanceDistribution draws random pairs of s's rows — a store

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"repro/internal/store"
 	"repro/internal/vec"
@@ -109,16 +111,33 @@ func (p *Projection) ProjectAll(data [][]float64) [][]float64 {
 
 // ProjectStore maps every row of src into a fresh m-dimensional store:
 // the flat-buffer counterpart of ProjectAll, used to hand the projected
-// points to a metric index without materializing per-row slices.
+// points to a metric index without materializing per-row slices. The
+// rows go in GOMAXPROCS chunks, the last on the caller's goroutine, and
+// each output row is written by exactly one of them.
 func (p *Projection) ProjectStore(src *store.Store) (*store.Store, error) {
 	if src.Dim() != p.d {
 		return nil, fmt.Errorf("lsh: store has dimension %d, projection expects %d", src.Dim(), p.d)
 	}
-	n := src.Len()
+	n, procs := src.Len(), runtime.GOMAXPROCS(0)
 	flat := make([]float64, n*p.m)
-	for i := 0; i < n; i++ {
-		p.ProjectTo(flat[i*p.m:(i+1)*p.m:(i+1)*p.m], src.Row(i))
+	per := (n + procs - 1) / procs
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += per {
+		hi := min(lo+per, n)
+		chunk := func() {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				p.ProjectTo(flat[i*p.m:(i+1)*p.m:(i+1)*p.m], src.Row(i))
+			}
+		}
+		wg.Add(1)
+		if hi < n {
+			go chunk()
+		} else {
+			chunk()
+		}
 	}
+	wg.Wait()
 	return store.FromFlat(flat, p.m)
 }
 

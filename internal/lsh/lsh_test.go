@@ -67,7 +67,9 @@ func TestProjectionLinear(t *testing.T) {
 	pts := randPoints(2, 6, 2)
 	x, y := pts[0], pts[1]
 	sum := make([]float64, 6)
-	vec.Add(sum, x, y)
+	for i := range sum {
+		sum[i] = x[i] + y[i]
+	}
 	px, py, psum := p.Project(x), p.Project(y), p.Project(sum)
 	for i := range psum {
 		if math.Abs(psum[i]-(px[i]+py[i])) > 1e-9 {

@@ -1,9 +1,12 @@
 package pmtree
 
 import (
+	"runtime"
+	"slices"
 	"sort"
 
 	"repro/internal/store"
+	"repro/internal/vec"
 )
 
 // Bulk loading, the one way a tree's structure comes to be. The M-tree
@@ -44,17 +47,38 @@ import (
 // per leaf, and nothing disturbs it afterwards: Insert appends behind
 // the last leaf's rows and Delete only marks a row.
 //
+// That order is also why the load can use every core and build the same
+// tree. A partition sits at a known offset off of the row permutation,
+// and whatever happens below it only reorders rows inside it: it owns
+// rows [off, off+len(rs)) of the arenas before any leaf is packed,
+// packLeaf writes there by index, and the halves of a bisection touch
+// disjoint memory, so one may run on another goroutine. A partition's
+// result depends on its own rows alone and a parent concatenates left
+// before right: the tree, and its stream, is the same at any GOMAXPROCS.
+//
 // Cost: O(n log n) metric evaluations for the bisection plus
-// O(n·capacity) for leaf packing — comparable to one insertion pass.
+// O(n·capacity) for leaf packing — comparable to one insertion pass —
+// counted per call site and added to the tree's counter once.
 
-// leafArena is the leaf-major backing of one bulk load: the point
-// buffer and the entry arrays every packed leaf takes its slices from.
+// leafArena is the leaf-major backing of one bulk load, sized for all n
+// rows: the point buffer and the entry arrays every leaf slices. (The
+// ids go straight to Tree.rowID: leaf entry i of the load sits in row i.)
 type leafArena struct {
 	flat       []float64
-	ids        []int32 // becomes Tree.rowID: leaf entry i of the load sits in row i
 	parentDist []float64
 	pivotDist  []float64
 }
+
+// loadPart is one goroutine's share of a load: the leaf-level routing
+// entries of its partitions, in row order, and the evaluations it paid.
+type loadPart struct {
+	level []routingEntry
+	calcs int64
+}
+
+// spawnFloor is the partition size up to which both halves of a
+// bisection stay on one goroutine: handing one over would cost more.
+const spawnFloor = 512
 
 // bulkLoad builds the tree over all rows of src, which is only read,
 // and leaves t.flat a leaf-major copy of them. ids[row] is stored
@@ -63,11 +87,11 @@ type leafArena struct {
 func (t *Tree) bulkLoad(src *store.Store, ids []int32) {
 	n := src.Len()
 	t.flat = src.Flat() // what bisect, minimax and packLeaf read until the copy is complete
+	t.rowID = make([]int32, n)
 	arena := &leafArena{
-		flat:       make([]float64, 0, n*t.dim),
-		ids:        make([]int32, 0, n),
-		parentDist: make([]float64, 0, n),
-		pivotDist:  make([]float64, 0, n*len(t.pivots)),
+		flat:       make([]float64, n*t.dim),
+		parentDist: make([]float64, n),
+		pivotDist:  make([]float64, n*len(t.pivots)),
 	}
 	rows := make([]int32, n)
 	for i := range rows {
@@ -75,22 +99,47 @@ func (t *Tree) bulkLoad(src *store.Store, ids []int32) {
 	}
 	da := make([]float64, n) // distance-to-pivot scratch, shared down the recursion
 	db := make([]float64, n)
+	// A goroutine beyond the caller's holds a slot while it runs; at
+	// GOMAXPROCS = 1 there is none, and the send below never succeeds.
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0)-1)
 
-	var level []routingEntry
-	// mm carries a partition's minimax result (aligned with the current
-	// ordering of rs) down the recursion so each partition's O(m²)
+	// rec loads the partition rs, rows [off, off+len(rs)) of the arenas,
+	// into p. mm carries a partition's minimax result (aligned with the
+	// current ordering of rs) down the recursion so each partition's O(m²)
 	// matrix is computed once, not re-derived by the refinement check
 	// and again by packLeaf.
-	var rec func(rs []int32, da, db []float64, mm *minimaxResult)
-	rec = func(rs []int32, da, db []float64, mm *minimaxResult) {
+	var rec func(off int, rs []int32, da, db []float64, mm *minimaxResult, p *loadPart)
+	// halves loads rs[:mid] then rs[mid:], the right half on another
+	// goroutine when one is free and the partition is worth it.
+	halves := func(off, mid int, rs []int32, da, db []float64, mmL, mmR *minimaxResult, p *loadPart) {
+		if len(rs) > spawnFloor {
+			select {
+			case slots <- struct{}{}:
+				var right loadPart
+				done := make(chan struct{})
+				go func() {
+					rec(off+mid, rs[mid:], da[mid:], db[mid:], mmR, &right)
+					<-slots
+					close(done)
+				}()
+				rec(off, rs[:mid], da[:mid], db[:mid], mmL, p)
+				<-done
+				p.level = append(p.level, right.level...)
+				p.calcs += right.calcs
+				return
+			default:
+			}
+		}
+		rec(off, rs[:mid], da[:mid], db[:mid], mmL, p)
+		rec(off+mid, rs[mid:], da[mid:], db[mid:], mmR, p)
+	}
+	rec = func(off int, rs []int32, da, db []float64, mm *minimaxResult, p *loadPart) {
 		if len(rs) > t.capacity {
-			mid := t.bisect(rs, da, db, false)
-			rec(rs[:mid], da[:mid], db[:mid], nil)
-			rec(rs[mid:], da[mid:], db[mid:], nil)
+			halves(off, t.bisect(rs, da, db, false, p), rs, da, db, nil, nil, p)
 			return
 		}
 		if mm == nil {
-			mm = t.minimax(rs)
+			mm = t.minimax(rs, p)
 		}
 		// Refinement: a leaf-sized chunk still splits when both halves'
 		// covering radii fall under half the chunk's — the chunk
@@ -104,22 +153,22 @@ func (t *Tree) bulkLoad(src *store.Store, ids []int32) {
 			probe := append([]int32(nil), rs...)
 			pda := make([]float64, len(probe))
 			pdb := make([]float64, len(probe))
-			if mid := t.bisect(probe, pda, pdb, true); mid > 0 {
-				mmL := t.minimax(probe[:mid])
-				mmR := t.minimax(probe[mid:])
+			if mid := t.bisect(probe, pda, pdb, true, p); mid > 0 {
+				mmL := t.minimax(probe[:mid], p)
+				mmR := t.minimax(probe[mid:], p)
 				if mmL.radius <= 0.5*mm.radius && mmR.radius <= 0.5*mm.radius {
 					copy(rs, probe)
-					rec(rs[:mid], da[:mid], db[:mid], mmL)
-					rec(rs[mid:], da[mid:], db[mid:], mmR)
+					halves(off, mid, rs, da, db, mmL, mmR, p)
 					return
 				}
 			}
 		}
-		level = append(level, t.packLeaf(rs, ids, mm, arena))
+		t.packLeaf(off, rs, ids, mm, arena, p)
 	}
-	rec(rows, da, db, nil)
+	var all loadPart
+	rec(0, rows, da, db, nil, &all)
+	level := all.level
 	t.flat = arena.flat
-	t.rowID = arena.ids
 	t.frozen = n
 	t.resetLiveness()
 
@@ -127,13 +176,8 @@ func (t *Tree) bulkLoad(src *store.Store, ids []int32) {
 	for len(level) > t.capacity {
 		next := make([]routingEntry, 0, (len(level)+t.capacity-1)/t.capacity)
 		for g := 0; g < len(level); g += t.capacity {
-			end := g + t.capacity
-			if end > len(level) {
-				end = len(level)
-			}
-			group := make([]routingEntry, end-g)
-			copy(group, level[g:end])
-			next = append(next, t.makeParent(group))
+			end := min(g+t.capacity, len(level))
+			next = append(next, t.makeParent(slices.Clone(level[g:end]), &all))
 		}
 		level = next
 	}
@@ -147,6 +191,7 @@ func (t *Tree) bulkLoad(src *store.Store, ids []int32) {
 		t.root = &node{leaf: false, routing: level}
 	}
 	t.count = n
+	t.stats.distCalcs.Add(all.calcs)
 	t.deriveScanRadius()
 }
 
@@ -155,18 +200,19 @@ func (t *Tree) bulkLoad(src *store.Store, ids []int32) {
 // two-sided partition is accepted, and -1 reports a degenerate one;
 // otherwise imbalance beyond 1:3 falls back to a median split so the
 // recursion depth stays logarithmic.
-func (t *Tree) bisect(rs []int32, da, db []float64, relaxed bool) int {
+func (t *Tree) bisect(rs []int32, da, db []float64, relaxed bool, p *loadPart) int {
+	p.calcs += 3 * int64(len(rs))
 	p0 := t.row(int(rs[0]))
 	ai, amax := 0, -1.0
 	for i, r := range rs {
-		if d := t.dist(p0, t.row(int(r))); d > amax {
+		if d := vec.L2(p0, t.row(int(r))); d > amax {
 			amax, ai = d, i
 		}
 	}
 	pa := t.row(int(rs[ai]))
 	bi, bmax := 0, -1.0
 	for i, r := range rs {
-		d := t.dist(pa, t.row(int(r)))
+		d := vec.L2(pa, t.row(int(r)))
 		da[i] = d
 		if d > bmax {
 			bmax, bi = d, i
@@ -174,7 +220,7 @@ func (t *Tree) bisect(rs []int32, da, db []float64, relaxed bool) int {
 	}
 	pb := t.row(int(rs[bi]))
 	for i, r := range rs {
-		db[i] = t.dist(pb, t.row(int(r)))
+		db[i] = vec.L2(pb, t.row(int(r)))
 	}
 
 	// Two-pointer partition: rows nearer pivot a (ties included) left.
@@ -233,13 +279,14 @@ type minimaxResult struct {
 
 // minimax computes a partition's minimaxResult (at most capacity²
 // metric evaluations; symmetric halves mirrored).
-func (t *Tree) minimax(rs []int32) *minimaxResult {
+func (t *Tree) minimax(rs []int32, p *loadPart) *minimaxResult {
 	m := len(rs)
+	p.calcs += int64(m * (m - 1) / 2)
 	dm := make([]float64, m*m)
 	for i := 0; i < m; i++ {
 		pi := t.row(int(rs[i]))
 		for j := i + 1; j < m; j++ {
-			d := t.dist(pi, t.row(int(rs[j])))
+			d := vec.L2(pi, t.row(int(rs[j])))
 			dm[i*m+j] = d
 			dm[j*m+i] = d
 		}
@@ -259,29 +306,29 @@ func (t *Tree) minimax(rs []int32) *minimaxResult {
 	return out
 }
 
-// packLeaf builds one leaf over a partition and returns its routing
-// entry, routed by the partition's minimax row. mm must be aligned
-// with the current ordering of rs. The leaf's points and entry arrays
-// are appended to the arena, of which the leaf keeps slices.
-func (t *Tree) packLeaf(rs []int32, ids []int32, mm *minimaxResult, a *leafArena) routingEntry {
+// packLeaf builds one leaf over a partition and adds its routing entry,
+// routed by the partition's minimax row, to p. mm must be aligned with
+// the current ordering of rs. The leaf's points and entry arrays go to
+// the arena's rows [first, first+len(rs)), of which the leaf keeps slices.
+func (t *Tree) packLeaf(first int, rs []int32, ids []int32, mm *minimaxResult, a *leafArena, p *loadPart) {
 	m := len(rs)
 	dm, best, bestRadius := mm.dm, mm.best, mm.radius
-
 	s := len(t.pivots)
+	p.calcs += int64(m * s)
 	hr := newEmptyIntervals(s)
-	first := len(a.ids)
 	for i, row := range rs {
 		id := row
 		if ids != nil {
 			id = ids[row]
 		}
-		p := t.row(int(row))
-		a.ids = append(a.ids, id)
-		a.parentDist = append(a.parentDist, dm[best*m+i])
-		a.flat = append(a.flat, p...)
+		pt := t.row(int(row))
+		at := first + i
+		t.rowID[at] = id
+		a.parentDist[at] = dm[best*m+i]
+		copy(a.flat[at*t.dim:(at+1)*t.dim], pt)
 		for k, pv := range t.pivots {
-			d := t.dist(p, pv)
-			a.pivotDist = append(a.pivotDist, d)
+			d := vec.L2(pt, pv)
+			a.pivotDist[at*s+k] = d
 			hr[k].extend(d)
 		}
 	}
@@ -292,20 +339,19 @@ func (t *Tree) packLeaf(rs []int32, ids []int32, mm *minimaxResult, a *leafArena
 		parentDist: a.parentDist[first:end],
 		pivotDist:  a.pivotDist[first*s : end*s],
 	}
-	center := make([]float64, t.dim)
-	copy(center, t.row(int(rs[best])))
-	return routingEntry{center: center, radius: bestRadius, child: leaf, hr: hr}
+	p.level = append(p.level, routingEntry{center: vec.Clone(t.row(int(rs[best]))), radius: bestRadius, child: leaf, hr: hr})
 }
 
 // makeParent wraps a run of routing entries into one parent entry: the
 // minimax child center routes the group (minimizing the covering
 // radius max_j d(c, c_j) + r_j), and the rings union the children's.
-func (t *Tree) makeParent(group []routingEntry) routingEntry {
+func (t *Tree) makeParent(group []routingEntry, p *loadPart) routingEntry {
 	m := len(group)
+	p.calcs += int64(m * (m - 1) / 2)
 	dm := make([]float64, m*m)
 	for i := 0; i < m; i++ {
 		for j := i + 1; j < m; j++ {
-			d := t.dist(group[i].center, group[j].center)
+			d := vec.L2(group[i].center, group[j].center)
 			dm[i*m+j] = d
 			dm[j*m+i] = d
 		}
@@ -329,9 +375,7 @@ func (t *Tree) makeParent(group []routingEntry) routingEntry {
 			hr[k].union(group[i].hr[k])
 		}
 	}
-	center := make([]float64, t.dim)
-	copy(center, group[best].center)
-	return routingEntry{center: center, radius: bestRadius, child: &node{leaf: false, routing: group}, hr: hr}
+	return routingEntry{center: vec.Clone(group[best].center), radius: bestRadius, child: &node{leaf: false, routing: group}, hr: hr}
 }
 
 func newEmptyIntervals(s int) []Interval {

@@ -3,7 +3,6 @@ package pmtree
 import (
 	"math/rand"
 
-	"repro/internal/store"
 	"repro/internal/vec"
 )
 
@@ -16,23 +15,6 @@ const pivotSampleCap = 2048
 // the pivots chosen so far. Widely-separated pivots make the hyper-ring
 // intervals narrow for most subtrees, which is what shrinks the PM-tree
 // region volume (the criterion the paper optimizes).
-// selectPivotsStore is selectPivots over a store: it materializes row
-// views only for the <= pivotSampleCap sampled candidates instead of
-// all rows, drawing the same sample (same rng sequence) as selectPivots
-// would over the full row set.
-func selectPivotsStore(st *store.Store, s int, seed int64) [][]float64 {
-	if st.Len() > pivotSampleCap {
-		rng := rand.New(rand.NewSource(seed))
-		perm := rng.Perm(st.Len())[:pivotSampleCap]
-		sample := make([][]float64, pivotSampleCap)
-		for i, idx := range perm {
-			sample[i] = st.Row(idx)
-		}
-		return selectPivots(sample, s, seed)
-	}
-	return selectPivots(st.Rows(), s, seed)
-}
-
 func selectPivots(data [][]float64, s int, seed int64) [][]float64 {
 	if s <= 0 || len(data) == 0 {
 		return nil
@@ -40,15 +22,15 @@ func selectPivots(data [][]float64, s int, seed int64) [][]float64 {
 	if s > len(data) {
 		s = len(data)
 	}
-	rng := rand.New(rand.NewSource(seed))
 	sample := data
 	if len(data) > pivotSampleCap {
 		sample = make([][]float64, pivotSampleCap)
-		perm := rng.Perm(len(data))[:pivotSampleCap]
-		for i, idx := range perm {
+		for i, idx := range rand.New(rand.NewSource(seed)).Perm(len(data))[:pivotSampleCap] {
 			sample[i] = data[idx]
 		}
 	}
+	// Seeded apart from the sampling: the fallback below draws alike either way.
+	rng := rand.New(rand.NewSource(seed))
 
 	centroid := vec.Mean(sample)
 	first, best := 0, -1.0

@@ -62,7 +62,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/store"
-	"repro/internal/vec"
 )
 
 // DefaultCapacity is the paper's node capacity ("the maximum number of
@@ -174,10 +173,10 @@ type Tree struct {
 	stats *treeStats
 }
 
-// treeStats are a tree's two counters: distCalcs, every call to the
-// metric (it feeds the cost-model validation, Table 2), and
+// treeStats are a tree's two counters: distCalcs, every evaluation of
+// the metric (it feeds the cost-model validation, Table 2), and
 // nodeAccesses, the nodes queries opened. Atomic: concurrent queries
-// combine their counts.
+// combine their counts, each adding once per call or round, never per distance.
 type treeStats struct {
 	distCalcs, nodeAccesses atomic.Int64
 }
@@ -270,9 +269,7 @@ func BuildFromStore(s *store.Store, ids []int32, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.NumPivots > 0 {
-		t.pivots = selectPivotsStore(s, cfg.NumPivots, cfg.PivotSeed)
-	}
+	t.pivots = selectPivots(s.Rows(), cfg.NumPivots, cfg.PivotSeed)
 	t.bulkLoad(s, ids)
 	return t, nil
 }
@@ -363,11 +360,6 @@ func (t *Tree) NodeAccesses() int64 { return t.stats.nodeAccesses.Load() }
 
 // ResetStats zeroes the distance and node-access counters.
 func (t *Tree) ResetStats() { t.stats.distCalcs.Store(0); t.stats.nodeAccesses.Store(0) }
-
-func (t *Tree) dist(a, b []float64) float64 {
-	t.stats.distCalcs.Add(1)
-	return vec.L2(a, b)
-}
 
 // leafIDs returns the ids of a leaf's entries (see rowID; live decides
 // which of them still count).

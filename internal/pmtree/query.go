@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/vec"
 )
 
 // Result is one point returned by a query.
@@ -72,65 +74,66 @@ func ringPrune(qp []float64, hr []Interval, r float64) bool {
 // enumerator is verified against (TestRangeSearchMatchesRecursiveReference
 // and the core engine's equivalence suite), followed by a row-at-a-time
 // pass over the tail. visit is called once per qualifying point, in
-// traversal order.
+// traversal order. Counts are local and added to the tree's once.
 func (t *Tree) rangeSearchRef(q []float64, r float64, visit func(id int32, d float64)) {
+	var dists, nodes int64
+	dist := func(p []float64) float64 {
+		dists++
+		return vec.L2(q, p)
+	}
 	qp := make([]float64, len(t.pivots))
 	for i, pv := range t.pivots {
-		qp[i] = t.dist(q, pv)
+		qp[i] = dist(pv)
 	}
-	t.rangeSearchRec(t.root, q, nil, 0, r, qp, visit)
+	// qParentDist is d(q, n's routing object); unused at the root (parent nil).
+	var rec func(n *node, parent []float64, qParentDist float64)
+	rec = func(n *node, parent []float64, qParentDist float64) {
+		nodes++
+		if n.leaf {
+		entries:
+			for i, id := range t.leafIDs(n) {
+				if id < 0 || !t.live(id) {
+					continue
+				}
+				if parent != nil && math.Abs(qParentDist-n.parentDist[i]) > r {
+					continue
+				}
+				for k, d := range n.pivotDists(i, len(qp)) {
+					if math.Abs(qp[k]-d) > r {
+						continue entries
+					}
+				}
+				if d := dist(t.leafPoint(n, i)); d <= r {
+					visit(id, d)
+				}
+			}
+			return
+		}
+		for i := range n.routing {
+			e := &n.routing[i]
+			if ringPrune(qp, e.hr, r) {
+				continue
+			}
+			if parent != nil && math.Abs(qParentDist-e.parentDist) > r+e.radius {
+				continue
+			}
+			d := dist(e.center)
+			if d > r+e.radius {
+				continue
+			}
+			rec(e.child, e.center, d)
+		}
+	}
+	rec(t.root, nil, 0)
 	for row := t.frozen; row < t.Rows(); row++ {
 		// Dead rows are evaluated too, as the enumerator's one kernel call
 		// over the tail evaluates them.
-		if d := t.dist(q, t.row(row)); t.rowLive(row) && d <= r {
+		if d := dist(t.row(row)); t.rowLive(row) && d <= r {
 			visit(t.rowID[row], d)
 		}
 	}
-}
-
-// rangeSearchRec is rangeSearchRef's recursion over the nodes.
-// qParentDist is d(q, routing object of n) (0 and unused at the root,
-// where parent == nil).
-func (t *Tree) rangeSearchRec(n *node, q, parent []float64, qParentDist, r float64, qp []float64, visit func(id int32, d float64)) {
-	t.stats.nodeAccesses.Add(1)
-	if n.leaf {
-		for i, id := range t.leafIDs(n) {
-			if id < 0 || !t.live(id) {
-				continue
-			}
-			if parent != nil && math.Abs(qParentDist-n.parentDist[i]) > r {
-				continue
-			}
-			skip := false
-			for k, d := range n.pivotDists(i, len(qp)) {
-				if math.Abs(qp[k]-d) > r {
-					skip = true
-					break
-				}
-			}
-			if skip {
-				continue
-			}
-			if d := t.dist(q, t.leafPoint(n, i)); d <= r {
-				visit(id, d)
-			}
-		}
-		return
-	}
-	for i := range n.routing {
-		e := &n.routing[i]
-		if ringPrune(qp, e.hr, r) {
-			continue
-		}
-		if parent != nil && math.Abs(qParentDist-e.parentDist) > r+e.radius {
-			continue
-		}
-		d := t.dist(q, e.center)
-		if d > r+e.radius {
-			continue
-		}
-		t.rangeSearchRec(e.child, q, e.center, d, r, qp, visit)
-	}
+	t.stats.distCalcs.Add(dists)
+	t.stats.nodeAccesses.Add(nodes)
 }
 
 // NodeInfo is the per-node summary exposed to the cost model of
@@ -150,12 +153,7 @@ type NodeInfo struct {
 // no root term: the root is always accessed).
 func (t *Tree) Walk(fn func(NodeInfo)) {
 	// Synthesize a routing entry for the root covering everything.
-	rootHR := make([]Interval, len(t.pivots))
-	for i := range rootHR {
-		rootHR[i] = emptyInterval()
-	}
-	rootRadius := math.Inf(1)
-	t.walkNode(t.root, rootRadius, rootHR, nil, 0, fn)
+	t.walkNode(t.root, math.Inf(1), newEmptyIntervals(len(t.pivots)), nil, 0, fn)
 }
 
 func (t *Tree) walkNode(n *node, radius float64, hr []Interval, center []float64, depth int, fn func(NodeInfo)) {

@@ -141,7 +141,7 @@ func New(cfg Config) (*Server, error) {
 		"Compact operations (explicit and automatic) since the engine was opened.",
 		func() float64 { return float64(s.eng.Info().Compactions) })
 	compactHist := reg.Histogram("pmlsh_compact_duration_seconds",
-		"Duration of each shard compaction, explicit or automatic: one bulk load, during which that shard's other mutations wait and its queries do not.",
+		"Duration of each shard compaction, explicit or automatic: one build on GOMAXPROCS goroutines (repack, then projection and bulk load beside the F(x) sample), holding that shard's writer mutex throughout — its other mutations wait, its queries do not.",
 		obs.ExpBuckets(0.001, 2, 14))
 	s.eng.OnCompact(func(d time.Duration) { compactHist.Observe(d.Seconds()) })
 	reg.GaugeFuncVec("pmlsh_index_dead_fraction",

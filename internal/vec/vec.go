@@ -223,30 +223,6 @@ func Clone(a []float64) []float64 {
 	return out
 }
 
-// Add stores a+b in dst and returns dst. dst may alias a or b.
-// It panics if the lengths differ.
-func Add(dst, a, b []float64) []float64 {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("vec: dimension mismatch in Add")
-	}
-	for i := range a {
-		dst[i] = a[i] + b[i]
-	}
-	return dst
-}
-
-// Sub stores a-b in dst and returns dst. dst may alias a or b.
-// It panics if the lengths differ.
-func Sub(dst, a, b []float64) []float64 {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("vec: dimension mismatch in Sub")
-	}
-	for i := range a {
-		dst[i] = a[i] - b[i]
-	}
-	return dst
-}
-
 // Scale stores s*a in dst and returns dst. dst may alias a.
 func Scale(dst, a []float64, s float64) []float64 {
 	if len(dst) != len(a) {
@@ -280,30 +256,4 @@ func Mean(points [][]float64) []float64 {
 		out[i] *= inv
 	}
 	return out
-}
-
-// MinMax returns per-dimension minima and maxima over points.
-// It returns (nil, nil) for an empty input and panics if the points do
-// not all share the dimensionality of the first.
-func MinMax(points [][]float64) (lo, hi []float64) {
-	if len(points) == 0 {
-		return nil, nil
-	}
-	d := len(points[0])
-	lo = Clone(points[0])
-	hi = Clone(points[0])
-	for _, p := range points[1:] {
-		if len(p) != d {
-			panic("vec: dimension mismatch in MinMax")
-		}
-		for i := 0; i < d; i++ {
-			if p[i] < lo[i] {
-				lo[i] = p[i]
-			}
-			if p[i] > hi[i] {
-				hi[i] = p[i]
-			}
-		}
-	}
-	return lo, hi
 }

@@ -229,27 +229,18 @@ func TestMaxAbsDiffToManyPanics(t *testing.T) {
 	mustPanic(t, "bad dst", func() { MaxAbsDiffToMany(make([]float64, 3), []float64{1, 2}, []float64{1, 2, 3, 4}, 2) })
 }
 
-func TestMeanMinMaxRagged(t *testing.T) {
+func TestMeanRagged(t *testing.T) {
 	ragged := [][]float64{{1, 2}, {3, 4, 5}}
 	mustPanic(t, "Mean long row", func() { Mean(ragged) })
 	mustPanic(t, "Mean short row", func() { Mean([][]float64{{1, 2}, {3}}) })
-	mustPanic(t, "MinMax long row", func() { MinMax(ragged) })
-	mustPanic(t, "MinMax short row", func() { MinMax([][]float64{{1, 2}, {3}}) })
 
 	// Uniform inputs still work.
 	m := Mean([][]float64{{1, 3}, {3, 5}})
 	if m[0] != 2 || m[1] != 4 {
 		t.Fatalf("Mean = %v", m)
 	}
-	lo, hi := MinMax([][]float64{{1, 5}, {3, 2}})
-	if lo[0] != 1 || lo[1] != 2 || hi[0] != 3 || hi[1] != 5 {
-		t.Fatalf("MinMax = %v %v", lo, hi)
-	}
 	if Mean(nil) != nil {
 		t.Fatal("Mean(nil) should be nil")
-	}
-	if lo, hi := MinMax(nil); lo != nil || hi != nil {
-		t.Fatal("MinMax(nil) should be nil, nil")
 	}
 }
 

@@ -145,27 +145,12 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestAddSubScale(t *testing.T) {
+func TestScale(t *testing.T) {
 	a := []float64{1, 2}
-	b := []float64{3, 5}
 	dst := make([]float64, 2)
-	Add(dst, a, b)
-	if dst[0] != 4 || dst[1] != 7 {
-		t.Errorf("Add = %v", dst)
-	}
-	Sub(dst, b, a)
-	if dst[0] != 2 || dst[1] != 3 {
-		t.Errorf("Sub = %v", dst)
-	}
 	Scale(dst, a, 2)
 	if dst[0] != 2 || dst[1] != 4 {
 		t.Errorf("Scale = %v", dst)
-	}
-	// Aliased use must work too.
-	x := []float64{1, 1}
-	Add(x, x, x)
-	if x[0] != 2 || x[1] != 2 {
-		t.Errorf("aliased Add = %v", x)
 	}
 }
 
@@ -177,18 +162,6 @@ func TestMean(t *testing.T) {
 	}
 	if Mean(nil) != nil {
 		t.Error("Mean(nil) should be nil")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	pts := [][]float64{{1, 5}, {-2, 7}, {0, 6}}
-	lo, hi := MinMax(pts)
-	if lo[0] != -2 || lo[1] != 5 || hi[0] != 1 || hi[1] != 7 {
-		t.Errorf("MinMax = %v %v", lo, hi)
-	}
-	lo, hi = MinMax(nil)
-	if lo != nil || hi != nil {
-		t.Error("MinMax(nil) should be nil,nil")
 	}
 }
 
