@@ -249,41 +249,9 @@ func BenchmarkQueryK50(b *testing.B) {
 	b.ReportMetric(float64(pdc)/float64(b.N), "pdc/op")
 }
 
-// benchQueryK50Quant runs the headline query against an index built
-// with the given screening codec, reporting scr/op (candidates the
-// quantized screen rejected without an exact distance) next to pdc/op.
-func benchQueryK50Quant(b *testing.B, w *bench.Workload, kind QuantKind) {
-	ix, err := Build(w.Dataset.Points, Config{Seed: 5, Quantize: kind})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var pdc, scr int64
-	for i := 0; i < b.N; i++ {
-		var st QueryStats
-		_, err := ix.Search(context.Background(), w.Queries[i%len(w.Queries)], 50, WithRatio(1.5), WithStats(&st))
-		if err != nil {
-			b.Fatal(err)
-		}
-		pdc += st.ProjectedDistComps
-		scr += int64(st.Screened)
-	}
-	b.ReportMetric(float64(pdc)/float64(b.N), "pdc/op")
-	b.ReportMetric(float64(scr)/float64(b.N), "scr/op")
-}
-
-// BenchmarkQueryK50QuantF32 is BenchmarkQueryK50 with the float32
-// screening codec (half the verification bandwidth).
-func BenchmarkQueryK50QuantF32(b *testing.B) { benchQueryK50Quant(b, workload(b), QuantF32) }
-
-// BenchmarkQueryK50QuantI8 is BenchmarkQueryK50 with the int8 affine
-// screening codec (an eighth of the verification bandwidth).
-func BenchmarkQueryK50QuantI8(b *testing.B) { benchQueryK50Quant(b, workload(b), QuantI8) }
-
 // hdEnv lazily builds the high-dimensional workload once per process:
 // n≈2000 embedding-like rows at d=768, where exact verification is
-// memory-bandwidth-bound and screening pays off most.
+// most of a query.
 type hdEnv struct {
 	once sync.Once
 	w    *bench.Workload
@@ -312,8 +280,8 @@ func highDimWorkload(b *testing.B) *bench.Workload {
 
 // BenchmarkQueryK50HighDim is the headline query on the d=768
 // embedding-like workload: per-candidate verification cost is 12×
-// BenchmarkQueryK50's, so this benchmark tracks the exact-kernel and
-// screening work rather than tree traversal.
+// BenchmarkQueryK50's, so this benchmark tracks the exact-kernel work
+// rather than tree traversal.
 func BenchmarkQueryK50HighDim(b *testing.B) {
 	w := highDimWorkload(b)
 	ix, err := Build(w.Dataset.Points, Config{Seed: 5})
@@ -332,18 +300,6 @@ func BenchmarkQueryK50HighDim(b *testing.B) {
 		pdc += st.ProjectedDistComps
 	}
 	b.ReportMetric(float64(pdc)/float64(b.N), "pdc/op")
-}
-
-// BenchmarkQueryK50HighDimQuantF32 adds float32 screening at d=768.
-func BenchmarkQueryK50HighDimQuantF32(b *testing.B) {
-	benchQueryK50Quant(b, highDimWorkload(b), QuantF32)
-}
-
-// BenchmarkQueryK50HighDimQuantI8 adds int8 screening at d=768 — the
-// configuration the codec exists for: candidates are rejected on 8×
-// less memory traffic than the float64 rows.
-func BenchmarkQueryK50HighDimQuantI8(b *testing.B) {
-	benchQueryK50Quant(b, highDimWorkload(b), QuantI8)
 }
 
 // BenchmarkQueryK50Filtered is the headline query under WithFilter at

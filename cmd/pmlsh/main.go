@@ -4,14 +4,14 @@
 //
 // Usage:
 //
-//	pmlsh build -data vectors.f64 -index out.pmlsh [-m 15] [-pivots 5] [-quantize none|f32|i8] [-shards 4] [-metric l2|cosine|ip]
+//	pmlsh build -data vectors.f64 -index out.pmlsh [-m 15] [-pivots 5] [-shards 4] [-metric l2|cosine|ip]
 //	pmlsh query -index out.pmlsh -k 10 -c 1.5 -point "0.1,0.2,..." [-alpha1 0.2] [-budget 500] [-timeout 1s]
-//	pmlsh cp    -index out.pmlsh -k 10 -c 1.5 [-par] [-timeout 1s]
-//	pmlsh bench -index out.pmlsh -k 10 -c 1.5 -queries 100 [-par] [-quantize none|f32|i8] [-timeout 10s] [-cpuprofile cpu.out] [-memprofile mem.out]
-//	pmlsh bench -data vectors.f64 -shards 4 ...   (build in-process instead of loading)
+//	pmlsh cp    -index out.pmlsh -k 10 -c 1.5 [-timeout 1s]
+//	pmlsh bench -index out.pmlsh -k 10 -c 1.5 -queries 100 [-par] [-timeout 10s] [-cpuprofile cpu.out] [-memprofile mem.out]
+//	pmlsh bench -data vectors.f64 -shards 4 ...   (build in-process; query rows of the dump)
 //	pmlsh churn -data vectors.f64 [-ops 2000] [-delfrac 0.4] [-k 10] [-shards 4]
 //	pmlsh info  -index out.pmlsh
-//	pmlsh serve -data vectors.f64 -shards 4 -addr :8080 [-quantize i8] [-drain-timeout 15s] [-save out.pmlsh]
+//	pmlsh serve -data vectors.f64 -shards 4 -addr :8080 [-drain-timeout 15s] [-save out.pmlsh]
 //	pmlsh serve -load out.pmlsh -addr :8080
 //
 // Query subcommands run through the request API (Search, SearchBatch,
@@ -91,16 +91,11 @@ func runBuild(args []string) error {
 	m := fs.Int("m", 0, "hash functions (0 = 15)")
 	pivots := fs.Int("pivots", 0, "PM-tree pivots (0 = 5)")
 	seed := fs.Int64("seed", 1, "build seed")
-	quantize := fs.String("quantize", "none", "screening codec: none, f32 or i8 (persisted in the index file)")
 	shards := fs.Int("shards", 0, "shard count for snapshot-isolated serving (0 or 1 = single shard; persisted in the index file)")
 	metricFlag := fs.String("metric", "l2", "distance metric: l2, cosine or ip (persisted in the index file)")
 	fs.Parse(args)
 	if *dataPath == "" || *indexPath == "" {
 		return fmt.Errorf("build requires -data and -index")
-	}
-	qkind, err := pmlsh.ParseQuantKind(*quantize)
-	if err != nil {
-		return err
 	}
 	mk, err := pmlsh.ParseMetric(*metricFlag)
 	if err != nil {
@@ -114,7 +109,7 @@ func runBuild(args []string) error {
 		return err
 	}
 	start := time.Now()
-	ix, err := pmlsh.Build(data, pmlsh.Config{M: *m, NumPivots: *pivots, Seed: *seed, Quantize: qkind, Shards: *shards, Metric: mk})
+	ix, err := pmlsh.Build(data, pmlsh.Config{M: *m, NumPivots: *pivots, Seed: *seed, Shards: *shards, Metric: mk})
 	if err != nil {
 		return err
 	}
@@ -219,15 +214,15 @@ func runBench(args []string) error {
 	shards := fs.Int("shards", 0, "shard count when building from -data (0 or 1 = single shard)")
 	k := fs.Int("k", 10, "neighbors")
 	c := fs.Float64("c", 1.5, "approximation ratio")
-	queries := fs.Int("queries", 100, "number of random data points to query")
-	seed := fs.Int64("seed", 1, "query sampling seed")
+	queries := fs.Int("queries", 100, "number of queries: rows of the -data dump, or N(0,1) vectors with -index (no rows to sample)")
+	seed := fs.Int64("seed", 1, "query sampling seed (and build seed with -data)")
 	par := fs.Bool("par", false, "answer the query set with SearchBatch (parallel worker pool) and report aggregate QPS")
 	timeout := fs.Duration("timeout", 0, "deadline for the whole query loop (0 = none)")
-	quantize := fs.String("quantize", "", "override the index's screening codec for this run: none, f32 or i8 (empty = keep the loaded one)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the query loop to this file (go tool pprof)")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file after the query loop")
 	fs.Parse(args)
 	var ix *pmlsh.Index
+	var data [][]float64
 	var err error
 	switch {
 	case *indexPath != "" && *dataPath != "":
@@ -235,7 +230,6 @@ func runBench(args []string) error {
 	case *indexPath != "":
 		ix, err = loadIndex(*indexPath)
 	case *dataPath != "":
-		var data [][]float64
 		if data, err = readDump(*dataPath); err == nil {
 			ix, err = pmlsh.Build(data, pmlsh.Config{Seed: *seed, Shards: *shards})
 		}
@@ -244,15 +238,6 @@ func runBench(args []string) error {
 	}
 	if err != nil {
 		return err
-	}
-	if *quantize != "" {
-		qkind, err := pmlsh.ParseQuantKind(*quantize)
-		if err != nil {
-			return err
-		}
-		if err := ix.SetQuantize(qkind); err != nil {
-			return err
-		}
 	}
 	// The memprofile defer is registered first so that (LIFO) it runs
 	// AFTER StopCPUProfile: the GC and heap serialization must not be
@@ -282,20 +267,7 @@ func runBench(args []string) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	// Query the index with perturbation-free self-queries; latency is
-	// what this subcommand measures.
-	rng := rand.New(rand.NewSource(*seed))
-	qs := make([][]float64, *queries)
-	for i := range qs {
-		q := make([]float64, ix.Dim())
-		// Sample a stored point by querying for a random direction is
-		// not possible through the public API; use random Gaussian
-		// queries scaled to the data via a first self-query.
-		for j := range q {
-			q[j] = rng.NormFloat64()
-		}
-		qs[i] = q
-	}
+	qs := benchQueries(data, ix.Dim(), *queries, *seed)
 	ctx, cancel := queryCtx(*timeout)
 	defer cancel()
 	if *par {
@@ -306,48 +278,55 @@ func runBench(args []string) error {
 			return err
 		}
 		elapsed := time.Since(start)
-		var pdc, screened, verified int64
+		var pdc, verified int64
 		for _, st := range stats {
 			pdc += st.ProjectedDistComps
-			screened += int64(st.Screened)
 			verified += int64(st.Verified)
 		}
-		fmt.Printf("%d queries (batch, %d workers), k=%d, c=%.2f, quantize=%v\n",
-			len(qs), runtime.GOMAXPROCS(0), *k, *c, ix.Quantize())
+		fmt.Printf("%d queries (batch, %d workers), k=%d, c=%.2f\n",
+			len(qs), runtime.GOMAXPROCS(0), *k, *c)
 		fmt.Printf("wall time: %v\n", elapsed.Round(time.Microsecond))
 		fmt.Printf("aggregate: %.0f queries/s\n", float64(len(qs))/elapsed.Seconds())
 		fmt.Printf("mean projected dist comps: %.0f/query (exact per query)\n",
 			float64(pdc)/float64(len(qs)))
-		printScreenRate(ix, screened, verified)
+		fmt.Printf("mean verified: %.0f points/query\n", float64(verified)/float64(len(qs)))
 		return nil
 	}
 	start := time.Now()
-	var screened, verified int64
+	var verified int64
 	var st pmlsh.QueryStats
 	for _, q := range qs {
 		if _, err := ix.Search(ctx, q, *k, pmlsh.WithRatio(*c), pmlsh.WithStats(&st)); err != nil {
 			return err
 		}
-		screened += int64(st.Screened)
 		verified += int64(st.Verified)
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("%d queries, k=%d, c=%.2f, quantize=%v\n", len(qs), *k, *c, ix.Quantize())
+	fmt.Printf("%d queries, k=%d, c=%.2f\n", len(qs), *k, *c)
 	fmt.Printf("mean latency: %v\n", (elapsed / time.Duration(len(qs))).Round(time.Microsecond))
 	fmt.Printf("mean verified: %.0f points/query\n", float64(verified)/float64(len(qs)))
-	printScreenRate(ix, screened, verified)
 	return nil
 }
 
-// printScreenRate reports what share of verification candidates the
-// quantized screen rejected without an exact distance computation.
-// Silent without a codec — there is no screen to report on.
-func printScreenRate(ix *pmlsh.Index, screened, verified int64) {
-	if ix.Quantize() == pmlsh.QuantNone || verified == 0 {
-		return
+// benchQueries draws bench's n queries with the given seed: rows of the
+// dump the index was built from (self-queries, so they lie where the
+// data does), or — for a loaded index, which has no rows to sample —
+// N(0,1) vectors of dimension dim, far from data that is not zero-mean
+// and unit-scale.
+func benchQueries(data [][]float64, dim, n int, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	qs := make([][]float64, n)
+	for i := range qs {
+		if data != nil {
+			qs[i] = data[rng.Intn(len(data))]
+			continue
+		}
+		qs[i] = make([]float64, dim)
+		for j := range qs[i] {
+			qs[i][j] = rng.NormFloat64()
+		}
 	}
-	fmt.Printf("screen-reject rate: %.1f%% (%d of %d candidates)\n",
-		100*float64(screened)/float64(verified), screened, verified)
+	return qs
 }
 
 // runChurn drives a mutable-serving workload over a dataset dump: it
@@ -524,7 +503,6 @@ func runInfo(args []string) error {
 	fmt.Printf("dimensions: %d\n", info.Dim)
 	fmt.Printf("projected:  %d\n", info.M)
 	fmt.Printf("shards:     %d\n", info.Shards)
-	fmt.Printf("quantize:   %v\n", info.Quantize)
 	fmt.Printf("metric:     %v\n", info.Metric)
 	if info.Metric == pmlsh.MetricJaccard {
 		// No projected space, no χ² interval — nothing more to print.

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/server"
-	"repro/internal/store"
 	"repro/internal/wal"
 )
 
@@ -46,7 +45,6 @@ func runServe(args []string) error {
 	fsyncPolicy := fs.String("fsync", "always", "WAL sync policy with -data-dir: always, everyN=<n> or interval=<duration>")
 	shards := fs.Int("shards", 0, "shard count when building from -data (0 or 1 = single shard)")
 	seed := fs.Int64("seed", 1, "build seed when building from -data")
-	quantize := fs.String("quantize", "", "screening codec override: none, f32 or i8 (empty = keep)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "how long in-flight requests get to finish after a shutdown signal")
 	savePath := fs.String("save", "", "write a final index checkpoint here during shutdown")
 	fs.Parse(args)
@@ -61,14 +59,11 @@ func runServe(args []string) error {
 	}
 	if *dataDir != "" {
 		return serveDurable(log, *dataDir, policy, *checkpointInterval,
-			*addr, *dataPath, *loadPath, *shards, *seed, *quantize, *drainTimeout, *savePath)
+			*addr, *dataPath, *loadPath, *shards, *seed, *drainTimeout, *savePath)
 	}
 
 	eng, err := buildOrLoadEngine(log, *dataPath, *loadPath, *shards, *seed)
 	if err != nil {
-		return err
-	}
-	if err := applyQuantize(eng, *quantize); err != nil {
 		return err
 	}
 	srv, err := server.New(server.Config{Engine: eng, Logger: log})
@@ -140,17 +135,6 @@ func buildOrLoadEngine(log *slog.Logger, dataPath, loadPath string, shards int, 
 	}
 }
 
-func applyQuantize(eng *core.Engine, quantize string) error {
-	if quantize == "" {
-		return nil
-	}
-	kind, err := store.ParseQuantKind(quantize)
-	if err != nil {
-		return err
-	}
-	return eng.SetQuantize(kind)
-}
-
 // parseSyncPolicy maps the -fsync flag onto a wal.SyncPolicy:
 // "always" syncs every append, "everyN=8" groups up to 8 appends per
 // fsync, "interval=50ms" syncs on a timer.
@@ -212,7 +196,7 @@ func openOrBootstrapDurable(log *slog.Logger, dir string, policy wal.SyncPolicy,
 // up) while /readyz and the API serve 503 until replay completes, at
 // which point the real handler is swapped in atomically.
 func serveDurable(log *slog.Logger, dir string, policy wal.SyncPolicy, checkpointInterval time.Duration,
-	addr, dataPath, loadPath string, shards int, seed int64, quantize string,
+	addr, dataPath, loadPath string, shards int, seed int64,
 	drainTimeout time.Duration, savePath string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -244,9 +228,6 @@ func serveDurable(log *slog.Logger, dir string, policy wal.SyncPolicy, checkpoin
 	log.Info("listening, recovery in progress", "addr", addr, "dir", dir)
 
 	eng, err := openOrBootstrapDurable(log, dir, policy, dataPath, loadPath, shards, seed)
-	if err == nil {
-		err = applyQuantize(eng, quantize)
-	}
 	if err != nil {
 		hs.Close()
 		return err

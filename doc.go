@@ -95,7 +95,7 @@
 // confidence-interval machinery (DeriveParams, α₁/α₂/β derivation)
 // is internal to the L2 reduction: it applies unchanged under cosine
 // and inner product and does not exist for Jaccard, where
-// DeriveParams and SetQuantize return errors. SearchBall takes a
+// DeriveParams returns an error. SearchBall takes a
 // native radius for cosine and is rejected for inner product;
 // SearchPairs is rejected for inner product (a closest "pair" has no
 // meaning when similarity is query-relative). Serialized non-L2
@@ -224,7 +224,7 @@
 // traversed first and needed a second round that traversal plus the
 // row count. See README.md ("Performance").
 //
-// # Distance kernels and quantized screening
+// # Distance kernels
 //
 // The hot distance kernels (exact, early-abandoning, early-abandoning
 // over four gathered rows at once, one-against-many and dot product)
@@ -233,21 +233,6 @@
 // bit-identical — same accumulation order, no FMA contraction — so
 // results do not depend on the backend. Build with -tags noasm to
 // force the fallbacks.
-//
-// Config.Quantize (QuantF32 or QuantI8) adds a scalar-quantized
-// sidecar to the vector store and screens verification candidates
-// with a provable lower bound computed from the compact codes: a
-// candidate is skipped only when the bound already exceeds the
-// current k-th best distance, so results, statistics and the (c,k)
-// guarantee are element-wise identical to an unquantized index —
-// screening only saves full-precision row accesses. The rejected
-// count is reported per query as QueryStats.Screened. Screening pays
-// when the dataset is much larger than the CPU cache (an i8 code row
-// is 8x smaller than its f64 row); on cache-resident data it is
-// neutral. SetQuantize installs or drops the codec on a live index,
-// and Compact refits the i8 parameter range to the live points.
-// Serialized indexes (WriteTo/Load) carry the codec parameters;
-// codes are re-derived on load, bit-identically.
 //
 // # Queries, shards and snapshot isolation
 //
@@ -317,8 +302,8 @@
 // # Durability
 //
 // With `pmlsh serve -data-dir`, the engine is backed by a write-ahead
-// log (internal/wal): every mutation — insert, delete, compact,
-// codec change — is appended to a CRC-framed segment file and fsynced
+// log (internal/wal): every mutation — insert, delete, compact — is
+// appended to a CRC-framed segment file and fsynced
 // under the -fsync policy (always, everyN=<n> group commit, or
 // interval=<duration>) before it is applied in memory, so a mutation
 // whose call returned is in the durable log. Reopening the directory

@@ -47,15 +47,7 @@ type CPStats struct {
 	// rounds.
 	Enumerated int
 	// Verified is the number of unique pairs admitted to verification.
-	// When quantized screening is on (Config.Quantize), pairs rejected
-	// by the screen still count here — Verified measures candidate-set
-	// size, which screening does not change.
 	Verified int
-	// Screened is the number of admitted pairs whose exact distance
-	// computation was skipped because the quantized lower bound already
-	// exceeded the current k-th best pair distance. Always 0 without
-	// Config.Quantize. Screened ≤ Verified.
-	Screened int
 	// ProjectedDistComps is the number of projected-space metric
 	// evaluations inside the PM-tree traversal. Like the KNN statistic,
 	// it is exact for the query it describes — the pair enumerator

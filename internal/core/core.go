@@ -102,14 +102,6 @@ type Config struct {
 	// is never wanted); values above 1 are rejected (neither share can
 	// exceed 1).
 	AutoCompactFraction float64
-	// Quantize attaches a scalar-quantized sidecar codec to the vector
-	// store (store.QuantF32 or store.QuantI8) and screens verification
-	// candidates with a provable lower bound on the exact squared
-	// distance before touching the full-precision row. Screening is
-	// reject-only: answers are element-wise identical to an unscreened
-	// index; only the amount of full-precision memory traffic changes.
-	// The zero value (store.QuantNone) disables screening.
-	Quantize store.QuantKind
 	// Shards is the shard count of the serving engine built by
 	// BuildEngine (0 and 1 both mean a single shard; Build and
 	// BuildFromStore ignore the field — a bare Index is always one
@@ -175,19 +167,7 @@ type QueryStats struct {
 	// "only one or two range queries are required").
 	Rounds int
 	// Verified is the number of original-space distance computations.
-	// When quantized screening is on (Config.Quantize), candidates
-	// rejected by the screen still count here — Verified measures
-	// candidate-set size, which screening does not change.
 	Verified int
-	// Screened is the number of verification candidates whose exact
-	// distance computation was skipped because the quantized lower
-	// bound already exceeded the k-th best distance. Candidates are
-	// verified four at a time and the screen judges each against the
-	// k-th best as it stood when its block began, so the count can be
-	// a few short of what a candidate-at-a-time screen would reject —
-	// the answer is the same either way. Always 0 without
-	// Config.Quantize. Screened ≤ Verified.
-	Screened int
 	// ProjectedDistComps is the number of projected-space metric
 	// evaluations inside the PM-tree: every row of the tree's projected
 	// store, rows Delete has marked dead included, once the enumeration
@@ -221,8 +201,8 @@ type Params struct {
 // atomic pointer; a query — Search, SearchBatch once for the whole
 // batch, SearchBall, SearchPairs, WriteTo, every getter — loads it and
 // reads nothing else that changes, so it sees one state from start to
-// end and never a half-applied mutation. Insert, Delete, Compact and
-// SetQuantize take turns on a writer mutex and publish the next view
+// end and never a half-applied mutation. Insert, Delete and Compact
+// take turns on a writer mutex and publish the next view
 // with one atomic store. Engine's "Concurrency model" says why that is
 // safe: between two compactions inserts only append, a delete is a
 // delete epoch, and nothing a view holds is rewritten.
@@ -282,9 +262,8 @@ type Index struct {
 // length it has here; the next view shares the arrays and extends them,
 // or — after Compact — holds fresh ones.
 type view struct {
-	flat     []float64    // the data rows: row r is flat[r*dim:(r+1)*dim]
-	codec    *store.Codec // their quantized sidecar; nil unless Config.Quantize
-	deadRows []int32      // the rows tombstoned since the last Compact
+	flat     []float64 // the data rows: row r is flat[r*dim:(r+1)*dim]
+	deadRows []int32   // the rows tombstoned since the last Compact
 	// rowOf maps an id to its row in flat; the next Insert gets id
 	// len(rowOf). A deleted id keeps its row until Compact leaves it out
 	// (-1 from then on): whether an id is live is the tree's to say.
@@ -331,7 +310,6 @@ func (v *view) deadFraction(dim int) float64 {
 func (ix *Index) publish(rowOf []int32, distCDF []float64, compactions int64) {
 	ix.view.Store(&view{
 		flat:        ix.data.Flat(),
-		codec:       ix.data.Codec(),
 		deadRows:    ix.data.DeadRows(),
 		rowOf:       rowOf,
 		tree:        ix.tree.Snapshot(),
@@ -548,14 +526,6 @@ func buildInternal(s *store.Store, cfg Config, ndim int, scale float64) (*Index,
 	if cfg.AutoCompactFraction > 1 {
 		return nil, fmt.Errorf("core: AutoCompactFraction must be <= 1, got %v", cfg.AutoCompactFraction)
 	}
-	switch cfg.Quantize {
-	case store.QuantNone, store.QuantF32, store.QuantI8:
-	default:
-		return nil, fmt.Errorf("core: unknown Quantize kind %d", cfg.Quantize)
-	}
-	if s.Quantize() != cfg.Quantize {
-		s.SetQuantize(cfg.Quantize)
-	}
 	dim := s.Dim()
 
 	proj, err := lsh.NewProjection(cfg.M, dim, cfg.Seed)
@@ -709,38 +679,6 @@ func (ix *Index) Insert(p []float64) (int32, error) {
 	return id, nil
 }
 
-// SetQuantize installs (kind f32 or i8), refits, or drops (kind none)
-// the quantized screening codec over the current dataset, for future
-// Compacts and saves too. Refitting recovers
-// screen selectivity after out-of-range inserts have widened the
-// per-dimension slack. The codec is built aside and published like any
-// mutation; queries before and after answer identically — only
-// screening work changes.
-func (ix *Index) SetQuantize(kind store.QuantKind) error {
-	if ix.metric == metric.Jaccard {
-		return fmt.Errorf("core: the jaccard backend stores sets, not vectors; quantized screening does not apply")
-	}
-	switch kind {
-	case store.QuantNone, store.QuantF32, store.QuantI8:
-	default:
-		return fmt.Errorf("core: unknown Quantize kind %d", kind)
-	}
-	ix.wmu.Lock()
-	defer ix.wmu.Unlock()
-	ix.data.SetQuantize(kind)
-	cur := ix.view.Load()
-	ix.publish(cur.rowOf, cur.distCDF, cur.compactions)
-	return nil
-}
-
-// Quantize reports the screening codec the index currently maintains.
-func (ix *Index) Quantize() store.QuantKind {
-	if ix.metric == metric.Jaccard {
-		return store.QuantNone
-	}
-	return ix.view.Load().codec.Kind()
-}
-
 // Delete removes the point with the given id. The id stays retired
 // forever — later Inserts get fresh ids — and the point's storage row
 // is tombstoned until the next Compact drops it. A query that loaded
@@ -815,11 +753,6 @@ func (ix *Index) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	// Re-quantizing after the repack refits the codec's affine
-	// parameters to the surviving rows, recovering screen selectivity
-	// that out-of-range inserts (clamped codes, widened slack) erode.
-	fresh.SetQuantize(ix.data.Quantize())
-
 	tr, distCDF, err := buildTree(ix.proj, fresh, ids, ix.cfg)
 	if err != nil {
 		return err

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/store"
 	"repro/internal/wal"
 )
 
@@ -184,8 +183,10 @@ func (e *Engine) applyLogged(op wal.Op) error {
 		return e.deleteMem(op.ID)
 	case wal.OpCompact:
 		return e.compactMem()
-	case wal.OpSetQuantize:
-		return e.setQuantizeMem(store.QuantKind(op.Quant))
+	case wal.OpLegacyQuantize:
+		// Written before PR 29 retired quantized screening, which was
+		// reject-only: the index answers the same without the codec.
+		return nil
 	}
 	return fmt.Errorf("%w: unknown op kind %d", wal.ErrCorrupt, op.Kind)
 }
@@ -247,18 +248,6 @@ func (d *durable) compact(e *Engine) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.commit(e, wal.Op{Kind: wal.OpCompact})
-}
-
-// setQuantize is the durable SetQuantize path.
-func (d *durable) setQuantize(e *Engine, kind store.QuantKind) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	switch kind {
-	case store.QuantNone, store.QuantF32, store.QuantI8:
-	default:
-		return e.setQuantizeMem(kind) // usual validation error, unlogged
-	}
-	return d.commit(e, wal.Op{Kind: wal.OpSetQuantize, Quant: uint8(kind)})
 }
 
 // CheckpointDurable writes the engine's current state as a durable

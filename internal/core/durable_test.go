@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -10,7 +11,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/store"
 	"repro/internal/vec"
 	"repro/internal/wal"
 )
@@ -43,9 +43,6 @@ func TestDurableRoundTrip(t *testing.T) {
 	if err := e.Delete(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SetQuantize(store.QuantF32); err != nil {
-		t.Fatal(err)
-	}
 	if err := e.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +66,96 @@ func TestDurableRoundTrip(t *testing.T) {
 		t.Fatal("recovered live set is wrong")
 	}
 	st, ok := e2.DurabilityStats()
-	if !ok || st.ReplayRecords != 4 {
-		t.Fatalf("replay stats = %+v, ok=%v (want 4 records)", st, ok)
+	if !ok || st.ReplayRecords != 3 {
+		t.Fatalf("replay stats = %+v, ok=%v (want 3 records)", st, ok)
 	}
 	// Id sequence continues where it left off.
 	gid2, err := e2.Insert([]float64{4, 5, 6})
 	if err != nil || gid2 != 21 {
 		t.Fatalf("post-recovery insert: id %d, err %v", gid2, err)
+	}
+}
+
+// TestReplaySkipsLegacyQuantizeRecords: set-quantize records, which
+// logs written before PR 29 interleave with the other mutations, replay
+// as no-ops — the engine recovered from a segment holding them is the
+// one recovered from the same segment without them, byte for byte.
+func TestReplaySkipsLegacyQuantizeRecords(t *testing.T) {
+	plainDir, legacyDir := t.TempDir(), t.TempDir()
+	e, err := BuildEngine(clusteredData(20, 3, 2, 7), durableConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.EnableDurability(wal.DirFS(plainDir), wal.SyncPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := e.Insert([]float64{float64(i), 1, -2}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Delete(int32(3 * i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The same checkpoint, and segment 2 with a set-quantize record of
+	// each kind (none, f32, i8) before every other mutation.
+	ckpt, err := os.ReadFile(filepath.Join(plainDir, wal.CheckpointName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(legacyDir, wal.CheckpointName(1)), ckpt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var ops []wal.Op
+	if _, err := wal.ReplaySegments(wal.DirFS(plainDir), []uint64{2}, func(op wal.Op) error {
+		ops = append(ops, op)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	w, err := wal.CreateWriter(wal.DirFS(legacyDir), 2, wal.SyncPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range ops {
+		if i%2 == 0 {
+			if err := w.Append(wal.Op{Kind: wal.OpLegacyQuantize, Quant: uint8(i / 2 % 3)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Append(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered := func(dir string) (EngineInfo, []byte, int) {
+		e, err := OpenDurable(wal.DirFS(dir), wal.SyncPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.CloseDurable()
+		var buf bytes.Buffer
+		if _, err := e.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		st, _ := e.DurabilityStats()
+		return e.Info(), buf.Bytes(), st.ReplayRecords
+	}
+	wantInfo, wantBytes, wantRecords := recovered(plainDir)
+	gotInfo, gotBytes, gotRecords := recovered(legacyDir)
+	if wantRecords != len(ops) || gotRecords != len(ops)+(len(ops)+1)/2 {
+		t.Fatalf("replayed %d and %d records of %d mutations", wantRecords, gotRecords, len(ops))
+	}
+	if !reflect.DeepEqual(gotInfo, wantInfo) || !bytes.Equal(gotBytes, wantBytes) {
+		t.Fatalf("recovered with set-quantize records: %+v (%d bytes), without: %+v (%d bytes)",
+			gotInfo, len(gotBytes), wantInfo, len(wantBytes))
 	}
 }
 
@@ -179,21 +259,19 @@ func TestOpenDurableLostCheckpointIsFatal(t *testing.T) {
 
 // modelOp mirrors one acknowledged mutation for the churn oracle.
 type modelOp struct {
-	kind  wal.OpKind
-	id    int32
-	vec   []float64
-	quant store.QuantKind
+	kind wal.OpKind
+	id   int32
+	vec  []float64
 }
 
 // modelState is the expected engine state after a prefix of acked ops.
 type modelState struct {
-	ids   int // ids ever assigned
-	live  map[int32][]float64
-	quant store.QuantKind
+	ids  int // ids ever assigned
+	live map[int32][]float64
 }
 
 func applyModel(base modelState, op modelOp) modelState {
-	next := modelState{ids: base.ids, quant: base.quant, live: make(map[int32][]float64, len(base.live)+1)}
+	next := modelState{ids: base.ids, live: make(map[int32][]float64, len(base.live)+1)}
 	for id, v := range base.live {
 		next.live[id] = v
 	}
@@ -203,14 +281,12 @@ func applyModel(base modelState, op modelOp) modelState {
 		next.ids++
 	case wal.OpDelete:
 		delete(next.live, op.id)
-	case wal.OpSetQuantize:
-		next.quant = op.quant
 	}
 	return next
 }
 
 func matchesModel(e *Engine, m modelState) bool {
-	if e.Len() != m.ids || e.LiveLen() != len(m.live) || e.Quantize() != m.quant {
+	if e.Len() != m.ids || e.LiveLen() != len(m.live) {
 		return false
 	}
 	for id := int32(0); id < int32(m.ids); id++ {
@@ -283,8 +359,8 @@ func churnOracle(t *testing.T, e *Engine, m modelState, rng *rand.Rand, c float6
 }
 
 // TestDurableKillMidChurn is the headline fault-injection suite: 120
-// randomized crash points during insert/delete/compact/set-quantize/
-// checkpoint churn, each followed by kill -9 or power-cut simulation,
+// randomized crash points during insert/delete/compact/checkpoint
+// churn, each followed by kill -9 or power-cut simulation,
 // recovery, and invariant checks:
 //
 //   - reopen always succeeds (tearing is never corruption);
@@ -358,10 +434,6 @@ func TestDurableKillMidChurn(t *testing.T) {
 					}
 					err = e.Delete(target)
 					op = modelOp{kind: wal.OpDelete, id: target}
-				case r < 87:
-					kind := store.QuantKind(rng.Intn(3))
-					err = e.SetQuantize(kind)
-					op = modelOp{kind: wal.OpSetQuantize, quant: kind}
 				case r < 94:
 					err = e.Compact()
 					op = modelOp{kind: wal.OpCompact}
@@ -408,8 +480,8 @@ func TestDurableKillMidChurn(t *testing.T) {
 
 		// The recovered state must be exactly states[j] for one j in
 		// [syncedLB, len(acked)] — and under kill -9, j = len(acked).
-		// Scan descending: state-neutral ops (Compact, a SetQuantize to
-		// the current codec) make adjacent prefixes indistinguishable,
+		// Scan descending: state-neutral ops (Compact) make adjacent
+		// prefixes indistinguishable,
 		// and the longest match is the meaningful one.
 		matched := -1
 		for j := len(acked); j >= syncedLB; j-- {

@@ -22,18 +22,18 @@ import (
 // as an immutable view (see view) through an atomic pointer.
 //
 //   - Immutable: a published view — every array cut at the length it
-//     had, the frozen PM-tree nodes, the distance sample, the codec. A
-//     query loads it with one atomic load and reads nothing else.
+//     had, the frozen PM-tree nodes, the distance sample. A query
+//     loads it with one atomic load and reads nothing else.
 //   - Append-only between compactions: data rows, projected rows, the
-//     id → row and row → id maps, quantized codes, the dead-row list. An
+//     id → row and row → id maps, the dead-row list. An
 //     insert writes past every earlier view's lengths (a growth
 //     reallocation leaves the old array to the old views); nothing is
 //     recycled or overwritten.
 //   - An epoch: a delete is one atomic store of a delete epoch on the
 //     id. A view published earlier carries an earlier epoch and still
 //     sees the point; views from then on skip it.
-//   - Rebuilt aside: Compact and SetQuantize fill fresh arrays and
-//     publish them; the old ones go with the last query reading them.
+//   - Rebuilt aside: Compact fills fresh arrays and publishes them;
+//     the old ones go with the last query reading them.
 //
 // Publishing is one atomic store, the single commit point: a reader
 // sees a mutation whole or not at all, a SearchBatch answers every
@@ -335,28 +335,6 @@ func (e *Engine) OnCompact(fn func(time.Duration)) {
 	}
 }
 
-// SetQuantize installs, refits, or drops the screening codec on every
-// shard (see Index.SetQuantize).
-func (e *Engine) SetQuantize(kind store.QuantKind) error {
-	if e.dur != nil {
-		return e.dur.setQuantize(e, kind)
-	}
-	return e.setQuantizeMem(kind)
-}
-
-// setQuantizeMem is the in-memory codec switch (see insertMem).
-func (e *Engine) setQuantizeMem(kind store.QuantKind) error {
-	for s, ix := range e.shards {
-		if err := ix.SetQuantize(kind); err != nil {
-			return fmt.Errorf("core: shard %d: %w", s, err)
-		}
-	}
-	return nil
-}
-
-// Quantize reports the screening codec the engine currently maintains.
-func (e *Engine) Quantize() store.QuantKind { return e.shards[0].Quantize() }
-
 // Len returns the size of the global id space: the number of ids ever
 // assigned across all shards.
 func (e *Engine) Len() int {
@@ -396,8 +374,6 @@ type EngineInfo struct {
 	Live int
 	// Dead is the number of tombstoned storage rows awaiting Compact.
 	Dead int
-	// Quantize is the screening codec currently maintained.
-	Quantize store.QuantKind
 	// Compactions counts Compact operations (explicit and auto)
 	// completed since the engine was built or loaded.
 	Compactions int64
@@ -417,17 +393,16 @@ type EngineInfo struct {
 }
 
 // Info returns one consistent snapshot of the engine's observable
-// state. Unlike ad-hoc sequences of Len/LiveLen/Quantize calls — each
+// state. Unlike ad-hoc sequences of Len/LiveLen calls — each
 // of which loads the then-current view on its own, so a concurrent
 // mutator can land between them — Info loads every shard's view once
 // and reads all of that shard's fields from it.
 func (e *Engine) Info() EngineInfo {
 	info := EngineInfo{
-		Dim:      e.dim,
-		M:        e.M(),
-		Metric:   e.metric,
-		Shards:   len(e.shards),
-		Quantize: e.Quantize(),
+		Dim:    e.dim,
+		M:      e.M(),
+		Metric: e.metric,
+		Shards: len(e.shards),
 
 		TailFraction: make([]float64, len(e.shards)),
 		DeadFraction: make([]float64, len(e.shards)),

@@ -255,9 +255,6 @@ func TestEngineShardedPairsQuality(t *testing.T) {
 		if st.Verified == 0 || st.Rounds == 0 {
 			t.Fatalf("stats not populated: %+v", st)
 		}
-		if st.Screened != 0 {
-			t.Fatalf("sharded CP should skip screening, got Screened=%d", st.Screened)
-		}
 	}
 }
 

@@ -22,11 +22,7 @@ import (
 // distance; at N = 1 it is the one self-join and a global id is the
 // index's own id. On top sits the one radius-capped verify loop (run):
 // seen-set dedup, the βn+k budget over the union's n, the
-// confidence-interval termination. The reject-only quantized screen
-// applies whenever both ids of a pair sit in one partition's store —
-// always at N = 1 — because a codec bounds distances between its own
-// rows only; a cross-partition pair goes straight to the exact
-// distance, so answers never depend on the shard count's screening.
+// confidence-interval termination.
 //
 // There is no parallel verification: on the reference dedup workload a
 // query verifies 60 pairs (CPStats{Rounds:1 Enumerated:60 Verified:60
@@ -380,24 +376,15 @@ rounds:
 				continue
 			}
 			st.Verified++
-			// Quantized screen (reject-only, see verifier.run): with the
-			// top-k full, a pair lower bound above the k-th best distance
-			// skips the exact computation without changing the answer. A
-			// codec bounds only pairs of its own store's rows.
 			ia, r1 := s.locate(cand.I)
 			ib, r2 := s.locate(cand.J)
-			if ia == ib && ia.codec != nil && len(top) == s.k &&
-				ia.codec.PairLowerBound(r1, r2, bound) > bound {
-				st.Screened++
-			} else {
-				d := s.dim
-				d2 := vec.SquaredL2Bounded(ia.flat[r1*d:(r1+1)*d], ib.flat[r2*d:(r2+1)*d], bound)
-				if len(top) < s.k || d2 < bound {
-					top = insertPair(top, Pair{I: cand.I, J: cand.J, Dist: d2}, s.k)
-					if len(top) == s.k {
-						bound = top[s.k-1].Dist
-						en.SetCutoff(s.projCutoff(bound))
-					}
+			d := s.dim
+			d2 := vec.SquaredL2Bounded(ia.flat[r1*d:(r1+1)*d], ib.flat[r2*d:(r2+1)*d], bound)
+			if len(top) < s.k || d2 < bound {
+				top = insertPair(top, Pair{I: cand.I, J: cand.J, Dist: d2}, s.k)
+				if len(top) == s.k {
+					bound = top[s.k-1].Dist
+					en.SetCutoff(s.projCutoff(bound))
 				}
 			}
 			// Termination 2: enough unique admitted pairs verified.

@@ -131,7 +131,6 @@ func mergeQueryStats(sts []QueryStats) QueryStats {
 	for _, st := range sts {
 		out.Rounds += st.Rounds
 		out.Verified += st.Verified
-		out.Screened += st.Screened
 		out.ProjectedDistComps += st.ProjectedDistComps
 		if st.FinalRadius > out.FinalRadius {
 			out.FinalRadius = st.FinalRadius

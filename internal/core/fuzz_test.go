@@ -4,12 +4,14 @@ package core
 // streams must produce an error, never a panic or an unbounded
 // allocation. The seed corpus (testdata/fuzz/FuzzLoad, and the same
 // set built in-process by fuzzStreams) holds one genuine stream per
-// layout that can still occur — PLS4 plain, churned mid-free-list
-// (dead marks and a tail in its PMT3 tree) and i8-quantized, sharded
-// PLS5 containers, one of them churned, PLS6 envelopes for cosine, inner
-// product and Jaccard — the churned PLS4 stream of the release before
-// the tree was frozen (a PMT2 tree grown by inserts, which nothing
-// writes any more and Load keeps reading), plus the inputs Load must
+// layout that can still occur — PLS4 plain and churned mid-free-list
+// (dead marks and a tail in its PMT3 tree), sharded PLS5 containers,
+// one of them churned, PLS6 envelopes for cosine, inner product and
+// Jaccard — the churned PLS4 stream of the release before the tree was
+// frozen (a PMT2 tree grown by inserts, which nothing writes any more
+// and Load keeps reading), the i8-quantized PLS4 stream of the release
+// before screening was retired (Load reads its codec and drops it),
+// plus the inputs Load must
 // refuse: one stream per retired magic (testdata keeps real PLS1–PLS3
 // bytes from the releases that wrote them), one with the R-tree flag
 // set, and two whose tree names an id far beyond the id space. The fuzzer mutates all of them, and their truncations and bit
@@ -33,7 +35,6 @@ import (
 	"testing"
 
 	"repro/internal/metric"
-	"repro/internal/store"
 )
 
 var updateFuzzCorpus = flag.Bool("update-fuzz-corpus", false,
@@ -121,8 +122,9 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 		tb.Fatal("the pls4-churned seed no longer carries a PMT2 tree")
 	}
 	out = append(out, fuzzStream{name: "pls4-churned", data: legacy, legacy: true})
-	quantized, err := Build(data, with(func(c *Config) { c.Quantize = store.QuantI8 }))
-	add("pls4-i8", quantized, err)
+	// The plain index as the release before PR 29 wrote it with an i8
+	// screening codec, which Load reads and drops.
+	out = append(out, fuzzStream{name: "pls4-i8", data: readFuzzSeed(tb, "pls4-i8"), legacy: true})
 	// Sharded PLS5 containers: shard boundaries, per-shard length
 	// prefixes and the inner-stream framing are all attack surface —
 	// over bare PLS4 shards and over PLS6 ones.

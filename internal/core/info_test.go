@@ -89,7 +89,7 @@ func TestInfoConsistentUnderMutator(t *testing.T) {
 		// Quiescent ground truth: Info agrees with the individual
 		// accessors once mutations stop.
 		info := e.Info()
-		if info.IDs != e.Len() || info.Live != e.LiveLen() || info.Quantize != e.Quantize() {
+		if info.IDs != e.Len() || info.Live != e.LiveLen() {
 			t.Fatalf("shards=%d: quiescent Info %+v disagrees with Len=%d LiveLen=%d",
 				shards, info, e.Len(), e.LiveLen())
 		}

@@ -65,8 +65,8 @@ func minhashOpt(o SearchOptions) minhash.SearchOpt {
 
 // jaccardQueryStats fills the engine's QueryStats from a MinHash
 // query: a band-LSH lookup is a single round, Verified counts exact
-// Jaccard rescores, and the projected/screening counters stay zero —
-// there is no projected space and no quantized screen.
+// Jaccard rescores, and the projected counters stay zero — there is no
+// projected space.
 func jaccardQueryStats(st minhash.Stats) QueryStats {
 	return QueryStats{Rounds: 1, Verified: st.Verified}
 }

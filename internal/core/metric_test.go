@@ -263,9 +263,6 @@ func TestMetricQuerySurfaceRestrictions(t *testing.T) {
 	if _, err := jac.DeriveParams(1.5); err == nil {
 		t.Error("DeriveParams answered for a jaccard index")
 	}
-	if err := jac.SetQuantize(1); err == nil {
-		t.Error("SetQuantize answered for a jaccard index")
-	}
 	if _, err := jac.Search(context.Background(), []float64{1.5}, 3, SearchOptions{C: 1.5}); err == nil {
 		t.Error("jaccard Search accepted a non-integer token")
 	}

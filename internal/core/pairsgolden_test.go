@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/metric"
-	"repro/internal/store"
 )
 
 // TestPairsGolden pins SearchPairs to the answers recorded at the
@@ -23,18 +22,17 @@ import (
 //
 // shards=1 and Jaccard rows are compared verbatim. At shards > 1 two
 // differences from the parent's sharded loop are permitted, and only
-// in the statistics — the pairs stay element-wise equal:
+// in the statistics — the pairs stay element-wise equal: Enumerated,
+// Verified and ProjectedDistComps may be lower than recorded, never
+// higher. The parent's merge re-pulled a source the moment it handed
+// out its head; searchPairsSerial pulled its one enumerator only when
+// the loop came back for more. One loop cannot do both, and keeping the
+// 1-shard sequence means an N-shard query no longer pulls (and
+// verifies) the candidate behind a head that shrank the cutoff or ended
+// the query. Rounds must match.
 //
-//   - Screened: the parent never screened at N > 1 (it recorded 0); the
-//     single driver screens whenever both ids share a store, so with a
-//     codec Screened may be > 0 (checked: ≤ Verified).
-//   - Enumerated, Verified, ProjectedDistComps may be lower than
-//     recorded, never higher. The parent's merge re-pulled a source the
-//     moment it handed out its head; searchPairsSerial pulled its one
-//     enumerator only when the loop came back for more. One loop cannot
-//     do both, and keeping the 1-shard sequence means an N-shard query
-//     no longer pulls (and verifies) the candidate behind a head that
-//     shrank the cutoff or ended the query. Rounds must match.
+// The blocks recorded with the i8 screening codec went with it (PR 29);
+// the screened=0 and quantize=none tokens left the rest.
 //
 // Regenerate (only when an answer is meant to change):
 // go test ./internal/core -run TestPairsGolden -update-pairs-golden
@@ -45,14 +43,14 @@ const pairsGoldenPath = "testdata/pairs.golden"
 
 func evenIDs(id int32) bool { return id%2 == 0 }
 
-const pairsGoldenStats = "stats rounds=%d enumerated=%d verified=%d screened=%d pdc=%d\n"
+const pairsGoldenStats = "stats rounds=%d enumerated=%d verified=%d pdc=%d\n"
 
 // renderPairs is one golden block: the statistics line, then one line
 // per pair with the distance as its IEEE-754 bits.
 func renderPairs(st CPStats, pairs []Pair) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, pairsGoldenStats,
-		st.Rounds, st.Enumerated, st.Verified, st.Screened, st.ProjectedDistComps)
+		st.Rounds, st.Enumerated, st.Verified, st.ProjectedDistComps)
 	for _, p := range pairs {
 		fmt.Fprintf(&b, "pair %d %d %016x\n", p.I, p.J, math.Float64bits(p.Dist))
 	}
@@ -89,32 +87,30 @@ func TestPairsGolden(t *testing.T) {
 	}
 	for _, m := range []metric.Kind{metric.L2, metric.Cosine} {
 		for _, shards := range []int{1, 3} {
-			for _, q := range []store.QuantKind{store.QuantNone, store.QuantI8} {
-				e, err := BuildEngine(points, Config{Seed: 11, Metric: m, Shards: shards, Quantize: q})
-				if err != nil {
-					t.Fatal(err)
-				}
-				type knobs struct {
-					budget int
-					alpha1 float64
-				}
-				runs := []knobs{{0, 0}, {500, 0}}
-				if m == metric.L2 {
-					runs = append(runs, knobs{2, 0.9999})
-				}
-				for _, f := range filters {
-					for _, kn := range runs {
-						name := fmt.Sprintf("metric=%v shards=%d quantize=%v filter=%s budget=%d alpha1=%v", m, shards, q, f.name, kn.budget, kn.alpha1)
-						var st CPStats
-						pairs, err := e.SearchPairs(ctx, k, SearchOptions{Filter: f.fn, Budget: kn.budget, Alpha1: kn.alpha1, PairStats: &st})
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if len(pairs) != k {
-							t.Fatalf("%s: %d pairs, want %d", name, len(pairs), k)
-						}
-						cases = append(cases, goldenCase{name, renderPairs(st, pairs), shards > 1})
+			e, err := BuildEngine(points, Config{Seed: 11, Metric: m, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			type knobs struct {
+				budget int
+				alpha1 float64
+			}
+			runs := []knobs{{0, 0}, {500, 0}}
+			if m == metric.L2 {
+				runs = append(runs, knobs{2, 0.9999})
+			}
+			for _, f := range filters {
+				for _, kn := range runs {
+					name := fmt.Sprintf("metric=%v shards=%d filter=%s budget=%d alpha1=%v", m, shards, f.name, kn.budget, kn.alpha1)
+					var st CPStats
+					pairs, err := e.SearchPairs(ctx, k, SearchOptions{Filter: f.fn, Budget: kn.budget, Alpha1: kn.alpha1, PairStats: &st})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
+					if len(pairs) != k {
+						t.Fatalf("%s: %d pairs, want %d", name, len(pairs), k)
+					}
+					cases = append(cases, goldenCase{name, renderPairs(st, pairs), shards > 1})
 				}
 			}
 		}
@@ -177,21 +173,17 @@ func TestPairsGolden(t *testing.T) {
 			recStats, _, _ := strings.Cut(w, "\n")
 			scan := func(line string, st *CPStats) {
 				if _, err := fmt.Sscanf(line+"\n", pairsGoldenStats,
-					&st.Rounds, &st.Enumerated, &st.Verified, &st.Screened, &st.ProjectedDistComps); err != nil {
+					&st.Rounds, &st.Enumerated, &st.Verified, &st.ProjectedDistComps); err != nil {
 					t.Fatalf("%s: %q: %v", c.name, line, err)
 				}
 			}
 			scan(gotStats, &got)
 			scan(recStats, &rec)
-			if got.Screened > got.Verified {
-				t.Errorf("%s: Screened %d > Verified %d", c.name, got.Screened, got.Verified)
-			}
-			got.Screened = rec.Screened
 			if got.Enumerated <= rec.Enumerated && got.Verified <= rec.Verified &&
 				got.ProjectedDistComps <= rec.ProjectedDistComps {
 				got.Enumerated, got.Verified, got.ProjectedDistComps = rec.Enumerated, rec.Verified, rec.ProjectedDistComps
 			}
-			c.block = fmt.Sprintf(pairsGoldenStats, got.Rounds, got.Enumerated, got.Verified, got.Screened, got.ProjectedDistComps) + gotPairs
+			c.block = fmt.Sprintf(pairsGoldenStats, got.Rounds, got.Enumerated, got.Verified, got.ProjectedDistComps) + gotPairs
 		}
 		if w != c.block {
 			t.Errorf("%s:\n got:\n%s want:\n%s", c.name, c.block, w)

@@ -276,7 +276,7 @@ func (ix *Index) searchView(ctx context.Context, v *view, q []float64, k int, o 
 		}
 	}
 	top := vf.top
-	st.Verified, st.Screened = vf.verified, vf.screened
+	st.Verified = vf.verified
 	st.FinalRadius = r
 	st.ProjectedDistComps = en.DistComps()
 	for i := range top {
@@ -297,7 +297,6 @@ const verifyWidth = 4
 // scratch: the kernel is reached through a dispatch variable, so
 // stack-local buffers would be heap-allocated on every call.
 type verifyBlock struct {
-	ids  [verifyWidth]int32
 	rows [verifyWidth]int32
 	d2   [verifyWidth]float64
 }
@@ -305,57 +304,44 @@ type verifyBlock struct {
 // verifier is the one exact-verification loop behind Search,
 // SearchBatch and SearchBall: it streams a round's selected candidates
 // — already admitted by the filter and cut at the budget — through
-// quantized screen → exact distance → running top-k. Every one of them
-// counts toward Verified.
+// exact distance → running top-k. Every one of them counts toward
+// Verified.
 //
-// Candidates are verified a block at a time. Up to verifyWidth
-// survivors of the screen are gathered, their distances are computed
-// together against the bound as it stood when the block began, and the
-// results are folded into the top-k against the live bound. The
-// block-start bound can only be looser than the live one, so a lane
+// Candidates are verified a block at a time. The next verifyWidth of
+// them are gathered, their distances are computed together against the
+// bound as it stood when the block began, and the results are folded
+// into the top-k against the live bound. The block-start bound can
+// only be looser than the live one, so a lane
 // returns either the exact distance — and the same comparison with the
 // bound decides — or a partial sum above a bound that is already too
 // large, rejected either way: the answer is element for element that of
 // verifying one candidate at a time, while four rows' dependency
 // chains and cache misses overlap.
 type verifier struct {
-	view  *view     // rows, id map and (unless nil) the screening codec
-	q     []float64 // reduced (internal-space) query
-	blk   *verifyBlock
-	k     int
-	top   []Result // best ≤ k so far by compareDistID; Dist holds squared distances
-	bound float64  // top[k-1].Dist once top is full, +Inf before
-	// verified and screened are QueryStats.Verified and .Screened.
-	verified, screened int
+	view     *view     // rows and id map
+	q        []float64 // reduced (internal-space) query
+	blk      *verifyBlock
+	k        int
+	top      []Result // best ≤ k so far by compareDistID; Dist holds squared distances
+	bound    float64  // top[k-1].Dist once top is full, +Inf before
+	verified int      // QueryStats.Verified
 }
 
 // run verifies every candidate of ids.
 func (v *verifier) run(ids []int32) {
-	flat, rowOf, codec, blk := v.view.flat, v.view.rowOf, v.view.codec, v.blk
+	flat, rowOf, blk := v.view.flat, v.view.rowOf, v.blk
 	v.verified += len(ids)
-	for i := 0; i < len(ids); {
-		n := 0
-		for ; i < len(ids) && n < verifyWidth; i++ {
-			id := ids[i]
-			row := rowOf[id]
-			// Quantized screen: once the top-k is full (a finite bound),
-			// a lower bound above the k-th best distance proves the exact
-			// distance is too (reject-only), so the full-precision row
-			// need not be touched. The candidate still counts toward the
-			// budget — screening changes memory traffic, never the answer.
-			if codec != nil && v.bound < math.Inf(1) &&
-				codec.QueryLowerBound(v.q, int(row), v.bound) > v.bound {
-				v.screened++
-				continue
-			}
-			blk.ids[n], blk.rows[n] = id, row
-			n++
+	for i := 0; i < len(ids); i += verifyWidth {
+		blkIDs := ids[i:min(i+verifyWidth, len(ids))]
+		n := len(blkIDs)
+		for j, id := range blkIDs {
+			blk.rows[j] = rowOf[id]
 		}
 		vec.SquaredL2BoundedGather(blk.d2[:n], v.q, flat, blk.rows[:n], v.bound)
 		for j, d2 := range blk.d2[:n] {
 			// At d2 == bound the id decides, inside insertCandidate.
 			if len(v.top) < v.k || d2 <= v.bound {
-				v.top = insertCandidate(v.top, Result{ID: blk.ids[j], Dist: d2}, v.k)
+				v.top = insertCandidate(v.top, Result{ID: blkIDs[j], Dist: d2}, v.k)
 				if len(v.top) == v.k {
 					v.bound = v.top[v.k-1].Dist
 				}
@@ -507,7 +493,7 @@ func (ix *Index) SearchBall(ctx context.Context, q []float64, r float64, o Searc
 	sc.ids, _ = en.Nearest(params.T*ri, math.MaxInt, o.Filter, sc.ids)
 	// The best admitted candidate is a top-1 under the shared verifier,
 	// seeded with a sentinel (+Inf, id −1) that only a strictly closer
-	// candidate displaces; the screen arms once a real best exists.
+	// candidate displaces.
 	vf := verifier{
 		view: v, q: q, blk: &sc.blk,
 		k: 1, top: []Result{{ID: -1, Dist: math.Inf(1)}}, bound: math.Inf(1),
@@ -521,7 +507,6 @@ func (ix *Index) SearchBall(ctx context.Context, q []float64, r float64, o Searc
 		*o.Stats = QueryStats{
 			Rounds:             1,
 			Verified:           admitted,
-			Screened:           vf.screened,
 			ProjectedDistComps: en.DistComps(),
 			FinalRadius:        r,
 		}

@@ -29,8 +29,8 @@ import (
 //	free list: u32 count + count × i32 slots — the dead rows, in the
 //	order they were deleted
 //	rowOf: nextID × i32 (id → slot, -1 = deleted)
-//	quantize: kind u8; then for i8: off + scale (dim × f64 each);
-//	for f32 and i8: slack (dim × f64)
+//	quantize: kind u8 (always 0); then for i8 (2): off + scale
+//	(dim × f64 each); for f32 (1) and i8: slack (dim × f64)
 //	PM-tree stream
 //
 // The free list and the id → row indirection carry the
@@ -38,12 +38,12 @@ import (
 // same live set, the same retired ids, and the same dead rows — the
 // field keeps the name it had while Insert refilled them; nothing does
 // any more, and a stream written then loads with its dead rows staying
-// dead. Of the quantized-screening codec only the
-// per-dimension parameters travel — the codes are re-derived
-// deterministically from the stored rows on load (store.RestoreCodec),
-// reproducing bit-identical screen bounds at a cost of 8·dim·3 bytes
-// instead of a full code matrix. A loaded index answers queries
-// identically to the saved one.
+// dead. A loaded index answers queries identically to the saved one.
+//
+// The quantize block held the parameters of a reject-only screening
+// codec, retired in PR 29. Load still reads kinds 1 and 2 in full — a
+// truncated block is an error — and drops them: the index answers the
+// same without the screen.
 //
 // The tree flag once selected an R-tree over the projections (flag 1,
 // no tree stream); that backend is no longer served, the byte stays so
@@ -190,23 +190,8 @@ func (ix *Index) encode(w io.Writer, v *view) error {
 			return fmt.Errorf("core: write row map: %w", err)
 		}
 	}
-	kind := v.codec.Kind()
-	if _, err := w.Write([]byte{byte(kind)}); err != nil {
+	if _, err := w.Write([]byte{0}); err != nil {
 		return fmt.Errorf("core: write quantize kind: %w", err)
-	}
-	if c := v.codec; c != nil {
-		off, scale, slack := c.Params()
-		if kind == store.QuantI8 {
-			if err := writeFloat64s(w, off); err != nil {
-				return fmt.Errorf("core: write codec offsets: %w", err)
-			}
-			if err := writeFloat64s(w, scale); err != nil {
-				return fmt.Errorf("core: write codec scales: %w", err)
-			}
-		}
-		if err := writeFloat64s(w, slack); err != nil {
-			return fmt.Errorf("core: write codec slack: %w", err)
-		}
 	}
 	if _, err := v.tree.WriteTo(w); err != nil {
 		return fmt.Errorf("core: write tree: %w", err)
@@ -386,36 +371,21 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 		return nil, fmt.Errorf("core: row map covers %d rows, store has %d live", mapped, live)
 	}
 
-	// Quantized-screening codec: re-derive the codes from the rows just
-	// loaded under the persisted per-dimension parameters. RestoreCodec
-	// validates the kind and parameter shapes.
+	// The retired screening codec (see the layout above): read whole and
+	// dropped.
 	qb, err := br.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("core: read quantize kind: %w", err)
 	}
-	kind := store.QuantKind(qb)
-	var off, scale, slack []float64
-	switch kind {
-	case store.QuantNone:
-	case store.QuantF32, store.QuantI8:
-		if kind == store.QuantI8 {
-			if off, err = readFloat64s(br, dim); err != nil {
-				return nil, fmt.Errorf("core: read codec offsets: %w", err)
-			}
-			if scale, err = readFloat64s(br, dim); err != nil {
-				return nil, fmt.Errorf("core: read codec scales: %w", err)
-			}
-		}
-		if slack, err = readFloat64s(br, dim); err != nil {
-			return nil, fmt.Errorf("core: read codec slack: %w", err)
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown quantize kind %d", kind)
+	if qb > 2 {
+		return nil, fmt.Errorf("core: unknown quantize kind %d", qb)
 	}
-	if err := data.RestoreCodec(kind, off, scale, slack); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	// dim-long arrays: none, slack (f32), offsets + scales + slack (i8).
+	for range [...]int{0, 1, 3}[qb] {
+		if _, err := readFloat64s(br, dim); err != nil {
+			return nil, fmt.Errorf("core: read codec parameters: %w", err)
+		}
 	}
-	cfg.Quantize = kind
 
 	tree, err := pmtree.Read(br, idSpace)
 	if err != nil {

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -136,96 +138,112 @@ func TestLoadRejectsCorruptStreams(t *testing.T) {
 	}
 }
 
-// A quantized index must round-trip with bit-identical screen bounds:
-// only the per-dim codec parameters travel, the codes are re-derived
-// from the loaded rows, and a loaded index keeps screening (same
-// answers, Screened still firing).
-func TestSerializeQuantizedRoundTrip(t *testing.T) {
-	for _, kind := range []store.QuantKind{store.QuantF32, store.QuantI8} {
-		t.Run(kind.String(), func(t *testing.T) {
-			data := clusteredData(500, 14, 5, 641)
-			ix, err := Build(data, Config{Seed: 30, Quantize: kind, AutoCompactFraction: -1})
+func sameResults(t *testing.T, label string, a, b []Result) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d results vs %d", label, len(a), len(b))
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || math.Float64bits(a[i].Dist) != math.Float64bits(b[i].Dist) {
+			t.Fatalf("%s: rank %d diverged: %+v vs %+v", label, i, a[i], b[i])
+		}
+	}
+}
+
+func samePairs(t *testing.T, label string, a, b []Pair) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d pairs vs %d", label, len(a), len(b))
+	}
+	for i := range a {
+		if a[i].I != b[i].I || a[i].J != b[i].J ||
+			math.Float64bits(a[i].Dist) != math.Float64bits(b[i].Dist) {
+			t.Fatalf("%s: rank %d diverged: %+v vs %+v", label, i, a[i], b[i])
+		}
+	}
+}
+
+// TestLoadDropsLegacyCodec: a stream written with the screening codec
+// retired in PR 29 still loads, and loads as the index it screened —
+// the pls4-i8 seed was built from the pls4-plain seed's data and config
+// with an i8 codec, so once loaded it writes the plain seed's bytes and
+// answers as it does. Its codec block is still read in full: cut inside
+// the slack array, the stream is refused.
+func TestLoadDropsLegacyCodec(t *testing.T) {
+	ctx := context.Background()
+	plainBytes, i8Bytes := readFuzzSeed(t, "pls4-plain"), readFuzzSeed(t, "pls4-i8")
+	legacy, err := Load(bytes.NewReader(i8Bytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := legacy.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), plainBytes) {
+		t.Fatalf("the loaded i8 stream writes %d bytes that are not the plain seed's %d", buf.Len(), len(plainBytes))
+	}
+	plain, err := Load(bytes.NewReader(plainBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	data := clusteredData(16, 3, 2, 7) // fuzzStreams' data
+	for qi, q := range append(data[:4:4], []float64{0.5, -3, 2}) {
+		for _, k := range []int{1, 5, 16} {
+			want, err := plain.Search(ctx, q, k, SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Churn so the free list is non-trivial and appends have gone
-			// through the live codec. Inserts stay inside the fitted range
-			// (jittered copies of existing points) — far-out inserts would
-			// widen the per-dim slack and legitimately disarm the screen,
-			// which is not what this test is about.
-			rng := rand.New(rand.NewSource(642))
-			for _, id := range rng.Perm(500)[:80] {
-				if err := ix.Delete(int32(id)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 40; i++ {
-				src := data[rng.Intn(len(data))]
-				p := make([]float64, 14)
-				for j := range p {
-					p[j] = src[j] + rng.NormFloat64()*0.5
-				}
-				if _, err := ix.Insert(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var buf bytes.Buffer
-			if _, err := ix.WriteTo(&buf); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := Load(&buf)
+			got, err := legacy.Search(ctx, q, k, SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if loaded.cfg.Quantize != kind || loaded.data.Quantize() != kind {
-				t.Fatalf("quantize kind lost: cfg=%v store=%v", loaded.cfg.Quantize, loaded.data.Quantize())
+			sameResults(t, fmt.Sprintf("Search q%d k=%d", qi, k), want, got)
+		}
+		for _, r := range []float64{0.5, 2, 8} {
+			want, err := plain.SearchBall(ctx, q, r, SearchOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			// Screen bounds must be bit-identical, not just close: the
-			// codes re-derived on load under the persisted parameters are
-			// the same bytes the saved index held.
-			c1, c2 := ix.data.Codec(), loaded.data.Codec()
-			for trial := 0; trial < 30; trial++ {
-				q := make([]float64, 14)
-				for j := range q {
-					q[j] = rng.NormFloat64() * 20
-				}
-				row := rng.Intn(ix.data.Len())
-				a := c1.QueryLowerBound(q, row, 100)
-				b := c2.QueryLowerBound(q, row, 100)
-				if a != b {
-					t.Fatalf("screen bound diverged after load: row=%d %v vs %v", row, a, b)
-				}
+			got, err := legacy.SearchBall(ctx, q, r, SearchOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			// And the loaded index answers identically, still screening.
-			screened := 0
-			for trial := 0; trial < 15; trial++ {
-				q := make([]float64, 14)
-				for j := range q {
-					q[j] = rng.NormFloat64() * 20
-				}
-				ra, err := ix.Search(context.Background(), q, 8, SearchOptions{C: 1.5})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var st QueryStats
-				rb, err := loaded.Search(context.Background(), q, 8, SearchOptions{C: 1.5, Stats: &st})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(ra) != len(rb) {
-					t.Fatalf("trial %d: %d vs %d results", trial, len(ra), len(rb))
-				}
-				for i := range ra {
-					if ra[i] != rb[i] {
-						t.Fatalf("trial %d rank %d: %+v vs %+v", trial, i, ra[i], rb[i])
-					}
-				}
-				screened += st.Screened
+			label := fmt.Sprintf("SearchBall q%d r=%v", qi, r)
+			switch {
+			case (got == nil) != (want == nil):
+				t.Fatalf("%s: got %v, want %v", label, got, want)
+			case got != nil:
+				sameResults(t, label, []Result{*want}, []Result{*got})
 			}
-			if screened == 0 {
-				t.Fatal("loaded index never screened")
-			}
-		})
+		}
+	}
+	for _, k := range []int{1, 10} {
+		want, err := plain.SearchPairs(ctx, k, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := legacy.SearchPairs(ctx, k, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePairs(t, fmt.Sprintf("SearchPairs k=%d", k), want, got)
+	}
+
+	// The kind byte is where the two streams first differ; offsets and
+	// scales (dim f64 each) follow it, then the slack.
+	const dim = 3
+	kindOff := 0
+	for plainBytes[kindOff] == i8Bytes[kindOff] {
+		kindOff++
+	}
+	if plainBytes[kindOff] != 0 || i8Bytes[kindOff] != 2 || len(i8Bytes) != len(plainBytes)+3*dim*8 {
+		t.Fatalf("the seeds' codec blocks are not where the layout puts them (offset %d)", kindOff)
+	}
+	cut := kindOff + 1 + 2*dim*8 + 12
+	if _, err := Load(bytes.NewReader(i8Bytes[:cut])); err == nil {
+		t.Fatal("an i8 stream cut inside its slack array loaded")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/store"
 	"repro/internal/vec"
 )
 
@@ -49,7 +48,6 @@ func seqSearch(ix *Index, q []float64, k int, o SearchOptions) ([]Result, QueryS
 	top := make([]Result, 0, k)
 	bound := math.Inf(1)
 	scanned := 0
-	codec := ix.data.Codec()
 	for {
 		st.Rounds++
 		var inRadius int
@@ -58,10 +56,6 @@ func seqSearch(ix *Index, q []float64, k int, o SearchOptions) ([]Result, QueryS
 		for _, id := range sc.ids {
 			st.Verified++
 			row := int(ix.view.Load().rowOf[id])
-			if codec != nil && len(top) == k && codec.QueryLowerBound(q, row, bound) > bound {
-				st.Screened++
-				continue
-			}
 			d2 := vec.SquaredL2Bounded(q, ix.data.Row(row), bound)
 			top = insertCandidate(top, Result{ID: id, Dist: d2}, k)
 			if len(top) == k {
@@ -110,14 +104,9 @@ func seqSearchBall(ix *Index, q []float64, r float64, o SearchOptions) (*Result,
 	sc.ids, _ = en.Nearest(params.T*r, math.MaxInt, o.Filter, sc.ids)
 	best := Result{ID: -1, Dist: math.Inf(1)}
 	st := QueryStats{Rounds: 1, FinalRadius: r}
-	codec := ix.data.Codec()
 	for _, id := range sc.ids {
 		st.Verified++
 		row := int(ix.view.Load().rowOf[id])
-		if codec != nil && best.ID >= 0 && codec.QueryLowerBound(q, row, best.Dist) > best.Dist {
-			st.Screened++
-			continue
-		}
 		cand := Result{ID: id, Dist: vec.SquaredL2Bounded(q, ix.data.Row(row), best.Dist)}
 		if compareDistID(cand, best) < 0 {
 			best = cand
@@ -166,25 +155,19 @@ func verifyTestData(rng *rand.Rand) [][]float64 {
 	return data
 }
 
-func sameStats(t *testing.T, label string, got, want QueryStats, codec bool) {
+func sameStats(t *testing.T, label string, got, want QueryStats) {
 	t.Helper()
 	if got.Rounds != want.Rounds || got.Verified != want.Verified ||
 		math.Float64bits(got.FinalRadius) != math.Float64bits(want.FinalRadius) ||
 		got.ProjectedDistComps != want.ProjectedDistComps {
 		t.Fatalf("%s: stats %+v, want %+v", label, got, want)
 	}
-	// Screened is judged against the block-start bound, so it may fall
-	// short of the per-candidate count — never outside [0, Verified],
-	// and never non-zero without a codec.
-	if got.Screened < 0 || got.Screened > got.Verified || (!codec && got.Screened != 0) {
-		t.Fatalf("%s: Screened = %d with Verified = %d (codec %v)", label, got.Screened, got.Verified, codec)
-	}
 }
 
 // TestBlockVerifierMatchesSequential is the equivalence table: across
 // k (one, the benchmark's fifty, more than the index holds), budgets
 // that cut inside, at the edge of and beyond one block, an id filter,
-// both codecs, duplicate-heavy rows and a shrunken r_min that forces
+// duplicate-heavy rows and a shrunken r_min that forces
 // several rounds, Search and SearchBall answer exactly as the
 // sequential loop does.
 func TestBlockVerifierMatchesSequential(t *testing.T) {
@@ -192,89 +175,82 @@ func TestBlockVerifierMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1601))
 	data := verifyTestData(rng)
 	everyThird := func(id int32) bool { return id%3 == 0 }
-	for _, kind := range []store.QuantKind{store.QuantNone, store.QuantF32, store.QuantI8} {
-		ix, err := Build(data, Config{Seed: 9, Quantize: kind, RMinShrink: 0.3})
-		if err != nil {
+	ix, err := Build(data, Config{Seed: 9, RMinShrink: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Churn a little so ids and rows stop coinciding.
+	for _, id := range []int32{3, 90, 91, 400} {
+		if err := ix.Delete(id); err != nil {
 			t.Fatal(err)
 		}
-		// Churn a little so ids and rows stop coinciding.
-		for _, id := range []int32{3, 90, 91, 400} {
-			if err := ix.Delete(id); err != nil {
-				t.Fatal(err)
-			}
+	}
+	if _, err := ix.Insert(data[200]); err != nil {
+		t.Fatal(err)
+	}
+	n := ix.data.Live()
+	queries := [][]float64{data[0], data[150], data[699]} // the duplicated point first
+	for i := 0; i < 3; i++ {
+		q := make([]float64, len(data[0]))
+		for j, v := range data[rng.Intn(len(data))] {
+			q[j] = v + 0.3*rng.NormFloat64()
 		}
-		if _, err := ix.Insert(data[200]); err != nil {
-			t.Fatal(err)
-		}
-		n := ix.data.Live()
-		queries := [][]float64{data[0], data[150], data[699]} // the duplicated point first
-		for i := 0; i < 3; i++ {
-			q := make([]float64, len(data[0]))
-			for j, v := range data[rng.Intn(len(data))] {
-				q[j] = v + 0.3*rng.NormFloat64()
-			}
-			queries = append(queries, q)
-		}
-		screened, multiRound := 0, 0
-		for qi, q := range queries {
-			for _, k := range []int{1, 50, n + 5} {
-				for _, budget := range []int{1, 2, 3, 5, 0} {
-					for _, filter := range []func(int32) bool{nil, everyThird} {
-						label := fmt.Sprintf("%v q%d k=%d budget=%d filter=%v", kind, qi, k, budget, filter != nil)
-						o := SearchOptions{Budget: budget, Filter: filter}
-						want, wantSt, err := seqSearch(ix, q, k, o)
-						if err != nil {
-							t.Fatal(err)
-						}
-						var gotSt QueryStats
-						o.Stats = &gotSt
-						got, err := ix.Search(ctx, q, k, o)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameResults(t, label, want, got)
-						sameStats(t, label, gotSt, wantSt, kind != store.QuantNone)
-						screened += gotSt.Screened
-						if gotSt.Rounds > 1 {
-							multiRound++
-						}
-						if qi == 0 && k == 50 && budget == 0 && filter == nil && got[49].Dist != 0 {
-							t.Fatalf("%s: top-50 of the duplicated point is not all zeros: %+v", label, got[49])
-						}
-					}
-				}
-			}
-			for bi, r := range []float64{0.5, 4, 12} {
+		queries = append(queries, q)
+	}
+	multiRound := 0
+	for qi, q := range queries {
+		for _, k := range []int{1, 50, n + 5} {
+			for _, budget := range []int{1, 2, 3, 5, 0} {
 				for _, filter := range []func(int32) bool{nil, everyThird} {
-					label := fmt.Sprintf("%v ball q%d r=%v filter=%v", kind, qi, r, filter != nil)
-					o := SearchOptions{Filter: filter, Budget: bi} // overflow threshold: derived, 1, 2
-					want, wantSt, err := seqSearchBall(ix, q, r, o)
+					label := fmt.Sprintf("q%d k=%d budget=%d filter=%v", qi, k, budget, filter != nil)
+					o := SearchOptions{Budget: budget, Filter: filter}
+					want, wantSt, err := seqSearch(ix, q, k, o)
 					if err != nil {
 						t.Fatal(err)
 					}
 					var gotSt QueryStats
 					o.Stats = &gotSt
-					got, err := ix.SearchBall(ctx, q, r, o)
+					got, err := ix.Search(ctx, q, k, o)
 					if err != nil {
 						t.Fatal(err)
 					}
-					switch {
-					case (got == nil) != (want == nil):
-						t.Fatalf("%s: got %v, want %v", label, got, want)
-					case got != nil:
-						sameResults(t, label, []Result{*want}, []Result{*got})
+					sameResults(t, label, want, got)
+					sameStats(t, label, gotSt, wantSt)
+					if gotSt.Rounds > 1 {
+						multiRound++
 					}
-					sameStats(t, label, gotSt, wantSt, kind != store.QuantNone)
-					screened += gotSt.Screened
+					if qi == 0 && k == 50 && budget == 0 && filter == nil && got[49].Dist != 0 {
+						t.Fatalf("%s: top-50 of the duplicated point is not all zeros: %+v", label, got[49])
+					}
 				}
 			}
 		}
-		if multiRound == 0 {
-			t.Fatalf("%v: no query took more than one round; the table is not exercising resumed rounds", kind)
+		for bi, r := range []float64{0.5, 4, 12} {
+			for _, filter := range []func(int32) bool{nil, everyThird} {
+				label := fmt.Sprintf("ball q%d r=%v filter=%v", qi, r, filter != nil)
+				o := SearchOptions{Filter: filter, Budget: bi} // overflow threshold: derived, 1, 2
+				want, wantSt, err := seqSearchBall(ix, q, r, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var gotSt QueryStats
+				o.Stats = &gotSt
+				got, err := ix.SearchBall(ctx, q, r, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case (got == nil) != (want == nil):
+					t.Fatalf("%s: got %v, want %v", label, got, want)
+				case got != nil:
+					sameResults(t, label, []Result{*want}, []Result{*got})
+				}
+				sameStats(t, label, gotSt, wantSt)
+			}
 		}
-		if (kind != store.QuantNone) != (screened > 0) {
-			t.Fatalf("%v: %d candidates screened over the whole table", kind, screened)
-		}
+	}
+	if multiRound == 0 {
+		t.Fatal("no query took more than one round; the table is not exercising resumed rounds")
 	}
 }
 

@@ -74,7 +74,6 @@ type pairJSON struct {
 type queryStatsJSON struct {
 	Rounds             int     `json:"rounds"`
 	Verified           int     `json:"verified"`
-	Screened           int     `json:"screened"`
 	ProjectedDistComps int64   `json:"projected_dist_comps"`
 	FinalRadius        float64 `json:"final_radius"`
 }
@@ -83,7 +82,6 @@ type pairStatsJSON struct {
 	Rounds             int   `json:"rounds"`
 	Enumerated         int   `json:"enumerated"`
 	Verified           int   `json:"verified"`
-	Screened           int   `json:"screened"`
 	ProjectedDistComps int64 `json:"projected_dist_comps"`
 }
 
@@ -99,16 +97,14 @@ func toQueryStats(st core.QueryStats) queryStatsJSON {
 	return queryStatsJSON{
 		Rounds:             st.Rounds,
 		Verified:           st.Verified,
-		Screened:           st.Screened,
 		ProjectedDistComps: st.ProjectedDistComps,
 		FinalRadius:        st.FinalRadius,
 	}
 }
 
-// observeQuery feeds the per-query work histograms.
+// observeQuery feeds the per-query work histogram.
 func (s *Server) observeQuery(st core.QueryStats) {
 	s.pdcHist.Observe(float64(st.ProjectedDistComps))
-	s.screenedHist.Observe(float64(st.Screened))
 }
 
 // decode reads one JSON request body into dst: unknown fields are
@@ -281,12 +277,10 @@ func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.pdcHist.Observe(float64(st.ProjectedDistComps))
-	s.screenedHist.Observe(float64(st.Screened))
 	out := pairsResponse{Pairs: make([]pairJSON, len(pairs)), Stats: pairStatsJSON{
 		Rounds:             st.Rounds,
 		Enumerated:         st.Enumerated,
 		Verified:           st.Verified,
-		Screened:           st.Screened,
 		ProjectedDistComps: st.ProjectedDistComps,
 	}}
 	for i, p := range pairs {
@@ -409,7 +403,6 @@ type infoResponse struct {
 	IDs         int    `json:"ids"`
 	Live        int    `json:"live"`
 	Dead        int    `json:"dead"`
-	Quantize    string `json:"quantize"`
 	Metric      string `json:"metric"`
 	Compactions int64  `json:"compactions"`
 	Draining    bool   `json:"draining"`
@@ -427,7 +420,6 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		IDs:         info.IDs,
 		Live:        info.Live,
 		Dead:        info.Dead,
-		Quantize:    info.Quantize.String(),
 		Metric:      info.Metric.String(),
 		Compactions: info.Compactions,
 		Draining:    s.Draining(),

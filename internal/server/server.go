@@ -92,10 +92,9 @@ type Server struct {
 	ckptDone  chan struct{}
 	ckptErrs  *obs.Counter
 
-	// Query-work histograms, fed by the search handlers: projected
-	// distance computations and screened candidates per query.
-	pdcHist      *obs.Histogram
-	screenedHist *obs.Histogram
+	// Query-work histogram, fed by the search handlers: projected
+	// distance computations per query.
+	pdcHist *obs.Histogram
 }
 
 // New assembles a server over cfg.Engine and registers its metrics.
@@ -125,9 +124,6 @@ func New(cfg Config) (*Server, error) {
 	s.pdcHist = reg.Histogram("pmlsh_query_projected_dist_comps",
 		"Projected-space distance computations per query.",
 		obs.ExpBuckets(16, 2, 16))
-	s.screenedHist = reg.Histogram("pmlsh_query_screened",
-		"Verification candidates rejected by the quantized screen per query.",
-		obs.ExpBuckets(1, 4, 10))
 	reg.GaugeFunc("pmlsh_index_live_points",
 		"Live (not deleted) points in the index.",
 		func() float64 { return float64(s.eng.Info().Live) })

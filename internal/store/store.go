@@ -15,24 +15,22 @@
 //
 // So one writer can extend a store beside any number of readers without
 // a lock: what a reader took before an Append — the Flat buffer, the
-// DeadRows list, the Codec — is never rewritten (a write lands past the
-// length it saw, a growth reallocation leaves it the old array, a Codec
-// is replaced, never edited). The Store value itself — its lengths,
-// IsLive's marks — is the writer's: Append, Delete and SetQuantize are
-// single-writer, and readers use what the layer above published.
+// DeadRows list — is never rewritten (a write lands past the length it
+// saw, a growth reallocation leaves it the old array). The Store value
+// itself — its lengths, IsLive's marks — is the writer's: Append and
+// Delete are single-writer, and readers use what the layer above
+// published.
 package store
 
 import "fmt"
 
 // Store is a dense matrix of n rows × dim columns in one flat buffer,
-// with the tombstoned rows marked and listed, and an optional quantized
-// sidecar (see quantize.go) kept in sync by Append.
+// with the tombstoned rows marked and listed.
 type Store struct {
 	dim      int
 	buf      []float64 // len(buf) == n*dim at all times
 	dead     []bool    // dead[i] marks row i tombstoned; nil while no deletes
 	deadRows []int32   // the tombstoned rows, in the order Delete took them
-	codec    *Codec    // quantized sidecar, nil unless SetQuantize/RestoreCodec
 }
 
 // New creates an empty store for rows of the given dimensionality.
@@ -120,9 +118,6 @@ func (s *Store) Append(p []float64) (int32, error) {
 	}
 	row := int32(s.Len())
 	s.buf = append(s.buf, p...)
-	if s.codec != nil {
-		s.codec = s.codec.appended(p)
-	}
 	return row, nil
 }
 

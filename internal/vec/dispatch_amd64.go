@@ -55,10 +55,6 @@ func init() {
 		squaredL2GatherImpl = squaredL2BoundedGatherAVX2
 		squaredL2ToManyImpl = squaredL2ToManyAVX2
 		maxAbsDiffToManyImpl = maxAbsDiffToManyAVX2
-		screenF32Impl = screenF32AVX2
-		screenI8Impl = screenI8AVX2
-		screenPairF32Impl = screenPairF32AVX2
-		screenPairI8Impl = screenPairI8AVX2
 		backendName = "avx2"
 	}
 }

@@ -36,7 +36,7 @@ func FuzzWALReplay(f *testing.F) {
 		// but the corpus should mutate around this shape too.
 		{Kind: OpInsert, ID: 2, Vec: []float64{3, 7, 1 << 20}},
 		{Kind: OpDelete, ID: 0},
-		{Kind: OpSetQuantize, Quant: 1},
+		{Kind: OpLegacyQuantize, Quant: 1},
 		{Kind: OpCompact},
 	}
 	clean := fuzzSegmentBytes(f, 1, ops)

@@ -1,8 +1,9 @@
 // Package wal implements the write-ahead log behind the engine's
 // crash-safe durability: an append-only, CRC32C-framed, length-prefixed
-// record log for the four mutations (Insert, Delete, Compact,
-// SetQuantize), with group-commit fsync, torn-tail detection on
-// replay, and log rotation keyed to checkpoint sequence numbers.
+// record log for the three mutations (Insert, Delete, Compact), with
+// group-commit fsync, torn-tail detection on replay, and log rotation
+// keyed to checkpoint sequence numbers. Record kind 4 changed the
+// retired screening codec: written before PR 29, replayed as a no-op.
 //
 // # State directory layout
 //
@@ -66,9 +67,10 @@ const (
 	// by Delete are deterministic consequences of the logged Delete and
 	// are not logged separately.)
 	OpCompact OpKind = 3
-	// OpSetQuantize logs a screening-codec change; Quant holds the
-	// store.QuantKind byte.
-	OpSetQuantize OpKind = 4
+	// OpLegacyQuantize changed the screening codec retired in PR 29:
+	// written before PR 29, replayed as a no-op. Quant holds its codec
+	// byte, so the record re-encodes as it was read.
+	OpLegacyQuantize OpKind = 4
 )
 
 func (k OpKind) String() string {
@@ -79,7 +81,7 @@ func (k OpKind) String() string {
 		return "delete"
 	case OpCompact:
 		return "compact"
-	case OpSetQuantize:
+	case OpLegacyQuantize:
 		return "set-quantize"
 	}
 	return fmt.Sprintf("op(%d)", uint8(k))
@@ -89,11 +91,11 @@ func (k OpKind) String() string {
 type Op struct {
 	Kind OpKind
 	// ID is the global id: the id Insert assigned, or the id Delete
-	// removed. Unused for Compact and SetQuantize.
+	// removed. Unused for Compact and OpLegacyQuantize.
 	ID int32
 	// Vec is the inserted point (OpInsert only).
 	Vec []float64
-	// Quant is the store.QuantKind byte (OpSetQuantize only).
+	// Quant is the codec byte (OpLegacyQuantize only).
 	Quant uint8
 }
 
@@ -139,7 +141,7 @@ func encodeOp(buf []byte, op Op) ([]byte, error) {
 	case OpDelete:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(op.ID))
 	case OpCompact:
-	case OpSetQuantize:
+	case OpLegacyQuantize:
 		buf = append(buf, op.Quant)
 	default:
 		return nil, fmt.Errorf("wal: unknown op kind %d", op.Kind)
@@ -180,7 +182,7 @@ func decodeOp(payload []byte) (Op, error) {
 		if len(body) != 0 {
 			return Op{}, fmt.Errorf("%w: compact record body of %d bytes", ErrCorrupt, len(body))
 		}
-	case OpSetQuantize:
+	case OpLegacyQuantize:
 		if len(body) != 1 {
 			return Op{}, fmt.Errorf("%w: set-quantize record body of %d bytes", ErrCorrupt, len(body))
 		}

@@ -15,7 +15,7 @@ func testOps() []Op {
 		{Kind: OpInsert, ID: 0, Vec: []float64{1, 2, 3}},
 		{Kind: OpInsert, ID: 1, Vec: []float64{-4.5, 0, 6.25}},
 		{Kind: OpDelete, ID: 0},
-		{Kind: OpSetQuantize, Quant: 2},
+		{Kind: OpLegacyQuantize, Quant: 2},
 		{Kind: OpCompact},
 		{Kind: OpInsert, ID: 2, Vec: []float64{7, 8, 9}},
 	}

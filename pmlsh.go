@@ -5,25 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metric"
-	"repro/internal/store"
 )
-
-// QuantKind selects the scalar-quantization codec used for candidate
-// screening (Config.Quantize). See the Config field for semantics.
-type QuantKind = store.QuantKind
-
-// The quantization codecs: none (the default — no screening), f32
-// (per-dimension float32 codes, 2× smaller than the raw rows), and i8
-// (per-dimension affine int8 codes, 8× smaller).
-const (
-	QuantNone = store.QuantNone
-	QuantF32  = store.QuantF32
-	QuantI8   = store.QuantI8
-)
-
-// ParseQuantKind maps the spellings "none" (or ""), "f32" and "i8" to
-// their QuantKind, for wiring command-line flags.
-func ParseQuantKind(s string) (QuantKind, error) { return store.ParseQuantKind(s) }
 
 // Metric selects the distance the index answers queries in
 // (Config.Metric). See the package documentation's "Metrics" section
@@ -130,13 +112,6 @@ type Config struct {
 	// concurrently and makes each compaction an N-th the size. See the
 	// package documentation for guidance on picking N.
 	Shards int
-	// Quantize attaches a scalar-quantized copy of the dataset (QuantF32
-	// or QuantI8) and screens verification candidates with a provable
-	// lower bound on their exact distance before touching the
-	// full-precision rows. Screening is reject-only: every query answers
-	// element-wise identically to an unquantized index — only memory
-	// traffic changes. QuantNone (the zero value) disables it.
-	Quantize QuantKind
 	// Metric selects the distance function (the zero value is MetricL2,
 	// which reproduces the paper exactly). MetricCosine and
 	// MetricInnerProduct reduce to internal L2 searches over transformed
@@ -216,7 +191,6 @@ func coreConfig(cfg Config) core.Config {
 		Alpha1:              cfg.Alpha1,
 		Seed:                cfg.Seed,
 		AutoCompactFraction: cfg.AutoCompactFraction,
-		Quantize:            cfg.Quantize,
 		Shards:              cfg.Shards,
 		Metric:              cfg.Metric,
 		MinHashBands:        cfg.MinHashBands,
@@ -242,18 +216,6 @@ func (x *Index) Insert(p []float64) (int32, error) { return x.ix.Insert(p) }
 // returning. Deleting an unknown or already-deleted id is an error.
 // Delete may run concurrently with queries and other mutations.
 func (x *Index) Delete(id int32) error { return x.ix.Delete(id) }
-
-// SetQuantize installs (QuantF32 or QuantI8), refits, or drops
-// (QuantNone) the quantized screening codec over the current dataset —
-// the runtime form of Config.Quantize, usable on a loaded or
-// already-built index. Refitting (calling it again with the same kind)
-// recovers screen selectivity after inserts far outside the fitted
-// range have widened the per-dimension error slack. Queries before and
-// after answer identically; only the screening work changes.
-func (x *Index) SetQuantize(kind QuantKind) error { return x.ix.SetQuantize(kind) }
-
-// Quantize reports the screening codec the index currently maintains.
-func (x *Index) Quantize() QuantKind { return x.ix.Quantize() }
 
 // Compact rebuilds the index over its live points: the vector store is
 // repacked (dropping tombstones), the projected-space tree is bulk
@@ -303,8 +265,6 @@ type Info struct {
 	Live int
 	// Dead is the number of tombstoned storage rows awaiting Compact.
 	Dead int
-	// Quantize is the screening codec currently maintained.
-	Quantize QuantKind
 	// Compactions counts Compact operations (explicit and automatic)
 	// completed since the index was built or loaded.
 	Compactions int64
@@ -325,7 +285,7 @@ type Info struct {
 // state. Each shard's figures are read from one published view, so they
 // are mutually consistent (Live ≤ IDs, Dead ≤ IDs−Live)
 // even while mutations run — unlike an ad-hoc sequence of Len /
-// LiveLen / Quantize calls, between which a mutator can land.
+// LiveLen calls, between which a mutator can land.
 func (x *Index) Info() Info {
 	ei := x.ix.Info()
 	return Info{
@@ -335,7 +295,6 @@ func (x *Index) Info() Info {
 		IDs:         ei.IDs,
 		Live:        ei.Live,
 		Dead:        ei.Dead,
-		Quantize:    ei.Quantize,
 		Compactions: ei.Compactions,
 		Metric:      ei.Metric,
 
