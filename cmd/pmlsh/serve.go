@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -27,7 +28,8 @@ import (
 // readiness probes, and Prometheus-text /metrics. On SIGTERM/SIGINT it
 // drains gracefully — readiness starts failing so load balancers stop
 // routing here, in-flight requests finish under -drain-timeout, and
-// with -save the final state is checkpointed before exit.
+// with -save the final state is checkpointed before exit. -debug-addr
+// serves net/http/pprof on a second listener (serveDebug).
 //
 // With -data-dir the engine is WAL-backed: every acknowledged mutation
 // is crash-safe under the -fsync policy, reopening the directory
@@ -47,6 +49,7 @@ func runServe(args []string) error {
 	seed := fs.Int64("seed", 1, "build seed when building from -data")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "how long in-flight requests get to finish after a shutdown signal")
 	savePath := fs.String("save", "", "write a final index checkpoint here during shutdown")
+	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this separate listen address (empty = no debug listener)")
 	fs.Parse(args)
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -56,6 +59,13 @@ func runServe(args []string) error {
 	policy, err := parseSyncPolicy(*fsyncPolicy)
 	if err != nil {
 		return err
+	}
+	if *debugAddr != "" {
+		dbg, err := serveDebug(log, *debugAddr)
+		if err != nil {
+			return err
+		}
+		defer dbg.Close()
 	}
 	if *dataDir != "" {
 		return serveDurable(log, *dataDir, policy, *checkpointInterval,
@@ -98,6 +108,27 @@ func runServe(args []string) error {
 	}
 	log.Info("shutdown complete")
 	return nil
+}
+
+// serveDebug serves net/http/pprof on a listener of its own — never on
+// the API mux, so profiles are reachable only where the operator bound
+// them. It binds before the index is built, loaded or recovered, so a
+// slow start can be profiled too; the caller closes it on return.
+func serveDebug(log *slog.Logger, addr string) (*http.Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("serve: debug listener: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	hs := &http.Server{Handler: mux}
+	go hs.Serve(ln)
+	log.Info("debug listener (net/http/pprof)", "addr", ln.Addr().String())
+	return hs, nil
 }
 
 // buildOrLoadEngine resolves the non-durable index source flags.

@@ -275,6 +275,15 @@
 //
 //	results, err := index.SearchBatch(ctx, queries, 10)
 //
+// A Search may verify on two goroutines while a core holds no other
+// search; concurrent Searches, SearchBatch's workers and multi-shard
+// fan-out, which already fill the cores, verify serially. A round whose
+// verification work (candidates × dimension) is large enough, started
+// while fewer searches run than GOMAXPROCS, splits its candidates
+// between the caller and one helper goroutine and merges the two top-k
+// lists by (distance, id), so answers and statistics are those of the
+// serial loop.
+//
 // Per-query statistics (WithStats, WithBatchStats, WithPairStats) are
 // exact for the query they describe, ProjectedDistComps included: each
 // query's range enumerator counts its own projected-space metric

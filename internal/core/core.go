@@ -320,15 +320,16 @@ func (ix *Index) publish(rowOf []int32, distCDF []float64, compactions int64) {
 
 // queryScratch holds one query's reusable state: the projected query
 // buffer, the range enumerator (the projected rows' squared distances
-// and the round's delta), the current round's selected ids and the
-// verifier's block. Everything is reused across queries; no
-// per-point marks are needed because the enumerator hands out each
-// point at most once per query.
+// and the round's delta), the current round's selected ids, the
+// verifier's block and a split verification's state. Everything is
+// reused across queries; no per-point marks are needed because the
+// enumerator hands out each point at most once per query.
 type queryScratch struct {
 	qp     []float64
 	pmEnum pmtree.RangeEnumerator
 	ids    []int32
 	blk    verifyBlock // the verifier's gathered block
+	split  verifySplit
 }
 
 // getScratch returns a pooled scratch.

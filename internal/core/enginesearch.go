@@ -62,11 +62,13 @@ func (e *Engine) views() []*view {
 	return views
 }
 
-// fanSearch runs one query against every shard's view — concurrently
-// when concurrent is set (single queries), serially otherwise (batch
-// workers already saturate the cores) — and merges the per-shard
-// top-k lists and statistics. Errors surface in shard order, so a
-// request invalid for every shard (bad dimension, k <= 0) reports
+// fanSearch runs one query against every shard's view and merges the
+// per-shard top-k lists and statistics — the shards concurrently when
+// concurrent is set (single queries), serially otherwise (batch workers
+// already fill the cores). Each shard's searchView counts as a running
+// search, so a shard splits its verification only on a core no search
+// holds, by the one rule of verifyRound. Errors surface in shard order,
+// so a request invalid for every shard (bad dimension, k <= 0) reports
 // shard 0's error, which is word-for-word the 1-shard error.
 func (e *Engine) fanSearch(ctx context.Context, q []float64, k int, o SearchOptions, views []*view, concurrent bool) ([]Result, QueryStats, error) {
 	n := len(e.shards)

@@ -84,21 +84,7 @@ func TestBuildJoinsItsGoroutines(t *testing.T) {
 	cfg := Config{Seed: 1, DistSampleSize: 1 << 19, AutoCompactFraction: -1}
 	check := func(label string, before int) {
 		t.Helper()
-		buf := make([]byte, 1<<20)
-		stacks := string(buf[:runtime.Stack(buf, true)])
-		for _, fn := range []string{"sampleDistanceDistribution", "ProjectStore", "bulkLoad"} {
-			if strings.Contains(stacks, fn) {
-				t.Errorf("%s: a goroutine is still inside %s", label, fn)
-			}
-		}
-		// A joined goroutine has made its last send or called Done and has
-		// nothing left to do but exit; only a leaked one is there for good.
-		for end := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(end); {
-			time.Sleep(time.Millisecond)
-		}
-		if after := runtime.NumGoroutine(); after > before {
-			t.Errorf("%s: %d goroutines before, %d after", label, before, after)
-		}
+		checkJoined(t, label, before, "sampleDistanceDistribution", "ProjectStore", "bulkLoad")
 	}
 
 	// Capacity 2 passes core's validation and is refused by pmtree.New,
@@ -136,4 +122,25 @@ func TestBuildJoinsItsGoroutines(t *testing.T) {
 		t.Fatal("Compact accepted Capacity 2")
 	}
 	check("Compact refused by pmtree", before)
+}
+
+// checkJoined fails the test if a goroutine is still inside one of fns,
+// or if the goroutine count does not return to before.
+func checkJoined(t *testing.T, label string, before int, fns ...string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	for _, fn := range fns {
+		if strings.Contains(stacks, fn) {
+			t.Errorf("%s: a goroutine is still inside %s", label, fn)
+		}
+	}
+	// A joined goroutine has made its last send or called Done and has
+	// nothing left to do but exit; only a leaked one is there for good.
+	for end := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%s: %d goroutines before, %d after", label, before, after)
+	}
 }

@@ -23,7 +23,10 @@ import (
 
 // SearchOptions carries one query's request parameters. The zero value
 // selects the defaults: ratio DefaultC, build-time α1, no filter, the
-// derived βn+k verification budget, no statistics.
+// derived βn+k verification budget, no statistics. A Search may verify
+// on two goroutines while a core holds no other search; concurrent
+// Searches, SearchBatch's workers and multi-shard fan-out, which
+// already fill the cores, verify serially.
 type SearchOptions struct {
 	// C is the approximation ratio; <= 0 selects DefaultC. Values in
 	// (0, 1] are rejected.
@@ -99,7 +102,8 @@ func (ix *Index) deriveParamsOpt(c, alpha1 float64) (Params, error) {
 // distance; two verified candidates at exactly the same distance rank
 // by id, the smaller first. Cancellation is checked between
 // range-expansion rounds, so a canceled request stops doing tree work
-// and returns ctx.Err().
+// and returns ctx.Err(). A Search may verify on two goroutines while a
+// core holds no other search (verifyRound).
 func (ix *Index) Search(ctx context.Context, q []float64, k int, o SearchOptions) ([]Result, error) {
 	return ix.searchView(ctx, ix.view.Load(), q, k, o)
 }
@@ -184,7 +188,12 @@ func (ix *Index) finishDist(d2, qscale float64) float64 {
 // It is also where a point query dispatches on the metric — Search and
 // every SearchBatch worker come through here — so the Jaccard backend
 // needs no batch loop of its own.
+//
+// Every call counts itself in searching for its duration; that count is
+// the one rule for parallelism inside a query (verifyRound).
 func (ix *Index) searchView(ctx context.Context, v *view, q []float64, k int, o SearchOptions) ([]Result, error) {
+	searching.Add(1)
+	defer searching.Add(-1)
 	if ix.metric == metric.Jaccard {
 		return ix.searchJaccard(ctx, q, k, o)
 	}
@@ -254,7 +263,7 @@ func (ix *Index) searchView(ctx context.Context, v *view, q []float64, k int, o 
 		var inRadius int
 		sc.ids, inRadius = en.Nearest(params.T*r, needed-vf.verified, o.Filter, sc.ids)
 		scanned += inRadius
-		vf.run(sc.ids)
+		sc.verifyRound(&vf, sc.ids)
 		// Termination 1 (Alg. 2 line 9): enough admitted candidates.
 		if vf.verified >= needed {
 			break
@@ -347,6 +356,107 @@ func (v *verifier) run(ids []int32) {
 				}
 			}
 		}
+	}
+}
+
+// verifyClaim is how many candidates a worker of a split verification
+// takes from the round's cursor at a time: eight blocks, one atomic add
+// per 32 exact distances.
+const verifyClaim = 8 * verifyWidth
+
+// splitMinWork is the least verification work, candidates × dimension,
+// for which a round splits. A helper starts tens of µs after its go
+// statement, so a smaller round ends sooner on the caller alone; on two
+// cores BenchmarkVerifySplit first wins at every d at this work, and
+// loses or breaks even at 2^18.
+const splitMinWork = 3 << 17
+
+// searching counts this process's goroutines inside searchView or
+// running a verification helper: the cores its queries hold.
+var searching atomic.Int64
+
+// verifyRound leaves vf exactly as vf.run(ids) would. A round of at
+// least splitMinWork and two claims takes one helper goroutine
+// (splitVerify) when a core holds no search: searching is below
+// GOMAXPROCS. So a caller alone on the cores splits, and concurrent
+// callers — HTTP handlers on one shard, SearchBatch's workers, the
+// per-shard goroutines of a multi-shard query — that already fill them
+// verify serially, whichever API they came through. One helper is what
+// BenchmarkVerifySplit measured; more are not started.
+func (sc *queryScratch) verifyRound(vf *verifier, ids []int32) {
+	if len(ids) < 2*verifyClaim || len(ids)*len(vf.q) < splitMinWork {
+		vf.run(ids)
+		return
+	}
+	if searching.Add(1) > int64(runtime.GOMAXPROCS(0)) {
+		searching.Add(-1)
+		vf.run(ids)
+		return
+	}
+	sc.splitVerify(vf, ids)
+	searching.Add(-1)
+}
+
+// verifySplit is one round's verification shared by the querying
+// goroutine and one helper. It lives in the pooled query scratch with
+// everything a round touches — cursor, WaitGroup, the helper's buffers
+// and goroutine body — so a warmed Search allocates its answer and
+// nothing else, split or not.
+type verifySplit struct {
+	ids  []int32 // the round's candidates; read-only while the helper runs
+	next atomic.Int64
+	wg   sync.WaitGroup
+	vf   verifier // the helper's, this round's; cleared at the join, so the pool pins no view
+	blk  verifyBlock
+	top  []Result // vf.top's backing array, kept across queries
+	run  func()   // the helper's body, made once: a closure per go statement would allocate
+}
+
+// splitVerify leaves vf exactly as vf.run(ids) would, verifying on the
+// caller and one helper goroutine. Both claim verifyClaim ids at a time
+// from one cursor and keep their own top-k and bound; the helper starts
+// from vf's bound, which is the round's current top-k once that is
+// full. A helper the scheduler starts late finds the cursor exhausted
+// and exits. The caller joins the helper and merges its list into vf by
+// compareDistID. The answer is the serial one because the top-k of a
+// set does not depend on how it is partitioned, and a worker's kernel
+// never abandons a member of the set's top-k: a worker's bound is the
+// k-th distance of k members of the set, or vf's, never below the
+// set's final k-th.
+func (sc *queryScratch) splitVerify(vf *verifier, ids []int32) {
+	s := &sc.split
+	if s.run == nil {
+		s.run = func() {
+			defer s.wg.Done()
+			s.drain(&s.vf)
+		}
+	}
+	s.ids = ids
+	s.next.Store(0)
+	s.vf = verifier{view: vf.view, q: vf.q, blk: &s.blk, k: vf.k, top: s.top[:0], bound: vf.bound}
+	s.wg.Add(1)
+	go s.run()
+	s.drain(vf)
+	s.wg.Wait()
+	vf.verified += s.vf.verified
+	for _, r := range s.vf.top {
+		vf.top = insertCandidate(vf.top, r, vf.k)
+	}
+	if len(vf.top) == vf.k {
+		vf.bound = vf.top[vf.k-1].Dist
+	}
+	s.top = s.vf.top[:0]
+	s.vf = verifier{}
+}
+
+// drain verifies claims from the cursor into vf until none is left.
+func (s *verifySplit) drain(vf *verifier) {
+	for {
+		lo := int(s.next.Add(verifyClaim)) - verifyClaim
+		if lo >= len(s.ids) {
+			return
+		}
+		vf.run(s.ids[lo:min(lo+verifyClaim, len(s.ids))])
 	}
 }
 

@@ -109,7 +109,9 @@ func (s *Server) observeQuery(st core.QueryStats) {
 
 // decode reads one JSON request body into dst: unknown fields are
 // rejected, bodies over the configured cap answer 413, and trailing
-// garbage after the value is an error.
+// garbage after the value is an error. Only the end of the body may
+// follow the value: Decoder.More is false before a stray '}' or ']',
+// so it cannot be the test.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	dec := json.NewDecoder(r.Body)
@@ -117,7 +119,12 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) error {
 	if err := dec.Decode(dst); err != nil {
 		return err
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
+		// Bytes past the cap are an oversized body, whatever they hold.
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return err
+		}
 		return fmt.Errorf("request body has trailing data after the JSON value")
 	}
 	return nil

@@ -110,6 +110,10 @@ func TestRoutesTableDriven(t *testing.T) {
 				{"search k negative", "/v1/search", `{"q":` + q + `,"k":-4}`, 400, "k"},
 				{"search unknown field", "/v1/search", `{"q":` + q + `,"k":5,"wat":1}`, 400, "unknown field"},
 				{"search trailing data", "/v1/search", `{"q":` + q + `,"k":5} {"again":true}`, 400, "trailing data"},
+				{"search trailing brace", "/v1/search", `{"q":` + q + `,"k":5}}`, 400, "trailing data"},
+				{"search trailing bracket", "/v1/search", `{"q":` + q + `,"k":5}]`, 400, "trailing data"},
+				{"insert trailing brace", "/v1/insert", `{"p":` + q + `}}`, 400, "trailing data"},
+				{"insert trailing bracket", "/v1/insert", `{"p":` + q + `}]`, 400, "trailing data"},
 				{"search bad ratio", "/v1/search", `{"q":` + q + `,"k":5,"ratio":0.5}`, 400, "ratio"},
 				{"search negative timeout", "/v1/search", `{"q":` + q + `,"k":5,"timeout_ms":-1}`, 400, "timeout_ms"},
 				{"search longest timeout", "/v1/search", `{"q":` + q + `,"k":5,"timeout_ms":9223372036854}`, 200, ""},
@@ -342,14 +346,19 @@ func TestTailFractionObservable(t *testing.T) {
 
 func TestOversizedBody413(t *testing.T) {
 	_, ts, _ := newTestServer(t, 1, 512)
-	big := `{"q":[` + strings.Repeat("1,", 4000) + `1],"k":5}`
-	status, body := post(t, ts, "/v1/search", big)
-	if status != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status = %d, want 413 (%v)", status, body)
-	}
-	msg, _ := body["error"].(string)
-	if !strings.Contains(msg, "too large") {
-		t.Fatalf("error %q does not mention body size", msg)
+	for _, tc := range []struct{ name, body string }{
+		{"value past the cap", `{"q":[` + strings.Repeat("1,", 4000) + `1],"k":5}`},
+		// The value fits; the whitespace after it crosses the cap.
+		{"padding past the cap", `{"q":[1,2],"k":5}` + strings.Repeat(" ", 4000)},
+	} {
+		status, body := post(t, ts, "/v1/search", tc.body)
+		if status != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status = %d, want 413 (%v)", tc.name, status, body)
+		}
+		msg, _ := body["error"].(string)
+		if !strings.Contains(msg, "too large") {
+			t.Fatalf("%s: error %q does not mention body size", tc.name, msg)
+		}
 	}
 }
 

@@ -109,7 +109,10 @@ func searchOptions(opts []SearchOption) core.SearchOptions {
 //
 // Cancellation is checked between the query's range-expansion rounds:
 // a canceled context makes Search stop doing tree work and return
-// ctx.Err(), and the index stays fully usable.
+// ctx.Err(), and the index stays fully usable. A Search may verify on
+// two goroutines while a core holds no other search; concurrent
+// Searches, SearchBatch's workers and multi-shard fan-out, which
+// already fill the cores, verify serially.
 func (x *Index) Search(ctx context.Context, q []float64, k int, opts ...SearchOption) ([]Neighbor, error) {
 	res, err := x.ix.Search(ctx, q, k, searchOptions(opts))
 	return convert(res), err
