@@ -107,34 +107,34 @@
 //
 // Build copies the input rows once into a contiguous flat buffer (the
 // internal vector store): every indexed point is a fixed-stride row of
-// one []float64, and the PM-tree's leaves reference rows of a second
-// store holding the projections, which the tree owns and orders
-// leaf-major: a leaf's projected points are one consecutive run of
+// one []float64, and the PM-tree owns a second buffer, the projections.
+// A Search reads those rows alone, in one kernel pass (see Query
+// engine), so Build and Compact end after the projection: the tree's
+// structure is bulk loaded by the first query that reads it (SearchBall,
+// SearchPairs, WriteTo), once per build or compaction, and the load lays
+// the rows out leaf-major: a leaf's projected points are one run of
 // rows, leaves follow each other in traversal order, and a leaf's ids,
-// parent distances and pivot distances are parallel arrays. A tree
-// traversal therefore filters a leaf in one pass and evaluates the
-// surviving projected distances over contiguous memory with a batched
-// kernel — and a query whose radius the tree cannot prune (see Query
-// engine) runs that kernel once over the whole buffer instead. Build
-// and Compact produce this layout and nothing disturbs it in between:
-// the tree's structure is frozen once bulk loaded, Insert appends the
-// projected point to a tail of rows behind the leaves' (covered by the
-// flat pass as they are, brute-forced by a traversal), Delete marks a
-// row dead where it lies, and Info().TailFraction reports, per shard,
-// how much of the tree's store is tail. Candidate verification likewise
-// streams sequential memory instead of chasing a pointer per point,
-// compares squared distances with early abandonment against the
-// running k-th best, and defers the k square roots to the end of the
-// query. It takes candidates four at a time: one kernel call reduces
+// parent distances and pivot distances are parallel arrays. A traversal
+// therefore filters a leaf in one pass and evaluates the surviving
+// projected distances over contiguous memory with a batched kernel.
+// The structure is frozen once loaded, Insert appends the projected
+// point to a tail of rows (covered by the flat pass, brute-forced by a
+// traversal), Delete marks a row dead where it lies, and
+// Info().TailFraction reports, per shard, how much of the tree's rows is
+// tail. Candidate verification likewise streams sequential memory
+// instead of chasing a pointer per point, compares squared distances
+// with early abandonment against the running k-th best, and defers the
+// k square roots to the end of the query. It takes candidates four at a time: one kernel call reduces
 // four rows side by side, so their dependency chains and cache misses
 // overlap, and the top-k ranks by (distance, id), so the answer is that
 // of verifying them one by one in any order. The PM-tree itself is bulk
 // loaded — metric-local leaves packed by recursive bisection, upper
 // levels assembled bottom-up with exact radii and rings — which tightens
 // the pruning bounds every query path depends on. A build (a compaction
-// is one) uses every core — projection in GOMAXPROCS chunks, bisection
-// halves on other goroutines, the F(x) distance sample beside both — and
-// the index is byte-identical at any GOMAXPROCS.
+// is one) uses every core — projection in GOMAXPROCS chunks beside the
+// F(x) distance sample, itself computed in chunks, and the later bulk
+// load by bisection halves — and the index is byte-identical at any
+// GOMAXPROCS.
 //
 // # Closest-pair search
 //
@@ -163,7 +163,7 @@
 //
 //	id, err := index.Insert(point) // fresh id from a monotone counter
 //	err = index.Delete(id)         // retires the id, tombstones the row
-//	err = index.Compact()          // repacks storage, re-bulk-loads the tree
+//	err = index.Compact()          // repacks storage, starts a new tree
 //	index.Len()                    // ids ever assigned
 //	index.LiveLen()                // live points
 //	index.IsLive(id)               // per-id liveness
@@ -184,9 +184,10 @@
 // (on Delete) or the tail's share of the tree's rows (on Insert)
 // reaches Config.AutoCompactFraction (default 0.3; negative disables;
 // the AutoCompactAlways sentinel compacts on every tombstone) —
-// rebuilds via the bulk loader over exactly the live set, restoring
-// fresh-build query cost; the mutation that triggers it waits for the
-// rebuild, which holds its shard's writer mutex throughout.
+// rebuilds over exactly the live set, restoring fresh-build query cost
+// once the first query that needs the tree bulk loads it; the mutation
+// that triggers it waits for the repack and the projection, which hold
+// its shard's writer mutex throughout.
 // Serialization (WriteTo/Load) persists the full lifecycle state:
 // tombstones, retired ids, the dead rows, the tree's dead marks and its
 // tail; streams from earlier versions still load.
@@ -208,21 +209,16 @@
 // to the round-restarting formulation (the equivalence suite pins this);
 // only the work shrinks.
 //
-// The PM-tree itself is walked at most once per query, and by a k-NN
-// query not at all. A tree prunes while the query ball meets few
-// leaves; Algorithm 2's first radius is sized to hold βn+k points, and
-// a ball that size meets nearly every leaf. Only a query whose first
-// radius is under a switch radius the tree reads off its own geometry
-// (a quarter of its median leaf covering radius — not a setting)
-// traverses: SearchBall and SearchPairs at near-duplicate radii. The
-// traversal keeps nothing of what it prunes; a query that needs a
-// second round takes the flat pass from there. "Within r" is defined
-// by the flat pass — sqrt(d²) ≤ r on the kernel's squared distance —
-// and the traversal is an accelerator tested against it, so answers do
-// not depend on the path; ProjectedDistComps does: a query that scanned
-// from its first round reads the projected store's row count, one that
-// traversed first and needed a second round that traversal plus the
-// row count. See README.md ("Performance").
+// A k-NN query never walks the PM-tree, nor pays its bulk load. A tree
+// prunes while the query ball meets few leaves; Algorithm 2's first
+// radius is sized to hold βn+k points, and a ball that size meets nearly
+// every leaf. Only SearchPairs and, under a switch radius the tree reads
+// off its own geometry (a quarter of its median leaf covering radius —
+// not a setting), SearchBall traverse: near-duplicate radii. "Within r"
+// is defined by the flat pass — sqrt(d²) ≤ r on the kernel's squared
+// distance — and the traversal is an accelerator tested against it, so
+// answers do not depend on the path; ProjectedDistComps does: a Search
+// reads the projected store's row count. See README.md ("Performance").
 //
 // # Distance kernels
 //

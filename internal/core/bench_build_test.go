@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -43,9 +44,11 @@ func ms(b *testing.B, total time.Duration, unit string) {
 // and 2: each phase timed alone, shard after shard (copy_ms the rows
 // into the store, project_ms, tree_ms the bulk load, sample_ms the F(x)
 // sample), then build_ms, the wall time of the BuildEngine that runs
-// the sample beside projection and bulk load. build_ms under the sum of
-// the four is what the overlap hides; tree_ms and project_ms falling
-// from procs=1 to procs=2 is what the second core buys.
+// the sample beside projection, and first_ball_ms, the first SearchBall
+// after it, which pays the bulk load the build defers. build_ms
+// under copy_ms + project_ms + sample_ms is what the overlap hides;
+// the phases falling from procs=1 to procs=2 is what the second core
+// buys.
 func BenchmarkBuildPhases(b *testing.B) {
 	for _, shape := range buildShapes {
 		data := shapePoints(b, shape.spec)
@@ -55,7 +58,7 @@ func BenchmarkBuildPhases(b *testing.B) {
 		for _, procs := range []int{1, 2} {
 			b.Run(fmt.Sprintf("n=%d/d=%d/shards=%d/procs=%d", shape.spec.N, shape.spec.D, shape.shards, procs), func(b *testing.B) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				var copyT, projectT, treeT, sampleT, buildT time.Duration
+				var copyT, projectT, treeT, sampleT, buildT, ballT time.Duration
 				clock := func(total *time.Duration, fn func()) {
 					t0 := time.Now()
 					fn()
@@ -88,8 +91,15 @@ func BenchmarkBuildPhases(b *testing.B) {
 						}
 						clock(&sampleT, func() { sampleDistanceDistribution(st, inner) })
 					}
+					var e *Engine
+					var err error
 					clock(&buildT, func() {
-						if _, err := BuildEngine(data, cfg); err != nil {
+						if e, err = BuildEngine(data, cfg); err != nil {
+							b.Fatal(err)
+						}
+					})
+					clock(&ballT, func() {
+						if _, err := e.SearchBall(context.Background(), data[0], 1e-3, SearchOptions{}); err != nil {
 							b.Fatal(err)
 						}
 					})
@@ -99,6 +109,7 @@ func BenchmarkBuildPhases(b *testing.B) {
 				ms(b, treeT, "tree_ms")
 				ms(b, sampleT, "sample_ms")
 				ms(b, buildT, "build_ms")
+				ms(b, ballT, "first_ball_ms")
 			})
 		}
 	}
@@ -106,8 +117,10 @@ func BenchmarkBuildPhases(b *testing.B) {
 
 // BenchmarkCompact is one shard's compaction after churn (a fifth of
 // the rows deleted, a tenth as many inserted behind them): compact_ms
-// is the wall time the shard's writer mutex is held, repack_ms the
-// gather of the live rows into one sized buffer, timed alone.
+// is the wall time the shard's writer mutex is held — repack, then
+// projection beside the F(x) sample; the bulk load waits for the first
+// query that reads the tree — and repack_ms the gather of the live rows
+// into one sized buffer, timed alone.
 func BenchmarkCompact(b *testing.B) {
 	for _, shape := range buildShapes {
 		data := shapePoints(b, shape.spec)[:shape.spec.N/shape.shards]

@@ -35,7 +35,7 @@ func BenchmarkVerifySplit(b *testing.B) {
 			if m < 2*verifyClaim || m > len(data) {
 				continue
 			}
-			en, err := ix.startEnum(sc, v.tree, q)
+			en, err := ix.startEnum(sc, v.tree, q, false)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -44,8 +44,10 @@ import (
 // compaction runs under its shard's writer mutex while queries keep
 // answering from the view they hold. Writers to different shards run
 // concurrently; writers to one shard take turns, so a mutation can wait
-// out that shard's compaction (one bulk load). Memory is 1× the dataset
-// plus the projected rows, and whatever old views running queries hold.
+// out that shard's compaction (a repack and a projection; the PM-tree is
+// bulk loaded by the first query that reads its structure, under no
+// mutex). Memory is 1× the dataset plus the projected rows, and
+// whatever old views running queries hold.
 //
 // A Jaccard shard is one minhash.Index behind its own reader/writer
 // lock (see package minhash): a mutation holds the write side for
@@ -378,8 +380,8 @@ type EngineInfo struct {
 	// completed since the engine was built or loaded.
 	Compactions int64
 	// TailFraction is, per shard, the share of the PM-tree's rows
-	// inserted since its last bulk load (view.tailFraction): 0 after a
-	// build or compaction, rising with every insert until it reaches
+	// inserted since its last build or compaction (view.tailFraction): 0
+	// after either, rising with every insert until it reaches
 	// Config.AutoCompactFraction and the shard compacts itself. It is to
 	// the speed of small-radius (tree-served) queries what Dead is to
 	// memory — the decay a Compact undoes.

@@ -3,7 +3,11 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -71,9 +75,9 @@ func engineBytes(t *testing.T, e *Engine) []byte {
 	return buf.Bytes()
 }
 
-// The F(x) sample runs on a goroutine of its own beside projection and
-// the bulk load. Whatever way the build ends, that goroutine — and every
-// one the projection and the load started — is done when it returns.
+// The F(x) sample runs on goroutines of its own beside projection.
+// Whatever way the build ends, they — and every one the projection
+// started — are done when it returns.
 func TestBuildJoinsItsGoroutines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
@@ -87,8 +91,9 @@ func TestBuildJoinsItsGoroutines(t *testing.T) {
 		checkJoined(t, label, before, "sampleDistanceDistribution", "ProjectStore", "bulkLoad")
 	}
 
-	// Capacity 2 passes core's validation and is refused by pmtree.New,
-	// after the projection, while the sample is still being drawn.
+	// Capacity 2 passes core's validation and is refused by
+	// pmtree.NewDeferred, after the projection, while the sample is still
+	// being drawn.
 	refused := cfg
 	refused.Capacity = 2
 	before := runtime.NumGoroutine()
@@ -142,5 +147,33 @@ func checkJoined(t *testing.T, label string, before int, fns ...string) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("%s: %d goroutines before, %d after", label, before, after)
+	}
+}
+
+// TestSortDistancesMatchesSortFloat64s: the sample's radix sort orders
+// non-negative distances bit for bit as sort.Float64s does — zeros,
+// subnormals, ties, +Inf, one element, and keys sharing every byte but
+// one.
+func TestSortDistancesMatchesSortFloat64s(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	cases := [][]float64{{3}, {0, 0, 0}, {math.Inf(1), 0, math.SmallestNonzeroFloat64, 1, 1}}
+	for _, n := range []int{2, 255, 256, 50000} {
+		a := make([]float64, n)
+		for i := range a {
+			a[i] = rng.ExpFloat64() * []float64{1, 1e-300, 1e300}[i%3]
+		}
+		shared := make([]float64, n)
+		for i := range shared {
+			shared[i] = math.Float64frombits(math.Float64bits(2.5) | uint64(rng.Intn(256))<<16)
+		}
+		cases = append(cases, a, shared)
+	}
+	for ci, c := range cases {
+		got, want := slices.Clone(c), slices.Clone(c)
+		sortDistances(got)
+		sort.Float64s(want)
+		if !slices.EqualFunc(got, want, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("case %d (%d values): radix order differs from sort.Float64s", ci, len(c))
+		}
 	}
 }

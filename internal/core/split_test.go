@@ -214,7 +214,7 @@ func TestSplitOnlyOnAnIdleCore(t *testing.T) {
 	q := data[1500]
 	sc := ix.getScratch()
 	defer ix.putScratch(sc, v.live())
-	en, err := ix.startEnum(sc, v.tree, q)
+	en, err := ix.startEnum(sc, v.tree, q, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func seqSearch(ix *Index, q []float64, k int, o SearchOptions) ([]Result, QueryS
 	}
 	sc := ix.getScratch()
 	defer ix.putScratch(sc, ix.LiveLen())
-	en, err := ix.startEnum(sc, ix.Tree(), q)
+	en, err := ix.startEnum(sc, ix.view.Load().tree, q, false)
 	if err != nil {
 		return nil, st, err
 	}
@@ -97,7 +97,8 @@ func seqSearchBall(ix *Index, q []float64, r float64, o SearchOptions) (*Result,
 	}
 	sc := ix.getScratch()
 	defer ix.putScratch(sc, ix.LiveLen())
-	en, err := ix.startEnum(sc, ix.Tree(), q)
+	tree := ix.Tree()
+	en, err := ix.startEnum(sc, tree, q, params.T*r < tree.ScanRadius())
 	if err != nil {
 		return nil, QueryStats{}, err
 	}

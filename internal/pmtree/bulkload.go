@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/store"
 	"repro/internal/vec"
 )
 
@@ -37,15 +36,15 @@ import (
 //
 // The bisection permutes row indices, not rows, and ends with every
 // leaf's rows adjacent and the leaves in traversal order. packLeaf
-// copies the points out of the source store in exactly that order, so
-// the finished tree's store is leaf-major: a leaf's points are one
+// copies the points out of the source rows in exactly that order, so
+// the finished tree's rows are leaf-major: a leaf's points are one
 // consecutive run of rows, and a traversal walks the buffer front to
 // back instead of touching a random row per entry. The entry arrays
 // (parent and pivot distances) are carved from tree-wide arenas in the
-// same order, and the ids are the tree's row → id array itself. Read
+// same order, and the ids are the layout's row → id array itself. Read
 // reproduces this layout, since the stream carries the points inline
-// per leaf, and nothing disturbs it afterwards: Insert appends behind
-// the last leaf's rows and Delete only marks a row.
+// per leaf, and nothing disturbs it afterwards: Insert appends to the
+// tail and Delete only marks a row.
 //
 // That order is also why the load can use every core and build the same
 // tree. A partition sits at a known offset off of the row permutation,
@@ -60,14 +59,18 @@ import (
 // O(n·capacity) for leaf packing — comparable to one insertion pass —
 // counted per call site and added to the tree's counter once.
 
-// leafArena is the leaf-major backing of one bulk load, sized for all n
-// rows: the point buffer and the entry arrays every leaf slices. (The
-// ids go straight to Tree.rowID: leaf entry i of the load sits in row i.)
-type leafArena struct {
-	flat       []float64
+// loader is one bulk load: the rows it reads, in the order they were
+// handed over, and the leaf-major layout it fills — the rows copied
+// leaf by leaf with their ids — plus the entry arrays every leaf slices.
+type loader struct {
+	src, out   *layout
+	capacity   int
 	parentDist []float64
 	pivotDist  []float64
 }
+
+// row returns source row i.
+func (b *loader) row(i int) []float64 { return b.src.row(i) }
 
 // loadPart is one goroutine's share of a load: the leaf-level routing
 // entries of its partitions, in row order, and the evaluations it paid.
@@ -80,22 +83,25 @@ type loadPart struct {
 // bisection stay on one goroutine: handing one over would cost more.
 const spawnFloor = 512
 
-// bulkLoad builds the tree over all rows of src, which is only read,
-// and leaves t.flat a leaf-major copy of them. ids[row] is stored
-// with each point (nil = row index). Must be called on a fresh tree
-// (count == 0).
-func (t *Tree) bulkLoad(src *store.Store, ids []int32) {
-	n := src.Len()
-	t.flat = src.Flat() // what bisect, minimax and packLeaf read until the copy is complete
-	t.rowID = make([]int32, n)
-	arena := &leafArena{
-		flat:       make([]float64, n*t.dim),
-		parentDist: make([]float64, n),
-		pivotDist:  make([]float64, n*len(t.pivots)),
-	}
-	rows := make([]int32, n)
+// bulkLoad builds the tree over the rows of src, which is only read, and
+// returns the leaf-major layout: src.rowID[row] is stored with each
+// point. The metric evaluations it paid are added to stats.
+func bulkLoad(src *layout, cfg Config, stats *treeStats) *layout {
+	n, dim := len(src.rowID), src.dim
+	rows := make([][]float64, n)
 	for i := range rows {
-		rows[i] = int32(i)
+		rows[i] = src.row(i)
+	}
+	b := &loader{
+		src:        src,
+		out:        &layout{dim: dim, flat: make([]float64, n*dim), rowID: make([]int32, n), pivots: selectPivots(rows, cfg.NumPivots, cfg.PivotSeed)},
+		capacity:   cfg.Capacity,
+		parentDist: make([]float64, n),
+	}
+	b.pivotDist = make([]float64, n*len(b.out.pivots))
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
 	}
 	da := make([]float64, n) // distance-to-pivot scratch, shared down the recursion
 	db := make([]float64, n)
@@ -134,12 +140,12 @@ func (t *Tree) bulkLoad(src *store.Store, ids []int32) {
 		rec(off+mid, rs[mid:], da[mid:], db[mid:], mmR, p)
 	}
 	rec = func(off int, rs []int32, da, db []float64, mm *minimaxResult, p *loadPart) {
-		if len(rs) > t.capacity {
-			halves(off, t.bisect(rs, da, db, false, p), rs, da, db, nil, nil, p)
+		if len(rs) > b.capacity {
+			halves(off, b.bisect(rs, da, db, false, p), rs, da, db, nil, nil, p)
 			return
 		}
 		if mm == nil {
-			mm = t.minimax(rs, p)
+			mm = b.minimax(rs, p)
 		}
 		// Refinement: a leaf-sized chunk still splits when both halves'
 		// covering radii fall under half the chunk's — the chunk
@@ -153,9 +159,9 @@ func (t *Tree) bulkLoad(src *store.Store, ids []int32) {
 			probe := append([]int32(nil), rs...)
 			pda := make([]float64, len(probe))
 			pdb := make([]float64, len(probe))
-			if mid := t.bisect(probe, pda, pdb, true, p); mid > 0 {
-				mmL := t.minimax(probe[:mid], p)
-				mmR := t.minimax(probe[mid:], p)
+			if mid := b.bisect(probe, pda, pdb, true, p); mid > 0 {
+				mmL := b.minimax(probe[:mid], p)
+				mmR := b.minimax(probe[mid:], p)
 				if mmL.radius <= 0.5*mm.radius && mmR.radius <= 0.5*mm.radius {
 					copy(rs, probe)
 					halves(off, mid, rs, da, db, mmL, mmR, p)
@@ -163,36 +169,34 @@ func (t *Tree) bulkLoad(src *store.Store, ids []int32) {
 				}
 			}
 		}
-		t.packLeaf(off, rs, ids, mm, arena, p)
+		b.packLeaf(off, rs, mm, p)
 	}
 	var all loadPart
-	rec(0, rows, da, db, nil, &all)
+	rec(0, perm, da, db, nil, &all)
 	level := all.level
-	t.flat = arena.flat
-	t.frozen = n
-	t.resetLiveness()
 
 	// Assemble upper levels until the entries fit one root node.
-	for len(level) > t.capacity {
-		next := make([]routingEntry, 0, (len(level)+t.capacity-1)/t.capacity)
-		for g := 0; g < len(level); g += t.capacity {
-			end := min(g+t.capacity, len(level))
-			next = append(next, t.makeParent(slices.Clone(level[g:end]), &all))
+	for len(level) > b.capacity {
+		next := make([]routingEntry, 0, (len(level)+b.capacity-1)/b.capacity)
+		for g := 0; g < len(level); g += b.capacity {
+			end := min(g+b.capacity, len(level))
+			next = append(next, b.makeParent(slices.Clone(level[g:end]), &all))
 		}
 		level = next
 	}
+	out := b.out
 	if len(level) == 1 && level[0].child.leaf {
-		t.root = level[0].child
+		out.root = level[0].child
 	} else {
 		// Root routing entries have no parent object: parentDist 0.
 		for i := range level {
 			level[i].parentDist = 0
 		}
-		t.root = &node{leaf: false, routing: level}
+		out.root = &node{leaf: false, routing: level}
 	}
-	t.count = n
-	t.stats.distCalcs.Add(all.calcs)
-	t.deriveScanRadius()
+	stats.distCalcs.Add(all.calcs)
+	out.deriveScanRadius()
+	return out
 }
 
 // bisect partitions rs in place around two far-apart pivot rows and
@@ -200,27 +204,27 @@ func (t *Tree) bulkLoad(src *store.Store, ids []int32) {
 // two-sided partition is accepted, and -1 reports a degenerate one;
 // otherwise imbalance beyond 1:3 falls back to a median split so the
 // recursion depth stays logarithmic.
-func (t *Tree) bisect(rs []int32, da, db []float64, relaxed bool, p *loadPart) int {
+func (b *loader) bisect(rs []int32, da, db []float64, relaxed bool, p *loadPart) int {
 	p.calcs += 3 * int64(len(rs))
-	p0 := t.row(int(rs[0]))
+	p0 := b.row(int(rs[0]))
 	ai, amax := 0, -1.0
 	for i, r := range rs {
-		if d := vec.L2(p0, t.row(int(r))); d > amax {
+		if d := vec.L2(p0, b.row(int(r))); d > amax {
 			amax, ai = d, i
 		}
 	}
-	pa := t.row(int(rs[ai]))
+	pa := b.row(int(rs[ai]))
 	bi, bmax := 0, -1.0
 	for i, r := range rs {
-		d := vec.L2(pa, t.row(int(r)))
+		d := vec.L2(pa, b.row(int(r)))
 		da[i] = d
 		if d > bmax {
 			bmax, bi = d, i
 		}
 	}
-	pb := t.row(int(rs[bi]))
+	pb := b.row(int(rs[bi]))
 	for i, r := range rs {
-		db[i] = vec.L2(pb, t.row(int(r)))
+		db[i] = vec.L2(pb, b.row(int(r)))
 	}
 
 	// Two-pointer partition: rows nearer pivot a (ties included) left.
@@ -279,14 +283,14 @@ type minimaxResult struct {
 
 // minimax computes a partition's minimaxResult (at most capacity²
 // metric evaluations; symmetric halves mirrored).
-func (t *Tree) minimax(rs []int32, p *loadPart) *minimaxResult {
+func (b *loader) minimax(rs []int32, p *loadPart) *minimaxResult {
 	m := len(rs)
 	p.calcs += int64(m * (m - 1) / 2)
 	dm := make([]float64, m*m)
 	for i := 0; i < m; i++ {
-		pi := t.row(int(rs[i]))
+		pi := b.row(int(rs[i]))
 		for j := i + 1; j < m; j++ {
-			d := vec.L2(pi, t.row(int(rs[j])))
+			d := vec.L2(pi, b.row(int(rs[j])))
 			dm[i*m+j] = d
 			dm[j*m+i] = d
 		}
@@ -308,27 +312,25 @@ func (t *Tree) minimax(rs []int32, p *loadPart) *minimaxResult {
 
 // packLeaf builds one leaf over a partition and adds its routing entry,
 // routed by the partition's minimax row, to p. mm must be aligned with
-// the current ordering of rs. The leaf's points and entry arrays go to
-// the arena's rows [first, first+len(rs)), of which the leaf keeps slices.
-func (t *Tree) packLeaf(first int, rs []int32, ids []int32, mm *minimaxResult, a *leafArena, p *loadPart) {
+// the current ordering of rs. The leaf's points, ids and entry arrays go
+// to rows [first, first+len(rs)) of the output, of which the leaf keeps
+// slices.
+func (b *loader) packLeaf(first int, rs []int32, mm *minimaxResult, p *loadPart) {
 	m := len(rs)
 	dm, best, bestRadius := mm.dm, mm.best, mm.radius
-	s := len(t.pivots)
+	out, dim := b.out, b.out.dim
+	s := len(out.pivots)
 	p.calcs += int64(m * s)
 	hr := newEmptyIntervals(s)
 	for i, row := range rs {
-		id := row
-		if ids != nil {
-			id = ids[row]
-		}
-		pt := t.row(int(row))
+		pt := b.row(int(row))
 		at := first + i
-		t.rowID[at] = id
-		a.parentDist[at] = dm[best*m+i]
-		copy(a.flat[at*t.dim:(at+1)*t.dim], pt)
-		for k, pv := range t.pivots {
+		out.rowID[at] = b.src.rowID[row]
+		b.parentDist[at] = dm[best*m+i]
+		copy(out.flat[at*dim:(at+1)*dim], pt)
+		for k, pv := range out.pivots {
 			d := vec.L2(pt, pv)
-			a.pivotDist[at*s+k] = d
+			b.pivotDist[at*s+k] = d
 			hr[k].extend(d)
 		}
 	}
@@ -336,16 +338,16 @@ func (t *Tree) packLeaf(first int, rs []int32, ids []int32, mm *minimaxResult, a
 	leaf := &node{
 		leaf:       true,
 		first:      int32(first),
-		parentDist: a.parentDist[first:end],
-		pivotDist:  a.pivotDist[first*s : end*s],
+		parentDist: b.parentDist[first:end],
+		pivotDist:  b.pivotDist[first*s : end*s],
 	}
-	p.level = append(p.level, routingEntry{center: vec.Clone(t.row(int(rs[best]))), radius: bestRadius, child: leaf, hr: hr})
+	p.level = append(p.level, routingEntry{center: vec.Clone(b.row(int(rs[best]))), radius: bestRadius, child: leaf, hr: hr})
 }
 
 // makeParent wraps a run of routing entries into one parent entry: the
 // minimax child center routes the group (minimizing the covering
 // radius max_j d(c, c_j) + r_j), and the rings union the children's.
-func (t *Tree) makeParent(group []routingEntry, p *loadPart) routingEntry {
+func (b *loader) makeParent(group []routingEntry, p *loadPart) routingEntry {
 	m := len(group)
 	p.calcs += int64(m * (m - 1) / 2)
 	dm := make([]float64, m*m)
@@ -368,7 +370,7 @@ func (t *Tree) makeParent(group []routingEntry, p *loadPart) routingEntry {
 			best, bestRadius = i, far
 		}
 	}
-	hr := newEmptyIntervals(len(t.pivots))
+	hr := newEmptyIntervals(len(b.out.pivots))
 	for i := range group {
 		group[i].parentDist = dm[best*m+i]
 		for k := range hr {

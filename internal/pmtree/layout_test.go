@@ -21,11 +21,12 @@ type leafLayout struct {
 
 // checkLayout walks every leaf and fails on a broken representation
 // invariant: entry arrays out of step, leaves that do not tile the
-// frozen rows in traversal order, or a live count that disagrees with
-// the rows.
+// generation's rows in traversal order, or a live count that disagrees
+// with the rows.
 func checkLayout(tb testing.TB, tr *Tree) leafLayout {
 	tb.Helper()
-	s := len(tr.pivots)
+	l := tr.built()
+	s := len(l.pivots)
 	var lay leafLayout
 	next := int32(0)
 	var walk func(n *node)
@@ -47,8 +48,8 @@ func checkLayout(tb testing.TB, tr *Tree) leafLayout {
 		lay.leaves++
 		lay.entries += m
 		dead := 0
-		for i := range tr.leafIDs(n) {
-			if !tr.rowLive(int(n.first) + i) {
+		for _, id := range l.leafIDs(n) {
+			if !tr.liveID(id) {
 				dead++
 			}
 		}
@@ -57,25 +58,32 @@ func checkLayout(tb testing.TB, tr *Tree) leafLayout {
 			lay.deadLeaves++
 		}
 	}
-	walk(tr.root)
+	walk(l.root)
 	live := 0
 	tr.WalkIDs(func(int32) { live++ })
-	if int(next) != tr.frozen || len(tr.rowID) != tr.Rows() || tr.Tail() != tr.Rows()-tr.frozen || live != tr.Len() {
-		tb.Fatalf("leaves cover %d rows of %d frozen; %d ids for %d rows (%d in the tail); %d live ids for Len %d",
-			next, tr.frozen, len(tr.rowID), tr.Rows(), tr.Tail(), live, tr.Len())
+	if int(next) != tr.frozen || len(l.rowID) != tr.frozen || len(l.flat) != tr.frozen*tr.dim ||
+		len(tr.tail.rowID) != tr.Tail() || len(tr.tail.flat) != tr.Tail()*tr.dim || live != tr.Len() {
+		tb.Fatalf("leaves cover %d rows of %d frozen; %d ids and %d values for them, %d ids and %d values for %d tail rows; %d live ids for Len %d",
+			next, tr.frozen, len(l.rowID), len(l.flat), len(tr.tail.rowID), len(tr.tail.flat), tr.Tail(), live, tr.Len())
 	}
 	return lay
 }
 
-// liveRowIDs is rowID as a stream records it: -1 where the row is dead.
+// liveRowIDs is the row → id array, the generation's then the tail's,
+// as a stream records it: -1 where the row is dead.
 func liveRowIDs(tr *Tree) []int32 {
-	out := slices.Clone(tr.rowID)
-	for row := range out {
-		if !tr.rowLive(row) {
+	out := append(slices.Clone(tr.built().rowID), tr.tail.rowID...)
+	for row, id := range out {
+		if !tr.liveID(id) {
 			out[row] = -1
 		}
 	}
 	return out
+}
+
+// allRows is every row's values, the generation's then the tail's.
+func allRows(tr *Tree) []float64 {
+	return append(slices.Clone(tr.built().flat), tr.tail.flat...)
 }
 
 // requireSameTree fails unless b holds what a holds, physically: the
@@ -83,10 +91,10 @@ func liveRowIDs(tr *Tree) []int32 {
 // same tail, the same leaves over them.
 func requireSameTree(tb testing.TB, label string, a, b *Tree) {
 	tb.Helper()
-	if a.frozen != b.frozen || a.count != b.count || a.scanRadius != b.scanRadius ||
-		!slices.Equal(liveRowIDs(a), liveRowIDs(b)) || !slices.Equal(a.flat, b.flat) {
+	if a.frozen != b.frozen || a.count != b.count || a.ScanRadius() != b.ScanRadius() ||
+		!slices.Equal(liveRowIDs(a), liveRowIDs(b)) || !slices.Equal(allRows(a), allRows(b)) {
 		tb.Fatalf("%s: %d/%d frozen rows, %d/%d live points, switch radius %v/%v, or the rows differ",
-			label, a.frozen, b.frozen, a.count, b.count, a.scanRadius, b.scanRadius)
+			label, a.frozen, b.frozen, a.count, b.count, a.ScanRadius(), b.ScanRadius())
 	}
 	var wa, wb bytes.Buffer
 	if _, err := a.WriteTo(&wa); err != nil {
@@ -160,7 +168,8 @@ func TestBuildFromStoreLeavesSourceAlone(t *testing.T) {
 	if !slices.Equal(src.Flat(), before) {
 		t.Fatal("BuildFromStore reordered the caller's store")
 	}
-	if &first.flat[0] == &src.Flat()[0] {
+	l := first.built()
+	if &l.flat[0] == &src.Flat()[0] {
 		t.Fatal("the tree kept the caller's buffer")
 	}
 	var walk func(n *node)
@@ -168,13 +177,13 @@ func TestBuildFromStoreLeavesSourceAlone(t *testing.T) {
 		for i := range n.routing {
 			walk(n.routing[i].child)
 		}
-		for i, id := range first.leafIDs(n) {
-			if !slices.Equal(first.leafPoint(n, i), data[id]) {
+		for i, id := range l.leafIDs(n) {
+			if !slices.Equal(l.leafPoint(n, i), data[id]) {
 				t.Fatalf("id %d does not name the caller's row %d", id, id)
 			}
 		}
 	}
-	walk(first.root)
+	walk(l.root)
 
 	second, err := BuildFromStore(src, nil, cfg)
 	if err != nil {
@@ -186,6 +195,40 @@ func TestBuildFromStoreLeavesSourceAlone(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("two trees over one store differ")
 	}
+}
+
+// TestDeferredTreeLoadsOnce: a NewDeferred tree is the caller's rows
+// until first use; the first read of its structure, through any
+// snapshot, loads it — once — into the tree BuildFromStore makes over
+// the same store, and lets go of the caller's buffer.
+func TestDeferredTreeLoadsOnce(t *testing.T) {
+	src, err := store.FromRows(randData(700, 5, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{NumPivots: 5, PivotSeed: 8}
+	eager, err := BuildFromStore(src, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deferred, err := NewDeferred(src, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := deferred.Snapshot()
+	if &deferred.gen.cur.Load().flat[0] != &src.Flat()[0] || deferred.BulkLoads() != 0 {
+		t.Fatal("a deferred tree copied its rows, or was loaded, before first use")
+	}
+	snap.NumPivots()
+	deferred.Snapshot().NumPivots()
+	if deferred.BulkLoads() != 1 || snap.BulkLoads() != 1 || eager.BulkLoads() != 1 {
+		t.Fatalf("bulk loads: %d by the tree, %d by its snapshot, %d by an eager build; want 1 each",
+			deferred.BulkLoads(), snap.BulkLoads(), eager.BulkLoads())
+	}
+	if &deferred.built().flat[0] == &src.Flat()[0] {
+		t.Fatal("the loaded tree kept the caller's buffer")
+	}
+	requireSameTree(t, "deferred against eager", eager, deferred)
 }
 
 // leafScanCase is one tree of the batched-scan equivalence sweep.
@@ -262,13 +305,13 @@ func leafScanCases(tb testing.TB) []leafScanCase {
 				}
 				if n.leaf && *k > 0 {
 					*k--
-					for _, id := range emptied.leafIDs(n) {
+					for _, id := range emptied.built().leafIDs(n) {
 						gone[id] = true
 					}
 				}
 			}
 			k := 3
-			firstLeaves(emptied.root, &k)
+			firstLeaves(emptied.built().root, &k)
 			live = nil
 			for id, p := range base {
 				if !gone[int32(id)] {
@@ -294,7 +337,7 @@ func leafScanCases(tb testing.TB) []leafScanCase {
 // fresh Reset emits the reference's points for exactly the reference's
 // metric evaluations, at every radius of the schedule (a later round of
 // one enumeration descends again and pays again). The enumerator is held
-// on the traversal (treeOnly): the flat pass has its own suite in
+// on the traversal (ResetTree): the flat pass has its own suite in
 // scan_test.go. The vec kernels under the scan are whichever backend the
 // build selected, so running the suite with and without -tags noasm
 // covers both.
@@ -309,8 +352,8 @@ func TestLeafScanMatchesRecursiveReference(t *testing.T) {
 			}
 			schedule := []float64{0, 8 + 4*rng.Float64(), 20 + 5*rng.Float64(), 32, 45, 1e6}
 
-			en := &RangeEnumerator{treeOnly: true}
-			if err := en.Reset(tr, q); err != nil {
+			en := &RangeEnumerator{}
+			if err := en.ResetTree(tr, q); err != nil {
 				t.Fatal(err)
 			}
 			seen := map[int32]bool{}
@@ -338,7 +381,7 @@ func TestLeafScanMatchesRecursiveReference(t *testing.T) {
 				want := refRangeSearch(tr, q, r)
 				paid := tr.DistanceComputations()
 				var got []Result
-				if err := en.Reset(tr, q); err != nil {
+				if err := en.ResetTree(tr, q); err != nil {
 					t.Fatal(err)
 				}
 				en.Expand(r, func(id int32, d float64) {
@@ -399,11 +442,11 @@ func TestChurnGrowsTailAndRebuildFoldsIt(t *testing.T) {
 		}
 		checkLayout(t, tr)
 	}
-	if tr.Tail() != 150 || tr.Rows() != 950 || tr.Len() != 800 || tr.scanRadius != built.scanRadius {
+	if tr.Tail() != 150 || tr.Rows() != 950 || tr.Len() != 800 || tr.ScanRadius() != built.ScanRadius() {
 		t.Fatalf("150 inserts and 150 deletes left %d tail rows of %d for %d points, switch radius %v (built: %v)",
-			tr.Tail(), tr.Rows(), tr.Len(), tr.scanRadius, built.scanRadius)
+			tr.Tail(), tr.Rows(), tr.Len(), tr.ScanRadius(), built.ScanRadius())
 	}
-	if !slices.Equal(tr.flat[:800*6], built.flat) {
+	if !slices.Equal(tr.built().flat, built.built().flat) {
 		t.Fatal("churn moved the rows the leaves cover")
 	}
 
@@ -421,11 +464,11 @@ func TestChurnGrowsTailAndRebuildFoldsIt(t *testing.T) {
 	for qi := 0; qi < 20; qi++ {
 		q := live[rng.Intn(len(live))]
 		r := 10 + rng.Float64()*25
-		a, b := RangeEnumerator{treeOnly: true}, RangeEnumerator{treeOnly: true}
+		var a, b RangeEnumerator
 		var got, want []Result
-		a.Reset(tr, q)
+		a.ResetTree(tr, q)
 		a.Expand(r, func(id int32, d float64) { got = append(got, Result{id, d}) })
-		b.Reset(reloaded, q)
+		b.ResetTree(reloaded, q)
 		b.Expand(r, func(id int32, d float64) { want = append(want, Result{id, d}) })
 		requireSameBits(t, "churned tree vs its round trip", got, want)
 		if a.DistComps() != b.DistComps() {

@@ -50,7 +50,8 @@ import (
 // seedTail).
 type PairEnumerator struct {
 	t      *Tree
-	t2     *Tree // nil for a self-join; the second tree of a bipartite join
+	t2     *Tree   // nil for a self-join; the second tree of a bipartite join
+	l, l2  *layout // t's and t2's bulk-loaded generations
 	pq     heapq.Heap[pairItem]
 	nodes  []nodePairArena // side arena for queued node pairs
 	cutoff float64
@@ -83,12 +84,11 @@ type PairEnumerator struct {
 	// shared).
 	qdist int64
 
-	// pending batches the tree's atomic statistics counters: a self-join
+	// pendingDist batches the tree's atomic counter: a self-join
 	// evaluates the metric millions of times, and paying an atomic
 	// add per evaluation costs more than the 15-dimensional distance
 	// itself. Flushed on every Next return.
-	pendingDist  int64
-	pendingNodes int64
+	pendingDist int64
 }
 
 // leafJoin is one leaf prepared for plane-sweep joining: entry data
@@ -171,28 +171,24 @@ func (e *PairEnumerator) dist(a, b []float64) float64 {
 // many run concurrently.
 func (e *PairEnumerator) DistComps() int64 { return e.qdist }
 
-// flushStats moves the batched counters into the tree's atomics.
+// flushStats moves the batched count into the tree's atomic.
 func (e *PairEnumerator) flushStats() {
 	if e.pendingDist > 0 {
 		e.t.stats.distCalcs.Add(e.pendingDist)
 		e.pendingDist = 0
 	}
-	if e.pendingNodes > 0 {
-		e.t.stats.nodeAccesses.Add(e.pendingNodes)
-		e.pendingNodes = 0
-	}
 }
 
 // NewPairEnumerator starts a pair enumeration over the tree. The
 // enumerator reads the tree without modifying it (beyond the shared
-// statistics counters) but must not be used concurrently with Insert
+// evaluation counter) but must not be used concurrently with Insert
 // or Delete, like every query; concurrent enumerations and range
 // queries are fine. A tree with fewer than two points enumerates
 // nothing.
 func (t *Tree) NewPairEnumerator() *PairEnumerator {
-	e := &PairEnumerator{t: t, cutoff: math.Inf(1), done: t.count < 2}
+	e := &PairEnumerator{t: t, l: t.built(), cutoff: math.Inf(1), done: t.count < 2}
 	if !e.done {
-		root := pairRegion{n: t.root, radius: math.Inf(1)}
+		root := pairRegion{n: e.l.root, radius: math.Inf(1)}
 		e.expand(root, root)
 	}
 	return e
@@ -210,21 +206,21 @@ func (t *Tree) NewPairEnumerator() *PairEnumerator {
 // the receiver, except that a tail row's range query counts on the
 // tree it searches. Either tree being empty enumerates nothing.
 func (t *Tree) NewBipartitePairEnumerator(other *Tree) *PairEnumerator {
-	e := &PairEnumerator{t: t, t2: other, cutoff: math.Inf(1), done: t.count < 1 || other.count < 1}
+	e := &PairEnumerator{t: t, t2: other, l: t.built(), l2: other.built(), cutoff: math.Inf(1), done: t.count < 1 || other.count < 1}
 	if !e.done {
-		ra := pairRegion{n: t.root, radius: math.Inf(1), side: 0}
-		rb := pairRegion{n: other.root, radius: math.Inf(1), side: 1}
+		ra := pairRegion{n: e.l.root, radius: math.Inf(1), side: 0}
+		rb := pairRegion{n: e.l2.root, radius: math.Inf(1), side: 1}
 		e.expand(ra, rb)
 	}
 	return e
 }
 
-// treeOf maps a region side to its tree.
-func (e *PairEnumerator) treeOf(side uint8) *Tree {
+// side maps a region side to its tree and that tree's layout.
+func (e *PairEnumerator) side(side uint8) (*Tree, *layout) {
 	if side == 0 {
-		return e.t
+		return e.t, e.l
 	}
-	return e.t2
+	return e.t2, e.l2
 }
 
 // SetCutoff caps the enumeration: pairs with distance above cutoff are
@@ -286,7 +282,6 @@ func (e *PairEnumerator) Next() (PairCandidate, bool) {
 // every unordered child pair — including child self pairs — is
 // generated exactly once.
 func (e *PairEnumerator) expand(a, b pairRegion) {
-	e.pendingNodes++
 	if a.n.leaf && b.n.leaf {
 		e.expandLeafPair(a, b)
 		return
@@ -318,7 +313,7 @@ func (e *PairEnumerator) expand(a, b pairRegion) {
 // leafJoin returns (building and caching on first use) the leaf's
 // sweep-ready layout.
 func (e *PairEnumerator) leafJoin(n *node, side uint8) *leafJoin {
-	t := e.treeOf(side)
+	t, l := e.side(side)
 	cache := &e.joins
 	if side == 1 {
 		cache = &e.joins2
@@ -330,17 +325,17 @@ func (e *PairEnumerator) leafJoin(n *node, side uint8) *leafJoin {
 	if lj := (*cache)[key]; lj != nil {
 		return lj
 	}
-	s := len(t.pivots)
-	ids := t.leafIDs(n)
+	s := len(l.pivots)
+	ids := l.leafIDs(n)
 	idx := make([]int, 0, len(ids))
 	for i, id := range ids {
-		if id >= 0 && t.live(id) { // dead entries pair with nothing
+		if t.liveID(id) { // dead entries pair with nothing
 			idx = append(idx, i)
 		}
 	}
 	m := len(idx)
 	sort.Slice(idx, func(a, b int) bool {
-		return t.leafPoint(n, idx[a])[0] < t.leafPoint(n, idx[b])[0]
+		return l.leafPoint(n, idx[a])[0] < l.leafPoint(n, idx[b])[0]
 	})
 	lj := &leafJoin{
 		c0:  make([]float64, m),
@@ -349,7 +344,7 @@ func (e *PairEnumerator) leafJoin(n *node, side uint8) *leafJoin {
 		id:  make([]int32, m),
 	}
 	for i, at := range idx {
-		lj.c0[i] = t.leafPoint(n, at)[0]
+		lj.c0[i] = l.leafPoint(n, at)[0]
 		lj.piv = append(lj.piv, n.pivotDists(at, s)...)
 		lj.row[i] = n.first + int32(at)
 		lj.id[i] = ids[at]
@@ -381,10 +376,10 @@ func (e *PairEnumerator) expandLeafPair(ra, rb pairRegion) {
 	if na != nb {
 		b = e.leafJoin(nb, rb.side)
 	}
-	ta := e.treeOf(ra.side)
-	tb := e.treeOf(rb.side)
+	_, la := e.side(ra.side)
+	_, lb := e.side(rb.side)
 	cross := ra.side != rb.side
-	s := len(ta.pivots)
+	s := len(la.pivots)
 	cutoff := e.cutoff
 	// Squared-space rejection with a rounding margin; survivors get the
 	// exact linear check below, so boundary pairs (distance == cutoff)
@@ -404,7 +399,7 @@ func (e *PairEnumerator) expandLeafPair(ra, rb pairRegion) {
 			jstart = lo
 		}
 		pa := a.piv[i*s : (i+1)*s]
-		pt := ta.row(int(a.row[i]))
+		pt := la.row(int(a.row[i]))
 	probe:
 		for j := jstart; j < len(b.c0) && b.c0[j]-c0 <= cutoff; j++ {
 			if !cross {
@@ -416,7 +411,7 @@ func (e *PairEnumerator) expandLeafPair(ra, rb pairRegion) {
 				}
 			}
 			exact++
-			d2 := vec.SquaredL2(pt, tb.row(int(b.row[j])))
+			d2 := vec.SquaredL2(pt, lb.row(int(b.row[j])))
 			if d2 > cutoff2 {
 				continue
 			}
@@ -464,7 +459,6 @@ func (e *PairEnumerator) joinTail(from, in *Tree) {
 	if self {
 		in = from
 	}
-	e.rq.treeOnly = true
 	var id int32 // the querying row's
 	emit := func(other int32, d float64) {
 		id1, id2 := id, other
@@ -473,18 +467,18 @@ func (e *PairEnumerator) joinTail(from, in *Tree) {
 		}
 		e.pq.Push(pairItem{bound: d, kind: kindExactPair, id1: id1, id2: id2})
 	}
-	for row := from.frozen; row < from.Rows(); row++ {
-		if !from.rowLive(row) {
+	for i, tid := range from.tail.rowID {
+		if !from.liveID(tid) {
 			continue
 		}
-		id = from.rowID[row]
-		// Reset cannot fail: both trees index points of one dimension.
-		if err := e.rq.Reset(in, from.row(row)); err != nil {
+		id = tid
+		// ResetTree cannot fail: both trees index points of one dimension.
+		if err := e.rq.ResetTree(in, from.tail.row(i)); err != nil {
 			panic(err)
 		}
 		switch {
 		case self:
-			e.rq.tailFrom = row + 1
+			e.rq.tailFrom = from.frozen + i + 1
 		case from == e.t2:
 			e.rq.tailFrom = in.Rows()
 		}

@@ -14,51 +14,55 @@
 // With s = 0 pivots the structure degrades gracefully to a plain
 // M-tree, which the parameter study of Fig. 6(a) exploits.
 //
-// Memory layout is part of the design. The tree owns one contiguous
-// store of its points and a bulk load (Build, BuildFromStore) or Read
-// lays it out leaf-major: each leaf's points are one consecutive run
-// of rows and the leaves follow each other in traversal order. Leaves
-// keep their entries as parallel arrays, so a range query opens a leaf
-// as a batch — all filter lower bounds in one kernel pass, then the
-// survivors' distances over the leaf's contiguous rows (see
+// Memory layout is part of the design. A bulk load or Read lays the
+// tree's points out leaf-major: each leaf's points are one consecutive
+// run of rows and the leaves follow each other in traversal order.
+// Leaves keep their entries as parallel arrays, so a range query opens
+// a leaf as a batch — all filter lower bounds in one kernel pass, then
+// the survivors' distances over the leaf's contiguous rows (see
 // RangeEnumerator) — and a traversal streams memory front to back.
 //
-// Bulk load is the only builder. The structure is frozen once built:
-// no node is ever split, grown or emptied, and every leaf stays one
-// ascending run of rows. Insert appends the point to a tail of rows
-// behind the leaves' in the same buffer, which no node covers; Delete
-// stamps the point's id with a delete epoch and touches nothing else.
-// The next bulk load over the live points (the index layer's Compact)
-// folds the tail in and drops the dead. Every query covers both parts:
-// the traversals skip dead leaf entries and brute-force the tail, and
-// the flat pass below reads all rows anyway.
+// Bulk load is the only builder, and it may wait for first use. A tree
+// starts as a generation: the rows it was made over, their ids and a
+// delete epoch per id — all the flat pass (RangeEnumerator.Reset)
+// reads. The first call that reads the nodes, pivots or switch radius —
+// a traversal, a pair join, Walk, WriteTo — bulk loads them, once, for
+// the tree and every snapshot of it (Build and BuildFromStore at once,
+// NewDeferred on first use). The load swaps the rows for a leaf-major
+// copy, so a generation holds one copy of them.
 //
-// The same rows are what a range enumeration falls back on when the
-// tree cannot prune: from a switch radius derived from the tree's own
-// leaf radii (deriveScanRadius), and in any round after its first, a
-// RangeEnumerator computes every row's distance in one pass; the
-// traversal serves a first round under it and RangeSearch. Answers are
-// the same either way.
+// The structure is frozen once built: no node is ever split, grown or
+// emptied. Insert appends the point to a tail of rows in a buffer of
+// its own, which no node covers; Delete stamps the point's id with a
+// delete epoch and touches nothing else. The next bulk load over the
+// live points (the index layer's Compact) folds the tail in and drops
+// the dead. Every query covers both parts: the traversals skip dead
+// leaf entries and brute-force the tail, and the flat pass reads all
+// rows anyway.
 //
 // # Concurrency: one writer, snapshots for readers
 //
 // Insert and Delete are single-writer, and neither rewrites anything a
-// query reads: the nodes are frozen; the row buffer and the row → id
-// array only grow (a write lands past the lengths an earlier reader
-// holds, a growth reallocation leaves the old array to it); a delete is
-// one atomic store of an epoch. Snapshot captures one moment's lengths
-// and epoch in a Tree value of its own, which any number of goroutines
-// may query while the writer carries on with the original: a point is
-// dead to a snapshot when its delete epoch is at or before the
-// snapshot's. The two statistics counters are shared by a tree and its
-// snapshots (a combined total); the enumerators keep per-enumeration
-// counts (DistComps) that stay exact under concurrency.
+// query reads: the nodes are frozen; the tail and its row → id array
+// only grow (a write lands past the lengths an earlier reader holds, a
+// growth reallocation leaves the old array to it); the generation's
+// rows are replaced whole, once, by the bulk load, and a query keeps
+// the ones it started on; a delete is one atomic store of an epoch.
+// Snapshot captures one moment's lengths and epoch in a Tree value of
+// its own, which any number of goroutines may query while the writer
+// carries on with the original: a point is dead to a snapshot when its
+// delete epoch is at or before the snapshot's. The evaluation counter
+// is shared by a tree and its snapshots (a combined total); the
+// enumerators keep per-enumeration counts (DistComps) that stay exact
+// under concurrency.
 package pmtree
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/store"
@@ -110,19 +114,20 @@ type routingEntry struct {
 	hr         []Interval // e.HR: one ring per pivot
 }
 
-// node is one tree node. A leaf's entries are the consecutive store
-// rows first, first+1, …: entry i is (Tree.rowID[first+i],
-// parentDist[i], pivotDist[i*s:(i+1)*s]) — the PM-tree leaf's id, PD and
-// pivot-distance array — and its point is that row. The distances are
-// parallel arrays rather than an array of structs: a range query
-// filters a whole leaf in one pass over parentDist and pivotDist
-// (vec.MaxAbsDiffToMany) before it touches a single point, and then
-// streams the survivors' rows through a batched kernel.
+// node is one tree node. A leaf's entries are the consecutive rows
+// first, first+1, … of the leaf-major layout: entry i is
+// (layout.rowID[first+i], parentDist[i], pivotDist[i*s:(i+1)*s]) — the
+// PM-tree leaf's id, PD and pivot-distance array — and its point is that
+// row. The distances are parallel arrays rather than an array of
+// structs: a range query filters a whole leaf in one pass over
+// parentDist and pivotDist (vec.MaxAbsDiffToMany) before it touches a
+// single point, and then streams the survivors' rows through a batched
+// kernel.
 type node struct {
 	leaf    bool
 	routing []routingEntry // when !leaf
 
-	first      int32     // when leaf: the store row of entry 0
+	first      int32     // when leaf: the layout row of entry 0
 	parentDist []float64 // distance to the leaf node's routing object
 	pivotDist  []float64 // exact distances to the s pivots, entry-major
 }
@@ -137,24 +142,17 @@ func (n *node) size() int {
 // pivotDists returns entry i's distances to the s pivots.
 func (n *node) pivotDists(i, s int) []float64 { return n.pivotDist[i*s : (i+1)*s : (i+1)*s] }
 
-// Tree is a PM-tree over m-dimensional float64 points. Indexed points
-// live in one contiguous buffer owned by the tree: the rows the leaves
-// cover, in leaf order, then the tail of rows inserted since the bulk
-// load.
+// Tree is a PM-tree over m-dimensional float64 points: a generation of
+// rows with the structure over them, and the tail inserted since.
 type Tree struct {
-	root     *node
-	flat     []float64 // the rows, dim values each; append-only
-	pivots   [][]float64
-	capacity int
-	dim      int
-	count    int // live points: leaf entries and tail rows not deleted
-	// frozen is the number of rows the leaves cover, fixed by the bulk
-	// load or Read; rows [frozen, Rows()) are the tail.
+	dim int
+	// gen is shared by the tree and its snapshots.
+	gen *generation
+	// frozen is the number of the generation's rows; rows [frozen,
+	// Rows()) are the tail, which no node covers. Append-only.
 	frozen int
-	// rowID maps a row to the id of the point it holds: the leaves' id
-	// array (see node), and what lets a flat pass name the points it finds.
-	// Append-only; -1 only where Read found a row its stream marked dead.
-	rowID []int32
+	tail   layout
+	count  int // live points: generation and tail rows not deleted
 	// del holds the delete epoch of every id up to the largest seen: 0
 	// while the point is live, the value epoch took when Delete removed
 	// it, and 1 — dead from the first epoch on — for an id the tree never
@@ -164,21 +162,56 @@ type Tree struct {
 	// epoch is 1 plus the number of deletes applied (ids are int32: it
 	// cannot wrap). An id is dead here when 0 < del[id] <= epoch.
 	epoch uint32
-	// scanRadius is the radius from which a range enumeration scans the
-	// rows.
-	scanRadius float64
 
 	// stats is shared with every snapshot, behind a pointer so that
 	// taking one copies no atomic.
 	stats *treeStats
 }
 
-// treeStats are a tree's two counters: distCalcs, every evaluation of
-// the metric (it feeds the cost-model validation, Table 2), and
-// nodeAccesses, the nodes queries opened. Atomic: concurrent queries
-// combine their counts, each adding once per call or round, never per distance.
+// generation is a tree's rows and, once bulk loaded, its structure.
+type generation struct {
+	cfg   Config // Capacity filled in
+	once  sync.Once
+	loads atomic.Int32 // see BulkLoads
+	// cur is the rows as a query reads them: in the order handed over
+	// until the bulk load, leaf-major with the structure after it.
+	cur atomic.Pointer[layout]
+}
+
+// layout is rows with their ids: a generation's, in one order, and the
+// tree over them once the order is the bulk load's; or a tail.
+type layout struct {
+	dim  int
+	flat []float64 // the rows, dim values each
+	// rowID maps a row to the id of the point it holds: the leaves' id
+	// array (see node), and what lets a flat pass name the points it
+	// finds. -1 only where Read found a row its stream marked dead.
+	rowID      []int32
+	root       *node // nil until bulk loaded
+	pivots     [][]float64
+	scanRadius float64 // see ScanRadius
+}
+
+// row returns row i as a view into the buffer.
+func (l *layout) row(i int) []float64 {
+	off := i * l.dim
+	return l.flat[off : off+l.dim : off+l.dim]
+}
+
+// leafIDs returns the ids of a leaf's entries (see rowID; Tree.liveID
+// decides which of them still count).
+func (l *layout) leafIDs(n *node) []int32 {
+	return l.rowID[n.first : int(n.first)+len(n.parentDist)]
+}
+
+// leafPoint resolves leaf entry i's point as a view into the buffer.
+func (l *layout) leafPoint(n *node, i int) []float64 { return l.row(int(n.first) + i) }
+
+// treeStats is a tree's counter of metric evaluations (it feeds the
+// cost-model validation, Table 2). Atomic: concurrent queries combine
+// their counts, each adding once per call or round, never per distance.
 type treeStats struct {
-	distCalcs, nodeAccesses atomic.Int64
+	distCalcs atomic.Int64
 }
 
 // Config controls tree construction.
@@ -196,30 +229,26 @@ type Config struct {
 // New creates an empty tree for points of the given dimensionality: no
 // pivots, no nodes to speak of, and every Insert lands in the tail.
 func New(dim int, cfg Config) (*Tree, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("pmtree: dimension must be positive, got %d", dim)
+	s, err := store.New(dim)
+	if err != nil {
+		return nil, fmt.Errorf("pmtree: %w", err)
 	}
-	if cfg.Capacity == 0 {
-		cfg.Capacity = DefaultCapacity
-	}
-	if cfg.Capacity < 4 {
-		return nil, fmt.Errorf("pmtree: capacity must be >= 4, got %d", cfg.Capacity)
-	}
-	if cfg.NumPivots < 0 {
-		return nil, fmt.Errorf("pmtree: NumPivots must be >= 0, got %d", cfg.NumPivots)
-	}
-	return &Tree{
-		root:     &node{leaf: true},
-		capacity: cfg.Capacity,
-		dim:      dim,
-		epoch:    1,
-		stats:    &treeStats{},
-	}, nil
+	return NewDeferred(s, nil, cfg)
+}
+
+// newTree returns a tree over the generation l and the tail, all live.
+func newTree(cfg Config, l *layout, tail layout) *Tree {
+	g := &generation{cfg: cfg}
+	g.cur.Store(l)
+	t := &Tree{dim: l.dim, gen: g, frozen: len(l.rowID), tail: tail, stats: &treeStats{}}
+	t.resetLiveness()
+	return t
 }
 
 // Snapshot returns the tree as it stands: a read-only Tree sharing t's
-// nodes, rows and counters, which answers from this moment's points
-// whatever t inserts or deletes afterwards (see the package comment).
+// generation, tail and counters, which answers from this moment's
+// points whatever t inserts or deletes afterwards (see the package
+// comment).
 func (t *Tree) Snapshot() *Tree {
 	s := *t
 	return &s
@@ -233,22 +262,19 @@ func (t *Tree) Snapshot() *Tree {
 // tree's contiguous store; ids[i] is stored with data[i]; ids may be
 // nil, in which case the point's index is used.
 func Build(data [][]float64, ids []int32, cfg Config) (*Tree, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("pmtree: Build requires at least one point")
-	}
-	s, err := store.FromRows(data)
+	s, err := store.FromRows(data) // refuses an empty data set
 	if err != nil {
 		return nil, fmt.Errorf("pmtree: %w", err)
 	}
 	return BuildFromStore(s, ids, cfg)
 }
 
-// BuildFromStore constructs a tree over the rows of s. The store is
-// only read: the tree gathers the rows into a buffer of its own, laid
-// out leaf by leaf in traversal order, and keeps no reference to s, so
-// several trees can be built over one store and the caller is free to
-// drop or reuse it. ids follows Build's contract (nil: a point's id is
-// its row in s); ids must be distinct and non-negative.
+// BuildFromStore constructs a tree over the rows of s, bulk loaded at
+// once. The store is only read: the tree gathers the rows into a buffer
+// of its own, laid out leaf by leaf in traversal order, and keeps no
+// reference to s, so several trees can be built over one store and the
+// caller is free to drop or reuse it. ids follows Build's contract (nil:
+// a point's id is its row in s); ids must be distinct and non-negative.
 //
 // The tree is bulk loaded (see bulkload.go): metric-local leaves
 // packed by recursive far-pivot bisection, upper levels assembled
@@ -257,86 +283,121 @@ func BuildFromStore(s *store.Store, ids []int32, cfg Config) (*Tree, error) {
 	if s.Len() == 0 {
 		return nil, fmt.Errorf("pmtree: BuildFromStore requires at least one point")
 	}
-	if ids != nil && len(ids) != s.Len() {
-		return nil, fmt.Errorf("pmtree: got %d ids for %d points", len(ids), s.Len())
+	t, err := NewDeferred(s, ids, cfg)
+	if err != nil {
+		return nil, err
+	}
+	t.built()
+	return t, nil
+}
+
+// NewDeferred returns the tree BuildFromStore returns, bulk loaded by
+// the first call that reads its structure. Until then s's buffer and ids
+// are the tree's rows: the caller must not modify either. A store
+// without rows makes an empty tree, as New does.
+func NewDeferred(s *store.Store, ids []int32, cfg Config) (*Tree, error) {
+	if cfg.Capacity == 0 {
+		cfg.Capacity = DefaultCapacity
+	}
+	if cfg.Capacity < 4 {
+		return nil, fmt.Errorf("pmtree: capacity must be >= 4, got %d", cfg.Capacity)
+	}
+	if cfg.NumPivots < 0 {
+		return nil, fmt.Errorf("pmtree: NumPivots must be >= 0, got %d", cfg.NumPivots)
+	}
+	n := s.Len()
+	if ids == nil {
+		ids = make([]int32, n)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+	}
+	if len(ids) != n {
+		return nil, fmt.Errorf("pmtree: got %d ids for %d points", len(ids), n)
 	}
 	for _, id := range ids {
 		if id < 0 {
 			return nil, fmt.Errorf("pmtree: negative id %d", id)
 		}
 	}
-	t, err := New(s.Dim(), cfg)
-	if err != nil {
-		return nil, err
+	l := &layout{dim: s.Dim(), flat: s.Flat(), rowID: ids}
+	if n == 0 {
+		l.root = &node{leaf: true} // nothing to load: every insert goes to the tail
 	}
-	t.pivots = selectPivots(s.Rows(), cfg.NumPivots, cfg.PivotSeed)
-	t.bulkLoad(s, ids)
-	return t, nil
+	return newTree(cfg, l, layout{dim: s.Dim()}), nil
 }
+
+// built returns the generation's rows with the structure over them,
+// bulk loading them unless that is done — Build's load, so the tree an
+// eager build makes — once for the tree and all its snapshots.
+func (t *Tree) built() *layout {
+	g := t.gen
+	if l := g.cur.Load(); l.root != nil {
+		return l
+	}
+	g.once.Do(func() {
+		g.cur.Store(bulkLoad(g.cur.Load(), g.cfg, t.stats))
+		g.loads.Add(1)
+	})
+	return g.cur.Load()
+}
+
+// BulkLoads returns how many times the tree's generation has been bulk
+// loaded: 0 until something reads its structure, 1 from then on.
+func (t *Tree) BulkLoads() int { return int(t.gen.loads.Load()) }
 
 // Len returns the number of indexed (live) points.
 func (t *Tree) Len() int { return t.count }
 
 // Rows returns the number of rows in the tree's point store, deleted
-// ones and the tail included: what a range enumeration evaluates once
-// it scans.
-func (t *Tree) Rows() int { return len(t.flat) / t.dim }
+// ones and the tail included: what a flat pass evaluates.
+func (t *Tree) Rows() int { return t.frozen + len(t.tail.rowID) }
 
 // Tail returns how many of those rows no node covers: the points
-// inserted since the bulk load, deleted ones included, which a
+// inserted since the generation began, deleted ones included, which a
 // traversal brute-forces.
-func (t *Tree) Tail() int { return t.Rows() - t.frozen }
-
-// row returns row i's point as a view into the buffer.
-func (t *Tree) row(i int) []float64 {
-	off := i * t.dim
-	return t.flat[off : off+t.dim : off+t.dim]
-}
+func (t *Tree) Tail() int { return len(t.tail.rowID) }
 
 // IsLive reports whether the tree holds a live point with the given id.
 func (t *Tree) IsLive(id int32) bool {
-	return id >= 0 && int(id) < len(t.del) && t.live(id)
+	return int(id) < len(t.del) && t.liveID(id)
 }
 
-// live is IsLive for an id taken from rowID: non-negative ones all have
-// a delete epoch.
-func (t *Tree) live(id int32) bool {
+// liveID is IsLive for an id taken from a row → id array: non-negative
+// ones all have a delete epoch.
+func (t *Tree) liveID(id int32) bool {
+	if id < 0 {
+		return false
+	}
 	d := t.del[id].Load()
 	return d == 0 || d > t.epoch
-}
-
-// rowLive reports whether the row holds a live point.
-func (t *Tree) rowLive(row int) bool {
-	id := t.rowID[row]
-	return id >= 0 && t.live(id)
 }
 
 // WalkIDs calls fn with every indexed point's id (the deserialization
 // loader uses it to validate the tree's ids against the index's id
 // map).
 func (t *Tree) WalkIDs(fn func(id int32)) {
-	for _, id := range t.rowID {
-		if id >= 0 && t.live(id) {
+	for _, id := range slices.Concat(t.gen.cur.Load().rowID, t.tail.rowID) {
+		if t.liveID(id) {
 			fn(id)
 		}
 	}
 }
 
-// resetLiveness starts del and epoch over for the ids in rowID, all
-// live, every other id up to the largest marked never held.
+// resetLiveness starts del, epoch and count over for the ids of the
+// generation and the tail, all live, every other id up to the largest
+// marked never held.
 func (t *Tree) resetLiveness() {
-	top := int32(-1)
-	for _, id := range t.rowID {
-		top = max(top, id)
-	}
-	t.del = make([]atomic.Uint32, int(top)+1)
-	t.epoch = 1
+	ids := slices.Concat([]int32{-1}, t.gen.cur.Load().rowID, t.tail.rowID) // -1: never empty
+	t.del = make([]atomic.Uint32, int(slices.Max(ids))+1)
+	t.epoch, t.count = 1, 0
 	for i := range t.del {
 		t.del[i].Store(1)
 	}
-	for _, id := range t.rowID {
+	for _, id := range ids {
 		if id >= 0 {
 			t.del[id].Store(0)
+			t.count++
 		}
 	}
 }
@@ -345,33 +406,18 @@ func (t *Tree) resetLiveness() {
 func (t *Tree) Dim() int { return t.dim }
 
 // NumPivots returns the number of global pivots s.
-func (t *Tree) NumPivots() int { return len(t.pivots) }
-
-// Pivots returns the pivot points (shared slices; do not mutate).
-func (t *Tree) Pivots() [][]float64 { return t.pivots }
+func (t *Tree) NumPivots() int { return len(t.built().pivots) }
 
 // DistanceComputations returns the number of metric evaluations since
-// the last ResetStats (the bulk load and queries both count).
+// the last ResetStats (the bulk load, whenever it runs, and queries both
+// count).
 func (t *Tree) DistanceComputations() int64 { return t.stats.distCalcs.Load() }
 
-// NodeAccesses returns the number of nodes opened by queries since the
-// last ResetStats.
-func (t *Tree) NodeAccesses() int64 { return t.stats.nodeAccesses.Load() }
-
-// ResetStats zeroes the distance and node-access counters.
-func (t *Tree) ResetStats() { t.stats.distCalcs.Store(0); t.stats.nodeAccesses.Store(0) }
-
-// leafIDs returns the ids of a leaf's entries (see rowID; live decides
-// which of them still count).
-func (t *Tree) leafIDs(n *node) []int32 {
-	return t.rowID[n.first : int(n.first)+len(n.parentDist)]
-}
-
-// leafPoint resolves leaf entry i's point as a view into the buffer.
-func (t *Tree) leafPoint(n *node, i int) []float64 { return t.row(int(n.first) + i) }
+// ResetStats zeroes the distance counter.
+func (t *Tree) ResetStats() { t.stats.distCalcs.Store(0) }
 
 // scanRadiusFactor places the switch between the two ways a range
-// enumeration resolves a radius, as a fraction of the median covering
+// enumeration can resolve a radius, as a fraction of the median covering
 // radius of the tree's leaves. Below it a query ball meets a few leaves
 // and the traversal evaluates a few percent of the points; above, one
 // pass over the contiguous rows is faster (BenchmarkEnumerate charts
@@ -379,11 +425,15 @@ func (t *Tree) leafPoint(n *node, i int) []float64 { return t.row(int(n.first) +
 // against the leaf size, not on n, so the tree can read it off itself.
 const scanRadiusFactor = 0.25
 
+// ScanRadius returns the radius from which one pass over the rows beats
+// a traversal: scanRadiusFactor times the median leaf covering radius,
+// 0 for a tree whose root is its only leaf or whose median leaf covers
+// one repeated point.
+func (t *Tree) ScanRadius() float64 { return t.built().scanRadius }
+
 // deriveScanRadius sets scanRadius from the leaf-level routing entries,
-// after a bulk load and after Read. A tree whose root is its only leaf
-// — one grown from New is all tail — or whose median leaf covers one
-// repeated point gets 0: every radius scans.
-func (t *Tree) deriveScanRadius() {
+// after a bulk load and after Read.
+func (l *layout) deriveScanRadius() {
 	var radii []float64
 	var walk func(n *node)
 	walk = func(n *node) {
@@ -395,18 +445,17 @@ func (t *Tree) deriveScanRadius() {
 			}
 		}
 	}
-	walk(t.root)
-	t.scanRadius = 0
+	walk(l.root)
 	if len(radii) > 0 {
 		sort.Float64s(radii)
-		t.scanRadius = scanRadiusFactor * radii[len(radii)/2]
+		l.scanRadius = scanRadiusFactor * radii[len(radii)/2]
 	}
 }
 
 // Insert adds one point with the given id, which must exceed every id
 // the tree has held — ids only grow, and a deleted one is never reused:
 // snapshots still read its delete epoch. The point is copied to the end
-// of the rows, the tail; no node changes.
+// of the tail; no node changes.
 func (t *Tree) Insert(p []float64, id int32) error {
 	if id < 0 {
 		return fmt.Errorf("pmtree: negative id %d", id)
@@ -418,8 +467,8 @@ func (t *Tree) Insert(p []float64, id int32) error {
 		return fmt.Errorf("pmtree: id %d does not exceed every id the tree has held (%d)", id, len(t.del)-1)
 	}
 	t.growDel(int(id) + 1)
-	t.flat = append(t.flat, p...)
-	t.rowID = append(t.rowID, id)
+	t.tail.flat = append(t.tail.flat, p...)
+	t.tail.rowID = append(t.tail.rowID, id)
 	t.count++
 	return nil
 }

@@ -66,8 +66,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.capacity != DefaultCapacity {
-		t.Errorf("default capacity = %d", tr.capacity)
+	if tr.gen.cfg.Capacity != DefaultCapacity {
+		t.Errorf("default capacity = %d", tr.gen.cfg.Capacity)
 	}
 }
 
@@ -162,13 +162,14 @@ func TestStructuralInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	l := tr.built()
 	var verify func(n *node, ancestors []*routingEntry)
 	verify = func(n *node, ancestors []*routingEntry) {
 		if n.leaf {
-			for i, id := range tr.leafIDs(n) {
-				pivotDist := n.pivotDists(i, len(tr.pivots))
+			for i, id := range l.leafIDs(n) {
+				pivotDist := n.pivotDists(i, len(l.pivots))
 				for _, a := range ancestors {
-					if d := vec.L2(tr.leafPoint(n, i), a.center); d > a.radius+1e-9 {
+					if d := vec.L2(l.leafPoint(n, i), a.center); d > a.radius+1e-9 {
 						t.Fatalf("point %d outside ancestor ball: %v > %v", id, d, a.radius)
 					}
 					for k, pd := range pivotDist {
@@ -180,7 +181,7 @@ func TestStructuralInvariants(t *testing.T) {
 				}
 				// Stored pivot distances must be exact.
 				for k, pd := range pivotDist {
-					if math.Abs(pd-vec.L2(tr.leafPoint(n, i), tr.pivots[k])) > 1e-9 {
+					if math.Abs(pd-vec.L2(l.leafPoint(n, i), l.pivots[k])) > 1e-9 {
 						t.Fatalf("stale pivot distance for point %d pivot %d", id, k)
 					}
 				}
@@ -192,7 +193,7 @@ func TestStructuralInvariants(t *testing.T) {
 			verify(e.child, append(ancestors, e))
 		}
 	}
-	verify(tr.root, nil)
+	verify(l.root, nil)
 }
 
 func TestNodeCapacityRespected(t *testing.T) {
@@ -217,12 +218,21 @@ func TestLenDimHeight(t *testing.T) {
 	if tr.Dim() != 5 {
 		t.Errorf("Dim = %d", tr.Dim())
 	}
-	if tr.Height() < 2 {
-		t.Errorf("Height = %d, want >= 2 for 300 points at capacity 16", tr.Height())
+	if h := height(tr); h < 2 {
+		t.Errorf("height = %d, want >= 2 for 300 points at capacity 16", h)
 	}
-	if tr.NumPivots() != 2 || len(tr.Pivots()) != 2 {
+	if tr.NumPivots() != 2 || len(tr.built().pivots) != 2 {
 		t.Errorf("NumPivots = %d", tr.NumPivots())
 	}
+}
+
+// height returns the number of levels (1 for a root-only tree).
+func height(tr *Tree) int {
+	h := 1
+	for n := tr.built().root; !n.leaf; n = n.routing[0].child {
+		h++
+	}
+	return h
 }
 
 func TestCustomIDs(t *testing.T) {
@@ -242,17 +252,14 @@ func TestStatsCounters(t *testing.T) {
 	data := randData(200, 5, 14)
 	tr, _ := Build(data, nil, Config{NumPivots: 3})
 	tr.ResetStats()
-	if tr.DistanceComputations() != 0 || tr.NodeAccesses() != 0 {
-		t.Fatal("reset did not zero counters")
+	if tr.DistanceComputations() != 0 {
+		t.Fatal("reset did not zero the counter")
 	}
 	if _, err := tr.RangeSearch(data[0], 5); err != nil {
 		t.Fatal(err)
 	}
 	if tr.DistanceComputations() == 0 {
 		t.Error("range search should compute distances")
-	}
-	if tr.NodeAccesses() == 0 {
-		t.Error("range search should access nodes")
 	}
 }
 

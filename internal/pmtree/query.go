@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/vec"
 )
 
 // Result is one point returned by a query.
@@ -28,15 +26,15 @@ type Result struct {
 // lower bounds, so the two perform the identical metric evaluations and
 // return bit-identical results (TestRangeSearchMatchesRecursiveReference).
 // Callers that enlarge the radius round after round (Algorithm 2)
-// should hold a RangeEnumerator and call Expand per round instead: it
-// leaves the tree for a flat pass over the rows rather than descend
-// twice.
+// should hold a RangeEnumerator and call Expand per round instead: its
+// flat pass evaluates each row once per query rather than descend every
+// round.
 func (t *Tree) RangeSearch(q []float64, r float64) ([]Result, error) {
 	if r < 0 {
 		return nil, fmt.Errorf("pmtree: negative radius %v", r)
 	}
-	e := RangeEnumerator{treeOnly: true}
-	if err := e.Reset(t, q); err != nil {
+	var e RangeEnumerator
+	if err := e.ResetTree(t, q); err != nil {
 		return nil, err
 	}
 	var out []Result
@@ -69,73 +67,6 @@ func ringPrune(qp []float64, hr []Interval, r float64) bool {
 	return false
 }
 
-// rangeSearchRef is the original depth-first range search, retained
-// entry by entry as the reference implementation the streaming
-// enumerator is verified against (TestRangeSearchMatchesRecursiveReference
-// and the core engine's equivalence suite), followed by a row-at-a-time
-// pass over the tail. visit is called once per qualifying point, in
-// traversal order. Counts are local and added to the tree's once.
-func (t *Tree) rangeSearchRef(q []float64, r float64, visit func(id int32, d float64)) {
-	var dists, nodes int64
-	dist := func(p []float64) float64 {
-		dists++
-		return vec.L2(q, p)
-	}
-	qp := make([]float64, len(t.pivots))
-	for i, pv := range t.pivots {
-		qp[i] = dist(pv)
-	}
-	// qParentDist is d(q, n's routing object); unused at the root (parent nil).
-	var rec func(n *node, parent []float64, qParentDist float64)
-	rec = func(n *node, parent []float64, qParentDist float64) {
-		nodes++
-		if n.leaf {
-		entries:
-			for i, id := range t.leafIDs(n) {
-				if id < 0 || !t.live(id) {
-					continue
-				}
-				if parent != nil && math.Abs(qParentDist-n.parentDist[i]) > r {
-					continue
-				}
-				for k, d := range n.pivotDists(i, len(qp)) {
-					if math.Abs(qp[k]-d) > r {
-						continue entries
-					}
-				}
-				if d := dist(t.leafPoint(n, i)); d <= r {
-					visit(id, d)
-				}
-			}
-			return
-		}
-		for i := range n.routing {
-			e := &n.routing[i]
-			if ringPrune(qp, e.hr, r) {
-				continue
-			}
-			if parent != nil && math.Abs(qParentDist-e.parentDist) > r+e.radius {
-				continue
-			}
-			d := dist(e.center)
-			if d > r+e.radius {
-				continue
-			}
-			rec(e.child, e.center, d)
-		}
-	}
-	rec(t.root, nil, 0)
-	for row := t.frozen; row < t.Rows(); row++ {
-		// Dead rows are evaluated too, as the enumerator's one kernel call
-		// over the tail evaluates them.
-		if d := dist(t.row(row)); t.rowLive(row) && d <= r {
-			visit(t.rowID[row], d)
-		}
-	}
-	t.stats.distCalcs.Add(dists)
-	t.stats.nodeAccesses.Add(nodes)
-}
-
 // NodeInfo is the per-node summary exposed to the cost model of
 // Section 4.2: the routing entry's geometry plus the fan-out N(e) (a
 // leaf's entries count whether or not Delete has marked them dead).
@@ -153,7 +84,8 @@ type NodeInfo struct {
 // no root term: the root is always accessed).
 func (t *Tree) Walk(fn func(NodeInfo)) {
 	// Synthesize a routing entry for the root covering everything.
-	t.walkNode(t.root, math.Inf(1), newEmptyIntervals(len(t.pivots)), nil, 0, fn)
+	l := t.built()
+	t.walkNode(l.root, math.Inf(1), newEmptyIntervals(len(l.pivots)), nil, 0, fn)
 }
 
 func (t *Tree) walkNode(n *node, radius float64, hr []Interval, center []float64, depth int, fn func(NodeInfo)) {
@@ -165,15 +97,4 @@ func (t *Tree) walkNode(n *node, radius float64, hr []Interval, center []float64
 		e := &n.routing[i]
 		t.walkNode(e.child, e.radius, e.hr, e.center, depth+1, fn)
 	}
-}
-
-// Height returns the number of levels (1 for a root-only tree).
-func (t *Tree) Height() int {
-	h := 1
-	n := t.root
-	for !n.leaf {
-		h++
-		n = n.routing[0].child
-	}
-	return h
 }

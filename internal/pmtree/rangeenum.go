@@ -21,54 +21,35 @@ import (
 // sqrt(d²). A round at r after a round at prev emits the live rows in
 // (prev, r], each once per enumeration.
 //
-// A round resolves its radius in one of two ways.
+// An enumeration resolves its rounds in one of two ways, chosen when it
+// is reset.
 //
-//   - The flat pass. One kernel call over the leaf-major rows computes
-//     every row's d², the array is kept, and each round walks it once.
-//     This is every round from the tree's switch radius up
-//     (scanRadiusFactor has the measured crossover) and every round
-//     after an enumeration's first, whatever its radius. Algorithm 2's
-//     first radius is sized to hold βn+k points, a quarter to a third of
-//     the data in the projected space; a ball that size meets nearly
-//     every leaf, and a traversal would evaluate 94–101% of the points
-//     behind tests that reject nothing — so every k-NN query is flat
-//     passes from its first round.
-//   - The traversal. Only an enumeration's first round, and only under
-//     the switch radius: the near-duplicate radii of SearchBall and of
-//     the pair join's tail seeds, where the query ball meets few leaves.
-//     It descends from the root depth-first behind RangeSearch's pruning
-//     tests — hyper-rings, parent-distance filter, ball test, the same
-//     predicates in the same float arithmetic as the retained recursive
-//     reference (rangeSearchRef) — and keeps nothing of what they prune.
-//     An opened leaf is resolved as a batch (scanLeaf); entries Delete
-//     has marked dead are skipped before any of it. The tail — rows
-//     inserted since the bulk load, which no node covers — is a flat
-//     pass of its own beside the descent.
+//   - The flat pass (Reset): one kernel call per part of the rows — the
+//     generation's, the tail — computes every row's d², and each round
+//     walks the kept array. It reads no node, so it never bulk loads the
+//     tree. Algorithm 2's first radius holds βn+k points, a quarter to a
+//     third of the data; a ball that size meets nearly every leaf, and a
+//     traversal would evaluate 94–101% of the points behind tests that
+//     reject nothing — so every k-NN query is flat passes.
+//   - The traversal (ResetTree): every round descends from the root
+//     behind RangeSearch's pruning tests — hyper-rings, parent-distance
+//     filter, ball test, in the float arithmetic of the recursive
+//     reference the tests keep — and skips what lies within the previous
+//     radius. An opened leaf is resolved as a batch (scanLeaf), its dead
+//     entries skipped; the tail, which no node covers, is a flat pass
+//     beside the descent. RangeSearch, the pair join's tail seeds and
+//     SearchBall under Tree.ScanRadius, whose balls meet few leaves, run
+//     on it.
 //
 // The traversal is an accelerator for the definition above, not a second
 // definition. Its kernel is the flat pass's, so the distance it computes
-// for a row is bit for bit sqrt(rowD2[row]); what it adds are filters
+// for a row is bit for bit the flat pass's; what it adds are filters
 // that, by the triangle inequality, never reject a point within r (in
 // floating point a filter bound within an ulp of a distance that equals
 // r could; the flat pass has no such case and is the contract).
 // TestScanMatchesTree tests the traversal against it, and
 // TestLeafScanMatchesRecursiveReference the batched leaf scan against
 // the entry-at-a-time reference, metric evaluations included.
-//
-// A traversal happens once: an enumeration leaves the tree carrying
-// nothing but its previous radius. Everything within that radius has
-// been emitted and nothing beyond it, so the next round's flat pass
-// emits exactly (previous, r] — at the price of one full pass (Rows
-// evaluations) where keeping the pruned subtrees could have paid for
-// the newly met leaves alone. Nothing would use that: a k-NN query at
-// the default budget starts above the switch, and every other caller
-// stops after one round. A treeOnly enumeration
-// (RangeSearch, the pair join, the tests' reference) stays on the
-// traversal: asked for a second, larger radius it descends from the root
-// again and skips what lies within the previous one.
-//
-// The path is a function of (tree, radii so far) alone, so a replay of
-// the same radii takes the same path and counts the same evaluations.
 
 // RangeEnumerator is a range enumeration over one tree (see the top of
 // this file for what a round emits and how). The zero value is ready for
@@ -86,6 +67,7 @@ import (
 // Reset or Release.
 type RangeEnumerator struct {
 	t  *Tree
+	l  *layout // the generation's rows as this enumeration reads them
 	q  []float64
 	qp []float64 // d(q, pivot_i); empty until the traversal's first use
 	// The round in progress covers (prev, radius]; radius is all an
@@ -104,78 +86,68 @@ type RangeEnumerator struct {
 	scale    float64 // buckets per unit of distance
 	inRadius int     // points that entered the radius, admitted or not
 
-	// scanning: this enumeration has left the tree for the flat pass.
-	// rowD2 keeps a flat pass's result, the squared distances of the
-	// store rows from rowD2From on: every row once scanning, the tail
-	// before; empty until the first pass.
-	scanning  bool
-	rowD2     []float64
-	rowD2From int
-	// treeOnly keeps the enumeration on the traversal at every radius and
-	// in every round: RangeSearch (the cost model's range query), the pair
-	// join's tail seeds and the tests' reference.
+	// rowD2 keeps a flat pass's squared distances: every row's, the
+	// generation's then the tail's — or, when treeOnly (ResetTree), the
+	// tail's from tailFrom; empty until the first pass.
+	rowD2    []float64
+	hits     []int32 // takeWithin's rows in the round
 	treeOnly bool
-	// tailFrom is the first row of the tail as the traversal sees it.
-	// The pair enumerator raises it after Reset to leave tail rows out.
+	// tailFrom is the first row of the tail the enumeration covers. The
+	// pair enumerator raises it after ResetTree to leave tail rows out.
 	tailFrom int
 
 	// qdist counts this enumeration's metric evaluations since the last
 	// Reset: pivot, routing-object and leaf-point distances and every
-	// tail row on a traversal, every store row (dead ones included) on
-	// the first flat pass over them all. Owned by one query, it stays
-	// exact when queries overlap.
+	// tail row on a traversal, every row (dead ones included) on a flat
+	// pass. Owned by one query, it stays exact when queries overlap.
 	qdist int64
 
-	// pending* batch the tree's atomic statistics counters (see
-	// PairEnumerator); flushed at the end of every round.
-	pendingDist  int64
-	pendingNodes int64
+	// pendingDist batches the tree's atomic counter (see PairEnumerator);
+	// flushed at the end of every round.
+	pendingDist int64
 }
 
-// NewRangeEnumerator returns an enumerator over t bound to q. Callers
-// that query in a loop should keep one RangeEnumerator and Reset it
-// per query instead.
-func (t *Tree) NewRangeEnumerator(q []float64) (*RangeEnumerator, error) {
-	e := &RangeEnumerator{}
-	if err := e.Reset(t, q); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
+// Reset rebinds the enumerator to a tree and query point for flat
+// passes, restarting the enumeration at radius −∞ with all buffers
+// reused.
+func (e *RangeEnumerator) Reset(t *Tree, q []float64) error { return e.reset(t, q, false) }
 
-// Reset rebinds the enumerator to a tree and query point, restarting
-// the enumeration at radius −∞ with all buffers reused.
-func (e *RangeEnumerator) Reset(t *Tree, q []float64) error {
+// ResetTree is Reset for an enumeration that traverses the tree in every
+// round, bulk loading it first if nothing has.
+func (e *RangeEnumerator) ResetTree(t *Tree, q []float64) error { return e.reset(t, q, true) }
+
+func (e *RangeEnumerator) reset(t *Tree, q []float64, treeOnly bool) error {
 	if len(q) != t.dim {
 		return fmt.Errorf("pmtree: query has dimension %d, tree expects %d", len(q), t.dim)
 	}
-	e.t = t
-	e.q = q
+	e.t, e.q, e.treeOnly = t, q, treeOnly
+	if e.l = t.gen.cur.Load(); treeOnly {
+		e.l = t.built()
+	}
 	e.radius = math.Inf(-1)
 	e.qdist = 0
 	e.qp = e.qp[:0]
-	e.scanning = false
 	e.rowD2 = e.rowD2[:0]
 	e.tailFrom = t.frozen
 	return nil
 }
 
-// Release drops the references the enumerator holds (tree, query), so a
-// pooled enumerator does not pin a tree that a Compact has since
+// Release drops the references the enumerator holds (tree, rows, query),
+// so a pooled enumerator does not pin a tree that a Compact has since
 // replaced. Buffer capacity is kept unless it has outgrown the tree
 // being released (twice its rows, plus slack): a pool never frees, and
 // the buffers reach the largest tree ever queried.
 func (e *RangeEnumerator) Release() {
 	if e.t != nil {
 		bound := 2*e.t.Rows() + 1024
-		if cap(e.rowD2) > bound {
-			e.rowD2 = nil
+		if cap(e.rowD2) > bound || cap(e.hits) > bound {
+			e.rowD2, e.hits = nil, nil
 		}
 		if cap(e.sel) > bound {
 			e.sel = nil
 		}
 	}
-	e.t = nil
+	e.t, e.l = nil, nil
 	e.q = nil
 }
 
@@ -289,13 +261,10 @@ func (e *RangeEnumerator) collect(r float64, admit func(id int32) bool, emit fun
 	e.base = max(e.prev, 0)
 	e.scale = max(0, min(selBuckets/(e.radius-e.base), math.MaxFloat64))
 	e.admit, e.emit = admit, emit
-	// A traversal: always when treeOnly, otherwise only a first round
-	// (prev still −∞) under the switch radius.
-	if e.treeOnly || (math.IsInf(e.prev, -1) && e.radius < e.t.scanRadius) {
+	if e.treeOnly {
 		e.traverse()
 	} else {
-		e.scanning = true
-		e.flatPass(0)
+		e.flatPass()
 	}
 	e.admit, e.emit = nil, nil
 	e.flushStats()
@@ -320,37 +289,68 @@ func (e *RangeEnumerator) take(id int32, dist float64) {
 // flat pass over the tail.
 func (e *RangeEnumerator) traverse() {
 	// The s pivot distances, which a query that scans never pays.
-	for _, pv := range e.t.pivots[len(e.qp):] {
+	for _, pv := range e.l.pivots[len(e.qp):] {
 		e.qp = append(e.qp, e.dist(e.q, pv))
 	}
 	if e.tailFrom < e.t.Rows() {
-		e.flatPass(e.tailFrom)
+		e.flatPass()
 	}
-	e.expandNode(e.t.root, false, 0)
+	e.expandNode(e.l.root, false, 0)
 }
 
-// flatPass resolves the radius for the store rows from `from` on: the
-// first call pays their squared distances in one kernel call; every
-// call takes the live ones whose distance lies in (prev, radius],
+// flatPass resolves the round for the rows it covers (see rowD2): the
+// first call pays their squared distances in one kernel call per part;
+// every call takes the live ones whose distance lies in (prev, radius],
 // decided on squared distances (squaredCeil): no root for a row left out.
-func (e *RangeEnumerator) flatPass(from int) {
+func (e *RangeEnumerator) flatPass() {
 	t := e.t
-	if len(e.rowD2) == 0 || e.rowD2From != from {
-		n := t.Rows() - from
-		e.rowD2, e.rowD2From = slices.Grow(e.rowD2[:0], n)[:n], from
-		vec.SquaredL2ToMany(e.rowD2, e.q, t.flat[from*t.dim:], t.dim)
+	var gen []int32 // the generation's rows the pass covers: all, or none
+	if !e.treeOnly {
+		gen = e.l.rowID
+	}
+	tail := t.tail.rowID[e.tailFrom-t.frozen:]
+	if len(e.rowD2) == 0 {
+		n := len(gen) + len(tail)
+		e.rowD2 = slices.Grow(e.rowD2[:0], n)[:n]
+		vec.SquaredL2ToMany(e.rowD2[:len(gen)], e.q, e.l.flat[:len(gen)*t.dim], t.dim)
+		vec.SquaredL2ToMany(e.rowD2[len(gen):], e.q, t.tail.flat[(e.tailFrom-t.frozen)*t.dim:], t.dim)
 		e.pendingDist += int64(n)
 		e.qdist += int64(n)
 	}
+	e.takeWithin(e.rowD2[:len(gen)], gen)
+	e.takeWithin(e.rowD2[len(gen):], tail)
+}
+
+// takeWithin takes the live rows, of ids and their squared distances
+// d2s, that lie in the round. A squared distance is never negative and
+// non-negative floats order as their bits, so lo < d2 <= hi is one
+// unsigned compare: the rows in the round are gathered without a branch
+// per row — rows in no spatial order (as handed over, before a bulk
+// load) would mispredict it — and then taken.
+func (e *RangeEnumerator) takeWithin(d2s []float64, ids []int32) {
 	lo, hi := squaredCeil(e.prev), squaredCeil(e.radius)
-	ids := t.rowID[from:][:len(e.rowD2)]
-	// Tree.live by hand, for the few thousand rows a k-NN round finds in
+	if hi < 0 {
+		return
+	}
+	lb := int64(-1) // lo's bits, or below every distance's
+	if lo >= 0 {
+		lb = int64(math.Float64bits(lo))
+	}
+	span, hits, n := uint64(int64(math.Float64bits(hi))-lb), slices.Grow(e.hits[:0], len(d2s))[:len(d2s)], 0
+	for i, d2 := range d2s {
+		hits[n] = int32(i)
+		if uint64(int64(math.Float64bits(d2))-lb-1) < span {
+			n++
+		}
+	}
+	e.hits = hits
+	// Tree.liveID by hand, for the few thousand rows a k-NN round finds in
 	// radius: 0 (live) wraps above every epoch. A tree without a dead row
 	// — every read-only workload — skips the load, a cache miss per row.
-	del, epoch, allLive := t.del, t.epoch, t.count == len(t.rowID)
-	for i, d2 := range e.rowD2 {
-		if id := ids[i]; d2 <= hi && d2 > lo && id >= 0 && (allLive || del[id].Load()-1 >= epoch) {
-			e.take(id, math.Sqrt(d2))
+	del, epoch, allLive := e.t.del, e.t.epoch, e.t.count == e.t.Rows()
+	for _, i := range hits[:n] {
+		if id := ids[i]; id >= 0 && (allLive || del[id].Load()-1 >= epoch) {
+			e.take(id, math.Sqrt(d2s[i]))
 		}
 	}
 }
@@ -381,7 +381,6 @@ func squaredCeil(r float64) float64 {
 // RangeSearch. qpd is d(q, the node's routing object), meaningless when
 // hasParent is false (the root).
 func (e *RangeEnumerator) expandNode(n *node, hasParent bool, qpd float64) {
-	e.pendingNodes++
 	if n.leaf {
 		e.scanLeaf(n, hasParent, qpd)
 		return
@@ -412,7 +411,7 @@ func (e *RangeEnumerator) expandNode(n *node, hasParent bool, qpd float64) {
 //     the maximum of the reference's filter quantities, so "bound > r"
 //     is the reference's skip decision.
 //  2. The surviving entries' exact distances. The leaf's points are
-//     one run of store rows, so each maximal stretch of live survivors
+//     one run of layout rows, so each maximal stretch of live survivors
 //     is one batched-kernel call over contiguous memory, emitted in
 //     entry order; the kernel is bit-identical to the single-pair one,
 //     and only survivors are evaluated, so DistComps is what the
@@ -424,7 +423,7 @@ func (e *RangeEnumerator) scanLeaf(n *node, hasParent bool, qpd float64) {
 	if m == 0 {
 		return
 	}
-	ids := e.t.leafIDs(n)
+	ids := e.l.leafIDs(n)
 	if cap(e.lb) < m {
 		e.lb = make([]float64, m)
 		e.d2 = make([]float64, m)
@@ -445,20 +444,20 @@ func (e *RangeEnumerator) scanLeaf(n *node, hasParent bool, qpd float64) {
 
 	dim := e.t.dim
 	first := int(n.first)
-	flat := e.t.flat[first*dim : (first+m)*dim]
+	flat := e.l.flat[first*dim : (first+m)*dim]
 	evaluated := 0
 	for i := 0; i < m; {
-		if lb[i] > radius || !e.t.rowLive(first+i) {
+		if lb[i] > radius || !e.t.liveID(ids[i]) {
 			i++
 			continue
 		}
 		j := i + 1
-		for j < m && !(lb[j] > radius || !e.t.rowLive(first+j)) {
+		for j < m && !(lb[j] > radius || !e.t.liveID(ids[j])) {
 			j++
 		}
 		vec.SquaredL2ToMany(d2[i:j], e.q, flat[i*dim:j*dim], dim)
 		evaluated += j - i
-		// Within prev only when a treeOnly enumeration descends again.
+		// Within prev when a later round descends again.
 		for ; i < j; i++ {
 			if d := math.Sqrt(d2[i]); d <= radius && d > prev {
 				e.take(ids[i], d)
@@ -477,22 +476,17 @@ func (e *RangeEnumerator) dist(a, b []float64) float64 {
 }
 
 // DistComps returns the number of metric evaluations this enumeration
-// has paid since its Reset (see qdist; one that scans from its first
-// round reads exactly Tree.Rows, one that leaves the tree after it its
-// one traversal plus Tree.Rows). The count is owned by the enumeration
-// — it never includes work from other queries, however many run
-// concurrently — and equals the delta the tree-wide counter would show
-// for this query run in isolation.
+// has paid since its Reset (see qdist; a flat-pass enumeration reads
+// exactly Tree.Rows however many rounds it runs). The count is owned by
+// the enumeration — it never includes work from other queries, however
+// many run concurrently — and equals the delta the tree-wide counter
+// would show for this query run in isolation.
 func (e *RangeEnumerator) DistComps() int64 { return e.qdist }
 
-// flushStats moves the batched counters into the tree's atomics.
+// flushStats moves the batched count into the tree's atomic.
 func (e *RangeEnumerator) flushStats() {
 	if e.pendingDist > 0 {
 		e.t.stats.distCalcs.Add(e.pendingDist)
 		e.pendingDist = 0
-	}
-	if e.pendingNodes > 0 {
-		e.t.stats.nodeAccesses.Add(e.pendingNodes)
-		e.pendingNodes = 0
 	}
 }

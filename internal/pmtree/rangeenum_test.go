@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/vec"
 )
 
 // refRangeSearch runs the retained recursive traversal with the same
@@ -19,6 +21,72 @@ func refRangeSearch(t *Tree, q []float64, r float64) []Result {
 	})
 	sortResults(out)
 	return out
+}
+
+// rangeSearchRef is the original depth-first range search, retained
+// entry by entry as the reference implementation the streaming
+// enumerator is verified against (TestRangeSearchMatchesRecursiveReference
+// and the core engine's equivalence suite), followed by a row-at-a-time
+// pass over the tail. visit is called once per qualifying point, in
+// traversal order. Counts are local and added to the tree's once.
+func (t *Tree) rangeSearchRef(q []float64, r float64, visit func(id int32, d float64)) {
+	var dists int64
+	dist := func(p []float64) float64 {
+		dists++
+		return vec.L2(q, p)
+	}
+	l := t.built()
+	qp := make([]float64, len(l.pivots))
+	for i, pv := range l.pivots {
+		qp[i] = dist(pv)
+	}
+	// qParentDist is d(q, n's routing object); unused at the root (parent nil).
+	var rec func(n *node, parent []float64, qParentDist float64)
+	rec = func(n *node, parent []float64, qParentDist float64) {
+		if n.leaf {
+		entries:
+			for i, id := range l.leafIDs(n) {
+				if !t.liveID(id) {
+					continue
+				}
+				if parent != nil && math.Abs(qParentDist-n.parentDist[i]) > r {
+					continue
+				}
+				for k, d := range n.pivotDists(i, len(qp)) {
+					if math.Abs(qp[k]-d) > r {
+						continue entries
+					}
+				}
+				if d := dist(l.leafPoint(n, i)); d <= r {
+					visit(id, d)
+				}
+			}
+			return
+		}
+		for i := range n.routing {
+			e := &n.routing[i]
+			if ringPrune(qp, e.hr, r) {
+				continue
+			}
+			if parent != nil && math.Abs(qParentDist-e.parentDist) > r+e.radius {
+				continue
+			}
+			d := dist(e.center)
+			if d > r+e.radius {
+				continue
+			}
+			rec(e.child, e.center, d)
+		}
+	}
+	rec(l.root, nil, 0)
+	for i, id := range t.tail.rowID {
+		// Dead rows are evaluated too, as the enumerator's one kernel call
+		// over the tail evaluates them.
+		if d := dist(t.tail.row(i)); t.liveID(id) && d <= r {
+			visit(id, d)
+		}
+	}
+	t.stats.distCalcs.Add(dists)
 }
 
 // randomTree builds a tree under a randomized configuration, optionally
@@ -121,9 +189,8 @@ func TestRangeSearchMatchesRecursiveReference(t *testing.T) {
 // one enumerator through a radius ladder emits every point exactly
 // once, each in the round where its distance first enters the radius,
 // with the union matching a from-scratch RangeSearch at the final
-// radius — and pays fewer projected distance computations (at most one
-// traversal and one pass over the rows) than restarting the search per
-// rung.
+// radius — and pays fewer projected distance computations (one pass over
+// the rows) than restarting the search per rung.
 func TestRangeEnumeratorResumes(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for trial := 0; trial < 30; trial++ {
@@ -150,8 +217,8 @@ func TestRangeEnumeratorResumes(t *testing.T) {
 		}
 
 		tr.ResetStats()
-		en, err := tr.NewRangeEnumerator(q)
-		if err != nil {
+		var en RangeEnumerator
+		if err := en.Reset(tr, q); err != nil {
 			t.Fatal(err)
 		}
 		seen := make(map[int32]float64)
@@ -229,10 +296,10 @@ func TestRangeEnumeratorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.NewRangeEnumerator([]float64{1}); err == nil {
-		t.Fatal("NewRangeEnumerator accepted a dimension mismatch")
-	}
 	var e RangeEnumerator
+	if err := e.ResetTree(tr, []float64{1}); err == nil {
+		t.Fatal("ResetTree accepted a dimension mismatch")
+	}
 	if err := e.Reset(tr, []float64{1, 2, 3}); err == nil {
 		t.Fatal("Reset accepted a dimension mismatch")
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/lsh"
+	"repro/internal/store"
 )
 
 // scanCase is one tree of the scan-against-traversal sweep with the ids
@@ -21,8 +22,10 @@ type scanCase struct {
 
 // scanCases builds the sweep: pivot counts 0 and 5 by capacities 4 and
 // 16, each as bulk loaded, worn by 300 interleaved inserts and deletes
-// (dead rows under the leaves and in the tail), grown from New by Insert
-// alone (all tail), and holding a few points many times over.
+// (dead rows under the leaves and in the tail), worn alike while still
+// deferred (no structure yet: the rows in the order handed over), grown
+// from New by Insert alone (all tail), and holding a few points many
+// times over.
 func scanCases(tb testing.TB) []scanCase {
 	tb.Helper()
 	var cases []scanCase
@@ -48,34 +51,48 @@ func scanCases(tb testing.TB) []scanCase {
 				}
 				return tr
 			}
-
-			cases = append(cases, scanCase{name + "/built", build(base), liveOf(base)})
-
-			worn := build(base)
-			data := slices.Clone(base)
-			for step := 0; step < 300; step++ {
-				if step%3 == 1 {
-					p := randData(1, 7, rng.Int63())[0]
-					if err := worn.Insert(p, int32(len(data))); err != nil {
+			wear := func(worn *Tree) map[int32][]float64 {
+				data := slices.Clone(base)
+				for step := 0; step < 300; step++ {
+					if step%3 == 1 {
+						p := randData(1, 7, rng.Int63())[0]
+						if err := worn.Insert(p, int32(len(data))); err != nil {
+							tb.Fatal(err)
+						}
+						data = append(data, p)
+						continue
+					}
+					victim := rng.Intn(len(data))
+					for data[victim] == nil {
+						victim = rng.Intn(len(data))
+					}
+					if err := worn.Delete(int32(victim)); err != nil {
 						tb.Fatal(err)
 					}
-					data = append(data, p)
-					continue
+					data[victim] = nil
 				}
-				victim := rng.Intn(len(data))
-				for data[victim] == nil {
-					victim = rng.Intn(len(data))
+				if worn.Tail() != 100 || worn.Rows()-worn.Len() != 200 {
+					tb.Fatalf("%s: churn left %d rows (%d in the tail) for %d points; want 100 tail rows and 200 dead ones",
+						name, worn.Rows(), worn.Tail(), worn.Len())
 				}
-				if err := worn.Delete(int32(victim)); err != nil {
-					tb.Fatal(err)
-				}
-				data[victim] = nil
+				return liveOf(data)
 			}
-			if worn.Tail() != 100 || worn.Rows()-worn.Len() != 200 {
-				tb.Fatalf("%s: churn left %d rows (%d in the tail) for %d points; want 100 tail rows and 200 dead ones",
-					name, worn.Rows(), worn.Tail(), worn.Len())
+
+			cases = append(cases, scanCase{name + "/built", build(base), liveOf(base)})
+			worn := build(base)
+			cases = append(cases, scanCase{name + "/worn", worn, wear(worn)})
+			src, err := store.FromRows(base)
+			if err != nil {
+				tb.Fatal(err)
 			}
-			cases = append(cases, scanCase{name + "/worn", worn, liveOf(data)})
+			deferred, err := NewDeferred(src, nil, cfg)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			cases = append(cases, scanCase{name + "/deferred", deferred, wear(deferred)})
+			if deferred.gen.cur.Load().root != nil {
+				tb.Fatalf("%s: churn bulk loaded a deferred tree", name)
+			}
 
 			grown, err := New(7, cfg)
 			if err != nil {
@@ -88,9 +105,9 @@ func scanCases(tb testing.TB) []scanCase {
 			}
 			// No node covers a point, so there is no leaf radius to measure
 			// and every radius scans, as for the duplicates below.
-			if grown.scanRadius != 0 || grown.Tail() != len(base) {
+			if grown.ScanRadius() != 0 || grown.Tail() != len(base) {
 				tb.Fatalf("%s: a tree grown by Insert alone has switch radius %v and %d tail rows",
-					name, grown.scanRadius, grown.Tail())
+					name, grown.ScanRadius(), grown.Tail())
 			}
 			cases = append(cases, scanCase{name + "/grown", grown, liveOf(base)})
 
@@ -104,8 +121,8 @@ func scanCases(tb testing.TB) []scanCase {
 				}
 			}
 			dups := build(dup)
-			if dups.scanRadius != 0 {
-				tb.Fatalf("%s: duplicate-heavy tree has switch radius %v, want 0", name, dups.scanRadius)
+			if dups.ScanRadius() != 0 {
+				tb.Fatalf("%s: duplicate-heavy tree has switch radius %v, want 0", name, dups.ScanRadius())
 			}
 			cases = append(cases, scanCase{name + "/duplicates", dups, liveOf(dup)})
 		}
@@ -114,11 +131,12 @@ func scanCases(tb testing.TB) []scanCase {
 }
 
 // TestScanMatchesTree is the property the switch rests on: whatever the
-// radius schedule, and wherever in it the enumeration leaves the tree
-// for the flat pass — from the switch radius, or from its second round —
-// every Expand emits the set of points the traversal alone emits at that
-// radius — the same ids with bit-identical distances, no dead row,
-// nothing twice.
+// radius schedule, every Expand of a flat-pass enumeration emits the set
+// of points a traversal emits at that radius — the same ids with
+// bit-identical distances, no dead row, nothing twice — and pays exactly
+// the tree's rows, once, however small its radii. On the deferred tree
+// the first flat pass reads the rows in the order they were handed over
+// while the traversal beside it bulk loads the tree.
 func TestScanMatchesTree(t *testing.T) {
 	for _, c := range scanCases(t) {
 		tr := c.tr
@@ -128,34 +146,27 @@ func TestScanMatchesTree(t *testing.T) {
 			ids = append(ids, id)
 		}
 		slices.Sort(ids)
-		crossed := false
 		for qi := 0; qi < 8; qi++ {
 			q := c.live[ids[rng.Intn(len(ids))]]
 			if qi%2 == 1 {
 				q = randData(1, tr.Dim(), rng.Int63())[0]
 			}
-			// In units of the switch radius: rounds below it, one on it,
-			// rounds above. A switch radius of 0 leaves no "below".
-			schedule := []float64{0, 5, 20, 1e6}
-			if sr := tr.scanRadius; sr > 0 {
-				schedule = []float64{0, 0.4 * sr, (0.6 + 0.3*rng.Float64()) * sr, sr, 1.5 * sr, 4 * sr, 20 * sr, 1e6}
-				// The first round alone can traverse: start it at 0, at either
-				// radius under the switch, or past it (scans from its first
-				// round).
-				schedule = schedule[[]int{0, 1, 4, 2}[qi%4]:]
-			}
-
-			var sw RangeEnumerator
-			ref := RangeEnumerator{treeOnly: true}
+			var sw, ref RangeEnumerator
 			if err := sw.Reset(tr, q); err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.Reset(tr, q); err != nil {
+			if err := ref.ResetTree(tr, q); err != nil {
 				t.Fatal(err)
 			}
+			// In units of the switch radius: rounds below it, one on it,
+			// rounds above. A switch radius of 0 leaves no "below".
+			schedule := []float64{0, 5, 20, 1e6}
+			if sr := tr.ScanRadius(); sr > 0 {
+				schedule = []float64{0, 0.4 * sr, (0.6 + 0.3*rng.Float64()) * sr, sr, 1.5 * sr, 4 * sr, 20 * sr, 1e6}
+				schedule = schedule[[]int{0, 1, 4, 2}[qi%4]:]
+			}
 			seen := map[int32]bool{}
-			treeRounds := 0
-			for ri, r := range schedule {
+			for _, r := range schedule {
 				label := fmt.Sprintf("%s query %d radius %v", c.name, qi, r)
 				var got, want []Result
 				sw.Expand(r, func(id int32, d float64) {
@@ -169,77 +180,74 @@ func TestScanMatchesTree(t *testing.T) {
 				sortResults(got)
 				sortResults(want)
 				requireSameBits(t, label, got, want)
-				if sw.scanning != (r >= tr.scanRadius || ri > 0) {
-					t.Fatalf("%s: scanning %v in round %d with switch radius %v", label, sw.scanning, ri, tr.scanRadius)
-				}
-				if !sw.scanning {
-					treeRounds++
-				} else if treeRounds > 0 {
-					crossed = true
+				if sw.DistComps() != int64(tr.Rows()) {
+					t.Fatalf("%s: the flat pass paid %d evaluations over %d rows", label, sw.DistComps(), tr.Rows())
 				}
 			}
 			if len(seen) != len(c.live) {
 				t.Fatalf("%s query %d: %d of %d points emitted by radius 1e6", c.name, qi, len(seen), len(c.live))
 			}
-			if ref.scanning {
-				t.Fatalf("%s: the tree-only enumerator scanned", c.name)
-			}
-			// A query that scans from its first round pays the store's rows
-			// and nothing else, pivot distances included.
-			if treeRounds == 0 && sw.DistComps() != int64(tr.Rows()) {
-				t.Fatalf("%s query %d: scanned enumeration paid %d evaluations over %d rows", c.name, qi, sw.DistComps(), tr.Rows())
-			}
-		}
-		if tr.scanRadius > 0 && !crossed {
-			t.Fatalf("%s: no schedule crossed the switch radius mid-enumeration", c.name)
 		}
 	}
 }
 
-// TestEnumerationTraversesAtMostOnce pins what an enumeration carries
-// out of the tree: nothing but its radius. On trees with a tail and dead
-// rows, a first round under the switch radius is a traversal that pays
-// for fewer evaluations than there are rows; the second round, whatever
-// its radius, is the flat pass — exactly Rows evaluations more — and
-// emits exactly what the reference finds in (first radius, second].
+// TestEnumerationTraversesAtMostOnce pins that an enumeration keeps one
+// way for all its rounds. A flat-pass enumeration — every k-NN query —
+// never traverses: under the switch radius or not, its first round pays
+// exactly the tree's rows and a second pays nothing more. A ResetTree
+// enumeration descends once per round: each round pays what a fresh
+// reference traversal at its radius pays — less, after the first, the
+// pivot distances and the tail, which it keeps — and emits exactly what
+// the reference finds in (first radius, second].
 func TestEnumerationTraversesAtMostOnce(t *testing.T) {
 	for _, c := range scanCases(t) {
 		tr := c.tr
-		if tr.scanRadius == 0 {
+		if tr.ScanRadius() == 0 {
 			continue // no radius under the switch
 		}
 		rng := rand.New(rand.NewSource(int64(len(c.name))))
 		for qi := 0; qi < 6; qi++ {
 			q := randData(1, tr.Dim(), rng.Int63())[0]
-			r1 := (0.3 + 0.4*rng.Float64()) * tr.scanRadius
+			r1 := (0.3 + 0.4*rng.Float64()) * tr.ScanRadius()
 			// Still under the switch, on it, and far past it.
-			r2 := []float64{math.Nextafter(r1, 2*r1), tr.scanRadius, 6 * tr.scanRadius}[qi%3]
+			r2 := []float64{math.Nextafter(r1, 2*r1), tr.ScanRadius(), 6 * tr.ScanRadius()}[qi%3]
 			label := fmt.Sprintf("%s query %d radii %v, %v", c.name, qi, r1, r2)
-
-			var e RangeEnumerator
-			if err := e.Reset(tr, q); err != nil {
-				t.Fatal(err)
-			}
-			var first, second, want []Result
-			e.Expand(r1, func(id int32, d float64) { first = append(first, Result{ID: id, Dist: d}) })
-			paid := e.DistComps()
-			if e.scanning || paid >= int64(tr.Rows()) {
-				t.Fatalf("%s: first round scanning=%v paid %d evaluations over %d rows", label, e.scanning, paid, tr.Rows())
-			}
-			e.Expand(r2, func(id int32, d float64) { second = append(second, Result{ID: id, Dist: d}) })
-			if !e.scanning || e.DistComps() != paid+int64(tr.Rows()) {
-				t.Fatalf("%s: second round scanning=%v paid %d evaluations after %d, over %d rows",
-					label, e.scanning, e.DistComps(), paid, tr.Rows())
-			}
-			sortResults(first)
-			requireSameBits(t, label+", first round", first, refRangeSearch(tr, q, r1))
+			var want []Result
 			for _, res := range refRangeSearch(tr, q, r2) {
 				if res.Dist > r1 {
 					want = append(want, res)
 				}
 			}
-			sortResults(second)
-			requireSameBits(t, label+", second round", second, want)
+			tr.ResetStats()
+			refRangeSearch(tr, q, r1)
+			paid1 := tr.DistanceComputations()
+			tr.ResetStats()
+			refRangeSearch(tr, q, r2)
+			paid2 := tr.DistanceComputations()
+
+			for _, treeOnly := range []bool{false, true} {
+				var e RangeEnumerator
+				reset, after1, after2 := e.Reset, int64(tr.Rows()), int64(tr.Rows())
+				if treeOnly {
+					reset, after1, after2 = e.ResetTree, paid1, paid1+paid2-int64(tr.NumPivots()+tr.Tail())
+				}
+				if err := reset(tr, q); err != nil {
+					t.Fatal(err)
+				}
+				var first, second []Result
+				e.Expand(r1, func(id int32, d float64) { first = append(first, Result{ID: id, Dist: d}) })
+				if e.DistComps() != after1 {
+					t.Fatalf("%s treeOnly=%v: first round paid %d evaluations, want %d", label, treeOnly, e.DistComps(), after1)
+				}
+				e.Expand(r2, func(id int32, d float64) { second = append(second, Result{ID: id, Dist: d}) })
+				if e.DistComps() != after2 {
+					t.Fatalf("%s treeOnly=%v: two rounds paid %d evaluations, want %d", label, treeOnly, e.DistComps(), after2)
+				}
+				sortResults(first)
+				requireSameBits(t, fmt.Sprintf("%s treeOnly=%v, first round", label, treeOnly), first, refRangeSearch(tr, q, r1))
+				sortResults(second)
+				requireSameBits(t, fmt.Sprintf("%s treeOnly=%v, second round", label, treeOnly), second, want)
+			}
 		}
 	}
 }
@@ -270,15 +278,25 @@ func TestSquaredCeil(t *testing.T) {
 }
 
 // TestScanRadiusSetAtLoad pins when the switch radius is derived: by a
-// bulk load and by Read (the same value, the stream carries no trace of
-// it), from the leaves — which inserts never change, however many.
+// bulk load — eager, or a deferred tree's first use after any number of
+// inserts — and by Read (the same value, the stream carries no trace of
+// it), from the leaves, which inserts never change.
 func TestScanRadiusSetAtLoad(t *testing.T) {
 	data := randData(500, 6, 12)
-	tr, err := Build(data, nil, Config{NumPivots: 3, PivotSeed: 2})
+	cfg := Config{NumPivots: 3, PivotSeed: 2}
+	tr, err := Build(data, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	built := tr.scanRadius
+	src, err := store.FromRows(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deferred, err := NewDeferred(src, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := tr.ScanRadius()
 	if built <= 0 {
 		t.Fatalf("built tree: switch radius %v", built)
 	}
@@ -286,12 +304,18 @@ func TestScanRadiusSetAtLoad(t *testing.T) {
 		if err := tr.Insert(p, int32(500+i)); err != nil {
 			t.Fatal(err)
 		}
+		if err := deferred.Insert(p, int32(500+i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if tr.scanRadius != built {
-		t.Fatalf("inserts moved the switch radius from %v to %v", built, tr.scanRadius)
+	if got := tr.ScanRadius(); got != built {
+		t.Fatalf("inserts moved the switch radius from %v to %v", built, got)
 	}
-	if loaded := roundTrip(t, tr); loaded.scanRadius != built {
-		t.Fatalf("loaded tree has switch radius %v, built %v", loaded.scanRadius, built)
+	if got := deferred.ScanRadius(); got != built {
+		t.Fatalf("a deferred tree loaded after the inserts has switch radius %v, built %v", got, built)
+	}
+	if loaded := roundTrip(t, tr); loaded.ScanRadius() != built {
+		t.Fatalf("loaded tree has switch radius %v, built %v", loaded.ScanRadius(), built)
 	}
 }
 
@@ -322,9 +346,9 @@ func enumerateFixture(b *testing.B, n int) (*Tree, [][]float64) {
 
 // BenchmarkEnumerate is the table behind scanRadiusFactor: one Expand to
 // r — in units of the median leaf covering radius — on the traversal
-// alone and with the switch in place, over n. us/query is the mean over
-// the fixture's queries and eval the share of the tree's points whose
-// distance the enumeration paid.
+// (ResetTree) and on the flat pass (Reset), over n. us/query is the mean
+// over the fixture's queries and eval the share of the tree's points
+// whose distance the enumeration paid.
 //
 // The select sub-benchmarks price a k-NN round's candidate selection at
 // the paper's budget, limit = βn+k (β = 0.281, k = 50): Expand into a
@@ -335,7 +359,7 @@ func enumerateFixture(b *testing.B, n int) (*Tree, [][]float64) {
 func BenchmarkEnumerate(b *testing.B) {
 	for _, n := range []int{5000, 20000, 100000} {
 		tr, queries := enumerateFixture(b, n)
-		median := tr.scanRadius / scanRadiusFactor
+		median := tr.ScanRadius() / scanRadiusFactor
 		limit := int(math.Ceil(0.281*float64(n))) + 50
 		for _, f := range []float64{1, 1.5} {
 			for _, mode := range []string{"sorted", "nearest"} {
@@ -367,15 +391,19 @@ func BenchmarkEnumerate(b *testing.B) {
 			}
 		}
 		for _, f := range []float64{0.1, 0.25, 0.5, 1, 1.5} {
-			for _, mode := range []string{"tree", "switched"} {
+			for _, mode := range []string{"tree", "scan"} {
 				b.Run(fmt.Sprintf("n=%d/r=%gx/%s", n, f, mode), func(b *testing.B) {
-					e := RangeEnumerator{treeOnly: mode == "tree"}
+					var e RangeEnumerator
+					reset := e.Reset
+					if mode == "tree" {
+						reset = e.ResetTree
+					}
 					emitted := 0
 					emit := func(int32, float64) { emitted++ }
 					var evals int64
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if err := e.Reset(tr, queries[i%len(queries)]); err != nil {
+						if err := reset(tr, queries[i%len(queries)]); err != nil {
 							b.Fatal(err)
 						}
 						e.Expand(f*median, emit)
@@ -412,13 +440,12 @@ func TestReleaseShedsOutgrownBuffers(t *testing.T) {
 	// the row distances reach the tree's size; a second round takes every
 	// point, so that the delta does.
 	use := func(tr *Tree) {
-		q := tr.row(0)
-		for _, treeOnly := range []bool{true, false} {
-			e.treeOnly = treeOnly
-			if err := e.Reset(tr, q); err != nil {
+		q := tr.built().row(0)
+		for _, reset := range []func(*Tree, []float64) error{e.ResetTree, e.Reset} {
+			if err := reset(tr, q); err != nil {
 				t.Fatal(err)
 			}
-			e.Expand(tr.scanRadius/scanRadiusFactor, emit)
+			e.Expand(tr.ScanRadius()/scanRadiusFactor, emit)
 			e.Nearest(math.Inf(1), math.MaxInt, nil, nil)
 			e.Release()
 		}

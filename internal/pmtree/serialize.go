@@ -53,26 +53,27 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 }
 
 func (t *Tree) encode(w io.Writer) error {
+	l := t.built()
 	if _, err := w.Write(pmtMagic[:]); err != nil {
 		return fmt.Errorf("pmtree: write magic: %w", err)
 	}
-	hdr := []uint32{uint32(t.dim), uint32(t.capacity), uint32(t.count), uint32(len(t.pivots))}
+	hdr := []uint32{uint32(t.dim), uint32(t.gen.cfg.Capacity), uint32(t.count), uint32(len(l.pivots))}
 	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
 		return fmt.Errorf("pmtree: write header: %w", err)
 	}
-	for _, p := range t.pivots {
+	for _, p := range l.pivots {
 		if err := writeFloats(w, p); err != nil {
 			return err
 		}
 	}
-	if err := t.encodeNode(w, t.root); err != nil {
+	if err := t.encodeNode(w, l, l.root); err != nil {
 		return err
 	}
 	if err := binary.Write(w, binary.LittleEndian, uint32(t.Tail())); err != nil {
 		return fmt.Errorf("pmtree: write tail length: %w", err)
 	}
-	for row := t.frozen; row < t.Rows(); row++ {
-		if err := t.encodeRow(w, row); err != nil {
+	for i, id := range t.tail.rowID {
+		if err := t.encodeRow(w, id, t.tail.row(i)); err != nil {
 			return err
 		}
 	}
@@ -81,18 +82,17 @@ func (t *Tree) encode(w io.Writer) error {
 
 // encodeRow writes one row's id — -1 for a dead row — and point: a leaf
 // entry's head, or a tail row.
-func (t *Tree) encodeRow(w io.Writer, row int) error {
-	id := int32(-1)
-	if t.rowLive(row) {
-		id = t.rowID[row]
+func (t *Tree) encodeRow(w io.Writer, id int32, p []float64) error {
+	if !t.liveID(id) {
+		id = -1
 	}
 	if err := binary.Write(w, binary.LittleEndian, id); err != nil {
 		return fmt.Errorf("pmtree: write id: %w", err)
 	}
-	return writeFloats(w, t.row(row))
+	return writeFloats(w, p)
 }
 
-func (t *Tree) encodeNode(w io.Writer, n *node) error {
+func (t *Tree) encodeNode(w io.Writer, l *layout, n *node) error {
 	flag := byte(0)
 	if n.leaf {
 		flag = 1
@@ -104,14 +104,14 @@ func (t *Tree) encodeNode(w io.Writer, n *node) error {
 		return fmt.Errorf("pmtree: write entry count: %w", err)
 	}
 	if n.leaf {
-		for i := range n.parentDist {
-			if err := t.encodeRow(w, int(n.first)+i); err != nil {
+		for i, id := range l.leafIDs(n) {
+			if err := t.encodeRow(w, id, l.leafPoint(n, i)); err != nil {
 				return err
 			}
 			if err := writeFloats(w, n.parentDist[i:i+1]); err != nil {
 				return err
 			}
-			if err := writeFloats(w, n.pivotDists(i, len(t.pivots))); err != nil {
+			if err := writeFloats(w, n.pivotDists(i, len(l.pivots))); err != nil {
 				return err
 			}
 		}
@@ -130,7 +130,7 @@ func (t *Tree) encodeNode(w io.Writer, n *node) error {
 				return err
 			}
 		}
-		if err := t.encodeNode(w, e.child); err != nil {
+		if err := t.encodeNode(w, l, e.child); err != nil {
 			return err
 		}
 	}
@@ -168,74 +168,71 @@ func Read(r io.Reader, idLimit int) (*Tree, error) {
 		return nil, fmt.Errorf("pmtree: corrupt header dim=%d cap=%d count=%d pivots=%d",
 			dim, capacity, count, numPivots)
 	}
-	// The point store grows as nodes decode; the header count is
-	// untrusted, so it must not size an up-front allocation (a corrupt
-	// stream could demand petabytes or overflow count*dim). It is
-	// verified against the decoded leaves below.
-	t := &Tree{dim: dim, capacity: capacity, count: count, stats: &treeStats{}}
-	t.pivots = make([][]float64, numPivots)
-	for i := range t.pivots {
+	// The rows grow as nodes decode; the header count is untrusted, so it
+	// must not size an up-front allocation (a corrupt stream could demand
+	// petabytes or overflow count*dim). It is verified against the
+	// decoded rows below.
+	l := &layout{dim: dim, pivots: make([][]float64, numPivots)}
+	for i := range l.pivots {
 		p, err := readFloats(br, dim)
 		if err != nil {
 			return nil, err
 		}
-		t.pivots[i] = p
+		l.pivots[i] = p
 	}
-	root, err := t.decodeNode(br, numPivots, minID)
+	root, err := l.decodeNode(br, capacity, numPivots, minID)
 	if err != nil {
 		return nil, err
 	}
-	t.root = root
-	t.frozen = t.Rows()
+	l.root = root
+	tail := layout{dim: dim}
 	if magic == pmtMagic {
 		// The tail length is untrusted like the header count: rows are
 		// appended as their bytes arrive.
-		var tail uint32
-		if err := binary.Read(br, binary.LittleEndian, &tail); err != nil {
+		var n uint32
+		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
 			return nil, fmt.Errorf("pmtree: read tail length: %w", err)
 		}
-		for i := uint32(0); i < tail; i++ {
-			if _, err := t.decodeRow(br, minID); err != nil {
+		for i := uint32(0); i < n; i++ {
+			id, p, err := decodeRow(br, dim, minID)
+			if err != nil {
 				return nil, err
+			}
+			tail.flat, tail.rowID = append(tail.flat, p...), append(tail.rowID, id)
+		}
+	}
+	for _, ids := range [][]int32{l.rowID, tail.rowID} {
+		for _, id := range ids {
+			if int(id) >= idLimit {
+				return nil, fmt.Errorf("pmtree: id %d beyond the id space of %d", id, idLimit)
 			}
 		}
 	}
-	for _, id := range t.rowID {
-		if int(id) >= idLimit {
-			return nil, fmt.Errorf("pmtree: id %d beyond the id space of %d", id, idLimit)
-		}
+	l.deriveScanRadius()
+	t := newTree(Config{Capacity: capacity}, l, tail)
+	if t.count != count {
+		return nil, fmt.Errorf("pmtree: header count %d but the stream holds %d live points", count, t.count)
 	}
-	// Verify the advertised count against the rows.
-	t.resetLiveness()
-	got := 0
-	t.WalkIDs(func(int32) { got++ })
-	if got != count {
-		return nil, fmt.Errorf("pmtree: header count %d but the stream holds %d live points", count, got)
-	}
-	t.deriveScanRadius()
 	return t, nil
 }
 
-// decodeRow reads one id and point — a leaf entry's head or a tail row
-// — and appends them to the store.
-func (t *Tree) decodeRow(r io.Reader, minID int32) (int32, error) {
+// decodeRow reads one id and point: a leaf entry's head or a tail row.
+func decodeRow(r io.Reader, dim int, minID int32) (int32, []float64, error) {
 	var id int32
 	if err := binary.Read(r, binary.LittleEndian, &id); err != nil {
-		return 0, fmt.Errorf("pmtree: read id: %w", err)
+		return 0, nil, fmt.Errorf("pmtree: read id: %w", err)
 	}
-	p, err := readFloats(r, t.dim)
+	p, err := readFloats(r, dim)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if id < minID || !validFinite(p) {
-		return 0, fmt.Errorf("pmtree: corrupt entry %d", id)
+		return 0, nil, fmt.Errorf("pmtree: corrupt entry %d", id)
 	}
-	t.flat = append(t.flat, p...)
-	t.rowID = append(t.rowID, id)
-	return id, nil
+	return id, p, nil
 }
 
-func (t *Tree) decodeNode(r io.Reader, numPivots int, minID int32) (*node, error) {
+func (l *layout) decodeNode(r io.Reader, capacity, numPivots int, minID int32) (*node, error) {
 	var flag [1]byte
 	if _, err := io.ReadFull(r, flag[:]); err != nil {
 		return nil, fmt.Errorf("pmtree: read node flag: %w", err)
@@ -249,24 +246,25 @@ func (t *Tree) decodeNode(r io.Reader, numPivots int, minID int32) (*node, error
 	}
 	// Leaves may be empty (a version 2 stream, or the root of a tree that
 	// is all tail); inner nodes never are.
-	if int(cnt) > t.capacity || (cnt == 0 && flag[0] != 1) {
-		return nil, fmt.Errorf("pmtree: corrupt entry count %d (capacity %d)", cnt, t.capacity)
+	if int(cnt) > capacity || (cnt == 0 && flag[0] != 1) {
+		return nil, fmt.Errorf("pmtree: corrupt entry count %d (capacity %d)", cnt, capacity)
 	}
 	n := &node{leaf: flag[0] == 1}
 	if n.leaf {
 		// Rows are appended in traversal order, so every decoded leaf is one
-		// run of the store. Exact-size arrays for any real leaf; the cap
+		// run of the layout. Exact-size arrays for any real leaf; the cap
 		// keeps a corrupt count × pivots product from sizing an allocation
 		// no bytes back.
-		n.first = int32(t.Rows())
+		n.first = int32(len(l.rowID))
 		hint := min(int(cnt), 1<<12)
 		n.parentDist = make([]float64, 0, hint)
 		n.pivotDist = make([]float64, 0, min(hint*numPivots, 1<<16))
 		for i := 0; i < int(cnt); i++ {
-			id, err := t.decodeRow(r, minID)
+			id, p, err := decodeRow(r, l.dim, minID)
 			if err != nil {
 				return nil, err
 			}
+			l.flat, l.rowID = append(l.flat, p...), append(l.rowID, id)
 			pd, err := readFloats(r, 1+numPivots)
 			if err != nil {
 				return nil, err
@@ -282,7 +280,7 @@ func (t *Tree) decodeNode(r io.Reader, numPivots int, minID int32) (*node, error
 	n.routing = make([]routingEntry, cnt)
 	for i := range n.routing {
 		e := &n.routing[i]
-		c, err := readFloats(r, t.dim)
+		c, err := readFloats(r, l.dim)
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +298,7 @@ func (t *Tree) decodeNode(r io.Reader, numPivots int, minID int32) (*node, error
 			}
 			e.hr[k] = Interval{Min: mm[0], Max: mm[1]}
 		}
-		child, err := t.decodeNode(r, numPivots, minID)
+		child, err := l.decodeNode(r, capacity, numPivots, minID)
 		if err != nil {
 			return nil, err
 		}

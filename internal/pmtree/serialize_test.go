@@ -30,10 +30,10 @@ func TestSerializeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if loaded.Len() != orig.Len() || loaded.Dim() != orig.Dim() ||
-		loaded.NumPivots() != orig.NumPivots() || loaded.Height() != orig.Height() {
+		loaded.NumPivots() != orig.NumPivots() || height(loaded) != height(orig) {
 		t.Fatalf("shape mismatch: %d/%d %d/%d %d/%d %d/%d",
 			loaded.Len(), orig.Len(), loaded.Dim(), orig.Dim(),
-			loaded.NumPivots(), orig.NumPivots(), loaded.Height(), orig.Height())
+			loaded.NumPivots(), orig.NumPivots(), height(loaded), height(orig))
 	}
 
 	// Identical query answers on both trees.
@@ -142,8 +142,9 @@ func TestReadIDsAndVersions(t *testing.T) {
 	// Five points fit the root, a leaf: its first entry's id follows the
 	// header, the pivots and the node's flag and count.
 	idOff := 4 + 4*4 + 2*3*8 + 1 + 4
-	if got := int32(binary.LittleEndian.Uint32(raw[idOff:])); got != orig.rowID[0] {
-		t.Fatalf("offset %d holds %d, want the first entry's id %d", idOff, got, orig.rowID[0])
+	first := orig.built().rowID[0]
+	if got := int32(binary.LittleEndian.Uint32(raw[idOff:])); got != first {
+		t.Fatalf("offset %d holds %d, want the first entry's id %d", idOff, got, first)
 	}
 	withID := func(src []byte, id int32) []byte {
 		out := append([]byte(nil), src...)
@@ -182,12 +183,12 @@ func TestReadIDsAndVersions(t *testing.T) {
 	}
 
 	// A dead mark the count agrees with loads, and stays dead.
-	if err := orig.Delete(orig.rowID[0]); err != nil {
+	if err := orig.Delete(first); err != nil {
 		t.Fatal(err)
 	}
 	loaded := roundTrip(t, orig)
 	requireSameTree(t, "tree with a dead entry", orig, loaded)
-	if loaded.Len() != 4 || loaded.rowID[0] != -1 {
-		t.Fatalf("loaded tree has %d points and first id %d, want 4 and -1", loaded.Len(), loaded.rowID[0])
+	if got := loaded.built().rowID[0]; loaded.Len() != 4 || got != -1 {
+		t.Fatalf("loaded tree has %d points and first id %d, want 4 and -1", loaded.Len(), got)
 	}
 }

@@ -193,7 +193,7 @@ func requireAnswersLikeRebuilt(t *testing.T, label string, o *churnOracle, tr, r
 		// A nondecreasing radius sequence with rounds on both sides of
 		// both trees' switch radii, ending past every point.
 		var radii []float64
-		for _, sr := range []float64{tr.scanRadius, ref.scanRadius} {
+		for _, sr := range []float64{tr.ScanRadius(), ref.ScanRadius()} {
 			if sr == 0 {
 				sr = 0.2 * scale
 			}
@@ -204,11 +204,15 @@ func requireAnswersLikeRebuilt(t *testing.T, label string, o *churnOracle, tr, r
 		sort.Float64s(radii)
 		radii = append(radii, 1e6)
 		for _, treeOnly := range []bool{false, true} {
-			a, b := RangeEnumerator{treeOnly: treeOnly}, RangeEnumerator{treeOnly: treeOnly}
-			if err := a.Reset(tr, q); err != nil {
+			var a, b RangeEnumerator
+			reset := (*RangeEnumerator).Reset
+			if treeOnly {
+				reset = (*RangeEnumerator).ResetTree
+			}
+			if err := reset(&a, tr, q); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Reset(ref, q); err != nil {
+			if err := reset(&b, ref, q); err != nil {
 				t.Fatal(err)
 			}
 			total := 0
@@ -315,8 +319,8 @@ func TestTailAnswersLikeRebuilt(t *testing.T) {
 						t.Fatalf("insert-only schedule ended with a tail of %.2f of the rows, want past 0.3", f)
 					}
 				case "all-tail":
-					if tr.Tail() != tr.Rows() || tr.scanRadius != 0 {
-						t.Fatalf("a tree grown from New has %d of %d rows in its tail, switch radius %v", tr.Tail(), tr.Rows(), tr.scanRadius)
+					if tr.Tail() != tr.Rows() || tr.ScanRadius() != 0 {
+						t.Fatalf("a tree grown from New has %d of %d rows in its tail, switch radius %v", tr.Tail(), tr.Rows(), tr.ScanRadius())
 					}
 				case "base-deleted":
 					if lay := checkLayout(t, tr); lay.dead != lay.entries || tr.Len() != tr.Tail() {

@@ -137,14 +137,14 @@ func New(cfg Config) (*Server, error) {
 		"Compact operations (explicit and automatic) since the engine was opened.",
 		func() float64 { return float64(s.eng.Info().Compactions) })
 	compactHist := reg.Histogram("pmlsh_compact_duration_seconds",
-		"Duration of each shard compaction, explicit or automatic: one build on GOMAXPROCS goroutines (repack, then projection and bulk load beside the F(x) sample), holding that shard's writer mutex throughout — its other mutations wait, its queries do not.",
+		"Duration of each shard compaction, explicit or automatic: a repack, then projection beside the F(x) sample on GOMAXPROCS goroutines, holding that shard's writer mutex throughout — its other mutations wait, its queries do not. The PM-tree is bulk loaded later, by the first query that reads its structure (a ball, pair or checkpoint), not here.",
 		obs.ExpBuckets(0.001, 2, 14))
 	s.eng.OnCompact(func(d time.Duration) { compactHist.Observe(d.Seconds()) })
 	reg.GaugeFuncVec("pmlsh_index_dead_fraction",
 		"Share of a shard's stored rows that are tombstoned (0 after build or compaction; no insert refills a dead row, and the shard compacts itself when the share reaches the auto-compact fraction).",
 		"shard", func() []float64 { return s.eng.Info().DeadFraction })
 	reg.GaugeFuncVec("pmlsh_index_tail_fraction",
-		"Share of a shard's PM-tree rows inserted since its last bulk load (0 after build or compaction; the shard compacts itself when it reaches the auto-compact fraction). Prices only small-radius queries: a k-NN search scans the projected rows and does not visit the leaves.",
+		"Share of a shard's PM-tree rows inserted since its last build or compaction (0 right after either; the shard compacts itself when it reaches the auto-compact fraction). Prices only small-radius queries: a k-NN search scans the projected rows and does not visit the leaves.",
 		"shard", func() []float64 { return s.eng.Info().TailFraction })
 	reg.GaugeVec("pmlsh_index_metric",
 		"Distance metric of the serving engine (1 on the active label).",

@@ -271,13 +271,13 @@ type Info struct {
 	// Metric is the distance metric the index was built with.
 	Metric Metric
 	// TailFraction is, per shard, the share of the projected-space
-	// tree's rows inserted since the tree was last bulk loaded (by Build
-	// or a compaction), which a tree traversal brute-forces. It is 0
-	// after Build and Compact, rises with every Insert, and when it
-	// reaches Config.AutoCompactFraction the shard compacts itself: read
-	// beside Dead, it is how far each shard is from its next automatic
-	// compaction. It prices only small-radius queries (SearchBall,
-	// SearchPairs): a Search scans the rows and visits no leaf.
+	// tree's rows inserted since the last Build or compaction, which a
+	// tree traversal brute-forces. It is 0 after Build and Compact, rises
+	// with every Insert, and when it reaches Config.AutoCompactFraction
+	// the shard compacts itself: read beside Dead, it is how far each
+	// shard is from its next automatic compaction. It prices only
+	// small-radius queries (SearchBall, SearchPairs): a Search scans the
+	// rows and visits no leaf.
 	TailFraction []float64
 }
 
