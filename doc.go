@@ -99,9 +99,10 @@
 // native radius for cosine and is rejected for inner product;
 // SearchPairs is rejected for inner product (a closest "pair" has no
 // meaning when similarity is query-relative). Serialized non-L2
-// indexes carry a metric tag (PLS6 envelope); L2 keeps the exact
-// earlier byte format (PLS4, PLS5 when sharded). See the README's
-// Metrics section for the reduction table and b × r tuning guidance.
+// indexes carry a metric tag (PLS6 envelope around the index stream);
+// L2 writes the bare stream (PLS7, in a PLS5 container when sharded).
+// See the README's Metrics section for the reduction table and b × r
+// tuning guidance.
 //
 // # Storage layout
 //
@@ -111,7 +112,7 @@
 // A Search reads those rows alone, in one kernel pass (see Query
 // engine), so Build and Compact end after the projection: the tree's
 // structure is bulk loaded by the first query that reads it (SearchBall,
-// SearchPairs, WriteTo), once per build or compaction, and the load lays
+// SearchPairs), once per build, compaction or load, and the load lays
 // the rows out leaf-major: a leaf's projected points are one run of
 // rows, leaves follow each other in traversal order, and a leaf's ids,
 // parent distances and pivot distances are parallel arrays. A traversal
@@ -133,8 +134,8 @@
 // the pruning bounds every query path depends on. A build (a compaction
 // is one) uses every core — projection in GOMAXPROCS chunks beside the
 // F(x) distance sample, itself computed in chunks, and the later bulk
-// load by bisection halves — and the index is byte-identical at any
-// GOMAXPROCS.
+// load by bisection halves — and the index, its tree included, is the
+// same at any GOMAXPROCS.
 //
 // # Closest-pair search
 //
@@ -189,8 +190,11 @@
 // that triggers it waits for the repack and the projection, which hold
 // its shard's writer mutex throughout.
 // Serialization (WriteTo/Load) persists the full lifecycle state:
-// tombstones, retired ids, the dead rows, the tree's dead marks and its
-// tail; streams from earlier versions still load.
+// tombstones, retired ids, the dead rows, and where the tree's tail
+// begins. It stores the rows, not the tree: Load projects them again and
+// the tree, a function of those rows, is bulk loaded by its first
+// structural query, as after a build. Streams from earlier versions
+// still load, their rows as one fresh generation.
 //
 // # Query engine
 //

@@ -589,17 +589,25 @@ func buildInternal(s *store.Store, cfg Config, ndim int, scale float64) (*Index,
 func buildTree(proj *lsh.Projection, s *store.Store, ids []int32, cfg Config) (*pmtree.Tree, []float64, error) {
 	sampled := make(chan []float64)
 	go func() { sampled <- sampleDistanceDistribution(s, cfg) }()
-	projected, err := proj.ProjectStore(s)
-	var tree *pmtree.Tree
-	if err == nil {
-		tree, err = pmtree.NewDeferred(projected, ids, pmtree.Config{
-			Capacity:  cfg.Capacity,
-			NumPivots: cfg.NumPivots,
-			PivotSeed: cfg.Seed + 1,
-		})
-	}
+	tree, err := projectTree(proj, s, ids, s.Len(), cfg)
 	// The one return: the sampling goroutine is joined on an error too.
 	return tree, <-sampled, err
+}
+
+// projectTree projects the rows of s on GOMAXPROCS goroutines and hands
+// them to a PM-tree bulk loaded on first use: the first frozen rows are
+// its generation, the rest its tail (ids as pmtree.NewDeferred takes
+// them). A build's tree and a loaded one come out of it alike.
+func projectTree(proj *lsh.Projection, s *store.Store, ids []int32, frozen int, cfg Config) (*pmtree.Tree, error) {
+	projected, err := proj.ProjectStore(s)
+	if err != nil {
+		return nil, err
+	}
+	return pmtree.NewDeferred(projected, ids, frozen, pmtree.Config{
+		Capacity:  cfg.Capacity,
+		NumPivots: cfg.NumPivots,
+		PivotSeed: cfg.Seed + 1,
+	})
 }
 
 // finiteNorm reports whether p's Euclidean norm is a finite number: no

@@ -159,6 +159,43 @@ func TestReplaySkipsLegacyQuantizeRecords(t *testing.T) {
 	}
 }
 
+// TestDurableRecoveryKeepsTheGeneration: a checkpoint is a snapshot,
+// and an engine recovered from one — in every generationStates state,
+// with a logged insert and delete replayed on top — is the engine that
+// never stopped (requireSameEngine), tail, dead rows and trees alike.
+func TestDurableRecoveryKeepsTheGeneration(t *testing.T) {
+	for _, st := range generationStates() {
+		steady, crashed := st.make(t), st.make(t)
+		fs := wal.DirFS(t.TempDir())
+		if err := crashed.EnableDurability(fs, wal.SyncPolicy{}); err != nil {
+			t.Fatal(err)
+		}
+		p := nearCopy(rand.New(rand.NewSource(115)), generationData[7])
+		for _, e := range []*Engine{steady, crashed} {
+			if _, err := e.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Delete(4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := crashed.CloseDurable(); err != nil {
+			t.Fatal(err)
+		}
+		recovered, err := OpenDurable(fs, wal.SyncPolicy{})
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if st, _ := recovered.DurabilityStats(); st.ReplayRecords != 2 {
+			t.Fatalf("recovery replayed %d records, want the insert and the delete", st.ReplayRecords)
+		}
+		requireSameEngine(t, st.name, steady, recovered)
+		if err := recovered.CloseDurable(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestEnableDurabilityRejectsExistingState(t *testing.T) {
 	dir := t.TempDir()
 	data := clusteredData(8, 3, 2, 7)

@@ -9,8 +9,9 @@ import (
 
 // pls5Magic heads the sharded container format: "PLS5", a uint32 shard
 // count, then each shard as a uint64 byte length followed by that
-// shard's complete single-index stream (PLS4, or a PLS6 envelope for
-// non-L2 metrics — newEngine rejects shards whose metrics disagree,
+// shard's complete single-index stream (PLS7 — PLS4 before it — or a
+// PLS6 envelope for non-L2 metrics — newEngine rejects shards whose
+// metrics disagree,
 // so a mixed container fails to load). The length prefixes
 // exist because Load buffers its reader and may consume past the end
 // of one shard's stream — LoadEngine hands each inner Load an
@@ -18,8 +19,8 @@ import (
 //
 // A 1-shard engine writes a plain single-index stream with no
 // container at all, so Engine serialization at the default shard count
-// is byte-identical to Index.WriteTo, and a PLS4 stream loads as a
-// 1-shard engine (PLS1–PLS3 are refused by name).
+// is byte-identical to Index.WriteTo, and a bare PLS4 or PLS7 stream
+// loads as a 1-shard engine (PLS1–PLS3 are refused by name).
 var pls5Magic = [4]byte{'P', 'L', 'S', '5'}
 
 // WriteTo serializes the engine. The snapshot is consistent per shard

@@ -4,18 +4,21 @@ package core
 // streams must produce an error, never a panic or an unbounded
 // allocation. The seed corpus (testdata/fuzz/FuzzLoad, and the same
 // set built in-process by fuzzStreams) holds one genuine stream per
-// layout that can still occur — PLS4 plain and churned mid-free-list
-// (dead marks and a tail in its PMT3 tree), sharded PLS5 containers,
-// one of them churned, PLS6 envelopes for cosine, inner product and
-// Jaccard — the churned PLS4 stream of the release before the tree was
-// frozen (a PMT2 tree grown by inserts, which nothing writes any more
-// and Load keeps reading), the i8-quantized PLS4 stream of the release
-// before screening was retired (Load reads its codec and drops it),
-// plus the inputs Load must
+// layout the code writes — PLS7 plain and churned mid-free-list (dead
+// rows and a tail behind the generation count), sharded PLS5 containers
+// of PLS7 streams, one of them churned, PLS6 envelopes for cosine, inner
+// product and Jaccard — and the streams earlier releases wrote, which
+// Load keeps reading: every PLS4 layout above, whose serialized PM-tree
+// it no longer reads (the churned PLS4 stream of the release before the
+// tree was frozen, with a PMT2 tree grown by inserts; the i8-quantized
+// one of the release before screening was retired, whose codec Load
+// reads and drops; two whose tree names an id far beyond the id space,
+// which mattered while the tree was read). Then the inputs Load must
 // refuse: one stream per retired magic (testdata keeps real PLS1–PLS3
-// bytes from the releases that wrote them), one with the R-tree flag
-// set, and two whose tree names an id far beyond the id space. The fuzzer mutates all of them, and their truncations and bit
-// flips, further.
+// bytes from the releases that wrote them), one with the R-tree flag set
+// in each layout, and a PLS7 stream whose generation outnumbers its rows.
+// FuzzLoad adds a PLS7 stream cut inside each of its fields; the fuzzer
+// mutates all of them, and their truncations and bit flips, further.
 //
 // Run with: go test -fuzz=FuzzLoad -fuzztime=10s ./internal/core
 // After a layout change: go test ./internal/core -run TestFuzzLoadCorpus -update-fuzz-corpus
@@ -40,8 +43,8 @@ import (
 var updateFuzzCorpus = flag.Bool("update-fuzz-corpus", false,
 	"rewrite testdata/fuzz/FuzzLoad from fuzzStreams")
 
-// treeFlagOff is where a PLS4 stream keeps its tree flag: after the
-// magic and the fixed-size config block.
+// treeFlagOff is where a PLS4 or PLS7 stream keeps its tree flag: after
+// the magic and the fixed-size config block.
 const treeFlagOff = 4 + 3*4 + 8 + 8 + 4 + 2*8 + 8
 
 type fuzzStream struct {
@@ -50,8 +53,8 @@ type fuzzStream struct {
 	// reject marks a stream Load must refuse. retired marks the ones it
 	// refuses at the magic, whatever follows, so the in-process bytes
 	// and the on-disk seed (genuine PLS1–PLS3 bytes) need not agree.
-	// legacy marks a stream nothing writes any more and Load still
-	// accepts: the on-disk seed is its only source.
+	// legacy marks a stream nothing writes any more: the on-disk seed is
+	// its only source.
 	reject, retired, legacy bool
 }
 
@@ -76,11 +79,38 @@ func readFuzzSeed(tb testing.TB, name string) []byte {
 	return []byte(data)
 }
 
-// fuzzStreams builds one small index per layout that can still occur
-// and returns their encodings, followed by the must-reject streams.
+// fuzzData and fuzzConfig are what every seed index is built from.
+var (
+	fuzzData   = clusteredData(16, 3, 2, 7)
+	fuzzConfig = Config{M: 3, NumPivots: 2, Seed: 7, DistSampleSize: 16}
+)
+
+// fuzzChurned is the index of the churned seeds: three deletes and one
+// insert — three dead rows in the store, a one-row tail behind them.
+func fuzzChurned(tb testing.TB) *Index {
+	tb.Helper()
+	cfg := fuzzConfig
+	cfg.AutoCompactFraction = -1
+	ix, err := Build(fuzzData, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, id := range []int32{1, 5, 9} {
+		if err := ix.Delete(id); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := ix.Insert(fuzzData[2]); err != nil {
+		tb.Fatal(err)
+	}
+	return ix
+}
+
+// fuzzStreams builds one small index per layout the code writes and
+// returns their encodings, the streams of earlier releases, and the
+// must-reject streams.
 func fuzzStreams(tb testing.TB) []fuzzStream {
-	data := clusteredData(16, 3, 2, 7)
-	base := Config{M: 3, NumPivots: 2, Seed: 7, DistSampleSize: 16}
+	data, base := fuzzData, fuzzConfig
 	var out []fuzzStream
 	add := func(name string, w io.WriterTo, err error) []byte {
 		tb.Helper()
@@ -101,38 +131,16 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 	}
 
 	plainIx, err := Build(data, base)
-	plain := add("pls4-plain", plainIx, err)
-	// Tombstones and growth: three deletes and one insert — three dead
-	// rows in the store and as many dead leaf entries in the tree, one new
-	// row behind each.
-	churned, err := Build(data, with(func(c *Config) { c.AutoCompactFraction = -1 }))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for _, id := range []int32{1, 5, 9} {
-		if err := churned.Delete(id); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	_, err = churned.Insert(data[2])
-	tailed := add("pls4-churned-tail", churned, err)
-	// The same index as the release before the frozen tree wrote it.
-	legacy := readFuzzSeed(tb, "pls4-churned")
-	if !bytes.Contains(legacy, []byte("PMT2")) {
-		tb.Fatal("the pls4-churned seed no longer carries a PMT2 tree")
-	}
-	out = append(out, fuzzStream{name: "pls4-churned", data: legacy, legacy: true})
-	// The plain index as the release before PR 29 wrote it with an i8
-	// screening codec, which Load reads and drops.
-	out = append(out, fuzzStream{name: "pls4-i8", data: readFuzzSeed(tb, "pls4-i8"), legacy: true})
+	plain := add("pls7-plain", plainIx, err)
+	tailed := add("pls7-churned-tail", fuzzChurned(tb), nil)
 	// Sharded PLS5 containers: shard boundaries, per-shard length
 	// prefixes and the inner-stream framing are all attack surface —
-	// over bare PLS4 shards and over PLS6 ones.
+	// over bare shard streams and over PLS6 ones.
 	eng, err := BuildEngine(data, with(func(c *Config) { c.Shards = 2 }))
 	if err == nil {
 		err = eng.Delete(3)
 	}
-	add("pls5-2shards", eng, err)
+	add("pls5-pls7-2shards", eng, err)
 	// Each shard with a tail, one of them with a dead row in it.
 	teng, err := BuildEngine(data, with(func(c *Config) { c.Shards = 2; c.AutoCompactFraction = -1 }))
 	for i := 0; i < 3 && err == nil; i++ {
@@ -141,15 +149,15 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 	if err == nil {
 		err = teng.Delete(16)
 	}
-	add("pls5-2shards-tail", teng, err)
+	add("pls5-pls7-2shards-tail", teng, err)
 	ceng, err := BuildEngine(data, with(func(c *Config) { c.Shards = 2; c.Metric = metric.Cosine }))
-	add("pls5-2shards-cosine", ceng, err)
+	add("pls5-pls7-2shards-cosine", ceng, err)
 	// PLS6 metric-tagged envelopes: the metric byte, the MIP scale
 	// field, and the MinHash PMH1 stream.
 	cos, err := Build(data, with(func(c *Config) { c.Metric = metric.Cosine }))
-	add("pls6-cosine", cos, err)
+	add("pls6-pls7-cosine", cos, err)
 	mip, err := Build(data, with(func(c *Config) { c.Metric = metric.InnerProduct }))
-	add("pls6-ip", mip, err)
+	add("pls6-pls7-ip", mip, err)
 	sets := make([][]uint64, 12)
 	for i := range sets {
 		sets[i] = []uint64{uint64(i), uint64(i + 1), uint64(2*i + 7), 1 << 20}
@@ -157,7 +165,20 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 	jac, err := BuildSets(sets, Config{Metric: metric.Jaccard, Seed: 7, MinHashBands: 4, MinHashRows: 2})
 	add("pls6-jaccard", jac, err)
 
-	// Must-reject: the retired magics and the R-tree flag.
+	// What earlier releases wrote of the same indexes: PLS4 streams, bare
+	// and in both containers, each ending in a PM-tree stream.
+	for _, name := range []string{"pls4-plain", "pls4-churned-tail", "pls4-churned", "pls4-i8",
+		"pls4-huge-leaf-id", "pls4-huge-tail-id", "pls5-2shards", "pls5-2shards-tail",
+		"pls5-2shards-cosine", "pls6-cosine", "pls6-ip"} {
+		legacy := readFuzzSeed(tb, name)
+		if name == "pls4-churned" && !bytes.Contains(legacy, []byte("PMT2")) {
+			tb.Fatal("the pls4-churned seed no longer carries a PMT2 tree")
+		}
+		out = append(out, fuzzStream{name: name, data: legacy, legacy: true})
+	}
+
+	// Must-reject: the retired magics, the R-tree flag, and a generation
+	// count beyond the rows.
 	for _, v := range []byte{'1', '2', '3'} {
 		s := append([]byte(nil), plain...)
 		s[3] = v
@@ -165,25 +186,47 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 	}
 	flagged := append([]byte(nil), plain...)
 	flagged[treeFlagOff] = 1
-	out = append(out, fuzzStream{name: "pls4-rtree-flag", data: flagged, reject: true})
-	// A tree id far beyond the id space, which must be refused and not
-	// sized for (the tree keeps a delete epoch per id): in the entry the
-	// plain stream's last leaf ends with, before the empty tail's length,
-	// and in the tail row the churned stream ends with. 1<<26 rather than
-	// MaxInt32, so that a loader that did allocate fails the test below
-	// instead of the machine.
-	const rowLen = 4 + 3*8 // id, projected point
-	hugeID := func(name string, src []byte, off int) {
-		tb.Helper()
-		if id := binary.LittleEndian.Uint32(src[off:]); id > 16 {
-			tb.Fatalf("%s: offset %d holds %d, not an id", name, off, id)
-		}
-		s := append([]byte(nil), src...)
-		binary.LittleEndian.PutUint32(s[off:], 1<<26)
-		out = append(out, fuzzStream{name: name, data: s, reject: true})
+	out = append(out, fuzzStream{name: "pls7-rtree-flag", data: flagged, reject: true})
+	out = append(out, fuzzStream{name: "pls4-rtree-flag", data: readFuzzSeed(tb, "pls4-rtree-flag"), reject: true, legacy: true})
+	over := append([]byte(nil), tailed...)
+	binary.LittleEndian.PutUint32(over[len(over)-4:], uint32(len(data)+2))
+	out = append(out, fuzzStream{name: "pls7-generation-above-rows", data: over, reject: true})
+	return out
+}
+
+// pls7Cuts returns ix's PLS7 stream cut inside each of its fields (the
+// layout in serialize.go), by field name: a one-byte field is cut off
+// whole. Every one of them must be refused.
+func pls7Cuts(tb testing.TB, ix *Index) map[string][]byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		tb.Fatal(err)
 	}
-	hugeID("pls4-huge-leaf-id", plain, len(plain)-4-(rowLen+(1+2)*8))
-	hugeID("pls4-huge-tail-id", tailed, len(tailed)-rowLen)
+	v := ix.view.Load()
+	fields := []struct {
+		name string
+		size int
+	}{
+		{"magic", 4}, {"config ints", 12}, {"alpha1", 8}, {"seed", 8}, {"sample size", 4},
+		{"rmin shrink and beta", 16}, {"auto-compact fraction", 8}, {"tree flag", 1},
+		{"shape", 12}, {"projection", ix.cfg.M * ix.dim * 8},
+		{"cdf length", 4}, {"cdf", len(v.distCDF) * 8}, {"data", len(v.flat) * 8},
+		{"free-list length", 4}, {"free list", len(v.deadRows) * 4}, {"row map", len(v.rowOf) * 4},
+		{"quantize kind", 1}, {"generation", 4},
+	}
+	out := map[string][]byte{}
+	at := 0
+	for _, f := range fields {
+		if f.size == 0 {
+			tb.Fatalf("the stream has no %s to cut inside", f.name)
+		}
+		out[f.name] = buf.Bytes()[:at+f.size/2]
+		at += f.size
+	}
+	if at != buf.Len() {
+		tb.Fatalf("the fields add up to %d bytes, the stream has %d", at, buf.Len())
+	}
 	return out
 }
 
@@ -227,6 +270,11 @@ func TestFuzzLoadCorpus(t *testing.T) {
 	if len(entries) != len(streams) {
 		t.Errorf("%s holds %d seeds, fuzzStreams builds %d", dir, len(entries), len(streams))
 	}
+	for field, cut := range pls7Cuts(t, fuzzChurned(t)) {
+		if _, err := LoadEngine(bytes.NewReader(cut)); err == nil {
+			t.Errorf("a stream cut inside its %s loaded", field)
+		}
+	}
 }
 
 func FuzzLoad(f *testing.F) {
@@ -239,6 +287,9 @@ func FuzzLoad(f *testing.F) {
 		flipped[len(flipped)/3] ^= 0xff
 		f.Add(flipped)
 	}
+	for _, cut := range pls7Cuts(f, fuzzChurned(f)) {
+		f.Add(cut)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("PLS3"))
 	f.Add([]byte("PLS1garbage"))
@@ -249,8 +300,8 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte{'P', 'L', 'S', '6', 0, 'P', 'L'}) // l2 never uses the envelope
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		// LoadEngine accepts every on-disk shape — bare PLS4 streams,
-		// sharded PLS5 containers and PLS6 envelopes alike.
+		// LoadEngine accepts every on-disk shape — bare PLS4 and PLS7
+		// streams, sharded PLS5 containers and PLS6 envelopes alike.
 		eng, err := LoadEngine(bytes.NewReader(stream))
 		if err != nil {
 			return

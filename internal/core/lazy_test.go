@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/wal"
 )
 
 // bulkLoads returns the bulk loads each shard's current generation has
@@ -29,11 +30,14 @@ func bulkLoads(t *testing.T, e *Engine) []int {
 }
 
 // TestKNNNeverBulkLoads: a k-NN query reads the projected rows, never
-// the PM-tree's structure, so no step of a serving life without a ball,
-// pair or checkpoint — a fresh build, Search, SearchBatch, a multi-shard
-// fan-out of both, Insert, Delete, Compact and the compactions Insert
-// and Delete trigger — pays the tree's bulk load. The first SearchBall
-// afterwards does, once per shard: nothing had loaded the tree before it.
+// the PM-tree's structure, and a snapshot stores the rows, not the tree,
+// so no step of a serving life without a ball or pair query — a fresh
+// build, Search, SearchBatch, a multi-shard fan-out of both, Insert,
+// Delete, Compact and the compactions Insert and Delete trigger,
+// WriteTo, EnableDurability, CheckpointDurable, and the engines LoadEngine
+// and OpenDurable make of what they wrote — pays the tree's bulk load.
+// The first SearchBall afterwards does, once per shard: nothing had
+// loaded the tree before it.
 func TestKNNNeverBulkLoads(t *testing.T) {
 	ctx := context.Background()
 	for _, shards := range []int{1, 3} {
@@ -42,10 +46,12 @@ func TestKNNNeverBulkLoads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check := func(step string) {
+		check := func(step string, engines ...*Engine) {
 			t.Helper()
-			if got := bulkLoads(t, e); slices.Max(got) != 0 {
-				t.Fatalf("shards=%d: after %s the shards' trees ran %v bulk loads", shards, step, got)
+			for _, eng := range append(engines, e) {
+				if got := bulkLoads(t, eng); slices.Max(got) != 0 {
+					t.Fatalf("shards=%d: after %s the shards' trees ran %v bulk loads", shards, step, got)
+				}
 			}
 		}
 		check("Build")
@@ -89,6 +95,43 @@ func TestKNNNeverBulkLoads(t *testing.T) {
 		}
 		check("Compact")
 
+		var saved bytes.Buffer
+		if _, err := e.WriteTo(&saved); err != nil {
+			t.Fatal(err)
+		}
+		fs := wal.DirFS(t.TempDir())
+		if err := e.EnableDurability(fs, wal.SyncPolicy{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Insert(data[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.CheckpointDurable(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Insert(data[2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.CloseDurable(); err != nil {
+			t.Fatal(err)
+		}
+		check("WriteTo, EnableDurability and CheckpointDurable")
+		loaded, err := LoadEngine(&saved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recovered, err := OpenDurable(fs, wal.SyncPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer recovered.CloseDurable()
+		for _, eng := range []*Engine{loaded, recovered} {
+			if _, err := eng.SearchBatch(ctx, queries, 10, SearchOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("LoadEngine, OpenDurable and their Searches", loaded, recovered)
+
 		for _, ix := range e.shards {
 			if _, err := ix.SearchBall(ctx, data[0], 0.01, SearchOptions{}); err != nil {
 				t.Fatal(err)
@@ -102,11 +145,12 @@ func TestKNNNeverBulkLoads(t *testing.T) {
 	}
 }
 
-// TestFirstUseBulkLoadsOnce races the first SearchBall, SearchPairs and
-// WriteTo of a generation on eight goroutines beside a mutator (run
+// TestFirstUseBulkLoadsOnce races the first SearchBall and SearchPairs
+// of a generation on eight goroutines, beside WriteTo and a mutator (run
 // under -race): the generation is bulk loaded exactly once, the views
 // the mutator publishes afterwards share that load, and a Compact starts
-// a generation of its own, loaded again on first use.
+// a generation of its own, loaded again on first use — which a WriteTo
+// is not.
 func TestFirstUseBulkLoadsOnce(t *testing.T) {
 	ctx := context.Background()
 	data := clusteredData(1500, 12, 8, 51)
@@ -180,8 +224,14 @@ func TestFirstUseBulkLoadsOnce(t *testing.T) {
 	if _, err := e.WriteTo(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
+	if got := bulkLoads(t, e); got[0] != 0 || got[1] != 0 {
+		t.Fatalf("a WriteTo after Compact ran %v bulk loads per shard, want none", got)
+	}
+	if _, err := e.SearchPairs(ctx, 5, SearchOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	if got := bulkLoads(t, e); got[0] != 1 || got[1] != 1 || old.BulkLoads() != 1 {
-		t.Fatalf("after Compact and a WriteTo: %v bulk loads per shard (the old generation %d), want 1 each",
+		t.Fatalf("after Compact and a SearchPairs: %v bulk loads per shard (the old generation %d), want 1 each",
 			got, old.BulkLoads())
 	}
 }

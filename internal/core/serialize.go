@@ -10,14 +10,14 @@ import (
 	"repro/internal/lsh"
 	"repro/internal/metric"
 	"repro/internal/minhash"
-	"repro/internal/pmtree"
 	"repro/internal/stats"
 	"repro/internal/store"
+	"repro/internal/vec"
 )
 
 // Binary serialization of a PM-LSH index. The stream is little-endian:
 //
-//	magic "PLS4"
+//	magic "PLS7"
 //	config: m u32 | pivots u32 | capacity u32 | alpha1 f64 | seed i64 |
 //	        sampleSize u32 | rminShrink f64 | beta f64 |
 //	        autoCompact f64 | tree flag u8 (always 0)
@@ -29,44 +29,58 @@ import (
 //	free list: u32 count + count × i32 slots — the dead rows, in the
 //	order they were deleted
 //	rowOf: nextID × i32 (id → slot, -1 = deleted)
-//	quantize: kind u8 (always 0); then for i8 (2): off + scale
-//	(dim × f64 each); for f32 (1) and i8: slack (dim × f64)
-//	PM-tree stream
+//	quantize: kind u8 (always 0)
+//	generation u32: the rows the PM-tree was begun over; the slots
+//	after them are its tail
 //
 // The free list and the id → row indirection carry the
 // mutation-lifecycle state, so an index saved mid-churn loads with the
 // same live set, the same retired ids, and the same dead rows — the
 // field keeps the name it had while Insert refilled them; nothing does
 // any more, and a stream written then loads with its dead rows staying
-// dead. A loaded index answers queries identically to the saved one.
+// dead.
 //
-// The quantize block held the parameters of a reject-only screening
-// codec, retired in PR 29. Load still reads kinds 1 and 2 in full — a
-// truncated block is an error — and drops them: the index answers the
-// same without the screen.
+// The PM-tree is not stored: it is a function of the projected rows
+// (paper Section 4.1). Load projects the data again and hands the first
+// generation rows to the tree as its deferred generation, the rest as
+// its tail, a row's id the one rowOf maps to it (-1 for a dead row): the
+// tree the saved index held, bulk loaded by the first query that reads
+// its structure. A loaded index answers queries identically to the
+// saved one, with the same statistics, and reaches its next automatic
+// compaction at the same operation.
 //
-// The tree flag once selected an R-tree over the projections (flag 1,
-// no tree stream); that backend is no longer served, the byte stays so
-// PLS4 streams keep their layout, and Load rejects any non-zero value.
-// PLS1–PLS3, the layouts before churn state and the codec, are retired:
-// nothing has written them since PLS4 and Load names the version in its
-// error.
+// PLS4 is this layout with every codec kind, and a serialized PM-tree
+// where the generation count stands. Load reads it up to the tree, which
+// it does not read: the stored rows become one fresh generation. The
+// quantize block held the parameters of a reject-only screening codec,
+// retired in PR 29: for i8 (2) off + scale (dim × f64 each), for f32
+// (1) and i8 slack (dim × f64). Load still reads them in full — a
+// truncated block is an error — and drops them.
+//
+// The tree flag once selected an R-tree over the projections (flag 1);
+// that backend is no longer served, the byte stays so the layouts keep
+// their offsets, and Load rejects any non-zero value. PLS1–PLS3, the
+// layouts before churn state and the codec, are retired: nothing has
+// written them since PLS4 and Load names the version in its error.
 
 // Version 6 ("PLS6") is the metric-tagged container for non-L2
 // indexes:
 //
 //	magic "PLS6" | metric u8
 //	InnerProduct only: scale S f64 (the build-time norm bound)
-//	then the complete backend stream — the full PLS4 stream above
+//	then the complete backend stream — the full PLS7 stream above
 //	(internal-space rows, so dim is the augmented dimensionality
-//	under InnerProduct) for the vector reductions, or the MinHash
-//	"PMH1" stream (internal/minhash) for Jaccard.
+//	under InnerProduct; PLS4 in streams written before it) for the
+//	vector reductions, or the MinHash "PMH1" stream (internal/minhash)
+//	for Jaccard.
 //
-// L2 indexes keep writing the bare PLS4 stream, byte-identical to
-// every earlier release; PLS4 and PLS5 streams load as L2. An unknown
-// metric tag is a hard error, never a panic.
-var plsMagic = [4]byte{'P', 'L', 'S', '4'}
-var pls6Magic = [4]byte{'P', 'L', 'S', '6'}
+// L2 indexes write the bare stream; PLS4, PLS5 and PLS7 streams load
+// as L2. An unknown metric tag is a hard error, never a panic.
+var (
+	pls4Magic = [4]byte{'P', 'L', 'S', '4'}
+	pls6Magic = [4]byte{'P', 'L', 'S', '6'}
+	pls7Magic = [4]byte{'P', 'L', 'S', '7'}
+)
 
 // WriteTo serializes the index. It implements io.WriterTo. It writes
 // one view — the state as of the call — and runs beside queries and
@@ -87,8 +101,7 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 }
 
 // writeToPLS6 wraps the backend stream in the metric-tagged PLS6
-// envelope. L2 never takes this path, so pre-PR-10 snapshots stay
-// byte-identical.
+// envelope. L2 never takes this path.
 func (ix *Index) writeToPLS6(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	cw := &countingWriter{w: bw}
@@ -117,9 +130,9 @@ func (ix *Index) writeToPLS6(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// encode writes v as a PLS4 stream.
+// encode writes v as a PLS7 stream.
 func (ix *Index) encode(w io.Writer, v *view) error {
-	if _, err := w.Write(plsMagic[:]); err != nil {
+	if _, err := w.Write(pls7Magic[:]); err != nil {
 		return fmt.Errorf("core: write magic: %w", err)
 	}
 	cfg := ix.cfg
@@ -193,8 +206,8 @@ func (ix *Index) encode(w io.Writer, v *view) error {
 	if _, err := w.Write([]byte{0}); err != nil {
 		return fmt.Errorf("core: write quantize kind: %w", err)
 	}
-	if _, err := v.tree.WriteTo(w); err != nil {
-		return fmt.Errorf("core: write tree: %w", err)
+	if err := binary.Write(w, binary.LittleEndian, uint32(v.tree.Rows()-v.tree.Tail())); err != nil {
+		return fmt.Errorf("core: write generation: %w", err)
 	}
 	return nil
 }
@@ -212,7 +225,7 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 		return nil, fmt.Errorf("core: read magic: %w", err)
 	}
 	switch magic {
-	case plsMagic:
+	case pls4Magic, pls7Magic:
 	case pls6Magic:
 		if inner {
 			return nil, fmt.Errorf("core: nested PLS6 envelope")
@@ -377,7 +390,7 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: read quantize kind: %w", err)
 	}
-	if qb > 2 {
+	if qb > 2 || (qb != 0 && magic == pls7Magic) {
 		return nil, fmt.Errorf("core: unknown quantize kind %d", qb)
 	}
 	// dim-long arrays: none, slack (f32), offsets + scales + slack (i8).
@@ -387,29 +400,38 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 		}
 	}
 
-	tree, err := pmtree.Read(br, idSpace)
-	if err != nil {
-		return nil, fmt.Errorf("core: read tree: %w", err)
-	}
-	if tree.Len() != live || tree.Dim() != cfg.M {
-		return nil, fmt.Errorf("core: tree shape %d×%d does not match index %d×%d",
-			tree.Len(), tree.Dim(), live, cfg.M)
-	}
-	// The tree's ids — its live leaf entries and tail rows — must be
-	// exactly the live ids, each once — a corrupt stream mapping a row to
-	// a retired or out-of-range id would otherwise panic at query time
-	// instead of erroring here.
-	idSeen := make([]bool, idSpace)
-	badID := false
-	tree.WalkIDs(func(id int32) {
-		if id < 0 || int(id) >= idSpace || rowOf[id] < 0 || idSeen[id] {
-			badID = true
-			return
+	gen := n // PLS4: the tree stream that follows is not read
+	if magic == pls7Magic {
+		var g uint32
+		if err := binary.Read(br, binary.LittleEndian, &g); err != nil {
+			return nil, fmt.Errorf("core: read generation: %w", err)
 		}
-		idSeen[id] = true
-	})
-	if badID {
-		return nil, fmt.Errorf("core: tree leaf ids do not match the live id set")
+		if int(g) > n {
+			return nil, fmt.Errorf("core: generation of %d rows exceeds %d", g, n)
+		}
+		gen = int(g)
+	}
+	// Every row, dead ones included, goes into the tree's projection: a
+	// NaN there is a NaN distance on every query that reads it.
+	for row := 0; row < n; row++ {
+		if !finiteNorm(data.Row(row)) {
+			return nil, fmt.Errorf("core: row %d has a NaN or infinite component, or a norm beyond float64", row)
+		}
+	}
+	// A row holds the id rowOf maps to it; a dead one, whose id the stream
+	// does not keep, holds none.
+	ids := make([]int32, n)
+	for row := range ids {
+		ids[row] = -1
+	}
+	for id, row := range rowOf {
+		if row >= 0 {
+			ids[row] = int32(id)
+		}
+	}
+	tree, err := projectTree(proj, data, ids, gen, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 
 	chi := stats.ChiSquared{K: cfg.M}
@@ -434,12 +456,6 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 		kappa: kappa,
 	}
 	ix.publish(rowOf, cdf, 0)
-	// Sanity: stored data must be finite.
-	for i := 0; i < n; i += 1 + n/64 {
-		if !finite(data.Row(i)) {
-			return nil, fmt.Errorf("core: non-finite data at row %d", i)
-		}
-	}
 	return ix, nil
 }
 
@@ -456,8 +472,9 @@ func loadPLS6(br *bufio.Reader) (*Index, error) {
 		return nil, fmt.Errorf("core: unknown metric tag %d", tag)
 	}
 	if m == metric.L2 {
-		// L2 is always written as a bare PLS4/PLS5 stream; a PLS6+L2
-		// combination only arises from corruption or a foreign writer.
+		// L2 is always written as a bare stream or a PLS5 container; a
+		// PLS6+L2 combination only arises from corruption or a foreign
+		// writer.
 		return nil, fmt.Errorf("core: l2 index in PLS6 envelope")
 	}
 	if m == metric.Jaccard {
@@ -496,18 +513,11 @@ func loadPLS6(br *bufio.Reader) (*Index, error) {
 		ix.mipScale = scale
 		ix.ndim = ix.dim - 1
 	}
-	// Reduced rows are unit vectors by construction; spot-check so a
-	// stream with a swapped metric byte fails at load, not at query.
-	n := ix.data.Len()
-	for i := 0; i < n; i += 1 + n/64 {
-		if !ix.data.IsLive(i) {
-			continue
-		}
-		s := 0.0
-		for _, v := range ix.data.Row(i) {
-			s += v * v
-		}
-		if math.Abs(s-1) > 1e-6 {
+	// Reduced rows are unit vectors by construction, dead ones included;
+	// a stream with a swapped metric byte or a corrupt row fails at load,
+	// not at query.
+	for i := 0; i < ix.data.Len(); i++ {
+		if s := vec.Dot(ix.data.Row(i), ix.data.Row(i)); math.Abs(s-1) > 1e-6 {
 			return nil, fmt.Errorf("core: row %d is not unit-norm (|x|^2=%v) for %s metric", i, s, m)
 		}
 	}

@@ -3,12 +3,16 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/metric"
 	"repro/internal/pmtree"
 	"repro/internal/store"
 )
@@ -166,9 +170,9 @@ func samePairs(t *testing.T, label string, a, b []Pair) {
 // TestLoadDropsLegacyCodec: a stream written with the screening codec
 // retired in PR 29 still loads, and loads as the index it screened —
 // the pls4-i8 seed was built from the pls4-plain seed's data and config
-// with an i8 codec, so once loaded it writes the plain seed's bytes and
-// answers as it does. Its codec block is still read in full: cut inside
-// the slack array, the stream is refused.
+// with an i8 codec, so once loaded it writes what the loaded plain seed
+// writes, the pls7-plain seed, and answers as it does. Its codec block is
+// still read in full: cut inside the slack array, the stream is refused.
 func TestLoadDropsLegacyCodec(t *testing.T) {
 	ctx := context.Background()
 	plainBytes, i8Bytes := readFuzzSeed(t, "pls4-plain"), readFuzzSeed(t, "pls4-i8")
@@ -176,16 +180,18 @@ func TestLoadDropsLegacyCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := legacy.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), plainBytes) {
-		t.Fatalf("the loaded i8 stream writes %d bytes that are not the plain seed's %d", buf.Len(), len(plainBytes))
-	}
 	plain, err := Load(bytes.NewReader(plainBytes))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, ix := range []*Index{legacy, plain} {
+		var buf bytes.Buffer
+		if _, err := ix.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if want := readFuzzSeed(t, "pls7-plain"); !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("a loaded PLS4 seed writes %d bytes that are not the pls7-plain seed's %d", buf.Len(), len(want))
+		}
 	}
 
 	data := clusteredData(16, 3, 2, 7) // fuzzStreams' data
@@ -368,40 +374,251 @@ func TestSerializeRoundTripDeleteHeavy(t *testing.T) {
 	compare("post-compact", ix, loaded)
 }
 
-// A stream whose PM-tree leaf ids disagree with the id map (retired,
-// out-of-range or duplicated ids) must be rejected at load time — not
-// blow up on the first query that touches the bad entry. (A negative id
-// never gets this far: no tree can be built with one, and pmtree.Read
-// refuses it in a stream.)
-func TestLoadRejectsTreeIDMismatch(t *testing.T) {
-	for _, corrupt := range []int32{705, 3} { // out of range, duplicate of a live id
-		data := clusteredData(100, 6, 3, 68)
-		ix, err := Build(data, Config{Seed: 26})
+// generationState is one engine a snapshot must reproduce; make builds
+// it afresh, the same engine every call.
+type generationState struct {
+	name string
+	make func(t *testing.T) *Engine
+}
+
+// generationStates are L2, cosine and inner-product engines over 1 and 3
+// shards, as built, churned (a tail and dead rows on every shard, well
+// short of an auto-compaction) and compacted after that churn, each
+// once with its shards' trees bulk loaded and once without.
+func generationStates() []generationState {
+	var out []generationState
+	for _, m := range []metric.Kind{metric.L2, metric.Cosine, metric.InnerProduct} {
+		for _, shards := range []int{1, 3} {
+			for _, state := range []string{"built", "churned", "compacted"} {
+				for _, loaded := range []bool{false, true} {
+					out = append(out, generationState{
+						name: fmt.Sprintf("%v/shards=%d/%s/tree loaded %v", m, shards, state, loaded),
+						make: func(t *testing.T) *Engine { return generationEngine(t, m, shards, state, loaded) },
+					})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// generationData is what every generationEngine is built over; its first
+// rows are clusteredData(k, 8, 6, 111).
+var generationData = clusteredData(480, 8, 6, 111)
+
+func generationEngine(t *testing.T, m metric.Kind, shards int, state string, loaded bool) *Engine {
+	t.Helper()
+	e, err := BuildEngine(generationData, Config{Seed: 112, Shards: shards, Metric: m, DistSampleSize: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state != "built" {
+		rng := rand.New(rand.NewSource(113))
+		for i := 0; i < 90; i++ {
+			if _, err := e.Insert(nearCopy(rng, generationData[rng.Intn(len(generationData))])); err != nil {
+				t.Fatal(err)
+			}
+			if id := int32(rng.Intn(e.Len())); i%3 != 2 && e.IsLive(id) {
+				if err := e.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		info := e.Info()
+		if info.Compactions != 0 || slices.Min(info.TailFraction) == 0 || slices.Min(info.DeadFraction) == 0 {
+			t.Fatalf("the churn left %+v: compacted, or a shard without a tail or dead rows", info)
+		}
+	}
+	if state == "compacted" {
+		if err := e.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if loaded {
+		for _, ix := range e.shards {
+			ix.Tree().ScanRadius()
+		}
+	}
+	return e
+}
+
+// nearCopy returns p shrunk by a thousandth and jittered a little less:
+// a near-duplicate for ball and pair queries to find, and inside the
+// inner-product reduction's norm bound.
+func nearCopy(rng *rand.Rand, p []float64) []float64 {
+	out := make([]float64, len(p))
+	for j, v := range p {
+		out[j] = v*(1-1e-3) + 1e-4*rng.NormFloat64()
+	}
+	return out
+}
+
+// treePrint is what a test outside pmtree sees of a tree, bulk loading
+// it: its counts and switch radius, every node's geometry in traversal
+// order, and from each leaf's center a traversal at the leaf's radius —
+// the ids and distance bits it finds, and the metric evaluations it pays.
+func treePrint(t *testing.T, tr *pmtree.Tree) string {
+	t.Helper()
+	var b strings.Builder
+	fmt.Fprintln(&b, tr.Len(), tr.Rows(), tr.Tail(), tr.NumPivots(), math.Float64bits(tr.ScanRadius()))
+	tr.Walk(func(n pmtree.NodeInfo) {
+		fmt.Fprintln(&b, n)
+		if n.Leaf && n.Center != nil {
+			var en pmtree.RangeEnumerator
+			if err := en.ResetTree(tr, n.Center); err != nil {
+				t.Fatal(err)
+			}
+			en.Expand(n.Radius, func(id int32, d float64) { fmt.Fprint(&b, id, math.Float64bits(d), " ") })
+			fmt.Fprintln(&b, en.DistComps())
+		}
+	})
+	return b.String()
+}
+
+// requireSameEngine fails unless got — loaded or recovered from a
+// snapshot of want — is want: the same Info (the session's compaction
+// count aside), the same bytes written again, the same k-NN, ball and
+// pair answers with every statistic, the same tree on every shard once a
+// structural query has loaded it, and the next auto-compaction at the
+// same insert, after which both write the same bytes again.
+func requireSameEngine(t *testing.T, label string, want, got *Engine) {
+	t.Helper()
+	ctx := context.Background()
+	wi, gi := want.Info(), got.Info()
+	compacted := wi.Compactions
+	skew := wi.Compactions - gi.Compactions
+	wi.Compactions, gi.Compactions = 0, 0
+	if !reflect.DeepEqual(wi, gi) {
+		t.Fatalf("%s: Info %+v, saved %+v", label, gi, wi)
+	}
+	if !bytes.Equal(engineBytes(t, want), engineBytes(t, got)) {
+		t.Fatalf("%s: the snapshot does not write again what it was written from", label)
+	}
+	rng := rand.New(rand.NewSource(114))
+	queries := clusteredData(12, 8, 6, 111)
+	for i := range 6 {
+		queries = append(queries, nearCopy(rng, queries[i]))
+	}
+	radii := []float64{0.1, 3}
+	if wi.Metric == metric.Cosine {
+		radii = []float64{1e-6, 1e-3}
+	}
+	for qi, q := range queries {
+		var sa, sb QueryStats
+		ra, err := want.Search(ctx, q, 10, SearchOptions{Stats: &sa})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Swap in a tree over the same projections with one bogus id.
-		projected, err := ix.proj.ProjectStore(ix.data)
+		rb, err := got.Search(ctx, q, 10, SearchOptions{Stats: &sb})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids := make([]int32, 100)
-		for i := range ids {
-			ids[i] = int32(i)
+		identicalResults(t, fmt.Sprintf("%s: Search %d", label, qi), ra, rb)
+		if sa != sb {
+			t.Fatalf("%s: Search %d did %+v, saved %+v", label, qi, sb, sa)
 		}
-		ids[7] = corrupt
-		tr, err := pmtree.BuildFromStore(projected, ids, pmtree.Config{NumPivots: 5, PivotSeed: 27})
+		for _, r := range radii {
+			ba, errA := want.SearchBall(ctx, q, r, SearchOptions{Stats: &sa})
+			bb, errB := got.SearchBall(ctx, q, r, SearchOptions{Stats: &sb})
+			if (errA == nil) != (errB == nil) || (ba == nil) != (bb == nil) ||
+				(ba != nil && (ba.ID != bb.ID || math.Float64bits(ba.Dist) != math.Float64bits(bb.Dist))) || sa != sb {
+				t.Fatalf("%s: SearchBall %d at %v = %v %+v %v, saved %v %+v %v", label, qi, r, bb, sb, errB, ba, sa, errA)
+			}
+		}
+	}
+	var pa, pb CPStats
+	wp, errA := want.SearchPairs(ctx, 5, SearchOptions{PairStats: &pa})
+	gp, errB := got.SearchPairs(ctx, 5, SearchOptions{PairStats: &pb})
+	if (errA == nil) != (errB == nil) || pa != pb {
+		t.Fatalf("%s: SearchPairs did %+v (%v), saved %+v (%v)", label, pb, errB, pa, errA)
+	}
+	samePairs(t, label+": SearchPairs", wp, gp)
+	for s := range want.shards {
+		if treePrint(t, want.shards[s].Tree()) != treePrint(t, got.shards[s].Tree()) {
+			t.Fatalf("%s: shard %d's tree differs from the saved one", label, s)
+		}
+	}
+
+	for i := 0; want.Info().Compactions == compacted; i++ {
+		if i == 1000 {
+			t.Fatalf("%s: 1000 inserts and no auto-compaction", label)
+		}
+		p := nearCopy(rng, queries[i%len(queries)])
+		a, err := want.Insert(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix.tree = tr
-		ix.republish()
+		b, err := got.Insert(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b || want.Info().Compactions-got.Info().Compactions != skew {
+			t.Fatalf("%s: insert %d got ids %d and %d, compactions %d and %d (saved first)",
+				label, i, a, b, want.Info().Compactions, got.Info().Compactions)
+		}
+	}
+	if !bytes.Equal(engineBytes(t, want), engineBytes(t, got)) {
+		t.Fatalf("%s: the engines write different bytes after the auto-compaction", label)
+	}
+}
+
+// TestRoundTripKeepsTheGeneration: a snapshot stores each shard's rows
+// and where its tree's generation ends, not the tree, and LoadEngine
+// makes of it the engine that was saved (requireSameEngine), tail, dead
+// rows and tree alike, whether the saved trees had been bulk loaded or
+// not — over every generationStates engine.
+func TestRoundTripKeepsTheGeneration(t *testing.T) {
+	for _, st := range generationStates() {
+		saved := st.make(t)
+		loaded, err := LoadEngine(bytes.NewReader(engineBytes(t, saved)))
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if got := bulkLoads(t, loaded); slices.Max(got) != 0 {
+			t.Fatalf("%s: loading ran %v bulk loads", st.name, got)
+		}
+		requireSameEngine(t, st.name, saved, loaded)
+	}
+}
+
+// TestLoadValidatesEveryRow: Load refuses a stream with one bad row
+// wherever the row sits, not only on a sampled one — a NaN component,
+// which a Search would return as a distance of NaN, and under a reduced
+// metric a row that is not unit-norm. Row 1 of 400 is the row a
+// one-in-64 sample skips.
+func TestLoadValidatesEveryRow(t *testing.T) {
+	data := clusteredData(400, 6, 4, 70)
+	for _, tc := range []struct {
+		m      metric.Kind
+		header int // bytes before the index stream: a PLS6 envelope's magic and tag
+		bad    float64
+	}{
+		{metric.L2, 0, math.NaN()},
+		{metric.L2, 0, math.Inf(-1)},
+		{metric.Cosine, 5, 2},
+	} {
+		ix, err := Build(data, Config{Seed: 29, Metric: tc.m})
+		if err != nil {
+			t.Fatal(err)
+		}
 		var buf bytes.Buffer
 		if _, err := ix.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(&buf); err == nil {
-			t.Fatalf("stream with corrupt leaf id %d accepted", corrupt)
+		raw := buf.Bytes()
+		if _, err := Load(bytes.NewReader(raw)); err != nil {
+			t.Fatal(err)
+		}
+		// Row 1's first value: past the config, the shape, the projection
+		// and the distance sample, then one row of dim values.
+		v := ix.view.Load()
+		off := tc.header + treeFlagOff + 1 + 3*4 + ix.cfg.M*ix.dim*8 + 4 + len(v.distCDF)*8 + ix.dim*8
+		if got := math.Float64frombits(binary.LittleEndian.Uint64(raw[off:])); got != v.flat[ix.dim] {
+			t.Fatalf("%v: offset %d holds %v, not row 1's first value %v", tc.m, off, got, v.flat[ix.dim])
+		}
+		binary.LittleEndian.PutUint64(raw[off:], math.Float64bits(tc.bad))
+		if _, err := Load(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%v: a stream with %v in row 1 loaded", tc.m, tc.bad)
 		}
 	}
 }

@@ -41,10 +41,9 @@ import (
 // consecutive run of rows, and a traversal walks the buffer front to
 // back instead of touching a random row per entry. The entry arrays
 // (parent and pivot distances) are carved from tree-wide arenas in the
-// same order, and the ids are the layout's row → id array itself. Read
-// reproduces this layout, since the stream carries the points inline
-// per leaf, and nothing disturbs it afterwards: Insert appends to the
-// tail and Delete only marks a row.
+// same order, and the ids are the layout's row → id array itself.
+// Nothing disturbs this layout afterwards: Insert appends to the tail
+// and Delete only marks a row.
 //
 // That order is also why the load can use every core and build the same
 // tree. A partition sits at a known offset off of the row permutation,
@@ -53,7 +52,9 @@ import (
 // packLeaf writes there by index, and the halves of a bisection touch
 // disjoint memory, so one may run on another goroutine. A partition's
 // result depends on its own rows alone and a parent concatenates left
-// before right: the tree, and its stream, is the same at any GOMAXPROCS.
+// before right: the tree is the same at any GOMAXPROCS, and so is one
+// loaded again over the same rows in the same order — which is all an
+// index snapshot keeps of it.
 //
 // Cost: O(n log n) metric evaluations for the bisection plus
 // O(n·capacity) for leaf packing — comparable to one insertion pass —

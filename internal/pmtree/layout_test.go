@@ -2,6 +2,7 @@ package pmtree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -59,8 +60,7 @@ func checkLayout(tb testing.TB, tr *Tree) leafLayout {
 		}
 	}
 	walk(l.root)
-	live := 0
-	tr.WalkIDs(func(int32) { live++ })
+	live := liveCount(tr)
 	if int(next) != tr.frozen || len(l.rowID) != tr.frozen || len(l.flat) != tr.frozen*tr.dim ||
 		len(tr.tail.rowID) != tr.Tail() || len(tr.tail.flat) != tr.Tail()*tr.dim || live != tr.Len() {
 		tb.Fatalf("leaves cover %d rows of %d frozen; %d ids and %d values for them, %d ids and %d values for %d tail rows; %d live ids for Len %d",
@@ -69,52 +69,96 @@ func checkLayout(tb testing.TB, tr *Tree) leafLayout {
 	return lay
 }
 
-// liveRowIDs is the row → id array, the generation's then the tail's,
-// as a stream records it: -1 where the row is dead.
-func liveRowIDs(tr *Tree) []int32 {
-	out := append(slices.Clone(tr.built().rowID), tr.tail.rowID...)
-	for row, id := range out {
-		if !tr.liveID(id) {
-			out[row] = -1
+// liveCount counts the live ids of the generation's rows and the tail's.
+func liveCount(tr *Tree) int {
+	live := 0
+	for _, id := range slices.Concat(tr.gen.cur.Load().rowID, tr.tail.rowID) {
+		if tr.liveID(id) {
+			live++
 		}
 	}
-	return out
+	return live
 }
 
-// allRows is every row's values, the generation's then the tail's.
-func allRows(tr *Tree) []float64 {
-	return append(slices.Clone(tr.built().flat), tr.tail.flat...)
+// fingerprint is everything a tree is, bulk loading it if need be, as
+// bytes: its shape and switch radius, its pivots, then its nodes in
+// traversal order — a leaf's ids (-1 where dead), rows, parent and pivot
+// distances, a routing entry's center, radius, parent distance and rings
+// — and its tail's ids and rows. Two trees with one fingerprint answer
+// every query alike, for the same metric evaluations.
+func fingerprint(tr *Tree) []byte {
+	l := tr.built()
+	var b bytes.Buffer
+	put := func(v any) { binary.Write(&b, binary.LittleEndian, v) }
+	row := func(id int32, p []float64) {
+		if !tr.liveID(id) {
+			id = -1
+		}
+		put(id)
+		put(p)
+	}
+	put([]int64{int64(tr.dim), int64(tr.gen.cfg.Capacity), int64(tr.frozen), int64(tr.count), int64(len(l.pivots))})
+	put(l.scanRadius)
+	for _, p := range l.pivots {
+		put(p)
+	}
+	var walk func(n *node)
+	walk = func(n *node) {
+		put([]int64{int64(n.size()), int64(n.first)})
+		if n.leaf {
+			for i, id := range l.leafIDs(n) {
+				row(id, l.leafPoint(n, i))
+				put(n.parentDist[i])
+				put(n.pivotDists(i, len(l.pivots)))
+			}
+			return
+		}
+		for i := range n.routing {
+			e := &n.routing[i]
+			put(e.center)
+			put([]float64{e.radius, e.parentDist})
+			put(e.hr)
+			walk(e.child)
+		}
+	}
+	walk(l.root)
+	put(int64(tr.Tail()))
+	for i, id := range tr.tail.rowID {
+		row(id, tr.tail.row(i))
+	}
+	return b.Bytes()
 }
 
-// requireSameTree fails unless b holds what a holds, physically: the
-// same rows in the same order with the same live ids and dead rows, the
-// same tail, the same leaves over them.
+// requireSameTree fails unless b is the tree a is (see fingerprint).
 func requireSameTree(tb testing.TB, label string, a, b *Tree) {
 	tb.Helper()
-	if a.frozen != b.frozen || a.count != b.count || a.ScanRadius() != b.ScanRadius() ||
-		!slices.Equal(liveRowIDs(a), liveRowIDs(b)) || !slices.Equal(allRows(a), allRows(b)) {
-		tb.Fatalf("%s: %d/%d frozen rows, %d/%d live points, switch radius %v/%v, or the rows differ",
+	if !bytes.Equal(fingerprint(a), fingerprint(b)) {
+		tb.Fatalf("%s: %d/%d frozen rows, %d/%d live points, switch radius %v/%v, or the nodes differ",
 			label, a.frozen, b.frozen, a.count, b.count, a.ScanRadius(), b.ScanRadius())
-	}
-	var wa, wb bytes.Buffer
-	if _, err := a.WriteTo(&wa); err != nil {
-		tb.Fatal(err)
-	}
-	if _, err := b.WriteTo(&wb); err != nil {
-		tb.Fatal(err)
-	}
-	if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
-		tb.Fatalf("%s: the two trees serialize differently", label)
 	}
 }
 
-func roundTrip(tb testing.TB, tr *Tree) *Tree {
+// regrow returns the tree an index snapshot rebuilds of tr (core.Load):
+// a deferred tree over the rows tr's generation was handed, gen in that
+// order with their indexes for ids (Build's nil ids), followed by tr's
+// tail, a dead row's id -1 — the snapshot keeps no id for it.
+func regrow(tb testing.TB, tr *Tree, gen [][]float64) *Tree {
 	tb.Helper()
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
+	ids := make([]int32, len(gen))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	ids = append(ids, tr.tail.rowID...)
+	for row, id := range ids {
+		if !tr.liveID(id) {
+			ids[row] = -1
+		}
+	}
+	s, err := store.FromFlat(append(slices.Concat(gen...), tr.tail.flat...), tr.dim)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	out, err := Read(&buf, testIDLimit)
+	out, err := NewDeferred(s, ids, len(gen), tr.gen.cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -122,10 +166,10 @@ func roundTrip(tb testing.TB, tr *Tree) *Tree {
 }
 
 // TestBulkLoadIsLeafMajor pins the layout contract of the two ways a
-// tree comes into being: after a bulk load and after Read every leaf is
-// one row run, the runs tile the store in traversal order with no tail
-// behind them, and the two trees are the same tree (same stream) over
-// the same layout.
+// tree comes into being, an eager build and a deferred one's first use:
+// every leaf is one row run, the runs tile the rows in traversal order
+// with no tail behind them, and the two trees are the same tree over the
+// same layout.
 func TestBulkLoadIsLeafMajor(t *testing.T) {
 	for _, cfg := range []Config{
 		{NumPivots: 5, Capacity: 16, PivotSeed: 3},
@@ -142,9 +186,9 @@ func TestBulkLoadIsLeafMajor(t *testing.T) {
 			if lay := checkLayout(t, tr); tr.Tail() != 0 || lay.dead != 0 || lay.entries != n {
 				t.Fatalf("%s: built tree has layout %+v and %d tail rows", label, lay, tr.Tail())
 			}
-			loaded := roundTrip(t, tr)
-			checkLayout(t, loaded)
-			requireSameTree(t, label, tr, loaded)
+			deferred := regrow(t, tr, data)
+			checkLayout(t, deferred)
+			requireSameTree(t, label, tr, deferred)
 		}
 	}
 }
@@ -189,11 +233,36 @@ func TestBuildFromStoreLeavesSourceAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b bytes.Buffer
-	first.WriteTo(&a)
-	second.WriteTo(&b)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("two trees over one store differ")
+	requireSameTree(t, "two trees over one store", first, second)
+
+	// An insert goes to a buffer of the tree's own, never to the spare
+	// capacity behind the caller's rows, which the caller's next Append
+	// fills.
+	grown, err := store.New(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range data {
+		if _, err := grown.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f := grown.Flat(); cap(f) == len(f) {
+		t.Fatal("the grown store has no spare capacity to test against")
+	}
+	tr, err := BuildFromStore(grown, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := randData(1, 5, 43)[0]
+	if err := tr.Insert(p, 700); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := grown.Append(make([]float64, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(tr.tail.row(0), p) {
+		t.Fatal("the caller's Append overwrote the tree's tail")
 	}
 }
 
@@ -211,7 +280,7 @@ func TestDeferredTreeLoadsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deferred, err := NewDeferred(src, nil, cfg)
+	deferred, err := NewDeferred(src, nil, src.Len(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,9 +481,10 @@ func requireSameBits(tb testing.TB, label string, got, want []Result) {
 
 // TestChurnGrowsTailAndRebuildFoldsIt follows a tree through churn: no
 // mutation touches a node — leaves keep tiling the frozen rows, every
-// insert lands in the tail, every delete is a mark — the churned tree's
-// round trip is the same tree, physically, and answers like it, and a
-// bulk load over the live points has no tail and no dead row.
+// insert lands in the tail, every delete is a mark — the tree regrown
+// from its rows as a snapshot keeps them is the same tree, physically,
+// and answers like it, and a bulk load over the live points has no tail
+// and no dead row.
 func TestChurnGrowsTailAndRebuildFoldsIt(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	data := randData(800, 6, 5)
@@ -422,7 +492,8 @@ func TestChurnGrowsTailAndRebuildFoldsIt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built := roundTrip(t, tr)
+	base := slices.Clone(data)
+	builtRows, builtRadius := slices.Clone(tr.built().flat), tr.ScanRadius()
 	for step := 0; step < 300; step++ {
 		if step%2 == 0 {
 			p := randData(1, 6, rng.Int63())[0]
@@ -442,17 +513,17 @@ func TestChurnGrowsTailAndRebuildFoldsIt(t *testing.T) {
 		}
 		checkLayout(t, tr)
 	}
-	if tr.Tail() != 150 || tr.Rows() != 950 || tr.Len() != 800 || tr.ScanRadius() != built.ScanRadius() {
+	if tr.Tail() != 150 || tr.Rows() != 950 || tr.Len() != 800 || tr.ScanRadius() != builtRadius {
 		t.Fatalf("150 inserts and 150 deletes left %d tail rows of %d for %d points, switch radius %v (built: %v)",
-			tr.Tail(), tr.Rows(), tr.Len(), tr.ScanRadius(), built.ScanRadius())
+			tr.Tail(), tr.Rows(), tr.Len(), tr.ScanRadius(), builtRadius)
 	}
-	if !slices.Equal(tr.built().flat, built.built().flat) {
+	if !slices.Equal(tr.built().flat, builtRows) {
 		t.Fatal("churn moved the rows the leaves cover")
 	}
 
-	reloaded := roundTrip(t, tr)
+	reloaded := regrow(t, tr, base)
 	checkLayout(t, reloaded)
-	requireSameTree(t, "churned tree and its round trip", tr, reloaded)
+	requireSameTree(t, "churned tree and its regrown one", tr, reloaded)
 	var ids []int32
 	var live [][]float64
 	for id, p := range data {
@@ -470,9 +541,9 @@ func TestChurnGrowsTailAndRebuildFoldsIt(t *testing.T) {
 		a.Expand(r, func(id int32, d float64) { got = append(got, Result{id, d}) })
 		b.ResetTree(reloaded, q)
 		b.Expand(r, func(id int32, d float64) { want = append(want, Result{id, d}) })
-		requireSameBits(t, "churned tree vs its round trip", got, want)
+		requireSameBits(t, "churned tree vs its regrown one", got, want)
 		if a.DistComps() != b.DistComps() {
-			t.Fatalf("the churned tree paid %d metric evaluations, its round trip %d", a.DistComps(), b.DistComps())
+			t.Fatalf("the churned tree paid %d metric evaluations, its regrown one %d", a.DistComps(), b.DistComps())
 		}
 	}
 

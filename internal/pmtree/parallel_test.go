@@ -12,8 +12,9 @@ import (
 // tree it builds must not depend on how many there were or on which
 // half finished first. The race detector sees unsynchronized access,
 // not order: a leaf packed at the wrong offset or a level concatenated
-// right before left is a different stream, which is what this compares,
-// together with the evaluation count the load adds once at its end.
+// right before left is a different fingerprint, which is what this
+// compares, together with the evaluation count the load adds once at its
+// end.
 func TestBulkLoadSameBytesAtAnyParallelism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
@@ -54,16 +55,13 @@ func TestBulkLoadSameBytesAtAnyParallelism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var buf bytes.Buffer
-				if _, err := tr.WriteTo(&buf); err != nil {
-					t.Fatal(err)
-				}
+				got := fingerprint(tr)
 				if procs == 1 {
-					want, wantCalcs = buf.Bytes(), tr.DistanceComputations()
+					want, wantCalcs = got, tr.DistanceComputations()
 					continue
 				}
-				if !bytes.Equal(buf.Bytes(), want) {
-					t.Errorf("%s, sparse ids %v: stream at GOMAXPROCS=%d differs from the one at 1", fx.name, ids != nil, procs)
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s, sparse ids %v: tree at GOMAXPROCS=%d differs from the one at 1", fx.name, ids != nil, procs)
 				}
 				if got := tr.DistanceComputations(); got != wantCalcs {
 					t.Errorf("%s, sparse ids %v: %d distance computations at GOMAXPROCS=%d, %d at 1", fx.name, ids != nil, got, procs, wantCalcs)

@@ -14,8 +14,8 @@
 // With s = 0 pivots the structure degrades gracefully to a plain
 // M-tree, which the parameter study of Fig. 6(a) exploits.
 //
-// Memory layout is part of the design. A bulk load or Read lays the
-// tree's points out leaf-major: each leaf's points are one consecutive
+// Memory layout is part of the design. A bulk load lays the tree's
+// points out leaf-major: each leaf's points are one consecutive
 // run of rows and the leaves follow each other in traversal order.
 // Leaves keep their entries as parallel arrays, so a range query opens
 // a leaf as a batch — all filter lower bounds in one kernel pass, then
@@ -26,10 +26,13 @@
 // starts as a generation: the rows it was made over, their ids and a
 // delete epoch per id — all the flat pass (RangeEnumerator.Reset)
 // reads. The first call that reads the nodes, pivots or switch radius —
-// a traversal, a pair join, Walk, WriteTo — bulk loads them, once, for
-// the tree and every snapshot of it (Build and BuildFromStore at once,
+// a traversal, a pair join, Walk — bulk loads them, once, for the tree
+// and every snapshot of it (Build and BuildFromStore at once,
 // NewDeferred on first use). The load swaps the rows for a leaf-major
-// copy, so a generation holds one copy of them.
+// copy, so a generation holds one copy of them. The structure is a pure
+// function of the generation's rows, in the order handed over, and the
+// Config: nothing stores it, and the index layer's snapshot rebuilds a
+// generation from its rows (NewDeferred with a tail).
 //
 // The structure is frozen once built: no node is ever split, grown or
 // emptied. Insert appends the point to a tail of rows in a buffer of
@@ -185,7 +188,8 @@ type layout struct {
 	flat []float64 // the rows, dim values each
 	// rowID maps a row to the id of the point it holds: the leaves' id
 	// array (see node), and what lets a flat pass name the points it
-	// finds. -1 only where Read found a row its stream marked dead.
+	// finds. -1 only where NewDeferred was handed a row whose point is
+	// gone.
 	rowID      []int32
 	root       *node // nil until bulk loaded
 	pivots     [][]float64
@@ -233,16 +237,7 @@ func New(dim int, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pmtree: %w", err)
 	}
-	return NewDeferred(s, nil, cfg)
-}
-
-// newTree returns a tree over the generation l and the tail, all live.
-func newTree(cfg Config, l *layout, tail layout) *Tree {
-	g := &generation{cfg: cfg}
-	g.cur.Store(l)
-	t := &Tree{dim: l.dim, gen: g, frozen: len(l.rowID), tail: tail, stats: &treeStats{}}
-	t.resetLiveness()
-	return t
+	return NewDeferred(s, nil, 0, cfg)
 }
 
 // Snapshot returns the tree as it stands: a read-only Tree sharing t's
@@ -283,7 +278,7 @@ func BuildFromStore(s *store.Store, ids []int32, cfg Config) (*Tree, error) {
 	if s.Len() == 0 {
 		return nil, fmt.Errorf("pmtree: BuildFromStore requires at least one point")
 	}
-	t, err := NewDeferred(s, ids, cfg)
+	t, err := NewDeferred(s, ids, s.Len(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -291,11 +286,15 @@ func BuildFromStore(s *store.Store, ids []int32, cfg Config) (*Tree, error) {
 	return t, nil
 }
 
-// NewDeferred returns the tree BuildFromStore returns, bulk loaded by
-// the first call that reads its structure. Until then s's buffer and ids
-// are the tree's rows: the caller must not modify either. A store
-// without rows makes an empty tree, as New does.
-func NewDeferred(s *store.Store, ids []int32, cfg Config) (*Tree, error) {
+// NewDeferred returns the tree BuildFromStore returns over the first
+// frozen rows of s, bulk loaded by the first call that reads its
+// structure, with the rows after them as its tail: the tree those rows
+// grew into by Insert. ids follows Build's contract, except that -1
+// names a row whose point is gone (Delete's, once the id it held is
+// forgotten); a tail's ids ascend. Until the bulk load s's buffer and ids
+// are the tree's rows: the caller must not modify either. No frozen rows
+// make a tree without nodes, as New does.
+func NewDeferred(s *store.Store, ids []int32, frozen int, cfg Config) (*Tree, error) {
 	if cfg.Capacity == 0 {
 		cfg.Capacity = DefaultCapacity
 	}
@@ -305,7 +304,10 @@ func NewDeferred(s *store.Store, ids []int32, cfg Config) (*Tree, error) {
 	if cfg.NumPivots < 0 {
 		return nil, fmt.Errorf("pmtree: NumPivots must be >= 0, got %d", cfg.NumPivots)
 	}
-	n := s.Len()
+	n, dim := s.Len(), s.Dim()
+	if frozen < 0 || frozen > n {
+		return nil, fmt.Errorf("pmtree: %d frozen rows of %d", frozen, n)
+	}
 	if ids == nil {
 		ids = make([]int32, n)
 		for i := range ids {
@@ -316,15 +318,23 @@ func NewDeferred(s *store.Store, ids []int32, cfg Config) (*Tree, error) {
 		return nil, fmt.Errorf("pmtree: got %d ids for %d points", len(ids), n)
 	}
 	for _, id := range ids {
-		if id < 0 {
+		if id < -1 {
 			return nil, fmt.Errorf("pmtree: negative id %d", id)
 		}
 	}
-	l := &layout{dim: s.Dim(), flat: s.Flat(), rowID: ids}
-	if n == 0 {
-		l.root = &node{leaf: true} // nothing to load: every insert goes to the tail
+	// Capped slices: an Insert appends to the tail in a buffer of its own,
+	// never in spare capacity behind the caller's rows or ids.
+	flat, split := s.Flat()[:n*dim:n*dim], frozen*dim
+	l := &layout{dim: dim, flat: flat[:split:split], rowID: ids[:frozen:frozen]}
+	if frozen == 0 {
+		l.root = &node{leaf: true} // nothing to load: every row is the tail's
 	}
-	return newTree(cfg, l, layout{dim: s.Dim()}), nil
+	g := &generation{cfg: cfg}
+	g.cur.Store(l)
+	t := &Tree{dim: dim, gen: g, frozen: frozen, stats: &treeStats{},
+		tail: layout{dim: dim, flat: flat[split:], rowID: ids[frozen:n:n]}}
+	t.resetLiveness()
+	return t, nil
 }
 
 // built returns the generation's rows with the structure over them,
@@ -373,20 +383,9 @@ func (t *Tree) liveID(id int32) bool {
 	return d == 0 || d > t.epoch
 }
 
-// WalkIDs calls fn with every indexed point's id (the deserialization
-// loader uses it to validate the tree's ids against the index's id
-// map).
-func (t *Tree) WalkIDs(fn func(id int32)) {
-	for _, id := range slices.Concat(t.gen.cur.Load().rowID, t.tail.rowID) {
-		if t.liveID(id) {
-			fn(id)
-		}
-	}
-}
-
 // resetLiveness starts del, epoch and count over for the ids of the
 // generation and the tail, all live, every other id up to the largest
-// marked never held.
+// marked never held (-1 names none).
 func (t *Tree) resetLiveness() {
 	ids := slices.Concat([]int32{-1}, t.gen.cur.Load().rowID, t.tail.rowID) // -1: never empty
 	t.del = make([]atomic.Uint32, int(slices.Max(ids))+1)
@@ -432,7 +431,7 @@ const scanRadiusFactor = 0.25
 func (t *Tree) ScanRadius() float64 { return t.built().scanRadius }
 
 // deriveScanRadius sets scanRadius from the leaf-level routing entries,
-// after a bulk load and after Read.
+// after a bulk load.
 func (l *layout) deriveScanRadius() {
 	var radii []float64
 	var walk func(n *node)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/store"
 	"repro/internal/vec"
 )
 
@@ -77,6 +78,26 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := Build([][]float64{{1, 2}}, []int32{1, 2}, Config{}); err == nil {
 		t.Error("id length mismatch should fail")
+	}
+	// -1 names a row whose point is gone; a generation lies within the rows.
+	s, err := store.FromRows([][]float64{{1, 2}, {3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(s.Rows(), []int32{0, -2}, Config{}); err == nil {
+		t.Error("id -2 should fail")
+	}
+	for _, frozen := range []int{-1, 3} {
+		if _, err := NewDeferred(s, nil, frozen, Config{}); err == nil {
+			t.Errorf("a generation of %d rows of 2 should fail", frozen)
+		}
+	}
+	tr, err := NewDeferred(s, []int32{-1, 4}, 1, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != 1 || tr.Tail() != 1 || !tr.IsLive(4) || tr.IsLive(0) {
+		t.Errorf("rows with ids -1 and 4, one frozen: %d live, %d tail rows", tr.Len(), tr.Tail())
 	}
 }
 

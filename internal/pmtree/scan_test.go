@@ -85,7 +85,7 @@ func scanCases(tb testing.TB) []scanCase {
 			if err != nil {
 				tb.Fatal(err)
 			}
-			deferred, err := NewDeferred(src, nil, cfg)
+			deferred, err := NewDeferred(src, nil, src.Len(), cfg)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -278,9 +278,9 @@ func TestSquaredCeil(t *testing.T) {
 }
 
 // TestScanRadiusSetAtLoad pins when the switch radius is derived: by a
-// bulk load — eager, or a deferred tree's first use after any number of
-// inserts — and by Read (the same value, the stream carries no trace of
-// it), from the leaves, which inserts never change.
+// bulk load — eager, a deferred tree's first use after any number of
+// inserts, or the first use of one regrown from the rows with its tail —
+// from the leaves, which inserts never change.
 func TestScanRadiusSetAtLoad(t *testing.T) {
 	data := randData(500, 6, 12)
 	cfg := Config{NumPivots: 3, PivotSeed: 2}
@@ -292,7 +292,7 @@ func TestScanRadiusSetAtLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deferred, err := NewDeferred(src, nil, cfg)
+	deferred, err := NewDeferred(src, nil, src.Len(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +314,8 @@ func TestScanRadiusSetAtLoad(t *testing.T) {
 	if got := deferred.ScanRadius(); got != built {
 		t.Fatalf("a deferred tree loaded after the inserts has switch radius %v, built %v", got, built)
 	}
-	if loaded := roundTrip(t, tr); loaded.ScanRadius() != built {
-		t.Fatalf("loaded tree has switch radius %v, built %v", loaded.ScanRadius(), built)
+	if regrown := regrow(t, tr, data); regrown.ScanRadius() != built || regrown.Tail() != 600 {
+		t.Fatalf("regrown tree has switch radius %v and %d tail rows, built %v and 600", regrown.ScanRadius(), regrown.Tail(), built)
 	}
 }
 

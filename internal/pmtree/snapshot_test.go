@@ -10,7 +10,7 @@ import (
 
 // TestSnapshotKeepsItsMoment is the tree-level half of the index's
 // isolation contract: a Snapshot answers every query — the traversal,
-// the flat pass, the pair join, serialization — from the points it held
+// the flat pass, the pair join, its fingerprint — from the points it held
 // when taken, while the tree it came from goes on inserting (past the
 // snapshot's lengths, through several growth reallocations of every
 // array) and deleting (epochs later than the snapshot's). Readers run
@@ -35,11 +35,11 @@ func TestSnapshotKeepsItsMoment(t *testing.T) {
 		queries[i] = data[rng.Intn(len(data))]
 	}
 	// answers of one tree state: a small radius (traversal), a large one
-	// (flat pass), the closest pairs and the stream.
+	// (flat pass), the closest pairs and the fingerprint.
 	type answers struct {
 		near, far [][]Result
 		pairs     []PairCandidate
-		stream    []byte
+		print     []byte
 	}
 	ask := func(tree *Tree) answers {
 		var a answers
@@ -67,11 +67,7 @@ func TestSnapshotKeepsItsMoment(t *testing.T) {
 			}
 			a.pairs = append(a.pairs, c)
 		}
-		var buf bytes.Buffer
-		if _, err := tree.WriteTo(&buf); err != nil {
-			t.Error(err)
-		}
-		a.stream = buf.Bytes()
+		a.print = fingerprint(tree)
 		return a
 	}
 	same := func(tag string, got, want answers) {
@@ -84,8 +80,8 @@ func TestSnapshotKeepsItsMoment(t *testing.T) {
 		if !slices.Equal(got.pairs, want.pairs) {
 			t.Errorf("%s: closest pairs changed", tag)
 		}
-		if !bytes.Equal(got.stream, want.stream) {
-			t.Errorf("%s: the stream changed", tag)
+		if !bytes.Equal(got.print, want.print) {
+			t.Errorf("%s: the fingerprint changed", tag)
 		}
 	}
 	want := ask(snap)
@@ -130,8 +126,7 @@ func TestSnapshotKeepsItsMoment(t *testing.T) {
 	// The tree itself, and a snapshot of it now, hold everything since.
 	late := ask(tr.Snapshot())
 	same("tree and its latest snapshot", ask(tr), late)
-	live := 0
-	tr.WalkIDs(func(int32) { live++ })
+	live := liveCount(tr)
 	if tr.Rows() != 900 || live != tr.Len() || tr.Len() >= 860 {
 		t.Fatalf("the tree holds %d points (%d walked) in %d rows", tr.Len(), live, tr.Rows())
 	}

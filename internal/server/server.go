@@ -137,7 +137,7 @@ func New(cfg Config) (*Server, error) {
 		"Compact operations (explicit and automatic) since the engine was opened.",
 		func() float64 { return float64(s.eng.Info().Compactions) })
 	compactHist := reg.Histogram("pmlsh_compact_duration_seconds",
-		"Duration of each shard compaction, explicit or automatic: a repack, then projection beside the F(x) sample on GOMAXPROCS goroutines, holding that shard's writer mutex throughout — its other mutations wait, its queries do not. The PM-tree is bulk loaded later, by the first query that reads its structure (a ball, pair or checkpoint), not here.",
+		"Duration of each shard compaction, explicit or automatic: a repack, then projection beside the F(x) sample on GOMAXPROCS goroutines, holding that shard's writer mutex throughout — its other mutations wait, its queries do not. The PM-tree is bulk loaded later, by the first query that reads its structure (a ball or pair query), not here nor by a checkpoint.",
 		obs.ExpBuckets(0.001, 2, 14))
 	s.eng.OnCompact(func(d time.Duration) { compactHist.Observe(d.Seconds()) })
 	reg.GaugeFuncVec("pmlsh_index_dead_fraction",

@@ -308,19 +308,21 @@ func (x *Index) DeriveParams(c float64) (Params, error) {
 	return x.ix.DeriveParams(c)
 }
 
-// WriteTo serializes the index (projection, tree structure, dataset
-// with tombstones, id map, distance sample; with Shards > 1 the shard
-// layout too) to w in a little-endian binary format. A loaded index
-// answers queries identically to the saved one and holds the same live
-// set, retired ids and dead rows. Like queries, WriteTo reads published
-// views — it neither waits on concurrent mutations nor makes them
-// wait. A single-shard index
-// writes exactly the pre-sharding stream format.
+// WriteTo serializes the index (projection, dataset with tombstones, id
+// map, distance sample and the count of rows its PM-tree was begun over;
+// with Shards > 1 the shard layout too) to w in a little-endian binary
+// format. The tree itself is not written: a loaded index rebuilds it
+// from the rows on first structural use, answers queries identically to
+// the saved one, with the same statistics, and holds the same live set,
+// retired ids, dead rows and tail. Like queries, WriteTo reads published
+// views — it neither waits on concurrent mutations nor makes them wait,
+// and loads no tree.
 func (x *Index) WriteTo(w io.Writer) (int64, error) { return x.ix.WriteTo(w) }
 
 // Load deserializes an index written with WriteTo, including streams
-// written by earlier versions of this package (which load with a
-// single shard).
+// written by earlier versions of this package (a pre-sharding one loads
+// with a single shard; one that carried a serialized tree loads its rows
+// as one fresh generation).
 func Load(r io.Reader) (*Index, error) {
 	ix, err := core.LoadEngine(r)
 	if err != nil {
