@@ -13,8 +13,6 @@
 package main
 
 import (
-	"bufio"
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -72,7 +70,7 @@ func run(name string, scale float64, maxN int, out string, seed int64) error {
 		names = append(names, spec.Name)
 		stats = append(stats, st)
 		if out != "" {
-			if err := export(out, ds); err != nil {
+			if err := dataset.WriteDump(out, ds.Points); err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s (n=%d d=%d)\n", out, st.N, st.D)
@@ -80,26 +78,4 @@ func run(name string, scale float64, maxN int, out string, seed int64) error {
 	}
 	bench.PrintDatasetStats(os.Stdout, names, stats)
 	return nil
-}
-
-func export(path string, ds *dataset.Dataset) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriterSize(f, 1<<20)
-	hdr := []int64{int64(len(ds.Points)), int64(ds.Spec.D)}
-	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
-		return err
-	}
-	for _, p := range ds.Points {
-		if err := binary.Write(w, binary.LittleEndian, p); err != nil {
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return f.Close()
 }

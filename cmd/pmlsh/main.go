@@ -23,7 +23,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"math"
@@ -36,6 +35,7 @@ import (
 	"time"
 
 	pmlsh "repro"
+	"repro/internal/dataset"
 	"repro/internal/vec"
 )
 
@@ -104,7 +104,7 @@ func runBuild(args []string) error {
 	if mk == pmlsh.MetricJaccard {
 		return fmt.Errorf("build indexes vectors; the jaccard metric indexes sets (use the library's BuildSets)")
 	}
-	data, err := readDump(*dataPath)
+	data, err := dataset.ReadDump(*dataPath)
 	if err != nil {
 		return err
 	}
@@ -230,7 +230,7 @@ func runBench(args []string) error {
 	case *indexPath != "":
 		ix, err = loadIndex(*indexPath)
 	case *dataPath != "":
-		if data, err = readDump(*dataPath); err == nil {
+		if data, err = dataset.ReadDump(*dataPath); err == nil {
 			ix, err = pmlsh.Build(data, pmlsh.Config{Seed: *seed, Shards: *shards})
 		}
 	default:
@@ -356,7 +356,7 @@ func runChurn(args []string) error {
 	if *delFrac < 0 || *delFrac > 1 {
 		return fmt.Errorf("-delfrac must be in [0,1], got %v", *delFrac)
 	}
-	data, err := readDump(*dataPath)
+	data, err := dataset.ReadDump(*dataPath)
 	if err != nil {
 		return err
 	}
@@ -523,32 +523,6 @@ func loadIndex(path string) (*pmlsh.Index, error) {
 	}
 	defer f.Close()
 	return pmlsh.Load(bufio.NewReaderSize(f, 1<<20))
-}
-
-func readDump(path string) ([][]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	hdr := make([]int64, 2)
-	if err := binary.Read(r, binary.LittleEndian, hdr); err != nil {
-		return nil, fmt.Errorf("read header: %w", err)
-	}
-	n, d := int(hdr[0]), int(hdr[1])
-	if n < 1 || d < 1 || n > 1<<30 || d > 1<<20 {
-		return nil, fmt.Errorf("implausible dump header n=%d d=%d", n, d)
-	}
-	flat := make([]float64, n*d)
-	if err := binary.Read(r, binary.LittleEndian, flat); err != nil {
-		return nil, fmt.Errorf("read vectors: %w", err)
-	}
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = flat[i*d : (i+1)*d : (i+1)*d]
-	}
-	return out, nil
 }
 
 func parsePoint(s string) ([]float64, error) {

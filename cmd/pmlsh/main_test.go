@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // With -data, bench's queries are rows of the dump, drawn by -seed.
@@ -32,7 +34,7 @@ func TestBenchDataQueriesAreDumpRows(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := readDump(path)
+	data, err := dataset.ReadDump(path)
 	if err != nil {
 		t.Fatal(err)
 	}

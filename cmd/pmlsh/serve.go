@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/server"
 	"repro/internal/wal"
 )
@@ -137,7 +138,7 @@ func serveDebug(log *slog.Logger, addr string) (*http.Server, error) {
 func buildOrLoadEngine(log *slog.Logger, dataPath, loadPath string, shards int, seed int64) (*core.Engine, error) {
 	switch {
 	case dataPath != "":
-		data, err := readDump(dataPath)
+		data, err := dataset.ReadDump(dataPath)
 		if err != nil {
 			return nil, fmt.Errorf("serve: read dataset %s: %w", dataPath, err)
 		}

@@ -25,6 +25,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/loadgen"
 	"repro/internal/metric"
 )
@@ -53,7 +54,7 @@ func run(args []string) error {
 	if *dataPath == "" {
 		return fmt.Errorf("pmlshload requires -data (the dump the server was built from)")
 	}
-	data, err := readDump(*dataPath)
+	data, err := dataset.ReadDump(*dataPath)
 	if err != nil {
 		return err
 	}

@@ -163,7 +163,7 @@
 // query and compact needs no rebuilds and no downtime:
 //
 //	id, err := index.Insert(point) // fresh id from a monotone counter
-//	err = index.Delete(id)         // retires the id, tombstones the row
+//	err = index.Delete(id)         // retires the id, leaves its row dead
 //	err = index.Compact()          // repacks storage, starts a new tree
 //	index.Len()                    // ids ever assigned
 //	index.LiveLen()                // live points
@@ -171,26 +171,27 @@
 //
 // Ids are stable: they are never reused and never remapped, not by
 // Delete and not by Compact, so an id a caller holds refers to the
-// same point for the index's lifetime. Delete marks the point's row
-// in the projected-space tree dead (the tree's regions keep covering
-// it, so they stay valid) and tombstones its row in the vector store.
-// Nothing refills that row: an Insert appends a new one, and its
-// projection joins the tree's tail. Queries never return a deleted point. A point with a
+// same point for the index's lifetime. Delete stamps the point with a
+// delete epoch in the projected-space tree — the one record of its
+// death; the tree's regions keep covering it, so they stay valid — and
+// leaves its row in the vector store, dead. Nothing refills that row:
+// an Insert appends a new one to the store, and its projection to the
+// tree's tail. Queries never return a deleted point. A point with a
 // NaN or infinite component, or a norm beyond float64, is refused by
 // Build, Insert and every query with an ordinary error.
 //
 // Dead rows and a growing tail are what small-radius queries pay for
 // under churn (a Search scans the rows either way). Compact — called
-// explicitly, or automatically once the tombstoned share of the store
-// (on Delete) or the tail's share of the tree's rows (on Insert)
-// reaches Config.AutoCompactFraction (default 0.3; negative disables;
-// the AutoCompactAlways sentinel compacts on every tombstone) —
+// explicitly, or automatically once the dead share of the rows (on
+// Delete) or the tail's share of the tree's rows (on Insert) reaches
+// Config.AutoCompactFraction (default 0.3; negative disables; the
+// AutoCompactAlways sentinel compacts on every delete) —
 // rebuilds over exactly the live set, restoring fresh-build query cost
 // once the first query that needs the tree bulk loads it; the mutation
 // that triggers it waits for the repack and the projection, which hold
 // its shard's writer mutex throughout.
 // Serialization (WriteTo/Load) persists the full lifecycle state:
-// tombstones, retired ids, the dead rows, and where the tree's tail
+// the live set, retired ids, the dead rows, and where the tree's tail
 // begins. It stores the rows, not the tree: Load projects them again and
 // the tree, a function of those rows, is bulk loaded by its first
 // structural query, as after a build. Streams from earlier versions

@@ -47,12 +47,12 @@ const (
 	DefaultC          = 1.5 // approximation ratio
 	DefaultRMinShrink = 0.9 // "an r_min slightly smaller than r"
 
-	// DefaultAutoCompactFraction is the tombstone share at which Delete,
+	// DefaultAutoCompactFraction is the dead-row share at which Delete,
 	// and the tail share at which Insert, triggers an automatic Compact.
 	DefaultAutoCompactFraction = 0.3
 
 	// AutoCompactAlways is a sentinel for Config.AutoCompactFraction
-	// meaning "compact on any tombstone": every Delete that leaves at
+	// meaning "compact on any dead row": every Delete that leaves at
 	// least one dead row triggers a Compact. A literal 0 cannot express
 	// this — the zero value must keep meaning "unset, use the default"
 	// — so the sentinel is the smallest positive float64: a threshold
@@ -91,14 +91,14 @@ type Config struct {
 	// the confidence interval; see DeriveParams for the calibration).
 	Beta float64
 	// AutoCompactFraction is the share at which the index compacts
-	// itself: Delete triggers a Compact when the tombstones reach that
-	// share of the vector store's rows, Insert when the projected-space
-	// tree's tail reaches that share of the tree's rows (TailFraction).
-	// The dead share counts every row tombstoned since the last Compact —
-	// no insert refills one — so under insert/delete churn it rises
-	// alongside the tail share instead of staying near zero.
+	// itself: Delete triggers a Compact when the dead rows — rows whose
+	// point was deleted since the last Compact — reach that share of the
+	// rows, Insert when the projected-space tree's tail reaches it
+	// (TailFraction). No insert refills a dead row, so under insert/delete
+	// churn the dead share rises alongside the tail share instead of
+	// staying near zero.
 	// 0 means DefaultAutoCompactFraction; negative disables
-	// auto-compaction; AutoCompactAlways compacts on any tombstone and
+	// auto-compaction; AutoCompactAlways compacts on any dead row and
 	// leaves the tail at DefaultAutoCompactFraction (a rebuild per insert
 	// is never wanted); values above 1 are rejected (neither share can
 	// exceed 1).
@@ -262,14 +262,14 @@ type Index struct {
 // length it has here; the next view shares the arrays and extends them,
 // or — after Compact — holds fresh ones.
 type view struct {
-	flat     []float64 // the data rows: row r is flat[r*dim:(r+1)*dim]
-	deadRows []int32   // the rows tombstoned since the last Compact
+	flat []float64 // the data rows: row r is flat[r*dim:(r+1)*dim]
 	// rowOf maps an id to its row in flat; the next Insert gets id
 	// len(rowOf). A deleted id keeps its row until Compact leaves it out
 	// (-1 from then on): whether an id is live is the tree's to say.
 	rowOf []int32
 	// tree is a pmtree.Tree.Snapshot: its epoch is the view's, its Len
-	// the view's live count.
+	// the view's live count, its Rows those of flat — so the rows it does
+	// not count live are the dead ones.
 	tree *pmtree.Tree
 	// distCDF is the sorted sample of original-space pairwise distances
 	// r_min is read from: drawn at Build and Compact, read by Load, frozen
@@ -295,11 +295,15 @@ func (v *view) tailFraction() float64 {
 	return 0
 }
 
-// deadFraction is the share of the store's rows that are tombstoned:
-// what Delete's auto-compaction watches, as tailFraction is Insert's.
-func (v *view) deadFraction(dim int) float64 {
-	if len(v.flat) > 0 {
-		return float64(len(v.deadRows)) / float64(len(v.flat)/dim)
+// dead is the number of rows whose point was deleted since the last
+// Compact: rows the tree holds but does not count live.
+func (v *view) dead() int { return v.tree.Rows() - v.tree.Len() }
+
+// deadFraction is the dead share of the rows: what Delete's
+// auto-compaction watches, as tailFraction is Insert's.
+func (v *view) deadFraction() float64 {
+	if rows := v.tree.Rows(); rows > 0 {
+		return float64(v.dead()) / float64(rows)
 	}
 	return 0
 }
@@ -310,7 +314,6 @@ func (v *view) deadFraction(dim int) float64 {
 func (ix *Index) publish(rowOf []int32, distCDF []float64, compactions int64) {
 	ix.view.Store(&view{
 		flat:        ix.data.Flat(),
-		deadRows:    ix.data.DeadRows(),
 		rowOf:       rowOf,
 		tree:        ix.tree.Snapshot(),
 		distCDF:     distCDF,
@@ -505,10 +508,6 @@ func buildInternal(s *store.Store, cfg Config, ndim int, scale float64) (*Index,
 	if s.Len() == 0 {
 		return nil, fmt.Errorf("core: Build requires a non-empty dataset")
 	}
-	if s.Live() != s.Len() {
-		return nil, fmt.Errorf("core: BuildFromStore requires a tombstone-free store (%d of %d rows dead)",
-			s.Len()-s.Live(), s.Len())
-	}
 	for row, n := 0, s.Len(); row < n; row++ {
 		if !finiteNorm(s.Row(row)) {
 			return nil, fmt.Errorf("core: row %d has a NaN or infinite component, or a norm beyond float64", row)
@@ -680,13 +679,14 @@ func (ix *Index) Insert(p []float64) (int32, error) {
 	return id, nil
 }
 
-// Delete removes the point with the given id. The id stays retired
-// forever — later Inserts get fresh ids — and the point's storage row
-// is tombstoned until the next Compact drops it. A query that loaded
-// its view before Delete returns finishes on the state it began with
-// and may still return the point; none that starts afterwards does.
-// When the tombstoned share of the store reaches
-// Config.AutoCompactFraction the index compacts itself before returning.
+// Delete removes the point with the given id: the tree stamps it with a
+// delete epoch, the one record of its death. The id stays retired
+// forever — later Inserts get fresh ids — and the point's row stays,
+// dead, until the next Compact drops it. A query that loaded its view
+// before Delete returns finishes on the state it began with and may
+// still return the point; none that starts afterwards does. When the
+// dead share of the rows reaches Config.AutoCompactFraction the index
+// compacts itself before returning.
 func (ix *Index) Delete(id int32) error {
 	if ix.metric == metric.Jaccard {
 		return ix.mh.Delete(id)
@@ -703,18 +703,15 @@ func (ix *Index) Delete(id int32) error {
 	if err := ix.tree.Delete(id); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if err := ix.data.Delete(int(cur.rowOf[id])); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
 	ix.publish(cur.rowOf, cur.distCDF, cur.compactions)
-	if f := ix.cfg.AutoCompactFraction; f > 0 && ix.data.DeadFraction() >= f {
+	if f := ix.cfg.AutoCompactFraction; f > 0 && ix.view.Load().deadFraction() >= f {
 		return ix.compactLocked()
 	}
 	return nil
 }
 
 // Compact rebuilds the index over its live points: the contiguous
-// store is repacked (tombstones dropped, rows in id order) and
+// store is repacked (dead rows dropped, rows in id order) and
 // projected, which starts a new generation of the projected-space tree —
 // the only way its structure ever changes: the tail of points inserted
 // since moves under leaves (TailFraction back to 0), dead rows are left
@@ -771,8 +768,8 @@ func (ix *Index) compactLocked() error {
 // buffer sized for them (grown by Append it would be re-copied several
 // times over, with wmu held), with their ids and each id's new row.
 func (ix *Index) repack(cur *view) (flat []float64, ids, rowOf []int32) {
-	flat = make([]float64, 0, ix.data.Live()*ix.dim)
-	ids = make([]int32, 0, ix.data.Live())
+	flat = make([]float64, 0, ix.tree.Len()*ix.dim)
+	ids = make([]int32, 0, ix.tree.Len())
 	rowOf = make([]int32, len(cur.rowOf))
 	for id, row := range cur.rowOf {
 		rowOf[id] = -1

@@ -243,7 +243,7 @@ func (d *durable) delete(e *Engine, gid int32) error {
 // compact is the durable Compact path. Only explicit compactions are
 // logged — the auto-compactions Insert and Delete can trigger replay
 // deterministically from those records themselves: a checkpoint carries
-// each shard's tombstones and tail exactly.
+// each shard's dead rows and tail exactly.
 func (d *durable) compact(e *Engine) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -280,7 +280,7 @@ func (e *Engine) insertMem(p []float64) (int32, error) {
 }
 
 // Delete removes the point with the given global id (same contract as
-// Index.Delete, auto-compaction included — a shard whose tombstone
+// Index.Delete, auto-compaction included — a shard whose dead-row
 // share crosses Config.AutoCompactFraction compacts itself without
 // blocking readers, as one whose tail share does on Insert).
 func (e *Engine) Delete(gid int32) error {
@@ -374,7 +374,8 @@ type EngineInfo struct {
 	IDs int
 	// Live is the number of live (not deleted) points.
 	Live int
-	// Dead is the number of tombstoned storage rows awaiting Compact.
+	// Dead is the number of rows whose point was deleted, awaiting
+	// Compact: each shard's PM-tree rows less its live points.
 	Dead int
 	// Compactions counts Compact operations (explicit and auto)
 	// completed since the engine was built or loaded.
@@ -386,8 +387,8 @@ type EngineInfo struct {
 	// the speed of small-radius (tree-served) queries what Dead is to
 	// memory — the decay a Compact undoes.
 	TailFraction []float64
-	// DeadFraction is, per shard, the share of the vector store's rows
-	// that are tombstoned (view.deadFraction): 0 after a build or
+	// DeadFraction is, per shard, the dead share of the rows
+	// (view.deadFraction): 0 after a build or
 	// compaction, rising with every delete until it reaches
 	// Config.AutoCompactFraction and the shard compacts itself. With
 	// TailFraction it says how far each shard is from auto-compaction.
@@ -420,10 +421,10 @@ func (e *Engine) Info() EngineInfo {
 		}
 		v := ix.view.Load()
 		info.TailFraction[s] = v.tailFraction()
-		info.DeadFraction[s] = v.deadFraction(ix.dim)
+		info.DeadFraction[s] = v.deadFraction()
 		info.IDs += len(v.rowOf)
 		info.Live += v.live()
-		info.Dead += len(v.deadRows)
+		info.Dead += v.dead()
 		info.Compactions += v.compactions
 	}
 	return info

@@ -16,7 +16,8 @@ package core
 // which mattered while the tree was read). Then the inputs Load must
 // refuse: one stream per retired magic (testdata keeps real PLS1–PLS3
 // bytes from the releases that wrote them), one with the R-tree flag set
-// in each layout, and a PLS7 stream whose generation outnumbers its rows.
+// in each layout, a PLS7 stream whose generation outnumbers its rows, and
+// a Jaccard stream whose first set claims 2²⁸ tokens it does not hold.
 // FuzzLoad adds a PLS7 stream cut inside each of its fields; the fuzzer
 // mutates all of them, and their truncations and bit flips, further.
 //
@@ -163,7 +164,7 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 		sets[i] = []uint64{uint64(i), uint64(i + 1), uint64(2*i + 7), 1 << 20}
 	}
 	jac, err := BuildSets(sets, Config{Metric: metric.Jaccard, Seed: 7, MinHashBands: 4, MinHashRows: 2})
-	add("pls6-jaccard", jac, err)
+	jaccard := add("pls6-jaccard", jac, err)
 
 	// What earlier releases wrote of the same indexes: PLS4 streams, bare
 	// and in both containers, each ending in a PM-tree stream.
@@ -177,8 +178,8 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 		out = append(out, fuzzStream{name: name, data: legacy, legacy: true})
 	}
 
-	// Must-reject: the retired magics, the R-tree flag, and a generation
-	// count beyond the rows.
+	// Must-reject: the retired magics, the R-tree flag, a generation count
+	// beyond the rows, and a set length beyond the stream.
 	for _, v := range []byte{'1', '2', '3'} {
 		s := append([]byte(nil), plain...)
 		s[3] = v
@@ -191,6 +192,11 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 	over := append([]byte(nil), tailed...)
 	binary.LittleEndian.PutUint32(over[len(over)-4:], uint32(len(data)+2))
 	out = append(out, fuzzStream{name: "pls7-generation-above-rows", data: over, reject: true})
+	// The first MinHash set's length, past the envelope (5 bytes) and the
+	// PMH1 header (40), claims 2²⁸ tokens: a read error, not a 2 GiB set.
+	huge := append([]byte(nil), jaccard...)
+	binary.LittleEndian.PutUint32(huge[5+40:], 1<<28)
+	out = append(out, fuzzStream{name: "pls6-jaccard-huge-set", data: huge, reject: true})
 	return out
 }
 
@@ -212,7 +218,7 @@ func pls7Cuts(tb testing.TB, ix *Index) map[string][]byte {
 		{"rmin shrink and beta", 16}, {"auto-compact fraction", 8}, {"tree flag", 1},
 		{"shape", 12}, {"projection", ix.cfg.M * ix.dim * 8},
 		{"cdf length", 4}, {"cdf", len(v.distCDF) * 8}, {"data", len(v.flat) * 8},
-		{"free-list length", 4}, {"free list", len(v.deadRows) * 4}, {"row map", len(v.rowOf) * 4},
+		{"free-list length", 4}, {"free list", v.dead() * 4}, {"row map", len(v.rowOf) * 4},
 		{"quantize kind", 1}, {"generation", 4},
 	}
 	out := map[string][]byte{}

@@ -18,7 +18,7 @@ func TestPutScratchShedsOversizedBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := 2*ix.data.Live() + 1024
+	bound := 2*ix.LiveLen() + 1024
 
 	s := ix.getScratch()
 	s.ids = make([]int32, 0, bound+1)
@@ -55,7 +55,7 @@ func TestAutoCompactFractionSentinels(t *testing.T) {
 		if err := ix.Delete(id); err != nil {
 			t.Fatal(err)
 		}
-		if df := ix.data.DeadFraction(); df != 0 {
+		if df := ix.deadFraction(); df != 0 {
 			t.Fatalf("AutoCompactAlways: dead fraction %v after Delete, want 0", df)
 		}
 	}
@@ -74,13 +74,13 @@ func TestAutoCompactFractionSentinels(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if df := ix.data.DeadFraction(); df == 0 {
+	if df := ix.deadFraction(); df == 0 {
 		t.Fatal("default threshold compacted below 0.3")
 	}
 	if err := ix.Delete(29); err != nil {
 		t.Fatal(err)
 	}
-	if df := ix.data.DeadFraction(); df != 0 {
+	if df := ix.deadFraction(); df != 0 {
 		t.Fatalf("default threshold: dead fraction %v at 0.3, want compact", df)
 	}
 
@@ -94,7 +94,7 @@ func TestAutoCompactFractionSentinels(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if df := ix.data.DeadFraction(); df == 0 {
+	if df := ix.deadFraction(); df == 0 {
 		t.Fatal("negative AutoCompactFraction still auto-compacted")
 	}
 }
@@ -118,7 +118,7 @@ func TestAutoCompactAlwaysRoundTrip(t *testing.T) {
 	if err := loaded.Delete(7); err != nil {
 		t.Fatal(err)
 	}
-	if df := loaded.data.DeadFraction(); df != 0 {
+	if df := loaded.deadFraction(); df != 0 {
 		t.Fatalf("loaded index lost AutoCompactAlways: dead fraction %v", df)
 	}
 }

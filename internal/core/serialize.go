@@ -24,10 +24,11 @@ import (
 //	dim u32 | slots u32 | nextID u32
 //	projection rows (m × dim f64)
 //	distCDF length u32 + values
-//	data (slots × dim f64, the store's flat buffer verbatim —
-//	tombstoned rows keep their values)
-//	free list: u32 count + count × i32 slots — the dead rows, in the
-//	order they were deleted
+//	data (slots × dim f64, the store's flat buffer verbatim — dead
+//	rows keep their values)
+//	free list: u32 count + count × i32 slots — the dead rows, the ones
+//	no live id maps to, ascending (streams of earlier releases list
+//	them in the order they were deleted)
 //	rowOf: nextID × i32 (id → slot, -1 = deleted)
 //	quantize: kind u8 (always 0)
 //	generation u32: the rows the PM-tree was begun over; the slots
@@ -35,10 +36,11 @@ import (
 //
 // The free list and the id → row indirection carry the
 // mutation-lifecycle state, so an index saved mid-churn loads with the
-// same live set, the same retired ids, and the same dead rows — the
-// field keeps the name it had while Insert refilled them; nothing does
-// any more, and a stream written then loads with its dead rows staying
-// dead.
+// same live set, the same retired ids, and the same dead rows. The free
+// list is redundant with rowOf — its slots are exactly the ones no id
+// maps to — and Load checks that it is; it keeps the name it had while
+// Insert refilled them. Nothing does any more, and a stream written
+// then loads with its dead rows staying dead.
 //
 // The PM-tree is not stored: it is a function of the projected rows
 // (paper Section 4.1). Load projects the data again and hands the first
@@ -175,33 +177,35 @@ func (ix *Index) encode(w io.Writer, v *view) error {
 	if err := binary.Write(w, binary.LittleEndian, v.distCDF); err != nil {
 		return fmt.Errorf("core: write cdf: %w", err)
 	}
-	// The store's flat buffer is the wire format; encode it through a
-	// fixed-size chunk buffer (binary.Write would materialize the whole
-	// 8*n*dim-byte encoding at once, doubling memory during save).
-	if err := writeFloat64s(w, v.flat); err != nil {
+	// The store's flat buffer is the wire format, written in bounded
+	// chunks so a save does not double the memory.
+	if err := store.WriteFloat64s(w, v.flat); err != nil {
 		return fmt.Errorf("core: write data: %w", err)
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(v.deadRows))); err != nil {
+	// A deleted id keeps its row in the view until Compact; the stream
+	// says -1 for it either way, and lists the rows no live id holds.
+	rowOf := make([]int32, len(v.rowOf))
+	held := make([]bool, len(v.flat)/ix.dim)
+	for id, row := range v.rowOf {
+		rowOf[id] = -1
+		if v.tree.IsLive(int32(id)) {
+			rowOf[id], held[row] = row, true
+		}
+	}
+	free := make([]int32, 0, v.dead())
+	for row, h := range held {
+		if !h {
+			free = append(free, int32(row))
+		}
+	}
+	if err := binary.Write(w, binary.LittleEndian, uint32(len(free))); err != nil {
 		return fmt.Errorf("core: write free-list length: %w", err)
 	}
-	if len(v.deadRows) > 0 {
-		if err := binary.Write(w, binary.LittleEndian, v.deadRows); err != nil {
-			return fmt.Errorf("core: write free list: %w", err)
-		}
+	if err := binary.Write(w, binary.LittleEndian, free); err != nil {
+		return fmt.Errorf("core: write free list: %w", err)
 	}
-	if len(v.rowOf) > 0 {
-		// A deleted id keeps its row in the view until Compact; the stream
-		// says -1 for it either way.
-		rowOf := make([]int32, len(v.rowOf))
-		for id, row := range v.rowOf {
-			rowOf[id] = -1
-			if v.tree.IsLive(int32(id)) {
-				rowOf[id] = row
-			}
-		}
-		if err := binary.Write(w, binary.LittleEndian, rowOf); err != nil {
-			return fmt.Errorf("core: write row map: %w", err)
-		}
+	if err := binary.Write(w, binary.LittleEndian, rowOf); err != nil {
+		return fmt.Errorf("core: write row map: %w", err)
 	}
 	if _, err := w.Write([]byte{0}); err != nil {
 		return fmt.Errorf("core: write quantize kind: %w", err)
@@ -323,12 +327,12 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 	if int(cdfLen) > 10*cfg.DistSampleSize+1 {
 		return nil, fmt.Errorf("core: implausible cdf length %d", cdfLen)
 	}
-	cdf, err := readFloat64s(br, int(cdfLen))
+	cdf, err := store.ReadFloat64s(br, int(cdfLen))
 	if err != nil {
 		return nil, fmt.Errorf("core: read cdf: %w", err)
 	}
 
-	flat, err := readFloat64s(br, n*dim)
+	flat, err := store.ReadFloat64s(br, n*dim)
 	if err != nil {
 		return nil, fmt.Errorf("core: read data: %w", err)
 	}
@@ -337,7 +341,7 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	// Churn state: free list (tombstones) and the id → row map.
+	// Churn state: the free list (the dead rows) and the id → row map.
 	rowOf := make([]int32, idSpace)
 	var freeLen uint32
 	if err := binary.Read(br, binary.LittleEndian, &freeLen); err != nil {
@@ -346,41 +350,40 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 	if int(freeLen) > n {
 		return nil, fmt.Errorf("core: free list of %d slots exceeds %d rows", freeLen, n)
 	}
-	if freeLen > 0 {
-		free := make([]int32, freeLen)
-		if err := binary.Read(br, binary.LittleEndian, free); err != nil {
-			return nil, fmt.Errorf("core: read free list: %w", err)
-		}
-		// RestoreDeadRows rejects out-of-range and duplicate slots.
-		if err := data.RestoreDeadRows(free); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
+	free := make([]int32, freeLen)
+	if err := binary.Read(br, binary.LittleEndian, free); err != nil {
+		return nil, fmt.Errorf("core: read free list: %w", err)
 	}
-	if idSpace > 0 {
-		if err := binary.Read(br, binary.LittleEndian, rowOf); err != nil {
-			return nil, fmt.Errorf("core: read row map: %w", err)
+	// marked[row]: the row is dead (listed free) or mapped by a live id —
+	// one or the other, exactly once.
+	marked := make([]bool, n)
+	for _, row := range free {
+		if row < 0 || int(row) >= n || marked[row] {
+			return nil, fmt.Errorf("core: free list names row %d twice or outside [0,%d)", row, n)
 		}
+		marked[row] = true
+	}
+	if err := binary.Read(br, binary.LittleEndian, rowOf); err != nil {
+		return nil, fmt.Errorf("core: read row map: %w", err)
 	}
 	// The map must be a bijection between live ids and live rows: every
-	// mapped row in range, live, and mapped only once; the mapped count
-	// then pins down full coverage.
-	rowSeen := make([]bool, n)
+	// mapped row in range, not free, and mapped only once; the mapped
+	// count then pins down full coverage.
 	mapped := 0
 	for id, row := range rowOf {
 		if row < 0 {
 			continue
 		}
-		if int(row) >= n || !data.IsLive(int(row)) {
+		if int(row) >= n {
 			return nil, fmt.Errorf("core: id %d maps to invalid row %d", id, row)
 		}
-		if rowSeen[row] {
-			return nil, fmt.Errorf("core: row %d mapped by more than one id", row)
+		if marked[row] {
+			return nil, fmt.Errorf("core: row %d mapped by more than one id, or free", row)
 		}
-		rowSeen[row] = true
+		marked[row] = true
 		mapped++
 	}
-	live := data.Live()
-	if mapped != live {
+	if live := n - len(free); mapped != live {
 		return nil, fmt.Errorf("core: row map covers %d rows, store has %d live", mapped, live)
 	}
 
@@ -395,7 +398,7 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 	}
 	// dim-long arrays: none, slack (f32), offsets + scales + slack (i8).
 	for range [...]int{0, 1, 3}[qb] {
-		if _, err := readFloat64s(br, dim); err != nil {
+		if _, err := store.ReadFloat64s(br, dim); err != nil {
 			return nil, fmt.Errorf("core: read codec parameters: %w", err)
 		}
 	}
@@ -531,55 +534,6 @@ func finite(fs []float64) bool {
 		}
 	}
 	return true
-}
-
-// readFloat64s reads total little-endian float64s incrementally: the
-// buffer grows only as data actually arrives, so a corrupt header
-// demanding more floats than the stream holds fails with a read error
-// once the stream ends instead of committing a header-sized up-front
-// allocation.
-func readFloat64s(r io.Reader, total int) ([]float64, error) {
-	const chunk = 16384
-	capHint := total
-	if capHint > 1<<24 {
-		capHint = 1 << 24
-	}
-	out := make([]float64, 0, capHint)
-	buf := make([]byte, chunk*8)
-	for len(out) < total {
-		n := total - len(out)
-		if n > chunk {
-			n = chunk
-		}
-		if _, err := io.ReadFull(r, buf[:n*8]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:])))
-		}
-	}
-	return out, nil
-}
-
-// writeFloat64s streams fs as little-endian float64s through a bounded
-// scratch buffer.
-func writeFloat64s(w io.Writer, fs []float64) error {
-	const chunk = 16384
-	buf := make([]byte, chunk*8)
-	for len(fs) > 0 {
-		n := len(fs)
-		if n > chunk {
-			n = chunk
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(fs[i]))
-		}
-		if _, err := w.Write(buf[:n*8]); err != nil {
-			return err
-		}
-		fs = fs[n:]
-	}
-	return nil
 }
 
 type countingWriter struct {

@@ -623,6 +623,46 @@ func TestLoadValidatesEveryRow(t *testing.T) {
 	}
 }
 
+// TestWriteListsDeadRowsAscending: the free list a stream carries is the
+// rows no live id maps to, ascending, whatever order the deletes came
+// in — and Load refuses one that names a row twice, a row out of range,
+// or a row a live id maps to.
+func TestWriteListsDeadRowsAscending(t *testing.T) {
+	data := clusteredData(40, 5, 2, 71)
+	ix, err := Build(data, Config{Seed: 30, AutoCompactFraction: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int32{17, 3, 29} {
+		if err := ix.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	v := ix.view.Load()
+	at := treeFlagOff + 1 + 3*4 + ix.cfg.M*ix.dim*8 + 4 + len(v.distCDF)*8 + len(v.flat)*8
+	free := func(i int) []byte { return raw[at+4+4*i:] }
+	if n := binary.LittleEndian.Uint32(raw[at:]); n != 3 {
+		t.Fatalf("the free list has %d rows, want 3", n)
+	}
+	for i, want := range []uint32{3, 17, 29} {
+		if got := binary.LittleEndian.Uint32(free(i)); got != want {
+			t.Fatalf("free list entry %d is row %d, want %d", i, got, want)
+		}
+	}
+	for _, forged := range []uint32{3, 40, 0} { // twice, out of range, live
+		bad := bytes.Clone(raw)
+		binary.LittleEndian.PutUint32(bad[at+4+4*2:], forged)
+		if _, err := Load(bytes.NewReader(bad)); err == nil {
+			t.Errorf("a free list of rows 3, 17, %d loaded", forged)
+		}
+	}
+}
+
 // A stream whose id map aliases two ids onto one storage row must be
 // rejected even when the mapped count matches the live count.
 func TestLoadRejectsDuplicateRowMapping(t *testing.T) {

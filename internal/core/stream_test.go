@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
+	"repro/internal/pmtree"
 	"repro/internal/vec"
 )
 
@@ -16,22 +18,22 @@ import (
 // reference: the pre-enumerator Algorithm 2, which issued a fresh
 // RangeSearch from the root every round and deduplicated re-returned
 // candidates with per-query marks. The reference below is that code,
-// retained verbatim (marks as a map); its RangeSearch goes through the
-// PM-tree's public API, which pmtree pins bit-identical to its
-// retained recursive traversal.
+// retained verbatim (marks as a map); its range query is one fresh
+// PM-tree traversal (what RangeSearch runs, which pmtree pins
+// bit-identical to its retained recursive traversal), counted locally.
 
-// refRangeSearch materializes one full range query through the
-// PM-tree's public RangeSearch, as the restart loop did.
-func refRangeSearch(ix *Index, q []float64, r float64) ([]Result, error) {
-	res, err := ix.tree.RangeSearch(q, r)
-	if err != nil {
-		return nil, err
+// refRangeSearch materializes one full range query as RangeSearch does —
+// a fresh traversal, sorted by (distance, id) — and returns the metric
+// evaluations it paid.
+func refRangeSearch(ix *Index, q []float64, r float64) ([]Result, int64, error) {
+	var e pmtree.RangeEnumerator
+	if err := e.ResetTree(ix.tree, q); err != nil {
+		return nil, 0, err
 	}
-	out := make([]Result, len(res))
-	for i, x := range res {
-		out[i] = Result{ID: x.ID, Dist: x.Dist}
-	}
-	return out, nil
+	var out []Result
+	e.Expand(r, func(id int32, d float64) { out = append(out, Result{ID: id, Dist: d}) })
+	slices.SortFunc(out, compareDistID)
+	return out, e.DistComps(), nil
 }
 
 // refFirstRound is where Algorithm 2 starts for n live points: the
@@ -61,7 +63,7 @@ func refKNNWithStats(ix *Index, q []float64, k int, c float64) ([]Result, QueryS
 	if err != nil {
 		return nil, st, err
 	}
-	n := ix.data.Live()
+	n := ix.LiveLen()
 	if n == 0 {
 		return nil, st, nil
 	}
@@ -69,16 +71,15 @@ func refKNNWithStats(ix *Index, q []float64, k int, c float64) ([]Result, QueryS
 
 	qp := ix.proj.Project(q)
 	seen := make(map[int32]bool)
-	ix.tree.ScanRadius() // the bulk load counts on the tree's counter: pay it first
-	distStart := ix.tree.DistanceComputations()
 	top := make([]Result, 0, k)
 	bound := math.Inf(1)
 	for {
 		st.Rounds++
-		projRes, err := refRangeSearch(ix, qp, params.T*r)
+		projRes, paid, err := refRangeSearch(ix, qp, params.T*r)
 		if err != nil {
 			return nil, st, err
 		}
+		st.ProjectedDistComps += paid
 		for _, pr := range projRes {
 			if seen[pr.ID] {
 				continue
@@ -108,7 +109,6 @@ func refKNNWithStats(ix *Index, q []float64, k int, c float64) ([]Result, QueryS
 		r *= c
 	}
 	st.FinalRadius = r
-	st.ProjectedDistComps = ix.tree.DistanceComputations() - distStart
 	for i := range top {
 		top[i].Dist = math.Sqrt(top[i].Dist)
 	}
@@ -129,9 +129,9 @@ func refBallCover(ix *Index, q []float64, r, c float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := ix.data.Live()
+	n := ix.LiveLen()
 	betaN := int(math.Ceil(params.Beta * float64(n)))
-	projRes, err := refRangeSearch(ix, ix.proj.Project(q), params.T*r)
+	projRes, _, err := refRangeSearch(ix, ix.proj.Project(q), params.T*r)
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func seqSearch(ix *Index, q []float64, k int, o SearchOptions) ([]Result, QueryS
 	if err != nil {
 		return nil, st, err
 	}
-	n := ix.data.Live()
+	n := ix.LiveLen()
 	needed := int(math.Ceil(params.Beta*float64(n))) + k
 	if o.Budget > 0 {
 		needed = o.Budget
@@ -91,7 +91,7 @@ func seqSearchBall(ix *Index, q []float64, r float64, o SearchOptions) (*Result,
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	betaN := int(math.Ceil(params.Beta * float64(ix.data.Live())))
+	betaN := int(math.Ceil(params.Beta * float64(ix.LiveLen())))
 	if o.Budget > 0 {
 		betaN = o.Budget
 	}
@@ -189,7 +189,7 @@ func TestBlockVerifierMatchesSequential(t *testing.T) {
 	if _, err := ix.Insert(data[200]); err != nil {
 		t.Fatal(err)
 	}
-	n := ix.data.Live()
+	n := ix.LiveLen()
 	queries := [][]float64{data[0], data[150], data[699]} // the duplicated point first
 	for i := 0; i < 3; i++ {
 		q := make([]float64, len(data[0]))

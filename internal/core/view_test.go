@@ -10,8 +10,8 @@ func (ix *Index) point(id int32) []float64 {
 }
 
 // What EngineInfo reports of this shard, read from its current view.
-func (ix *Index) dead() int             { return len(ix.view.Load().deadRows) }
-func (ix *Index) deadFraction() float64 { return ix.view.Load().deadFraction(ix.dim) }
+func (ix *Index) dead() int             { return ix.view.Load().dead() }
+func (ix *Index) deadFraction() float64 { return ix.view.Load().deadFraction() }
 func (ix *Index) tailFraction() float64 { return ix.view.Load().tailFraction() }
 func (ix *Index) compactions() int64    { return ix.view.Load().compactions }
 

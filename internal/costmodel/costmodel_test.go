@@ -180,15 +180,17 @@ func TestRandomRadiusAgainstMeasurement(t *testing.T) {
 	for _, sel := range []float64{0.02, 0.1, 0.3} {
 		rq := f.Quantile(sel)
 		model := PMTreeCost(pm, f, rq)
-		pm.ResetStats()
 		const queries = 15
+		var paid int64
 		for i := 0; i < queries; i++ {
 			q := projected[rng.Intn(len(projected))]
-			if _, err := pm.RangeSearch(q, rq); err != nil {
+			cc, err := pmRangeCost(pm, q, rq)
+			if err != nil {
 				t.Fatal(err)
 			}
+			paid += cc
 		}
-		measured := float64(pm.DistanceComputations()) / queries
+		measured := float64(paid) / queries
 		if ratio := model / measured; ratio < 0.1 || ratio > 10 {
 			t.Errorf("sel=%v: model %v vs measured %v", sel, model, measured)
 		}

@@ -2,8 +2,12 @@ package minhash
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -322,6 +326,39 @@ func TestReadRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(bad)); err == nil {
 		t.Fatal("unsorted set accepted")
+	}
+}
+
+// TestReadBoundsSetAllocation: a short stream whose set claims 2²⁸
+// tokens (2 GiB) fails with a read error, having allocated about what it
+// held, not what it claimed.
+func TestReadBoundsSetAllocation(t *testing.T) {
+	x, err := New(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.Insert([]uint64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := x.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	const setLenAt = 4 + 4 + 4 + 8 + 8 + 4 + 4 + 4 // magic, header, id space
+	if got := binary.LittleEndian.Uint32(raw[setLenAt:]); got != 3 {
+		t.Fatalf("offset %d holds %d, not the set's length 3", setLenAt, got)
+	}
+	binary.LittleEndian.PutUint32(raw[setLenAt:], 1<<28)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Read(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Read of a set claiming 2^28 tokens: %v, want a short read", err)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 64<<20 {
+		t.Fatalf("Read allocated %d bytes for a %d-byte stream", grown, len(raw))
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 const pmhMagic = "PMH1"
@@ -101,8 +102,8 @@ func Read(r io.Reader) (*Index, error) {
 		if setLen > 1<<28 {
 			return nil, fmt.Errorf("minhash: implausible set size %d", setLen)
 		}
-		s := make([]uint64, setLen)
-		if err := binary.Read(br, binary.LittleEndian, s); err != nil {
+		s, err := readTokens(br, int(setLen))
+		if err != nil {
 			return nil, fmt.Errorf("minhash: reading set %d: %w", id, err)
 		}
 		for i := 1; i < len(s); i++ {
@@ -127,6 +128,25 @@ func Read(r io.Reader) (*Index, error) {
 	}
 	x.dead = int(dead)
 	return x, nil
+}
+
+// tokenChunk is how many tokens readTokens reads at a time.
+const tokenChunk = 8192
+
+// readTokens reads n little-endian u64 tokens in chunks: the set grows
+// only as tokens arrive, so a corrupt length fails with a read error once
+// the stream ends instead of allocating what it claims.
+func readTokens(r io.Reader, n int) ([]uint64, error) {
+	var s []uint64
+	for len(s) < n {
+		m := min(n-len(s), tokenChunk)
+		s = slices.Grow(s, m)
+		if err := binary.Read(r, binary.LittleEndian, s[len(s):len(s)+m]); err != nil {
+			return nil, err
+		}
+		s = s[:len(s)+m]
+	}
+	return s, nil
 }
 
 type countingWriter struct {

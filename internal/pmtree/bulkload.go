@@ -57,8 +57,7 @@ import (
 // index snapshot keeps of it.
 //
 // Cost: O(n log n) metric evaluations for the bisection plus
-// O(n·capacity) for leaf packing — comparable to one insertion pass —
-// counted per call site and added to the tree's counter once.
+// O(n·capacity) for leaf packing — comparable to one insertion pass.
 
 // loader is one bulk load: the rows it reads, in the order they were
 // handed over, and the leaf-major layout it fills — the rows copied
@@ -73,21 +72,14 @@ type loader struct {
 // row returns source row i.
 func (b *loader) row(i int) []float64 { return b.src.row(i) }
 
-// loadPart is one goroutine's share of a load: the leaf-level routing
-// entries of its partitions, in row order, and the evaluations it paid.
-type loadPart struct {
-	level []routingEntry
-	calcs int64
-}
-
 // spawnFloor is the partition size up to which both halves of a
 // bisection stay on one goroutine: handing one over would cost more.
 const spawnFloor = 512
 
 // bulkLoad builds the tree over the rows of src, which is only read, and
 // returns the leaf-major layout: src.rowID[row] is stored with each
-// point. The metric evaluations it paid are added to stats.
-func bulkLoad(src *layout, cfg Config, stats *treeStats) *layout {
+// point.
+func bulkLoad(src *layout, cfg Config) *layout {
 	n, dim := len(src.rowID), src.dim
 	rows := make([][]float64, n)
 	for i := range rows {
@@ -111,42 +103,42 @@ func bulkLoad(src *layout, cfg Config, stats *treeStats) *layout {
 	slots := make(chan struct{}, runtime.GOMAXPROCS(0)-1)
 
 	// rec loads the partition rs, rows [off, off+len(rs)) of the arenas,
-	// into p. mm carries a partition's minimax result (aligned with the
-	// current ordering of rs) down the recursion so each partition's O(m²)
-	// matrix is computed once, not re-derived by the refinement check
-	// and again by packLeaf.
-	var rec func(off int, rs []int32, da, db []float64, mm *minimaxResult, p *loadPart)
+	// appending its leaf-level routing entries, in row order, to the
+	// level one goroutine fills. mm carries a partition's minimax result
+	// (aligned with the current ordering of rs) down the recursion so each
+	// partition's O(m²) matrix is computed once, not re-derived by the
+	// refinement check and again by packLeaf.
+	var rec func(off int, rs []int32, da, db []float64, mm *minimaxResult, level *[]routingEntry)
 	// halves loads rs[:mid] then rs[mid:], the right half on another
 	// goroutine when one is free and the partition is worth it.
-	halves := func(off, mid int, rs []int32, da, db []float64, mmL, mmR *minimaxResult, p *loadPart) {
+	halves := func(off, mid int, rs []int32, da, db []float64, mmL, mmR *minimaxResult, level *[]routingEntry) {
 		if len(rs) > spawnFloor {
 			select {
 			case slots <- struct{}{}:
-				var right loadPart
+				var right []routingEntry
 				done := make(chan struct{})
 				go func() {
 					rec(off+mid, rs[mid:], da[mid:], db[mid:], mmR, &right)
 					<-slots
 					close(done)
 				}()
-				rec(off, rs[:mid], da[:mid], db[:mid], mmL, p)
+				rec(off, rs[:mid], da[:mid], db[:mid], mmL, level)
 				<-done
-				p.level = append(p.level, right.level...)
-				p.calcs += right.calcs
+				*level = append(*level, right...)
 				return
 			default:
 			}
 		}
-		rec(off, rs[:mid], da[:mid], db[:mid], mmL, p)
-		rec(off+mid, rs[mid:], da[mid:], db[mid:], mmR, p)
+		rec(off, rs[:mid], da[:mid], db[:mid], mmL, level)
+		rec(off+mid, rs[mid:], da[mid:], db[mid:], mmR, level)
 	}
-	rec = func(off int, rs []int32, da, db []float64, mm *minimaxResult, p *loadPart) {
+	rec = func(off int, rs []int32, da, db []float64, mm *minimaxResult, level *[]routingEntry) {
 		if len(rs) > b.capacity {
-			halves(off, b.bisect(rs, da, db, false, p), rs, da, db, nil, nil, p)
+			halves(off, b.bisect(rs, da, db, false), rs, da, db, nil, nil, level)
 			return
 		}
 		if mm == nil {
-			mm = b.minimax(rs, p)
+			mm = b.minimax(rs)
 		}
 		// Refinement: a leaf-sized chunk still splits when both halves'
 		// covering radii fall under half the chunk's — the chunk
@@ -160,28 +152,27 @@ func bulkLoad(src *layout, cfg Config, stats *treeStats) *layout {
 			probe := append([]int32(nil), rs...)
 			pda := make([]float64, len(probe))
 			pdb := make([]float64, len(probe))
-			if mid := b.bisect(probe, pda, pdb, true, p); mid > 0 {
-				mmL := b.minimax(probe[:mid], p)
-				mmR := b.minimax(probe[mid:], p)
+			if mid := b.bisect(probe, pda, pdb, true); mid > 0 {
+				mmL := b.minimax(probe[:mid])
+				mmR := b.minimax(probe[mid:])
 				if mmL.radius <= 0.5*mm.radius && mmR.radius <= 0.5*mm.radius {
 					copy(rs, probe)
-					halves(off, mid, rs, da, db, mmL, mmR, p)
+					halves(off, mid, rs, da, db, mmL, mmR, level)
 					return
 				}
 			}
 		}
-		b.packLeaf(off, rs, mm, p)
+		*level = append(*level, b.packLeaf(off, rs, mm))
 	}
-	var all loadPart
-	rec(0, perm, da, db, nil, &all)
-	level := all.level
+	var level []routingEntry
+	rec(0, perm, da, db, nil, &level)
 
 	// Assemble upper levels until the entries fit one root node.
 	for len(level) > b.capacity {
 		next := make([]routingEntry, 0, (len(level)+b.capacity-1)/b.capacity)
 		for g := 0; g < len(level); g += b.capacity {
 			end := min(g+b.capacity, len(level))
-			next = append(next, b.makeParent(slices.Clone(level[g:end]), &all))
+			next = append(next, b.makeParent(slices.Clone(level[g:end])))
 		}
 		level = next
 	}
@@ -195,7 +186,6 @@ func bulkLoad(src *layout, cfg Config, stats *treeStats) *layout {
 		}
 		out.root = &node{leaf: false, routing: level}
 	}
-	stats.distCalcs.Add(all.calcs)
 	out.deriveScanRadius()
 	return out
 }
@@ -205,8 +195,7 @@ func bulkLoad(src *layout, cfg Config, stats *treeStats) *layout {
 // two-sided partition is accepted, and -1 reports a degenerate one;
 // otherwise imbalance beyond 1:3 falls back to a median split so the
 // recursion depth stays logarithmic.
-func (b *loader) bisect(rs []int32, da, db []float64, relaxed bool, p *loadPart) int {
-	p.calcs += 3 * int64(len(rs))
+func (b *loader) bisect(rs []int32, da, db []float64, relaxed bool) int {
 	p0 := b.row(int(rs[0]))
 	ai, amax := 0, -1.0
 	for i, r := range rs {
@@ -284,9 +273,8 @@ type minimaxResult struct {
 
 // minimax computes a partition's minimaxResult (at most capacity²
 // metric evaluations; symmetric halves mirrored).
-func (b *loader) minimax(rs []int32, p *loadPart) *minimaxResult {
+func (b *loader) minimax(rs []int32) *minimaxResult {
 	m := len(rs)
-	p.calcs += int64(m * (m - 1) / 2)
 	dm := make([]float64, m*m)
 	for i := 0; i < m; i++ {
 		pi := b.row(int(rs[i]))
@@ -311,17 +299,16 @@ func (b *loader) minimax(rs []int32, p *loadPart) *minimaxResult {
 	return out
 }
 
-// packLeaf builds one leaf over a partition and adds its routing entry,
-// routed by the partition's minimax row, to p. mm must be aligned with
+// packLeaf builds one leaf over a partition and returns its routing
+// entry, routed by the partition's minimax row. mm must be aligned with
 // the current ordering of rs. The leaf's points, ids and entry arrays go
 // to rows [first, first+len(rs)) of the output, of which the leaf keeps
 // slices.
-func (b *loader) packLeaf(first int, rs []int32, mm *minimaxResult, p *loadPart) {
+func (b *loader) packLeaf(first int, rs []int32, mm *minimaxResult) routingEntry {
 	m := len(rs)
 	dm, best, bestRadius := mm.dm, mm.best, mm.radius
 	out, dim := b.out, b.out.dim
 	s := len(out.pivots)
-	p.calcs += int64(m * s)
 	hr := newEmptyIntervals(s)
 	for i, row := range rs {
 		pt := b.row(int(row))
@@ -342,15 +329,14 @@ func (b *loader) packLeaf(first int, rs []int32, mm *minimaxResult, p *loadPart)
 		parentDist: b.parentDist[first:end],
 		pivotDist:  b.pivotDist[first*s : end*s],
 	}
-	p.level = append(p.level, routingEntry{center: vec.Clone(b.row(int(rs[best]))), radius: bestRadius, child: leaf, hr: hr})
+	return routingEntry{center: vec.Clone(b.row(int(rs[best]))), radius: bestRadius, child: leaf, hr: hr}
 }
 
 // makeParent wraps a run of routing entries into one parent entry: the
 // minimax child center routes the group (minimizing the covering
 // radius max_j d(c, c_j) + r_j), and the rings union the children's.
-func (b *loader) makeParent(group []routingEntry, p *loadPart) routingEntry {
+func (b *loader) makeParent(group []routingEntry) routingEntry {
 	m := len(group)
-	p.calcs += int64(m * (m - 1) / 2)
 	dm := make([]float64, m*m)
 	for i := 0; i < m; i++ {
 		for j := i + 1; j < m; j++ {

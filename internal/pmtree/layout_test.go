@@ -446,9 +446,7 @@ func TestLeafScanMatchesRecursiveReference(t *testing.T) {
 			// (order within an Expand is unspecified) for the reference's
 			// metric evaluations.
 			for _, r := range schedule {
-				tr.ResetStats()
-				want := refRangeSearch(tr, q, r)
-				paid := tr.DistanceComputations()
+				want, paid := refRangeSearch(tr, q, r), refRangeCost(tr, q, r)
 				var got []Result
 				if err := en.ResetTree(tr, q); err != nil {
 					t.Fatal(err)

@@ -80,15 +80,8 @@ type PairEnumerator struct {
 
 	// qdist counts this enumeration's metric evaluations — owned by
 	// exactly one enumerator, so per-query closest-pair statistics stay
-	// exact when queries overlap (the tree-wide atomics below are
-	// shared).
+	// exact when queries overlap.
 	qdist int64
-
-	// pendingDist batches the tree's atomic counter: a self-join
-	// evaluates the metric millions of times, and paying an atomic
-	// add per evaluation costs more than the 15-dimensional distance
-	// itself. Flushed on every Next return.
-	pendingDist int64
 }
 
 // leafJoin is one leaf prepared for plane-sweep joining: entry data
@@ -158,9 +151,8 @@ func (a pairItem) Less(b pairItem) bool {
 	return a.kind > b.kind
 }
 
-// dist evaluates the metric, counting locally (see pending fields).
+// dist evaluates the metric, counting it (see qdist).
 func (e *PairEnumerator) dist(a, b []float64) float64 {
-	e.pendingDist++
 	e.qdist++
 	return vec.L2(a, b)
 }
@@ -171,20 +163,11 @@ func (e *PairEnumerator) dist(a, b []float64) float64 {
 // many run concurrently.
 func (e *PairEnumerator) DistComps() int64 { return e.qdist }
 
-// flushStats moves the batched count into the tree's atomic.
-func (e *PairEnumerator) flushStats() {
-	if e.pendingDist > 0 {
-		e.t.stats.distCalcs.Add(e.pendingDist)
-		e.pendingDist = 0
-	}
-}
-
 // NewPairEnumerator starts a pair enumeration over the tree. The
-// enumerator reads the tree without modifying it (beyond the shared
-// evaluation counter) but must not be used concurrently with Insert
-// or Delete, like every query; concurrent enumerations and range
-// queries are fine. A tree with fewer than two points enumerates
-// nothing.
+// enumerator reads the tree without modifying it but must not be used
+// concurrently with Insert or Delete, like every query; concurrent
+// enumerations and range queries are fine. A tree with fewer than two
+// points enumerates nothing.
 func (t *Tree) NewPairEnumerator() *PairEnumerator {
 	e := &PairEnumerator{t: t, l: t.built(), cutoff: math.Inf(1), done: t.count < 2}
 	if !e.done {
@@ -202,9 +185,9 @@ func (t *Tree) NewPairEnumerator() *PairEnumerator {
 // leaf prefilter only apply within one pivot set, so cross-tree bounds
 // fall back to the routing-ball bound alone). The candidate's ID1 is
 // the receiver's id and ID2 the other tree's id; the two id spaces are
-// independent. Statistics (DistComps, the tree-wide counters) accrue to
-// the receiver, except that a tail row's range query counts on the
-// tree it searches. Either tree being empty enumerates nothing.
+// independent. DistComps counts the evaluations of both sides, a tail
+// row's range queries included. Either tree being empty enumerates
+// nothing.
 func (t *Tree) NewBipartitePairEnumerator(other *Tree) *PairEnumerator {
 	e := &PairEnumerator{t: t, t2: other, l: t.built(), l2: other.built(), cutoff: math.Inf(1), done: t.count < 1 || other.count < 1}
 	if !e.done {
@@ -265,14 +248,12 @@ func (e *PairEnumerator) Next() (PairCandidate, bool) {
 		}
 		it := e.pq.Pop()
 		if it.kind == kindExactPair {
-			e.flushStats()
 			return PairCandidate{ID1: it.id1, ID2: it.id2, Dist: it.bound}, true
 		}
 		np := &e.nodes[it.id1]
 		e.expand(np.a, np.b)
 	}
 	e.done = true
-	e.flushStats()
 	return PairCandidate{}, false
 }
 
@@ -432,7 +413,6 @@ func (e *PairEnumerator) expandLeafPair(ra, rb pairRegion) {
 			e.pq.Push(pairItem{bound: d, kind: kindExactPair, id1: id1, id2: id2})
 		}
 	}
-	e.pendingDist += exact
 	e.qdist += exact
 }
 

@@ -54,10 +54,11 @@
 // Snapshot captures one moment's lengths and epoch in a Tree value of
 // its own, which any number of goroutines may query while the writer
 // carries on with the original: a point is dead to a snapshot when its
-// delete epoch is at or before the snapshot's. The evaluation counter
-// is shared by a tree and its snapshots (a combined total); the
-// enumerators keep per-enumeration counts (DistComps) that stay exact
-// under concurrency.
+// delete epoch is at or before the snapshot's.
+//
+// A tree keeps no counter of its own. The metric evaluations a query
+// pays are counted by the enumeration that pays them (DistComps), which
+// one query owns, so the count stays exact however many queries overlap.
 package pmtree
 
 import (
@@ -165,10 +166,6 @@ type Tree struct {
 	// epoch is 1 plus the number of deletes applied (ids are int32: it
 	// cannot wrap). An id is dead here when 0 < del[id] <= epoch.
 	epoch uint32
-
-	// stats is shared with every snapshot, behind a pointer so that
-	// taking one copies no atomic.
-	stats *treeStats
 }
 
 // generation is a tree's rows and, once bulk loaded, its structure.
@@ -210,13 +207,6 @@ func (l *layout) leafIDs(n *node) []int32 {
 
 // leafPoint resolves leaf entry i's point as a view into the buffer.
 func (l *layout) leafPoint(n *node, i int) []float64 { return l.row(int(n.first) + i) }
-
-// treeStats is a tree's counter of metric evaluations (it feeds the
-// cost-model validation, Table 2). Atomic: concurrent queries combine
-// their counts, each adding once per call or round, never per distance.
-type treeStats struct {
-	distCalcs atomic.Int64
-}
 
 // Config controls tree construction.
 type Config struct {
@@ -331,7 +321,7 @@ func NewDeferred(s *store.Store, ids []int32, frozen int, cfg Config) (*Tree, er
 	}
 	g := &generation{cfg: cfg}
 	g.cur.Store(l)
-	t := &Tree{dim: dim, gen: g, frozen: frozen, stats: &treeStats{},
+	t := &Tree{dim: dim, gen: g, frozen: frozen,
 		tail: layout{dim: dim, flat: flat[split:], rowID: ids[frozen:n:n]}}
 	t.resetLiveness()
 	return t, nil
@@ -346,7 +336,7 @@ func (t *Tree) built() *layout {
 		return l
 	}
 	g.once.Do(func() {
-		g.cur.Store(bulkLoad(g.cur.Load(), g.cfg, t.stats))
+		g.cur.Store(bulkLoad(g.cur.Load(), g.cfg))
 		g.loads.Add(1)
 	})
 	return g.cur.Load()
@@ -406,14 +396,6 @@ func (t *Tree) Dim() int { return t.dim }
 
 // NumPivots returns the number of global pivots s.
 func (t *Tree) NumPivots() int { return len(t.built().pivots) }
-
-// DistanceComputations returns the number of metric evaluations since
-// the last ResetStats (the bulk load, whenever it runs, and queries both
-// count).
-func (t *Tree) DistanceComputations() int64 { return t.stats.distCalcs.Load() }
-
-// ResetStats zeroes the distance counter.
-func (t *Tree) ResetStats() { t.stats.distCalcs.Store(0) }
 
 // scanRadiusFactor places the switch between the two ways a range
 // enumeration can resolve a radius, as a fraction of the median covering

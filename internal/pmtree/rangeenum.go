@@ -101,10 +101,6 @@ type RangeEnumerator struct {
 	// tail row on a traversal, every row (dead ones included) on a flat
 	// pass. Owned by one query, it stays exact when queries overlap.
 	qdist int64
-
-	// pendingDist batches the tree's atomic counter (see PairEnumerator);
-	// flushed at the end of every round.
-	pendingDist int64
 }
 
 // Reset rebinds the enumerator to a tree and query point for flat
@@ -267,7 +263,6 @@ func (e *RangeEnumerator) collect(r float64, admit func(id int32) bool, emit fun
 		e.flatPass()
 	}
 	e.admit, e.emit = nil, nil
-	e.flushStats()
 }
 
 // take passes on or records one point found inside the radius.
@@ -314,7 +309,6 @@ func (e *RangeEnumerator) flatPass() {
 		e.rowD2 = slices.Grow(e.rowD2[:0], n)[:n]
 		vec.SquaredL2ToMany(e.rowD2[:len(gen)], e.q, e.l.flat[:len(gen)*t.dim], t.dim)
 		vec.SquaredL2ToMany(e.rowD2[len(gen):], e.q, t.tail.flat[(e.tailFrom-t.frozen)*t.dim:], t.dim)
-		e.pendingDist += int64(n)
 		e.qdist += int64(n)
 	}
 	e.takeWithin(e.rowD2[:len(gen)], gen)
@@ -464,29 +458,19 @@ func (e *RangeEnumerator) scanLeaf(n *node, hasParent bool, qpd float64) {
 			}
 		}
 	}
-	e.pendingDist += int64(evaluated)
 	e.qdist += int64(evaluated)
 }
 
-// dist evaluates the metric, counting locally (see pending fields).
+// dist evaluates the metric, counting it (see qdist).
 func (e *RangeEnumerator) dist(a, b []float64) float64 {
-	e.pendingDist++
 	e.qdist++
 	return vec.L2(a, b)
 }
 
 // DistComps returns the number of metric evaluations this enumeration
 // has paid since its Reset (see qdist; a flat-pass enumeration reads
-// exactly Tree.Rows however many rounds it runs). The count is owned by
-// the enumeration — it never includes work from other queries, however
-// many run concurrently — and equals the delta the tree-wide counter
-// would show for this query run in isolation.
+// exactly Tree.Rows however many rounds it runs): the one count of a
+// range query's work, Table 2's computation cost included. The count is
+// owned by the enumeration — it never includes work from other queries,
+// however many run concurrently.
 func (e *RangeEnumerator) DistComps() int64 { return e.qdist }
-
-// flushStats moves the batched count into the tree's atomic.
-func (e *RangeEnumerator) flushStats() {
-	if e.pendingDist > 0 {
-		e.t.stats.distCalcs.Add(e.pendingDist)
-		e.pendingDist = 0
-	}
-}

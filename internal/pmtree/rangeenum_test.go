@@ -23,13 +23,33 @@ func refRangeSearch(t *Tree, q []float64, r float64) []Result {
 	return out
 }
 
+// refRangeCost is the metric evaluations the reference traversal pays
+// for range(q, r).
+func refRangeCost(t *Tree, q []float64, r float64) int64 {
+	return t.rangeSearchRef(q, r, func(int32, float64) {})
+}
+
+// rangeSearchPaid is RangeSearch with the metric evaluations its
+// enumeration paid (DistComps).
+func rangeSearchPaid(tb testing.TB, t *Tree, q []float64, r float64) ([]Result, int64) {
+	tb.Helper()
+	var e RangeEnumerator
+	if err := e.ResetTree(t, q); err != nil {
+		tb.Fatal(err)
+	}
+	var out []Result
+	e.Expand(r, func(id int32, d float64) { out = append(out, Result{ID: id, Dist: d}) })
+	sortResults(out)
+	return out, e.DistComps()
+}
+
 // rangeSearchRef is the original depth-first range search, retained
 // entry by entry as the reference implementation the streaming
 // enumerator is verified against (TestRangeSearchMatchesRecursiveReference
 // and the core engine's equivalence suite), followed by a row-at-a-time
 // pass over the tail. visit is called once per qualifying point, in
-// traversal order. Counts are local and added to the tree's once.
-func (t *Tree) rangeSearchRef(q []float64, r float64, visit func(id int32, d float64)) {
+// traversal order. It returns the metric evaluations it paid.
+func (t *Tree) rangeSearchRef(q []float64, r float64, visit func(id int32, d float64)) int64 {
 	var dists int64
 	dist := func(p []float64) float64 {
 		dists++
@@ -86,7 +106,7 @@ func (t *Tree) rangeSearchRef(q []float64, r float64, visit func(id int32, d flo
 			visit(id, d)
 		}
 	}
-	t.stats.distCalcs.Add(dists)
+	return dists
 }
 
 // randomTree builds a tree under a randomized configuration, optionally
@@ -167,15 +187,12 @@ func TestRangeSearchMatchesRecursiveReference(t *testing.T) {
 			q := live[rng.Intn(len(live))]
 			// Radii from degenerate to everything.
 			r := [...]float64{0, rng.Float64() * 5, rng.Float64() * 20, 1e6}[qi%4]
-			tr.ResetStats()
-			want := refRangeSearch(tr, q, r)
-			refDists := tr.DistanceComputations()
-			tr.ResetStats()
+			want, refDists := refRangeSearch(tr, q, r), refRangeCost(tr, q, r)
 			got, err := tr.RangeSearch(q, r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotDists := tr.DistanceComputations()
+			_, gotDists := rangeSearchPaid(t, tr, q, r)
 			requireSameResults(t, "RangeSearch vs recursive reference", got, want)
 			if gotDists != refDists {
 				t.Fatalf("trial %d: enumerator paid %d distance computations, reference %d",
@@ -216,7 +233,6 @@ func TestRangeEnumeratorResumes(t *testing.T) {
 			r *= 1.5
 		}
 
-		tr.ResetStats()
 		var en RangeEnumerator
 		if err := en.Reset(tr, q); err != nil {
 			t.Fatal(err)
@@ -242,20 +258,16 @@ func TestRangeEnumeratorResumes(t *testing.T) {
 			all = append(all, round...)
 			prev = rr
 		}
-		streamDists := tr.DistanceComputations()
+		streamDists := en.DistComps()
 		sortResults(all)
 
-		tr.ResetStats()
 		var restartDists int64
 		var want []Result
 		for _, rr := range ladder {
-			res, err := tr.RangeSearch(q, rr)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res, paid := rangeSearchPaid(t, tr, q, rr)
 			want = res
+			restartDists += paid
 		}
-		restartDists = tr.DistanceComputations()
 		requireSameResults(t, "resumed union vs final RangeSearch", all, want)
 		if streamDists >= restartDists {
 			t.Fatalf("trial %d: streaming paid %d distance computations, restart loop %d",

@@ -218,12 +218,7 @@ func TestEnumerationTraversesAtMostOnce(t *testing.T) {
 					want = append(want, res)
 				}
 			}
-			tr.ResetStats()
-			refRangeSearch(tr, q, r1)
-			paid1 := tr.DistanceComputations()
-			tr.ResetStats()
-			refRangeSearch(tr, q, r2)
-			paid2 := tr.DistanceComputations()
+			paid1, paid2 := refRangeCost(tr, q, r1), refRangeCost(tr, q, r2)
 
 			for _, treeOnly := range []bool{false, true} {
 				var e RangeEnumerator

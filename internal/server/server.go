@@ -128,7 +128,7 @@ func New(cfg Config) (*Server, error) {
 		"Live (not deleted) points in the index.",
 		func() float64 { return float64(s.eng.Info().Live) })
 	reg.GaugeFunc("pmlsh_index_dead_rows",
-		"Tombstoned storage rows awaiting compaction.",
+		"Storage rows whose point was deleted, awaiting compaction.",
 		func() float64 { return float64(s.eng.Info().Dead) })
 	reg.GaugeFunc("pmlsh_index_shards",
 		"Shard count of the serving engine.",
@@ -141,7 +141,7 @@ func New(cfg Config) (*Server, error) {
 		obs.ExpBuckets(0.001, 2, 14))
 	s.eng.OnCompact(func(d time.Duration) { compactHist.Observe(d.Seconds()) })
 	reg.GaugeFuncVec("pmlsh_index_dead_fraction",
-		"Share of a shard's stored rows that are tombstoned (0 after build or compaction; no insert refills a dead row, and the shard compacts itself when the share reaches the auto-compact fraction).",
+		"Share of a shard's stored rows whose point was deleted (0 after build or compaction; no insert refills a dead row, and the shard compacts itself when the share reaches the auto-compact fraction).",
 		"shard", func() []float64 { return s.eng.Info().DeadFraction })
 	reg.GaugeFuncVec("pmlsh_index_tail_fraction",
 		"Share of a shard's PM-tree rows inserted since its last build or compaction (0 right after either; the shard compacts itself when it reaches the auto-compact fraction). Prices only small-radius queries: a k-NN search scans the projected rows and does not visit the leaves.",
@@ -275,30 +275,20 @@ func (s *Server) registerWALMetrics(reg *obs.Registry) {
 		stat(func(st core.DurabilityStats) float64 { return float64(st.ReplayTornBytes) }))
 }
 
-// Checkpoint serializes the engine to path via a temp file + rename,
-// so a crash mid-write never clobbers the previous checkpoint. Like
-// queries, it reads published views and does not block mutations.
+// Checkpoint serializes the engine to path through wal.CreateAtomic —
+// a temp file, synced, renamed over path, the directory synced — so a
+// crash mid-write never clobbers the previous checkpoint. Like queries,
+// it reads published views and does not block mutations.
 func (s *Server) Checkpoint(path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	f, err := wal.CreateAtomic(wal.DirFS(filepath.Dir(path)), filepath.Base(path))
 	if err != nil {
 		return fmt.Errorf("server: checkpoint: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	n, err := s.eng.WriteTo(tmp)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err == nil {
-		// The rename is durable only once the parent directory's entry
-		// update reaches disk; without this a crash can roll the rename
-		// back and leave the old checkpoint (or nothing) at path.
-		err = wal.DirFS(filepath.Dir(path)).SyncDir()
+	n, err := s.eng.WriteTo(f)
+	if err != nil {
+		f.Abort()
+	} else {
+		err = f.Commit()
 	}
 	if err != nil {
 		return fmt.Errorf("server: checkpoint: %w", err)

@@ -7,30 +7,31 @@
 // instead of chasing one pointer per point, and batch kernels
 // (vec.SquaredL2ToMany) can stream the buffer directly.
 //
-// A store only grows. Append writes a new row behind the last one and
-// never touches an existing row; Delete tombstones a row where it lies
-// and lists it among the dead rows — nothing refills it, the layer
-// above repacks the live rows into a fresh store when the dead share is
-// worth it. Len counts rows (live and dead); Live counts live rows.
+// A store only grows: Append writes a new row behind the last one and
+// never touches an existing row. Whether a row still holds a live point
+// is not the store's to say — the index layer keeps that in its
+// PM-tree's delete epochs, and repacks the live rows into a fresh store
+// when the dead share is worth it.
 //
 // So one writer can extend a store beside any number of readers without
-// a lock: what a reader took before an Append — the Flat buffer, the
-// DeadRows list — is never rewritten (a write lands past the length it
-// saw, a growth reallocation leaves it the old array). The Store value
-// itself — its lengths, IsLive's marks — is the writer's: Append and
-// Delete are single-writer, and readers use what the layer above
-// published.
+// a lock: the Flat buffer a reader took before an Append is never
+// rewritten (a write lands past the length it saw, a growth reallocation
+// leaves it the old array). The Store value itself — its length — is
+// the writer's: Append is single-writer, and readers use what the layer
+// above published.
 package store
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+)
 
-// Store is a dense matrix of n rows × dim columns in one flat buffer,
-// with the tombstoned rows marked and listed.
+// Store is a dense matrix of n rows × dim columns in one flat buffer.
 type Store struct {
-	dim      int
-	buf      []float64 // len(buf) == n*dim at all times
-	dead     []bool    // dead[i] marks row i tombstoned; nil while no deletes
-	deadRows []int32   // the tombstoned rows, in the order Delete took them
+	dim int
+	buf []float64 // len(buf) == n*dim at all times
 }
 
 // New creates an empty store for rows of the given dimensionality.
@@ -73,28 +74,8 @@ func FromFlat(flat []float64, dim int) (*Store, error) {
 	return &Store{dim: dim, buf: flat}, nil
 }
 
-// Len returns the number of rows (live plus tombstoned).
+// Len returns the number of rows.
 func (s *Store) Len() int { return len(s.buf) / s.dim }
-
-// Live returns the number of live (non-tombstoned) rows.
-func (s *Store) Live() int { return s.Len() - len(s.deadRows) }
-
-// DeadFraction returns the tombstoned share of all rows (0 when the
-// store is empty).
-func (s *Store) DeadFraction() float64 {
-	if n := s.Len(); n > 0 {
-		return float64(len(s.deadRows)) / float64(n)
-	}
-	return 0
-}
-
-// IsLive reports whether row i exists and is not tombstoned.
-func (s *Store) IsLive(i int) bool {
-	if i < 0 || i >= s.Len() {
-		return false
-	}
-	return i >= len(s.dead) || !s.dead[i]
-}
 
 // Dim returns the row dimensionality.
 func (s *Store) Dim() int { return s.dim }
@@ -107,7 +88,6 @@ func (s *Store) Row(i int) []float64 {
 }
 
 // Flat returns the backing buffer (len = Len()*Dim()). Read-only.
-// Tombstoned rows keep their values.
 func (s *Store) Flat() []float64 { return s.buf }
 
 // Append stores p as a new row behind the last one and returns its
@@ -121,51 +101,55 @@ func (s *Store) Append(p []float64) (int32, error) {
 	return row, nil
 }
 
-// Delete tombstones row i and adds it to the dead rows. The row's
-// values stay readable.
-func (s *Store) Delete(i int) error {
-	if i < 0 || i >= s.Len() {
-		return fmt.Errorf("store: Delete of row %d outside [0,%d)", i, s.Len())
-	}
-	if n := s.Len() - len(s.dead); n > 0 {
-		s.dead = append(s.dead, make([]bool, n)...)
-	}
-	if s.dead[i] {
-		return fmt.Errorf("store: row %d already deleted", i)
-	}
-	s.dead[i] = true
-	s.deadRows = append(s.deadRows, int32(i))
-	return nil
-}
-
-// DeadRows returns the tombstoned rows in the order Delete took them.
-// Read-only, and append-only like the rows: a caller keeps a consistent
-// list whatever is deleted afterwards. Serialization writes it so a
-// loaded store has the same rows dead.
-func (s *Store) DeadRows() []int32 { return s.deadRows }
-
-// RestoreDeadRows tombstones the given rows of a store with no
-// deletions yet — the serialization loader's path to reconstruct
-// tombstone state. Out-of-range and repeated rows are refused.
-func (s *Store) RestoreDeadRows(rows []int32) error {
-	if len(s.deadRows) != 0 {
-		return fmt.Errorf("store: RestoreDeadRows on a store with %d deletions", len(s.deadRows))
-	}
-	for _, row := range rows {
-		if err := s.Delete(int(row)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Rows materializes a [][]float64 of zero-copy row views over every
-// row, live or dead (for compatibility with APIs that take slices of
-// rows). The views share the backing buffer; do not mutate them.
+// row (for compatibility with APIs that take slices of rows). The views
+// share the backing buffer; do not mutate them.
 func (s *Store) Rows() [][]float64 {
 	out := make([][]float64, s.Len())
 	for i := range out {
 		out[i] = s.Row(i)
 	}
 	return out
+}
+
+// floatChunk is how many values ReadFloat64s and WriteFloat64s move per
+// read or write.
+const floatChunk = 16384
+
+// ReadFloat64s reads total little-endian float64s incrementally: the
+// buffer grows only as data actually arrives, so a corrupt header
+// demanding more floats than the stream holds fails with a read error
+// once the stream ends instead of committing a header-sized up-front
+// allocation.
+func ReadFloat64s(r io.Reader, total int) ([]float64, error) {
+	out := make([]float64, 0, min(total, 1<<24))
+	buf := make([]byte, floatChunk*8)
+	for len(out) < total {
+		n := min(total-len(out), floatChunk)
+		if _, err := io.ReadFull(r, buf[:n*8]); err != nil {
+			return nil, err
+		}
+		for i := 0; i < n; i++ {
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:])))
+		}
+	}
+	return out, nil
+}
+
+// WriteFloat64s streams fs as little-endian float64s through a bounded
+// scratch buffer (binary.Write would materialize the whole encoding at
+// once).
+func WriteFloat64s(w io.Writer, fs []float64) error {
+	buf := make([]byte, floatChunk*8)
+	for len(fs) > 0 {
+		n := min(len(fs), floatChunk)
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(fs[i]))
+		}
+		if _, err := w.Write(buf[:n*8]); err != nil {
+			return err
+		}
+		fs = fs[n:]
+	}
+	return nil
 }

@@ -1,6 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"errors"
+	"io"
+	"slices"
 	"testing"
 )
 
@@ -128,103 +132,28 @@ func TestRows(t *testing.T) {
 	}
 }
 
-// TestDeleteAndReuse: a tombstoned row is listed and skipped, and — the
-// reuse there once was — nothing is ever written over it: every Append
-// lands behind the last row, so what a reader took of the buffer before
-// stays what it was.
-func TestDeleteAndReuse(t *testing.T) {
-	s, _ := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}})
-	if s.Live() != 4 || s.DeadFraction() != 0 {
-		t.Fatalf("fresh store: live=%d dead=%v", s.Live(), s.DeadFraction())
+// The float codec round-trips across its chunk boundary, and a stream
+// shorter than the count it is read with is an error.
+func TestFloat64sRoundTrip(t *testing.T) {
+	in := make([]float64, floatChunk+3)
+	for i := range in {
+		in[i] = float64(i) - 0.5
 	}
-	if err := s.Delete(1); err != nil {
+	var buf bytes.Buffer
+	if err := WriteFloat64s(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete(3); err != nil {
+	if buf.Len() != 8*len(in) {
+		t.Fatalf("wrote %d bytes for %d values", buf.Len(), len(in))
+	}
+	out, err := ReadFloat64s(bytes.NewReader(buf.Bytes()), len(in))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 4 || s.Live() != 2 || s.DeadFraction() != 0.5 {
-		t.Fatalf("after deletes: len=%d live=%d dead=%v", s.Len(), s.Live(), s.DeadFraction())
+	if !slices.Equal(out, in) {
+		t.Fatal("values changed in the round trip")
 	}
-	if s.IsLive(1) || s.IsLive(3) || !s.IsLive(0) || !s.IsLive(2) {
-		t.Fatal("liveness flags wrong")
-	}
-	// Double delete and out-of-range are errors.
-	if err := s.Delete(1); err == nil {
-		t.Fatal("double delete accepted")
-	}
-	if err := s.Delete(-1); err == nil || s.Delete(4) == nil {
-		t.Fatal("out-of-range delete accepted")
-	}
-	before, dead := s.Flat(), s.DeadRows()
-	for i, want := range []int32{4, 5} {
-		id, err := s.Append([]float64{30 + float64(i), 30})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id != want {
-			t.Fatalf("append %d landed in row %d, want %d", i, id, want)
-		}
-	}
-	if s.IsLive(1) || s.IsLive(3) || s.Row(1)[0] != 2 || s.Row(3)[0] != 4 {
-		t.Fatalf("a tombstoned row changed: %v %v", s.Row(1), s.Row(3))
-	}
-	if len(before) != 8 || before[2] != 2 || before[6] != 4 || len(dead) != 2 || dead[0] != 1 || dead[1] != 3 {
-		t.Fatalf("what a reader held changed: rows %v, dead %v", before, dead)
-	}
-	if s.Len() != 6 || s.Live() != 4 || len(s.DeadRows()) != 2 {
-		t.Fatalf("final shape: len=%d live=%d dead=%v", s.Len(), s.Live(), s.DeadRows())
-	}
-}
-
-func TestIsLiveAfterGrowth(t *testing.T) {
-	// Deleting allocates the tombstone flags at the then-current size;
-	// rows appended afterwards must still read as live.
-	s, _ := FromRows([][]float64{{1}, {2}})
-	if err := s.Delete(0); err != nil {
-		t.Fatal(err)
-	}
-	if id, _ := s.Append([]float64{3}); id != 2 {
-		t.Fatal("expected growth to row 2")
-	}
-	if !s.IsLive(2) {
-		t.Fatal("grown row reads as dead")
-	}
-	if err := s.Delete(2); err != nil {
-		t.Fatal(err)
-	}
-	if s.IsLive(2) || s.IsLive(0) || !s.IsLive(1) {
-		t.Fatal("liveness wrong after growth + delete")
-	}
-}
-
-func TestRestoreFreeList(t *testing.T) {
-	s, _ := FromRows([][]float64{{1}, {2}, {3}})
-	if err := s.RestoreDeadRows([]int32{2, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Live() != 1 || s.IsLive(0) || s.IsLive(2) {
-		t.Fatal("restored tombstones wrong")
-	}
-	// The list comes back in the order it was given, and stays dead.
-	if d := s.DeadRows(); len(d) != 2 || d[0] != 2 || d[1] != 0 {
-		t.Fatalf("restored dead rows %v, want [2 0]", d)
-	}
-	if id, _ := s.Append([]float64{9}); id != 3 {
-		t.Fatal("an append refilled a restored dead row")
-	}
-	// Invalid restores fail: duplicate slot, out of range, non-fresh.
-	s2, _ := FromRows([][]float64{{1}, {2}})
-	if err := s2.RestoreDeadRows([]int32{1, 1}); err == nil {
-		t.Fatal("duplicate slot accepted")
-	}
-	s3, _ := FromRows([][]float64{{1}})
-	if err := s3.RestoreDeadRows([]int32{5}); err == nil {
-		t.Fatal("out-of-range slot accepted")
-	}
-	s4, _ := FromRows([][]float64{{1}, {2}})
-	_ = s4.Delete(0)
-	if err := s4.RestoreDeadRows([]int32{1}); err == nil {
-		t.Fatal("restore onto a mutated store accepted")
+	if _, err := ReadFloat64s(bytes.NewReader(buf.Bytes()), len(in)+1); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("reading one value past the stream: %v, want a short read", err)
 	}
 }

@@ -31,7 +31,7 @@ const (
 func ParseMetric(s string) (Metric, error) { return metric.Parse(s) }
 
 // AutoCompactAlways is a sentinel for Config.AutoCompactFraction that
-// makes every Delete leaving at least one tombstone trigger a Compact
+// makes every Delete leaving at least one dead row trigger a Compact
 // (Insert keeps compacting at the 0.3 default). A literal 0 cannot
 // express this: the zero value selects the 0.3 default. It survives
 // serialization round trips.
@@ -42,18 +42,12 @@ const AutoCompactAlways = core.AutoCompactAlways
 // the query in the index's native metric — Euclidean under MetricL2,
 // 1−cosθ under MetricCosine, −⟨q,x⟩ under MetricInnerProduct, and
 // 1−Jaccard(A,B) under MetricJaccard.
-type Neighbor struct {
-	ID   int32
-	Dist float64
-}
+type Neighbor = core.Result
 
 // Pair is one closest-pair result: the ids of two distinct indexed
 // points (I < J) and their exact distance in the index's native
 // metric.
-type Pair struct {
-	I, J int32
-	Dist float64
-}
+type Pair = core.Pair
 
 // QueryStats describes the work one query performed: the number of
 // projected range-query rounds, the number of original-space distance
@@ -101,7 +95,7 @@ type Config struct {
 	// under insert/delete churn it rises alongside the inserted share
 	// instead of staying near zero. 0 = 0.3; negative disables
 	// auto-compaction; values above 1 are rejected; the AutoCompactAlways
-	// sentinel compacts on every tombstone. With Shards > 1 the fraction
+	// sentinel compacts on every delete. With Shards > 1 the fraction
 	// applies per shard.
 	AutoCompactFraction float64
 	// Shards splits the index into N independent shards with ids
@@ -210,15 +204,15 @@ func coreConfig(cfg Config) core.Config {
 func (x *Index) Insert(p []float64) (int32, error) { return x.ix.Insert(p) }
 
 // Delete removes the point with the given id. The id is retired
-// forever; the point's storage row is tombstoned until the next
-// compaction drops it. When the tombstoned share of the store reaches
+// forever; the point's storage row stays, dead, until the next
+// compaction drops it. When the dead share of the rows reaches
 // Config.AutoCompactFraction, Delete compacts the index before
 // returning. Deleting an unknown or already-deleted id is an error.
 // Delete may run concurrently with queries and other mutations.
 func (x *Index) Delete(id int32) error { return x.ix.Delete(id) }
 
 // Compact rebuilds the index over its live points: the vector store is
-// repacked (dropping tombstones), the projected-space tree is bulk
+// repacked (dropping dead rows), the projected-space tree is bulk
 // loaded from scratch — restoring the tight covering regions that
 // deletions loosen — and the query-radius distance sample is
 // redrawn. Ids are preserved. Compact rebuilds shard by shard and
@@ -263,7 +257,8 @@ type Info struct {
 	IDs int
 	// Live is the number of live (not deleted) points.
 	Live int
-	// Dead is the number of tombstoned storage rows awaiting Compact.
+	// Dead is the number of storage rows whose point was deleted,
+	// awaiting Compact.
 	Dead int
 	// Compactions counts Compact operations (explicit and automatic)
 	// completed since the index was built or loaded.
@@ -308,7 +303,7 @@ func (x *Index) DeriveParams(c float64) (Params, error) {
 	return x.ix.DeriveParams(c)
 }
 
-// WriteTo serializes the index (projection, dataset with tombstones, id
+// WriteTo serializes the index (projection, dataset with dead rows, id
 // map, distance sample and the count of rows its PM-tree was begun over;
 // with Shards > 1 the shard layout too) to w in a little-endian binary
 // format. The tree itself is not written: a loaded index rebuilds it
@@ -329,31 +324,4 @@ func Load(r io.Reader) (*Index, error) {
 		return nil, err
 	}
 	return &Index{ix: ix}, nil
-}
-
-// convertPairs maps core pairs to the public type, preserving
-// nil-in/nil-out: an empty query answer stays nil instead of becoming
-// an allocated zero-length slice.
-func convertPairs(res []core.Pair) []Pair {
-	if res == nil {
-		return nil
-	}
-	out := make([]Pair, len(res))
-	for i, r := range res {
-		out[i] = Pair{I: r.I, J: r.J, Dist: r.Dist}
-	}
-	return out
-}
-
-// convert maps core results to the public type, preserving
-// nil-in/nil-out (see convertPairs).
-func convert(res []core.Result) []Neighbor {
-	if res == nil {
-		return nil
-	}
-	out := make([]Neighbor, len(res))
-	for i, r := range res {
-		out[i] = Neighbor{ID: r.ID, Dist: r.Dist}
-	}
-	return out
 }

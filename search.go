@@ -114,8 +114,7 @@ func searchOptions(opts []SearchOption) core.SearchOptions {
 // Searches, SearchBatch's workers and multi-shard fan-out, which
 // already fill the cores, verify serially.
 func (x *Index) Search(ctx context.Context, q []float64, k int, opts ...SearchOption) ([]Neighbor, error) {
-	res, err := x.ix.Search(ctx, q, k, searchOptions(opts))
-	return convert(res), err
+	return x.ix.Search(ctx, q, k, searchOptions(opts))
 }
 
 // SearchBatch answers many (c,k)-ANN requests under one options value,
@@ -130,15 +129,7 @@ func (x *Index) Search(ctx context.Context, q []float64, k int, opts ...SearchOp
 // any non-nil error the result slice is nil, never a partially filled
 // batch.
 func (x *Index) SearchBatch(ctx context.Context, qs [][]float64, k int, opts ...SearchOption) ([][]Neighbor, error) {
-	res, err := x.ix.SearchBatch(ctx, qs, k, searchOptions(opts))
-	if res == nil {
-		return nil, err
-	}
-	out := make([][]Neighbor, len(res))
-	for i, r := range res {
-		out[i] = convert(r)
-	}
-	return out, err
+	return x.ix.SearchBatch(ctx, qs, k, searchOptions(opts))
 }
 
 // SearchPairs answers one (c,k)-closest-pair request: up to k admitted
@@ -154,8 +145,7 @@ func (x *Index) SearchBatch(ctx context.Context, qs [][]float64, k int, opts ...
 // The query runs a dual-branch self-join over the PM-tree in projected
 // space.
 func (x *Index) SearchPairs(ctx context.Context, k int, opts ...SearchOption) ([]Pair, error) {
-	res, err := x.ix.SearchPairs(ctx, k, searchOptions(opts))
-	return convertPairs(res), err
+	return x.ix.SearchPairs(ctx, k, searchOptions(opts))
 }
 
 // SearchBall answers one (r,c)-ball-cover request (Definition 3): if
@@ -165,9 +155,5 @@ func (x *Index) SearchPairs(ctx context.Context, k int, opts ...SearchOption) ([
 // ±Inf are errors). WithStats fills per-query statistics (Rounds is
 // always 1 — ball cover is a single range expansion).
 func (x *Index) SearchBall(ctx context.Context, q []float64, r float64, opts ...SearchOption) (*Neighbor, error) {
-	res, err := x.ix.SearchBall(ctx, q, r, searchOptions(opts))
-	if err != nil || res == nil {
-		return nil, err
-	}
-	return &Neighbor{ID: res.ID, Dist: res.Dist}, nil
+	return x.ix.SearchBall(ctx, q, r, searchOptions(opts))
 }

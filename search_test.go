@@ -2,9 +2,8 @@ package pmlsh
 
 // Tests for the public request API: filtered search must agree with a
 // filtered brute-force oracle, cancellation must return ctx.Err()
-// promptly and leave the index usable, nil results must stay nil
-// through the public conversion layer, and a mutation hammer must hold
-// under -race.
+// promptly and leave the index usable, an empty answer must be nil,
+// and a mutation hammer must hold under -race.
 
 import (
 	"context"
@@ -16,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/vec"
 )
 
@@ -189,24 +187,9 @@ func TestPublicCancellation(t *testing.T) {
 	}
 }
 
-// TestConvertNilInNilOut is the regression test for the conversion
-// layer: queries whose core answer is nil must surface nil, not an
-// allocated empty slice.
-func TestConvertNilInNilOut(t *testing.T) {
-	if got := convert(nil); got != nil {
-		t.Fatalf("convert(nil) = %#v, want nil", got)
-	}
-	if got := convertPairs(nil); got != nil {
-		t.Fatalf("convertPairs(nil) = %#v, want nil", got)
-	}
-	if got := convert([]core.Result{}); got == nil || len(got) != 0 {
-		t.Fatalf("convert(empty) = %#v, want empty non-nil", got)
-	}
-	if got := convertPairs([]core.Pair{}); got == nil || len(got) != 0 {
-		t.Fatalf("convertPairs(empty) = %#v, want empty non-nil", got)
-	}
-
-	// End to end: an index whose live set is empty answers nil.
+// TestEmptyAnswerIsNil: a query with nothing to answer returns nil, not
+// an allocated empty slice — over an index whose live set is empty.
+func TestEmptyAnswerIsNil(t *testing.T) {
 	ix, err := Build([][]float64{{1, 2}, {3, 4}}, Config{AutoCompactFraction: -1})
 	if err != nil {
 		t.Fatal(err)
