@@ -599,7 +599,7 @@ func cpTailIndex(b *testing.B, pct int) *core.Index {
 // reference dedup workload at both ends of the one driver: shards=1 is
 // the bare index (one self-join, the quantile read in place) with none
 // to 30% of the tree's rows in its tail (see cpTailIndex), shards=3 the
-// engine's merge of three self-joins and three bipartite joins.
+// engine's one self-join over the forest of three shards' trees.
 func BenchmarkClosestPairs(b *testing.B) {
 	w, _ := cpWorkload(b)
 	run := func(b *testing.B, searchPairs func(context.Context, int, core.SearchOptions) ([]core.Pair, error)) {

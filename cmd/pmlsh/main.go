@@ -25,7 +25,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -36,7 +35,8 @@ import (
 
 	pmlsh "repro"
 	"repro/internal/dataset"
-	"repro/internal/vec"
+	"repro/internal/lscan"
+	"repro/internal/metric"
 )
 
 // queryCtx returns the request context for a subcommand: Background,
@@ -401,7 +401,7 @@ func runChurn(args []string) error {
 			if err != nil {
 				return err
 			}
-			exact := exactKNNIDs(live, q, kk)
+			exact := lscan.ExactKNN(live, q, kk, metric.L2)
 			hit := 0
 			for _, nb := range got {
 				if _, ok := live[nb.ID]; !ok {
@@ -458,31 +458,6 @@ func runChurn(args []string) error {
 	}
 	fmt.Printf("compact took %v\n", time.Since(start).Round(time.Millisecond))
 	return checkpoint("after compact")
-}
-
-// exactKNNIDs brute-forces the k nearest live points to q.
-func exactKNNIDs(live map[int32][]float64, q []float64, k int) map[int32]bool {
-	type cand struct {
-		id int32
-		d  float64
-	}
-	top := make([]cand, 0, k)
-	bound := math.Inf(1)
-	for id, p := range live {
-		d := vec.SquaredL2Bounded(q, p, bound)
-		if len(top) == k && d >= bound {
-			continue
-		}
-		top = vec.InsertBounded(top, cand{id: id, d: d}, k, func(c cand) float64 { return c.d })
-		if len(top) == k {
-			bound = top[k-1].d
-		}
-	}
-	out := make(map[int32]bool, len(top))
-	for _, c := range top {
-		out[c.id] = true
-	}
-	return out
 }
 
 func runInfo(args []string) error {

@@ -151,9 +151,10 @@
 //
 //	pairs, err := index.SearchPairs(ctx, 10, WithRatio(1.5)) // 10 closest pairs
 //
-// One driver serves every shard count: a sharded index merges its
-// shards' self-joins and cross-shard joins into one candidate stream,
-// and an unsharded one is the same loop over a single self-join.
+// One driver serves every shard count: the shards project into one
+// space, so their PM-trees form one forest, and a sharded index runs
+// one self-join over that forest; an unsharded one is the forest of a
+// single tree.
 // De-duplicating a corpus is the canonical use — the near-copies are
 // exactly the closest pairs (see examples/dedup).
 //

@@ -51,7 +51,8 @@ import (
 //
 // A Jaccard shard is one minhash.Index behind its own reader/writer
 // lock (see package minhash): a mutation holds the write side for
-// microseconds, Compact builds its tables under the read side.
+// microseconds, Compact builds its tables under the read side. A query
+// never holds one shard's lock while it takes another's.
 //
 // # Ids
 //
@@ -83,7 +84,8 @@ type Engine struct {
 
 // MaxShards bounds Config.Shards — past a few hundred shards the
 // per-shard candidate budgets (βn/N + k each) dominate the merged
-// result and the quality/work tradeoff degrades.
+// result and the quality/work tradeoff degrades. It is also the most
+// trees one closest-pair join takes (pmtree.NewPairEnumerator).
 const MaxShards = 256
 
 // BuildEngine constructs a sharded engine over data: row i becomes
@@ -91,7 +93,8 @@ const MaxShards = 256
 // and 1 both build a single shard, which answers element-wise
 // identically to Build). Every shard needs at least one row. All
 // shards share cfg.Seed, so they project into the same m-dimensional
-// space — required for cross-shard closest-pair enumeration.
+// space: their PM-trees form one forest, which one closest-pair
+// self-join covers.
 func BuildEngine(data [][]float64, cfg Config) (*Engine, error) {
 	if !cfg.Metric.Valid() {
 		return nil, fmt.Errorf("core: unknown metric %d", uint8(cfg.Metric))
@@ -121,7 +124,7 @@ func BuildEngine(data [][]float64, cfg Config) (*Engine, error) {
 		// The metric reduction runs once over the whole dataset before
 		// sharding: the InnerProduct scale S is a global property (each
 		// shard reducing its own slice would put shards in incompatible
-		// internal spaces and break cross-shard merging).
+		// internal spaces, where no cross-shard distance means anything).
 		ndim := len(data[0])
 		scale := 0.0
 		reduced := cfg.Metric != metric.L2
@@ -161,8 +164,8 @@ func BuildEngine(data [][]float64, cfg Config) (*Engine, error) {
 // BuildSetsEngine constructs a sharded Jaccard engine over
 // uint64-token sets: set i becomes global id i on shard i mod N (the
 // same striping as BuildEngine). Every shard shares cfg.Seed, so all
-// shards hash bands into one space — required for the cross-shard
-// pair join.
+// shards hash bands into one space — required for the pair join across
+// shards.
 func BuildSetsEngine(sets [][]uint64, cfg Config) (*Engine, error) {
 	if cfg.Metric != metric.Jaccard {
 		return nil, fmt.Errorf("core: BuildSetsEngine serves the jaccard metric, not %v; use BuildEngine for vector data", cfg.Metric)

@@ -232,7 +232,7 @@ func TestEngineShardedBallCover(t *testing.T) {
 }
 
 // Sharded closest pairs must satisfy the (c,k) criterion against brute
-// force — the cross-shard bipartite enumeration has to surface pairs
+// force — the self-join over the shards' forest has to surface pairs
 // that straddle shards.
 func TestEngineShardedPairsQuality(t *testing.T) {
 	ds := cpDataset(t, 1200, 79)

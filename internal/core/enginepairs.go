@@ -12,17 +12,15 @@ import (
 	"repro/internal/vec"
 )
 
-// The closest-pair driver, for any shard count N ≥ 1. Every pair of
-// live points either lives inside one partition or straddles two, so
-// the pair stream is the merge of N self-joins (one per partition's
-// PM-tree) and N(N-1)/2 bipartite joins (one per partition pair — all
-// shards share one projection seed, hence one projected space, which is
-// what makes the cross-tree distances meaningful). The merged
-// enumerator yields global-id candidates in nondecreasing projected
-// distance; at N = 1 it is the one self-join and a global id is the
-// index's own id. On top sits the one radius-capped verify loop (run):
-// seen-set dedup, the βn+k budget over the union's n, the
-// confidence-interval termination.
+// The closest-pair driver, for any shard count N ≥ 1. All shards share
+// one projection seed, hence one projected space, so their PM-trees are
+// one forest, and the pair stream is one self-join over it
+// (pmtree.NewPairEnumerator): candidate pairs of the union in
+// nondecreasing projected distance, a pair of shard p's id i named by
+// the global id i·N + p. At N = 1 the forest is the one tree and a
+// global id is the index's own id. On top sits the one radius-capped
+// verify loop (run): seen-set dedup, the βn+k budget over the union's
+// n, the confidence-interval termination.
 //
 // There is no parallel verification: on the reference dedup workload a
 // query verifies 60 pairs (CPStats{Rounds:1 Enumerated:60 Verified:60
@@ -69,7 +67,8 @@ func searchPairs(ctx context.Context, parts []*Index, k int, o SearchOptions) ([
 // partitions' views it runs over.
 type cpSharded struct {
 	parts       []*view
-	dim         int // of the internal space the parts' rows live in
+	trees       []*pmtree.Tree // the parts' trees: the forest a round joins
+	dim         int            // of the internal space the parts' rows live in
 	metric      metric.Kind
 	nsh         int32
 	k           int
@@ -171,8 +170,13 @@ func cpSetupSharded(ix *Index, parts []*view, k int, o SearchOptions) (s cpShard
 	if r0 <= 0 {
 		r0 = smallestPositiveDistance(cdf)
 	}
+	trees := make([]*pmtree.Tree, len(parts))
+	for i, v := range parts {
+		trees[i] = v.tree
+	}
 	return cpSharded{
 		parts:       parts,
+		trees:       trees,
 		dim:         ix.dim,
 		metric:      ix.metric,
 		nsh:         nsh,
@@ -186,10 +190,11 @@ func cpSetupSharded(ix *Index, parts []*view, k int, o SearchOptions) (s cpShard
 	}, true, nil
 }
 
-// locate resolves a live global id to its partition and store row.
-func (s cpSharded) locate(gid int32) (*view, int) {
-	v := s.parts[gid%s.nsh]
-	return v, int(v.rowOf[gid/s.nsh])
+// row returns the stored row of partition p's live id.
+func (s cpSharded) row(p int, id int32) []float64 {
+	v := s.parts[p]
+	r := int(v.rowOf[id])
+	return v.flat[r*s.dim : (r+1)*s.dim]
 }
 
 // projCutoff maps the k-th best squared original distance to the
@@ -216,119 +221,15 @@ func (s cpSharded) settled(top []Pair, bound, r float64, scanned, verified int) 
 	return scanned >= s.maxPairs || verified >= s.maxVerified
 }
 
-// pairSource is one sub-enumerator of the merge: a self-join (sa ==
-// sb) or bipartite join (sa < sb) with its current head candidate
-// translated to normalized global ids.
-type pairSource struct {
-	en     *pmtree.PairEnumerator
-	sa, sb int32
-	nsh    int32
-	head   Pair // head.Dist is the projected distance
-	ok     bool
-}
-
-func (p *pairSource) advance() {
-	c, ok := p.en.Next()
-	p.ok = ok
-	if !ok {
-		return
-	}
-	g1 := c.ID1*p.nsh + p.sa
-	g2 := c.ID2*p.nsh + p.sb
-	if g2 < g1 {
-		g1, g2 = g2, g1
-	}
-	p.head = Pair{I: g1, J: g2, Dist: c.Dist}
-}
-
-// shardedPairEnum k-way-merges the sub-enumerators by (projected
-// distance, global id pair) — a deterministic total order, so the
-// candidate stream does not depend on goroutine scheduling or map
-// iteration anywhere upstream.
-type shardedPairEnum struct {
-	srcs []pairSource
-	// taken is the source whose head the last Next handed out (-1:
-	// none). It is pulled again at the start of the following Next, not
-	// at once: the pull then sees any cutoff the driver set while
-	// verifying that head, and a query that stops on that head never
-	// pays for a candidate it will not read. With one source the merge
-	// is therefore exactly that source's own Next sequence.
-	taken int
-}
-
-func (m *shardedPairEnum) Next() (Pair, bool) {
-	if m.taken >= 0 {
-		m.srcs[m.taken].advance()
-		m.taken = -1
-	}
-	best := -1
-	for i := range m.srcs {
-		s := &m.srcs[i]
-		if !s.ok {
-			continue
-		}
-		if best < 0 || pairLess(s.head, m.srcs[best].head) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return Pair{}, false
-	}
-	m.taken = best
-	return m.srcs[best].head, true
-}
-
-func pairLess(a, b Pair) bool {
-	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
-	}
-	if a.I != b.I {
-		return a.I < b.I
-	}
-	return a.J < b.J
-}
-
-// SetCutoff forwards to every sub-enumerator (the other sources' heads,
-// pulled under an earlier cutoff, may exceed the new one; the driver's
-// bound check disposes of them).
-func (m *shardedPairEnum) SetCutoff(c float64) {
-	for i := range m.srcs {
-		m.srcs[i].en.SetCutoff(c)
-	}
-}
-
-// DistComps sums the sub-enumerators' projected-space metric
-// evaluations (each counts its own, so the total is exact per query).
-func (m *shardedPairEnum) DistComps() int64 {
-	var total int64
-	for i := range m.srcs {
-		total += m.srcs[i].en.DistComps()
-	}
-	return total
-}
-
-// newRound restarts m as one capped merged enumeration at
-// original-space radius r.
-func (s cpSharded) newRound(m *shardedPairEnum, r float64, have int, bound float64) {
-	m.srcs = m.srcs[:0]
-	for a, ia := range s.parts {
-		if ia.live() >= 2 {
-			m.srcs = append(m.srcs, pairSource{en: ia.tree.NewPairEnumerator(), sa: int32(a), sb: int32(a), nsh: s.nsh})
-		}
-		for b := a + 1; b < len(s.parts); b++ {
-			if ib := s.parts[b]; ia.live() >= 1 && ib.live() >= 1 {
-				m.srcs = append(m.srcs, pairSource{en: ia.tree.NewBipartitePairEnumerator(ib.tree), sa: int32(a), sb: int32(b), nsh: s.nsh})
-			}
-		}
-	}
-	m.SetCutoff(s.t * r)
+// newRound starts one capped self-join of the forest at original-space
+// radius r.
+func (s cpSharded) newRound(r float64, have int, bound float64) *pmtree.PairEnumerator {
+	en := pmtree.NewPairEnumerator(s.trees...)
+	en.SetCutoff(s.t * r)
 	if have == s.k {
-		m.SetCutoff(s.projCutoff(bound))
+		en.SetCutoff(s.projCutoff(bound))
 	}
-	for i := range m.srcs {
-		m.srcs[i].advance()
-	}
-	m.taken = -1
+	return en
 }
 
 // cpCheckEvery is how many candidates the pair loops consume between
@@ -337,7 +238,7 @@ const cpCheckEvery = 256
 
 // run is the one closest-pair round loop: rounds of capped joins at
 // projected radius t·r, r ← c·r, each candidate verified with its
-// exact distance as it streams off the merged enumerator.
+// exact distance as it streams off the join.
 func (s cpSharded) run(ctx context.Context, filter func(int32) bool, st *CPStats) ([]Pair, error) {
 	// top's Dist holds squared distances until return; bound is the
 	// current k-th best of them.
@@ -346,14 +247,13 @@ func (s cpSharded) run(ctx context.Context, filter func(int32) bool, st *CPStats
 	seen := make(map[[2]int32]bool, vec.PreallocCap(s.budget, s.maxPairs))
 	r := s.r0
 	var pdc int64
-	var en shardedPairEnum
 rounds:
 	for {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
 		st.Rounds++
-		s.newRound(&en, r, len(top), bound)
+		en := s.newRound(r, len(top), bound)
 		for {
 			// Cancellation between verification work items, amortized
 			// over a batch of enumerator pulls.
@@ -367,21 +267,22 @@ rounds:
 				break
 			}
 			st.Enumerated++
-			key := [2]int32{cand.I, cand.J}
+			g1, g2 := cand.ID1*s.nsh+int32(cand.Tree1), cand.ID2*s.nsh+int32(cand.Tree2)
+			if g2 < g1 {
+				g1, g2 = g2, g1
+			}
+			key := [2]int32{g1, g2}
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
-			if filter != nil && !(filter(cand.I) && filter(cand.J)) {
+			if filter != nil && !(filter(g1) && filter(g2)) {
 				continue
 			}
 			st.Verified++
-			ia, r1 := s.locate(cand.I)
-			ib, r2 := s.locate(cand.J)
-			d := s.dim
-			d2 := vec.SquaredL2Bounded(ia.flat[r1*d:(r1+1)*d], ib.flat[r2*d:(r2+1)*d], bound)
+			d2 := vec.SquaredL2Bounded(s.row(cand.Tree1, cand.ID1), s.row(cand.Tree2, cand.ID2), bound)
 			if len(top) < s.k || d2 < bound {
-				top = insertPair(top, Pair{I: cand.I, J: cand.J, Dist: d2}, s.k)
+				top = insertPair(top, Pair{I: g1, J: g2, Dist: d2}, s.k)
 				if len(top) == s.k {
 					bound = top[s.k-1].Dist
 					en.SetCutoff(s.projCutoff(bound))
@@ -420,6 +321,11 @@ rounds:
 // of the stored token sets, drops pairs below the similarity
 // threshold, and keeps the top k by (distance, I, J) — the same
 // candidate population a single index over the union would surface.
+//
+// Each shard's band table is copied out under that shard's lock alone
+// (minhash.Index.Buckets) and joined under none: a query that held one
+// shard's lock while taking another's could wait forever on a second
+// query doing the reverse once a writer queues on each shard.
 func searchPairsJaccardSharded(ctx context.Context, parts []*Index, k int, o SearchOptions) ([]Pair, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -435,22 +341,24 @@ func searchPairsJaccardSharded(ctx context.Context, parts []*Index, k int, o Sea
 	seen := make(map[[2]int32]struct{})
 	cands := make([][2]int32, 0, 256)
 	var group []int32 // one merged bucket's global ids, reused
+	tables := make([]map[uint64][]int32, len(parts))
 	for b := 0; b < bands; b++ {
 		for s, ix := range parts {
-			ix.mh.ForEachBucket(b, func(key uint64, ids []int32) {
+			tables[s] = ix.mh.Buckets(b)
+		}
+		for s, table := range tables {
+		keys:
+			for key := range table {
 				// A key's merged bucket is built once, by the lowest
 				// shard that holds the key.
-				for _, lower := range parts[:s] {
-					if len(lower.mh.Bucket(b, key)) > 0 {
-						return
+				for _, lower := range tables[:s] {
+					if len(lower[key]) > 0 {
+						continue keys
 					}
 				}
 				group = group[:0]
-				for o := s; o < len(parts); o++ {
-					if o > s {
-						ids = parts[o].mh.Bucket(b, key)
-					}
-					for _, local := range ids {
+				for o := s; o < len(tables); o++ {
+					for _, local := range tables[o][key] {
 						group = append(group, local*nsh+int32(o))
 					}
 				}
@@ -468,7 +376,7 @@ func searchPairsJaccardSharded(ctx context.Context, parts []*Index, k int, o Sea
 						cands = append(cands, pr)
 					}
 				}
-			})
+			}
 		}
 	}
 	st.Enumerated = len(cands)

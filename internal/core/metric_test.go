@@ -7,6 +7,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"math"
@@ -531,7 +532,7 @@ func TestJaccardSearchPairsVsOracle(t *testing.T) {
 				t.Fatalf("shards=%d: pair (%d,%d) reported twice", shards, p.I, p.J)
 			}
 			seen[key] = true
-			if i > 0 && pairLess(p, pairs[i-1]) {
+			if q := pairs[max(i-1, 0)]; cmp.Or(cmp.Compare(p.Dist, q.Dist), cmp.Compare(p.I, q.I), cmp.Compare(p.J, q.J)) < 0 {
 				t.Fatalf("shards=%d: pairs %d and %d out of (dist, I, J) order", shards, i-1, i)
 			}
 			if want := 1 - minhash.Jaccard(canon[p.I], canon[p.J]); p.Dist != want {

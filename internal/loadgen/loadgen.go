@@ -30,8 +30,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/lscan"
 	"repro/internal/metric"
-	"repro/internal/vec"
 )
 
 // Config parameterizes one load-generation run.
@@ -247,82 +247,8 @@ func (o *oracle) randomBase(rng *rand.Rand) []float64 {
 func (o *oracle) topK(q []float64, k int, m metric.Kind) (map[int32]bool, int) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	if k > len(o.ids) {
-		k = len(o.ids)
-	}
-	type cand struct {
-		id int32
-		d  float64
-	}
-	top := make([]cand, 0, k)
-	bound := math.Inf(1)
-	for id, p := range o.live {
-		var d float64
-		if m == metric.L2 {
-			d = vec.SquaredL2Bounded(q, p, bound)
-		} else {
-			d = nativeDist(m, q, p)
-		}
-		if len(top) == k && d >= bound {
-			continue
-		}
-		top = vec.InsertBounded(top, cand{id: id, d: d}, k, func(c cand) float64 { return c.d })
-		if len(top) == k {
-			bound = top[k-1].d
-		}
-	}
-	out := make(map[int32]bool, len(top))
-	for _, c := range top {
-		out[c.id] = true
-	}
-	return out, k
-}
-
-// nativeDist is the oracle's exact distance for the non-L2 metrics
-// (under L2 the bounded squared distance above keeps ranks identical
-// with less work).
-func nativeDist(m metric.Kind, q, p []float64) float64 {
-	switch m {
-	case metric.Cosine:
-		var dot, nq, np float64
-		for i := range q {
-			dot += q[i] * p[i]
-			nq += q[i] * q[i]
-			np += p[i] * p[i]
-		}
-		den := math.Sqrt(nq) * math.Sqrt(np)
-		if den == 0 {
-			return 1
-		}
-		return 1 - dot/den
-	case metric.InnerProduct:
-		var dot float64
-		for i := range q {
-			dot += q[i] * p[i]
-		}
-		return -dot
-	case metric.Jaccard:
-		qs := make(map[float64]bool, len(q))
-		for _, t := range q {
-			qs[t] = true
-		}
-		ps := make(map[float64]bool, len(p))
-		inter := 0
-		for _, t := range p {
-			if !ps[t] {
-				ps[t] = true
-				if qs[t] {
-					inter++
-				}
-			}
-		}
-		union := len(qs) + len(ps) - inter
-		if union == 0 {
-			return 0
-		}
-		return 1 - float64(inter)/float64(union)
-	}
-	panic(fmt.Sprintf("loadgen: no native distance for metric %v", m))
+	k = min(k, len(o.ids))
+	return lscan.ExactKNN(o.live, q, k, m), k
 }
 
 // tally accumulates latencies, recall and counts; one per run plus a

@@ -12,7 +12,7 @@ import (
 // The recall oracle scores the serve, crash, metric and soak runs, so
 // it is held to an exact reference of its own: a plain id → vector
 // mirror driven through the same seeded insert/delete interleaving,
-// ranked by lscan at Fraction 1 under L2 and by a sort over nativeDist
+// ranked by lscan at Fraction 1 under L2 and by a sort over lscan.NativeDist
 // under cosine and inner product.
 
 func randVec(rng *rand.Rand, dim int) []float64 {
@@ -56,7 +56,7 @@ func exactTopK(t *testing.T, mirror map[int32][]float64, q []float64, k int, m m
 		return out
 	}
 	sort.SliceStable(ids, func(i, j int) bool {
-		return nativeDist(m, q, mirror[ids[i]]) < nativeDist(m, q, mirror[ids[j]])
+		return lscan.NativeDist(m, q, mirror[ids[i]]) < lscan.NativeDist(m, q, mirror[ids[j]])
 	})
 	for _, id := range ids[:k] {
 		out[id] = true

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/metric"
 	"repro/internal/vec"
 )
 
@@ -147,4 +148,85 @@ func (s *Scanner) KNN(q []float64, k int) ([]Result, error) {
 		}
 	}
 	return out, nil
+}
+
+// ExactKNN returns the ids of the exact k nearest of the live points
+// (id → vector) to q under m, all of them when k is at least their
+// number: the exhaustive scan recall is scored against. Ties at the
+// k-th distance are broken by map order.
+func ExactKNN(live map[int32][]float64, q []float64, k int, m metric.Kind) map[int32]bool {
+	type cand struct {
+		id int32
+		d  float64
+	}
+	k = min(k, len(live))
+	top := make([]cand, 0, k)
+	bound := math.Inf(1)
+	for id, p := range live {
+		var d float64
+		if m == metric.L2 {
+			d = vec.SquaredL2Bounded(q, p, bound)
+		} else {
+			d = NativeDist(m, q, p)
+		}
+		if len(top) == k && d >= bound {
+			continue
+		}
+		top = vec.InsertBounded(top, cand{id: id, d: d}, k, func(c cand) float64 { return c.d })
+		if len(top) == k {
+			bound = top[k-1].d
+		}
+	}
+	out := make(map[int32]bool, len(top))
+	for _, c := range top {
+		out[c.id] = true
+	}
+	return out
+}
+
+// NativeDist is ExactKNN's exact distance for the non-L2 metrics
+// (under L2 the bounded squared distance keeps ranks identical with
+// less work).
+func NativeDist(m metric.Kind, q, p []float64) float64 {
+	switch m {
+	case metric.Cosine:
+		var dot, nq, np float64
+		for i := range q {
+			dot += q[i] * p[i]
+			nq += q[i] * q[i]
+			np += p[i] * p[i]
+		}
+		den := math.Sqrt(nq) * math.Sqrt(np)
+		if den == 0 {
+			return 1
+		}
+		return 1 - dot/den
+	case metric.InnerProduct:
+		var dot float64
+		for i := range q {
+			dot += q[i] * p[i]
+		}
+		return -dot
+	case metric.Jaccard:
+		qs := make(map[float64]bool, len(q))
+		for _, t := range q {
+			qs[t] = true
+		}
+		ps := make(map[float64]bool, len(p))
+		inter := 0
+		for _, t := range p {
+			if !ps[t] {
+				ps[t] = true
+				if qs[t] {
+					inter++
+				}
+			}
+		}
+		union := len(qs) + len(ps) - inter
+		if union == 0 {
+			return 0
+		}
+		return 1 - float64(inter)/float64(union)
+	}
+	panic(fmt.Sprintf("lscan: no native distance for metric %v", m))
 }

@@ -27,6 +27,7 @@ package minhash
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -103,8 +104,8 @@ type SearchOpt struct {
 // moment their change lands — an insert or delete is microseconds, and
 // Compact rebuilds its bucket tables under the read side, beside the
 // queries, taking the write side just to swap them in. Bucket slices
-// handed to readers are never edited in place: Insert appends past what
-// a reader holds, Delete installs a shortened copy.
+// handed to readers (Buckets) are never edited in place: Insert appends
+// past what a reader holds, Delete installs a shortened copy.
 type Index struct {
 	wmu sync.Mutex   // serializes the mutations
 	mu  sync.RWMutex // guards everything below
@@ -377,25 +378,16 @@ func (x *Index) Set(id int32) []uint64 {
 	return x.sets[id]
 }
 
-// Bucket returns the live ids whose band hashed to key, nil when there
-// are none. Like Set, the slice is the index's own storage and must not
-// be modified; it stays what it was when returned, whatever is inserted
-// or deleted afterwards.
-func (x *Index) Bucket(band int, key uint64) []int32 {
+// Buckets returns the given band's table — bucket key → the live ids in
+// it — as a shallow copy taken under the read lock. Like Set, each id
+// slice is the index's own storage and must not be modified; it stays
+// what it was when returned, whatever is inserted or deleted afterwards,
+// so a caller can read the tables of several indexes while holding none
+// of their locks.
+func (x *Index) Buckets(band int) map[uint64][]int32 {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	return x.buckets[band][key]
-}
-
-// ForEachBucket calls fn once per non-empty bucket of the given band
-// with the bucket key and the live ids in it. The callback must not
-// mutate the index; ids is only valid during the call.
-func (x *Index) ForEachBucket(band int, fn func(key uint64, ids []int32)) {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	for key, ids := range x.buckets[band] {
-		fn(key, ids)
-	}
+	return maps.Clone(x.buckets[band])
 }
 
 // Search returns up to k live sets most similar to the query set,

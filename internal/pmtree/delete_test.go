@@ -137,7 +137,7 @@ func TestDeleteInsertPairEnumeration(t *testing.T) {
 		t.Fatalf("after 30 inserts: %d rows (%d in the tail) for %d points, want %d rows, 30 in the tail, 80 points",
 			tr.Rows(), tr.Tail(), tr.Len(), slots+30)
 	}
-	en := tr.NewPairEnumerator()
+	en := NewPairEnumerator(tr)
 	pairs := 0
 	for {
 		cand, ok := en.Next()

@@ -1,6 +1,7 @@
 package pmtree
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -12,30 +13,39 @@ import (
 // closest-pair search (the journal extension of PM-LSH generalizes the
 // tree-over-projections design from (c,k)-ANN to (c,k)-closest-pair
 // search): a best-first enumeration of the unordered pairs of indexed
-// points in nondecreasing order of their exact distance in the tree's
-// (projected) space.
+// points in nondecreasing order of their exact distance in the
+// (projected) space the trees share.
+//
+// The join runs over a forest: one or more trees over points of one
+// space, each its own id space. Every pair of the forest's points lies
+// inside one tree or straddles two, so the traversal starts from the
+// root pairs (s, s) and (s, u) for s < u and descends them all in one
+// queue. A tree index is carried with every region (pairRegion.side)
+// and every pair. One tree is the forest of one.
 //
 // The enumerator maintains a priority queue whose items are:
 //
 //   - node pairs (A, B): two subtrees, keyed by a lower bound on the
 //     distance between any point below A and any point below B — the
-//     M-tree ball bound max(0, d(RO_A, RO_B) − r_A − r_B) sharpened by
-//     the hyper-ring gap max_i gap(HR_A[i], HR_B[i]);
+//     M-tree ball bound max(0, d(RO_A, RO_B) − r_A − r_B) sharpened,
+//     when both subtrees belong to one tree, by the hyper-ring gap
+//     max_i gap(HR_A[i], HR_B[i]);
 //   - entry pairs (o_1, o_2): two leaf entries keyed by their exact
 //     distance, computed when the leaf pair is expanded. The pivot
 //     lower bound max_i |d(o_1, p_i) − d(o_2, p_i)| (free: leaf entries
-//     precompute their pivot distances) pre-filters pairs that already
-//     exceed the cutoff, and pairs whose exact distance exceeds it are
-//     dropped instead of queued. Computing the exact distance eagerly
-//     is deliberate: the tree's space is the low-dimensional projected
-//     space, where one metric evaluation costs little more than the
-//     pivot bound, and self-joins live or die by keeping the O(n²)
-//     beyond-cutoff pairs out of the queue.
+//     precompute their pivot distances) pre-filters same-tree pairs that
+//     already exceed the cutoff, and pairs whose exact distance exceeds
+//     it are dropped instead of queued. Computing the exact distance
+//     eagerly is deliberate: the trees' space is the low-dimensional
+//     projected space, where one metric evaluation costs little more
+//     than the pivot bound, and self-joins live or die by keeping the
+//     O(n²) beyond-cutoff pairs out of the queue.
 //
 // Popping in bound order with ties broken toward the more refined item
 // yields every pair at most once (each node has a unique parent, so an
 // unordered pair of subtrees is generated from exactly one ancestor
-// pair) and in exactly nondecreasing exact distance.
+// pair, and that from exactly one root pair) and in exactly
+// nondecreasing exact distance.
 //
 // Hot-path layout notes: heap items are 24 pointer-free bytes (node
 // pair geometry lives in a side arena indexed by item.id1), so heap
@@ -46,12 +56,11 @@ import (
 //
 // The dual traversal pairs the points the leaves cover. A tree's tail —
 // the rows inserted since its bulk load — is one more part joined
-// against them, by one range query per tail row on the first Next (see
-// seedTail).
+// against the forest, by range queries per tail row on the first Next
+// (see seedTail).
 type PairEnumerator struct {
-	t      *Tree
-	t2     *Tree   // nil for a self-join; the second tree of a bipartite join
-	l, l2  *layout // t's and t2's bulk-loaded generations
+	ts     []*Tree   // the forest
+	ls     []*layout // each tree's bulk-loaded generation; nil for a tree without live points
 	pq     heapq.Heap[pairItem]
 	nodes  []nodePairArena // side arena for queued node pairs
 	cutoff float64
@@ -60,16 +69,13 @@ type PairEnumerator struct {
 	rq     RangeEnumerator // seedTail's range queries
 
 	// joins caches each leaf's sweep-ready layout (entries sorted by
-	// first coordinate, pivot distances gathered alongside), keyed by
-	// the leaf's first row (unique per non-empty leaf). A leaf
+	// first coordinate, pivot distances gathered alongside), per tree and
+	// keyed by the leaf's first row (unique per non-empty leaf). A leaf
 	// participates in many leaf pairs over one enumeration, so the sort
 	// is paid once per leaf, not once per pair — and the lookup must be
 	// an array index, not a map probe, at tens of thousands of pair
-	// expansions. joins2 is the same cache for t2's leaves (bipartite
-	// joins only; rows of the two trees live in separate stores, so the
-	// keys cannot share one array).
-	joins  []*leafJoin
-	joins2 []*leafJoin
+	// expansions.
+	joins [][]*leafJoin
 
 	// stack holds node pairs whose lower bound is zero. They sort
 	// before every other item, so expanding them LIFO off a plain stack
@@ -95,13 +101,13 @@ type leafJoin struct {
 }
 
 // PairCandidate is one pair produced by the enumerator and its exact
-// distance in the tree's space. For a self-join the ids are two
-// distinct indexed points with ID1 <= ID2; for a bipartite join ID1 is
-// always an id of the receiver tree and ID2 an id of the other tree
-// (the two id spaces are independent, so no ordering is imposed).
+// distance in the trees' space: ID1 of tree Tree1 and ID2 of tree Tree2
+// (indexes into the forest NewPairEnumerator was handed), ordered by
+// (tree, id) — Tree1 <= Tree2, and ID1 < ID2 within one tree.
 type PairCandidate struct {
-	ID1, ID2 int32
-	Dist     float64
+	ID1, ID2     int32
+	Tree1, Tree2 int
+	Dist         float64
 }
 
 // Item refinement kinds. Greater = more refined; on equal bounds the
@@ -113,12 +119,9 @@ const (
 )
 
 // pairRegion is one side of a node pair: a subtree plus the routing
-// geometry that bounds it. The root has no routing entry; center == nil
-// marks "unbounded" (lower bound 0 against anything). side says which
-// tree the subtree belongs to (0 = e.t, 1 = e.t2) — always 0 for a
-// self-join; in a bipartite join every node pair has one region per
-// side, because expansion descends one side at a time starting from
-// (root of t, root of t2).
+// geometry that bounds it. A root has no routing entry; center == nil
+// marks "unbounded" (lower bound 0 against anything). side is the index
+// of the subtree's tree in the forest.
 type pairRegion struct {
 	n      *node
 	center []float64
@@ -131,12 +134,13 @@ type nodePairArena struct{ a, b pairRegion }
 
 // pairItem is one queue element. For kindNodePair, id1 indexes the
 // enumerator's node-pair arena; for kindExactPair, id1/id2 are the
-// point ids and bound is the exact distance.
+// point ids, t1/t2 their trees and bound is the exact distance.
 type pairItem struct {
-	bound float64
-	id1   int32
-	id2   int32
-	kind  uint8
+	bound  float64
+	id1    int32
+	id2    int32
+	kind   uint8
+	t1, t2 uint8
 }
 
 // Less orders the queue by bound; on equal bounds the more refined
@@ -158,52 +162,51 @@ func (e *PairEnumerator) dist(a, b []float64) float64 {
 }
 
 // DistComps returns the number of metric evaluations this enumeration
-// has paid since it was created. The count is owned by the
-// enumeration — it never includes work from other queries, however
-// many run concurrently.
+// has paid since it was created, a tail row's range queries included.
+// The count is owned by the enumeration — it never includes work from
+// other queries, however many run concurrently.
 func (e *PairEnumerator) DistComps() int64 { return e.qdist }
 
-// NewPairEnumerator starts a pair enumeration over the tree. The
-// enumerator reads the tree without modifying it but must not be used
-// concurrently with Insert or Delete, like every query; concurrent
-// enumerations and range queries are fine. A tree with fewer than two
-// points enumerates nothing.
-func (t *Tree) NewPairEnumerator() *PairEnumerator {
-	e := &PairEnumerator{t: t, l: t.built(), cutoff: math.Inf(1), done: t.count < 2}
-	if !e.done {
-		root := pairRegion{n: e.l.root, radius: math.Inf(1)}
-		e.expand(root, root)
+// NewPairEnumerator starts a pair enumeration over a forest of at most
+// 256 trees: every unordered pair of live points of the trees' union,
+// in nondecreasing order of exact distance, each exactly once. The trees
+// must index points of one dimension and one space (pair distances
+// across trees are taken at face value); their pivots may differ. The
+// enumerator reads the trees without modifying them but must not be
+// used concurrently with Insert or Delete, like every query; concurrent
+// enumerations and range queries are fine. A forest with fewer than two
+// live points enumerates nothing.
+func NewPairEnumerator(trees ...*Tree) *PairEnumerator {
+	if len(trees) > math.MaxUint8+1 {
+		panic(fmt.Sprintf("pmtree: a pair enumeration joins at most %d trees, got %d", math.MaxUint8+1, len(trees)))
+	}
+	e := &PairEnumerator{ts: trees, ls: make([]*layout, len(trees)), joins: make([][]*leafJoin, len(trees)), cutoff: math.Inf(1)}
+	live := 0
+	for s, t := range trees {
+		if t.count > 0 {
+			e.ls[s] = t.built()
+			live += t.count
+		}
+	}
+	if live < 2 {
+		e.done = true
+		return e
+	}
+	for s, t := range trees {
+		if e.ls[s] == nil {
+			continue
+		}
+		rs := pairRegion{n: e.ls[s].root, radius: math.Inf(1), side: uint8(s)}
+		if t.count >= 2 {
+			e.expand(rs, rs)
+		}
+		for u := s + 1; u < len(trees); u++ {
+			if e.ls[u] != nil {
+				e.expand(rs, pairRegion{n: e.ls[u].root, radius: math.Inf(1), side: uint8(u)})
+			}
+		}
 	}
 	return e
-}
-
-// NewBipartitePairEnumerator starts a cross-tree pair enumeration: it
-// yields every pair (x, y) with x indexed by the receiver and y by
-// other, in nondecreasing order of their exact distance, each exactly
-// once. Both trees must index points of the same dimension (they may
-// use different pivots — the hyper-ring sharpening and the per-pivot
-// leaf prefilter only apply within one pivot set, so cross-tree bounds
-// fall back to the routing-ball bound alone). The candidate's ID1 is
-// the receiver's id and ID2 the other tree's id; the two id spaces are
-// independent. DistComps counts the evaluations of both sides, a tail
-// row's range queries included. Either tree being empty enumerates
-// nothing.
-func (t *Tree) NewBipartitePairEnumerator(other *Tree) *PairEnumerator {
-	e := &PairEnumerator{t: t, t2: other, l: t.built(), l2: other.built(), cutoff: math.Inf(1), done: t.count < 1 || other.count < 1}
-	if !e.done {
-		ra := pairRegion{n: e.l.root, radius: math.Inf(1), side: 0}
-		rb := pairRegion{n: e.l2.root, radius: math.Inf(1), side: 1}
-		e.expand(ra, rb)
-	}
-	return e
-}
-
-// side maps a region side to its tree and that tree's layout.
-func (e *PairEnumerator) side(side uint8) (*Tree, *layout) {
-	if side == 0 {
-		return e.t, e.l
-	}
-	return e.t2, e.l2
 }
 
 // SetCutoff caps the enumeration: pairs with distance above cutoff are
@@ -248,7 +251,7 @@ func (e *PairEnumerator) Next() (PairCandidate, bool) {
 		}
 		it := e.pq.Pop()
 		if it.kind == kindExactPair {
-			return PairCandidate{ID1: it.id1, ID2: it.id2, Dist: it.bound}, true
+			return PairCandidate{ID1: it.id1, ID2: it.id2, Tree1: int(it.t1), Tree2: int(it.t2), Dist: it.bound}, true
 		}
 		np := &e.nodes[it.id1]
 		e.expand(np.a, np.b)
@@ -281,8 +284,8 @@ func (e *PairEnumerator) expand(a, b pairRegion) {
 	// Distinct nodes: descend the inner one with the larger radius (a
 	// leaf or smaller subtree stays whole so its bound keeps pruning).
 	// The choice is a pure function of the two regions, so each node
-	// pair is generated from exactly one ancestor pair — in the
-	// bipartite case too, where the sides travel with the regions.
+	// pair is generated from exactly one ancestor pair — across trees
+	// too, where the sides travel with the regions.
 	if a.n.leaf || (!b.n.leaf && b.radius > a.radius) {
 		a, b = b, a
 	}
@@ -294,16 +297,14 @@ func (e *PairEnumerator) expand(a, b pairRegion) {
 // leafJoin returns (building and caching on first use) the leaf's
 // sweep-ready layout.
 func (e *PairEnumerator) leafJoin(n *node, side uint8) *leafJoin {
-	t, l := e.side(side)
-	cache := &e.joins
-	if side == 1 {
-		cache = &e.joins2
-	}
-	if *cache == nil {
-		*cache = make([]*leafJoin, t.frozen)
+	t, l := e.ts[side], e.ls[side]
+	cache := e.joins[side]
+	if cache == nil {
+		cache = make([]*leafJoin, t.frozen)
+		e.joins[side] = cache
 	}
 	key := n.first
-	if lj := (*cache)[key]; lj != nil {
+	if lj := cache[key]; lj != nil {
 		return lj
 	}
 	s := len(l.pivots)
@@ -330,7 +331,7 @@ func (e *PairEnumerator) leafJoin(n *node, side uint8) *leafJoin {
 		lj.row[i] = n.first + int32(at)
 		lj.id[i] = ids[at]
 	}
-	(*cache)[key] = lj
+	cache[key] = lj
 	return lj
 }
 
@@ -340,13 +341,11 @@ func (e *PairEnumerator) leafJoin(n *node, side uint8) *leafJoin {
 // sorted by it, only pairs whose coordinate gap — a distance lower
 // bound free of the radial concentration pivot distances suffer — is
 // within the cutoff are touched at all. Survivors then reject on the
-// per-pivot bounds (same-tree pairs only: the two trees of a bipartite
-// join have independent pivot sets) and finally the exact squared
-// distance.
+// per-pivot bounds (same-tree pairs only: each tree has pivots of its
+// own) and finally the exact squared distance.
 func (e *PairEnumerator) expandLeafPair(ra, rb pairRegion) {
 	na, nb := ra.n, rb.n
-	// A leaf without entries (the root of a tree that is all tail, or
-	// one read from a stream written when Delete emptied leaves)
+	// A leaf without entries (the root of a tree that is all tail)
 	// contributes no pairs, and leafJoin keys off the first row, so it
 	// must not reach it.
 	if na.size() == 0 || nb.size() == 0 {
@@ -357,8 +356,7 @@ func (e *PairEnumerator) expandLeafPair(ra, rb pairRegion) {
 	if na != nb {
 		b = e.leafJoin(nb, rb.side)
 	}
-	_, la := e.side(ra.side)
-	_, lb := e.side(rb.side)
+	la, lb := e.ls[ra.side], e.ls[rb.side]
 	cross := ra.side != rb.side
 	s := len(la.pivots)
 	cutoff := e.cutoff
@@ -400,70 +398,64 @@ func (e *PairEnumerator) expandLeafPair(ra, rb pairRegion) {
 			if d > cutoff {
 				continue
 			}
-			id1, id2 := a.id[i], b.id[j]
-			if cross {
-				// Bipartite: ID1 is always e.t's id, ID2 always e.t2's
-				// (the regions may have been swapped by expand).
-				if ra.side == 1 {
-					id1, id2 = id2, id1
-				}
-			} else if id2 < id1 {
-				id1, id2 = id2, id1
-			}
-			e.pq.Push(pairItem{bound: d, kind: kindExactPair, id1: id1, id2: id2})
+			e.pushExact(d, ra.side, a.id[i], rb.side, b.id[j])
 		}
 	}
 	e.qdist += exact
 }
 
-// seedTail queues every pair within the cutoff that involves a tail
-// row, as entry pairs at their exact distances: the distances are the
-// kernel's, bit for bit what expandLeafPair computes for the same two
-// points once a bulk load has moved them under leaves. The cutoff can
-// only shrink afterwards, and Next never pops past it.
-func (e *PairEnumerator) seedTail() {
-	e.joinTail(e.t, e.t2)
-	if e.t2 != nil {
-		e.joinTail(e.t2, e.t)
+// pushExact queues the pair of tree ta's id a and tree tb's id b at its
+// exact distance d, ordered as PairCandidate is.
+func (e *PairEnumerator) pushExact(d float64, ta uint8, a int32, tb uint8, b int32) {
+	if tb < ta || (tb == ta && b < a) {
+		ta, a, tb, b = tb, b, ta, a
 	}
+	e.pq.Push(pairItem{bound: d, kind: kindExactPair, id1: a, id2: b, t1: ta, t2: tb})
 }
 
-// joinTail runs one range query at the cutoff per live tail row of
-// from. In a self-join (in == nil) it covers from's leaves and the tail
-// rows behind the querying one, which pairs every two tail rows once.
-// In a bipartite join the receiver's tail rows search all of the other
-// tree, and the other tree's tail rows the receiver's leaves alone —
-// its tail has met them already.
-func (e *PairEnumerator) joinTail(from, in *Tree) {
-	self := in == nil
-	if self {
-		in = from
-	}
-	var id int32 // the querying row's
-	emit := func(other int32, d float64) {
-		id1, id2 := id, other
-		if from == e.t2 || (self && id2 < id1) {
-			id1, id2 = id2, id1
-		}
-		e.pq.Push(pairItem{bound: d, kind: kindExactPair, id1: id1, id2: id2})
-	}
-	for i, tid := range from.tail.rowID {
-		if !from.liveID(tid) {
+// seedTail queues every pair within the cutoff that involves a live
+// tail row, as entry pairs at their exact distances: the distances are
+// the kernel's, bit for bit what expandLeafPair computes for the same
+// two points once a bulk load has moved them under leaves. The cutoff
+// can only shrink afterwards, and Next never pops past it.
+//
+// A tail row of tree s runs one range query at the cutoff per tree u:
+// over u's leaves, plus all of u's tail when u > s, the tail rows after
+// it when u = s, and no tail rows when u < s. A pair of two tail rows
+// is therefore queried from exactly one of them — the one of the lower
+// tree, or the earlier one of one tree.
+func (e *PairEnumerator) seedTail() {
+	var from, in uint8 // the querying row's tree and the queried one
+	var id int32       // the querying row's
+	emit := func(other int32, d float64) { e.pushExact(d, from, id, in, other) }
+	for s, ts := range e.ts {
+		if e.ls[s] == nil {
 			continue
 		}
-		id = tid
-		// ResetTree cannot fail: both trees index points of one dimension.
-		if err := e.rq.ResetTree(in, from.tail.row(i)); err != nil {
-			panic(err)
+		for i, tid := range ts.tail.rowID {
+			if !ts.liveID(tid) {
+				continue
+			}
+			from, id = uint8(s), tid
+			for u, tu := range e.ts {
+				if e.ls[u] == nil {
+					continue
+				}
+				in = uint8(u)
+				// ResetTree cannot fail: the trees index points of one dimension.
+				if err := e.rq.ResetTree(tu, ts.tail.row(i)); err != nil {
+					panic(err)
+				}
+				switch {
+				case u == s:
+					e.rq.tailFrom = ts.frozen + i + 1
+				case u < s:
+					e.rq.tailFrom = tu.Rows()
+				}
+				e.rq.Expand(e.cutoff, emit)
+				e.qdist += e.rq.DistComps()
+			}
 		}
-		switch {
-		case self:
-			e.rq.tailFrom = from.frozen + i + 1
-		case from == e.t2:
-			e.rq.tailFrom = in.Rows()
-		}
-		e.rq.Expand(e.cutoff, emit)
-		e.qdist += e.rq.DistComps()
 	}
 	e.rq.Release()
 }
@@ -476,6 +468,12 @@ func (e *PairEnumerator) pushNodes(a, b pairRegion) {
 	bound := e.regionBound(a, b)
 	if bound > e.cutoff {
 		return
+	}
+	// Doubling, not append's growth: one arena holds every root pair's
+	// node pairs, and append's 1.25 steps past 256 entries would copy
+	// it several times over.
+	if len(e.nodes) == cap(e.nodes) {
+		e.nodes = append(make([]nodePairArena, 0, 2*cap(e.nodes)+64), e.nodes...)
 	}
 	e.nodes = append(e.nodes, nodePairArena{a: a, b: b})
 	it := pairItem{bound: bound, kind: kindNodePair, id1: int32(len(e.nodes) - 1)}
@@ -490,8 +488,8 @@ func (e *PairEnumerator) pushNodes(a, b pairRegion) {
 // any point below b: the routing-ball bound sharpened by the per-pivot
 // hyper-ring gaps (points below a subtree have pivot distances inside
 // its rings, so disjoint rings keep the subtrees at least the gap
-// apart). Ring sharpening requires one pivot set — regions from the
-// two sides of a bipartite join keep the ball bound alone.
+// apart). Ring sharpening requires one pivot set — regions of two trees
+// keep the ball bound alone.
 func (e *PairEnumerator) regionBound(a, b pairRegion) float64 {
 	if a.n == b.n || a.center == nil || b.center == nil {
 		return 0

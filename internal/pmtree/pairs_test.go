@@ -42,7 +42,7 @@ func TestPairEnumeratorFullOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := brutePairs(data)
-		en := tree.NewPairEnumerator()
+		en := NewPairEnumerator(tree)
 		var got []PairCandidate
 		for {
 			c, ok := en.Next()
@@ -84,7 +84,7 @@ func TestPairEnumeratorCutoff(t *testing.T) {
 	}
 	want := brutePairs(data)
 	cutoff := want[24].Dist // keep exactly the 25 closest pairs
-	en := tree.NewPairEnumerator()
+	en := NewPairEnumerator(tree)
 	en.SetCutoff(cutoff)
 	count := 0
 	for {
@@ -116,7 +116,7 @@ func TestPairEnumeratorShrinkingCutoff(t *testing.T) {
 	// Emulate a top-k consumer: after k pairs, cut off at the running
 	// k-th distance. The first k pairs must match brute force exactly.
 	const k = 10
-	en := tree.NewPairEnumerator()
+	en := NewPairEnumerator(tree)
 	var got []PairCandidate
 	for {
 		c, ok := en.Next()
@@ -137,7 +137,7 @@ func TestPairEnumeratorShrinkingCutoff(t *testing.T) {
 		}
 	}
 	// A growing cutoff must be ignored.
-	en2 := tree.NewPairEnumerator()
+	en2 := NewPairEnumerator(tree)
 	en2.SetCutoff(want[0].Dist)
 	en2.SetCutoff(want[len(want)-1].Dist * 2)
 	n := 0
@@ -159,7 +159,7 @@ func TestPairEnumeratorDuplicatesAndSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	en := tree.NewPairEnumerator()
+	en := NewPairEnumerator(tree)
 	first, ok := en.Next()
 	if !ok || first.Dist != 0 {
 		t.Fatalf("first pair should be a duplicate at distance 0, got %+v ok=%v", first, ok)
@@ -174,7 +174,7 @@ func TestPairEnumeratorDuplicatesAndSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tree1.NewPairEnumerator().Next(); ok {
+	if _, ok := NewPairEnumerator(tree1).Next(); ok {
 		t.Fatal("single-point tree enumerated a pair")
 	}
 
@@ -183,7 +183,7 @@ func TestPairEnumeratorDuplicatesAndSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := empty.NewPairEnumerator().Next(); ok {
+	if _, ok := NewPairEnumerator(empty).Next(); ok {
 		t.Fatal("empty tree enumerated a pair")
 	}
 }
@@ -201,7 +201,7 @@ func TestPairEnumeratorAfterInserts(t *testing.T) {
 		}
 	}
 	want := brutePairs(data)
-	en := tree.NewPairEnumerator()
+	en := NewPairEnumerator(tree)
 	count := 0
 	prev := math.Inf(-1)
 	for {

@@ -111,7 +111,7 @@ func TestQuickPairEnumeratorMatchesBrute(t *testing.T) {
 			return false
 		}
 		want := brutePairs(data)
-		en := tree.NewPairEnumerator()
+		en := NewPairEnumerator(tree)
 		for i := range want {
 			c, ok := en.Next()
 			if !ok {

@@ -59,7 +59,7 @@ func TestSnapshotKeepsItsMoment(t *testing.T) {
 				}
 			}
 		}
-		en := tree.NewPairEnumerator()
+		en := NewPairEnumerator(tree)
 		for len(a.pairs) < 25 {
 			c, ok := en.Next()
 			if !ok {

@@ -114,8 +114,14 @@ func sortPairs(ps []PairCandidate) {
 		if a.Dist != b.Dist {
 			return a.Dist < b.Dist
 		}
+		if a.Tree1 != b.Tree1 {
+			return a.Tree1 < b.Tree1
+		}
 		if a.ID1 != b.ID1 {
 			return a.ID1 < b.ID1
+		}
+		if a.Tree2 != b.Tree2 {
+			return a.Tree2 < b.Tree2
 		}
 		return a.ID2 < b.ID2
 	})
@@ -148,8 +154,7 @@ func requireSamePairs(tb testing.TB, label string, got, want []PairCandidate) {
 		tb.Fatalf("%s: %d pairs, the rebuilt tree yields %d", label, len(got), len(want))
 	}
 	for i := range got {
-		if got[i].ID1 != want[i].ID1 || got[i].ID2 != want[i].ID2 ||
-			math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+		if keyOf(got[i]) != keyOf(want[i]) || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
 			tb.Fatalf("%s: pair %d = %+v, the rebuilt tree yields %+v", label, i, got[i], want[i])
 		}
 	}
@@ -157,8 +162,8 @@ func requireSamePairs(tb testing.TB, label string, got, want []PairCandidate) {
 
 // requireAnswersLikeRebuilt compares tr — frozen leaves, tail, dead
 // marks — with ref, a bulk load over the same live points, on every
-// query path. other/otherRef are a second such pair for the bipartite
-// join.
+// query path. other/otherRef are a second such pair, joined with them
+// as a forest of two.
 func requireAnswersLikeRebuilt(t *testing.T, label string, o *churnOracle, tr, ref, other, otherRef *Tree) {
 	t.Helper()
 	checkLayout(t, tr)
@@ -172,11 +177,13 @@ func requireAnswersLikeRebuilt(t *testing.T, label string, o *churnOracle, tr, r
 			t.Fatal(err)
 		}
 		e.Expand(math.Inf(1), func(id int32, d float64) { t.Fatalf("%s: emitted %d from an empty live set", label, id) })
-		if _, ok := tr.NewPairEnumerator().Next(); ok {
+		if _, ok := NewPairEnumerator(tr).Next(); ok {
 			t.Fatalf("%s: a pair from an empty live set", label)
 		}
-		if _, ok := tr.NewBipartitePairEnumerator(other).Next(); ok {
-			t.Fatalf("%s: a cross pair from an empty live set", label)
+		for _, c := range collectPairs(NewPairEnumerator(tr, other)) {
+			if c.Tree1 == 0 {
+				t.Fatalf("%s: pair %+v from an empty live set", label, c)
+			}
 		}
 		return
 	}
@@ -250,14 +257,14 @@ func requireAnswersLikeRebuilt(t *testing.T, label string, o *churnOracle, tr, r
 	}
 	for _, c0 := range cutoffs {
 		requireSamePairs(t, fmt.Sprintf("%s self-join from cutoff %v", label, c0),
-			drainShrinking(tr.NewPairEnumerator(), c0, 400),
-			drainShrinking(ref.NewPairEnumerator(), c0, 400))
-		requireSamePairs(t, fmt.Sprintf("%s join with the other tree from cutoff %v", label, c0),
-			drainShrinking(tr.NewBipartitePairEnumerator(other), c0, 400),
-			drainShrinking(ref.NewBipartitePairEnumerator(otherRef), c0, 400))
-		requireSamePairs(t, fmt.Sprintf("%s the other tree's join with it from cutoff %v", label, c0),
-			drainShrinking(other.NewBipartitePairEnumerator(tr), c0, 400),
-			drainShrinking(otherRef.NewBipartitePairEnumerator(ref), c0, 400))
+			drainShrinking(NewPairEnumerator(tr), c0, 400),
+			drainShrinking(NewPairEnumerator(ref), c0, 400))
+		requireSamePairs(t, fmt.Sprintf("%s forest with the other tree from cutoff %v", label, c0),
+			drainShrinking(NewPairEnumerator(tr, other), c0, 400),
+			drainShrinking(NewPairEnumerator(ref, otherRef), c0, 400))
+		requireSamePairs(t, fmt.Sprintf("%s forest with the other tree first from cutoff %v", label, c0),
+			drainShrinking(NewPairEnumerator(other, tr), c0, 400),
+			drainShrinking(NewPairEnumerator(otherRef, ref), c0, 400))
 	}
 }
 
@@ -283,7 +290,7 @@ func TestTailAnswersLikeRebuilt(t *testing.T) {
 	for _, dim := range []int{2, 15} {
 		for _, pivots := range []int{0, 5} {
 			cfg := Config{NumPivots: pivots, Capacity: 8, PivotSeed: int64(dim + pivots)}
-			// The other side of the bipartite joins: leaves, a tail, dead
+			// The other tree of the two-tree forests: leaves, a tail, dead
 			// rows in both.
 			orng := rand.New(rand.NewSource(int64(100*dim + pivots)))
 			other, oo := newChurned(t, orng, dim, 60, Config{NumPivots: pivots, Capacity: 8, PivotSeed: 99})

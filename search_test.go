@@ -8,7 +8,9 @@ package pmlsh
 import (
 	"context"
 	"errors"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -78,12 +80,9 @@ func TestPublicFilteredSearch(t *testing.T) {
 	var queries, filteredVerified, unfilteredVerified int
 	for trial := 0; trial < 8; trial++ {
 		ix, live := randomChurnedIndex(t, rng)
+		ids := slices.Sorted(maps.Keys(live)) // the seed, not map order, picks the queries
 		for qi := 0; qi < 4; qi++ {
-			var q []float64
-			for _, p := range live {
-				q = p
-				break
-			}
+			q := live[ids[rng.Intn(len(ids))]]
 			k := 5 + rng.Intn(8)
 			var fst, ust QueryStats
 			got, err := ix.Search(context.Background(), q, k,

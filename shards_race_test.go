@@ -170,9 +170,9 @@ func TestShardedConcurrentMutationAndReads(t *testing.T) {
 }
 
 // TestShardedConcurrentCompactAndClosestPairs interleaves per-shard
-// compaction with cross-shard closest-pair readers — the merged
-// self-join plus bipartite enumeration reads several pinned snapshots
-// at once, so shard flips mid-merge must never surface dead pairs.
+// compaction with cross-shard closest-pair readers — the self-join over
+// the shards' forest reads several pinned snapshots at once, so shard
+// flips mid-join must never surface dead pairs.
 func TestShardedConcurrentCompactAndClosestPairs(t *testing.T) {
 	ds := testData(t, 400)
 	ix, err := Build(ds.Points, Config{Seed: 133, Shards: 3})
