@@ -19,8 +19,10 @@
 //	if err != nil { ... }
 //	neighbors, err := index.Search(ctx, query, 10) // (c=1.5, k=10)-ANN
 //
-// The zero Config uses the paper's evaluation defaults: m = 15 hash
-// functions, s = 5 PM-tree pivots, α₁ = 1/e.
+// The zero Config uses the paper's evaluation defaults — s = 5 PM-tree
+// pivots, α₁ = 1/e, m = 15 hash functions — except that data of 64 or
+// more dimensions under L2 or cosine is projected to m = 24, where the
+// candidate fraction β is about half (README, "Operating point").
 //
 // # Request API
 //
@@ -100,7 +102,7 @@
 // SearchPairs is rejected for inner product (a closest "pair" has no
 // meaning when similarity is query-relative). Serialized non-L2
 // indexes carry a metric tag (PLS6 envelope around the index stream);
-// L2 writes the bare stream (PLS7, in a PLS5 container when sharded).
+// L2 writes the bare stream (PLS8, in a PLS5 container when sharded).
 // See the README's Metrics section for the reduction table and b × r
 // tuning guidance.
 //

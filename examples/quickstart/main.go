@@ -40,8 +40,9 @@ func main() {
 		data[i] = p
 	}
 
-	// Build the index with the paper's default parameters
-	// (m = 15 hash functions, s = 5 PM-tree pivots, α1 = 1/e).
+	// Build the index with the default parameters: s = 5 PM-tree pivots
+	// and α1 = 1/e as in the paper, and m = 24 hash functions, the
+	// default from 64 dimensions on (the paper's 15 below).
 	index, err := pmlsh.Build(data, pmlsh.Config{Seed: 42})
 	if err != nil {
 		log.Fatalf("build: %v", err)

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -14,13 +15,11 @@ import (
 	"repro/internal/vec"
 )
 
-// The paper's published operating point (Section 6.1): α2 = 0.1405 at
-// c = 1.5, which core.DeriveParams is calibrated to as well. Every
-// other setting is core's exported default.
-const (
-	paperAlpha2 = 0.1405
-	paperC      = 1.5
-)
+// paperM is the hash count of the paper's evaluation (Section 6.1),
+// which the harness reproduces wherever it builds PM-LSH; the library's
+// default m is larger (core.DefaultM). Every other setting is core's
+// exported default.
+const paperM = 15
 
 // algorithm2 is the paper's Algorithm 2 as printed: every round issues a
 // fresh projected range query range(q′, t·r) from the root, verifies the
@@ -30,16 +29,15 @@ const (
 // projected range query alone, which is what makes PM-LSH and R-LSH
 // "the identical Algorithm 2" over two trees: same projection, same
 // radii, hence the same candidate sets, and whatever separates the two
-// is the tree. The serving engine (core.Index.Search) answers the same
+// is the tree: R-LSH's R-tree indexes the projected points as the
+// PM-tree stores them (pmtree.Tree.Points). The serving engine (core.Index.Search) answers the same
 // way from an enumerator that scans where the tree cannot prune; this loop is the evaluation's, not the service's.
 type algorithm2 struct {
 	name   string
 	c      float64
 	points [][]float64
 	proj   *lsh.Projection
-	chi    stats.ChiSquared
 	t      float64 // √χ²_{α1}(m), the projected radius multiplier
-	xStar  float64 // χ²_m quantile at paperAlpha2, fixing α2(paperC)
 	dist   *costmodel.Distribution
 	// rangeQuery visits the ids within projected distance r of qp in
 	// (distance, id) order until visit returns false.
@@ -55,16 +53,11 @@ func BuildTreeAblation(name AlgoName, data [][]float64, cfg BuildConfig) (Algori
 	if len(data) < 2 {
 		return nil, fmt.Errorf("bench: %s needs at least 2 points, got %d", name, len(data))
 	}
-	proj, err := lsh.NewProjection(core.DefaultM, len(data[0]), cfg.Seed)
+	proj, err := lsh.NewProjection(paperM, len(data[0]), cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	chi := stats.ChiSquared{K: core.DefaultM}
-	t2, err := chi.UpperQuantile(core.DefaultAlpha1)
-	if err != nil {
-		return nil, err
-	}
-	xStar, err := chi.Quantile(paperAlpha2)
+	t2, err := stats.ChiSquared{K: paperM}.UpperQuantile(core.DefaultAlpha1)
 	if err != nil {
 		return nil, err
 	}
@@ -74,15 +67,15 @@ func BuildTreeAblation(name AlgoName, data [][]float64, cfg BuildConfig) (Algori
 	}
 	a := &algorithm2{
 		name: string(name), c: cfg.C, points: data, proj: proj,
-		chi: chi, t: math.Sqrt(t2), xStar: xStar, dist: dist,
+		t: math.Sqrt(t2), dist: dist,
 	}
-	projected := proj.ProjectAll(data)
+	pm, err := pmtree.Build(proj.ProjectAll(data), nil, pmtree.Config{NumPivots: core.DefaultPivots, PivotSeed: cfg.Seed + 1})
+	if err != nil {
+		return nil, err
+	}
 	switch name {
 	case PMLSH:
-		tree, err := pmtree.Build(projected, nil, pmtree.Config{NumPivots: core.DefaultPivots, PivotSeed: cfg.Seed + 1})
-		if err != nil {
-			return nil, err
-		}
+		tree := pm
 		a.rangeQuery = func(qp []float64, r float64, visit func(int32) bool) error {
 			res, err := tree.RangeSearch(qp, r)
 			for i := 0; i < len(res) && visit(res[i].ID); i++ {
@@ -90,7 +83,9 @@ func BuildTreeAblation(name AlgoName, data [][]float64, cfg BuildConfig) (Algori
 			return err
 		}
 	case RLSH:
-		tree, err := rtree.Build(projected, nil, rtree.Config{})
+		stored := make([][]float64, len(data))
+		pm.Points(func(id int32, p []float64) { stored[id] = slices.Clone(p) })
+		tree, err := rtree.Build(stored, nil, rtree.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -117,9 +112,8 @@ func (a *algorithm2) KNN(q []float64, k int) ([]metrics.Neighbor, error) {
 	}
 	n, c := len(a.points), a.c
 	k = min(k, n)
-	// Eq. 10 and Lemma 5: β = 2·α2, with α2's CDF argument scaled so that
-	// α2(paperC) is the published value (see core.DeriveParams).
-	beta := 2 * a.chi.CDF(a.xStar*paperC*paperC/(c*c))
+	// Eq. 10 and Lemma 5: β = 2·α2 at the paper's m, by core's rule.
+	beta := core.CandidateFraction(paperM, c)
 	needed := int(math.Ceil(beta*float64(n))) + k
 	r := a.dist.Quantile(float64(needed)/float64(n)) * core.DefaultRMinShrink
 	if r <= 0 {

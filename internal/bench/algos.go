@@ -75,7 +75,7 @@ func BuildAlgo(name AlgoName, data [][]float64, cfg BuildConfig) (Algorithm, err
 	cfg.fill()
 	switch name {
 	case PMLSH:
-		ix, err := core.Build(data, core.Config{Seed: cfg.Seed})
+		ix, err := core.Build(data, core.Config{Seed: cfg.Seed, M: paperM})
 		if err != nil {
 			return nil, err
 		}
@@ -136,7 +136,7 @@ func BuildAlgoForDataset(name AlgoName, ds *dataset.Dataset, cfg BuildConfig) (A
 		return BuildAlgo(name, ds.Points, cfg)
 	}
 	cfg.fill()
-	ix, err := core.BuildFromStore(ds.Store, core.Config{Seed: cfg.Seed})
+	ix, err := core.BuildFromStore(ds.Store, core.Config{Seed: cfg.Seed, M: paperM})
 	if err != nil {
 		return nil, err
 	}

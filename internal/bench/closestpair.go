@@ -93,7 +93,7 @@ type CPRow struct {
 // ClosestPairStudy builds a PM-LSH index over the workload and measures
 // the closest-pair query against exact brute force.
 func ClosestPairStudy(w *CPWorkload, k int, c float64, seed int64) (CPRow, error) {
-	ix, err := core.Build(w.Points, core.Config{Seed: seed})
+	ix, err := core.Build(w.Points, core.Config{Seed: seed, M: paperM})
 	if err != nil {
 		return CPRow{}, err
 	}

@@ -250,7 +250,7 @@ func ParamSweep(w *Workload, k int, svals, mvals []int, cfg BuildConfig) ([]Swee
 		return nil
 	}
 	for _, s := range svals {
-		ccfg := core.Config{Seed: cfg.Seed, NumPivots: s, ExplicitZeroPivots: s == 0}
+		ccfg := core.Config{Seed: cfg.Seed, M: paperM, NumPivots: s, ExplicitZeroPivots: s == 0}
 		if err := eval(ccfg, "s", s); err != nil {
 			return nil, err
 		}
@@ -267,7 +267,7 @@ func ParamSweep(w *Workload, k int, svals, mvals []int, cfg BuildConfig) ([]Swee
 // CostModel is Table 2 for one dataset: projected-space tree costs.
 func CostModel(ds *dataset.Dataset, m int, measureQueries int, seed int64) (costmodel.Comparison, error) {
 	if m == 0 {
-		m = 15
+		m = paperM
 	}
 	proj, err := lsh.NewProjection(m, ds.Spec.D, seed)
 	if err != nil {

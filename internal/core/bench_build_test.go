@@ -54,7 +54,7 @@ func BenchmarkBuildPhases(b *testing.B) {
 		data := shapePoints(b, shape.spec)
 		cfg := Config{Seed: 7, Shards: shape.shards}
 		inner := cfg
-		inner.fillDefaults()
+		inner.fillDefaults(shape.spec.D)
 		for _, procs := range []int{1, 2} {
 			b.Run(fmt.Sprintf("n=%d/d=%d/shards=%d/procs=%d", shape.spec.N, shape.spec.D, shape.shards, procs), func(b *testing.B) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))

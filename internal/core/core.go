@@ -36,8 +36,18 @@ import (
 // Default parameter values from the paper's experimental setup
 // (Section 6.1).
 const (
-	DefaultM      = 15 // number of hash functions
-	DefaultPivots = 5  // PM-tree pivots s
+	// DefaultM is the number of hash functions for data of at least
+	// DefaultMDim dimensions under L2 and cosine; otherwise the default
+	// is the paper's 15. The larger m sharpens the projected ranking and
+	// lowers β with it (see alpha2Scale), which pays where the projection
+	// compresses: at d = 64, 128 and 768, m = 24 keeps m = 15's recall
+	// with half the candidates verified; at d = 24 it costs a tenth of
+	// recall@10, and under inner product, whose reduction flattens the
+	// top ranks (see DefaultMIPAlpha1), it falls below the MIP recall
+	// floor at d = 256.
+	DefaultM      = 24
+	DefaultMDim   = 64
+	DefaultPivots = 5 // PM-tree pivots s
 	DefaultAlpha1 = 1 / math.E
 	// DefaultMIPAlpha1 is the confidence width used when Config.Alpha1
 	// is zero and the metric is InnerProduct: the augmented transform
@@ -64,7 +74,9 @@ const (
 // Config controls index construction.
 type Config struct {
 	// M is the number of hash functions (projected dimensionality).
-	// 0 means DefaultM.
+	// 0 means DefaultM, or the paper's 15 for data of fewer than
+	// DefaultMDim dimensions and under InnerProduct. β, the candidate
+	// fraction, falls as M grows (see DeriveParams).
 	M int
 	// NumPivots is the PM-tree pivot count s. Negative values are
 	// rejected; 0 means "use DefaultPivots" unless ExplicitZeroPivots
@@ -125,9 +137,14 @@ type Config struct {
 	MinHashThreshold float64
 }
 
-func (cfg *Config) fillDefaults() {
+// fillDefaults replaces the zero values of a configuration for rows of
+// dim dimensions (the internal space's) with the defaults.
+func (cfg *Config) fillDefaults(dim int) {
 	if cfg.M == 0 {
 		cfg.M = DefaultM
+		if dim < DefaultMDim || cfg.Metric == metric.InnerProduct {
+			cfg.M = paperM
+		}
 	}
 	if cfg.NumPivots == 0 && !cfg.ExplicitZeroPivots {
 		cfg.NumPivots = DefaultPivots
@@ -189,7 +206,7 @@ type QueryStats struct {
 type Params struct {
 	T      float64 // projected radius multiplier t = sqrt(χ²_{α1}(m))
 	Alpha1 float64
-	Alpha2 float64 // CDF_{χ²(m)}(t²/c²)
+	Alpha2 float64 // CDF_{χ²(m)}(κ·χ²_{1/e}(m)/c²), a function of m and c (see DeriveParams)
 	Beta   float64 // 2·α2, the candidate-fraction bound
 }
 
@@ -233,9 +250,12 @@ type Index struct {
 	mipScale float64
 	mh       *minhash.Index
 
-	t     float64 // sqrt of upper χ²_{α1}(m) quantile
-	chi   stats.ChiSquared
-	kappa float64 // CDF-argument calibration (see DeriveParams)
+	t       float64 // sqrt of upper χ²_{α1}(m) quantile
+	chi     stats.ChiSquared
+	a2scale float64 // α2(c) = CDF_χ²(m)(a2scale/c²); see alpha2Scale
+	// perMBeta marks an index loaded from a stream that predates the
+	// fixed κ (alpha2Scale's perM rule), which it keeps and writes back.
+	perMBeta bool
 
 	// view is the published state: what every reader loads, and what the
 	// writer derives the next state from.
@@ -360,12 +380,65 @@ func (ix *Index) putScratch(s *queryScratch, live int) {
 	ix.scratch.Put(s)
 }
 
-// Published operating point (paper Section 6.1): "we set … α1 = 1/e,
-// so α2 = 0.1405 and β = 0.2809 are obtained according to Eq. 10".
+// Published operating point (paper Section 6.1): m = 15, and "we set …
+// α1 = 1/e, so α2 = 0.1405 and β = 0.2809 are obtained according to
+// Eq. 10".
 const (
+	paperM      = 15
 	paperAlpha2 = 0.1405
 	paperC      = 1.5
 )
+
+// paperKappa is κ ≈ 1.2949, the one calibration of Eq. 10 (see
+// alpha2Scale). A literal reading of Eq. 10 gives α2 = CDF_χ²(m)(t²/c²)
+// with t² = χ²_{α1}(m), the upper α1-quantile: CDF(7.21) ≈ 0.048 at the
+// published point, where the paper states 0.1405 and reports the recall
+// of the larger candidate budget. κ scales the CDF argument so that the
+// published point comes out.
+var paperKappa = publishedScale(paperM) / upperChi2(paperM, DefaultAlpha1)
+
+// publishedScale is χ²⁻¹_m(0.1405)·1.5²: the CDF argument at c = 1 that
+// puts α2(1.5) at the published 0.1405 for χ²(m).
+func publishedScale(m int) float64 {
+	x, _ := stats.ChiSquared{K: m}.Quantile(paperAlpha2) // no error in range
+	return x * paperC * paperC
+}
+
+// upperChi2 is χ²_α(m), the upper α-quantile of χ²(m) (m ≥ 1, 0 < α < 1).
+func upperChi2(m int, alpha float64) float64 {
+	x, _ := stats.ChiSquared{K: m}.UpperQuantile(alpha) // no error in range
+	return x
+}
+
+// alpha2Scale returns x(m), the CDF argument of the α2 rule at c = 1:
+// α2(m, c) = CDF_χ²(m)(x(m)/c²) and β = 2α2 (Eq. 10, Lemma 5), where
+//
+//	x(m) = κ·χ²_{1/e}(m)
+//
+// — Eq. 10's t² at the paper's α1 = 1/e, times paperKappa. α1 does not
+// enter β, whatever α1 the index or a query runs at: α1 sets the
+// projected radius t = sqrt(χ²_{α1}(m)) alone. At m = 15 the rule gives
+// the published α2 = 0.1405 at c = 1.5, and the published point's β for
+// every c; β falls as m grows, through χ²(m) as Eq. 10 says — 0.195,
+// 0.147 and 0.097 at m = 20, 24 and 30 (c = 1.5).
+//
+// perM is the rule before it (streams older than PLS8, see
+// serialize.go): κ re-solved at every m so that α2(1.5) = 0.1405, i.e.
+// x(m) = publishedScale(m), and β = 0.281 at every m. At m = 15 the
+// two agree; an index loaded from such a stream keeps its rule.
+func alpha2Scale(m int, perM bool) float64 {
+	if perM {
+		return publishedScale(m)
+	}
+	return paperKappa * upperChi2(m, DefaultAlpha1)
+}
+
+// CandidateFraction returns β = 2α2 for m hash functions at
+// approximation ratio c > 1, the rule DeriveParams applies (see
+// alpha2Scale): for code that runs Algorithm 2 outside an Index.
+func CandidateFraction(m int, c float64) float64 {
+	return 2 * stats.ChiSquared{K: m}.CDF(alpha2Scale(m, false)/(c*c))
+}
 
 // Build constructs the index over data. The rows are copied once into
 // a contiguous store; the input slices are not retained and may be
@@ -513,7 +586,7 @@ func buildInternal(s *store.Store, cfg Config, ndim int, scale float64) (*Index,
 			return nil, fmt.Errorf("core: row %d has a NaN or infinite component, or a norm beyond float64", row)
 		}
 	}
-	cfg.fillDefaults()
+	cfg.fillDefaults(s.Dim())
 	if cfg.NumPivots < 0 {
 		return nil, fmt.Errorf("core: NumPivots must be >= 0, got %d", cfg.NumPivots)
 	}
@@ -544,18 +617,6 @@ func buildInternal(s *store.Store, cfg Config, ndim int, scale float64) (*Index,
 	}
 
 	t := math.Sqrt(q)
-	// Calibrate the α2 derivation to the paper's published operating
-	// point. A literal reading of Eq. 10 gives, for m = 15, α1 = 1/e,
-	// c = 1.5: α2 = CDF_χ²(15)(t²/c²) = CDF(7.21) ≈ 0.048 — but the
-	// paper states α2 = 0.1405 (β = 0.2809) for exactly those inputs,
-	// and its reported recall matches the larger candidate budget. We
-	// therefore scale the CDF argument by κ, fixed so that
-	// α2(c = 1.5) equals the published 0.1405; the shape of β(c) across
-	// the c-sweep (Figs. 10–11) is preserved.
-	kappa := 1.0
-	if xStar, err := chi.Quantile(paperAlpha2); err == nil {
-		kappa = xStar * paperC * paperC / (t * t)
-	}
 
 	rowOf := make([]int32, s.Len())
 	for i := range rowOf {
@@ -572,7 +633,7 @@ func buildInternal(s *store.Store, cfg Config, ndim int, scale float64) (*Index,
 		mipScale: scale,
 		t:        t,
 		chi:      chi,
-		kappa:    kappa,
+		a2scale:  alpha2Scale(cfg.M, false),
 	}
 	ix.publish(rowOf, distCDF, 0)
 	return ix, nil
@@ -593,16 +654,14 @@ func buildTree(proj *lsh.Projection, s *store.Store, ids []int32, cfg Config) (*
 	return tree, <-sampled, err
 }
 
-// projectTree projects the rows of s on GOMAXPROCS goroutines and hands
-// them to a PM-tree bulk loaded on first use: the first frozen rows are
-// its generation, the rest its tail (ids as pmtree.NewDeferred takes
+// projectTree projects the rows of s straight into a PM-tree bulk loaded
+// on first use, on GOMAXPROCS goroutines (pmtree.NewDeferredFunc), with
+// no store of the float64 projections between: the first frozen rows
+// are its generation, the rest its tail (ids as pmtree.NewDeferred takes
 // them). A build's tree and a loaded one come out of it alike.
 func projectTree(proj *lsh.Projection, s *store.Store, ids []int32, frozen int, cfg Config) (*pmtree.Tree, error) {
-	projected, err := proj.ProjectStore(s)
-	if err != nil {
-		return nil, err
-	}
-	return pmtree.NewDeferred(projected, ids, frozen, pmtree.Config{
+	project := func(dst []float64, i int) { proj.ProjectTo(dst, s.Row(i)) }
+	return pmtree.NewDeferredFunc(s.Len(), proj.M(), project, ids, frozen, pmtree.Config{
 		Capacity:  cfg.Capacity,
 		NumPivots: cfg.NumPivots,
 		PivotSeed: cfg.Seed + 1,
@@ -866,11 +925,13 @@ func distQuantile(cdf []float64, p float64) float64 {
 }
 
 // DeriveParams computes t, α2 and β for a given approximation ratio c
-// per Eq. 10: t² = χ²_{α1}(m) and t² = c²·χ²_{1−α2}(m), giving
-// α2 = CDF_{χ²(m)}(κ·t²/c²) and β = 2α2 (Lemma 5). κ calibrates the
-// derivation to the paper's published operating point (α2 = 0.1405 at
-// c = 1.5, Section 6.1); see the comment in BuildFromStore.
-// Config.Beta, when set, overrides β entirely.
+// per Eq. 10: t² = χ²_{α1}(m), and α2 = CDF_{χ²(m)}(κ·χ²_{1/e}(m)/c²),
+// β = 2α2 (Lemma 5). κ is fixed once at the paper's published operating
+// point (m = 15, α1 = 1/e, c = 1.5, α2 = 0.1405; Section 6.1), so β is a
+// function of m and c: it falls as m grows, and α1 does not enter it
+// (see alpha2Scale; an index loaded from a stream older than PLS8 keeps
+// the rule it was saved with). Config.Beta, when set, overrides β
+// entirely.
 func (ix *Index) DeriveParams(c float64) (Params, error) {
 	if ix.metric == metric.Jaccard {
 		return Params{}, fmt.Errorf("core: the jaccard backend has no χ² confidence parameters")
@@ -878,7 +939,7 @@ func (ix *Index) DeriveParams(c float64) (Params, error) {
 	if !(c > 1) { // NaN included
 		return Params{}, fmt.Errorf("core: approximation ratio c must exceed 1, got %v", c)
 	}
-	alpha2 := ix.chi.CDF(ix.kappa * ix.t * ix.t / (c * c))
+	alpha2 := ix.chi.CDF(ix.a2scale / (c * c))
 	beta := 2 * alpha2
 	if ix.cfg.Beta > 0 {
 		beta = ix.cfg.Beta

@@ -59,8 +59,15 @@ func TestDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.M() != DefaultM {
-		t.Errorf("M = %d, want %d", ix.M(), DefaultM)
+	if ix.M() != paperM {
+		t.Errorf("M = %d at d = 8, want the paper's %d", ix.M(), paperM)
+	}
+	wide, err := Build(randData(100, DefaultMDim, 1), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide.M() != DefaultM {
+		t.Errorf("M = %d at d = %d, want %d", wide.M(), DefaultMDim, DefaultM)
 	}
 	if ix.Tree().NumPivots() != DefaultPivots {
 		t.Errorf("pivots = %d, want %d", ix.Tree().NumPivots(), DefaultPivots)
@@ -86,7 +93,7 @@ func TestExplicitZeroPivots(t *testing.T) {
 // t must equal sqrt(χ²_{α1}(m)): for m=15, α1=1/e the upper quantile is
 // ≈ 16.18, so t ≈ 4.02. Sanity check the magnitude.
 func TestDerivedT(t *testing.T) {
-	ix, err := Build(randData(50, 6, 1), Config{})
+	ix, err := Build(randData(50, 6, 1), Config{M: 15})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,12 @@ package core
 // streams must produce an error, never a panic or an unbounded
 // allocation. The seed corpus (testdata/fuzz/FuzzLoad, and the same
 // set built in-process by fuzzStreams) holds one genuine stream per
-// layout the code writes — PLS7 plain and churned mid-free-list (dead
+// layout the code writes — PLS8 plain and churned mid-free-list (dead
 // rows and a tail behind the generation count), sharded PLS5 containers
-// of PLS7 streams, one of them churned, PLS6 envelopes for cosine, inner
+// of PLS8 streams, one of them churned, PLS6 envelopes for cosine, inner
 // product and Jaccard — and the streams earlier releases wrote, which
-// Load keeps reading: every PLS4 layout above, whose serialized PM-tree
+// Load keeps reading: the same PLS7 layouts (the β rule before PLS8),
+// and every PLS4 layout above, whose serialized PM-tree
 // it no longer reads (the churned PLS4 stream of the release before the
 // tree was frozen, with a PMT2 tree grown by inserts; the i8-quantized
 // one of the release before screening was retired, whose codec Load
@@ -16,9 +17,9 @@ package core
 // which mattered while the tree was read). Then the inputs Load must
 // refuse: one stream per retired magic (testdata keeps real PLS1–PLS3
 // bytes from the releases that wrote them), one with the R-tree flag set
-// in each layout, a PLS7 stream whose generation outnumbers its rows, and
-// a Jaccard stream whose first set claims 2²⁸ tokens it does not hold.
-// FuzzLoad adds a PLS7 stream cut inside each of its fields; the fuzzer
+// in each layout, a PLS8 and a PLS7 stream whose generation outnumbers its
+// rows, and a Jaccard stream whose first set claims 2²⁸ tokens it does
+// not hold. FuzzLoad adds a PLS8 stream cut inside each of its fields; the fuzzer
 // mutates all of them, and their truncations and bit flips, further.
 //
 // Run with: go test -fuzz=FuzzLoad -fuzztime=10s ./internal/core
@@ -44,7 +45,7 @@ import (
 var updateFuzzCorpus = flag.Bool("update-fuzz-corpus", false,
 	"rewrite testdata/fuzz/FuzzLoad from fuzzStreams")
 
-// treeFlagOff is where a PLS4 or PLS7 stream keeps its tree flag: after
+// treeFlagOff is where a PLS4, PLS7 or PLS8 stream keeps its tree flag: after
 // the magic and the fixed-size config block.
 const treeFlagOff = 4 + 3*4 + 8 + 8 + 4 + 2*8 + 8
 
@@ -132,8 +133,8 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 	}
 
 	plainIx, err := Build(data, base)
-	plain := add("pls7-plain", plainIx, err)
-	tailed := add("pls7-churned-tail", fuzzChurned(tb), nil)
+	plain := add("pls8-plain", plainIx, err)
+	tailed := add("pls8-churned-tail", fuzzChurned(tb), nil)
 	// Sharded PLS5 containers: shard boundaries, per-shard length
 	// prefixes and the inner-stream framing are all attack surface —
 	// over bare shard streams and over PLS6 ones.
@@ -141,7 +142,7 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 	if err == nil {
 		err = eng.Delete(3)
 	}
-	add("pls5-pls7-2shards", eng, err)
+	add("pls5-pls8-2shards", eng, err)
 	// Each shard with a tail, one of them with a dead row in it.
 	teng, err := BuildEngine(data, with(func(c *Config) { c.Shards = 2; c.AutoCompactFraction = -1 }))
 	for i := 0; i < 3 && err == nil; i++ {
@@ -150,15 +151,15 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 	if err == nil {
 		err = teng.Delete(16)
 	}
-	add("pls5-pls7-2shards-tail", teng, err)
+	add("pls5-pls8-2shards-tail", teng, err)
 	ceng, err := BuildEngine(data, with(func(c *Config) { c.Shards = 2; c.Metric = metric.Cosine }))
-	add("pls5-pls7-2shards-cosine", ceng, err)
+	add("pls5-pls8-2shards-cosine", ceng, err)
 	// PLS6 metric-tagged envelopes: the metric byte, the MIP scale
 	// field, and the MinHash PMH1 stream.
 	cos, err := Build(data, with(func(c *Config) { c.Metric = metric.Cosine }))
-	add("pls6-pls7-cosine", cos, err)
+	add("pls6-pls8-cosine", cos, err)
 	mip, err := Build(data, with(func(c *Config) { c.Metric = metric.InnerProduct }))
-	add("pls6-pls7-ip", mip, err)
+	add("pls6-pls8-ip", mip, err)
 	sets := make([][]uint64, 12)
 	for i := range sets {
 		sets[i] = []uint64{uint64(i), uint64(i + 1), uint64(2*i + 7), 1 << 20}
@@ -166,9 +167,12 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 	jac, err := BuildSets(sets, Config{Metric: metric.Jaccard, Seed: 7, MinHashBands: 4, MinHashRows: 2})
 	jaccard := add("pls6-jaccard", jac, err)
 
-	// What earlier releases wrote of the same indexes: PLS4 streams, bare
-	// and in both containers, each ending in a PM-tree stream.
-	for _, name := range []string{"pls4-plain", "pls4-churned-tail", "pls4-churned", "pls4-i8",
+	// What earlier releases wrote of the same indexes: PLS7 streams, bare
+	// and in both containers, and PLS4 ones, each ending in a PM-tree
+	// stream.
+	for _, name := range []string{"pls7-plain", "pls7-churned-tail", "pls5-pls7-2shards",
+		"pls5-pls7-2shards-tail", "pls5-pls7-2shards-cosine", "pls6-pls7-cosine", "pls6-pls7-ip",
+		"pls4-plain", "pls4-churned-tail", "pls4-churned", "pls4-i8",
 		"pls4-huge-leaf-id", "pls4-huge-tail-id", "pls5-2shards", "pls5-2shards-tail",
 		"pls5-2shards-cosine", "pls6-cosine", "pls6-ip"} {
 		legacy := readFuzzSeed(tb, name)
@@ -187,11 +191,13 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 	}
 	flagged := append([]byte(nil), plain...)
 	flagged[treeFlagOff] = 1
-	out = append(out, fuzzStream{name: "pls7-rtree-flag", data: flagged, reject: true})
-	out = append(out, fuzzStream{name: "pls4-rtree-flag", data: readFuzzSeed(tb, "pls4-rtree-flag"), reject: true, legacy: true})
+	out = append(out, fuzzStream{name: "pls8-rtree-flag", data: flagged, reject: true})
+	for _, name := range []string{"pls7-rtree-flag", "pls4-rtree-flag", "pls7-generation-above-rows"} {
+		out = append(out, fuzzStream{name: name, data: readFuzzSeed(tb, name), reject: true, legacy: true})
+	}
 	over := append([]byte(nil), tailed...)
 	binary.LittleEndian.PutUint32(over[len(over)-4:], uint32(len(data)+2))
-	out = append(out, fuzzStream{name: "pls7-generation-above-rows", data: over, reject: true})
+	out = append(out, fuzzStream{name: "pls8-generation-above-rows", data: over, reject: true})
 	// The first MinHash set's length, past the envelope (5 bytes) and the
 	// PMH1 header (40), claims 2²⁸ tokens: a read error, not a 2 GiB set.
 	huge := append([]byte(nil), jaccard...)
@@ -200,10 +206,10 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 	return out
 }
 
-// pls7Cuts returns ix's PLS7 stream cut inside each of its fields (the
+// streamCuts returns ix's PLS8 stream cut inside each of its fields (the
 // layout in serialize.go), by field name: a one-byte field is cut off
 // whole. Every one of them must be refused.
-func pls7Cuts(tb testing.TB, ix *Index) map[string][]byte {
+func streamCuts(tb testing.TB, ix *Index) map[string][]byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
@@ -276,7 +282,7 @@ func TestFuzzLoadCorpus(t *testing.T) {
 	if len(entries) != len(streams) {
 		t.Errorf("%s holds %d seeds, fuzzStreams builds %d", dir, len(entries), len(streams))
 	}
-	for field, cut := range pls7Cuts(t, fuzzChurned(t)) {
+	for field, cut := range streamCuts(t, fuzzChurned(t)) {
 		if _, err := LoadEngine(bytes.NewReader(cut)); err == nil {
 			t.Errorf("a stream cut inside its %s loaded", field)
 		}
@@ -293,7 +299,7 @@ func FuzzLoad(f *testing.F) {
 		flipped[len(flipped)/3] ^= 0xff
 		f.Add(flipped)
 	}
-	for _, cut := range pls7Cuts(f, fuzzChurned(f)) {
+	for _, cut := range streamCuts(f, fuzzChurned(f)) {
 		f.Add(cut)
 	}
 	f.Add([]byte{})
@@ -306,8 +312,8 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte{'P', 'L', 'S', '6', 0, 'P', 'L'}) // l2 never uses the envelope
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		// LoadEngine accepts every on-disk shape — bare PLS4 and PLS7
-		// streams, sharded PLS5 containers and PLS6 envelopes alike.
+		// LoadEngine accepts every on-disk shape — bare PLS4, PLS7 and
+		// PLS8 streams, sharded PLS5 containers and PLS6 envelopes alike.
 		eng, err := LoadEngine(bytes.NewReader(stream))
 		if err != nil {
 			return

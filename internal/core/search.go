@@ -72,10 +72,10 @@ func ctxErr(ctx context.Context) error {
 
 // deriveParamsOpt is DeriveParams at a per-query α1, falling back to
 // the index's cached build-time constants when alpha1 is zero or equal
-// to the configured value. The κ calibration (see BuildFromStore)
-// makes α2 — and with it β — depend only on c, so a per-query α1
-// changes the projected-radius multiplier T alone: the override path
-// delegates to DeriveParams for α2/β and replaces just T.
+// to the configured value. α2 — and with it β — depends on m and c, not
+// on α1 (see alpha2Scale), so a per-query α1 changes the
+// projected-radius multiplier T alone: the override path delegates to
+// DeriveParams for α2/β and replaces just T.
 func (ix *Index) deriveParamsOpt(c, alpha1 float64) (Params, error) {
 	if alpha1 == 0 || alpha1 == ix.cfg.Alpha1 {
 		return ix.DeriveParams(c)

@@ -17,7 +17,7 @@ import (
 
 // Binary serialization of a PM-LSH index. The stream is little-endian:
 //
-//	magic "PLS7"
+//	magic "PLS8"
 //	config: m u32 | pivots u32 | capacity u32 | alpha1 f64 | seed i64 |
 //	        sampleSize u32 | rminShrink f64 | beta f64 |
 //	        autoCompact f64 | tree flag u8 (always 0)
@@ -51,6 +51,12 @@ import (
 // saved one, with the same statistics, and reaches its next automatic
 // compaction at the same operation.
 //
+// PLS7 is this layout under the β rule before PLS8: κ re-solved at every
+// m, so β(c = 1.5) = 0.281 whatever m (alpha2Scale's perM rule). Load
+// reads the rule off the magic, and an index loaded from a PLS7 or PLS4
+// stream keeps its rule and writes PLS7 again: it answers with the β it
+// was saved with, through every later checkpoint and compaction.
+//
 // PLS4 is this layout with every codec kind, and a serialized PM-tree
 // where the generation count stands. Load reads it up to the tree, which
 // it does not read: the stored rows become one fresh generation. The
@@ -70,18 +76,19 @@ import (
 //
 //	magic "PLS6" | metric u8
 //	InnerProduct only: scale S f64 (the build-time norm bound)
-//	then the complete backend stream — the full PLS7 stream above
+//	then the complete backend stream — the full PLS8 (or PLS7) stream above
 //	(internal-space rows, so dim is the augmented dimensionality
 //	under InnerProduct; PLS4 in streams written before it) for the
 //	vector reductions, or the MinHash "PMH1" stream (internal/minhash)
 //	for Jaccard.
 //
-// L2 indexes write the bare stream; PLS4, PLS5 and PLS7 streams load
-// as L2. An unknown metric tag is a hard error, never a panic.
+// L2 indexes write the bare stream; PLS4, PLS5, PLS7 and PLS8 streams
+// load as L2. An unknown metric tag is a hard error, never a panic.
 var (
 	pls4Magic = [4]byte{'P', 'L', 'S', '4'}
 	pls6Magic = [4]byte{'P', 'L', 'S', '6'}
 	pls7Magic = [4]byte{'P', 'L', 'S', '7'}
+	pls8Magic = [4]byte{'P', 'L', 'S', '8'}
 )
 
 // WriteTo serializes the index. It implements io.WriterTo. It writes
@@ -132,9 +139,14 @@ func (ix *Index) writeToPLS6(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// encode writes v as a PLS7 stream.
+// encode writes v as a PLS8 stream, or a PLS7 one under the β rule of
+// the stream the index was loaded from.
 func (ix *Index) encode(w io.Writer, v *view) error {
-	if _, err := w.Write(pls7Magic[:]); err != nil {
+	magic := pls8Magic
+	if ix.perMBeta {
+		magic = pls7Magic
+	}
+	if _, err := w.Write(magic[:]); err != nil {
 		return fmt.Errorf("core: write magic: %w", err)
 	}
 	cfg := ix.cfg
@@ -229,7 +241,7 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 		return nil, fmt.Errorf("core: read magic: %w", err)
 	}
 	switch magic {
-	case pls4Magic, pls7Magic:
+	case pls4Magic, pls7Magic, pls8Magic:
 	case pls6Magic:
 		if inner {
 			return nil, fmt.Errorf("core: nested PLS6 envelope")
@@ -393,7 +405,7 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: read quantize kind: %w", err)
 	}
-	if qb > 2 || (qb != 0 && magic == pls7Magic) {
+	if qb > 2 || (qb != 0 && magic != pls4Magic) {
 		return nil, fmt.Errorf("core: unknown quantize kind %d", qb)
 	}
 	// dim-long arrays: none, slack (f32), offsets + scales + slack (i8).
@@ -404,7 +416,7 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 	}
 
 	gen := n // PLS4: the tree stream that follows is not read
-	if magic == pls7Magic {
+	if magic != pls4Magic {
 		var g uint32
 		if err := binary.Read(br, binary.LittleEndian, &g); err != nil {
 			return nil, fmt.Errorf("core: read generation: %w", err)
@@ -442,21 +454,18 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: deriving t: %w", err)
 	}
-	t := math.Sqrt(q)
-	kappa := 1.0
-	if xStar, err := chi.Quantile(paperAlpha2); err == nil {
-		kappa = xStar * paperC * paperC / (t * t)
-	}
+	perM := magic != pls8Magic
 	ix := &Index{
-		cfg:   cfg,
-		data:  data,
-		proj:  proj,
-		tree:  tree,
-		dim:   dim,
-		ndim:  dim, // loadPLS6 adjusts for reduced metrics
-		t:     t,
-		chi:   chi,
-		kappa: kappa,
+		cfg:      cfg,
+		data:     data,
+		proj:     proj,
+		tree:     tree,
+		dim:      dim,
+		ndim:     dim, // loadPLS6 adjusts for reduced metrics
+		t:        math.Sqrt(q),
+		chi:      chi,
+		a2scale:  alpha2Scale(cfg.M, perM),
+		perMBeta: perM,
 	}
 	ix.publish(rowOf, cdf, 0)
 	return ix, nil

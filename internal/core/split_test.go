@@ -31,6 +31,7 @@ func splitTestIndex(t *testing.T, cfg Config) (*Index, [][]float64) {
 		copy(data[i], data[0])
 	}
 	cfg.AutoCompactFraction = -1
+	cfg.M = 15 // the table's rounds and sizes are those of the paper's β = 0.281
 	ix, err := Build(data[:2200], cfg)
 	if err != nil {
 		t.Fatal(err)

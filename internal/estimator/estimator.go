@@ -93,16 +93,7 @@ func Run(data [][]float64, queries [][]float64, ts []int, cfg Config) (Curves, e
 	if err != nil {
 		return nil, err
 	}
-	// Project into one flat buffer: the L2 estimator scores every point
-	// per query, so the scan streams the buffer with the batch kernel;
-	// the per-row views serve the other estimators.
-	projFlat := make([]float64, len(data)*cfg.M)
-	projData := make([][]float64, len(data))
-	for i, o := range data {
-		row := projFlat[i*cfg.M : (i+1)*cfg.M : (i+1)*cfg.M]
-		proj.ProjectTo(row, o)
-		projData[i] = row
-	}
+	projData := proj.ProjectAll(data)
 	if cfg.BucketWidth == 0 {
 		cfg.BucketWidth = autoBucketWidth(projData)
 	}
@@ -131,7 +122,6 @@ func Run(data [][]float64, queries [][]float64, ts []int, cfg Config) (Curves, e
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 99))
 	scores := make([]scored, len(data))
-	l2buf := make([]float64, len(data))
 	for qi, q := range queries {
 		pq := proj.Project(q)
 		exact := truth[qi]
@@ -140,7 +130,7 @@ func Run(data [][]float64, queries [][]float64, ts []int, cfg Config) (Curves, e
 			truthN[i] = metrics.Neighbor{ID: e.ID, Dist: e.Dist}
 		}
 		for _, kind := range Kinds() {
-			scoreAll(kind, projData, projFlat, cfg.M, pq, cfg.BucketWidth, rng, scores, l2buf)
+			scoreAll(kind, projData, pq, cfg.BucketWidth, rng, scores)
 			// Partial selection: only the top maxT matter.
 			sort.Slice(scores, func(i, j int) bool { return scores[i].score < scores[j].score })
 			// Exact distances of the top-maxT, in score order.
@@ -182,14 +172,11 @@ type scored struct {
 }
 
 // scoreAll fills scores[i] with the estimator's value for point i.
-func scoreAll(kind Kind, projData [][]float64, projFlat []float64, m int, pq []float64, w float64, rng *rand.Rand, scores []scored, l2buf []float64) {
+func scoreAll(kind Kind, projData [][]float64, pq []float64, w float64, rng *rand.Rand, scores []scored) {
 	switch kind {
 	case L2:
-		// Batch kernel over the flat projection buffer: one contiguous
-		// stream instead of a pointer chase per row.
-		vec.SquaredL2ToMany(l2buf, pq, projFlat, m)
-		for i, d2 := range l2buf {
-			scores[i] = scored{int32(i), d2}
+		for i, p := range projData {
+			scores[i] = scored{int32(i), vec.SquaredL2(pq, p)}
 		}
 	case L1:
 		for i, p := range projData {

@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/store"
@@ -24,7 +25,7 @@ import (
 // m-dimensional space in which PM-LSH and SRS build their metric index.
 type Projection struct {
 	m, d int
-	a    [][]float64 // m rows of d-dimensional Gaussian vectors
+	a    []float64 // m rows of d-dimensional Gaussian vectors, back to back
 }
 
 // NewProjection creates m independent projections for d-dimensional
@@ -35,20 +36,16 @@ func NewProjection(m, d int, seed int64) (*Projection, error) {
 		return nil, fmt.Errorf("lsh: NewProjection requires m > 0 and d > 0, got m=%d d=%d", m, d)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	a := make([][]float64, m)
+	a := make([]float64, m*d)
 	for i := range a {
-		row := make([]float64, d)
-		for j := range row {
-			row[j] = rng.NormFloat64()
-		}
-		a[i] = row
+		a[i] = rng.NormFloat64()
 	}
 	return &Projection{m: m, d: d, a: a}, nil
 }
 
 // ProjectionFromRows reconstructs a projection from its coefficient
-// rows (used when deserializing an index). Rows are retained, not
-// copied; all rows must have equal, positive length.
+// rows (used when deserializing an index). The rows are copied; all
+// must have equal, positive length.
 func ProjectionFromRows(rows [][]float64) (*Projection, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("lsh: ProjectionFromRows requires at least one row")
@@ -62,11 +59,11 @@ func ProjectionFromRows(rows [][]float64) (*Projection, error) {
 			return nil, fmt.Errorf("lsh: row %d has length %d, want %d", i, len(r), d)
 		}
 	}
-	return &Projection{m: len(rows), d: d, a: rows}, nil
+	return &Projection{m: len(rows), d: d, a: slices.Concat(rows...)}, nil
 }
 
 // Row returns the i-th coefficient vector (shared; do not mutate).
-func (p *Projection) Row(i int) []float64 { return p.a[i] }
+func (p *Projection) Row(i int) []float64 { return p.a[i*p.d : (i+1)*p.d : (i+1)*p.d] }
 
 // M returns the number of projections (the projected dimensionality).
 func (p *Projection) M() int { return p.m }
@@ -83,7 +80,8 @@ func (p *Projection) Project(o []float64) []float64 {
 }
 
 // ProjectTo is like Project but writes into dst, which must have
-// length M().
+// length M(). dst[i] is vec.Dot(Row(i), o) bit for bit, computed four
+// rows at a time (vec.DotToMany).
 func (p *Projection) ProjectTo(dst, o []float64) {
 	if len(o) != p.d {
 		panic(fmt.Sprintf("lsh: point has dimension %d, projection expects %d", len(o), p.d))
@@ -91,9 +89,7 @@ func (p *Projection) ProjectTo(dst, o []float64) {
 	if len(dst) != p.m {
 		panic(fmt.Sprintf("lsh: dst has length %d, want %d", len(dst), p.m))
 	}
-	for i, row := range p.a {
-		dst[i] = vec.Dot(row, o)
-	}
+	vec.DotToMany(dst, o, p.a, p.d)
 }
 
 // ProjectAll maps every point in data, returning one projected vector

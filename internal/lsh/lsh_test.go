@@ -1,12 +1,14 @@
 package lsh
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/stats"
+	"repro/internal/store"
 	"repro/internal/vec"
 )
 
@@ -332,5 +334,56 @@ func TestTableBucketMissing(t *testing.T) {
 	table := NewTable(g, nil)
 	if ids := table.Bucket([]int{123456, -99}); ids != nil {
 		t.Errorf("empty table returned %v", ids)
+	}
+}
+
+// TestProjectMatchesDotPerRow: a point's projection, one point at a
+// time or a store at once, is one vec.Dot per coefficient row, bit for
+// bit, at every m from 1 through 33 (whole groups of four rows and
+// every leftover) and odd widths.
+func TestProjectMatchesDotPerRow(t *testing.T) {
+	for _, d := range []int{1, 6, 129} {
+		pts := randPoints(9, d, int64(d))
+		src, err := store.FromRows(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m := 1; m <= 33; m++ {
+			p, _ := NewProjection(m, d, int64(m))
+			stored, err := p.ProjectStore(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, o := range pts {
+				got := p.Project(o)
+				for j, v := range got {
+					if want := vec.Dot(p.Row(j), o); math.Float64bits(v) != math.Float64bits(want) ||
+						math.Float64bits(stored.Row(i)[j]) != math.Float64bits(want) {
+						t.Fatalf("d=%d m=%d point %d row %d: Project %v, ProjectStore %v, Dot %v", d, m, i, j, v, stored.Row(i)[j], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkProjectStore is a build's projection alone at the benchmark
+// workloads' shapes, at the paper's m = 15 and the default m = 24.
+func BenchmarkProjectStore(b *testing.B) {
+	for _, shape := range []struct{ m, d, n int }{{15, 128, 4000}, {24, 128, 4000}, {24, 768, 1000}} {
+		b.Run(fmt.Sprintf("m%d/d%d", shape.m, shape.d), func(b *testing.B) {
+			src, err := store.FromRows(randPoints(shape.n, shape.d, 1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, _ := NewProjection(shape.m, shape.d, 2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.ProjectStore(src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

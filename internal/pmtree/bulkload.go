@@ -58,19 +58,28 @@ import (
 //
 // Cost: O(n log n) metric evaluations for the bisection plus
 // O(n·capacity) for leaf packing — comparable to one insertion pass.
+//
+// The load reads the generation's float32 rows widened into one float64
+// copy, which it drops when done: every distance it computes, and the
+// pivots and routing objects it picks, are those of the stored points.
 
 // loader is one bulk load: the rows it reads, in the order they were
-// handed over, and the leaf-major layout it fills — the rows copied
-// leaf by leaf with their ids — plus the entry arrays every leaf slices.
+// handed over (src, and wide, their values widened), and the leaf-major
+// layout it fills — the rows copied leaf by leaf with their ids — plus
+// the entry arrays every leaf slices.
 type loader struct {
 	src, out   *layout
+	wide       []float64
 	capacity   int
 	parentDist []float64
 	pivotDist  []float64
 }
 
-// row returns source row i.
-func (b *loader) row(i int) []float64 { return b.src.row(i) }
+// row returns source row i, widened.
+func (b *loader) row(i int) []float64 {
+	off := i * b.src.dim
+	return b.wide[off : off+b.src.dim : off+b.src.dim]
+}
 
 // spawnFloor is the partition size up to which both halves of a
 // bisection stay on one goroutine: handing one over would cost more.
@@ -81,16 +90,17 @@ const spawnFloor = 512
 // point.
 func bulkLoad(src *layout, cfg Config) *layout {
 	n, dim := len(src.rowID), src.dim
-	rows := make([][]float64, n)
-	for i := range rows {
-		rows[i] = src.row(i)
-	}
 	b := &loader{
 		src:        src,
-		out:        &layout{dim: dim, flat: make([]float64, n*dim), rowID: make([]int32, n), pivots: selectPivots(rows, cfg.NumPivots, cfg.PivotSeed)},
+		wide:       widenTo(make([]float64, n*dim), src.flat),
 		capacity:   cfg.Capacity,
 		parentDist: make([]float64, n),
 	}
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = b.row(i)
+	}
+	b.out = &layout{dim: dim, flat: make([]float32, n*dim), rowID: make([]int32, n), pivots: selectPivots(rows, cfg.NumPivots, cfg.PivotSeed)}
 	b.pivotDist = make([]float64, n*len(b.out.pivots))
 	perm := make([]int32, n)
 	for i := range perm {
@@ -315,7 +325,7 @@ func (b *loader) packLeaf(first int, rs []int32, mm *minimaxResult) routingEntry
 		at := first + i
 		out.rowID[at] = b.src.rowID[row]
 		b.parentDist[at] = dm[best*m+i]
-		copy(out.flat[at*dim:(at+1)*dim], pt)
+		copy(out.flat[at*dim:(at+1)*dim], b.src.row(int(row)))
 		for k, pv := range out.pivots {
 			d := vec.L2(pt, pv)
 			b.pivotDist[at*s+k] = d

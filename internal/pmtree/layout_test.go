@@ -107,7 +107,7 @@ func fingerprint(tr *Tree) []byte {
 		put([]int64{int64(n.size()), int64(n.first)})
 		if n.leaf {
 			for i, id := range l.leafIDs(n) {
-				row(id, l.leafPoint(n, i))
+				row(id, wide(l.leafPoint(n, i)))
 				put(n.parentDist[i])
 				put(n.pivotDists(i, len(l.pivots)))
 			}
@@ -124,7 +124,7 @@ func fingerprint(tr *Tree) []byte {
 	walk(l.root)
 	put(int64(tr.Tail()))
 	for i, id := range tr.tail.rowID {
-		row(id, tr.tail.row(i))
+		row(id, wide(tr.tail.row(i)))
 	}
 	return b.Bytes()
 }
@@ -154,7 +154,7 @@ func regrow(tb testing.TB, tr *Tree, gen [][]float64) *Tree {
 			ids[row] = -1
 		}
 	}
-	s, err := store.FromFlat(append(slices.Concat(gen...), tr.tail.flat...), tr.dim)
+	s, err := store.FromFlat(append(slices.Concat(gen...), wide(tr.tail.flat)...), tr.dim)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -213,16 +213,13 @@ func TestBuildFromStoreLeavesSourceAlone(t *testing.T) {
 		t.Fatal("BuildFromStore reordered the caller's store")
 	}
 	l := first.built()
-	if &l.flat[0] == &src.Flat()[0] {
-		t.Fatal("the tree kept the caller's buffer")
-	}
 	var walk func(n *node)
 	walk = func(n *node) {
 		for i := range n.routing {
 			walk(n.routing[i].child)
 		}
 		for i, id := range l.leafIDs(n) {
-			if !slices.Equal(l.leafPoint(n, i), data[id]) {
+			if !slices.Equal(wide(l.leafPoint(n, i)), data[id]) {
 				t.Fatalf("id %d does not name the caller's row %d", id, id)
 			}
 		}
@@ -261,15 +258,16 @@ func TestBuildFromStoreLeavesSourceAlone(t *testing.T) {
 	if _, err := grown.Append(make([]float64, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(tr.tail.row(0), p) {
+	if !slices.Equal(wide(tr.tail.row(0)), p) {
 		t.Fatal("the caller's Append overwrote the tree's tail")
 	}
 }
 
-// TestDeferredTreeLoadsOnce: a NewDeferred tree is the caller's rows
-// until first use; the first read of its structure, through any
-// snapshot, loads it — once — into the tree BuildFromStore makes over
-// the same store, and lets go of the caller's buffer.
+// TestDeferredTreeLoadsOnce: a NewDeferred tree is the caller's rows,
+// rounded, in the caller's order until first use; the first read of its
+// structure, through any snapshot, loads it — once — into the tree
+// BuildFromStore makes over the same store, and lets go of the rows it
+// was handed.
 func TestDeferredTreeLoadsOnce(t *testing.T) {
 	src, err := store.FromRows(randData(700, 5, 42))
 	if err != nil {
@@ -285,8 +283,9 @@ func TestDeferredTreeLoadsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := deferred.Snapshot()
-	if &deferred.gen.cur.Load().flat[0] != &src.Flat()[0] || deferred.BulkLoads() != 0 {
-		t.Fatal("a deferred tree copied its rows, or was loaded, before first use")
+	handed := deferred.gen.cur.Load().flat
+	if !slices.Equal(wide(handed), src.Flat()) || deferred.BulkLoads() != 0 {
+		t.Fatal("a deferred tree reordered its rows, or was loaded, before first use")
 	}
 	snap.NumPivots()
 	deferred.Snapshot().NumPivots()
@@ -294,8 +293,8 @@ func TestDeferredTreeLoadsOnce(t *testing.T) {
 		t.Fatalf("bulk loads: %d by the tree, %d by its snapshot, %d by an eager build; want 1 each",
 			deferred.BulkLoads(), snap.BulkLoads(), eager.BulkLoads())
 	}
-	if &deferred.built().flat[0] == &src.Flat()[0] {
-		t.Fatal("the loaded tree kept the caller's buffer")
+	if &deferred.built().flat[0] == &handed[0] {
+		t.Fatal("the loaded tree kept the rows it was handed")
 	}
 	requireSameTree(t, "deferred against eager", eager, deferred)
 }

@@ -21,7 +21,7 @@ func nearestTree(tb testing.TB, rng *rand.Rand, pivots int) (*Tree, [][]float64)
 	point := func() []float64 {
 		p := slices.Clone(centers[rng.Intn(len(centers))])
 		for j := range p {
-			p[j] += 0.3 * rng.NormFloat64()
+			p[j] = float64(float32(p[j] + 0.3*rng.NormFloat64())) // held as handed over (see randData)
 		}
 		return p
 	}

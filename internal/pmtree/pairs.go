@@ -88,6 +88,11 @@ type PairEnumerator struct {
 	// exactly one enumerator, so per-query closest-pair statistics stay
 	// exact when queries overlap.
 	qdist int64
+
+	// row holds one stored row widened, the query side of an exact
+	// distance; d2 receives the kernel's result.
+	row []float64
+	d2  [1]float64
 }
 
 // leafJoin is one leaf prepared for plane-sweep joining: entry data
@@ -183,6 +188,7 @@ func NewPairEnumerator(trees ...*Tree) *PairEnumerator {
 	e := &PairEnumerator{ts: trees, ls: make([]*layout, len(trees)), joins: make([][]*leafJoin, len(trees)), cutoff: math.Inf(1)}
 	live := 0
 	for s, t := range trees {
+		e.row = make([]float64, t.dim)
 		if t.count > 0 {
 			e.ls[s] = t.built()
 			live += t.count
@@ -326,7 +332,7 @@ func (e *PairEnumerator) leafJoin(n *node, side uint8) *leafJoin {
 		id:  make([]int32, m),
 	}
 	for i, at := range idx {
-		lj.c0[i] = l.leafPoint(n, at)[0]
+		lj.c0[i] = float64(l.leafPoint(n, at)[0])
 		lj.piv = append(lj.piv, n.pivotDists(at, s)...)
 		lj.row[i] = n.first + int32(at)
 		lj.id[i] = ids[at]
@@ -342,7 +348,8 @@ func (e *PairEnumerator) leafJoin(n *node, side uint8) *leafJoin {
 // bound free of the radial concentration pivot distances suffer — is
 // within the cutoff are touched at all. Survivors then reject on the
 // per-pivot bounds (same-tree pairs only: each tree has pivots of its
-// own) and finally the exact squared distance.
+// own) and finally the exact squared distance: the flat pass's kernel
+// from one row, widened, to the other.
 func (e *PairEnumerator) expandLeafPair(ra, rb pairRegion) {
 	na, nb := ra.n, rb.n
 	// A leaf without entries (the root of a tree that is all tail)
@@ -357,6 +364,7 @@ func (e *PairEnumerator) expandLeafPair(ra, rb pairRegion) {
 		b = e.leafJoin(nb, rb.side)
 	}
 	la, lb := e.ls[ra.side], e.ls[rb.side]
+	dim := la.dim
 	cross := ra.side != rb.side
 	s := len(la.pivots)
 	cutoff := e.cutoff
@@ -378,7 +386,7 @@ func (e *PairEnumerator) expandLeafPair(ra, rb pairRegion) {
 			jstart = lo
 		}
 		pa := a.piv[i*s : (i+1)*s]
-		pt := la.row(int(a.row[i]))
+		pt := widenTo(e.row, la.row(int(a.row[i])))
 	probe:
 		for j := jstart; j < len(b.c0) && b.c0[j]-c0 <= cutoff; j++ {
 			if !cross {
@@ -390,7 +398,7 @@ func (e *PairEnumerator) expandLeafPair(ra, rb pairRegion) {
 				}
 			}
 			exact++
-			d2 := vec.SquaredL2(pt, lb.row(int(b.row[j])))
+			d2 := vec.SquaredL2ToMany(e.d2[:], pt, lb.row(int(b.row[j])), dim)[0]
 			if d2 > cutoff2 {
 				continue
 			}
@@ -443,7 +451,7 @@ func (e *PairEnumerator) seedTail() {
 				}
 				in = uint8(u)
 				// ResetTree cannot fail: the trees index points of one dimension.
-				if err := e.rq.ResetTree(tu, ts.tail.row(i)); err != nil {
+				if err := e.rq.ResetTree(tu, widenTo(e.row, ts.tail.row(i))); err != nil {
 					panic(err)
 				}
 				switch {

@@ -243,8 +243,10 @@ func TestBipartitePairEnumeratorAfterDeletes(t *testing.T) {
 // randomForest splits n random points over trees at random. Each tree
 // bulk loads a random share of its points (none: a tree grown from New)
 // and inserts the rest into its tail; then about a fifth of all points,
-// leaves and tails alike, are deleted. It returns the trees, every
-// tree's points by local id, and which are live.
+// leaves and tails alike, are deleted. The points have coordinates no
+// float32 holds, so it returns, with the trees, every tree's points by
+// local id as the trees hold them (rounded; see the package comment),
+// and which are live: brute force over those is what a join must match.
 func randomForest(tb testing.TB, rng *rand.Rand, trees, n, dim int) ([]*Tree, [][][]float64, func(int, int32) bool) {
 	parts := make([][][]float64, trees)
 	for i := 0; i < n; i++ {
@@ -273,6 +275,9 @@ func randomForest(tb testing.TB, rng *rand.Rand, trees, n, dim int) ([]*Tree, []
 			if err := forest[s].Insert(part[id], int32(id)); err != nil {
 				tb.Fatal(err)
 			}
+		}
+		for id, p := range part {
+			part[id] = wide(appendRounded(nil, p))
 		}
 		dead[s] = map[int32]bool{}
 		for id := range part {

@@ -27,7 +27,7 @@ func randomPoints(n, dim int, seed int64) [][]float64 {
 	for i := range out {
 		p := make([]float64, dim)
 		for j := range p {
-			p[j] = rng.NormFloat64()
+			p[j] = float64(float32(rng.NormFloat64())) // held as handed over (see randData)
 		}
 		out[i] = p
 	}

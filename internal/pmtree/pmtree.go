@@ -14,6 +14,16 @@
 // With s = 0 pivots the structure degrades gracefully to a plain
 // M-tree, which the parameter study of Fig. 6(a) exploits.
 //
+// A tree stores its points in float32: every coordinate handed to it is
+// rounded to the nearest float32 (clamped to ±math.MaxFloat32, so a
+// finite point stays finite), and from then on the rounded point is the
+// point. Every distance the tree computes or stores — a row's to a
+// query, pivot, parent and ring distances, covering radii — is float64
+// arithmetic over the widened coordinates, so the tree answers exactly
+// as a float64 tree over the rounded points would: its filters bound the
+// distances its kernel computes. Half-width rows halve the bytes a flat
+// pass streams; the query itself stays float64.
+//
 // Memory layout is part of the design. A bulk load lays the tree's
 // points out leaf-major: each leaf's points are one consecutive
 // run of rows and the leaves follow each other in traversal order.
@@ -64,6 +74,7 @@ package pmtree
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -146,8 +157,9 @@ func (n *node) size() int {
 // pivotDists returns entry i's distances to the s pivots.
 func (n *node) pivotDists(i, s int) []float64 { return n.pivotDist[i*s : (i+1)*s : (i+1)*s] }
 
-// Tree is a PM-tree over m-dimensional float64 points: a generation of
-// rows with the structure over them, and the tail inserted since.
+// Tree is a PM-tree over m-dimensional points, stored as float32 rows (see
+// the package comment): a generation of rows with the structure over
+// them, and the tail inserted since.
 type Tree struct {
 	dim int
 	// gen is shared by the tree and its snapshots.
@@ -182,7 +194,7 @@ type generation struct {
 // tree over them once the order is the bulk load's; or a tail.
 type layout struct {
 	dim  int
-	flat []float64 // the rows, dim values each
+	flat []float32 // the rows, dim values each
 	// rowID maps a row to the id of the point it holds: the leaves' id
 	// array (see node), and what lets a flat pass name the points it
 	// finds. -1 only where NewDeferred was handed a row whose point is
@@ -194,7 +206,7 @@ type layout struct {
 }
 
 // row returns row i as a view into the buffer.
-func (l *layout) row(i int) []float64 {
+func (l *layout) row(i int) []float32 {
 	off := i * l.dim
 	return l.flat[off : off+l.dim : off+l.dim]
 }
@@ -206,7 +218,63 @@ func (l *layout) leafIDs(n *node) []int32 {
 }
 
 // leafPoint resolves leaf entry i's point as a view into the buffer.
-func (l *layout) leafPoint(n *node, i int) []float64 { return l.row(int(n.first) + i) }
+func (l *layout) leafPoint(n *node, i int) []float32 { return l.row(int(n.first) + i) }
+
+// appendRounded appends p to dst as the tree stores it: each coordinate
+// the nearest float32, clamped to the float32 range.
+func appendRounded(dst []float32, p []float64) []float32 {
+	at := len(dst)
+	dst = slices.Grow(dst, len(p))[:at+len(p)]
+	for i, v := range p {
+		switch {
+		case v > math.MaxFloat32:
+			v = math.MaxFloat32
+		case v < -math.MaxFloat32:
+			v = -math.MaxFloat32
+		}
+		dst[at+i] = float32(v)
+	}
+	return dst
+}
+
+// roundRows returns the n rows row writes, rounded, back to back: in
+// GOMAXPROCS chunks, the last on the caller's goroutine, each with a
+// buffer of its own.
+func roundRows(n, dim int, row func(dst []float64, i int)) []float32 {
+	flat := make([]float32, n*dim)
+	procs := runtime.GOMAXPROCS(0)
+	per := (n + procs - 1) / procs
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += per {
+		hi := min(lo+per, n)
+		chunk := func() {
+			defer wg.Done()
+			p := make([]float64, dim)
+			for i := lo; i < hi; i++ {
+				row(p, i)
+				appendRounded(flat[i*dim:i*dim], p)
+			}
+		}
+		wg.Add(1)
+		if hi < n {
+			go chunk()
+		} else {
+			chunk()
+		}
+	}
+	wg.Wait()
+	return flat
+}
+
+// widenTo writes the float32 row p into dst as float64, exactly, and
+// returns dst.
+func widenTo(dst []float64, p []float32) []float64 {
+	dst = dst[:len(p)]
+	for i, v := range p {
+		dst[i] = float64(v)
+	}
+	return dst
+}
 
 // Config controls tree construction.
 type Config struct {
@@ -223,11 +291,7 @@ type Config struct {
 // New creates an empty tree for points of the given dimensionality: no
 // pivots, no nodes to speak of, and every Insert lands in the tail.
 func New(dim int, cfg Config) (*Tree, error) {
-	s, err := store.New(dim)
-	if err != nil {
-		return nil, fmt.Errorf("pmtree: %w", err)
-	}
-	return NewDeferred(s, nil, 0, cfg)
+	return NewDeferredFunc(0, dim, nil, nil, 0, cfg)
 }
 
 // Snapshot returns the tree as it stands: a read-only Tree sharing t's
@@ -255,7 +319,7 @@ func Build(data [][]float64, ids []int32, cfg Config) (*Tree, error) {
 }
 
 // BuildFromStore constructs a tree over the rows of s, bulk loaded at
-// once. The store is only read: the tree gathers the rows into a buffer
+// once. The store is only read: the tree rounds the rows into a buffer
 // of its own, laid out leaf by leaf in traversal order, and keeps no
 // reference to s, so several trees can be built over one store and the
 // caller is free to drop or reuse it. ids follows Build's contract (nil:
@@ -281,10 +345,23 @@ func BuildFromStore(s *store.Store, ids []int32, cfg Config) (*Tree, error) {
 // structure, with the rows after them as its tail: the tree those rows
 // grew into by Insert. ids follows Build's contract, except that -1
 // names a row whose point is gone (Delete's, once the id it held is
-// forgotten); a tail's ids ascend. Until the bulk load s's buffer and ids
-// are the tree's rows: the caller must not modify either. No frozen rows
-// make a tree without nodes, as New does.
+// forgotten); a tail's ids ascend. The rows are rounded into a buffer
+// of the tree's own (s is only read); ids is retained until the bulk
+// load, and the caller must not modify it. No frozen rows make a tree
+// without nodes, as New does.
 func NewDeferred(s *store.Store, ids []int32, frozen int, cfg Config) (*Tree, error) {
+	return NewDeferredFunc(s.Len(), s.Dim(), func(dst []float64, i int) { copy(dst, s.Row(i)) }, ids, frozen, cfg)
+}
+
+// NewDeferredFunc is NewDeferred over n rows of dim values that row
+// writes, row i into dst, without a store of them: the tree keeps only
+// their rounded copies. row is called once per row, for disjoint ranges
+// of rows on up to GOMAXPROCS goroutines at once (the last on the
+// caller's), and must not retain dst.
+func NewDeferredFunc(n, dim int, row func(dst []float64, i int), ids []int32, frozen int, cfg Config) (*Tree, error) {
+	if dim <= 0 {
+		return nil, fmt.Errorf("pmtree: dimension must be positive, got %d", dim)
+	}
 	if cfg.Capacity == 0 {
 		cfg.Capacity = DefaultCapacity
 	}
@@ -294,7 +371,6 @@ func NewDeferred(s *store.Store, ids []int32, frozen int, cfg Config) (*Tree, er
 	if cfg.NumPivots < 0 {
 		return nil, fmt.Errorf("pmtree: NumPivots must be >= 0, got %d", cfg.NumPivots)
 	}
-	n, dim := s.Len(), s.Dim()
 	if frozen < 0 || frozen > n {
 		return nil, fmt.Errorf("pmtree: %d frozen rows of %d", frozen, n)
 	}
@@ -313,8 +389,9 @@ func NewDeferred(s *store.Store, ids []int32, frozen int, cfg Config) (*Tree, er
 		}
 	}
 	// Capped slices: an Insert appends to the tail in a buffer of its own,
-	// never in spare capacity behind the caller's rows or ids.
-	flat, split := s.Flat()[:n*dim:n*dim], frozen*dim
+	// never in spare capacity behind the generation's rows or the caller's
+	// ids.
+	flat, split := roundRows(n, dim, row), frozen*dim
 	l := &layout{dim: dim, flat: flat[:split:split], rowID: ids[:frozen:frozen]}
 	if frozen == 0 {
 		l.root = &node{leaf: true} // nothing to load: every row is the tail's
@@ -394,6 +471,21 @@ func (t *Tree) resetLiveness() {
 // Dim returns the dimensionality of indexed points.
 func (t *Tree) Dim() int { return t.dim }
 
+// Points calls fn with every live point and its id, as the tree stores
+// it — each coordinate rounded to float32, widened back — the
+// generation's in row order, then the tail's. p is a buffer the next
+// call overwrites.
+func (t *Tree) Points(fn func(id int32, p []float64)) {
+	p := make([]float64, t.dim)
+	for _, l := range []*layout{t.gen.cur.Load(), &t.tail} {
+		for i, id := range l.rowID {
+			if t.liveID(id) {
+				fn(id, widenTo(p, l.row(i)))
+			}
+		}
+	}
+}
+
 // NumPivots returns the number of global pivots s.
 func (t *Tree) NumPivots() int { return len(t.built().pivots) }
 
@@ -436,7 +528,7 @@ func (l *layout) deriveScanRadius() {
 // Insert adds one point with the given id, which must exceed every id
 // the tree has held — ids only grow, and a deleted one is never reused:
 // snapshots still read its delete epoch. The point is copied to the end
-// of the tail; no node changes.
+// of the tail, rounded (see the package comment); no node changes.
 func (t *Tree) Insert(p []float64, id int32) error {
 	if id < 0 {
 		return fmt.Errorf("pmtree: negative id %d", id)
@@ -448,7 +540,7 @@ func (t *Tree) Insert(p []float64, id int32) error {
 		return fmt.Errorf("pmtree: id %d does not exceed every id the tree has held (%d)", id, len(t.del)-1)
 	}
 	t.growDel(int(id) + 1)
-	t.tail.flat = append(t.tail.flat, p...)
+	t.tail.flat = appendRounded(t.tail.flat, p)
 	t.tail.rowID = append(t.tail.rowID, id)
 	t.count++
 	return nil

@@ -12,18 +12,25 @@ import (
 	"repro/internal/vec"
 )
 
+// randData returns n points of d Gaussian coordinates, each one a
+// float32 value, so that the tree holds them as handed over and a test
+// can compare against the caller's rows (TestRoundedPointsMatchBruteForce
+// covers points the tree must round).
 func randData(n, d int, seed int64) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([][]float64, n)
 	for i := range out {
 		p := make([]float64, d)
 		for j := range p {
-			p[j] = rng.NormFloat64() * 10
+			p[j] = float64(float32(rng.NormFloat64() * 10))
 		}
 		out[i] = p
 	}
 	return out
 }
+
+// wide returns a stored row as float64.
+func wide(p []float32) []float64 { return widenTo(make([]float64, len(p)), p) }
 
 func bruteRange(data [][]float64, q []float64, r float64) []Result {
 	var out []Result
@@ -190,7 +197,7 @@ func TestStructuralInvariants(t *testing.T) {
 			for i, id := range l.leafIDs(n) {
 				pivotDist := n.pivotDists(i, len(l.pivots))
 				for _, a := range ancestors {
-					if d := vec.L2(l.leafPoint(n, i), a.center); d > a.radius+1e-9 {
+					if d := vec.L2(wide(l.leafPoint(n, i)), a.center); d > a.radius+1e-9 {
 						t.Fatalf("point %d outside ancestor ball: %v > %v", id, d, a.radius)
 					}
 					for k, pd := range pivotDist {
@@ -202,7 +209,7 @@ func TestStructuralInvariants(t *testing.T) {
 				}
 				// Stored pivot distances must be exact.
 				for k, pd := range pivotDist {
-					if math.Abs(pd-vec.L2(l.leafPoint(n, i), l.pivots[k])) > 1e-9 {
+					if math.Abs(pd-vec.L2(wide(l.leafPoint(n, i)), l.pivots[k])) > 1e-9 {
 						t.Fatalf("stale pivot distance for point %d pivot %d", id, k)
 					}
 				}

@@ -18,7 +18,7 @@ func quickPoints(rng *rand.Rand, n, dim int) [][]float64 {
 	for i := range out {
 		p := make([]float64, dim)
 		for j := range p {
-			p[j] = rng.NormFloat64()
+			p[j] = float64(float32(rng.NormFloat64())) // held as handed over (see randData)
 		}
 		// Sprinkle duplicates so ties exist.
 		if i > 0 && rng.Intn(10) == 0 {

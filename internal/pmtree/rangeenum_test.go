@@ -77,7 +77,7 @@ func (t *Tree) rangeSearchRef(q []float64, r float64, visit func(id int32, d flo
 						continue entries
 					}
 				}
-				if d := dist(l.leafPoint(n, i)); d <= r {
+				if d := dist(wide(l.leafPoint(n, i))); d <= r {
 					visit(id, d)
 				}
 			}
@@ -102,7 +102,7 @@ func (t *Tree) rangeSearchRef(q []float64, r float64, visit func(id int32, d flo
 	for i, id := range t.tail.rowID {
 		// Dead rows are evaluated too, as the enumerator's one kernel call
 		// over the tail evaluates them.
-		if d := dist(t.tail.row(i)); t.liveID(id) && d <= r {
+		if d := dist(wide(t.tail.row(i))); t.liveID(id) && d <= r {
 			visit(id, d)
 		}
 	}
@@ -125,7 +125,7 @@ func randomTree(tb testing.TB, rng *rand.Rand) (*Tree, [][]float64) {
 	for i := range data {
 		data[i] = make([]float64, dim)
 		for j := range data[i] {
-			data[i][j] = rng.NormFloat64() * 5
+			data[i][j] = float64(float32(rng.NormFloat64() * 5)) // held as handed over (see randData)
 		}
 	}
 	tr, err := Build(data, nil, cfg)
@@ -136,7 +136,7 @@ func randomTree(tb testing.TB, rng *rand.Rand) (*Tree, [][]float64) {
 		for i := 0; i < 30; i++ {
 			p := make([]float64, dim)
 			for j := range p {
-				p[j] = rng.NormFloat64() * 5
+				p[j] = float64(float32(rng.NormFloat64() * 5))
 			}
 			if err := tr.Insert(p, int32(n+i)); err != nil {
 				tb.Fatal(err)

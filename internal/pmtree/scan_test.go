@@ -435,7 +435,7 @@ func TestReleaseShedsOutgrownBuffers(t *testing.T) {
 	// the row distances reach the tree's size; a second round takes every
 	// point, so that the delta does.
 	use := func(tr *Tree) {
-		q := tr.built().row(0)
+		q := wide(tr.built().row(0))
 		for _, reset := range []func(*Tree, []float64) error{e.ResetTree, e.Reset} {
 			if err := reset(tr, q); err != nil {
 				t.Fatal(err)

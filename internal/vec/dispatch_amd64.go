@@ -50,6 +50,7 @@ var useAVX2 = detectAVX2()
 func init() {
 	if useAVX2 {
 		dotImpl = dotAVX2
+		dotToManyImpl = dotToManyAVX2
 		squaredL2Impl = squaredL2AVX2
 		squaredL2BoundedImpl = squaredL2BoundedAVX2
 		squaredL2GatherImpl = squaredL2BoundedGatherAVX2
@@ -96,6 +97,8 @@ func squaredL2BoundedAVX2(a, b []float64, bound float64) float64
 //go:noescape
 func squaredL2BoundedGather4AVX2(dst *[gatherWidth]float64, q, flat []float64, rows *[gatherWidth]int32, bound float64)
 
-func squaredL2ToManyAVX2(dst []float64, q, flat []float64, dim int)
+func dotToManyAVX2(dst []float64, q, flat []float64, dim int)
+
+func squaredL2ToManyAVX2(dst []float64, q []float64, flat []float32, dim int)
 
 func maxAbsDiffToManyAVX2(dst []float64, q, flat []float64, dim int)

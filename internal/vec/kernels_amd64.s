@@ -26,12 +26,13 @@
 // visited in random order (BenchmarkVerifyGather, d=128: 94 → 62 ns
 // against a tight bound, 155 → 93 ns without one; d=768: 229 → 138
 // and 643 → 349 ns) with every row's result unchanged.
-// squaredL2ToManyAVX2 does the same over consecutive rows, where the
-// chain is short but all there is: at dim 15 a row is three vector
-// steps, a three-add reduction and three scalar tail steps, one after
-// the other, and four rows in lockstep take 2.2–2.3× less per row
-// (BenchmarkSquaredL2ToMany, 256 rows of dim 15: 1520–1850 → 660–710 ns,
-// five alternating runs).
+// squaredL2ToManyAVX2 does the same over consecutive float32 rows,
+// where the chain is short but all there is: at dim 15 a row is three
+// vector steps, a three-add reduction and three scalar tail steps, one
+// after the other, and four rows in lockstep took 2.2–2.3× less per row
+// (measured while the rows were float64: 256 rows of dim 15,
+// 1520–1850 → 660–710 ns, five alternating runs). dotToManyAVX2 is the
+// same lockstep for inner products, the projection's kernel.
 
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -361,22 +362,46 @@ ga_store:
 	VZEROUPPER
 	RET
 
-// func squaredL2ToManyAVX2(dst []float64, q, flat []float64, dim int)
+// WIDEN_STEP is GATHER_STEP(0) over four float32 rows: elements [AX,
+// AX+4) of the rows at R8–R11, widened to float64 as they are loaded,
+// then subtracted from the shared query chunk, squared and added.
+#define WIDEN_STEP \
+	VMOVUPD   (SI)(AX*8), Y4; \
+	VCVTPS2PD (R8)(AX*4), Y5; \
+	VCVTPS2PD (R9)(AX*4), Y6; \
+	VCVTPS2PD (R10)(AX*4), Y7; \
+	VCVTPS2PD (R11)(AX*4), Y8; \
+	VSUBPD    Y5, Y4, Y5; \
+	VSUBPD    Y6, Y4, Y6; \
+	VSUBPD    Y7, Y4, Y7; \
+	VSUBPD    Y8, Y4, Y8; \
+	VMULPD    Y5, Y5, Y5; \
+	VMULPD    Y6, Y6, Y6; \
+	VMULPD    Y7, Y7, Y7; \
+	VMULPD    Y8, Y8, Y8; \
+	VADDPD    Y5, Y0, Y0; \
+	VADDPD    Y6, Y1, Y1; \
+	VADDPD    Y7, Y2, Y2; \
+	VADDPD    Y8, Y3, Y3
+
+// func squaredL2ToManyAVX2(dst []float64, q []float64, flat []float32, dim int)
 //
-// One squaredL2 pass per row, the outer loop in assembly so the
+// One squaredL2 pass per float32 row, each element widened by
+// VCVTPS2PD (exact) as it is loaded, the outer loop in assembly so the
 // per-row call overhead vanishes and the flat buffer streams through
 // in one address-ordered walk. Rows go four at a time while four are
 // left (and a row fills a vector): one row is one chain of dependent
 // adds — vector steps, the horizontal reduction, the scalar tail — and
-// at the PM-tree's dim 15 the chain, not the arithmetic, sets the
-// pace. Four rows in lockstep share each query load (GATHER_STEP),
+// at the PM-tree's projected width the chain, not the arithmetic, sets
+// the pace. Four rows in lockstep share each query load (WIDEN_STEP),
 // reduce through one transpose and three vertical adds (GATHER_REDUCE),
 // and take the dim%4 tail terms the same way: the squared differences
 // of each row's last four elements, transposed, the columns belonging
 // to the tail added in element order. Every row's sum associates as
 // the single-row loop's, ((s0+s1)+s2)+s3 and then the tail terms one
-// by one, so both loops return the same bits. The caller validates the
-// shapes (len(dst) rows of dim values in flat, len(q) == dim > 0).
+// by one, so both loops return the bits squaredL2AVX2 returns for the
+// widened row. The caller validates the shapes (len(dst) rows of dim
+// values in flat, len(q) == dim > 0).
 TEXT ·squaredL2ToManyAVX2(SB), NOSPLIT, $0-80
 	MOVQ dst_base+0(FP), R12
 	MOVQ dst_len+8(FP), R13
@@ -386,7 +411,7 @@ TEXT ·squaredL2ToManyAVX2(SB), NOSPLIT, $0-80
 	MOVQ CX, DX
 	ANDQ $-4, DX
 	MOVQ CX, BX
-	SHLQ $3, BX // row size in bytes
+	SHLQ $2, BX // row size in bytes
 	MOVQ CX, DI
 	SUBQ DX, DI // tail terms per row, 0–3
 	CMPQ CX, $4
@@ -407,7 +432,7 @@ tm_four:
 tm_four_vec:
 	CMPQ AX, DX
 	JGE  tm_four_reduce
-	GATHER_STEP(0)
+	WIDEN_STEP
 	ADDQ $4, AX
 	JMP  tm_four_vec
 
@@ -421,11 +446,15 @@ tm_four_reduce:
 	// Y2 = [c0 d0 c2 d2], Y3 = [c1 d1 c3 d3]. Lane 4-t is the first of
 	// t tail terms.
 	LEAQ -4(CX), AX
-	VMOVUPD (SI)(AX*8), Y4
-	VSUBPD  (R8)(AX*8), Y4, Y5
-	VSUBPD  (R9)(AX*8), Y4, Y6
-	VSUBPD  (R10)(AX*8), Y4, Y7
-	VSUBPD  (R11)(AX*8), Y4, Y8
+	VMOVUPD   (SI)(AX*8), Y4
+	VCVTPS2PD (R8)(AX*4), Y5
+	VCVTPS2PD (R9)(AX*4), Y6
+	VCVTPS2PD (R10)(AX*4), Y7
+	VCVTPS2PD (R11)(AX*4), Y8
+	VSUBPD  Y5, Y4, Y5
+	VSUBPD  Y6, Y4, Y6
+	VSUBPD  Y7, Y4, Y7
+	VSUBPD  Y8, Y4, Y8
 	VMULPD  Y5, Y5, Y5
 	VMULPD  Y6, Y6, Y6
 	VMULPD  Y7, Y7, Y7
@@ -465,10 +494,11 @@ tm_row:
 tm_vec:
 	CMPQ AX, DX
 	JGE  tm_reduce
-	VMOVUPD (SI)(AX*8), Y1
-	VSUBPD  (R8)(AX*8), Y1, Y1
-	VMULPD  Y1, Y1, Y1
-	VADDPD  Y1, Y0, Y0
+	VCVTPS2PD (R8)(AX*4), Y1
+	VMOVUPD   (SI)(AX*8), Y2
+	VSUBPD    Y1, Y2, Y1
+	VMULPD    Y1, Y1, Y1
+	VADDPD    Y1, Y0, Y0
 	ADDQ $4, AX
 	JMP  tm_vec
 
@@ -483,10 +513,11 @@ tm_reduce:
 tm_tail:
 	CMPQ AX, CX
 	JGE  tm_store
-	VMOVSD (SI)(AX*8), X1
-	VSUBSD (R8)(AX*8), X1, X1
-	VMULSD X1, X1, X1
-	VADDSD X1, X0, X0
+	VCVTSS2SD (R8)(AX*4), X1, X1
+	VMOVSD    (SI)(AX*8), X2
+	VSUBSD    X1, X2, X1
+	VMULSD    X1, X1, X1
+	VADDSD    X1, X0, X0
 	INCQ AX
 	JMP  tm_tail
 
@@ -498,6 +529,127 @@ tm_store:
 	JMP  tm_row
 
 tm_done:
+	VZEROUPPER
+	RET
+
+// DOT_STEP folds the products of elements [AX, AX+4) of the four rows
+// at R8–R11 with the shared query chunk into their accumulators Y0–Y3.
+#define DOT_STEP \
+	VMOVUPD (SI)(AX*8), Y4; \
+	VMULPD  (R8)(AX*8), Y4, Y5; \
+	VMULPD  (R9)(AX*8), Y4, Y6; \
+	VMULPD  (R10)(AX*8), Y4, Y7; \
+	VMULPD  (R11)(AX*8), Y4, Y8; \
+	VADDPD  Y5, Y0, Y0; \
+	VADDPD  Y6, Y1, Y1; \
+	VADDPD  Y7, Y2, Y2; \
+	VADDPD  Y8, Y3, Y3
+
+// func dotToManyAVX2(dst []float64, q, flat []float64, dim int)
+//
+// One dot pass per row. Four rows go in lockstep while four are left:
+// each query chunk is loaded once for all four (DOT_STEP), every row
+// keeps its own accumulator, the sums come out of one transpose
+// (GATHER_REDUCE), and the dim%4 tail terms are added lane by lane in
+// element order — row r's element and the query's, multiplied and
+// added as dotAVX2's scalar tail does. So every row associates as
+// dotAVX2 does and returns its bits; the leftover rows take the
+// single-row loop. The caller validates the shapes (len(dst) rows of
+// dim values in flat, len(q) == dim > 0).
+TEXT ·dotToManyAVX2(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), R12
+	MOVQ dst_len+8(FP), R13
+	MOVQ q_base+24(FP), SI
+	MOVQ flat_base+48(FP), R8
+	MOVQ dim+72(FP), CX
+	MOVQ CX, DX
+	ANDQ $-4, DX
+	MOVQ CX, BX
+	SHLQ $3, BX // row size in bytes
+
+dm_four:
+	CMPQ R13, $4
+	JL   dm_row
+	LEAQ (R8)(BX*1), R9
+	LEAQ (R9)(BX*1), R10
+	LEAQ (R10)(BX*1), R11
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ AX, AX
+
+dm_four_vec:
+	CMPQ AX, DX
+	JGE  dm_four_reduce
+	DOT_STEP
+	ADDQ $4, AX
+	JMP  dm_four_vec
+
+dm_four_reduce:
+	GATHER_REDUCE
+
+dm_four_tail:
+	CMPQ AX, CX
+	JGE  dm_four_store
+	VMOVSD  (R8)(AX*8), X5
+	VMOVHPD (R9)(AX*8), X5, X5
+	VMOVSD  (R10)(AX*8), X6
+	VMOVHPD (R11)(AX*8), X6, X6
+	VINSERTF128 $1, X6, Y5, Y5
+	VBROADCASTSD (SI)(AX*8), Y4
+	VMULPD Y4, Y5, Y5
+	VADDPD Y5, Y9, Y9
+	INCQ AX
+	JMP  dm_four_tail
+
+dm_four_store:
+	VMOVUPD Y9, (R12)
+	ADDQ $32, R12
+	LEAQ (R11)(BX*1), R8
+	SUBQ $4, R13
+	JMP  dm_four
+
+dm_row:
+	TESTQ R13, R13
+	JLE  dm_done
+	VXORPD Y0, Y0, Y0
+	XORQ AX, AX
+
+dm_vec:
+	CMPQ AX, DX
+	JGE  dm_reduce
+	VMOVUPD (R8)(AX*8), Y1
+	VMULPD  (SI)(AX*8), Y1, Y1
+	VADDPD  Y1, Y0, Y0
+	ADDQ $4, AX
+	JMP  dm_vec
+
+dm_reduce:
+	VEXTRACTF128 $1, Y0, X2
+	VUNPCKHPD X0, X0, X3
+	VADDSD X3, X0, X0
+	VADDSD X2, X0, X0
+	VUNPCKHPD X2, X2, X2
+	VADDSD X2, X0, X0
+
+dm_tail:
+	CMPQ AX, CX
+	JGE  dm_store
+	VMOVSD (R8)(AX*8), X1
+	VMULSD (SI)(AX*8), X1, X1
+	VADDSD X1, X0, X0
+	INCQ AX
+	JMP  dm_tail
+
+dm_store:
+	VMOVSD X0, (R12)
+	ADDQ $8, R12
+	ADDQ BX, R8
+	DECQ R13
+	JMP  dm_row
+
+dm_done:
 	VZEROUPPER
 	RET
 

@@ -107,7 +107,9 @@ func TestAVX2GatherBitIdentical(t *testing.T) {
 		const nrows = 6
 		q, flat := testVector(rng, d), testVector(rng, nrows*d)
 		exact := make([]float64, nrows)
-		squaredL2ToManyGeneric(exact, q, flat, d)
+		for r := range exact {
+			exact[r] = squaredL2Generic(q, flat[r*d:(r+1)*d])
+		}
 		for n := 0; n <= 9; n++ {
 			rows := make([]int32, n)
 			for j := range rows {
@@ -135,14 +137,15 @@ func TestAVX2ToManyBitIdentical(t *testing.T) {
 	for _, d := range equivDims() {
 		rows := 1 + rng.Intn(7)
 		q := testVector(rng, d)
-		flat := testVector(rng, rows*d)
+		flat := testVector32(rng, rows*d)
 		got := make([]float64, rows)
 		want := make([]float64, rows)
 		squaredL2ToManyAVX2(got, q, flat, d)
 		squaredL2ToManyGeneric(want, q, flat, d)
 		for r := range got {
-			if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
-				t.Fatalf("toMany dim=%d row=%d: avx2=%v generic=%v", d, r, got[r], want[r])
+			single := squaredL2AVX2(q, widen(flat[r*d:(r+1)*d]))
+			if math.Float64bits(got[r]) != math.Float64bits(want[r]) || math.Float64bits(got[r]) != math.Float64bits(single) {
+				t.Fatalf("toMany dim=%d row=%d: avx2=%v generic=%v squaredL2 of the widened row=%v", d, r, got[r], want[r], single)
 			}
 		}
 	}
@@ -156,7 +159,7 @@ func TestAVX2ToManyBitIdentical(t *testing.T) {
 func TestAVX2ToManyFourRowGroups(t *testing.T) {
 	requireAVX2(t)
 	rng := rand.New(rand.NewSource(609))
-	check := func(label string, q, flat []float64, d int) {
+	check := func(label string, q []float64, flat []float32, d int) {
 		t.Helper()
 		rows := len(flat) / d
 		got, want := make([]float64, rows), make([]float64, rows)
@@ -170,17 +173,42 @@ func TestAVX2ToManyFourRowGroups(t *testing.T) {
 	}
 	for d := 1; d <= 40; d++ {
 		for rows := 0; rows <= 13; rows++ {
-			check("toMany", testVector(rng, d), testVector(rng, rows*d), d)
+			check("toMany", testVector(rng, d), testVector32(rng, rows*d), d)
 		}
 	}
-	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64, 5e-324, math.Copysign(0, -1)}
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32, float32(math.Copysign(0, -1))}
 	for trial := 0; trial < 300; trial++ {
 		d := 1 + rng.Intn(20)
-		q, flat := testVector(rng, d), testVector(rng, 9*d)
+		q, flat := testVector(rng, d), testVector32(rng, 9*d)
 		for i := 0; i < 4; i++ {
 			flat[rng.Intn(len(flat))] = specials[rng.Intn(len(specials))]
 		}
+		q[rng.Intn(d)] = []float64{math.MaxFloat64, math.NaN(), 5e-324}[rng.Intn(3)]
 		check("toMany specials", q, flat, d)
+	}
+}
+
+// TestAVX2DotToManyBitIdentical pins the lockstep projection kernel to
+// one dot per row: every width from 1 through 130 (the inner-product
+// reduction's extra coordinate makes odd widths real) and 768, against
+// every row count from 1 through 33, so whole groups of four, leftover
+// rows and every tail length meet.
+func TestAVX2DotToManyBitIdentical(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(610))
+	for _, d := range equivDims() {
+		for m := 1; m <= 33; m++ {
+			q, flat := testVector(rng, d), testVector(rng, m*d)
+			got, want := make([]float64, m), make([]float64, m)
+			dotToManyAVX2(got, q, flat, d)
+			dotToManyGeneric(want, q, flat, d)
+			for r := range got {
+				single := dotAVX2(flat[r*d:(r+1)*d], q)
+				if math.Float64bits(got[r]) != math.Float64bits(want[r]) || math.Float64bits(got[r]) != math.Float64bits(single) {
+					t.Fatalf("dotToMany dim=%d m=%d row=%d: avx2=%v generic=%v dot=%v", d, m, r, got[r], want[r], single)
+				}
+			}
+		}
 	}
 }
 
@@ -291,6 +319,21 @@ func TestDispatchedKernelsMatchGeneric(t *testing.T) {
 		}
 		if g, w := SquaredL2(a, b), squaredL2Generic(a, b); math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("SquaredL2 dim=%d: dispatched=%v generic=%v", d, g, w)
+		}
+		flat := testVector(rng, 5*d)
+		dots := make([]float64, 5)
+		DotToMany(dots, a, flat, d)
+		for r, g := range dots {
+			if w := dotGeneric(flat[r*d:(r+1)*d], a); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("DotToMany dim=%d row %d: dispatched=%v generic=%v", d, r, g, w)
+			}
+		}
+		rows32 := testVector32(rng, 5*d)
+		d2s := SquaredL2ToMany(nil, a, rows32, d)
+		for r, g := range d2s {
+			if w := squaredL2Generic(a, widen(rows32[r*d:(r+1)*d])); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("SquaredL2ToMany dim=%d row %d: dispatched=%v generic=%v", d, r, g, w)
+			}
 		}
 		exact := squaredL2Generic(a, b)
 		for _, bound := range []float64{exact * 0.5, exact * 2} {

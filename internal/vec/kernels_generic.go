@@ -109,11 +109,38 @@ func squaredL2BoundedGatherGeneric(dst []float64, q, flat []float64, rows []int3
 	}
 }
 
-// squaredL2ToManyGeneric is the portable SquaredL2ToMany kernel: one
-// squaredL2Generic pass per dim-length row of flat.
-func squaredL2ToManyGeneric(dst []float64, q, flat []float64, dim int) {
+// dotToManyGeneric is the portable DotToMany kernel: one dotGeneric
+// pass per dim-length row of flat.
+func dotToManyGeneric(dst []float64, q, flat []float64, dim int) {
 	for r := range dst {
-		dst[r] = squaredL2Generic(q, flat[r*dim:(r+1)*dim:(r+1)*dim])
+		dst[r] = dotGeneric(flat[r*dim:(r+1)*dim:(r+1)*dim], q)
+	}
+}
+
+// squaredL2ToManyGeneric is the portable SquaredL2ToMany kernel:
+// squaredL2Generic over each dim-length float32 row of flat, every
+// element widened as it is read.
+func squaredL2ToManyGeneric(dst []float64, q []float64, flat []float32, dim int) {
+	for r := range dst {
+		b := flat[r*dim : (r+1)*dim : (r+1)*dim]
+		var s0, s1, s2, s3 float64
+		i := 0
+		for ; i+4 <= dim; i += 4 {
+			d0 := q[i] - float64(b[i])
+			d1 := q[i+1] - float64(b[i+1])
+			d2 := q[i+2] - float64(b[i+2])
+			d3 := q[i+3] - float64(b[i+3])
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		s := s0 + s1 + s2 + s3
+		for ; i < dim; i++ {
+			d := q[i] - float64(b[i])
+			s += d * d
+		}
+		dst[r] = s
 	}
 }
 

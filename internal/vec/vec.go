@@ -2,9 +2,11 @@
 // PM-LSH reproduction: Euclidean and L1 distances, dot products, and a
 // few aggregate helpers.
 //
-// Points are plain []float64 slices. The hot kernels (Dot, SquaredL2,
-// SquaredL2Bounded, SquaredL2BoundedGather, SquaredL2ToMany,
-// MaxAbsDiffToMany) dispatch at init to the fastest backend the host
+// Points are plain []float64 slices; SquaredL2ToMany alone reads rows
+// stored as float32 (the PM-tree's projected points) and widens them.
+// The hot kernels (Dot, DotToMany, SquaredL2, SquaredL2Bounded,
+// SquaredL2BoundedGather, SquaredL2ToMany, MaxAbsDiffToMany) dispatch
+// at init to the fastest backend the host
 // supports: hand-written AVX2 assembly on amd64 CPUs that advertise
 // it, and 4-way unrolled scalar Go loops everywhere else (and under
 // -tags noasm). Both backends produce
@@ -27,6 +29,7 @@ import (
 // and OS support it (and the build is not tagged noasm).
 var (
 	dotImpl              = dotGeneric
+	dotToManyImpl        = dotToManyGeneric
 	squaredL2Impl        = squaredL2Generic
 	squaredL2BoundedImpl = squaredL2BoundedGeneric
 	squaredL2GatherImpl  = squaredL2BoundedGatherGeneric
@@ -119,14 +122,15 @@ func SquaredL2BoundedGather(dst []float64, q, flat []float64, rows []int32, boun
 }
 
 // SquaredL2ToMany computes the squared Euclidean distance from q to
-// every dim-length row of the flat buffer (rows laid out back to back,
-// as in a store.Store), writing one distance per row into dst and
-// returning dst (allocated when nil). len(q) must equal dim, dim must
-// be positive, len(flat) must be a multiple of dim and dst, when
-// non-nil, must hold len(flat)/dim values; violations panic. Streaming
-// one contiguous buffer instead of chasing a pointer per row is the
-// batch counterpart of SquaredL2.
-func SquaredL2ToMany(dst []float64, q, flat []float64, dim int) []float64 {
+// every dim-length float32 row of the flat buffer (rows laid out back
+// to back), writing one distance per row into dst and returning dst
+// (allocated when nil). A row is widened to float64, which is exact,
+// and its distance is bit for bit SquaredL2(q, widened row). len(q)
+// must equal dim, dim must be positive, len(flat) must be a multiple of
+// dim and dst, when non-nil, must hold len(flat)/dim values; violations
+// panic. Streaming one contiguous buffer of half-width rows instead of
+// chasing a pointer per row is the batch counterpart of SquaredL2.
+func SquaredL2ToMany(dst []float64, q []float64, flat []float32, dim int) []float64 {
 	if dim <= 0 || len(q) != dim {
 		panic("vec: dimension mismatch in SquaredL2ToMany")
 	}
@@ -140,6 +144,20 @@ func SquaredL2ToMany(dst []float64, q, flat []float64, dim int) []float64 {
 	}
 	squaredL2ToManyImpl(dst, q, flat, dim)
 	return dst
+}
+
+// DotToMany writes into dst[r] the inner product of q with the r-th
+// dim-length row of the flat buffer, bit for bit Dot(row, q). len(q)
+// must equal dim, dim must be positive and flat must hold len(dst)
+// rows; violations panic. A projection is this kernel over its
+// coefficient rows: the accelerated backend takes four rows per pass
+// over q, four independent sums in flight where one Dot call at a time
+// waits on one.
+func DotToMany(dst []float64, q, flat []float64, dim int) {
+	if dim <= 0 || len(q) != dim || len(flat) != len(dst)*dim {
+		panic("vec: dimension mismatch in DotToMany")
+	}
+	dotToManyImpl(dst, q, flat, dim)
 }
 
 // MaxAbsDiffToMany folds, for every dim-length row of the flat buffer,

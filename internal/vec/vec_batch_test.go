@@ -33,6 +33,26 @@ func testVector(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
+// testVector32 is testVector for float32 rows.
+func testVector32(rng *rand.Rand, n int) []float32 {
+	v64 := testVector(rng, n)
+	off := rng.Intn(8)
+	v := make([]float32, n+off)[off : off+n : off+n]
+	for i, x := range v64 {
+		v[i] = float32(x)
+	}
+	return v
+}
+
+// widen returns a float32 row as float64, exactly.
+func widen(p []float32) []float64 {
+	out := make([]float64, len(p))
+	for i, x := range p {
+		out[i] = float64(x)
+	}
+	return out
+}
+
 func TestSquaredL2BoundedMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
@@ -152,9 +172,9 @@ func TestSquaredL2BoundedGatherPanics(t *testing.T) {
 func TestSquaredL2ToMany(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	const dim, n = 13, 9
-	flat := make([]float64, n*dim)
+	flat := make([]float32, n*dim)
 	for i := range flat {
-		flat[i] = rng.NormFloat64()
+		flat[i] = float32(rng.NormFloat64())
 	}
 	q := make([]float64, dim)
 	for i := range q {
@@ -165,8 +185,8 @@ func TestSquaredL2ToMany(t *testing.T) {
 		t.Fatalf("len = %d, want %d", len(got), n)
 	}
 	for r := 0; r < n; r++ {
-		want := SquaredL2(q, flat[r*dim:(r+1)*dim])
-		if math.Abs(got[r]-want) > 1e-12 {
+		want := SquaredL2(q, widen(flat[r*dim:(r+1)*dim]))
+		if math.Float64bits(got[r]) != math.Float64bits(want) {
 			t.Fatalf("row %d: got %v want %v", r, got[r], want)
 		}
 	}
@@ -178,9 +198,30 @@ func TestSquaredL2ToMany(t *testing.T) {
 }
 
 func TestSquaredL2ToManyPanics(t *testing.T) {
-	mustPanic(t, "bad dim", func() { SquaredL2ToMany(nil, []float64{1}, []float64{1, 2}, 2) })
-	mustPanic(t, "ragged flat", func() { SquaredL2ToMany(nil, []float64{1, 2}, []float64{1, 2, 3}, 2) })
-	mustPanic(t, "bad dst", func() { SquaredL2ToMany(make([]float64, 3), []float64{1, 2}, []float64{1, 2, 3, 4}, 2) })
+	mustPanic(t, "bad dim", func() { SquaredL2ToMany(nil, []float64{1}, []float32{1, 2}, 2) })
+	mustPanic(t, "ragged flat", func() { SquaredL2ToMany(nil, []float64{1, 2}, []float32{1, 2, 3}, 2) })
+	mustPanic(t, "bad dst", func() { SquaredL2ToMany(make([]float64, 3), []float64{1, 2}, []float32{1, 2, 3, 4}, 2) })
+}
+
+// TestDotToMany pins the batch inner product, on whichever backend is
+// active, to one Dot per row, bit for bit, and its shape checks.
+func TestDotToMany(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, dim := range []int{1, 3, 4, 7, 128, 129} {
+		for m := 0; m <= 9; m++ {
+			q, flat := testVector(rng, dim), testVector(rng, m*dim)
+			dst := make([]float64, m)
+			DotToMany(dst, q, flat, dim)
+			for r := range dst {
+				if want := Dot(flat[r*dim:(r+1)*dim], q); math.Float64bits(dst[r]) != math.Float64bits(want) {
+					t.Fatalf("dim=%d m=%d row %d: got %v want %v", dim, m, r, dst[r], want)
+				}
+			}
+		}
+	}
+	mustPanic(t, "zero dim", func() { DotToMany(nil, nil, nil, 0) })
+	mustPanic(t, "bad q", func() { DotToMany(make([]float64, 1), []float64{1}, []float64{1, 2}, 2) })
+	mustPanic(t, "short flat", func() { DotToMany(make([]float64, 2), []float64{1, 2}, []float64{1, 2, 3}, 2) })
 }
 
 // TestMaxAbsDiffToMany pins the fold's definition on whichever backend
@@ -345,20 +386,43 @@ func BenchmarkVerifyGather(b *testing.B) {
 	}
 }
 
+// BenchmarkSquaredL2ToMany is the flat pass's kernel: one query against
+// 256 float32 rows at the projected widths m = 15 and m = 24.
 func BenchmarkSquaredL2ToMany(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	const dim, rows = 15, 256
-	q := make([]float64, dim)
-	flat := make([]float64, dim*rows)
-	for i := range q {
-		q[i] = rng.NormFloat64()
+	for _, dim := range []int{15, 24} {
+		b.Run(fmt.Sprintf("m%d", dim), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			const rows = 256
+			q := make([]float64, dim)
+			flat := make([]float32, dim*rows)
+			for i := range q {
+				q[i] = rng.NormFloat64()
+			}
+			for i := range flat {
+				flat[i] = float32(rng.NormFloat64())
+			}
+			out := make([]float64, rows)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				SquaredL2ToMany(out, q, flat, dim)
+			}
+		})
 	}
-	for i := range flat {
-		flat[i] = rng.NormFloat64()
-	}
-	out := make([]float64, rows)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		SquaredL2ToMany(out, q, flat, dim)
+}
+
+// BenchmarkDotToMany is one point's projection: m coefficient rows of
+// the point's width against the point, in one call, at the widths of
+// the benchmark workloads.
+func BenchmarkDotToMany(b *testing.B) {
+	for _, shape := range []struct{ m, d int }{{15, 128}, {24, 128}, {24, 768}} {
+		b.Run(fmt.Sprintf("m%d/d%d", shape.m, shape.d), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(9))
+			q, flat := testVector(rng, shape.d), testVector(rng, shape.m*shape.d)
+			out := make([]float64, shape.m)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				DotToMany(out, q, flat, shape.d)
+			}
+		})
 	}
 }

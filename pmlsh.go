@@ -67,11 +67,14 @@ type CPStats = core.CPStats
 // and β = 2α2 that size the candidate set.
 type Params = core.Params
 
-// Config controls index construction. The zero value reproduces the
-// paper's evaluation defaults.
+// Config controls index construction. The zero value takes the paper's
+// evaluation defaults, except that data of 64 or more dimensions under
+// L2 or cosine is projected to m = 24 instead of 15 (see M).
 type Config struct {
 	// M is the number of hash functions, i.e. the projected
-	// dimensionality (0 = 15).
+	// dimensionality (0 = 24 for data of 64 or more dimensions under L2
+	// or cosine, otherwise the paper's 15). The candidate fraction β
+	// falls as M grows: 0.281 at 15, 0.147 at 24 (c = 1.5).
 	M int
 	// NumPivots is the PM-tree pivot count s (0 = 5). Set ZeroPivots to
 	// request a plain M-tree instead.
