@@ -279,14 +279,15 @@
 //
 //	results, err := index.SearchBatch(ctx, queries, 10)
 //
-// A Search may verify on two goroutines while a core holds no other
-// search; concurrent Searches, SearchBatch's workers and multi-shard
-// fan-out, which already fill the cores, verify serially. A round whose
-// verification work (candidates × dimension) is large enough, started
-// while fewer searches run than GOMAXPROCS, splits its candidates
-// between the caller and one helper goroutine and merges the two top-k
-// lists by (distance, id), so answers and statistics are those of the
-// serial loop.
+// A Search whose verification budget (βn+k candidates × dimension) is
+// large enough, started while fewer queries run than GOMAXPROCS, starts
+// one helper goroutine as it begins. While the query projects, the
+// helper wakes; from then on it takes chunks of each flat pass and
+// claims of each round's candidates beside the caller, and the caller
+// merges the two halves of a round by (distance, id), so answers and
+// statistics are those of the serial loop. Concurrent queries,
+// SearchBatch's workers, multi-shard fan-out and SearchBall, which
+// already fill the cores or have little to share, run on one goroutine.
 //
 // Per-query statistics (WithStats, WithBatchStats, WithPairStats) are
 // exact for the query they describe, ProjectedDistComps included: each

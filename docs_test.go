@@ -1,9 +1,10 @@
 package pmlsh
 
 // The docs may name only what exists: a grep-level guard that the prose
-// a user follows (README.md, doc.go, the verify skill) does not outlive
-// the code it names. CHANGES.md and ROADMAP.md are history and are not
-// scanned. Three kinds of name are checked against the non-test source:
+// a user follows (README.md, doc.go, the verify skill) and the claim
+// ledger (CLAIMS.md) do not outlive the code they name. CHANGES.md and
+// ROADMAP.md are history and are not scanned. Four kinds of name are
+// checked, the first three against the non-test source:
 //
 //   - a Prometheus metric pmlsh_…, against the string literals of
 //     internal/server and internal/obs (a name may be two literals
@@ -13,7 +14,10 @@ package pmlsh
 //     subcommand's FlagSet in cmd/pmlsh registers;
 //   - Config.X, QueryStats.X, CPStats.X, Info.X, EngineInfo.X and
 //     Index.X, against the fields and methods the root package and
-//     internal/core declare on a type of that name.
+//     internal/core declare on a type of that name;
+//   - a TestX, BenchmarkX or FuzzX, against the test functions of every
+//     _test.go file in the repository (a prefix of one passes: it is a
+//     -run pattern).
 
 import (
 	"go/ast"
@@ -22,19 +26,46 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-var docsScanned = []string{"README.md", "doc.go", filepath.Join(".claude", "skills", "verify", "SKILL.md")}
+var docsScanned = []string{"README.md", "doc.go", "CLAIMS.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")}
 
 var (
 	docMetricRE  = regexp.MustCompile(`pmlsh_[a-z0-9_]+`)
 	docCommandRE = regexp.MustCompile("(?:^|[^\\w-])pmlsh (build|query|cp|bench|churn|info|serve)\\b([^`#\\n]*)")
 	docFlagRE    = regexp.MustCompile(`(?:^|[\s\[])-([a-z][a-z0-9-]*)`)
 	docMemberRE  = regexp.MustCompile(`\b(Config|QueryStats|CPStats|Info|EngineInfo|Index)\.([A-Za-z_][A-Za-z0-9_]*)`)
+	docTestRE    = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*`)
+	testFuncRE   = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)\(`)
 )
+
+// testFuncs returns the test, benchmark and fuzz functions declared in
+// the repository's _test.go files, outside hidden directories (.git, the
+// benchmark's build cache).
+func testFuncs(t *testing.T) []string {
+	var out []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFuncRE.FindAllStringSubmatch(string(src), -1) {
+			out = append(out, m[1])
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 // parseSource parses the non-test Go files of dir.
 func parseSource(t *testing.T, dir string) []*ast.File {
@@ -215,6 +246,10 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		t.Fatalf("found no flags for pmlsh build/serve in cmd/pmlsh: %v", flags)
 	}
 	members := typeMembers(t, ".", filepath.Join("internal", "core"))
+	tests := testFuncs(t)
+	testExists := func(name string) bool {
+		return slices.ContainsFunc(tests, func(fn string) bool { return strings.HasPrefix(fn, name) })
+	}
 
 	for _, path := range docsScanned {
 		raw, err := os.ReadFile(path)
@@ -239,6 +274,11 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		for _, m := range docMemberRE.FindAllStringSubmatch(text, -1) {
 			if !members[m[1]][m[2]] {
 				t.Errorf("%s names %s.%s, which neither package pmlsh nor internal/core declares", path, m[1], m[2])
+			}
+		}
+		for _, name := range docTestRE.FindAllString(text, -1) {
+			if !testExists(name) {
+				t.Errorf("%s names %s, which no _test.go file declares", path, name)
 			}
 		}
 	}

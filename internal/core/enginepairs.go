@@ -37,8 +37,11 @@ func (e *Engine) SearchPairs(ctx context.Context, k int, o SearchOptions) ([]Pai
 // searchPairs runs one closest-pair request over parts — the
 // partitions of one collection, global id = local·N + partition. Each
 // vector partition's view is loaded once, here, and the whole query
-// reads those; the MinHash backend takes its own lock per call.
+// reads those; the MinHash backend takes its own lock per call. The
+// join runs on the caller's goroutine and counts itself in searching.
 func searchPairs(ctx context.Context, parts []*Index, k int, o SearchOptions) ([]Pair, error) {
+	searching.Add(1)
+	defer searching.Add(-1)
 	if parts[0].metric == metric.Jaccard {
 		return searchPairsJaccardSharded(ctx, parts, k, o)
 	}

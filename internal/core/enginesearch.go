@@ -66,10 +66,10 @@ func (e *Engine) views() []*view {
 // per-shard top-k lists and statistics — the shards concurrently when
 // concurrent is set (single queries), serially otherwise (batch workers
 // already fill the cores). Each shard's searchView counts as a running
-// search, so a shard splits its verification only on a core no search
-// holds, by the one rule of verifyRound. Errors surface in shard order,
-// so a request invalid for every shard (bad dimension, k <= 0) reports
-// shard 0's error, which is word-for-word the 1-shard error.
+// query and takes no helper: the shards' goroutines are the query's
+// parallelism. Errors surface in shard order, so a request invalid for
+// every shard (bad dimension, k <= 0) reports shard 0's error, which is
+// word-for-word the 1-shard error.
 func (e *Engine) fanSearch(ctx context.Context, q []float64, k int, o SearchOptions, views []*view, concurrent bool) ([]Result, QueryStats, error) {
 	n := len(e.shards)
 	per := make([][]Result, n)
@@ -78,7 +78,7 @@ func (e *Engine) fanSearch(ctx context.Context, q []float64, k int, o SearchOpti
 	run := func(s int) {
 		oi := e.shardOptions(o, s)
 		oi.Stats = &sts[s]
-		per[s], errs[s] = e.shards[s].searchView(ctx, views[s], q, k, oi)
+		per[s], errs[s] = e.shards[s].searchView(ctx, views[s], q, k, oi, false)
 	}
 	if concurrent {
 		var wg sync.WaitGroup

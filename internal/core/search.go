@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/metric"
+	"repro/internal/pmtree"
 	"repro/internal/vec"
 )
 
@@ -23,10 +24,11 @@ import (
 
 // SearchOptions carries one query's request parameters. The zero value
 // selects the defaults: ratio DefaultC, build-time α1, no filter, the
-// derived βn+k verification budget, no statistics. A Search may verify
-// on two goroutines while a core holds no other search; concurrent
-// Searches, SearchBatch's workers and multi-shard fan-out, which
-// already fill the cores, verify serially.
+// derived βn+k verification budget, no statistics. A Search with enough
+// to verify may take one helper goroutine for its flat passes and
+// verification while a core holds no other query; concurrent queries,
+// SearchBatch's workers and multi-shard fan-out, which already fill the
+// cores, run on their own goroutine.
 type SearchOptions struct {
 	// C is the approximation ratio; <= 0 selects DefaultC. Values in
 	// (0, 1] are rejected.
@@ -102,10 +104,10 @@ func (ix *Index) deriveParamsOpt(c, alpha1 float64) (Params, error) {
 // distance; two verified candidates at exactly the same distance rank
 // by id, the smaller first. Cancellation is checked between
 // range-expansion rounds, so a canceled request stops doing tree work
-// and returns ctx.Err(). A Search may verify on two goroutines while a
-// core holds no other search (verifyRound).
+// and returns ctx.Err(). A Search may share its work with one helper
+// goroutine while a core holds no other query (startHelper).
 func (ix *Index) Search(ctx context.Context, q []float64, k int, o SearchOptions) ([]Result, error) {
-	return ix.searchView(ctx, ix.view.Load(), q, k, o)
+	return ix.searchView(ctx, ix.view.Load(), q, k, o, true)
 }
 
 // reduceQuery maps a native-metric query into the internal L2 space
@@ -191,8 +193,11 @@ func (ix *Index) finishDist(d2, qscale float64) float64 {
 // needs no batch loop of its own.
 //
 // Every call counts itself in searching for its duration; that count is
-// the one rule for parallelism inside a query (verifyRound).
-func (ix *Index) searchView(ctx context.Context, v *view, q []float64, k int, o SearchOptions) ([]Result, error) {
+// the one rule for parallelism inside a query (startHelper). Only a
+// query that is its caller's one piece of work — alone, as Search is —
+// may take a helper; SearchBatch's workers and a multi-shard query's
+// per-shard calls never do.
+func (ix *Index) searchView(ctx context.Context, v *view, q []float64, k int, o SearchOptions, alone bool) ([]Result, error) {
 	searching.Add(1)
 	defer searching.Add(-1)
 	if ix.metric == metric.Jaccard {
@@ -242,6 +247,12 @@ func (ix *Index) searchView(ctx context.Context, v *view, q []float64, k int, o 
 
 	sc := ix.getScratch()
 	defer ix.putScratch(sc, n)
+	// The helper wakes while the query projects and begins its flat pass.
+	var h *queryHelper
+	if alone {
+		h = sc.startHelper(min(needed, n) * len(q))
+		defer h.join()
+	}
 	en, err := ix.startEnum(sc, v.tree, q, false)
 	if err != nil {
 		return nil, err
@@ -262,9 +273,9 @@ func (ix *Index) searchView(ctx context.Context, v *view, q []float64, k int, o 
 		}
 		st.Rounds++
 		var inRadius int
-		sc.ids, inRadius = en.Nearest(params.T*r, needed-vf.verified, o.Filter, sc.ids)
+		sc.ids, inRadius = h.nearest(en, params.T*r, needed-vf.verified, o.Filter, sc.ids)
 		scanned += inRadius
-		sc.verifyRound(&vf, sc.ids)
+		h.verify(&vf, sc.ids)
 		// Termination 1 (Alg. 2 line 9): enough admitted candidates.
 		if vf.verified >= needed {
 			break
@@ -360,105 +371,203 @@ func (v *verifier) run(ids []int32) {
 	}
 }
 
-// verifyClaim is how many candidates a worker of a split verification
+// verifyClaim is how many candidates a worker of a shared verification
 // takes from the round's cursor at a time: eight blocks, one atomic add
 // per 32 exact distances.
 const verifyClaim = 8 * verifyWidth
 
-// splitMinWork is the least verification work, candidates × dimension,
-// for which a round splits. A helper starts tens of µs after its go
-// statement, so a smaller round ends sooner on the caller alone; on two
-// cores BenchmarkVerifySplit first wins at every d at this work, and
-// loses or breaks even at 2^18.
+// splitMinWork is the least verification budget, candidates ×
+// dimension, for which a query takes a helper, decided when the query
+// starts. A helper reaches an idle core 60–100 µs after its go
+// statement (BenchmarkHelperStart), so a query with less to verify ends
+// sooner on the caller alone; on two cores BenchmarkVerifySplit first
+// wins at every d at this work, and loses or breaks even at 2^18.
 const splitMinWork = 3 << 17
 
-// searching counts this process's goroutines inside searchView or
-// running a verification helper: the cores its queries hold.
+// searching counts this process's goroutines running a query —
+// searchView, SearchBall, SearchPairs — or a query's helper: the cores
+// its queries hold.
 var searching atomic.Int64
 
-// verifyRound leaves vf exactly as vf.run(ids) would. A round of at
-// least splitMinWork and two claims takes one helper goroutine
-// (splitVerify) when a core holds no search: searching is below
-// GOMAXPROCS. So a caller alone on the cores splits, and concurrent
-// callers — HTTP handlers on one shard, SearchBatch's workers, the
-// per-shard goroutines of a multi-shard query — that already fill them
-// verify serially, whichever API they came through. One helper is what
-// BenchmarkVerifySplit measured; more are not started.
-func (sc *queryScratch) verifyRound(vf *verifier, ids []int32) {
-	if len(ids) < 2*verifyClaim || len(ids)*len(vf.q) < splitMinWork {
-		vf.run(ids)
-		return
+// startHelper starts the query's one helper goroutine (queryHelper) when
+// its verification budget, candidates × dimension, reaches splitMinWork
+// and a core holds no query: searching, the helper included, stays
+// within GOMAXPROCS. So a caller alone on the cores takes one, and
+// Searches that share them with other queries — HTTP handlers on one
+// shard, a Search beside a SearchBall or SearchPairs — do not. It
+// returns nil when no helper starts; a nil helper runs every step on the
+// caller. One helper is what BenchmarkVerifySplit measured; more are not
+// started.
+func (sc *queryScratch) startHelper(work int) *queryHelper {
+	if work < splitMinWork {
+		return nil
 	}
 	if searching.Add(1) > int64(runtime.GOMAXPROCS(0)) {
 		searching.Add(-1)
+		return nil
+	}
+	h := &sc.help
+	if h.run == nil {
+		h.run = func() {
+			h.drain()
+			h.left.Store(true)
+		}
+	}
+	h.en, h.owed = &sc.pmEnum, 0
+	h.work.Store(phaseWord(phaseIdle, 0))
+	h.done.Store(0)
+	h.left.Store(false)
+	go h.run()
+	return h
+}
+
+// queryHelper is a query's helper goroutine and what it shares with the
+// caller. The helper starts with the query and, once it runs, takes
+// whatever work the query has open: chunks of a round's flat pass, then
+// claims of its verification, in every round, until the query joins it.
+// It lives in the pooled query scratch with everything it touches —
+// phase word, buffers, goroutine body — so a warmed Search allocates
+// its answer and nothing else, helped or not.
+//
+// The caller opens each step as a phase of numbered units (split) and
+// both claim units from one word, which holds the phase's kind, its
+// unit count and the next unit: a claim that lands after the caller has
+// opened the next phase is a claim of that phase, never a stale one.
+// The helper polls the word only when nothing is left to claim, so the
+// line is hot for one of them at a time; what the helper writes while
+// working sits on lines of its own.
+type queryHelper struct {
+	_    [64]byte
+	work atomic.Uint64 // the open phase (phaseWord); stopped at the join
+	_    [64]byte
+	done atomic.Int64 // units the helper has finished this query
+	left atomic.Bool  // the helper has returned
+	_    [64]byte
+
+	owed int64 // units the helper has claimed this query; the caller's
+	en   *pmtree.RangeEnumerator
+	ids  []int32  // a verification phase's candidates
+	vf   verifier // the helper's, per round; cleared at the join, so the pool pins no view
+	blk  verifyBlock
+	top  []Result // vf.top's backing array, kept across queries
+	run  func()   // the goroutine body, made once: a closure per go statement would allocate
+}
+
+// Phase kinds, the top two bits of the phase word; the unit count and
+// the next unit to claim take 31 bits each, far above any chunk or
+// claim count of an index addressed by int32 ids.
+const (
+	phaseIdle = iota
+	phaseScan
+	phaseVerify
+	phaseStop
+)
+
+func phaseWord(kind, units int) uint64 { return uint64(kind)<<62 | uint64(units)<<31 }
+
+// unpack splits a phase word into its kind, unit count and next unit.
+func unpack(w uint64) (kind, units, next int) {
+	return int(w >> 62), int(w >> 31 & (1<<31 - 1)), int(w & (1<<31 - 1))
+}
+
+// drain is the helper's loop: claim a unit of the open phase, do it,
+// count it done; wait while nothing is left to claim; return when the
+// query stops it.
+func (h *queryHelper) drain() {
+	for {
+		kind, units, next := unpack(h.work.Load())
+		if kind == phaseStop {
+			return
+		}
+		if next >= units {
+			runtime.Gosched()
+			continue
+		}
+		if kind, units, next = unpack(h.work.Add(1) - 1); next < units {
+			h.unit(kind, next, 1, &h.vf)
+			h.done.Add(1)
+		}
+	}
+}
+
+// unit does unit i of a phase as the given worker (0 the caller, 1 the
+// helper), verifying into vf.
+func (h *queryHelper) unit(kind, i, worker int, vf *verifier) {
+	if kind == phaseScan {
+		h.en.Resolve(i, worker)
+		return
+	}
+	lo := i * verifyClaim
+	vf.run(h.ids[lo:min(lo+verifyClaim, len(h.ids))])
+}
+
+// split opens a phase of units, claims them beside the helper until none
+// is left, and returns once the ones the helper claimed are done too.
+func (h *queryHelper) split(kind, units int, vf *verifier) {
+	h.work.Store(phaseWord(kind, units))
+	mine := 0
+	for {
+		_, _, i := unpack(h.work.Add(1) - 1)
+		if i >= units {
+			break
+		}
+		h.unit(kind, i, 0, vf)
+		mine++
+	}
+	h.owed += int64(units - mine)
+	for h.done.Load() < h.owed {
+		runtime.Gosched()
+	}
+}
+
+// nearest is en.Nearest, the round's chunks shared with the helper.
+func (h *queryHelper) nearest(en *pmtree.RangeEnumerator, r float64, limit int, admit func(int32) bool, out []int32) ([]int32, int) {
+	if h == nil {
+		return en.Nearest(r, limit, admit, out)
+	}
+	h.split(phaseScan, en.Begin(r), nil)
+	return en.Cut(limit, admit, out)
+}
+
+// verify leaves vf exactly as vf.run(ids) would, sharing the claims with
+// the helper. Each keeps its own top-k and bound; the helper's starts
+// from vf's bound, which is the round's current top-k once that is
+// full, and is merged into vf by compareDistID when the round's claims
+// are done. The answer is the serial one because the top-k of a set does
+// not depend on how it is partitioned, and a worker's kernel never
+// abandons a member of the set's top-k: a worker's bound is the k-th
+// distance of k members of the set, or vf's, never below the set's
+// final k-th.
+func (h *queryHelper) verify(vf *verifier, ids []int32) {
+	if h == nil {
 		vf.run(ids)
 		return
 	}
-	sc.splitVerify(vf, ids)
-	searching.Add(-1)
-}
-
-// verifySplit is one round's verification shared by the querying
-// goroutine and one helper. It lives in the pooled query scratch with
-// everything a round touches — cursor, WaitGroup, the helper's buffers
-// and goroutine body — so a warmed Search allocates its answer and
-// nothing else, split or not.
-type verifySplit struct {
-	ids  []int32 // the round's candidates; read-only while the helper runs
-	next atomic.Int64
-	wg   sync.WaitGroup
-	vf   verifier // the helper's, this round's; cleared at the join, so the pool pins no view
-	blk  verifyBlock
-	top  []Result // vf.top's backing array, kept across queries
-	run  func()   // the helper's body, made once: a closure per go statement would allocate
-}
-
-// splitVerify leaves vf exactly as vf.run(ids) would, verifying on the
-// caller and one helper goroutine. Both claim verifyClaim ids at a time
-// from one cursor and keep their own top-k and bound; the helper starts
-// from vf's bound, which is the round's current top-k once that is
-// full. A helper the scheduler starts late finds the cursor exhausted
-// and exits. The caller joins the helper and merges its list into vf by
-// compareDistID. The answer is the serial one because the top-k of a
-// set does not depend on how it is partitioned, and a worker's kernel
-// never abandons a member of the set's top-k: a worker's bound is the
-// k-th distance of k members of the set, or vf's, never below the
-// set's final k-th.
-func (sc *queryScratch) splitVerify(vf *verifier, ids []int32) {
-	s := &sc.split
-	if s.run == nil {
-		s.run = func() {
-			defer s.wg.Done()
-			s.drain(&s.vf)
-		}
-	}
-	s.ids = ids
-	s.next.Store(0)
-	s.vf = verifier{view: vf.view, q: vf.q, blk: &s.blk, k: vf.k, top: s.top[:0], bound: vf.bound}
-	s.wg.Add(1)
-	go s.run()
-	s.drain(vf)
-	s.wg.Wait()
-	vf.verified += s.vf.verified
-	for _, r := range s.vf.top {
+	h.ids = ids
+	h.vf = verifier{view: vf.view, q: vf.q, blk: &h.blk, k: vf.k, top: h.top[:0], bound: vf.bound}
+	h.split(phaseVerify, (len(ids)+verifyClaim-1)/verifyClaim, vf)
+	vf.verified += h.vf.verified
+	for _, r := range h.vf.top {
 		vf.top = insertCandidate(vf.top, r, vf.k)
 	}
 	if len(vf.top) == vf.k {
 		vf.bound = vf.top[vf.k-1].Dist
 	}
-	s.top = s.vf.top[:0]
-	s.vf = verifier{}
+	h.top = h.vf.top[:0]
 }
 
-// drain verifies claims from the cursor into vf until none is left.
-func (s *verifySplit) drain(vf *verifier) {
-	for {
-		lo := int(s.next.Add(verifyClaim)) - verifyClaim
-		if lo >= len(s.ids) {
-			return
-		}
-		vf.run(s.ids[lo:min(lo+verifyClaim, len(s.ids))])
+// join stops the helper, waits for it to return and gives its core
+// back. Every query that started a helper joins it before it returns.
+func (h *queryHelper) join() {
+	if h == nil {
+		return
 	}
+	h.work.Store(phaseWord(phaseStop, 0))
+	for !h.left.Load() {
+		runtime.Gosched()
+	}
+	searching.Add(-1)
+	h.en, h.ids, h.vf = nil, nil, verifier{}
 }
 
 // SearchBatch answers many (c,k)-ANN requests under one options value,
@@ -484,7 +593,7 @@ func (ix *Index) SearchBatch(ctx context.Context, qs [][]float64, k int, o Searc
 	return searchBatch(ctx, len(qs), o.BatchStats, func(i int, st *QueryStats) ([]Result, error) {
 		oi := o
 		oi.Stats = st
-		return ix.searchView(ctx, v, qs[i], k, oi)
+		return ix.searchView(ctx, v, qs[i], k, oi, false)
 	})
 }
 
@@ -547,8 +656,11 @@ func searchBatch(ctx context.Context, n int, stats []QueryStats, one func(i int,
 // positive finite number: zero, a negative, NaN and ±Inf are refused (a
 // ball that holds every point is a Search with k = 1). o.Stats, when
 // non-nil, receives the query's statistics (Rounds is always 1 — the
-// ball-cover query is a single range expansion).
+// ball-cover query is a single range expansion). The query runs on the
+// caller's goroutine alone and counts itself in searching while it does.
 func (ix *Index) SearchBall(ctx context.Context, q []float64, r float64, o SearchOptions) (*Result, error) {
+	searching.Add(1)
+	defer searching.Add(-1)
 	if ix.metric == metric.Jaccard {
 		return ix.searchBallJaccard(ctx, q, r, o)
 	}

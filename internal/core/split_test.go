@@ -6,12 +6,14 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 )
 
-// A Search splits a round's verification between its own goroutine and
-// one helper (search.go: verifyRound, splitVerify) when the round's work
-// reaches splitMinWork and a core holds no search. The split must be
+// A Search shares its flat passes and verification with one helper
+// goroutine (search.go: startHelper, queryHelper) when its verification
+// budget reaches splitMinWork and a core holds no query. The split must be
 // invisible: the same ids, the same distance bits and the same
 // QueryStats as the serial loop, no goroutine left behind, and no
 // allocation beyond the answer.
@@ -202,12 +204,14 @@ func TestSplitSearchAllocatesOnlyItsAnswer(t *testing.T) {
 	}
 }
 
-// TestSplitOnlyOnAnIdleCore: a round takes its helper only while fewer
-// goroutines search than GOMAXPROCS. The test's goroutine stands in for
-// a Search holding one of two cores; a second search holding the other
-// — a concurrent request on the same shard, a batch worker, a sibling
-// shard's goroutine — keeps the round serial. Either way the answer is
-// the serial one and the count of searching goroutines is restored.
+// TestSplitOnlyOnAnIdleCore: a query takes its helper only while fewer
+// goroutines run queries than GOMAXPROCS. The test's goroutine stands in
+// for a Search holding one of two cores; a second query holding the
+// other — a concurrent request on the same shard, a batch worker, a
+// sibling shard's goroutine, or a SearchBall or SearchPairs, each of
+// which holds a core for as long as it runs — keeps the query serial.
+// Either way the answer is the serial one and the count of querying
+// goroutines is restored.
 func TestSplitOnlyOnAnIdleCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	ix, data := splitTestIndex(t, Config{Seed: 5})
@@ -215,38 +219,90 @@ func TestSplitOnlyOnAnIdleCore(t *testing.T) {
 	q := data[1500]
 	sc := ix.getScratch()
 	defer ix.putScratch(sc, v.live())
-	en, err := ix.startEnum(sc, v.tree, q, false)
-	if err != nil {
-		t.Fatal(err)
+	const budget = 1000
+	if budget*splitDim < splitMinWork {
+		t.Fatalf("a budget of %d candidates is under the split's %d", budget, splitMinWork/splitDim)
 	}
-	sc.ids, _ = en.Nearest(math.Inf(1), 1000, nil, sc.ids)
-	if len(sc.ids)*splitDim < splitMinWork {
-		t.Fatalf("%d candidates are under the split's %d", len(sc.ids), splitMinWork/splitDim)
+	// One round at an infinite radius, cut at the budget, as a Search
+	// runs it: through its helper, or on the caller when h is nil.
+	query := func(h *queryHelper) verifier {
+		en, err := ix.startEnum(sc, v.tree, q, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vf := verifier{view: v, q: q, blk: &sc.blk, k: 50, bound: math.Inf(1)}
+		sc.ids, _ = h.nearest(en, math.Inf(1), budget, nil, sc.ids)
+		h.verify(&vf, sc.ids)
+		h.join()
+		return vf
 	}
-	fresh := func() verifier {
-		return verifier{view: v, q: q, blk: &sc.blk, k: 50, bound: math.Inf(1)}
+	want := query(nil)
+	if want.verified != budget {
+		t.Fatalf("the serial round verified %d candidates, want %d", want.verified, budget)
 	}
-	want := fresh()
-	want.run(sc.ids)
+	check := func(label string, searchers int64, split bool) {
+		t.Helper()
+		searching.Add(searchers)
+		defer searching.Add(-searchers)
+		before := searching.Load()
+		h := sc.startHelper(budget * splitDim)
+		if h != nil {
+			// Let the helper reach its core, so that it is there to take
+			// chunks of the flat pass and not only verification claims.
+			time.Sleep(time.Millisecond)
+		}
+		got := query(h)
+		if after := searching.Load(); after != before {
+			t.Errorf("%s: the count went from %d to %d", label, before, after)
+		}
+		if (h != nil) != split {
+			t.Errorf("%s on 2 cores: split %v, want %v", label, h != nil, split)
+		}
+		if got.verified != want.verified || got.bound != want.bound || !slices.Equal(got.top, want.top) {
+			t.Errorf("%s: verified %d, top %v; serial %d, %v", label, got.verified, got.top, want.verified, want.top)
+		}
+	}
 	for _, tc := range []struct {
 		searching int64 // the test's goroutine included
 		split     bool
 	}{{1, true}, {2, false}, {3, false}} {
-		searching.Add(tc.searching)
-		before := searching.Load()
-		sc.split.run = nil // set again only by a split
-		got := fresh()
-		sc.verifyRound(&got, sc.ids)
-		after := searching.Load()
-		searching.Add(-tc.searching)
-		if split := sc.split.run != nil; split != tc.split {
-			t.Errorf("%d searching on 2 cores: split %v, want %v", tc.searching, split, tc.split)
+		check(fmt.Sprintf("%d searching", tc.searching), tc.searching, tc.split)
+	}
+
+	// A ball query and a closest-pair query each hold the other core
+	// while their filters block.
+	for _, holder := range []struct {
+		name string
+		run  func(filter func(int32) bool) error
+	}{
+		{"SearchBall", func(f func(int32) bool) error {
+			_, err := ix.SearchBall(context.Background(), q, 1e6, SearchOptions{Filter: f})
+			return err
+		}},
+		{"SearchPairs", func(f func(int32) bool) error {
+			_, err := ix.SearchPairs(context.Background(), 1, SearchOptions{Filter: f})
+			return err
+		}},
+	} {
+		inside, release, done := make(chan struct{}), make(chan struct{}), make(chan error)
+		var once sync.Once
+		go func() {
+			done <- holder.run(func(int32) bool {
+				once.Do(func() {
+					close(inside)
+					<-release
+				})
+				return true
+			})
+		}()
+		<-inside
+		check("1 searching beside a "+holder.name, 1, false)
+		close(release)
+		if err := <-done; err != nil {
+			t.Fatal(holder.name, err)
 		}
-		if after != before {
-			t.Errorf("%d searching: the count went from %d to %d", tc.searching, before, after)
-		}
-		if got.verified != want.verified || got.bound != want.bound || !slices.Equal(got.top, want.top) {
-			t.Errorf("%d searching: verified %d, top %v; serial %d, %v", tc.searching, got.verified, got.top, want.verified, want.top)
+		if n := searching.Load(); n != 0 {
+			t.Errorf("%s returned with %d goroutines still counted as searching", holder.name, n)
 		}
 	}
 }

@@ -111,6 +111,8 @@ func TestCompareReproducesTable2Shape(t *testing.T) {
 	if cmp.PMTreeCC <= 0 || cmp.RTreeCC <= 0 {
 		t.Fatalf("non-positive costs: %+v", cmp)
 	}
+	t.Logf("modeled cost PM-tree %.1f, R-tree %.1f (%.1f%% lower); measured %.1f, %.1f",
+		cmp.PMTreeCC, cmp.RTreeCC, cmp.ReductionPc, cmp.MeasuredPM, cmp.MeasuredR)
 	if cmp.PMTreeCC >= cmp.RTreeCC {
 		t.Errorf("PM-tree modeled cost %v not below R-tree %v", cmp.PMTreeCC, cmp.RTreeCC)
 	}

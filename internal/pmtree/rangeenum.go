@@ -24,13 +24,14 @@ import (
 // An enumeration resolves its rounds in one of two ways, chosen when it
 // is reset.
 //
-//   - The flat pass (Reset): one kernel call per part of the rows — the
-//     generation's, the tail — computes every row's d², and each round
-//     walks the kept array. It reads no node, so it never bulk loads the
-//     tree. Algorithm 2's first radius holds βn+k points, a quarter to a
-//     third of the data; a ball that size meets nearly every leaf, and a
-//     traversal would evaluate 94–101% of the points behind tests that
-//     reject nothing — so every k-NN query is flat passes.
+//   - The flat pass (Reset): the first round computes every row's d²,
+//     one kernel call per chunk of rows, and each round walks the kept
+//     array chunk by chunk; two workers may share the chunks (Resolve).
+//     It reads no node, so it never bulk loads the tree. Algorithm 2's
+//     first radius holds βn+k points, a quarter to a third of the data;
+//     a ball that size meets nearly every leaf, and a traversal would
+//     evaluate 94–101% of the points behind tests that reject nothing —
+//     so every k-NN query is flat passes.
 //   - The traversal (ResetTree): every round descends from the root
 //     behind RangeSearch's pruning tests — hyper-rings, parent-distance
 //     filter, ball test, in the float arithmetic of the recursive
@@ -75,22 +76,25 @@ type RangeEnumerator struct {
 	prev, radius float64
 	lb, d2       []float64 // scanLeaf's per-leaf bounds and squared distances
 
-	// The round's delta as collect leaves it for Nearest: the admitted
-	// points that entered the radius, and the sizes of their buckets.
-	// admit and emit are set for the duration of one collect.
-	sel      []selEntry
-	hist     [selBuckets + 1]int32
-	admit    func(id int32) bool
-	emit     func(id int32, dist float64)
-	base     float64 // the bucket scale's origin: the previous radius, or 0
-	scale    float64 // buckets per unit of distance
-	inRadius int     // points that entered the radius, admitted or not
+	// What Begin sets for the round's Resolve calls: the bucket scale,
+	// the round as a window of squared-distance bits (takeWithin), the
+	// rows the flat pass covers — the generation's (none when treeOnly),
+	// then the tail's from tailFrom — and whether this round pays their
+	// distances. emit is set for the duration of one Expand.
+	base  float64 // the bucket scale's origin: the previous radius, or 0
+	scale float64 // buckets per unit of distance
+	lo2   int64   // the round's lower squared distance as bits, or -1
+	span  uint64  // bits from lo2 (exclusive) to the upper one (inclusive)
+	gen   []int32
+	tail  []int32
+	tflat []float32 // the tail rows' coordinates
+	fresh bool
+	emit  func(id int32, dist float64)
 
 	// rowD2 keeps a flat pass's squared distances: every row's, the
 	// generation's then the tail's — or, when treeOnly (ResetTree), the
 	// tail's from tailFrom; empty until the first pass.
 	rowD2    []float64
-	hits     []int32 // takeWithin's rows in the round
 	treeOnly bool
 	// tailFrom is the first row of the tail the enumeration covers. The
 	// pair enumerator raises it after ResetTree to leave tail rows out.
@@ -101,6 +105,30 @@ type RangeEnumerator struct {
 	// tail row on a traversal, every row (dead ones included) on a flat
 	// pass. Owned by one query, it stays exact when queries overlap.
 	qdist int64
+
+	shares [workers]share // the round's delta, one part per worker
+}
+
+// workers is how many goroutines may resolve one round's chunks (see
+// Resolve): worker 0, the enumeration's owner, and worker 1, a helper.
+const workers = 2
+
+// flatChunk is how many rows one Resolve covers: fine enough that a
+// helper arriving mid-pass finds chunks left, coarse enough that the
+// kernel runs long stretches and a claim is one atomic add per 1 024
+// rows.
+const flatChunk = 1024
+
+// share is one worker's part of a round's delta: the points that
+// entered the radius in the chunks it resolved, each with its bucket,
+// the buckets' sizes and the count. The padding keeps the two workers'
+// shares, and what lies around them, on cache lines of their own.
+type share struct {
+	sel      []selEntry
+	hits     []int32 // takeWithin's rows in the chunk
+	inRadius int
+	hist     [selBuckets + 1]int32
+	_        [64]byte
 }
 
 // Reset rebinds the enumerator to a tree and query point for flat
@@ -117,8 +145,10 @@ func (e *RangeEnumerator) reset(t *Tree, q []float64, treeOnly bool) error {
 		return fmt.Errorf("pmtree: query has dimension %d, tree expects %d", len(q), t.dim)
 	}
 	e.t, e.q, e.treeOnly = t, q, treeOnly
-	if e.l = t.gen.cur.Load(); treeOnly {
+	if e.l, e.gen = t.gen.cur.Load(), nil; treeOnly {
 		e.l = t.built()
+	} else {
+		e.gen = e.l.rowID
 	}
 	e.radius = math.Inf(-1)
 	e.qdist = 0
@@ -136,14 +166,16 @@ func (e *RangeEnumerator) reset(t *Tree, q []float64, treeOnly bool) error {
 func (e *RangeEnumerator) Release() {
 	if e.t != nil {
 		bound := 2*e.t.Rows() + 1024
-		if cap(e.rowD2) > bound || cap(e.hits) > bound {
-			e.rowD2, e.hits = nil, nil
+		if cap(e.rowD2) > bound {
+			e.rowD2 = nil
 		}
-		if cap(e.sel) > bound {
-			e.sel = nil
+		for w := range e.shares {
+			if cap(e.shares[w].sel) > bound {
+				e.shares[w].sel = nil
+			}
 		}
 	}
-	e.t, e.l = nil, nil
+	e.t, e.l, e.gen, e.tail, e.tflat = nil, nil, nil, nil, nil
 	e.q = nil
 }
 
@@ -155,7 +187,11 @@ func (e *RangeEnumerator) Release() {
 // not call back into the enumerator. Emission order within one Expand is
 // unspecified (and differs between the traversal and the flat pass).
 func (e *RangeEnumerator) Expand(r float64, emit func(id int32, dist float64)) {
-	e.collect(r, nil, emit)
+	e.emit = emit
+	for c, n := 0, e.Begin(r); c < n; c++ {
+		e.Resolve(c, 0)
+	}
+	e.emit = nil
 }
 
 // Nearest raises the enumeration radius to r like Expand and, of the
@@ -167,30 +203,167 @@ func (e *RangeEnumerator) Expand(r float64, emit func(id int32, dist float64)) {
 // returns only what a larger radius adds. admit is called once per
 // in-radius point and must not call back into the enumerator.
 //
+// A round is three steps, which a caller sharing it with a helper
+// goroutine takes itself: Begin, Resolve for every chunk, Cut.
+func (e *RangeEnumerator) Nearest(r float64, limit int, admit func(id int32) bool, out []int32) (ids []int32, inRadius int) {
+	for c, n := 0, e.Begin(r); c < n; c++ {
+		e.Resolve(c, 0)
+	}
+	return e.Cut(limit, admit, out)
+}
+
+// Begin starts a round: it raises the enumeration radius to r and
+// returns how many chunks of the flat pass Resolve must take before
+// Cut, none when r is not above the current radius. A traversal
+// (ResetTree) also descends the tree here, into worker 0's share; its
+// chunks are the tail's.
+func (e *RangeEnumerator) Begin(r float64) (chunks int) {
+	for w := range e.shares {
+		sh := &e.shares[w]
+		// Cut leaves worker 0's histogram holding offsets; worker 1's is
+		// dirty only if it took a point.
+		if w == 0 || sh.inRadius > 0 {
+			clear(sh.hist[:])
+		}
+		sh.sel, sh.inRadius = sh.sel[:0], 0
+	}
+	if e.t.count == 0 || !(r > e.radius) {
+		return 0
+	}
+	e.prev, e.radius = e.radius, r
+	// The round's distances lie in (prev, radius], none below 0. Any
+	// finite scale >= 0 keeps buckets monotone: one that overflows (a
+	// range of a few subnormals) is capped; an infinite radius makes it 0.
+	e.base = max(e.prev, 0)
+	e.scale = max(0, min(selBuckets/(e.radius-e.base), math.MaxFloat64))
+	// lo < d2 <= hi as one unsigned compare of bits (takeWithin); an
+	// empty span when no squared distance qualifies.
+	lo, hi := squaredCeil(e.prev), squaredCeil(e.radius)
+	e.lo2, e.span = -1, 0
+	if lo >= 0 {
+		e.lo2 = int64(math.Float64bits(lo))
+	}
+	if hi >= 0 {
+		e.span = uint64(int64(math.Float64bits(hi)) - e.lo2)
+	}
+	t := e.t
+	e.tail = t.tail.rowID[e.tailFrom-t.frozen:]
+	e.tflat = t.tail.flat[(e.tailFrom-t.frozen)*t.dim:]
+	n := len(e.gen) + len(e.tail)
+	if e.fresh = len(e.rowD2) == 0; e.fresh {
+		e.rowD2 = slices.Grow(e.rowD2[:0], n)[:n]
+		e.qdist += int64(n)
+	}
+	if e.treeOnly {
+		// The s pivot distances, which a query that scans never pays.
+		for _, pv := range e.l.pivots[len(e.qp):] {
+			e.qp = append(e.qp, e.dist(e.q, pv))
+		}
+		e.expandNode(e.l.root, false, 0)
+	}
+	return (n + flatChunk - 1) / flatChunk
+}
+
+// Resolve takes chunk c of the round into worker w's share (w is 0 or
+// 1, see workers): the first round pays the chunk's squared distances,
+// in one kernel call per part of the rows it covers, and every round
+// takes its live rows that lie in (prev, radius], decided on squared
+// distances (squaredCeil): no root for a row left out. Two workers may
+// resolve distinct chunks at once, each into its own share; nothing else
+// may touch the enumerator meanwhile.
+func (e *RangeEnumerator) Resolve(c, w int) {
+	sh, dim := &e.shares[w], e.t.dim
+	g, lo, hi := len(e.gen), c*flatChunk, min((c+1)*flatChunk, len(e.gen)+len(e.tail))
+	if lo < g {
+		j := min(hi, g)
+		e.resolve(sh, e.rowD2[lo:j], e.gen[lo:j], e.l.flat[lo*dim:j*dim])
+	}
+	if hi > g {
+		i := max(lo, g)
+		e.resolve(sh, e.rowD2[i:hi], e.tail[i-g:hi-g], e.tflat[(i-g)*dim:(hi-g)*dim])
+	}
+}
+
+func (e *RangeEnumerator) resolve(sh *share, d2s []float64, ids []int32, flat []float32) {
+	if e.fresh {
+		vec.SquaredL2ToMany(d2s, e.q, flat, e.t.dim)
+	}
+	e.takeWithin(sh, d2s, ids)
+}
+
+// Cut ends a round: of the points its shares took, it returns those
+// admit accepts, cut to the limit, as Nearest describes, and inRadius,
+// all of them. admit is called on the caller's goroutine only.
+//
 // Nothing is sorted but the bucket the cut falls in: a prefix sum over
 // the bucket sizes finds it, the buckets before it are taken whole (a
 // smaller bucket means a strictly smaller distance) and its own entries
 // are ordered by (distance, id) to take exactly the remainder — the
-// sorted delta's first limit entries, ties at the cut included.
-func (e *RangeEnumerator) Nearest(r float64, limit int, admit func(id int32) bool, out []int32) (ids []int32, inRadius int) {
-	e.collect(r, admit, nil)
-	sel := e.sel
-	take := max(0, min(limit, len(sel)))
+// sorted delta's first limit entries, ties at the cut included. Worker
+// 0's histogram becomes the round's.
+func (e *RangeEnumerator) Cut(limit int, admit func(id int32) bool, out []int32) (ids []int32, inRadius int) {
+	s0, s1 := &e.shares[0], &e.shares[1]
+	inRadius = s0.inRadius + s1.inRadius
+	hist := &s0.hist
+	switch {
+	case admit != nil:
+		clear(hist[:])
+		for i := range e.shares {
+			sh, w := &e.shares[i], 0
+			for _, c := range sh.sel {
+				if admit(c.id) {
+					sh.sel[w] = c
+					w++
+					hist[c.bucket]++
+				}
+			}
+			sh.sel = sh.sel[:w]
+		}
+	case s1.inRadius > 0:
+		// Over a slice: a range over the array would copy its 4 KB into
+		// the frame, and each per-shard goroutine would grow its stack.
+		for b, n := range s1.hist[:] {
+			hist[b] += n
+		}
+	}
+	total := len(s0.sel) + len(s1.sel)
+	take := max(0, min(limit, total))
 	// Bucket sizes to offsets; cut is the bucket holding the first entry
 	// left out and cutAt its offset (no bucket when everything is taken).
-	cut, cutAt, next := int32(len(e.hist)), take, int32(0)
-	for b := range e.hist {
-		n := e.hist[b]
+	cut, cutAt, next := int32(len(hist)), take, int32(0)
+	for b := range hist {
+		n := hist[b]
 		if int(next) <= take && take < int(next+n) {
 			cut, cutAt = int32(b), int(next)
 		}
-		e.hist[b] = next
+		hist[b] = next
 		next += n
 	}
-	out = slices.Grow(out[:0], len(sel))[:len(sel)]
+	out = slices.Grow(out[:0], total)[:total]
+	w0 := place(s0.sel, hist, cut, out)
+	w1 := place(s1.sel, hist, cut, out)
+	if take > cutAt {
+		s0.sel = append(s0.sel[:w0], s1.sel[:w1]...)
+		slices.SortFunc(s0.sel, func(a, b selEntry) int {
+			if c := cmp.Compare(a.dist, b.dist); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.id, b.id)
+		})
+		for i, c := range s0.sel[:take-cutAt] {
+			out[cutAt+i] = c.id
+		}
+	}
+	return out[:take], inRadius
+}
+
+// place writes the ids of sel at their buckets' offsets in out, advancing
+// the offsets, and moves the entries of bucket cut to the front of sel,
+// returning how many there are.
+func place(sel []selEntry, offset *[selBuckets + 1]int32, cut int32, out []int32) int {
 	w := 0
 	for _, c := range sel {
-		at := &e.hist[c.bucket]
+		at := &offset[c.bucket]
 		out[*at] = c.id
 		*at++
 		if c.bucket == cut {
@@ -198,18 +371,7 @@ func (e *RangeEnumerator) Nearest(r float64, limit int, admit func(id int32) boo
 			w++
 		}
 	}
-	if take > cutAt {
-		slices.SortFunc(sel[:w], func(a, b selEntry) int {
-			if c := cmp.Compare(a.dist, b.dist); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.id, b.id)
-		})
-		for i, c := range sel[:take-cutAt] {
-			out[cutAt+i] = c.id
-		}
-	}
-	return out[:take], e.inRadius
+	return w
 }
 
 // selBuckets is how many distance classes a round's delta is split
@@ -239,112 +401,44 @@ func bucketOf(dist, base, scale float64) int32 {
 	return selBuckets
 }
 
-// collect is one round: it raises the enumeration radius to r and hands
-// every point that entered it to emit, in the order found — or, with no
-// emit, leaves the admitted ones in e.sel, each with its bucket, while
-// e.hist sizes the buckets and e.inRadius counts everything that
-// entered, admitted or not.
-func (e *RangeEnumerator) collect(r float64, admit func(id int32) bool, emit func(id int32, dist float64)) {
-	e.sel, e.inRadius = e.sel[:0], 0
-	clear(e.hist[:])
-	if e.t.count == 0 || !(r > e.radius) {
-		return
-	}
-	e.prev, e.radius = e.radius, r
-	// The round's distances lie in (prev, radius], none below 0. Any
-	// finite scale >= 0 keeps buckets monotone: one that overflows (a
-	// range of a few subnormals) is capped; an infinite radius makes it 0.
-	e.base = max(e.prev, 0)
-	e.scale = max(0, min(selBuckets/(e.radius-e.base), math.MaxFloat64))
-	e.admit, e.emit = admit, emit
-	if e.treeOnly {
-		e.traverse()
-	} else {
-		e.flatPass()
-	}
-	e.admit, e.emit = nil, nil
-}
-
-// take passes on or records one point found inside the radius.
-func (e *RangeEnumerator) take(id int32, dist float64) {
+// take passes on or records in sh one point found inside the radius.
+func (e *RangeEnumerator) take(sh *share, id int32, dist float64) {
 	if e.emit != nil {
 		e.emit(id, dist)
 		return
 	}
-	e.inRadius++
-	if e.admit != nil && !e.admit(id) {
-		return
-	}
+	sh.inRadius++
 	b := bucketOf(dist, e.base, e.scale)
-	e.hist[b]++
-	e.sel = append(e.sel, selEntry{dist: dist, id: id, bucket: b})
+	sh.hist[b]++
+	sh.sel = append(sh.sel, selEntry{dist: dist, id: id, bucket: b})
 }
 
-// traverse resolves the round on one descent from the root, and on a
-// flat pass over the tail.
-func (e *RangeEnumerator) traverse() {
-	// The s pivot distances, which a query that scans never pays.
-	for _, pv := range e.l.pivots[len(e.qp):] {
-		e.qp = append(e.qp, e.dist(e.q, pv))
-	}
-	if e.tailFrom < e.t.Rows() {
-		e.flatPass()
-	}
-	e.expandNode(e.l.root, false, 0)
-}
-
-// flatPass resolves the round for the rows it covers (see rowD2): the
-// first call pays their squared distances in one kernel call per part;
-// every call takes the live ones whose distance lies in (prev, radius],
-// decided on squared distances (squaredCeil): no root for a row left out.
-func (e *RangeEnumerator) flatPass() {
-	t := e.t
-	var gen []int32 // the generation's rows the pass covers: all, or none
-	if !e.treeOnly {
-		gen = e.l.rowID
-	}
-	tail := t.tail.rowID[e.tailFrom-t.frozen:]
-	if len(e.rowD2) == 0 {
-		n := len(gen) + len(tail)
-		e.rowD2 = slices.Grow(e.rowD2[:0], n)[:n]
-		vec.SquaredL2ToMany(e.rowD2[:len(gen)], e.q, e.l.flat[:len(gen)*t.dim], t.dim)
-		vec.SquaredL2ToMany(e.rowD2[len(gen):], e.q, t.tail.flat[(e.tailFrom-t.frozen)*t.dim:], t.dim)
-		e.qdist += int64(n)
-	}
-	e.takeWithin(e.rowD2[:len(gen)], gen)
-	e.takeWithin(e.rowD2[len(gen):], tail)
-}
-
-// takeWithin takes the live rows, of ids and their squared distances
-// d2s, that lie in the round. A squared distance is never negative and
-// non-negative floats order as their bits, so lo < d2 <= hi is one
-// unsigned compare: the rows in the round are gathered without a branch
-// per row — rows in no spatial order (as handed over, before a bulk
-// load) would mispredict it — and then taken.
-func (e *RangeEnumerator) takeWithin(d2s []float64, ids []int32) {
-	lo, hi := squaredCeil(e.prev), squaredCeil(e.radius)
-	if hi < 0 {
+// takeWithin takes into sh the live rows, of ids and their squared
+// distances d2s, that lie in the round. A squared distance is never
+// negative and non-negative floats order as their bits, so lo < d2 <= hi
+// is one unsigned compare: the rows in the round are gathered without a
+// branch per row — rows in no spatial order (as handed over, before a
+// bulk load) would mispredict it — and then taken.
+func (e *RangeEnumerator) takeWithin(sh *share, d2s []float64, ids []int32) {
+	lb, span := e.lo2, e.span
+	if span == 0 {
 		return
 	}
-	lb := int64(-1) // lo's bits, or below every distance's
-	if lo >= 0 {
-		lb = int64(math.Float64bits(lo))
-	}
-	span, hits, n := uint64(int64(math.Float64bits(hi))-lb), slices.Grow(e.hits[:0], len(d2s))[:len(d2s)], 0
+	hits, n := slices.Grow(sh.hits[:0], len(d2s))[:len(d2s)], 0
 	for i, d2 := range d2s {
 		hits[n] = int32(i)
 		if uint64(int64(math.Float64bits(d2))-lb-1) < span {
 			n++
 		}
 	}
-	e.hits = hits
+	sh.hits = hits
 	// Tree.liveID by hand, for the few thousand rows a k-NN round finds in
 	// radius: 0 (live) wraps above every epoch. A tree without a dead row
 	// — every read-only workload — skips the load, a cache miss per row.
 	del, epoch, allLive := e.t.del, e.t.epoch, e.t.count == e.t.Rows()
 	for _, i := range hits[:n] {
 		if id := ids[i]; id >= 0 && (allLive || del[id].Load()-1 >= epoch) {
-			e.take(id, math.Sqrt(d2s[i]))
+			e.take(sh, id, math.Sqrt(d2s[i]))
 		}
 	}
 }
@@ -454,7 +548,7 @@ func (e *RangeEnumerator) scanLeaf(n *node, hasParent bool, qpd float64) {
 		// Within prev when a later round descends again.
 		for ; i < j; i++ {
 			if d := math.Sqrt(d2[i]); d <= radius && d > prev {
-				e.take(ids[i], d)
+				e.take(&e.shares[0], ids[i], d)
 			}
 		}
 	}

@@ -446,14 +446,14 @@ func TestReleaseShedsOutgrownBuffers(t *testing.T) {
 		}
 	}
 	use(large)
-	if cap(e.rowD2) < large.Rows() || cap(e.sel) < large.Len() {
+	if cap(e.rowD2) < large.Rows() || cap(e.shares[0].sel) < large.Len() {
 		t.Fatalf("released from the tree that sized them: row distances %d, delta %d kept for %d rows",
-			cap(e.rowD2), cap(e.sel), large.Rows())
+			cap(e.rowD2), cap(e.shares[0].sel), large.Rows())
 	}
 	use(small)
 	bound := 2*small.Rows() + 1024
-	if cap(e.rowD2) > bound || cap(e.sel) > bound {
+	if cap(e.rowD2) > bound || cap(e.shares[0].sel) > bound {
 		t.Fatalf("released from a %d-row tree: row distances %d, delta %d still held",
-			small.Rows(), cap(e.rowD2), cap(e.sel))
+			small.Rows(), cap(e.rowD2), cap(e.shares[0].sel))
 	}
 }
