@@ -11,6 +11,10 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/dataset"
+	"repro/internal/lscan"
+	"repro/internal/metric"
 )
 
 // BenchmarkVerifySplit is the sweep behind splitMinWork: one round's
@@ -137,4 +141,56 @@ func BenchmarkHelperStart(b *testing.B) {
 	slices.Sort(delays)
 	b.ReportMetric(float64(delays[len(delays)/2].Microseconds()), "p50_us")
 	b.ReportMetric(float64(delays[len(delays)*99/100].Microseconds()), "p99_us")
+}
+
+// BenchmarkShardedSearch times k = 50 Searches from one closed-loop
+// caller on engines of 1, 2 and 4 shards over the serve-churn shape:
+// the repository benchmark's seed-1 rows (5 000 × 64, build seed 7) and
+// the first 200 of its scored queries, cycled. Run it with -cpu 2, the
+// benchmark's GOMAXPROCS. ns/op is wall time per query, cpu_us/op the
+// process's CPU per query (as BenchmarkConcurrentSearch), verified/op
+// the exact distances a query computes and recall@50 the share of the
+// exact 50 nearest (lscan.ExactKNN) it returns.
+func BenchmarkShardedSearch(b *testing.B) {
+	spec := buildShapes[2].spec
+	spec.Name, spec.Seed = "serve-churn", 7919
+	ds, err := dataset.Generate(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := ds.Queries(200, 7921)
+	live := make(map[int32][]float64, len(ds.Points))
+	for i, p := range ds.Points {
+		live[int32(i)] = p
+	}
+	exact := make([]map[int32]bool, len(qs))
+	for i, q := range qs {
+		exact[i] = lscan.ExactKNN(live, q, 50, metric.L2)
+	}
+	for _, shards := range []int{1, 2, 4} {
+		e, err := BuildEngine(ds.Points, Config{Seed: 7, Shards: shards})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			var st QueryStats
+			verified, hits := 0, 0
+			cpu0 := processCPU(b)
+			for i := 0; i < b.N; i++ {
+				res, err := e.Search(context.Background(), qs[i%len(qs)], 50, SearchOptions{Stats: &st})
+				if err != nil {
+					b.Fatal(err)
+				}
+				verified += st.Verified
+				for _, r := range res {
+					if exact[i%len(qs)][r.ID] {
+						hits++
+					}
+				}
+			}
+			b.ReportMetric(float64((processCPU(b)-cpu0).Microseconds())/float64(b.N), "cpu_us/op")
+			b.ReportMetric(float64(verified)/float64(b.N), "verified/op")
+			b.ReportMetric(float64(hits)/float64(50*b.N), "recall@50")
+		})
+	}
 }

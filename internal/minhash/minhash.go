@@ -11,12 +11,12 @@
 //
 //	P(candidate) = 1 − (1 − s^r)^b
 //
-// which for the default 16×8 bands is ≈ 2.7% at s = 0.5, 47% at 0.7,
-// 83% at 0.8 and 99.5% at 0.9 — an S-curve centered near
-// (1/b)^(1/r) ≈ 0.71. Candidates are always rescored with the exact
-// Jaccard similarity (sorted-set intersection), so a bucket collision
-// can only add work, never a wrong answer; an optional similarity
-// threshold then drops weak matches. Reported distances are 1 − J.
+// which for the default 16×8 bands is ≈ 6.1% at s = 0.5, 61% at 0.7,
+// 95% at 0.8 and 99.99% at 0.9 (TestClaimJaccardBandCurve) — an S-curve
+// centered near (1/b)^(1/r) ≈ 0.71. Candidates are always rescored with
+// the exact Jaccard similarity (sorted-set intersection), so a bucket
+// collision can only add work, never a wrong answer; an optional
+// similarity threshold then drops weak matches. Reported distances are 1 − J.
 //
 // Ids are assigned by a monotone counter and never reused, deletes
 // tombstone in place, and Compact rebuilds the bucket maps over the

@@ -54,12 +54,12 @@ func WithFilter(admit func(id int32) bool) SearchOption {
 	return func(o *core.SearchOptions) { o.Filter = admit }
 }
 
-// WithBudget overrides the query's derived verification budget: the
-// number of admitted candidates whose exact distance is computed
-// before the query stops (βn+k by default; for SearchBall it replaces
-// the βn overflow threshold). Values <= 0 keep the derived budget.
-// Lowering it trades recall for a hard latency cap; the paper's (c,k)
-// guarantee assumes the derived value.
+// WithBudget overrides the query's derived verification budget, βn+k
+// admitted candidates whose exact distance is computed before the query
+// stops (for SearchBall, the βn overflow threshold). With Shards > 1,
+// Search and SearchBall apply it, like the derived one, to each shard.
+// Values <= 0 keep the derived budget. Lowering it trades recall for a
+// hard latency cap; the paper's (c,k) guarantee assumes the derived value.
 func WithBudget(candidates int) SearchOption {
 	return func(o *core.SearchOptions) { o.Budget = candidates }
 }
