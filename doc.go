@@ -100,9 +100,9 @@
 // DeriveParams returns an error. SearchBall takes a
 // native radius for cosine and is rejected for inner product;
 // SearchPairs is rejected for inner product (a closest "pair" has no
-// meaning when similarity is query-relative). Serialized non-L2
-// indexes carry a metric tag (PLS6 envelope around the index stream);
-// L2 writes the bare stream (PLS8, in a PLS5 container when sharded).
+// meaning when similarity is query-relative). Every index and engine
+// serializes to one PLS9 stream whose header carries the metric tag and
+// the shard count.
 // See the README's Metrics section for the reduction table and b × r
 // tuning guidance.
 //
@@ -198,7 +198,8 @@
 // begins. It stores the rows, not the tree: Load projects them again and
 // the tree, a function of those rows, is bulk loaded by its first
 // structural query, as after a build. Streams from earlier versions
-// still load, their rows as one fresh generation.
+// (PLS4–PLS8) still load, keeping their β rule, and write back as PLS9;
+// a PLS4 stream's rows load as one fresh generation.
 //
 // # Query engine
 //

@@ -70,9 +70,9 @@ func TestBetaFallsWithM(t *testing.T) {
 // TestLegacyStreamKeepsItsBeta loads streams written before PLS8 — at
 // m = 3, where the two rules disagree most — bare and sharded: each
 // answers with the β it was saved with (the per-m rule's 0.281), writes
-// PLS7 again, and keeps both through a compaction and a reload, while
-// a fresh build of the same configuration takes the fixed-κ β and
-// writes PLS8.
+// a PLS9 stream whose header carries that rule, and keeps it through a
+// compaction and a reload, round after round, while a fresh build of
+// the same configuration takes the fixed-κ β.
 func TestLegacyStreamKeepsItsBeta(t *testing.T) {
 	fresh, err := Build(fuzzData, fuzzConfig)
 	if err != nil {
@@ -86,7 +86,7 @@ func TestLegacyStreamKeepsItsBeta(t *testing.T) {
 	if _, err := fresh.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte("PLS8")) {
+	if !bytes.HasPrefix(buf.Bytes(), []byte("PLS9")) {
 		t.Fatalf("a fresh build writes %q", buf.Bytes()[:4])
 	}
 	for _, seed := range []string{"pls7-plain", "pls7-churned-tail", "pls5-pls7-2shards", "pls6-pls7-cosine"} {
@@ -106,8 +106,8 @@ func TestLegacyStreamKeepsItsBeta(t *testing.T) {
 			if _, err := e.WriteTo(&out); err != nil {
 				t.Fatal(seed, err)
 			}
-			if !bytes.Contains(out.Bytes(), []byte("PLS7")) || bytes.Contains(out.Bytes(), []byte("PLS8")) {
-				t.Fatalf("%s round %d: the loaded index no longer writes PLS7", seed, round)
+			if !bytes.HasPrefix(out.Bytes(), []byte("PLS9")) {
+				t.Fatalf("%s round %d: the loaded index writes %q, not PLS9", seed, round, out.Bytes()[:4])
 			}
 			if err := e.Compact(); err != nil {
 				t.Fatal(seed, err)

@@ -250,12 +250,11 @@ type Index struct {
 	mipScale float64
 	mh       *minhash.Index
 
-	t       float64 // sqrt of upper χ²_{α1}(m) quantile
-	chi     stats.ChiSquared
-	a2scale float64 // α2(c) = CDF_χ²(m)(a2scale/c²); see alpha2Scale
-	// perMBeta marks an index loaded from a stream that predates the
-	// fixed κ (alpha2Scale's perM rule), which it keeps and writes back.
-	perMBeta bool
+	t   float64 // sqrt of upper χ²_{α1}(m) quantile
+	chi stats.ChiSquared
+	// a2scale is the β rule: α2(c) = CDF_χ²(m)(a2scale/c²) (see
+	// alpha2Scale). Snapshot headers carry it; a loaded index keeps it.
+	a2scale float64
 
 	// view is the published state: what every reader loads, and what the
 	// writer derives the next state from.

@@ -212,6 +212,9 @@ func newEngine(inners []*Index) (*Engine, error) {
 		if ix.Dim() != e.dim {
 			return nil, fmt.Errorf("core: shard %d has dimension %d, shard 0 has %d", s, ix.Dim(), e.dim)
 		}
+		if ix.a2scale != inners[0].a2scale {
+			return nil, fmt.Errorf("core: shard %d answers under another β rule than shard 0 — shards must share one", s)
+		}
 		if e.metric == metric.InnerProduct && ix.MIPScale() != inners[0].MIPScale() {
 			return nil, fmt.Errorf("core: shard %d has inner-product scale %v, shard 0 has %v — shards must share one build-time scale", s, ix.MIPScale(), inners[0].MIPScale())
 		}

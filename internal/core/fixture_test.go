@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/metric"
 )
 
 // TestLoadsParentWrittenChurnedStream pins "streams the parent wrote
@@ -104,18 +106,23 @@ func TestLoadsParentWrittenChurnedStream(t *testing.T) {
 		t.Fatalf("SearchPairs did %+v, want %+v", ps, want)
 	}
 
-	// What loads is written again as the PLS7 stream of the same state:
-	// the PLS4 bytes up to the tree, under the new magic, then the one
-	// generation of 240 rows — and that stream round trips byte for byte
-	// (the dead rows the writer had not refilled included).
+	// What loads is written again as the PLS9 stream of the same state:
+	// a one-shard L2 header under the β rule of the streams before PLS8,
+	// the PLS4 bytes up to the tree, then the one generation of 240 rows
+	// — and that stream round trips byte for byte (the dead rows the
+	// writer had not refilled included).
 	var again bytes.Buffer
 	if _, err := ix.WriteTo(&again); err != nil {
 		t.Fatal(err)
 	}
-	want := append([]byte("PLS7"), raw[4:again.Len()-4]...)
+	want := append([]byte("PLS9"), byte(metric.L2))
+	want = binary.LittleEndian.AppendUint32(want, 1)
+	want = binary.LittleEndian.AppendUint64(want, math.Float64bits(alpha2Scale(8, true)))
+	want = binary.LittleEndian.AppendUint64(want, 0)
+	want = append(want, raw[4:again.Len()-headerLen]...)
 	want = binary.LittleEndian.AppendUint32(want, 240)
 	if !bytes.Equal(again.Bytes(), want) {
-		t.Fatal("the loaded index does not write the stream it was loaded from, as PLS7")
+		t.Fatal("the loaded index does not write the stream it was loaded from, as PLS9")
 	}
 	reloaded, err := Load(bytes.NewReader(want))
 	if err != nil {
@@ -126,7 +133,7 @@ func TestLoadsParentWrittenChurnedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(third.Bytes(), want) {
-		t.Fatal("the PLS7 stream does not round trip")
+		t.Fatal("the PLS9 stream does not round trip")
 	}
 	// An insert gets the next id and a new row; the 4 dead rows stay dead.
 	id, err := ix.Insert(data[281])

@@ -4,23 +4,27 @@ package core
 // streams must produce an error, never a panic or an unbounded
 // allocation. The seed corpus (testdata/fuzz/FuzzLoad, and the same
 // set built in-process by fuzzStreams) holds one genuine stream per
-// layout the code writes — PLS8 plain and churned mid-free-list (dead
-// rows and a tail behind the generation count), sharded PLS5 containers
-// of PLS8 streams, one of them churned, PLS6 envelopes for cosine, inner
-// product and Jaccard — and the streams earlier releases wrote, which
-// Load keeps reading: the same PLS7 layouts (the β rule before PLS8),
-// and every PLS4 layout above, whose serialized PM-tree
-// it no longer reads (the churned PLS4 stream of the release before the
-// tree was frozen, with a PMT2 tree grown by inserts; the i8-quantized
-// one of the release before screening was retired, whose codec Load
-// reads and drops; two whose tree names an id far beyond the id space,
-// which mattered while the tree was read). Then the inputs Load must
-// refuse: one stream per retired magic (testdata keeps real PLS1–PLS3
-// bytes from the releases that wrote them), one with the R-tree flag set
-// in each layout, a PLS8 and a PLS7 stream whose generation outnumbers its
-// rows, and a Jaccard stream whose first set claims 2²⁸ tokens it does
-// not hold. FuzzLoad adds a PLS8 stream cut inside each of its fields; the fuzzer
-// mutates all of them, and their truncations and bit flips, further.
+// shape the code writes — PLS9 streams of one L2 shard plain and
+// churned mid-free-list (dead rows and a tail behind the generation
+// count), of two shards, one of them churned, of cosine, inner-product
+// and Jaccard shards, and of three Jaccard shards, whose bodies follow
+// each other with no length prefix — and the streams earlier releases
+// wrote, which Load keeps reading: bare PLS8 and PLS7 streams (PLS7 the
+// β rule before PLS8), sharded PLS5 containers of them, PLS6 envelopes
+// for cosine, inner product and Jaccard, and every PLS4 layout, whose
+// serialized PM-tree it no longer reads (the churned PLS4 stream of the
+// release before the tree was frozen, with a PMT2 tree grown by inserts;
+// the i8-quantized one of the release before screening was retired,
+// whose codec Load reads and drops; two whose tree names an id far
+// beyond the id space, which mattered while the tree was read). Then the
+// inputs Load must refuse: one stream per retired magic (testdata keeps
+// real PLS1–PLS3 bytes from the releases that wrote them), one with the
+// R-tree flag set in each layout, a PLS9, a PLS8 and a PLS7 stream whose
+// generation outnumbers its rows, a PLS9 and a PLS6 Jaccard stream whose
+// first set claims 2²⁸ tokens it does not hold, and a PLS5 container
+// with a PLS9 stream in it. FuzzLoad adds a PLS9 stream cut inside each
+// of its fields; the fuzzer mutates all of them, and their truncations
+// and bit flips, further.
 //
 // Run with: go test -fuzz=FuzzLoad -fuzztime=10s ./internal/core
 // After a layout change: go test ./internal/core -run TestFuzzLoadCorpus -update-fuzz-corpus
@@ -32,8 +36,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -45,9 +51,14 @@ import (
 var updateFuzzCorpus = flag.Bool("update-fuzz-corpus", false,
 	"rewrite testdata/fuzz/FuzzLoad from fuzzStreams")
 
-// treeFlagOff is where a PLS4, PLS7 or PLS8 stream keeps its tree flag: after
-// the magic and the fixed-size config block.
-const treeFlagOff = 4 + 3*4 + 8 + 8 + 4 + 2*8 + 8
+// headerLen is a PLS9 header's size: "PLS9" | metric | shards | a2scale |
+// mipScale.
+const headerLen = 4 + 1 + 4 + 8 + 8
+
+// treeFlagOff is where a one-shard PLS9 stream keeps its tree flag: after
+// the header and the fixed-size config block. A PLS4, PLS7 or PLS8
+// stream keeps it headerLen − 4 bytes earlier.
+const treeFlagOff = headerLen + 3*4 + 8 + 8 + 4 + 2*8 + 8
 
 type fuzzStream struct {
 	name string
@@ -133,16 +144,15 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 	}
 
 	plainIx, err := Build(data, base)
-	plain := add("pls8-plain", plainIx, err)
-	tailed := add("pls8-churned-tail", fuzzChurned(tb), nil)
-	// Sharded PLS5 containers: shard boundaries, per-shard length
-	// prefixes and the inner-stream framing are all attack surface —
-	// over bare shard streams and over PLS6 ones.
+	plain := add("pls9-plain", plainIx, err)
+	tailed := add("pls9-churned-tail", fuzzChurned(tb), nil)
+	// Shards: the shard count and the boundaries between bodies are
+	// attack surface.
 	eng, err := BuildEngine(data, with(func(c *Config) { c.Shards = 2 }))
 	if err == nil {
 		err = eng.Delete(3)
 	}
-	add("pls5-pls8-2shards", eng, err)
+	add("pls9-2shards", eng, err)
 	// Each shard with a tail, one of them with a dead row in it.
 	teng, err := BuildEngine(data, with(func(c *Config) { c.Shards = 2; c.AutoCompactFraction = -1 }))
 	for i := 0; i < 3 && err == nil; i++ {
@@ -151,26 +161,31 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 	if err == nil {
 		err = teng.Delete(16)
 	}
-	add("pls5-pls8-2shards-tail", teng, err)
+	add("pls9-2shards-tail", teng, err)
 	ceng, err := BuildEngine(data, with(func(c *Config) { c.Shards = 2; c.Metric = metric.Cosine }))
-	add("pls5-pls8-2shards-cosine", ceng, err)
-	// PLS6 metric-tagged envelopes: the metric byte, the MIP scale
-	// field, and the MinHash PMH1 stream.
+	add("pls9-2shards-cosine", ceng, err)
+	// The metric byte, the MIP scale field, and the MinHash PMH1 bodies.
 	cos, err := Build(data, with(func(c *Config) { c.Metric = metric.Cosine }))
-	add("pls6-pls8-cosine", cos, err)
+	add("pls9-cosine", cos, err)
 	mip, err := Build(data, with(func(c *Config) { c.Metric = metric.InnerProduct }))
-	add("pls6-pls8-ip", mip, err)
+	add("pls9-ip", mip, err)
 	sets := make([][]uint64, 12)
 	for i := range sets {
 		sets[i] = []uint64{uint64(i), uint64(i + 1), uint64(2*i + 7), 1 << 20}
 	}
-	jac, err := BuildSets(sets, Config{Metric: metric.Jaccard, Seed: 7, MinHashBands: 4, MinHashRows: 2})
-	jaccard := add("pls6-jaccard", jac, err)
+	jcfg := Config{Metric: metric.Jaccard, Seed: 7, MinHashBands: 4, MinHashRows: 2}
+	jac, err := BuildSets(sets, jcfg)
+	jaccard := add("pls9-jaccard", jac, err)
+	jcfg.Shards = 3
+	jeng, err := BuildSetsEngine(sets, jcfg)
+	add("pls9-3shards-jaccard", jeng, err)
 
-	// What earlier releases wrote of the same indexes: PLS7 streams, bare
-	// and in both containers, and PLS4 ones, each ending in a PM-tree
-	// stream.
-	for _, name := range []string{"pls7-plain", "pls7-churned-tail", "pls5-pls7-2shards",
+	// What earlier releases wrote: PLS8 and PLS7 streams, bare, in a PLS5
+	// container and in a PLS6 envelope, PLS4 ones, each ending in a
+	// PM-tree stream, and the PLS6 Jaccard envelope.
+	for _, name := range []string{"pls8-plain", "pls8-churned-tail", "pls5-pls8-2shards",
+		"pls5-pls8-2shards-tail", "pls5-pls8-2shards-cosine", "pls6-pls8-cosine", "pls6-pls8-ip",
+		"pls6-jaccard", "pls7-plain", "pls7-churned-tail", "pls5-pls7-2shards",
 		"pls5-pls7-2shards-tail", "pls5-pls7-2shards-cosine", "pls6-pls7-cosine", "pls6-pls7-ip",
 		"pls4-plain", "pls4-churned-tail", "pls4-churned", "pls4-i8",
 		"pls4-huge-leaf-id", "pls4-huge-tail-id", "pls5-2shards", "pls5-2shards-tail",
@@ -183,7 +198,8 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 	}
 
 	// Must-reject: the retired magics, the R-tree flag, a generation count
-	// beyond the rows, and a set length beyond the stream.
+	// beyond the rows, a set length beyond the stream, and a PLS9 stream
+	// inside a PLS5 container.
 	for _, v := range []byte{'1', '2', '3'} {
 		s := append([]byte(nil), plain...)
 		s[3] = v
@@ -191,22 +207,35 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 	}
 	flagged := append([]byte(nil), plain...)
 	flagged[treeFlagOff] = 1
-	out = append(out, fuzzStream{name: "pls8-rtree-flag", data: flagged, reject: true})
-	for _, name := range []string{"pls7-rtree-flag", "pls4-rtree-flag", "pls7-generation-above-rows"} {
+	out = append(out, fuzzStream{name: "pls9-rtree-flag", data: flagged, reject: true})
+	for _, name := range []string{"pls8-rtree-flag", "pls7-rtree-flag", "pls4-rtree-flag",
+		"pls8-generation-above-rows", "pls7-generation-above-rows", "pls6-jaccard-huge-set"} {
 		out = append(out, fuzzStream{name: name, data: readFuzzSeed(tb, name), reject: true, legacy: true})
 	}
 	over := append([]byte(nil), tailed...)
 	binary.LittleEndian.PutUint32(over[len(over)-4:], uint32(len(data)+2))
-	out = append(out, fuzzStream{name: "pls8-generation-above-rows", data: over, reject: true})
-	// The first MinHash set's length, past the envelope (5 bytes) and the
-	// PMH1 header (40), claims 2²⁸ tokens: a read error, not a 2 GiB set.
+	out = append(out, fuzzStream{name: "pls9-generation-above-rows", data: over, reject: true})
+	// The first MinHash set's length, past the header and the PMH1
+	// header (40 bytes), claims 2²⁸ tokens: a read error, not a 2 GiB set.
 	huge := append([]byte(nil), jaccard...)
-	binary.LittleEndian.PutUint32(huge[5+40:], 1<<28)
-	out = append(out, fuzzStream{name: "pls6-jaccard-huge-set", data: huge, reject: true})
+	binary.LittleEndian.PutUint32(huge[headerLen+40:], 1<<28)
+	out = append(out, fuzzStream{name: "pls9-jaccard-huge-set", data: huge, reject: true})
+	out = append(out, fuzzStream{name: "pls5-nested-pls9", data: container(plain, plain), reject: true})
 	return out
 }
 
-// streamCuts returns ix's PLS8 stream cut inside each of its fields (the
+// container frames streams as a PLS5 container, as releases before PLS9
+// wrote sharded engines.
+func container(streams ...[]byte) []byte {
+	out := binary.LittleEndian.AppendUint32([]byte("PLS5"), uint32(len(streams)))
+	for _, s := range streams {
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(s)))
+		out = append(out, s...)
+	}
+	return out
+}
+
+// streamCuts returns ix's PLS9 stream cut inside each of its fields (the
 // layout in serialize.go), by field name: a one-byte field is cut off
 // whole. Every one of them must be refused.
 func streamCuts(tb testing.TB, ix *Index) map[string][]byte {
@@ -220,7 +249,8 @@ func streamCuts(tb testing.TB, ix *Index) map[string][]byte {
 		name string
 		size int
 	}{
-		{"magic", 4}, {"config ints", 12}, {"alpha1", 8}, {"seed", 8}, {"sample size", 4},
+		{"magic", 4}, {"metric", 1}, {"shard count", 4}, {"a2scale", 8}, {"mip scale", 8},
+		{"config ints", 12}, {"alpha1", 8}, {"seed", 8}, {"sample size", 4},
 		{"rmin shrink and beta", 16}, {"auto-compact fraction", 8}, {"tree flag", 1},
 		{"shape", 12}, {"projection", ix.cfg.M * ix.dim * 8},
 		{"cdf length", 4}, {"cdf", len(v.distCDF) * 8}, {"data", len(v.flat) * 8},
@@ -269,8 +299,8 @@ func TestFuzzLoadCorpus(t *testing.T) {
 			t.Errorf("%s: LoadEngine error %v, must reject: %v", s.name, err, s.reject)
 		}
 		runtime.ReadMemStats(&after)
-		// A megabyte of read buffer per shard; an id or count sizing an
-		// allocation would be hundreds.
+		// A megabyte of read buffer; an id or count sizing an allocation
+		// would be hundreds.
 		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
 			t.Errorf("%s: loading %d bytes allocated %d", s.name, len(s.data), got)
 		}
@@ -286,6 +316,93 @@ func TestFuzzLoadCorpus(t *testing.T) {
 		if _, err := LoadEngine(bytes.NewReader(cut)); err == nil {
 			t.Errorf("a stream cut inside its %s loaded", field)
 		}
+	}
+}
+
+// TestLegacySeedsUpgrade: every on-disk seed that loads, whatever
+// version wrote it, writes a PLS9 stream, and that stream loads as the
+// engine the seed loaded as — the same shard count, metric, β, Info,
+// k-NN answers with their statistics and closest pairs — twice over,
+// the second rewrite byte for byte the first.
+func TestLegacySeedsUpgrade(t *testing.T) {
+	ctx := context.Background()
+	entries, err := os.ReadDir(fuzzSeedDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := 0
+	for _, entry := range entries {
+		name := entry.Name()
+		direct, err := LoadEngine(bytes.NewReader(readFuzzSeed(t, name)))
+		if err != nil {
+			continue // refusals are pinned by TestFuzzLoadCorpus
+		}
+		loaded++
+		rng := rand.New(rand.NewSource(9))
+		var queries [][]float64
+		for range 4 {
+			q := make([]float64, direct.Dim())
+			for i := range q {
+				q[i] = rng.NormFloat64()
+			}
+			if direct.Metric() == metric.Jaccard {
+				q = []float64{float64(rng.Intn(8)), 8 + float64(rng.Intn(8)), 1 << 20}
+			}
+			queries = append(queries, q)
+		}
+		var first []byte
+		e := direct
+		for round := range 2 {
+			out := engineBytes(t, e)
+			if !bytes.HasPrefix(out, []byte("PLS9")) {
+				t.Fatalf("%s round %d: writes %q, not PLS9", name, round, out[:4])
+			}
+			if first == nil {
+				first = out
+			} else if !bytes.Equal(out, first) {
+				t.Fatalf("%s: the reloaded engine writes other bytes than the first rewrite", name)
+			}
+			if e, err = LoadEngine(bytes.NewReader(out)); err != nil {
+				t.Fatalf("%s round %d: %v", name, round, err)
+			}
+			label := fmt.Sprintf("%s round %d", name, round)
+			if e.Shards() != direct.Shards() || e.Metric() != direct.Metric() {
+				t.Fatalf("%s: %d %v shards, loaded directly %d %v", label, e.Shards(), e.Metric(), direct.Shards(), direct.Metric())
+			}
+			pa, errA := direct.DeriveParams(1.5)
+			pb, errB := e.DeriveParams(1.5)
+			if pa != pb || (errA == nil) != (errB == nil) {
+				t.Fatalf("%s: params %+v (%v), loaded directly %+v (%v)", label, pb, errB, pa, errA)
+			}
+			if !reflect.DeepEqual(e.Info(), direct.Info()) {
+				t.Fatalf("%s: Info %+v, loaded directly %+v", label, e.Info(), direct.Info())
+			}
+			for qi, q := range queries {
+				var sa, sb QueryStats
+				ra, errA := direct.Search(ctx, q, 5, SearchOptions{Stats: &sa})
+				rb, errB := e.Search(ctx, q, 5, SearchOptions{Stats: &sb})
+				if errA != nil || errB != nil {
+					t.Fatalf("%s: query %d: %v, loaded directly %v", label, qi, errB, errA)
+				}
+				identicalResults(t, fmt.Sprintf("%s: query %d", label, qi), ra, rb)
+				if sa != sb {
+					t.Fatalf("%s: query %d did %+v, loaded directly %+v", label, qi, sb, sa)
+				}
+			}
+			if direct.Metric() == metric.InnerProduct {
+				continue
+			}
+			var ca, cb CPStats
+			wa, errA := direct.SearchPairs(ctx, 3, SearchOptions{PairStats: &ca})
+			wb, errB := e.SearchPairs(ctx, 3, SearchOptions{PairStats: &cb})
+			if errA != nil || errB != nil || ca != cb {
+				t.Fatalf("%s: SearchPairs did %+v (%v), loaded directly %+v (%v)", label, cb, errB, ca, errA)
+			}
+			samePairs(t, label+": SearchPairs", wa, wb)
+		}
+	}
+	if loaded < len(entries)/2 {
+		t.Fatalf("only %d of %d seeds loaded", loaded, len(entries))
 	}
 }
 
@@ -310,10 +427,13 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte("PLS6"))                          // envelope with no metric byte
 	f.Add([]byte{'P', 'L', 'S', '6', 0xff})        // unknown metric tag
 	f.Add([]byte{'P', 'L', 'S', '6', 0, 'P', 'L'}) // l2 never uses the envelope
+	f.Add([]byte("PLS9"))                          // no header
+	f.Add([]byte{'P', 'L', 'S', '9', 0xff})        // unknown metric tag
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		// LoadEngine accepts every on-disk shape — bare PLS4, PLS7 and
-		// PLS8 streams, sharded PLS5 containers and PLS6 envelopes alike.
+		// LoadEngine accepts every on-disk shape — PLS9 streams, bare
+		// PLS4, PLS7 and PLS8 streams, sharded PLS5 containers and PLS6
+		// envelopes alike.
 		eng, err := LoadEngine(bytes.NewReader(stream))
 		if err != nil {
 			return

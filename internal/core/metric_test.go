@@ -1,15 +1,15 @@
 package core
 
 // Core-level coverage for the metric subsystem: Config validation, the
-// PLS6 envelope (round trips, corrupt metric tags, mixed-metric
-// containers), metric-specific query-surface restrictions, and
-// durability over non-L2 engines.
+// metric tag of a PLS9 stream and of the older PLS6 envelope (round
+// trips, corrupt metric tags, mixed-metric containers), metric-specific
+// query-surface restrictions, and durability over non-L2 engines.
 
 import (
 	"bytes"
 	"cmp"
 	"context"
-	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -97,8 +97,8 @@ func TestPLS6RoundTripVectorMetrics(t *testing.T) {
 			if _, err := ix.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.HasPrefix(buf.Bytes(), []byte("PLS6")) {
-				t.Fatalf("non-L2 stream not in a PLS6 envelope: %q", buf.Bytes()[:4])
+			if !bytes.HasPrefix(buf.Bytes(), []byte("PLS9")) || buf.Bytes()[4] != byte(mk) {
+				t.Fatalf("the stream begins %q, not a PLS9 header tagged %v", buf.Bytes()[:5], mk)
 			}
 			got, err := Load(bytes.NewReader(buf.Bytes()))
 			if err != nil {
@@ -132,40 +132,64 @@ func TestPLS6RoundTripVectorMetrics(t *testing.T) {
 			}
 		})
 	}
+	// The PLS6 envelopes earlier releases wrote still load, as the metric
+	// they were tagged with.
+	for seed, mk := range map[string]metric.Kind{
+		"pls6-cosine": metric.Cosine, "pls6-pls7-cosine": metric.Cosine, "pls6-pls8-cosine": metric.Cosine,
+		"pls6-ip": metric.InnerProduct, "pls6-pls7-ip": metric.InnerProduct, "pls6-pls8-ip": metric.InnerProduct,
+		"pls6-jaccard": metric.Jaccard,
+	} {
+		ix, err := Load(bytes.NewReader(readFuzzSeed(t, seed)))
+		if err != nil {
+			t.Fatalf("%s: %v", seed, err)
+		}
+		if ix.Metric() != mk {
+			t.Fatalf("%s loaded as %v, want %v", seed, ix.Metric(), mk)
+		}
+	}
 }
 
+// TestPLS6RoundTripJaccard round trips a Jaccard index and a 3-shard
+// Jaccard engine, whose PMH1 bodies follow each other in one stream with
+// no length prefix: each body must end where the next begins.
 func TestPLS6RoundTripJaccard(t *testing.T) {
 	sets := metricTestSets(20, 3, 24, 11)
-	ix, err := BuildSets(sets, Config{Metric: metric.Jaccard, Seed: 11})
+	cfg := Config{Metric: metric.Jaccard, Seed: 11}
+	ix, err := BuildSets(sets, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(bytes.NewReader(buf.Bytes()))
+	one, err := newEngine([]*Index{ix})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Metric() != metric.Jaccard || got.Len() != len(sets) {
-		t.Fatalf("loaded metric %v len %d", got.Metric(), got.Len())
-	}
-	q := tokensAsFloats(sets[1])
-	want, err := ix.Search(context.Background(), q, 5, SearchOptions{C: 1.5})
+	cfg.Shards = 3
+	three, err := BuildSetsEngine(sets, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	have, err := got.Search(context.Background(), q, 5, SearchOptions{C: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 || len(want) != len(have) {
-		t.Fatalf("want %d results, have %d", len(want), len(have))
-	}
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("rank %d: loaded %+v, original %+v", i, have[i], want[i])
+	for _, e := range []*Engine{one, three} {
+		got, err := LoadEngine(bytes.NewReader(engineBytes(t, e)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Metric() != metric.Jaccard || got.Shards() != e.Shards() || got.Len() != len(sets) {
+			t.Fatalf("loaded metric %v, %d shards, len %d", got.Metric(), got.Shards(), got.Len())
+		}
+		for _, qi := range []int{1, 31, 58} {
+			q := tokensAsFloats(sets[qi])
+			want, err := e.Search(context.Background(), q, 5, SearchOptions{C: 1.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			have, err := got.Search(context.Background(), q, 5, SearchOptions{C: 1.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				t.Fatalf("%d shards: query %d found nothing", e.Shards(), qi)
+			}
+			identicalResults(t, fmt.Sprintf("%d shards: query %d", e.Shards(), qi), want, have)
 		}
 	}
 }
@@ -205,33 +229,12 @@ func TestPLS6MetricTagMismatch(t *testing.T) {
 	}
 }
 
+// TestMixedMetricContainerRejected: a PLS9 stream has one metric tag,
+// but a PLS5 container of earlier releases framed each shard's stream on
+// its own. One whose shards disagree on the metric is refused.
 func TestMixedMetricContainerRejected(t *testing.T) {
-	data := clusteredData(32, 4, 2, 17)
-	shardCfg := Config{M: 4, NumPivots: 2, Seed: 17, DistSampleSize: 16}
-	l2ix, err := Build(data, shardCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cosCfg := shardCfg
-	cosCfg.Metric = metric.Cosine
-	cosix, err := Build(data, cosCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hand-assemble a PLS5 container whose two shards disagree on the
-	// metric; WriteTo can never produce this, so frame it manually.
-	var container bytes.Buffer
-	container.Write([]byte("PLS5"))
-	binary.Write(&container, binary.LittleEndian, uint32(2))
-	for _, shard := range []*Index{l2ix, cosix} {
-		var sb bytes.Buffer
-		if _, err := shard.WriteTo(&sb); err != nil {
-			t.Fatal(err)
-		}
-		binary.Write(&container, binary.LittleEndian, uint64(sb.Len()))
-		container.Write(sb.Bytes())
-	}
-	_, err = LoadEngine(bytes.NewReader(container.Bytes()))
+	mixed := container(readFuzzSeed(t, "pls8-plain"), readFuzzSeed(t, "pls6-pls8-cosine"))
+	_, err := LoadEngine(bytes.NewReader(mixed))
 	if err == nil {
 		t.Fatal("LoadEngine accepted a mixed-metric container")
 	}

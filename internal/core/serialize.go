@@ -15,13 +15,24 @@ import (
 	"repro/internal/vec"
 )
 
-// Binary serialization of a PM-LSH index. The stream is little-endian:
+// Binary serialization of PM-LSH indexes and engines. Every snapshot is
+// one little-endian PLS9 stream: the magic "PLS9", a header, then each
+// shard's body in turn with no length prefix (each body reader consumes
+// exactly its own bytes):
 //
-//	magic "PLS8"
-//	config: m u32 | pivots u32 | capacity u32 | alpha1 f64 | seed i64 |
-//	        sampleSize u32 | rminShrink f64 | beta f64 |
-//	        autoCompact f64 | tree flag u8 (always 0)
-//	dim u32 | slots u32 | nextID u32
+//	header: metric u8 | shards u32 | a2scale f64 | mipScale f64
+//
+// a2scale is the β rule the shards answer with, α2(c) =
+// CDF_χ²(m)(a2scale/c²) (see alpha2Scale), 0 under Jaccard; mipScale the
+// inner-product reduction's build-time norm bound S, 0 under every other
+// metric. A Jaccard shard's body is its MinHash "PMH1" stream
+// (internal/minhash); a vector shard's, over internal-space rows (under
+// inner product dim is the augmented dimensionality), is:
+//
+//	config and shape (bodyHead): m u32 | pivots u32 | capacity u32 |
+//	        alpha1 f64 | seed i64 | sampleSize u32 | rminShrink f64 |
+//	        beta f64 | autoCompact f64 | tree flag u8 (always 0) |
+//	        dim u32 | slots u32 | nextID u32
 //	projection rows (m × dim f64)
 //	distCDF length u32 + values
 //	data (slots × dim f64, the store's flat buffer verbatim — dead
@@ -51,57 +62,90 @@ import (
 // saved one, with the same statistics, and reaches its next automatic
 // compaction at the same operation.
 //
-// PLS7 is this layout under the β rule before PLS8: κ re-solved at every
-// m, so β(c = 1.5) = 0.281 whatever m (alpha2Scale's perM rule). Load
-// reads the rule off the magic, and an index loaded from a PLS7 or PLS4
-// stream keeps its rule and writes PLS7 again: it answers with the β it
-// was saved with, through every later checkpoint and compaction.
+// Older streams are read, never written; each magic reads as the PLS9
+// header it stands for:
 //
-// PLS4 is this layout with every codec kind, and a serialized PM-tree
-// where the generation count stands. Load reads it up to the tree, which
-// it does not read: the stored rows become one fresh generation. The
-// quantize block held the parameters of a reject-only screening codec,
-// retired in PR 29: for i8 (2) off + scale (dim × f64 each), for f32
-// (1) and i8 slack (dim × f64). Load still reads them in full — a
-// truncated block is an error — and drops them.
+//   - "PLS8" and one body: an L2 shard under the fixed-κ β rule.
+//   - "PLS7" and one body: the same under the rule before it, κ re-solved
+//     at every m (alpha2Scale's perM rule: β(1.5) = 0.281 at every m),
+//     which the loaded index keeps and its snapshots' headers carry.
+//   - "PLS4": PLS7 with every codec kind, and a serialized PM-tree in
+//     place of the generation count, not read: the rows become one fresh
+//     generation. The quantize block (a retired screening codec's
+//     parameters: i8 (2) off + scale + slack, f32 (1) slack, dim × f64
+//     each) is read in full — a truncated one is an error — and dropped.
+//   - "PLS6" | metric u8 | mipScale f64 (inner product only), then a
+//     whole PLS4, PLS7 or PLS8 stream, or PMH1 under Jaccard: one shard
+//     of its metric, never L2.
+//   - "PLS5" | shards u32 (2…MaxShards), then per shard a u64 length and
+//     a whole bare or PLS6 stream: a list of either. A PLS5 or PLS9
+//     stream nested in one is refused.
 //
 // The tree flag once selected an R-tree over the projections (flag 1);
 // that backend is no longer served, the byte stays so the layouts keep
 // their offsets, and Load rejects any non-zero value. PLS1–PLS3, the
 // layouts before churn state and the codec, are retired: nothing has
-// written them since PLS4 and Load names the version in its error.
-
-// Version 6 ("PLS6") is the metric-tagged container for non-L2
-// indexes:
-//
-//	magic "PLS6" | metric u8
-//	InnerProduct only: scale S f64 (the build-time norm bound)
-//	then the complete backend stream — the full PLS8 (or PLS7) stream above
-//	(internal-space rows, so dim is the augmented dimensionality
-//	under InnerProduct; PLS4 in streams written before it) for the
-//	vector reductions, or the MinHash "PMH1" stream (internal/minhash)
-//	for Jaccard.
-//
-// L2 indexes write the bare stream; PLS4, PLS5, PLS7 and PLS8 streams
-// load as L2. An unknown metric tag is a hard error, never a panic.
+// written them since PLS4 and Load names the version in its error. An
+// unknown metric tag is a hard error, never a panic.
 var (
 	pls4Magic = [4]byte{'P', 'L', 'S', '4'}
+	pls5Magic = [4]byte{'P', 'L', 'S', '5'}
 	pls6Magic = [4]byte{'P', 'L', 'S', '6'}
 	pls7Magic = [4]byte{'P', 'L', 'S', '7'}
 	pls8Magic = [4]byte{'P', 'L', 'S', '8'}
+	pls9Magic = [4]byte{'P', 'L', 'S', '9'}
 )
 
-// WriteTo serializes the index. It implements io.WriterTo. It writes
-// one view — the state as of the call — and runs beside queries and
-// mutations alike without holding any of them up.
-func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	if ix.metric != metric.L2 {
-		return ix.writeToPLS6(w)
-	}
+// header is what a PLS9 stream states after its magic; like bodyHead's,
+// its fields are exported for encoding/binary.
+type header struct {
+	Metric            metric.Kind
+	Shards            uint32
+	A2scale, MIPScale float64
+}
+
+// bodyHead is a vector body's fixed-size start: its config and shape.
+type bodyHead struct {
+	M, Pivots, Capacity           uint32
+	Alpha1                        float64
+	Seed                          int64
+	SampleSize                    uint32
+	RMinShrink, Beta, AutoCompact float64
+	TreeFlag                      uint8 // always 0
+	Dim, Slots, IDs               uint32
+}
+
+// WriteTo serializes the index as a one-shard PLS9 stream. It
+// implements io.WriterTo. It writes one view — the state as of the call
+// — and runs beside queries and mutations alike without holding any of
+// them up.
+func (ix *Index) WriteTo(w io.Writer) (int64, error) { return writeStream(w, []*Index{ix}) }
+
+// writeStream writes shards as one PLS9 stream: the header, then each
+// shard's body straight through one buffer. The shards share their
+// metric, β rule and inner-product scale (newEngine checks), so shard
+// 0's stand for all of them.
+func writeStream(w io.Writer, shards []*Index) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	cw := &countingWriter{w: bw}
-	if err := ix.encode(cw, ix.view.Load()); err != nil {
-		return cw.n, err
+	first := shards[0]
+	if _, err := cw.Write(pls9Magic[:]); err != nil {
+		return cw.n, fmt.Errorf("core: write magic: %w", err)
+	}
+	h := header{first.metric, uint32(len(shards)), first.a2scale, first.mipScale}
+	if err := binary.Write(cw, binary.LittleEndian, &h); err != nil {
+		return cw.n, fmt.Errorf("core: write header: %w", err)
+	}
+	for _, ix := range shards {
+		var err error
+		if ix.metric == metric.Jaccard {
+			_, err = ix.mh.WriteTo(cw)
+		} else {
+			err = ix.encode(cw, ix.view.Load())
+		}
+		if err != nil {
+			return cw.n, err
+		}
 	}
 	if err := bw.Flush(); err != nil {
 		return cw.n, fmt.Errorf("core: flush: %w", err)
@@ -109,74 +153,17 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// writeToPLS6 wraps the backend stream in the metric-tagged PLS6
-// envelope. L2 never takes this path.
-func (ix *Index) writeToPLS6(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	cw := &countingWriter{w: bw}
-	hdr := append([]byte{}, pls6Magic[:]...)
-	hdr = append(hdr, byte(ix.metric))
-	if _, err := cw.Write(hdr); err != nil {
-		return cw.n, fmt.Errorf("core: write pls6 header: %w", err)
-	}
-	if ix.metric == metric.Jaccard {
-		if _, err := ix.mh.WriteTo(cw); err != nil {
-			return cw.n, err
-		}
-	} else {
-		if ix.metric == metric.InnerProduct {
-			if err := binary.Write(cw, binary.LittleEndian, ix.mipScale); err != nil {
-				return cw.n, fmt.Errorf("core: write mip scale: %w", err)
-			}
-		}
-		if err := ix.encode(cw, ix.view.Load()); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, fmt.Errorf("core: flush: %w", err)
-	}
-	return cw.n, nil
-}
-
-// encode writes v as a PLS8 stream, or a PLS7 one under the β rule of
-// the stream the index was loaded from.
+// encode writes v as a vector shard's body.
 func (ix *Index) encode(w io.Writer, v *view) error {
-	magic := pls8Magic
-	if ix.perMBeta {
-		magic = pls7Magic
-	}
-	if _, err := w.Write(magic[:]); err != nil {
-		return fmt.Errorf("core: write magic: %w", err)
-	}
 	cfg := ix.cfg
-	ints := []uint32{uint32(cfg.M), uint32(cfg.NumPivots), uint32(cfg.Capacity)}
-	if err := binary.Write(w, binary.LittleEndian, ints); err != nil {
-		return fmt.Errorf("core: write config ints: %w", err)
+	head := bodyHead{
+		M: uint32(cfg.M), Pivots: uint32(cfg.NumPivots), Capacity: uint32(cfg.Capacity),
+		Alpha1: cfg.Alpha1, Seed: cfg.Seed, SampleSize: uint32(cfg.DistSampleSize),
+		RMinShrink: cfg.RMinShrink, Beta: cfg.Beta, AutoCompact: cfg.AutoCompactFraction,
+		Dim: uint32(ix.dim), Slots: uint32(len(v.flat) / ix.dim), IDs: uint32(len(v.rowOf)),
 	}
-	if err := binary.Write(w, binary.LittleEndian, cfg.Alpha1); err != nil {
-		return fmt.Errorf("core: write alpha1: %w", err)
-	}
-	if err := binary.Write(w, binary.LittleEndian, cfg.Seed); err != nil {
-		return fmt.Errorf("core: write seed: %w", err)
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(cfg.DistSampleSize)); err != nil {
-		return fmt.Errorf("core: write sample size: %w", err)
-	}
-	if err := binary.Write(w, binary.LittleEndian, []float64{cfg.RMinShrink, cfg.Beta}); err != nil {
-		return fmt.Errorf("core: write float config: %w", err)
-	}
-	if err := binary.Write(w, binary.LittleEndian, cfg.AutoCompactFraction); err != nil {
-		return fmt.Errorf("core: write auto-compact fraction: %w", err)
-	}
-	if _, err := w.Write([]byte{0}); err != nil {
-		return fmt.Errorf("core: write tree flag: %w", err)
-	}
-	if err := binary.Write(w, binary.LittleEndian, []uint32{uint32(ix.dim), uint32(len(v.flat) / ix.dim)}); err != nil {
-		return fmt.Errorf("core: write shape: %w", err)
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(v.rowOf))); err != nil {
-		return fmt.Errorf("core: write id space: %w", err)
+	if err := binary.Write(w, binary.LittleEndian, &head); err != nil {
+		return fmt.Errorf("core: write config: %w", err)
 	}
 	for i := 0; i < ix.cfg.M; i++ {
 		if err := binary.Write(w, binary.LittleEndian, ix.proj.Row(i)); err != nil {
@@ -228,78 +215,205 @@ func (ix *Index) encode(w io.Writer, v *view) error {
 	return nil
 }
 
-// Load deserializes an index previously written with WriteTo.
+// Load deserializes an index written with WriteTo: a PLS9 stream of one
+// shard, or an older stream that holds one.
 func Load(r io.Reader) (*Index, error) {
-	return load(bufio.NewReaderSize(r, 1<<20), false)
+	shards, err := load(r)
+	if err != nil {
+		return nil, err
+	}
+	if len(shards) != 1 {
+		return nil, fmt.Errorf("core: a stream of %d shards is an engine; load it with LoadEngine", len(shards))
+	}
+	return shards[0], nil
 }
 
-// load reads one stream from br. inner guards against a PLS6 envelope
-// nesting another PLS6 envelope, which WriteTo never produces.
-func load(br *bufio.Reader, inner bool) (*Index, error) {
+// load reads a stream of any version into its shards. A PLS9 stream
+// states its header, an older one stands for one (see the layout above);
+// then one loop reads the shards it announces.
+func load(r io.Reader) ([]*Index, error) {
+	br := bufio.NewReaderSize(r, 1<<20)
+	magic, err := readMagic(br)
+	if err != nil {
+		return nil, err
+	}
+	count, next := 1, func() (*Index, error) { return readLegacy(br, magic) }
+	switch magic {
+	case pls9Magic:
+		h, err := readHeader(br)
+		if err != nil {
+			return nil, err
+		}
+		count, next = int(h.Shards), func() (*Index, error) { return readShard(br, h, pls9Magic) }
+	case pls5Magic:
+		var n uint32
+		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+			return nil, fmt.Errorf("core: read shard count: %w", err)
+		}
+		if n < 2 || n > MaxShards {
+			return nil, fmt.Errorf("core: corrupt shard count %d", n)
+		}
+		count, next = int(n), func() (*Index, error) { return readContained(br) }
+	}
+	shards := make([]*Index, count)
+	for s := range shards {
+		if shards[s], err = next(); err != nil && count > 1 {
+			return nil, fmt.Errorf("core: load shard %d: %w", s, err)
+		} else if err != nil {
+			return nil, err
+		}
+	}
+	return shards, nil
+}
+
+func readMagic(r io.Reader) ([4]byte, error) {
 	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("core: read magic: %w", err)
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
+		return magic, fmt.Errorf("core: read magic: %w", err)
+	}
+	return magic, nil
+}
+
+// readHeader reads a PLS9 header after its magic and refuses one no
+// writer produces.
+func readHeader(br *bufio.Reader) (header, error) {
+	var h header
+	if err := binary.Read(br, binary.LittleEndian, &h); err != nil {
+		return h, fmt.Errorf("core: read header: %w", err)
+	}
+	ip := h.Metric == metric.InnerProduct
+	switch {
+	case !h.Metric.Valid():
+		return h, fmt.Errorf("core: unknown metric tag %d", h.Metric)
+	case h.Shards < 1 || h.Shards > MaxShards:
+		return h, fmt.Errorf("core: corrupt shard count %d", h.Shards)
+	case h.Metric != metric.Jaccard && !finitePositive(h.A2scale):
+		return h, fmt.Errorf("core: corrupt β scale %v", h.A2scale)
+	case ip && !finitePositive(h.MIPScale), !ip && h.MIPScale != 0:
+		return h, fmt.Errorf("core: corrupt mip scale %v for %s metric", h.MIPScale, h.Metric)
+	}
+	return h, nil
+}
+
+// readContained reads one shard of a PLS5 container: its length, then a
+// complete bare or PLS6 stream of that many bytes.
+func readContained(br *bufio.Reader) (*Index, error) {
+	var length uint64
+	if err := binary.Read(br, binary.LittleEndian, &length); err != nil {
+		return nil, fmt.Errorf("core: read shard length: %w", err)
+	}
+	lr := io.LimitReader(br, int64(length))
+	inner := bufio.NewReader(lr)
+	magic, err := readMagic(inner)
+	if err != nil {
+		return nil, err
+	}
+	ix, err := readLegacy(inner, magic)
+	if err != nil {
+		return nil, err
+	}
+	// The shard's reader may stop short of its end (a PLS4 stream's tree
+	// is not read); skip the rest so the next shard starts aligned.
+	if _, err := io.Copy(io.Discard, lr); err != nil {
+		return nil, fmt.Errorf("core: skip to the next shard: %w", err)
+	}
+	return ix, nil
+}
+
+// readLegacy reads a one-shard stream older than PLS9 whose magic has
+// been consumed: a bare PLS4, PLS7 or PLS8 stream is one L2 shard, a
+// PLS6 envelope one shard of its metric.
+func readLegacy(br *bufio.Reader, magic [4]byte) (*Index, error) {
+	h := header{Metric: metric.L2, Shards: 1}
+	if magic == pls6Magic {
+		tag, err := br.ReadByte()
+		if err != nil {
+			return nil, fmt.Errorf("core: read metric tag: %w", err)
+		}
+		h.Metric = metric.Kind(tag)
+		switch {
+		case !h.Metric.Valid():
+			return nil, fmt.Errorf("core: unknown metric tag %d", tag)
+		case h.Metric == metric.L2:
+			// L2 was always written bare or in a PLS5 container; a PLS6+L2
+			// combination only arises from corruption or a foreign writer.
+			return nil, fmt.Errorf("core: l2 index in PLS6 envelope")
+		case h.Metric == metric.Jaccard:
+			return readShard(br, h, magic)
+		case h.Metric == metric.InnerProduct:
+			if err := binary.Read(br, binary.LittleEndian, &h.MIPScale); err != nil {
+				return nil, fmt.Errorf("core: read mip scale: %w", err)
+			}
+			if !finitePositive(h.MIPScale) {
+				return nil, fmt.Errorf("core: corrupt mip scale %v", h.MIPScale)
+			}
+		}
+		if magic, err = readMagic(br); err != nil {
+			return nil, err
+		}
 	}
 	switch magic {
 	case pls4Magic, pls7Magic, pls8Magic:
-	case pls6Magic:
-		if inner {
-			return nil, fmt.Errorf("core: nested PLS6 envelope")
-		}
-		return loadPLS6(br)
+		return readShard(br, h, magic)
+	case pls5Magic, pls6Magic, pls9Magic: // load reads PLS5 and PLS9 itself
+		return nil, fmt.Errorf("core: a %s stream nested in an older one", magic[:])
 	case [4]byte{'P', 'L', 'S', '1'}, [4]byte{'P', 'L', 'S', '2'}, [4]byte{'P', 'L', 'S', '3'}:
 		return nil, fmt.Errorf("core: snapshot format %s is retired (nothing has written it since PLS4); rebuild the index from its data", magic[:])
-	default:
-		return nil, fmt.Errorf("core: bad magic %q", magic)
 	}
-	var cfg Config
-	ints := make([]uint32, 3)
-	if err := binary.Read(br, binary.LittleEndian, ints); err != nil {
-		return nil, fmt.Errorf("core: read config ints: %w", err)
+	return nil, fmt.Errorf("core: bad magic %q", magic)
+}
+
+// readShard reads one shard's body under h; magic names the body's
+// layout (PLS4, PLS7, PLS8 or PLS9), and an older one its β rule.
+func readShard(br *bufio.Reader, h header, magic [4]byte) (*Index, error) {
+	if h.Metric == metric.Jaccard {
+		mh, err := minhash.Read(br)
+		if err != nil {
+			return nil, err
+		}
+		cfg := Config{Metric: metric.Jaccard, Seed: mh.Seed(), MinHashBands: mh.Bands(),
+			MinHashRows: mh.Rows(), MinHashThreshold: mh.Threshold()}
+		return &Index{cfg: cfg, metric: metric.Jaccard, mh: mh}, nil
 	}
-	cfg.M, cfg.NumPivots, cfg.Capacity = int(ints[0]), int(ints[1]), int(ints[2])
-	cfg.ExplicitZeroPivots = cfg.NumPivots == 0
-	if err := binary.Read(br, binary.LittleEndian, &cfg.Alpha1); err != nil {
-		return nil, fmt.Errorf("core: read alpha1: %w", err)
+	ix, err := readBody(br, magic)
+	if err != nil {
+		return nil, err
 	}
-	if err := binary.Read(br, binary.LittleEndian, &cfg.Seed); err != nil {
-		return nil, fmt.Errorf("core: read seed: %w", err)
+	ix.a2scale = h.A2scale
+	if magic != pls9Magic {
+		ix.a2scale = alpha2Scale(ix.cfg.M, magic != pls8Magic)
 	}
-	var sampleSize uint32
-	if err := binary.Read(br, binary.LittleEndian, &sampleSize); err != nil {
-		return nil, fmt.Errorf("core: read sample size: %w", err)
+	if err := ix.setMetric(h.Metric, h.MIPScale); err != nil {
+		return nil, err
 	}
-	cfg.DistSampleSize = int(sampleSize)
-	fl := make([]float64, 2)
-	if err := binary.Read(br, binary.LittleEndian, fl); err != nil {
-		return nil, fmt.Errorf("core: read float config: %w", err)
+	return ix, nil
+}
+
+// readBody reads a vector shard's body as an L2 index.
+func readBody(br *bufio.Reader, magic [4]byte) (*Index, error) {
+	var head bodyHead
+	if err := binary.Read(br, binary.LittleEndian, &head); err != nil {
+		return nil, fmt.Errorf("core: read config: %w", err)
 	}
-	cfg.RMinShrink, cfg.Beta = fl[0], fl[1]
-	if err := binary.Read(br, binary.LittleEndian, &cfg.AutoCompactFraction); err != nil {
-		return nil, fmt.Errorf("core: read auto-compact fraction: %w", err)
+	cfg := Config{
+		M: int(head.M), NumPivots: int(head.Pivots), Capacity: int(head.Capacity),
+		ExplicitZeroPivots: head.Pivots == 0, Alpha1: head.Alpha1, Seed: head.Seed,
+		DistSampleSize: int(head.SampleSize), RMinShrink: head.RMinShrink, Beta: head.Beta,
+		AutoCompactFraction: head.AutoCompact,
 	}
 	if math.IsNaN(cfg.AutoCompactFraction) || cfg.AutoCompactFraction > 1 {
 		return nil, fmt.Errorf("core: corrupt auto-compact fraction %v", cfg.AutoCompactFraction)
 	}
-	treeFlag, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("core: read tree flag: %w", err)
-	}
-	switch treeFlag {
+	switch head.TreeFlag {
 	case 0:
 	case 1:
 		return nil, fmt.Errorf("core: snapshot of an R-tree index (tree flag 1): that backend is no longer served; rebuild the index from its data")
 	default:
-		return nil, fmt.Errorf("core: corrupt tree flag %d", treeFlag)
-	}
-
-	shape := make([]uint32, 3)
-	if err := binary.Read(br, binary.LittleEndian, shape); err != nil {
-		return nil, fmt.Errorf("core: read shape: %w", err)
+		return nil, fmt.Errorf("core: corrupt tree flag %d", head.TreeFlag)
 	}
 	// A stream may hold zero slots (an index compacted after deleting
 	// every point).
-	dim, n, idSpace := int(shape[0]), int(shape[1]), int(shape[2])
+	dim, n, idSpace := int(head.Dim), int(head.Slots), int(head.IDs)
 	if cfg.M < 1 || dim < 1 || cfg.Alpha1 <= 0 || cfg.Alpha1 >= 1 {
 		return nil, fmt.Errorf("core: corrupt header (m=%d dim=%d n=%d α1=%v)", cfg.M, dim, n, cfg.Alpha1)
 	}
@@ -454,75 +568,34 @@ func load(br *bufio.Reader, inner bool) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: deriving t: %w", err)
 	}
-	perM := magic != pls8Magic
 	ix := &Index{
-		cfg:      cfg,
-		data:     data,
-		proj:     proj,
-		tree:     tree,
-		dim:      dim,
-		ndim:     dim, // loadPLS6 adjusts for reduced metrics
-		t:        math.Sqrt(q),
-		chi:      chi,
-		a2scale:  alpha2Scale(cfg.M, perM),
-		perMBeta: perM,
+		cfg:  cfg,
+		data: data,
+		proj: proj,
+		tree: tree,
+		dim:  dim,
+		ndim: dim, // setMetric adjusts for inner product
+		t:    math.Sqrt(q),
+		chi:  chi,
 	}
 	ix.publish(rowOf, cdf, 0)
 	return ix, nil
 }
 
-// loadPLS6 reads the body of a metric-tagged stream; the "PLS6" magic
-// has already been consumed. An out-of-range metric byte is a hard
-// error so future format revisions fail loudly on old binaries.
-func loadPLS6(br *bufio.Reader) (*Index, error) {
-	tag, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("core: read metric tag: %w", err)
-	}
-	m := metric.Kind(tag)
-	if !m.Valid() {
-		return nil, fmt.Errorf("core: unknown metric tag %d", tag)
-	}
+// setMetric makes ix, read as an L2 index over internal-space rows,
+// serve m: under inner product with its scale and one native dimension
+// fewer, and under either reduction only once every row is checked
+// unit-norm.
+func (ix *Index) setMetric(m metric.Kind, mipScale float64) error {
+	ix.metric, ix.cfg.Metric = m, m
 	if m == metric.L2 {
-		// L2 is always written as a bare stream or a PLS5 container; a
-		// PLS6+L2 combination only arises from corruption or a foreign
-		// writer.
-		return nil, fmt.Errorf("core: l2 index in PLS6 envelope")
+		return nil
 	}
-	if m == metric.Jaccard {
-		mh, err := minhash.Read(br)
-		if err != nil {
-			return nil, err
-		}
-		cfg := Config{
-			Metric:           metric.Jaccard,
-			Seed:             mh.Seed(),
-			MinHashBands:     mh.Bands(),
-			MinHashRows:      mh.Rows(),
-			MinHashThreshold: mh.Threshold(),
-		}
-		return &Index{cfg: cfg, metric: metric.Jaccard, mh: mh}, nil
-	}
-	scale := 0.0
-	if m == metric.InnerProduct {
-		if err := binary.Read(br, binary.LittleEndian, &scale); err != nil {
-			return nil, fmt.Errorf("core: read mip scale: %w", err)
-		}
-		if math.IsNaN(scale) || math.IsInf(scale, 0) || scale <= 0 {
-			return nil, fmt.Errorf("core: corrupt mip scale %v", scale)
-		}
-	}
-	ix, err := load(br, true)
-	if err != nil {
-		return nil, err
-	}
-	ix.metric = m
-	ix.cfg.Metric = m
 	if m == metric.InnerProduct {
 		if ix.dim < 2 {
-			return nil, fmt.Errorf("core: inner-product index needs augmented dim >= 2, got %d", ix.dim)
+			return fmt.Errorf("core: inner-product index needs augmented dim >= 2, got %d", ix.dim)
 		}
-		ix.mipScale = scale
+		ix.mipScale = mipScale
 		ix.ndim = ix.dim - 1
 	}
 	// Reduced rows are unit vectors by construction, dead ones included;
@@ -530,11 +603,14 @@ func loadPLS6(br *bufio.Reader) (*Index, error) {
 	// not at query.
 	for i := 0; i < ix.data.Len(); i++ {
 		if s := vec.Dot(ix.data.Row(i), ix.data.Row(i)); math.Abs(s-1) > 1e-6 {
-			return nil, fmt.Errorf("core: row %d is not unit-norm (|x|^2=%v) for %s metric", i, s, m)
+			return fmt.Errorf("core: row %d is not unit-norm (|x|^2=%v) for %s metric", i, s, m)
 		}
 	}
-	return ix, nil
+	return nil
 }
+
+// finitePositive reports 0 < x < +Inf (false for NaN).
+func finitePositive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
 
 func finite(fs []float64) bool {
 	for _, f := range fs {

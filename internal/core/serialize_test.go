@@ -140,6 +140,89 @@ func TestLoadRejectsCorruptStreams(t *testing.T) {
 			t.Errorf("tree flag 1: error %q does not say R-tree snapshots are no longer served", err)
 		}
 	}
+
+	// The PLS9 header: a stream no writer produces is refused before a
+	// body is read.
+	mip, err := Build(data, Config{Seed: 23, Metric: metric.InnerProduct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ipBuf bytes.Buffer
+	if _, err := mip.WriteTo(&ipBuf); err != nil {
+		t.Fatal(err)
+	}
+	ipRaw := ipBuf.Bytes()
+	const shardsAt, a2scaleAt, mipAt = 5, 9, 17
+	if _, err := Load(bytes.NewReader(ipRaw)); err != nil {
+		t.Fatal(err)
+	}
+	u32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
+	f64 := func(v float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)) }
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		at     int
+		field  []byte
+	}{
+		{"unknown metric tag", raw, 4, []byte{9}},
+		{"zero shards", raw, shardsAt, u32(0)},
+		{"shards beyond MaxShards", raw, shardsAt, u32(MaxShards + 1)},
+		{"zero a2scale", raw, a2scaleAt, f64(0)},
+		{"negative a2scale", raw, a2scaleAt, f64(-1)},
+		{"NaN a2scale", raw, a2scaleAt, f64(math.NaN())},
+		{"infinite a2scale", raw, a2scaleAt, f64(math.Inf(1))},
+		{"mip scale under l2", raw, mipAt, f64(1)},
+		{"NaN mip scale under l2", raw, mipAt, f64(math.NaN())},
+		{"zero mip scale under inner product", ipRaw, mipAt, f64(0)},
+		{"negative mip scale under inner product", ipRaw, mipAt, f64(-2)},
+		{"NaN mip scale under inner product", ipRaw, mipAt, f64(math.NaN())},
+		{"infinite mip scale under inner product", ipRaw, mipAt, f64(math.Inf(1))},
+	} {
+		bad := bytes.Clone(tc.stream)
+		copy(bad[tc.at:], tc.field)
+		_, errIndex := Load(bytes.NewReader(bad))
+		_, errEngine := LoadEngine(bytes.NewReader(bad))
+		if errIndex == nil || errEngine == nil {
+			t.Errorf("a PLS9 stream with %s loaded: %v, %v", tc.name, errIndex, errEngine)
+		}
+	}
+
+	// A PLS9 stream cut where its last shard would begin, and a one-shard
+	// stream whose header claims a second.
+	e, err := BuildEngine(data, Config{Seed: 23, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	two := engineBytes(t, e)
+	var first bytes.Buffer
+	if _, err := e.shards[0].WriteTo(&first); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(two[headerLen:first.Len()], first.Bytes()[headerLen:]) {
+		t.Fatal("a 2-shard stream does not begin with its first shard's body")
+	}
+	claims := bytes.Clone(raw)
+	copy(claims[shardsAt:], u32(2))
+	for name, cut := range map[string][]byte{"cut before its last shard": two[:first.Len()], "one shard short": claims} {
+		if _, err := LoadEngine(bytes.NewReader(cut)); err == nil {
+			t.Errorf("a PLS9 stream %s loaded", name)
+		}
+	}
+
+	// A PLS5 container holds bare or PLS6 streams, not another container
+	// and not a PLS9 stream.
+	pls8 := readFuzzSeed(t, "pls8-plain")
+	if _, err := LoadEngine(bytes.NewReader(container(pls8, pls8))); err != nil {
+		t.Fatalf("a PLS5 container of two PLS8 streams: %v", err)
+	}
+	for name, nested := range map[string][]byte{
+		"PLS9": container(pls8, raw),
+		"PLS5": container(pls8, container(pls8, pls8)),
+	} {
+		if _, err := LoadEngine(bytes.NewReader(nested)); err == nil || !strings.Contains(err.Error(), "nested") {
+			t.Errorf("a %s stream nested in a PLS5 container: got %v, want a refusal", name, err)
+		}
+	}
 }
 
 func sameResults(t *testing.T, label string, a, b []Result) {
@@ -167,12 +250,14 @@ func samePairs(t *testing.T, label string, a, b []Pair) {
 	}
 }
 
-// TestLoadDropsLegacyCodec: a stream written with the screening codec
-// retired in PR 29 still loads, and loads as the index it screened —
+// TestLoadDropsLegacyCodec: a stream written with the retired screening
+// codec still loads, and loads as the index it screened —
 // the pls4-i8 seed was built from the pls4-plain seed's data and config
 // with an i8 codec, so once loaded it writes what the loaded plain seed
-// writes, the pls7-plain seed, and answers as it does. Its codec block is
-// still read in full: cut inside the slack array, the stream is refused.
+// writes, and what the loaded pls7-plain seed (the same index, saved by
+// the release after) writes: one PLS9 stream, which round trips. It
+// answers as the plain seed does. Its codec block is still read in full:
+// cut inside the slack array, the stream is refused.
 func TestLoadDropsLegacyCodec(t *testing.T) {
 	ctx := context.Background()
 	plainBytes, i8Bytes := readFuzzSeed(t, "pls4-plain"), readFuzzSeed(t, "pls4-i8")
@@ -184,13 +269,28 @@ func TestLoadDropsLegacyCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ix := range []*Index{legacy, plain} {
+	pls7, err := Load(bytes.NewReader(readFuzzSeed(t, "pls7-plain")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if _, err := pls7.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(want.Bytes(), []byte("PLS9")) {
+		t.Fatalf("the loaded pls7-plain seed writes %q", want.Bytes()[:4])
+	}
+	again, err := Load(bytes.NewReader(want.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range []*Index{legacy, plain, again} {
 		var buf bytes.Buffer
 		if _, err := ix.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if want := readFuzzSeed(t, "pls7-plain"); !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("a loaded PLS4 seed writes %d bytes that are not the pls7-plain seed's %d", buf.Len(), len(want))
+		if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+			t.Fatalf("an index loaded from a PLS4 seed, or reloaded, writes %d bytes that are not the loaded pls7-plain seed's %d", buf.Len(), want.Len())
 		}
 	}
 
@@ -589,13 +689,12 @@ func TestRoundTripKeepsTheGeneration(t *testing.T) {
 func TestLoadValidatesEveryRow(t *testing.T) {
 	data := clusteredData(400, 6, 4, 70)
 	for _, tc := range []struct {
-		m      metric.Kind
-		header int // bytes before the index stream: a PLS6 envelope's magic and tag
-		bad    float64
+		m   metric.Kind
+		bad float64
 	}{
-		{metric.L2, 0, math.NaN()},
-		{metric.L2, 0, math.Inf(-1)},
-		{metric.Cosine, 5, 2},
+		{metric.L2, math.NaN()},
+		{metric.L2, math.Inf(-1)},
+		{metric.Cosine, 2},
 	} {
 		ix, err := Build(data, Config{Seed: 29, Metric: tc.m})
 		if err != nil {
@@ -612,7 +711,7 @@ func TestLoadValidatesEveryRow(t *testing.T) {
 		// Row 1's first value: past the config, the shape, the projection
 		// and the distance sample, then one row of dim values.
 		v := ix.view.Load()
-		off := tc.header + treeFlagOff + 1 + 3*4 + ix.cfg.M*ix.dim*8 + 4 + len(v.distCDF)*8 + ix.dim*8
+		off := treeFlagOff + 1 + 3*4 + ix.cfg.M*ix.dim*8 + 4 + len(v.distCDF)*8 + ix.dim*8
 		if got := math.Float64frombits(binary.LittleEndian.Uint64(raw[off:])); got != v.flat[ix.dim] {
 			t.Fatalf("%v: offset %d holds %v, not row 1's first value %v", tc.m, off, got, v.flat[ix.dim])
 		}

@@ -53,11 +53,12 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, cw.err
 }
 
-// Read loads an index serialized by WriteTo.
+// Read loads an index serialized by WriteTo. It reads exactly the
+// stream's bytes from r and nothing past them, so whatever follows the
+// stream in r is left for the caller; hand it a buffered reader.
 func Read(r io.Reader) (*Index, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
 	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("minhash: reading magic: %w", err)
 	}
 	if string(magic[:]) != pmhMagic {
@@ -67,7 +68,7 @@ func Read(r io.Reader) (*Index, error) {
 	var seed int64
 	var threshold float64
 	for _, v := range []any{&bands, &rows, &seed, &threshold, &compactions, &dead, &n} {
-		if err := binary.Read(br, binary.LittleEndian, v); err != nil {
+		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
 			return nil, fmt.Errorf("minhash: reading header: %w", err)
 		}
 	}
@@ -90,7 +91,7 @@ func Read(r io.Reader) (*Index, error) {
 	tombstones := uint32(0)
 	for id := uint32(0); id < n; id++ {
 		var setLen uint32
-		if err := binary.Read(br, binary.LittleEndian, &setLen); err != nil {
+		if err := binary.Read(r, binary.LittleEndian, &setLen); err != nil {
 			return nil, fmt.Errorf("minhash: reading set %d: %w", id, err)
 		}
 		if setLen == 0 {
@@ -102,7 +103,7 @@ func Read(r io.Reader) (*Index, error) {
 		if setLen > 1<<28 {
 			return nil, fmt.Errorf("minhash: implausible set size %d", setLen)
 		}
-		s, err := readTokens(br, int(setLen))
+		s, err := readTokens(r, int(setLen))
 		if err != nil {
 			return nil, fmt.Errorf("minhash: reading set %d: %w", id, err)
 		}

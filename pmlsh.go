@@ -306,10 +306,11 @@ func (x *Index) DeriveParams(c float64) (Params, error) {
 	return x.ix.DeriveParams(c)
 }
 
-// WriteTo serializes the index (projection, dataset with dead rows, id
-// map, distance sample and the count of rows its PM-tree was begun over;
-// with Shards > 1 the shard layout too) to w in a little-endian binary
-// format. The tree itself is not written: a loaded index rebuilds it
+// WriteTo serializes the index to w as one little-endian PLS9 stream: a
+// header (metric, shard count, β rule, inner-product scale), then per
+// shard the projection, the dataset with dead rows, the id map, the
+// distance sample and the count of rows its PM-tree was begun over. The
+// tree itself is not written: a loaded index rebuilds it
 // from the rows on first structural use, answers queries identically to
 // the saved one, with the same statistics, and holds the same live set,
 // retired ids, dead rows and tail. Like queries, WriteTo reads published
@@ -318,9 +319,9 @@ func (x *Index) DeriveParams(c float64) (Params, error) {
 func (x *Index) WriteTo(w io.Writer) (int64, error) { return x.ix.WriteTo(w) }
 
 // Load deserializes an index written with WriteTo, including streams
-// written by earlier versions of this package (a pre-sharding one loads
-// with a single shard; one that carried a serialized tree loads its rows
-// as one fresh generation).
+// written by earlier versions of this package (PLS4–PLS8), which keep
+// their β rule and write back as PLS9; a PLS4 stream's rows load as one
+// fresh generation.
 func Load(r io.Reader) (*Index, error) {
 	ix, err := core.LoadEngine(r)
 	if err != nil {

@@ -3,14 +3,14 @@
 #
 #   - examples/textdedup: shingled documents → Jaccard SearchPairs,
 #     asserts ≥ 95% of planted near-duplicate pairs are recovered,
-#   - `pmlsh build -metric cosine` → PLS6 index file, `pmlsh info`
+#   - `pmlsh build -metric cosine` → a PLS9 file tagged cosine, `pmlsh info`
 #     reports the metric, serve it and check /v1/info + the
 #     pmlsh_index_metric gauge on /metrics,
 #   - pmlshload against the cosine server: the recall oracle
 #     auto-detects the server metric and scores against native cosine
 #     brute force,
 #   - `pmlsh build -metric ip` round-trips through info as a
-#     serialization sanity check for the MIP envelope.
+#     serialization sanity check for the MIP metric tag and scale.
 #
 # Usage: scripts/metric_smoke.sh [workdir]
 #   RATE     pmlshload arrival rate  (default: 60/s)
