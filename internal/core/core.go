@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/lsh"
 	"repro/internal/metric"
-	"repro/internal/minhash"
 	"repro/internal/pmtree"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -116,15 +115,15 @@ type Config struct {
 	// exceed 1).
 	AutoCompactFraction float64
 	// Shards is the shard count of the serving engine built by
-	// BuildEngine (0 and 1 both mean a single shard; Build and
-	// BuildFromStore ignore the field — a bare Index is always one
+	// BuildEngine or BuildSetsEngine (0 and 1 both mean a single shard;
+	// Build and BuildFromStore ignore the field — an Index is one vector
 	// shard). See Engine for the sharded concurrency model.
 	Shards int
 	// Metric selects the distance metric (the zero value is L2, the
 	// paper's native metric). Cosine and InnerProduct run as reductions
 	// onto the L2 machinery (see package metric); Jaccard is served by
-	// the MinHash band-LSH backend and requires BuildSets — Build
-	// rejects it.
+	// MinHash band-LSH shards and requires BuildSetsEngine — Build and
+	// BuildEngine reject it.
 	Metric metric.Kind
 	// MinHashBands and MinHashRows set the band-LSH signature layout
 	// k = bands × rows for the Jaccard backend (0,0 = 16 × 8). Ignored
@@ -210,7 +209,9 @@ type Params struct {
 	Beta   float64 // 2·α2, the candidate-fraction bound
 }
 
-// Index is a PM-LSH index over a mutable dataset.
+// Index is a PM-LSH index over a mutable vector dataset: the paper's
+// index, and one shard of a vector Engine (a Jaccard engine's shards are
+// MinHash band indexes, see jaccard.go).
 //
 // Every public method is safe for concurrent use, and a query never
 // waits on a mutation. The index publishes one immutable view of itself
@@ -242,13 +243,9 @@ type Index struct {
 
 	// metric is the native metric this index serves (metric.L2 unless
 	// built otherwise); mipScale is the InnerProduct reduction's
-	// build-time norm bound S (0 for every other metric); mh is the
-	// MinHash backend and is non-nil exactly when metric is Jaccard —
-	// then every other indexing field is nil/zero and the public methods
-	// delegate (see jaccard.go).
+	// build-time norm bound S (0 for every other metric).
 	metric   metric.Kind
 	mipScale float64
-	mh       *minhash.Index
 
 	t   float64 // sqrt of upper χ²_{α1}(m) quantile
 	chi stats.ChiSquared
@@ -326,6 +323,22 @@ func (v *view) deadFraction() float64 {
 	}
 	return 0
 }
+
+// load returns the published view.
+func (ix *Index) load() *view { return ix.view.Load() }
+
+// addInfo adds this shard's figures, all read from one view, to info.
+func (ix *Index) addInfo(info *EngineInfo, s int) {
+	v := ix.view.Load()
+	info.TailFraction[s] = v.tailFraction()
+	info.DeadFraction[s] = v.deadFraction()
+	info.IDs += len(v.rowOf)
+	info.Live += v.live()
+	info.Dead += v.dead()
+	info.Compactions += v.compactions
+}
+
+func (ix *Index) observe(fn *func(time.Duration)) { ix.onCompact.Store(fn) }
 
 // publish makes the writer's store and tree as they stand, with the
 // given id map, distance sample and compaction count, the state queries
@@ -443,7 +456,8 @@ func CandidateFraction(m int, c float64) float64 {
 // a contiguous store; the input slices are not retained and may be
 // mutated afterwards. Under the Cosine and InnerProduct metrics the
 // rows are first reduced to the internal L2 space (see package
-// metric); Jaccard data is set-shaped and must go through BuildSets.
+// metric); Jaccard data is set-shaped and must go through
+// BuildSetsEngine.
 func Build(data [][]float64, cfg Config) (*Index, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("core: Build requires a non-empty dataset")
@@ -452,7 +466,7 @@ func Build(data [][]float64, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("core: unknown metric %d", uint8(cfg.Metric))
 	}
 	if cfg.Metric == metric.Jaccard {
-		return nil, fmt.Errorf("core: the jaccard metric indexes sets, not vectors; use BuildSets")
+		return nil, fmt.Errorf("core: the jaccard metric indexes sets, not vectors; use BuildSetsEngine")
 	}
 	rows, scale, err := reduceRows(data, cfg.Metric)
 	if err != nil {
@@ -565,7 +579,7 @@ func (ix *Index) reducePoint(p []float64) ([]float64, error) {
 // which is adopted as the index's dataset without copying. The caller
 // must not append to or mutate s afterwards. Only the L2 metric is
 // supported — the reductions must transform rows at ingest, which a
-// pre-built store forbids; use Build (or BuildSets for Jaccard).
+// pre-built store forbids; use Build (or BuildSetsEngine for Jaccard).
 func BuildFromStore(s *store.Store, cfg Config) (*Index, error) {
 	if cfg.Metric != metric.L2 {
 		return nil, fmt.Errorf("core: BuildFromStore supports only the l2 metric (got %v); use Build", cfg.Metric)
@@ -695,6 +709,12 @@ func (ix *Index) prepare(p []float64) (reduced, projected []float64, err error) 
 	return reduced, projected, nil
 }
 
+// check is prepare's verdict alone.
+func (ix *Index) check(p []float64) error {
+	_, _, err := ix.prepare(p)
+	return err
+}
+
 // Insert adds one point to the index and returns its assigned id — the
 // next value of a monotone counter, never a reused one. The point's row
 // is appended to the store and its projection to the tree's tail (see
@@ -704,9 +724,6 @@ func (ix *Index) prepare(p []float64) (reduced, projected []float64, err error) 
 // compacts itself before returning — the one insert in very many that
 // pays a repack and a projection.
 func (ix *Index) Insert(p []float64) (int32, error) {
-	if ix.metric == metric.Jaccard {
-		return ix.insertJaccard(p)
-	}
 	p, projected, err := ix.prepare(p)
 	if err != nil {
 		return 0, err
@@ -746,9 +763,6 @@ func (ix *Index) Insert(p []float64) (int32, error) {
 // dead share of the rows reaches Config.AutoCompactFraction the index
 // compacts itself before returning.
 func (ix *Index) Delete(id int32) error {
-	if ix.metric == metric.Jaccard {
-		return ix.mh.Delete(id)
-	}
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
 	cur := ix.view.Load()
@@ -779,24 +793,9 @@ func (ix *Index) Delete(id int32) error {
 // built in fresh arrays and published at the end: queries keep answering
 // from the view they hold, other mutations wait.
 func (ix *Index) Compact() error {
-	if ix.metric == metric.Jaccard {
-		start := time.Now()
-		err := ix.mh.Compact()
-		if err == nil {
-			ix.compacted(start)
-		}
-		return err
-	}
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
 	return ix.compactLocked()
-}
-
-// compacted reports a compaction begun at start to the observer, if any.
-func (ix *Index) compacted(start time.Time) {
-	if fn := ix.onCompact.Load(); fn != nil {
-		(*fn)(time.Since(start))
-	}
 }
 
 // compactLocked is Compact with wmu held, over the published state
@@ -816,7 +815,9 @@ func (ix *Index) compactLocked() error {
 	}
 	ix.tree, ix.data = tr, fresh
 	ix.publish(rowOf, distCDF, cur.compactions+1)
-	ix.compacted(start)
+	if fn := ix.onCompact.Load(); fn != nil {
+		(*fn)(time.Since(start))
+	}
 	return nil
 }
 
@@ -932,9 +933,6 @@ func distQuantile(cdf []float64, p float64) float64 {
 // the rule it was saved with). Config.Beta, when set, overrides β
 // entirely.
 func (ix *Index) DeriveParams(c float64) (Params, error) {
-	if ix.metric == metric.Jaccard {
-		return Params{}, fmt.Errorf("core: the jaccard backend has no χ² confidence parameters")
-	}
 	if !(c > 1) { // NaN included
 		return Params{}, fmt.Errorf("core: approximation ratio c must exceed 1, got %v", c)
 	}
@@ -956,40 +954,26 @@ func (ix *Index) DeriveParams(c float64) (Params, error) {
 // With no deletions this equals the dataset cardinality; use LiveLen
 // for the live count under churn.
 func (ix *Index) Len() int {
-	if ix.metric == metric.Jaccard {
-		return ix.mh.Len()
-	}
 	return len(ix.view.Load().rowOf)
 }
 
 // LiveLen returns the number of live (not deleted) points.
 func (ix *Index) LiveLen() int {
-	if ix.metric == metric.Jaccard {
-		return ix.mh.LiveLen()
-	}
 	return ix.view.Load().live()
 }
 
 // IsLive reports whether id refers to a live (inserted and not yet
 // deleted) point.
 func (ix *Index) IsLive(id int32) bool {
-	if ix.metric == metric.Jaccard {
-		return ix.mh.IsLive(id)
-	}
 	return ix.view.Load().tree.IsLive(id)
 }
 
 // Dim returns the native dimensionality callers index and query with
-// (the internal reduced space may differ; see Index.dim). The Jaccard
-// backend stores variable-length sets and reports 0.
+// (the internal reduced space may differ; see Index.dim).
 func (ix *Index) Dim() int { return ix.ndim }
 
 // Metric returns the native metric this index serves.
 func (ix *Index) Metric() metric.Kind { return ix.metric }
-
-// MIPScale returns the InnerProduct reduction's build-time norm bound
-// S (0 for every other metric).
-func (ix *Index) MIPScale() float64 { return ix.mipScale }
 
 // M returns the projected dimensionality (number of hash functions).
 func (ix *Index) M() int { return ix.cfg.M }
@@ -1000,11 +984,8 @@ func (ix *Index) T() float64 { return ix.t }
 // Tree exposes the PM-tree of the current view (for the cost model and
 // tests): a read-only snapshot of that moment's points, whatever is
 // inserted, deleted or compacted afterwards, whose structure is bulk
-// loaded the first time anything reads it. Nil under Jaccard.
+// loaded the first time anything reads it.
 func (ix *Index) Tree() *pmtree.Tree {
-	if ix.metric == metric.Jaccard {
-		return nil
-	}
 	return ix.view.Load().tree
 }
 

@@ -213,7 +213,7 @@ func (d *durable) commit(e *Engine, op wal.Op) error {
 func (d *durable) insert(e *Engine, p []float64) (int32, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := e.checkInsert(p); err != nil {
+	if err := e.shards[0].check(p); err != nil {
 		return 0, err
 	}
 	// The id Insert will assign is fully determined here: d.mu is the

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"sync/atomic"
 	"time"
 
@@ -11,15 +13,16 @@ import (
 )
 
 // Engine is the sharded serving form of the index: N independent
-// Index shards, ids striped across them, with snapshot-isolated reads.
+// shards (see shard), ids striped across them, with snapshot-isolated
+// reads.
 // Queries take no lock — they load each shard's published view, fan
 // out, and merge — so a running Insert, Delete or Compact on one shard
 // never stalls readers, and readers never stall each other.
 //
 // # Concurrency model
 //
-// A shard is one Index holding one copy of its data, which it publishes
-// as an immutable view (see view) through an atomic pointer.
+// A vector shard is one Index holding one copy of its data, which it
+// publishes as an immutable view (see view) through an atomic pointer.
 //
 //   - Immutable: a published view — every array cut at the length it
 //     had, the frozen PM-tree nodes, the distance sample. A query
@@ -49,10 +52,10 @@ import (
 // mutex). Memory is 1× the dataset plus the projected rows, and
 // whatever old views running queries hold.
 //
-// A Jaccard shard is one minhash.Index behind its own reader/writer
-// lock (see package minhash): a mutation holds the write side for
-// microseconds, Compact builds its tables under the read side. A query
-// never holds one shard's lock while it takes another's.
+// A set shard has no view: it is one minhash.Index behind its own
+// reader/writer lock (see package minhash). A mutation holds the write
+// side for microseconds, Compact builds its tables under the read side.
+// A query never holds one shard's lock while it takes another's.
 //
 // # Ids
 //
@@ -66,11 +69,9 @@ import (
 // inserts receive unique ids that are monotone per shard but may
 // interleave globally out of call order.
 type Engine struct {
-	shards []*Index
-	dim    int
-	// metric is the native metric every shard serves (newEngine rejects
-	// mixed-metric shard sets, so one tag describes the whole engine).
-	metric metric.Kind
+	// shards serve one metric and dimension (newEngine checks), so shard
+	// 0's describe the engine.
+	shards []shard
 
 	// rr routes Insert round-robin: the next global id is (total ever
 	// assigned), and its shard is that value mod N. Concurrent inserts
@@ -80,6 +81,35 @@ type Engine struct {
 	// dur, when non-nil, write-ahead logs every mutation before it is
 	// applied (see durable.go). Queries are unaffected.
 	dur *durable
+}
+
+// shard is one partition of an Engine: a vector *Index, or under
+// Jaccard a *setShard. The engine routes, fans out, merges, compacts,
+// counts and writes through it and never asks which kind it holds.
+type shard interface {
+	Insert(p []float64) (int32, error)
+	Delete(id int32) error
+	Compact() error
+	Len() int
+	LiveLen() int
+	IsLive(id int32) bool
+	Metric() metric.Kind
+	Dim() int
+	M() int
+	DeriveParams(c float64) (Params, error)
+	SearchBall(ctx context.Context, q []float64, r float64, o SearchOptions) (*Result, error)
+	// searchView answers one k-NN query over v, which load returned (nil
+	// for a set shard); alone lets it take a helper (startHelper).
+	searchView(ctx context.Context, v *view, q []float64, k int, o SearchOptions, alone bool) ([]Result, error)
+	// check reports the error Insert would refuse p with, changing
+	// nothing. Every shard of an engine refuses the same points: metric,
+	// dimension, inner-product scale and projection are build-time
+	// state they share and no mutation changes.
+	check(p []float64) error
+	load() *view
+	addInfo(info *EngineInfo, s int) // as shard s, read at one moment
+	observe(fn *func(time.Duration)) // see Engine.OnCompact
+	writeBody(w io.Writer) error     // the shard's body in a PLS9 stream
 }
 
 // MaxShards bounds Config.Shards — past a few hundred shards the
@@ -113,13 +143,13 @@ func BuildEngine(data [][]float64, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("core: %d shards need at least %d points, got %d", n, n, len(data))
 	}
 	cfg.Shards = 0 // the inner per-shard indexes are always 1-shard
-	inners := make([]*Index, n)
+	shards := make([]shard, n)
 	if n == 1 {
 		ix, err := Build(data, cfg)
 		if err != nil {
 			return nil, err
 		}
-		inners[0] = ix
+		shards[0] = ix
 	} else {
 		// The metric reduction runs once over the whole dataset before
 		// sharding: the InnerProduct scale S is a global property (each
@@ -155,10 +185,10 @@ func BuildEngine(data [][]float64, cfg Config) (*Engine, error) {
 			if err != nil {
 				return nil, err
 			}
-			inners[s] = ix
+			shards[s] = ix
 		}
 	}
-	return newEngine(inners)
+	return newEngine(shards)
 }
 
 // BuildSetsEngine constructs a sharded Jaccard engine over
@@ -180,51 +210,53 @@ func BuildSetsEngine(sets [][]uint64, cfg Config) (*Engine, error) {
 	if len(sets) < n {
 		return nil, fmt.Errorf("core: %d shards need at least %d sets, got %d", n, n, len(sets))
 	}
-	cfg.Shards = 0
-	inners := make([]*Index, n)
-	for s := 0; s < n; s++ {
+	shards := make([]shard, n)
+	for s := range shards {
 		rows := make([][]uint64, 0, (len(sets)+n-1-s)/n)
 		for i := s; i < len(sets); i += n {
 			rows = append(rows, sets[i])
 		}
-		ix, err := BuildSets(rows, cfg)
+		mh, err := minhash.Build(rows, minhash.Config{Bands: cfg.MinHashBands, Rows: cfg.MinHashRows,
+			Seed: cfg.Seed, Threshold: cfg.MinHashThreshold})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: %w", err)
 		}
-		inners[s] = ix
+		shards[s] = &setShard{Index: mh}
 	}
-	return newEngine(inners)
+	return newEngine(shards)
 }
 
-// newEngine assembles an engine from per-shard indexes (local row i of
-// shard s is global id i·N + s).
-func newEngine(inners []*Index) (*Engine, error) {
-	e := &Engine{
-		shards: inners,
-		dim:    inners[0].Dim(),
-		metric: inners[0].Metric(),
-	}
+// newEngine assembles an engine from its shards (local row i of shard s
+// is global id i·N + s), which must serve one metric and dimension; a
+// vector engine's one β rule and inner-product scale, a set engine's one
+// band space.
+func newEngine(shards []shard) (*Engine, error) {
+	e := &Engine{shards: shards}
 	total := 0
-	for s, ix := range inners {
-		if ix.Metric() != e.metric {
-			return nil, fmt.Errorf("core: shard %d serves metric %v, shard 0 serves %v — mixed-metric engines are not supported", s, ix.Metric(), e.metric)
+	for s, sh := range shards {
+		if sh.Metric() != e.Metric() {
+			return nil, fmt.Errorf("core: shard %d serves metric %v, shard 0 serves %v — mixed-metric engines are not supported", s, sh.Metric(), e.Metric())
 		}
-		if ix.Dim() != e.dim {
-			return nil, fmt.Errorf("core: shard %d has dimension %d, shard 0 has %d", s, ix.Dim(), e.dim)
+		if sh.Dim() != e.Dim() {
+			return nil, fmt.Errorf("core: shard %d has dimension %d, shard 0 has %d", s, sh.Dim(), e.Dim())
 		}
-		if ix.a2scale != inners[0].a2scale {
-			return nil, fmt.Errorf("core: shard %d answers under another β rule than shard 0 — shards must share one", s)
-		}
-		if e.metric == metric.InnerProduct && ix.MIPScale() != inners[0].MIPScale() {
-			return nil, fmt.Errorf("core: shard %d has inner-product scale %v, shard 0 has %v — shards must share one build-time scale", s, ix.MIPScale(), inners[0].MIPScale())
-		}
-		if e.metric == metric.Jaccard {
-			a, b := ix.mh, inners[0].mh
+		// One metric is one kind of shard.
+		switch sh := sh.(type) {
+		case *Index:
+			first := shards[0].(*Index)
+			if sh.a2scale != first.a2scale {
+				return nil, fmt.Errorf("core: shard %d answers under another β rule than shard 0 — shards must share one", s)
+			}
+			if sh.mipScale != first.mipScale {
+				return nil, fmt.Errorf("core: shard %d has inner-product scale %v, shard 0 has %v — shards must share one build-time scale", s, sh.mipScale, first.mipScale)
+			}
+		case *setShard:
+			a, b := sh.Index, shards[0].(*setShard).Index
 			if a.Seed() != b.Seed() || a.Bands() != b.Bands() || a.Rows() != b.Rows() || a.Threshold() != b.Threshold() {
 				return nil, fmt.Errorf("core: shard %d's minhash layout (bands %d × rows %d, seed %d, threshold %v) differs from shard 0's — shards must share one band space", s, a.Bands(), a.Rows(), a.Seed(), a.Threshold())
 			}
 		}
-		total += ix.Len()
+		total += sh.Len()
 	}
 	e.rr.Store(int64(total))
 	return e, nil
@@ -251,29 +283,12 @@ func (e *Engine) Insert(p []float64) (int32, error) {
 	return e.insertMem(p)
 }
 
-// checkInsert reports the error the shard that receives p would reject
-// it with (see Index.prepare), before anything is claimed or logged.
-// Which shard that is does not matter: metric, dimension, inner-product
-// scale and projection are build-time state every shard shares and no
-// mutation changes.
-func (e *Engine) checkInsert(p []float64) error {
-	if e.metric == metric.Jaccard {
-		set, err := tokensOf(p)
-		if err == nil {
-			_, err = minhash.Canonicalize(set)
-		}
-		return err
-	}
-	_, _, err := e.shards[0].prepare(p)
-	return err
-}
-
 // insertMem is the in-memory insert: the non-durable path, and what
 // both live durable inserts and WAL replay apply. A point the shard
 // would reject is turned away first, so a round-robin slot is claimed
 // only by an insert that is then applied.
 func (e *Engine) insertMem(p []float64) (int32, error) {
-	if err := e.checkInsert(p); err != nil {
+	if err := e.shards[0].check(p); err != nil {
 		return 0, err
 	}
 	n := len(e.shards)
@@ -323,8 +338,8 @@ func (e *Engine) Compact() error {
 
 // compactMem is the in-memory compact (see insertMem).
 func (e *Engine) compactMem() error {
-	for s, ix := range e.shards {
-		if err := ix.Compact(); err != nil {
+	for s, sh := range e.shards {
+		if err := sh.Compact(); err != nil {
 			return fmt.Errorf("core: compacting shard %d: %w", s, err)
 		}
 	}
@@ -338,8 +353,8 @@ func (e *Engine) compactMem() error {
 // shard's writer mutex held, so it must be quick and must not call back
 // into the engine's mutations. A later call replaces the observer.
 func (e *Engine) OnCompact(fn func(time.Duration)) {
-	for _, ix := range e.shards {
-		ix.onCompact.Store(&fn)
+	for _, sh := range e.shards {
+		sh.observe(&fn)
 	}
 }
 
@@ -347,8 +362,8 @@ func (e *Engine) OnCompact(fn func(time.Duration)) {
 // assigned across all shards.
 func (e *Engine) Len() int {
 	total := 0
-	for _, ix := range e.shards {
-		total += ix.Len()
+	for _, sh := range e.shards {
+		total += sh.Len()
 	}
 	return total
 }
@@ -356,8 +371,8 @@ func (e *Engine) Len() int {
 // LiveLen returns the number of live points across all shards.
 func (e *Engine) LiveLen() int {
 	total := 0
-	for _, ix := range e.shards {
-		total += ix.LiveLen()
+	for _, sh := range e.shards {
+		total += sh.LiveLen()
 	}
 	return total
 }
@@ -408,30 +423,16 @@ type EngineInfo struct {
 // and reads all of that shard's fields from it.
 func (e *Engine) Info() EngineInfo {
 	info := EngineInfo{
-		Dim:    e.dim,
+		Dim:    e.Dim(),
 		M:      e.M(),
-		Metric: e.metric,
+		Metric: e.Metric(),
 		Shards: len(e.shards),
 
 		TailFraction: make([]float64, len(e.shards)),
 		DeadFraction: make([]float64, len(e.shards)),
 	}
-	for s, ix := range e.shards {
-		if e.metric == metric.Jaccard {
-			ids, live, dead, compactions := ix.mh.Counts()
-			info.IDs += ids
-			info.Live += live
-			info.Dead += dead
-			info.Compactions += int64(compactions)
-			continue
-		}
-		v := ix.view.Load()
-		info.TailFraction[s] = v.tailFraction()
-		info.DeadFraction[s] = v.deadFraction()
-		info.IDs += len(v.rowOf)
-		info.Live += v.live()
-		info.Dead += v.dead()
-		info.Compactions += v.compactions
+	for s, sh := range e.shards {
+		sh.addInfo(&info, s)
 	}
 	return info
 }
@@ -447,10 +448,10 @@ func (e *Engine) IsLive(gid int32) bool {
 
 // Dim returns the original dimensionality (0 for the Jaccard
 // backend, whose sets have no fixed dimensionality).
-func (e *Engine) Dim() int { return e.dim }
+func (e *Engine) Dim() int { return e.shards[0].Dim() }
 
 // Metric returns the native metric every shard serves.
-func (e *Engine) Metric() metric.Kind { return e.metric }
+func (e *Engine) Metric() metric.Kind { return e.shards[0].Metric() }
 
 // M returns the projected dimensionality. Immutable after build and
 // identical across shards.

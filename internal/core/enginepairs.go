@@ -29,22 +29,31 @@ import (
 // from this loop.
 
 // SearchPairs answers one (c,k)-closest-pair request (see
-// Index.SearchPairs) over one view of every shard.
+// Index.SearchPairs) over one view of every shard: the forest join over
+// vector shards, the band join over set shards.
 func (e *Engine) SearchPairs(ctx context.Context, k int, o SearchOptions) ([]Pair, error) {
-	return searchPairs(ctx, e.shards, k, o)
+	if e.Metric() == metric.Jaccard {
+		parts := make([]*minhash.Index, len(e.shards))
+		for s, sh := range e.shards {
+			parts[s] = sh.(*setShard).Index
+		}
+		return searchPairsJaccard(ctx, parts, k, o)
+	}
+	parts := make([]*Index, len(e.shards))
+	for s, sh := range e.shards {
+		parts[s] = sh.(*Index)
+	}
+	return searchPairs(ctx, parts, k, o)
 }
 
 // searchPairs runs one closest-pair request over parts — the
 // partitions of one collection, global id = local·N + partition. Each
-// vector partition's view is loaded once, here, and the whole query
-// reads those; the MinHash backend takes its own lock per call. The
-// join runs on the caller's goroutine and counts itself in searching.
+// partition's view is loaded once, here, and the whole query reads
+// those. The join runs on the caller's goroutine and counts itself in
+// searching.
 func searchPairs(ctx context.Context, parts []*Index, k int, o SearchOptions) ([]Pair, error) {
 	searching.Add(1)
 	defer searching.Add(-1)
-	if parts[0].metric == metric.Jaccard {
-		return searchPairsJaccardSharded(ctx, parts, k, o)
-	}
 	views := make([]*view, len(parts))
 	for i, ix := range parts {
 		views[i] = ix.view.Load()
@@ -314,8 +323,9 @@ rounds:
 	return top, nil
 }
 
-// searchPairsJaccardSharded answers a closest-pair request over N ≥ 1
-// MinHash partitions. Every shard shares one minhash seed
+// searchPairsJaccard answers a closest-pair request over N ≥ 1
+// MinHash partitions, on the caller's goroutine, counting itself in
+// searching. Every shard shares one minhash seed
 // (BuildSetsEngine guarantees it), so all shards' band b buckets live
 // in one hash space: two sets — same shard or not — land in the same
 // merged bucket exactly when their band-b signatures agree. The join
@@ -329,7 +339,9 @@ rounds:
 // (minhash.Index.Buckets) and joined under none: a query that held one
 // shard's lock while taking another's could wait forever on a second
 // query doing the reverse once a writer queues on each shard.
-func searchPairsJaccardSharded(ctx context.Context, parts []*Index, k int, o SearchOptions) ([]Pair, error) {
+func searchPairsJaccard(ctx context.Context, parts []*minhash.Index, k int, o SearchOptions) ([]Pair, error) {
+	searching.Add(1)
+	defer searching.Add(-1)
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -337,17 +349,16 @@ func searchPairsJaccardSharded(ctx context.Context, parts []*Index, k int, o Sea
 		return nil, fmt.Errorf("core: k must be positive, got %d", k)
 	}
 	nsh := int32(len(parts))
-	mh0 := parts[0].mh
-	bands := mh0.Bands()
-	threshold := mh0.Threshold()
+	bands := parts[0].Bands()
+	threshold := parts[0].Threshold()
 	st := CPStats{Rounds: 1}
 	seen := make(map[[2]int32]struct{})
 	cands := make([][2]int32, 0, 256)
 	var group []int32 // one merged bucket's global ids, reused
 	tables := make([]map[uint64][]int32, len(parts))
 	for b := 0; b < bands; b++ {
-		for s, ix := range parts {
-			tables[s] = ix.mh.Buckets(b)
+		for s, mh := range parts {
+			tables[s] = mh.Buckets(b)
 		}
 		for s, table := range tables {
 		keys:
@@ -391,7 +402,7 @@ func searchPairsJaccardSharded(ctx context.Context, parts []*Index, k int, o Sea
 		return cands[i][1] < cands[j][1]
 	})
 	set := func(gid int32) []uint64 {
-		return parts[gid%nsh].mh.Set(gid / nsh)
+		return parts[gid%nsh].Set(gid / nsh)
 	}
 	top := make([]Pair, 0, vec.PreallocCap(k, len(cands)))
 	for n, cand := range cands {

@@ -6,10 +6,10 @@ import (
 	"sync"
 )
 
-// Engine queries. With one shard every entry point delegates — answers,
-// statistics and errors are element-wise identical to the bare Index.
-// With N > 1 the query loads every shard's view once, fans out across
-// them and merges: each shard answers over
+// Engine queries. With one shard a query is that shard's own — answers,
+// statistics and errors are element-wise identical to the bare Index,
+// and nothing is merged. With N > 1 the query loads every shard's view
+// once, fans out across them and merges: each shard answers over
 // its own candidate budget (β·n_s + k admitted verifications), result
 // ids are translated to global ids, the merged top-k keeps the k
 // smallest by (distance, id), and per-shard statistics are summed
@@ -22,16 +22,10 @@ import (
 // prepare the next ones.
 func (e *Engine) Search(ctx context.Context, q []float64, k int, o SearchOptions) ([]Result, error) {
 	if len(e.shards) == 1 {
-		return e.shards[0].Search(ctx, q, k, o)
+		sh := e.shards[0]
+		return sh.searchView(ctx, sh.load(), q, k, o, true)
 	}
-	res, st, err := e.fanSearch(ctx, q, k, o, e.views(), true)
-	if err != nil {
-		return nil, err
-	}
-	if o.Stats != nil {
-		*o.Stats = st
-	}
-	return res, nil
+	return e.fanSearch(ctx, q, k, o, e.views(), true)
 }
 
 // shardOptions narrows an options value to one shard: statistics sinks
@@ -53,25 +47,29 @@ func (e *Engine) shardOptions(o SearchOptions, s int) SearchOptions {
 // (a mutation is visible in full or not at all); a query overlapping
 // mutations to several shards may see some shards before and some after
 // — the per-operation linearization operations on disjoint ids get
-// anywhere. Under Jaccard the entries are nil (see searchView).
+// anywhere. A set shard has no view; its entry is nil.
 func (e *Engine) views() []*view {
 	views := make([]*view, len(e.shards))
-	for s, ix := range e.shards {
-		views[s] = ix.view.Load()
+	for s, sh := range e.shards {
+		views[s] = sh.load()
 	}
 	return views
 }
 
 // fanSearch runs one query against every shard's view and merges the
-// per-shard top-k lists and statistics — the shards concurrently when
-// concurrent is set (single queries), serially otherwise (batch workers
-// already fill the cores). Each shard's searchView counts as a running
-// query and takes no helper: the shards' goroutines are the query's
-// parallelism. Errors surface in shard order, so a request invalid for
-// every shard (bad dimension, k <= 0) reports shard 0's error, which is
-// word-for-word the 1-shard error.
-func (e *Engine) fanSearch(ctx context.Context, q []float64, k int, o SearchOptions, views []*view, concurrent bool) ([]Result, QueryStats, error) {
+// per-shard top-k lists and statistics into o.Stats — the shards
+// concurrently when concurrent is set (single queries), serially
+// otherwise (batch workers already fill the cores). Each shard's
+// searchView counts as a running query and takes no helper: the shards'
+// goroutines are the query's parallelism. Errors surface in shard order,
+// so a request invalid for every shard (bad dimension, k <= 0) reports
+// shard 0's error, which is word-for-word the 1-shard error. One shard
+// answers alone, into o.Stats itself.
+func (e *Engine) fanSearch(ctx context.Context, q []float64, k int, o SearchOptions, views []*view, concurrent bool) ([]Result, error) {
 	n := len(e.shards)
+	if n == 1 {
+		return e.shards[0].searchView(ctx, views[0], q, k, o, false)
+	}
 	per := make([][]Result, n)
 	sts := make([]QueryStats, n)
 	errs := make([]error, n)
@@ -97,10 +95,13 @@ func (e *Engine) fanSearch(ctx context.Context, q []float64, k int, o SearchOpti
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, QueryStats{}, err
+			return nil, err
 		}
 	}
-	return e.mergeTopK(per, k), mergeQueryStats(sts), nil
+	if o.Stats != nil {
+		*o.Stats = mergeQueryStats(sts)
+	}
+	return e.mergeTopK(per, k), nil
 }
 
 // mergeTopK translates per-shard results to global ids and keeps the k
@@ -147,16 +148,11 @@ func mergeQueryStats(sts []QueryStats) QueryStats {
 // same set of views, loaded once. The worker pool parallelizes across
 // queries; each worker fans its query over the shards serially.
 func (e *Engine) SearchBatch(ctx context.Context, qs [][]float64, k int, o SearchOptions) ([][]Result, error) {
-	if len(e.shards) == 1 {
-		return e.shards[0].SearchBatch(ctx, qs, k, o)
-	}
 	views := e.views()
 	return searchBatch(ctx, len(qs), o.BatchStats, func(i int, st *QueryStats) ([]Result, error) {
-		res, merged, err := e.fanSearch(ctx, qs[i], k, o, views, false)
-		if st != nil {
-			*st = merged
-		}
-		return res, err
+		oi := o
+		oi.Stats = st
+		return e.fanSearch(ctx, qs[i], k, oi, views, false)
 	})
 }
 

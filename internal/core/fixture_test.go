@@ -144,3 +144,13 @@ func TestLoadsParentWrittenChurnedStream(t *testing.T) {
 		t.Fatalf("insert after load: id %d, %d rows, %d dead; want 280, 241, 4", id, ix.data.Len(), ix.dead())
 	}
 }
+
+// vecs returns a vector engine's shards, for tests that reach into a
+// shard's view or tree.
+func vecs(e *Engine) []*Index {
+	out := make([]*Index, len(e.shards))
+	for s, sh := range e.shards {
+		out[s] = sh.(*Index)
+	}
+	return out
+}

@@ -174,7 +174,7 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 		sets[i] = []uint64{uint64(i), uint64(i + 1), uint64(2*i + 7), 1 << 20}
 	}
 	jcfg := Config{Metric: metric.Jaccard, Seed: 7, MinHashBands: 4, MinHashRows: 2}
-	jac, err := BuildSets(sets, jcfg)
+	jac, err := BuildSetsEngine(sets, jcfg)
 	jaccard := add("pls9-jaccard", jac, err)
 	jcfg.Shards = 3
 	jeng, err := BuildSetsEngine(sets, jcfg)

@@ -3,43 +3,31 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/metric"
 	"repro/internal/minhash"
 )
 
-// Jaccard backend: an Index whose metric is Jaccard holds no store,
-// projection or tree — just the MinHash band-LSH index — and every
-// public method delegates here. Sets cross the engine's []float64
-// surfaces as tokens encoded in float64s (exact for non-negative
-// integers up to 2^53), which is what lets the sharded Engine, the
-// WAL and the HTTP layer serve set data unchanged.
+// Jaccard backend: a set shard is one MinHash band-LSH index
+// (internal/minhash) — no store, projection or tree. Sets cross the
+// engine's []float64 surfaces as tokens encoded in float64s (exact for
+// non-negative integers up to 2^53), which is what lets the sharded
+// Engine, the WAL and the HTTP layer serve set data unchanged.
 
 // maxToken is the largest set token the float64 bridge can carry
 // exactly (every integer up to 2^53 has an exact float64).
 const maxToken = uint64(1) << 53
 
-// BuildSets constructs a Jaccard index over uint64-token sets.
-// cfg.Metric must be metric.Jaccard; the MinHash* fields size the
-// band layout (see Config). Input slices are not retained.
-func BuildSets(sets [][]uint64, cfg Config) (*Index, error) {
-	if cfg.Metric != metric.Jaccard {
-		return nil, fmt.Errorf("core: BuildSets serves the jaccard metric, not %v; use Build for vector data", cfg.Metric)
-	}
-	if len(sets) == 0 {
-		return nil, fmt.Errorf("core: BuildSets requires a non-empty dataset")
-	}
-	mh, err := minhash.Build(sets, minhash.Config{
-		Bands:     cfg.MinHashBands,
-		Rows:      cfg.MinHashRows,
-		Seed:      cfg.Seed,
-		Threshold: cfg.MinHashThreshold,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return &Index{cfg: cfg, metric: metric.Jaccard, mh: mh}, nil
+// setShard is an engine shard over token sets. Delete, Len, LiveLen and
+// IsLive are the embedded index's; it has no view (load is nil), each
+// call taking the index's own lock.
+type setShard struct {
+	*minhash.Index
+	onCompact atomic.Pointer[func(time.Duration)] // see Engine.OnCompact
 }
 
 // tokensOf decodes a float64-bridged token set. Every element must be
@@ -56,38 +44,15 @@ func tokensOf(q []float64) ([]uint64, error) {
 	return out, nil
 }
 
-// minhashOpt maps the shared SearchOptions onto the MinHash backend's
-// knobs. C and Alpha1 have no meaning there (the b×r band layout
-// plays the role of the confidence parameters) and are ignored.
-func minhashOpt(o SearchOptions) minhash.SearchOpt {
-	return minhash.SearchOpt{Filter: o.Filter, Budget: o.Budget}
-}
-
-// jaccardQueryStats fills the engine's QueryStats from a MinHash
-// query: a band-LSH lookup is a single round, Verified counts exact
-// Jaccard rescores, and the projected counters stay zero — there is no
-// projected space.
-func jaccardQueryStats(st minhash.Stats) QueryStats {
-	return QueryStats{Rounds: 1, Verified: st.Verified}
-}
-
-// insertJaccard is Insert for the Jaccard backend.
-func (ix *Index) insertJaccard(p []float64) (int32, error) {
-	set, err := tokensOf(p)
-	if err != nil {
-		return 0, err
-	}
-	id, err := ix.mh.Insert(set)
-	if err != nil {
-		return 0, fmt.Errorf("core: %w", err)
-	}
-	return id, nil
-}
-
-// searchJaccard is Search for the Jaccard backend: candidates from
-// band-bucket collisions, exact-Jaccard rescore, threshold filter,
-// distances reported as 1 − J.
-func (ix *Index) searchJaccard(ctx context.Context, q []float64, k int, o SearchOptions) ([]Result, error) {
+// searchView is Search for a set shard, which has no view: candidates
+// from band-bucket collisions, exact-Jaccard rescore, threshold filter,
+// distances 1 − J. C and Alpha1 have no meaning here (the b×r band
+// layout plays the role of the confidence parameters) and are ignored.
+// o.Stats receives one round whose Verified counts the exact rescores;
+// the projected counters stay zero — there is no projected space.
+func (s *setShard) searchView(ctx context.Context, _ *view, q []float64, k int, o SearchOptions, _ bool) ([]Result, error) {
+	searching.Add(1)
+	defer searching.Add(-1)
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -98,12 +63,12 @@ func (ix *Index) searchJaccard(ctx context.Context, q []float64, k int, o Search
 	if k <= 0 {
 		return nil, fmt.Errorf("core: k must be positive, got %d", k)
 	}
-	nb, st, err := ix.mh.Search(set, k, minhashOpt(o))
+	nb, st, err := s.Index.Search(set, k, minhash.SearchOpt{Filter: o.Filter, Budget: o.Budget})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	if o.Stats != nil {
-		*o.Stats = jaccardQueryStats(st)
+		*o.Stats = QueryStats{Rounds: 1, Verified: st.Verified}
 	}
 	out := make([]Result, len(nb))
 	for i, n := range nb {
@@ -112,14 +77,10 @@ func (ix *Index) searchJaccard(ctx context.Context, q []float64, k int, o Search
 	return out, nil
 }
 
-// searchBallJaccard is SearchBall for the Jaccard backend: a
-// heuristic (no χ² machinery backs the (r,c)-BC guarantee here) that
-// returns the closest band-collision candidate within distance c·r,
-// or nil when none collides that close.
-func (ix *Index) searchBallJaccard(ctx context.Context, q []float64, r float64, o SearchOptions) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
+// SearchBall is a heuristic for set shards (no χ² machinery backs the
+// (r,c)-BC guarantee here): the closest band-collision candidate within
+// distance c·r, or nil when none collides that close.
+func (s *setShard) SearchBall(ctx context.Context, q []float64, r float64, o SearchOptions) (*Result, error) {
 	if r < 0 || r > 1 || math.IsNaN(r) {
 		return nil, fmt.Errorf("core: jaccard distance radius must be in [0,1], got %v", r)
 	}
@@ -127,19 +88,71 @@ func (ix *Index) searchBallJaccard(ctx context.Context, q []float64, r float64, 
 	if c <= 0 {
 		c = DefaultC
 	}
-	set, err := tokensOf(q)
-	if err != nil {
+	res, err := s.searchView(ctx, nil, q, 1, o, false)
+	if err != nil || len(res) == 0 || res[0].Dist > c*r {
 		return nil, err
 	}
-	nb, st, err := ix.mh.Search(set, 1, minhashOpt(o))
+	return &res[0], nil
+}
+
+// Insert adds one set, given as float64-bridged tokens.
+func (s *setShard) Insert(p []float64) (int32, error) {
+	set, err := tokensOf(p)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return 0, err
 	}
-	if o.Stats != nil {
-		*o.Stats = jaccardQueryStats(st)
+	id, err := s.Index.Insert(set)
+	if err != nil {
+		return 0, fmt.Errorf("core: %w", err)
 	}
-	if len(nb) == 0 || nb[0].Dist > c*r {
-		return nil, nil
+	return id, nil
+}
+
+// check reports the error Insert would refuse p with.
+func (s *setShard) check(p []float64) error {
+	set, err := tokensOf(p)
+	if err == nil {
+		_, err = minhash.Canonicalize(set)
 	}
-	return &Result{ID: nb[0].ID, Dist: nb[0].Dist}, nil
+	return err
+}
+
+// Compact rebuilds the band tables over the live sets (see
+// minhash.Index.Compact) and tells the observer how long it took.
+func (s *setShard) Compact() error {
+	start := time.Now()
+	if err := s.Index.Compact(); err != nil {
+		return err
+	}
+	if fn := s.onCompact.Load(); fn != nil {
+		(*fn)(time.Since(start))
+	}
+	return nil
+}
+
+// Dim and M are 0: sets have no fixed dimensionality and no projection.
+func (s *setShard) Dim() int            { return 0 }
+func (s *setShard) M() int              { return 0 }
+func (s *setShard) Metric() metric.Kind { return metric.Jaccard }
+
+func (s *setShard) DeriveParams(float64) (Params, error) {
+	return Params{}, fmt.Errorf("core: the jaccard backend has no χ² confidence parameters")
+}
+
+func (s *setShard) load() *view { return nil }
+
+func (s *setShard) addInfo(info *EngineInfo, _ int) {
+	ids, live, dead, compactions := s.Counts()
+	info.IDs += ids
+	info.Live += live
+	info.Dead += dead
+	info.Compactions += int64(compactions)
+}
+
+func (s *setShard) observe(fn *func(time.Duration)) { s.onCompact.Store(fn) }
+
+// writeBody writes the shard's PMH1 stream.
+func (s *setShard) writeBody(w io.Writer) error {
+	_, err := s.WriteTo(w)
+	return err
 }

@@ -20,7 +20,7 @@ import (
 func bulkLoads(t *testing.T, e *Engine) []int {
 	t.Helper()
 	out := make([]int, len(e.shards))
-	for s, ix := range e.shards {
+	for s, ix := range vecs(e) {
 		out[s] = ix.view.Load().tree.BulkLoads()
 		if w := ix.tree.BulkLoads(); w != out[s] {
 			t.Fatalf("shard %d: the writer's tree counts %d bulk loads, its view %d", s, w, out[s])
@@ -132,7 +132,7 @@ func TestKNNNeverBulkLoads(t *testing.T) {
 		}
 		check("LoadEngine, OpenDurable and their Searches", loaded, recovered)
 
-		for _, ix := range e.shards {
+		for _, ix := range vecs(e) {
 			if _, err := ix.SearchBall(ctx, data[0], 0.01, SearchOptions{}); err != nil {
 				t.Fatal(err)
 			}
@@ -214,7 +214,7 @@ func TestFirstUseBulkLoadsOnce(t *testing.T) {
 	if got := bulkLoads(t, e); got[0] != 1 || got[1] != 1 {
 		t.Fatalf("a later view of the generation: %v bulk loads per shard, want 1 each", got)
 	}
-	old := e.shards[0].view.Load().tree
+	old := vecs(e)[0].view.Load().tree
 	if err := e.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestLazyTreeAnswersLikeEager(t *testing.T) {
 				t.Fatal(err)
 			}
 			if eager {
-				for _, ix := range e.shards {
+				for _, ix := range vecs(e) {
 					ix.tree.ScanRadius()
 				}
 			}
@@ -293,13 +293,13 @@ func TestLazyTreeAnswersLikeEager(t *testing.T) {
 				}
 			}
 			for s := range lazy.shards {
-				qp := lazy.shards[s].Project(q)
+				qp := vecs(lazy)[s].Project(q)
 				for _, r := range []float64{0.5, 5} {
-					ra, err := lazy.shards[s].Tree().RangeSearch(qp, r)
+					ra, err := vecs(lazy)[s].Tree().RangeSearch(qp, r)
 					if err != nil {
 						t.Fatal(err)
 					}
-					rb, err := eager.shards[s].Tree().RangeSearch(qp, r)
+					rb, err := vecs(eager)[s].Tree().RangeSearch(qp, r)
 					if err != nil {
 						t.Fatal(err)
 					}

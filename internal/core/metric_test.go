@@ -69,11 +69,11 @@ func TestBuildJaccardNeedsBuildSets(t *testing.T) {
 	if _, err := Build(data, Config{Metric: metric.Jaccard}); err == nil {
 		t.Fatal("Build accepted the jaccard metric")
 	}
-	if _, err := BuildSets([][]uint64{{1, 2}}, Config{}); err == nil {
-		t.Fatal("BuildSets accepted the l2 metric")
+	if _, err := BuildSetsEngine([][]uint64{{1, 2}}, Config{}); err == nil {
+		t.Fatal("BuildSetsEngine accepted the l2 metric")
 	}
-	if _, err := BuildSets(nil, Config{Metric: metric.Jaccard}); err == nil {
-		t.Fatal("BuildSets accepted an empty dataset")
+	if _, err := BuildSetsEngine(nil, Config{Metric: metric.Jaccard}); err == nil {
+		t.Fatal("BuildSetsEngine accepted an empty dataset")
 	}
 }
 
@@ -110,8 +110,8 @@ func TestPLS6RoundTripVectorMetrics(t *testing.T) {
 			if got.Dim() != len(data[0]) {
 				t.Fatalf("loaded Dim %d, want %d", got.Dim(), len(data[0]))
 			}
-			if mk == metric.InnerProduct && got.MIPScale() != ix.MIPScale() {
-				t.Fatalf("loaded scale %v, want %v", got.MIPScale(), ix.MIPScale())
+			if mk == metric.InnerProduct && got.mipScale != ix.mipScale {
+				t.Fatalf("loaded scale %v, want %v", got.mipScale, ix.mipScale)
 			}
 			q := data[11]
 			want, err := ix.Search(context.Background(), q, 5, SearchOptions{C: 1.5})
@@ -139,12 +139,12 @@ func TestPLS6RoundTripVectorMetrics(t *testing.T) {
 		"pls6-ip": metric.InnerProduct, "pls6-pls7-ip": metric.InnerProduct, "pls6-pls8-ip": metric.InnerProduct,
 		"pls6-jaccard": metric.Jaccard,
 	} {
-		ix, err := Load(bytes.NewReader(readFuzzSeed(t, seed)))
+		e, err := LoadEngine(bytes.NewReader(readFuzzSeed(t, seed)))
 		if err != nil {
 			t.Fatalf("%s: %v", seed, err)
 		}
-		if ix.Metric() != mk {
-			t.Fatalf("%s loaded as %v, want %v", seed, ix.Metric(), mk)
+		if e.Metric() != mk {
+			t.Fatalf("%s loaded as %v, want %v", seed, e.Metric(), mk)
 		}
 	}
 }
@@ -155,11 +155,7 @@ func TestPLS6RoundTripVectorMetrics(t *testing.T) {
 func TestPLS6RoundTripJaccard(t *testing.T) {
 	sets := metricTestSets(20, 3, 24, 11)
 	cfg := Config{Metric: metric.Jaccard, Seed: 11}
-	ix, err := BuildSets(sets, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := newEngine([]*Index{ix})
+	one, err := BuildSetsEngine(sets, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +256,7 @@ func TestMetricQuerySurfaceRestrictions(t *testing.T) {
 	}
 
 	sets := metricTestSets(10, 2, 16, 19)
-	jac, err := BuildSets(sets, Config{Metric: metric.Jaccard, Seed: 19})
+	jac, err := BuildSetsEngine(sets, Config{Metric: metric.Jaccard, Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}

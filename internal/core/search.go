@@ -157,9 +157,8 @@ func (ix *Index) finishDist(d2, qscale float64) float64 {
 	return math.Sqrt(d2)
 }
 
-// searchView is Algorithm 2 over one view of the index (nil under
-// Jaccard, whose backend keeps its own state). It
-// issues projected range queries range(q′, t·r) with r = r_min,
+// searchView is Algorithm 2 over one view of the index. It issues
+// projected range queries range(q′, t·r) with r = r_min,
 // c·r_min, c²·r_min, … and terminates as soon as either k admitted
 // candidates lie within c·r in the original space, the admitted-
 // candidate budget is exhausted, or every live point has been
@@ -188,10 +187,6 @@ func (ix *Index) finishDist(d2, qscale float64) float64 {
 // enumerator counts its own metric evaluations, so overlapping queries
 // never pollute each other's counters.
 //
-// It is also where a point query dispatches on the metric — Search and
-// every SearchBatch worker come through here — so the Jaccard backend
-// needs no batch loop of its own.
-//
 // Every call counts itself in searching for its duration; that count is
 // the one rule for parallelism inside a query (startHelper). Only a
 // query that is its caller's one piece of work — alone, as Search is —
@@ -200,9 +195,6 @@ func (ix *Index) finishDist(d2, qscale float64) float64 {
 func (ix *Index) searchView(ctx context.Context, v *view, q []float64, k int, o SearchOptions, alone bool) ([]Result, error) {
 	searching.Add(1)
 	defer searching.Add(-1)
-	if ix.metric == metric.Jaccard {
-		return ix.searchJaccard(ctx, q, k, o)
-	}
 	var st QueryStats
 	if len(q) != ix.ndim {
 		return nil, fmt.Errorf("core: query has dimension %d, index expects %d", len(q), ix.ndim)
@@ -575,9 +567,7 @@ func (h *queryHelper) join() {
 // reuses the per-query scratch pool); out[i] holds the neighbors of
 // qs[i], identical to Search per query — only the scheduling differs.
 // The batch loads the index's view once, so every query observes the
-// same index state, whatever mutations land while it runs. (The Jaccard
-// backend has no view: there each query sees the sets as they are when
-// it reaches them.)
+// same index state, whatever mutations land while it runs.
 //
 // Cancellation is checked between work items and between each query's
 // expansion rounds: on cancellation workers stop claiming queries and
@@ -597,14 +587,13 @@ func (ix *Index) SearchBatch(ctx context.Context, qs [][]float64, k int, o Searc
 	})
 }
 
-// searchBatch is the one batch claim loop (Index.SearchBatch, and
-// Engine.SearchBatch when it fans each query over several shards): up
-// to GOMAXPROCS workers claim query indexes 0…n-1 with one atomic add
-// each, checking ctx between items, and run one(i, st) — st is
-// &stats[i], or nil when the caller asked for no statistics. stats may
-// be longer than the batch. Any error yields a nil result slice:
-// ctx.Err() when the context ended, else the lowest-index query error
-// wrapped as "core: batch query i: …".
+// searchBatch is the one batch claim loop (Index.SearchBatch and
+// Engine.SearchBatch): up to GOMAXPROCS workers claim query indexes
+// 0…n-1 with one atomic add each, checking ctx between items, and run
+// one(i, st) — st is &stats[i], or nil when the caller asked for no
+// statistics. stats may be longer than the batch. Any error yields a
+// nil result slice: ctx.Err() when the context ended, else the
+// lowest-index query error wrapped as "core: batch query i: …".
 func searchBatch(ctx context.Context, n int, stats []QueryStats, one func(i int, st *QueryStats) ([]Result, error)) ([][]Result, error) {
 	if n == 0 {
 		return nil, nil
@@ -661,9 +650,6 @@ func searchBatch(ctx context.Context, n int, stats []QueryStats, one func(i int,
 func (ix *Index) SearchBall(ctx context.Context, q []float64, r float64, o SearchOptions) (*Result, error) {
 	searching.Add(1)
 	defer searching.Add(-1)
-	if ix.metric == metric.Jaccard {
-		return ix.searchBallJaccard(ctx, q, r, o)
-	}
 	if ix.metric == metric.InnerProduct {
 		return nil, fmt.Errorf("core: ball-cover queries are not defined for the inner-product metric (its \"distance\" is an unbounded negated inner product)")
 	}

@@ -119,31 +119,27 @@ type bodyHead struct {
 // implements io.WriterTo. It writes one view — the state as of the call
 // — and runs beside queries and mutations alike without holding any of
 // them up.
-func (ix *Index) WriteTo(w io.Writer) (int64, error) { return writeStream(w, []*Index{ix}) }
+func (ix *Index) WriteTo(w io.Writer) (int64, error) { return writeStream(w, []shard{ix}) }
 
 // writeStream writes shards as one PLS9 stream: the header, then each
 // shard's body straight through one buffer. The shards share their
 // metric, β rule and inner-product scale (newEngine checks), so shard
-// 0's stand for all of them.
-func writeStream(w io.Writer, shards []*Index) (int64, error) {
+// 0's stand for all of them; set shards have neither, and write 0.
+func writeStream(w io.Writer, shards []shard) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	cw := &countingWriter{w: bw}
-	first := shards[0]
 	if _, err := cw.Write(pls9Magic[:]); err != nil {
 		return cw.n, fmt.Errorf("core: write magic: %w", err)
 	}
-	h := header{first.metric, uint32(len(shards)), first.a2scale, first.mipScale}
+	h := header{Metric: shards[0].Metric(), Shards: uint32(len(shards))}
+	if ix, ok := shards[0].(*Index); ok {
+		h.A2scale, h.MIPScale = ix.a2scale, ix.mipScale
+	}
 	if err := binary.Write(cw, binary.LittleEndian, &h); err != nil {
 		return cw.n, fmt.Errorf("core: write header: %w", err)
 	}
-	for _, ix := range shards {
-		var err error
-		if ix.metric == metric.Jaccard {
-			_, err = ix.mh.WriteTo(cw)
-		} else {
-			err = ix.encode(cw, ix.view.Load())
-		}
-		if err != nil {
+	for _, sh := range shards {
+		if err := sh.writeBody(cw); err != nil {
 			return cw.n, err
 		}
 	}
@@ -153,9 +149,9 @@ func writeStream(w io.Writer, shards []*Index) (int64, error) {
 	return cw.n, nil
 }
 
-// encode writes v as a vector shard's body.
-func (ix *Index) encode(w io.Writer, v *view) error {
-	cfg := ix.cfg
+// writeBody writes the published view as a vector shard's body.
+func (ix *Index) writeBody(w io.Writer) error {
+	v, cfg := ix.view.Load(), ix.cfg
 	head := bodyHead{
 		M: uint32(cfg.M), Pivots: uint32(cfg.NumPivots), Capacity: uint32(cfg.Capacity),
 		Alpha1: cfg.Alpha1, Seed: cfg.Seed, SampleSize: uint32(cfg.DistSampleSize),
@@ -216,7 +212,7 @@ func (ix *Index) encode(w io.Writer, v *view) error {
 }
 
 // Load deserializes an index written with WriteTo: a PLS9 stream of one
-// shard, or an older stream that holds one.
+// vector shard, or an older stream that holds one.
 func Load(r io.Reader) (*Index, error) {
 	shards, err := load(r)
 	if err != nil {
@@ -225,26 +221,30 @@ func Load(r io.Reader) (*Index, error) {
 	if len(shards) != 1 {
 		return nil, fmt.Errorf("core: a stream of %d shards is an engine; load it with LoadEngine", len(shards))
 	}
-	return shards[0], nil
+	ix, ok := shards[0].(*Index)
+	if !ok {
+		return nil, fmt.Errorf("core: a jaccard stream holds a set shard, not a vector index; load it with LoadEngine")
+	}
+	return ix, nil
 }
 
 // load reads a stream of any version into its shards. A PLS9 stream
 // states its header, an older one stands for one (see the layout above);
 // then one loop reads the shards it announces.
-func load(r io.Reader) ([]*Index, error) {
+func load(r io.Reader) ([]shard, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic, err := readMagic(br)
 	if err != nil {
 		return nil, err
 	}
-	count, next := 1, func() (*Index, error) { return readLegacy(br, magic) }
+	count, next := 1, func() (shard, error) { return readLegacy(br, magic) }
 	switch magic {
 	case pls9Magic:
 		h, err := readHeader(br)
 		if err != nil {
 			return nil, err
 		}
-		count, next = int(h.Shards), func() (*Index, error) { return readShard(br, h, pls9Magic) }
+		count, next = int(h.Shards), func() (shard, error) { return readShard(br, h, pls9Magic) }
 	case pls5Magic:
 		var n uint32
 		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
@@ -253,9 +253,9 @@ func load(r io.Reader) ([]*Index, error) {
 		if n < 2 || n > MaxShards {
 			return nil, fmt.Errorf("core: corrupt shard count %d", n)
 		}
-		count, next = int(n), func() (*Index, error) { return readContained(br) }
+		count, next = int(n), func() (shard, error) { return readContained(br) }
 	}
-	shards := make([]*Index, count)
+	shards := make([]shard, count)
 	for s := range shards {
 		if shards[s], err = next(); err != nil && count > 1 {
 			return nil, fmt.Errorf("core: load shard %d: %w", s, err)
@@ -297,7 +297,7 @@ func readHeader(br *bufio.Reader) (header, error) {
 
 // readContained reads one shard of a PLS5 container: its length, then a
 // complete bare or PLS6 stream of that many bytes.
-func readContained(br *bufio.Reader) (*Index, error) {
+func readContained(br *bufio.Reader) (shard, error) {
 	var length uint64
 	if err := binary.Read(br, binary.LittleEndian, &length); err != nil {
 		return nil, fmt.Errorf("core: read shard length: %w", err)
@@ -308,7 +308,7 @@ func readContained(br *bufio.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := readLegacy(inner, magic)
+	sh, err := readLegacy(inner, magic)
 	if err != nil {
 		return nil, err
 	}
@@ -317,13 +317,13 @@ func readContained(br *bufio.Reader) (*Index, error) {
 	if _, err := io.Copy(io.Discard, lr); err != nil {
 		return nil, fmt.Errorf("core: skip to the next shard: %w", err)
 	}
-	return ix, nil
+	return sh, nil
 }
 
 // readLegacy reads a one-shard stream older than PLS9 whose magic has
 // been consumed: a bare PLS4, PLS7 or PLS8 stream is one L2 shard, a
 // PLS6 envelope one shard of its metric.
-func readLegacy(br *bufio.Reader, magic [4]byte) (*Index, error) {
+func readLegacy(br *bufio.Reader, magic [4]byte) (shard, error) {
 	h := header{Metric: metric.L2, Shards: 1}
 	if magic == pls6Magic {
 		tag, err := br.ReadByte()
@@ -365,15 +365,13 @@ func readLegacy(br *bufio.Reader, magic [4]byte) (*Index, error) {
 
 // readShard reads one shard's body under h; magic names the body's
 // layout (PLS4, PLS7, PLS8 or PLS9), and an older one its β rule.
-func readShard(br *bufio.Reader, h header, magic [4]byte) (*Index, error) {
+func readShard(br *bufio.Reader, h header, magic [4]byte) (shard, error) {
 	if h.Metric == metric.Jaccard {
 		mh, err := minhash.Read(br)
 		if err != nil {
 			return nil, err
 		}
-		cfg := Config{Metric: metric.Jaccard, Seed: mh.Seed(), MinHashBands: mh.Bands(),
-			MinHashRows: mh.Rows(), MinHashThreshold: mh.Threshold()}
-		return &Index{cfg: cfg, metric: metric.Jaccard, mh: mh}, nil
+		return &setShard{Index: mh}, nil
 	}
 	ix, err := readBody(br, magic)
 	if err != nil {

@@ -195,7 +195,7 @@ func TestLoadRejectsCorruptStreams(t *testing.T) {
 	}
 	two := engineBytes(t, e)
 	var first bytes.Buffer
-	if _, err := e.shards[0].WriteTo(&first); err != nil {
+	if _, err := vecs(e)[0].WriteTo(&first); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(two[headerLen:first.Len()], first.Bytes()[headerLen:]) {
@@ -535,7 +535,7 @@ func generationEngine(t *testing.T, m metric.Kind, shards int, state string, loa
 		}
 	}
 	if loaded {
-		for _, ix := range e.shards {
+		for _, ix := range vecs(e) {
 			ix.Tree().ScanRadius()
 		}
 	}
@@ -634,7 +634,7 @@ func requireSameEngine(t *testing.T, label string, want, got *Engine) {
 	}
 	samePairs(t, label+": SearchPairs", wp, gp)
 	for s := range want.shards {
-		if treePrint(t, want.shards[s].Tree()) != treePrint(t, got.shards[s].Tree()) {
+		if treePrint(t, vecs(want)[s].Tree()) != treePrint(t, vecs(got)[s].Tree()) {
 			t.Fatalf("%s: shard %d's tree differs from the saved one", label, s)
 		}
 	}

@@ -58,7 +58,7 @@ func rebuiltCopy(t *testing.T, e *Engine) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ix := range ref.shards {
+	for _, ix := range vecs(ref) {
 		rebuildTree(t, ix)
 		if ix.tailFraction() != 0 {
 			t.Fatal("a rebuilt tree has a tail")

@@ -139,25 +139,12 @@ func PMTreeCost(t *pmtree.Tree, f *Distribution, rq float64) float64 {
 // extended by l on both sides, giving access probability
 // Π_i [G_i(u_i + l) − G_i(l_i − l)].
 func RTreeCost(t *rtree.Tree, gs []*Distribution, rq float64) float64 {
-	return rtreeCost(t, gs, isochoricSide(len(gs), rq))
-}
-
-// RTreeCostMinkowski is the Minkowski-sum variant of Eq. 9: a cube of
-// side l intersects an MBR iff the cube's center lies within the MBR
-// extended by the half-side l/2, so each side is extended by l/2
-// instead of the paper's full l. It predicts roughly half the cost of
-// the literal formula; cmd/reprobench reports both variants.
-func RTreeCostMinkowski(t *rtree.Tree, gs []*Distribution, rq float64) float64 {
-	return rtreeCost(t, gs, isochoricSide(len(gs), rq)/2)
-}
-
-func rtreeCost(t *rtree.Tree, gs []*Distribution, extent float64) float64 {
-	m := len(gs)
+	m, l := len(gs), isochoricSide(len(gs), rq)
 	var cc float64
 	t.Walk(func(info rtree.NodeInfo) {
 		pr := 1.0
 		for i := 0; i < m; i++ {
-			pr *= gs[i].CDF(info.Rect.Hi[i]+extent) - gs[i].CDF(info.Rect.Lo[i]-extent)
+			pr *= gs[i].CDF(info.Rect.Hi[i]+l) - gs[i].CDF(info.Rect.Lo[i]-l)
 		}
 		cc += float64(info.NumEntries) * pr
 	})

@@ -85,14 +85,6 @@ func (inj *Injector) SetFailpoint(n int, mode FailMode) {
 	inj.tripped = false
 }
 
-// Writes returns the total number of write calls observed, for sizing
-// randomized failpoints.
-func (inj *Injector) Writes() int {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return inj.writeCount
-}
-
 // Tripped reports whether the armed failpoint has fired.
 func (inj *Injector) Tripped() bool {
 	inj.mu.Lock()

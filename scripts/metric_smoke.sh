@@ -64,7 +64,7 @@ kill -TERM "$server_pid"
 wait "$server_pid"
 server_pid=""
 
-echo "== inner product: PLS6 envelope round-trips through build/info"
+echo "== inner product: the PLS9 metric tag round-trips through build/info"
 "$work/pmlsh" build -data "$work/data.f64" -index "$work/mip.pmlsh" -metric ip
 "$work/pmlsh" info -index "$work/mip.pmlsh" | grep -q "metric:     ip"
 
