@@ -108,7 +108,8 @@
 //
 // # Storage layout
 //
-// Build copies the input rows once into a contiguous flat buffer (the
+// Build copies the input rows once, on GOMAXPROCS goroutines that check
+// each row's norm as it lands, into a contiguous flat buffer (the
 // internal vector store): every indexed point is a fixed-stride row of
 // one []float64, and the PM-tree owns a second buffer, the projections.
 // A Search reads those rows alone, in one kernel pass (see Query
@@ -134,10 +135,10 @@
 // loaded — metric-local leaves packed by recursive bisection, upper
 // levels assembled bottom-up with exact radii and rings — which tightens
 // the pruning bounds every query path depends on. A build (a compaction
-// is one) uses every core — projection in GOMAXPROCS chunks beside the
-// F(x) distance sample, itself computed in chunks, and the later bulk
-// load by bisection halves — and the index, its tree included, is the
-// same at any GOMAXPROCS.
+// is one) uses every core — that row pass, projection in GOMAXPROCS
+// chunks beside the F(x) distance sample (5 000 pairs, computed in
+// chunks), and the later bulk load by bisection halves — and the index,
+// its tree included, is the same at any GOMAXPROCS.
 //
 // # Closest-pair search
 //

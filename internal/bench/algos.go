@@ -10,7 +10,6 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/e2lsh"
 	"repro/internal/lscan"
 	"repro/internal/metrics"
@@ -126,23 +125,6 @@ func BuildAlgo(name AlgoName, data [][]float64, cfg BuildConfig) (Algorithm, err
 	}
 }
 
-// BuildAlgoForDataset is BuildAlgo for a generated dataset: PM-LSH
-// builds directly over the dataset's contiguous store
-// (core.BuildFromStore), skipping the per-row copy BuildAlgo's
-// [][]float64 path pays. The harness never mutates datasets or inserts
-// into the built indexes, which is what sharing the store requires.
-func BuildAlgoForDataset(name AlgoName, ds *dataset.Dataset, cfg BuildConfig) (Algorithm, error) {
-	if name != PMLSH {
-		return BuildAlgo(name, ds.Points, cfg)
-	}
-	cfg.fill()
-	ix, err := core.BuildFromStore(ds.Store, core.Config{Seed: cfg.Seed, M: paperM})
-	if err != nil {
-		return nil, err
-	}
-	return &pmlshAdapter{ix: ix, c: cfg.C}, nil
-}
-
 // BuildAll constructs the requested algorithms (nil = all six).
 func BuildAll(names []AlgoName, data [][]float64, cfg BuildConfig) ([]Algorithm, error) {
 	if names == nil {
@@ -151,22 +133,6 @@ func BuildAll(names []AlgoName, data [][]float64, cfg BuildConfig) ([]Algorithm,
 	out := make([]Algorithm, 0, len(names))
 	for _, n := range names {
 		a, err := BuildAlgo(n, data, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bench: building %s: %w", n, err)
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// BuildAllForDataset is BuildAll via BuildAlgoForDataset.
-func BuildAllForDataset(names []AlgoName, ds *dataset.Dataset, cfg BuildConfig) ([]Algorithm, error) {
-	if names == nil {
-		names = AllAlgos()
-	}
-	out := make([]Algorithm, 0, len(names))
-	for _, n := range names {
-		a, err := BuildAlgoForDataset(n, ds, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: building %s: %w", n, err)
 		}

@@ -309,7 +309,7 @@ func TestClosestPairStudy(t *testing.T) {
 
 func TestNaiveDedupBallCover(t *testing.T) {
 	w := smallWorkload(t, 400)
-	ix, err := core.BuildFromStore(w.Dataset.Store, core.Config{Seed: 3})
+	ix, err := core.Build(w.Dataset.Points, core.Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func Evaluate(a Algorithm, w *Workload, k int) (Row, error) {
 
 // Overview is Table 4 for one dataset: all algorithms at fixed k and c.
 func Overview(w *Workload, names []AlgoName, k int, cfg BuildConfig) ([]Row, error) {
-	algos, err := BuildAllForDataset(names, w.Dataset, cfg)
+	algos, err := BuildAll(names, w.Dataset.Points, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +116,7 @@ func Overview(w *Workload, names []AlgoName, k int, cfg BuildConfig) ([]Row, err
 // VaryK is Figs. 7–9: every algorithm evaluated across k values.
 // Indexes are built once and reused across k (as in the paper).
 func VaryK(w *Workload, names []AlgoName, ks []int, cfg BuildConfig) ([]Row, error) {
-	algos, err := BuildAllForDataset(names, w.Dataset, cfg)
+	algos, err := BuildAll(names, w.Dataset.Points, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +143,7 @@ func Tradeoff(w *Workload, k int, cs []float64, probes []int, fractions []float6
 
 	// PM-LSH, R-LSH and SRS: c is a query-time parameter; build once.
 	for _, name := range []AlgoName{PMLSH, RLSH} {
-		a, err := BuildAlgoForDataset(name, w.Dataset, cfg)
+		a, err := BuildAlgo(name, w.Dataset.Points, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -236,7 +236,7 @@ func ParamSweep(w *Workload, k int, svals, mvals []int, cfg BuildConfig) ([]Swee
 	cfg.fill()
 	var out []SweepPoint
 	eval := func(ccfg core.Config, param string, value int) error {
-		ix, err := core.BuildFromStore(w.Dataset.Store, ccfg)
+		ix, err := core.Build(w.Dataset.Points, ccfg)
 		if err != nil {
 			return err
 		}

@@ -41,9 +41,9 @@ func ms(b *testing.B, total time.Duration, unit string) {
 }
 
 // BenchmarkBuildPhases is the build's per-phase bill at GOMAXPROCS 1
-// and 2: each phase timed alone, shard after shard (copy_ms the rows
-// into the store, project_ms, tree_ms the bulk load, sample_ms the F(x)
-// sample), then build_ms, the wall time of the BuildEngine that runs
+// and 2: each phase timed alone, shard after shard (copy_ms the row
+// pass that copies the rows into the store and checks them, project_ms,
+// tree_ms the bulk load, sample_ms the F(x) sample), then build_ms, the wall time of the BuildEngine that runs
 // the sample beside projection, and first_ball_ms, the first SearchBall
 // after it, which pays the bulk load the build defers. build_ms
 // under copy_ms + project_ms + sample_ms is what the overlap hides;
@@ -75,7 +75,12 @@ func BenchmarkBuildPhases(b *testing.B) {
 							b.Fatal(err)
 						}
 						var st, projected *store.Store
-						clock(&copyT, func() { st, err = store.FromRows(rows) })
+						clock(&copyT, func() {
+							flat := make([]float64, len(rows)*shape.spec.D)
+							if err = fillRows(flat, shape.spec.D, func(i int) []float64 { return rows[i] }); err == nil {
+								st, err = store.FromFlat(flat, shape.spec.D)
+							}
+						})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -119,8 +124,8 @@ func BenchmarkBuildPhases(b *testing.B) {
 // the rows deleted, a tenth as many inserted behind them): compact_ms
 // is the wall time the shard's writer mutex is held — repack, then
 // projection beside the F(x) sample; the bulk load waits for the first
-// query that reads the tree — and repack_ms the gather of the live rows
-// into one sized buffer, timed alone.
+// query that reads the tree — and repack_ms the row pass that gathers
+// the live rows into one sized buffer, timed alone.
 func BenchmarkCompact(b *testing.B) {
 	for _, shape := range buildShapes {
 		data := shapePoints(b, shape.spec)[:shape.spec.N/shape.shards]

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/metric"
+	"repro/internal/store"
 	"repro/internal/vec"
 )
 
@@ -158,4 +160,89 @@ func TestClaimOneOrTwoRangeQueries(t *testing.T) {
 			t.Errorf("m=%d: %d of %d queries took one or two range queries, under 99%%", m, within, queries)
 		}
 	}
+}
+
+// TestClaimSampleBound is the error bound DistSampleSize's default is
+// chosen by: by the Dvoretzky–Kiefer–Wolfowitz inequality (Massart's
+// constant), the empirical CDF of N pairs drawn uniformly is within
+// ε = √(ln(2/δ)/2N) of the true distance distribution F everywhere with
+// probability at least 1 − δ, and DistSampleSize's doc states
+// ε ≈ 0.023 at δ = 0.01 for the default N. On 1 000 clustered rows F is
+// known exactly — the distances of all 499 500 pairs — so every draw, one
+// build seed each, measures the default sample's sup distance from it,
+// and the share of draws within that ε must pass the 99% Wilson score
+// test against 1 − δ: share ≥ (1 − δ) − z·√(δ(1 − δ)/draws).
+func TestClaimSampleBound(t *testing.T) {
+	const (
+		n     = 1000
+		dim   = 32
+		eps   = 0.023
+		delta = 0.01
+		z     = 2.326
+	)
+	draws := 400
+	if testing.Short() {
+		draws = 200
+	}
+	rows := clusteredData(n, dim, 10, 51)
+	exact := make([]float64, 0, n*(n-1)/2)
+	for i := range rows {
+		for j := i + 1; j < n; j++ {
+			exact = append(exact, vec.L2(rows[i], rows[j]))
+		}
+	}
+	slices.Sort(exact)
+	s, err := store.FromRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfg Config
+	cfg.fillDefaults(dim)
+	within, worst := 0, 0.0
+	for d := 0; d < draws; d++ {
+		cfg.Seed = int64(d)
+		sample := sampleDistanceDistribution(s, cfg)
+		if len(sample) != cfg.DistSampleSize {
+			t.Fatalf("a sample of %d pairs, want %d", len(sample), cfg.DistSampleSize)
+		}
+		sup := supDistance(sample, exact)
+		worst = max(worst, sup)
+		if sup <= eps {
+			within++
+		}
+	}
+	share := float64(within) / float64(draws)
+	floor := 1 - delta - z*math.Sqrt(delta*(1-delta)/float64(draws))
+	t.Logf("N = %d: sup |F_N − F| ≤ ε = %.4f in %d of %d draws (%.3f, floor %.3f); the worst draw %.4f",
+		cfg.DistSampleSize, eps, within, draws, share, floor, worst)
+	if share < floor {
+		t.Errorf("N = %d: the sample's CDF was within ε = %.4f of the exact one in %d of %d draws, under the 99%% floor %.3f for 1 − δ = %.2f",
+			cfg.DistSampleSize, eps, within, draws, floor, 1-delta)
+	}
+}
+
+// supDistance is the Kolmogorov–Smirnov distance between the empirical
+// CDFs of two sorted samples: the largest gap at any value, measured
+// just below and at each.
+func supDistance(a, b []float64) float64 {
+	sup := 0.0
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		x := math.Inf(1)
+		if i < len(a) {
+			x = a[i]
+		}
+		if j < len(b) {
+			x = min(x, b[j])
+		}
+		gap := func() float64 { return math.Abs(float64(i)/float64(len(a)) - float64(j)/float64(len(b))) }
+		sup = max(sup, gap())
+		for i < len(a) && a[i] == x {
+			i++
+		}
+		for j < len(b) && b[j] == x {
+			j++
+		}
+		sup = max(sup, gap())
+	}
+	return sup
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/metric"
 	"repro/internal/minhash"
-	"repro/internal/store"
 )
 
 // Engine is the sharded serving form of the index: N independent
@@ -143,49 +142,22 @@ func BuildEngine(data [][]float64, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("core: %d shards need at least %d points, got %d", n, n, len(data))
 	}
 	cfg.Shards = 0 // the inner per-shard indexes are always 1-shard
+	// The metric reduction runs once over the whole dataset before
+	// sharding: the InnerProduct scale S is a global property (each shard
+	// reducing its own slice would put shards in incompatible internal
+	// spaces, where no cross-shard distance means anything).
+	data, scale, err := reduceRows(data, cfg.Metric)
+	if err != nil {
+		return nil, err
+	}
 	shards := make([]shard, n)
-	if n == 1 {
-		ix, err := Build(data, cfg)
-		if err != nil {
+	for s := range shards {
+		rows := make([][]float64, 0, (len(data)+n-1-s)/n)
+		for i := s; i < len(data); i += n {
+			rows = append(rows, data[i])
+		}
+		if shards[s], err = buildRows(rows, cfg, scale); err != nil {
 			return nil, err
-		}
-		shards[0] = ix
-	} else {
-		// The metric reduction runs once over the whole dataset before
-		// sharding: the InnerProduct scale S is a global property (each
-		// shard reducing its own slice would put shards in incompatible
-		// internal spaces, where no cross-shard distance means anything).
-		ndim := len(data[0])
-		scale := 0.0
-		reduced := cfg.Metric != metric.L2
-		if reduced {
-			var err error
-			data, scale, err = reduceRows(data, cfg.Metric)
-			if err != nil {
-				return nil, err
-			}
-		}
-		for s := 0; s < n; s++ {
-			rows := make([][]float64, 0, (len(data)+n-1-s)/n)
-			for i := s; i < len(data); i += n {
-				rows = append(rows, data[i])
-			}
-			var ix *Index
-			var err error
-			if reduced {
-				var st *store.Store
-				st, err = store.FromRows(rows)
-				if err != nil {
-					return nil, fmt.Errorf("core: %w", err)
-				}
-				ix, err = buildInternal(st, cfg, ndim, scale)
-			} else {
-				ix, err = Build(rows, cfg)
-			}
-			if err != nil {
-				return nil, err
-			}
-			shards[s] = ix
 		}
 	}
 	return newEngine(shards)

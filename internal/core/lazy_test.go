@@ -348,7 +348,7 @@ func TestKNNFirstRadiusAboveSwitch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix, err := BuildFromStore(ds.Store, Config{Seed: 7})
+		ix, err := Build(ds.Points, Config{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -75,6 +78,81 @@ func engineBytes(t *testing.T, e *Engine) []byte {
 	return buf.Bytes()
 }
 
+// The row pass (fillRows) copies and checks the rows in GOMAXPROCS
+// ranges. Whatever that number, Build and Load refuse
+// rows without a finite norm by the lowest one, with the same error —
+// one bad row in the first range or the last, or one in each of two —
+// and a build of good rows has the same Info and answers.
+func TestRowPassAtAnyParallelism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+
+	const n, dim = 400, 8
+	data := clusteredData(n, dim, 4, 35)
+	cfg := Config{Seed: 36, DistSampleSize: 500}
+	good, err := Build(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := good.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	v := good.view.Load()
+	rowOff := treeFlagOff + 1 + 3*4 + good.cfg.M*dim*8 + 4 + len(v.distCDF)*8
+	for _, tc := range []struct {
+		name string
+		bad  []int
+	}{
+		{"first range", []int{3}},
+		{"last range", []int{n - 2}},
+		{"two ranges", []int{n - 50, n/2 - 50}},
+	} {
+		want := fmt.Sprintf("core: row %d has a NaN or infinite component, or a norm beyond float64", slices.Min(tc.bad))
+		rows, raw := slices.Clone(data), slices.Clone(stream)
+		for i, r := range tc.bad {
+			rows[r] = badVectors(dim)[[]string{"nan", "1e308"}[i]]
+			for j, x := range rows[r] {
+				binary.LittleEndian.PutUint64(raw[rowOff+(r*dim+j)*8:], math.Float64bits(x))
+			}
+		}
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			tag := fmt.Sprintf("%s GOMAXPROCS=%d", tc.name, procs)
+			_, errBuild := Build(rows, cfg)
+			_, errLoad := Load(bytes.NewReader(raw))
+			for path, err := range map[string]error{"Build": errBuild, "Load": errLoad} {
+				if err == nil || err.Error() != want {
+					t.Errorf("%s: %s: %v, want %q", tag, path, err, want)
+				}
+			}
+		}
+	}
+
+	q := clusteredData(1, dim, 1, 37)[0]
+	var wantInfo EngineInfo
+	var wantRes []Result
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		e, err := BuildEngine(data, Config{Seed: 36, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Search(context.Background(), q, 10, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if procs == 1 {
+			wantInfo, wantRes = e.Info(), res
+			continue
+		}
+		if info := e.Info(); !reflect.DeepEqual(info, wantInfo) {
+			t.Errorf("GOMAXPROCS=%d: Info %+v, at 1 %+v", procs, info, wantInfo)
+		}
+		identicalResults(t, fmt.Sprintf("GOMAXPROCS=%d", procs), res, wantRes)
+	}
+}
+
 // The F(x) sample runs on goroutines of its own beside projection.
 // Whatever way the build ends, they — and every one the projection
 // started — are done when it returns.
@@ -88,7 +166,7 @@ func TestBuildJoinsItsGoroutines(t *testing.T) {
 	cfg := Config{Seed: 1, DistSampleSize: 1 << 19, AutoCompactFraction: -1}
 	check := func(label string, before int) {
 		t.Helper()
-		checkJoined(t, label, before, "sampleDistanceDistribution", "ProjectStore", "bulkLoad")
+		checkJoined(t, label, before, "fillRows", "sampleDistanceDistribution", "ProjectStore", "bulkLoad")
 	}
 
 	// Capacity 2 passes core's validation and is refused by

@@ -538,12 +538,9 @@ func readBody(br *bufio.Reader, magic [4]byte) (*Index, error) {
 		}
 		gen = int(g)
 	}
-	// Every row, dead ones included, goes into the tree's projection: a
-	// NaN there is a NaN distance on every query that reads it.
-	for row := 0; row < n; row++ {
-		if !finiteNorm(data.Row(row)) {
-			return nil, fmt.Errorf("core: row %d has a NaN or infinite component, or a norm beyond float64", row)
-		}
+	// Every row, dead ones included, goes into the tree's projection.
+	if err := fillRows(flat, dim, nil); err != nil {
+		return nil, err
 	}
 	// A row holds the id rowOf maps to it; a dead one, whose id the stream
 	// does not keep, holds none.

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/metric"
 	"repro/internal/pmtree"
-	"repro/internal/store"
 )
 
 func TestIndexSerializeRoundTrip(t *testing.T) {
@@ -786,46 +785,5 @@ func TestLoadRejectsDuplicateRowMapping(t *testing.T) {
 	}
 	if _, err := Load(&buf); err == nil {
 		t.Fatal("stream with duplicate row mapping accepted")
-	}
-}
-
-// BuildFromStore adopts the store without copying and answers exactly
-// like Build over the same rows.
-func TestBuildFromStoreEquivalent(t *testing.T) {
-	data := clusteredData(500, 10, 4, 62)
-	a, err := Build(data, Config{Seed: 27})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := store.FromRows(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BuildFromStore(s, Config{Seed: 27})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 10; trial++ {
-		q := make([]float64, 10)
-		for j := range q {
-			q[j] = rng.NormFloat64() * 10
-		}
-		ra, err := a.Search(context.Background(), q, 6, SearchOptions{C: 1.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := b.Search(context.Background(), q, 6, SearchOptions{C: 1.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ra) != len(rb) {
-			t.Fatalf("result counts differ: %d vs %d", len(ra), len(rb))
-		}
-		for i := range ra {
-			if ra[i] != rb[i] {
-				t.Fatalf("trial %d result %d: %+v vs %+v", trial, i, ra[i], rb[i])
-			}
-		}
 	}
 }

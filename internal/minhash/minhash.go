@@ -340,7 +340,8 @@ func (x *Index) Len() int { x.mu.RLock(); defer x.mu.RUnlock(); return len(x.set
 func (x *Index) LiveLen() int { x.mu.RLock(); defer x.mu.RUnlock(); return x.live }
 
 // Counts returns, as of one moment, Len, LiveLen, the number of deletes
-// since the last Compact and the number of Compact calls.
+// since the last Compact and the number of Compact calls since the
+// index was built or read.
 func (x *Index) Counts() (ids, live, dead, compactions int) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()

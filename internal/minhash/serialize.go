@@ -9,7 +9,8 @@ package minhash
 //	        (setLen 0 marks a deleted id — live sets are non-empty)
 //
 // Signatures and band buckets are derived state and are rebuilt on
-// load from the sets and the seed, bit-identically. All integers are
+// load from the sets and the seed, bit-identically. compactions is the
+// writer's count since it was built or loaded; Read starts at 0. All integers are
 // little-endian. Unknown magic, impossible counts and short streams
 // are hard errors, never panics.
 
@@ -85,7 +86,6 @@ func Read(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	x.compactions = int(compactions)
 	x.sets = make([][]uint64, 0, min(int(n), 1<<20))
 	x.sigs = make([][]uint64, 0, min(int(n), 1<<20))
 	tombstones := uint32(0)
