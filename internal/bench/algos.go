@@ -86,7 +86,7 @@ func BuildAlgo(name AlgoName, data [][]float64, cfg BuildConfig) (Algorithm, err
 		if err != nil {
 			return nil, err
 		}
-		return &srsAdapter{ix: ix, c: cfg.C}, nil
+		return baseline{SRS, func(q []float64, k int) ([]metrics.Neighbor, error) { return ix.KNN(q, k, cfg.C) }}, nil
 	case QALSH:
 		ix, err := qalsh.Build(data, qalsh.Config{
 			C: cfg.C, Seed: cfg.Seed, MaxHashes: cfg.QALSHMaxHashes,
@@ -94,7 +94,7 @@ func BuildAlgo(name AlgoName, data [][]float64, cfg BuildConfig) (Algorithm, err
 		if err != nil {
 			return nil, err
 		}
-		return &qalshAdapter{ix: ix}, nil
+		return baseline{QALSH, ix.KNN}, nil
 	case MultiProbe:
 		ix, err := multiprobe.Build(data, multiprobe.Config{
 			Seed: cfg.Seed, Probes: cfg.MultiProbeProbes,
@@ -102,7 +102,7 @@ func BuildAlgo(name AlgoName, data [][]float64, cfg BuildConfig) (Algorithm, err
 		if err != nil {
 			return nil, err
 		}
-		return &mpAdapter{ix: ix}, nil
+		return baseline{MultiProbe, ix.KNN}, nil
 	case E2LSH:
 		// The basic scheme needs a base radius its tables are tuned
 		// for; the natural choice is the expected NN distance, which a
@@ -113,13 +113,13 @@ func BuildAlgo(name AlgoName, data [][]float64, cfg BuildConfig) (Algorithm, err
 		if err != nil {
 			return nil, err
 		}
-		return &e2lshAdapter{ix: ix}, nil
+		return baseline{E2LSH, ix.KNN}, nil
 	case LScan:
 		sc, err := lscan.New(data, lscan.Config{Seed: cfg.Seed, Fraction: cfg.LScanFraction})
 		if err != nil {
 			return nil, err
 		}
-		return &lscanAdapter{sc: sc}, nil
+		return baseline{LScan, sc.KNN}, nil
 	default:
 		return nil, fmt.Errorf("bench: unknown algorithm %q", name)
 	}
@@ -148,38 +148,22 @@ type pmlshAdapter struct {
 
 func (a *pmlshAdapter) Name() string { return string(PMLSH) }
 func (a *pmlshAdapter) KNN(q []float64, k int) ([]metrics.Neighbor, error) {
-	res, err := a.ix.Search(context.Background(), q, k, core.SearchOptions{C: a.c})
-	return convertCore(res), err
+	return a.ix.Search(context.Background(), q, k, core.SearchOptions{C: a.c})
 }
 
 // SetC changes the query-time approximation ratio (tradeoff curves).
 func (a *pmlshAdapter) SetC(c float64) { a.c = c }
 
-type srsAdapter struct {
-	ix *srs.Index
-	c  float64
+// baseline is an algorithm whose index answers the harness's query as
+// it is: its name and its KNN method.
+type baseline struct {
+	name AlgoName
+	knn  func(q []float64, k int) ([]metrics.Neighbor, error)
 }
 
-func (a *srsAdapter) Name() string { return string(SRS) }
-func (a *srsAdapter) KNN(q []float64, k int) ([]metrics.Neighbor, error) {
-	res, err := a.ix.KNN(q, k, a.c)
-	out := make([]metrics.Neighbor, len(res))
-	for i, r := range res {
-		out[i] = metrics.Neighbor{ID: r.ID, Dist: r.Dist}
-	}
-	return out, err
-}
-
-type qalshAdapter struct{ ix *qalsh.Index }
-
-func (a *qalshAdapter) Name() string { return string(QALSH) }
-func (a *qalshAdapter) KNN(q []float64, k int) ([]metrics.Neighbor, error) {
-	res, err := a.ix.KNN(q, k)
-	out := make([]metrics.Neighbor, len(res))
-	for i, r := range res {
-		out[i] = metrics.Neighbor{ID: r.ID, Dist: r.Dist}
-	}
-	return out, err
+func (b baseline) Name() string { return string(b.name) }
+func (b baseline) KNN(q []float64, k int) ([]metrics.Neighbor, error) {
+	return b.knn(q, k)
 }
 
 // estimateNNDistance estimates the expected nearest-neighbor distance
@@ -224,48 +208,4 @@ func estimateNNDistance(data [][]float64, seed int64) float64 {
 		return 1
 	}
 	return sum / float64(counted)
-}
-
-type e2lshAdapter struct{ ix *e2lsh.Index }
-
-func (a *e2lshAdapter) Name() string { return string(E2LSH) }
-func (a *e2lshAdapter) KNN(q []float64, k int) ([]metrics.Neighbor, error) {
-	res, err := a.ix.KNN(q, k)
-	out := make([]metrics.Neighbor, len(res))
-	for i, r := range res {
-		out[i] = metrics.Neighbor{ID: r.ID, Dist: r.Dist}
-	}
-	return out, err
-}
-
-type mpAdapter struct{ ix *multiprobe.Index }
-
-func (a *mpAdapter) Name() string { return string(MultiProbe) }
-func (a *mpAdapter) KNN(q []float64, k int) ([]metrics.Neighbor, error) {
-	res, err := a.ix.KNN(q, k)
-	out := make([]metrics.Neighbor, len(res))
-	for i, r := range res {
-		out[i] = metrics.Neighbor{ID: r.ID, Dist: r.Dist}
-	}
-	return out, err
-}
-
-type lscanAdapter struct{ sc *lscan.Scanner }
-
-func (a *lscanAdapter) Name() string { return string(LScan) }
-func (a *lscanAdapter) KNN(q []float64, k int) ([]metrics.Neighbor, error) {
-	res, err := a.sc.KNN(q, k)
-	out := make([]metrics.Neighbor, len(res))
-	for i, r := range res {
-		out[i] = metrics.Neighbor{ID: r.ID, Dist: r.Dist}
-	}
-	return out, err
-}
-
-func convertCore(res []core.Result) []metrics.Neighbor {
-	out := make([]metrics.Neighbor, len(res))
-	for i, r := range res {
-		out[i] = metrics.Neighbor{ID: r.ID, Dist: r.Dist}
-	}
-	return out
 }

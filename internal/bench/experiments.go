@@ -18,7 +18,7 @@ type Workload struct {
 	Dataset *dataset.Dataset
 	Queries [][]float64
 	// Truth holds exact neighbors per query, at least MaxK deep.
-	Truth [][]dataset.Neighbor
+	Truth [][]metrics.Neighbor
 	MaxK  int
 }
 
@@ -35,18 +35,9 @@ func NewWorkload(ds *dataset.Dataset, numQueries, maxK int, seed int64) (*Worklo
 	return &Workload{Dataset: ds, Queries: qs, Truth: truth, MaxK: maxK}, nil
 }
 
-// truthAt returns the first k exact neighbors of query qi as metric
-// neighbors.
+// truthAt returns the first k exact neighbors of query qi.
 func (w *Workload) truthAt(qi, k int) []metrics.Neighbor {
-	row := w.Truth[qi]
-	if k > len(row) {
-		k = len(row)
-	}
-	out := make([]metrics.Neighbor, k)
-	for i := 0; i < k; i++ {
-		out[i] = metrics.Neighbor{ID: row[i].ID, Dist: row[i].Dist}
-	}
-	return out
+	return w.Truth[qi][:min(k, len(w.Truth[qi]))]
 }
 
 // Row is one measurement: an algorithm evaluated at one setting.
@@ -141,7 +132,7 @@ func VaryK(w *Workload, names []AlgoName, ks []int, cfg BuildConfig) ([]Row, err
 func Tradeoff(w *Workload, k int, cs []float64, probes []int, fractions []float64, cfg BuildConfig) ([]Row, error) {
 	var out []Row
 
-	// PM-LSH, R-LSH and SRS: c is a query-time parameter; build once.
+	// PM-LSH and R-LSH: c is a query-time parameter; build once.
 	for _, name := range []AlgoName{PMLSH, RLSH} {
 		a, err := BuildAlgo(name, w.Dataset.Points, cfg)
 		if err != nil {
@@ -157,14 +148,15 @@ func Tradeoff(w *Workload, k int, cs []float64, probes []int, fractions []float6
 			out = append(out, row)
 		}
 	}
-	{
-		a, err := BuildAlgo(SRS, w.Dataset.Points, cfg)
-		if err != nil {
-			return nil, err
-		}
-		ad := a.(*srsAdapter)
+	// SRS takes c per query, QALSH bakes it into the index: build per c.
+	for _, name := range []AlgoName{SRS, QALSH} {
 		for _, c := range cs {
-			ad.c = c
+			ccfg := cfg
+			ccfg.C = c
+			a, err := BuildAlgo(name, w.Dataset.Points, ccfg)
+			if err != nil {
+				return nil, err
+			}
 			row, err := Evaluate(a, w, k)
 			if err != nil {
 				return nil, err
@@ -172,21 +164,6 @@ func Tradeoff(w *Workload, k int, cs []float64, probes []int, fractions []float6
 			row.C = c
 			out = append(out, row)
 		}
-	}
-	// QALSH bakes c into the index: rebuild per c.
-	for _, c := range cs {
-		qcfg := cfg
-		qcfg.C = c
-		a, err := BuildAlgo(QALSH, w.Dataset.Points, qcfg)
-		if err != nil {
-			return nil, err
-		}
-		row, err := Evaluate(a, w, k)
-		if err != nil {
-			return nil, err
-		}
-		row.C = c
-		out = append(out, row)
 	}
 	// Multi-Probe: sweep probes.
 	for _, p := range probes {

@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/lsh"
 	"repro/internal/metric"
+	"repro/internal/metrics"
 	"repro/internal/pmtree"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -175,11 +176,9 @@ func (cfg *Config) fillDefaults(dim int) {
 	}
 }
 
-// Result is one returned neighbor.
-type Result struct {
-	ID   int32
-	Dist float64
-}
+// Result is one returned neighbor: the harness's metrics.Neighbor, so
+// an answer is scored (Eqs. 11–12) as it is returned.
+type Result = metrics.Neighbor
 
 // QueryStats reports the work one query performed.
 type QueryStats struct {

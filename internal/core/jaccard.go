@@ -70,11 +70,7 @@ func (s *setShard) searchView(ctx context.Context, _ *view, q []float64, k int, 
 	if o.Stats != nil {
 		*o.Stats = QueryStats{Rounds: 1, Verified: st.Verified}
 	}
-	out := make([]Result, len(nb))
-	for i, n := range nb {
-		out[i] = Result{ID: n.ID, Dist: n.Dist}
-	}
-	return out, nil
+	return nb, nil
 }
 
 // SearchBall is a heuristic for set shards (no χ² machinery backs the

@@ -20,9 +20,9 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 
+	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/vec"
@@ -293,22 +293,16 @@ func (ds *Dataset) Queries(num int, seed int64) [][]float64 {
 	return out
 }
 
-// Neighbor is one exact nearest neighbor.
-type Neighbor struct {
-	ID   int32
-	Dist float64
-}
-
 // GroundTruth computes the exact k nearest neighbors of every query by
 // parallel brute force.
-func GroundTruth(data [][]float64, queries [][]float64, k int) ([][]Neighbor, error) {
+func GroundTruth(data [][]float64, queries [][]float64, k int) ([][]metrics.Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("dataset: k must be positive, got %d", k)
 	}
 	if len(data) == 0 {
 		return nil, fmt.Errorf("dataset: empty dataset")
 	}
-	out := make([][]Neighbor, len(queries))
+	out := make([][]metrics.Neighbor, len(queries))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for qi := range queries {
@@ -327,21 +321,11 @@ func GroundTruth(data [][]float64, queries [][]float64, k int) ([][]Neighbor, er
 // exactKNN is a single-query brute-force top-k. Distances are compared
 // squared with early abandonment against the running k-th best, and the
 // k square roots are taken once at the end.
-func exactKNN(data [][]float64, q []float64, k int) []Neighbor {
-	top := make([]Neighbor, 0, k+1) // Dist holds squared distances until the end
+func exactKNN(data [][]float64, q []float64, k int) []metrics.Neighbor {
+	top := make([]metrics.Neighbor, 0, vec.PreallocCap(k, len(data))) // Dist holds squared distances until the end
 	bound := math.Inf(1)
 	for id, p := range data {
-		d2 := vec.SquaredL2Bounded(q, p, bound)
-		if len(top) == k && d2 >= bound {
-			continue
-		}
-		i := sort.Search(len(top), func(i int) bool { return top[i].Dist > d2 })
-		top = append(top, Neighbor{})
-		copy(top[i+1:], top[i:])
-		top[i] = Neighbor{ID: int32(id), Dist: d2}
-		if len(top) > k {
-			top = top[:k]
-		}
+		top = vec.InsertBounded(top, metrics.Neighbor{ID: int32(id), Dist: vec.SquaredL2Bounded(q, p, bound)}, k, metrics.NeighborDist)
 		if len(top) == k {
 			bound = top[k-1].Dist
 		}

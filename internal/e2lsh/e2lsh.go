@@ -21,6 +21,7 @@ import (
 	"sort"
 
 	"repro/internal/lsh"
+	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/vec"
 )
@@ -45,12 +46,6 @@ type Config struct {
 	MaxTables int
 	// Seed drives hash draws.
 	Seed int64
-}
-
-// Result is one returned point.
-type Result struct {
-	ID   int32
-	Dist float64
 }
 
 // Index is a basic E2LSH index over a fixed dataset.
@@ -152,7 +147,7 @@ func (ix *Index) CollisionProbs() (float64, float64) { return ix.p1, ix.p2 }
 //
 // Only scale values that are powers of C correspond to the virtual
 // rehashing tables; other values are accepted and treated literally.
-func (ix *Index) BallCover(q []float64, scale float64) (*Result, error) {
+func (ix *Index) BallCover(q []float64, scale float64) (*metrics.Neighbor, error) {
 	if len(q) != ix.dim {
 		return nil, fmt.Errorf("e2lsh: query has dimension %d, index expects %d", len(q), ix.dim)
 	}
@@ -161,7 +156,7 @@ func (ix *Index) BallCover(q []float64, scale float64) (*Result, error) {
 	}
 	r := scale * ix.cfg.R
 	ix.epoch++
-	best := Result{ID: -1, Dist: math.Inf(1)}
+	best := metrics.Neighbor{ID: -1, Dist: math.Inf(1)}
 	checked := 0
 	budget := 3 * ix.l
 	for _, t := range ix.tables {
@@ -187,7 +182,7 @@ func (ix *Index) BallCover(q []float64, scale float64) (*Result, error) {
 			d := vec.L2(q, ix.data[id])
 			checked++
 			if d < best.Dist {
-				best = Result{ID: id, Dist: d}
+				best = metrics.Neighbor{ID: id, Dist: d}
 			}
 			if checked >= budget {
 				break
@@ -256,7 +251,7 @@ func (ix *Index) scaledBucket(t *lsh.Table, scaled []int, scale float64) []int32
 // (r,c)-BC queries at r = R, cR, c²R, … until one returns a point. It
 // returns nil if even the largest radius (maxScale·R, default 2¹⁶)
 // finds nothing.
-func (ix *Index) ANN(q []float64) (*Result, error) {
+func (ix *Index) ANN(q []float64) (*metrics.Neighbor, error) {
 	if len(q) != ix.dim {
 		return nil, fmt.Errorf("e2lsh: query has dimension %d, index expects %d", len(q), ix.dim)
 	}
@@ -277,7 +272,7 @@ func (ix *Index) ANN(q []float64) (*Result, error) {
 // distinct points have been seen, then returns the k nearest among
 // them. This is the natural (c,k)-ANN generalization of the basic
 // scheme (the paper's Definition 2 applied to E2LSH).
-func (ix *Index) KNN(q []float64, k int) ([]Result, error) {
+func (ix *Index) KNN(q []float64, k int) ([]metrics.Neighbor, error) {
 	if len(q) != ix.dim {
 		return nil, fmt.Errorf("e2lsh: query has dimension %d, index expects %d", len(q), ix.dim)
 	}
@@ -285,7 +280,7 @@ func (ix *Index) KNN(q []float64, k int) ([]Result, error) {
 		return nil, fmt.Errorf("e2lsh: k must be positive, got %d", k)
 	}
 	const maxScale = 1 << 16
-	var out []Result
+	var out []metrics.Neighbor
 	collected := map[int32]float64{}
 	for scale := 1.0; scale <= maxScale; scale *= ix.cfg.C {
 		ix.epoch++
@@ -313,7 +308,7 @@ func (ix *Index) KNN(q []float64, k int) ([]Result, error) {
 		}
 	}
 	for id, d := range collected {
-		out = append(out, Result{ID: id, Dist: d})
+		out = append(out, metrics.Neighbor{ID: id, Dist: d})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Dist != out[j].Dist {

@@ -124,11 +124,6 @@ func Run(data [][]float64, queries [][]float64, ts []int, cfg Config) (Curves, e
 	scores := make([]scored, len(data))
 	for qi, q := range queries {
 		pq := proj.Project(q)
-		exact := truth[qi]
-		truthN := make([]metrics.Neighbor, len(exact))
-		for i, e := range exact {
-			truthN[i] = metrics.Neighbor{ID: e.ID, Dist: e.Dist}
-		}
 		for _, kind := range Kinds() {
 			scoreAll(kind, projData, pq, cfg.BucketWidth, rng, scores)
 			// Partial selection: only the top maxT matter.
@@ -141,11 +136,11 @@ func Run(data [][]float64, queries [][]float64, ts []int, cfg Config) (Curves, e
 			}
 			for ti, t := range ts {
 				top := bestK(verified[:t], cfg.K)
-				rec, err := metrics.Recall(top, truthN)
+				rec, err := metrics.Recall(top, truth[qi])
 				if err != nil {
 					return nil, err
 				}
-				rat, err := metrics.OverallRatio(top, truthN)
+				rat, err := metrics.OverallRatio(top, truth[qi])
 				if err != nil {
 					return nil, err
 				}

@@ -8,9 +8,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/metric"
+	"repro/internal/metrics"
 	"repro/internal/vec"
 )
 
@@ -25,12 +25,6 @@ type Config struct {
 	Fraction float64
 	// Seed fixes the scan order.
 	Seed int64
-}
-
-// Result is one returned neighbor.
-type Result struct {
-	ID   int32
-	Dist float64
 }
 
 // Scanner scans a fixed prefix of a seeded random permutation.
@@ -126,26 +120,16 @@ func ClosestPairs(data [][]float64, k int) ([]PairResult, error) {
 
 // KNN returns the exact k nearest among the scanned subset, sorted by
 // distance.
-func (s *Scanner) KNN(q []float64, k int) ([]Result, error) {
+func (s *Scanner) KNN(q []float64, k int) ([]metrics.Neighbor, error) {
 	if len(q) != s.dim {
 		return nil, fmt.Errorf("lscan: query has dimension %d, scanner expects %d", len(q), s.dim)
 	}
 	if k <= 0 {
 		return nil, fmt.Errorf("lscan: k must be positive, got %d", k)
 	}
-	out := make([]Result, 0, k+1)
+	out := make([]metrics.Neighbor, 0, vec.PreallocCap(k, s.limit))
 	for _, id := range s.order[:s.limit] {
-		d := vec.L2(q, s.data[id])
-		if len(out) == k && d >= out[k-1].Dist {
-			continue
-		}
-		i := sort.Search(len(out), func(i int) bool { return out[i].Dist > d })
-		out = append(out, Result{})
-		copy(out[i+1:], out[i:])
-		out[i] = Result{ID: id, Dist: d}
-		if len(out) > k {
-			out = out[:k]
-		}
+		out = vec.InsertBounded(out, metrics.Neighbor{ID: id, Dist: vec.L2(q, s.data[id])}, k, metrics.NeighborDist)
 	}
 	return out, nil
 }
@@ -155,12 +139,8 @@ func (s *Scanner) KNN(q []float64, k int) ([]Result, error) {
 // number: the exhaustive scan recall is scored against. Ties at the
 // k-th distance are broken by map order.
 func ExactKNN(live map[int32][]float64, q []float64, k int, m metric.Kind) map[int32]bool {
-	type cand struct {
-		id int32
-		d  float64
-	}
 	k = min(k, len(live))
-	top := make([]cand, 0, k)
+	top := make([]metrics.Neighbor, 0, k)
 	bound := math.Inf(1)
 	for id, p := range live {
 		var d float64
@@ -172,14 +152,14 @@ func ExactKNN(live map[int32][]float64, q []float64, k int, m metric.Kind) map[i
 		if len(top) == k && d >= bound {
 			continue
 		}
-		top = vec.InsertBounded(top, cand{id: id, d: d}, k, func(c cand) float64 { return c.d })
+		top = vec.InsertBounded(top, metrics.Neighbor{ID: id, Dist: d}, k, metrics.NeighborDist)
 		if len(top) == k {
-			bound = top[k-1].d
+			bound = top[k-1].Dist
 		}
 	}
 	out := make(map[int32]bool, len(top))
-	for _, c := range top {
-		out[c.id] = true
+	for _, n := range top {
+		out[n.ID] = true
 	}
 	return out
 }

@@ -11,12 +11,16 @@ import (
 	"time"
 )
 
-// Neighbor pairs a point id with its distance to the query. Both the
-// algorithm results and the ground truth are expressed in this form.
+// Neighbor pairs a point id with its distance to the query: the one
+// answer shape of every index, baseline and ground truth in the repo.
 type Neighbor struct {
 	ID   int32
 	Dist float64
 }
+
+// NeighborDist is a Neighbor's distance: the key vec.InsertBounded
+// orders a top-k of neighbors by.
+func NeighborDist(n Neighbor) float64 { return n.Dist }
 
 // OverallRatio computes Eq. 11: (1/k)·Σ ||q,o_i|| / ||q,o*_i||, the
 // mean of per-rank distance ratios between the returned sequence and

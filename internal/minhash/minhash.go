@@ -33,6 +33,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/metrics"
 	"repro/internal/vec"
 )
 
@@ -72,13 +73,6 @@ func (c *Config) fillDefaults() error {
 		return fmt.Errorf("minhash: threshold %v outside [0,1]", c.Threshold)
 	}
 	return nil
-}
-
-// Neighbor is one search result: a live id and its Jaccard distance
-// 1 − J from the query set.
-type Neighbor struct {
-	ID   int32
-	Dist float64
 }
 
 // Stats counts the work of one query.
@@ -391,13 +385,13 @@ func (x *Index) Buckets(band int) map[uint64][]int32 {
 	return maps.Clone(x.buckets[band])
 }
 
-// Search returns up to k live sets most similar to the query set,
-// sorted by (distance, id). Candidates come from band-bucket
+// Search returns up to k live sets most similar to the query set, each
+// with its Jaccard distance 1 − J, sorted by (distance, id). Candidates come from band-bucket
 // collisions, are rescored exactly, and results below the configured
 // similarity threshold are dropped — so a set sharing no band with
 // the query is invisible even if similar (the b×r S-curve decides
 // that probability).
-func (x *Index) Search(set []uint64, k int, opt SearchOpt) ([]Neighbor, Stats, error) {
+func (x *Index) Search(set []uint64, k int, opt SearchOpt) ([]metrics.Neighbor, Stats, error) {
 	var st Stats
 	q, err := Canonicalize(set)
 	if err != nil {
@@ -422,7 +416,7 @@ func (x *Index) Search(set []uint64, k int, opt SearchOpt) ([]Neighbor, Stats, e
 	st.Candidates = len(cand)
 	// Deterministic rescore order (bucket iteration order is not).
 	sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
-	top := make([]Neighbor, 0, vec.PreallocCap(k, len(cand)))
+	top := make([]metrics.Neighbor, 0, vec.PreallocCap(k, len(cand)))
 	for _, id := range cand {
 		if opt.Filter != nil && !opt.Filter(id) {
 			continue
@@ -435,14 +429,14 @@ func (x *Index) Search(set []uint64, k int, opt SearchOpt) ([]Neighbor, Stats, e
 		if sim < x.cfg.Threshold {
 			continue
 		}
-		insertNeighbor(&top, k, Neighbor{ID: id, Dist: 1 - sim})
+		insertNeighbor(&top, k, metrics.Neighbor{ID: id, Dist: 1 - sim})
 	}
 	return top, st, nil
 }
 
 // insertNeighbor keeps top as the k best neighbors ordered by
 // (distance, id).
-func insertNeighbor(top *[]Neighbor, k int, n Neighbor) {
+func insertNeighbor(top *[]metrics.Neighbor, k int, n metrics.Neighbor) {
 	t := *top
 	pos := sort.Search(len(t), func(i int) bool {
 		if t[i].Dist != n.Dist {
@@ -451,7 +445,7 @@ func insertNeighbor(top *[]Neighbor, k int, n Neighbor) {
 		return t[i].ID > n.ID
 	})
 	if len(t) < k {
-		t = append(t, Neighbor{})
+		t = append(t, metrics.Neighbor{})
 	} else if pos >= len(t) {
 		return
 	}

@@ -11,6 +11,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // randSet draws a set of roughly size tokens from a vocabulary.
@@ -420,7 +422,7 @@ func TestSearchesRunThroughCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := make([][]Neighbor, len(base))
+	want := make([][]metrics.Neighbor, len(base))
 	for i, q := range base {
 		if want[i], _, err = x.Search(q, 10, SearchOpt{}); err != nil {
 			t.Fatal(err)

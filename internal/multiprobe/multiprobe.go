@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"repro/internal/lsh"
+	"repro/internal/metrics"
 	"repro/internal/vec"
 )
 
@@ -45,12 +46,6 @@ type Config struct {
 	Probes int
 	// Seed drives hash draws and the width sample.
 	Seed int64
-}
-
-// Result is one returned neighbor.
-type Result struct {
-	ID   int32
-	Dist float64
 }
 
 // QueryStats reports per-query work.
@@ -257,7 +252,7 @@ func (ps *probeSequence) next() (deltas []boundary, ok bool) {
 }
 
 // KNN answers a k-NN query, probing Config.Probes buckets per table.
-func (ix *Index) KNN(q []float64, k int) ([]Result, error) {
+func (ix *Index) KNN(q []float64, k int) ([]metrics.Neighbor, error) {
 	res, _, err := ix.KNNWithStats(q, k)
 	return res, err
 }
@@ -265,7 +260,7 @@ func (ix *Index) KNN(q []float64, k int) ([]Result, error) {
 // KNNWithStats probes, for every table, the home bucket plus the
 // highest-scoring perturbed buckets, verifies all collected candidates
 // in the original space and returns the k nearest.
-func (ix *Index) KNNWithStats(q []float64, k int) ([]Result, QueryStats, error) {
+func (ix *Index) KNNWithStats(q []float64, k int) ([]metrics.Neighbor, QueryStats, error) {
 	var st QueryStats
 	if len(q) != ix.dim {
 		return nil, st, fmt.Errorf("multiprobe: query has dimension %d, index expects %d", len(q), ix.dim)
@@ -276,7 +271,7 @@ func (ix *Index) KNNWithStats(q []float64, k int) ([]Result, QueryStats, error) 
 	ix.epoch++
 	epoch := ix.epoch
 
-	var cand []Result
+	var cand []metrics.Neighbor
 	for _, table := range ix.tables {
 		base := table.G.Buckets(q)
 		seq := newProbeSequence(table.G, q)
@@ -298,15 +293,9 @@ func (ix *Index) KNNWithStats(q []float64, k int) ([]Result, QueryStats, error) 
 				ix.seen[id] = epoch
 				d := vec.L2(q, ix.data[id])
 				st.Verified++
-				i := sort.Search(len(cand), func(i int) bool { return cand[i].Dist > d })
-				cand = append(cand, Result{})
-				copy(cand[i+1:], cand[i:])
-				cand[i] = Result{ID: id, Dist: d}
+				cand = vec.InsertBounded(cand, metrics.Neighbor{ID: id, Dist: d}, k, metrics.NeighborDist)
 			}
 		}
-	}
-	if len(cand) > k {
-		cand = cand[:k]
 	}
 	return cand, st, nil
 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // TestChunkedRoundIsNearest: a round whose chunks two workers divide
@@ -49,8 +51,8 @@ func TestChunkedRoundIsNearest(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Radii that hold a tenth, a third and all of the rows.
-		var all []Result
-		probe.Expand(math.Inf(1), func(id int32, d float64) { all = append(all, Result{ID: id, Dist: d}) })
+		var all []metrics.Neighbor
+		probe.Expand(math.Inf(1), func(id int32, d float64) { all = append(all, metrics.Neighbor{ID: id, Dist: d}) })
 		sortResults(all)
 		tenth, third := all[len(all)/10].Dist, all[len(all)/3].Dist
 		schedules := [][]float64{{third}, {tenth, third}, {tenth, third, math.Inf(1)}}
@@ -123,7 +125,7 @@ func divide(e *RangeEnumerator, n, div int) {
 
 // sameBuckets checks that got holds want's ids as one set per bucket of
 // the round, the buckets in ascending order; all maps ids to distances.
-func sameBuckets(t *testing.T, label string, e *RangeEnumerator, want, got []int32, all []Result) {
+func sameBuckets(t *testing.T, label string, e *RangeEnumerator, want, got []int32, all []metrics.Neighbor) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d ids, Nearest %d", label, len(got), len(want))

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/store"
 )
 
@@ -426,15 +427,15 @@ func TestLeafScanMatchesRecursiveReference(t *testing.T) {
 			}
 			seen := map[int32]bool{}
 			for _, r := range schedule {
-				var want []Result
+				var want []metrics.Neighbor
 				for _, res := range refRangeSearch(tr, q, r) {
 					if !seen[res.ID] {
 						want = append(want, res)
 					}
 				}
-				var got []Result
+				var got []metrics.Neighbor
 				en.Expand(r, func(id int32, d float64) {
-					got = append(got, Result{ID: id, Dist: d})
+					got = append(got, metrics.Neighbor{ID: id, Dist: d})
 					seen[id] = true
 				})
 				sortResults(got)
@@ -446,12 +447,12 @@ func TestLeafScanMatchesRecursiveReference(t *testing.T) {
 			// metric evaluations.
 			for _, r := range schedule {
 				want, paid := refRangeSearch(tr, q, r), refRangeCost(tr, q, r)
-				var got []Result
+				var got []metrics.Neighbor
 				if err := en.ResetTree(tr, q); err != nil {
 					t.Fatal(err)
 				}
 				en.Expand(r, func(id int32, d float64) {
-					got = append(got, Result{ID: id, Dist: d})
+					got = append(got, metrics.Neighbor{ID: id, Dist: d})
 				})
 				sortResults(got)
 				requireSameBits(t, fmt.Sprintf("%s query %d one shot at %v", c.name, qi, r), got, want)
@@ -464,7 +465,7 @@ func TestLeafScanMatchesRecursiveReference(t *testing.T) {
 	}
 }
 
-func requireSameBits(tb testing.TB, label string, got, want []Result) {
+func requireSameBits(tb testing.TB, label string, got, want []metrics.Neighbor) {
 	tb.Helper()
 	if len(got) != len(want) {
 		tb.Fatalf("%s: got %d results, want %d", label, len(got), len(want))
@@ -533,11 +534,11 @@ func TestChurnGrowsTailAndRebuildFoldsIt(t *testing.T) {
 		q := live[rng.Intn(len(live))]
 		r := 10 + rng.Float64()*25
 		var a, b RangeEnumerator
-		var got, want []Result
+		var got, want []metrics.Neighbor
 		a.ResetTree(tr, q)
-		a.Expand(r, func(id int32, d float64) { got = append(got, Result{id, d}) })
+		a.Expand(r, func(id int32, d float64) { got = append(got, metrics.Neighbor{ID: id, Dist: d}) })
 		b.ResetTree(reloaded, q)
-		b.Expand(r, func(id int32, d float64) { want = append(want, Result{id, d}) })
+		b.Expand(r, func(id int32, d float64) { want = append(want, metrics.Neighbor{ID: id, Dist: d}) })
 		requireSameBits(t, "churned tree vs its regrown one", got, want)
 		if a.DistComps() != b.DistComps() {
 			t.Fatalf("the churned tree paid %d metric evaluations, its regrown one %d", a.DistComps(), b.DistComps())

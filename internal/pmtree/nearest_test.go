@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // nearestTree is one tree of TestNearestIsSortedPrefix: 600–1800 points
@@ -114,11 +116,11 @@ func TestNearestIsSortedPrefix(t *testing.T) {
 					for _, r := range schedule {
 						label := fmt.Sprintf("trial %d query %d filter %v limit %s radius %v", trial, qi, admit != nil, lim.name, r)
 						emitted := 0
-						var want []Result
+						var want []metrics.Neighbor
 						twin.Expand(r, func(id int32, d float64) {
 							emitted++
 							if admit == nil || admit(id) {
-								want = append(want, Result{ID: id, Dist: d})
+								want = append(want, metrics.Neighbor{ID: id, Dist: d})
 							}
 						})
 						sortResults(want)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/vec"
 )
@@ -32,11 +33,11 @@ func randData(n, d int, seed int64) [][]float64 {
 // wide returns a stored row as float64.
 func wide(p []float32) []float64 { return widenTo(make([]float64, len(p)), p) }
 
-func bruteRange(data [][]float64, q []float64, r float64) []Result {
-	var out []Result
+func bruteRange(data [][]float64, q []float64, r float64) []metrics.Neighbor {
+	var out []metrics.Neighbor
 	for i, p := range data {
 		if d := vec.L2(q, p); d <= r {
-			out = append(out, Result{ID: int32(i), Dist: d})
+			out = append(out, metrics.Neighbor{ID: int32(i), Dist: d})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -48,7 +49,7 @@ func bruteRange(data [][]float64, q []float64, r float64) []Result {
 	return out
 }
 
-func sameResults(a, b []Result) bool {
+func sameResults(a, b []metrics.Neighbor) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -398,7 +399,7 @@ func TestConcurrentRangeQueries(t *testing.T) {
 		queries[i] = q
 		radii[i] = 5 + rng.Float64()*15
 	}
-	want := make([][]Result, len(queries))
+	want := make([][]metrics.Neighbor, len(queries))
 	for i := range queries {
 		res, err := tr.RangeSearch(queries[i], radii[i])
 		if err != nil {
@@ -407,7 +408,7 @@ func TestConcurrentRangeQueries(t *testing.T) {
 		want[i] = res
 	}
 	var wg sync.WaitGroup
-	got := make([][]Result, len(queries))
+	got := make([][]metrics.Neighbor, len(queries))
 	errs := make([]error, len(queries))
 	for i := range queries {
 		wg.Add(1)

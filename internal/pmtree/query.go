@@ -4,13 +4,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-)
 
-// Result is one point returned by a query.
-type Result struct {
-	ID   int32
-	Dist float64
-}
+	"repro/internal/metrics"
+)
 
 // RangeSearch returns every indexed point within distance r of q (the
 // paper's range(q, r)), sorted by (distance, id). It is one round of
@@ -29,7 +25,7 @@ type Result struct {
 // should hold a RangeEnumerator and call Expand per round instead: its
 // flat pass evaluates each row once per query rather than descend every
 // round.
-func (t *Tree) RangeSearch(q []float64, r float64) ([]Result, error) {
+func (t *Tree) RangeSearch(q []float64, r float64) ([]metrics.Neighbor, error) {
 	if r < 0 {
 		return nil, fmt.Errorf("pmtree: negative radius %v", r)
 	}
@@ -37,16 +33,16 @@ func (t *Tree) RangeSearch(q []float64, r float64) ([]Result, error) {
 	if err := e.ResetTree(t, q); err != nil {
 		return nil, err
 	}
-	var out []Result
+	var out []metrics.Neighbor
 	e.Expand(r, func(id int32, d float64) {
-		out = append(out, Result{ID: id, Dist: d})
+		out = append(out, metrics.Neighbor{ID: id, Dist: d})
 	})
 	sortResults(out)
 	return out, nil
 }
 
 // sortResults orders query output by (distance, id).
-func sortResults(out []Result) {
+func sortResults(out []metrics.Neighbor) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Dist != out[j].Dist {
 			return out[i].Dist < out[j].Dist

@@ -6,18 +6,19 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/vec"
 )
 
 // refRangeSearch runs the retained recursive traversal with the same
 // validation and ordering as the public RangeSearch.
-func refRangeSearch(t *Tree, q []float64, r float64) []Result {
+func refRangeSearch(t *Tree, q []float64, r float64) []metrics.Neighbor {
 	if t.count == 0 {
 		return nil
 	}
-	var out []Result
+	var out []metrics.Neighbor
 	t.rangeSearchRef(q, r, func(id int32, d float64) {
-		out = append(out, Result{ID: id, Dist: d})
+		out = append(out, metrics.Neighbor{ID: id, Dist: d})
 	})
 	sortResults(out)
 	return out
@@ -31,14 +32,14 @@ func refRangeCost(t *Tree, q []float64, r float64) int64 {
 
 // rangeSearchPaid is RangeSearch with the metric evaluations its
 // enumeration paid (DistComps).
-func rangeSearchPaid(tb testing.TB, t *Tree, q []float64, r float64) ([]Result, int64) {
+func rangeSearchPaid(tb testing.TB, t *Tree, q []float64, r float64) ([]metrics.Neighbor, int64) {
 	tb.Helper()
 	var e RangeEnumerator
 	if err := e.ResetTree(t, q); err != nil {
 		tb.Fatal(err)
 	}
-	var out []Result
-	e.Expand(r, func(id int32, d float64) { out = append(out, Result{ID: id, Dist: d}) })
+	var out []metrics.Neighbor
+	e.Expand(r, func(id int32, d float64) { out = append(out, metrics.Neighbor{ID: id, Dist: d}) })
 	sortResults(out)
 	return out, e.DistComps()
 }
@@ -163,7 +164,7 @@ func randomTree(tb testing.TB, rng *rand.Rand) (*Tree, [][]float64) {
 	return tr, live
 }
 
-func requireSameResults(tb testing.TB, label string, got, want []Result) {
+func requireSameResults(tb testing.TB, label string, got, want []metrics.Neighbor) {
 	tb.Helper()
 	if len(got) != len(want) {
 		tb.Fatalf("%s: got %d results, want %d", label, len(got), len(want))
@@ -238,12 +239,12 @@ func TestRangeEnumeratorResumes(t *testing.T) {
 			t.Fatal(err)
 		}
 		seen := make(map[int32]float64)
-		var all []Result
+		var all []metrics.Neighbor
 		prev := math.Inf(-1)
 		for _, rr := range ladder {
-			var round []Result
+			var round []metrics.Neighbor
 			en.Expand(rr, func(id int32, d float64) {
-				round = append(round, Result{ID: id, Dist: d})
+				round = append(round, metrics.Neighbor{ID: id, Dist: d})
 			})
 			for _, res := range round {
 				if old, dup := seen[res.ID]; dup {
@@ -262,7 +263,7 @@ func TestRangeEnumeratorResumes(t *testing.T) {
 		sortResults(all)
 
 		var restartDists int64
-		var want []Result
+		var want []metrics.Neighbor
 		for _, rr := range ladder {
 			res, paid := rangeSearchPaid(t, tr, q, rr)
 			want = res
@@ -289,9 +290,9 @@ func TestRangeEnumeratorReuse(t *testing.T) {
 		if err := e.Reset(tr, q); err != nil {
 			t.Fatal(err)
 		}
-		var got []Result
+		var got []metrics.Neighbor
 		e.Expand(r, func(id int32, d float64) {
-			got = append(got, Result{ID: id, Dist: d})
+			got = append(got, metrics.Neighbor{ID: id, Dist: d})
 		})
 		sortResults(got)
 		want, err := tr.RangeSearch(q, r)

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/vec"
 )
 
@@ -71,14 +72,14 @@ func TestRoundedPointsMatchBruteForce(t *testing.T) {
 		if seen != tr.Len() {
 			t.Fatalf("trial %d: Points visited %d of %d live points", trial, seen, tr.Len())
 		}
-		brute := func(q []float64, lo, hi float64) []Result {
-			var out []Result
+		brute := func(q []float64, lo, hi float64) []metrics.Neighbor {
+			var out []metrics.Neighbor
 			for id, p := range rounded {
 				if p == nil {
 					continue
 				}
 				if d := math.Sqrt(vec.SquaredL2(q, p)); d > lo && d <= hi {
-					out = append(out, Result{ID: int32(id), Dist: d})
+					out = append(out, metrics.Neighbor{ID: int32(id), Dist: d})
 				}
 			}
 			sortResults(out)
@@ -104,8 +105,8 @@ func TestRoundedPointsMatchBruteForce(t *testing.T) {
 				}
 				prev := math.Inf(-1)
 				for _, r := range schedule {
-					var got []Result
-					en.Expand(r, func(id int32, d float64) { got = append(got, Result{ID: id, Dist: d}) })
+					var got []metrics.Neighbor
+					en.Expand(r, func(id int32, d float64) { got = append(got, metrics.Neighbor{ID: id, Dist: d}) })
 					sortResults(got)
 					requireSameBits(t, fmt.Sprintf("trial %d query %d %s (%v, %v]", trial, qi, mode, prev, r), got, brute(q, prev, r))
 					prev = r

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/lsh"
+	"repro/internal/metrics"
 	"repro/internal/store"
 )
 
@@ -168,15 +169,15 @@ func TestScanMatchesTree(t *testing.T) {
 			seen := map[int32]bool{}
 			for _, r := range schedule {
 				label := fmt.Sprintf("%s query %d radius %v", c.name, qi, r)
-				var got, want []Result
+				var got, want []metrics.Neighbor
 				sw.Expand(r, func(id int32, d float64) {
 					if _, ok := c.live[id]; !ok || seen[id] {
 						t.Fatalf("%s: emitted id %d (live %v, seen %v)", label, id, ok, seen[id])
 					}
 					seen[id] = true
-					got = append(got, Result{ID: id, Dist: d})
+					got = append(got, metrics.Neighbor{ID: id, Dist: d})
 				})
-				ref.Expand(r, func(id int32, d float64) { want = append(want, Result{ID: id, Dist: d}) })
+				ref.Expand(r, func(id int32, d float64) { want = append(want, metrics.Neighbor{ID: id, Dist: d}) })
 				sortResults(got)
 				sortResults(want)
 				requireSameBits(t, label, got, want)
@@ -212,7 +213,7 @@ func TestEnumerationTraversesAtMostOnce(t *testing.T) {
 			// Still under the switch, on it, and far past it.
 			r2 := []float64{math.Nextafter(r1, 2*r1), tr.ScanRadius(), 6 * tr.ScanRadius()}[qi%3]
 			label := fmt.Sprintf("%s query %d radii %v, %v", c.name, qi, r1, r2)
-			var want []Result
+			var want []metrics.Neighbor
 			for _, res := range refRangeSearch(tr, q, r2) {
 				if res.Dist > r1 {
 					want = append(want, res)
@@ -229,12 +230,12 @@ func TestEnumerationTraversesAtMostOnce(t *testing.T) {
 				if err := reset(tr, q); err != nil {
 					t.Fatal(err)
 				}
-				var first, second []Result
-				e.Expand(r1, func(id int32, d float64) { first = append(first, Result{ID: id, Dist: d}) })
+				var first, second []metrics.Neighbor
+				e.Expand(r1, func(id int32, d float64) { first = append(first, metrics.Neighbor{ID: id, Dist: d}) })
 				if e.DistComps() != after1 {
 					t.Fatalf("%s treeOnly=%v: first round paid %d evaluations, want %d", label, treeOnly, e.DistComps(), after1)
 				}
-				e.Expand(r2, func(id int32, d float64) { second = append(second, Result{ID: id, Dist: d}) })
+				e.Expand(r2, func(id int32, d float64) { second = append(second, metrics.Neighbor{ID: id, Dist: d}) })
 				if e.DistComps() != after2 {
 					t.Fatalf("%s treeOnly=%v: two rounds paid %d evaluations, want %d", label, treeOnly, e.DistComps(), after2)
 				}
@@ -360,9 +361,9 @@ func BenchmarkEnumerate(b *testing.B) {
 			for _, mode := range []string{"sorted", "nearest"} {
 				b.Run(fmt.Sprintf("n=%d/select/r=%gx/%s", n, f, mode), func(b *testing.B) {
 					var e RangeEnumerator
-					var buf []Result
+					var buf []metrics.Neighbor
 					var ids []int32
-					emit := func(id int32, d float64) { buf = append(buf, Result{ID: id, Dist: d}) }
+					emit := func(id int32, d float64) { buf = append(buf, metrics.Neighbor{ID: id, Dist: d}) }
 					taken := 0
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // TestSnapshotKeepsItsMoment is the tree-level half of the index's
@@ -37,7 +39,7 @@ func TestSnapshotKeepsItsMoment(t *testing.T) {
 	// answers of one tree state: a small radius (traversal), a large one
 	// (flat pass), the closest pairs and the fingerprint.
 	type answers struct {
-		near, far [][]Result
+		near, far [][]metrics.Neighbor
 		pairs     []PairCandidate
 		print     []byte
 	}
@@ -49,8 +51,8 @@ func TestSnapshotKeepsItsMoment(t *testing.T) {
 				if err := e.Reset(tree, q); err != nil {
 					t.Error(err)
 				}
-				var out []Result
-				e.Expand(r, func(id int32, d float64) { out = append(out, Result{ID: id, Dist: d}) })
+				var out []metrics.Neighbor
+				e.Expand(r, func(id int32, d float64) { out = append(out, metrics.Neighbor{ID: id, Dist: d}) })
 				sortResults(out)
 				if r == 6 {
 					a.near = append(a.near, out)

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/store"
 )
 
@@ -224,9 +225,9 @@ func requireAnswersLikeRebuilt(t *testing.T, label string, o *churnOracle, tr, r
 			}
 			total := 0
 			for _, r := range radii {
-				var got, want []Result
-				a.Expand(r, func(id int32, d float64) { got = append(got, Result{id, d}) })
-				b.Expand(r, func(id int32, d float64) { want = append(want, Result{id, d}) })
+				var got, want []metrics.Neighbor
+				a.Expand(r, func(id int32, d float64) { got = append(got, metrics.Neighbor{ID: id, Dist: d}) })
+				b.Expand(r, func(id int32, d float64) { want = append(want, metrics.Neighbor{ID: id, Dist: d}) })
 				sortResults(got)
 				sortResults(want)
 				requireSameBits(t, fmt.Sprintf("%s query %d treeOnly=%v Expand(%v)", label, qi, treeOnly, r), got, want)

@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"repro/internal/bptree"
+	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/vec"
 )
@@ -40,12 +41,6 @@ type Config struct {
 	// StartRadius is the first virtual-rehashing radius (0 derives it
 	// from the data scale: the minimum positive projected gap).
 	StartRadius float64
-}
-
-// Result is one returned neighbor.
-type Result struct {
-	ID   int32
-	Dist float64
 }
 
 // QueryStats reports per-query work.
@@ -197,7 +192,7 @@ type frontier struct {
 }
 
 // KNN answers a (c,k)-ANN query with the index's configured ratio.
-func (ix *Index) KNN(q []float64, k int) ([]Result, error) {
+func (ix *Index) KNN(q []float64, k int) ([]metrics.Neighbor, error) {
 	res, _, err := ix.KNNWithStats(q, k)
 	return res, err
 }
@@ -207,7 +202,7 @@ func (ix *Index) KNN(q []float64, k int) ([]Result, error) {
 // R_j = startRadius·c^j. Points reaching l collisions are verified.
 // Terminates when k candidates lie within c·R_j or βn + k candidates
 // have been verified.
-func (ix *Index) KNNWithStats(q []float64, k int) ([]Result, QueryStats, error) {
+func (ix *Index) KNNWithStats(q []float64, k int) ([]metrics.Neighbor, QueryStats, error) {
 	var st QueryStats
 	if len(q) != ix.dim {
 		return nil, st, fmt.Errorf("qalsh: query has dimension %d, index expects %d", len(q), ix.dim)
@@ -240,7 +235,7 @@ func (ix *Index) KNNWithStats(q []float64, k int) ([]Result, QueryStats, error) 
 		r = ix.autoStartRadius()
 	}
 
-	var cand []Result
+	var cand []metrics.Neighbor
 	for {
 		st.Rounds++
 		half := r * ix.w / 2
@@ -250,20 +245,20 @@ func (ix *Index) KNNWithStats(q []float64, k int) ([]Result, QueryStats, error) 
 			f := &fronts[i]
 			lo, hi := ix.qproj[i]-half, ix.qproj[i]+half
 			for f.rightOK && f.right.Item().Key <= hi {
-				ix.bump(f.right.Item().ID, epoch, q, &cand, &st)
+				ix.bump(f.right.Item().ID, epoch, q, k, &cand, &st)
 				f.rightOK = f.right.Next()
 				st.Frontier++
 			}
 			for f.leftOK && f.left.Item().Key >= lo {
-				ix.bump(f.left.Item().ID, epoch, q, &cand, &st)
+				ix.bump(f.left.Item().ID, epoch, q, k, &cand, &st)
 				f.leftOK = f.left.Prev()
 				st.Frontier++
 			}
 		}
-		if len(cand) >= needed {
+		if st.Verified >= needed {
 			break
 		}
-		if len(cand) >= k && cand[k-1].Dist <= c*r {
+		if len(cand) == k && cand[k-1].Dist <= c*r {
 			break
 		}
 		if st.Verified >= n {
@@ -283,15 +278,12 @@ func (ix *Index) KNNWithStats(q []float64, k int) ([]Result, QueryStats, error) 
 		}
 		r *= c
 	}
-	if len(cand) > k {
-		cand = cand[:k]
-	}
 	return cand, st, nil
 }
 
 // bump increments the collision counter of id and verifies the point
-// once it reaches the threshold l.
-func (ix *Index) bump(id int32, epoch int32, q []float64, cand *[]Result, st *QueryStats) {
+// once it reaches the threshold l, keeping cand the k nearest verified.
+func (ix *Index) bump(id int32, epoch int32, q []float64, k int, cand *[]metrics.Neighbor, st *QueryStats) {
 	if ix.stamp[id] != epoch {
 		ix.stamp[id] = epoch
 		ix.counts[id] = 0
@@ -301,10 +293,7 @@ func (ix *Index) bump(id int32, epoch int32, q []float64, cand *[]Result, st *Qu
 		ix.seen[id] = epoch
 		d := vec.L2(q, ix.data[id])
 		st.Verified++
-		i := sort.Search(len(*cand), func(i int) bool { return (*cand)[i].Dist > d })
-		*cand = append(*cand, Result{})
-		copy((*cand)[i+1:], (*cand)[i:])
-		(*cand)[i] = Result{ID: id, Dist: d}
+		*cand = vec.InsertBounded(*cand, metrics.Neighbor{ID: id, Dist: d}, k, metrics.NeighborDist)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/vec"
 )
 
@@ -31,10 +32,10 @@ func clusteredData(n, d, clusters int, seed int64) [][]float64 {
 	return out
 }
 
-func exactKNN(data [][]float64, q []float64, k int) []Result {
-	out := make([]Result, 0, len(data))
+func exactKNN(data [][]float64, q []float64, k int) []metrics.Neighbor {
+	out := make([]metrics.Neighbor, 0, len(data))
 	for i, p := range data {
-		out = append(out, Result{ID: int32(i), Dist: vec.L2(q, p)})
+		out = append(out, metrics.Neighbor{ID: int32(i), Dist: vec.L2(q, p)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
 	if len(out) > k {

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/heapq"
+	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/vec"
 )
@@ -347,15 +348,9 @@ func (t *Tree) split(n *node) (*entry, *entry) {
 	return left, right
 }
 
-// Result is one point returned by a query.
-type Result struct {
-	ID   int32
-	Dist float64
-}
-
 // RangeSearch returns all points within Euclidean distance r of q,
 // sorted by distance.
-func (t *Tree) RangeSearch(q []float64, r float64) ([]Result, error) {
+func (t *Tree) RangeSearch(q []float64, r float64) ([]metrics.Neighbor, error) {
 	if len(q) != t.dim {
 		return nil, fmt.Errorf("rtree: query has dimension %d, tree expects %d", len(q), t.dim)
 	}
@@ -365,14 +360,14 @@ func (t *Tree) RangeSearch(q []float64, r float64) ([]Result, error) {
 	if t.count == 0 {
 		return nil, nil
 	}
-	var out []Result
+	var out []metrics.Neighbor
 	t.rangeSearchRec(t.root, q, r*r, &out)
 	sortResults(out)
 	return out, nil
 }
 
 // sortResults orders query output by (distance, id).
-func sortResults(out []Result) {
+func sortResults(out []metrics.Neighbor) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Dist != out[j].Dist {
 			return out[i].Dist < out[j].Dist
@@ -382,14 +377,14 @@ func sortResults(out []Result) {
 }
 
 // rangeSearchRec is the depth-first range search behind RangeSearch.
-func (t *Tree) rangeSearchRec(n *node, q []float64, r2 float64, out *[]Result) {
+func (t *Tree) rangeSearchRec(n *node, q []float64, r2 float64, out *[]metrics.Neighbor) {
 	t.nodeAccesses.Add(1)
 	if n.leaf {
 		for i := range n.entries {
 			e := &n.entries[i]
 			t.distCalcs.Add(1)
 			if d2 := vec.SquaredL2(q, t.leafPoint(e)); d2 <= r2 {
-				*out = append(*out, Result{ID: e.id, Dist: math.Sqrt(d2)})
+				*out = append(*out, metrics.Neighbor{ID: e.id, Dist: math.Sqrt(d2)})
 			}
 		}
 		return
@@ -408,7 +403,7 @@ func (t *Tree) rangeSearchRec(n *node, q []float64, r2 float64, out *[]Result) {
 }
 
 // KNNSearch returns the k nearest points to q, sorted by distance.
-func (t *Tree) KNNSearch(q []float64, k int) ([]Result, error) {
+func (t *Tree) KNNSearch(q []float64, k int) ([]metrics.Neighbor, error) {
 	if err := t.checkQuery(q, k); err != nil {
 		return nil, err
 	}
@@ -419,13 +414,13 @@ func (t *Tree) KNNSearch(q []float64, k int) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, 0, k)
+	out := make([]metrics.Neighbor, 0, k)
 	for len(out) < k {
 		id, d, ok := it.Next()
 		if !ok {
 			break
 		}
-		out = append(out, Result{ID: id, Dist: d})
+		out = append(out, metrics.Neighbor{ID: id, Dist: d})
 	}
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/metrics"
 	"repro/internal/vec"
 )
 
@@ -23,11 +24,11 @@ func randData(n, d int, seed int64) [][]float64 {
 	return out
 }
 
-func bruteRange(data [][]float64, q []float64, r float64) []Result {
-	var out []Result
+func bruteRange(data [][]float64, q []float64, r float64) []metrics.Neighbor {
+	var out []metrics.Neighbor
 	for i, p := range data {
 		if d := vec.L2(q, p); d <= r {
-			out = append(out, Result{ID: int32(i), Dist: d})
+			out = append(out, metrics.Neighbor{ID: int32(i), Dist: d})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

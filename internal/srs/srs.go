@@ -10,9 +10,9 @@ package srs
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/lsh"
+	"repro/internal/metrics"
 	"repro/internal/rtree"
 	"repro/internal/stats"
 	"repro/internal/vec"
@@ -41,12 +41,6 @@ type Config struct {
 	MaxFraction float64
 	// Seed drives the projection draw.
 	Seed int64
-}
-
-// Result is one returned neighbor.
-type Result struct {
-	ID   int32
-	Dist float64
 }
 
 // QueryStats reports per-query work.
@@ -119,7 +113,7 @@ func (ix *Index) Dim() int { return ix.dim }
 func (ix *Index) Tree() *rtree.Tree { return ix.tree }
 
 // KNN answers a (c,k)-ANN query.
-func (ix *Index) KNN(q []float64, k int, c float64) ([]Result, error) {
+func (ix *Index) KNN(q []float64, k int, c float64) ([]metrics.Neighbor, error) {
 	res, _, err := ix.KNNWithStats(q, k, c)
 	return res, err
 }
@@ -138,7 +132,7 @@ func (ix *Index) KNN(q []float64, k int, c float64) ([]Result, error) {
 // The approximation ratio c enters through the calibration of p′_τ and
 // MaxFraction (the paper quotes p′_τ = 0.8107, T = 0.4010 for c = 1.5);
 // the defaults correspond to c = 1.5.
-func (ix *Index) KNNWithStats(q []float64, k int, c float64) ([]Result, QueryStats, error) {
+func (ix *Index) KNNWithStats(q []float64, k int, c float64) ([]metrics.Neighbor, QueryStats, error) {
 	var st QueryStats
 	if len(q) != ix.dim {
 		return nil, st, fmt.Errorf("srs: query has dimension %d, index expects %d", len(q), ix.dim)
@@ -159,7 +153,7 @@ func (ix *Index) KNNWithStats(q []float64, k int, c float64) ([]Result, QuerySta
 		maxAccess = k
 	}
 
-	var topk []Result
+	var topk []metrics.Neighbor
 	for st.Accessed < maxAccess {
 		id, projDist, ok := it.Next()
 		if !ok {
@@ -167,7 +161,7 @@ func (ix *Index) KNNWithStats(q []float64, k int, c float64) ([]Result, QuerySta
 		}
 		st.Accessed++
 		d := vec.L2(q, ix.data[id])
-		topk = insertTopK(topk, Result{ID: id, Dist: d}, k)
+		topk = vec.InsertBounded(topk, metrics.Neighbor{ID: id, Dist: d}, k, metrics.NeighborDist)
 
 		if len(topk) == k {
 			dk := topk[k-1].Dist
@@ -183,19 +177,4 @@ func (ix *Index) KNNWithStats(q []float64, k int, c float64) ([]Result, QuerySta
 		}
 	}
 	return topk, st, nil
-}
-
-// insertTopK keeps the k smallest results sorted ascending.
-func insertTopK(out []Result, r Result, k int) []Result {
-	if len(out) == k && r.Dist >= out[k-1].Dist {
-		return out
-	}
-	i := sort.Search(len(out), func(i int) bool { return out[i].Dist > r.Dist })
-	out = append(out, Result{})
-	copy(out[i+1:], out[i:])
-	out[i] = r
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
 }

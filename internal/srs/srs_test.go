@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/vec"
 )
 
@@ -31,10 +32,10 @@ func clusteredData(n, d, clusters int, seed int64) [][]float64 {
 	return out
 }
 
-func exactKNN(data [][]float64, q []float64, k int) []Result {
-	out := make([]Result, 0, len(data))
+func exactKNN(data [][]float64, q []float64, k int) []metrics.Neighbor {
+	out := make([]metrics.Neighbor, 0, len(data))
 	for i, p := range data {
-		out = append(out, Result{ID: int32(i), Dist: vec.L2(q, p)})
+		out = append(out, metrics.Neighbor{ID: int32(i), Dist: vec.L2(q, p)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
 	if len(out) > k {
@@ -190,20 +191,5 @@ func TestResultsSortedUniqueExactDistances(t *testing.T) {
 				t.Fatal("wrong reported distance")
 			}
 		}
-	}
-}
-
-func TestInsertTopK(t *testing.T) {
-	var out []Result
-	for _, d := range []float64{5, 3, 8, 1, 9, 2} {
-		out = insertTopK(out, Result{ID: int32(d), Dist: d}, 3)
-	}
-	if len(out) != 3 || out[0].Dist != 1 || out[1].Dist != 2 || out[2].Dist != 3 {
-		t.Errorf("insertTopK = %+v", out)
-	}
-	// Rejecting an item worse than the current k-th.
-	out2 := insertTopK(out, Result{ID: 99, Dist: 100}, 3)
-	if len(out2) != 3 || out2[2].Dist != 3 {
-		t.Errorf("should reject worse item: %+v", out2)
 	}
 }
