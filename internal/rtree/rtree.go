@@ -402,39 +402,6 @@ func (t *Tree) rangeSearchRec(n *node, q []float64, r2 float64, out *[]metrics.N
 	}
 }
 
-// KNNSearch returns the k nearest points to q, sorted by distance.
-func (t *Tree) KNNSearch(q []float64, k int) ([]metrics.Neighbor, error) {
-	if err := t.checkQuery(q, k); err != nil {
-		return nil, err
-	}
-	if t.count == 0 {
-		return nil, nil
-	}
-	it, err := t.NewIterator(q)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]metrics.Neighbor, 0, k)
-	for len(out) < k {
-		id, d, ok := it.Next()
-		if !ok {
-			break
-		}
-		out = append(out, metrics.Neighbor{ID: id, Dist: d})
-	}
-	return out, nil
-}
-
-func (t *Tree) checkQuery(q []float64, k int) error {
-	if len(q) != t.dim {
-		return fmt.Errorf("rtree: query has dimension %d, tree expects %d", len(q), t.dim)
-	}
-	if k <= 0 {
-		return fmt.Errorf("rtree: k must be positive, got %d", k)
-	}
-	return nil
-}
-
 // Iterator yields points in increasing distance from a query — the
 // incSearch primitive of SRS (best-first traversal with a global
 // priority queue over nodes and points). The queue is the same

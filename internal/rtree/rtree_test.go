@@ -91,6 +91,25 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// firstK is the k-NN answer SRS reads off the iterator: its first k
+// points, fewer when the tree holds fewer.
+func firstK(t *testing.T, tr *Tree, q []float64, k int) []metrics.Neighbor {
+	t.Helper()
+	it, err := tr.NewIterator(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []metrics.Neighbor
+	for len(out) < k {
+		id, d, ok := it.Next()
+		if !ok {
+			break
+		}
+		out = append(out, metrics.Neighbor{ID: id, Dist: d})
+	}
+	return out
+}
+
 func TestKNNMatchesBruteForce(t *testing.T) {
 	data := randData(400, 5, 12)
 	tr, _ := Build(data, nil, Config{})
@@ -101,10 +120,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 			q[j] = rng.NormFloat64() * 10
 		}
 		k := 1 + rng.Intn(25)
-		got, err := tr.KNNSearch(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := firstK(t, tr, q, k)
 		want := bruteRange(data, q, math.Inf(1))
 		if len(got) != k {
 			t.Fatalf("got %d results, want %d", len(got), k)
@@ -167,9 +183,6 @@ func TestQueryValidation(t *testing.T) {
 	}
 	if _, err := tr.RangeSearch(data[0], -1); err == nil {
 		t.Error("negative radius")
-	}
-	if _, err := tr.KNNSearch(data[0], 0); err == nil {
-		t.Error("k=0")
 	}
 	if _, err := tr.NewIterator([]float64{1}); err == nil {
 		t.Error("iterator dim mismatch")
@@ -310,8 +323,8 @@ func TestCustomIDs(t *testing.T) {
 		ids[i] = int32(500 + i)
 	}
 	tr, _ := Build(data, ids, Config{})
-	res, _ := tr.KNNSearch(data[11], 1)
-	if len(res) != 1 || res[0].ID != 511 {
+	res := firstK(t, tr, data[11], 1)
+	if len(res) != 1 || res[0].ID != 511 || res[0].Dist != 0 {
 		t.Errorf("got %v, want ID 511", res)
 	}
 }
@@ -328,5 +341,16 @@ func TestDuplicatePoints(t *testing.T) {
 	res, _ := tr.RangeSearch([]float64{7, 7, 7}, 0)
 	if len(res) != 60 {
 		t.Errorf("found %d duplicates, want 60", len(res))
+	}
+	// The iterator yields every duplicate once, all at distance 0.
+	seen := make(map[int32]bool)
+	for _, n := range firstK(t, tr, []float64{7, 7, 7}, 100) {
+		if n.Dist != 0 || seen[n.ID] {
+			t.Fatalf("iterator yielded %+v (seen before: %v)", n, seen[n.ID])
+		}
+		seen[n.ID] = true
+	}
+	if len(seen) != 60 {
+		t.Errorf("iterator yielded %d duplicates, want 60", len(seen))
 	}
 }

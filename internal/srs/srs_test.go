@@ -83,6 +83,9 @@ func TestKNNValidation(t *testing.T) {
 	if _, err := ix.KNN(data[0], 0, 1.5); err == nil {
 		t.Error("k=0 should fail")
 	}
+	if _, err := ix.KNN(data[0], -1, 1.5); err == nil {
+		t.Error("k=-1 should fail")
+	}
 	if _, err := ix.KNN(data[0], 5, 1.0); err == nil {
 		t.Error("c=1 should fail")
 	}
