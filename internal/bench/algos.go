@@ -59,8 +59,9 @@ type BuildConfig struct {
 	QALSHMaxHashes int
 	// MultiProbeProbes is the per-table probe budget (0 = default).
 	MultiProbeProbes int
-	// LScanFraction is the scanned fraction (0 = 0.7).
-	LScanFraction float64
+	// Fraction is the share of the dataset a query may access: SRS's T
+	// (0 = 0.401) and LScan's scanned fraction (0 = 0.7).
+	Fraction float64
 }
 
 func (b *BuildConfig) fill() {
@@ -82,11 +83,11 @@ func BuildAlgo(name AlgoName, data [][]float64, cfg BuildConfig) (Algorithm, err
 	case RLSH:
 		return BuildTreeAblation(RLSH, data, cfg)
 	case SRS:
-		ix, err := srs.Build(data, srs.Config{Seed: cfg.Seed})
+		ix, err := srs.Build(data, srs.Config{Seed: cfg.Seed, MaxFraction: cfg.Fraction})
 		if err != nil {
 			return nil, err
 		}
-		return baseline{SRS, func(q []float64, k int) ([]metrics.Neighbor, error) { return ix.KNN(q, k, cfg.C) }}, nil
+		return baseline{SRS, ix.KNN}, nil
 	case QALSH:
 		ix, err := qalsh.Build(data, qalsh.Config{
 			C: cfg.C, Seed: cfg.Seed, MaxHashes: cfg.QALSHMaxHashes,
@@ -115,7 +116,7 @@ func BuildAlgo(name AlgoName, data [][]float64, cfg BuildConfig) (Algorithm, err
 		}
 		return baseline{E2LSH, ix.KNN}, nil
 	case LScan:
-		sc, err := lscan.New(data, lscan.Config{Seed: cfg.Seed, Fraction: cfg.LScanFraction})
+		sc, err := lscan.New(data, lscan.Config{Seed: cfg.Seed, Fraction: cfg.Fraction})
 		if err != nil {
 			return nil, err
 		}

@@ -127,10 +127,20 @@ func VaryK(w *Workload, names []AlgoName, ks []int, cfg BuildConfig) ([]Row, err
 
 // Tradeoff is Figs. 10–11: recall–time and ratio–time curves obtained
 // by sweeping each algorithm's quality knob — the approximation ratio c
-// for PM-LSH, R-LSH, SRS and QALSH, the probe budget for Multi-Probe,
-// and the scanned fraction for LScan.
+// for PM-LSH, R-LSH and QALSH, the probe budget for Multi-Probe, and
+// the accessed fraction for SRS (its T) and LScan. The knob's value is
+// reported in each row's C column.
 func Tradeoff(w *Workload, k int, cs []float64, probes []int, fractions []float64, cfg BuildConfig) ([]Row, error) {
 	var out []Row
+	eval := func(a Algorithm, knob float64) error {
+		row, err := Evaluate(a, w, k)
+		if err != nil {
+			return err
+		}
+		row.C = knob
+		out = append(out, row)
+		return nil
+	}
 
 	// PM-LSH and R-LSH: c is a query-time parameter; build once.
 	for _, name := range []AlgoName{PMLSH, RLSH} {
@@ -140,60 +150,38 @@ func Tradeoff(w *Workload, k int, cs []float64, probes []int, fractions []float6
 		}
 		for _, c := range cs {
 			a.(interface{ SetC(float64) }).SetC(c)
-			row, err := Evaluate(a, w, k)
+			if err := eval(a, c); err != nil {
+				return nil, err
+			}
+		}
+	}
+	// Every other knob is fixed at build: one index per value.
+	probeKnobs := make([]float64, len(probes))
+	for i, p := range probes {
+		probeKnobs[i] = float64(p)
+	}
+	setFraction := func(b *BuildConfig, f float64) { b.Fraction = f }
+	for _, sweep := range []struct {
+		name  AlgoName
+		knobs []float64
+		set   func(*BuildConfig, float64)
+	}{
+		{SRS, fractions, setFraction},
+		{QALSH, cs, func(b *BuildConfig, c float64) { b.C = c }},
+		{MultiProbe, probeKnobs, func(b *BuildConfig, p float64) { b.MultiProbeProbes = int(p) }},
+		{LScan, fractions, setFraction},
+	} {
+		for _, v := range sweep.knobs {
+			bcfg := cfg
+			sweep.set(&bcfg, v)
+			a, err := BuildAlgo(sweep.name, w.Dataset.Points, bcfg)
 			if err != nil {
 				return nil, err
 			}
-			row.C = c
-			out = append(out, row)
-		}
-	}
-	// SRS takes c per query, QALSH bakes it into the index: build per c.
-	for _, name := range []AlgoName{SRS, QALSH} {
-		for _, c := range cs {
-			ccfg := cfg
-			ccfg.C = c
-			a, err := BuildAlgo(name, w.Dataset.Points, ccfg)
-			if err != nil {
+			if err := eval(a, v); err != nil {
 				return nil, err
 			}
-			row, err := Evaluate(a, w, k)
-			if err != nil {
-				return nil, err
-			}
-			row.C = c
-			out = append(out, row)
 		}
-	}
-	// Multi-Probe: sweep probes.
-	for _, p := range probes {
-		mcfg := cfg
-		mcfg.MultiProbeProbes = p
-		a, err := BuildAlgo(MultiProbe, w.Dataset.Points, mcfg)
-		if err != nil {
-			return nil, err
-		}
-		row, err := Evaluate(a, w, k)
-		if err != nil {
-			return nil, err
-		}
-		row.C = float64(p) // the knob value, reported in the C column
-		out = append(out, row)
-	}
-	// LScan: sweep fraction.
-	for _, f := range fractions {
-		lcfg := cfg
-		lcfg.LScanFraction = f
-		a, err := BuildAlgo(LScan, w.Dataset.Points, lcfg)
-		if err != nil {
-			return nil, err
-		}
-		row, err := Evaluate(a, w, k)
-		if err != nil {
-			return nil, err
-		}
-		row.C = f
-		out = append(out, row)
 	}
 	return out, nil
 }

@@ -112,9 +112,10 @@ func (ix *Index) Dim() int { return ix.dim }
 // Tree exposes the underlying R-tree (for the cost model comparison).
 func (ix *Index) Tree() *rtree.Tree { return ix.tree }
 
-// KNN answers a (c,k)-ANN query.
-func (ix *Index) KNN(q []float64, k int, c float64) ([]metrics.Neighbor, error) {
-	res, _, err := ix.KNNWithStats(q, k, c)
+// KNN answers a (c,k)-ANN query for the c its thresholds are
+// calibrated to (see KNNWithStats).
+func (ix *Index) KNN(q []float64, k int) ([]metrics.Neighbor, error) {
+	res, _, err := ix.KNNWithStats(q, k)
 	return res, err
 }
 
@@ -129,19 +130,17 @@ func (ix *Index) KNN(q []float64, k int, c float64) ([]metrics.Neighbor, error) 
 //     at distance d_k would already have been enumerated with
 //     probability p′_τ, continuing is unlikely to improve the top-k.
 //
-// The approximation ratio c enters through the calibration of p′_τ and
-// MaxFraction (the paper quotes p′_τ = 0.8107, T = 0.4010 for c = 1.5);
-// the defaults correspond to c = 1.5.
-func (ix *Index) KNNWithStats(q []float64, k int, c float64) ([]metrics.Neighbor, QueryStats, error) {
+// The approximation ratio c enters only through the calibration of p′_τ
+// and MaxFraction (the paper quotes p′_τ = 0.8107, T = 0.4010 for
+// c = 1.5, the defaults), so a query takes no c: T is the knob that
+// trades quality for time.
+func (ix *Index) KNNWithStats(q []float64, k int) ([]metrics.Neighbor, QueryStats, error) {
 	var st QueryStats
 	if len(q) != ix.dim {
 		return nil, st, fmt.Errorf("srs: query has dimension %d, index expects %d", len(q), ix.dim)
 	}
 	if k <= 0 {
 		return nil, st, fmt.Errorf("srs: k must be positive, got %d", k)
-	}
-	if c <= 1 {
-		return nil, st, fmt.Errorf("srs: approximation ratio must exceed 1, got %v", c)
 	}
 	qp := ix.proj.Project(q)
 	it, err := ix.tree.NewIterator(qp)

@@ -77,17 +77,14 @@ func TestDefaults(t *testing.T) {
 func TestKNNValidation(t *testing.T) {
 	data := clusteredData(50, 6, 2, 3)
 	ix, _ := Build(data, Config{})
-	if _, err := ix.KNN([]float64{1}, 5, 1.5); err == nil {
+	if _, err := ix.KNN([]float64{1}, 5); err == nil {
 		t.Error("dim mismatch should fail")
 	}
-	if _, err := ix.KNN(data[0], 0, 1.5); err == nil {
+	if _, err := ix.KNN(data[0], 0); err == nil {
 		t.Error("k=0 should fail")
 	}
-	if _, err := ix.KNN(data[0], -1, 1.5); err == nil {
+	if _, err := ix.KNN(data[0], -1); err == nil {
 		t.Error("k=-1 should fail")
-	}
-	if _, err := ix.KNN(data[0], 5, 1.0); err == nil {
-		t.Error("c=1 should fail")
 	}
 }
 
@@ -95,7 +92,7 @@ func TestKNNFindsSelf(t *testing.T) {
 	data := clusteredData(400, 16, 5, 4)
 	ix, _ := Build(data, Config{Seed: 7})
 	for i := 0; i < 15; i++ {
-		res, err := ix.KNN(data[i*13], 1, 1.5)
+		res, err := ix.KNN(data[i*13], 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +113,7 @@ func TestKNNQuality(t *testing.T) {
 		for j := range q {
 			q[j] += rng.NormFloat64() * 0.5
 		}
-		got, err := ix.KNN(q, k, 1.5)
+		got, err := ix.KNN(q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +139,7 @@ func TestAccessBudgetRespected(t *testing.T) {
 	data := clusteredData(1000, 12, 4, 8)
 	ix, _ := Build(data, Config{Seed: 2, MaxFraction: 0.1, PTau: 0.9999999})
 	q := make([]float64, 12)
-	_, st, err := ix.KNNWithStats(q, 5, 1.5)
+	_, st, err := ix.KNNWithStats(q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +153,7 @@ func TestEarlyTermination(t *testing.T) {
 	// should terminate before exhausting its T·n budget.
 	data := clusteredData(2000, 16, 8, 9)
 	ix, _ := Build(data, Config{Seed: 4})
-	_, st, err := ix.KNNWithStats(data[100], 5, 1.5)
+	_, st, err := ix.KNNWithStats(data[100], 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +174,7 @@ func TestResultsSortedUniqueExactDistances(t *testing.T) {
 		for j := range q {
 			q[j] = rng.NormFloat64() * 15
 		}
-		res, err := ix.KNN(q, 12, 1.5)
+		res, err := ix.KNN(q, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
