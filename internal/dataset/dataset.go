@@ -325,7 +325,11 @@ func exactKNN(data [][]float64, q []float64, k int) []metrics.Neighbor {
 	top := make([]metrics.Neighbor, 0, vec.PreallocCap(k, len(data))) // Dist holds squared distances until the end
 	bound := math.Inf(1)
 	for id, p := range data {
-		top = vec.InsertBounded(top, metrics.Neighbor{ID: int32(id), Dist: vec.SquaredL2Bounded(q, p, bound)}, k, metrics.NeighborDist)
+		d2 := vec.SquaredL2Bounded(q, p, bound)
+		if len(top) == k && d2 >= bound {
+			continue
+		}
+		top = vec.InsertBounded(top, metrics.Neighbor{ID: int32(id), Dist: d2}, k, metrics.NeighborDist)
 		if len(top) == k {
 			bound = top[k-1].Dist
 		}

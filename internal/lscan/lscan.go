@@ -129,7 +129,11 @@ func (s *Scanner) KNN(q []float64, k int) ([]metrics.Neighbor, error) {
 	}
 	out := make([]metrics.Neighbor, 0, vec.PreallocCap(k, s.limit))
 	for _, id := range s.order[:s.limit] {
-		out = vec.InsertBounded(out, metrics.Neighbor{ID: id, Dist: vec.L2(q, s.data[id])}, k, metrics.NeighborDist)
+		d := vec.L2(q, s.data[id])
+		if len(out) == k && d >= out[k-1].Dist {
+			continue
+		}
+		out = vec.InsertBounded(out, metrics.Neighbor{ID: id, Dist: d}, k, metrics.NeighborDist)
 	}
 	return out, nil
 }

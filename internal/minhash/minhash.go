@@ -386,11 +386,11 @@ func (x *Index) Buckets(band int) map[uint64][]int32 {
 }
 
 // Search returns up to k live sets most similar to the query set, each
-// with its Jaccard distance 1 − J, sorted by (distance, id). Candidates come from band-bucket
-// collisions, are rescored exactly, and results below the configured
-// similarity threshold are dropped — so a set sharing no band with
-// the query is invisible even if similar (the b×r S-curve decides
-// that probability).
+// with its Jaccard distance 1 − J, sorted by (distance, id). Candidates
+// come from band-bucket collisions, are rescored exactly, and results
+// below the configured similarity threshold are dropped — so a set
+// sharing no band with the query is invisible even if similar (the b×r
+// S-curve decides that probability).
 func (x *Index) Search(set []uint64, k int, opt SearchOpt) ([]metrics.Neighbor, Stats, error) {
 	var st Stats
 	q, err := Canonicalize(set)
