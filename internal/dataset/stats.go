@@ -221,13 +221,7 @@ func knnDistances(data [][]float64, q []float64, k int) []float64 {
 		if len(top) == k && d >= top[k-1] {
 			continue
 		}
-		i := sort.SearchFloat64s(top, d)
-		top = append(top, 0)
-		copy(top[i+1:], top[i:])
-		top[i] = d
-		if len(top) > k {
-			top = top[:k]
-		}
+		top = vec.InsertBounded(top, d, k, func(x float64) float64 { return x })
 	}
 	return top
 }
