@@ -61,6 +61,7 @@ func BuildTreeAblation(name AlgoName, data [][]float64, cfg BuildConfig) (Algori
 	if err != nil {
 		return nil, err
 	}
+	// The F(x) sample core.Build draws for the same seed.
 	dist, err := costmodel.SampleDistanceDistribution(data, 0, cfg.Seed+2)
 	if err != nil {
 		return nil, err

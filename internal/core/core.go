@@ -883,6 +883,24 @@ func (ix *Index) repack(cur *view) (s *store.Store, ids, rowOf []int32, err erro
 	return s, ids, rowOf, err
 }
 
+// SampleDistances is the F(x) sample Build draws (paper Eq. 4), taken
+// over plain rows: the sorted distances of samples random pairs of
+// distinct rows (≤ 0 = Config.DistSampleSize's default), the pairs
+// drawn from a generator seeded with seed — a build seeds its own with
+// Config.Seed + 2. The evaluation's Algorithm 2 and Table 2's cost model
+// read it, so their F(x) is sampled as the index's is.
+func SampleDistances(rows [][]float64, samples int, seed int64) []float64 {
+	cfg := Config{DistSampleSize: max(samples, 0), Seed: seed - 2}
+	cfg.fillDefaults(0)
+	return sampleDistanceDistribution(rowSlice(rows), cfg)
+}
+
+// rowSlice reads plain rows as the sample reads a store.
+type rowSlice [][]float64
+
+func (r rowSlice) Len() int            { return len(r) }
+func (r rowSlice) Row(i int) []float64 { return r[i] }
+
 // sampleDistanceDistribution draws cfg.DistSampleSize random pairs of
 // s's rows (a store just built or repacked, every row live; 5 000 pairs
 // by default, sized by the DKW bound in that field's doc) and returns
@@ -892,7 +910,10 @@ func (ix *Index) repack(cur *view) (s *store.Store, ids, rowOf []int32, err erro
 // every query point. The pairs come off one seeded generator in order
 // and their distances are computed in GOMAXPROCS chunks, so the sample
 // is the same at any parallelism; sortDistances orders it.
-func sampleDistanceDistribution(s *store.Store, cfg Config) []float64 {
+func sampleDistanceDistribution[S interface {
+	Len() int
+	Row(i int) []float64
+}](s S, cfg Config) []float64 {
 	n := s.Len()
 	samples := min(cfg.DistSampleSize, n*(n-1)/2)
 	if samples == 0 {

@@ -16,9 +16,9 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/pmtree"
 	"repro/internal/rtree"
-	"repro/internal/vec"
 )
 
 // DefaultSelectivity is the fraction of points a modeled range query
@@ -66,28 +66,13 @@ func (d *Distribution) Quantile(p float64) float64 {
 }
 
 // SampleDistanceDistribution estimates F(x) (Eq. 4) from random point
-// pairs.
+// pairs: the index's own sample, core.SampleDistances (samples ≤ 0 =
+// its default).
 func SampleDistanceDistribution(points [][]float64, samples int, seed int64) (*Distribution, error) {
-	n := len(points)
-	if n < 2 {
+	if n := len(points); n < 2 {
 		return nil, fmt.Errorf("costmodel: need at least 2 points, got %d", n)
 	}
-	if samples <= 0 {
-		samples = 50000
-	}
-	if max := n * (n - 1) / 2; samples > max {
-		samples = max
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]float64, 0, samples)
-	for len(out) < samples {
-		i, j := rng.Intn(n), rng.Intn(n)
-		if i == j {
-			continue
-		}
-		out = append(out, vec.L2(points[i], points[j]))
-	}
-	return NewDistribution(out)
+	return &Distribution{sorted: core.SampleDistances(points, samples, seed)}, nil
 }
 
 // DimensionDistributions estimates G_i(x) (Eq. 8) for every dimension.
