@@ -117,30 +117,69 @@ func processCPU(b *testing.B) time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
-// BenchmarkHelperStart measures what splitMinWork pays for: the delay
-// from a go statement to the new goroutine's first instruction, at
-// GOMAXPROCS 2 with the other P idle, as a query's helper finds it. The
-// starting goroutine stays busy throughout, as a query is: it spins
-// until the new goroutine reports, so that one must be taken up by the
-// idle P, and for 200 µs before each sample, so that P is parked again.
-// It reports the p50 and p99 delay over b.N samples.
+// BenchmarkHelperStart measures what splitMinWork pays for, at
+// GOMAXPROCS 2 with the other P idle, as a query's helper finds it; each
+// case reports the p50 and p99 delay over b.N samples.
+//
+// cold is the delay from a go statement to the new goroutine's first
+// instruction. The starting goroutine stays busy throughout, as a query
+// is: it spins until the new goroutine reports, so that one must be
+// taken up by the idle P, and for 200 µs before each sample, so that P
+// is parked again.
+//
+// warm is the hand-over a closed-loop caller gets instead: the caller
+// joins its helper, spins 2 µs as a caller between two Searches does,
+// and takes the lingering helper over (startHelper's compare-and-swap);
+// the delay runs from there to the helper's first claim of a phase the
+// caller opens at once. go_stmts/op is the share of samples that found
+// no lingering helper and started one.
 func BenchmarkHelperStart(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	delays := make([]time.Duration, b.N)
-	var started atomic.Int64
-	for i := range delays {
-		for t := time.Now(); time.Since(t) < 200*time.Microsecond; {
-		}
-		started.Store(0)
-		t0 := time.Now()
-		go func() { started.Store(int64(time.Since(t0)) + 1) }()
-		for started.Load() == 0 {
-		}
-		delays[i] = time.Duration(started.Load() - 1)
+	report := func(b *testing.B, delays []time.Duration) {
+		slices.Sort(delays)
+		b.ReportMetric(float64(delays[len(delays)/2].Nanoseconds())/1e3, "p50_us")
+		b.ReportMetric(float64(delays[len(delays)*99/100].Nanoseconds())/1e3, "p99_us")
 	}
-	slices.Sort(delays)
-	b.ReportMetric(float64(delays[len(delays)/2].Microseconds()), "p50_us")
-	b.ReportMetric(float64(delays[len(delays)*99/100].Microseconds()), "p99_us")
+	b.Run("cold", func(b *testing.B) {
+		delays := make([]time.Duration, b.N)
+		var started atomic.Int64
+		for i := range delays {
+			for t := time.Now(); time.Since(t) < 200*time.Microsecond; {
+			}
+			started.Store(0)
+			t0 := time.Now()
+			go func() { started.Store(int64(time.Since(t0)) + 1) }()
+			for started.Load() == 0 {
+			}
+			delays[i] = time.Duration(started.Load() - 1)
+		}
+		report(b, delays)
+	})
+	b.Run("warm", func(b *testing.B) {
+		delays := make([]time.Duration, b.N)
+		sc := &queryScratch{}
+		sc.startHelper(splitMinWork).join()
+		starts := helperStarts.Load()
+		for i := range delays {
+			for t := time.Now(); time.Since(t) < 2*time.Microsecond; {
+			}
+			t0 := time.Now()
+			h := sc.startHelper(splitMinWork)
+			if h == nil {
+				b.Fatal("no helper on an idle core")
+			}
+			// One claim of an empty verification: the first unit the
+			// helper takes, and all it has to do.
+			h.ids, h.vf = nil, verifier{view: &view{}}
+			h.work.Store(phaseWord(phaseVerify, 1))
+			for h.done.Load() == 0 {
+			}
+			delays[i] = time.Since(t0)
+			h.join()
+		}
+		b.ReportMetric(float64(helperStarts.Load()-starts)/float64(b.N), "go_stmts/op")
+		report(b, delays)
+	})
 }
 
 // BenchmarkShardedSearch times k = 50 Searches from one closed-loop

@@ -14,7 +14,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -1076,16 +1075,6 @@ func (ix *Index) startEnum(sc *queryScratch, tree *pmtree.Tree, q []float64, tra
 	return &sc.pmEnum, sc.pmEnum.Reset(tree, sc.qp)
 }
 
-// compareDistID orders results by (distance, id): the order of every
-// answer, and the one rule for two candidates at exactly the same
-// distance — the smaller id comes first, whichever was verified first.
-func compareDistID(a, b Result) int {
-	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.ID, b.ID)
-}
-
 // smallestPositiveDistance returns the smallest non-zero distance of a
 // sorted sample (fallback for datasets dominated by duplicates).
 func smallestPositiveDistance(cdf []float64) float64 {
@@ -1097,10 +1086,12 @@ func smallestPositiveDistance(cdf []float64) float64 {
 	return 1e-9
 }
 
-// insertCandidate keeps cand sorted by compareDistID and capped at k
-// entries; an r that does not make the top k leaves it unchanged.
+// insertCandidate keeps cand sorted by metrics.CompareNeighbors and
+// capped at k entries; an r that does not make the top k leaves it
+// unchanged. Two candidates at exactly the same distance rank by id,
+// whichever was verified first.
 func insertCandidate(cand []Result, r Result, k int) []Result {
-	i := sort.Search(len(cand), func(j int) bool { return compareDistID(cand[j], r) > 0 })
+	i := sort.Search(len(cand), func(j int) bool { return metrics.CompareNeighbors(cand[j], r) > 0 })
 	if i >= k {
 		return cand
 	}

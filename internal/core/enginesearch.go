@@ -4,6 +4,8 @@ import (
 	"context"
 	"slices"
 	"sync"
+
+	"repro/internal/metrics"
 )
 
 // Engine queries. With one shard a query is that shard's own — answers,
@@ -120,7 +122,7 @@ func (e *Engine) mergeTopK(per [][]Result, k int) []Result {
 	if len(out) == 0 {
 		return nil
 	}
-	slices.SortFunc(out, compareDistID)
+	slices.SortFunc(out, metrics.CompareNeighbors)
 	if len(out) > k {
 		out = out[:k]
 	}
@@ -192,7 +194,7 @@ func (e *Engine) SearchBall(ctx context.Context, q []float64, r float64, o Searc
 			continue
 		}
 		g := Result{ID: res.ID*int32(n) + int32(s), Dist: res.Dist}
-		if best == nil || g.Dist < best.Dist || (g.Dist == best.Dist && g.ID < best.ID) {
+		if best == nil || metrics.CompareNeighbors(g, *best) < 0 {
 			b := g
 			best = &b
 		}

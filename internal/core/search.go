@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/metric"
 	"repro/internal/pmtree"
@@ -335,7 +336,7 @@ type verifier struct {
 	q        []float64 // reduced (internal-space) query
 	blk      *verifyBlock
 	k        int
-	top      []Result // best ≤ k so far by compareDistID; Dist holds squared distances
+	top      []Result // best ≤ k so far by metrics.CompareNeighbors; Dist holds squared distances
 	bound    float64  // top[k-1].Dist once top is full, +Inf before
 	verified int      // QueryStats.Verified
 }
@@ -370,26 +371,43 @@ const verifyClaim = 8 * verifyWidth
 
 // splitMinWork is the least verification budget, candidates ×
 // dimension, for which a query takes a helper, decided when the query
-// starts. A helper reaches an idle core 60–100 µs after its go
-// statement (BenchmarkHelperStart), so a query with less to verify ends
-// sooner on the caller alone; on two cores BenchmarkVerifySplit first
-// wins at every d at this work, and loses or breaks even at 2^18.
+// starts. A new helper reaches an idle core 60–100 µs after its go
+// statement (BenchmarkHelperStart/cold), so a query with less to verify
+// ends sooner on the caller alone; on two cores BenchmarkVerifySplit
+// first wins at every d at this work, and loses or breaks even at 2^18.
+// A lingering helper is taken over in ~1 µs (BenchmarkHelperStart/warm),
+// but the gate is sized by the cold start, which a query pays when no
+// query of its scratch came just before it.
 const splitMinWork = 3 << 17
+
+// helperLinger is how long a joined helper waits for the next query of
+// its scratch before its goroutine returns. It outlasts a closed-loop
+// caller's turnaround between Searches, a few µs, and stays near the
+// cold start it saves (p50 ~80 µs, p99 0.2–1.5 ms); a query no successor
+// claims wastes up to this much CPU. On the repository benchmark's
+// knn-d768 (2-vCPU guest, 10 s windows, seeds 1–6) 20 µs lifted qps by
+// a median 17% with p99 better in 4 of 6 pairs; 100 µs by 28%, p99 and
+// p50 better in all 6, CPU per query down 10%.
+const helperLinger = 100 * time.Microsecond
 
 // searching counts this process's goroutines running a query —
 // searchView, SearchBall, SearchPairs — or a query's helper: the cores
 // its queries hold.
 var searching atomic.Int64
 
-// startHelper starts the query's one helper goroutine (queryHelper) when
-// its verification budget, candidates × dimension, reaches splitMinWork
-// and a core holds no query: searching, the helper included, stays
-// within GOMAXPROCS. So a caller alone on the cores takes one, and
-// Searches that share them with other queries — HTTP handlers on one
-// shard, a Search beside a SearchBall or SearchPairs — do not. It
-// returns nil when no helper starts; a nil helper runs every step on the
-// caller. One helper is what BenchmarkVerifySplit measured; more are not
-// started.
+// helperStarts counts the go statements startHelper has made.
+var helperStarts atomic.Int64
+
+// startHelper gives the query its one helper (queryHelper) when its
+// verification budget, candidates × dimension, reaches splitMinWork and
+// a core holds no query: searching, the helper included, stays within
+// GOMAXPROCS. So a caller alone on the cores takes one, and Searches
+// that share them with other queries — HTTP handlers on one shard, a
+// Search beside a SearchBall or SearchPairs — do not. The helper is the
+// one still lingering in the scratch from its last query, taken over by
+// one compare-and-swap, or else a new goroutine. It returns nil when the
+// query takes no helper; a nil helper runs every step on the caller. One
+// helper is what BenchmarkVerifySplit measured; more are not started.
 func (sc *queryScratch) startHelper(work int) *queryHelper {
 	if work < splitMinWork {
 		return nil
@@ -400,16 +418,17 @@ func (sc *queryScratch) startHelper(work int) *queryHelper {
 	}
 	h := &sc.help
 	if h.run == nil {
-		h.run = func() {
-			h.drain()
-			h.left.Store(true)
-		}
+		h.run = h.serve
 	}
 	h.en, h.owed = &sc.pmEnum, 0
 	h.work.Store(phaseWord(phaseIdle, 0))
 	h.done.Store(0)
 	h.left.Store(false)
-	go h.run()
+	if !h.state.CompareAndSwap(helperLingering, helperBusy) {
+		h.state.Store(helperBusy)
+		helperStarts.Add(1)
+		go h.run()
+	}
 	return h
 }
 
@@ -417,9 +436,12 @@ func (sc *queryScratch) startHelper(work int) *queryHelper {
 // caller. The helper starts with the query and, once it runs, takes
 // whatever work the query has open: chunks of a round's flat pass, then
 // claims of its verification, in every round, until the query joins it.
-// It lives in the pooled query scratch with everything it touches —
-// phase word, buffers, goroutine body — so a warmed Search allocates
-// its answer and nothing else, helped or not.
+// Joined, it lingers for helperLinger, holding no query and not counted
+// in searching, so that the next query of its scratch takes it over
+// instead of waking a new goroutine; then it returns, whether or not the
+// pool still holds the scratch. It lives in the pooled query scratch
+// with everything it touches — phase word, buffers, goroutine body — so
+// a warmed Search allocates its answer and nothing else, helped or not.
 //
 // The caller opens each step as a phase of numbered units (split) and
 // both claim units from one word, which holds the phase's kind, its
@@ -429,12 +451,13 @@ func (sc *queryScratch) startHelper(work int) *queryHelper {
 // line is hot for one of them at a time; what the helper writes while
 // working sits on lines of its own.
 type queryHelper struct {
-	_    [64]byte
-	work atomic.Uint64 // the open phase (phaseWord); stopped at the join
-	_    [64]byte
-	done atomic.Int64 // units the helper has finished this query
-	left atomic.Bool  // the helper has returned
-	_    [64]byte
+	_     [64]byte
+	work  atomic.Uint64 // the open phase (phaseWord); stopped at the join
+	_     [64]byte
+	done  atomic.Int64 // units the helper has finished this query
+	left  atomic.Bool  // the helper has left this query
+	state atomic.Int32 // helperGone, helperBusy or helperLingering
+	_     [64]byte
 
 	owed int64 // units the helper has claimed this query; the caller's
 	en   *pmtree.RangeEnumerator
@@ -453,6 +476,14 @@ const (
 	phaseScan
 	phaseVerify
 	phaseStop
+)
+
+// Helper states: no goroutine, one serving a query, one waiting to be
+// taken over.
+const (
+	helperGone = iota
+	helperBusy
+	helperLingering
 )
 
 func phaseWord(kind, units int) uint64 { return uint64(kind)<<62 | uint64(units)<<31 }
@@ -478,6 +509,23 @@ func (h *queryHelper) drain() {
 		if kind, units, next = unpack(h.work.Add(1) - 1); next < units {
 			h.unit(kind, next, 1, &h.vf)
 			h.done.Add(1)
+		}
+	}
+}
+
+// serve is the helper goroutine's body: serve a query, then linger until
+// the next one takes it over or helperLinger runs out. It lingers before
+// it reports leaving, so a caller that joins and starts its next query
+// at once finds it lingering, not still busy.
+func (h *queryHelper) serve() {
+	for {
+		h.drain()
+		h.state.Store(helperLingering)
+		h.left.Store(true)
+		for t := time.Now(); h.state.Load() == helperLingering; runtime.Gosched() {
+			if time.Since(t) > helperLinger && h.state.CompareAndSwap(helperLingering, helperGone) {
+				return
+			}
 		}
 	}
 }
@@ -524,12 +572,12 @@ func (h *queryHelper) nearest(en *pmtree.RangeEnumerator, r float64, limit int, 
 // verify leaves vf exactly as vf.run(ids) would, sharing the claims with
 // the helper. Each keeps its own top-k and bound; the helper's starts
 // from vf's bound, which is the round's current top-k once that is
-// full, and is merged into vf by compareDistID when the round's claims
-// are done. The answer is the serial one because the top-k of a set does
-// not depend on how it is partitioned, and a worker's kernel never
-// abandons a member of the set's top-k: a worker's bound is the k-th
-// distance of k members of the set, or vf's, never below the set's
-// final k-th.
+// full, and is merged into vf by metrics.CompareNeighbors when the
+// round's claims are done. The answer is the serial one because the
+// top-k of a set does not depend on how it is partitioned, and a
+// worker's kernel never abandons a member of the set's top-k: a
+// worker's bound is the k-th distance of k members of the set, or vf's,
+// never below the set's final k-th.
 func (h *queryHelper) verify(vf *verifier, ids []int32) {
 	if h == nil {
 		vf.run(ids)
@@ -548,8 +596,9 @@ func (h *queryHelper) verify(vf *verifier, ids []int32) {
 	h.top = h.vf.top[:0]
 }
 
-// join stops the helper, waits for it to return and gives its core
-// back. Every query that started a helper joins it before it returns.
+// join stops the helper, waits for it to leave the query and gives its
+// core back. Every query that took a helper joins it before it returns;
+// no helper works past its join.
 func (h *queryHelper) join() {
 	if h == nil {
 		return

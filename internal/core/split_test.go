@@ -121,9 +121,10 @@ func TestSplitVerificationIsInvisible(t *testing.T) {
 	}
 }
 
-// TestSearchJoinsItsHelpers: no helper outlives the Search that started
-// it — neither after a query that ends normally nor after one whose
-// context is canceled between rounds, right after a split round.
+// TestSearchJoinsItsHelpers: no helper works past the Search that took
+// it, and its goroutine does not outlive its linger — neither after a
+// query that ends normally nor after one whose context is canceled
+// between rounds, right after a split round.
 func TestSearchJoinsItsHelpers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	ix, data := splitTestIndex(t, Config{Seed: 5})
@@ -303,6 +304,117 @@ func TestSplitOnlyOnAnIdleCore(t *testing.T) {
 		}
 		if n := searching.Load(); n != 0 {
 			t.Errorf("%s returned with %d goroutines still counted as searching", holder.name, n)
+		}
+	}
+}
+
+// TestBackToBackSearchesKeepTheirHelper: a closed-loop caller's Searches
+// take over the helper the previous one left lingering in the pooled
+// scratch instead of starting a goroutine each, and answer exactly as
+// the serial loop does. Under the race detector sync.Pool drops a
+// quarter of its Puts at random, and each dropped scratch costs its
+// successor a new helper, so there the test checks the answers and the
+// hand-over's races but not the count.
+func TestBackToBackSearchesKeepTheirHelper(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ix, data := splitTestIndex(t, Config{Seed: 5})
+	ctx := context.Background()
+	qs := splitQueries(data)
+	want := make([][]Result, len(qs))
+	for i, q := range qs {
+		var err error
+		if want[i], err = ix.Search(ctx, q, 50, SearchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GOMAXPROCS(2)
+	const runs = 200
+	before := helperStarts.Load()
+	for i := range runs {
+		res, err := ix.Search(ctx, qs[i%len(qs)], 50, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, fmt.Sprintf("Search %d at GOMAXPROCS=2", i), want[i%len(qs)], res)
+	}
+	started := helperStarts.Load() - before
+	if started == 0 {
+		t.Fatalf("%d Searches of %d candidates × %d started no helper", runs, len(want[0]), splitDim)
+	}
+	if !raceEnabled && started > runs/10 {
+		t.Fatalf("%d back-to-back Searches started %d helper goroutines, want at most %d", runs, started, runs/10)
+	}
+}
+
+// TestLingeringHelperReturns: once a Search returns, its helper works no
+// more, and its goroutine returns within helperLinger — whether the next
+// query of the scratch never comes or the scratch is dropped from the
+// pool while the helper lingers.
+func TestLingeringHelperReturns(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ix, data := splitTestIndex(t, Config{Seed: 5})
+	for _, drop := range []bool{false, true} {
+		before, starts := runtime.NumGoroutine(), helperStarts.Load()
+		for _, q := range splitQueries(data) {
+			if _, err := ix.Search(context.Background(), q, 50, SearchOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if helperStarts.Load() == starts {
+			t.Fatal("no Search started a helper")
+		}
+		label := "kept in the pool"
+		if drop {
+			for ix.scratch.Get() != nil {
+			}
+			label = "dropped from the pool"
+		}
+		checkJoined(t, label, before, "drain")
+	}
+}
+
+// TestFanOutTakesNoHelper: a query whose caller already spreads work
+// over the cores — a multi-shard Engine.Search's per-shard goroutines,
+// Index.SearchBatch's and Engine.SearchBatch's workers — starts no
+// helper, however much it has to verify. At GOMAXPROCS 4 the count of
+// searching goroutines would leave room for one in each case (a batch
+// of one query runs one worker), so what keeps them out is that none of
+// these calls is a query alone.
+func TestFanOutTakesNoHelper(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ix, data := splitTestIndex(t, Config{Seed: 5})
+	engine := func(shards int) *Engine {
+		e, err := BuildEngine(data, Config{Seed: 5, M: 15, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	one, two := engine(1), engine(2)
+	ctx := context.Background()
+	qs := splitQueries(data)
+	o := SearchOptions{Budget: 1000} // a shard's 1 300 rows × 768 are past splitMinWork
+	if 1000*splitDim < splitMinWork {
+		t.Fatalf("a budget of 1000 candidates is under the split's %d", splitMinWork/splitDim)
+	}
+	for _, tc := range []struct {
+		name  string
+		run   func() error
+		takes bool
+	}{
+		{"Index.Search", func() error { _, err := ix.Search(ctx, qs[0], 50, o); return err }, true},
+		{"2-shard Engine.Search", func() error { _, err := two.Search(ctx, qs[0], 50, o); return err }, false},
+		{"Index.SearchBatch of one", func() error { _, err := ix.SearchBatch(ctx, qs[:1], 50, o); return err }, false},
+		{"Index.SearchBatch", func() error { _, err := ix.SearchBatch(ctx, qs, 50, o); return err }, false},
+		{"1-shard Engine.SearchBatch of one", func() error { _, err := one.SearchBatch(ctx, qs[:1], 50, o); return err }, false},
+		{"1-shard Engine.SearchBatch", func() error { _, err := one.SearchBatch(ctx, qs, 50, o); return err }, false},
+	} {
+		before := helperStarts.Load()
+		if err := tc.run(); err != nil {
+			t.Fatal(tc.name, err)
+		}
+		if took := helperStarts.Load() > before; took != tc.takes {
+			t.Errorf("%s started a helper: %v, want %v", tc.name, took, tc.takes)
 		}
 	}
 }

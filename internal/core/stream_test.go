@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/pmtree"
 	"repro/internal/vec"
 )
@@ -32,7 +33,7 @@ func refRangeSearch(ix *Index, q []float64, r float64) ([]Result, int64, error) 
 	}
 	var out []Result
 	e.Expand(r, func(id int32, d float64) { out = append(out, Result{ID: id, Dist: d}) })
-	slices.SortFunc(out, compareDistID)
+	slices.SortFunc(out, metrics.CompareNeighbors)
 	return out, e.DistComps(), nil
 }
 
@@ -138,7 +139,7 @@ func refBallCover(ix *Index, q []float64, r, c float64) (*Result, error) {
 	best := Result{ID: -1, Dist: math.Inf(1)}
 	for _, pr := range projRes {
 		cand := Result{ID: pr.ID, Dist: vec.SquaredL2Bounded(q, ix.point(pr.ID), best.Dist)}
-		if compareDistID(cand, best) < 0 {
+		if metrics.CompareNeighbors(cand, best) < 0 {
 			best = cand
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/vec"
 )
 
@@ -109,7 +110,7 @@ func seqSearchBall(ix *Index, q []float64, r float64, o SearchOptions) (*Result,
 		st.Verified++
 		row := int(ix.view.Load().rowOf[id])
 		cand := Result{ID: id, Dist: vec.SquaredL2Bounded(q, ix.data.Row(row), best.Dist)}
-		if compareDistID(cand, best) < 0 {
+		if metrics.CompareNeighbors(cand, best) < 0 {
 			best = cand
 		}
 	}

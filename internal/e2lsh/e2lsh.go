@@ -18,7 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/lsh"
 	"repro/internal/metrics"
@@ -310,12 +310,7 @@ func (ix *Index) KNN(q []float64, k int) ([]metrics.Neighbor, error) {
 	for id, d := range collected {
 		out = append(out, metrics.Neighbor{ID: id, Dist: d})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
+	slices.SortFunc(out, metrics.CompareNeighbors)
 	if len(out) > k {
 		out = out[:k]
 	}

@@ -5,6 +5,7 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -16,6 +17,16 @@ import (
 type Neighbor struct {
 	ID   int32
 	Dist float64
+}
+
+// CompareNeighbors orders neighbors by (distance, id): the order of
+// every answer in the repo, and the one rule for two neighbors at
+// exactly the same distance — the smaller id comes first.
+func CompareNeighbors(a, b Neighbor) int {
+	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // NeighborDist is a Neighbor's distance: the key vec.InsertBounded

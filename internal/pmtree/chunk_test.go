@@ -53,7 +53,7 @@ func TestChunkedRoundIsNearest(t *testing.T) {
 		// Radii that hold a tenth, a third and all of the rows.
 		var all []metrics.Neighbor
 		probe.Expand(math.Inf(1), func(id int32, d float64) { all = append(all, metrics.Neighbor{ID: id, Dist: d}) })
-		sortResults(all)
+		slices.SortFunc(all, metrics.CompareNeighbors)
 		tenth, third := all[len(all)/10].Dist, all[len(all)/3].Dist
 		schedules := [][]float64{{third}, {tenth, third}, {tenth, third, math.Inf(1)}}
 

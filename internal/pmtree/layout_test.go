@@ -438,7 +438,7 @@ func TestLeafScanMatchesRecursiveReference(t *testing.T) {
 					got = append(got, metrics.Neighbor{ID: id, Dist: d})
 					seen[id] = true
 				})
-				sortResults(got)
+				slices.SortFunc(got, metrics.CompareNeighbors)
 				requireSameBits(t, fmt.Sprintf("%s query %d radius %v", c.name, qi, r), got, want)
 			}
 
@@ -454,7 +454,7 @@ func TestLeafScanMatchesRecursiveReference(t *testing.T) {
 				en.Expand(r, func(id int32, d float64) {
 					got = append(got, metrics.Neighbor{ID: id, Dist: d})
 				})
-				sortResults(got)
+				slices.SortFunc(got, metrics.CompareNeighbors)
 				requireSameBits(t, fmt.Sprintf("%s query %d one shot at %v", c.name, qi, r), got, want)
 				if en.DistComps() != paid {
 					t.Fatalf("%s query %d: one shot at %v paid %d metric evaluations, reference %d",

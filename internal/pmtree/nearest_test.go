@@ -123,7 +123,7 @@ func TestNearestIsSortedPrefix(t *testing.T) {
 								want = append(want, metrics.Neighbor{ID: id, Dist: d})
 							}
 						})
-						sortResults(want)
+						slices.SortFunc(want, metrics.CompareNeighbors)
 						limit := lim.limitOf(len(want))
 						var inRadius int
 						ids, inRadius = sw.Nearest(r, limit, admit, ids)

@@ -3,7 +3,7 @@ package pmtree
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/metrics"
 )
@@ -37,18 +37,8 @@ func (t *Tree) RangeSearch(q []float64, r float64) ([]metrics.Neighbor, error) {
 	e.Expand(r, func(id int32, d float64) {
 		out = append(out, metrics.Neighbor{ID: id, Dist: d})
 	})
-	sortResults(out)
+	slices.SortFunc(out, metrics.CompareNeighbors)
 	return out, nil
-}
-
-// sortResults orders query output by (distance, id).
-func sortResults(out []metrics.Neighbor) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
 }
 
 // ringPrune reports whether the hyper-rings exclude any point within

@@ -3,6 +3,7 @@ package pmtree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -20,7 +21,7 @@ func refRangeSearch(t *Tree, q []float64, r float64) []metrics.Neighbor {
 	t.rangeSearchRef(q, r, func(id int32, d float64) {
 		out = append(out, metrics.Neighbor{ID: id, Dist: d})
 	})
-	sortResults(out)
+	slices.SortFunc(out, metrics.CompareNeighbors)
 	return out
 }
 
@@ -40,7 +41,7 @@ func rangeSearchPaid(tb testing.TB, t *Tree, q []float64, r float64) ([]metrics.
 	}
 	var out []metrics.Neighbor
 	e.Expand(r, func(id int32, d float64) { out = append(out, metrics.Neighbor{ID: id, Dist: d}) })
-	sortResults(out)
+	slices.SortFunc(out, metrics.CompareNeighbors)
 	return out, e.DistComps()
 }
 
@@ -260,7 +261,7 @@ func TestRangeEnumeratorResumes(t *testing.T) {
 			prev = rr
 		}
 		streamDists := en.DistComps()
-		sortResults(all)
+		slices.SortFunc(all, metrics.CompareNeighbors)
 
 		var restartDists int64
 		var want []metrics.Neighbor
@@ -294,7 +295,7 @@ func TestRangeEnumeratorReuse(t *testing.T) {
 		e.Expand(r, func(id int32, d float64) {
 			got = append(got, metrics.Neighbor{ID: id, Dist: d})
 		})
-		sortResults(got)
+		slices.SortFunc(got, metrics.CompareNeighbors)
 		want, err := tr.RangeSearch(q, r)
 		if err != nil {
 			t.Fatal(err)

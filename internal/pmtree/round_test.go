@@ -82,7 +82,7 @@ func TestRoundedPointsMatchBruteForce(t *testing.T) {
 					out = append(out, metrics.Neighbor{ID: int32(id), Dist: d})
 				}
 			}
-			sortResults(out)
+			slices.SortFunc(out, metrics.CompareNeighbors)
 			return out
 		}
 		for qi := 0; qi < 8; qi++ {
@@ -107,7 +107,7 @@ func TestRoundedPointsMatchBruteForce(t *testing.T) {
 				for _, r := range schedule {
 					var got []metrics.Neighbor
 					en.Expand(r, func(id int32, d float64) { got = append(got, metrics.Neighbor{ID: id, Dist: d}) })
-					sortResults(got)
+					slices.SortFunc(got, metrics.CompareNeighbors)
 					requireSameBits(t, fmt.Sprintf("trial %d query %d %s (%v, %v]", trial, qi, mode, prev, r), got, brute(q, prev, r))
 					prev = r
 				}

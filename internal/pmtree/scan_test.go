@@ -178,8 +178,8 @@ func TestScanMatchesTree(t *testing.T) {
 					got = append(got, metrics.Neighbor{ID: id, Dist: d})
 				})
 				ref.Expand(r, func(id int32, d float64) { want = append(want, metrics.Neighbor{ID: id, Dist: d}) })
-				sortResults(got)
-				sortResults(want)
+				slices.SortFunc(got, metrics.CompareNeighbors)
+				slices.SortFunc(want, metrics.CompareNeighbors)
 				requireSameBits(t, label, got, want)
 				if sw.DistComps() != int64(tr.Rows()) {
 					t.Fatalf("%s: the flat pass paid %d evaluations over %d rows", label, sw.DistComps(), tr.Rows())
@@ -239,9 +239,9 @@ func TestEnumerationTraversesAtMostOnce(t *testing.T) {
 				if e.DistComps() != after2 {
 					t.Fatalf("%s treeOnly=%v: two rounds paid %d evaluations, want %d", label, treeOnly, e.DistComps(), after2)
 				}
-				sortResults(first)
+				slices.SortFunc(first, metrics.CompareNeighbors)
 				requireSameBits(t, fmt.Sprintf("%s treeOnly=%v, first round", label, treeOnly), first, refRangeSearch(tr, q, r1))
-				sortResults(second)
+				slices.SortFunc(second, metrics.CompareNeighbors)
 				requireSameBits(t, fmt.Sprintf("%s treeOnly=%v, second round", label, treeOnly), second, want)
 			}
 		}
@@ -373,7 +373,7 @@ func BenchmarkEnumerate(b *testing.B) {
 						if mode == "sorted" {
 							buf = buf[:0]
 							e.Expand(f*median, emit)
-							sortResults(buf)
+							slices.SortFunc(buf, metrics.CompareNeighbors)
 							taken += min(limit, len(buf))
 						} else {
 							ids, _ = e.Nearest(f*median, limit, nil, ids)

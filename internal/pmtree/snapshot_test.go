@@ -53,7 +53,7 @@ func TestSnapshotKeepsItsMoment(t *testing.T) {
 				}
 				var out []metrics.Neighbor
 				e.Expand(r, func(id int32, d float64) { out = append(out, metrics.Neighbor{ID: id, Dist: d}) })
-				sortResults(out)
+				slices.SortFunc(out, metrics.CompareNeighbors)
 				if r == 6 {
 					a.near = append(a.near, out)
 				} else {

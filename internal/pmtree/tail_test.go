@@ -228,8 +228,8 @@ func requireAnswersLikeRebuilt(t *testing.T, label string, o *churnOracle, tr, r
 				var got, want []metrics.Neighbor
 				a.Expand(r, func(id int32, d float64) { got = append(got, metrics.Neighbor{ID: id, Dist: d}) })
 				b.Expand(r, func(id int32, d float64) { want = append(want, metrics.Neighbor{ID: id, Dist: d}) })
-				sortResults(got)
-				sortResults(want)
+				slices.SortFunc(got, metrics.CompareNeighbors)
+				slices.SortFunc(want, metrics.CompareNeighbors)
 				requireSameBits(t, fmt.Sprintf("%s query %d treeOnly=%v Expand(%v)", label, qi, treeOnly, r), got, want)
 				total += len(got)
 			}

