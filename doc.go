@@ -281,9 +281,9 @@
 //
 //	results, err := index.SearchBatch(ctx, queries, 10)
 //
-// A Search whose verification budget (βn+k candidates × dimension) is
-// large enough, started while fewer queries run than GOMAXPROCS, starts
-// one helper goroutine as it begins. While the query projects, the
+// A Search with enough work — n × m projected coordinates to scan, βn+k
+// candidates × dimension to verify — and fewer queries running than
+// GOMAXPROCS starts one helper goroutine as it begins. While it projects, the
 // helper wakes; from then on it takes chunks of each flat pass and
 // claims of each round's candidates beside the caller, and the caller
 // merges the two halves of a round by (distance, id), so answers and

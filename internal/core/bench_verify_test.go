@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -17,55 +16,44 @@ import (
 	"repro/internal/metric"
 )
 
-// BenchmarkVerifySplit is the sweep behind splitMinWork: one round's
-// exact verification at k = 50 of the m projected-nearest rows (what a
-// scanning round at budget m verifies) at the repository benchmark's
-// shapes, serially (helpers=0) and shared with a helper started for it
-// at GOMAXPROCS 2 (helpers=1), for work = m·d from 2^15 to 2^21, finer
-// between 2^18 and 2^19 (the d=64 shape stops at its 5 000 rows). Where
-// helpers=1 starts beating helpers=0 at every d is where a query's
-// verification pays for a goroutine's start and join.
-func BenchmarkVerifySplit(b *testing.B) {
+// BenchmarkSplitWork is the sweep behind splitMinWork: whole k = 50
+// queries (searchView) at GOMAXPROCS 2 on the first n rows of the
+// repository benchmark's three shapes, n from 2 000 to 20 000 where the
+// shape has them, run serially (helper=0, as a batch worker runs them)
+// and with one helper whatever their work (helper=1, the gate lowered
+// to 0). work is splitWork, the flat pass's rows × m plus the budget's
+// candidates × d; cpu_us/op is the process's CPU per query. The gate
+// sits where helper=1 wins wall time at every d and its CPU stays inside
+// the repository benchmark's 25% bound.
+func BenchmarkSplitWork(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer func(gate int) { splitMinWork = gate }(splitMinWork)
+	splitMinWork = 0
 	for _, shape := range buildShapes {
 		data := shapePoints(b, shape.spec)
-		ix, err := Build(data, Config{Seed: 7})
-		if err != nil {
-			b.Fatal(err)
-		}
-		v := ix.view.Load()
-		q := data[len(data)/2]
-		sc := ix.getScratch()
-		top := make([]Result, 0, 50)
-		for _, work := range []int{1 << 15, 1 << 16, 1 << 17, 1 << 18, 5 << 16, 3 << 17, 7 << 16, 1 << 19, 1 << 20, 1 << 21} {
-			m := work / shape.spec.D
-			if m < 2*verifyClaim || m > len(data) {
+		for _, n := range []int{2000, 5000, 10000, 20000} {
+			if n > len(data) {
 				continue
 			}
-			en, err := ix.startEnum(sc, v.tree, q, false)
+			ix, err := Build(data[:n], Config{Seed: 7})
 			if err != nil {
 				b.Fatal(err)
 			}
-			sc.ids, _ = en.Nearest(math.Inf(1), m, nil, sc.ids)
-			for _, helpers := range []int{0, 1} {
-				b.Run(fmt.Sprintf("work=%d/d=%d/helpers=%d", work, shape.spec.D, helpers), func(b *testing.B) {
+			v := ix.view.Load()
+			work, _ := defaultWork(b, ix)
+			for _, helper := range []int{0, 1} {
+				b.Run(fmt.Sprintf("d=%d/n=%d/helper=%d", shape.spec.D, n, helper), func(b *testing.B) {
+					cpu0 := processCPU(b)
 					for i := 0; i < b.N; i++ {
-						vf := verifier{view: v, q: q, blk: &sc.blk, k: 50, top: top[:0], bound: math.Inf(1)}
-						if helpers == 0 {
-							vf.run(sc.ids)
-						} else {
-							h := sc.startHelper(splitMinWork) // whatever the round's work
-							if h == nil {
-								b.Fatal("no helper on an idle core")
-							}
-							h.verify(&vf, sc.ids)
-							h.join()
+						if _, err := ix.searchView(context.Background(), v, data[i*7919%n], 50, SearchOptions{}, helper == 1); err != nil {
+							b.Fatal(err)
 						}
 					}
+					b.ReportMetric(float64((processCPU(b)-cpu0).Microseconds())/float64(b.N), "cpu_us/op")
+					b.ReportMetric(float64(work), "work")
 				})
 			}
 		}
-		ix.putScratch(sc, v.live())
 	}
 }
 
@@ -76,7 +64,11 @@ func BenchmarkVerifySplit(b *testing.B) {
 // query across the callers: at callers=1 the latency a helper buys, at
 // callers=2 the inverse of throughput, where CPU spent on a helper would
 // show as a loss. cpu_us/op is the process's user + system CPU over the
-// timed loop per query: what a helper costs.
+// timed loop per query: what a helper costs. spaced is one caller that
+// idles 1 ms before each Search, longer than helperLinger, so no query
+// finds its predecessor's helper lingering and each one's helper spins
+// out its linger unclaimed: search_us/op is the wall time of the Searches
+// alone, and cpu_us/op counts the spin.
 func BenchmarkConcurrentSearch(b *testing.B) {
 	for _, shape := range buildShapes[:2] {
 		data := shapePoints(b, shape.spec)
@@ -105,6 +97,20 @@ func BenchmarkConcurrentSearch(b *testing.B) {
 				b.ReportMetric(float64((processCPU(b)-cpu0).Microseconds())/float64(b.N), "cpu_us/op")
 			})
 		}
+		b.Run(fmt.Sprintf("d=%d/spaced", shape.spec.D), func(b *testing.B) {
+			var busy time.Duration
+			cpu0 := processCPU(b)
+			for i := 0; i < b.N; i++ {
+				time.Sleep(time.Millisecond)
+				t0 := time.Now()
+				if _, err := ix.Search(context.Background(), data[i*7919%len(data)], 50, SearchOptions{}); err != nil {
+					b.Fatal(err)
+				}
+				busy += time.Since(t0)
+			}
+			b.ReportMetric(float64(busy.Microseconds())/float64(b.N), "search_us/op")
+			b.ReportMetric(float64((processCPU(b)-cpu0).Microseconds())/float64(b.N), "cpu_us/op")
+		})
 	}
 }
 

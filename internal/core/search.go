@@ -26,10 +26,10 @@ import (
 // SearchOptions carries one query's request parameters. The zero value
 // selects the defaults: ratio DefaultC, build-time α1, no filter, the
 // derived βn+k verification budget, no statistics. A Search with enough
-// to verify may take one helper goroutine for its flat passes and
-// verification while a core holds no other query; concurrent queries,
-// SearchBatch's workers and multi-shard fan-out, which already fill the
-// cores, run on their own goroutine.
+// work may take one helper goroutine for its flat passes and verification
+// while a core holds no other query; concurrent queries, SearchBatch's
+// workers and multi-shard fan-out, which already fill the cores, run on
+// their own goroutine.
 type SearchOptions struct {
 	// C is the approximation ratio; <= 0 selects DefaultC. Values in
 	// (0, 1] are rejected.
@@ -191,8 +191,9 @@ func (ix *Index) finishDist(d2, qscale float64) float64 {
 // Every call counts itself in searching for its duration; that count is
 // the one rule for parallelism inside a query (startHelper). Only a
 // query that is its caller's one piece of work — alone, as Search is —
-// may take a helper; SearchBatch's workers and a multi-shard query's
-// per-shard calls never do.
+// may take a helper, and only when its flat pass and verification
+// budget together (splitWork) reach splitMinWork; SearchBatch's workers
+// and a multi-shard query's per-shard calls never do.
 func (ix *Index) searchView(ctx context.Context, v *view, q []float64, k int, o SearchOptions, alone bool) ([]Result, error) {
 	searching.Add(1)
 	defer searching.Add(-1)
@@ -243,7 +244,7 @@ func (ix *Index) searchView(ctx context.Context, v *view, q []float64, k int, o 
 	// The helper wakes while the query projects and begins its flat pass.
 	var h *queryHelper
 	if alone {
-		h = sc.startHelper(min(needed, n) * len(q))
+		h = sc.startHelper(splitWork(v.tree.Rows(), ix.cfg.M, min(needed, n), len(q)))
 		defer h.join()
 	}
 	en, err := ix.startEnum(sc, v.tree, q, false)
@@ -369,16 +370,18 @@ func (v *verifier) run(ids []int32) {
 // per 32 exact distances.
 const verifyClaim = 8 * verifyWidth
 
-// splitMinWork is the least verification budget, candidates ×
-// dimension, for which a query takes a helper, decided when the query
-// starts. A new helper reaches an idle core 60–100 µs after its go
-// statement (BenchmarkHelperStart/cold), so a query with less to verify
-// ends sooner on the caller alone; on two cores BenchmarkVerifySplit
-// first wins at every d at this work, and loses or breaks even at 2^18.
-// A lingering helper is taken over in ~1 µs (BenchmarkHelperStart/warm),
-// but the gate is sized by the cold start, which a query pays when no
-// query of its scratch came just before it.
-const splitMinWork = 3 << 17
+// splitMinWork is the least work (splitWork) for which a query takes a
+// helper, decided when it starts. On a 2-vCPU guest BenchmarkSplitWork's
+// whole Searches at GOMAXPROCS 2 ran faster with a helper at every size,
+// but paid +31…+84% CPU per query below this gate and +14…+21% from
+// 434 560 up; a new helper also wakes 60–100 µs after its go statement
+// (BenchmarkHelperStart/cold). A variable only so the sweep can lower it.
+var splitMinWork = 3 << 17
+
+// splitWork is what a query can share with its helper: the flat pass
+// over rows projected rows of m coordinates, then the exact verification
+// of up to budget candidates of d coordinates.
+func splitWork(rows, m, budget, d int) int { return rows*m + budget*d }
 
 // helperLinger is how long a joined helper waits for the next query of
 // its scratch before its goroutine returns. It outlasts a closed-loop
@@ -399,15 +402,15 @@ var searching atomic.Int64
 var helperStarts atomic.Int64
 
 // startHelper gives the query its one helper (queryHelper) when its
-// verification budget, candidates × dimension, reaches splitMinWork and
-// a core holds no query: searching, the helper included, stays within
-// GOMAXPROCS. So a caller alone on the cores takes one, and Searches
-// that share them with other queries — HTTP handlers on one shard, a
-// Search beside a SearchBall or SearchPairs — do not. The helper is the
-// one still lingering in the scratch from its last query, taken over by
-// one compare-and-swap, or else a new goroutine. It returns nil when the
-// query takes no helper; a nil helper runs every step on the caller. One
-// helper is what BenchmarkVerifySplit measured; more are not started.
+// work (splitWork) reaches splitMinWork and a core holds no query:
+// searching, the helper included, stays within GOMAXPROCS. So a caller
+// alone on the cores takes one, and Searches that share them with other
+// queries — HTTP handlers on one shard, a Search beside a SearchBall or
+// SearchPairs — do not. The helper is the one still lingering in the
+// scratch from its last query, taken over by one compare-and-swap, or
+// else a new goroutine. It returns nil when the query takes no helper; a
+// nil helper runs every step on the caller. One helper is what
+// BenchmarkSplitWork measured; more are not started.
 func (sc *queryScratch) startHelper(work int) *queryHelper {
 	if work < splitMinWork {
 		return nil
@@ -764,12 +767,7 @@ func (ix *Index) SearchBall(ctx context.Context, q []float64, r float64, o Searc
 		best.Dist = ix.finishDist(best.Dist, qscale)
 	}
 	if o.Stats != nil {
-		*o.Stats = QueryStats{
-			Rounds:             1,
-			Verified:           admitted,
-			ProjectedDistComps: en.DistComps(),
-			FinalRadius:        r,
-		}
+		*o.Stats = QueryStats{Rounds: 1, Verified: admitted, ProjectedDistComps: en.DistComps(), FinalRadius: r}
 	}
 	switch {
 	case admitted >= betaN+1:

@@ -12,11 +12,11 @@ import (
 )
 
 // A Search shares its flat passes and verification with one helper
-// goroutine (search.go: startHelper, queryHelper) when its verification
-// budget reaches splitMinWork and a core holds no query. The split must be
-// invisible: the same ids, the same distance bits and the same
-// QueryStats as the serial loop, no goroutine left behind, and no
-// allocation beyond the answer.
+// goroutine (search.go: startHelper, queryHelper) when its work — flat
+// pass and verification budget — reaches splitMinWork and a core holds
+// no query. The split must be invisible: the same ids, the same distance
+// bits and the same QueryStats as the serial loop, no goroutine left
+// behind, and no allocation beyond the answer.
 
 // splitDim is wide enough that a default-budget round of the index below
 // (~2 300 live points, βn+k ≈ 700 candidates) reaches splitMinWork.
@@ -119,6 +119,72 @@ func TestSplitVerificationIsInvisible(t *testing.T) {
 	if split == 0 || multiRound == 0 {
 		t.Fatalf("%d split-sized single-round queries, %d multi-round ones: the table does not reach both", split, multiRound)
 	}
+}
+
+// TestSplitGateCountsTheFlatPass: the gate weighs all the work a helper
+// shares (splitWork), the flat pass over the projected rows as well as
+// the verification budget. A query whose budget × d alone is under
+// splitMinWork but whose flat pass brings it over takes a helper and
+// answers as it does at GOMAXPROCS 1; an index under both, and the
+// shapes of the root package's BenchmarkQueryK50 (4 000 × 64) and
+// BenchmarkQueryK50HighDim (2 000 × 768), take none.
+func TestSplitGateCountsTheFlatPass(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		n, d  int
+		takes bool
+	}{
+		{"flat pass over the gate", 10000, 128, true},
+		{"under both", 2000, 128, false},
+		{"BenchmarkQueryK50's shape", 4000, 64, false},
+		{"BenchmarkQueryK50HighDim's shape", 2000, 768, false},
+	} {
+		data := clusteredData(tc.n, tc.d, 12, 3002)
+		ix, err := Build(data, Config{Seed: 5})
+		if err != nil {
+			t.Fatal(tc.name, err)
+		}
+		work, budget := defaultWork(t, ix)
+		if budget*tc.d >= splitMinWork || (work >= splitMinWork) != tc.takes {
+			t.Fatalf("%s: work %d, of which verification %d, against the gate's %d", tc.name, work, budget*tc.d, splitMinWork)
+		}
+		qs := data[:5]
+		runtime.GOMAXPROCS(1)
+		want := make([][]Result, len(qs))
+		for i, q := range qs {
+			if want[i], err = ix.Search(ctx, q, 50, SearchOptions{}); err != nil {
+				t.Fatal(tc.name, err)
+			}
+		}
+		runtime.GOMAXPROCS(2)
+		before := helperStarts.Load()
+		for i, q := range qs {
+			res, err := ix.Search(ctx, q, 50, SearchOptions{})
+			if err != nil {
+				t.Fatal(tc.name, err)
+			}
+			sameResults(t, fmt.Sprintf("%s: query %d at GOMAXPROCS=2", tc.name, i), want[i], res)
+		}
+		if took := helperStarts.Load() > before; took != tc.takes {
+			t.Errorf("%s (work %d) started a helper: %v, want %v", tc.name, work, took, tc.takes)
+		}
+	}
+}
+
+// defaultWork is splitWork of a default k = 50 Search on ix, and the
+// Search's verification budget.
+func defaultWork(tb testing.TB, ix *Index) (work, budget int) {
+	tb.Helper()
+	p, err := ix.DeriveParams(DefaultC)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v := ix.view.Load()
+	n := v.live()
+	budget = min(int(math.Ceil(p.Beta*float64(n)))+50, n)
+	return splitWork(v.tree.Rows(), ix.cfg.M, budget, ix.ndim), budget
 }
 
 // TestSearchJoinsItsHelpers: no helper works past the Search that took
