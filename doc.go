@@ -339,8 +339,8 @@
 // # Repository layout
 //
 // The exported API wraps internal/core. The repository also contains
-// the full substrate stack (vector store, PM-tree, R-tree, B+-tree,
-// p-stable LSH, χ² statistics) and every baseline from the paper's
+// the full substrate stack (vector store, PM-tree, R-tree, p-stable
+// LSH, χ² statistics) and every baseline from the paper's
 // evaluation (SRS, QALSH, Multi-Probe LSH, R-LSH, linear scan) under
 // internal/, along with a benchmark harness that regenerates each
 // table and figure; see README.md for the layer diagram.

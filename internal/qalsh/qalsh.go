@@ -1,11 +1,12 @@
 // Package qalsh implements QALSH, the query-aware LSH scheme of Huang,
 // Feng, Zhang, Fang and Ng (PVLDB 2015) — the paper's representative RE
 // (radius-enlarging) competitor. Each of m hash functions h_i(o) = a_i·o
-// is indexed by its own B+-tree; at query time the bucket of width w is
+// keeps the points sorted by hash value (the original's disk B+-trees,
+// held in memory as sorted slices); at query time the bucket of width w is
 // anchored at the query's own projection (hence "query-aware"), and
 // virtual rehashing enlarges the search radius R = 1, c, c², …
 // without building extra tables. A point becomes a candidate once it
-// collides with the query in at least l of the m trees.
+// collides with the query in at least l of the m hash functions.
 package qalsh
 
 import (
@@ -14,7 +15,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/bptree"
 	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/vec"
@@ -39,7 +39,8 @@ type Config struct {
 	// memory on small experiments (0 = 200).
 	MaxHashes int
 	// StartRadius is the first virtual-rehashing radius (0 derives it
-	// from the data scale: the minimum positive projected gap).
+	// from the data scale: 2 × the median of the first ≤ 512 positive
+	// adjacent gaps in hash 0's key order, divided by w).
 	StartRadius float64
 }
 
@@ -47,7 +48,7 @@ type Config struct {
 type QueryStats struct {
 	Rounds   int // virtual rehashing rounds
 	Verified int // original-space distance computations
-	Frontier int // B+-tree cursor advances
+	Frontier int // points the key-order frontiers stepped over
 }
 
 // Index is a QALSH index over a fixed dataset.
@@ -59,7 +60,7 @@ type Index struct {
 	l     int     // collision threshold
 	w     float64 // bucket width
 	funcs [][]float64
-	trees []*bptree.Tree
+	lists [][]item  // per hash function, sorted by (key, id)
 	qproj []float64 // scratch: query projections
 
 	counts []int32 // per-point collision counters
@@ -135,22 +136,24 @@ func Build(data [][]float64, cfg Config) (*Index, error) {
 	dim := len(data[0])
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	funcs := make([][]float64, m)
-	trees := make([]*bptree.Tree, m)
-	items := make([]bptree.Item, n)
+	lists := make([][]item, m)
 	for i := 0; i < m; i++ {
 		a := make([]float64, dim)
 		for j := range a {
 			a[j] = rng.NormFloat64()
 		}
 		funcs[i] = a
+		items := make([]item, n)
 		for id, o := range data {
-			items[id] = bptree.Item{Key: vec.Dot(a, o), ID: int32(id)}
+			items[id] = item{key: vec.Dot(a, o), id: int32(id)}
 		}
-		tr, err := bptree.Bulk(items, 0)
-		if err != nil {
-			return nil, err
-		}
-		trees[i] = tr
+		sort.Slice(items, func(x, y int) bool {
+			if items[x].key != items[y].key {
+				return items[x].key < items[y].key
+			}
+			return items[x].id < items[y].id
+		})
+		lists[i] = items
 	}
 
 	return &Index{
@@ -161,7 +164,7 @@ func Build(data [][]float64, cfg Config) (*Index, error) {
 		l:      l,
 		w:      cfg.W,
 		funcs:  funcs,
-		trees:  trees,
+		lists:  lists,
 		qproj:  make([]float64, m),
 		counts: make([]int32, n),
 		stamp:  make([]int32, n),
@@ -184,11 +187,17 @@ func (ix *Index) CollisionThreshold() int { return ix.l }
 // W returns the bucket width.
 func (ix *Index) W() float64 { return ix.w }
 
-// frontier tracks the two-sided expansion state in one B+-tree.
+// item is one point's hash value under one hash function.
+type item struct {
+	key float64
+	id  int32
+}
+
+// frontier is the two-sided expansion state in one hash function's
+// sorted list: the next items to visit leftward and rightward. A side
+// is done once left < 0 or right == len(list).
 type frontier struct {
-	left, right *bptree.Cursor
-	leftOK      bool
-	rightOK     bool
+	left, right int
 }
 
 // KNN answers a (c,k)-ANN query with the index's configured ratio.
@@ -220,14 +229,9 @@ func (ix *Index) KNNWithStats(q []float64, k int) ([]metrics.Neighbor, QueryStat
 	fronts := make([]frontier, ix.m)
 	for i := 0; i < ix.m; i++ {
 		ix.qproj[i] = vec.Dot(ix.funcs[i], q)
-		right := ix.trees[i].Seek(ix.qproj[i])
-		left := right.Clone()
-		fronts[i] = frontier{
-			left:    left,
-			right:   right,
-			leftOK:  left.Prev(),
-			rightOK: right.Valid(),
-		}
+		list := ix.lists[i]
+		right := sort.Search(len(list), func(j int) bool { return list[j].key >= ix.qproj[i] })
+		fronts[i] = frontier{left: right - 1, right: right}
 	}
 
 	r := ix.cfg.StartRadius
@@ -239,19 +243,19 @@ func (ix *Index) KNNWithStats(q []float64, k int) ([]metrics.Neighbor, QueryStat
 	for {
 		st.Rounds++
 		half := r * ix.w / 2
-		// Extend every tree's frontier to the current window, counting
+		// Extend every list's frontier to the current window, counting
 		// collisions; verify points that reach the threshold.
 		for i := 0; i < ix.m; i++ {
-			f := &fronts[i]
+			f, list := &fronts[i], ix.lists[i]
 			lo, hi := ix.qproj[i]-half, ix.qproj[i]+half
-			for f.rightOK && f.right.Item().Key <= hi {
-				ix.bump(f.right.Item().ID, epoch, q, k, &cand, &st)
-				f.rightOK = f.right.Next()
+			for f.right < len(list) && list[f.right].key <= hi {
+				ix.bump(list[f.right].id, epoch, q, k, &cand, &st)
+				f.right++
 				st.Frontier++
 			}
-			for f.leftOK && f.left.Item().Key >= lo {
-				ix.bump(f.left.Item().ID, epoch, q, k, &cand, &st)
-				f.leftOK = f.left.Prev()
+			for f.left >= 0 && list[f.left].key >= lo {
+				ix.bump(list[f.left].id, epoch, q, k, &cand, &st)
+				f.left--
 				st.Frontier++
 			}
 		}
@@ -264,11 +268,11 @@ func (ix *Index) KNNWithStats(q []float64, k int) ([]metrics.Neighbor, QueryStat
 		if st.Verified >= n {
 			break
 		}
-		// Window already covers every tree completely: nothing more to
+		// Window already covers every list completely: nothing more to
 		// collide; fall back to what we have.
 		allDone := true
-		for i := range fronts {
-			if fronts[i].leftOK || fronts[i].rightOK {
+		for i, f := range fronts {
+			if f.left >= 0 || f.right < len(ix.lists[i]) {
 				allDone = false
 				break
 			}
@@ -301,20 +305,15 @@ func (ix *Index) bump(id int32, epoch int32, q []float64, k int, cand *[]metrics
 // scale of the closest projected gaps rather than of the raw data: the
 // QALSH convention R = 1 assumes unit-scaled data.
 func (ix *Index) autoStartRadius() float64 {
-	// Median absolute projected gap between adjacent keys in the first
-	// tree, scaled down by w: a window of ±w/2 then covers a handful of
-	// points per tree.
-	tr := ix.trees[0]
-	cur := tr.Seek(math.Inf(-1))
+	// Median positive gap between adjacent keys at the low end of the
+	// first list, scaled down by w: a window of ±w/2 then covers a
+	// handful of points per list.
+	list := ix.lists[0]
 	var gaps []float64
-	prev := math.NaN()
-	for cur.Valid() && len(gaps) < 512 {
-		k := cur.Item().Key
-		if !math.IsNaN(prev) && k > prev {
-			gaps = append(gaps, k-prev)
+	for j := 1; j < len(list) && len(gaps) < 512; j++ {
+		if g := list[j].key - list[j-1].key; g > 0 {
+			gaps = append(gaps, g)
 		}
-		prev = k
-		cur.Next()
 	}
 	if len(gaps) == 0 {
 		return 1

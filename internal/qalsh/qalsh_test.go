@@ -1,6 +1,7 @@
 package qalsh
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -229,6 +230,172 @@ func TestEpochIsolation(t *testing.T) {
 	for i := range r1 {
 		if r1[i].ID != r1b[i].ID {
 			t.Fatal("repeat query returned different results")
+		}
+	}
+}
+
+// collisions returns how many lists' windows reached id in the last
+// query, failing when a point was counted more often than there are
+// lists: each list holds each point once, so a frontier that stepped
+// over an item twice shows here.
+func collisions(t *testing.T, ix *Index, id int32) int {
+	t.Helper()
+	if ix.stamp[id] != ix.epoch {
+		return 0
+	}
+	c := int(ix.counts[id])
+	if c > ix.m {
+		t.Fatalf("point %d counted %d times in %d lists", id, c, ix.m)
+	}
+	return c
+}
+
+// Identical points share every key. However the seek lands among
+// them, the two sides of a frontier step over each copy once, so the
+// copies collide equally often and all come back at distance 0.
+func TestFrontierDuplicateKeys(t *testing.T) {
+	base := clusteredData(200, 8, 3, 15)
+	data := append([][]float64(nil), base...)
+	for i := 0; i < 6; i++ {
+		data = append(data, base[17])
+	}
+	ix, _ := Build(data, Config{Seed: 10})
+	res, _, err := ix.KNNWithStats(base[17], 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copies := map[int32]bool{17: true}
+	for id := 200; id < len(data); id++ {
+		copies[int32(id)] = true
+	}
+	if len(res) < len(copies) {
+		t.Fatalf("%d results, want at least the %d copies", len(res), len(copies))
+	}
+	for i, r := range res[:len(copies)] {
+		if !copies[r.ID] || r.Dist != 0 {
+			t.Errorf("result %d = %+v, want a copy of point 17 at distance 0", i, r)
+		}
+	}
+	want := collisions(t, ix, 17)
+	for id := range copies {
+		if got := collisions(t, ix, id); got != want {
+			t.Errorf("copy %d collided %d times, point 17 %d", id, got, want)
+		}
+	}
+	for id := range data {
+		collisions(t, ix, int32(id))
+	}
+}
+
+// On one-dimensional data every list is the data's order or its
+// reverse, so a query beyond the data projects above the largest key of
+// some lists and below the smallest of the others. Each frontier then
+// walks one side only, from the extreme point inward.
+func TestFrontierQueryOutsideKeys(t *testing.T) {
+	data := make([][]float64, 100)
+	for i := range data {
+		data[i] = []float64{float64(i)}
+	}
+	ix, _ := Build(data, Config{Seed: 11, MaxHashes: 30})
+	signs := map[bool]bool{}
+	for _, a := range ix.funcs {
+		signs[a[0] > 0] = true
+	}
+	if len(signs) != 2 {
+		t.Fatal("every hash has the same sign: no list is walked from the other end")
+	}
+	for _, x := range []float64{-1000, 1000} {
+		q := []float64{x}
+		res, _, err := ix.KNNWithStats(q, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := exactKNN(data, q, 3)
+		if len(res) != len(exact) {
+			t.Fatalf("query %v: %d results, want %d", x, len(res), len(exact))
+		}
+		for i := range res {
+			if res[i] != exact[i] {
+				t.Errorf("query %v: result %d = %+v, want %+v", x, i, res[i], exact[i])
+			}
+		}
+		for id := range data {
+			collisions(t, ix, int32(id))
+		}
+	}
+}
+
+// A first window wider than every list exhausts all frontiers in one
+// round: each point is stepped over once in every list.
+func TestFrontierExhaustion(t *testing.T) {
+	data := clusteredData(300, 8, 3, 16)
+	data = append(data, data[:20]...)
+	ix, _ := Build(data, Config{Seed: 12, StartRadius: 1e12})
+	n := len(data)
+	_, st, err := ix.KNNWithStats(data[5], n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Rounds != 1 || st.Verified != n || st.Frontier != n*ix.m {
+		t.Errorf("stats %+v, want 1 round, %d verified, frontier %d", st, n, n*ix.m)
+	}
+	for id := 0; id < n; id++ {
+		if c := collisions(t, ix, int32(id)); c != ix.m {
+			t.Errorf("point %d collided %d times, want %d", id, c, ix.m)
+		}
+	}
+}
+
+// TestQueryStatsPinned pins the work of seeded queries, not only their
+// answers: the rounds, verifications, frontier steps and ids below were
+// recorded when each hash function's keys lived in a B+-tree walked by
+// cursors, and a sorted-slice frontier must visit points in the same
+// order. The data repeat 50 points, so every list holds duplicate keys.
+func TestQueryStatsPinned(t *testing.T) {
+	data := clusteredData(1000, 16, 6, 13)
+	data = append(data, data[:50]...)
+	ix, err := Build(data, Config{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		st  QueryStats
+		ids []int32
+	}{
+		{QueryStats{Rounds: 12, Verified: 13, Frontier: 14868}, []int32{281, 677, 27, 1027, 756}},
+		{QueryStats{Rounds: 12, Verified: 30, Frontier: 15190}, []int32{577, 962, 451, 345, 49}},
+		{QueryStats{Rounds: 12, Verified: 11, Frontier: 14709}, []int32{143, 122, 490, 244, 553}},
+		{QueryStats{Rounds: 13, Verified: 72, Frontier: 19012}, []int32{411, 690, 167, 937, 851}},
+		// A data point with a copy: both come back at distance 0.
+		{QueryStats{Rounds: 12, Verified: 48, Frontier: 19392}, []int32{3, 1003, 685, 710, 948}},
+		// Far from the data: every point is verified.
+		{QueryStats{Rounds: 26, Verified: 1050, Frontier: 83307}, []int32{875, 582, 837, 772, 198}},
+	}
+	rng := rand.New(rand.NewSource(14))
+	for qi, w := range want {
+		q := make([]float64, 16)
+		copy(q, data[rng.Intn(len(data))])
+		for j := range q {
+			q[j] += rng.NormFloat64()
+		}
+		switch qi {
+		case 4:
+			copy(q, data[3])
+		case 5:
+			for j := range q {
+				q[j] = 500
+			}
+		}
+		res, st, err := ix.KNNWithStats(q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]int32, len(res))
+		for i, r := range res {
+			ids[i] = r.ID
+		}
+		if st != w.st || fmt.Sprint(ids) != fmt.Sprint(w.ids) {
+			t.Errorf("query %d: %+v %v, want %+v %v", qi, st, ids, w.st, w.ids)
 		}
 	}
 }
