@@ -290,8 +290,12 @@ func TestFrontierDuplicateKeys(t *testing.T) {
 // On one-dimensional data every list is the data's order or its
 // reverse, so a query beyond the data projects above the largest key of
 // some lists and below the smallest of the others. Each frontier then
-// walks one side only, from the extreme point inward.
-func TestFrontierQueryOutsideKeys(t *testing.T) {
+// walks one side only, from the extreme point inward. checkOutsideQuery
+// builds such an index, asks for the 3 nearest neighbours of the point
+// x, and returns the number of lists whose keys all lie below the
+// query's projection (past: true) or all above it (past: false).
+func checkOutsideQuery(t *testing.T, x float64, past bool) int {
+	t.Helper()
 	data := make([][]float64, 100)
 	for i := range data {
 		data[i] = []float64{float64(i)}
@@ -304,24 +308,46 @@ func TestFrontierQueryOutsideKeys(t *testing.T) {
 	if len(signs) != 2 {
 		t.Fatal("every hash has the same sign: no list is walked from the other end")
 	}
-	for _, x := range []float64{-1000, 1000} {
-		q := []float64{x}
-		res, _, err := ix.KNNWithStats(q, 3)
-		if err != nil {
-			t.Fatal(err)
+	q := []float64{x}
+	res, _, err := ix.KNNWithStats(q, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := exactKNN(data, q, 3)
+	if len(res) != len(exact) {
+		t.Fatalf("query %v: %d results, want %d", x, len(res), len(exact))
+	}
+	for i := range res {
+		if res[i] != exact[i] {
+			t.Errorf("query %v: result %d = %+v, want %+v", x, i, res[i], exact[i])
 		}
-		exact := exactKNN(data, q, 3)
-		if len(res) != len(exact) {
-			t.Fatalf("query %v: %d results, want %d", x, len(res), len(exact))
+	}
+	for id := range data {
+		collisions(t, ix, int32(id))
+	}
+	outside := 0
+	for j, list := range ix.lists {
+		p := ix.funcs[j][0] * x
+		if (past && list[len(list)-1].key < p) || (!past && list[0].key > p) {
+			outside++
 		}
-		for i := range res {
-			if res[i] != exact[i] {
-				t.Errorf("query %v: result %d = %+v, want %+v", x, i, res[i], exact[i])
-			}
-		}
-		for id := range data {
-			collisions(t, ix, int32(id))
-		}
+	}
+	return outside
+}
+
+// A query above the data projects past the largest key of the lists
+// with a positive hash: those frontiers start at the last item.
+func TestFrontierQueryPastEnd(t *testing.T) {
+	if n := checkOutsideQuery(t, 1000, true); n == 0 {
+		t.Error("no list has every key below the query: the past-the-end seek is not exercised")
+	}
+}
+
+// A query below the data projects before the smallest key of the lists
+// with a positive hash: those frontiers start at the first item.
+func TestFrontierQueryBeforeStart(t *testing.T) {
+	if n := checkOutsideQuery(t, -1000, false); n == 0 {
+		t.Error("no list has every key above the query: the before-the-start seek is not exercised")
 	}
 }
 
