@@ -89,21 +89,38 @@ func runServe(args []string) error {
 	go func() { errCh <- hs.ListenAndServe() }()
 	log.Info("serving", "addr", *addr)
 
+	return serveUntilSignal(log, srv, hs, sigCh, errCh, *drainTimeout, *savePath, nil)
+}
+
+// serveUntilSignal is the one shutdown sequence of both serving paths.
+// It waits for a listener failure (returned as is, without a drain) or
+// a shutdown signal, then drains: readiness starts failing, in-flight
+// requests get drainTimeout to finish, the server's background work
+// stops, closeState (the durable path's WAL tail; nil otherwise) runs,
+// and with savePath set the final state is checkpointed there.
+func serveUntilSignal(log *slog.Logger, srv *server.Server, hs *http.Server,
+	sigCh <-chan os.Signal, errCh <-chan error,
+	drainTimeout time.Duration, savePath string, closeState func()) error {
 	select {
 	case err := <-errCh:
-		// ListenAndServe only returns early on a bind/accept failure.
+		// The listener only returns early on a bind/accept failure.
+		srv.Close()
 		return err
 	case sig := <-sigCh:
 		log.Info("shutdown signal, draining", "signal", sig.String(), "timeout", drainTimeout.String())
 	}
 	srv.StartDrain()
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := hs.Shutdown(ctx); err != nil {
 		log.Error("drain did not finish cleanly", "err", err.Error())
 	}
-	if *savePath != "" {
-		if err := srv.Checkpoint(*savePath); err != nil {
+	srv.Close()
+	if closeState != nil {
+		closeState()
+	}
+	if savePath != "" {
+		if err := srv.Checkpoint(savePath); err != nil {
 			return err
 		}
 	}
@@ -279,33 +296,14 @@ func serveDurable(log *slog.Logger, dir string, policy wal.SyncPolicy, checkpoin
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		srv.Close()
-		return err
-	case sig := <-sigCh:
-		log.Info("shutdown signal, draining", "signal", sig.String(), "timeout", drainTimeout.String())
-	}
-	srv.StartDrain()
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		log.Error("drain did not finish cleanly", "err", err.Error())
-	}
-	srv.Close()
-	// A final checkpoint makes the next open instant (no replay); the
-	// close after it leaves a cleanly-synced empty segment either way.
-	if err := eng.CheckpointDurable(); err != nil {
-		log.Error("final checkpoint failed", "err", err.Error())
-	}
-	if err := eng.CloseDurable(); err != nil {
-		log.Error("closing WAL failed", "err", err.Error())
-	}
-	if savePath != "" {
-		if err := srv.Checkpoint(savePath); err != nil {
-			return err
+	return serveUntilSignal(log, srv, hs, sigCh, errCh, drainTimeout, savePath, func() {
+		// A final checkpoint makes the next open instant (no replay); the
+		// close after it leaves a cleanly-synced empty segment either way.
+		if err := eng.CheckpointDurable(); err != nil {
+			log.Error("final checkpoint failed", "err", err.Error())
 		}
-	}
-	log.Info("shutdown complete")
-	return nil
+		if err := eng.CloseDurable(); err != nil {
+			log.Error("closing WAL failed", "err", err.Error())
+		}
+	})
 }

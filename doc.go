@@ -125,8 +125,9 @@
 // point to a tail of rows (covered by the flat pass, brute-forced by a
 // traversal), Delete marks a row dead where it lies, and
 // Info().TailFraction reports, per shard, how much of the tree's rows is
-// tail. Candidate verification likewise streams sequential memory
-// instead of chasing a pointer per point, compares squared distances
+// tail, as Info().DeadFraction reports how much is dead. Candidate
+// verification likewise streams sequential memory instead of chasing a
+// pointer per point, compares squared distances
 // with early abandonment against the running k-th best, and defers the
 // k square roots to the end of the query. It takes candidates four at a time: one kernel call reduces
 // four rows side by side, so their dependency chains and cache misses

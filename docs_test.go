@@ -173,9 +173,11 @@ func registeredFlags(t *testing.T) map[string]map[string]bool {
 }
 
 // typeMembers maps a type name to the fields and methods the non-test
-// source of dirs declares on a type of that name.
+// source of dirs declares on a type of that name. An alias of another
+// package's type (type Info = core.EngineInfo) has its target's members.
 func typeMembers(t *testing.T, dirs ...string) map[string]map[string]bool {
 	out := map[string]map[string]bool{}
+	aliases := map[string]string{}
 	add := func(typ, member string) {
 		if out[typ] == nil {
 			out[typ] = map[string]bool{}
@@ -203,6 +205,9 @@ func typeMembers(t *testing.T, dirs ...string) map[string]map[string]bool {
 						if !ok {
 							continue
 						}
+						if sel, ok := ts.Type.(*ast.SelectorExpr); ok && ts.Assign.IsValid() {
+							aliases[ts.Name.Name] = sel.Sel.Name
+						}
 						st, ok := ts.Type.(*ast.StructType)
 						if !ok {
 							continue
@@ -215,6 +220,11 @@ func typeMembers(t *testing.T, dirs ...string) map[string]map[string]bool {
 					}
 				}
 			}
+		}
+	}
+	for alias, target := range aliases {
+		for member := range out[target] {
+			add(alias, member)
 		}
 	}
 	return out

@@ -58,12 +58,12 @@ func Evaluate(a Algorithm, w *Workload, k int) (Row, error) {
 		return Row{}, fmt.Errorf("bench: k=%d exceeds workload truth depth %d", k, w.MaxK)
 	}
 	row := Row{Algo: a.Name(), K: k, Queries: len(w.Queries)}
-	var timer metrics.Timer
+	var elapsed time.Duration
 	var ratioSum, recallSum float64
 	for qi, q := range w.Queries {
 		start := time.Now()
 		res, err := a.KNN(q, k)
-		timer.Observe(time.Since(start))
+		elapsed += time.Since(start)
 		if err != nil {
 			return Row{}, fmt.Errorf("bench: %s query %d: %w", a.Name(), qi, err)
 		}
@@ -80,7 +80,7 @@ func Evaluate(a Algorithm, w *Workload, k int) (Row, error) {
 		recallSum += recall
 	}
 	n := float64(len(w.Queries))
-	row.TimeMS = timer.Milliseconds().Mean
+	row.TimeMS = float64(elapsed.Nanoseconds()) / 1e6 / n
 	row.Ratio = ratioSum / n
 	row.Recall = recallSum / n
 	return row, nil

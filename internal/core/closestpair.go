@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/metric"
+	"repro/internal/metrics"
 	"repro/internal/vec"
 )
 
@@ -32,28 +33,26 @@ import (
 
 // Pair is one returned closest pair: two dataset ids (I < J) and their
 // exact original-space distance.
-type Pair struct {
-	I, J int32
-	Dist float64
-}
+type Pair = metrics.Pair
 
-// CPStats reports the work one closest-pair query performed.
+// CPStats reports the work one closest-pair query performed. Its tags
+// are the names /v1/pairs reports it under.
 type CPStats struct {
 	// Rounds is the number of capped self-joins issued (like the KNN
 	// engine, one or two rounds are typical).
-	Rounds int
+	Rounds int `json:"rounds"`
 	// Enumerated is the number of candidate pairs consumed from the
 	// projected-space self-join, including pairs re-enumerated by later
 	// rounds.
-	Enumerated int
+	Enumerated int `json:"enumerated"`
 	// Verified is the number of unique pairs admitted to verification.
-	Verified int
+	Verified int `json:"verified"`
 	// ProjectedDistComps is the number of projected-space metric
 	// evaluations inside the PM-tree traversal. Like the KNN statistic,
 	// it is exact for the query it describes — the pair enumerator
 	// counts its own evaluations — no matter how many queries run
 	// concurrently.
-	ProjectedDistComps int64
+	ProjectedDistComps int64 `json:"projected_dist_comps"`
 }
 
 // SearchPairs answers one (c,k)-closest-pair request under the unified

@@ -24,7 +24,7 @@ func cpDataset(t *testing.T, n int, seed int64) *dataset.Dataset {
 // checkPairs validates shape invariants and the (c,k) quality criterion
 // against brute force: the i-th returned distance must be within factor
 // c of the exact i-th closest pair distance.
-func checkPairs(t *testing.T, got []Pair, exact []lscan.PairResult, k int, c float64) {
+func checkPairs(t *testing.T, got []Pair, exact []Pair, k int, c float64) {
 	t.Helper()
 	if len(got) != k {
 		t.Fatalf("got %d pairs, want %d", len(got), k)

@@ -179,13 +179,14 @@ func (cfg *Config) fillDefaults(dim int) {
 // an answer is scored (Eqs. 11–12) as it is returned.
 type Result = metrics.Neighbor
 
-// QueryStats reports the work one query performed.
+// QueryStats reports the work one query performed. Its tags are the
+// names /v1/search, /v1/search/batch and /v1/ball report it under.
 type QueryStats struct {
 	// Rounds is the number of range queries issued (the paper observes
 	// "only one or two range queries are required").
-	Rounds int
+	Rounds int `json:"rounds"`
 	// Verified is the number of original-space distance computations.
-	Verified int
+	Verified int `json:"verified"`
 	// ProjectedDistComps is the number of projected-space metric
 	// evaluations. A Search pays exactly the tree's rows, dead ones
 	// included: its rounds are one flat pass, however small its first
@@ -195,10 +196,10 @@ type QueryStats struct {
 	// pass's squared distance; the traversal is an accelerator tested
 	// against that. The enumerator counts its own evaluations, so the
 	// count is exact however many queries overlap.
-	ProjectedDistComps int64
+	ProjectedDistComps int64 `json:"projected_dist_comps"`
 	// FinalRadius is the original-space radius r when the query
 	// terminated.
-	FinalRadius float64
+	FinalRadius float64 `json:"final_radius"`
 }
 
 // Params bundles the derived confidence-interval constants for an

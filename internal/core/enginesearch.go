@@ -63,22 +63,36 @@ func (e *Engine) views() []*view {
 // concurrently when concurrent is set (single queries), serially
 // otherwise (batch workers already fill the cores). Each shard's
 // searchView counts as a running query and takes no helper: the shards'
-// goroutines are the query's parallelism. Errors surface in shard order,
-// so a request invalid for every shard (bad dimension, k <= 0) reports
-// shard 0's error, which is word-for-word the 1-shard error. One shard
-// answers alone, into o.Stats itself.
+// goroutines are the query's parallelism. One shard answers alone, into
+// o.Stats itself.
 func (e *Engine) fanSearch(ctx context.Context, q []float64, k int, o SearchOptions, views []*view, concurrent bool) ([]Result, error) {
-	n := len(e.shards)
-	if n == 1 {
+	if len(e.shards) == 1 {
 		return e.shards[0].searchView(ctx, views[0], q, k, o, false)
 	}
-	per := make([][]Result, n)
+	per, err := fanOut(e, o, concurrent, func(s int, oi SearchOptions) ([]Result, error) {
+		return e.shards[s].searchView(ctx, views[s], q, k, oi, false)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return e.mergeTopK(per, k), nil
+}
+
+// fanOut runs query on every shard — a goroutine per shard when
+// concurrent is set, in shard order otherwise — with the shard's
+// narrowed options (shardOptions) and its own statistics sink, and
+// merges the statistics into o.Stats. Errors surface in shard order, so
+// a request invalid for every shard (bad dimension, k <= 0) reports
+// shard 0's error, which is word-for-word the 1-shard error.
+func fanOut[T any](e *Engine, o SearchOptions, concurrent bool, query func(s int, oi SearchOptions) (T, error)) ([]T, error) {
+	n := len(e.shards)
+	per := make([]T, n)
 	sts := make([]QueryStats, n)
 	errs := make([]error, n)
 	run := func(s int) {
 		oi := e.shardOptions(o, s)
 		oi.Stats = &sts[s]
-		per[s], errs[s] = e.shards[s].searchView(ctx, views[s], q, k, oi, false)
+		per[s], errs[s] = query(s, oi)
 	}
 	if concurrent {
 		var wg sync.WaitGroup
@@ -103,7 +117,7 @@ func (e *Engine) fanSearch(ctx context.Context, q []float64, k int, o SearchOpti
 	if o.Stats != nil {
 		*o.Stats = mergeQueryStats(sts)
 	}
-	return e.mergeTopK(per, k), nil
+	return per, nil
 }
 
 // mergeTopK translates per-shard results to global ids and keeps the k
@@ -168,39 +182,22 @@ func (e *Engine) SearchBall(ctx context.Context, q []float64, r float64, o Searc
 	if len(e.shards) == 1 {
 		return e.shards[0].SearchBall(ctx, q, r, o)
 	}
-	n := len(e.shards)
-	per := make([]*Result, n)
-	sts := make([]QueryStats, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for s := 0; s < n; s++ {
-		go func(s int) {
-			defer wg.Done()
-			oi := e.shardOptions(o, s)
-			oi.Stats = &sts[s]
-			per[s], errs[s] = e.shards[s].SearchBall(ctx, q, r, oi)
-		}(s)
+	per, err := fanOut(e, o, true, func(s int, oi SearchOptions) (*Result, error) {
+		return e.shards[s].SearchBall(ctx, q, r, oi)
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
+	n := int32(len(e.shards))
 	var best *Result
 	for s, res := range per {
 		if res == nil {
 			continue
 		}
-		g := Result{ID: res.ID*int32(n) + int32(s), Dist: res.Dist}
+		g := Result{ID: res.ID*n + int32(s), Dist: res.Dist}
 		if best == nil || metrics.CompareNeighbors(g, *best) < 0 {
-			b := g
-			best = &b
+			best = &g
 		}
-	}
-	if o.Stats != nil {
-		*o.Stats = mergeQueryStats(sts)
 	}
 	return best, nil
 }

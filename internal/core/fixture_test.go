@@ -88,9 +88,9 @@ func TestLoadsParentWrittenChurnedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantPairs := []Pair{
-		{154, 270, math.Float64frombits(0x3ff3898d63257bd8)},
-		{257, 258, math.Float64frombits(0x3ffafbc2b75a543d)},
-		{8, 198, math.Float64frombits(0x3ffbeec4550a1c0a)},
+		{I: 154, J: 270, Dist: math.Float64frombits(0x3ff3898d63257bd8)},
+		{I: 257, J: 258, Dist: math.Float64frombits(0x3ffafbc2b75a543d)},
+		{I: 8, J: 198, Dist: math.Float64frombits(0x3ffbeec4550a1c0a)},
 	}
 	if len(pairs) != len(wantPairs) {
 		t.Fatalf("SearchPairs returned %d pairs, want %d", len(pairs), len(wantPairs))

@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/lscan"
 	"repro/internal/metric"
+	"repro/internal/metrics"
 )
 
 // Config parameterizes one load-generation run.
@@ -363,10 +364,7 @@ func (c *client) post(ctx context.Context, route string, body, out any) (int, er
 }
 
 type searchResult struct {
-	Results []struct {
-		ID   int32   `json:"id"`
-		Dist float64 `json:"dist"`
-	} `json:"results"`
+	Results []metrics.Neighbor `json:"results"`
 }
 
 type insertResult struct {

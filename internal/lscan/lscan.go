@@ -65,19 +65,12 @@ func (s *Scanner) Len() int { return len(s.data) }
 // Scanned returns how many points each query examines.
 func (s *Scanner) Scanned() int { return s.limit }
 
-// PairResult is one exact closest pair: two row indexes (I < J) and
-// their distance.
-type PairResult struct {
-	I, J int32
-	Dist float64
-}
-
-// ClosestPairs returns the exact k closest pairs of data by exhaustive
-// O(n²) scan — the ground truth the approximate closest-pair engine is
-// verified against. Distances are compared squared with early
+// ClosestPairs returns the exact k closest pairs of data (row indexes
+// I < J) by exhaustive O(n²) scan — the ground truth the approximate
+// closest-pair engine is verified against. Distances are compared squared with early
 // abandonment against the running k-th best; the k square roots are
 // deferred to the end. k is clamped to the number of distinct pairs.
-func ClosestPairs(data [][]float64, k int) ([]PairResult, error) {
+func ClosestPairs(data [][]float64, k int) ([]metrics.Pair, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("lscan: k must be positive, got %d", k)
 	}
@@ -97,7 +90,7 @@ func ClosestPairs(data [][]float64, k int) ([]PairResult, error) {
 	if maxPairs := n * (n - 1) / 2; k > maxPairs {
 		k = maxPairs
 	}
-	top := make([]PairResult, 0, k) // squared distances until the end
+	top := make([]metrics.Pair, 0, k) // squared distances until the end
 	bound := math.Inf(1)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -105,8 +98,8 @@ func ClosestPairs(data [][]float64, k int) ([]PairResult, error) {
 			if len(top) == k && d2 >= bound {
 				continue
 			}
-			top = vec.InsertBounded(top, PairResult{I: int32(i), J: int32(j), Dist: d2}, k,
-				func(p PairResult) float64 { return p.Dist })
+			top = vec.InsertBounded(top, metrics.Pair{I: int32(i), J: int32(j), Dist: d2}, k,
+				func(p metrics.Pair) float64 { return p.Dist })
 			if len(top) == k {
 				bound = top[k-1].Dist
 			}

@@ -1,22 +1,30 @@
 // Package metrics implements the paper's evaluation metrics
 // (Section 6.1): the overall ratio (Eq. 11) and recall (Eq. 12) of a
-// (c,k)-ANN result against the exact kNN, plus small aggregation
-// helpers used by the benchmark harness.
+// (c,k)-ANN result against the exact kNN, and the answer shapes they
+// are computed over.
 package metrics
 
 import (
 	"cmp"
 	"fmt"
 	"math"
-	"sort"
-	"time"
 )
 
 // Neighbor pairs a point id with its distance to the query: the one
-// answer shape of every index, baseline and ground truth in the repo.
+// answer shape of every index, baseline and ground truth in the repo,
+// and the object /v1/search answers with (its tags are the wire names).
 type Neighbor struct {
-	ID   int32
-	Dist float64
+	ID   int32   `json:"id"`
+	Dist float64 `json:"dist"`
+}
+
+// Pair is one closest pair: two point ids (I < J) and their distance.
+// It is the answer shape of the approximate closest-pair engine and of
+// its exhaustive ground truth, and the object /v1/pairs answers with.
+type Pair struct {
+	I    int32   `json:"i"`
+	J    int32   `json:"j"`
+	Dist float64 `json:"dist"`
 }
 
 // CompareNeighbors orders neighbors by (distance, id): the order of
@@ -99,50 +107,3 @@ func Recall(result, truth []Neighbor) (float64, error) {
 	}
 	return float64(hits) / float64(len(truth)), nil
 }
-
-// Summary aggregates a metric over queries.
-type Summary struct {
-	Mean, Min, Max, P50, P95 float64
-	Count                    int
-}
-
-// Summarize computes distributional statistics of the samples.
-func Summarize(samples []float64) Summary {
-	if len(samples) == 0 {
-		return Summary{}
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	var sum float64
-	for _, v := range s {
-		sum += v
-	}
-	return Summary{
-		Mean:  sum / float64(len(s)),
-		Min:   s[0],
-		Max:   s[len(s)-1],
-		P50:   s[len(s)/2],
-		P95:   s[int(float64(len(s))*0.95)],
-		Count: len(s),
-	}
-}
-
-// Timer measures per-query latencies.
-type Timer struct {
-	samples []float64
-}
-
-// Observe records one latency.
-func (t *Timer) Observe(d time.Duration) {
-	t.samples = append(t.samples, float64(d.Nanoseconds())/1e6)
-}
-
-// Time runs fn and records its duration.
-func (t *Timer) Time(fn func()) {
-	start := time.Now()
-	fn()
-	t.Observe(time.Since(start))
-}
-
-// Milliseconds summarizes the recorded latencies in milliseconds.
-func (t *Timer) Milliseconds() Summary { return Summarize(t.samples) }

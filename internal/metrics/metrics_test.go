@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 func nb(id int32, d float64) Neighbor { return Neighbor{ID: id, Dist: d} }
@@ -107,29 +106,5 @@ func TestRecallCapped(t *testing.T) {
 func TestRecallEmptyTruth(t *testing.T) {
 	if _, err := Recall(nil, nil); err == nil {
 		t.Error("empty truth should error")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{3, 1, 2, 5, 4})
-	if s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.P50 != 3 || s.Count != 5 {
-		t.Errorf("summary = %+v", s)
-	}
-	empty := Summarize(nil)
-	if empty.Count != 0 {
-		t.Errorf("empty summary = %+v", empty)
-	}
-}
-
-func TestTimer(t *testing.T) {
-	var tm Timer
-	tm.Observe(2 * time.Millisecond)
-	tm.Time(func() { time.Sleep(time.Millisecond) })
-	s := tm.Milliseconds()
-	if s.Count != 2 {
-		t.Fatalf("count = %d", s.Count)
-	}
-	if s.Min < 0.9 || s.Max > 100 {
-		t.Errorf("latencies out of range: %+v", s)
 	}
 }

@@ -60,46 +60,12 @@ func (o queryOptions) requestContext(r *http.Request) (context.Context, context.
 	return ctx, cancel, nil
 }
 
-type neighborJSON struct {
-	ID   int32   `json:"id"`
-	Dist float64 `json:"dist"`
-}
-
-type pairJSON struct {
-	I    int32   `json:"i"`
-	J    int32   `json:"j"`
-	Dist float64 `json:"dist"`
-}
-
-type queryStatsJSON struct {
-	Rounds             int     `json:"rounds"`
-	Verified           int     `json:"verified"`
-	ProjectedDistComps int64   `json:"projected_dist_comps"`
-	FinalRadius        float64 `json:"final_radius"`
-}
-
-type pairStatsJSON struct {
-	Rounds             int   `json:"rounds"`
-	Enumerated         int   `json:"enumerated"`
-	Verified           int   `json:"verified"`
-	ProjectedDistComps int64 `json:"projected_dist_comps"`
-}
-
-func toNeighbors(res []core.Result) []neighborJSON {
-	out := make([]neighborJSON, len(res))
-	for i, r := range res {
-		out[i] = neighborJSON{ID: r.ID, Dist: r.Dist}
+// nonNil keeps an empty answer encoding as [], never null.
+func nonNil[T any](s []T) []T {
+	if s == nil {
+		return []T{}
 	}
-	return out
-}
-
-func toQueryStats(st core.QueryStats) queryStatsJSON {
-	return queryStatsJSON{
-		Rounds:             st.Rounds,
-		Verified:           st.Verified,
-		ProjectedDistComps: st.ProjectedDistComps,
-		FinalRadius:        st.FinalRadius,
-	}
+	return s
 }
 
 // observeQuery feeds the per-query work histogram.
@@ -182,8 +148,8 @@ type searchRequest struct {
 }
 
 type searchResponse struct {
-	Results []neighborJSON `json:"results"`
-	Stats   queryStatsJSON `json:"stats"`
+	Results []core.Result   `json:"results"`
+	Stats   core.QueryStats `json:"stats"`
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -207,7 +173,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.observeQuery(st)
-	writeJSON(w, http.StatusOK, searchResponse{Results: toNeighbors(res), Stats: toQueryStats(st)})
+	writeJSON(w, http.StatusOK, searchResponse{Results: nonNil(res), Stats: st})
 }
 
 type searchBatchRequest struct {
@@ -217,8 +183,8 @@ type searchBatchRequest struct {
 }
 
 type searchBatchResponse struct {
-	Results [][]neighborJSON `json:"results"`
-	Stats   []queryStatsJSON `json:"stats"`
+	Results [][]core.Result   `json:"results"`
+	Stats   []core.QueryStats `json:"stats"`
 }
 
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
@@ -241,16 +207,11 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		failQuery(w, err)
 		return
 	}
-	out := searchBatchResponse{
-		Results: make([][]neighborJSON, len(res)),
-		Stats:   make([]queryStatsJSON, len(res)),
-	}
-	for i, rs := range res {
-		out.Results[i] = toNeighbors(rs)
-		out.Stats[i] = toQueryStats(sts[i])
+	for i := range res {
+		res[i] = nonNil(res[i])
 		s.observeQuery(sts[i])
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, searchBatchResponse{Results: nonNil(res), Stats: sts})
 }
 
 type pairsRequest struct {
@@ -259,8 +220,8 @@ type pairsRequest struct {
 }
 
 type pairsResponse struct {
-	Pairs []pairJSON    `json:"pairs"`
-	Stats pairStatsJSON `json:"stats"`
+	Pairs []core.Pair  `json:"pairs"`
+	Stats core.CPStats `json:"stats"`
 }
 
 func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request) {
@@ -284,16 +245,7 @@ func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.pdcHist.Observe(float64(st.ProjectedDistComps))
-	out := pairsResponse{Pairs: make([]pairJSON, len(pairs)), Stats: pairStatsJSON{
-		Rounds:             st.Rounds,
-		Enumerated:         st.Enumerated,
-		Verified:           st.Verified,
-		ProjectedDistComps: st.ProjectedDistComps,
-	}}
-	for i, p := range pairs {
-		out.Pairs[i] = pairJSON{I: p.I, J: p.J, Dist: p.Dist}
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, pairsResponse{Pairs: nonNil(pairs), Stats: st})
 }
 
 type ballRequest struct {
@@ -304,8 +256,8 @@ type ballRequest struct {
 
 type ballResponse struct {
 	// Result is null when no point lies within c·r.
-	Result *neighborJSON  `json:"result"`
-	Stats  queryStatsJSON `json:"stats"`
+	Result *core.Result    `json:"result"`
+	Stats  core.QueryStats `json:"stats"`
 }
 
 func (s *Server) handleBall(w http.ResponseWriter, r *http.Request) {
@@ -329,11 +281,7 @@ func (s *Server) handleBall(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.observeQuery(st)
-	out := ballResponse{Stats: toQueryStats(st)}
-	if res != nil {
-		out.Result = &neighborJSON{ID: res.ID, Dist: res.Dist}
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, ballResponse{Result: res, Stats: st})
 }
 
 type insertRequest struct {

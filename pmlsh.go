@@ -250,55 +250,32 @@ func (x *Index) M() int { return x.ix.M() }
 func (x *Index) Shards() int { return x.ix.Shards() }
 
 // Info is one consistent snapshot of the index's observable state —
-// what a dashboard or the /v1/info serving endpoint reports.
-type Info struct {
-	// Dim is the original dimensionality; M the projected one.
-	Dim, M int
-	// Shards is the shard count.
-	Shards int
-	// IDs is the size of the id space: ids ever assigned.
-	IDs int
-	// Live is the number of live (not deleted) points.
-	Live int
-	// Dead is the number of storage rows whose point was deleted,
-	// awaiting Compact.
-	Dead int
-	// Compactions counts Compact operations (explicit and automatic)
-	// completed since the index was built or loaded.
-	Compactions int64
-	// Metric is the distance metric the index was built with.
-	Metric Metric
-	// TailFraction is, per shard, the share of the projected-space
-	// tree's rows inserted since the last Build or compaction, which a
-	// tree traversal brute-forces. It is 0 after Build and Compact, rises
-	// with every Insert, and when it reaches Config.AutoCompactFraction
-	// the shard compacts itself: read beside Dead, it is how far each
-	// shard is from its next automatic compaction. It prices only
-	// small-radius queries (SearchBall, SearchPairs): a Search scans the
-	// rows and visits no leaf.
-	TailFraction []float64
-}
+// what a dashboard or the /v1/info serving endpoint reports. Dim and M
+// are the original and projected dimensionality; Metric the distance
+// the index was built with; Shards the shard count; IDs the size of the
+// id space (ids ever assigned); Live the points not deleted; Dead the
+// storage rows whose point was deleted, awaiting Compact; Compactions
+// the Compact operations (explicit and automatic) completed since the
+// index was built or loaded.
+//
+// TailFraction and DeadFraction have one element per shard.
+// TailFraction is the share of the projected-space tree's rows inserted
+// since the last Build or compaction, which a tree traversal
+// brute-forces; it prices only small-radius queries (SearchBall,
+// SearchPairs): a Search scans the rows and visits no leaf.
+// DeadFraction is the dead share of the shard's rows. Both are 0 after
+// Build and Compact and rise with every Insert and Delete respectively;
+// when either reaches Config.AutoCompactFraction the shard compacts
+// itself, so read together they say how far each shard is from its next
+// automatic compaction.
+type Info = core.EngineInfo
 
 // Info returns one consistent snapshot of the index's observable
 // state. Each shard's figures are read from one published view, so they
 // are mutually consistent (Live ≤ IDs, Dead ≤ IDs−Live)
 // even while mutations run — unlike an ad-hoc sequence of Len /
 // LiveLen calls, between which a mutator can land.
-func (x *Index) Info() Info {
-	ei := x.ix.Info()
-	return Info{
-		Dim:         ei.Dim,
-		M:           ei.M,
-		Shards:      ei.Shards,
-		IDs:         ei.IDs,
-		Live:        ei.Live,
-		Dead:        ei.Dead,
-		Compactions: ei.Compactions,
-		Metric:      ei.Metric,
-
-		TailFraction: ei.TailFraction,
-	}
-}
+func (x *Index) Info() Info { return x.ix.Info() }
 
 // DeriveParams exposes the confidence-interval constants used for a
 // given approximation ratio.

@@ -219,6 +219,31 @@ func TestFacadeSaveLoadAndInsert(t *testing.T) {
 	}
 }
 
+// TestInfoDeadFractionPerShard: Info reports each shard's dead share,
+// and a Delete moves it for the shard that holds the id (global id
+// mod the shard count) and for no other.
+func TestInfoDeadFractionPerShard(t *testing.T) {
+	ds := testData(t, 600)
+	ix, err := Build(ds.Points, Config{Seed: 11, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := ix.Info().DeadFraction; len(f) != 3 || f[0] != 0 || f[1] != 0 || f[2] != 0 {
+		t.Fatalf("fresh index reports dead fractions %v, want [0 0 0]", f)
+	}
+	const id = 7 // 7 mod 3: shard 1
+	if err := ix.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	info := ix.Info()
+	if f := info.DeadFraction; f[0] != 0 || f[1] != 1.0/200 || f[2] != 0 {
+		t.Errorf("one delete from shard 1 left dead fractions %v, want [0 %v 0]", f, 1.0/200)
+	}
+	if info.Dead != 1 || info.Live != 599 {
+		t.Errorf("Dead %d Live %d after one delete, want 1 and 599", info.Dead, info.Live)
+	}
+}
+
 // Distances reported by the public API are exact original-space
 // distances, never estimates.
 func TestReportedDistancesExact(t *testing.T) {
