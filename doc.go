@@ -127,9 +127,9 @@
 // Info().TailFraction reports, per shard, how much of the tree's rows is
 // tail, as Info().DeadFraction reports how much is dead. Candidate
 // verification likewise streams sequential memory instead of chasing a
-// pointer per point, compares squared distances
-// with early abandonment against the running k-th best, and defers the
-// k square roots to the end of the query. It takes candidates four at a time: one kernel call reduces
+// pointer per point, compares squared distances with early abandonment
+// against the running k-th best, and defers the k square roots to the
+// end of the query. It takes candidates four at a time: one kernel call reduces
 // four rows side by side, so their dependency chains and cache misses
 // overlap, and the top-k ranks by (distance, id), so the answer is that
 // of verifying them one by one in any order. The PM-tree itself is bulk

@@ -121,7 +121,7 @@ func ClosestPairStudy(w *CPWorkload, k int, c float64, seed int64) (CPRow, error
 // distance is not counts as an unbounded violation — duplicates are
 // the CP engine's primary workload, so missing one must fail the
 // ratio gate, not be skipped.
-func cpRatio(got []core.Pair, exact []core.Pair) float64 {
+func cpRatio(got, exact []core.Pair) float64 {
 	if len(got) == 0 || len(exact) == 0 {
 		return 0
 	}

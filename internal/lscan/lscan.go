@@ -67,9 +67,10 @@ func (s *Scanner) Scanned() int { return s.limit }
 
 // ClosestPairs returns the exact k closest pairs of data (row indexes
 // I < J) by exhaustive O(n²) scan — the ground truth the approximate
-// closest-pair engine is verified against. Distances are compared squared with early
-// abandonment against the running k-th best; the k square roots are
-// deferred to the end. k is clamped to the number of distinct pairs.
+// closest-pair engine is verified against. Distances are compared
+// squared with early abandonment against the running k-th best; the k
+// square roots are deferred to the end. k is clamped to the number of
+// distinct pairs.
 func ClosestPairs(data [][]float64, k int) ([]metrics.Pair, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("lscan: k must be positive, got %d", k)

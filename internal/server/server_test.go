@@ -54,18 +54,10 @@ func newTestServer(t *testing.T, shards int, maxBody int64) (*Server, *httptest.
 // body (nil when the body is not JSON).
 func post(t *testing.T, ts *httptest.Server, path, body string) (int, map[string]any) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	status, raw := rawPost(t, ts, path, body)
 	var m map[string]any
 	_ = json.Unmarshal(raw, &m)
-	return resp.StatusCode, m
+	return status, m
 }
 
 func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
